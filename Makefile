@@ -4,7 +4,7 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-shards bench-serve bench-abr bench-city bench-crowd benchguard soak fault crash cluster abr city diskfault crowd fuzz ci
+.PHONY: build test race vet bench bench-check bench-e2e bench-shards bench-serve bench-abr bench-city bench-crowd benchguard soak fault crash cluster abr city diskfault crowd fuzz ci
 
 build:
 	$(GO) build ./...
@@ -24,6 +24,20 @@ vet:
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# bench/ is a module of its own, so `build`, `vet` and `test` above never
+# compile it and an internal/* signature change can break the end-to-end
+# benchmark unnoticed. This vets it and runs its self-tests (about 2 s)
+# against the working tree.
+bench-check:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
+
+# The end-to-end benchmark BENCHMARK.json declares: all four workloads
+# over loopback TCP, untraced then traced, with its mechanism checks
+# (see bench/README.md; about 7 minutes). Informational, like the other
+# bench-* targets.
+bench-e2e:
+	bash bench/run.sh
 
 # Shard-scaling sweep: fixed concurrent read/write workload against the
 # single-lock baseline and Sharded at K in {1,2,4,8,16}; emits the JSON
@@ -170,7 +184,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzCluster$$' -fuzztime 10s -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz 'FuzzFaultDisk$$' -fuzztime 10s -run '^$$' ./internal/faultdisk/
 
-ci: build vet test race fault crash cluster abr city diskfault crowd fuzz
+ci: build vet test bench-check race fault crash cluster abr city diskfault crowd fuzz
 	# Informational benchmark deltas (never fail the gate): regenerate
 	# the BENCH_*.json artifacts, print the change vs the previous
 	# files, then diff every artifact against HEAD with benchguard.

@@ -38,12 +38,12 @@ func TestPlanTruncationKeepsNearDetail(t *testing.T) {
 	viewer := geom.V2(500, 500)
 	subs := PlanViewport(q, viewer, 0.05, 3)
 
-	full := srv.Execute(subs, make(map[int64]bool))
+	full := srv.Execute(subs, new(retrieval.Delivered))
 	if len(full.IDs) < 100 {
 		t.Fatalf("workload too small: %d coefficients", len(full.IDs))
 	}
 	budget := int64(len(full.IDs)/3) * wavelet.WireBytes
-	resp := srv.ExecuteBudget(subs, make(map[int64]bool), budget)
+	resp := srv.ExecuteBudget(subs, new(retrieval.Delivered), budget)
 	if resp.Dropped == 0 {
 		t.Fatalf("tight budget did not truncate")
 	}

@@ -96,7 +96,7 @@ func (m *MotionAware) SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, in
 	}
 	start := len(buf)
 	buf, io := m.tree.SearchInto(qr, &cur.rt, buf)
-	slices.Sort(buf[start:])
+	sortIDs(buf[start:], &cur.tmp)
 	m.lastHits.Store(int64(len(buf) - start))
 	return buf, io
 }

@@ -3,7 +3,6 @@ package index
 import (
 	"fmt"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -312,7 +311,7 @@ func (s *Sharded) SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, int64)
 		// cand to the heap on the (allocation-free) serial path above.
 		buf, io = s.searchParallel(qr, workers, buf, cur)
 	}
-	slices.Sort(buf[start:])
+	sortIDs(buf[start:], &cur.tmp)
 	return buf, io
 }
 

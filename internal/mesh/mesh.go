@@ -7,6 +7,7 @@ package mesh
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"repro/internal/geom"
@@ -74,8 +75,19 @@ func (m *Mesh) Edges() []Edge {
 	return out
 }
 
-// NumEdges returns the number of undirected edges.
-func (m *Mesh) NumEdges() int { return len(m.Edges()) }
+// NumEdges returns the number of undirected edges. It counts them from
+// one sorted key per face side, without building the Edges set.
+func (m *Mesh) NumEdges() int {
+	keys := make([]uint64, 0, 3*len(m.Faces))
+	for _, f := range m.Faces {
+		for i := range f {
+			e := MakeEdge(f[i], f[(i+1)%3])
+			keys = append(keys, uint64(uint32(e.A))<<32|uint64(uint32(e.B)))
+		}
+	}
+	slices.Sort(keys)
+	return len(slices.Compact(keys))
+}
 
 // EulerCharacteristic returns V − E + F. Closed orientable surfaces of
 // genus 0 (all our objects) have characteristic 2, and regular subdivision

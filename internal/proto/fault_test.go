@@ -317,6 +317,35 @@ func TestListenAndServe(t *testing.T) {
 	}
 }
 
+// TestCloseBeforeServe is the regression for a Close that wins the race
+// with Serve's start: Serve must see it when it stores the listener,
+// close the listener and return nil instead of accepting forever.
+func TestCloseBeforeServe(t *testing.T) {
+	d := workload.Generate(workload.Spec{NumObjects: 2, Levels: 1, Seed: 5})
+	idx := index.NewMotionAware(d.Store, index.XYW, rtree.Config{})
+	srv := NewServer(retrieval.NewServer(d.Store, idx), d.Spec.Levels, t.Logf)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	srv.Close()
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(lis) }()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatalf("Serve after Close returned %v, want nil", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("Serve after Close is still accepting")
+	}
+	if conn, err := lis.Accept(); err == nil {
+		conn.Close()
+		t.Fatal("listener still open after Serve returned")
+	}
+}
+
 // TestListenAndServeBadAddr covers the bind-failure path.
 func TestListenAndServeBadAddr(t *testing.T) {
 	d := workload.Generate(workload.Spec{NumObjects: 1, Levels: 1, Seed: 41})

@@ -25,6 +25,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"strings"
 	"sync"
 
@@ -172,6 +173,11 @@ type Coeff struct {
 
 // wireCoeffBytes is the on-the-wire size of one Coeff record.
 const wireCoeffBytes = 4 + 4 + 24 + 12 + 4
+
+// respChunkRecords is how many records the response decoder reads at
+// once: the most whole records (4 080 bytes) that fit the 4 096-byte
+// buffer bufio hands them over from.
+const respChunkRecords = 85
 
 func init() {
 	if wireCoeffBytes != wavelet.WireBytes {
@@ -385,6 +391,27 @@ func appendCoeff(buf []byte, c *Coeff) []byte {
 	return buf
 }
 
+// decodeCoeff parses the record appendCoeff wrote at the head of b
+// (len(b) ≥ wireCoeffBytes).
+func decodeCoeff(b []byte) Coeff {
+	_ = b[wireCoeffBytes-1]
+	return Coeff{
+		Object: int32(binary.LittleEndian.Uint32(b[0:])),
+		Vertex: int32(binary.LittleEndian.Uint32(b[4:])),
+		Delta: geom.Vec3{
+			X: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+			Y: math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
+			Z: math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
+		},
+		Pos: [3]float32{
+			math.Float32frombits(binary.LittleEndian.Uint32(b[32:])),
+			math.Float32frombits(binary.LittleEndian.Uint32(b[36:])),
+			math.Float32frombits(binary.LittleEndian.Uint32(b[40:])),
+		},
+		Value: math.Float32frombits(binary.LittleEndian.Uint32(b[44:])),
+	}
+}
+
 // EncodeResponsePayload appends the wire encoding of the coefficient
 // records (the section of a response frame after count/IO/Seq) to buf.
 // The hot-region cache stores these blobs so repeated responses skip
@@ -503,14 +530,17 @@ type Reader struct {
 	// subs is the reusable sub-query slab behind ReadRequest — see its
 	// aliasing contract.
 	subs []retrieval.SubQuery
+	// chunk is the staging buffer the response decoder reads coefficient
+	// records through, respChunkRecords at a time.
+	chunk []byte
 }
 
 // NewReader wraps a connection.
 func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
 
-// Reset retargets the reader at src, keeping its buffers (bufio buffer
-// and sub-query slab) — the recycling hook for benchmark and pooling
-// harnesses. Any partially read frame state is discarded.
+// Reset retargets the reader at src, keeping its buffers (bufio buffer,
+// sub-query slab and decode chunk) — the recycling hook for benchmark
+// and pooling harnesses. Any partially read frame state is discarded.
 func (r *Reader) Reset(src io.Reader) {
 	r.r.Reset(src)
 	r.hashing = false
@@ -884,42 +914,25 @@ func (r *Reader) readResponseInto(resp *Response, budget bool) error {
 			return err
 		}
 	}
-	if resp.Coeffs == nil {
-		// Grow incrementally: a corrupted-but-in-range count must not
-		// pre-allocate gigabytes before the stream runs dry.
-		alloc := int(n)
-		if alloc > 4096 {
-			alloc = 4096
-		}
-		resp.Coeffs = make([]Coeff, 0, alloc)
-	}
+	// The records arrive in bounded chunks — one read and one checksum
+	// update per chunk, fields decoded straight from the staging buffer —
+	// and Coeffs grows a chunk at a time: a corrupted-but-in-range count
+	// must not pre-allocate gigabytes before the stream runs dry.
 	resp.Coeffs = resp.Coeffs[:0]
-	for i := 0; i < int(n); i++ {
-		var c Coeff
-		if c.Object, err = r.i32(); err != nil {
+	if n > 0 && r.chunk == nil {
+		r.chunk = make([]byte, respChunkRecords*wireCoeffBytes)
+	}
+	for left := int(n); left > 0; {
+		k := min(left, respChunkRecords)
+		b := r.chunk[:k*wireCoeffBytes]
+		if err := r.fill(b); err != nil {
 			return err
 		}
-		if c.Vertex, err = r.i32(); err != nil {
-			return err
+		resp.Coeffs = slices.Grow(resp.Coeffs, k)
+		for ; len(b) > 0; b = b[wireCoeffBytes:] {
+			resp.Coeffs = append(resp.Coeffs, decodeCoeff(b))
 		}
-		if c.Delta.X, err = r.f64(); err != nil {
-			return err
-		}
-		if c.Delta.Y, err = r.f64(); err != nil {
-			return err
-		}
-		if c.Delta.Z, err = r.f64(); err != nil {
-			return err
-		}
-		for j := 0; j < 3; j++ {
-			if c.Pos[j], err = r.f32(); err != nil {
-				return err
-			}
-		}
-		if c.Value, err = r.f32(); err != nil {
-			return err
-		}
-		resp.Coeffs = append(resp.Coeffs, c)
+		left -= k
 	}
 	if err := r.checkCRC(); err != nil {
 		return err

@@ -147,11 +147,17 @@ func (s *Server) SetResumeCache(capacity int, ttl time.Duration) {
 func (s *Server) SetDrainTimeout(d time.Duration) { s.drainTimeout = d }
 
 // Serve accepts connections until the listener closes. It returns nil
-// after Close.
+// after Close — including a Close that ran before Serve got here, in
+// which case Serve closes the listener itself and accepts nothing.
 func (s *Server) Serve(lis net.Listener) error {
 	s.mu.Lock()
 	s.lis = lis
+	closed := s.closed
 	s.mu.Unlock()
+	if closed {
+		lis.Close()
+		return nil
+	}
 	for {
 		conn, err := lis.Accept()
 		if err != nil {

@@ -38,12 +38,12 @@ func TestExecuteBudgetPrefixOfUnlimited(t *testing.T) {
 		q := geom.R2(0, 0, 1000, 1000)
 		subs := ringPlan(q, geom.V2(400, 600))
 
-		full := srv.Execute(subs, make(map[int64]bool))
+		full := srv.Execute(subs, new(Delivered))
 		if len(full.IDs) < 10 {
 			t.Fatalf("seed %d: only %d coefficients; test needs a real workload", seed, len(full.IDs))
 		}
 		for _, cutCoeffs := range []int{0, 1, len(full.IDs) / 3, len(full.IDs) - 1, len(full.IDs)} {
-			delivered := make(map[int64]bool)
+			delivered := new(Delivered)
 			budget := int64(cutCoeffs) * wavelet.WireBytes
 			if cutCoeffs == 0 {
 				budget = 1 // sub-record budget delivers nothing
@@ -62,9 +62,9 @@ func TestExecuteBudgetPrefixOfUnlimited(t *testing.T) {
 			if got.Bytes > budget {
 				t.Fatalf("seed %d cut %d: response %d bytes exceeds budget %d", seed, cutCoeffs, got.Bytes, budget)
 			}
-			if len(delivered) != len(got.IDs) {
+			if delivered.Len() != len(got.IDs) {
 				t.Fatalf("seed %d cut %d: delivered set has %d entries for %d delivered ids — withheld coefficients must stay retrievable",
-					seed, cutCoeffs, len(delivered), len(got.IDs))
+					seed, cutCoeffs, delivered.Len(), len(got.IDs))
 			}
 			// IO and Queries account the full search work either way.
 			if got.IO != full.IO || got.Queries != full.Queries {
@@ -87,11 +87,11 @@ func TestExecuteBudgetDeterministic(t *testing.T) {
 		budget := int64(rng.Intn(200)) * wavelet.WireBytes
 
 		srv.SetParallelism(1)
-		serial := srv.ExecuteBudget(subs, make(map[int64]bool), budget)
+		serial := srv.ExecuteBudget(subs, new(Delivered), budget)
 		srv.SetParallelism(8)
-		parallel := srv.ExecuteBudget(subs, make(map[int64]bool), budget)
+		parallel := srv.ExecuteBudget(subs, new(Delivered), budget)
 		var sc Scratch
-		scratch := srv.ExecuteBudgetScratch(subs, make(map[int64]bool), &sc, budget)
+		scratch := srv.ExecuteBudgetScratch(subs, new(Delivered), &sc, budget)
 
 		if !reflect.DeepEqual(serial.IDs, parallel.IDs) || serial.Dropped != parallel.Dropped {
 			t.Fatalf("trial %d: parallel budgeted execution diverged from serial", trial)
@@ -113,7 +113,7 @@ func TestExecuteBudgetFollowsPriorityOrder(t *testing.T) {
 	// Per-sub delivery counts at unlimited budget (shared delivered set
 	// reproduces the merge's dedup behaviour sub-by-sub).
 	fullPer := make([]int, len(subs))
-	delivered := make(map[int64]bool)
+	delivered := new(Delivered)
 	total := 0
 	for i, s := range subs {
 		r := srv.Execute([]SubQuery{s}, delivered)
@@ -122,7 +122,7 @@ func TestExecuteBudgetFollowsPriorityOrder(t *testing.T) {
 	}
 
 	budgetCoeffs := total / 4
-	resp := srv.ExecuteBudget(subs, make(map[int64]bool), int64(budgetCoeffs)*wavelet.WireBytes)
+	resp := srv.ExecuteBudget(subs, new(Delivered), int64(budgetCoeffs)*wavelet.WireBytes)
 	if len(resp.IDs) != budgetCoeffs {
 		t.Fatalf("tight budget delivered %d of %d budgeted coefficients", len(resp.IDs), budgetCoeffs)
 	}

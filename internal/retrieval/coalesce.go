@@ -23,6 +23,7 @@ package retrieval
 
 import (
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -182,11 +183,15 @@ func (co *Coalescer) do(s *Server, q index.Query, e0 uint64, buf []int64, cur *i
 	}
 }
 
-// lead runs the leader's search and publishes the outcome. The result
-// slice is flight-owned: followers hold references to it after done
-// closes, so it must never alias a session's reusable scratch.
+// lead runs the leader's search and publishes the outcome. The search
+// appends into the leader's own buf (the session scratch, already sized
+// by earlier frames); the flight gets one exact-size copy, because
+// followers hold references to f.ids after done closes and it must
+// never alias a session's reusable scratch.
 func (co *Coalescer) lead(s *Server, f *flight, k ckey, q index.Query, e0 uint64, buf []int64, cur *index.Cursor) ([]int64, int64, uint64, bool) {
-	f.ids, f.io = s.runSearch(q, nil, cur)
+	start := len(buf)
+	buf, f.io = s.runSearch(q, buf, cur)
+	f.ids = slices.Clone(buf[start:])
 	e1 := s.epoch.Epoch()
 	if e0 == e1 && e0%2 == 0 {
 		f.ok, f.epoch = true, e0
@@ -204,7 +209,7 @@ func (co *Coalescer) lead(s *Server, f *flight, k ckey, q index.Query, e0 uint64
 		f.expires = time.Now().Add(co.cfg.Window)
 	}
 	co.mu.Unlock()
-	return append(buf, f.ids...), f.io, f.epoch, f.ok
+	return buf, f.io, f.epoch, f.ok
 }
 
 // selfSearch is the bypass path: an uncoalesced search with its own

@@ -1,0 +1,100 @@
+package retrieval
+
+import "math/bits"
+
+const (
+	// deliveredPageBits sizes a page of the delivered set: 4 096 ids in
+	// 64 words, 512 bytes.
+	deliveredPageBits  = 12
+	deliveredPageWords = 1 << deliveredPageBits / 64
+)
+
+type deliveredPage [deliveredPageWords]uint64
+
+// Delivered is a set of coefficient ids, the per-client record of what
+// has crossed the link. Coefficient ids are dense — exactly
+// [0, NumCoeffs) of the store — so the set is a paged bitset: a spine of
+// one pointer per 4 096 ids of id space, each page allocated when an id
+// in it is first added. A frame's ids cluster on the few pages of the
+// objects in its window, so membership costs one bit test and a session
+// that saw a fraction of the city pays for that fraction.
+//
+// The zero value is an empty set ready to use. Negative ids are never
+// members: Add and Del ignore them and Has reports false. A Delivered
+// is not safe for concurrent use — like the session that owns it.
+type Delivered struct {
+	pages []*deliveredPage
+	n     int
+}
+
+// locate splits a non-negative id into its page number, word and bit.
+func locate(id int64) (page int, word uint, mask uint64) {
+	return int(id >> deliveredPageBits), uint(id>>6) % deliveredPageWords, 1 << (uint(id) & 63)
+}
+
+// Has reports whether id is in the set.
+func (d *Delivered) Has(id int64) bool {
+	p, w, m := locate(id)
+	if id < 0 || p >= len(d.pages) || d.pages[p] == nil {
+		return false
+	}
+	return d.pages[p][w]&m != 0
+}
+
+// Add inserts id, growing the spine and allocating the id's page when
+// this is the first id to land there. It reports whether id was new to
+// the set.
+func (d *Delivered) Add(id int64) bool {
+	if id < 0 {
+		return false
+	}
+	p, w, m := locate(id)
+	if p >= len(d.pages) {
+		d.pages = append(d.pages, make([]*deliveredPage, p+1-len(d.pages))...)
+	}
+	pg := d.pages[p]
+	if pg == nil {
+		pg = new(deliveredPage)
+		d.pages[p] = pg
+	}
+	if pg[w]&m != 0 {
+		return false
+	}
+	pg[w] |= m
+	d.n++
+	return true
+}
+
+// Del removes id; an absent id is a no-op. Pages are kept: ids are
+// removed to be re-delivered (resume rollback), so the page is about to
+// be needed again.
+func (d *Delivered) Del(id int64) {
+	p, w, m := locate(id)
+	if id < 0 || p >= len(d.pages) || d.pages[p] == nil {
+		return
+	}
+	if d.pages[p][w]&m != 0 {
+		d.pages[p][w] &^= m
+		d.n--
+	}
+}
+
+// Len returns the number of ids in the set.
+func (d *Delivered) Len() int { return d.n }
+
+// IDs returns the members in ascending order, freshly allocated.
+func (d *Delivered) IDs() []int64 {
+	ids := make([]int64, 0, d.n)
+	for p, pg := range d.pages {
+		if pg == nil {
+			continue
+		}
+		for w, word := range pg {
+			base := int64(p)<<deliveredPageBits | int64(w)<<6
+			for ; word != 0; word &= word - 1 {
+				ids = append(ids, base|int64(bits.TrailingZeros64(word)))
+			}
+		}
+	}
+	return ids
+}

@@ -30,7 +30,7 @@ func TestExecuteNilDeliveredAllowsDuplicates(t *testing.T) {
 		t.Fatalf("executed %d sub-queries", raw.Queries)
 	}
 
-	filtered := srv.Execute(subs, make(map[int64]bool))
+	filtered := srv.Execute(subs, new(Delivered))
 	if len(filtered.IDs) != total {
 		t.Fatalf("deduplicated: %d ids, want %d", len(filtered.IDs), total)
 	}
@@ -51,7 +51,7 @@ func TestExecuteFilterRejectionKeepsRetrievable(t *testing.T) {
 	srv := testServer(t, 4, 14)
 	srv.SetStats(nil)
 	all := geom.R2(0, 0, 1000, 1000)
-	delivered := make(map[int64]bool)
+	delivered := new(Delivered)
 	total := int(srv.Store().NumCoeffs())
 
 	rejectAll := srv.Execute([]SubQuery{
@@ -60,8 +60,8 @@ func TestExecuteFilterRejectionKeepsRetrievable(t *testing.T) {
 	if len(rejectAll.IDs) != 0 {
 		t.Fatalf("reject-all filter delivered %d ids", len(rejectAll.IDs))
 	}
-	if len(delivered) != 0 {
-		t.Fatalf("reject-all filter marked %d ids delivered", len(delivered))
+	if delivered.Len() != 0 {
+		t.Fatalf("reject-all filter marked %d ids delivered", delivered.Len())
 	}
 
 	// A half-space filter: the delivered set must hold exactly the accepted
@@ -73,8 +73,8 @@ func TestExecuteFilterRejectionKeepsRetrievable(t *testing.T) {
 			t.Fatalf("filter leaked id %d east of the boundary", id)
 		}
 	}
-	if len(delivered) != len(first.IDs) {
-		t.Fatalf("delivered set has %d ids, response had %d", len(delivered), len(first.IDs))
+	if delivered.Len() != len(first.IDs) {
+		t.Fatalf("delivered set has %d ids, response had %d", delivered.Len(), len(first.IDs))
 	}
 	second := srv.Execute([]SubQuery{{Region: all, WMin: 0, WMax: 1}}, delivered)
 	if len(first.IDs)+len(second.IDs) != total {
@@ -121,8 +121,8 @@ func TestExecuteParallelMatchesSerial(t *testing.T) {
 			{Region: geom.R2(600, 100, 800, 700), WMin: 0, WMax: 0.2},
 		},
 	}
-	dSerial := make(map[int64]bool)
-	dParallel := make(map[int64]bool)
+	dSerial := new(Delivered)
+	dParallel := new(Delivered)
 	for bi, subs := range batches {
 		want := serial.Execute(subs, dSerial)
 		got := parallel.Execute(subs, dParallel)

@@ -8,7 +8,6 @@ package retrieval
 
 import (
 	"runtime"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -227,9 +226,9 @@ func (s *Server) Index() index.Index { return s.idx }
 // SetParallelism); the merge into the delivered set always happens on
 // the calling goroutine in sub-query order, so the response — ids,
 // order, bytes, I/O — is byte-identical to serial execution. The
-// delivered map is the caller's: Execute must not be called concurrently
-// with the same map (one session = one client = one request at a time).
-func (s *Server) Execute(subs []SubQuery, delivered map[int64]bool) Response {
+// delivered set is the caller's: Execute must not be called concurrently
+// with the same set (one session = one client = one request at a time).
+func (s *Server) Execute(subs []SubQuery, delivered *Delivered) Response {
 	return s.execute(subs, delivered, nil, 0)
 }
 
@@ -248,7 +247,7 @@ func (s *Server) Execute(subs []SubQuery, delivered map[int64]bool) Response {
 // the same response (ids, order, bytes, Dropped), independent of the
 // worker-pool parallelism — the property the wire protocol's budgeted
 // frames are built on.
-func (s *Server) ExecuteBudget(subs []SubQuery, delivered map[int64]bool, maxBytes int64) Response {
+func (s *Server) ExecuteBudget(subs []SubQuery, delivered *Delivered, maxBytes int64) Response {
 	return s.execute(subs, delivered, nil, maxBytes)
 }
 
@@ -258,7 +257,7 @@ func (s *Server) ExecuteBudget(subs []SubQuery, delivered map[int64]bool, maxByt
 // to use; buffers grow on first use and are retained, so steady-state
 // requests allocate almost nothing. A Scratch must not be shared by
 // concurrent requests — it belongs to one session, like the delivered
-// map.
+// set.
 type Scratch struct {
 	results []subResult
 	cur     index.Cursor
@@ -273,17 +272,17 @@ type Scratch struct {
 // returned Response's IDs slice aliases sc's buffer and is valid only
 // until the next ExecuteScratch with the same Scratch. Results are
 // identical to Execute in every field. A nil sc degrades to Execute.
-func (s *Server) ExecuteScratch(subs []SubQuery, delivered map[int64]bool, sc *Scratch) Response {
+func (s *Server) ExecuteScratch(subs []SubQuery, delivered *Delivered, sc *Scratch) Response {
 	return s.execute(subs, delivered, sc, 0)
 }
 
 // ExecuteBudgetScratch is ExecuteBudget on caller-owned scratch (see
 // ExecuteScratch for the aliasing contract).
-func (s *Server) ExecuteBudgetScratch(subs []SubQuery, delivered map[int64]bool, sc *Scratch, maxBytes int64) Response {
+func (s *Server) ExecuteBudgetScratch(subs []SubQuery, delivered *Delivered, sc *Scratch, maxBytes int64) Response {
 	return s.execute(subs, delivered, sc, maxBytes)
 }
 
-func (s *Server) execute(subs []SubQuery, delivered map[int64]bool, sc *Scratch, maxBytes int64) Response {
+func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, maxBytes int64) Response {
 	var start time.Time
 	if s.st != nil {
 		start = time.Now()
@@ -309,16 +308,17 @@ func (s *Server) execute(subs []SubQuery, delivered map[int64]bool, sc *Scratch,
 	// limit is the budget's prefix cut in whole coefficients; -1 means
 	// unlimited. A positive budget below one wire record delivers
 	// nothing (and withholds everything). withheld dedups the ids the
-	// cut suppresses — they are not in the delivered map (purity), but
+	// cut suppresses — they are not in the delivered set (purity), but
 	// Dropped must equal exactly what the unlimited run would have
 	// delivered beyond the cut, and a support region straddling several
-	// sub-query rectangles hits the merge more than once. Allocated
-	// lazily: only truncated responses (the degraded path) pay for it.
+	// sub-query rectangles hits the merge more than once. Its pages are
+	// allocated on first Add: only truncated responses (the degraded
+	// path) pay for it.
 	limit := int64(-1)
 	if maxBytes > 0 {
 		limit = maxBytes / wavelet.WireBytes
 	}
-	var withheld map[int64]bool
+	var withheld Delivered
 	// faultWithheld counts merge hits suppressed because their backing
 	// page was unreadable — a subset of resp.Dropped, surfaced to stats
 	// separately from budget truncation.
@@ -362,13 +362,7 @@ func (s *Server) execute(subs []SubQuery, delivered map[int64]bool, sc *Scratch,
 					// frames touching only healthy pages are unaffected.
 					dropped = true
 					faultWithheld++
-					if delivered == nil {
-						resp.Dropped++
-					} else if !withheld[id] {
-						if withheld == nil {
-							withheld = make(map[int64]bool)
-						}
-						withheld[id] = true
+					if delivered == nil || withheld.Add(id) {
 						resp.Dropped++
 					}
 					continue
@@ -378,29 +372,23 @@ func (s *Server) execute(subs []SubQuery, delivered map[int64]bool, sc *Scratch,
 					continue
 				}
 			}
-			if delivered != nil && delivered[id] {
+			if delivered != nil && delivered.Has(id) {
 				dropped = true
 				continue
 			}
 			if limit >= 0 && int64(len(resp.IDs)) >= limit {
 				// Budget exhausted: withhold, don't mark delivered. Without
-				// a delivered map the unlimited merge would append every
+				// a delivered set the unlimited merge would append every
 				// hit, so every hit counts; with one, duplicates would have
 				// been deduped, so withheld ids count once.
 				dropped = true
-				if delivered == nil {
-					resp.Dropped++
-				} else if !withheld[id] {
-					if withheld == nil {
-						withheld = make(map[int64]bool)
-					}
-					withheld[id] = true
+				if delivered == nil || withheld.Add(id) {
 					resp.Dropped++
 				}
 				continue
 			}
 			if delivered != nil {
-				delivered[id] = true
+				delivered.Add(id)
 			}
 			resp.IDs = append(resp.IDs, id)
 		}
@@ -645,7 +633,7 @@ func (s *Server) BlockBytes(region geom.Rect2, wmin float64) (int64, int64) {
 // may call into the shared Server concurrently.
 type Session struct {
 	srv       *Server
-	delivered map[int64]bool
+	delivered Delivered
 	// scratch backs RetrieveScratch: per-session search cursors and
 	// result buffers reused across frames. Single ownership comes free
 	// with the session's one-request-at-a-time contract.
@@ -654,13 +642,13 @@ type Session struct {
 
 // NewSession opens a session against the server.
 func NewSession(srv *Server) *Session {
-	return &Session{srv: srv, delivered: make(map[int64]bool)}
+	return &Session{srv: srv}
 }
 
 // Retrieve executes the sub-queries with duplicate filtering. The
 // response is freshly allocated and safe to retain.
 func (s *Session) Retrieve(subs []SubQuery) Response {
-	return s.srv.Execute(subs, s.delivered)
+	return s.srv.Execute(subs, &s.delivered)
 }
 
 // RetrieveScratch is Retrieve on the session's reusable scratch: the
@@ -669,7 +657,7 @@ func (s *Session) Retrieve(subs []SubQuery) Response {
 // goroutine consumes each response (encodes it onto the connection)
 // before the next request arrives, so nothing outlives the window.
 func (s *Session) RetrieveScratch(subs []SubQuery) Response {
-	return s.srv.ExecuteScratch(subs, s.delivered, &s.scratch)
+	return s.srv.ExecuteScratch(subs, &s.delivered, &s.scratch)
 }
 
 // RetrieveBudget executes the sub-queries under a byte budget on the
@@ -677,11 +665,11 @@ func (s *Session) RetrieveScratch(subs []SubQuery) Response {
 // RetrieveScratch for the IDs aliasing window). The wire server's
 // budgeted-request path uses it.
 func (s *Session) RetrieveBudget(subs []SubQuery, maxBytes int64) Response {
-	return s.srv.ExecuteBudgetScratch(subs, s.delivered, &s.scratch, maxBytes)
+	return s.srv.ExecuteBudgetScratch(subs, &s.delivered, &s.scratch, maxBytes)
 }
 
 // Delivered returns the number of coefficients this client holds.
-func (s *Session) Delivered() int { return len(s.delivered) }
+func (s *Session) Delivered() int { return s.delivered.Len() }
 
 // Forget removes ids from the delivered set so they become retrievable
 // again. The wire server uses it for resume rollback: when a response
@@ -690,33 +678,31 @@ func (s *Session) Delivered() int { return len(s.delivered) }
 // instead of leaving permanent holes in the client's meshes.
 func (s *Session) Forget(ids []int64) {
 	for _, id := range ids {
-		delete(s.delivered, id)
+		s.delivered.Del(id)
 	}
 }
 
 // Has reports whether a coefficient has been delivered to this client.
-func (s *Session) Has(id int64) bool { return s.delivered[id] }
+func (s *Session) Has(id int64) bool { return s.delivered.Has(id) }
 
-// DeliveredIDs returns the delivered set as a sorted slice — the
+// DeliveredIDs returns the delivered set as an ascending slice — the
 // serializable form of the session for the durable session journal.
-// Sorting makes the encoding deterministic (byte-identical journals
-// for identical sessions).
-func (s *Session) DeliveredIDs() []int64 {
-	ids := make([]int64, 0, len(s.delivered))
-	for id := range s.delivered {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
+// The fixed order makes the encoding deterministic (byte-identical
+// journals for identical sessions).
+func (s *Session) DeliveredIDs() []int64 { return s.delivered.IDs() }
 
 // RestoreSession rebuilds a session from a journaled delivered set —
 // the inverse of DeliveredIDs, used when a restarted server replays
-// its session journal.
+// its session journal or imports a drained backend's sessions. Ids
+// outside the store's [0, NumCoeffs) are dropped: the index can never
+// return them, and a corrupt record must not size the set's spine.
 func RestoreSession(srv *Server, delivered []int64) *Session {
-	s := &Session{srv: srv, delivered: make(map[int64]bool, len(delivered))}
+	s := &Session{srv: srv}
+	total := srv.store.NumCoeffs()
 	for _, id := range delivered {
-		s.delivered[id] = true
+		if id >= 0 && id < total {
+			s.delivered.Add(id)
+		}
 	}
 	return s
 }

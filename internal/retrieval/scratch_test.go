@@ -77,7 +77,7 @@ func TestExecuteScratchMatchesExecute(t *testing.T) {
 			pool[i] = randSubs(rng)
 		}
 		var sc Scratch
-		dA, dB := map[int64]bool{}, map[int64]bool{}
+		dA, dB := new(Delivered), new(Delivered)
 		gone := map[int64]bool{}
 		for step := 0; step < 300; step++ {
 			switch rng.Intn(8) {
@@ -186,7 +186,7 @@ func TestHotRefSemantics(t *testing.T) {
 		t.Fatal("filtered response marked hot")
 	}
 	// Delivered-set suppression: first pass hot, replay with drops is not.
-	delivered := map[int64]bool{}
+	delivered := new(Delivered)
 	if r := srv.Execute([]SubQuery{sub}, delivered); !r.Hot.Valid {
 		t.Fatal("first delivered-set pass not hot")
 	}

@@ -42,6 +42,26 @@ func BenchmarkReconstructFull(b *testing.B) {
 	}
 }
 
+// BenchmarkReconstructorApply is the client's cost of one newly seen
+// object: a fresh reconstructor and the 258 coefficients of a J=3
+// octahedron-based building, in arrival (coarse-to-fine) order.
+func BenchmarkReconstructorApply(b *testing.B) {
+	s := benchSurface()
+	d := Decompose(0, mesh.BaseMeshFor(s), s, 3)
+	if len(d.Coeffs) != 258 {
+		b.Fatalf("%d coefficients, want 258", len(d.Coeffs))
+	}
+	center := d.Bounds().Center()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r := NewReconstructor(d.Base, center, d.J)
+		for j := range d.Coeffs {
+			r.Apply(d.Coeffs[j])
+		}
+	}
+}
+
 func BenchmarkCountAtLeast(b *testing.B) {
 	s := benchSurface()
 	d := Decompose(0, mesh.BaseMeshFor(s), s, 5)

@@ -17,9 +17,23 @@ type Reconstructor struct {
 	baseTopology *mesh.Mesh // positions ignored; topology drives subdivision
 	center       geom.Vec3  // placeholder for vertices with no data yet
 	levels       int
-	have         map[int32]geom.Vec3 // vertex id → displacement (position for base)
-	haveBase     map[int32]bool
+	// Vertex ids are dense — [0, V_J) in the final topology M^J — so the
+	// received displacements live in vertex-indexed slices: disp holds
+	// the displacement (the position, for a base vertex) and state the
+	// vertexHave/vertexBase flags. Coarse levels arrive first, so the
+	// slices are sized one subdivision level at a time (see levelSize).
+	// baseEdges is counted when the first detail vertex arrives: an
+	// object known only by its base never needs it.
+	baseEdges int
+	disp      []geom.Vec3
+	state     []uint8
+	count     int
 }
+
+const (
+	vertexHave uint8 = 1 << iota // a coefficient for the vertex was applied
+	vertexBase                   // …and one of them was a base pseudo-coefficient
+)
 
 // NewReconstructor creates the client-side state for one object. The
 // client is assumed to know the object's subdivision schema (base topology
@@ -30,23 +44,61 @@ func NewReconstructor(baseTopology *mesh.Mesh, center geom.Vec3, levels int) *Re
 		baseTopology: baseTopology.Clone(),
 		center:       center,
 		levels:       levels,
-		have:         make(map[int32]geom.Vec3),
-		haveBase:     make(map[int32]bool),
 	}
+}
+
+// levelSize returns the vertex count of the coarsest level M^j, j ≤
+// levels, that contains vertex v, or 0 when v lies outside the final
+// topology. Each 1→4 step adds one vertex per edge, doubles the edges and
+// adds three per face, and quadruples the faces.
+func (r *Reconstructor) levelSize(v int) int {
+	verts := int64(r.baseTopology.NumVerts())
+	if int64(v) < verts {
+		return int(verts)
+	}
+	if r.baseEdges == 0 {
+		r.baseEdges = r.baseTopology.NumEdges()
+	}
+	edges, faces := int64(r.baseEdges), int64(r.baseTopology.NumFaces())
+	for j := 0; int64(v) >= verts; j++ {
+		if j >= r.levels {
+			return 0
+		}
+		verts, edges, faces = verts+edges, 2*edges+3*faces, 4*faces
+	}
+	return int(verts)
 }
 
 // Apply records one received coefficient. Applying the same coefficient
 // twice is harmless (idempotent), mirroring the server-side duplicate
 // filtering being an optimization rather than a correctness requirement.
+// A vertex id outside the object's final topology names nothing Mesh
+// could place and is ignored.
 func (r *Reconstructor) Apply(c Coefficient) {
-	r.have[c.Vertex] = c.Delta
+	v := int(c.Vertex)
+	if v < 0 {
+		return
+	}
+	if v >= len(r.disp) {
+		n := r.levelSize(v)
+		if n == 0 {
+			return
+		}
+		r.disp = append(r.disp, make([]geom.Vec3, n-len(r.disp))...)
+		r.state = append(r.state, make([]uint8, n-len(r.state))...)
+	}
+	if r.state[v]&vertexHave == 0 {
+		r.count++
+	}
+	r.disp[v] = c.Delta
+	r.state[v] |= vertexHave
 	if c.Level == BaseLevel {
-		r.haveBase[c.Vertex] = true
+		r.state[v] |= vertexBase
 	}
 }
 
 // Count returns the number of distinct coefficients applied so far.
-func (r *Reconstructor) Count() int { return len(r.have) }
+func (r *Reconstructor) Count() int { return r.count }
 
 // Mesh reconstructs the object at the full topology M^J using every
 // coefficient applied so far. Vertices whose coefficients have not arrived
@@ -55,8 +107,8 @@ func (r *Reconstructor) Count() int { return len(r.have) }
 func (r *Reconstructor) Mesh() *mesh.Mesh {
 	m := r.baseTopology.Clone()
 	for i := range m.Verts {
-		if r.haveBase[int32(i)] {
-			m.Verts[i] = r.have[int32(i)]
+		if i < len(r.state) && r.state[i]&vertexBase != 0 {
+			m.Verts[i] = r.disp[i]
 		} else {
 			m.Verts[i] = r.center
 		}
@@ -64,8 +116,8 @@ func (r *Reconstructor) Mesh() *mesh.Mesh {
 	for j := 0; j < r.levels; j++ {
 		fine, splits := mesh.Subdivide(m)
 		for _, sp := range splits {
-			if d, ok := r.have[sp.Vertex]; ok {
-				fine.Verts[sp.Vertex] = fine.Verts[sp.Vertex].Add(d)
+			if v := int(sp.Vertex); v < len(r.state) && r.state[v]&vertexHave != 0 {
+				fine.Verts[v] = fine.Verts[v].Add(r.disp[v])
 			}
 		}
 		m = fine

@@ -1,10 +1,13 @@
 package wavelet
 
 import (
+	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/mesh"
 )
 
 // TestApplyIdempotentShuffled pins down the contract the wire protocol's
@@ -65,6 +68,145 @@ func TestApplyIdempotentPartial(t *testing.T) {
 		if am.Verts[i] != bm.Verts[i] {
 			t.Fatalf("partial reconstruction vertex %d diverged: %v != %v",
 				i, bm.Verts[i], am.Verts[i])
+		}
+	}
+}
+
+// mapReconstruct is the reference the slice-backed Reconstructor is held
+// to: the same replay of the subdivision, with the received
+// displacements in hash maps keyed by vertex id.
+func mapReconstruct(d *Decomposition, center geom.Vec3, cs []Coefficient) (*mesh.Mesh, int) {
+	have := make(map[int32]geom.Vec3)
+	haveBase := make(map[int32]bool)
+	for _, c := range cs {
+		have[c.Vertex] = c.Delta
+		if c.Level == BaseLevel {
+			haveBase[c.Vertex] = true
+		}
+	}
+	m := d.Base.Clone()
+	for i := range m.Verts {
+		if haveBase[int32(i)] {
+			m.Verts[i] = have[int32(i)]
+		} else {
+			m.Verts[i] = center
+		}
+	}
+	for j := 0; j < d.J; j++ {
+		fine, splits := mesh.Subdivide(m)
+		for _, sp := range splits {
+			if dv, ok := have[sp.Vertex]; ok {
+				fine.Verts[sp.Vertex] = fine.Verts[sp.Vertex].Add(dv)
+			}
+		}
+		m = fine
+	}
+	return m, len(have)
+}
+
+// TestReconstructorMatchesMapReference applies random subsets of a
+// decomposed building in the arrival orders that stress on-demand
+// growth — shuffled, finest level first with no base vertex yet, and the
+// highest vertex id first — and compares Count and every vertex of Mesh
+// with the map reference.
+func TestReconstructorMatchesMapReference(t *testing.T) {
+	d, _ := buildingDecomp(t, 4, 3)
+	center := d.Bounds().Center()
+	rng := rand.New(rand.NewSource(21))
+	highestFirst := func(cs []Coefficient) {
+		hi := 0
+		for i := range cs {
+			if cs[i].Vertex > cs[hi].Vertex {
+				hi = i
+			}
+		}
+		cs[0], cs[hi] = cs[hi], cs[0]
+	}
+	orders := map[string]func([]Coefficient){
+		"shuffled": func(cs []Coefficient) {
+			rng.Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
+		},
+		"finest first": func(cs []Coefficient) { slices.Reverse(cs) },
+		"highest first": func(cs []Coefficient) {
+			rng.Shuffle(len(cs), func(i, j int) { cs[i], cs[j] = cs[j], cs[i] })
+			highestFirst(cs)
+		},
+	}
+	for name, reorder := range orders {
+		for _, keep := range []float64{0.05, 0.5, 1} {
+			var cs []Coefficient
+			for _, c := range d.Coeffs {
+				if rng.Float64() < keep {
+					cs = append(cs, c)
+				}
+			}
+			if name == "finest first" {
+				// Drop the base vertices too: details must land on the
+				// collapsed-to-center base exactly as in the reference.
+				cs = slices.DeleteFunc(cs, func(c Coefficient) bool { return c.Level == BaseLevel })
+			}
+			reorder(cs)
+			r := NewReconstructor(d.Base, center, d.J)
+			r.ApplyAll(cs)
+			want, wantCount := mapReconstruct(d, center, cs)
+			if r.Count() != wantCount {
+				t.Fatalf("%s, keep %.2f: Count %d, reference %d", name, keep, r.Count(), wantCount)
+			}
+			got := r.Mesh()
+			if !slices.Equal(got.Verts, want.Verts) {
+				t.Fatalf("%s, keep %.2f: mesh differs from the map reference", name, keep)
+			}
+		}
+	}
+}
+
+// TestReconstructorIgnoresVerticesOutsideTopology feeds vertex ids no
+// level of the subdivision produces — as a corrupt or hostile stream
+// could — and requires them to neither count, move the mesh, nor size
+// the vertex slices.
+func TestReconstructorIgnoresVerticesOutsideTopology(t *testing.T) {
+	d := sphereDecomp(t, 2)
+	r := NewReconstructor(d.Base, geom.Vec3{}, d.J)
+	r.ApplyAll(d.Coeffs)
+	want := r.Mesh()
+	final := int32(d.MaxLevelVertex())
+	for _, v := range []int32{-1, math.MinInt32, final, final + 1, math.MaxInt32} {
+		r.Apply(Coefficient{Vertex: v, Level: 1, Delta: geom.V3(9, 9, 9)})
+	}
+	if r.Count() != len(d.Coeffs) {
+		t.Fatalf("Count %d after out-of-topology applies, want %d", r.Count(), len(d.Coeffs))
+	}
+	if len(r.disp) != int(final) || len(r.state) != int(final) {
+		t.Fatalf("vertex slices hold %d/%d entries, want %d", len(r.disp), len(r.state), final)
+	}
+	if got := r.Mesh(); !slices.Equal(got.Verts, want.Verts) {
+		t.Fatal("out-of-topology applies moved the mesh")
+	}
+}
+
+// TestReconstructorGrowsByLevel pins the sizing rule: the slices hold
+// exactly the vertices of the coarsest level containing the highest id
+// seen, so an object known only by its base costs only its base.
+func TestReconstructorGrowsByLevel(t *testing.T) {
+	d := sphereDecomp(t, 3)
+	sizes := []int{d.Base.NumVerts()}
+	m := d.Base
+	for j := 0; j < d.J; j++ {
+		m, _ = mesh.Subdivide(m)
+		sizes = append(sizes, m.NumVerts())
+	}
+	r := NewReconstructor(d.Base, geom.Vec3{}, d.J)
+	if len(r.disp) != 0 {
+		t.Fatalf("fresh reconstructor holds %d vertices", len(r.disp))
+	}
+	for _, c := range d.Coeffs { // ascending vertex id
+		r.Apply(c)
+		level := 0
+		for int(c.Vertex) >= sizes[level] {
+			level++
+		}
+		if len(r.disp) != sizes[level] || len(r.state) != sizes[level] {
+			t.Fatalf("after vertex %d: %d/%d entries, want level %d's %d", c.Vertex, len(r.disp), len(r.state), level, sizes[level])
 		}
 	}
 }
