@@ -4,18 +4,28 @@
 
 GO ?= go
 
-.PHONY: build test race vet bench bench-check bench-e2e bench-shards bench-serve bench-abr bench-city bench-crowd benchguard soak fault crash cluster abr city diskfault crowd fuzz ci
+.PHONY: build test test-procs race vet bench bench-check bench-e2e bench-shards bench-serve bench-abr bench-city bench-crowd benchguard soak fault crash cluster abr city diskfault crowd fuzz ci
 
 build:
 	$(GO) build ./...
 
+# -count=1: a cached "ok" must never stand in for a run on this machine.
 test:
-	$(GO) test -shuffle=on ./...
+	$(GO) test -count=1 -shuffle=on ./...
+
+# The serve path's packages again at 1, 2 and 8 procs: their
+# zero-allocation and determinism gates must give the same verdict
+# whatever the core count (for three re-anchors a test that failed only
+# above one proc hid behind a single-proc box and the test cache).
+test-procs:
+	for p in 1 2 8; do \
+		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/rtree/ ./internal/index/ ./internal/retrieval/ ./internal/proto/ || exit 1; \
+	done
 
 # The race gate: the full suite under the race detector, including the
 # multi-client soak (internal/proto), the sharded-index equivalence and
-# churn property tests (internal/index), and the parallel-execution
-# tests (internal/retrieval).
+# churn property tests (internal/index), and the snapshot hand-over
+# between concurrent readers (internal/rtree).
 race:
 	$(GO) test -race ./...
 
@@ -54,7 +64,7 @@ bench-serve: build
 
 # Just the concurrency-focused tests, verbosely.
 soak:
-	$(GO) test -race -v -run 'TestMultiClientSoak|TestConcurrent|TestExecuteParallel|TestBulkLoadedTreeSurvivesChurn' ./internal/proto/ ./internal/index/ ./internal/retrieval/ ./internal/rtree/
+	$(GO) test -race -v -run 'TestMultiClientSoak|TestConcurrent|TestShardedConcurrentChurn|TestBulkLoadedTreeSurvivesChurn' ./internal/proto/ ./internal/index/ ./internal/retrieval/ ./internal/rtree/
 
 # The fault-tolerance gate, verbosely: deterministic fault-recovery
 # convergence, resume rollback, server shedding/draining, degraded mode,
@@ -184,7 +194,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzCluster$$' -fuzztime 10s -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz 'FuzzFaultDisk$$' -fuzztime 10s -run '^$$' ./internal/faultdisk/
 
-ci: build vet test bench-check race fault crash cluster abr city diskfault crowd fuzz
+ci: build vet test test-procs bench-check race fault crash cluster abr city diskfault crowd fuzz
 	# Informational benchmark deltas (never fail the gate): regenerate
 	# the BENCH_*.json artifacts, print the change vs the previous
 	# files, then diff every artifact against HEAD with benchguard.

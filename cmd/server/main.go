@@ -18,7 +18,7 @@
 //	       [-store mem|paged] [-page-cache-bytes N] [-verify-pages] [-scrub-interval 10m]
 //	       [-city N] [-city-lots 3] [-city-levels 3]
 //	       [-data-dir dir] [-checkpoint-interval 1m]
-//	       [-stats 30s] [-stats-dump] [-workers 0] [-max-sessions 0]
+//	       [-stats 30s] [-stats-dump] [-max-sessions 0]
 //	       [-idle-timeout 2m] [-frame-timeout 30s] [-drain-timeout 5s]
 //	       [-resume-cache 1024] [-resume-ttl 2m]
 //	       [-hot-cache] [-coalesce] [-pprof-addr localhost:6060]
@@ -58,7 +58,6 @@ func main() {
 		shards    = flag.Int("shards", 1, "grid shards per scene index (1 = single shard)")
 		scene     = flag.String("scene", proto.DefaultSceneName, "name of the primary scene")
 		scenes    = flag.String("scenes", "", "extra scenes as comma-separated name=file pairs")
-		workers   = flag.Int("workers", 0, "per-request sub-query parallelism (0 = auto, 1 = serial)")
 
 		dataDir      = flag.String("data-dir", "", "durable state directory (scene checkpoints + session journal); empty disables persistence")
 		ckptInterval = flag.Duration("checkpoint-interval", time.Minute, "how often scenes are checkpointed into -data-dir")
@@ -116,13 +115,6 @@ func main() {
 	}
 	if restored > 0 {
 		log.Printf("restored %d scene(s) from %s", restored, *dataDir)
-		if *workers > 0 {
-			for _, name := range reg.Names() {
-				if sc, ok := reg.Get(name); ok {
-					sc.Server.SetParallelism(*workers)
-				}
-			}
-		}
 	} else if *storeKind == "paged" {
 		// Out-of-core boot: coefficients live in a paged segment under
 		// -data-dir; only the index, metadata, and resident pages stay in
@@ -191,9 +183,6 @@ func main() {
 		if err != nil {
 			log.Fatalf("scene %q: %v", *scene, err)
 		}
-		if *workers > 0 {
-			sc.Server.SetParallelism(*workers)
-		}
 		pst := ps.PagerStats()
 		log.Printf("scene %q: %s over %d coefficients, paged (%d B payload, %d B cache)",
 			*scene, sc.Index.Name(), ps.NumCoeffs(), ps.NumCoeffs()*index.CoeffRecordSize, pst.CacheBytes)
@@ -215,9 +204,6 @@ func main() {
 		})
 		if err != nil {
 			log.Fatalf("scene %q: %v", *scene, err)
-		}
-		if *workers > 0 {
-			sc.Server.SetParallelism(*workers)
 		}
 		log.Printf("scene %q: %s over %d coefficients (resident)", *scene, sc.Index.Name(), st.NumCoeffs())
 	} else {
@@ -262,9 +248,6 @@ func main() {
 			})
 			if err != nil {
 				log.Fatalf("scene %q: %v", name, err)
-			}
-			if *workers > 0 {
-				sc.Server.SetParallelism(*workers)
 			}
 			log.Printf("scene %q: %s over %d coefficients", name, sc.Index.Name(), d.Store.NumCoeffs())
 			return sc

@@ -131,7 +131,6 @@ func RunCrowdBench(spec CrowdBenchSpec, jsonPath string, w io.Writer) (*CrowdBen
 			stInd := stats.New()
 			ind := retrieval.NewServer(d.Store, index.NewSharded(d.Store, index.XYW, index.ShardedConfig{}))
 			ind.SetStats(stInd)
-			ind.SetParallelism(1)
 			indMS := replay(ind)
 
 			// Coalesced: same store, fresh index, coalescer only (no hot
@@ -139,7 +138,6 @@ func RunCrowdBench(spec CrowdBenchSpec, jsonPath string, w io.Writer) (*CrowdBen
 			stCo := stats.New()
 			srv := retrieval.NewServer(d.Store, index.NewSharded(d.Store, index.XYW, index.ShardedConfig{}))
 			srv.SetStats(stCo)
-			srv.SetParallelism(1)
 			srv.SetCoalescer(retrieval.NewCoalescer(retrieval.CoalescerConfig{Window: time.Hour}))
 			coMS := replay(srv)
 

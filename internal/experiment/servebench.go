@@ -273,7 +273,6 @@ func buildServeServer(d *workload.Dataset, shards int, pooled bool) *retrieval.S
 	idx := index.NewSharded(d.Store, index.XYW, index.ShardedConfig{Shards: shards})
 	srv := retrieval.NewServer(d.Store, idx)
 	srv.SetStats(nil)
-	srv.SetParallelism(1)
 	if pooled {
 		srv.SetHotCache(hotcache.New(hotcache.Config{}))
 	}

@@ -216,7 +216,7 @@ func TestCacheMatchesIndexUnderChurn(t *testing.T) {
 // between — the two results must agree exactly.
 func TestCacheConcurrentChurn(t *testing.T) {
 	store := testStore(t, 8, 5)
-	idx := index.NewSharded(store, index.XYW, index.ShardedConfig{Shards: 4, Workers: 2})
+	idx := index.NewSharded(store, index.XYW, index.ShardedConfig{Shards: 4})
 	c := New(Config{})
 	b := store.Bounds()
 	pool := make([]index.Query, 4)

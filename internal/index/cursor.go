@@ -3,26 +3,14 @@ package index
 import "repro/internal/rtree"
 
 // Cursor is reusable per-caller search scratch for the allocation-free
-// SearchInto path: the R-tree traversal stack and the id sort's
-// ping-pong buffer plus, for the sharded index, the fan-out candidate
-// list, the per-shard result slabs, and the per-worker traversal
-// stacks. A zero Cursor is ready to use; buffers
-// grow on first use and are retained, so steady-state searches allocate
-// nothing. A Cursor must not be shared by concurrent searches — the
-// serving layer keeps one per session (or per worker), exactly like the
-// result buffer it helps fill.
+// SearchInto path: the R-tree traversal scratch and the id sort's
+// ping-pong buffer. A zero Cursor is ready to use; buffers grow on first
+// use and are retained, so steady-state searches allocate nothing. A
+// Cursor must not be shared by concurrent searches — the serving layer
+// keeps one per session, exactly like the result buffer it helps fill.
 type Cursor struct {
-	rt   rtree.Cursor
-	tmp  []int64
-	cand []int
-	hits []cursorHit
-	rts  []rtree.Cursor
-}
-
-// cursorHit is one shard's raw output slab, reused across searches.
-type cursorHit struct {
-	ids []int64
-	io  int64
+	rt  rtree.Cursor
+	tmp []int64
 }
 
 // IntoSearcher is an Index that can additionally append its results to a

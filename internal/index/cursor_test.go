@@ -12,14 +12,10 @@ import (
 // across random queries, with the cursor and buffer reused throughout.
 func TestSearchIntoMatchesSearch(t *testing.T) {
 	store := testStore(t, 12, 19)
-	serial := NewSharded(store, XYW, ShardedConfig{Shards: 8})
-	serial.SetParallelism(1)
-	parallel := NewSharded(store, XYW, ShardedConfig{Shards: 8, Workers: 4})
 	indexes := []IntoSearcher{
 		NewMotionAware(store, XYW, rtree.Config{}),
 		NewMotionAware(store, XYZW, rtree.Config{}),
-		serial,
-		parallel,
+		NewSharded(store, XYW, ShardedConfig{Shards: 8}),
 		NewConcurrent(NewMotionAware(store, XYW, rtree.Config{})),
 	}
 	rng := rand.New(rand.NewSource(23))
@@ -64,17 +60,15 @@ func TestSearchIntoAppends(t *testing.T) {
 	}
 }
 
-// TestSearchIntoAllocFree pins the tentpole's steady-state contract: a
-// warmed-up serial search allocates nothing, for both the single tree
-// and the sharded fan-out at parallelism 1.
+// TestSearchIntoAllocFree pins the steady-state contract: a warmed-up
+// search allocates nothing, for both the single tree and the sharded
+// index, whatever GOMAXPROCS is.
 func TestSearchIntoAllocFree(t *testing.T) {
 	store := testStore(t, 12, 5)
-	sharded := NewSharded(store, XYW, ShardedConfig{Shards: 8})
-	sharded.SetParallelism(1)
 	q := Query{Region: store.Bounds().XY(), ZMin: 0, ZMax: 100, WMin: 0, WMax: 0.5}
 	for _, idx := range []IntoSearcher{
 		NewMotionAware(store, XYW, rtree.Config{}),
-		sharded,
+		NewSharded(store, XYW, ShardedConfig{Shards: 8}),
 	} {
 		var cur Cursor
 		var buf []int64

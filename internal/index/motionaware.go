@@ -1,7 +1,6 @@
 package index
 
 import (
-	"slices"
 	"sync/atomic"
 
 	"repro/internal/rtree"
@@ -63,24 +62,17 @@ func (m *MotionAware) Tree() *rtree.Tree { return m.tree }
 
 // Search returns the global ids of all coefficients whose support region
 // intersects the query region with value in [WMin, WMax] — ascending, per
-// the Index determinism contract — plus the node I/O spent. It is safe
-// for any number of concurrent callers as long as no mutation
-// (Insert/Delete) runs — see the Index contract.
+// the Index determinism contract — plus the node I/O spent. It is
+// SearchInto on a fresh cursor and a result presized from the previous
+// search, so there is one descent and one ordering. Safe for any number
+// of concurrent callers as long as no mutation (Insert/Delete) runs —
+// see the Index contract.
 func (m *MotionAware) Search(q Query) ([]int64, int64) {
-	qr, ok := m.layout.queryRect(q)
-	if !ok {
-		return nil, 0
-	}
-	ids := make([]int64, 0, m.lastHits.Load())
-	io := m.tree.SearchCounted(qr, func(_ rtree.Rect, data int64) bool {
-		ids = append(ids, data)
-		return true
-	})
-	m.lastHits.Store(int64(len(ids)))
+	var cur Cursor
+	ids, io := m.SearchInto(q, make([]int64, 0, m.lastHits.Load()), &cur)
 	if len(ids) == 0 {
 		return nil, io
 	}
-	slices.Sort(ids)
 	return ids, io
 }
 

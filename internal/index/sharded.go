@@ -16,9 +16,6 @@ type ShardedConfig struct {
 	// partitioned into (≤ 0 → 1). The grid is the factor pair r×c = K
 	// closest to square, so K = 7 degrades to a 1×7 slab partition.
 	Shards int
-	// Workers bounds the pool fanning one Search out across shards
-	// (0 → min(GOMAXPROCS, 8); 1 runs shard searches serially).
-	Workers int
 	// Tree configures the per-shard R*-trees. Zero Dims is filled in from
 	// the layout, as everywhere else in this package.
 	Tree rtree.Config
@@ -73,13 +70,14 @@ func (s *shard) overlaps(q *rtree.Rect, dims int) bool {
 // Sharded is the spatially partitioned motion-aware index: the scene's XY
 // bounds are cut into a K-cell grid, each cell holding its own R*-tree
 // over the coefficients whose vertex position falls inside it, guarded by
-// its own RWMutex. Search fans sub-queries out to the overlapping shards
-// on a bounded worker pool and merges the hits into ascending id order,
-// so responses are byte-identical to the serial MotionAware oracle
-// (support regions may straddle cell borders; the per-shard content MBRs
-// keep the fan-out exact). Insert/Delete lock only the owning shard, so
-// a background update drains readers of one grid cell instead of the
-// world — the scaling property the coarse Concurrent wrapper lacks.
+// its own RWMutex. Search visits the overlapping shards one after
+// another on the calling goroutine and merges the hits into ascending id
+// order, so responses are byte-identical to the serial MotionAware
+// oracle (support regions may straddle cell borders; the per-shard
+// content MBRs keep the shard selection exact). Insert/Delete lock only
+// the owning shard, so a background update drains readers of one grid
+// cell instead of the world — the scaling property the coarse
+// Concurrent wrapper lacks.
 //
 // Concurrency: Search/Len are safe concurrently with Insert/Delete and
 // with each other. A multi-shard Search is atomic per shard, not across
@@ -95,8 +93,7 @@ type Sharded struct {
 	x0, y0 float64
 	dx, dy float64
 
-	workers int
-	st      *stats.Stats
+	st *stats.Stats
 
 	// epoch versions the index contents, seqlock-style: every mutation
 	// bumps it once before touching a shard and once after, so it is odd
@@ -106,7 +103,9 @@ type Sharded struct {
 }
 
 // NewSharded partitions the source into cfg.Shards grid cells and bulk
-// loads one R*-tree per cell. K = 1 is the degenerate single-shard case:
+// loads one R*-tree per cell, the independent loads running side by side
+// on up to GOMAXPROCS goroutines (build time only; searches spawn
+// nothing). K = 1 is the degenerate single-shard case:
 // the same tree a MotionAware build produces, behind one RWMutex — an
 // in-family replacement for Concurrent(MotionAware).
 func NewSharded(src CoefficientSource, layout Layout, cfg ShardedConfig) *Sharded {
@@ -117,26 +116,18 @@ func NewSharded(src CoefficientSource, layout Layout, cfg ShardedConfig) *Sharde
 	if tcfg.Dims == 0 {
 		tcfg = rtree.DefaultConfig(layout.Dims())
 	}
-	workers := cfg.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-		if workers > 8 {
-			workers = 8
-		}
-	}
 	rows, cols := gridShape(cfg.Shards)
 	b := src.Bounds().XY()
 	s := &Sharded{
-		src:     src,
-		layout:  layout,
-		shards:  make([]*shard, cfg.Shards),
-		rows:    rows,
-		cols:    cols,
-		x0:      b.Min.X,
-		y0:      b.Min.Y,
-		dx:      b.Width() / float64(cols),
-		dy:      b.Height() / float64(rows),
-		workers: workers,
+		src:    src,
+		layout: layout,
+		shards: make([]*shard, cfg.Shards),
+		rows:   rows,
+		cols:   cols,
+		x0:     b.Min.X,
+		y0:     b.Min.Y,
+		dx:     b.Width() / float64(cols),
+		dy:     b.Height() / float64(rows),
 	}
 	dims := tcfg.Dims
 	total := src.NumCoeffs()
@@ -151,13 +142,22 @@ func NewSharded(src CoefficientSource, layout Layout, cfg ShardedConfig) *Sharde
 		k := s.shardOf(c.Pos.X, c.Pos.Y)
 		items[k] = append(items[k], rtree.Item{Rect: layout.supportRect(c), Data: id})
 	}
-	for k := range s.shards {
-		sh := &shard{tree: rtree.BulkLoad(tcfg, items[k])}
-		for i := range items[k] {
-			sh.grow(items[k][i].Rect, dims)
-		}
-		s.shards[k] = sh
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	for w := min(cfg.Shards, runtime.GOMAXPROCS(0)); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for k := int(next.Add(1)) - 1; k < cfg.Shards; k = int(next.Add(1)) - 1 {
+				sh := &shard{tree: rtree.BulkLoad(tcfg, items[k])}
+				for i := range items[k] {
+					sh.grow(items[k][i].Rect, dims)
+				}
+				s.shards[k] = sh
+			}
+		}()
 	}
+	wg.Wait()
 	return s
 }
 
@@ -207,17 +207,6 @@ func (s *Sharded) SetStats(st *stats.Stats) {
 	st.EnsureShards(len(s.shards))
 }
 
-// SetParallelism bounds the shard fan-out pool; 1 (or less) searches the
-// shards serially on the calling goroutine. Parallelism never changes
-// results: the merge sorts into ascending id order either way. Not safe
-// to call while searches are in flight.
-func (s *Sharded) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
-}
-
 // NumShards returns the shard count K.
 func (s *Sharded) NumShards() int { return len(s.shards) }
 
@@ -248,13 +237,13 @@ func (s *Sharded) ShardLens() []int {
 	return out
 }
 
-// Search answers the window query by fanning it out to every shard whose
-// content MBR overlaps the query rectangle, each searched under that
-// shard's read lock on the bounded worker pool, then merging the hits
-// into ascending id order (the Index determinism contract — byte-
-// identical to the serial MotionAware oracle). The reported I/O is the
-// sum over the searched shards' node reads. Search allocates its result
-// fresh; hot callers use SearchInto with a retained Cursor instead.
+// Search answers the window query by searching every shard whose
+// content MBR overlaps the query rectangle, each under that shard's read
+// lock, then merging the hits into ascending id order (the Index
+// determinism contract — byte-identical to the serial MotionAware
+// oracle). The reported I/O is the sum over the searched shards' node
+// reads. Search allocates its result fresh; hot callers use SearchInto
+// with a retained Cursor instead.
 func (s *Sharded) Search(q Query) ([]int64, int64) {
 	var cur Cursor
 	ids, io := s.SearchInto(q, nil, &cur)
@@ -265,98 +254,35 @@ func (s *Sharded) Search(q Query) ([]int64, int64) {
 }
 
 // SearchInto is the allocation-free Search: matching ids are appended to
-// buf in ascending order using the cursor's retained scratch (candidate
-// list, per-shard slabs, traversal stacks), so a warmed-up serial search
-// (parallelism 1, or a single overlapping shard) performs no allocations
-// per query; the parallel fan-out still pays only its goroutine spawns.
-// The result set, order, and I/O are identical to Search. Safe for any
-// number of concurrent callers with distinct cursors and buffers,
-// including concurrently with Insert/Delete.
+// buf in ascending order using the cursor's retained scratch (traversal
+// queue, sort buffer), so a warmed-up search performs no allocations.
+// The overlapping shards are searched in turn on the calling goroutine:
+// a whole frame's descent is tens of microseconds, less than handing it
+// to other goroutines costs, so concurrency comes from sessions, not
+// from inside a query. The result set, order, and I/O are identical to
+// Search. Safe for any number of concurrent callers with distinct
+// cursors and buffers, including concurrently with Insert/Delete.
 func (s *Sharded) SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, int64) {
 	qr, ok := s.layout.queryRect(q)
 	if !ok {
 		return buf, 0
 	}
 	dims := s.layout.Dims()
-	// Pre-filter under read locks: the overlap test is a few float
-	// compares, not worth a pool dispatch per non-overlapping shard.
-	cand := cur.cand[:0]
-	for i, sh := range s.shards {
-		sh.mu.RLock()
-		hit := sh.overlaps(&qr, dims)
-		sh.mu.RUnlock()
-		if hit {
-			cand = append(cand, i)
-		}
-	}
-	cur.cand = cand
 	start := len(buf)
 	var io int64
-	workers := s.workers
-	if workers > len(cand) {
-		workers = len(cand)
-	}
-	if workers <= 1 {
-		for _, i := range cand {
-			sh := s.shards[i]
-			sh.mu.RLock()
-			var sio int64
-			buf, sio = sh.tree.SearchInto(qr, &cur.rt, buf)
+	for i, sh := range s.shards {
+		sh.mu.RLock()
+		if !sh.overlaps(&qr, dims) {
 			sh.mu.RUnlock()
-			s.st.RecordShard(i, sio)
-			io += sio
+			continue
 		}
-	} else {
-		// Kept out of line so the goroutine closure doesn't force qr and
-		// cand to the heap on the (allocation-free) serial path above.
-		buf, io = s.searchParallel(qr, workers, buf, cur)
+		var sio int64
+		buf, sio = sh.tree.SearchInto(qr, &cur.rt, buf)
+		sh.mu.RUnlock()
+		s.st.RecordShard(i, sio)
+		io += sio
 	}
 	sortIDs(buf[start:], &cur.tmp)
-	return buf, io
-}
-
-// searchParallel fans cur.cand out over a spawn-per-call worker pool,
-// each worker draining shards off a shared atomic counter into its own
-// cursorHit slab with its own traversal stack, then concatenates the
-// slabs in shard order (the subsequent sort makes order moot, but
-// deterministic accounting is easier to reason about).
-func (s *Sharded) searchParallel(qr rtree.Rect, workers int, buf []int64, cur *Cursor) ([]int64, int64) {
-	cand := cur.cand
-	for len(cur.hits) < len(cand) {
-		cur.hits = append(cur.hits, cursorHit{})
-	}
-	for len(cur.rts) < workers {
-		cur.rts = append(cur.rts, rtree.Cursor{})
-	}
-	hits := cur.hits[:len(cand)]
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func(rc *rtree.Cursor) {
-			defer wg.Done()
-			for {
-				j := int(next.Add(1)) - 1
-				if j >= len(cand) {
-					return
-				}
-				i := cand[j]
-				sh := s.shards[i]
-				sh.mu.RLock()
-				ids, sio := sh.tree.SearchInto(qr, rc, hits[j].ids[:0])
-				sh.mu.RUnlock()
-				hits[j].ids = ids
-				hits[j].io = sio
-				s.st.RecordShard(i, sio)
-			}
-		}(&cur.rts[w])
-	}
-	wg.Wait()
-	var io int64
-	for j := range hits {
-		buf = append(buf, hits[j].ids...)
-		io += hits[j].io
-	}
 	return buf, io
 }
 

@@ -107,26 +107,6 @@ func TestShardedMatchesMotionAware(t *testing.T) {
 	}
 }
 
-// TestShardedSerialAndParallelAgree pins that the worker-pool fan-out is
-// invisible in the results.
-func TestShardedSerialAndParallelAgree(t *testing.T) {
-	store := testStore(t, 10, 7)
-	idx := NewSharded(store, XYW, ShardedConfig{Shards: 8})
-	rng := rand.New(rand.NewSource(9))
-	bounds := store.Bounds()
-	for i := 0; i < 50; i++ {
-		q := randQuery(rng, bounds)
-		idx.SetParallelism(8)
-		par, pio := idx.Search(q)
-		idx.SetParallelism(1)
-		ser, sio := idx.Search(q)
-		if !equalIDs(par, ser) || pio != sio {
-			t.Fatalf("parallel (%d ids, io %d) != serial (%d ids, io %d)",
-				len(par), pio, len(ser), sio)
-		}
-	}
-}
-
 // TestShardedConcurrentChurn races readers against per-shard writers; the
 // race detector is the assertion, plus every search staying a subset of
 // the full id space and the final Len reconciling.
@@ -192,27 +172,53 @@ func TestGridShape(t *testing.T) {
 	}
 }
 
+// TestShardedStatsWiring pins the per-shard accounting over a fixed
+// query list: a shard is charged one search for every query its content
+// MBR overlaps and exactly the node reads its own tree counted, and the
+// shard rows add up to the I/O the searches reported.
 func TestShardedStatsWiring(t *testing.T) {
 	store := testStore(t, 6, 13)
 	idx := NewSharded(store, XYW, ShardedConfig{Shards: 4})
 	st := stats.New()
 	idx.SetStats(st)
-	q := Query{Region: store.Bounds().XY(), WMin: 0, WMax: 1}
-	ids, io := idx.Search(q)
-	if len(ids) == 0 {
-		t.Fatal("full-space query returned nothing")
+	rng := rand.New(rand.NewSource(31))
+	queries := []Query{{Region: store.Bounds().XY(), WMin: 0, WMax: 1}}
+	for i := 0; i < 60; i++ {
+		queries = append(queries, randQuery(rng, store.Bounds()))
+	}
+	wantSearches := make([]int64, 4)
+	var cur Cursor
+	var buf []int64
+	var totalIO int64
+	for i, q := range queries {
+		var io int64
+		buf, io = idx.SearchInto(q, buf[:0], &cur)
+		if i == 0 && len(buf) == 0 {
+			t.Fatal("full-space query returned nothing")
+		}
+		totalIO += io
+		qr, ok := XYW.queryRect(q)
+		for k, sh := range idx.shards {
+			if ok && sh.overlaps(&qr, XYW.Dims()) {
+				wantSearches[k]++
+			}
+		}
 	}
 	snap := st.Snapshot()
 	if len(snap.Shards) != 4 {
 		t.Fatalf("shard table = %d entries", len(snap.Shards))
 	}
-	var searches, sumIO int64
-	for _, sh := range snap.Shards {
-		searches += sh.Searches
+	var sumIO int64
+	for k, sh := range snap.Shards {
+		tree := idx.shards[k].tree.Stats()
+		if sh.Searches != wantSearches[k] || sh.Searches != tree.Queries || sh.IO != tree.NodesRead {
+			t.Fatalf("shard %d: recorded %d searches io %d; overlapped %d queries, tree counted %d searches io %d",
+				k, sh.Searches, sh.IO, wantSearches[k], tree.Queries, tree.NodesRead)
+		}
 		sumIO += sh.IO
 	}
-	if searches == 0 || sumIO != io {
-		t.Fatalf("recorded %d searches io %d, Search reported io %d", searches, sumIO, io)
+	if sumIO != totalIO {
+		t.Fatalf("shard rows sum to io %d, searches reported %d", sumIO, totalIO)
 	}
 	if lens := idx.ShardLens(); len(lens) != 4 {
 		t.Fatalf("ShardLens = %v", lens)

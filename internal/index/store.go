@@ -23,6 +23,7 @@ type Store struct {
 	Objects   []*wavelet.Decomposition
 	offsets   []int64
 	total     int64
+	bounds    geom.Rect3  // union of the objects' boxes, fixed at construction
 	neighbors [][][]int32 // final-mesh adjacency per object; built on demand
 }
 
@@ -43,6 +44,11 @@ func NewStore(objects []*wavelet.Decomposition) *Store {
 		}
 		s.offsets[i] = s.total
 		s.total += int64(len(d.Coeffs))
+		if i == 0 {
+			s.bounds = d.Bounds()
+		} else {
+			s.bounds = s.bounds.Union(d.Bounds())
+		}
 	}
 	s.neighbors = make([][][]int32, len(objects))
 	return s
@@ -135,20 +141,8 @@ func (s *Store) DropFinals() {
 	}
 }
 
-// Bounds returns the bounding box of all objects.
-func (s *Store) Bounds() geom.Rect3 {
-	var b geom.Rect3
-	empty := true
-	for _, d := range s.Objects {
-		if empty {
-			b = d.Bounds()
-			empty = false
-		} else {
-			b = b.Union(d.Bounds())
-		}
-	}
-	return b
-}
+// Bounds returns the bounding box of all objects (every hello reads it).
+func (s *Store) Bounds() geom.Rect3 { return s.bounds }
 
 // Layout selects which dimensions the index rectangles use. The paper
 // designs a 4D (x, y, z, w) index in §VI-B but evaluates a 3D (x, y, w)

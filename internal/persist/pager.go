@@ -64,8 +64,9 @@ type PagerConfig struct {
 	RetryMax int
 	// RetryBackoff is the delay before the first retry, doubled on each
 	// subsequent one (0 → DefaultRetryBackoff, negative → none). The
-	// backoff sleeps hold the pager mutex — faults already serialize on
-	// it — so keep it small; it is a de-synchronizer, not a timeout.
+	// faulting Pin sleeps without the pager mutex, so only callers that
+	// want the same page wait behind it; keep it small all the same — it
+	// is a de-synchronizer, not a timeout.
 	RetryBackoff time.Duration
 	// Sleep replaces time.Sleep for retry backoff (tests). Nil uses
 	// time.Sleep.
@@ -99,8 +100,12 @@ type PagerStats struct {
 }
 
 type pageSlot struct {
-	decoded     any
-	bytes       int64
+	decoded any
+	bytes   int64
+	// loading is non-nil while one Pin reads and decodes the page with
+	// the mutex released; it is closed when that Pin has finished, either
+	// way. Other Pins of the same page wait on it and then look again.
+	loading     chan struct{}
 	refs        int32
 	prev        int32 // LRU links among unpinned resident pages; -1 = none
 	next        int32
@@ -109,9 +114,13 @@ type pageSlot struct {
 }
 
 // Pager caches decoded pages of one Segment. All methods are safe for
-// concurrent use; faults serialize on the pager mutex (the disk read is
-// the cost that matters, and one outstanding read per segment keeps the
-// code simple and the stats exact).
+// concurrent use. The mutex guards the bookkeeping only: a fault reads,
+// verifies and decodes its page with the mutex released, so a session
+// that faults does not park every other session's Pin and Unpin behind
+// its disk read (each parked goroutine idles a thread, and waking one
+// costs far more than the critical section it waited for). At most one
+// read per page is in flight — a second Pin of a loading page waits for
+// the first and then hits — so the counters stay exact.
 type Pager struct {
 	seg *Segment
 	cfg PagerConfig
@@ -120,7 +129,9 @@ type Pager struct {
 	slots   []pageSlot
 	lruHead int32 // most recently unpinned
 	lruTail int32 // eviction candidate
-	readBuf []byte
+	// readBufs are idle page-sized read buffers, one per fault that has
+	// ever been in flight at once.
+	readBufs [][]byte
 
 	faults      int64
 	hits        int64
@@ -180,39 +191,71 @@ func (p *Pager) Pin(page int) (any, error) {
 	if page < 0 || page >= len(p.slots) {
 		return nil, fmt.Errorf("persist: pager pin of page %d out of range [0, %d)", page, len(p.slots))
 	}
-	p.pins++
 	s := &p.slots[page]
-	if s.quarantined {
-		p.pins-- // the failed pin never materialized
-		p.faultErrors++
-		return nil, fmt.Errorf("persist: pager page %d is quarantined: %w", page, ErrCorrupt)
-	}
-	if s.resident {
-		p.hits++
-		if s.refs == 0 {
-			p.lruRemove(int32(page))
-			p.pinnedP++
+	for {
+		if s.quarantined {
+			p.faultErrors++
+			return nil, fmt.Errorf("persist: pager page %d is quarantined: %w", page, ErrCorrupt)
 		}
-		s.refs++
-		return s.decoded, nil
+		if s.resident {
+			p.pins++
+			p.hits++
+			if s.refs == 0 {
+				p.lruRemove(int32(page))
+				p.pinnedP++
+			}
+			s.refs++
+			return s.decoded, nil
+		}
+		if s.loading == nil {
+			break
+		}
+		// Another Pin is reading this page: wait for it, then look again
+		// (resident → hit; failed → this Pin starts its own retry cycle).
+		done := s.loading
+		p.mu.Unlock()
+		<-done
+		p.mu.Lock()
 	}
-	raw, err := p.readPageRetry(page)
-	if err != nil {
-		p.pins--
-		p.faultErrors++
+
+	// This Pin is the page's one reader. The slot is neither resident nor
+	// quarantined, so nothing else touches it until loading is cleared.
+	done := make(chan struct{})
+	s.loading = done
+	buf := p.takeReadBuf()
+	p.mu.Unlock()
+	raw, retries, err := p.readPageRetry(page, buf)
+	var decoded any
+	var bytes int64
+	var decodeErr error
+	if err == nil {
+		decoded, bytes, decodeErr = p.cfg.Decode(raw, p.seg.RecordsInPage(page))
+	}
+	p.mu.Lock()
+	p.readBufs = append(p.readBufs, buf)
+	s.loading = nil
+	close(done)
+	p.retries += retries
+	switch {
+	case err != nil:
 		if errors.Is(err, ErrCorrupt) {
 			p.quarantine(page)
 		}
-		return nil, err
-	}
-	decoded, bytes, err := p.cfg.Decode(raw, p.seg.RecordsInPage(page))
-	if err != nil {
+	case decodeErr != nil:
 		// The page passed its CRC but would not decode: a format bug,
 		// not a disk fault — surfaced, counted, never quarantined.
-		p.pins--
+		err = decodeErr
+	case s.quarantined:
+		// A Scrub condemned the page while this read was in flight.
+		err = fmt.Errorf("persist: pager page %d is quarantined: %w", page, ErrCorrupt)
+	}
+	if err != nil {
+		// The failed pin never materialized: it counts in neither Pins
+		// nor Faults.
 		p.faultErrors++
 		return nil, err
 	}
+	p.pins++
 	p.faults++
 	s.decoded = decoded
 	s.bytes = bytes
@@ -223,6 +266,18 @@ func (p *Pager) Pin(page int) (any, error) {
 	p.pinnedP++
 	p.evictOver()
 	return s.decoded, nil
+}
+
+// takeReadBuf returns an idle page-sized read buffer, or a new one if
+// every buffer is in use. Called with p.mu held.
+func (p *Pager) takeReadBuf() []byte {
+	n := len(p.readBufs)
+	if n == 0 {
+		return make([]byte, p.seg.pageSize)
+	}
+	buf := p.readBufs[n-1]
+	p.readBufs = p.readBufs[:n-1]
+	return buf
 }
 
 // Unpin releases one Pin of page. In Debug mode a refcount reaching
@@ -250,36 +305,29 @@ func (p *Pager) Unpin(page int) {
 	p.evictOver()
 }
 
-// readPageRetry reads one page with bounded retry-with-backoff. Every
+// readPageRetry reads one page into the page-sized buf with bounded
+// retry-with-backoff and reports how many re-reads it made. Every
 // failure kind is retried except ErrSegmentClosed (a caller bug, not a
 // disk fault): transient I/O errors and torn reads clear on re-read,
 // and a CRC mismatch may have been a bit flipped in flight rather than
 // on the platter. The caller inspects the final error to tell permanent
 // corruption (still ErrCorrupt after the last retry) from an exhausted
-// transient fault. Called with p.mu held.
-func (p *Pager) readPageRetry(page int) ([]byte, error) {
-	raw, err := p.seg.ReadPage(page, p.readBuf)
-	if err == nil {
-		p.readBuf = raw
-		return raw, nil
-	}
+// transient fault. It touches no pager state, so it needs no lock.
+func (p *Pager) readPageRetry(page int, buf []byte) (raw []byte, retries int64, err error) {
+	raw, err = p.seg.ReadPage(page, buf)
 	backoff := p.cfg.RetryBackoff
-	for attempt := 0; attempt < p.cfg.RetryMax; attempt++ {
+	for attempt := 0; err != nil && attempt < p.cfg.RetryMax; attempt++ {
 		if errors.Is(err, ErrSegmentClosed) {
-			return nil, err
+			break
 		}
-		p.retries++
+		retries++
 		if backoff > 0 {
 			p.cfg.Sleep(backoff)
 			backoff *= 2
 		}
-		raw, err = p.seg.ReadPage(page, p.readBuf)
-		if err == nil {
-			p.readBuf = raw
-			return raw, nil
-		}
+		raw, err = p.seg.ReadPage(page, buf)
 	}
-	return nil, err
+	return raw, retries, err
 }
 
 // quarantine marks page permanently corrupt: its resident copy (if
@@ -314,8 +362,12 @@ func (p *Pager) Scrub() ([]int, error) {
 	defer p.mu.Unlock()
 	var bad []int
 	var firstErr error
+	buf := p.takeReadBuf()
+	defer func() { p.readBufs = append(p.readBufs, buf) }()
 	for page := range p.slots {
-		if _, err := p.readPageRetry(page); err != nil {
+		_, retries, err := p.readPageRetry(page, buf)
+		p.retries += retries
+		if err != nil {
 			p.faultErrors++
 			if errors.Is(err, ErrCorrupt) {
 				p.quarantine(page)

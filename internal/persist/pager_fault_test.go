@@ -285,3 +285,150 @@ func TestSegmentPageOffset(t *testing.T) {
 		}
 	}
 }
+
+// gateReader counts reads per page offset and can hold every read at a
+// gate, so a test can observe what the pager does while a fault is in
+// flight.
+type gateReader struct {
+	r    io.ReaderAt
+	gate chan struct{} // nil: reads pass straight through
+
+	mu       sync.Mutex
+	inFlight map[int64]int
+	maxSame  int // most reads of one offset in flight at once
+	reads    int
+}
+
+func (g *gateReader) ReadAt(p []byte, off int64) (int, error) {
+	g.mu.Lock()
+	g.reads++
+	g.inFlight[off]++
+	if g.inFlight[off] > g.maxSame {
+		g.maxSame = g.inFlight[off]
+	}
+	g.mu.Unlock()
+	if g.gate != nil {
+		<-g.gate
+	}
+	n, err := g.r.ReadAt(p, off)
+	g.mu.Lock()
+	g.inFlight[off]--
+	g.mu.Unlock()
+	return n, err
+}
+
+func gatePager(t *testing.T, cacheBytes int64, gate chan struct{}) (*Pager, *gateReader) {
+	t.Helper()
+	_, data := buildSegment(t, 40, 64, nil) // 10 pages, 4 records each
+	gr := &gateReader{r: bytesReaderAt(data), inFlight: map[int64]int{}}
+	seg, err := NewSegment(gr, int64(len(data)))
+	if err != nil {
+		t.Fatalf("NewSegment: %v", err)
+	}
+	gr.reads = 0 // NewSegment's header and footer reads
+	gr.gate = gate
+	return NewPager(seg, PagerConfig{CacheBytes: cacheBytes, Decode: decodeU64Page}), gr
+}
+
+// A fault must not hold the pager mutex across its read: while page 0's
+// read is stuck at the gate, Pin and Unpin of a resident page and Stats
+// all still complete, and a second Pin of page 0 waits for the first
+// instead of reading again.
+func TestPagerFaultDoesNotBlockOtherPages(t *testing.T) {
+	gate := make(chan struct{}, 1)
+	p, gr := gatePager(t, 1<<20, gate)
+	gate <- struct{}{} // let page 1 through
+	if _, err := p.Pin(1); err != nil {
+		t.Fatal(err)
+	}
+	p.Unpin(1)
+
+	first, second := make(chan error, 1), make(chan error, 1)
+	go func() { _, err := p.Pin(0); first <- err }()
+	for gr.readCount() < 2 {
+		time.Sleep(time.Millisecond)
+	}
+	go func() { _, err := p.Pin(0); second <- err }()
+
+	// Page 0's read is parked at the gate; the rest of the pager is not.
+	finished := make(chan struct{})
+	go func() {
+		defer close(finished)
+		for i := 0; i < 100; i++ {
+			if _, err := p.Pin(1); err != nil {
+				t.Errorf("Pin(1) during page 0's fault: %v", err)
+			}
+			p.Unpin(1)
+			p.Stats()
+		}
+	}()
+	select {
+	case <-finished:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Pin/Unpin of a resident page blocked behind another page's read")
+	}
+
+	gate <- struct{}{}
+	for _, ch := range []chan error{first, second} {
+		if err := <-ch; err != nil {
+			t.Fatalf("Pin(0): %v", err)
+		}
+	}
+	p.Unpin(0)
+	p.Unpin(0)
+	st := p.Stats()
+	if st.Faults != 2 || st.Hits != 101 || st.Pins != 103 || st.PagesPinned != 0 {
+		t.Fatalf("stats %+v: want 2 faults (pages 1 and 0), 101 hits, 103 pins, nothing pinned", st)
+	}
+	if got := gr.readCount(); got != 2 {
+		t.Fatalf("%d page reads, want 2: the second Pin(0) must wait, not read", got)
+	}
+}
+
+func (g *gateReader) readCount() int {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.reads
+}
+
+// Many goroutines pinning over a cache of three pages: the counter
+// identities hold, every read was a counted fault, and no page was ever
+// read twice at once.
+func TestPagerConcurrentFaultsReconcile(t *testing.T) {
+	p, gr := gatePager(t, 96, nil)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			x := uint32(g*2654435761 + 1)
+			for i := 0; i < 2000; i++ {
+				x = x*1664525 + 1013904223
+				page := int(x>>16) % 10
+				v, err := p.Pin(page)
+				if err != nil {
+					t.Errorf("Pin(%d): %v", page, err)
+					return
+				}
+				if got := v.([]uint64)[0]; got != uint64(page*4) {
+					t.Errorf("page %d decoded to first record %d", page, got)
+				}
+				p.Unpin(page)
+			}
+		}(g)
+	}
+	wg.Wait()
+	st := p.Stats()
+	if st.Pins != 8*2000 || st.Pins != st.Hits+st.Faults {
+		t.Fatalf("pins %d, hits %d, faults %d: want pins = hits + faults = 16000", st.Pins, st.Hits, st.Faults)
+	}
+	if st.PagesResident != st.Faults-st.Evictions || st.PagesPinned != 0 || st.ResidentBytes > 96 {
+		t.Fatalf("stats %+v: want resident = faults - evictions, nothing pinned, within budget", st)
+	}
+	if int64(gr.readCount()) != st.Faults {
+		t.Fatalf("%d page reads for %d faults", gr.readCount(), st.Faults)
+	}
+	if gr.maxSame > 1 {
+		t.Fatalf("a page was read %d times at once", gr.maxSame)
+	}
+}

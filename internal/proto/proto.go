@@ -916,8 +916,11 @@ func (r *Reader) readResponseInto(resp *Response, budget bool) error {
 	}
 	// The records arrive in bounded chunks — one read and one checksum
 	// update per chunk, fields decoded straight from the staging buffer —
-	// and Coeffs grows a chunk at a time: a corrupted-but-in-range count
-	// must not pre-allocate gigabytes before the stream runs dry.
+	// and Coeffs is sized from the count only as far as the stream has
+	// backed it: never for more than twice the records already read, so a
+	// corrupted-but-in-range count cannot pre-allocate gigabytes before
+	// the stream runs dry, and never past the count, so an honest
+	// wholesale frame fills a fresh slab in a few exact-fit steps.
 	resp.Coeffs = resp.Coeffs[:0]
 	if n > 0 && r.chunk == nil {
 		r.chunk = make([]byte, respChunkRecords*wireCoeffBytes)
@@ -928,7 +931,7 @@ func (r *Reader) readResponseInto(resp *Response, budget bool) error {
 		if err := r.fill(b); err != nil {
 			return err
 		}
-		resp.Coeffs = slices.Grow(resp.Coeffs, k)
+		resp.Coeffs = slices.Grow(resp.Coeffs, min(left, len(resp.Coeffs)+2*k))
 		for ; len(b) > 0; b = b[wireCoeffBytes:] {
 			resp.Coeffs = append(resp.Coeffs, decodeCoeff(b))
 		}

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"time"
 
@@ -548,7 +549,9 @@ func (s *Server) handle(conn net.Conn) {
 				s.st.RecordHotBypassBudget()
 			}
 			if payload == nil {
-				payloadBuf = payloadBuf[:0]
+				// Sized once for the frame: a connection's first wholesale
+				// response would otherwise regrow the buffer a dozen times.
+				payloadBuf = slices.Grow(payloadBuf[:0], len(resp.IDs)*wireCoeffBytes)
 				if pinner != nil && pins == nil && len(resp.IDs) > 0 {
 					pins = pinner.NewPins()
 				}

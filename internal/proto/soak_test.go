@@ -188,7 +188,6 @@ func TestMultiClientSoak(t *testing.T) {
 	// on a serial-execution server over the same store and index.
 	oracle := retrieval.NewServer(d.Store, idx)
 	oracle.SetStats(nil)
-	oracle.SetParallelism(1)
 	union := make(map[int64]bool)
 	oracleUnion := make(map[int64]bool)
 	for i, frames := range trajectories {

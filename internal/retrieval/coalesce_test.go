@@ -27,7 +27,6 @@ func reconcile(t *testing.T, cs CoalescerStats) {
 // the identical query adopts the flight instead of re-searching.
 func TestCoalescerSharesLingeringResult(t *testing.T) {
 	srv := testShardedServer(t, 8, 41, 4)
-	srv.SetParallelism(1)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	if srv.Coalescer() == nil {
 		t.Fatal("coalescer not wired despite Epocher index")
@@ -77,7 +76,6 @@ func TestCoalescerSharesLingeringResult(t *testing.T) {
 // after step keeps sharing), and never adopts the wrong result.
 func TestCoalescerMovedQueryReplacesFlight(t *testing.T) {
 	srv := testShardedServer(t, 8, 43, 4)
-	srv.SetParallelism(1)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	a := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.20, WMax: 1}
 	b := a
@@ -151,7 +149,6 @@ func TestCoalescerInFlightCollision(t *testing.T) {
 	gated := &gatedIndex{inner: base.Index().(*index.Sharded)}
 	srv := NewServer(base.Store(), gated)
 	srv.SetStats(nil)
-	srv.SetParallelism(1)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	a := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.20, WMax: 1}
 	b := a
@@ -184,7 +181,6 @@ func TestCoalescerInFlightCollision(t *testing.T) {
 // dropped, so the next identical query leads again.
 func TestCoalescerFlushEndsSharing(t *testing.T) {
 	srv := testShardedServer(t, 8, 47, 4)
-	srv.SetParallelism(1)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	sub := SubQuery{Region: geom.R2(0, 0, 500, 500), WMin: 0, WMax: 1}
 	srv.Execute([]SubQuery{sub}, nil)
@@ -204,7 +200,6 @@ func TestCoalescerFlushEndsSharing(t *testing.T) {
 // window passes, the flight ages out and the next query leads.
 func TestCoalescerWindowExpiry(t *testing.T) {
 	srv := testShardedServer(t, 8, 53, 4)
-	srv.SetParallelism(1)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Millisecond}))
 	sub := SubQuery{Region: geom.R2(0, 0, 500, 500), WMin: 0, WMax: 1}
 	srv.Execute([]SubQuery{sub}, nil)
@@ -223,7 +218,6 @@ func TestCoalescerWindowExpiry(t *testing.T) {
 // coalescer.
 func TestCoalescerPopulatesHotCache(t *testing.T) {
 	srv := testShardedServer(t, 8, 59, 4)
-	srv.SetParallelism(1)
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
@@ -350,7 +344,6 @@ func TestCoalescedConcurrentMatchesIndependent(t *testing.T) {
 // followers' responses).
 func TestCoalescerFollowerCopiesFlightIDs(t *testing.T) {
 	srv := testShardedServer(t, 8, 67, 4)
-	srv.SetParallelism(1)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
 	var sc Scratch

@@ -114,7 +114,6 @@ func TestSessionDeliveredIDsRoundTrip(t *testing.T) {
 // every iteration filters and adds the same ids.
 func BenchmarkExecuteMerge(b *testing.B) {
 	srv := testShardedServer(b, 8, 29, 4)
-	srv.SetParallelism(1)
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
 	subs := []SubQuery{{Region: geom.R2(0, 0, 1000, 1000), WMin: 0, WMax: 1}}
 	raw := srv.Execute(subs, nil).IDs

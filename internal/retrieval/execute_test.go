@@ -87,60 +87,6 @@ func TestExecuteFilterRejectionKeepsRetrievable(t *testing.T) {
 	}
 }
 
-// TestExecuteParallelMatchesSerial drives identical frame sequences
-// through a serial server and a maximally parallel one: the responses
-// must be byte-identical — same ids in the same order, same bytes, I/O
-// and sub-query counts. This is the acceptance gate for the worker pool.
-func TestExecuteParallelMatchesSerial(t *testing.T) {
-	serial := testServer(t, 6, 15)
-	serial.SetStats(nil)
-	serial.SetParallelism(1)
-	parallel := NewServer(serial.Store(), serial.Index())
-	parallel.SetStats(nil)
-	parallel.SetParallelism(8)
-
-	// Batches mix overlapping windows, detail bands, degenerate regions,
-	// inverted bands, and filtered sub-queries.
-	batches := [][]SubQuery{
-		{
-			{Region: geom.R2(0, 0, 400, 400), WMin: 0, WMax: 1},
-			{Region: geom.R2(200, 200, 600, 600), WMin: 0.2, WMax: 1},
-			{Region: geom.R2(300, 0, 700, 300), WMin: 0, WMax: 0.5},
-		},
-		{
-			{Region: geom.Rect2{Min: geom.V2(5, 5), Max: geom.V2(1, 1)}, WMin: 0, WMax: 1},
-			{Region: geom.R2(0, 0, 1000, 1000), WMin: 0.7, WMax: 0.3},
-			{Region: geom.R2(100, 100, 900, 900), WMin: 0.1, WMax: 0.9},
-		},
-		{
-			{Region: geom.R2(0, 0, 1000, 1000), WMin: 0, WMax: 1,
-				Filter: func(p geom.Vec3) bool { return p.Y < 450 }},
-			{Region: geom.R2(0, 0, 1000, 1000), WMin: 0, WMax: 1},
-			{Region: geom.R2(50, 50, 950, 950), WMin: 0, WMax: 1},
-			{Region: geom.R2(400, 400, 500, 500), WMin: 0.3, WMax: 0.6},
-			{Region: geom.R2(600, 100, 800, 700), WMin: 0, WMax: 0.2},
-		},
-	}
-	dSerial := new(Delivered)
-	dParallel := new(Delivered)
-	for bi, subs := range batches {
-		want := serial.Execute(subs, dSerial)
-		got := parallel.Execute(subs, dParallel)
-		if len(got.IDs) != len(want.IDs) {
-			t.Fatalf("batch %d: parallel delivered %d ids, serial %d", bi, len(got.IDs), len(want.IDs))
-		}
-		for i := range want.IDs {
-			if got.IDs[i] != want.IDs[i] {
-				t.Fatalf("batch %d: id %d differs at position %d (parallel %d, serial %d)",
-					bi, want.IDs[i], i, got.IDs[i], want.IDs[i])
-			}
-		}
-		if got.Bytes != want.Bytes || got.IO != want.IO || got.Queries != want.Queries {
-			t.Fatalf("batch %d: parallel %+v, serial %+v", bi, got, want)
-		}
-	}
-}
-
 // TestExecuteRecordsStats checks the per-request observability contract:
 // one RecordRequest per Execute with reconciling totals, and degenerate
 // sub-queries excluded from the executed count.

@@ -7,9 +7,6 @@
 package retrieval
 
 import (
-	"runtime"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/geom"
@@ -91,13 +88,12 @@ func Identity(speed float64) float64 {
 // concurrent-safe per the index.Index contract) and touches no shared
 // mutable state beyond the wait-free stats collector.
 type Server struct {
-	store   index.CoefficientSource
-	idx     index.Index
-	zMin    float64
-	zMax    float64
-	workers int
-	st      *stats.Stats
-	scene   string
+	store index.CoefficientSource
+	idx   index.Index
+	zMin  float64
+	zMax  float64
+	st    *stats.Stats
+	scene string
 	// hot memoizes sub-query results for repeated window queries and co
 	// singleflights concurrent identical searches; epoch is the index's
 	// content version used to validate both. Either layer requires the
@@ -119,18 +115,10 @@ type Server struct {
 // the server never needs the concrete slab). The vertical query band is
 // derived from the source's bounds (queries are ground-plane windows;
 // the z band always spans every object). The server records into
-// stats.Default and executes a request's sub-queries on a bounded worker
-// pool sized to the machine; SetStats and SetParallelism override both.
+// stats.Default until SetStats says otherwise.
 func NewServer(store index.CoefficientSource, idx index.Index) *Server {
 	b := store.Bounds()
-	workers := runtime.GOMAXPROCS(0)
-	if workers > 8 {
-		// Algorithm 1 yields ≤5 sub-queries; more workers than that only
-		// buys scheduler churn.
-		workers = 8
-	}
-	srv := &Server{store: store, idx: idx, zMin: b.Min.Z, zMax: b.Max.Z,
-		workers: workers, st: stats.Default}
+	srv := &Server{store: store, idx: idx, zMin: b.Min.Z, zMax: b.Max.Z, st: stats.Default}
 	srv.pinner, _ = store.(index.PinningSource)
 	return srv
 }
@@ -198,17 +186,11 @@ func (s *Server) refreshEpoch() {
 	s.epoch, _ = s.idx.(index.Epocher)
 }
 
-// SetParallelism bounds the worker pool that executes one request's
-// sub-queries; 1 (or less) runs them serially on the calling goroutine.
-// Parallelism never changes results: sub-query searches are independent
-// index reads and the delivered-set merge always runs in sub-query
-// order. Not safe to call while requests are in flight.
-func (s *Server) SetParallelism(n int) {
-	if n < 1 {
-		n = 1
-	}
-	s.workers = n
-}
+// SetParallelism does nothing: a request's sub-queries always run one
+// after another on the calling goroutine (see searchAll). It remains
+// only because bench/oracle.go, which gain-claiming changes may not
+// edit, still calls it; the next change to bench/ deletes both.
+func (s *Server) SetParallelism(int) {}
 
 // Store returns the underlying coefficient source.
 func (s *Server) Store() index.CoefficientSource { return s.store }
@@ -222,11 +204,9 @@ func (s *Server) Index() index.Index { return s.idx }
 // regions straddling the old frame produce duplicates, and the filter
 // ensures each coefficient crosses the link once per client.
 //
-// The index searches of one request run on a bounded worker pool (see
-// SetParallelism); the merge into the delivered set always happens on
-// the calling goroutine in sub-query order, so the response — ids,
-// order, bytes, I/O — is byte-identical to serial execution. The
-// delivered set is the caller's: Execute must not be called concurrently
+// The index searches of one request and the merge into the delivered
+// set run on the calling goroutine in sub-query order. The delivered
+// set is the caller's: Execute must not be called concurrently
 // with the same set (one session = one client = one request at a time).
 func (s *Server) Execute(subs []SubQuery, delivered *Delivered) Response {
 	return s.execute(subs, delivered, nil, 0)
@@ -244,24 +224,21 @@ func (s *Server) Execute(subs []SubQuery, delivered *Delivered) Response {
 // every field.
 //
 // Determinism: same sub-queries + same delivered set + same budget ⇒
-// the same response (ids, order, bytes, Dropped), independent of the
-// worker-pool parallelism — the property the wire protocol's budgeted
-// frames are built on.
+// the same response (ids, order, bytes, Dropped) — the property the
+// wire protocol's budgeted frames are built on.
 func (s *Server) ExecuteBudget(subs []SubQuery, delivered *Delivered, maxBytes int64) Response {
 	return s.execute(subs, delivered, nil, maxBytes)
 }
 
 // Scratch is reusable per-caller execution state: the per-sub-query
-// result slabs, the index search cursors (one serial, plus one per
-// fan-out worker), and the response id buffer. A zero Scratch is ready
-// to use; buffers grow on first use and are retained, so steady-state
-// requests allocate almost nothing. A Scratch must not be shared by
-// concurrent requests — it belongs to one session, like the delivered
-// set.
+// result slabs, the index search cursor, and the response id buffer. A
+// zero Scratch is ready to use; buffers grow on first use and are
+// retained, so steady-state requests allocate almost nothing. A Scratch
+// must not be shared by concurrent requests — it belongs to one session,
+// like the delivered set.
 type Scratch struct {
 	results []subResult
 	cur     index.Cursor
-	curs    []index.Cursor
 	ids     []int64
 	// pins is the session's frame pin set, created on first use against
 	// a paging store and reused (Release keeps its storage) thereafter.
@@ -450,72 +427,22 @@ type subResult struct {
 }
 
 // searchAll runs the index search of every well-formed sub-query into
-// results (len(results) == len(subs)), in parallel on the worker pool
-// when the request has more than one. results[i] always corresponds to
-// subs[i], whatever order the searches complete in.
+// results (len(results) == len(subs)), one after another on the calling
+// goroutine. A frame is at most five sub-queries whose descents take
+// tens of microseconds together — less than waking other goroutines for
+// them costs — so a server's concurrency is its sessions.
 func (s *Server) searchAll(subs []SubQuery, results []subResult, sc *Scratch) {
-	valid := 0
-	for i := range subs {
-		results[i].ran = false
-		results[i].hot = false
-		if subs[i].Region.Empty() || subs[i].WMin > subs[i].WMax {
-			continue
-		}
-		results[i].ran = true
-		valid++
-	}
-	if valid <= 1 || s.workers <= 1 {
-		var cur *index.Cursor
-		if sc != nil {
-			cur = &sc.cur
-		}
-		for i := range results {
-			if results[i].ran {
-				s.searchOne(&subs[i], &results[i], cur)
-			}
-		}
-		return
-	}
-	workers := s.workers
-	if workers > valid {
-		workers = valid
-	}
-	// Kept out of line so the goroutine closure doesn't force the serial
-	// path's locals to the heap.
-	s.searchParallel(subs, results, sc, workers)
-}
-
-// searchParallel fans the sub-queries out over a spawn-per-request
-// worker pool, each worker draining indices off a shared atomic counter
-// with its own scratch cursor.
-func (s *Server) searchParallel(subs []SubQuery, results []subResult, sc *Scratch, workers int) {
+	var cur *index.Cursor
 	if sc != nil {
-		for len(sc.curs) < workers {
-			sc.curs = append(sc.curs, index.Cursor{})
+		cur = &sc.cur
+	}
+	for i := range subs {
+		results[i].hot = false
+		results[i].ran = !(subs[i].Region.Empty() || subs[i].WMin > subs[i].WMax)
+		if results[i].ran {
+			s.searchOne(&subs[i], &results[i], cur)
 		}
 	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		var cur *index.Cursor
-		if sc != nil {
-			cur = &sc.curs[w]
-		}
-		wg.Add(1)
-		go func(cur *index.Cursor) {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= len(subs) {
-					return
-				}
-				if results[i].ran {
-					s.searchOne(&subs[i], &results[i], cur)
-				}
-			}
-		}(cur)
-	}
-	wg.Wait()
 }
 
 func (s *Server) queryOf(sub *SubQuery) index.Query {

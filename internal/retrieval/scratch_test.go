@@ -203,11 +203,10 @@ func TestHotRefSemantics(t *testing.T) {
 }
 
 // TestExecuteScratchAllocBudget pins the steady-state allocation count
-// of the serve path's core at parallelism 1: after warmup, a cached
-// request costs at most the map-free merge — zero allocations.
+// of the serve path's core: after warmup, a cached request costs at most
+// the map-free merge — zero allocations.
 func TestExecuteScratchAllocBudget(t *testing.T) {
 	srv := testShardedServer(t, 8, 29, 4)
-	srv.SetParallelism(1)
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
 	subs := []SubQuery{{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}}
 	var sc Scratch
@@ -219,10 +218,9 @@ func TestExecuteScratchAllocBudget(t *testing.T) {
 		t.Fatalf("steady-state cached ExecuteScratch allocates %.1f times per run, want 0", allocs)
 	}
 
-	// Uncached (cache disabled) serial path: still zero — the cursor and
-	// slabs absorb everything.
+	// Uncached (cache disabled) path: still zero — the cursor and slabs
+	// absorb everything.
 	srv2 := testShardedServer(t, 8, 29, 4)
-	srv2.SetParallelism(1)
 	var sc2 Scratch
 	srv2.ExecuteScratch(subs, nil, &sc2)
 	allocs = testing.AllocsPerRun(100, func() {

@@ -1,0 +1,293 @@
+package rtree
+
+import (
+	"fmt"
+	"math/rand"
+	"slices"
+	"sync"
+	"testing"
+)
+
+// propItems draws n random boxes over the unit hypercube scaled to
+// 1000 in the spatial dimensions, with a point value in the last one —
+// the shape of the coefficient indexes.
+func propItems(rng *rand.Rand, n, dims int) []Item {
+	items := make([]Item, n)
+	for i := range items {
+		var r Rect
+		for d := 0; d < dims-1; d++ {
+			lo := rng.Float64() * 1000
+			r.Lo[d], r.Hi[d] = lo, lo+rng.Float64()*40
+		}
+		w := rng.Float64()
+		r.Lo[dims-1], r.Hi[dims-1] = w, w
+		items[i] = Item{Rect: r, Data: int64(i)}
+	}
+	return items
+}
+
+func propQuery(rng *rand.Rand, dims int) Rect {
+	var q Rect
+	for d := 0; d < dims-1; d++ {
+		lo := rng.Float64() * 1000
+		q.Lo[d], q.Hi[d] = lo, lo+rng.Float64()*300
+	}
+	q.Lo[dims-1], q.Hi[dims-1] = rng.Float64()*0.5, 1
+	return q
+}
+
+// everything is a query covering every item propItems can draw, so one
+// search reads every node of the tree.
+func everything(dims int) Rect {
+	var q Rect
+	for d := 0; d < dims; d++ {
+		q.Lo[d], q.Hi[d] = -1, 2000
+	}
+	return q
+}
+
+// recursive answers q with the callback walk over the pointer nodes —
+// the oracle every SearchInto state is held to.
+func recursive(tr *Tree, q Rect) (ids []int64, io int64) {
+	io = tr.SearchCounted(q, func(_ Rect, data int64) bool {
+		ids = append(ids, data)
+		return true
+	})
+	slices.Sort(ids)
+	return ids, io
+}
+
+func checkSearchInto(t *testing.T, tr *Tree, q Rect, cur *Cursor, label string) {
+	t.Helper()
+	want, wantIO := recursive(tr, q)
+	got, gotIO := tr.SearchInto(q, cur, nil)
+	slices.Sort(got)
+	if gotIO != wantIO {
+		t.Fatalf("%s: SearchInto read %d nodes, recursive walk %d", label, gotIO, wantIO)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("%s: SearchInto %d hits, recursive walk %d (sets differ)", label, len(got), len(want))
+	}
+}
+
+// TestFrozenSearchMatchesRecursive is the snapshot's equivalence
+// property: over bulk-loaded and insert-built trees of every
+// dimensionality, both variants, and sizes from empty through one leaf
+// to several levels, SearchInto returns the recursive walk's id set and
+// node-read count — frozen, thawed, and frozen again.
+func TestFrozenSearchMatchesRecursive(t *testing.T) {
+	for _, dims := range []int{2, 3, 4} {
+		for _, variant := range []Variant{RStar, Quadratic} {
+			for _, n := range []int{0, 1, 7, 20, 21, 400, 3000} {
+				for _, bulk := range []bool{true, false} {
+					label := fmt.Sprintf("%dD %v n=%d bulk=%v", dims, variant, n, bulk)
+					rng := rand.New(rand.NewSource(int64(dims*100000 + n*10 + int(variant))))
+					cfg := Config{Dims: dims, MaxEntries: 20, Variant: variant}
+					items := propItems(rng, n, dims)
+					var tr *Tree
+					if bulk {
+						tr = BulkLoad(cfg, items)
+					} else {
+						tr = New(cfg)
+						for _, it := range items {
+							tr.Insert(it.Rect, it.Data)
+						}
+					}
+					var cur Cursor
+					// A bulk load with items freezes at once; anything else is
+					// thawed until one search has read the whole tree.
+					if frozen := tr.frozen.Load() != nil; frozen != (bulk && n > 0) {
+						t.Fatalf("%s: frozen=%v after build", label, frozen)
+					}
+					checkSearchInto(t, tr, everything(dims), &cur, label+" first")
+					a := tr.frozen.Load()
+					if a == nil {
+						t.Fatalf("%s: a search of every node left the tree thawed", label)
+					}
+					if len(a.nodes) != tr.NumNodes() || len(a.data) != n {
+						t.Fatalf("%s: arena holds %d nodes / %d payloads, tree %d / %d",
+							label, len(a.nodes), len(a.data), tr.NumNodes(), n)
+					}
+					for q := 0; q < 40; q++ {
+						checkSearchInto(t, tr, propQuery(rng, dims), &cur, label+" frozen")
+					}
+					tr.thaw()
+					for q := 0; q < 5; q++ {
+						query := propQuery(rng, dims)
+						want, wantIO := recursive(tr, query)
+						got, gotIO := tr.searchNodes(&query, &cur, nil)
+						slices.Sort(got)
+						if gotIO != wantIO || !slices.Equal(got, want) {
+							t.Fatalf("%s thawed: pointer walk %d hits / %d nodes, recursive %d / %d",
+								label, len(got), gotIO, len(want), wantIO)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestThawRefreezeProtocol drives interleaved inserts, deletes and
+// searches against a linear-scan model. Answers must not depend on
+// whether the tree is currently thawed or frozen, every mutation must
+// thaw, and the snapshot must come back exactly when the thawed
+// searches since the last mutation have read as many nodes as the tree
+// holds — no sooner, no later.
+func TestThawRefreezeProtocol(t *testing.T) {
+	const dims = 3
+	rng := rand.New(rand.NewSource(17))
+	items := propItems(rng, 1500, dims)
+	tr := BulkLoad(Config{Dims: dims, MaxEntries: 20}, items[:1000])
+	live, absent := slices.Clone(items[:1000]), slices.Clone(items[1000:])
+	var cur Cursor
+	var thawedReads int64
+	searchedThawed, searchedFrozen, refreezes := 0, 0, 0
+	for step := 0; step < 4000; step++ {
+		switch op := rng.Intn(20); {
+		case op == 0 && len(absent) > 0:
+			it := absent[len(absent)-1]
+			absent = absent[:len(absent)-1]
+			tr.Insert(it.Rect, it.Data)
+			live = append(live, it)
+			thawedReads = 0
+		case op == 1:
+			i := rng.Intn(len(live))
+			it := live[i]
+			if !tr.Delete(it.Rect, it.Data) {
+				t.Fatalf("step %d: delete %d failed", step, it.Data)
+			}
+			live[i] = live[len(live)-1]
+			live = live[:len(live)-1]
+			absent = append(absent, it)
+			thawedReads = 0
+		case op == 2:
+			// Deleting what is not there changes nothing, so it must not
+			// cost the snapshot.
+			before := tr.frozen.Load()
+			if tr.Delete(Point(-5, -5, 0.5), -1) {
+				t.Fatalf("step %d: deleted an item that was never inserted", step)
+			}
+			if tr.frozen.Load() != before {
+				t.Fatalf("step %d: a no-op delete changed the snapshot", step)
+			}
+			continue
+		default:
+			q := propQuery(rng, dims)
+			wasFrozen := tr.frozen.Load() != nil
+			got, io := tr.SearchInto(q, &cur, nil)
+			slices.Sort(got)
+			var want []int64
+			for i := range live {
+				if q.intersects(&live[i].Rect, dims) {
+					want = append(want, live[i].Data)
+				}
+			}
+			slices.Sort(want)
+			if !slices.Equal(got, want) {
+				t.Fatalf("step %d (frozen=%v): %d hits, linear scan %d", step, wasFrozen, len(got), len(want))
+			}
+			if wasFrozen {
+				searchedFrozen++
+				if tr.frozen.Load() == nil {
+					t.Fatalf("step %d: a search dropped the snapshot", step)
+				}
+				continue
+			}
+			searchedThawed++
+			thawedReads += io
+			if got := tr.thawedReads.Load(); got != thawedReads {
+				t.Fatalf("step %d: tree counts %d thawed reads, test %d", step, got, thawedReads)
+			}
+			nowFrozen := tr.frozen.Load() != nil
+			if want := thawedReads >= int64(tr.NumNodes()); nowFrozen != want {
+				t.Fatalf("step %d: frozen=%v after %d thawed reads over %d nodes",
+					step, nowFrozen, thawedReads, tr.NumNodes())
+			}
+			if nowFrozen {
+				refreezes++
+			}
+			continue
+		}
+		// Reached after a mutation only.
+		if tr.frozen.Load() != nil || tr.thawedReads.Load() != 0 {
+			t.Fatalf("step %d: mutation left frozen=%v, thawed reads %d",
+				step, tr.frozen.Load() != nil, tr.thawedReads.Load())
+		}
+		if err := tr.Validate(); err != nil {
+			t.Fatalf("step %d: %v", step, err)
+		}
+	}
+	if searchedThawed == 0 || searchedFrozen == 0 || refreezes < 2 {
+		t.Fatalf("sequence exercised %d thawed searches, %d frozen, %d refreezes",
+			searchedThawed, searchedFrozen, refreezes)
+	}
+}
+
+// TestSearchIntoStatsMatchRecursive pins the access counters: a fixed
+// query list moves Stats by the same totals through the snapshot as
+// through the recursive walk.
+func TestSearchIntoStatsMatchRecursive(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	tr := BulkLoad(DefaultConfig(3), propItems(rng, 5000, 3))
+	qs := make([]Rect, 60)
+	for i := range qs {
+		qs[i] = propQuery(rng, 3)
+	}
+	var cur Cursor
+	var buf []int64
+	for _, q := range qs {
+		buf, _ = tr.SearchInto(q, &cur, buf[:0])
+	}
+	packed := tr.Stats()
+	tr.ResetStats()
+	for _, q := range qs {
+		tr.Search(q, func(Rect, int64) bool { return true })
+	}
+	if walked := tr.Stats(); packed != walked || packed.Queries != int64(len(qs)) {
+		t.Fatalf("snapshot searches counted %+v, recursive walk %+v", packed, walked)
+	}
+}
+
+// TestConcurrentSearchRefreezes races readers over a thawed tree across
+// the refreeze line: every answer stays right, exactly the usual one
+// snapshot comes out, and the race detector has nothing to say about
+// the hand-over.
+func TestConcurrentSearchRefreezes(t *testing.T) {
+	const dims = 3
+	rng := rand.New(rand.NewSource(29))
+	tr := New(Config{Dims: dims, MaxEntries: 20})
+	for _, it := range propItems(rng, 4000, dims) {
+		tr.Insert(it.Rect, it.Data)
+	}
+	qs := make([]Rect, 64)
+	want := make([][]int64, len(qs))
+	for i := range qs {
+		qs[i] = propQuery(rng, dims)
+		want[i], _ = recursive(tr, qs[i])
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			var cur Cursor
+			var buf []int64
+			for round := 0; round < 20; round++ {
+				for i := range qs {
+					j := (i + g*7) % len(qs)
+					buf, _ = tr.SearchInto(qs[j], &cur, buf[:0])
+					slices.Sort(buf)
+					if !slices.Equal(buf, want[j]) {
+						t.Errorf("reader %d query %d: %d hits, want %d", g, j, len(buf), len(want[j]))
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	if tr.frozen.Load() == nil {
+		t.Fatal("tree still thawed after reading itself many times over")
+	}
+}

@@ -2,7 +2,7 @@ package rtree
 
 import (
 	"math"
-	"sort"
+	"slices"
 )
 
 // Item is one rectangle/payload pair for bulk loading.
@@ -30,26 +30,30 @@ func BulkLoad(cfg Config, items []Item) *Tree {
 		entries[i] = entry{rect: it.Rect, data: it.Data}
 	}
 
-	level := packLevel(entries, cfg, true)
-	height := 1
+	sc := &tileScratch{keys: make([]centerKey, len(entries)), moved: make([]entry, len(entries))}
+	level := packLevel(entries, cfg, true, sc)
+	height, nodes := 1, len(level)
 	for len(level) > 1 {
 		parents := make([]entry, len(level))
 		for i, n := range level {
 			parents[i] = entry{rect: n.mbr(cfg.Dims), child: n}
 		}
-		level = packLevel(parents, cfg, false)
+		level = packLevel(parents, cfg, false, sc)
 		height++
+		nodes += len(level)
 	}
 	t.root = level[0]
 	t.height = height
 	t.size = len(items)
+	t.nodes = nodes
+	t.frozen.Store(t.freeze())
 	return t
 }
 
 // packLevel groups entries into nodes of at most MaxEntries using STR
 // tiling, returning the nodes.
-func packLevel(entries []entry, cfg Config, leaf bool) []*node {
-	groups := strTile(entries, cfg.Dims, 0, cfg.MaxEntries)
+func packLevel(entries []entry, cfg Config, leaf bool, sc *tileScratch) []*node {
+	groups := strTile(entries, cfg.Dims, 0, cfg.MaxEntries, sc)
 	nodes := make([]*node, len(groups))
 	for i, g := range groups {
 		nodes[i] = &node{leaf: leaf, entries: g}
@@ -61,7 +65,7 @@ func packLevel(entries []entry, cfg Config, leaf bool) []*node {
 // dimension into evenly sized groups of at most maxEntries. Even chunking
 // keeps every group at ≥ half capacity, satisfying the minimum-fill
 // invariant.
-func strTile(entries []entry, dims, d, maxEntries int) [][]entry {
+func strTile(entries []entry, dims, d, maxEntries int, sc *tileScratch) [][]entry {
 	if len(entries) <= maxEntries {
 		// Copy: entries is a window into the level-wide slice shared with
 		// sibling slabs. Handing it to a node as-is would let a later
@@ -69,7 +73,7 @@ func strTile(entries []entry, dims, d, maxEntries int) [][]entry {
 		// entry of the adjacent node's window.
 		return [][]entry{append([]entry(nil), entries...)}
 	}
-	sortByCenter(entries, d)
+	sc.sortByCenter(entries, d)
 	if d == dims-1 {
 		return chunkEvenly(entries, maxEntries)
 	}
@@ -87,15 +91,47 @@ func strTile(entries []entry, dims, d, maxEntries int) [][]entry {
 		if end > len(entries) {
 			end = len(entries)
 		}
-		out = append(out, strTile(entries[off:end], dims, d+1, maxEntries)...)
+		out = append(out, strTile(entries[off:end], dims, d+1, maxEntries, sc)...)
 	}
 	return out
 }
 
-func sortByCenter(entries []entry, d int) {
-	sort.Slice(entries, func(i, j int) bool {
-		return entries[i].rect.center(d) < entries[j].rect.center(d)
+// tileScratch is the sort scratch one BulkLoad shares across every slab
+// of every level, sized for the leaf level (the largest).
+type tileScratch struct {
+	keys  []centerKey
+	moved []entry
+}
+
+type centerKey struct {
+	center float64
+	at     int
+}
+
+// sortByCenter orders entries by their centre along dimension d. It
+// sorts 16-byte {centre, position} keys and then moves each 80-byte
+// entry once, instead of letting the sort swap entries. The order of
+// equal centres is whatever the (unstable) sort makes of the comparison
+// outcomes, which depend on the centres alone, so the tree built is the
+// one sorting the entries themselves builds, node for node.
+func (sc *tileScratch) sortByCenter(entries []entry, d int) {
+	keys, moved := sc.keys[:len(entries)], sc.moved[:len(entries)]
+	for i := range entries {
+		keys[i] = centerKey{entries[i].rect.center(d), i}
+	}
+	slices.SortFunc(keys, func(a, b centerKey) int {
+		switch {
+		case a.center < b.center:
+			return -1
+		case a.center > b.center:
+			return 1
+		}
+		return 0
 	})
+	for i, k := range keys {
+		moved[i] = entries[k.at]
+	}
+	copy(entries, moved)
 }
 
 // chunkEvenly splits entries into ceil(n/max) groups whose sizes differ by

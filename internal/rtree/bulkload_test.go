@@ -1,7 +1,10 @@
 package rtree
 
 import (
+	"encoding/binary"
+	"hash/fnv"
 	"math/rand"
+	"sort"
 	"testing"
 )
 
@@ -168,5 +171,68 @@ func BenchmarkSearchBulkLoaded(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		x, y := rng.Float64()*950, rng.Float64()*950
 		tr.Count(Box(x, x+20, y, y+20, 0.5, 1.0))
+	}
+}
+
+// gridItems is a city in miniature with every tie the real one has:
+// buildings on a regular lot grid, each contributing several items that
+// share one support box and take their value from a handful of levels,
+// so centres collide in every dimension.
+func gridItems(side, perLot int) []Item {
+	items := make([]Item, 0, side*side*perLot)
+	for i := 0; i < side*side; i++ {
+		x, y := float64(i%side)*10, float64(i/side)*10
+		for k := 0; k < perLot; k++ {
+			w := float64(1+k%4) / 4
+			items = append(items, Item{Rect: Box(x, x+6, y, y+6, w, w), Data: int64(len(items))})
+		}
+	}
+	return items
+}
+
+// TestSortByCenterMatchesSortSlice pins the tie order of the key sort to
+// that of sort.Slice over the entries themselves, which is what STR
+// tiling used before: an unstable sort's handling of equal centres
+// decides which node an item lands in, and with it the node-read counts
+// the paper's I/O figures are made of.
+func TestSortByCenterMatchesSortSlice(t *testing.T) {
+	all := gridItems(40, 5)
+	rand.New(rand.NewSource(3)).Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
+	sc := &tileScratch{keys: make([]centerKey, len(all)), moved: make([]entry, len(all))}
+	for _, n := range []int{0, 1, 2, 12, 13, 50, 51, 500, len(all)} {
+		for d := 0; d < 3; d++ {
+			got := make([]entry, n)
+			for i := range got {
+				got[i] = entry{rect: all[i].Rect, data: all[i].Data}
+			}
+			want := append([]entry(nil), got...)
+			sort.Slice(want, func(i, j int) bool { return want[i].rect.center(d) < want[j].rect.center(d) })
+			sc.sortByCenter(got, d)
+			for i := range want {
+				if got[i].data != want[i].data {
+					t.Fatalf("n=%d dim %d: position %d holds item %d, sort.Slice puts %d there",
+						n, d, i, got[i].data, want[i].data)
+				}
+			}
+		}
+	}
+}
+
+// TestBulkLoadLeafSequencePinned holds the whole builder to the tree it
+// built before the key sort: the digest below is the leaf sequence of
+// this data set under the previous builder (git f437fff).
+func TestBulkLoadLeafSequencePinned(t *testing.T) {
+	tr := BulkLoad(DefaultConfig(3), gridItems(48, 6))
+	h := fnv.New64a()
+	var b [8]byte
+	tr.Scan(func(_ Rect, data int64) bool {
+		binary.LittleEndian.PutUint64(b[:], uint64(data))
+		h.Write(b[:])
+		return true
+	})
+	const want = 0x3de551dd6d0b0b79
+	if got := h.Sum64(); got != want {
+		t.Fatalf("leaf sequence digest %#x, want %#x (tree shape moved: %d nodes, height %d)",
+			got, uint64(want), tr.NumNodes(), tr.Height())
 	}
 }

@@ -63,8 +63,9 @@ func TestSearchIntoMatchesSearch(t *testing.T) {
 }
 
 // TestSearchIntoAllocFree pins the zero-allocation contract: once the
-// cursor stack and the result buffer have warmed up, a steady-state
-// SearchInto allocates nothing.
+// cursor and the result buffer have warmed up, a steady-state SearchInto
+// allocates nothing — over the pointer nodes of a thawed tree and over
+// the packed snapshot alike.
 func TestSearchIntoAllocFree(t *testing.T) {
 	tr, _ := randomTree(t, 5, 3000)
 	var q Rect
@@ -73,12 +74,20 @@ func TestSearchIntoAllocFree(t *testing.T) {
 	q.Lo[2], q.Hi[2] = 0, 1
 	var cur Cursor
 	var buf []int64
-	buf, _ = tr.SearchInto(q, &cur, buf[:0]) // warm the stack and buffer
-	allocs := testing.AllocsPerRun(100, func() {
+	buf, _ = tr.searchNodes(&q, &cur, buf[:0]) // warm the stack and buffer
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf, _ = tr.searchNodes(&q, &cur, buf[:0])
+	}); allocs != 0 {
+		t.Fatalf("steady-state thawed search allocates %.1f times per run, want 0", allocs)
+	}
+	for tr.frozen.Load() == nil {
 		buf, _ = tr.SearchInto(q, &cur, buf[:0])
-	})
-	if allocs != 0 {
-		t.Fatalf("steady-state SearchInto allocates %.1f times per run, want 0", allocs)
+	}
+	buf, _ = tr.SearchInto(q, &cur, buf[:0]) // warm the queue
+	if allocs := testing.AllocsPerRun(100, func() {
+		buf, _ = tr.SearchInto(q, &cur, buf[:0])
+	}); allocs != 0 {
+		t.Fatalf("steady-state frozen SearchInto allocates %.1f times per run, want 0", allocs)
 	}
 }
 

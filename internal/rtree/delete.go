@@ -10,6 +10,7 @@ func (t *Tree) Delete(r Rect, data int64) bool {
 	if path == nil {
 		return false
 	}
+	t.thaw()
 	leaf := path[len(path)-1]
 	leaf.entries = append(leaf.entries[:idx], leaf.entries[idx+1:]...)
 	t.size--
@@ -74,6 +75,7 @@ func (t *Tree) condense(path []*node) {
 			for _, e := range n.entries {
 				orphans = append(orphans, orphan{e: e, level: nodeLevel})
 			}
+			t.nodes--
 			continue
 		}
 		// Tighten the parent's rect for n.
@@ -97,6 +99,7 @@ func (t *Tree) condense(path []*node) {
 	for !t.root.leaf && len(t.root.entries) == 1 {
 		t.root = t.root.entries[0].child
 		t.height--
+		t.nodes--
 	}
 	// An emptied leaf root stays a valid empty tree.
 	if t.root.leaf && len(t.root.entries) == 0 {

@@ -92,16 +92,4 @@ func (t *Tree) scan(n *node, fn func(r Rect, data int64) bool) bool {
 }
 
 // NumNodes returns the total number of nodes (pages) in the tree.
-func (t *Tree) NumNodes() int {
-	var count func(n *node) int
-	count = func(n *node) int {
-		c := 1
-		if !n.leaf {
-			for i := range n.entries {
-				c += count(n.entries[i].child)
-			}
-		}
-		return c
-	}
-	return count(t.root)
-}
+func (t *Tree) NumNodes() int { return t.nodes }

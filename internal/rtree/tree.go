@@ -80,6 +80,13 @@ type Tree struct {
 	root   *node
 	height int // leaf level = 1, root level = height
 	size   int
+	nodes  int // node (page) count, maintained by every structural change
+	// frozen is the packed read snapshot SearchInto walks, nil while the
+	// tree is thawed: BulkLoad publishes one, Insert/Delete drop it, and
+	// the search that brings thawedReads up to the node count rebuilds
+	// it — see SearchInto.
+	frozen      atomic.Pointer[arena]
+	thawedReads atomic.Int64
 	// Access counters, updated atomically: queries may run concurrently
 	// (one retrieval session per network client) over an otherwise
 	// read-only tree.
@@ -128,6 +135,7 @@ func New(cfg Config) *Tree {
 		cfg:    cfg,
 		root:   &node{leaf: true},
 		height: 1,
+		nodes:  1,
 	}
 }
 
@@ -156,8 +164,16 @@ type pendingInsert struct {
 	level int
 }
 
+// thaw drops the packed snapshot ahead of a mutation and restarts the
+// count of node reads that decides when the next one is worth building.
+func (t *Tree) thaw() {
+	t.frozen.Store(nil)
+	t.thawedReads.Store(0)
+}
+
 // Insert adds an item.
 func (t *Tree) Insert(r Rect, data int64) {
+	t.thaw()
 	t.insertWithReinsertion(entry{rect: r, data: data}, 1)
 	t.size++
 }
@@ -220,6 +236,7 @@ func (t *Tree) place(e entry, level int, reinserted map[int]bool) []pendingInser
 		} else {
 			newSibling = t.splitQuadratic(n)
 		}
+		t.nodes++
 	}
 	if newSibling != nil {
 		// The root itself split: grow the tree.
@@ -232,6 +249,7 @@ func (t *Tree) place(e entry, level int, reinserted map[int]bool) []pendingInser
 			},
 		}
 		t.height++
+		t.nodes++
 	}
 	return evicted
 }

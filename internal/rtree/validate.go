@@ -4,13 +4,15 @@ import "fmt"
 
 // Validate checks the structural invariants of the tree and returns the
 // first violation found: fanout bounds (root excepted), uniform leaf
-// depth, parent MBRs covering children, and stored size matching the leaf
-// count. It is used by tests and is cheap enough to call after bulk loads.
+// depth, parent MBRs covering children, and stored size and node count
+// matching what the walk finds. It is used by tests and is cheap enough
+// to call after bulk loads.
 func (t *Tree) Validate() error {
 	dims := t.cfg.Dims
-	leaves := 0
+	leaves, nodes := 0, 0
 	var walk func(n *node, depth int, isRoot bool) error
 	walk = func(n *node, depth int, isRoot bool) error {
+		nodes++
 		if !isRoot && len(n.entries) < t.cfg.MinEntries {
 			return fmt.Errorf("rtree: node at depth %d underfull: %d < %d",
 				depth, len(n.entries), t.cfg.MinEntries)
@@ -49,6 +51,9 @@ func (t *Tree) Validate() error {
 	}
 	if leaves != t.size {
 		return fmt.Errorf("rtree: size %d but %d leaf entries", t.size, leaves)
+	}
+	if nodes != t.nodes {
+		return fmt.Errorf("rtree: node count %d but %d nodes", t.nodes, nodes)
 	}
 	return nil
 }

@@ -1,0 +1,68 @@
+package rtree_test
+
+import (
+	"math/rand"
+	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/index"
+	"repro/internal/rtree"
+	"repro/internal/workload"
+)
+
+// benchCity is the end-to-end benchmark's city (bench/workloads.go):
+// 16×16 blocks of 3² lots at J = 3 — 594 432 coefficients.
+var benchCity = workload.CitySpec{BlocksX: 16, BlocksY: 16, LotsPerBlock: 3, Levels: 3, Seed: 1}
+
+// cityTree bulk-loads the benchmark city's coefficients the way
+// index.MotionAware does under the XYW layout: support-region MBB in x
+// and y, coefficient value in w.
+func cityTree(b *testing.B) (*rtree.Tree, geom.Rect2) {
+	b.Helper()
+	store := workload.GenerateCity(benchCity)
+	items := make([]rtree.Item, store.NumCoeffs())
+	for id := range items {
+		c := index.MustCoeff(store, int64(id))
+		items[id] = rtree.Item{Rect: rtree.FromXYW(c.Support.XY(), c.Value, c.Value), Data: int64(id)}
+	}
+	return rtree.BulkLoad(rtree.DefaultConfig(3), items), store.Bounds().XY()
+}
+
+// BenchmarkWindowSearch is the R*-tree layer of the serve path: one
+// SearchInto over the benchmark city on a retained cursor and buffer.
+// tram is tram.mem's window (10 % of the city's width at the coarse
+// band a fast client asks for), walk is walk.mem's wholesale frame
+// (30 % at a fine cutoff). nodes/op is the paper's I/O metric and must
+// not move when the read path changes; hits/op sizes the output.
+func BenchmarkWindowSearch(b *testing.B) {
+	tree, space := cityTree(b)
+	for _, w := range []struct {
+		name       string
+		side, wmin float64
+	}{
+		{"tram", 0.10, 0.8},
+		{"walk", 0.30, 0.2},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			rng := rand.New(rand.NewSource(1))
+			qs := make([]rtree.Rect, 64)
+			for i := range qs {
+				at := geom.V2(space.Min.X+rng.Float64()*space.Width(), space.Min.Y+rng.Float64()*space.Height())
+				qs[i] = rtree.FromXYW(geom.RectAround(at, w.side*space.Width()), w.wmin, 1)
+			}
+			var cur rtree.Cursor
+			var buf []int64
+			var nodes, hits int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				var io int64
+				buf, io = tree.SearchInto(qs[i%len(qs)], &cur, buf[:0])
+				nodes += io
+				hits += int64(len(buf))
+			}
+			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
+			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+		})
+	}
+}
