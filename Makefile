@@ -29,8 +29,10 @@ test-procs:
 race:
 	$(GO) test -race ./...
 
+# gofmt -l prints the files it would rewrite: any output fails the target.
 vet:
 	$(GO) vet ./...
+	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
@@ -157,7 +159,7 @@ diskfault:
 # generator determinism tests.
 crowd:
 	$(GO) test -race -v -run 'TestRunCrowd' ./internal/experiment/
-	$(GO) test -race -run 'TestCoalesc' ./internal/retrieval/
+	$(GO) test -race -run 'TestCoalesc|TestFirstTouch|TestSecondAsk|TestEpochBump|TestConcurrentFirstAsk' ./internal/retrieval/
 	$(GO) test -race -run 'TestSubscribe|TestPayloadHitCounter' ./internal/hotcache/
 	$(GO) test -race -run 'TestBudgetedFrame|TestBudgetedTruncation' ./internal/proto/
 	$(GO) test -race -run 'TestScrubber' ./internal/engine/

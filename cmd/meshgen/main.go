@@ -13,8 +13,8 @@ package main
 import (
 	"flag"
 	"fmt"
-	"log"
 	"io"
+	"log"
 	"math/rand"
 
 	"repro/internal/geom"

@@ -58,8 +58,8 @@ type backendHealth struct {
 // path's job: the splice breaks, the gateway hangs up, and the
 // client's ResilientClient re-dials the gateway with its token.
 type Gateway struct {
-	cfg GatewayConfig
-	st  *stats.Stats
+	cfg  GatewayConfig
+	st   *stats.Stats
 	logf func(format string, args ...any)
 
 	mu       sync.Mutex

@@ -161,7 +161,8 @@ func TestResumeCacheBounds(t *testing.T) {
 // TestHotCacheWiring pins the hot-cache plumbing: a SceneConfig option
 // (or registry-wide enable) attaches a cache to the scene's retrieval
 // server and registers its counters as a stats gauge source, so
-// repeated identical requests show up as hits in the snapshot.
+// repeated identical requests show up in the snapshot: the first ask as
+// a first touch, the second as the store, the third as a hit.
 func TestHotCacheWiring(t *testing.T) {
 	st := stats.New()
 	reg := NewRegistry()
@@ -192,14 +193,15 @@ func TestHotCacheWiring(t *testing.T) {
 	subs := []retrieval.SubQuery{{Region: geom.R2(0, 0, 1000, 1000), WMin: 0, WMax: 1}}
 	sc.Server.Execute(subs, nil)
 	sc.Server.Execute(subs, nil)
+	sc.Server.Execute(subs, nil)
 	snap := st.Snapshot()
 	if snap.HotCaches != 2 {
 		t.Fatalf("HotCaches = %d, want 2", snap.HotCaches)
 	}
-	if snap.Hot.Hits == 0 {
-		t.Fatalf("repeated request produced no cache hit: %+v", snap.Hot)
+	if snap.FirstTouches != 1 || snap.Hot.Entries != 1 || snap.Hot.Hits != 1 {
+		t.Fatalf("three asks: %d first touches, hot cache %+v; want 1 first touch, 1 entry, 1 hit", snap.FirstTouches, snap.Hot)
 	}
-	if !strings.Contains(snap.String(), "hot cache") {
-		t.Fatal("snapshot String omits the hot-cache section")
+	if line := snap.String(); !strings.Contains(line, "hot cache") || !strings.Contains(line, "first touch 1") {
+		t.Fatalf("snapshot String omits the hot-cache section or the first-touch count: %s", line)
 	}
 }

@@ -331,12 +331,12 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 
 	co, ind := stCo.Snapshot(), stInd.Snapshot()
 	cs := co.Coalesce
-	passes := cs.Led + cs.BypassCollision + cs.BypassStale
+	passes := co.FirstTouches + cs.Led + cs.BypassCollision + cs.BypassStale
 	fmt.Fprintf(w, "crowd: %s, %d objects per scene, mid-soak epoch bump at step %d\n",
 		workload.CrowdSpec{Clients: spec.Clients, Steps: spec.Steps, Attractors: spec.Attractors, Overlap: spec.Overlap, Seed: spec.Seed},
 		spec.Objects, bumpAt)
-	fmt.Fprintf(w, "  coalescer: %d routed = %d led + %d shared + %d collision + %d stale -> %d index passes (independent: %d)\n",
-		cs.Routed, cs.Led, cs.Shared, cs.BypassCollision, cs.BypassStale, passes, ind.SubQueries)
+	fmt.Fprintf(w, "  coalescer: %d first touches · %d routed = %d led + %d shared + %d collision + %d stale -> %d index passes (independent: %d)\n",
+		co.FirstTouches, cs.Routed, cs.Led, cs.Shared, cs.BypassCollision, cs.BypassStale, passes, ind.SubQueries)
 	fmt.Fprintf(w, "  hot regions: %d hits · %d sub refreshes · %d payload replays · %v elapsed\n",
 		co.Hot.Hits, co.Hot.SubRefreshes, co.Hot.PayloadHits, elapsed.Round(time.Millisecond))
 
@@ -356,26 +356,28 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 		return fmt.Errorf("experiment: coalescer counters do not reconcile: %d routed vs %d accounted",
 			cs.Routed, got)
 	}
-	if cs.Routed == 0 {
-		return fmt.Errorf("experiment: nothing was routed through the coalescer")
-	}
 	// Cross-layer reconciliation: both servers planned identical
-	// sub-queries, and on the coalesced side every one of them was
-	// either a hot-cache hit or routed through the coalescer — exactly.
+	// sub-queries, and on the coalesced side every one of them was a
+	// hot-cache hit, a first touch searched past both layers, or routed
+	// through the coalescer — exactly.
 	if co.SubQueries != ind.SubQueries {
 		return fmt.Errorf("experiment: sub-query plans diverged: %d coalesced vs %d independent",
 			co.SubQueries, ind.SubQueries)
 	}
-	if cs.Routed+co.Hot.Hits != co.SubQueries {
-		return fmt.Errorf("experiment: %d routed + %d hot hits != %d sub-queries",
-			cs.Routed, co.Hot.Hits, co.SubQueries)
+	if co.Hot.Hits+co.FirstTouches+cs.Routed != co.SubQueries {
+		return fmt.Errorf("experiment: %d hot hits + %d first touches + %d routed != %d sub-queries",
+			co.Hot.Hits, co.FirstTouches, cs.Routed, co.SubQueries)
 	}
 	// The sharing gates only apply to a crowd that actually flocks; a
-	// zero-overlap soak is a pure no-regression identity check. The
-	// pass-reduction gate is deterministic: per flock per step exactly
-	// one member leads the index pass — every other member adopts the
-	// flight or hits the hot cache, whichever it races into.
+	// zero-overlap soak is a pure no-regression identity check in which
+	// every sub-query is a first touch. The pass-reduction gate is
+	// deterministic: per flock per step one member is the first touch and
+	// one leads the flight — every other member adopts the flight or hits
+	// the hot cache, whichever it races into.
 	if spec.Overlap > 0 {
+		if cs.Routed == 0 {
+			return fmt.Errorf("experiment: nothing was routed through the coalescer")
+		}
 		if passes >= ind.SubQueries {
 			return fmt.Errorf("experiment: coalesced serving spent %d index passes, independent %d — nothing shared",
 				passes, ind.SubQueries)

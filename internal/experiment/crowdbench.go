@@ -62,13 +62,13 @@ type CrowdBenchPoint struct {
 	// sides, and exactly the independent server's index passes.
 	SubQueries int64 `json:"sub_queries"`
 	// CoalescedPasses is what the coalesced server actually spent:
-	// led flights plus collision and stale bypasses.
+	// first touches, led flights, and collision and stale bypasses.
 	CoalescedPasses int64 `json:"coalesced_passes"`
 	Shared          int64 `json:"shared"`
 	// PassReduction = SubQueries / CoalescedPasses.
-	PassReduction  float64 `json:"pass_reduction"`
-	IndependentMS  float64 `json:"independent_ms"`
-	CoalescedMS    float64 `json:"coalesced_ms"`
+	PassReduction float64 `json:"pass_reduction"`
+	IndependentMS float64 `json:"independent_ms"`
+	CoalescedMS   float64 `json:"coalesced_ms"`
 }
 
 // CrowdBenchResult is the JSON document RunCrowdBench emits
@@ -143,11 +143,13 @@ func RunCrowdBench(spec CrowdBenchSpec, jsonPath string, w io.Writer) (*CrowdBen
 
 			cs := srv.Coalescer().Stats()
 			subq := stInd.Snapshot().SubQueries
-			if got := stCo.Snapshot().SubQueries; got != subq {
-				return nil, fmt.Errorf("experiment: sub-query volume diverged: %d coalesced vs %d independent", got, subq)
+			snapCo := stCo.Snapshot()
+			if snapCo.SubQueries != subq {
+				return nil, fmt.Errorf("experiment: sub-query volume diverged: %d coalesced vs %d independent", snapCo.SubQueries, subq)
 			}
-			if cs.Routed != subq {
-				return nil, fmt.Errorf("experiment: %d routed of %d sub-queries — the coalescer was bypassed", cs.Routed, subq)
+			if snapCo.FirstTouches+cs.Routed != subq {
+				return nil, fmt.Errorf("experiment: %d first touches + %d routed of %d sub-queries — the coalescer was bypassed",
+					snapCo.FirstTouches, cs.Routed, subq)
 			}
 			if got := cs.Led + cs.Shared + cs.BypassCollision + cs.BypassStale; got != cs.Routed {
 				return nil, fmt.Errorf("experiment: coalescer counters do not reconcile: %d routed vs %d accounted", cs.Routed, got)
@@ -156,7 +158,7 @@ func RunCrowdBench(spec CrowdBenchSpec, jsonPath string, w io.Writer) (*CrowdBen
 				Clients:         clients,
 				Overlap:         overlap,
 				SubQueries:      subq,
-				CoalescedPasses: cs.Led + cs.BypassCollision + cs.BypassStale,
+				CoalescedPasses: snapCo.FirstTouches + cs.Led + cs.BypassCollision + cs.BypassStale,
 				Shared:          cs.Shared,
 				IndependentMS:   float64(indMS.Microseconds()) / 1000,
 				CoalescedMS:     float64(coMS.Microseconds()) / 1000,

@@ -108,7 +108,7 @@ func TestLRUEviction(t *testing.T) {
 	qa, qb, qc := q(0, 0, 0.5, 0.5, 1), q(10, 10, 10.5, 10.5, 1), q(20, 20, 20.5, 20.5, 1)
 	c.Put(qa, 0, 0, []int64{1}, 1)
 	c.Put(qb, 0, 0, []int64{2}, 1)
-	c.Get(qa, 0, nil)            // refresh a
+	c.Get(qa, 0, nil)              // refresh a
 	c.Put(qc, 0, 0, []int64{3}, 1) // evicts b (LRU)
 	if _, _, ok := c.Get(qb, 0, nil); ok {
 		t.Fatal("LRU entry survived eviction")

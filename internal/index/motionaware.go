@@ -4,6 +4,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/rtree"
+	"repro/internal/wavelet"
 )
 
 // MotionAware is the paper's proposed access method (§VI-B): each wavelet
@@ -30,21 +31,10 @@ func NewMotionAware(src CoefficientSource, layout Layout, cfg rtree.Config) *Mot
 	if cfg.Dims == 0 {
 		cfg = rtree.DefaultConfig(layout.Dims())
 	}
-	total := src.NumCoeffs()
-	items := make([]rtree.Item, 0, total)
-	for id := int64(0); id < total; id++ {
-		c, err := src.Coeff(id)
-		if err != nil {
-			// An unreadable page at build time leaves its coefficients
-			// unindexed (and therefore withheld) rather than aborting:
-			// the rest of the scene still serves.
-			continue
-		}
-		items = append(items, rtree.Item{
-			Rect: layout.supportRect(c),
-			Data: id,
-		})
-	}
+	items := make([]rtree.Item, 0, src.NumCoeffs())
+	scanCoeffs(src, func(id int64, c *wavelet.Coefficient) {
+		items = append(items, rtree.Item{Rect: layout.supportRect(c), Data: id})
+	})
 	// The coefficient set is static, so STR bulk loading builds the tree
 	// in seconds where repeated R* insertion takes minutes at the paper's
 	// dataset sizes, with equal-or-better query I/O.

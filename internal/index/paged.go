@@ -197,9 +197,10 @@ type PagedConfig struct {
 	// CacheBytes bounds resident decoded payload bytes, accounted in
 	// serialized record bytes (≤0 → persist.DefaultPageCacheBytes).
 	CacheBytes int64
-	// Debug evicts and poisons pages on unpin-to-zero, so any held
-	// coefficient pointer read after its pin is released fails loudly
-	// (NaN values, object id -1) instead of silently serving stale data.
+	// Debug evicts and poisons pages on unpin-to-zero, so any coefficient
+	// pointer read through a pin set after its Release fails loudly (NaN
+	// values, object id -1) instead of silently serving another page's
+	// data.
 	Debug bool
 	// RetryMax bounds the pager's re-reads after a transient page-read
 	// fault (0 → persist.DefaultRetryMax, negative → none).
@@ -222,7 +223,6 @@ type PagedStore struct {
 	levels  int
 	base    int
 	bounds  geom.Rect3
-	debug   bool
 }
 
 var _ PinningSource = (*PagedStore)(nil)
@@ -264,19 +264,27 @@ func newPaged(seg *persist.Segment, cfg PagedConfig) (*PagedStore, error) {
 		levels:  levels,
 		base:    base,
 		bounds:  bounds,
-		debug:   cfg.Debug,
 	}
 	ps.pager = persist.NewPager(seg, persist.PagerConfig{
 		CacheBytes:   cfg.CacheBytes,
 		Debug:        cfg.Debug,
 		RetryMax:     cfg.RetryMax,
 		RetryBackoff: cfg.RetryBackoff,
-		Decode: func(raw []byte, records int) (any, int64, error) {
-			slab := make([]wavelet.Coefficient, records)
+		Decode: func(raw []byte, records int, reuse any) (any, int64, error) {
+			// decodeCoeffRecord assigns every field, so an evicted page's
+			// slab of the same length is overwritten in place and handed
+			// back as the interface value it came in (boxing a fresh slice
+			// header would allocate); only the segment's short last page
+			// ever mismatches.
+			slab, _ := reuse.([]wavelet.Coefficient)
+			if len(slab) != records {
+				slab = make([]wavelet.Coefficient, records)
+				reuse = slab
+			}
 			for i := range slab {
 				decodeCoeffRecord(raw[i*CoeffRecordSize:(i+1)*CoeffRecordSize], &slab[i])
 			}
-			return slab, int64(records) * CoeffRecordSize, nil
+			return reuse, int64(records) * CoeffRecordSize, nil
 		},
 		Poison: func(decoded any) {
 			slab := decoded.([]wavelet.Coefficient)
@@ -369,23 +377,51 @@ func (ps *PagedStore) pin(id int64) ([]wavelet.Coefficient, int32, error) {
 	return v.([]wavelet.Coefficient), page, nil
 }
 
-// Coeff resolves a global id for immediate use (see the
-// CoefficientSource contract). The page is pinned only for the duration
-// of the call; in debug mode the returned value is a private copy so
-// that a legal immediate read cannot observe the poisoned slab.
+// Coeff resolves a global id to a private copy of the coefficient (see
+// the CoefficientSource contract). The page is pinned only for the
+// duration of the call, and once unpinned its slab may be evicted and
+// overwritten by any other session's fault, so a pointer into it is
+// worth nothing. One allocation per call: readers of more than a
+// handful of coefficients go through NewPins.
 func (ps *PagedStore) Coeff(id int64) (*wavelet.Coefficient, error) {
 	ps.checkID(id)
 	slab, page, err := ps.pin(id)
 	if err != nil {
 		return nil, err
 	}
-	c := &slab[id%ps.perPage]
-	if ps.debug {
-		cp := *c
-		c = &cp
-	}
+	c := slab[id%ps.perPage]
 	ps.pager.Unpin(int(page))
-	return c, nil
+	return &c, nil
+}
+
+// scanCoeffs calls fn with every readable coefficient of src in id
+// order — the index builders' bulk read. Over a paging source it reads
+// through a pin set released at each page boundary, so the scan holds
+// one page at a time and allocates nothing per coefficient; fn must not
+// keep the pointer. Coefficients on an unreadable page are skipped: they
+// stay unindexed (and therefore withheld) rather than aborting the
+// build, and the rest of the scene still serves.
+func scanCoeffs(src CoefficientSource, fn func(id int64, c *wavelet.Coefficient)) {
+	total := src.NumCoeffs()
+	pinner, ok := src.(PinningSource)
+	if !ok {
+		for id := int64(0); id < total; id++ {
+			if c, err := src.Coeff(id); err == nil {
+				fn(id, c)
+			}
+		}
+		return
+	}
+	pins := pinner.NewPins()
+	defer pins.Release()
+	for id := int64(0); id < total; id++ {
+		if id%pins.ps.perPage == 0 {
+			pins.Release()
+		}
+		if c, err := pins.Coeff(id); err == nil {
+			fn(id, c)
+		}
+	}
 }
 
 // NewPins returns an empty frame-scoped pin set. A Pins is reusable

@@ -15,19 +15,25 @@ import (
 
 // testObjects builds a few small decomposed objects for store tests.
 func testObjects(t testing.TB, n int) []*wavelet.Decomposition {
+	return testObjectsAt(t, n, 2)
+}
+
+// testObjectsAt is testObjects at a chosen subdivision depth (66
+// coefficients per object at 2, 1 026 at 4).
+func testObjectsAt(t testing.TB, n, levels int) []*wavelet.Decomposition {
 	t.Helper()
 	objs := make([]*wavelet.Decomposition, n)
 	for i := range objs {
 		rng := rand.New(rand.NewSource(int64(i) + 1))
 		s := mesh.RandomBuilding(rng, geom.Vec2{X: float64(i) * 40, Y: 0}, mesh.DefaultBuildingSpec())
-		objs[i] = wavelet.Decompose(int32(i), mesh.BaseMeshFor(s), s, 2)
+		objs[i] = wavelet.Decompose(int32(i), mesh.BaseMeshFor(s), s, levels)
 	}
 	return objs
 }
 
 // buildPagedPair returns an in-memory store and a PagedStore opened
 // over a segment built from it.
-func buildPagedPair(t *testing.T, cfg PagedConfig) (*Store, *PagedStore) {
+func buildPagedPair(t testing.TB, cfg PagedConfig) (*Store, *PagedStore) {
 	t.Helper()
 	mem := NewStore(testObjects(t, 5))
 	path := filepath.Join(t.TempDir(), "coeffs.seg")

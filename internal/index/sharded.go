@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/rtree"
 	"repro/internal/stats"
+	"repro/internal/wavelet"
 )
 
 // ShardedConfig parameterizes a Sharded index.
@@ -130,18 +131,11 @@ func NewSharded(src CoefficientSource, layout Layout, cfg ShardedConfig) *Sharde
 		dy:     b.Height() / float64(rows),
 	}
 	dims := tcfg.Dims
-	total := src.NumCoeffs()
 	items := make([][]rtree.Item, cfg.Shards)
-	for id := int64(0); id < total; id++ {
-		c, err := src.Coeff(id)
-		if err != nil {
-			// An unreadable page at build time leaves its coefficients
-			// unindexed (withheld) rather than aborting the build.
-			continue
-		}
+	scanCoeffs(src, func(id int64, c *wavelet.Coefficient) {
 		k := s.shardOf(c.Pos.X, c.Pos.Y)
 		items[k] = append(items[k], rtree.Item{Rect: layout.supportRect(c), Data: id})
-	}
+	})
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := min(cfg.Shards, runtime.GOMAXPROCS(0)); w > 0; w-- {

@@ -28,16 +28,16 @@ type CoefficientSource interface {
 	ID(object, vertex int32) int64
 	// Coeff resolves a global id to its coefficient.
 	//
-	// Pointer-lifetime contract: the returned pointer is valid for
-	// immediate use only — read what you need and let go. The in-memory
-	// Store hands out pointers into always-resident slabs, which never
-	// move, so holding one happens to work there; an out-of-core source
-	// (PagedStore) may evict the backing page at any later Coeff call,
-	// after which a held pointer reads stale (debug builds: poisoned)
-	// data. Callers that need coefficients to stay addressable across a
-	// whole frame — the retrieval filter pass and the proto payload
-	// encoder — must type-assert the source to PinningSource and read
-	// through a frame-scoped Pins set instead.
+	// Pointer-lifetime contract: the in-memory Store hands out pointers
+	// into always-resident slabs, which never move. An out-of-core
+	// source (PagedStore) cannot: the moment its page is unpinned the
+	// slab may be evicted and overwritten in place by another session's
+	// fault, so its Coeff returns a private copy — correct for as long
+	// as the caller likes, and one allocation per call. Callers that
+	// read many coefficients — the index builders' scans, the retrieval
+	// filter pass, the proto payload encoder — type-assert the source to
+	// PinningSource and read through a Pins set instead, which allocates
+	// nothing and whose pointers stay valid until its Release.
 	//
 	// Failure contract: a non-nil error means the coefficient is
 	// temporarily unreadable (an out-of-core source lost the backing
@@ -64,12 +64,13 @@ type CoefficientSource interface {
 }
 
 // PinningSource is a CoefficientSource whose coefficients live on
-// evictable pages. Callers that hold coefficients beyond a single Coeff
-// call — across a frame's filter pass or payload encode — must read
-// them through a frame-scoped Pins set, which keeps every touched page
-// resident until Release. The in-memory Store intentionally does NOT
-// implement this: serving layers detect paging with a type assertion
-// and keep the zero-allocation fast path when it fails.
+// evictable pages, whose memory is reused for other pages once evicted.
+// Its Coeff copies; callers that read coefficients in bulk — a build
+// scan, a frame's filter pass or payload encode — read them through a
+// Pins set, which keeps every touched page resident and its pointers
+// valid until Release, and not after. The in-memory Store intentionally
+// does NOT implement this: serving layers detect paging with a type
+// assertion and keep the zero-allocation fast path when it fails.
 type PinningSource interface {
 	CoefficientSource
 	// NewPins returns an empty, reusable frame-scoped pin set.

@@ -11,14 +11,15 @@
 // ability to serve — so the resident high-water mark is budget plus at
 // most the pinned working set.
 //
-// Memory-safety note (Go): eviction only removes the *cache's*
-// reference to the decoded value; any caller still holding it keeps it
-// alive through the garbage collector. Pins are therefore an
-// accounting discipline — they bound residency and make the stats
-// reconcile — not a use-after-free guard. Debug mode turns discipline
-// violations into crashes: an unpin-to-zero evicts the page immediately
-// and calls the Poison hook so stale pointers read poisoned data and
-// fail loudly in tests.
+// Lifetime of a decoded value: it belongs to the caller from Pin to the
+// matching Unpin and not a moment longer. An evicted page's value goes
+// on a free list and the next fault's Decode overwrites it in place, so
+// a fault in steady state allocates nothing page-sized — and a pointer
+// kept past its Unpin reads some other page's records. Whoever needs a
+// value for longer copies it out while pinned. Debug mode turns a
+// violation into a crash instead: an unpin-to-zero evicts the page
+// immediately and calls the Poison hook, so stale pointers read
+// poisoned data and fail loudly in tests; it never recycles.
 package persist
 
 import (
@@ -47,11 +48,14 @@ type PagerConfig struct {
 	// CacheBytes bounds the resident decoded bytes (≤0 → DefaultPageCacheBytes).
 	CacheBytes int64
 	// Decode turns a verified raw page holding `records` records into
-	// the cached value and its resident size in bytes (required).
-	Decode func(raw []byte, records int) (decoded any, bytes int64, err error)
+	// the cached value and its resident size in bytes (required). reuse
+	// is nil or a value an earlier Decode returned for a page since
+	// evicted, which nothing refers to any more: Decode may overwrite it
+	// and return it instead of allocating. Never offered in Debug mode.
+	Decode func(raw []byte, records int, reuse any) (decoded any, bytes int64, err error)
 	// Poison, if set, is called when Debug mode evicts a page on
 	// unpin-to-zero, so stale references fail loudly. Ignored outside
-	// Debug mode (normal eviction keeps values intact for any holders).
+	// Debug mode, where an evicted value is recycled instead.
 	Poison func(decoded any)
 	// Debug evicts and poisons a page the moment its refcount reaches
 	// zero, catching use-after-unpin in tests.
@@ -129,9 +133,17 @@ type Pager struct {
 	slots   []pageSlot
 	lruHead int32 // most recently unpinned
 	lruTail int32 // eviction candidate
-	// readBufs are idle page-sized read buffers, one per fault that has
-	// ever been in flight at once.
-	readBufs [][]byte
+	// readBufs are idle page-sized read buffers; nReadBufs counts those
+	// ever made, one per fault that has been in flight at once.
+	readBufs  [][]byte
+	nReadBufs int
+	// free are decoded values of evicted pages, waiting for a fault's
+	// Decode to overwrite them. A fault takes one and, once the cache is
+	// full, its install evicts one, so the list never needs more than
+	// the faults that can be in flight at once: it is capped at
+	// nReadBufs, and whatever a burst of evictions adds beyond that is
+	// left to the garbage collector.
+	free []any
 
 	faults      int64
 	hits        int64
@@ -223,13 +235,18 @@ func (p *Pager) Pin(page int) (any, error) {
 	done := make(chan struct{})
 	s.loading = done
 	buf := p.takeReadBuf()
+	var reuse any
+	if n := len(p.free); n > 0 {
+		reuse, p.free[n-1] = p.free[n-1], nil
+		p.free = p.free[:n-1]
+	}
 	p.mu.Unlock()
 	raw, retries, err := p.readPageRetry(page, buf)
 	var decoded any
 	var bytes int64
 	var decodeErr error
 	if err == nil {
-		decoded, bytes, decodeErr = p.cfg.Decode(raw, p.seg.RecordsInPage(page))
+		decoded, bytes, decodeErr = p.cfg.Decode(raw, p.seg.RecordsInPage(page), reuse)
 	}
 	p.mu.Lock()
 	p.readBufs = append(p.readBufs, buf)
@@ -251,8 +268,9 @@ func (p *Pager) Pin(page int) (any, error) {
 	}
 	if err != nil {
 		// The failed pin never materialized: it counts in neither Pins
-		// nor Faults.
+		// nor Faults, and the value it took to decode into goes back.
 		p.faultErrors++
+		p.recycle(reuse)
 		return nil, err
 	}
 	p.pins++
@@ -273,6 +291,7 @@ func (p *Pager) Pin(page int) (any, error) {
 func (p *Pager) takeReadBuf() []byte {
 	n := len(p.readBufs)
 	if n == 0 {
+		p.nReadBufs++
 		return make([]byte, p.seg.pageSize)
 	}
 	buf := p.readBufs[n-1]
@@ -430,12 +449,23 @@ func (p *Pager) evictPage(page int32, poison bool) {
 	if poison && p.cfg.Poison != nil {
 		p.cfg.Poison(s.decoded)
 	}
+	p.recycle(s.decoded)
 	p.residentB -= s.bytes
 	p.residentP--
 	p.evictions++
 	s.decoded = nil
 	s.bytes = 0
 	s.resident = false
+}
+
+// recycle offers a decoded value nothing refers to any more to the free
+// list. Debug mode poisons evicted values and must never hand one out
+// again. Called with p.mu held.
+func (p *Pager) recycle(decoded any) {
+	if decoded == nil || p.cfg.Debug || len(p.free) >= p.nReadBufs {
+		return
+	}
+	p.free = append(p.free, decoded)
 }
 
 // lruPushFront makes page the most-recently-used unpinned page.

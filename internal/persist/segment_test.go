@@ -12,7 +12,7 @@ import (
 
 // buildSegment writes a segment of n sequential 16-byte records and
 // returns its path and raw bytes.
-func buildSegment(t *testing.T, n int, pageSize int, meta []byte) (string, []byte) {
+func buildSegment(t testing.TB, n int, pageSize int, meta []byte) (string, []byte) {
 	t.Helper()
 	path := filepath.Join(t.TempDir(), "seg.seg")
 	spec := SegmentSpec{PageSize: pageSize, RecordSize: 16}
@@ -192,13 +192,18 @@ func TestSegmentSpecValidation(t *testing.T) {
 }
 
 // decodeU64Page is the test Decode hook: a page becomes a []uint64 of
-// first fields, 8 resident bytes per record.
-func decodeU64Page(raw []byte, records int) (any, int64, error) {
-	vals := make([]uint64, records)
+// first fields, 8 resident bytes per record, written over an evicted
+// page's slice when the pager offers one of the right length.
+func decodeU64Page(raw []byte, records int, reuse any) (any, int64, error) {
+	vals, _ := reuse.([]uint64)
+	if len(vals) != records {
+		vals = make([]uint64, records)
+		reuse = vals
+	}
 	for i := range vals {
 		vals[i] = binary.LittleEndian.Uint64(raw[i*16:])
 	}
-	return vals, int64(8 * records), nil
+	return reuse, int64(8 * records), nil
 }
 
 func TestPagerPinFaultHitEvict(t *testing.T) {
@@ -406,11 +411,11 @@ func TestPagerDecodeErrorDoesNotLeak(t *testing.T) {
 	}
 	defer seg.Close()
 	fail := true
-	p := NewPager(seg, PagerConfig{Decode: func(raw []byte, records int) (any, int64, error) {
+	p := NewPager(seg, PagerConfig{Decode: func(raw []byte, records int, reuse any) (any, int64, error) {
 		if fail {
 			return nil, 0, fmt.Errorf("decode boom")
 		}
-		return decodeU64Page(raw, records)
+		return decodeU64Page(raw, records, reuse)
 	}})
 	if _, err := p.Pin(0); err == nil {
 		t.Fatal("decode error swallowed")

@@ -47,7 +47,8 @@ func startHotServer(t *testing.T) (addr string, d *workload.Dataset, hot *hotcac
 // a budgeted (v4) frame whose budget keeps the full coefficient set is
 // served from the cached hot payload — byte-identical on the wire to
 // the populating encode pass — instead of bypassing the cache the way
-// budgeted frames did before.
+// budgeted frames did before. The region's first ask is a first touch
+// that stores nothing; the second populates; the third replays.
 func TestBudgetedFrameServedFromHotPayload(t *testing.T) {
 	addr, d, hot, st, shutdown := startHotServer(t)
 	defer shutdown()
@@ -57,17 +58,27 @@ func TestBudgetedFrameServedFromHotPayload(t *testing.T) {
 		return w.WriteBudgetRequest(Request{Speed: 0.3, Subs: subs, MaxBytes: 0})
 	}
 
+	// Session zero is the region's first touch: answered, nothing kept,
+	// no subscription.
+	frame0, _ := rawExchange(t, addr, send, TagBudgetResponse)
+	if hs := hot.Stats(); hs.Entries != 0 || hs.Subscribers != 0 {
+		t.Fatalf("first touch left %d entries, %d subscribers", hs.Entries, hs.Subscribers)
+	}
+
 	// Session one pays the encode pass and populates the payload cache.
 	frame1, resp1 := rawExchange(t, addr, send, TagBudgetResponse)
 	if len(resp1.Coeffs) == 0 || resp1.Dropped != 0 {
 		t.Fatalf("populating frame: %d coeffs, %d dropped", len(resp1.Coeffs), resp1.Dropped)
 	}
-	if got := hot.Stats().PayloadHits; got != 0 {
-		t.Fatalf("populating frame counted %d payload hits", got)
+	if hs := hot.Stats(); hs.PayloadHits != 0 || hs.Entries != 1 {
+		t.Fatalf("populating frame: %d payload hits, %d entries", hs.PayloadHits, hs.Entries)
 	}
 
 	// Session two replays the serialized payload.
 	frame2, resp2 := rawExchange(t, addr, send, TagBudgetResponse)
+	if !bytes.Equal(frame0, frame1) {
+		t.Fatalf("first touch and populating frame differ: %d vs %d bytes", len(frame0), len(frame1))
+	}
 	if !bytes.Equal(frame1, frame2) {
 		t.Fatalf("payload replay is not byte-identical: %d vs %d bytes", len(frame1), len(frame2))
 	}
@@ -86,7 +97,8 @@ func TestBudgetedFrameServedFromHotPayload(t *testing.T) {
 // budget truncates the frame, the response is per-session state (the
 // deterministic prefix depends on what this session has already been
 // delivered), so the shared payload cannot be reused — and the bypass
-// is counted.
+// is counted, but only for a frame that had an entry to lose: a
+// truncated first touch never had one.
 func TestBudgetedTruncationBypassesHotPayload(t *testing.T) {
 	addr, d, hot, st, shutdown := startHotServer(t)
 	defer shutdown()
@@ -102,6 +114,16 @@ func TestBudgetedTruncationBypassesHotPayload(t *testing.T) {
 	}
 
 	budget := int64(len(full.Coeffs)/2) * wavelet.WireBytes
+	other := []retrieval.SubQuery{{Region: space, WMin: 0.01, WMax: 1}}
+	_, firstTouch := rawExchange(t, addr, func(w *Writer) error {
+		return w.WriteBudgetRequest(Request{Speed: 0.3, Subs: other, MaxBytes: budget})
+	}, TagBudgetResponse)
+	if firstTouch.Dropped == 0 {
+		t.Fatal("half-universe budget did not truncate the first-touch frame")
+	}
+	if got := st.Snapshot().HotBypassBudget; got != 0 {
+		t.Fatalf("a truncated first touch recorded %d budget bypasses", got)
+	}
 	_, truncated := rawExchange(t, addr, func(w *Writer) error {
 		return w.WriteBudgetRequest(Request{Speed: 0.3, Subs: subs, MaxBytes: budget})
 	}, TagBudgetResponse)

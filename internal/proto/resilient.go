@@ -84,7 +84,7 @@ type ResilientClient struct {
 	cfg  ResilientConfig
 	c    *Client
 	rng  *rand.Rand
-	dead bool // connection must be re-established before the next frame
+	dead bool            // connection must be re-established before the next frame
 	abr  *abr.Controller // nil unless cfg.ABR enables the budgeted loop
 
 	// addrIdx points at the Addrs entry the rotation is currently pinned

@@ -223,13 +223,7 @@ func TestResumeRollback(t *testing.T) {
 	c.conn.Close() // response lost: server is now one frame ahead
 
 	// The server parks the session once it notices the dead peer.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.ResumeCacheLen() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("session never parked in the resume cache")
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	waitParked(t, srv)
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -372,13 +366,7 @@ func TestIdleTimeoutParksSession(t *testing.T) {
 	}
 
 	// Go silent until the server kicks us.
-	deadline := time.Now().Add(5 * time.Second)
-	for srv.ResumeCacheLen() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("idle session never parked")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	waitParked(t, srv)
 
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -518,5 +506,19 @@ func TestTokens(t *testing.T) {
 			t.Fatal("token collision")
 		}
 		seen[tok] = true
+	}
+}
+
+// waitParked waits until the server has parked one dropped session in
+// its resume cache: a client that redials before that finds nothing to
+// resume.
+func waitParked(t *testing.T, srv *Server) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for srv.ResumeCacheLen() != 1 {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d sessions parked in the resume cache, want 1", srv.ResumeCacheLen())
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
 }

@@ -13,7 +13,7 @@ import (
 
 // startMultiSceneServer serves two scenes ("alpha": 6 objects, "beta":
 // 3 objects) from one listener.
-func startMultiSceneServer(t *testing.T, st *stats.Stats) (addr string, alpha, beta *workload.Dataset, shutdown func()) {
+func startMultiSceneServer(t *testing.T, st *stats.Stats) (srv *Server, addr string, alpha, beta *workload.Dataset, shutdown func()) {
 	t.Helper()
 	alpha = workload.Generate(workload.Spec{NumObjects: 6, Levels: 3, Seed: 21})
 	beta = workload.Generate(workload.Spec{NumObjects: 3, Levels: 3, Seed: 22})
@@ -26,7 +26,7 @@ func startMultiSceneServer(t *testing.T, st *stats.Stats) (addr string, alpha, b
 		Name: "beta", Source: beta.Store, Levels: beta.Spec.Levels, Shards: 2, Stats: st}); err != nil {
 		t.Fatal(err)
 	}
-	srv := NewMultiServer(reg, t.Logf)
+	srv = NewMultiServer(reg, t.Logf)
 	srv.SetStats(st)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -39,7 +39,7 @@ func startMultiSceneServer(t *testing.T, st *stats.Stats) (addr string, alpha, b
 			t.Errorf("serve: %v", err)
 		}
 	}()
-	return lis.Addr().String(), alpha, beta, func() {
+	return srv, lis.Addr().String(), alpha, beta, func() {
 		srv.Close()
 		<-done
 	}
@@ -47,7 +47,7 @@ func startMultiSceneServer(t *testing.T, st *stats.Stats) (addr string, alpha, b
 
 func TestSceneRouting(t *testing.T) {
 	st := stats.New()
-	addr, alpha, beta, shutdown := startMultiSceneServer(t, st)
+	_, addr, alpha, beta, shutdown := startMultiSceneServer(t, st)
 	defer shutdown()
 
 	// No selection: the default (first-registered) scene answers.
@@ -97,7 +97,7 @@ func TestSceneRouting(t *testing.T) {
 
 func TestSceneResumeAfterReconnect(t *testing.T) {
 	st := stats.New()
-	addr, _, beta, shutdown := startMultiSceneServer(t, st)
+	srv, addr, _, beta, shutdown := startMultiSceneServer(t, st)
 	defer shutdown()
 
 	c, err := DialScene(addr, "beta", nil)
@@ -113,8 +113,10 @@ func TestSceneResumeAfterReconnect(t *testing.T) {
 		t.Fatalf("first frame delivered %d", n)
 	}
 
-	// Abrupt drop (no Bye): the server parks the session in beta's cache.
+	// Abrupt drop (no Bye): the server parks the session in beta's cache
+	// once it notices the dead peer.
 	c.conn.Close()
+	waitParked(t, srv)
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
@@ -147,7 +149,7 @@ func TestSceneResumeAfterReconnect(t *testing.T) {
 // resume on another: the caches are per-scene.
 func TestSceneResumeIsolation(t *testing.T) {
 	st := stats.New()
-	addr, _, _, shutdown := startMultiSceneServer(t, st)
+	_, addr, _, _, shutdown := startMultiSceneServer(t, st)
 	defer shutdown()
 
 	c, err := DialScene(addr, "alpha", nil)
@@ -199,7 +201,7 @@ func TestSceneResumeIsolation(t *testing.T) {
 // rule: a scene select after the first request drops the connection.
 func TestSceneSelectAfterStartRejected(t *testing.T) {
 	st := stats.New()
-	addr, _, _, shutdown := startMultiSceneServer(t, st)
+	_, addr, _, _, shutdown := startMultiSceneServer(t, st)
 	defer shutdown()
 
 	conn, err := net.Dial("tcp", addr)

@@ -542,10 +542,9 @@ func (s *Server) handle(conn net.Conn) {
 				if p, ok := hot.Payload(resp.Hot.Query, resp.Hot.Epoch); ok && len(p) == len(resp.IDs)*wireCoeffBytes {
 					payload = p
 				}
-			} else if hot != nil && tag == TagBudgetRequest {
-				// A budgeted frame that cannot carry a HotRef — the budget
-				// truncated it (or the merge dropped something) — pays the
-				// full encode pass even with a hot cache wired.
+			} else if hot != nil && resp.Hot.Truncated {
+				// The budget's cut is all that kept this frame from its hot
+				// entry's payload: it pays the full encode pass.
 				s.st.RecordHotBypassBudget()
 			}
 			if payload == nil {

@@ -1,0 +1,236 @@
+package retrieval
+
+import (
+	"path/filepath"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"repro/internal/geom"
+	"repro/internal/hotcache"
+	"repro/internal/index"
+	"repro/internal/stats"
+)
+
+// sharedServer is testShardedServer with both sharing layers wired (a
+// flight lingers for an hour, so only admission decides what is shared)
+// and its own stats collector.
+func sharedServer(t testing.TB, seed int64) (*Server, *stats.Stats) {
+	t.Helper()
+	srv := testShardedServer(t, 8, seed, 4)
+	st := stats.New()
+	srv.SetStats(st)
+	srv.SetHotCache(hotcache.New(hotcache.Config{}))
+	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
+	return srv, st
+}
+
+// reconcileLayers asserts the cross-layer identity at quiescence: every
+// executed sub-query was a hot hit, a first touch, or routed through the
+// coalescer.
+func reconcileLayers(t *testing.T, srv *Server, st *stats.Stats) {
+	t.Helper()
+	snap, hs, cs := st.Snapshot(), srv.HotCache().Stats(), srv.Coalescer().Stats()
+	reconcile(t, cs)
+	if snap.SubQueries != hs.Hits+snap.FirstTouches+cs.Routed {
+		t.Fatalf("sub-queries %d != hot hits %d + first touches %d + routed %d",
+			snap.SubQueries, hs.Hits, snap.FirstTouches, cs.Routed)
+	}
+}
+
+// TestFirstTouchLeavesNothing: a query asked once is answered like any
+// other but costs neither layer anything — no flight, no hot entry, no
+// HotRef — only the count of it.
+func TestFirstTouchLeavesNothing(t *testing.T) {
+	srv, st := sharedServer(t, 71)
+	plain := testShardedServer(t, 8, 71, 4)
+	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
+	got, want := srv.Execute([]SubQuery{sub}, nil), plain.Execute([]SubQuery{sub}, nil)
+	if !respEqual(got, want) || len(got.IDs) == 0 {
+		t.Fatalf("first touch answered %d ids, bare server %d", len(got.IDs), len(want.IDs))
+	}
+	if got.Hot != (HotRef{}) {
+		t.Fatalf("first touch carries a HotRef: %+v", got.Hot)
+	}
+	if hs := srv.HotCache().Stats(); hs.Entries != 0 || hs.Misses != 1 {
+		t.Fatalf("first touch left the hot cache at %+v", hs)
+	}
+	if cs := srv.Coalescer().Stats(); cs.Routed != 0 || cs.Flights != 0 {
+		t.Fatalf("first touch reached the coalescer: %+v", cs)
+	}
+	if n := st.Snapshot().FirstTouches; n != 1 {
+		t.Fatalf("FirstTouches = %d, want 1", n)
+	}
+	reconcileLayers(t, srv, st)
+}
+
+// TestSecondAskStoresThirdHits: three asks of one query are one first
+// touch, one store and one hit, and the layers' counters add up to the
+// sub-queries executed.
+func TestSecondAskStoresThirdHits(t *testing.T) {
+	srv, st := sharedServer(t, 73)
+	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
+	var rs [3]Response
+	for i := range rs {
+		rs[i] = srv.Execute([]SubQuery{sub}, nil)
+	}
+	if !respEqual(rs[0], rs[1]) || !respEqual(rs[1], rs[2]) {
+		t.Fatal("the three asks were answered differently")
+	}
+	if rs[0].Hot.Valid || !rs[1].Hot.Valid || rs[2].Hot != rs[1].Hot {
+		t.Fatalf("HotRefs %+v / %+v / %+v, want none / valid / the same", rs[0].Hot, rs[1].Hot, rs[2].Hot)
+	}
+	hs, cs := srv.HotCache().Stats(), srv.Coalescer().Stats()
+	if hs.Entries != 1 || hs.Hits != 1 || hs.Misses != 2 {
+		t.Fatalf("hot cache %+v, want 1 entry, 1 hit, 2 misses", hs)
+	}
+	if cs.Routed != 1 || cs.Led != 1 {
+		t.Fatalf("coalescer %+v, want the second ask alone routed and led", cs)
+	}
+	if n := st.Snapshot().FirstTouches; n != 1 {
+		t.Fatalf("FirstTouches = %d, want 1", n)
+	}
+	reconcileLayers(t, srv, st)
+}
+
+// TestFirstTouchPinsNoPages: over a paged store the hot cache pins the
+// pages of what it stores, so a query asked once must leave the pager
+// untouched; the second ask is the one that pins.
+func TestFirstTouchPinsNoPages(t *testing.T) {
+	mem := testShardedServer(t, 8, 79, 4)
+	path := filepath.Join(t.TempDir(), "scene.seg")
+	if err := index.BuildSegment(path, mem.Store(), 3, 4096); err != nil {
+		t.Fatal(err)
+	}
+	ps, err := index.OpenPaged(path, index.PagedConfig{CacheBytes: 1 << 16})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ps.Close()
+	srv := NewServer(ps, index.NewSharded(ps, index.XYW, index.ShardedConfig{Shards: 4}))
+	srv.SetStats(nil)
+	hot := hotcache.New(hotcache.Config{})
+	hot.SetPinner(ps)
+	srv.SetHotCache(hot)
+	srv.SetCoalescer(NewCoalescer(CoalescerConfig{}))
+	built := ps.PagerStats()
+
+	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
+	sess := NewSession(srv)
+	want := mem.Execute([]SubQuery{sub}, nil)
+	if got := sess.RetrieveScratch([]SubQuery{sub}); !respEqual(got, want) || len(got.IDs) == 0 {
+		t.Fatalf("paged first touch answered %d ids, in-memory %d", len(got.IDs), len(want.IDs))
+	}
+	if pg := ps.PagerStats(); pg.Pins != built.Pins || pg.PagesPinned != 0 {
+		t.Fatalf("first touch pinned pages: %d pins since the build, %d pages pinned", pg.Pins-built.Pins, pg.PagesPinned)
+	}
+	if hs := hot.Stats(); hs.Entries != 0 {
+		t.Fatalf("first touch stored %d hot entries", hs.Entries)
+	}
+	NewSession(srv).RetrieveScratch([]SubQuery{sub})
+	if pg := ps.PagerStats(); pg.PagesPinned == 0 || hot.Stats().Entries != 1 {
+		t.Fatalf("second ask stored %d entries holding %d pages", hot.Stats().Entries, pg.PagesPinned)
+	}
+}
+
+// TestEpochBumpRefreshesWatchedBucketOnce: admission does not look at
+// the epoch, so after a mutation the first session to ask a watched
+// region again recomputes and stores it, and every later one hits.
+func TestEpochBumpRefreshesWatchedBucketOnce(t *testing.T) {
+	srv, st := sharedServer(t, 83)
+	hot := srv.HotCache()
+	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
+	touch(srv, sub)
+	r := srv.Execute([]SubQuery{sub}, nil)
+	if !r.Hot.Valid {
+		t.Fatal("second ask not admitted")
+	}
+	watch := hot.Subscribe()
+	defer watch.Close()
+	watch.Set(r.Hot.Query)
+	before := hot.Stats()
+
+	mut := srv.Index().(index.Mutable)
+	mut.Delete(0)
+	mut.Insert(0)
+	const sessions = 6
+	for i := 0; i < sessions; i++ {
+		got := NewSession(srv).RetrieveScratch([]SubQuery{sub})
+		if !respEqual(got, r) || !got.Hot.Valid || got.Hot.Epoch == r.Hot.Epoch {
+			t.Fatalf("session %d after the bump: %d ids, HotRef %+v", i, len(got.IDs), got.Hot)
+		}
+	}
+	after := hot.Stats()
+	if d := after.SubRefreshes - before.SubRefreshes; d != 1 {
+		t.Fatalf("%d sessions refreshed the watched bucket %d times, want 1", sessions, d)
+	}
+	if d := after.Hits - before.Hits; d != sessions-1 {
+		t.Fatalf("%d hits after the refresh, want %d", d, sessions-1)
+	}
+	if n := st.Snapshot().FirstTouches; n != 1 {
+		t.Fatalf("FirstTouches = %d after the bump, want the original 1", n)
+	}
+	reconcileLayers(t, srv, st)
+}
+
+// countingIndex passes an epoch-versioned index through the plain Search
+// interface and counts the index passes made.
+type countingIndex struct {
+	*index.Sharded
+	passes atomic.Int64
+}
+
+func (c *countingIndex) Search(q index.Query) ([]int64, int64) {
+	c.passes.Add(1)
+	return c.Sharded.Search(q)
+}
+
+// TestConcurrentFirstAsk: the table's slot is swapped, not read and then
+// written, so of 64 sessions asking a never-seen query at once exactly
+// one is the first touch; the rest share one flight or its stored
+// result. Everyone gets the serial answer.
+func TestConcurrentFirstAsk(t *testing.T) {
+	base := testShardedServer(t, 8, 89, 4)
+	counted := &countingIndex{Sharded: base.Index().(*index.Sharded)}
+	// Only Search and Epoch pass through the interface value's method
+	// set the server sees: no IntoSearcher, so every pass is counted.
+	srv := NewServer(base.Store(), struct {
+		index.Index
+		index.Epocher
+	}{counted, counted})
+	st := stats.New()
+	srv.SetStats(st)
+	srv.SetHotCache(hotcache.New(hotcache.Config{}))
+	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
+	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
+	want := base.Execute([]SubQuery{sub}, nil)
+
+	const askers = 64
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	var wrong atomic.Int64
+	for i := 0; i < askers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			sess := NewSession(srv)
+			<-start
+			if got := sess.RetrieveScratch([]SubQuery{sub}); !respEqual(got, want) {
+				wrong.Add(1)
+			}
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if n := wrong.Load(); n != 0 {
+		t.Fatalf("%d of %d concurrent askers got a different answer", n, askers)
+	}
+	if n := counted.passes.Load(); n != 2 {
+		t.Fatalf("%d index passes for %d concurrent asks of one query, want 2: the first touch and one flight", n, askers)
+	}
+	if n := st.Snapshot().FirstTouches; n != 1 {
+		t.Fatalf("FirstTouches = %d, want exactly 1", n)
+	}
+	reconcileLayers(t, srv, st)
+}

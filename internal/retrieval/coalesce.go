@@ -72,9 +72,10 @@ type ckey struct {
 // flight is one in-progress or lingering shared search. done is closed
 // after the result fields (ids, io, ok, epoch) are final; they are
 // immutable from then on — followers read them without a lock. ids is
-// flight-owned (never aliases a session's scratch). expires is guarded
-// by the coalescer mutex.
+// flight-owned (never aliases a session's scratch). expires and next
+// are guarded by the coalescer mutex.
 type flight struct {
+	k       ckey
 	q       index.Query
 	done    chan struct{}
 	ids     []int64
@@ -82,6 +83,7 @@ type flight struct {
 	epoch   uint64
 	ok      bool // result stamped at a stable even epoch; adoptable
 	expires time.Time
+	next    *flight // the flight that completed after this one
 }
 
 // Coalescer merges concurrent identical window searches into one index
@@ -93,6 +95,11 @@ type Coalescer struct {
 
 	mu      sync.Mutex
 	flights map[ckey]*flight
+	// oldest and newest are the ends of the list of lingering flights in
+	// completion order, which is expiry order because the window is one
+	// constant. reap takes expired flights off its head, so a bucket
+	// nobody lands on again gives its flight up all the same.
+	oldest, newest *flight
 
 	routed          atomic.Int64
 	led             atomic.Int64
@@ -131,13 +138,14 @@ func (co *Coalescer) do(s *Server, q index.Query, e0 uint64, buf []int64, cur *i
 	k := co.keyOf(q)
 	for {
 		co.mu.Lock()
+		co.reap()
 		f := co.flights[k]
 		if f == nil {
 			// Leader: publish the flight, search, stamp, release.
-			f = &flight{q: q, done: make(chan struct{})}
+			f = &flight{k: k, q: q, done: make(chan struct{})}
 			co.flights[k] = f
 			co.mu.Unlock()
-			return co.lead(s, f, k, q, e0, buf, cur)
+			return co.lead(s, f, e0, buf, cur)
 		}
 		completed := false
 		select {
@@ -145,12 +153,11 @@ func (co *Coalescer) do(s *Server, q index.Query, e0 uint64, buf []int64, cur *i
 			completed = true
 		default:
 		}
-		if completed && (f.q != q || (!f.expires.IsZero() && time.Now().After(f.expires))) {
-			// The lingering result aged out, or it answers a query the
-			// crowd has moved past (a moving flock re-lands in the same
-			// bucket every step with fresh floats — the stale flight must
-			// not squat on the bucket). Evict it and retry the loop as a
-			// prospective leader.
+		if completed && f.q != q {
+			// The lingering result answers a query the crowd has moved
+			// past (a moving flock re-lands in the same bucket every step
+			// with fresh floats — the stale flight must not squat on the
+			// bucket). Evict it and retry the loop as a prospective leader.
 			delete(co.flights, k)
 			co.mu.Unlock()
 			continue
@@ -188,9 +195,9 @@ func (co *Coalescer) do(s *Server, q index.Query, e0 uint64, buf []int64, cur *i
 // by earlier frames); the flight gets one exact-size copy, because
 // followers hold references to f.ids after done closes and it must
 // never alias a session's reusable scratch.
-func (co *Coalescer) lead(s *Server, f *flight, k ckey, q index.Query, e0 uint64, buf []int64, cur *index.Cursor) ([]int64, int64, uint64, bool) {
+func (co *Coalescer) lead(s *Server, f *flight, e0 uint64, buf []int64, cur *index.Cursor) ([]int64, int64, uint64, bool) {
 	start := len(buf)
-	buf, f.io = s.runSearch(q, buf, cur)
+	buf, f.io = s.runSearch(f.q, buf, cur)
 	f.ids = slices.Clone(buf[start:])
 	e1 := s.epoch.Epoch()
 	if e0 == e1 && e0%2 == 0 {
@@ -199,17 +206,42 @@ func (co *Coalescer) lead(s *Server, f *flight, k ckey, q index.Query, e0 uint64
 	close(f.done)
 	co.led.Add(1)
 	co.mu.Lock()
+	co.reap()
 	if !f.ok {
 		// Unstable result (mutation overlapped the search): followers
 		// already waiting will bypass; nobody new should find it.
-		if co.flights[k] == f {
-			delete(co.flights, k)
+		if co.flights[f.k] == f {
+			delete(co.flights, f.k)
 		}
 	} else {
 		f.expires = time.Now().Add(co.cfg.Window)
+		if co.newest != nil {
+			co.newest.next = f
+		} else {
+			co.oldest = f
+		}
+		co.newest = f
 	}
 	co.mu.Unlock()
 	return buf, f.io, f.epoch, f.ok
+}
+
+// reap drops the lingering flights whose window has passed. A flight
+// already replaced in its bucket (moved query, stale epoch, Flush) only
+// leaves the list. The caller holds co.mu.
+func (co *Coalescer) reap() {
+	if co.oldest == nil {
+		return
+	}
+	now := time.Now()
+	for f := co.oldest; f != nil && now.After(f.expires); f = co.oldest {
+		if co.flights[f.k] == f {
+			delete(co.flights, f.k)
+		}
+		if co.oldest = f.next; co.oldest == nil {
+			co.newest = nil
+		}
+	}
 }
 
 // selfSearch is the bypass path: an uncoalesced search with its own
@@ -238,6 +270,7 @@ func (co *Coalescer) Flush() {
 		default:
 		}
 	}
+	co.oldest, co.newest = nil, nil
 	co.mu.Unlock()
 }
 
@@ -267,6 +300,7 @@ type CoalescerStats struct {
 // Stats snapshots the counters and current flight-table occupancy.
 func (co *Coalescer) Stats() CoalescerStats {
 	co.mu.Lock()
+	co.reap()
 	flights := len(co.flights)
 	co.mu.Unlock()
 	return CoalescerStats{

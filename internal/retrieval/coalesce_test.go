@@ -22,9 +22,19 @@ func reconcile(t *testing.T, cs CoalescerStats) {
 	}
 }
 
+// touch asks each sub-query once, so that the asks a test goes on to make
+// are admitted to the sharing layers (see Server.admit): a first ask is
+// searched past both and leaves only its fingerprint.
+func touch(srv *Server, subs ...SubQuery) {
+	for _, sub := range subs {
+		srv.Execute([]SubQuery{sub}, nil)
+	}
+}
+
 // TestCoalescerSharesLingeringResult pins the deterministic serial
-// contract: within the linger window at an unchanged epoch, a repeat of
-// the identical query adopts the flight instead of re-searching.
+// contract: the first ask of a query is searched alone, the second leads
+// a flight, and within the linger window at an unchanged epoch the third
+// adopts that flight instead of re-searching.
 func TestCoalescerSharesLingeringResult(t *testing.T) {
 	srv := testShardedServer(t, 8, 41, 4)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
@@ -33,8 +43,15 @@ func TestCoalescerSharesLingeringResult(t *testing.T) {
 	}
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
 
+	r0 := srv.Execute([]SubQuery{sub}, nil)
+	if cs := srv.Coalescer().Stats(); cs.Routed != 0 || cs.Flights != 0 {
+		t.Fatalf("a first ask reached the coalescer: %+v", cs)
+	}
 	r1 := srv.Execute([]SubQuery{sub}, nil)
 	r2 := srv.Execute([]SubQuery{sub}, nil)
+	if !respEqual(r0, r1) {
+		t.Fatal("led response differs from the first touch's")
+	}
 	if !respEqual(r1, r2) {
 		t.Fatal("adopted response differs from the leader's")
 	}
@@ -81,6 +98,7 @@ func TestCoalescerMovedQueryReplacesFlight(t *testing.T) {
 	b := a
 	b.WMin = 0.21 // same 0.25-band bucket, different exact query
 
+	touch(srv, a, b)
 	ra := srv.Execute([]SubQuery{a}, nil)
 	rb := srv.Execute([]SubQuery{b}, nil)
 	cs := srv.Coalescer().Stats()
@@ -154,6 +172,7 @@ func TestCoalescerInFlightCollision(t *testing.T) {
 	b := a
 	b.WMin = 0.21 // same 0.25-band bucket, different exact query
 
+	touch(srv, a, b)
 	block, entered := gated.arm()
 	lead := make(chan Response, 1)
 	go func() { lead <- srv.Execute([]SubQuery{a}, nil) }()
@@ -183,7 +202,11 @@ func TestCoalescerFlushEndsSharing(t *testing.T) {
 	srv := testShardedServer(t, 8, 47, 4)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	sub := SubQuery{Region: geom.R2(0, 0, 500, 500), WMin: 0, WMax: 1}
+	touch(srv, sub)
 	srv.Execute([]SubQuery{sub}, nil)
+	if f := srv.Coalescer().Stats().Flights; f != 1 {
+		t.Fatalf("%d flights linger after the second ask, want 1", f)
+	}
 	srv.Coalescer().Flush()
 	if f := srv.Coalescer().Stats().Flights; f != 0 {
 		t.Fatalf("%d flights survive Flush", f)
@@ -197,30 +220,44 @@ func TestCoalescerFlushEndsSharing(t *testing.T) {
 }
 
 // TestCoalescerWindowExpiry pins the time-based linger bound: once the
-// window passes, the flight ages out and the next query leads.
+// window passes, the flight ages out — with no Flush and nobody landing
+// on its bucket — and the next query leads.
 func TestCoalescerWindowExpiry(t *testing.T) {
 	srv := testShardedServer(t, 8, 53, 4)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Millisecond}))
 	sub := SubQuery{Region: geom.R2(0, 0, 500, 500), WMin: 0, WMax: 1}
-	srv.Execute([]SubQuery{sub}, nil)
+	elsewhere := []SubQuery{
+		{Region: geom.R2(200, 0, 700, 500), WMin: 0, WMax: 1},
+		{Region: geom.R2(0, 200, 500, 700), WMin: 0.5, WMax: 1},
+	}
+	for ask := 0; ask < 2; ask++ {
+		touch(srv, sub)
+		touch(srv, elsewhere...)
+	}
 	time.Sleep(5 * time.Millisecond)
+	if cs := srv.Coalescer().Stats(); cs.Led != 3 || cs.Flights != 0 {
+		t.Fatalf("3 flights in 3 buckets, a window ago: %+v", cs)
+	}
 	srv.Execute([]SubQuery{sub}, nil)
 	cs := srv.Coalescer().Stats()
 	reconcile(t, cs)
-	if cs.Led != 2 || cs.Shared != 0 {
+	if cs.Led != 4 || cs.Shared != 0 {
 		t.Fatalf("expected the lingering flight to expire, got %+v", cs)
 	}
 }
 
-// TestCoalescerPopulatesHotCache pins the layering: a coalesced stable
-// result is memoized into the hot cache under the epoch the flight
-// proved, so the next repeat is a cache hit that never reaches the
-// coalescer.
+// TestCoalescerPopulatesHotCache pins the layering: the second ask's
+// coalesced stable result is memoized into the hot cache under the
+// epoch the flight proved, so the third ask is a cache hit that never
+// reaches the coalescer.
 func TestCoalescerPopulatesHotCache(t *testing.T) {
 	srv := testShardedServer(t, 8, 59, 4)
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
+	if r0 := srv.Execute([]SubQuery{sub}, nil); r0.Hot.Valid || r0.Hot.Truncated {
+		t.Fatal("first-touch response marked hot")
+	}
 	r1 := srv.Execute([]SubQuery{sub}, nil)
 	if !r1.Hot.Valid {
 		t.Fatal("coalesced stable response not marked hot")
@@ -347,6 +384,7 @@ func TestCoalescerFollowerCopiesFlightIDs(t *testing.T) {
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
 	var sc Scratch
+	touch(srv, sub)
 	lead := srv.ExecuteScratch([]SubQuery{sub}, nil, &sc)
 	leadIDs := slices.Clone(lead.IDs)
 	adopted := srv.ExecuteScratch([]SubQuery{sub}, nil, &sc)

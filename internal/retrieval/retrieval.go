@@ -7,6 +7,8 @@
 package retrieval
 
 import (
+	"math"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/geom"
@@ -61,6 +63,11 @@ type HotRef struct {
 	Valid bool
 	Query index.Query
 	Epoch uint64
+	// Truncated is set instead of Valid when nothing but a byte budget's
+	// cut kept the response from equalling its entry: the unbudgeted
+	// frame would have carried the reference, the budgeted one has to be
+	// encoded for this session alone.
+	Truncated bool
 }
 
 // MapSpeedToResolution is the client-tunable function of §IV converting
@@ -85,8 +92,9 @@ func Identity(speed float64) float64 {
 // Server answers window sub-queries from a coefficient store through an
 // access method. It is safe for concurrent use by any number of
 // sessions: Execute only reads the store and the index (whose Search is
-// concurrent-safe per the index.Index contract) and touches no shared
-// mutable state beyond the wait-free stats collector.
+// concurrent-safe per the index.Index contract), and the shared state it
+// does write — the stats collector, the admission table, the hot cache
+// and the coalescer — is atomic or locked inside.
 type Server struct {
 	store index.CoefficientSource
 	idx   index.Index
@@ -102,6 +110,11 @@ type Server struct {
 	hot   *hotcache.Cache
 	co    *Coalescer
 	epoch index.Epocher
+	// asked is the admission table of the two sharing layers: one
+	// fingerprint of exact query floats per slot (see admit). Only a
+	// query found here is published as a flight or stored in the hot
+	// cache.
+	asked [admitSlots]atomic.Uint64
 	// pinner is the store again when it pages coefficients from disk
 	// (index.PinningSource); coefficient reads that outlive one call —
 	// the merge loop's filter pass — then go through a frame-scoped pin
@@ -273,15 +286,16 @@ func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, max
 	} else {
 		results = make([]subResult, len(subs))
 	}
-	s.searchAll(subs, results, sc)
+	firstTouches := s.searchAll(subs, results, sc)
 	var resp Response
 	if sc != nil {
 		resp.IDs = sc.ids[:0]
 	}
-	// dropped records whether the merge suppressed any raw hit (filter,
-	// already-delivered, or budget): only a drop-free single-sub response
-	// equals its cache entry's id set and may carry a HotRef.
-	dropped := false
+	// dropped records whether the merge suppressed any raw hit by a
+	// filter or the delivered set, cut whether the budget did: only a
+	// single-sub response with neither equals its cache entry's id set
+	// and may carry a HotRef.
+	dropped, cut := false, false
 	// limit is the budget's prefix cut in whole coefficients; -1 means
 	// unlimited. A positive budget below one wire record delivers
 	// nothing (and withholds everything). withheld dedups the ids the
@@ -358,7 +372,7 @@ func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, max
 				// a delivered set the unlimited merge would append every
 				// hit, so every hit counts; with one, duplicates would have
 				// been deduped, so withheld ids count once.
-				dropped = true
+				cut = true
 				if delivered == nil || withheld.Add(id) {
 					resp.Dropped++
 				}
@@ -377,7 +391,11 @@ func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, max
 		sc.ids = resp.IDs
 	}
 	if len(subs) == 1 && results[0].hot && !dropped {
-		resp.Hot = HotRef{Valid: true, Query: s.queryOf(&subs[0]), Epoch: results[0].epoch}
+		if cut {
+			resp.Hot.Truncated = true
+		} else {
+			resp.Hot = HotRef{Valid: true, Query: s.queryOf(&subs[0]), Epoch: results[0].epoch}
+		}
 	}
 	resp.Bytes = int64(len(resp.IDs)) * wavelet.WireBytes
 	if s.st != nil {
@@ -389,6 +407,9 @@ func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, max
 		}
 		if faultWithheld > 0 {
 			s.st.RecordWithheld(faultWithheld)
+		}
+		if firstTouches > 0 {
+			s.st.RecordFirstTouches(firstTouches)
 		}
 	}
 	return resp
@@ -428,10 +449,11 @@ type subResult struct {
 
 // searchAll runs the index search of every well-formed sub-query into
 // results (len(results) == len(subs)), one after another on the calling
-// goroutine. A frame is at most five sub-queries whose descents take
-// tens of microseconds together — less than waking other goroutines for
-// them costs — so a server's concurrency is its sessions.
-func (s *Server) searchAll(subs []SubQuery, results []subResult, sc *Scratch) {
+// goroutine, and reports how many of them were first touches (see
+// admit). A frame is at most five sub-queries whose descents take tens
+// of microseconds together — less than waking other goroutines for them
+// costs — so a server's concurrency is its sessions.
+func (s *Server) searchAll(subs []SubQuery, results []subResult, sc *Scratch) (firstTouches int64) {
 	var cur *index.Cursor
 	if sc != nil {
 		cur = &sc.cur
@@ -439,10 +461,11 @@ func (s *Server) searchAll(subs []SubQuery, results []subResult, sc *Scratch) {
 	for i := range subs {
 		results[i].hot = false
 		results[i].ran = !(subs[i].Region.Empty() || subs[i].WMin > subs[i].WMax)
-		if results[i].ran {
-			s.searchOne(&subs[i], &results[i], cur)
+		if results[i].ran && s.searchOne(&subs[i], &results[i], cur) {
+			firstTouches++
 		}
 	}
+	return firstTouches
 }
 
 func (s *Server) queryOf(sub *SubQuery) index.Query {
@@ -453,32 +476,78 @@ func (s *Server) queryOf(sub *SubQuery) index.Query {
 	}
 }
 
-// searchOne answers one sub-query: through the hot cache when one is
-// wired (Get, else search-and-Put under the seqlock epoch protocol),
-// through the coalescer when one is wired (sharing one index pass among
-// concurrent identical searches), directly against the index otherwise.
+// A server's admission table has 4 096 slots of 8 bytes: 32 KB per
+// scene, indexed by the top admitBits bits of the fingerprint.
+const (
+	admitBits  = 12
+	admitSlots = 1 << admitBits
+)
+
+// admit reports whether q has been asked of this server before, and
+// records that it now has. It is the one admission rule of both sharing
+// layers: Algorithm 1 makes a client's query the difference from its
+// previous frame, so one client never repeats a sub-query and most are
+// never asked by anyone again; publishing a flight or storing a hot
+// entry (and, over a paged store, pinning its pages) for each of them is
+// cost without a taker. Only the second ask of a query pays it.
+//
+// What is remembered is a 64-bit fingerprint of the exact query floats
+// in a direct-mapped table. Not the quantised bucket: consecutive
+// slivers of one tour share a bucket and would admit each other. Not the
+// epoch: after a mutation a watched region must be admitted at once, so
+// that one recomputation refreshes it for every subscriber. The slot is
+// swapped atomically, so of any number of concurrent first askers
+// exactly one sees the query as new, and there is no lock. A collision
+// — two queries with one fingerprint, or a slot overwritten between two
+// asks — moves only when a result starts being shared, never what any
+// ask is answered.
+func (s *Server) admit(q *index.Query) bool {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, f := range [...]float64{
+		q.Region.Min.X, q.Region.Min.Y, q.Region.Max.X, q.Region.Max.Y,
+		q.ZMin, q.ZMax, q.WMin, q.WMax,
+	} {
+		h = (h ^ math.Float64bits(f)) * 0xff51afd7ed558ccd
+		h ^= h >> 32
+	}
+	h |= 1 // never the empty slot's zero
+	return s.asked[h>>(64-admitBits)].Swap(h) == h
+}
+
+// searchOne answers one sub-query and reports whether it was a first
+// touch. With a sharing layer wired, a result the hot cache holds is
+// replayed, and a query asked before (admit) goes through the coalescer
+// when one is wired (sharing one index pass among concurrent identical
+// searches) and into the hot cache under the seqlock epoch protocol.
+// Everything else — a query nobody asked before, or a server with
+// neither layer — is searched directly: no flight, no stored entry, no
+// HotRef. All of them return the same ids and the same node I/O.
 // out.ids is reused as the result buffer when present.
-func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) {
+func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) (firstTouch bool) {
 	q := s.queryOf(sub)
-	if s.hot == nil && s.co == nil {
+	var e0 uint64
+	if s.epoch != nil {
+		e0 = s.epoch.Epoch()
+		if s.hot != nil {
+			var ok bool
+			if out.ids, out.io, ok = s.hot.Get(q, e0, out.ids[:0]); ok {
+				// The cached io is replayed so the response is byte-identical to
+				// the uncached serve that populated the entry.
+				out.hot, out.epoch = true, e0
+				return false
+			}
+		}
+		firstTouch = !s.admit(&q)
+	}
+	if s.epoch == nil || firstTouch {
 		if cur == nil {
 			// Fresh-allocation path (Execute): hand the index's own result
 			// slice through instead of copying it.
 			out.ids, out.io = s.idx.Search(q)
-			return
+		} else {
+			out.ids, out.io = s.runSearch(q, out.ids[:0], cur)
 		}
-		out.ids, out.io = s.runSearch(q, out.ids[:0], cur)
-		return
-	}
-	e0 := s.epoch.Epoch()
-	if s.hot != nil {
-		var ok bool
-		if out.ids, out.io, ok = s.hot.Get(q, e0, out.ids[:0]); ok {
-			// The cached io is replayed so the response is byte-identical to
-			// the uncached serve that populated the entry.
-			out.hot, out.epoch = true, e0
-			return
-		}
+		return firstTouch
 	}
 	if s.co != nil {
 		var stable bool
@@ -491,7 +560,7 @@ func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) {
 			// subscriber.
 			s.hot.Put(q, out.epoch, out.epoch, out.ids, out.io)
 		}
-		return
+		return false
 	}
 	out.ids, out.io = s.runSearch(q, out.ids[:0], cur)
 	e1 := s.epoch.Epoch()
@@ -499,6 +568,7 @@ func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) {
 	if e0 == e1 && e0%2 == 0 {
 		out.hot, out.epoch = true, e0
 	}
+	return false
 }
 
 // runSearch performs the raw index search, appending into buf via the

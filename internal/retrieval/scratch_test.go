@@ -155,25 +155,37 @@ func TestSessionRetrieveScratchMatchesRetrieve(t *testing.T) {
 }
 
 // TestHotRefSemantics pins when a response may carry a payload-cache
-// reference: single unfiltered sub-query with nothing suppressed — and
-// never after the delivered set or a filter drops ids, never across an
-// epoch change.
+// reference: single unfiltered sub-query, asked before, with nothing
+// suppressed — and never on a first ask, never after the delivered set
+// or a filter drops ids, never across an epoch change; a budget's cut
+// alone marks it Truncated instead.
 func TestHotRefSemantics(t *testing.T) {
 	srv := testShardedServer(t, 6, 3, 4)
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
 	all := geom.R2(0, 0, 1000, 1000)
 	sub := SubQuery{Region: all, WMin: 0, WMax: 1}
 
+	r0 := srv.Execute([]SubQuery{sub}, nil)
+	if r0.Hot != (HotRef{}) {
+		t.Fatalf("first ask carries a HotRef: %+v", r0.Hot)
+	}
 	r1 := srv.Execute([]SubQuery{sub}, nil)
 	if !r1.Hot.Valid {
-		t.Fatal("drop-free single-sub response not marked hot")
+		t.Fatal("drop-free single-sub second ask not marked hot")
 	}
 	r2 := srv.Execute([]SubQuery{sub}, nil)
 	if !r2.Hot.Valid || r2.Hot != r1.Hot {
 		t.Fatalf("replayed response HotRef differs: %+v vs %+v", r2.Hot, r1.Hot)
 	}
-	if !respEqual(r1, r2) {
-		t.Fatal("cache hit response differs from populating response")
+	if !respEqual(r0, r1) || !respEqual(r1, r2) {
+		t.Fatal("first-touch, populating and cache-hit responses differ")
+	}
+	// A budget's cut alone: Truncated, not Valid.
+	if r := srv.ExecuteBudget([]SubQuery{sub}, nil, int64(len(r1.IDs)/2)*wavelet.WireBytes); r.Hot.Valid || !r.Hot.Truncated {
+		t.Fatalf("budget-cut replay HotRef = %+v, want Truncated only", r.Hot)
+	}
+	if r := srv.ExecuteBudget([]SubQuery{sub}, nil, r1.Bytes); !r.Hot.Valid || r.Hot.Truncated {
+		t.Fatalf("budgeted but uncut replay HotRef = %+v, want Valid", r.Hot)
 	}
 
 	// Two subs: never hot (response concatenates entries).
@@ -190,7 +202,7 @@ func TestHotRefSemantics(t *testing.T) {
 	if r := srv.Execute([]SubQuery{sub}, delivered); !r.Hot.Valid {
 		t.Fatal("first delivered-set pass not hot")
 	}
-	if r := srv.Execute([]SubQuery{sub}, delivered); r.Hot.Valid {
+	if r := srv.Execute([]SubQuery{sub}, delivered); r.Hot.Valid || r.Hot.Truncated {
 		t.Fatal("fully-suppressed replay marked hot")
 	}
 	// Mutation moves the epoch: the next response carries the new one.
@@ -210,7 +222,8 @@ func TestExecuteScratchAllocBudget(t *testing.T) {
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
 	subs := []SubQuery{{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}}
 	var sc Scratch
-	srv.ExecuteScratch(subs, nil, &sc) // warm scratch + populate cache
+	srv.ExecuteScratch(subs, nil, &sc) // warm scratch
+	srv.ExecuteScratch(subs, nil, &sc) // second ask: populate cache
 	allocs := testing.AllocsPerRun(100, func() {
 		srv.ExecuteScratch(subs, nil, &sc)
 	})
@@ -228,5 +241,26 @@ func TestExecuteScratchAllocBudget(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state uncached ExecuteScratch allocates %.1f times per run, want 0", allocs)
+	}
+
+	// Both sharing layers wired, over slivers that never repeat (what one
+	// client's Algorithm 1 sends): every sub-query is a first touch, and a
+	// first touch is the uncached path plus one atomic swap.
+	srv3 := testShardedServer(t, 8, 29, 4)
+	srv3.SetHotCache(hotcache.New(hotcache.Config{}))
+	srv3.SetCoalescer(NewCoalescer(CoalescerConfig{}))
+	var sc3 Scratch
+	srv3.ExecuteScratch(subs, nil, &sc3)
+	x := 100.0
+	allocs = testing.AllocsPerRun(100, func() {
+		x += 3
+		sliver := [1]SubQuery{{Region: geom.R2(x, 100, x+3, 700), WMin: 0.2, WMax: 1}}
+		srv3.ExecuteScratch(sliver[:], nil, &sc3)
+	})
+	if allocs != 0 {
+		t.Fatalf("first-touch ExecuteScratch with both sharing layers allocates %.1f times per run, want 0", allocs)
+	}
+	if hs, cs := srv3.HotCache().Stats(), srv3.Coalescer().Stats(); hs.Entries != 0 || cs.Routed != 0 {
+		t.Fatalf("never-repeating slivers reached the sharing layers: %+v / %+v", hs, cs)
 	}
 }

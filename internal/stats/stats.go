@@ -181,9 +181,9 @@ type Stats struct {
 	// coefficients are never marked delivered, so sessions converge once
 	// the page heals.
 	coeffsWithheld atomic.Int64
-	abrBandwidth         atomic.Int64 // gauge, bytes/second
-	abrRTT               atomic.Int64 // gauge, nanoseconds
-	abrBudget            atomic.Int64 // gauge, bytes per frame
+	abrBandwidth   atomic.Int64 // gauge, bytes/second
+	abrRTT         atomic.Int64 // gauge, nanoseconds
+	abrBudget      atomic.Int64 // gauge, bytes per frame
 
 	latency   Histogram // per-request latency in nanoseconds
 	requestIO Histogram // index node reads per request
@@ -207,11 +207,13 @@ type Stats struct {
 	coalesceSources []func() CoalesceStats
 
 	// Crowd/maintenance counters: scrub passes run by the background
-	// scrubber (cmd/server -scrub-interval) and budgeted frames that had
-	// a hot cache wired but could not replay its payload because the
-	// budget truncated the response (DESIGN.md §16).
+	// scrubber (cmd/server -scrub-interval), budgeted frames whose hot
+	// entry could not be replayed because the budget truncated the
+	// response, and sub-queries searched without either sharing layer
+	// because nobody had asked them before (DESIGN.md §16).
 	scrubRuns       atomic.Int64
 	hotBypassBudget atomic.Int64
+	firstTouches    atomic.Int64
 
 	breakdowns // per-scene and per-shard attribution (breakdown.go)
 }
@@ -384,15 +386,26 @@ func (s *Stats) RecordScrub() {
 	s.scrubRuns.Add(1)
 }
 
-// RecordHotBypassBudget counts one budgeted frame that had a hot cache
-// wired but could not reuse a cached payload — its response was
-// truncated (or otherwise diverged from the cache entry), so it paid
-// the full encode pass.
+// RecordHotBypassBudget counts one budgeted frame that was answered at
+// a hot entry but could not reuse its cached payload — the budget
+// truncated the response, so it paid the full encode pass.
 func (s *Stats) RecordHotBypassBudget() {
 	if s == nil {
 		return
 	}
 	s.hotBypassBudget.Add(1)
+}
+
+// RecordFirstTouches counts n sub-queries of one request that a server
+// with a hot cache or a coalescer searched directly, because the query
+// had not been asked before (retrieval's second-touch admission). With
+// both layers wired, SubQueries == Hot.Hits + FirstTouches +
+// Coalesce.Routed once traffic quiesces.
+func (s *Stats) RecordFirstTouches(n int64) {
+	if s == nil {
+		return
+	}
+	s.firstTouches.Add(n)
 }
 
 // Default is the process-wide collector. Components record into it
@@ -658,9 +671,12 @@ type Snapshot struct {
 
 	// ScrubRuns counts background scrub passes over paged stores;
 	// HotBypassBudget counts budgeted frames that could not replay a
-	// cached hot payload (truncation forced a full encode).
+	// cached hot payload (truncation forced a full encode);
+	// FirstTouches counts sub-queries searched past both sharing layers
+	// because they had not been asked before (see RecordFirstTouches).
 	ScrubRuns       int64
 	HotBypassBudget int64
+	FirstTouches    int64
 
 	Latency   HistogramSnapshot
 	RequestIO HistogramSnapshot
@@ -750,6 +766,7 @@ func (s *Stats) Snapshot() Snapshot {
 		ABRBudget:            s.abrBudget.Load(),
 		ScrubRuns:            s.scrubRuns.Load(),
 		HotBypassBudget:      s.hotBypassBudget.Load(),
+		FirstTouches:         s.firstTouches.Load(),
 
 		Latency:   s.latency.Snapshot(),
 		RequestIO: s.requestIO.Snapshot(),
@@ -773,6 +790,10 @@ func (s Snapshot) String() string {
 		if s.HotBypassBudget > 0 {
 			hot += fmt.Sprintf(" · %d budget bypasses", s.HotBypassBudget)
 		}
+	}
+	firstTouch := ""
+	if s.HotCaches > 0 || s.Coalescers > 0 {
+		firstTouch = fmt.Sprintf(" · first touch %d", s.FirstTouches)
 	}
 	coalesce := ""
 	if s.Coalescers > 0 {
@@ -825,7 +846,7 @@ func (s Snapshot) String() string {
 		s.Checkpoints, fmtBytes(s.CheckpointBytes),
 		s.RecordsReplayed, s.TailsTruncated, s.RecordsQuarantined,
 		s.JournalCompactions, s.ResumesRestored, s.Drains) +
-		hot + coalesce + pager + abr + s.breakdownString()
+		firstTouch + hot + coalesce + pager + abr + s.breakdownString()
 }
 
 func fmtBytes(b int64) string {
