@@ -1,10 +1,12 @@
 # Development targets. `make ci` is the full gate a change must pass:
-# build, vet, the tier-1 test suite, and the race-detector run that
-# guards the concurrent serving path (see README "Testing").
+# build, vet, the tier-1 suite at 1/2/8 procs, bench/'s self-check, the
+# race-detector run and the per-plane acceptance soaks (see README
+# "Testing"); the bench-abr/bench-crowd artifacts it regenerates after
+# them are informational.
 
 GO ?= go
 
-.PHONY: build test test-procs race vet bench bench-check bench-e2e bench-shards bench-serve bench-abr bench-city bench-crowd benchguard soak fault crash cluster abr city diskfault crowd fuzz ci
+.PHONY: build test test-procs race vet bench bench-check bench-e2e bench-abr bench-crowd benchguard soak fault crash cluster abr city diskfault crowd fuzz ci
 
 build:
 	$(GO) build ./...
@@ -24,8 +26,9 @@ test-procs:
 
 # The race gate: the full suite under the race detector, including the
 # multi-client soak (internal/proto), the sharded-index equivalence and
-# churn property tests (internal/index), and the snapshot hand-over
-# between concurrent readers (internal/rtree).
+# reader-vs-writer churn tests (internal/index — Sharded is the one
+# mutable serving index), and the snapshot hand-over between concurrent
+# readers (internal/rtree).
 race:
 	$(GO) test -race ./...
 
@@ -50,19 +53,6 @@ bench-check:
 # bench-* targets.
 bench-e2e:
 	bash bench/run.sh
-
-# Shard-scaling sweep: fixed concurrent read/write workload against the
-# single-lock baseline and Sharded at K in {1,2,4,8,16}; emits the JSON
-# artifact the README's engine section discusses.
-bench-shards: build
-	$(GO) run ./cmd/experiments -bench-shards BENCH_shards.json -objects 60
-
-# Steady-state serve path: 5 end-to-end Execute+encode runs per mode at
-# 1/8/64 concurrent clients, fresh-allocation baseline vs the pooled
-# cursor/cache path; emits BENCH_serve.json and prints the delta against
-# the previous artifact (see DESIGN.md "Memory discipline").
-bench-serve: build
-	$(GO) run ./cmd/experiments -bench-serve BENCH_serve.json
 
 # Just the concurrency-focused tests, verbosely.
 soak:
@@ -129,13 +119,6 @@ city:
 	$(GO) test -race -run 'TestCity' ./internal/workload/
 	$(GO) test -race -run 'TestPinner' ./internal/hotcache/
 
-# Budget sweep over the paged store: the same seeded tour served at
-# cache budgets of 1/16, 1/8, and 1/2 of the coefficient payload; emits
-# BENCH_city.json (throughput, fault/hit/eviction counters, bounded
-# residency) and prints the delta against the previous artifact.
-bench-city: build
-	$(GO) run ./cmd/experiments -bench-city BENCH_city.json
-
 # The storage-fault gate, verbosely, under the race detector: the
 # disk-fault acceptance soak (paged store behind a faulty disk surviving
 # a transient-error storm, quarantining exactly the one corrupt page,
@@ -197,11 +180,9 @@ fuzz:
 	$(GO) test -fuzz 'FuzzFaultDisk$$' -fuzztime 10s -run '^$$' ./internal/faultdisk/
 
 ci: build vet test test-procs bench-check race fault crash cluster abr city diskfault crowd fuzz
-	# Informational benchmark deltas (never fail the gate): regenerate
-	# the BENCH_*.json artifacts, print the change vs the previous
-	# files, then diff every artifact against HEAD with benchguard.
-	-$(MAKE) bench-serve
+	# Informational artifact deltas (never fail the gate): regenerate
+	# BENCH_abr.json and BENCH_crowd.json, print the change vs the
+	# previous files, then diff both against HEAD with benchguard.
 	-$(MAKE) bench-abr
-	-$(MAKE) bench-city
 	-$(MAKE) bench-crowd
 	-$(MAKE) benchguard

@@ -12,8 +12,7 @@
 //	            [-city] [-city-blocks N] [-city-clients N]
 //	            [-diskfault] [-diskfault-retries N]
 //	            [-crowd] [-crowd-clients N] [-crowd-overlap F] [-crowd-attractors N]
-//	            [-bench-shards out.json] [-bench-serve out.json] [-bench-abr out.json]
-//	            [-bench-city out.json] [-bench-crowd out.json]
+//	            [-bench-abr out.json] [-bench-crowd out.json]
 package main
 
 import (
@@ -41,12 +40,12 @@ func main() {
 		steps     = flag.Int("steps", 0, "override steps per tour")
 		seed      = flag.Int64("seed", 1, "base random seed")
 		out       = flag.String("o", "", "also write output to this file")
-		shards    = flag.Int("shards", 0, "index shard count where applicable (0/1 = unsharded)")
+		shards    = flag.Int("shards", 0, "index shard count where applicable (0 or 1 = one shard)")
 
 		fault        = flag.Bool("fault", false, "run the fault-injection experiment instead of the figures")
 		faultSeed    = flag.Int64("fault-seed", 1, "seed for the injected fault schedule")
-		faultDrop    = flag.Int64("fault-drop", 0, "mean bytes between connection drops (0 = default 60 KB)")
-		faultCorrupt = flag.Int64("fault-corrupt", 0, "mean read bytes between bit flips (0 = default 40 KB)")
+		faultDrop    = flag.Int64("fault-drop", 0, "mean bytes between connection drops (0 = default 16 KB)")
+		faultCorrupt = flag.Int64("fault-corrupt", 0, "mean read bytes between bit flips (0 = default 12 KB)")
 		faultLatency = flag.Duration("fault-latency", 0, "injected round-trip latency")
 		faultBW      = flag.Int64("fault-bw", 0, "link throughput in bytes/second (0 = unthrottled)")
 
@@ -61,7 +60,6 @@ func main() {
 		cityRun     = flag.Bool("city", false, "run the out-of-core city acceptance soak instead of the figures")
 		cityBlocks  = flag.Int("city-blocks", 0, "city blocks per side (0 = experiment default)")
 		cityClients = flag.Int("city-clients", 0, "concurrent seeded tours in the city soak (0 = default 3)")
-		benchCity   = flag.String("bench-city", "", "run the paged-store budget-sweep benchmark and write its JSON result to this file")
 
 		diskFault      = flag.Bool("diskfault", false, "run the storage-fault tolerance soak instead of the figures")
 		diskFaultRetry = flag.Int("diskfault-retries", 0, "pager retries per transient fault (0 = default 2)")
@@ -79,13 +77,6 @@ func main() {
 		crashKills = flag.Int("crash-kills", 0, "mid-tour server kills (0 = default 3)")
 		crashCold  = flag.Bool("crash-cold", false, "delete the session journal at each restart (forces full re-plans)")
 		crashDir   = flag.String("crash-dir", "", "durable state directory for the crash experiment (default: fresh temp dir)")
-
-		benchShards = flag.String("bench-shards", "", "run the shard-scaling benchmark and write its JSON result to this file")
-		benchDur    = flag.Duration("bench-duration", 300*time.Millisecond, "measurement window per shard-bench configuration")
-
-		benchServe       = flag.String("bench-serve", "", "run the steady-state serve-path benchmark and write its JSON result to this file")
-		benchServeFrames = flag.Int("bench-serve-frames", 0, "frames per client per serve-bench run (0 = default 200)")
-		benchServeRuns   = flag.Int("bench-serve-runs", 0, "serve-bench repetitions per configuration (0 = default 5)")
 	)
 	statsFlags := stats.RegisterFlags(flag.CommandLine, 0)
 	flag.Parse()
@@ -114,34 +105,6 @@ func main() {
 	stopStats := statsFlags.Start(stats.Default, log.Printf)
 	defer stopStats()
 
-	if *benchShards != "" {
-		spec := experiment.ShardBenchSpec{
-			Seed:     *seed,
-			Objects:  *objects,
-			Duration: *benchDur,
-		}
-		if _, err := experiment.RunShardBench(spec, *benchShards, w); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchServe != "" {
-		spec := experiment.ServeBenchSpec{
-			Seed:    *seed,
-			Objects: *objects,
-			Shards:  *shards,
-			Frames:  *benchServeFrames,
-			Runs:    *benchServeRuns,
-		}
-		if _, err := experiment.RunServeBench(spec, *benchServe, w); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *benchABR != "" {
 		spec := experiment.ABRBenchSpec{
 			Seed:    *seed,
@@ -149,19 +112,6 @@ func main() {
 			Frames:  *steps,
 		}
 		if _, err := experiment.RunABRBench(spec, *benchABR, w); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchCity != "" {
-		spec := experiment.CityBenchSpec{
-			Seed:   *seed,
-			Blocks: *cityBlocks,
-			Frames: *steps,
-		}
-		if _, err := experiment.RunCityBench(spec, *benchCity, w); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
 			os.Exit(1)
 		}

@@ -22,27 +22,3 @@ func TestRunCity(t *testing.T) {
 		}
 	}
 }
-
-// TestRunCityBench smoke-tests the budget sweep at tiny scale and
-// checks the artifact's shape: one point per divisor, residency bounded
-// by each point's cache budget.
-func TestRunCityBench(t *testing.T) {
-	var b strings.Builder
-	res, err := RunCityBench(CityBenchSpec{
-		Seed: 7, Blocks: 3, Lots: 2, Frames: 12,
-	}, "", &b)
-	if err != nil {
-		t.Fatalf("city bench failed: %v\n%s", err, b.String())
-	}
-	if len(res.Points) != 3 {
-		t.Fatalf("got %d points, want 3:\n%s", len(res.Points), b.String())
-	}
-	for _, p := range res.Points {
-		if p.ResidentPeak > p.CacheBytes {
-			t.Errorf("budget 1/%d: resident peak %d exceeds cache %d", p.BudgetDivisor, p.ResidentPeak, p.CacheBytes)
-		}
-		if p.Coefficients == 0 {
-			t.Errorf("budget 1/%d delivered no coefficients", p.BudgetDivisor)
-		}
-	}
-}

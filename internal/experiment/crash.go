@@ -374,17 +374,7 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 	}
 
 	// Crashy run through the fault model.
-	cfg := faultnet.Config{Seed: spec.Seed + 1}
-	if m := spec.DropMeanBytes; m != 0 {
-		cfg.DropAfterMin, cfg.DropAfterMax = m/2, 3*m/2
-	} else {
-		cfg.DropAfterMin, cfg.DropAfterMax = 8_000, 24_000
-	}
-	if m := spec.CorruptBytes; m != 0 {
-		cfg.CorruptAfterMin, cfg.CorruptAfterMax = m/2, 3*m/2
-	} else {
-		cfg.CorruptAfterMin, cfg.CorruptAfterMax = 6_000, 18_000
-	}
+	cfg := faultLink(faultnet.Config{Seed: spec.Seed + 1}, spec.DropMeanBytes, spec.CorruptBytes)
 	stClient := stats.New()
 	dialer := newCrashDialer(cs.addr(), cfg, stClient)
 	rc, err := proto.DialResilient(proto.ResilientConfig{

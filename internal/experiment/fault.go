@@ -13,7 +13,6 @@ import (
 	"repro/internal/motion"
 	"repro/internal/proto"
 	"repro/internal/retrieval"
-	"repro/internal/rtree"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -27,7 +26,7 @@ type FaultSpec struct {
 	Objects int // dataset size (default 40)
 	Levels  int // subdivision depth (default 3)
 	Steps   int // tour length (default 120)
-	Shards  int // index shard count (≤ 1 = unsharded MotionAware)
+	Shards  int // index shard count (≤ 1 = one shard)
 
 	DropMeanBytes  int64 // mean traffic between connection drops (default 16 KB)
 	CorruptBytes   int64 // mean read bytes between bit flips (default 12 KB)
@@ -48,6 +47,20 @@ func (s FaultSpec) fill() FaultSpec {
 	return s
 }
 
+// faultLink sets cfg's drop and corrupt windows to [m/2, 3m/2] around
+// the given mean byte distances, 16 KB and 12 KB when zero.
+func faultLink(cfg faultnet.Config, dropMean, corruptMean int64) faultnet.Config {
+	if dropMean == 0 {
+		dropMean = 16_000
+	}
+	if corruptMean == 0 {
+		corruptMean = 12_000
+	}
+	cfg.DropAfterMin, cfg.DropAfterMax = dropMean/2, 3*dropMean/2
+	cfg.CorruptAfterMin, cfg.CorruptAfterMax = corruptMean/2, 3*corruptMean/2
+	return cfg
+}
+
 // RunFault runs the fault-injection experiment and prints a summary: the
 // injected fault volume, what the recovery machinery did about it
 // (retries, resumes, degraded mode), and whether the client's final
@@ -58,10 +71,7 @@ func RunFault(spec FaultSpec, w io.Writer) error {
 	spec = spec.fill()
 
 	d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: spec.Levels, Seed: spec.Seed + 5})
-	var idx index.Index = index.NewMotionAware(d.Store, index.XYW, rtree.Config{})
-	if spec.Shards > 1 {
-		idx = index.NewSharded(d.Store, index.XYW, index.ShardedConfig{Shards: spec.Shards})
-	}
+	idx := index.NewSharded(d.Store, index.XYW, index.ShardedConfig{Shards: spec.Shards})
 	stServer := stats.New()
 	srv := proto.NewServer(retrieval.NewServer(d.Store, idx), d.Spec.Levels, nil)
 	srv.SetStats(stServer)
@@ -93,21 +103,11 @@ func RunFault(spec FaultSpec, w io.Writer) error {
 	oracle.Close()
 
 	// Faulty run.
-	cfg := faultnet.Config{
+	cfg := faultLink(faultnet.Config{
 		Seed:           spec.Seed + 1,
 		Latency:        spec.Latency,
 		BytesPerSecond: spec.BytesPerSecond,
-	}
-	if m := spec.DropMeanBytes; m != 0 {
-		cfg.DropAfterMin, cfg.DropAfterMax = m/2, 3*m/2
-	} else {
-		cfg.DropAfterMin, cfg.DropAfterMax = 8_000, 24_000
-	}
-	if m := spec.CorruptBytes; m != 0 {
-		cfg.CorruptAfterMin, cfg.CorruptAfterMax = m/2, 3*m/2
-	} else {
-		cfg.CorruptAfterMin, cfg.CorruptAfterMax = 6_000, 18_000
-	}
+	}, spec.DropMeanBytes, spec.CorruptBytes)
 	stClient := stats.New()
 	dialer := faultnet.NewDialer(addr, cfg)
 	dialer.SetStats(stClient)

@@ -30,8 +30,8 @@ type IntoSearcher interface {
 // while a mutation is in flight, even when quiescent, and strictly
 // greater after a mutation completes than before it started. Result
 // caches key their entries by epoch: an entry stored at an even epoch E
-// is valid exactly while Epoch() == E. Concurrent and Sharded implement
-// it; the bump protocol is documented on their Insert/Delete methods.
+// is valid exactly while Epoch() == E. Sharded implements it; the bump
+// protocol is documented on its Insert/Delete methods.
 type Epocher interface {
 	Epoch() uint64
 }
@@ -40,7 +40,5 @@ type Epocher interface {
 var (
 	_ IntoSearcher = (*MotionAware)(nil)
 	_ IntoSearcher = (*Sharded)(nil)
-	_ IntoSearcher = (*Concurrent)(nil)
 	_ Epocher      = (*Sharded)(nil)
-	_ Epocher      = (*Concurrent)(nil)
 )

@@ -16,7 +16,6 @@ func TestSearchIntoMatchesSearch(t *testing.T) {
 		NewMotionAware(store, XYW, rtree.Config{}),
 		NewMotionAware(store, XYZW, rtree.Config{}),
 		NewSharded(store, XYW, ShardedConfig{Shards: 8}),
-		NewConcurrent(NewMotionAware(store, XYW, rtree.Config{})),
 	}
 	rng := rand.New(rand.NewSource(23))
 	bounds := store.Bounds()
@@ -83,37 +82,18 @@ func TestSearchIntoAllocFree(t *testing.T) {
 }
 
 // TestEpochProtocol pins the seqlock bump discipline caches depend on:
-// even at rest, +2 across every completed mutation, for both epoch
-// implementations.
+// even at rest, +2 across every completed mutation.
 func TestEpochProtocol(t *testing.T) {
-	store := testStore(t, 6, 11)
-	sharded := NewSharded(store, XYW, ShardedConfig{Shards: 4})
-	conc := NewConcurrent(NewMotionAware(store, XYW, rtree.Config{}))
-	for _, tc := range []struct {
-		name string
-		e    Epocher
-		m    Mutable
-	}{
-		{"sharded", sharded, sharded},
-		{"concurrent", conc, conc},
-	} {
-		e0 := tc.e.Epoch()
-		if e0%2 != 0 {
-			t.Fatalf("%s: epoch %d odd at rest", tc.name, e0)
-		}
-		if !tc.m.Delete(0) {
-			t.Fatalf("%s: delete 0 failed", tc.name)
-		}
-		tc.m.Insert(0)
-		e1 := tc.e.Epoch()
-		if e1%2 != 0 || e1 != e0+4 {
-			t.Fatalf("%s: epoch %d after delete+insert, want %d", tc.name, e1, e0+4)
-		}
+	idx := NewSharded(testStore(t, 6, 11), XYW, ShardedConfig{Shards: 4})
+	e0 := idx.Epoch()
+	if e0%2 != 0 {
+		t.Fatalf("epoch %d odd at rest", e0)
 	}
-	// Update bumps too (it may mutate arbitrarily).
-	before := conc.Epoch()
-	conc.Update(func(Index) {})
-	if got := conc.Epoch(); got != before+2 {
-		t.Fatalf("concurrent: epoch %d after Update, want %d", got, before+2)
+	if !idx.Delete(0) {
+		t.Fatal("delete 0 failed")
+	}
+	idx.Insert(0)
+	if e1 := idx.Epoch(); e1 != e0+4 {
+		t.Fatalf("epoch %d after delete+insert, want %d", e1, e0+4)
 	}
 }

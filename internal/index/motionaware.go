@@ -86,7 +86,7 @@ func (m *MotionAware) SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, in
 // Insert indexes the source coefficient with the given global id (e.g.
 // after a background update changed its support region or value —
 // Delete, mutate the source, Insert). Not safe concurrently with Search;
-// wrap the index in a Concurrent to serve readers across updates.
+// a served index that mutates is a Sharded, which locks per shard.
 func (m *MotionAware) Insert(id int64) {
 	c, err := m.src.Coeff(id)
 	if err != nil {

@@ -77,13 +77,13 @@ func (s *shard) overlaps(q *rtree.Rect, dims int) bool {
 // oracle (support regions may straddle cell borders; the per-shard
 // content MBRs keep the shard selection exact). Insert/Delete lock only
 // the owning shard, so a background update drains readers of one grid
-// cell instead of the world — the scaling property the coarse
-// Concurrent wrapper lacks.
+// cell instead of the world; K = 1 is the single-lock case, one RWMutex
+// over one tree (BenchmarkShardedChurn measures both).
 //
 // Concurrency: Search/Len are safe concurrently with Insert/Delete and
 // with each other. A multi-shard Search is atomic per shard, not across
-// shards (exactly as a batch of Concurrent.Search calls would be); tests
-// comparing against a serial oracle must quiesce writers first.
+// shards; tests comparing against a serial oracle must quiesce writers
+// first.
 type Sharded struct {
 	src    CoefficientSource
 	layout Layout
@@ -106,9 +106,8 @@ type Sharded struct {
 // NewSharded partitions the source into cfg.Shards grid cells and bulk
 // loads one R*-tree per cell, the independent loads running side by side
 // on up to GOMAXPROCS goroutines (build time only; searches spawn
-// nothing). K = 1 is the degenerate single-shard case:
-// the same tree a MotionAware build produces, behind one RWMutex — an
-// in-family replacement for Concurrent(MotionAware).
+// nothing). K = 1 is the degenerate single-shard case: the same tree a
+// MotionAware build produces, behind one RWMutex.
 func NewSharded(src CoefficientSource, layout Layout, cfg ShardedConfig) *Sharded {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1

@@ -1,7 +1,9 @@
 package index_test
 
 import (
+	"fmt"
 	"math/rand"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/geom"
@@ -52,6 +54,47 @@ func BenchmarkShardedSearchInto(b *testing.B) {
 			}
 			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
 			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+		})
+	}
+}
+
+// BenchmarkShardedChurn is the write-scaling evidence for per-shard
+// locking: b.RunParallel workers mix two 150-unit window searches with
+// one delete-plus-reinsert of a random id, the read:write ratio of the
+// retired shard sweep, over the 60-object dataset that sweep used. K=1 is
+// the single-lock baseline it compared against — one RWMutex over one
+// tree, which is what the deleted Concurrent(MotionAware) wrapper was.
+// One op is one search or one churn; searches reuse a per-worker cursor.
+func BenchmarkShardedChurn(b *testing.B) {
+	d := workload.Generate(workload.Spec{NumObjects: 60, Levels: 3, Seed: 10})
+	bounds := d.Store.Bounds()
+	space := bounds.XY()
+	n := d.Store.NumCoeffs()
+	for _, k := range []int{1, 2, 4, 8, 16} {
+		idx := index.NewSharded(d.Store, index.XYW, index.ShardedConfig{Shards: k})
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			var seed atomic.Int64
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				rng := rand.New(rand.NewSource(seed.Add(1)))
+				var cur index.Cursor
+				var buf []int64
+				for op := 0; pb.Next(); op++ {
+					if op%3 == 2 {
+						if id := rng.Int63n(n); idx.Delete(id) {
+							idx.Insert(id)
+						}
+						continue
+					}
+					x := space.Min.X + rng.Float64()*space.Width()
+					y := space.Min.Y + rng.Float64()*space.Height()
+					buf, _ = idx.SearchInto(index.Query{
+						Region: geom.R2(x, y, x+150, y+150),
+						ZMin:   bounds.Min.Z, ZMax: bounds.Max.Z,
+						WMin: rng.Float64() * 0.5, WMax: 1,
+					}, buf[:0], &cur)
+				}
+			})
 		})
 	}
 }

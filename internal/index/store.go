@@ -239,11 +239,23 @@ func (l Layout) queryRect(q Query) (r rtree.Rect, ok bool) {
 // EnsureNeighbors call its constructor performs), Search must be safe
 // for any number of concurrent callers — every implementation in this
 // package keeps its search state allocation-local and counts I/O with
-// atomics. Mutating an index (e.g. MotionAware.Insert/Delete) is NOT
-// safe concurrently with Search; wrap mutable indexes in a Concurrent
-// to serve readers while background updates land.
+// atomics. MotionAware.Insert/Delete are NOT safe concurrently with
+// Search; Sharded locks per shard and serves readers while background
+// updates land.
 type Index interface {
 	Name() string
 	Search(q Query) (ids []int64, io int64)
 	Len() int
+}
+
+// Mutable is an access method that supports incremental updates after its
+// initial build. MotionAware and Sharded implement it; the bulk-loaded
+// baselines do not need to.
+type Mutable interface {
+	Index
+	// Insert indexes the store coefficient with the given global id.
+	Insert(id int64)
+	// Delete removes the coefficient with the given global id, reporting
+	// whether it was present.
+	Delete(id int64) bool
 }

@@ -138,7 +138,7 @@ func TestMultiClientSoak(t *testing.T) {
 	d := workload.Generate(workload.Spec{NumObjects: 8, Levels: 3, Seed: 77})
 	idx := index.NewMotionAware(d.Store, index.XYW, rtree.Config{})
 	st := stats.New()
-	rsrv := retrieval.NewServer(d.Store, idx) // parallel sub-queries by default
+	rsrv := retrieval.NewServer(d.Store, idx) // one serial search per sub-query, per session
 	rsrv.SetStats(st)
 	srv := NewServer(rsrv, d.Spec.Levels, t.Logf)
 	srv.SetStats(st)

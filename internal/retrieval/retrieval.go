@@ -221,8 +221,9 @@ func (s *Server) Index() index.Index { return s.idx }
 // set run on the calling goroutine in sub-query order. The delivered
 // set is the caller's: Execute must not be called concurrently
 // with the same set (one session = one client = one request at a time).
+// It runs on a fresh Scratch, so the response is the caller's to keep.
 func (s *Server) Execute(subs []SubQuery, delivered *Delivered) Response {
-	return s.execute(subs, delivered, nil, 0)
+	return s.execute(subs, delivered, new(Scratch), 0)
 }
 
 // ExecuteBudget is Execute under a byte budget: at most
@@ -240,7 +241,7 @@ func (s *Server) Execute(subs []SubQuery, delivered *Delivered) Response {
 // the same response (ids, order, bytes, Dropped) — the property the
 // wire protocol's budgeted frames are built on.
 func (s *Server) ExecuteBudget(subs []SubQuery, delivered *Delivered, maxBytes int64) Response {
-	return s.execute(subs, delivered, nil, maxBytes)
+	return s.execute(subs, delivered, new(Scratch), maxBytes)
 }
 
 // Scratch is reusable per-caller execution state: the per-sub-query
@@ -261,14 +262,18 @@ type Scratch struct {
 // ExecuteScratch is Execute running on caller-owned scratch: the
 // returned Response's IDs slice aliases sc's buffer and is valid only
 // until the next ExecuteScratch with the same Scratch. Results are
-// identical to Execute in every field. A nil sc degrades to Execute.
+// identical to Execute in every field. A nil sc is a fresh Scratch, which
+// is Execute.
 func (s *Server) ExecuteScratch(subs []SubQuery, delivered *Delivered, sc *Scratch) Response {
-	return s.execute(subs, delivered, sc, 0)
+	return s.ExecuteBudgetScratch(subs, delivered, sc, 0)
 }
 
 // ExecuteBudgetScratch is ExecuteBudget on caller-owned scratch (see
-// ExecuteScratch for the aliasing contract).
+// ExecuteScratch for the aliasing contract and a nil sc).
 func (s *Server) ExecuteBudgetScratch(subs []SubQuery, delivered *Delivered, sc *Scratch, maxBytes int64) Response {
+	if sc == nil {
+		sc = new(Scratch)
+	}
 	return s.execute(subs, delivered, sc, maxBytes)
 }
 
@@ -277,20 +282,12 @@ func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, max
 	if s.st != nil {
 		start = time.Now()
 	}
-	var results []subResult
-	if sc != nil {
-		for len(sc.results) < len(subs) {
-			sc.results = append(sc.results, subResult{})
-		}
-		results = sc.results[:len(subs)]
-	} else {
-		results = make([]subResult, len(subs))
+	for len(sc.results) < len(subs) {
+		sc.results = append(sc.results, subResult{})
 	}
-	firstTouches := s.searchAll(subs, results, sc)
-	var resp Response
-	if sc != nil {
-		resp.IDs = sc.ids[:0]
-	}
+	results := sc.results[:len(subs)]
+	firstTouches := s.searchAll(subs, results, &sc.cur)
+	resp := Response{IDs: sc.ids[:0]}
 	// dropped records whether the merge suppressed any raw hit by a
 	// filter or the delivered set, cut whether the budget did: only a
 	// single-sub response with neither equals its cache entry's id set
@@ -322,14 +319,10 @@ func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, max
 	if s.pinner != nil {
 		for i := range subs {
 			if subs[i].Filter != nil {
-				if sc != nil {
-					if sc.pins == nil {
-						sc.pins = s.pinner.NewPins()
-					}
-					pins = sc.pins
-				} else {
-					pins = s.pinner.NewPins()
+				if sc.pins == nil {
+					sc.pins = s.pinner.NewPins()
 				}
+				pins = sc.pins
 				break
 			}
 		}
@@ -387,9 +380,7 @@ func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, max
 	if pins != nil {
 		pins.Release()
 	}
-	if sc != nil {
-		sc.ids = resp.IDs
-	}
+	sc.ids = resp.IDs
 	if len(subs) == 1 && results[0].hot && !dropped {
 		if cut {
 			resp.Hot.Truncated = true
@@ -435,8 +426,8 @@ func (s *Server) coeffPos(pins *index.Pins, id int64) (geom.Vec3, error) {
 	return c.Pos, nil
 }
 
-// subResult holds one sub-query's raw index hits, pre-merge. In scratch
-// mode the ids slab is retained and reused across requests.
+// subResult holds one sub-query's raw index hits, pre-merge. The ids slab
+// lives in the Scratch and is reused across requests.
 type subResult struct {
 	ids []int64
 	io  int64
@@ -453,11 +444,7 @@ type subResult struct {
 // admit). A frame is at most five sub-queries whose descents take tens
 // of microseconds together — less than waking other goroutines for them
 // costs — so a server's concurrency is its sessions.
-func (s *Server) searchAll(subs []SubQuery, results []subResult, sc *Scratch) (firstTouches int64) {
-	var cur *index.Cursor
-	if sc != nil {
-		cur = &sc.cur
-	}
+func (s *Server) searchAll(subs []SubQuery, results []subResult, cur *index.Cursor) (firstTouches int64) {
 	for i := range subs {
 		results[i].hot = false
 		results[i].ran = !(subs[i].Region.Empty() || subs[i].WMin > subs[i].WMax)
@@ -522,7 +509,7 @@ func (s *Server) admit(q *index.Query) bool {
 // Everything else — a query nobody asked before, or a server with
 // neither layer — is searched directly: no flight, no stored entry, no
 // HotRef. All of them return the same ids and the same node I/O.
-// out.ids is reused as the result buffer when present.
+// out.ids is reused as the result buffer.
 func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) (firstTouch bool) {
 	q := s.queryOf(sub)
 	var e0 uint64
@@ -540,13 +527,7 @@ func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) (fi
 		firstTouch = !s.admit(&q)
 	}
 	if s.epoch == nil || firstTouch {
-		if cur == nil {
-			// Fresh-allocation path (Execute): hand the index's own result
-			// slice through instead of copying it.
-			out.ids, out.io = s.idx.Search(q)
-		} else {
-			out.ids, out.io = s.runSearch(q, out.ids[:0], cur)
-		}
+		out.ids, out.io = s.runSearch(q, out.ids[:0], cur)
 		return firstTouch
 	}
 	if s.co != nil {
@@ -572,12 +553,11 @@ func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) (fi
 }
 
 // runSearch performs the raw index search, appending into buf via the
-// cursor path when the index supports it.
+// cursor path when the index supports it. NewServer takes any
+// index.Index, so one without SearchInto is searched and copied.
 func (s *Server) runSearch(q index.Query, buf []int64, cur *index.Cursor) ([]int64, int64) {
-	if cur != nil {
-		if is, ok := s.idx.(index.IntoSearcher); ok {
-			return is.SearchInto(q, buf, cur)
-		}
+	if is, ok := s.idx.(index.IntoSearcher); ok {
+		return is.SearchInto(q, buf, cur)
 	}
 	ids, io := s.idx.Search(q)
 	return append(buf, ids...), io

@@ -117,19 +117,26 @@ func TestExecuteScratchMatchesExecute(t *testing.T) {
 }
 
 // TestExecuteRemainsFresh pins the retention contract split: Execute
-// results survive later calls unchanged; ExecuteScratch results are
-// explicitly invalidated by the next call on the same scratch.
+// results, and ExecuteScratch results on a nil (so fresh) scratch,
+// survive later calls unchanged; ExecuteScratch results on a caller's
+// scratch are explicitly invalidated by the next call on it.
 func TestExecuteRemainsFresh(t *testing.T) {
 	srv := testShardedServer(t, 6, 9, 4)
 	all := geom.R2(0, 0, 1000, 1000)
 	subs := []SubQuery{{Region: all, WMin: 0, WMax: 1}}
 	first := srv.Execute(subs, nil)
+	viaNil := srv.ExecuteScratch(subs, nil, nil)
 	snapshot := slices.Clone(first.IDs)
 	for i := 0; i < 5; i++ {
-		srv.Execute([]SubQuery{{Region: geom.R2(0, 0, 400, 400), WMin: 0, WMax: 1}}, nil)
+		small := []SubQuery{{Region: geom.R2(0, 0, 400, 400), WMin: 0, WMax: 1}}
+		srv.Execute(small, nil)
+		srv.ExecuteScratch(small, nil, nil)
 	}
 	if !slices.Equal(first.IDs, snapshot) {
 		t.Fatal("Execute result mutated by later Execute calls")
+	}
+	if !slices.Equal(viaNil.IDs, snapshot) {
+		t.Fatal("nil-scratch ExecuteScratch result differs from Execute or was mutated")
 	}
 }
 
