@@ -101,8 +101,8 @@ abr:
 
 # Utility-vs-bandwidth sweep: ABR viewport plans against the fixed
 # two-state controller under identical per-frame byte allowances; emits
-# BENCH_abr.json (monotone utility curve, ABR >= fixed at every level)
-# and prints the delta against the previous artifact.
+# BENCH_abr.json (monotone utility curve, ABR >= fixed at every level);
+# `make benchguard` diffs it against HEAD.
 bench-abr: build
 	$(GO) run ./cmd/experiments -bench-abr BENCH_abr.json
 
@@ -152,7 +152,7 @@ crowd:
 # 0.5, and 0.9, coalesced vs independent execution in deterministic
 # lockstep; emits BENCH_crowd.json (index-pass reduction per point,
 # >= 3x gate at 10^3 clients / overlap >= 0.8, no-regression gate at
-# overlap 0) and prints the delta against the previous artifact.
+# overlap 0); `make benchguard` diffs it against HEAD.
 bench-crowd: build
 	$(GO) run ./cmd/experiments -bench-crowd BENCH_crowd.json
 
@@ -181,8 +181,8 @@ fuzz:
 
 ci: build vet test test-procs bench-check race fault crash cluster abr city diskfault crowd fuzz
 	# Informational artifact deltas (never fail the gate): regenerate
-	# BENCH_abr.json and BENCH_crowd.json, print the change vs the
-	# previous files, then diff both against HEAD with benchguard.
+	# BENCH_abr.json and BENCH_crowd.json, then diff both against HEAD
+	# with benchguard.
 	-$(MAKE) bench-abr
 	-$(MAKE) bench-crowd
 	-$(MAKE) benchguard

@@ -87,10 +87,6 @@ type SceneConfig struct {
 	Shards int
 	// Stats receives this scene's counters (nil → stats.Default).
 	Stats *stats.Stats
-	// HotCache optionally equips the scene with a hot-region result
-	// cache (see internal/hotcache); nil disables it. The zero Config
-	// takes the package defaults.
-	HotCache *hotcache.Config
 }
 
 // Registry owns the scenes of one serving process. The first scene added
@@ -187,9 +183,6 @@ func (r *Registry) Build(cfg SceneConfig) (*Scene, error) {
 			}
 		})
 	}
-	if cfg.HotCache != nil {
-		enableHotCache(sc, *cfg.HotCache, st)
-	}
 	return sc, nil
 }
 
@@ -197,7 +190,7 @@ func (r *Registry) Build(cfg SceneConfig) (*Scene, error) {
 // cache (see internal/hotcache) and registers each cache's counters as
 // a stats gauge source. Scenes whose index lacks epoch versioning (no
 // index.Epocher) are skipped — the cache cannot validate entries there.
-// Call after the scenes are registered, before serving.
+// Call after the scenes are registered, while no request is in flight.
 func (r *Registry) EnableHotCache(cfg hotcache.Config, st *stats.Stats) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -242,7 +235,7 @@ func enableHotCache(sc *Scene, cfg hotcache.Config, st *stats.Stats) {
 // hot-region sub-query share one index pass. Scenes whose index lacks
 // epoch versioning are skipped — without epochs the coalescer cannot
 // prove two searches equivalent. Call after the scenes are registered,
-// before serving.
+// while no request is in flight.
 func (r *Registry) EnableCoalescer(cfg retrieval.CoalescerConfig, st *stats.Stats) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()

@@ -158,36 +158,38 @@ func TestResumeCacheBounds(t *testing.T) {
 	}
 }
 
-// TestHotCacheWiring pins the hot-cache plumbing: a SceneConfig option
-// (or registry-wide enable) attaches a cache to the scene's retrieval
-// server and registers its counters as a stats gauge source, so
-// repeated identical requests show up in the snapshot: the first ask as
-// a first touch, the second as the store, the third as a hit.
+// TestHotCacheWiring pins the hot-cache plumbing: the registry-wide
+// enable attaches a cache to every scene's retrieval server and registers
+// its counters as a stats gauge source, once per scene however often it
+// is called, so repeated identical requests show up in the snapshot: the
+// first ask as a first touch, the second as the store, the third as a
+// hit.
 func TestHotCacheWiring(t *testing.T) {
 	st := stats.New()
 	reg := NewRegistry()
 	sc, err := reg.Build(SceneConfig{
-		Name: "city", Source: testStore(t, 4, 1), Levels: 3, Shards: 2, Stats: st,
-		HotCache: &hotcache.Config{}})
+		Name: "city", Source: testStore(t, 4, 1), Levels: 3, Shards: 2, Stats: st})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if sc.Server.HotCache() == nil {
-		t.Fatal("SceneConfig.HotCache did not wire a cache")
 	}
 	other, err := reg.Build(SceneConfig{
 		Name: "park", Source: testStore(t, 2, 2), Levels: 3, Shards: 1, Stats: st})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if other.Server.HotCache() != nil {
-		t.Fatal("cache wired without the option")
+	if sc.Server.HotCache() != nil || other.Server.HotCache() != nil {
+		t.Fatal("cache wired before EnableHotCache")
 	}
-	// Registry-wide enable covers the remaining scene; the already-wired
-	// one keeps its cache (and its single stats source).
 	reg.EnableHotCache(hotcache.Config{}, st)
-	if other.Server.HotCache() == nil {
+	cache := sc.Server.HotCache()
+	if cache == nil || other.Server.HotCache() == nil {
 		t.Fatal("EnableHotCache skipped a scene")
+	}
+	// A second enable keeps each scene's cache (and its single stats
+	// source).
+	reg.EnableHotCache(hotcache.Config{}, st)
+	if sc.Server.HotCache() != cache {
+		t.Fatal("second EnableHotCache replaced a wired cache")
 	}
 
 	subs := []retrieval.SubQuery{{Region: geom.R2(0, 0, 1000, 1000), WMin: 0, WMax: 1}}

@@ -4,17 +4,14 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"time"
 
 	"repro/internal/abr"
+	"repro/internal/engine"
 	"repro/internal/faultnet"
 	"repro/internal/geom"
-	"repro/internal/index"
 	"repro/internal/motion"
 	"repro/internal/proto"
-	"repro/internal/retrieval"
-	"repro/internal/rtree"
 	"repro/internal/stats"
 	"repro/internal/wavelet"
 	"repro/internal/workload"
@@ -87,19 +84,12 @@ func RunABR(spec ABRSpec, w io.Writer) error {
 	}
 
 	d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: spec.Levels, Seed: spec.Seed + 5})
-	idx := index.NewMotionAware(d.Store, index.XYW, rtree.Config{})
 	stServer := stats.New()
-	rsrv := retrieval.NewServer(d.Store, idx)
-	rsrv.SetStats(stServer) // budget counters are recorded at the retrieval layer
-	srv := proto.NewServer(rsrv, d.Spec.Levels, nil)
-	srv.SetStats(stServer)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	b, err := startScene(engine.SceneConfig{Name: proto.DefaultSceneName, Dataset: d, Levels: d.Spec.Levels, Stats: stServer})
 	if err != nil {
 		return err
 	}
-	done := make(chan struct{})
-	go func() { defer close(done); srv.Serve(lis) }()
-	defer func() { srv.Close(); <-done }()
+	defer b.Stop()
 
 	// The throttle trace: one shared profile, so redials (there should
 	// be none) would land mid-trace. The phase is seed-derived, giving
@@ -109,7 +99,7 @@ func RunABR(spec ABRSpec, w io.Writer) error {
 		Phase: (time.Duration(spec.Seed) * 293 * time.Millisecond) % spec.Period,
 	}
 	stClient := stats.New()
-	dialer := faultnet.NewDialer(lis.Addr().String(), faultnet.Config{
+	dialer := faultnet.NewDialer(b.Addr(), faultnet.Config{
 		Seed: spec.Seed + 1, Latency: spec.Latency, Throttle: profile,
 	})
 	dialer.SetStats(stClient)

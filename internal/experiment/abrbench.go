@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"os"
 	"time"
 
 	"repro/internal/abr"
@@ -189,7 +188,6 @@ func RunABRBench(spec ABRBenchSpec, jsonPath string, w io.Writer) (*ABRBenchResu
 		res.Monotone, res.Dominates)
 
 	if jsonPath != "" {
-		printABRDelta(jsonPath, res, w)
 		buf, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			return nil, err
@@ -206,28 +204,4 @@ func RunABRBench(spec ABRBenchSpec, jsonPath string, w io.Writer) (*ABRBenchResu
 		return res, fmt.Errorf("experiment: fixed controller beat abr at some throttle level")
 	}
 	return res, nil
-}
-
-// printABRDelta compares a fresh result against the previous JSON
-// artifact per throttle level. Informational only.
-func printABRDelta(jsonPath string, cur *ABRBenchResult, w io.Writer) {
-	buf, err := os.ReadFile(jsonPath)
-	if err != nil {
-		return // first run; nothing to compare
-	}
-	var prev ABRBenchResult
-	if json.Unmarshal(buf, &prev) != nil {
-		return
-	}
-	prevAt := make(map[int64]ABRBenchPoint, len(prev.Points))
-	for _, p := range prev.Points {
-		prevAt[p.BytesPerSecond] = p
-	}
-	fmt.Fprintf(w, "  delta vs previous %s:\n", jsonPath)
-	for _, p := range cur.Points {
-		if old, ok := prevAt[p.BytesPerSecond]; ok && old.ABRUtility > 0 {
-			fmt.Fprintf(w, "    %7d B/s: abr utility %+.1f%%\n",
-				p.BytesPerSecond, (p.ABRUtility/old.ABRUtility-1)*100)
-		}
-	}
 }

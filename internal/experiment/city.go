@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"net"
 	"os"
 	"path/filepath"
 	"time"
@@ -69,28 +68,6 @@ func (s CitySpec) fill() CitySpec {
 	return s
 }
 
-// cityServer boots an in-process wire server over one coefficient
-// source.
-func cityServer(name string, src index.CoefficientSource, levels int, st *stats.Stats) (*proto.Server, net.Listener, error) {
-	reg := engine.NewRegistry()
-	if _, err := reg.Build(engine.SceneConfig{
-		Name:   name,
-		Source: src,
-		Levels: levels,
-		Stats:  st,
-	}); err != nil {
-		return nil, nil, err
-	}
-	srv := proto.NewMultiServer(reg, nil)
-	srv.SetStats(st)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, err
-	}
-	go srv.Serve(lis)
-	return srv, lis, nil
-}
-
 // RunCity runs the out-of-core acceptance soak and prints a summary.
 // The experiment fails (as an error) unless:
 //
@@ -149,19 +126,19 @@ func RunCity(spec CitySpec, w io.Writer) error {
 	}
 
 	stMem, stPaged := stats.New(), stats.New()
-	memSrv, memLis, err := cityServer(proto.DefaultSceneName, mem, spec.Levels, stMem)
+	memB, err := startScene(engine.SceneConfig{Name: proto.DefaultSceneName, Source: mem, Levels: spec.Levels, Stats: stMem})
 	if err != nil {
 		return err
 	}
-	defer memSrv.Close()
+	defer memB.Stop()
 	// Building the paged scene's index scans every page once; those
 	// faults (and the evictions the budget forces) are part of the
 	// reconciliation below.
-	pagedSrv, pagedLis, err := cityServer(proto.DefaultSceneName, ps, ps.Levels(), stPaged)
+	pagedB, err := startScene(engine.SceneConfig{Name: proto.DefaultSceneName, Source: ps, Levels: ps.Levels(), Stats: stPaged})
 	if err != nil {
 		return err
 	}
-	defer pagedSrv.Close()
+	defer pagedB.Stop()
 
 	space := mem.Bounds().XY()
 	tours := motion.Tours(motion.Tram, motion.TourSpec{
@@ -175,11 +152,11 @@ func RunCity(spec CitySpec, w io.Writer) error {
 	}
 	clients := make([]pair, spec.Clients)
 	for i := range clients {
-		if clients[i].oracle, err = proto.Dial(memLis.Addr().String(), nil); err != nil {
+		if clients[i].oracle, err = proto.Dial(memB.Addr(), nil); err != nil {
 			return err
 		}
 		defer clients[i].oracle.Close()
-		if clients[i].paged, err = proto.Dial(pagedLis.Addr().String(), nil); err != nil {
+		if clients[i].paged, err = proto.Dial(pagedB.Addr(), nil); err != nil {
 			return err
 		}
 		defer clients[i].paged.Close()
@@ -233,18 +210,8 @@ func RunCity(spec CitySpec, w io.Writer) error {
 			return fmt.Errorf("client %d: paged saw %d objects, oracle %d",
 				ci, len(paged.Objects()), len(oracle.Objects()))
 		}
-		for _, id := range oracle.Objects() {
-			om, _ := oracle.Mesh(id)
-			pm, ok := paged.Mesh(id)
-			if !ok || paged.CoeffCount(id) != oracle.CoeffCount(id) || om.NumVerts() != pm.NumVerts() {
-				return fmt.Errorf("client %d object %d: paged reconstruction diverged", ci, id)
-			}
-			for v := range om.Verts {
-				if om.Verts[v] != pm.Verts[v] {
-					return fmt.Errorf("client %d object %d vertex %d: paged mesh not byte-identical",
-						ci, id, v)
-				}
-			}
+		if n := diverged(oracle, paged); n > 0 {
+			return fmt.Errorf("client %d: %d paged reconstructions not byte-identical", ci, n)
 		}
 	}
 
@@ -265,15 +232,8 @@ func RunCity(spec CitySpec, w io.Writer) error {
 		st.Faults, st.Hits, st.Evictions, residentPeak, st.ResidentBytes, st.PagesPinned)
 
 	// Exact reconciliation.
-	if st.Pins != st.Hits+st.Faults {
-		return fmt.Errorf("experiment: pager pins %d != hits %d + faults %d", st.Pins, st.Hits, st.Faults)
-	}
-	if st.PagesResident != st.Faults-st.Evictions {
-		return fmt.Errorf("experiment: resident pages %d != faults %d - evictions %d",
-			st.PagesResident, st.Faults, st.Evictions)
-	}
-	if st.PagesPinned != 0 {
-		return fmt.Errorf("experiment: %d pages still pinned after the tours", st.PagesPinned)
+	if err := pagerAtRest(st); err != nil {
+		return err
 	}
 	if st.Faults < pages {
 		return fmt.Errorf("experiment: %d faults over a %d-page segment; the index build alone touches every page",

@@ -3,7 +3,6 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"math/rand"
 	"net"
 	"os"
 	"path/filepath"
@@ -11,8 +10,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	"repro/internal/geom"
-	"repro/internal/motion"
 	"repro/internal/proto"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -104,7 +101,7 @@ func RunCluster(spec ClusterSpec, w io.Writer) error {
 	ownerDir := filepath.Join(root, "owner")
 	adoptDir := filepath.Join(root, "adopter")
 
-	d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: spec.Levels, Seed: spec.Seed + 5})
+	soak := newTramSoak(spec.Seed, spec.Objects, spec.Levels, spec.Steps)
 	sceneFor := func(st *stats.Stats) engine.SceneConfig {
 		sd := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: spec.Levels, Seed: spec.Seed + 5})
 		return engine.SceneConfig{Name: clusterScene, Dataset: sd, Levels: spec.Levels, Shards: spec.Shards, Stats: st}
@@ -156,51 +153,15 @@ func RunCluster(spec ClusterSpec, w io.Writer) error {
 
 	// Single-process oracle: an off-topology backend with an identically
 	// generated dataset, toured fault-free.
-	oracleB, err := cluster.StartBackend(cluster.BackendConfig{
-		Scenes: []engine.SceneConfig{sceneFor(stats.New())},
-	})
+	oracleB, err := startScene(sceneFor(stats.New()))
 	if err != nil {
 		return err
 	}
 	defer oracleB.Stop()
 
-	space := d.Store.Bounds().XY()
-	tour := motion.NewTour(motion.Tram, motion.TourSpec{
-		Space: space, Steps: spec.Steps, Speed: 0.25,
-	}, rand.New(rand.NewSource(spec.Seed)))
-	side := d.QuerySide(0.10)
-
-	oracle, err := proto.DialScene(oracleB.Addr(), clusterScene, nil)
+	oracle, err := rideOracle(oracleB.Addr(), clusterScene, soak)
 	if err != nil {
 		return err
-	}
-	for i, pos := range tour.Pos {
-		if _, err := oracle.Frame(geom.RectAround(pos, side), tour.SpeedAt(i)); err != nil {
-			return fmt.Errorf("oracle frame %d: %w", i, err)
-		}
-	}
-	oracle.Close()
-	if len(oracle.Objects()) == 0 {
-		return fmt.Errorf("experiment: oracle retrieved no objects; enlarge the tour or dataset")
-	}
-
-	compare := func(c *proto.Client) int {
-		diverged := 0
-		for _, id := range oracle.Objects() {
-			om, _ := oracle.Mesh(id)
-			gm, ok := c.Mesh(id)
-			if !ok || c.CoeffCount(id) != oracle.CoeffCount(id) || om.NumVerts() != gm.NumVerts() {
-				diverged++
-				continue
-			}
-			for i := range om.Verts {
-				if om.Verts[i] != gm.Verts[i] {
-					diverged++
-					break
-				}
-			}
-		}
-		return diverged
 	}
 
 	dialClient := func(seed int64) (*proto.ResilientClient, error) {
@@ -227,7 +188,7 @@ func RunCluster(spec ClusterSpec, w io.Writer) error {
 	}
 	defer rc1.Close()
 	var b2 *cluster.Backend
-	for i, pos := range tour.Pos {
+	for i := range soak.tour.Pos {
 		if i == k1 {
 			if !waitUntil(5*time.Second, func() bool { return !gw.BackendUp(a2) }) {
 				return fmt.Errorf("experiment: probes never ejected the dead replica %s", a2)
@@ -254,7 +215,7 @@ func RunCluster(spec ClusterSpec, w io.Writer) error {
 				return fmt.Errorf("experiment: probes never re-admitted the recovered replica %s", a2)
 			}
 		}
-		if _, err := rc1.Frame(geom.RectAround(pos, side), tour.SpeedAt(i)); err != nil {
+		if err := soak.frame(rc1, i); err != nil {
 			return fmt.Errorf("frame %d did not survive the backend kill: %w", i, err)
 		}
 	}
@@ -279,7 +240,7 @@ func RunCluster(spec ClusterSpec, w io.Writer) error {
 	}
 	defer rc2.Close()
 	var rep cluster.DrainReport
-	for i, pos := range tour.Pos {
+	for i := range soak.tour.Pos {
 		if i == k2 {
 			rep, err = ctl.Drain(clusterScene, a3)
 			if err != nil {
@@ -289,7 +250,7 @@ func RunCluster(spec ClusterSpec, w io.Writer) error {
 				return fmt.Errorf("experiment: drain report %+v, want 1 severed/shipped/adopted", rep)
 			}
 		}
-		if _, err := rc2.Frame(geom.RectAround(pos, side), tour.SpeedAt(i)); err != nil {
+		if err := soak.frame(rc2, i); err != nil {
 			return fmt.Errorf("frame %d did not survive the drain: %w", i, err)
 		}
 	}
@@ -300,7 +261,7 @@ func RunCluster(spec ClusterSpec, w io.Writer) error {
 		return fmt.Errorf("experiment: post-drain route = %v, want [%s]", got, a3)
 	}
 
-	div1, div2 := compare(rc1.Client()), compare(rc2.Client())
+	div1, div2 := diverged(oracle, rc1.Client()), diverged(oracle, rc2.Client())
 	gs := gwStats.Snapshot()
 	s1, s2, s3 := st1.Snapshot(), st2.Snapshot(), st3.Snapshot()
 	var routes, probes, probeFails, failovers int64

@@ -5,19 +5,15 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
-	"net"
 	"os"
 	"path/filepath"
-	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/faultnet"
-	"repro/internal/geom"
-	"repro/internal/motion"
 	"repro/internal/proto"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // crashScene is the scene name the crash harness serves; it must survive
@@ -72,180 +68,6 @@ func (s CrashSpec) fill() CrashSpec {
 	return s
 }
 
-// crashServer is one incarnation of the crash-prone server process:
-// registry, session journal, checkpointer, wire server, listener. start
-// boots it (from the dataset on first boot, from DataDir afterwards);
-// crash kills it the way SIGKILL would — nothing reaches disk after the
-// kill instant; stop shuts it down orderly with a final checkpoint.
-type crashServer struct {
-	spec CrashSpec
-	dir  string
-	st   *stats.Stats
-	d    *workload.Dataset
-
-	reg  *engine.Registry
-	jr   *engine.SessionJournal
-	ckpt *engine.Checkpointer
-	srv  *proto.Server
-	lis  net.Listener
-	done chan struct{}
-}
-
-func (cs *crashServer) start(first bool) error {
-	cs.reg = engine.NewRegistry()
-	if first {
-		if _, err := cs.reg.Build(engine.SceneConfig{
-			Name:    crashScene,
-			Dataset: cs.d,
-			Levels:  cs.spec.Levels,
-			Shards:  cs.spec.Shards,
-			Stats:   cs.st,
-		}); err != nil {
-			return err
-		}
-		if err := cs.reg.SaveAll(cs.dir, cs.st); err != nil {
-			return err
-		}
-	} else {
-		n, err := cs.reg.LoadAll(cs.dir, cs.st)
-		if err != nil {
-			return err
-		}
-		if n == 0 {
-			return fmt.Errorf("experiment: restart recovered no scenes from %s", cs.dir)
-		}
-	}
-	journalPath := filepath.Join(cs.dir, engine.SessionJournalFile)
-	if cs.spec.ColdJournal && !first {
-		if err := os.Remove(journalPath); err != nil && !os.IsNotExist(err) {
-			return err
-		}
-	}
-	jr, err := engine.OpenSessionJournal(journalPath, 0, cs.st)
-	if err != nil {
-		return err
-	}
-	cs.jr = jr
-	cs.reg.SetSessionJournal(jr)
-	jr.Restore(cs.reg)
-	cs.ckpt = cs.reg.StartCheckpointer(cs.dir, 100*time.Millisecond, cs.st, nil)
-	cs.srv = proto.NewMultiServer(cs.reg, nil)
-	cs.srv.SetStats(cs.st)
-	cs.srv.SetDrainTimeout(time.Second)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return err
-	}
-	cs.lis = lis
-	cs.done = make(chan struct{})
-	go func(srv *proto.Server, done chan struct{}) {
-		defer close(done)
-		srv.Serve(lis)
-	}(cs.srv, cs.done)
-	return nil
-}
-
-func (cs *crashServer) addr() string { return cs.lis.Addr().String() }
-
-// crash simulates the process dying: the journal and checkpointer are
-// killed first, so the connection teardown that follows — handlers
-// parking their sessions as the listener closes — never reaches disk,
-// exactly as it would not for a SIGKILLed process.
-func (cs *crashServer) crash() {
-	cs.jr.Kill()
-	cs.ckpt.Kill()
-	cs.srv.Close()
-	<-cs.done
-	cs.jr.Close()
-}
-
-// stop shuts the incarnation down orderly: final checkpoint, drained
-// connections, closed journal.
-func (cs *crashServer) stop() {
-	cs.ckpt.Stop()
-	cs.srv.Close()
-	<-cs.done
-	cs.jr.Close()
-}
-
-// crashDialer dials the current server incarnation through the fault
-// model. Unlike faultnet.Dialer its address is mutable — every restart
-// rebinds the listener — and it remembers the newest connection so the
-// harness can sever the link from the client side, forcing the server to
-// park the session before the kill.
-type crashDialer struct {
-	cfg faultnet.Config
-	st  *stats.Stats
-
-	mu    sync.Mutex
-	addr  string
-	rng   *rand.Rand
-	dials int
-	last  *faultnet.Conn
-}
-
-func newCrashDialer(addr string, cfg faultnet.Config, st *stats.Stats) *crashDialer {
-	return &crashDialer{cfg: cfg, st: st, addr: addr, rng: rand.New(rand.NewSource(cfg.Seed))}
-}
-
-// SetAddr points subsequent dials at a restarted server.
-func (d *crashDialer) SetAddr(addr string) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.addr = addr
-}
-
-// Dials returns how many connections the dialer has opened.
-func (d *crashDialer) Dials() int {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.dials
-}
-
-// Dial opens one faulty connection to the current address, with per-conn
-// fault offsets drawn deterministically in dial order.
-func (d *crashDialer) Dial() (net.Conn, error) {
-	d.mu.Lock()
-	addr := d.addr
-	d.mu.Unlock()
-	conn, err := net.Dial("tcp", addr)
-	if err != nil {
-		return nil, err
-	}
-	d.mu.Lock()
-	d.dials++
-	cfg := d.cfg
-	cfg.Seed = d.rng.Int63()
-	fc := faultnet.Wrap(conn, cfg, d.st)
-	d.last = fc
-	d.mu.Unlock()
-	return fc, nil
-}
-
-// Sever closes the newest connection from the client side, so the server
-// sees the peer vanish and parks the session — the disconnect that
-// precedes each kill.
-func (d *crashDialer) Sever() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	if d.last != nil {
-		d.last.Close()
-	}
-}
-
-// waitUntil polls cond every couple of milliseconds until it holds or
-// the timeout expires; reports whether it held.
-func waitUntil(timeout time.Duration, cond func() bool) bool {
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return true
-}
-
 // injectTornTail appends a partial record (a length header claiming more
 // bytes than follow) to a persist file, modeling a crash mid-write. The
 // next reader must truncate it away without inventing data.
@@ -258,39 +80,51 @@ func injectTornTail(path string) error {
 	return errors.Join(werr, f.Close())
 }
 
-// killRestart performs one kill cycle: sever the client link, wait for
-// the server to park the session durably (or, on the torn-park kill, for
-// the armed failpoint to tear the journal mid-append), crash, optionally
-// damage the durable state, and boot the next incarnation.
-func (cs *crashServer) killRestart(d *crashDialer, ord int) error {
-	parksBefore := cs.jr.Parks()
+// killRestart performs one kill cycle on the backend cfg booted: sever
+// the scene's session server-side, wait for the backend to park it
+// durably (or, on the torn-park kill, for the armed failpoint to tear
+// the journal mid-append), kill it, optionally damage the durable state,
+// and boot the next incarnation on the same address from cfg.DataDir.
+func killRestart(b *cluster.Backend, cfg cluster.BackendConfig, cold bool, ord int) (*cluster.Backend, error) {
+	jr := b.Journal()
+	parksBefore := jr.Parks()
 	tearJournal := ord == 1
 	if tearJournal {
 		// The park record the dying server writes for the severed session
 		// tears four bytes in — mid-header — so recovery must truncate it
 		// and this client's resume falls back to a re-plan.
-		cs.jr.SetFailpoint(4)
+		jr.SetFailpoint(4)
 	}
-	d.Sever()
+	b.Server().SeverScene(crashScene)
 	if tearJournal {
-		waitUntil(2*time.Second, cs.jr.Killed)
+		waitUntil(2*time.Second, jr.Killed)
 	} else {
-		waitUntil(2*time.Second, func() bool { return cs.jr.Parks() > parksBefore })
+		waitUntil(2*time.Second, func() bool { return jr.Parks() > parksBefore })
 	}
 	// Grace for park bookkeeping racing the poll; the fsync already
 	// happened by the time Parks() moves.
 	time.Sleep(10 * time.Millisecond)
-	cs.crash()
+	b.Kill()
 	if ord == 0 {
-		if err := injectTornTail(engine.CheckpointPath(cs.dir, crashScene)); err != nil {
-			return err
+		if err := injectTornTail(engine.CheckpointPath(cfg.DataDir, crashScene)); err != nil {
+			return nil, err
 		}
 	}
-	if err := cs.start(false); err != nil {
-		return err
+	if cold {
+		err := os.Remove(filepath.Join(cfg.DataDir, engine.SessionJournalFile))
+		if err != nil && !os.IsNotExist(err) {
+			return nil, err
+		}
 	}
-	d.SetAddr(cs.addr())
-	return nil
+	next, err := cluster.StartBackend(cfg)
+	if err != nil {
+		return nil, err
+	}
+	if next.Registry().Len() == 0 {
+		next.Stop()
+		return nil, fmt.Errorf("experiment: restart recovered no scenes from %s", cfg.DataDir)
+	}
+	return next, nil
 }
 
 // RunCrash runs the kill-restart experiment and prints a summary. A
@@ -320,34 +154,32 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 		dir = tmp
 	}
 
-	d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: spec.Levels, Seed: spec.Seed + 5})
+	soak := newTramSoak(spec.Seed, spec.Objects, spec.Levels, spec.Steps)
 	stServer := stats.New()
-	cs := &crashServer{spec: spec, dir: dir, st: stServer, d: d}
-	if err := cs.start(true); err != nil {
-		return err
+	bcfg := cluster.BackendConfig{
+		Scenes: []engine.SceneConfig{{
+			Name: crashScene, Dataset: soak.d, Levels: spec.Levels, Shards: spec.Shards, Stats: stServer,
+		}},
+		DataDir:         dir,
+		CheckpointEvery: 100 * time.Millisecond,
+		Stats:           stServer,
 	}
-
-	space := d.Store.Bounds().XY()
-	tour := motion.NewTour(motion.Tram, motion.TourSpec{
-		Space: space, Steps: spec.Steps, Speed: 0.25,
-	}, rand.New(rand.NewSource(spec.Seed)))
-	side := d.QuerySide(0.10)
-
-	// Crash-free, fault-free oracle against the first incarnation.
-	oracle, err := proto.Dial(cs.addr(), nil)
+	b, err := cluster.StartBackend(bcfg)
 	if err != nil {
 		return err
 	}
-	for i, pos := range tour.Pos {
-		if _, err := oracle.Frame(geom.RectAround(pos, side), tour.SpeedAt(i)); err != nil {
-			return fmt.Errorf("oracle frame %d: %w", i, err)
+	defer func() {
+		if b != nil {
+			b.Stop()
 		}
-	}
-	oracle.Close()
-	if len(oracle.Objects()) == 0 {
-		// A tour that touches no objects would make every later check
-		// vacuous; refuse rather than "pass" on an empty comparison.
-		return fmt.Errorf("experiment: oracle retrieved no objects; enlarge the tour or dataset")
+	}()
+	// Every later incarnation recovers from dir on the same address.
+	bcfg.Scenes, bcfg.Addr = nil, b.Addr()
+
+	// Crash-free, fault-free oracle against the first incarnation.
+	oracle, err := rideOracle(b.Addr(), crashScene, soak)
+	if err != nil {
+		return err
 	}
 
 	// Kill schedule: distinct frames drawn in the middle of the tour,
@@ -376,7 +208,8 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 	// Crashy run through the fault model.
 	cfg := faultLink(faultnet.Config{Seed: spec.Seed + 1}, spec.DropMeanBytes, spec.CorruptBytes)
 	stClient := stats.New()
-	dialer := newCrashDialer(cs.addr(), cfg, stClient)
+	dialer := faultnet.NewDialer(b.Addr(), cfg)
+	dialer.SetStats(stClient)
 	rc, err := proto.DialResilient(proto.ResilientConfig{
 		Dial:         dialer.Dial,
 		FrameTimeout: 10 * time.Second,
@@ -393,39 +226,24 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 
 	start := time.Now()
 	restarts := 0
-	for i, pos := range tour.Pos {
+	for i := range soak.tour.Pos {
 		if ord, ok := killOrd[i]; ok {
-			if err := cs.killRestart(dialer, ord); err != nil {
+			if b, err = killRestart(b, bcfg, spec.ColdJournal, ord); err != nil {
 				return fmt.Errorf("kill %d (frame %d): %w", ord, i, err)
 			}
 			restarts++
 		}
-		if _, err := rc.Frame(geom.RectAround(pos, side), tour.SpeedAt(i)); err != nil {
+		if err := soak.frame(rc, i); err != nil {
 			return fmt.Errorf("frame %d did not survive crash-restart: %w", i, err)
 		}
 	}
 	elapsed := time.Since(start)
 	rc.Close()
-	cs.stop()
+	b.Stop()
+	b = nil
 
-	// Convergence check against the oracle.
 	c := rc.Client()
-	diverged := 0
-	for _, id := range oracle.Objects() {
-		om, _ := oracle.Mesh(id)
-		gm, ok := c.Mesh(id)
-		if !ok || c.CoeffCount(id) != oracle.CoeffCount(id) || om.NumVerts() != gm.NumVerts() {
-			diverged++
-			continue
-		}
-		for i := range om.Verts {
-			if om.Verts[i] != gm.Verts[i] {
-				diverged++
-				break
-			}
-		}
-	}
-
+	div := diverged(oracle, c)
 	ss, cstats := stServer.Snapshot(), stClient.Snapshot()
 	mode := "warm journal"
 	if spec.ColdJournal {
@@ -434,16 +252,16 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 	fmt.Fprintf(w, "crash-restart: %d objects, %d-step tram tour, %d kills (%s), drop ~[%d,%d] B\n",
 		spec.Objects, spec.Steps, spec.Kills, mode, cfg.DropAfterMin, cfg.DropAfterMax)
 	fmt.Fprintf(w, "  frames %d in %v · %d coefficients · %d connections · restarts %d\n",
-		tour.Len(), elapsed.Round(time.Millisecond), c.Coefficients, dialer.Dials(), restarts)
+		soak.tour.Len(), elapsed.Round(time.Millisecond), c.Coefficients, dialer.Dials(), restarts)
 	fmt.Fprintf(w, "  durability: checkpoints %d (%d B) · replayed %d · tails truncated %d · quarantined %d · compactions %d\n",
 		ss.Checkpoints, ss.CheckpointBytes, ss.RecordsReplayed, ss.TailsTruncated, ss.RecordsQuarantined, ss.JournalCompactions)
 	fmt.Fprintf(w, "  recovery: resumes %d · re-plans %d · restored-journal resumes %d · faults %d\n",
 		rc.Resumes, rc.Replans, ss.ResumesRestored, cstats.Faults)
 
-	if diverged > 0 {
+	if div > 0 {
 		fmt.Fprintf(w, "  convergence FAILED: %d/%d objects diverged from the crash-free oracle\n",
-			diverged, len(oracle.Objects()))
-		return fmt.Errorf("experiment: %d objects diverged across crash-restarts", diverged)
+			div, len(oracle.Objects()))
+		return fmt.Errorf("experiment: %d objects diverged across crash-restarts", div)
 	}
 	fmt.Fprintf(w, "  convergence OK: all %d objects byte-identical to the crash-free oracle\n",
 		len(oracle.Objects()))

@@ -7,6 +7,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/hotcache"
@@ -71,10 +72,18 @@ type crowdFrame struct {
 
 // crowdSession drives one raw wire session through the lockstep soak:
 // it blocks on the shared per-step barrier, issues its frame, records
-// the full parsed response, and signals the step's completion group.
-// Recording the response verbatim (every Coeff record plus the I/O
-// count) is what makes the byte-identity comparison exact.
-func crowdSession(addr string, frames []crowdFrame, starts []chan struct{}, steps []*sync.WaitGroup) ([]proto.Response, error) {
+// the full parsed response, and signals the step's completion group —
+// every remaining step's too when it stops early, so the barrier never
+// waits on a dead session. Recording the response verbatim (every Coeff
+// record plus the I/O count) is what makes the byte-identity comparison
+// exact.
+func crowdSession(addr string, frames []crowdFrame, starts []chan struct{}, steps []sync.WaitGroup) ([]proto.Response, error) {
+	signalled := 0
+	defer func() {
+		for ; signalled < len(frames); signalled++ {
+			steps[signalled].Done()
+		}
+	}()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
@@ -91,9 +100,7 @@ func crowdSession(addr string, frames []crowdFrame, starts []chan struct{}, step
 	planner := retrieval.NewClient(nil, nil)
 	out := make([]proto.Response, len(frames))
 	for i, f := range frames {
-		if starts != nil {
-			<-starts[i]
-		}
+		<-starts[i]
 		subs := planner.PlanFrame(f.q, f.speed)
 		if err := w.WriteRequest(proto.Request{Speed: f.speed, Subs: subs}); err != nil {
 			return nil, err
@@ -113,42 +120,50 @@ func crowdSession(addr string, frames []crowdFrame, starts []chan struct{}, step
 			return nil, err
 		}
 		planner.Advance(f.q, f.speed)
-		if steps != nil {
-			steps[i].Done()
-		}
+		steps[i].Done()
+		signalled++
 	}
 	w.WriteBye()
 	return out, nil
 }
 
-// crowdServer builds one wire server over a freshly (and identically)
-// generated dataset and serves it on a loopback listener.
-func crowdServer(spec CrowdRunSpec, st *stats.Stats, coalesced bool) (*engine.Scene, *proto.Server, net.Listener, func(), error) {
-	d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: spec.Levels, Seed: spec.Seed + 5})
-	reg := engine.NewRegistry()
-	cfg := engine.SceneConfig{Name: crowdScene, Dataset: d, Levels: spec.Levels, Shards: spec.Shards, Stats: st}
-	if coalesced {
-		cfg.HotCache = &hotcache.Config{}
+// lockstep replays every client's frames against addr, one raw session
+// per client, releasing all clients together one step at a time; bump
+// runs before step bumpAt, while no frame is in flight. Between barriers
+// the index is read-only, so the concurrent replay is as deterministic
+// as a serial one.
+func lockstep(addr string, frames [][]crowdFrame, bumpAt int, bump func()) ([][]proto.Response, error) {
+	steps := len(frames[0])
+	starts := make([]chan struct{}, steps)
+	done := make([]sync.WaitGroup, steps)
+	for s := range starts {
+		starts[s] = make(chan struct{})
+		done[s].Add(len(frames))
 	}
-	sc, err := reg.Build(cfg)
-	if err != nil {
-		return nil, nil, nil, nil, err
+	resp := make([][]proto.Response, len(frames))
+	errs := make([]error, len(frames))
+	var wg sync.WaitGroup
+	for i := range frames {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			resp[i], errs[i] = crowdSession(addr, frames[i], starts, done)
+		}(i)
 	}
-	if coalesced {
-		// A long linger window: near-simultaneous flock arrivals that just
-		// miss a flight still share its result within the step.
-		reg.EnableCoalescer(retrieval.CoalescerConfig{Window: 50 * time.Millisecond}, st)
+	for s := 0; s < steps; s++ {
+		if s == bumpAt {
+			bump()
+		}
+		close(starts[s])
+		done[s].Wait()
 	}
-	srv := proto.NewMultiServer(reg, nil)
-	srv.SetStats(st)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		return nil, nil, nil, nil, err
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			return nil, fmt.Errorf("client %d: %w", i, err)
+		}
 	}
-	done := make(chan struct{})
-	go func() { defer close(done); srv.Serve(lis) }()
-	stop := func() { srv.Close(); <-done }
-	return sc, srv, lis, stop, nil
+	return resp, nil
 }
 
 // RunCrowd runs the crowd-serving acceptance soak and prints a summary.
@@ -158,13 +173,18 @@ func crowdServer(spec CrowdRunSpec, st *stats.Stats, coalesced bool) (*engine.Sc
 //     including frames after a forced mid-soak index mutation — matches
 //     the independent server's frame exactly, every coefficient record
 //     and the reported index I/O included;
-//   - sharing actually happened: at least one session adopted another
-//     session's index pass (Shared > 0), and at least one hot-region
-//     refresh fanned out through the subscription layer;
-//   - the multicast path engaged: cached serialized payloads were
-//     replayed instead of re-encoded (PayloadHits > 0);
-//   - the coalescer's counters reconcile exactly:
-//     Routed == Led + Shared + BypassCollision + BypassStale;
+//   - at positive overlap, sharing cut index work: sub-queries were
+//     routed through the coalescer (Routed > 0), coalesced serving spent
+//     fewer index passes (first touches + led + bypasses) than
+//     independent serving, and at least one hot-region refresh fanned
+//     out through the subscription layer. Shared is printed, not gated:
+//     second-touch admission usually sends a flock's second ask to the
+//     hot cache before it can join the first ask's flight;
+//   - the multicast path engaged at positive overlap: cached serialized
+//     payloads were replayed instead of re-encoded (PayloadHits > 0);
+//   - the counters reconcile exactly: Routed == Led + Shared +
+//     BypassCollision + BypassStale, and every sub-query was a hot hit,
+//     a first touch or routed;
 //   - subscriptions drain: after the last session closes, the
 //     subscriber gauge returns to zero.
 func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
@@ -175,16 +195,30 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 	}
 
 	stCo, stInd := stats.New(), stats.New()
-	scCo, _, lisCo, stopCo, err := crowdServer(spec, stCo, true)
+	boot := func(st *stats.Stats) (*cluster.Backend, *engine.Scene, error) {
+		d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: spec.Levels, Seed: spec.Seed + 5})
+		b, err := startScene(engine.SceneConfig{Name: crowdScene, Dataset: d, Levels: spec.Levels, Shards: spec.Shards, Stats: st})
+		if err != nil {
+			return nil, nil, err
+		}
+		return b, b.Registry().Default(), nil
+	}
+	bCo, scCo, err := boot(stCo)
 	if err != nil {
 		return err
 	}
-	defer stopCo()
-	scInd, _, lisInd, stopInd, err := crowdServer(spec, stInd, false)
+	defer bCo.Stop()
+	// No session has dialed yet, so nothing is in flight while the
+	// sharing layers are wired in. A long linger window: near-simultaneous
+	// flock arrivals that just miss a flight still share its result
+	// within the step.
+	bCo.Registry().EnableHotCache(hotcache.Config{}, stCo)
+	bCo.Registry().EnableCoalescer(retrieval.CoalescerConfig{Window: 50 * time.Millisecond}, stCo)
+	bInd, scInd, err := boot(stInd)
 	if err != nil {
 		return err
 	}
-	defer stopInd()
+	defer bInd.Stop()
 	if scCo.Server.Coalescer() == nil || scCo.Server.HotCache() == nil {
 		return fmt.Errorf("experiment: coalesced server came up without coalescer or hot cache")
 	}
@@ -215,88 +249,22 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 	// identical op sequence keeps the two trees (and their I/O counts)
 	// identical, while cached entries and in-flight coalescing on the
 	// coalesced side are forced through the stale-epoch path.
-	bump := func(sc *engine.Scene) error {
-		mut, ok := sc.Index.(index.Mutable)
-		if !ok {
-			return fmt.Errorf("experiment: scene index is not mutable")
-		}
-		mut.Delete(0)
-		mut.Insert(0)
-		return nil
+	bump := func(sc *engine.Scene) func() {
+		mut := sc.Index.(index.Mutable) // Build always serves a Sharded index
+		return func() { mut.Delete(0); mut.Insert(0) }
 	}
 
 	start := time.Now()
-
-	// Independent baseline: the same crowd under the same lockstep
-	// barriers, served without sharing, with the bump at the same
-	// boundary. Between barriers the index is read-only, so the
-	// concurrent replay is as deterministic as a serial one.
-	indDone := make([]*sync.WaitGroup, spec.Steps)
-	indStarts := make([]chan struct{}, spec.Steps)
-	for s := range indStarts {
-		indStarts[s] = make(chan struct{})
-		indDone[s] = &sync.WaitGroup{}
-		indDone[s].Add(spec.Clients)
+	// Independent baseline first, then the coalesced run under the same
+	// barriers, where every client of a step fires concurrently — which
+	// is what gives the coalescer followers.
+	indResp, err := lockstep(bInd.Addr(), frames, bumpAt, bump(scInd))
+	if err != nil {
+		return fmt.Errorf("independent %w", err)
 	}
-	indResp := make([][]proto.Response, spec.Clients)
-	indErr := make([]error, spec.Clients)
-	var wgInd sync.WaitGroup
-	for i := 0; i < spec.Clients; i++ {
-		wgInd.Add(1)
-		go func(i int) {
-			defer wgInd.Done()
-			indResp[i], indErr[i] = crowdSession(lisInd.Addr().String(), frames[i], indStarts, indDone)
-		}(i)
-	}
-	for s := 0; s < spec.Steps; s++ {
-		if s == bumpAt {
-			if err := bump(scInd); err != nil {
-				return err
-			}
-		}
-		close(indStarts[s])
-		indDone[s].Wait()
-	}
-	wgInd.Wait()
-	for i, err := range indErr {
-		if err != nil {
-			return fmt.Errorf("independent client %d: %w", i, err)
-		}
-	}
-
-	// Coalesced run: same lockstep barriers; within a step every client
-	// fires concurrently, which is what gives the coalescer followers.
-	coStarts := make([]chan struct{}, spec.Steps)
-	coDone := make([]*sync.WaitGroup, spec.Steps)
-	for s := range coStarts {
-		coStarts[s] = make(chan struct{})
-		coDone[s] = &sync.WaitGroup{}
-		coDone[s].Add(spec.Clients)
-	}
-	coResp := make([][]proto.Response, spec.Clients)
-	coErr := make([]error, spec.Clients)
-	var wgCo sync.WaitGroup
-	for i := 0; i < spec.Clients; i++ {
-		wgCo.Add(1)
-		go func(i int) {
-			defer wgCo.Done()
-			coResp[i], coErr[i] = crowdSession(lisCo.Addr().String(), frames[i], coStarts, coDone)
-		}(i)
-	}
-	for s := 0; s < spec.Steps; s++ {
-		if s == bumpAt {
-			if err := bump(scCo); err != nil {
-				return err
-			}
-		}
-		close(coStarts[s])
-		coDone[s].Wait()
-	}
-	wgCo.Wait()
-	for i, err := range coErr {
-		if err != nil {
-			return fmt.Errorf("coalesced client %d: %w", i, err)
-		}
+	coResp, err := lockstep(bCo.Addr(), frames, bumpAt, bump(scCo))
+	if err != nil {
+		return fmt.Errorf("coalesced %w", err)
 	}
 	elapsed := time.Since(start)
 

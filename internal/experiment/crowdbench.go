@@ -4,7 +4,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"os"
 	"time"
 
 	"repro/internal/geom"
@@ -193,7 +192,6 @@ func RunCrowdBench(spec CrowdBenchSpec, jsonPath string, w io.Writer) (*CrowdBen
 		res.GateSpeedup, res.GateNoRegression)
 
 	if jsonPath != "" {
-		printCrowdDelta(jsonPath, res, w)
 		buf, err := json.MarshalIndent(res, "", "  ")
 		if err != nil {
 			return nil, err
@@ -210,32 +208,4 @@ func RunCrowdBench(spec CrowdBenchSpec, jsonPath string, w io.Writer) (*CrowdBen
 		return res, fmt.Errorf("experiment: coalescing spent extra index passes on a no-overlap crowd")
 	}
 	return res, nil
-}
-
-// printCrowdDelta compares a fresh result against the previous JSON
-// artifact per sweep point. Informational only.
-func printCrowdDelta(jsonPath string, cur *CrowdBenchResult, w io.Writer) {
-	buf, err := os.ReadFile(jsonPath)
-	if err != nil {
-		return // first run; nothing to compare
-	}
-	var prev CrowdBenchResult
-	if json.Unmarshal(buf, &prev) != nil {
-		return
-	}
-	type gridKey struct {
-		clients int
-		overlap float64
-	}
-	prevAt := make(map[gridKey]CrowdBenchPoint, len(prev.Points))
-	for _, p := range prev.Points {
-		prevAt[gridKey{p.Clients, p.Overlap}] = p
-	}
-	fmt.Fprintf(w, "  delta vs previous %s:\n", jsonPath)
-	for _, p := range cur.Points {
-		if old, ok := prevAt[gridKey{p.Clients, p.Overlap}]; ok && old.PassReduction > 0 {
-			fmt.Fprintf(w, "    %6d clients, overlap %.1f: pass reduction %+.1f%%\n",
-				p.Clients, p.Overlap, (p.PassReduction/old.PassReduction-1)*100)
-		}
-	}
 }

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/faultdisk"
 	"repro/internal/geom"
 	"repro/internal/index"
@@ -182,16 +183,16 @@ func RunDiskFault(spec DiskFaultSpec, w io.Writer) error {
 
 	stMem, stFaulty := stats.New(), stats.New()
 	fd.SetStats(stFaulty)
-	memSrv, memLis, err := cityServer(proto.DefaultSceneName, mem, spec.Levels, stMem)
+	memB, err := startScene(engine.SceneConfig{Name: proto.DefaultSceneName, Source: mem, Levels: spec.Levels, Stats: stMem})
 	if err != nil {
 		return err
 	}
-	defer memSrv.Close()
-	faultySrv, faultyLis, err := cityServer(proto.DefaultSceneName, ps, ps.Levels(), stFaulty)
+	defer memB.Stop()
+	faultyB, err := startScene(engine.SceneConfig{Name: proto.DefaultSceneName, Source: ps, Levels: ps.Levels(), Stats: stFaulty})
 	if err != nil {
 		return err
 	}
-	defer faultySrv.Close()
+	defer faultyB.Stop()
 
 	// Damage the disk: one page of permanent corruption (a bad sector
 	// under the CRC directory) plus the armed transient weather.
@@ -221,11 +222,11 @@ func RunDiskFault(spec DiskFaultSpec, w io.Writer) error {
 	}
 	clients := make([]pair, spec.Clients)
 	for i := range clients {
-		if clients[i].oracle, err = proto.Dial(memLis.Addr().String(), nil); err != nil {
+		if clients[i].oracle, err = proto.Dial(memB.Addr(), nil); err != nil {
 			return err
 		}
 		defer clients[i].oracle.Close()
-		if clients[i].faulty, err = proto.Dial(faultyLis.Addr().String(), nil); err != nil {
+		if clients[i].faulty, err = proto.Dial(faultyB.Addr(), nil); err != nil {
 			return err
 		}
 		defer clients[i].faulty.Close()
@@ -315,18 +316,8 @@ func RunDiskFault(spec DiskFaultSpec, w io.Writer) error {
 				return fmt.Errorf("client %d object %d: faulty side has %d coefficients pre-heal, want %d (%d withheld on page %d)",
 					ci, obj, faulty.CoeffCount(obj), want, corruptByObject[obj], corruptPage)
 			}
-			if corruptByObject[obj] == 0 {
-				om, _ := oracle.Mesh(obj)
-				fm, ok := faulty.Mesh(obj)
-				if !ok || om.NumVerts() != fm.NumVerts() {
-					return fmt.Errorf("client %d object %d: healthy-page object diverged pre-heal", ci, obj)
-				}
-				for v := range om.Verts {
-					if om.Verts[v] != fm.Verts[v] {
-						return fmt.Errorf("client %d object %d vertex %d: healthy-page mesh not byte-identical under faults",
-							ci, obj, v)
-					}
-				}
+			if corruptByObject[obj] == 0 && !sameObject(oracle, faulty, obj) {
+				return fmt.Errorf("client %d object %d: healthy-page mesh not byte-identical under faults", ci, obj)
 			}
 		}
 	}
@@ -356,23 +347,8 @@ func RunDiskFault(spec DiskFaultSpec, w io.Writer) error {
 		}
 		healedDelivered += int64(nf)
 
-		oracle, faulty := clients[ci].oracle, clients[ci].faulty
-		for obj := int32(0); obj < int32(mem.NumObjects()); obj++ {
-			if faulty.CoeffCount(obj) != oracle.CoeffCount(obj) {
-				return fmt.Errorf("client %d object %d: %d coefficients after heal, oracle %d",
-					ci, obj, faulty.CoeffCount(obj), oracle.CoeffCount(obj))
-			}
-			om, _ := oracle.Mesh(obj)
-			fm, ok := faulty.Mesh(obj)
-			if !ok || om.NumVerts() != fm.NumVerts() {
-				return fmt.Errorf("client %d object %d: reconstruction missing after heal", ci, obj)
-			}
-			for v := range om.Verts {
-				if om.Verts[v] != fm.Verts[v] {
-					return fmt.Errorf("client %d object %d vertex %d: converged mesh not byte-identical",
-						ci, obj, v)
-				}
-			}
+		if n := diverged(clients[ci].oracle, clients[ci].faulty); n > 0 {
+			return fmt.Errorf("client %d: %d objects not byte-identical after heal", ci, n)
 		}
 
 		// Steady state: one more wholesale window delivers zero on both
@@ -419,15 +395,8 @@ func RunDiskFault(spec DiskFaultSpec, w io.Writer) error {
 
 	// Exact reconciliation: the fault plumbing must not bend the
 	// pager's accounting identities.
-	if st.Pins != st.Hits+st.Faults {
-		return fmt.Errorf("experiment: pager pins %d != hits %d + faults %d", st.Pins, st.Hits, st.Faults)
-	}
-	if st.PagesResident != st.Faults-st.Evictions {
-		return fmt.Errorf("experiment: resident pages %d != faults %d - evictions %d",
-			st.PagesResident, st.Faults, st.Evictions)
-	}
-	if st.PagesPinned != 0 {
-		return fmt.Errorf("experiment: %d pages still pinned after the sessions closed", st.PagesPinned)
+	if err := pagerAtRest(st); err != nil {
+		return err
 	}
 	if st.Quarantined != 1 {
 		return fmt.Errorf("experiment: %d quarantine events at rest, want exactly 1", st.Quarantined)

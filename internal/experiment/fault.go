@@ -3,18 +3,12 @@ package experiment
 import (
 	"fmt"
 	"io"
-	"math/rand"
-	"net"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/faultnet"
-	"repro/internal/geom"
-	"repro/internal/index"
-	"repro/internal/motion"
 	"repro/internal/proto"
-	"repro/internal/retrieval"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // FaultSpec configures the fault-injection experiment: a resilient
@@ -66,41 +60,25 @@ func faultLink(cfg faultnet.Config, dropMean, corruptMean int64) faultnet.Config
 // (retries, resumes, degraded mode), and whether the client's final
 // reconstructions are byte-identical to a fault-free oracle run — the
 // end-to-end correctness claim of the fault-tolerance layer. A
-// convergence failure is returned as an error.
+// convergence failure, an oracle that retrieved nothing, or a link that
+// injected no fault is returned as an error.
 func RunFault(spec FaultSpec, w io.Writer) error {
 	spec = spec.fill()
 
-	d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: spec.Levels, Seed: spec.Seed + 5})
-	idx := index.NewSharded(d.Store, index.XYW, index.ShardedConfig{Shards: spec.Shards})
+	soak := newTramSoak(spec.Seed, spec.Objects, spec.Levels, spec.Steps)
 	stServer := stats.New()
-	srv := proto.NewServer(retrieval.NewServer(d.Store, idx), d.Spec.Levels, nil)
-	srv.SetStats(stServer)
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	b, err := startScene(engine.SceneConfig{
+		Name: proto.DefaultSceneName, Dataset: soak.d, Levels: soak.d.Spec.Levels, Shards: spec.Shards, Stats: stServer,
+	})
 	if err != nil {
 		return err
 	}
-	done := make(chan struct{})
-	go func() { defer close(done); srv.Serve(lis) }()
-	defer func() { srv.Close(); <-done }()
-	addr := lis.Addr().String()
+	defer b.Stop()
 
-	space := d.Store.Bounds().XY()
-	tour := motion.NewTour(motion.Tram, motion.TourSpec{
-		Space: space, Steps: spec.Steps, Speed: 0.25,
-	}, rand.New(rand.NewSource(spec.Seed)))
-	side := d.QuerySide(0.10)
-
-	// Fault-free oracle.
-	oracle, err := proto.Dial(addr, nil)
+	oracle, err := rideOracle(b.Addr(), proto.DefaultSceneName, soak)
 	if err != nil {
 		return err
 	}
-	for i, pos := range tour.Pos {
-		if _, err := oracle.Frame(geom.RectAround(pos, side), tour.SpeedAt(i)); err != nil {
-			return fmt.Errorf("oracle frame %d: %w", i, err)
-		}
-	}
-	oracle.Close()
 
 	// Faulty run.
 	cfg := faultLink(faultnet.Config{
@@ -109,7 +87,7 @@ func RunFault(spec FaultSpec, w io.Writer) error {
 		BytesPerSecond: spec.BytesPerSecond,
 	}, spec.DropMeanBytes, spec.CorruptBytes)
 	stClient := stats.New()
-	dialer := faultnet.NewDialer(addr, cfg)
+	dialer := faultnet.NewDialer(b.Addr(), cfg)
 	dialer.SetStats(stClient)
 	rc, err := proto.DialResilient(proto.ResilientConfig{
 		Dial:         dialer.Dial,
@@ -126,46 +104,32 @@ func RunFault(spec FaultSpec, w io.Writer) error {
 	}
 	defer rc.Close()
 	start := time.Now()
-	for i, pos := range tour.Pos {
-		if _, err := rc.Frame(geom.RectAround(pos, side), tour.SpeedAt(i)); err != nil {
+	for i := range soak.tour.Pos {
+		if err := soak.frame(rc, i); err != nil {
 			return fmt.Errorf("frame %d did not survive injected faults: %w", i, err)
 		}
 	}
 	elapsed := time.Since(start)
 
-	// Convergence check against the oracle.
 	c := rc.Client()
-	diverged := 0
-	for _, id := range oracle.Objects() {
-		om, _ := oracle.Mesh(id)
-		gm, ok := c.Mesh(id)
-		if !ok || c.CoeffCount(id) != oracle.CoeffCount(id) || om.NumVerts() != gm.NumVerts() {
-			diverged++
-			continue
-		}
-		for i := range om.Verts {
-			if om.Verts[i] != gm.Verts[i] {
-				diverged++
-				break
-			}
-		}
-	}
-
 	cs, ss := stClient.Snapshot(), stServer.Snapshot()
 	fmt.Fprintf(w, "fault injection: %d objects, %d-step tram tour, drop ~[%d,%d] B, corrupt ~[%d,%d] B\n",
 		spec.Objects, spec.Steps, cfg.DropAfterMin, cfg.DropAfterMax, cfg.CorruptAfterMin, cfg.CorruptAfterMax)
 	fmt.Fprintf(w, "  frames %d in %v · %d coefficients · %d bytes\n",
-		tour.Len(), elapsed.Round(time.Millisecond), c.Coefficients, c.BytesReceived)
+		soak.tour.Len(), elapsed.Round(time.Millisecond), c.Coefficients, c.BytesReceived)
 	fmt.Fprintf(w, "  faults injected %d · connections %d · retries %d (%d timeouts)\n",
 		cs.Faults, dialer.Dials(), cs.Retries, cs.Timeouts)
 	fmt.Fprintf(w, "  resume %d/%d hit/miss (server view %d/%d) · degraded %d (floor %.2f)\n",
 		cs.ResumeHits, cs.ResumeMisses, ss.ResumeHits, ss.ResumeMisses, cs.Degraded, rc.DegradeFloor())
-	if diverged > 0 {
+	if n := diverged(oracle, c); n > 0 {
 		fmt.Fprintf(w, "  convergence FAILED: %d/%d objects diverged from the fault-free oracle\n",
-			diverged, len(oracle.Objects()))
-		return fmt.Errorf("experiment: %d objects diverged under faults", diverged)
+			n, len(oracle.Objects()))
+		return fmt.Errorf("experiment: %d objects diverged under faults", n)
 	}
 	fmt.Fprintf(w, "  convergence OK: all %d objects byte-identical to the fault-free oracle\n",
 		len(oracle.Objects()))
+	if cs.Faults == 0 {
+		return fmt.Errorf("experiment: fault injection was inactive")
+	}
 	return nil
 }

@@ -1,0 +1,132 @@
+package experiment
+
+import (
+	"fmt"
+	"math/rand"
+	"time"
+
+	"repro/internal/cluster"
+	"repro/internal/engine"
+	"repro/internal/geom"
+	"repro/internal/motion"
+	"repro/internal/persist"
+	"repro/internal/proto"
+	"repro/internal/workload"
+)
+
+// The pieces every wire acceptance soak shares: one serving stack
+// (cluster.Backend, the stack the crash and cluster soaks kill and
+// restart), one seeded tram tour, one fault-free oracle ride and one
+// byte-identity check. Each soak keeps only what its own plane adds.
+
+// startScene boots a memory-only backend serving one scene, its counters
+// in sc.Stats.
+func startScene(sc engine.SceneConfig) (*cluster.Backend, error) {
+	return cluster.StartBackend(cluster.BackendConfig{Scenes: []engine.SceneConfig{sc}, Stats: sc.Stats})
+}
+
+// tramSoak is the dataset and seeded tram tour the fault, crash and
+// cluster soaks ride: steps frames at speed 0.25 with a 10 % query
+// window.
+type tramSoak struct {
+	d    *workload.Dataset
+	tour *motion.Tour
+	side float64
+}
+
+func newTramSoak(seed int64, objects, levels, steps int) tramSoak {
+	d := workload.Generate(workload.Spec{NumObjects: objects, Levels: levels, Seed: seed + 5})
+	tour := motion.NewTour(motion.Tram, motion.TourSpec{
+		Space: d.Store.Bounds().XY(), Steps: steps, Speed: 0.25,
+	}, rand.New(rand.NewSource(seed)))
+	return tramSoak{d: d, tour: tour, side: d.QuerySide(0.10)}
+}
+
+// frame asks c for the tour's i-th window.
+func (s tramSoak) frame(c interface {
+	Frame(geom.Rect2, float64) (int, error)
+}, i int) error {
+	_, err := c.Frame(geom.RectAround(s.tour.Pos[i], s.side), s.tour.SpeedAt(i))
+	return err
+}
+
+// rideOracle rides the whole tour over a plain, fault-free connection to
+// scene on addr and returns the closed client holding the reference
+// meshes. An oracle that retrieved no objects would make every later
+// comparison vacuous, so it is an error.
+func rideOracle(addr, scene string, s tramSoak) (*proto.Client, error) {
+	oracle, err := proto.DialScene(addr, scene, nil)
+	if err != nil {
+		return nil, err
+	}
+	defer oracle.Close()
+	for i := range s.tour.Pos {
+		if err := s.frame(oracle, i); err != nil {
+			return nil, fmt.Errorf("oracle frame %d: %w", i, err)
+		}
+	}
+	if len(oracle.Objects()) == 0 {
+		return nil, fmt.Errorf("experiment: oracle retrieved no objects; enlarge the tour or dataset")
+	}
+	return oracle, nil
+}
+
+// sameObject reports whether got holds object id exactly as want does:
+// the same coefficient count and a bit-identical reconstruction.
+func sameObject(want, got *proto.Client, id int32) bool {
+	wm, ok := want.Mesh(id)
+	if !ok {
+		return false
+	}
+	gm, ok := got.Mesh(id)
+	if !ok || got.CoeffCount(id) != want.CoeffCount(id) || gm.NumVerts() != wm.NumVerts() {
+		return false
+	}
+	for i := range wm.Verts {
+		if wm.Verts[i] != gm.Verts[i] {
+			return false
+		}
+	}
+	return true
+}
+
+// diverged counts the oracle's objects that got does not hold exactly.
+func diverged(oracle, got *proto.Client) int {
+	n := 0
+	for _, id := range oracle.Objects() {
+		if !sameObject(oracle, got, id) {
+			n++
+		}
+	}
+	return n
+}
+
+// pagerAtRest checks the paging counters' exact accounting once no frame
+// is in flight: every pin was a hit or a fault, every resident page is a
+// fault not yet evicted, and nothing is still pinned.
+func pagerAtRest(st persist.PagerStats) error {
+	if st.Pins != st.Hits+st.Faults {
+		return fmt.Errorf("experiment: pager pins %d != hits %d + faults %d", st.Pins, st.Hits, st.Faults)
+	}
+	if st.PagesResident != st.Faults-st.Evictions {
+		return fmt.Errorf("experiment: resident pages %d != faults %d - evictions %d",
+			st.PagesResident, st.Faults, st.Evictions)
+	}
+	if st.PagesPinned != 0 {
+		return fmt.Errorf("experiment: %d pages still pinned after the sessions closed", st.PagesPinned)
+	}
+	return nil
+}
+
+// waitUntil polls cond every couple of milliseconds until it holds or
+// the timeout expires; reports whether it held.
+func waitUntil(timeout time.Duration, cond func() bool) bool {
+	deadline := time.Now().Add(timeout)
+	for !cond() {
+		if time.Now().After(deadline) {
+			return false
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return true
+}
