@@ -1,12 +1,12 @@
 # Development targets. `make ci` is the full gate a change must pass:
 # build, vet, the tier-1 suite at 1/2/8 procs, bench/'s self-check, the
-# race-detector run and the per-plane acceptance soaks (see README
-# "Testing"); the bench-abr/bench-crowd artifacts it regenerates after
-# them are informational.
+# race-detector run and the acceptance soaks' verbose summaries (see
+# README "Testing"); the bench-abr/bench-crowd artifacts it regenerates
+# after them are informational.
 
 GO ?= go
 
-.PHONY: build test test-procs race vet bench bench-check bench-e2e bench-abr bench-crowd benchguard soak fault crash cluster abr city diskfault crowd fuzz ci
+.PHONY: build test test-procs race vet bench bench-check bench-e2e bench-abr bench-crowd benchguard soaks fuzz ci
 
 build:
 	$(GO) build ./...
@@ -54,50 +54,12 @@ bench-check:
 bench-e2e:
 	bash bench/run.sh
 
-# Just the concurrency-focused tests, verbosely.
-soak:
-	$(GO) test -race -v -run 'TestMultiClientSoak|TestConcurrent|TestShardedConcurrentChurn|TestBulkLoadedTreeSurvivesChurn' ./internal/proto/ ./internal/index/ ./internal/retrieval/ ./internal/rtree/
-
-# The fault-tolerance gate, verbosely: deterministic fault-recovery
-# convergence, resume rollback, server shedding/draining, degraded mode,
-# and the faultnet link model itself — all under the race detector.
-fault:
-	$(GO) test -race -v -run 'TestFaultRecoveryConvergence|TestResume|TestServerSheds|TestIdleTimeout|TestGracefulDrain|TestDegraded' ./internal/proto/
-	$(GO) test -race -v ./internal/faultnet/
-	$(GO) test -race -run 'TestApplyIdempotent' ./internal/wavelet/
-	$(GO) test -race -run 'TestRunFault' ./internal/experiment/
-
-# The crash-safety gate, verbosely, under the race detector: the
-# kill-restart acceptance test (server killed mid-tour, restarted from
-# checkpoints + session journal, meshes byte-identical to a crash-free
-# oracle), the cold-journal regression, and the persist-layer recovery
-# unit tests (torn tails, quarantine, failpoints, atomic writes).
-crash:
-	$(GO) test -race -v -run 'TestRunCrash' ./internal/experiment/
-	$(GO) test -race ./internal/persist/
-	$(GO) test -race -run 'TestSaveAll|TestLoadAll|TestCheckpointer|TestSessionJournal|TestSceneWithoutDataset' ./internal/engine/
-
-# The cluster gate, verbosely, under the race detector: the
-# failover-and-drain acceptance experiment (owning backend killed
-# mid-tour, replica boots from its durable state, then a live drain onto
-# an empty backend — both clients byte-identical to a single-process
-# oracle), the 16-client race soak with a forced drain, and the full
-# cluster package (topology tables, control framing, gateway routing).
-cluster:
-	$(GO) test -race -v -run 'TestRunCluster' ./internal/experiment/
-	$(GO) test -race ./internal/cluster/
-	$(GO) test -race -run 'TestResilientAddrRotation' ./internal/proto/
-
-# The bandwidth-adaptation gate, verbosely, under the race detector: the
-# throttle-profile soak (resilient client + ABR controller riding an
-# oscillating/step/ramp link without a stall, budget stats reconciled
-# exactly), the budgeted-protocol equivalence and truncation tests, the
-# controller/estimator/planner units, and the throttle profiles.
-abr:
-	$(GO) test -race -v -run 'TestRunABR' ./internal/experiment/
-	$(GO) test -race -run 'TestBudget|TestDegradedFloorDecaysToZero' ./internal/proto/
-	$(GO) test -race ./internal/abr/
-	$(GO) test -race -run 'TestProfile' ./internal/faultnet/
+# Every acceptance soak (internal/experiment's TestRun* tests) once,
+# verbosely, listing each soak's summary. `race` already runs them under
+# the race detector with the rest of the suite; README "Testing" lists
+# which package tests cover each plane.
+soaks:
+	$(GO) test -v -run '^TestRun' ./internal/experiment/
 
 # Utility-vs-bandwidth sweep: ABR viewport plans against the fixed
 # two-state controller under identical per-frame byte allowances; emits
@@ -105,48 +67,6 @@ abr:
 # `make benchguard` diffs it against HEAD.
 bench-abr: build
 	$(GO) run ./cmd/experiments -bench-abr BENCH_abr.json
-
-# The out-of-core gate, verbosely, under the race detector: the city
-# acceptance soak (paged store at 1/8 of the payload serving a seeded
-# multi-client tour byte-identically to the in-memory oracle, residency
-# bounded, pager counters reconciling exactly), the segment/pager unit
-# tests, the paged-store equivalence and pin-lifetime tests, and the
-# city generator determinism tests.
-city:
-	$(GO) test -race -v -run 'TestRunCity' ./internal/experiment/
-	$(GO) test -race -run 'TestSegment|TestPager' ./internal/persist/
-	$(GO) test -race -run 'TestPaged|TestPin|TestCoeffRecord|TestStoreCoeffOutOfRange|TestOpenPaged' ./internal/index/
-	$(GO) test -race -run 'TestCity' ./internal/workload/
-	$(GO) test -race -run 'TestPinner' ./internal/hotcache/
-
-# The storage-fault gate, verbosely, under the race detector: the
-# disk-fault acceptance soak (paged store behind a faulty disk surviving
-# a transient-error storm, quarantining exactly the one corrupt page,
-# withholding its coefficients, and converging byte-identically once the
-# page heals), the concurrent corrupt-vs-healthy isolation regression,
-# the faultdisk link model itself, and the pager retry/quarantine/scrub
-# unit tests.
-diskfault:
-	$(GO) test -race -v -run 'TestRunDiskFault' ./internal/experiment/
-	$(GO) test -race -run 'TestDiskFaultIsolation' ./internal/proto/
-	$(GO) test -race ./internal/faultdisk/
-	$(GO) test -race -run 'TestPagerRetries|TestPagerTransient|TestPagerQuarantines|TestPagerScrub|TestSegmentClose|TestSegmentPageOffset' ./internal/persist/
-	$(GO) test -race -run 'TestPagedCoeffUnavailable|TestPagedPinIDsRollsBack|TestPinnerFailure' ./internal/index/ ./internal/hotcache/
-
-# The crowd-serving gate, verbosely, under the race detector: the crowd
-# acceptance soak (coalesced serving byte-identical to independent
-# execution for every session across a forced mid-soak epoch bump, with
-# coalescer/subscription/stats counters reconciled exactly), the
-# coalescer unit tests, the hot-cache subscription tests, the budgeted
-# payload-replay tests, the background-scrub ticker tests, and the crowd
-# generator determinism tests.
-crowd:
-	$(GO) test -race -v -run 'TestRunCrowd' ./internal/experiment/
-	$(GO) test -race -run 'TestCoalesc|TestFirstTouch|TestSecondAsk|TestEpochBump|TestConcurrentFirstAsk' ./internal/retrieval/
-	$(GO) test -race -run 'TestSubscribe|TestPayloadHitCounter' ./internal/hotcache/
-	$(GO) test -race -run 'TestBudgetedFrame|TestBudgetedTruncation' ./internal/proto/
-	$(GO) test -race -run 'TestScrubber' ./internal/engine/
-	$(GO) test -race -run 'TestCrowd' ./internal/workload/
 
 # Crowd-scaling sweep: 10^2-10^4 simulated clients at overlap factors 0,
 # 0.5, and 0.9, coalesced vs independent execution in deterministic
@@ -179,7 +99,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzCluster$$' -fuzztime 10s -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz 'FuzzFaultDisk$$' -fuzztime 10s -run '^$$' ./internal/faultdisk/
 
-ci: build vet test test-procs bench-check race fault crash cluster abr city diskfault crowd fuzz
+ci: build vet test test-procs bench-check race soaks fuzz
 	# Informational artifact deltas (never fail the gate): regenerate
 	# BENCH_abr.json and BENCH_crowd.json, then diff both against HEAD
 	# with benchguard.

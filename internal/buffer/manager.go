@@ -235,7 +235,11 @@ func (m *Manager) Step(pos geom.Vec2, frame geom.Rect2, wmin float64) StepResult
 		}
 	}
 	m.enforceCapacity(neededSet)
-	m.cfg.Stats.RecordBuffer(res.Blocks-res.Misses, res.Misses, res.Demand, res.Prefetched)
+	st := m.cfg.Stats
+	st.Add(stats.BufferHits, int64(res.Blocks-res.Misses))
+	st.Add(stats.BufferMisses, int64(res.Misses))
+	st.Add(stats.BufferDemandBytes, res.Demand)
+	st.Add(stats.BufferPrefetchBytes, res.Prefetched)
 	return res
 }
 

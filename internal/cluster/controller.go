@@ -135,7 +135,7 @@ func (c *Controller) Drain(scene, target string) (DrainReport, error) {
 		return rep, fmt.Errorf("cluster: drop after flip: %w", err)
 	}
 	rep.Purged = rep.Shipped
-	c.st.RecordDrain()
+	c.st.Add(stats.ClusterDrains, 1)
 	return rep, nil
 }
 

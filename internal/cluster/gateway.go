@@ -300,7 +300,7 @@ func (g *Gateway) noteProbe(addr string, ok bool) {
 		// The ejection is the failover step for this backend: routing
 		// will silently skip it from now on, so the route-around is
 		// accounted here rather than per skipped dial.
-		g.st.RecordFailover(addr)
+		g.st.Label(stats.Backends, addr).Add(stats.BackendFailovers, 1)
 		g.logf("cluster: backend %s ejected after %d failed probes", addr, g.cfg.FailAfter)
 	}
 }
@@ -319,7 +319,11 @@ func (g *Gateway) probeLoop() {
 			g.probePause.Lock()
 			for _, addr := range backends {
 				ok := g.probe(addr)
-				g.st.RecordProbe(addr, ok)
+				row := g.st.Label(stats.Backends, addr)
+				row.Add(stats.BackendProbes, 1)
+				if !ok {
+					row.Add(stats.BackendProbeFails, 1)
+				}
 				g.noteProbe(addr, ok)
 			}
 			g.probePause.Unlock()
@@ -381,7 +385,7 @@ func (g *Gateway) dialScene(scene string) (net.Conn, string, error) {
 			if err != nil {
 				lastErr = err
 				g.markDown(addr)
-				g.st.RecordFailover(addr)
+				g.st.Label(stats.Backends, addr).Add(stats.BackendFailovers, 1)
 				continue
 			}
 			if pass == 1 {
@@ -395,7 +399,7 @@ func (g *Gateway) dialScene(scene string) (net.Conn, string, error) {
 			// dead replica already recorded its step at ejection time.
 			for _, addr := range replicas {
 				if !g.BackendUp(addr) {
-					g.st.RecordFailover(addr)
+					g.st.Label(stats.Backends, addr).Add(stats.BackendFailovers, 1)
 				}
 			}
 		}
@@ -542,7 +546,7 @@ func (g *Gateway) connectBackend(client net.Conn, cw *proto.Writer, scene string
 		backend.Close()
 		return nil, "", nil, nil, false
 	}
-	g.st.RecordRoute(addr)
+	g.st.Label(stats.Backends, addr).Add(stats.BackendRoutes, 1)
 	return backend, addr, br, bw, true
 }
 

@@ -324,23 +324,23 @@ func TestClusterRaceSoak(t *testing.T) {
 		s    stats.Snapshot
 	}{{a1, s1}, {a2, s2}} {
 		g := gs.Backends[bk.addr]
-		if g.ProbeFails != 0 {
-			t.Errorf("backend %s: %d failed probes during a clean soak", bk.addr, g.ProbeFails)
+		if g[stats.BackendProbeFails] != 0 {
+			t.Errorf("backend %s: %d failed probes during a clean soak", bk.addr, g[stats.BackendProbeFails])
 		}
-		if bk.s.SessionsOpened != g.Routes+g.Probes {
+		if opened := bk.s.Get(stats.ProtoSessionsOpened); opened != g[stats.BackendRoutes]+g[stats.BackendProbes] {
 			t.Errorf("backend %s: opened %d sessions, gateway accounts for %d routes + %d probes",
-				bk.addr, bk.s.SessionsOpened, g.Routes, g.Probes)
+				bk.addr, opened, g[stats.BackendRoutes], g[stats.BackendProbes])
 		}
 	}
-	if gs.Drains != 1 {
-		t.Errorf("drains = %d, want 1", gs.Drains)
+	if gs.Get(stats.ClusterDrains) != 1 {
+		t.Errorf("drains = %d, want 1", gs.Get(stats.ClusterDrains))
 	}
 	// The drained scene's resumes were all served from shipped
 	// (restored-flagged) sessions on the target backend.
-	if s2.ResumesRestored != clientsPerScene {
-		t.Errorf("restored resumes on target = %d, want %d", s2.ResumesRestored, clientsPerScene)
+	if s2.Get(stats.ProtoResumesRestored) != clientsPerScene {
+		t.Errorf("restored resumes on target = %d, want %d", s2.Get(stats.ProtoResumesRestored), clientsPerScene)
 	}
-	if s1.ResumesRestored != 0 {
-		t.Errorf("restored resumes on source = %d, want 0", s1.ResumesRestored)
+	if s1.Get(stats.ProtoResumesRestored) != 0 {
+		t.Errorf("restored resumes on source = %d, want 0", s1.Get(stats.ProtoResumesRestored))
 	}
 }

@@ -107,7 +107,8 @@ func (r *Registry) SaveAll(dir string, st *stats.Stats) error {
 		if err != nil {
 			return fmt.Errorf("engine: checkpoint scene %q: %w", jb.meta.name, err)
 		}
-		st.RecordCheckpoint(written)
+		st.Add(stats.EngineCheckpoints, 1)
+		st.Add(stats.EngineCheckpointBytes, written)
 	}
 	return nil
 }
@@ -132,10 +133,10 @@ func (r *Registry) LoadAll(dir string, st *stats.Stats) (int, error) {
 	var scenes []loaded
 	for _, path := range matches {
 		recs, rec, err := persist.ReadFile(path)
-		st.RecordRecovery(rec.Records, rec.TailTruncated, rec.Quarantined)
+		recordRecovery(st, rec)
 		if err != nil {
 			// Unreadable header: the file is not a checkpoint; skip it.
-			st.RecordRecovery(0, 0, 1)
+			st.Add(stats.EngineRecordsQuarantined, 1)
 			continue
 		}
 		if len(recs) < 2 {
@@ -144,12 +145,12 @@ func (r *Registry) LoadAll(dir string, st *stats.Stats) (int, error) {
 		}
 		meta, err := decodeCheckpointMeta(recs[0])
 		if err != nil {
-			st.RecordRecovery(0, 0, 1)
+			st.Add(stats.EngineRecordsQuarantined, 1)
 			continue
 		}
 		d, err := workload.Load(bytes.NewReader(recs[1]), false)
 		if err != nil {
-			st.RecordRecovery(0, 0, 1)
+			st.Add(stats.EngineRecordsQuarantined, 1)
 			continue
 		}
 		scenes = append(scenes, loaded{meta: meta, d: d})
@@ -169,6 +170,13 @@ func (r *Registry) LoadAll(dir string, st *stats.Stats) (int, error) {
 		n++
 	}
 	return n, nil
+}
+
+// recordRecovery adds one recovery scan's tallies to the engine rows.
+func recordRecovery(st *stats.Stats, rec persist.Recovery) {
+	st.Add(stats.EngineRecordsReplayed, rec.Records)
+	st.Add(stats.EngineTailsTruncated, rec.TailTruncated)
+	st.Add(stats.EngineRecordsQuarantined, rec.Quarantined)
 }
 
 // Checkpointer periodically checkpoints a registry to a data directory.

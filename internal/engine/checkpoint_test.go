@@ -40,8 +40,8 @@ func TestSaveAllLoadAllRoundtrip(t *testing.T) {
 		t.Fatalf("SaveAll: %v", err)
 	}
 	snap := st.Snapshot()
-	if snap.Checkpoints != 2 || snap.CheckpointBytes <= 0 {
-		t.Fatalf("checkpoint counters = %d / %d bytes", snap.Checkpoints, snap.CheckpointBytes)
+	if snap.Get(stats.EngineCheckpoints) != 2 || snap.Get(stats.EngineCheckpointBytes) <= 0 {
+		t.Fatalf("checkpoint counters = %d / %d bytes", snap.Get(stats.EngineCheckpoints), snap.Get(stats.EngineCheckpointBytes))
 	}
 
 	st2 := stats.New()
@@ -51,11 +51,11 @@ func TestSaveAllLoadAllRoundtrip(t *testing.T) {
 		t.Fatalf("LoadAll = %d, %v", n, err)
 	}
 	snap2 := st2.Snapshot()
-	if snap2.TailsTruncated != 0 || snap2.RecordsQuarantined != 0 {
+	if snap2.Get(stats.EngineTailsTruncated) != 0 || snap2.Get(stats.EngineRecordsQuarantined) != 0 {
 		t.Fatalf("clean load reported damage: %+v", snap2)
 	}
-	if snap2.RecordsReplayed != 4 { // 2 scenes × (meta + dataset)
-		t.Fatalf("RecordsReplayed = %d, want 4", snap2.RecordsReplayed)
+	if snap2.Get(stats.EngineRecordsReplayed) != 4 { // 2 scenes × (meta + dataset)
+		t.Fatalf("RecordsReplayed = %d, want 4", snap2.Get(stats.EngineRecordsReplayed))
 	}
 	// Order, shape, and content survive.
 	if def := reg2.Default(); def == nil || def.Name != "city" {
@@ -107,8 +107,8 @@ func TestLoadAllTornTailRecovers(t *testing.T) {
 		t.Fatalf("LoadAll = %d, %v", n, err)
 	}
 	snap := st2.Snapshot()
-	if snap.TailsTruncated != 1 {
-		t.Fatalf("TailsTruncated = %d, want 1", snap.TailsTruncated)
+	if snap.Get(stats.EngineTailsTruncated) != 1 {
+		t.Fatalf("TailsTruncated = %d, want 1", snap.Get(stats.EngineTailsTruncated))
 	}
 	// Nothing invented: the scene's content matches the original.
 	orig, _ := reg.Get("city")
@@ -188,7 +188,7 @@ func TestSceneWithoutDatasetSkipped(t *testing.T) {
 	if matches, _ := filepath.Glob(filepath.Join(dir, "scene-*")); len(matches) != 0 {
 		t.Fatalf("bare scene checkpointed: %v", matches)
 	}
-	if st.Snapshot().Checkpoints != 0 {
+	if st.Load(stats.EngineCheckpoints) != 0 {
 		t.Fatal("checkpoint counter moved for a bare scene")
 	}
 }
@@ -244,7 +244,7 @@ func TestSessionJournalParkTakeRestore(t *testing.T) {
 	if restored := j2.Restore(reg2); restored != 2 {
 		t.Fatalf("Restore = %d, want 2", restored)
 	}
-	if st2.Snapshot().RecordsReplayed == 0 {
+	if st2.Load(stats.EngineRecordsReplayed) == 0 {
 		t.Fatal("replay not counted")
 	}
 
@@ -318,7 +318,7 @@ func TestSessionJournalCompaction(t *testing.T) {
 			city.Resume.Take(i - 1)
 		}
 	}
-	if st.Snapshot().JournalCompactions == 0 {
+	if st.Load(stats.EngineJournalCompactions) == 0 {
 		t.Fatal("no compaction despite churn past the bound")
 	}
 	if size := j.j.Size(); size > 64*1024 {

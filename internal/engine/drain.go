@@ -57,7 +57,8 @@ func (r *Registry) SaveScene(dir, name string, st *stats.Stats) (string, error) 
 	if err != nil {
 		return "", fmt.Errorf("engine: checkpoint scene %q: %w", name, err)
 	}
-	st.RecordCheckpoint(written)
+	st.Add(stats.EngineCheckpoints, 1)
+	st.Add(stats.EngineCheckpointBytes, written)
 	return path, nil
 }
 

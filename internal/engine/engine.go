@@ -166,21 +166,19 @@ func (r *Registry) Build(cfg SceneConfig) (*Scene, error) {
 	if ps, ok := cfg.Source.(interface{ PagerStats() persist.PagerStats }); ok {
 		// An out-of-core source: surface its paging gauges so -stats-dump
 		// shows residency, faults, and pins per snapshot.
-		st.AddPagerSource(func() stats.PagerStats {
+		st.AddSource(func(v *stats.Values) {
 			p := ps.PagerStats()
-			return stats.PagerStats{
-				Faults:        p.Faults,
-				Hits:          p.Hits,
-				Evictions:     p.Evictions,
-				Pins:          p.Pins,
-				Retries:       p.Retries,
-				FaultErrors:   p.FaultErrors,
-				Quarantined:   p.Quarantined,
-				PagesResident: p.PagesResident,
-				PagesPinned:   p.PagesPinned,
-				ResidentBytes: p.ResidentBytes,
-				CacheBytes:    p.CacheBytes,
-			}
+			v[stats.PagerFaults] += p.Faults
+			v[stats.PagerHits] += p.Hits
+			v[stats.PagerEvictions] += p.Evictions
+			v[stats.PagerPins] += p.Pins
+			v[stats.PagerRetries] += p.Retries
+			v[stats.PagerFaultErrors] += p.FaultErrors
+			v[stats.PagerQuarantined] += p.Quarantined
+			v[stats.PagerPagesResident] += p.PagesResident
+			v[stats.PagerPagesPinned] += p.PagesPinned
+			v[stats.PagerResidentBytes] += p.ResidentBytes
+			v[stats.PagerCacheBytes] += p.CacheBytes
 		})
 	}
 	return sc, nil
@@ -213,20 +211,18 @@ func enableHotCache(sc *Scene, cfg hotcache.Config, st *stats.Stats) {
 		// making the hot-region LRU the paging policy for hot regions.
 		c.SetPinner(p)
 	}
-	st.AddHotCacheSource(func() stats.HotCacheStats {
+	st.AddSource(func(v *stats.Values) {
 		hs := c.Stats()
-		return stats.HotCacheStats{
-			Hits:          hs.Hits,
-			Misses:        hs.Misses,
-			Evictions:     hs.Evictions,
-			Invalidations: hs.Invalidations,
-			PinFails:      hs.PinFails,
-			Entries:       int64(hs.Entries),
-			Bytes:         hs.Bytes,
-			Subscribers:   hs.Subscribers,
-			SubRefreshes:  hs.SubRefreshes,
-			PayloadHits:   hs.PayloadHits,
-		}
+		v[stats.HotHits] += hs.Hits
+		v[stats.HotMisses] += hs.Misses
+		v[stats.HotEvictions] += hs.Evictions
+		v[stats.HotInvalidations] += hs.Invalidations
+		v[stats.HotPinFails] += hs.PinFails
+		v[stats.HotEntries] += int64(hs.Entries)
+		v[stats.HotBytes] += hs.Bytes
+		v[stats.HotSubscribers] += hs.Subscribers
+		v[stats.HotSubRefreshes] += hs.SubRefreshes
+		v[stats.HotPayloadHits] += hs.PayloadHits
 	})
 }
 
@@ -253,16 +249,14 @@ func enableCoalescer(sc *Scene, cfg retrieval.CoalescerConfig, st *stats.Stats) 
 	if co == nil {
 		return // index has no epochs; SetCoalescer declined
 	}
-	st.AddCoalescerSource(func() stats.CoalesceStats {
+	st.AddSource(func(v *stats.Values) {
 		cs := co.Stats()
-		return stats.CoalesceStats{
-			Routed:          cs.Routed,
-			Led:             cs.Led,
-			Shared:          cs.Shared,
-			BypassCollision: cs.BypassCollision,
-			BypassStale:     cs.BypassStale,
-			Flights:         int64(cs.Flights),
-		}
+		v[stats.CoalescerRouted] += cs.Routed
+		v[stats.CoalescerLed] += cs.Led
+		v[stats.CoalescerShared] += cs.Shared
+		v[stats.CoalescerBypassCollision] += cs.BypassCollision
+		v[stats.CoalescerBypassStale] += cs.BypassStale
+		v[stats.CoalescerFlights] += int64(cs.Flights)
 	})
 }
 

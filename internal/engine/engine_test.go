@@ -92,7 +92,7 @@ func TestRegistryBuildAndRouting(t *testing.T) {
 	sess := retrieval.NewSession(park.Server)
 	sess.Retrieve([]retrieval.SubQuery{{Region: park.Source.Bounds().XY(), WMin: 0, WMax: 1}})
 	snap := st.Snapshot()
-	if snap.Scenes["park"].Requests != 1 || snap.Scenes["park"].Coeffs == 0 {
+	if park := snap.Scenes["park"]; park[stats.SceneRequests] != 1 || park[stats.SceneCoeffs] == 0 {
 		t.Fatalf("park breakdown = %+v", snap.Scenes["park"])
 	}
 	if _, ok := snap.Scenes["city"]; ok {
@@ -192,18 +192,19 @@ func TestHotCacheWiring(t *testing.T) {
 		t.Fatal("second EnableHotCache replaced a wired cache")
 	}
 
-	subs := []retrieval.SubQuery{{Region: geom.R2(0, 0, 1000, 1000), WMin: 0, WMax: 1}}
-	sc.Server.Execute(subs, nil)
-	sc.Server.Execute(subs, nil)
-	sc.Server.Execute(subs, nil)
+	// Three asks on each scene: the rows sum both caches, each counted
+	// once — a cache registered twice, or not at all, moves the sums.
+	for _, s := range []*Scene{sc, other} {
+		subs := []retrieval.SubQuery{{Region: s.Source.Bounds().XY(), WMin: 0, WMax: 1}}
+		for i := 0; i < 3; i++ {
+			s.Server.Execute(subs, nil)
+		}
+	}
 	snap := st.Snapshot()
-	if snap.HotCaches != 2 {
-		t.Fatalf("HotCaches = %d, want 2", snap.HotCaches)
+	if n, e, h := snap.Get(stats.RetrievalFirstTouches), snap.Get(stats.HotEntries), snap.Get(stats.HotHits); n != 2 || e != 2 || h != 2 {
+		t.Fatalf("three asks on two scenes: %d first touches, %d entries, %d hits; want 2 of each", n, e, h)
 	}
-	if snap.FirstTouches != 1 || snap.Hot.Entries != 1 || snap.Hot.Hits != 1 {
-		t.Fatalf("three asks: %d first touches, hot cache %+v; want 1 first touch, 1 entry, 1 hit", snap.FirstTouches, snap.Hot)
-	}
-	if line := snap.String(); !strings.Contains(line, "hot cache") || !strings.Contains(line, "first touch 1") {
-		t.Fatalf("snapshot String omits the hot-cache section or the first-touch count: %s", line)
+	if line := snap.String(); !strings.Contains(line, "hotcache.hits 2") || !strings.Contains(line, "retrieval.first_touches 2") {
+		t.Fatalf("snapshot String omits the hot-cache or first-touch rows: %s", line)
 	}
 }

@@ -26,7 +26,7 @@ type ResumeEntry struct {
 	LastIDs []int64
 	// Restored marks an entry rebuilt from the durable session journal
 	// after a restart; the wire server counts the resume that consumes
-	// it (stats.RecordResumeRestored) and clears the flag.
+	// it (the proto.resumes_restored row) and clears the flag.
 	Restored bool
 	expires  time.Time
 }

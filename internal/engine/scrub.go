@@ -18,8 +18,8 @@ type PageVerifier interface {
 // StartScrubber runs store.VerifyPages on a ticker — the background
 // scrub cadence that keeps quarantine state converging with the actual
 // disk instead of only at boot (-verify-pages) or on demand. Each pass
-// is counted via stats.RecordScrub; passes that find corrupt pages (or
-// fail outright) are logged. The returned stop function is idempotent,
+// is counted in the engine.scrub_runs row; passes that find corrupt
+// pages (or fail outright) are logged. The returned stop function is idempotent,
 // halts the ticker, and waits for an in-flight pass to finish — call it
 // on shutdown before closing the store. interval <= 0 or a nil store
 // disables the scrubber (stop is still safe to call).
@@ -40,7 +40,7 @@ func StartScrubber(store PageVerifier, interval time.Duration, st *stats.Stats, 
 			select {
 			case <-t.C:
 				bad, err := store.VerifyPages()
-				st.RecordScrub()
+				st.Add(stats.EngineScrubRuns, 1)
 				switch {
 				case err != nil:
 					logf("scrub: pass failed: %v", err)

@@ -47,7 +47,7 @@ func TestScrubberTicks(t *testing.T) {
 	}
 	stop()
 
-	runs := st.Snapshot().ScrubRuns
+	runs := st.Load(stats.EngineScrubRuns)
 	if runs < 3 {
 		t.Fatalf("ScrubRuns = %d, want >= 3", runs)
 	}
@@ -92,7 +92,7 @@ func TestScrubberDisabled(t *testing.T) {
 	if fv.count() != 0 {
 		t.Fatalf("disabled scrubber ran %d passes", fv.count())
 	}
-	if runs := st.Snapshot().ScrubRuns; runs != 0 {
+	if runs := st.Load(stats.EngineScrubRuns); runs != 0 {
 		t.Fatalf("disabled scrubber recorded %d runs", runs)
 	}
 }

@@ -63,14 +63,14 @@ func OpenSessionJournal(path string, maxBytes int64, st *stats.Stats) (*SessionJ
 	if err != nil {
 		return nil, err
 	}
-	st.RecordRecovery(rec.Records, rec.TailTruncated, rec.Quarantined)
+	recordRecovery(st, rec)
 	s := &SessionJournal{j: j, live: make(map[uint64][]byte), max: maxBytes, st: st}
 	for _, payload := range recs {
 		kind, token, ok := peekRecord(payload)
 		if !ok {
 			// Passed the CRC but undecodable — treat like a quarantined
 			// record rather than trusting it.
-			st.RecordRecovery(0, 0, 1)
+			st.Add(stats.EngineRecordsQuarantined, 1)
 			continue
 		}
 		switch kind {
@@ -171,7 +171,7 @@ func (s *SessionJournal) maybeCompactLocked() {
 		payloads[i] = s.live[t]
 	}
 	if err := s.j.Rewrite(payloads); err == nil {
-		s.st.RecordCompaction()
+		s.st.Add(stats.EngineJournalCompactions, 1)
 	}
 }
 
@@ -195,7 +195,7 @@ func (s *SessionJournal) Restore(reg *Registry) int {
 	for _, p := range payloads {
 		park, err := decodePark(p)
 		if err != nil {
-			s.st.RecordRecovery(0, 0, 1)
+			s.st.Add(stats.EngineRecordsQuarantined, 1)
 			continue
 		}
 		sc, ok := reg.Get(park.scene)

@@ -16,8 +16,7 @@ func TestAblationGeneratorsComplete(t *testing.T) {
 }
 
 func TestAblIndexVariantShape(t *testing.T) {
-	skipIfShort(t)
-	tbl := AblIndexVariant(quickCfg())
+	tbl := quickTable(t, "abl-index")
 	if len(tbl.Series) != 3 {
 		t.Fatalf("series = %d", len(tbl.Series))
 	}
@@ -30,8 +29,7 @@ func TestAblIndexVariantShape(t *testing.T) {
 }
 
 func TestAblLayoutShape(t *testing.T) {
-	skipIfShort(t)
-	tbl := AblLayout(quickCfg())
+	tbl := quickTable(t, "abl-layout")
 	xyw := seriesByName(t, tbl, "xyw")
 	xyzw := seriesByName(t, tbl, "xyzw")
 	// The 3D layout the paper evaluates must not cost more I/O than the 4D
@@ -44,8 +42,7 @@ func TestAblLayoutShape(t *testing.T) {
 }
 
 func TestAblCompactnessShape(t *testing.T) {
-	skipIfShort(t)
-	tbl := AblCompactness(quickCfg())
+	tbl := quickTable(t, "abl-compactness")
 	wv := seriesByName(t, tbl, "wavelet")
 	pm := seriesByName(t, tbl, "progressive-mesh")
 	// Errors fall monotonically (within noise) for both encodings.
@@ -71,8 +68,7 @@ func TestAblCompactnessShape(t *testing.T) {
 }
 
 func TestAblPredictorRuns(t *testing.T) {
-	skipIfShort(t)
-	tbl := AblPredictor(quickCfg())
+	tbl := quickTable(t, "abl-predictor")
 	if len(tbl.Series) != 4 {
 		t.Fatalf("series = %d", len(tbl.Series))
 	}
@@ -86,8 +82,7 @@ func TestAblPredictorRuns(t *testing.T) {
 }
 
 func TestAblSectorsRuns(t *testing.T) {
-	skipIfShort(t)
-	tbl := AblSectors(quickCfg())
+	tbl := quickTable(t, "abl-sectors")
 	hit := seriesByName(t, tbl, "hit rate")
 	if len(hit.X) != 3 {
 		t.Fatalf("k sweep = %v", hit.X)

@@ -160,32 +160,32 @@ func RunABR(spec ABRSpec, w io.Writer) error {
 	fmt.Fprintf(w, "  frames %d in %v · %d coefficients · %d bytes · budget %d..%d B/frame\n",
 		tour.Len(), elapsed.Round(time.Millisecond), c.Coefficients, c.BytesReceived, minBudget, maxBudget)
 	fmt.Fprintf(w, "  estimator: bandwidth %d B/s · rtt %v · truncated %d responses (%d coeffs deferred)\n",
-		rc.ABR().Bandwidth(), rc.ABR().RTT().Round(time.Millisecond), ss.TruncatedResponses, ss.CoeffsDropped)
+		rc.ABR().Bandwidth(), rc.ABR().RTT().Round(time.Millisecond), ss.Get(stats.RetrievalTruncated), ss.Get(stats.RetrievalCoeffsDropped))
 
 	// Never-stalls, strictly: no frame needed a second attempt.
 	if rc.Retries != 0 || rc.Timeouts != 0 {
 		return fmt.Errorf("experiment: session stalled: %d retries, %d timeouts", rc.Retries, rc.Timeouts)
 	}
 	// Degradation engaged during the low phases.
-	if ss.TruncatedResponses == 0 {
+	if ss.Get(stats.RetrievalTruncated) == 0 {
 		return fmt.Errorf("experiment: throttle trace never forced a truncation")
 	}
 	// Exact reconciliation between the client's accounting and the
 	// server's budget counters.
-	if ss.BudgetRequests != int64(spec.Steps) {
-		return fmt.Errorf("experiment: server saw %d budgeted requests, client sent %d", ss.BudgetRequests, spec.Steps)
+	if n := ss.Get(stats.RetrievalBudgetRequests); n != int64(spec.Steps) {
+		return fmt.Errorf("experiment: server saw %d budgeted requests, client sent %d", n, spec.Steps)
 	}
-	if ss.BudgetBytesRequested != sumBudget {
-		return fmt.Errorf("experiment: server saw %d budget bytes requested, client asked %d", ss.BudgetBytesRequested, sumBudget)
+	if n := ss.Get(stats.RetrievalBudgetBytesAsked); n != sumBudget {
+		return fmt.Errorf("experiment: server saw %d budget bytes requested, client asked %d", n, sumBudget)
 	}
-	if ss.BudgetBytesServed != c.BytesReceived {
-		return fmt.Errorf("experiment: server served %d bytes, client received %d", ss.BudgetBytesServed, c.BytesReceived)
+	if n := ss.Get(stats.RetrievalBudgetBytesServed); n != c.BytesReceived {
+		return fmt.Errorf("experiment: server served %d bytes, client received %d", n, c.BytesReceived)
 	}
-	if cs.ABRBudget != lastBudget {
-		return fmt.Errorf("experiment: budget gauge %d, last frame budgeted %d", cs.ABRBudget, lastBudget)
+	if n := cs.Get(stats.ClientABRBudget); n != lastBudget {
+		return fmt.Errorf("experiment: budget gauge %d, last frame budgeted %d", n, lastBudget)
 	}
-	if cs.ABRBandwidth <= 0 || cs.ABRRTT < 0 {
-		return fmt.Errorf("experiment: estimator gauges unset (bw %d, rtt %v)", cs.ABRBandwidth, cs.ABRRTT)
+	if bw, rtt := cs.Get(stats.ClientABRBandwidth), cs.Get(stats.ClientABRRTTNs); bw <= 0 || rtt < 0 {
+		return fmt.Errorf("experiment: estimator gauges unset (bw %d, rtt %d ns)", bw, rtt)
 	}
 	fmt.Fprintf(w, "  acceptance OK: no stalls, every frame within budget, stats reconcile exactly\n")
 	return nil

@@ -221,6 +221,11 @@ func RunCluster(spec ClusterSpec, w io.Writer) error {
 	}
 	rc1.Close()
 	defer b2.Stop()
+	// The Bye reaches b2 through the gateway asynchronously; until b2
+	// drops the connection, the drain below would sever and ship it too.
+	if !waitUntil(2*time.Second, func() bool { return b2.Server().SceneConns(clusterScene) == 0 }) {
+		return fmt.Errorf("experiment: first client's session never closed on %s", a2)
+	}
 
 	// Phase 2: live drain onto an initially empty backend.
 	b3, err := cluster.StartBackend(cluster.BackendConfig{
@@ -263,13 +268,15 @@ func RunCluster(spec ClusterSpec, w io.Writer) error {
 
 	div1, div2 := diverged(oracle, rc1.Client()), diverged(oracle, rc2.Client())
 	gs := gwStats.Snapshot()
-	s1, s2, s3 := st1.Snapshot(), st2.Snapshot(), st3.Snapshot()
+	// Resumes served from restored state, per backend: killed, replica,
+	// drain adopter.
+	r1, r2, r3 := st1.Load(stats.ProtoResumesRestored), st2.Load(stats.ProtoResumesRestored), st3.Load(stats.ProtoResumesRestored)
 	var routes, probes, probeFails, failovers int64
 	for _, b := range gs.Backends {
-		routes += b.Routes
-		probes += b.Probes
-		probeFails += b.ProbeFails
-		failovers += b.Failovers
+		routes += b[stats.BackendRoutes]
+		probes += b[stats.BackendProbes]
+		probeFails += b[stats.BackendProbeFails]
+		failovers += b[stats.BackendFailovers]
 	}
 
 	fmt.Fprintf(w, "cluster: %d objects, two %d-step tram tours through the gateway, scene %q\n",
@@ -279,9 +286,9 @@ func RunCluster(spec ClusterSpec, w io.Writer) error {
 	fmt.Fprintf(w, "  phase 2 drain: %s -> %s at frame %d (severed %d, shipped %d, adopted %d, purged %d)\n",
 		rep.From, rep.To, k2, rep.Severed, rep.Shipped, rep.Adopted, rep.Purged)
 	fmt.Fprintf(w, "  gateway: routes %d · failovers %d · probes %d (failed %d) · drains %d · %v elapsed\n",
-		routes, failovers, probes, probeFails, gs.Drains, elapsed.Round(time.Millisecond))
+		routes, failovers, probes, probeFails, gs.Get(stats.ClusterDrains), elapsed.Round(time.Millisecond))
 	fmt.Fprintf(w, "  recovery: resumes %d+%d · re-plans %d+%d · journal-restored resumes %d · drain-shipped resumes %d\n",
-		rc1.Resumes, rc2.Resumes, rc1.Replans, rc2.Replans, s2.ResumesRestored, s3.ResumesRestored)
+		rc1.Resumes, rc2.Resumes, rc1.Replans, rc2.Replans, r2, r3)
 
 	if div1 > 0 || div2 > 0 {
 		fmt.Fprintf(w, "  convergence FAILED: %d+%d of %d objects diverged from the single-process oracle\n",
@@ -297,27 +304,27 @@ func RunCluster(spec ClusterSpec, w io.Writer) error {
 	if rc1.Resumes != 1 || rc2.Resumes != 1 {
 		return fmt.Errorf("experiment: resumes %d+%d, want exactly 1 per client", rc1.Resumes, rc2.Resumes)
 	}
-	if s2.ResumesRestored != 1 {
-		return fmt.Errorf("experiment: %d journal-restored resumes on the replica, want 1", s2.ResumesRestored)
+	if r2 != 1 {
+		return fmt.Errorf("experiment: %d journal-restored resumes on the replica, want 1", r2)
 	}
-	if s3.ResumesRestored != 1 {
-		return fmt.Errorf("experiment: %d drain-shipped resumes on the adopter, want 1", s3.ResumesRestored)
+	if r3 != 1 {
+		return fmt.Errorf("experiment: %d drain-shipped resumes on the adopter, want 1", r3)
 	}
-	if s1.ResumesRestored != 0 {
-		return fmt.Errorf("experiment: %d restored resumes on the killed backend", s1.ResumesRestored)
+	if r1 != 0 {
+		return fmt.Errorf("experiment: %d restored resumes on the killed backend", r1)
 	}
 	// Every resume in this harness crossed a kill or a drain, so the
 	// clients' resume counts and the backends' restored counts reconcile.
-	if total := s2.ResumesRestored + s3.ResumesRestored; total != rc1.Resumes+rc2.Resumes {
+	if total := r2 + r3; total != rc1.Resumes+rc2.Resumes {
 		return fmt.Errorf("experiment: %d restored resumes vs %d client resumes", total, rc1.Resumes+rc2.Resumes)
 	}
-	if gs.Drains != 1 {
-		return fmt.Errorf("experiment: %d drains recorded, want 1", gs.Drains)
+	if gs.Get(stats.ClusterDrains) != 1 {
+		return fmt.Errorf("experiment: %d drains recorded, want 1", gs.Get(stats.ClusterDrains))
 	}
-	if fo := gs.Backends[a1].Failovers; fo < 1 {
+	if fo := gs.Backends[a1][stats.BackendFailovers]; fo < 1 {
 		return fmt.Errorf("experiment: no failover recorded against the killed backend %s", a1)
 	}
-	if gs.Backends[a2].Probes < 1 {
+	if gs.Backends[a2][stats.BackendProbes] < 1 {
 		return fmt.Errorf("experiment: the recovered replica was never probed successfully")
 	}
 	return nil

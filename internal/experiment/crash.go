@@ -244,7 +244,9 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 
 	c := rc.Client()
 	div := diverged(oracle, c)
-	ss, cstats := stServer.Snapshot(), stClient.Snapshot()
+	ss := stServer.Snapshot()
+	restored := ss.Get(stats.ProtoResumesRestored)
+	faults := stClient.Load(stats.LinkFaults)
 	mode := "warm journal"
 	if spec.ColdJournal {
 		mode = "cold journal"
@@ -254,9 +256,10 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 	fmt.Fprintf(w, "  frames %d in %v · %d coefficients · %d connections · restarts %d\n",
 		soak.tour.Len(), elapsed.Round(time.Millisecond), c.Coefficients, dialer.Dials(), restarts)
 	fmt.Fprintf(w, "  durability: checkpoints %d (%d B) · replayed %d · tails truncated %d · quarantined %d · compactions %d\n",
-		ss.Checkpoints, ss.CheckpointBytes, ss.RecordsReplayed, ss.TailsTruncated, ss.RecordsQuarantined, ss.JournalCompactions)
+		ss.Get(stats.EngineCheckpoints), ss.Get(stats.EngineCheckpointBytes), ss.Get(stats.EngineRecordsReplayed),
+		ss.Get(stats.EngineTailsTruncated), ss.Get(stats.EngineRecordsQuarantined), ss.Get(stats.EngineJournalCompactions))
 	fmt.Fprintf(w, "  recovery: resumes %d · re-plans %d · restored-journal resumes %d · faults %d\n",
-		rc.Resumes, rc.Replans, ss.ResumesRestored, cstats.Faults)
+		rc.Resumes, rc.Replans, restored, faults)
 
 	if div > 0 {
 		fmt.Fprintf(w, "  convergence FAILED: %d/%d objects diverged from the crash-free oracle\n",
@@ -269,24 +272,24 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 	if restarts != spec.Kills {
 		return fmt.Errorf("experiment: %d restarts, expected %d", restarts, spec.Kills)
 	}
-	if ss.Checkpoints < 1 || ss.RecordsReplayed < 1 {
+	if ss.Get(stats.EngineCheckpoints) < 1 || ss.Get(stats.EngineRecordsReplayed) < 1 {
 		return fmt.Errorf("experiment: recovery never replayed a checkpoint (checkpoints %d, replayed %d)",
-			ss.Checkpoints, ss.RecordsReplayed)
+			ss.Get(stats.EngineCheckpoints), ss.Get(stats.EngineRecordsReplayed))
 	}
-	if ss.TailsTruncated < 1 {
+	if ss.Get(stats.EngineTailsTruncated) < 1 {
 		return fmt.Errorf("experiment: injected torn tail was never truncated")
 	}
-	if cstats.Faults == 0 {
+	if faults == 0 {
 		return fmt.Errorf("experiment: fault injection was inactive")
 	}
 	if spec.ColdJournal {
-		if ss.ResumesRestored != 0 {
-			return fmt.Errorf("experiment: %d restored resumes despite cold journal", ss.ResumesRestored)
+		if restored != 0 {
+			return fmt.Errorf("experiment: %d restored resumes despite cold journal", restored)
 		}
 		if rc.Replans < 1 {
 			return fmt.Errorf("experiment: cold journal forced no re-plan")
 		}
-	} else if ss.ResumesRestored < 1 {
+	} else if restored < 1 {
 		return fmt.Errorf("experiment: no resume was served from the recovered journal")
 	}
 	return nil

@@ -289,24 +289,26 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 	// Sessions close via Bye but the server goroutines race the soak
 	// body; wait for both gauges to drain before reading counters.
 	deadline := time.Now().Add(5 * time.Second)
-	for stCo.ActiveSessions() != 0 || stInd.ActiveSessions() != 0 {
+	for stCo.Load(stats.ProtoSessionsActive) != 0 || stInd.Load(stats.ProtoSessionsActive) != 0 {
 		if time.Now().After(deadline) {
 			return fmt.Errorf("experiment: sessions never drained (%d coalesced, %d independent active)",
-				stCo.ActiveSessions(), stInd.ActiveSessions())
+				stCo.Load(stats.ProtoSessionsActive), stInd.Load(stats.ProtoSessionsActive))
 		}
 		time.Sleep(time.Millisecond)
 	}
 
 	co, ind := stCo.Snapshot(), stInd.Snapshot()
-	cs := co.Coalesce
-	passes := co.FirstTouches + cs.Led + cs.BypassCollision + cs.BypassStale
+	firstTouches, subQueries, indSubQueries := co.Get(stats.RetrievalFirstTouches), co.Get(stats.RetrievalSubQueries), ind.Get(stats.RetrievalSubQueries)
+	routed, led, shared := co.Get(stats.CoalescerRouted), co.Get(stats.CoalescerLed), co.Get(stats.CoalescerShared)
+	collision, stale := co.Get(stats.CoalescerBypassCollision), co.Get(stats.CoalescerBypassStale)
+	passes := firstTouches + led + collision + stale
 	fmt.Fprintf(w, "crowd: %s, %d objects per scene, mid-soak epoch bump at step %d\n",
 		workload.CrowdSpec{Clients: spec.Clients, Steps: spec.Steps, Attractors: spec.Attractors, Overlap: spec.Overlap, Seed: spec.Seed},
 		spec.Objects, bumpAt)
 	fmt.Fprintf(w, "  coalescer: %d first touches · %d routed = %d led + %d shared + %d collision + %d stale -> %d index passes (independent: %d)\n",
-		co.FirstTouches, cs.Routed, cs.Led, cs.Shared, cs.BypassCollision, cs.BypassStale, passes, ind.SubQueries)
+		firstTouches, routed, led, shared, collision, stale, passes, indSubQueries)
 	fmt.Fprintf(w, "  hot regions: %d hits · %d sub refreshes · %d payload replays · %v elapsed\n",
-		co.Hot.Hits, co.Hot.SubRefreshes, co.Hot.PayloadHits, elapsed.Round(time.Millisecond))
+		co.Get(stats.HotHits), co.Get(stats.HotSubRefreshes), co.Get(stats.HotPayloadHits), elapsed.Round(time.Millisecond))
 
 	if diverged > 0 {
 		return fmt.Errorf("experiment: %d of %d frames diverged from the independent server",
@@ -316,25 +318,25 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 		spec.Clients*spec.Steps)
 
 	wantReq := int64(spec.Clients * spec.Steps)
-	if co.Requests != wantReq || ind.Requests != wantReq {
+	if co.Get(stats.RetrievalRequests) != wantReq || ind.Get(stats.RetrievalRequests) != wantReq {
 		return fmt.Errorf("experiment: requests %d coalesced / %d independent, want %d each",
-			co.Requests, ind.Requests, wantReq)
+			co.Get(stats.RetrievalRequests), ind.Get(stats.RetrievalRequests), wantReq)
 	}
-	if got := cs.Led + cs.Shared + cs.BypassCollision + cs.BypassStale; got != cs.Routed {
+	if got := led + shared + collision + stale; got != routed {
 		return fmt.Errorf("experiment: coalescer counters do not reconcile: %d routed vs %d accounted",
-			cs.Routed, got)
+			routed, got)
 	}
 	// Cross-layer reconciliation: both servers planned identical
 	// sub-queries, and on the coalesced side every one of them was a
 	// hot-cache hit, a first touch searched past both layers, or routed
 	// through the coalescer — exactly.
-	if co.SubQueries != ind.SubQueries {
+	if subQueries != indSubQueries {
 		return fmt.Errorf("experiment: sub-query plans diverged: %d coalesced vs %d independent",
-			co.SubQueries, ind.SubQueries)
+			subQueries, indSubQueries)
 	}
-	if co.Hot.Hits+co.FirstTouches+cs.Routed != co.SubQueries {
+	if co.Get(stats.HotHits)+firstTouches+routed != subQueries {
 		return fmt.Errorf("experiment: %d hot hits + %d first touches + %d routed != %d sub-queries",
-			co.Hot.Hits, co.FirstTouches, cs.Routed, co.SubQueries)
+			co.Get(stats.HotHits), firstTouches, routed, subQueries)
 	}
 	// The sharing gates only apply to a crowd that actually flocks; a
 	// zero-overlap soak is a pure no-regression identity check in which
@@ -343,25 +345,25 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 	// one leads the flight — every other member adopts the flight or hits
 	// the hot cache, whichever it races into.
 	if spec.Overlap > 0 {
-		if cs.Routed == 0 {
+		if routed == 0 {
 			return fmt.Errorf("experiment: nothing was routed through the coalescer")
 		}
-		if passes >= ind.SubQueries {
+		if passes >= indSubQueries {
 			return fmt.Errorf("experiment: coalesced serving spent %d index passes, independent %d — nothing shared",
-				passes, ind.SubQueries)
+				passes, indSubQueries)
 		}
-		if co.Hot.SubRefreshes == 0 {
+		if co.Get(stats.HotSubRefreshes) == 0 {
 			return fmt.Errorf("experiment: no hot-region refresh fanned out through a subscription")
 		}
-		if co.Hot.PayloadHits == 0 {
+		if co.Get(stats.HotPayloadHits) == 0 {
 			return fmt.Errorf("experiment: the multicast payload path never replayed a cached payload")
 		}
 	}
-	if co.Hot.Subscribers != 0 {
-		return fmt.Errorf("experiment: %d subscriptions leaked past session close", co.Hot.Subscribers)
+	if co.Get(stats.HotSubscribers) != 0 {
+		return fmt.Errorf("experiment: %d subscriptions leaked past session close", co.Get(stats.HotSubscribers))
 	}
-	if co.Errors != 0 || ind.Errors != 0 {
-		return fmt.Errorf("experiment: servers recorded %d+%d errors", co.Errors, ind.Errors)
+	if co.Get(stats.ProtoErrors) != 0 || ind.Get(stats.ProtoErrors) != 0 {
+		return fmt.Errorf("experiment: servers recorded %d+%d errors", co.Get(stats.ProtoErrors), ind.Get(stats.ProtoErrors))
 	}
 	fmt.Fprintf(w, "  acceptance OK: counters reconcile exactly, sharing and multicast engaged, subscriptions drained\n")
 	return nil

@@ -141,14 +141,14 @@ func RunCrowdBench(spec CrowdBenchSpec, jsonPath string, w io.Writer) (*CrowdBen
 			coMS := replay(srv)
 
 			cs := srv.Coalescer().Stats()
-			subq := stInd.Snapshot().SubQueries
-			snapCo := stCo.Snapshot()
-			if snapCo.SubQueries != subq {
-				return nil, fmt.Errorf("experiment: sub-query volume diverged: %d coalesced vs %d independent", snapCo.SubQueries, subq)
+			subq, subqCo := stInd.Load(stats.RetrievalSubQueries), stCo.Load(stats.RetrievalSubQueries)
+			touches := stCo.Load(stats.RetrievalFirstTouches)
+			if subqCo != subq {
+				return nil, fmt.Errorf("experiment: sub-query volume diverged: %d coalesced vs %d independent", subqCo, subq)
 			}
-			if snapCo.FirstTouches+cs.Routed != subq {
+			if touches+cs.Routed != subq {
 				return nil, fmt.Errorf("experiment: %d first touches + %d routed of %d sub-queries — the coalescer was bypassed",
-					snapCo.FirstTouches, cs.Routed, subq)
+					touches, cs.Routed, subq)
 			}
 			if got := cs.Led + cs.Shared + cs.BypassCollision + cs.BypassStale; got != cs.Routed {
 				return nil, fmt.Errorf("experiment: coalescer counters do not reconcile: %d routed vs %d accounted", cs.Routed, got)
@@ -157,7 +157,7 @@ func RunCrowdBench(spec CrowdBenchSpec, jsonPath string, w io.Writer) (*CrowdBen
 				Clients:         clients,
 				Overlap:         overlap,
 				SubQueries:      subq,
-				CoalescedPasses: snapCo.FirstTouches + cs.Led + cs.BypassCollision + cs.BypassStale,
+				CoalescedPasses: touches + cs.Led + cs.BypassCollision + cs.BypassStale,
 				Shared:          cs.Shared,
 				IndependentMS:   float64(indMS.Microseconds()) / 1000,
 				CoalescedMS:     float64(coMS.Microseconds()) / 1000,

@@ -116,8 +116,9 @@ func teleport(c *proto.Client, space geom.Rect2) error {
 //     both sides;
 //   - the pager counters reconcile exactly (pins = hits + faults,
 //     resident = faults − evictions, zero pinned at rest, exactly one
-//     quarantine event, retries and fault errors observed) and the
-//     serving stats counted the withheld coefficients.
+//     quarantine event, retries and fault errors observed), the
+//     serving stats counted the withheld coefficients, and the disk.faults
+//     row equals the faults faultdisk injected.
 func RunDiskFault(spec DiskFaultSpec, w io.Writer) error {
 	spec = spec.fill()
 
@@ -324,7 +325,7 @@ func RunDiskFault(spec DiskFaultSpec, w io.Writer) error {
 	if preHealWithheld == 0 {
 		return fmt.Errorf("experiment: wholesale window withheld nothing despite a quarantined page")
 	}
-	if got := stFaulty.Snapshot().CoeffsWithheld; got == 0 {
+	if got := stFaulty.Load(stats.RetrievalCoeffsWithheld) + stFaulty.Load(stats.ProtoCoeffsWithheld); got == 0 {
 		return fmt.Errorf("experiment: serving stats counted no withheld coefficients")
 	}
 
@@ -400,6 +401,9 @@ func RunDiskFault(spec DiskFaultSpec, w io.Writer) error {
 	}
 	if st.Quarantined != 1 {
 		return fmt.Errorf("experiment: %d quarantine events at rest, want exactly 1", st.Quarantined)
+	}
+	if got := stFaulty.Load(stats.DiskFaults); got != counters.Total() {
+		return fmt.Errorf("experiment: disk.faults %d, faultdisk injected %d", got, counters.Total())
 	}
 	if st.Retries == 0 || st.FaultErrors == 0 {
 		return fmt.Errorf("experiment: retries %d / fault errors %d — the fault path was not exercised",

@@ -5,9 +5,6 @@ import (
 	"testing"
 )
 
-// quickCfg keeps experiment tests fast while still exercising the full
-// pipelines.
-
 // skipIfShort honors `go test -short`: the figure pipelines build
 // datasets and indexes and are the slow part of the suite.
 func skipIfShort(t *testing.T) {
@@ -17,6 +14,8 @@ func skipIfShort(t *testing.T) {
 	}
 }
 
+// quickCfg keeps experiment tests fast while still exercising the full
+// pipelines.
 func quickCfg() Config {
 	return Config{Quick: true, Seed: 1}
 }
@@ -86,8 +85,7 @@ func seriesByName(t *testing.T, tbl *Table, name string) Series {
 }
 
 func TestFig8Shape(t *testing.T) {
-	skipIfShort(t)
-	tbl := Fig8(quickCfg())
+	tbl := quickTable(t, "fig8")
 	if len(tbl.Series) != 2 {
 		t.Fatalf("series = %d", len(tbl.Series))
 	}
@@ -101,8 +99,7 @@ func TestFig8Shape(t *testing.T) {
 }
 
 func TestFig9aShape(t *testing.T) {
-	skipIfShort(t)
-	tbl := Fig9a(quickCfg())
+	tbl := quickTable(t, "fig9a")
 	if len(tbl.Series) != 4 {
 		t.Fatalf("series = %d", len(tbl.Series))
 	}
@@ -117,8 +114,7 @@ func TestFig9aShape(t *testing.T) {
 }
 
 func TestFig9bShape(t *testing.T) {
-	skipIfShort(t)
-	tbl := Fig9b(quickCfg())
+	tbl := quickTable(t, "fig9b")
 	if len(tbl.Series) != 4 {
 		t.Fatalf("series = %d", len(tbl.Series))
 	}
@@ -130,9 +126,7 @@ func TestFig9bShape(t *testing.T) {
 }
 
 func TestFig10Shapes(t *testing.T) {
-	skipIfShort(t)
-	cfg := quickCfg()
-	hit := Fig10a(cfg)
+	hit := quickTable(t, "fig10a")
 	if len(hit.Series) != 4 {
 		t.Fatalf("fig10a series = %d", len(hit.Series))
 	}
@@ -151,7 +145,7 @@ func TestFig10Shapes(t *testing.T) {
 		t.Errorf("motion-aware hit rate %v well below naive %v", ma.Y, nv.Y)
 	}
 
-	util := Fig10b(cfg)
+	util := quickTable(t, "fig10b")
 	mu := seriesByName(t, util, "motion-aware/tram")
 	nu := seriesByName(t, util, "naive-uniform/tram")
 	// Individual points are noisy at the tightest buffers; the paper's
@@ -162,8 +156,7 @@ func TestFig10Shapes(t *testing.T) {
 }
 
 func TestFig12Shape(t *testing.T) {
-	skipIfShort(t)
-	tbl := Fig12(quickCfg())
+	tbl := quickTable(t, "fig12")
 	ma := seriesByName(t, tbl, "motion-aware")
 	nv := seriesByName(t, tbl, "naive")
 	// I/O falls with speed for the motion-aware index and the naive index
@@ -179,9 +172,7 @@ func TestFig12Shape(t *testing.T) {
 }
 
 func TestFig13Shapes(t *testing.T) {
-	skipIfShort(t)
-	cfg := quickCfg()
-	a := Fig13a(cfg)
+	a := quickTable(t, "fig13a")
 	ma := seriesByName(t, a, "motion-aware")
 	nv := seriesByName(t, a, "naive")
 	// Costs grow with query size; naive stays above.
@@ -194,7 +185,7 @@ func TestFig13Shapes(t *testing.T) {
 		}
 	}
 
-	b := Fig13b(cfg)
+	b := quickTable(t, "fig13b")
 	mb := seriesByName(t, b, "motion-aware")
 	if mb.Y[len(mb.Y)-1] < mb.Y[0] {
 		t.Errorf("io fell with dataset size: %v", mb.Y)
@@ -202,8 +193,7 @@ func TestFig13Shapes(t *testing.T) {
 }
 
 func TestFig14Shape(t *testing.T) {
-	skipIfShort(t)
-	tbl := Fig14(quickCfg())
+	tbl := quickTable(t, "fig14")
 	if len(tbl.Series) != 4 {
 		t.Fatalf("series = %d", len(tbl.Series))
 	}

@@ -118,9 +118,10 @@ func RunFault(spec FaultSpec, w io.Writer) error {
 	fmt.Fprintf(w, "  frames %d in %v · %d coefficients · %d bytes\n",
 		soak.tour.Len(), elapsed.Round(time.Millisecond), c.Coefficients, c.BytesReceived)
 	fmt.Fprintf(w, "  faults injected %d · connections %d · retries %d (%d timeouts)\n",
-		cs.Faults, dialer.Dials(), cs.Retries, cs.Timeouts)
+		cs.Get(stats.LinkFaults), dialer.Dials(), cs.Get(stats.ClientRetries), cs.Get(stats.ClientTimeouts))
 	fmt.Fprintf(w, "  resume %d/%d hit/miss (server view %d/%d) · degraded %d (floor %.2f)\n",
-		cs.ResumeHits, cs.ResumeMisses, ss.ResumeHits, ss.ResumeMisses, cs.Degraded, rc.DegradeFloor())
+		cs.Get(stats.ClientResumes), cs.Get(stats.ClientReplans), ss.Get(stats.ProtoResumeHits), ss.Get(stats.ProtoResumeMisses),
+		cs.Get(stats.ClientDegraded), rc.DegradeFloor())
 	if n := diverged(oracle, c); n > 0 {
 		fmt.Fprintf(w, "  convergence FAILED: %d/%d objects diverged from the fault-free oracle\n",
 			n, len(oracle.Objects()))
@@ -128,7 +129,7 @@ func RunFault(spec FaultSpec, w io.Writer) error {
 	}
 	fmt.Fprintf(w, "  convergence OK: all %d objects byte-identical to the fault-free oracle\n",
 		len(oracle.Objects()))
-	if cs.Faults == 0 {
+	if cs.Get(stats.LinkFaults) == 0 {
 		return fmt.Errorf("experiment: fault injection was inactive")
 	}
 	return nil

@@ -108,7 +108,8 @@ func New(r io.ReaderAt, cfg Config) *Reader {
 	return d
 }
 
-// SetStats directs injected-fault counts into st (nil disables).
+// SetStats counts injected faults in st's disk.faults row (nil
+// disables).
 func (d *Reader) SetStats(st *stats.Stats) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -192,14 +193,6 @@ func (d *Reader) Counters() Counters {
 	return d.n
 }
 
-// fault records one injected fault with the stats collector, if any.
-// Called with d.mu held; stats counters are wait-free atomics.
-func (d *Reader) faultLocked() {
-	if d.st != nil {
-		d.st.RecordFault()
-	}
-}
-
 // readPlan is the injection decision for one ReadAt, taken under the
 // mutex; the underlying positioned read happens outside it.
 type readPlan struct {
@@ -227,21 +220,21 @@ func (d *Reader) plan(reqLen int) readPlan {
 	if d.errAt > 0 && d.errAt > start && d.errAt <= d.readBytes {
 		d.errAt = d.readBytes + drawOffset(d.rng, d.cfg.ErrAfterMin, d.cfg.ErrAfterMax)
 		d.n.Errs++
-		d.faultLocked()
+		d.st.Add(stats.DiskFaults, 1)
 		p.fail = true
 		return p
 	}
 	if d.tornAt > 0 && d.tornAt > start && d.tornAt <= d.readBytes {
 		d.tornAt = d.readBytes + drawOffset(d.rng, d.cfg.TornAfterMin, d.cfg.TornAfterMax)
 		d.n.Torn++
-		d.faultLocked()
+		d.st.Add(stats.DiskFaults, 1)
 		p.torn = true
 	}
 	if d.flipAt > 0 && d.flipAt > start && d.flipAt <= d.readBytes {
 		p.flip = d.flipAt - start - 1
 		d.flipAt = d.readBytes + drawOffset(d.rng, d.cfg.FlipAfterMin, d.cfg.FlipAfterMax)
 		d.n.Flips++
-		d.faultLocked()
+		d.st.Add(stats.DiskFaults, 1)
 	}
 	return p
 }
@@ -270,7 +263,7 @@ func (d *Reader) applyCorrupt(p []byte, off int64, n int) {
 	}
 	if touched {
 		d.n.CorruptReads++
-		d.faultLocked()
+		d.st.Add(stats.DiskFaults, 1)
 	}
 }
 

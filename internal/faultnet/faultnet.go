@@ -83,7 +83,7 @@ type Conn struct {
 }
 
 // Wrap applies the config to an established connection. The stats
-// collector (may be nil) counts injected faults.
+// collector (may be nil) counts injected faults in its link.faults row.
 func Wrap(conn net.Conn, cfg Config, st *stats.Stats) *Conn {
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	c := &Conn{Conn: conn, cfg: cfg, st: st, rng: rng}
@@ -108,11 +108,6 @@ func drawOffset(rng *rand.Rand, min, max int64) int64 {
 		max = min
 	}
 	return min + rng.Int63n(max-min+1)
-}
-
-// fault records one injected fault.
-func (c *Conn) fault() {
-	c.st.RecordFault()
 }
 
 // throttle spends the pacing budget for n bytes at the link's current
@@ -174,7 +169,7 @@ func (c *Conn) corrupt(buf []byte) {
 	}
 	buf[c.corruptAt-start-1] ^= 0x80
 	c.corruptAt = c.readBytes + drawOffset(c.rng, c.cfg.CorruptAfterMin, c.cfg.CorruptAfterMax)
-	c.fault()
+	c.st.Add(stats.LinkFaults, 1)
 }
 
 func (c *Conn) Write(p []byte) (int, error) {
@@ -211,7 +206,7 @@ func (c *Conn) Write(p []byte) (int, error) {
 // drop kills the connection, counting the fault once.
 func (c *Conn) drop() {
 	if c.dropped.CompareAndSwap(false, true) {
-		c.fault()
+		c.st.Add(stats.LinkFaults, 1)
 		c.Conn.Close()
 	}
 }
@@ -238,7 +233,8 @@ func NewDialer(addr string, cfg Config) *Dialer {
 	return &Dialer{addr: addr, cfg: cfg, rng: rand.New(rand.NewSource(cfg.Seed))}
 }
 
-// SetStats directs injected-fault counts into st (nil disables).
+// SetStats counts injected faults in st's link.faults row (nil
+// disables).
 func (d *Dialer) SetStats(st *stats.Stats) { d.st = st }
 
 // Dials returns how many connections the dialer has opened.

@@ -91,8 +91,8 @@ func TestDropAfterBytes(t *testing.T) {
 	if len(got) != 100 {
 		t.Fatalf("peer received %d bytes, want 100", len(got))
 	}
-	if st.Snapshot().Faults != 1 {
-		t.Fatalf("faults = %d, want 1", st.Snapshot().Faults)
+	if st.Load(stats.LinkFaults) != 1 {
+		t.Fatalf("faults = %d, want 1", st.Load(stats.LinkFaults))
 	}
 }
 
@@ -127,8 +127,8 @@ func TestCorruptFlipsOneBit(t *testing.T) {
 	if diffs != 1 {
 		t.Fatalf("%d bytes corrupted, want exactly 1", diffs)
 	}
-	if st.Snapshot().Faults != 1 {
-		t.Fatalf("faults = %d, want 1", st.Snapshot().Faults)
+	if st.Load(stats.LinkFaults) != 1 {
+		t.Fatalf("faults = %d, want 1", st.Load(stats.LinkFaults))
 	}
 }
 

@@ -272,7 +272,9 @@ func (s *Sharded) SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, int64)
 		var sio int64
 		buf, sio = sh.tree.SearchInto(qr, &cur.rt, buf)
 		sh.mu.RUnlock()
-		s.st.RecordShard(i, sio)
+		row := s.st.Shard(i)
+		row.Add(stats.ShardSearches, 1)
+		row.Add(stats.ShardNodeIO, sio)
 		io += sio
 	}
 	sortIDs(buf[start:], &cur.tmp)

@@ -211,11 +211,12 @@ func TestShardedStatsWiring(t *testing.T) {
 	var sumIO int64
 	for k, sh := range snap.Shards {
 		tree := idx.shards[k].tree.Stats()
-		if sh.Searches != wantSearches[k] || sh.Searches != tree.Queries || sh.IO != tree.NodesRead {
+		searches, io := sh[stats.ShardSearches], sh[stats.ShardNodeIO]
+		if searches != wantSearches[k] || searches != tree.Queries || io != tree.NodesRead {
 			t.Fatalf("shard %d: recorded %d searches io %d; overlapped %d queries, tree counted %d searches io %d",
-				k, sh.Searches, sh.IO, wantSearches[k], tree.Queries, tree.NodesRead)
+				k, searches, io, wantSearches[k], tree.Queries, tree.NodesRead)
 		}
-		sumIO += sh.IO
+		sumIO += io
 	}
 	if sumIO != totalIO {
 		t.Fatalf("shard rows sum to io %d, searches reported %d", sumIO, totalIO)

@@ -88,7 +88,7 @@ func TestBudgetedFrameServedFromHotPayload(t *testing.T) {
 	if got := hot.Stats().PayloadHits; got < 1 {
 		t.Fatal("non-truncated budgeted frame did not replay the cached payload")
 	}
-	if got := st.Snapshot().HotBypassBudget; got != 0 {
+	if got := st.Load(stats.ProtoHotBudgetBypasses); got != 0 {
 		t.Fatalf("non-truncated budgeted frames recorded %d budget bypasses", got)
 	}
 }
@@ -121,7 +121,7 @@ func TestBudgetedTruncationBypassesHotPayload(t *testing.T) {
 	if firstTouch.Dropped == 0 {
 		t.Fatal("half-universe budget did not truncate the first-touch frame")
 	}
-	if got := st.Snapshot().HotBypassBudget; got != 0 {
+	if got := st.Load(stats.ProtoHotBudgetBypasses); got != 0 {
 		t.Fatalf("a truncated first touch recorded %d budget bypasses", got)
 	}
 	_, truncated := rawExchange(t, addr, func(w *Writer) error {
@@ -133,7 +133,7 @@ func TestBudgetedTruncationBypassesHotPayload(t *testing.T) {
 	if int64(len(truncated.Coeffs))*wavelet.WireBytes > budget {
 		t.Fatalf("truncated frame overflows its budget: %d coeffs", len(truncated.Coeffs))
 	}
-	if got := st.Snapshot().HotBypassBudget; got != 1 {
+	if got := st.Load(stats.ProtoHotBudgetBypasses); got != 1 {
 		t.Fatalf("HotBypassBudget = %d, want 1", got)
 	}
 	if got := hot.Stats().PayloadHits; got != 0 {

@@ -222,10 +222,11 @@ func (rc *ResilientClient) connect() (err error) {
 	}
 	if resumed {
 		rc.Resumes++
+		rc.cfg.Stats.Add(stats.ClientResumes, 1)
 	} else {
 		rc.Replans++
+		rc.cfg.Stats.Add(stats.ClientReplans, 1)
 	}
-	rc.cfg.Stats.RecordResume(resumed)
 	rc.dead = false
 	return nil
 }
@@ -259,7 +260,9 @@ func (rc *ResilientClient) Frame(q geom.Rect2, speed float64) (int, error) {
 			// response applied — exactly the linear link model the
 			// estimator fits.
 			budget := rc.abr.Budget()
-			rc.cfg.Stats.SetABR(rc.abr.Bandwidth(), rc.abr.RTT(), budget)
+			rc.cfg.Stats.Set(stats.ClientABRBandwidth, rc.abr.Bandwidth())
+			rc.cfg.Stats.Set(stats.ClientABRRTTNs, int64(rc.abr.RTT()))
+			rc.cfg.Stats.Set(stats.ClientABRBudget, budget)
 			start := time.Now()
 			n, _, err = rc.c.FrameBudget(q, speed, budget, rc.abr.Rings())
 			if err == nil {
@@ -287,7 +290,8 @@ func (rc *ResilientClient) backoff(attempt int) {
 		d = rc.cfg.BackoffMax
 	}
 	d += time.Duration(rc.rng.Int63n(int64(d)/2 + 1))
-	rc.cfg.Stats.RecordRetry(d)
+	rc.cfg.Stats.Add(stats.ClientRetries, 1)
+	rc.cfg.Stats.Observe(stats.ClientBackoffNs, int64(d))
 	rc.Retries++
 	rc.cfg.sleep(d)
 }
@@ -301,7 +305,7 @@ func (rc *ResilientClient) noteFailure(err error) {
 	rc.dead = true
 	if ne, ok := err.(net.Error); ok && ne.Timeout() {
 		rc.Timeouts++
-		rc.cfg.Stats.RecordTimeout()
+		rc.cfg.Stats.Add(stats.ClientTimeouts, 1)
 		if rc.abr != nil {
 			// No transfer sample arrived; apply the multiplicative
 			// decrease so the next frame's budget halves.
@@ -315,7 +319,7 @@ func (rc *ResilientClient) noteFailure(err error) {
 				if rc.floor > 1 {
 					rc.floor = 1
 				}
-				rc.cfg.Stats.RecordDegraded()
+				rc.cfg.Stats.Add(stats.ClientDegraded, 1)
 			}
 		}
 	}

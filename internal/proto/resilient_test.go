@@ -121,14 +121,14 @@ func TestFaultRecoveryConvergence(t *testing.T) {
 	}
 
 	// The link actually misbehaved.
-	if faults := stClient.Snapshot().Faults; faults == 0 {
+	if faults := stClient.Load(stats.LinkFaults); faults == 0 {
 		t.Fatal("no faults injected; the test exercised nothing")
 	}
 	if dialer.Dials() < 2 {
 		t.Fatalf("client never reconnected (%d dials)", dialer.Dials())
 	}
 	t.Logf("faults=%d dials=%d retries=%d resumes=%d replans=%d",
-		stClient.Snapshot().Faults, dialer.Dials(), rc.Retries, rc.Resumes, rc.Replans)
+		stClient.Load(stats.LinkFaults), dialer.Dials(), rc.Retries, rc.Resumes, rc.Replans)
 
 	// Convergence: every object's reconstruction is byte-identical to the
 	// fault-free oracle's.
@@ -162,20 +162,21 @@ func TestFaultRecoveryConvergence(t *testing.T) {
 	// exactly; the server may have answered resume attempts whose replies
 	// were lost in transit, so its view is an upper bound.
 	cs, ss := stClient.Snapshot(), stServer.Snapshot()
-	if cs.ResumeHits != rc.Resumes || cs.ResumeMisses != rc.Replans {
+	if cs.Get(stats.ClientResumes) != rc.Resumes || cs.Get(stats.ClientReplans) != rc.Replans {
 		t.Fatalf("client stats %d/%d hit/miss, client counted %d/%d",
-			cs.ResumeHits, cs.ResumeMisses, rc.Resumes, rc.Replans)
+			cs.Get(stats.ClientResumes), cs.Get(stats.ClientReplans), rc.Resumes, rc.Replans)
 	}
-	if ss.ResumeHits < rc.Resumes {
-		t.Fatalf("server confirmed %d resumes, client saw %d", ss.ResumeHits, rc.Resumes)
+	hits, misses := ss.Get(stats.ProtoResumeHits), ss.Get(stats.ProtoResumeMisses)
+	if hits < rc.Resumes {
+		t.Fatalf("server confirmed %d resumes, client saw %d", hits, rc.Resumes)
 	}
-	if ss.ResumeHits+ss.ResumeMisses < rc.Resumes+rc.Replans {
+	if hits+misses < rc.Resumes+rc.Replans {
 		t.Fatalf("server answered %d resume attempts, client completed %d",
-			ss.ResumeHits+ss.ResumeMisses, rc.Resumes+rc.Replans)
+			hits+misses, rc.Resumes+rc.Replans)
 	}
-	if cs.Retries != rc.Retries || cs.Timeouts != rc.Timeouts {
+	if cs.Get(stats.ClientRetries) != rc.Retries || cs.Get(stats.ClientTimeouts) != rc.Timeouts {
 		t.Fatalf("client stats retries/timeouts %d/%d, client counted %d/%d",
-			cs.Retries, cs.Timeouts, rc.Retries, rc.Timeouts)
+			cs.Get(stats.ClientRetries), cs.Get(stats.ClientTimeouts), rc.Retries, rc.Timeouts)
 	}
 }
 
@@ -309,7 +310,7 @@ func TestResumeMissReplans(t *testing.T) {
 			}
 		}
 	}
-	if ss := stServer.Snapshot(); ss.ResumeMisses == 0 {
+	if stServer.Load(stats.ProtoResumeMisses) == 0 {
 		t.Fatal("server recorded no resume miss")
 	}
 	c.Close()
@@ -337,8 +338,8 @@ func TestServerShedsAtSessionLimit(t *testing.T) {
 	if !strings.Contains(err.Error(), "busy") {
 		t.Fatalf("shed error not surfaced to the client: %v", err)
 	}
-	if st.Snapshot().Shed != 1 {
-		t.Fatalf("shed = %d, want 1", st.Snapshot().Shed)
+	if st.Load(stats.ProtoShed) != 1 {
+		t.Fatalf("shed = %d, want 1", st.Load(stats.ProtoShed))
 	}
 }
 
@@ -483,12 +484,12 @@ func TestDegradedModeRaisesFloor(t *testing.T) {
 		t.Fatalf("mapSpeed(0) = %v below the degraded floor %v", w, rc.DegradeFloor())
 	}
 	s := st.Snapshot()
-	if s.Timeouts < 2 || s.Degraded < 1 || s.Retries < 2 {
+	if s.Get(stats.ClientTimeouts) < 2 || s.Get(stats.ClientDegraded) < 1 || s.Get(stats.ClientRetries) < 2 {
 		t.Fatalf("stats %+v missing timeout/degraded/retry counts", s)
 	}
-	if rc.Timeouts != s.Timeouts || rc.Retries != s.Retries {
+	if rc.Timeouts != s.Get(stats.ClientTimeouts) || rc.Retries != s.Get(stats.ClientRetries) {
 		t.Fatalf("client totals %d/%d disagree with stats %d/%d",
-			rc.Timeouts, rc.Retries, s.Timeouts, s.Retries)
+			rc.Timeouts, rc.Retries, s.Get(stats.ClientTimeouts), s.Get(stats.ClientRetries))
 	}
 }
 

@@ -82,10 +82,10 @@ func TestSceneRouting(t *testing.T) {
 
 	// The request landed in beta's breakdown, not alpha's.
 	snap := st.Snapshot()
-	if snap.Scenes["beta"].Requests != 1 {
+	if snap.Scenes["beta"][stats.SceneRequests] != 1 {
 		t.Fatalf("beta breakdown = %+v", snap.Scenes["beta"])
 	}
-	if snap.Scenes["alpha"].Requests != 0 {
+	if snap.Scenes["alpha"][stats.SceneRequests] != 0 {
 		t.Fatalf("alpha breakdown = %+v", snap.Scenes["alpha"])
 	}
 
@@ -140,8 +140,8 @@ func TestSceneResumeAfterReconnect(t *testing.T) {
 		t.Fatalf("resumed session re-delivered %d coefficients", n)
 	}
 	c.Close()
-	if snap := st.Snapshot(); snap.ResumeHits != 1 {
-		t.Fatalf("resume hits = %d", snap.ResumeHits)
+	if hits := st.Load(stats.ProtoResumeHits); hits != 1 {
+		t.Fatalf("resume hits = %d", hits)
 	}
 }
 

@@ -192,7 +192,7 @@ func (s *Server) Serve(lis net.Listener) error {
 // sanitized error so well-behaved clients can back off and retry.
 func (s *Server) shed(conn net.Conn) {
 	defer conn.Close()
-	s.st.RecordShed()
+	s.st.Add(stats.ProtoShed, 1)
 	s.logf("proto: shedding %v at session limit %d", conn.RemoteAddr(), s.maxSessions)
 	conn.SetWriteDeadline(time.Now().Add(2 * time.Second))
 	NewWriter(conn).WriteError("server busy: session limit reached")
@@ -320,8 +320,9 @@ func (s *Server) handle(conn net.Conn) {
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
-	s.st.SessionOpened()
-	defer s.st.SessionClosed()
+	s.st.Add(stats.ProtoSessionsOpened, 1)
+	s.st.Add(stats.ProtoSessionsActive, 1)
+	defer s.st.Add(stats.ProtoSessionsActive, -1)
 	w := NewWriter(conn)
 	r := NewReader(conn)
 
@@ -336,7 +337,7 @@ func (s *Server) handle(conn net.Conn) {
 	s.setConnScene(conn, scene.Name)
 	token := newToken()
 	if err := s.sendHello(conn, w, scene, token); err != nil {
-		s.st.RecordError()
+		s.st.Add(stats.ProtoErrors, 1)
 		s.logf("proto: hello to %v failed: %v", conn.RemoteAddr(), err)
 		return
 	}
@@ -388,7 +389,7 @@ func (s *Server) handle(conn net.Conn) {
 		tag, err := r.ReadTag()
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
-				s.st.RecordError()
+				s.st.Add(stats.ProtoErrors, 1)
 				s.logf("proto: read from %v failed: %v", conn.RemoteAddr(), err)
 			}
 			return
@@ -402,7 +403,7 @@ func (s *Server) handle(conn net.Conn) {
 		case TagScene:
 			name, err := r.ReadSceneSelect()
 			if err != nil {
-				s.st.RecordError()
+				s.st.Add(stats.ProtoErrors, 1)
 				s.logf("proto: bad scene select from %v: %v", conn.RemoteAddr(), err)
 				s.setWriteDeadline(conn)
 				if werr := w.WriteError(SanitizeWireError(err)); werr != nil {
@@ -413,7 +414,7 @@ func (s *Server) handle(conn net.Conn) {
 			if started {
 				// Switching scenes would graft one scene's delivered-set onto
 				// another's id space; refuse and drop the connection.
-				s.st.RecordError()
+				s.st.Add(stats.ProtoErrors, 1)
 				s.logf("proto: %v selected scene %q after session start", conn.RemoteAddr(), name)
 				s.setWriteDeadline(conn)
 				if werr := w.WriteError("scene select after session start"); werr != nil {
@@ -423,7 +424,7 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			next, ok := s.reg.Get(name)
 			if !ok {
-				s.st.RecordError()
+				s.st.Add(stats.ProtoErrors, 1)
 				s.setWriteDeadline(conn)
 				if werr := w.WriteError("unknown scene: " + name); werr != nil {
 					s.logf("proto: error reply to %v failed: %v", conn.RemoteAddr(), werr)
@@ -441,14 +442,14 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			sess = &engine.ResumeEntry{Session: retrieval.NewSession(scene.Server)}
 			if err := s.sendHello(conn, w, scene, token); err != nil {
-				s.st.RecordError()
+				s.st.Add(stats.ProtoErrors, 1)
 				s.logf("proto: hello to %v failed: %v", conn.RemoteAddr(), err)
 				return
 			}
 		case TagResume:
 			res, err := r.ReadResume()
 			if err != nil {
-				s.st.RecordError()
+				s.st.Add(stats.ProtoErrors, 1)
 				s.logf("proto: bad resume from %v: %v", conn.RemoteAddr(), err)
 				return
 			}
@@ -469,7 +470,7 @@ func (s *Server) handle(conn net.Conn) {
 				}
 			}
 			if !ok {
-				s.st.RecordResume(false)
+				s.st.Add(stats.ProtoResumeMisses, 1)
 				if err := w.WriteResumeFail("no resumable session"); err != nil {
 					s.logf("proto: resume reply to %v failed: %v", conn.RemoteAddr(), err)
 					return
@@ -482,11 +483,11 @@ func (s *Server) handle(conn net.Conn) {
 				started = true
 				s.setConnStarted(conn)
 			}
-			s.st.RecordResume(true)
+			s.st.Add(stats.ProtoResumeHits, 1)
 			if prev.Restored {
 				// This session crossed a server restart via the recovered
 				// journal — the crash-safety win worth its own counter.
-				s.st.RecordResumeRestored()
+				s.st.Add(stats.ProtoResumesRestored, 1)
 				prev.Restored = false
 			}
 			if err := w.WriteResumeOK(ResumeOK{Seq: sess.Seq, Delivered: int64(sess.Session.Delivered())}); err != nil {
@@ -502,7 +503,7 @@ func (s *Server) handle(conn net.Conn) {
 				req, err = r.ReadBudgetRequest()
 			}
 			if err != nil {
-				s.st.RecordError()
+				s.st.Add(stats.ProtoErrors, 1)
 				s.logf("proto: bad request from %v: %v", conn.RemoteAddr(), err)
 				s.setWriteDeadline(conn)
 				if werr := w.WriteError(SanitizeWireError(err)); werr != nil {
@@ -545,7 +546,7 @@ func (s *Server) handle(conn net.Conn) {
 			} else if hot != nil && resp.Hot.Truncated {
 				// The budget's cut is all that kept this frame from its hot
 				// entry's payload: it pays the full encode pass.
-				s.st.RecordHotBypassBudget()
+				s.st.Add(stats.ProtoHotBudgetBypasses, 1)
 			}
 			if payload == nil {
 				// Sized once for the frame: a connection's first wholesale
@@ -591,7 +592,7 @@ func (s *Server) handle(conn net.Conn) {
 				if len(withheldIDs) > 0 {
 					sess.Session.Forget(withheldIDs)
 					resp.Dropped += int64(len(withheldIDs))
-					s.st.RecordWithheld(int64(len(withheldIDs)))
+					s.st.Add(stats.ProtoCoeffsWithheld, int64(len(withheldIDs)))
 				}
 				payload = payloadBuf
 				if hot != nil && resp.Hot.Valid && len(withheldIDs) == 0 {
@@ -609,7 +610,7 @@ func (s *Server) handle(conn net.Conn) {
 				err = w.WriteResponsePayload(len(resp.IDs), resp.IO, sess.Seq, payload)
 			}
 			if err != nil {
-				s.st.RecordError()
+				s.st.Add(stats.ProtoErrors, 1)
 				s.logf("proto: response to %v failed: %v", conn.RemoteAddr(), err)
 				return
 			}
@@ -617,7 +618,7 @@ func (s *Server) handle(conn net.Conn) {
 			orderly = true
 			return
 		default:
-			s.st.RecordError()
+			s.st.Add(stats.ProtoErrors, 1)
 			s.logf("proto: unexpected tag %d from %v", tag, conn.RemoteAddr())
 			s.setWriteDeadline(conn)
 			if werr := w.WriteError("unexpected message"); werr != nil {

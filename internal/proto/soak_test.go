@@ -223,9 +223,9 @@ func TestMultiClientSoak(t *testing.T) {
 	// Sessions are closed by Bye, but the server goroutines race the test
 	// body; wait for the active gauge to drain before reconciling.
 	deadline := time.Now().Add(5 * time.Second)
-	for st.ActiveSessions() != 0 {
+	for st.Load(stats.ProtoSessionsActive) != 0 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d sessions still active", st.ActiveSessions())
+			t.Fatalf("%d sessions still active", st.Load(stats.ProtoSessionsActive))
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -239,31 +239,32 @@ func TestMultiClientSoak(t *testing.T) {
 		sumIO += res.io
 	}
 	snap := st.Snapshot()
-	if snap.Requests != sumReq {
-		t.Errorf("stats requests %d, clients saw %d", snap.Requests, sumReq)
+	if snap.Get(stats.RetrievalRequests) != sumReq {
+		t.Errorf("stats requests %d, clients saw %d", snap.Get(stats.RetrievalRequests), sumReq)
 	}
-	if snap.Coeffs != sumCoeffs {
-		t.Errorf("stats coeffs %d, clients received %d", snap.Coeffs, sumCoeffs)
+	if snap.Get(stats.RetrievalCoeffs) != sumCoeffs {
+		t.Errorf("stats coeffs %d, clients received %d", snap.Get(stats.RetrievalCoeffs), sumCoeffs)
 	}
-	if snap.Bytes != sumBytes {
-		t.Errorf("stats bytes %d, clients received %d", snap.Bytes, sumBytes)
+	if snap.Get(stats.RetrievalBytes) != sumBytes {
+		t.Errorf("stats bytes %d, clients received %d", snap.Get(stats.RetrievalBytes), sumBytes)
 	}
-	if snap.IndexIO != sumIO {
-		t.Errorf("stats io %d, clients saw %d", snap.IndexIO, sumIO)
+	if snap.Get(stats.RetrievalNodeIO) != sumIO {
+		t.Errorf("stats io %d, clients saw %d", snap.Get(stats.RetrievalNodeIO), sumIO)
 	}
-	if snap.SessionsOpened != clients || snap.SessionsActive != 0 {
+	if snap.Get(stats.ProtoSessionsOpened) != clients || snap.Get(stats.ProtoSessionsActive) != 0 {
 		t.Errorf("stats sessions = %d/%d, want 0/%d",
-			snap.SessionsActive, snap.SessionsOpened, clients)
+			snap.Get(stats.ProtoSessionsActive), snap.Get(stats.ProtoSessionsOpened), clients)
 	}
-	if snap.Errors != 0 {
-		t.Errorf("stats recorded %d errors", snap.Errors)
+	if snap.Get(stats.ProtoErrors) != 0 {
+		t.Errorf("stats recorded %d errors", snap.Get(stats.ProtoErrors))
 	}
-	if snap.Latency.Count != sumReq || snap.RequestIO.Count != sumReq {
+	lat, io := snap.H[stats.RetrievalExecuteNs], snap.H[stats.RetrievalRequestNodeIO]
+	if lat.Count != sumReq || io.Count != sumReq {
 		t.Errorf("histogram counts %d/%d, want %d",
-			snap.Latency.Count, snap.RequestIO.Count, sumReq)
+			lat.Count, io.Count, sumReq)
 	}
-	if snap.SubQueries < sumReq {
-		t.Errorf("sub-queries %d below request count %d", snap.SubQueries, sumReq)
+	if snap.Get(stats.RetrievalSubQueries) < sumReq {
+		t.Errorf("sub-queries %d below request count %d", snap.Get(stats.RetrievalSubQueries), sumReq)
 	}
 	t.Logf("soak: %v", snap)
 }

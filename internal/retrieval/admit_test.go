@@ -33,9 +33,9 @@ func reconcileLayers(t *testing.T, srv *Server, st *stats.Stats) {
 	t.Helper()
 	snap, hs, cs := st.Snapshot(), srv.HotCache().Stats(), srv.Coalescer().Stats()
 	reconcile(t, cs)
-	if snap.SubQueries != hs.Hits+snap.FirstTouches+cs.Routed {
+	if snap.Get(stats.RetrievalSubQueries) != hs.Hits+snap.Get(stats.RetrievalFirstTouches)+cs.Routed {
 		t.Fatalf("sub-queries %d != hot hits %d + first touches %d + routed %d",
-			snap.SubQueries, hs.Hits, snap.FirstTouches, cs.Routed)
+			snap.Get(stats.RetrievalSubQueries), hs.Hits, snap.Get(stats.RetrievalFirstTouches), cs.Routed)
 	}
 }
 
@@ -59,7 +59,7 @@ func TestFirstTouchLeavesNothing(t *testing.T) {
 	if cs := srv.Coalescer().Stats(); cs.Routed != 0 || cs.Flights != 0 {
 		t.Fatalf("first touch reached the coalescer: %+v", cs)
 	}
-	if n := st.Snapshot().FirstTouches; n != 1 {
+	if n := st.Load(stats.RetrievalFirstTouches); n != 1 {
 		t.Fatalf("FirstTouches = %d, want 1", n)
 	}
 	reconcileLayers(t, srv, st)
@@ -88,7 +88,7 @@ func TestSecondAskStoresThirdHits(t *testing.T) {
 	if cs.Routed != 1 || cs.Led != 1 {
 		t.Fatalf("coalescer %+v, want the second ask alone routed and led", cs)
 	}
-	if n := st.Snapshot().FirstTouches; n != 1 {
+	if n := st.Load(stats.RetrievalFirstTouches); n != 1 {
 		t.Fatalf("FirstTouches = %d, want 1", n)
 	}
 	reconcileLayers(t, srv, st)
@@ -168,7 +168,7 @@ func TestEpochBumpRefreshesWatchedBucketOnce(t *testing.T) {
 	if d := after.Hits - before.Hits; d != sessions-1 {
 		t.Fatalf("%d hits after the refresh, want %d", d, sessions-1)
 	}
-	if n := st.Snapshot().FirstTouches; n != 1 {
+	if n := st.Load(stats.RetrievalFirstTouches); n != 1 {
 		t.Fatalf("FirstTouches = %d after the bump, want the original 1", n)
 	}
 	reconcileLayers(t, srv, st)
@@ -229,7 +229,7 @@ func TestConcurrentFirstAsk(t *testing.T) {
 	if n := counted.passes.Load(); n != 2 {
 		t.Fatalf("%d index passes for %d concurrent asks of one query, want 2: the first touch and one flight", n, askers)
 	}
-	if n := st.Snapshot().FirstTouches; n != 1 {
+	if n := st.Load(stats.RetrievalFirstTouches); n != 1 {
 		t.Fatalf("FirstTouches = %d, want exactly 1", n)
 	}
 	reconcileLayers(t, srv, st)

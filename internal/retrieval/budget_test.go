@@ -190,16 +190,16 @@ func TestBudgetStatsReconcile(t *testing.T) {
 	resp := srv.ExecuteBudget(sub, nil, budget)
 
 	snap := st.Snapshot()
-	if snap.BudgetRequests != 2 {
-		t.Fatalf("BudgetRequests = %d, want 2", snap.BudgetRequests)
+	if snap.Get(stats.RetrievalBudgetRequests) != 2 {
+		t.Fatalf("BudgetRequests = %d, want 2", snap.Get(stats.RetrievalBudgetRequests))
 	}
-	if snap.BudgetBytesRequested != 1<<40+budget {
-		t.Fatalf("BudgetBytesRequested = %d", snap.BudgetBytesRequested)
+	if snap.Get(stats.RetrievalBudgetBytesAsked) != 1<<40+budget {
+		t.Fatalf("BudgetBytesRequested = %d", snap.Get(stats.RetrievalBudgetBytesAsked))
 	}
-	if snap.BudgetBytesServed != full.Bytes+resp.Bytes {
-		t.Fatalf("BudgetBytesServed = %d, want %d", snap.BudgetBytesServed, full.Bytes+resp.Bytes)
+	if snap.Get(stats.RetrievalBudgetBytesServed) != full.Bytes+resp.Bytes {
+		t.Fatalf("BudgetBytesServed = %d, want %d", snap.Get(stats.RetrievalBudgetBytesServed), full.Bytes+resp.Bytes)
 	}
-	if snap.TruncatedResponses != 1 || snap.CoeffsDropped != resp.Dropped {
-		t.Fatalf("truncation counters %d/%d, want 1/%d", snap.TruncatedResponses, snap.CoeffsDropped, resp.Dropped)
+	if snap.Get(stats.RetrievalTruncated) != 1 || snap.Get(stats.RetrievalCoeffsDropped) != resp.Dropped {
+		t.Fatalf("truncation counters %d/%d, want 1/%d", snap.Get(stats.RetrievalTruncated), snap.Get(stats.RetrievalCoeffsDropped), resp.Dropped)
 	}
 }

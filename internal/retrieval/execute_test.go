@@ -88,8 +88,9 @@ func TestExecuteFilterRejectionKeepsRetrievable(t *testing.T) {
 }
 
 // TestExecuteRecordsStats checks the per-request observability contract:
-// one RecordRequest per Execute with reconciling totals, and degenerate
-// sub-queries excluded from the executed count.
+// retrieval.requests counts each Execute, the other rows reconcile with
+// the response, and degenerate sub-queries are excluded from the
+// executed count.
 func TestExecuteRecordsStats(t *testing.T) {
 	srv := testServer(t, 3, 16)
 	st := stats.New()
@@ -99,16 +100,16 @@ func TestExecuteRecordsStats(t *testing.T) {
 		{Region: geom.Rect2{Min: geom.V2(1, 1), Max: geom.V2(0, 0)}, WMin: 0, WMax: 1},
 	}, nil)
 	snap := st.Snapshot()
-	if snap.Requests != 1 {
-		t.Fatalf("requests = %d", snap.Requests)
+	if snap.Get(stats.RetrievalRequests) != 1 {
+		t.Fatalf("requests = %d", snap.Get(stats.RetrievalRequests))
 	}
-	if snap.SubQueries != int64(resp.Queries) || resp.Queries != 1 {
-		t.Fatalf("sub-queries = %d, response executed %d", snap.SubQueries, resp.Queries)
+	if snap.Get(stats.RetrievalSubQueries) != int64(resp.Queries) || resp.Queries != 1 {
+		t.Fatalf("sub-queries = %d, response executed %d", snap.Get(stats.RetrievalSubQueries), resp.Queries)
 	}
-	if snap.Coeffs != int64(len(resp.IDs)) || snap.Bytes != resp.Bytes || snap.IndexIO != resp.IO {
+	if snap.Get(stats.RetrievalCoeffs) != int64(len(resp.IDs)) || snap.Get(stats.RetrievalBytes) != resp.Bytes || snap.Get(stats.RetrievalNodeIO) != resp.IO {
 		t.Fatalf("stats %v do not reconcile with response %+v", snap, resp)
 	}
-	if snap.Latency.Count != 1 {
-		t.Fatalf("latency histogram count = %d", snap.Latency.Count)
+	if n := snap.H[stats.RetrievalExecuteNs].Count; n != 1 {
+		t.Fatalf("latency histogram count = %d", n)
 	}
 }

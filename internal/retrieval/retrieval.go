@@ -389,18 +389,34 @@ func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, max
 		}
 	}
 	resp.Bytes = int64(len(resp.IDs)) * wavelet.WireBytes
-	if s.st != nil {
-		s.st.RecordRequest(resp.Queries, resp.IO, int64(len(resp.IDs)),
-			resp.Bytes, time.Since(start))
-		s.st.RecordScene(s.scene, resp.IO, int64(len(resp.IDs)), resp.Bytes)
+	if st := s.st; st != nil {
+		coeffs := int64(len(resp.IDs))
+		st.Add(stats.RetrievalRequests, 1)
+		st.Add(stats.RetrievalSubQueries, int64(resp.Queries))
+		st.Add(stats.RetrievalNodeIO, resp.IO)
+		st.Add(stats.RetrievalCoeffs, coeffs)
+		st.Add(stats.RetrievalBytes, resp.Bytes)
+		st.Observe(stats.RetrievalExecuteNs, int64(time.Since(start)))
+		st.Observe(stats.RetrievalRequestNodeIO, resp.IO)
+		row := st.Label(stats.Scenes, s.scene)
+		row.Add(stats.SceneRequests, 1)
+		row.Add(stats.SceneNodeIO, resp.IO)
+		row.Add(stats.SceneCoeffs, coeffs)
+		row.Add(stats.SceneBytes, resp.Bytes)
 		if maxBytes > 0 {
-			s.st.RecordBudget(maxBytes, resp.Bytes, resp.Dropped)
+			st.Add(stats.RetrievalBudgetRequests, 1)
+			st.Add(stats.RetrievalBudgetBytesAsked, maxBytes)
+			st.Add(stats.RetrievalBudgetBytesServed, resp.Bytes)
+			if resp.Dropped > 0 {
+				st.Add(stats.RetrievalTruncated, 1)
+				st.Add(stats.RetrievalCoeffsDropped, resp.Dropped)
+			}
 		}
 		if faultWithheld > 0 {
-			s.st.RecordWithheld(faultWithheld)
+			st.Add(stats.RetrievalCoeffsWithheld, faultWithheld)
 		}
 		if firstTouches > 0 {
-			s.st.RecordFirstTouches(firstTouches)
+			st.Add(stats.RetrievalFirstTouches, firstTouches)
 		}
 	}
 	return resp

@@ -8,94 +8,97 @@ import (
 	"sync/atomic"
 )
 
-// sceneCounter holds one scene's request accounting. Fields mirror the
-// request counters of Stats; recording is wait-free once the counter
-// exists (creation takes one LoadOrStore on the scene map).
-type sceneCounter struct {
-	requests atomic.Int64
-	indexIO  atomic.Int64
-	coeffs   atomic.Int64
-	bytes    atomic.Int64
+// Breakdown names a labelled table: one Row per label.
+type Breakdown int
+
+const (
+	Scenes   Breakdown = iota // per engine scene; columns Scene*
+	Backends                  // per cluster backend address, recorded by the gateway; columns Backend*
+	numBreakdowns
+)
+
+// RowCols is the number of columns in a Row.
+const RowCols = 4
+
+// Columns of a Scenes row: one executed request's share of the retrieval
+// rows.
+const (
+	SceneRequests = iota
+	SceneNodeIO
+	SceneCoeffs
+	SceneBytes
+)
+
+// Columns of a Backends row: client connections routed to the backend,
+// failovers recorded against it (a route skipped it as down or failed to
+// dial it), and health probes it answered or failed.
+const (
+	BackendRoutes = iota
+	BackendFailovers
+	BackendProbes
+	BackendProbeFails
+)
+
+// Columns of a Shards row: one index shard's searches and their node
+// reads.
+const (
+	ShardSearches = iota
+	ShardNodeIO
+)
+
+var (
+	breakdownNames = [numBreakdowns]string{Scenes: "scenes", Backends: "backends"}
+	breakdownCols  = [numBreakdowns][RowCols]string{
+		Scenes:   {"requests", "node_io", "coeffs", "bytes"},
+		Backends: {"routes", "failovers", "probes", "probe_fails"},
+	}
+)
+
+// Row is one label's (or one shard's) columns; recording into it is
+// wait-free.
+type Row [RowCols]atomic.Int64
+
+// Add adds n to column col. A nil row — an empty label, a nil Stats, a
+// shard the table was never sized for — drops the sample.
+func (r *Row) Add(col int, n int64) {
+	if r != nil {
+		r[col].Add(n)
+	}
 }
 
-// shardCounter holds one index shard's search accounting.
-type shardCounter struct {
-	searches atomic.Int64
-	io       atomic.Int64
+// RowValues is a point-in-time copy of a Row.
+type RowValues [RowCols]int64
+
+func (r *Row) load() RowValues {
+	var v RowValues
+	for i := range r {
+		v[i] = r[i].Load()
+	}
+	return v
 }
 
-// backendCounter holds one cluster backend's gateway-side accounting:
-// client connections routed to it, failovers recorded against it (a
-// route skipped it as down or failed to dial it), and health probes it
-// answered or failed.
-type backendCounter struct {
-	routes     atomic.Int64
-	failovers  atomic.Int64
-	probes     atomic.Int64
-	probeFails atomic.Int64
+type breakdowns struct {
+	labels  [numBreakdowns]sync.Map // label -> *Row
+	shardMu sync.Mutex
+	shards  atomic.Pointer[[]*Row]
 }
 
-func (s *Stats) backend(addr string) *backendCounter {
-	v, ok := s.backends.Load(addr)
+// Label returns label's row in breakdown b, creating it on first use
+// (one LoadOrStore). An empty label or a nil Stats returns nil.
+func (s *Stats) Label(b Breakdown, label string) *Row {
+	if s == nil || label == "" {
+		return nil
+	}
+	v, ok := s.labels[b].Load(label)
 	if !ok {
-		v, _ = s.backends.LoadOrStore(addr, &backendCounter{})
+		v, _ = s.labels[b].LoadOrStore(label, new(Row))
 	}
-	return v.(*backendCounter)
+	return v.(*Row)
 }
 
-// RecordRoute attributes one proxied client connection to the backend
-// that received it.
-func (s *Stats) RecordRoute(addr string) {
-	if s == nil || addr == "" {
-		return
-	}
-	s.backend(addr).routes.Add(1)
-}
-
-// RecordFailover counts one routing step past a backend: the gateway
-// wanted to use addr but it was marked down or refused the dial, so the
-// connection moved on to the next replica (or was refused).
-func (s *Stats) RecordFailover(addr string) {
-	if s == nil || addr == "" {
-		return
-	}
-	s.backend(addr).failovers.Add(1)
-}
-
-// RecordProbe counts one health probe against a backend by outcome.
-func (s *Stats) RecordProbe(addr string, ok bool) {
-	if s == nil || addr == "" {
-		return
-	}
-	c := s.backend(addr)
-	c.probes.Add(1)
-	if !ok {
-		c.probeFails.Add(1)
-	}
-}
-
-// RecordScene attributes one executed request to a named scene. The
-// aggregate counters are recorded separately via RecordRequest; this adds
-// the per-scene breakdown a multi-scene engine reports in Snapshot.Scenes.
-func (s *Stats) RecordScene(scene string, io, coeffs, bytes int64) {
-	if s == nil || scene == "" {
-		return
-	}
-	v, ok := s.scenes.Load(scene)
-	if !ok {
-		v, _ = s.scenes.LoadOrStore(scene, &sceneCounter{})
-	}
-	c := v.(*sceneCounter)
-	c.requests.Add(1)
-	c.indexIO.Add(io)
-	c.coeffs.Add(coeffs)
-	c.bytes.Add(bytes)
-}
-
-// EnsureShards grows the per-shard counter table to at least n entries.
-// Call it at index-build time (Sharded.SetStats does); RecordShard on an
-// index this collector was never sized for drops the sample rather than
-// racing a growth.
+// EnsureShards grows the shard table to at least n rows. Call it at
+// index-build time (Sharded.SetStats does): the table stays indexed, so
+// Shard is one atomic load.
 func (s *Stats) EnsureShards(n int) {
 	if s == nil || n <= 0 {
 		return
@@ -106,169 +109,92 @@ func (s *Stats) EnsureShards(n int) {
 	if cur != nil && len(*cur) >= n {
 		return
 	}
-	grown := make([]*shardCounter, n)
+	grown := make([]*Row, n)
 	if cur != nil {
 		copy(grown, *cur)
 	}
 	for i := range grown {
 		if grown[i] == nil {
-			grown[i] = &shardCounter{}
+			grown[i] = new(Row)
 		}
 	}
 	s.shards.Store(&grown)
 }
 
-// RecordShard accounts one shard search: the shard's index and the node
-// reads it cost. Out-of-range shards (EnsureShards never sized the table)
-// are dropped.
-func (s *Stats) RecordShard(shard int, io int64) {
+// Shard returns shard i's row: nil, dropping the sample rather than
+// racing a growth, when EnsureShards never sized the table that far.
+func (s *Stats) Shard(i int) *Row {
 	if s == nil {
-		return
+		return nil
 	}
 	tab := s.shards.Load()
-	if tab == nil || shard < 0 || shard >= len(*tab) {
-		return
-	}
-	c := (*tab)[shard]
-	c.searches.Add(1)
-	c.io.Add(io)
-}
-
-// BackendSnapshot is one cluster backend's gateway-side totals.
-type BackendSnapshot struct {
-	Routes     int64
-	Failovers  int64
-	Probes     int64
-	ProbeFails int64
-}
-
-// SceneSnapshot is one scene's share of the request counters.
-type SceneSnapshot struct {
-	Requests int64
-	IndexIO  int64
-	Coeffs   int64
-	Bytes    int64
-}
-
-// ShardSnapshot is one index shard's search totals.
-type ShardSnapshot struct {
-	Searches int64
-	IO       int64
-}
-
-// sceneSnapshots copies the per-scene breakdown (nil when no scene has
-// recorded anything).
-func (s *Stats) sceneSnapshots() map[string]SceneSnapshot {
-	if s == nil {
+	if tab == nil || i < 0 || i >= len(*tab) {
 		return nil
 	}
-	var out map[string]SceneSnapshot
-	s.scenes.Range(func(k, v any) bool {
+	return (*tab)[i]
+}
+
+func (s *Stats) labelSnapshot(b Breakdown) map[string]RowValues {
+	var out map[string]RowValues
+	s.labels[b].Range(func(k, v any) bool {
 		if out == nil {
-			out = make(map[string]SceneSnapshot)
+			out = make(map[string]RowValues)
 		}
-		c := v.(*sceneCounter)
-		out[k.(string)] = SceneSnapshot{
-			Requests: c.requests.Load(),
-			IndexIO:  c.indexIO.Load(),
-			Coeffs:   c.coeffs.Load(),
-			Bytes:    c.bytes.Load(),
-		}
+		out[k.(string)] = v.(*Row).load()
 		return true
 	})
 	return out
 }
 
-// backendSnapshots copies the per-backend breakdown (nil when no
-// gateway has recorded anything).
-func (s *Stats) backendSnapshots() map[string]BackendSnapshot {
-	if s == nil {
-		return nil
-	}
-	var out map[string]BackendSnapshot
-	s.backends.Range(func(k, v any) bool {
-		if out == nil {
-			out = make(map[string]BackendSnapshot)
-		}
-		c := v.(*backendCounter)
-		out[k.(string)] = BackendSnapshot{
-			Routes:     c.routes.Load(),
-			Failovers:  c.failovers.Load(),
-			Probes:     c.probes.Load(),
-			ProbeFails: c.probeFails.Load(),
-		}
-		return true
-	})
-	return out
-}
-
-// shardSnapshots copies the per-shard breakdown (nil when unsized).
-func (s *Stats) shardSnapshots() []ShardSnapshot {
-	if s == nil {
-		return nil
-	}
+func (s *Stats) shardSnapshot() []RowValues {
 	tab := s.shards.Load()
 	if tab == nil {
 		return nil
 	}
-	out := make([]ShardSnapshot, len(*tab))
-	for i, c := range *tab {
-		out[i] = ShardSnapshot{Searches: c.searches.Load(), IO: c.io.Load()}
+	out := make([]RowValues, len(*tab))
+	for i, r := range *tab {
+		out[i] = r.load()
 	}
 	return out
 }
 
-// breakdownString renders the optional scene/shard sections of
-// Snapshot.String (empty when neither breakdown has data).
-func (s Snapshot) breakdownString() string {
-	var b strings.Builder
-	if len(s.Scenes) > 0 {
-		names := make([]string, 0, len(s.Scenes))
-		for name := range s.Scenes {
-			names = append(names, name)
+// writeBreakdowns renders the labelled breakdowns one label at a time,
+// in label order, and the shard table as its totals and hottest shard.
+func (s Snapshot) writeBreakdowns(b *strings.Builder, next func()) {
+	for bd, m := range [numBreakdowns]map[string]RowValues{Scenes: s.Scenes, Backends: s.Backends} {
+		if len(m) == 0 {
+			continue
 		}
-		sort.Strings(names)
-		b.WriteString(" · scenes")
-		for _, name := range names {
-			sc := s.Scenes[name]
-			fmt.Fprintf(&b, " %s[req %d io %d %s]", name, sc.Requests, sc.IndexIO, fmtBytes(sc.Bytes))
+		labels := make([]string, 0, len(m))
+		for l := range m {
+			labels = append(labels, l)
+		}
+		sort.Strings(labels)
+		next()
+		b.WriteString(breakdownNames[bd])
+		for _, l := range labels {
+			fmt.Fprintf(b, " %s[", l)
+			for col, name := range breakdownCols[bd] {
+				if col > 0 {
+					b.WriteByte(' ')
+				}
+				fmt.Fprintf(b, "%s %d", name, m[l][col])
+			}
+			b.WriteByte(']')
 		}
 	}
 	if len(s.Shards) > 0 {
 		var searches, io int64
-		hot, hotIO := 0, int64(-1)
+		hot := 0
 		for i, sh := range s.Shards {
-			searches += sh.Searches
-			io += sh.IO
-			if sh.IO > hotIO {
-				hot, hotIO = i, sh.IO
+			searches += sh[ShardSearches]
+			io += sh[ShardNodeIO]
+			if sh[ShardNodeIO] > s.Shards[hot][ShardNodeIO] {
+				hot = i
 			}
 		}
-		fmt.Fprintf(&b, " · shards %d (searches %d io %d hottest #%d io %d)",
-			len(s.Shards), searches, io, hot, hotIO)
+		next()
+		fmt.Fprintf(b, "shards %d (searches %d node_io %d hottest #%d node_io %d)",
+			len(s.Shards), searches, io, hot, s.Shards[hot][ShardNodeIO])
 	}
-	if len(s.Backends) > 0 {
-		addrs := make([]string, 0, len(s.Backends))
-		for addr := range s.Backends {
-			addrs = append(addrs, addr)
-		}
-		sort.Strings(addrs)
-		b.WriteString(" · backends")
-		for _, addr := range addrs {
-			bk := s.Backends[addr]
-			fmt.Fprintf(&b, " %s[routes %d failovers %d probes %d/%d ok]",
-				addr, bk.Routes, bk.Failovers, bk.Probes-bk.ProbeFails, bk.Probes)
-		}
-	}
-	return b.String()
-}
-
-// shardMu/shards/scenes live here rather than in Stats's declaration file
-// to keep the breakdown layer self-contained; see stats.go for the
-// embedding.
-type breakdowns struct {
-	scenes   sync.Map // string -> *sceneCounter
-	backends sync.Map // string -> *backendCounter
-	shardMu  sync.Mutex
-	shards   atomic.Pointer[[]*shardCounter]
 }

@@ -1,70 +1,222 @@
 package stats
 
 import (
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 )
 
+// TestRowNames pins the table's naming contract: every row and histogram
+// has a unique, non-empty dotted "layer.quantity" name.
+func TestRowNames(t *testing.T) {
+	valid := regexp.MustCompile(`^[a-z]+\.[a-z0-9_]+$`)
+	seen := map[string]bool{}
+	names := append(counterNames[:], histNames[:]...)
+	for i, name := range names {
+		if !valid.MatchString(name) {
+			t.Errorf("row %d: name %q is not layer.quantity", i, name)
+		}
+		if seen[name] {
+			t.Errorf("row %d: name %q is not unique", i, name)
+		}
+		seen[name] = true
+	}
+}
+
+// TestNilStatsIsSafe records into every row, histogram and breakdown of
+// a nil collector.
 func TestNilStatsIsSafe(t *testing.T) {
 	var s *Stats
-	s.SessionOpened()
-	s.SessionClosed()
-	s.RecordRequest(3, 10, 5, 240, time.Millisecond)
-	s.RecordError()
-	s.RecordBuffer(1, 2, 100, 200)
-	s.RecordRetry(time.Millisecond)
-	s.RecordTimeout()
-	s.RecordResume(true)
-	s.RecordResume(false)
-	s.RecordDegraded()
-	s.RecordShed()
-	s.RecordFault()
-	s.RecordCheckpoint(1024)
-	s.RecordRecovery(3, 1, 2)
-	s.RecordCompaction()
-	s.RecordResumeRestored()
-	s.RecordScene("a", 1, 2, 3)
-	s.EnsureShards(4)
-	s.RecordShard(0, 9)
-	if got := s.Snapshot(); got.Requests != 0 || got.Scenes != nil || got.Shards != nil {
-		t.Fatalf("nil snapshot = %+v", got)
+	for c := Counter(0); c < numCounters; c++ {
+		s.Add(c, 1)
+		s.Set(c, 1)
+		if s.Load(c) != 0 {
+			t.Fatalf("nil %s nonzero", counterNames[c])
+		}
 	}
-	if s.ActiveSessions() != 0 {
-		t.Fatal("nil gauge nonzero")
+	for h := Hist(0); h < numHists; h++ {
+		s.Observe(h, 1)
+	}
+	s.AddSource(func(v *Values) { v[HotHits]++ })
+	s.Label(Scenes, "a").Add(SceneRequests, 1)
+	s.EnsureShards(4)
+	s.Shard(0).Add(ShardSearches, 1)
+	if got := s.Snapshot(); got.V != (Values{}) || got.Scenes != nil || got.Shards != nil || got.String() != "" {
+		t.Fatalf("nil snapshot = %+v", got)
 	}
 	s.StartLogging(time.Millisecond, t.Logf)() // stop immediately; must not panic
 }
 
+// TestCountersAccumulate is the table-driven test of the recording
+// surface: each case records into a fresh collector, and the snapshot
+// must hold exactly the rows it names — every other row stays zero.
 func TestCountersAccumulate(t *testing.T) {
+	cases := []struct {
+		name   string
+		record func(s *Stats)
+		want   map[Counter]int64
+		hists  map[Hist]int64 // observation counts
+	}{{
+		name: "sessions",
+		record: func(s *Stats) {
+			s.Add(ProtoSessionsOpened, 2)
+			s.Add(ProtoSessionsActive, 2)
+			s.Add(ProtoSessionsActive, -1)
+			s.Add(ProtoErrors, 1)
+		},
+		want: map[Counter]int64{ProtoSessionsOpened: 2, ProtoSessionsActive: 1, ProtoErrors: 1},
+	}, {
+		name: "requests",
+		record: func(s *Stats) {
+			recordFrame(s, nil, 4, 12, 7, 2*time.Millisecond)
+			recordFrame(s, nil, 1, 3, 0, time.Millisecond)
+			s.Add(BufferHits, 5)
+			s.Add(BufferMisses, 2)
+			s.Add(BufferDemandBytes, 96)
+			s.Add(BufferPrefetchBytes, 48)
+		},
+		want: map[Counter]int64{RetrievalRequests: 2, RetrievalSubQueries: 5, RetrievalNodeIO: 15,
+			RetrievalCoeffs: 7, RetrievalBytes: 7 * 48, RetrievalFirstTouches: 5,
+			BufferHits: 5, BufferMisses: 2, BufferDemandBytes: 96, BufferPrefetchBytes: 48},
+		hists: map[Hist]int64{RetrievalExecuteNs: 2, RetrievalRequestNodeIO: 2},
+	}, {
+		name: "gauges",
+		record: func(s *Stats) {
+			s.Set(ClientABRBudget, 4096)
+			s.Set(ClientABRBudget, 1024) // overwrites
+			s.Set(ClientABRRTTNs, int64(3*time.Millisecond))
+		},
+		want: map[Counter]int64{ClientABRBudget: 1024, ClientABRRTTNs: int64(3 * time.Millisecond)},
+	}, {
+		name: "sources sum",
+		record: func(s *Stats) {
+			for _, hits := range []int64{3, 4} {
+				s.AddSource(func(v *Values) {
+					v[HotHits] += hits
+					v[HotEntries]++
+				})
+			}
+			s.Add(HotHits, 1) // recorded rows and sources add too
+		},
+		want: map[Counter]int64{HotHits: 8, HotEntries: 2},
+	}}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New()
+			tc.record(s)
+			checkRows(t, s.Snapshot(), tc.want, tc.hists)
+		})
+	}
+}
+
+// TestResilienceCounters records what the resilient client, the server's
+// shedding and resume paths and the fault injectors record; the snapshot
+// holds exactly those rows and its summary line lists them.
+func TestResilienceCounters(t *testing.T) {
 	s := New()
-	s.SessionOpened()
-	s.SessionOpened()
-	s.SessionClosed()
-	s.RecordRequest(4, 12, 7, 336, 2*time.Millisecond)
-	s.RecordRequest(1, 3, 0, 0, time.Millisecond)
-	s.RecordError()
-	s.RecordBuffer(5, 2, 96, 48)
+	for _, d := range []time.Duration{10 * time.Millisecond, 80 * time.Millisecond} {
+		s.Add(ClientRetries, 1)
+		s.Observe(ClientBackoffNs, int64(d))
+	}
+	s.Add(ClientTimeouts, 1)
+	s.Add(ClientResumes, 2)
+	s.Add(ClientReplans, 1)
+	s.Add(ClientDegraded, 1)
+	s.Add(ProtoResumeHits, 2)
+	s.Add(ProtoResumeMisses, 1)
+	s.Add(ProtoShed, 1)
+	s.Add(LinkFaults, 3)
+	s.Add(DiskFaults, 2)
 
 	got := s.Snapshot()
-	if got.SessionsOpened != 2 || got.SessionsActive != 1 {
-		t.Errorf("sessions = %d/%d", got.SessionsActive, got.SessionsOpened)
+	checkRows(t, got, map[Counter]int64{ClientRetries: 2, ClientTimeouts: 1, ClientResumes: 2,
+		ClientReplans: 1, ClientDegraded: 1, ProtoResumeHits: 2, ProtoResumeMisses: 1,
+		ProtoShed: 1, LinkFaults: 3, DiskFaults: 2}, map[Hist]int64{ClientBackoffNs: 2})
+	if b := got.H[ClientBackoffNs]; b.Max != int64(80*time.Millisecond) {
+		t.Errorf("backoff histogram = %+v", b)
 	}
-	if got.Requests != 2 || got.SubQueries != 5 || got.IndexIO != 15 {
-		t.Errorf("requests %d subqueries %d io %d", got.Requests, got.SubQueries, got.IndexIO)
+
+	line := got.String()
+	for _, want := range []string{"client.retries 2", "proto.resume_hits 2", "proto.resume_misses 1",
+		"proto.shed 1", "link.faults 3", "disk.faults 2", "client.backoff_ns mean"} {
+		if !strings.Contains(line, want) {
+			t.Errorf("summary %q missing %q", line, want)
+		}
 	}
-	if got.Coeffs != 7 || got.Bytes != 336 || got.Errors != 1 {
-		t.Errorf("coeffs %d bytes %d errors %d", got.Coeffs, got.Bytes, got.Errors)
+}
+
+// TestPersistenceCounters records what checkpointing, recovery, journal
+// compaction and restored resumes record; the snapshot holds exactly
+// those rows and its summary line lists them.
+func TestPersistenceCounters(t *testing.T) {
+	s := New()
+	for _, b := range []int64{4096, 1024} {
+		s.Add(EngineCheckpoints, 1)
+		s.Add(EngineCheckpointBytes, b)
 	}
-	if got.BufferHits != 5 || got.BufferMisses != 2 || got.DemandBytes != 96 || got.PrefetchBytes != 48 {
-		t.Errorf("buffer counters = %+v", got)
+	for _, r := range []struct{ replayed, truncated, quarantined int64 }{{7, 1, 2}, {3, 0, 0}} {
+		s.Add(EngineRecordsReplayed, r.replayed)
+		s.Add(EngineTailsTruncated, r.truncated)
+		s.Add(EngineRecordsQuarantined, r.quarantined)
 	}
-	if got.Latency.Count != 2 || got.RequestIO.Count != 2 {
-		t.Errorf("histogram counts = %d/%d", got.Latency.Count, got.RequestIO.Count)
+	s.Add(EngineJournalCompactions, 1)
+	s.Add(ProtoResumeHits, 1)
+	s.Add(ProtoResumesRestored, 1)
+
+	got := s.Snapshot()
+	checkRows(t, got, map[Counter]int64{EngineCheckpoints: 2, EngineCheckpointBytes: 5120,
+		EngineRecordsReplayed: 10, EngineTailsTruncated: 1, EngineRecordsQuarantined: 2,
+		EngineJournalCompactions: 1, ProtoResumeHits: 1, ProtoResumesRestored: 1}, nil)
+	if got.Get(ProtoResumesRestored) > got.Get(ProtoResumeHits) {
+		t.Errorf("restored resumes %d exceed resume hits %d", got.Get(ProtoResumesRestored), got.Get(ProtoResumeHits))
 	}
-	if got.RequestIO.Max != 12 {
-		t.Errorf("io max = %d", got.RequestIO.Max)
+
+	line := got.String()
+	for _, want := range []string{"engine.checkpoints 2", "engine.checkpoint_bytes 5120",
+		"engine.records_replayed 10", "engine.tails_truncated 1", "engine.records_quarantined 2",
+		"engine.journal_compactions 1", "proto.resumes_restored 1"} {
+		if !strings.Contains(line, want) {
+			t.Errorf("summary %q missing %q", line, want)
+		}
+	}
+}
+
+// checkRows fails t unless got holds exactly the rows in want, every
+// other row zero, and exactly hists observations in each histogram.
+func checkRows(t *testing.T, got Snapshot, want map[Counter]int64, hists map[Hist]int64) {
+	t.Helper()
+	var all Values
+	for c, v := range want {
+		all[c] = v
+	}
+	for c := range all {
+		if got.V[c] != all[c] {
+			t.Errorf("%s = %d, want %d", counterNames[c], got.V[c], all[c])
+		}
+	}
+	for h := range got.H {
+		if n := got.H[h].Count; n != hists[Hist(h)] {
+			t.Errorf("%s: %d observations, want %d", histNames[h], n, hists[Hist(h)])
+		}
+	}
+}
+
+// TestRecordingAllocs pins the hot path: recording a row or a histogram
+// value allocates nothing.
+func TestRecordingAllocs(t *testing.T) {
+	s := New()
+	s.EnsureShards(2)
+	row := s.Label(Scenes, "city")
+	if n := testing.AllocsPerRun(100, func() {
+		s.Add(RetrievalRequests, 1)
+		s.Observe(RetrievalExecuteNs, 1234)
+		row.Add(SceneBytes, 48)
+		s.Shard(1).Add(ShardNodeIO, 3)
+	}); n != 0 {
+		t.Fatalf("recording allocates %v per run", n)
 	}
 }
 
@@ -118,7 +270,7 @@ func TestEmptyHistogram(t *testing.T) {
 	}
 }
 
-// TestConcurrentRecording hammers every recording path from many
+// TestConcurrentRecording hammers the recording surface from many
 // goroutines; totals must be exact. Run under -race this also proves the
 // collector is lock-free-safe.
 func TestConcurrentRecording(t *testing.T) {
@@ -130,131 +282,67 @@ func TestConcurrentRecording(t *testing.T) {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			s.SessionOpened()
+			s.Add(ProtoSessionsOpened, 1)
+			s.Add(ProtoSessionsActive, 1)
 			for i := 0; i < perWorker; i++ {
-				s.RecordRequest(2, 3, 1, 48, time.Duration(i))
-				s.RecordBuffer(1, 0, 0, 16)
+				recordFrame(s, nil, 2, 3, 1, time.Duration(i))
+				s.Add(BufferHits, 1)
+				s.Add(BufferPrefetchBytes, 16)
 			}
-			s.SessionClosed()
+			s.Add(ProtoSessionsActive, -1)
 		}(w)
 	}
 	wg.Wait()
 	got := s.Snapshot()
 	total := int64(workers * perWorker)
-	if got.Requests != total || got.SubQueries != 2*total || got.IndexIO != 3*total {
-		t.Errorf("requests %d subqueries %d io %d", got.Requests, got.SubQueries, got.IndexIO)
+	for c, want := range map[Counter]int64{
+		RetrievalRequests: total, RetrievalSubQueries: 2 * total, RetrievalNodeIO: 3 * total,
+		RetrievalCoeffs: total, RetrievalBytes: 48 * total, ProtoSessionsOpened: workers,
+		ProtoSessionsActive: 0, BufferHits: total, BufferPrefetchBytes: 16 * total,
+	} {
+		if got.Get(c) != want {
+			t.Errorf("%s = %d, want %d", counterNames[c], got.Get(c), want)
+		}
 	}
-	if got.Coeffs != total || got.Bytes != 48*total {
-		t.Errorf("coeffs %d bytes %d", got.Coeffs, got.Bytes)
-	}
-	if got.SessionsOpened != workers || got.SessionsActive != 0 {
-		t.Errorf("sessions = %d/%d", got.SessionsActive, got.SessionsOpened)
-	}
-	if got.Latency.Count != total || got.BufferHits != total || got.PrefetchBytes != 16*total {
-		t.Errorf("latency count %d hits %d prefetch %d",
-			got.Latency.Count, got.BufferHits, got.PrefetchBytes)
-	}
+	lat := got.H[RetrievalExecuteNs]
 	var bucketSum int64
-	for _, b := range got.Latency.Buckets {
+	for _, b := range lat.Buckets {
 		bucketSum += b
 	}
-	if bucketSum != total {
-		t.Errorf("bucket sum %d != count %d", bucketSum, total)
+	if lat.Count != total || bucketSum != total {
+		t.Errorf("latency count %d, bucket sum %d, want %d", lat.Count, bucketSum, total)
 	}
 }
 
-// TestResilienceCounters covers the fault-tolerance counters: retries
-// (with their backoff histogram), timeouts, resume hits/misses,
-// degraded-mode activations, shed connections, and injected faults.
-func TestResilienceCounters(t *testing.T) {
-	s := New()
-	s.RecordRetry(10 * time.Millisecond)
-	s.RecordRetry(80 * time.Millisecond)
-	s.RecordTimeout()
-	s.RecordResume(true)
-	s.RecordResume(true)
-	s.RecordResume(false)
-	s.RecordDegraded()
-	s.RecordShed()
-	s.RecordFault()
-	s.RecordFault()
-	s.RecordFault()
-
-	got := s.Snapshot()
-	if got.Retries != 2 || got.Timeouts != 1 {
-		t.Errorf("retries %d timeouts %d", got.Retries, got.Timeouts)
-	}
-	if got.ResumeHits != 2 || got.ResumeMisses != 1 {
-		t.Errorf("resume = %d/%d hit/miss", got.ResumeHits, got.ResumeMisses)
-	}
-	if got.Degraded != 1 || got.Shed != 1 || got.Faults != 3 {
-		t.Errorf("degraded %d shed %d faults %d", got.Degraded, got.Shed, got.Faults)
-	}
-	if got.Backoff.Count != 2 || got.Backoff.Max != int64(80*time.Millisecond) {
-		t.Errorf("backoff histogram = %+v", got.Backoff)
-	}
-
-	line := got.String()
-	for _, want := range []string{"retries 2", "resume 2/1 hit/miss", "shed 1", "faults 3"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("summary %q missing %q", line, want)
-		}
-	}
-}
-
-// TestPersistenceCounters covers the durability counters: checkpoints
-// written (with their byte volume), recovery replay/truncation/
-// quarantine tallies, journal compactions, and resumes served from
-// recovered state.
-func TestPersistenceCounters(t *testing.T) {
-	s := New()
-	s.RecordCheckpoint(4096)
-	s.RecordCheckpoint(1024)
-	s.RecordRecovery(7, 1, 2)
-	s.RecordRecovery(3, 0, 0)
-	s.RecordCompaction()
-	s.RecordResume(true)
-	s.RecordResumeRestored()
-
-	got := s.Snapshot()
-	if got.Checkpoints != 2 || got.CheckpointBytes != 5120 {
-		t.Errorf("checkpoints %d / %d bytes", got.Checkpoints, got.CheckpointBytes)
-	}
-	if got.RecordsReplayed != 10 || got.TailsTruncated != 1 || got.RecordsQuarantined != 2 {
-		t.Errorf("recovery = %d replayed / %d truncated / %d quarantined",
-			got.RecordsReplayed, got.TailsTruncated, got.RecordsQuarantined)
-	}
-	if got.JournalCompactions != 1 || got.ResumesRestored != 1 {
-		t.Errorf("compactions %d restored %d", got.JournalCompactions, got.ResumesRestored)
-	}
-	if got.ResumesRestored > got.ResumeHits {
-		t.Errorf("restored resumes %d exceed resume hits %d", got.ResumesRestored, got.ResumeHits)
-	}
-
-	line := got.String()
-	for _, want := range []string{"checkpoints 2 / 5.0 KB", "recovery 10 replayed / 1 truncated / 2 quarantined",
-		"compactions 1", "restored resumes 1"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("summary %q missing %q", line, want)
-		}
-	}
-}
-
+// TestSnapshotString pins the rendering: every nonzero row appears as
+// "name value", and no zero row appears at all.
 func TestSnapshotString(t *testing.T) {
 	s := New()
-	s.SessionOpened()
-	s.RecordRequest(2, 40, 100, 4800, 120*time.Microsecond)
+	for c := Counter(0); c < numCounters; c += 3 {
+		s.Add(c, int64(c)+1)
+	}
+	s.Observe(RetrievalExecuteNs, 120)
 	line := s.Snapshot().String()
-	for _, want := range []string{"sessions 1/1", "requests 1", "sub-queries 2", "index io 40"} {
-		if !strings.Contains(line, want) {
-			t.Errorf("summary %q missing %q", line, want)
+	for c := Counter(0); c < numCounters; c++ {
+		has := strings.Contains(" · "+line+" · ", " · "+counterNames[c]+" ")
+		if want := c%3 == 0; has != want {
+			t.Errorf("row %s listed %v, want %v: %s", counterNames[c], has, want, line)
 		}
+		if c%3 == 0 && !strings.Contains(line, counterNames[c]+" "+strconv.Itoa(int(c)+1)) {
+			t.Errorf("row %s missing its value: %s", counterNames[c], line)
+		}
+	}
+	if !strings.Contains(line, "retrieval.execute_ns mean 120 p50 ≤120 p99 ≤120") {
+		t.Errorf("histogram missing: %s", line)
+	}
+	if strings.Contains(line, "client.backoff_ns") {
+		t.Errorf("empty histogram listed: %s", line)
 	}
 }
 
 func TestStartLoggingEmitsAndStops(t *testing.T) {
 	s := New()
-	s.RecordRequest(1, 1, 1, 48, time.Millisecond)
+	s.Add(RetrievalRequests, 1)
 	var mu sync.Mutex
 	var lines []string
 	stop := s.StartLogging(5*time.Millisecond, func(format string, args ...any) {
@@ -277,4 +365,32 @@ func TestStartLoggingEmitsAndStops(t *testing.T) {
 	}
 	stop()
 	stop() // idempotent
+}
+
+// recordFrame writes the rows retrieval.execute writes for one request
+// answered from first touches (row may be nil: an unnamed scene).
+func recordFrame(s *Stats, row *Row, subs, io, coeffs int64, latency time.Duration) {
+	bytes := coeffs * 48
+	s.Add(RetrievalRequests, 1)
+	s.Add(RetrievalSubQueries, subs)
+	s.Add(RetrievalNodeIO, io)
+	s.Add(RetrievalCoeffs, coeffs)
+	s.Add(RetrievalBytes, bytes)
+	s.Observe(RetrievalExecuteNs, int64(latency))
+	s.Observe(RetrievalRequestNodeIO, io)
+	row.Add(SceneRequests, 1)
+	row.Add(SceneNodeIO, io)
+	row.Add(SceneCoeffs, coeffs)
+	row.Add(SceneBytes, bytes)
+	s.Add(RetrievalFirstTouches, subs)
+}
+
+// BenchmarkRecordFrame is the per-request recording cost of
+// retrieval.execute: the request rows, both histograms, the scene row
+// and the first-touch row.
+func BenchmarkRecordFrame(b *testing.B) {
+	s := New()
+	for i := 0; i < b.N; i++ {
+		recordFrame(s, s.Label(Scenes, "city"), 4, 37, 120, 25*time.Microsecond)
+	}
 }
