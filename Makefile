@@ -93,7 +93,6 @@ fuzz:
 	$(GO) test -fuzz 'FuzzReadResume$$' -fuzztime 10s -run '^$$' ./internal/proto/
 	$(GO) test -fuzz 'FuzzReadSceneSelect$$' -fuzztime 10s -run '^$$' ./internal/proto/
 	$(GO) test -fuzz 'FuzzCRCRejectsFlips$$' -fuzztime 10s -run '^$$' ./internal/proto/
-	$(GO) test -fuzz 'FuzzBudget$$' -fuzztime 10s -run '^$$' ./internal/proto/
 	$(GO) test -fuzz 'FuzzScan$$' -fuzztime 10s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz 'FuzzSegment$$' -fuzztime 10s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz 'FuzzCluster$$' -fuzztime 10s -run '^$$' ./internal/cluster/

@@ -1,5 +1,5 @@
 // Command gateway runs the scene-routing cluster gateway: ordinary
-// protocol-v3 clients connect to it as if it were a server, and each
+// protocol clients connect to it as if it were a server, and each
 // connection is proxied to the backend owning its scene according to a
 // topology file. Scenes map to replica lists; the gateway health-probes
 // every backend, ejects those that stop answering, fails a dial over to

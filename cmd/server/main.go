@@ -80,7 +80,7 @@ func main() {
 		drainTimeout = flag.Duration("drain-timeout", 5*time.Second, "graceful-shutdown drain bound")
 		resumeCache  = flag.Int("resume-cache", 1024, "dropped sessions kept resumable per scene (0 disables resumption)")
 		resumeTTL    = flag.Duration("resume-ttl", 2*time.Minute, "how long a dropped session stays resumable")
-		budgetCap    = flag.Int64("budget-cap", 0, "server-side ceiling on one budgeted frame's bytes; clamps oversized and unlimited client budgets (0 disables)")
+		budgetCap    = flag.Int64("budget-cap", 0, "server-side ceiling on every frame's bytes; clamps oversized and unlimited client budgets (0 disables)")
 	)
 	statsFlags := stats.RegisterFlags(flag.CommandLine, 0)
 	flag.Parse()

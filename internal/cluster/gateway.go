@@ -42,7 +42,7 @@ type backendHealth struct {
 	fails int // consecutive probe failures
 }
 
-// Gateway accepts ordinary protocol-v3 clients and proxies each
+// Gateway accepts ordinary protocol clients and proxies each
 // connection to the backend owning its scene. The pre-session exchange
 // (hello, scene selects, the first resume or request) is parsed frame
 // by frame — that is where routing decisions live — and everything

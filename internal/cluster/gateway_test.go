@@ -10,11 +10,13 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/abr"
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/motion"
 	"repro/internal/proto"
 	"repro/internal/stats"
+	"repro/internal/wavelet"
 	"repro/internal/workload"
 )
 
@@ -343,4 +345,65 @@ func TestClusterRaceSoak(t *testing.T) {
 	if s1.Get(stats.ProtoResumesRestored) != 0 {
 		t.Errorf("restored resumes on source = %d, want 0", s1.Get(stats.ProtoResumesRestored))
 	}
+}
+
+// TestGatewayRoutesBudgetedFrames is the ABR-through-the-gateway
+// regression: a resilient client streaming budgeted frames dialed at a
+// gateway finishes a tram tour without a retry, every frame within the
+// budget read before it, and ends with exactly the meshes of the same tour dialed
+// at the backend directly. The budget is pinned (MinBudget = MaxBudget)
+// so both tours ask for the same bytes every frame.
+func TestGatewayRoutesBudgetedFrames(t *testing.T) {
+	const steps = 24
+	city := sceneSpec{"city", 7}
+	st := stats.New()
+	b, err := StartBackend(BackendConfig{
+		Scenes: []engine.SceneConfig{sceneConfig(t, city, st)},
+		Stats:  st,
+		Logf:   t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Stop()
+	top := &Topology{Order: []string{"city"}, Replicas: map[string][]string{"city": {b.Addr()}}}
+	_, gwAddr := startGateway(t, top, stats.New(), 0)
+	d := workload.Generate(workload.Spec{NumObjects: 24, Levels: 3, Seed: city.seed})
+	frames := tourFrames(d, 11, steps)
+
+	tour := func(addr string) *proto.ResilientClient {
+		t.Helper()
+		rc, err := proto.DialResilient(proto.ResilientConfig{
+			Addrs:       []string{addr},
+			MaxAttempts: 2,
+			BackoffBase: time.Millisecond,
+			BackoffMax:  time.Millisecond,
+			ABR:         &abr.Config{MinBudget: 1 << 10, MaxBudget: 1 << 10},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range frames {
+			budget := rc.ABR().Budget()
+			n, err := rc.Frame(f.q, f.speed)
+			if err != nil {
+				t.Fatalf("%s frame %d: %v", addr, i, err)
+			}
+			if got := int64(n) * wavelet.WireBytes; got > budget {
+				t.Fatalf("%s frame %d: %d bytes over its %d budget", addr, i, got, budget)
+			}
+		}
+		if rc.Retries != 0 {
+			t.Fatalf("%s: tour needed %d retries", addr, rc.Retries)
+		}
+		return rc
+	}
+	direct := tour(b.Addr())
+	defer direct.Close()
+	routed := tour(gwAddr)
+	defer routed.Close()
+	if st.Load(stats.RetrievalTruncated) == 0 {
+		t.Fatal("no frame was truncated; the budget exercised nothing")
+	}
+	assertMeshesMatch(t, "gateway-routed ABR tour", direct.Client(), routed.Client())
 }

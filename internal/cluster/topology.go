@@ -1,5 +1,5 @@
 // Package cluster scales the single-process serving stack out to a
-// small fleet: a scene-routing gateway fronts ordinary protocol-v3
+// small fleet: a scene-routing gateway fronts ordinary protocol
 // clients, proxying each connection to the backend that owns its scene,
 // with per-backend health probing, dial-time failover across a scene's
 // replica list, and a live drain path that relocates a scene between

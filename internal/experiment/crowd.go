@@ -102,7 +102,7 @@ func crowdSession(addr string, frames []crowdFrame, starts []chan struct{}, step
 	for i, f := range frames {
 		<-starts[i]
 		subs := planner.PlanFrame(f.q, f.speed)
-		if err := w.WriteRequest(proto.Request{Speed: f.speed, Subs: subs}); err != nil {
+		if err := w.WriteRequest(proto.Request{Subs: subs}); err != nil {
 			return nil, err
 		}
 		tag, err := r.ReadTag()

@@ -22,7 +22,6 @@ func le64(buf []byte, v uint64) []byte { return binary.LittleEndian.AppendUint64
 
 func TestBudgetRequestRoundtrip(t *testing.T) {
 	req := Request{
-		Speed:    0.42,
 		MaxBytes: 12345,
 		Subs: []retrieval.SubQuery{
 			{Region: geom.R2(1, 2, 3, 4), WMin: 0.1, WMax: 0.9},
@@ -30,20 +29,20 @@ func TestBudgetRequestRoundtrip(t *testing.T) {
 		},
 	}
 	var buf bytes.Buffer
-	if err := NewWriter(&buf).WriteBudgetRequest(req); err != nil {
+	if err := NewWriter(&buf).WriteRequest(req); err != nil {
 		t.Fatal(err)
 	}
 	r := NewReader(&buf)
 	tag, err := r.ReadTag()
-	if err != nil || tag != TagBudgetRequest {
+	if err != nil || tag != TagRequest {
 		t.Fatalf("tag = %d err = %v", tag, err)
 	}
-	got, err := r.ReadBudgetRequest()
+	got, err := r.ReadRequest()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.MaxBytes != req.MaxBytes || got.Speed != req.Speed {
-		t.Fatalf("roundtrip budget/speed %d/%g, want %d/%g", got.MaxBytes, got.Speed, req.MaxBytes, req.Speed)
+	if got.MaxBytes != req.MaxBytes {
+		t.Fatalf("roundtrip budget %d, want %d", got.MaxBytes, req.MaxBytes)
 	}
 	if !reflect.DeepEqual(got.Subs, req.Subs) {
 		t.Fatalf("roundtrip subs %+v != %+v", got.Subs, req.Subs)
@@ -52,7 +51,7 @@ func TestBudgetRequestRoundtrip(t *testing.T) {
 
 func TestBudgetRequestRejectsNegativeBudget(t *testing.T) {
 	var buf bytes.Buffer
-	if err := NewWriter(&buf).WriteBudgetRequest(Request{MaxBytes: -1}); err == nil {
+	if err := NewWriter(&buf).WriteRequest(Request{MaxBytes: -1}); err == nil {
 		t.Fatal("negative budget encoded")
 	}
 
@@ -61,15 +60,14 @@ func TestBudgetRequestRejectsNegativeBudget(t *testing.T) {
 	// — the bytes arrived intact, the field is garbage).
 	var body []byte
 	body = le64(body, uint64(^uint64(0))) // MaxBytes = -1
-	body = le64(body, math.Float64bits(0.5))
-	body = le32(body, 0) // no sub-queries
-	frame := append([]byte{TagBudgetRequest}, body...)
+	body = le32(body, 0)                  // no sub-queries
+	frame := append([]byte{TagRequest}, body...)
 	frame = le32(frame, crc32.Checksum(body, crcTable))
 	r := NewReader(bytes.NewReader(frame))
 	if _, err := r.ReadTag(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := r.ReadBudgetRequest(); err == nil || err == ErrChecksum {
+	if _, err := r.ReadRequest(); err == nil || err == ErrChecksum {
 		t.Fatalf("negative wire budget: err = %v, want a validation error", err)
 	}
 }
@@ -81,35 +79,35 @@ func TestBudgetResponseRoundtrip(t *testing.T) {
 	}
 	payload := EncodeResponsePayload(nil, coeffs)
 	var buf bytes.Buffer
-	if err := NewWriter(&buf).WriteBudgetResponsePayload(len(coeffs), 7, 3, 11, 9999, payload); err != nil {
+	if err := NewWriter(&buf).writeResponsePayload(len(coeffs), 7, 3, 11, payload); err != nil {
 		t.Fatal(err)
 	}
 	r := NewReader(&buf)
 	tag, err := r.ReadTag()
-	if err != nil || tag != TagBudgetResponse {
+	if err != nil || tag != TagResponse {
 		t.Fatalf("tag = %d err = %v", tag, err)
 	}
 	var resp Response
-	if err := r.ReadBudgetResponseInto(&resp); err != nil {
+	if err := r.ReadResponseInto(&resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.IO != 7 || resp.Seq != 3 || resp.Dropped != 11 || resp.Budget != 9999 {
-		t.Fatalf("metadata io/seq/dropped/budget = %d/%d/%d/%d", resp.IO, resp.Seq, resp.Dropped, resp.Budget)
+	if resp.IO != 7 || resp.Seq != 3 || resp.Dropped != 11 {
+		t.Fatalf("metadata io/seq/dropped = %d/%d/%d", resp.IO, resp.Seq, resp.Dropped)
 	}
 	if !reflect.DeepEqual(resp.Coeffs, coeffs) {
 		t.Fatalf("roundtrip coeffs %+v != %+v", resp.Coeffs, coeffs)
 	}
 
-	// Negative truncation metadata never leaves a conforming writer.
-	if err := NewWriter(&buf).WriteBudgetResponsePayload(0, 0, 1, -1, 0, nil); err == nil {
+	// A negative dropped count never leaves a conforming writer.
+	if err := NewWriter(&buf).writeResponsePayload(0, 0, 1, -1, nil); err == nil {
 		t.Fatal("negative dropped count encoded")
 	}
-	if err := NewWriter(&buf).WriteBudgetResponsePayload(0, 0, 1, 0, -1, nil); err == nil {
-		t.Fatal("negative budget encoded")
+	if err := NewWriter(&buf).WriteResponse(Response{Dropped: -1}); err == nil {
+		t.Fatal("negative dropped count encoded")
 	}
 
-	// Reusing the decode scratch for a plain response must zero the
-	// budget metadata, not leak the previous frame's.
+	// Reusing the decode scratch for a response that withholds nothing
+	// must zero Dropped, not leak the previous frame's.
 	buf.Reset()
 	if err := NewWriter(&buf).WriteResponsePayload(0, 1, 4, nil); err != nil {
 		t.Fatal(err)
@@ -121,69 +119,70 @@ func TestBudgetResponseRoundtrip(t *testing.T) {
 	if err := r.ReadResponseInto(&resp); err != nil {
 		t.Fatal(err)
 	}
-	if resp.Dropped != 0 || resp.Budget != 0 {
-		t.Fatalf("plain response leaked budget metadata %d/%d", resp.Dropped, resp.Budget)
+	if resp.Dropped != 0 {
+		t.Fatalf("complete response leaked dropped count %d", resp.Dropped)
 	}
 }
 
-// TestBudgetFrameLayoutPin hand-encodes both budgeted frames with
-// binary.LittleEndian and pins the writers to those exact bytes — and
-// pins that the budgeted request is precisely the version-3 request body
-// behind an 8-byte budget prefix, so the v3 layout provably did not move.
+// TestBudgetFrameLayoutPin hand-encodes the request and response frames
+// with binary.LittleEndian, record fields included, and pins the
+// writers to those exact bytes. The byte budget sits where version 4's
+// plain request carried the speed, so a request is the size it was.
 func TestBudgetFrameLayoutPin(t *testing.T) {
 	req := Request{
-		Speed:    1.5,
 		MaxBytes: 1 << 20,
 		Subs:     []retrieval.SubQuery{{Region: geom.R2(1, 2, 3, 4), WMin: 0.25, WMax: 0.75}},
 	}
 	var body []byte
 	body = le64(body, uint64(req.MaxBytes))
-	body = le64(body, math.Float64bits(req.Speed))
 	body = le32(body, 1)
 	for _, f := range []float64{1, 2, 3, 4, 0.25, 0.75} {
 		body = le64(body, math.Float64bits(f))
 	}
-	want := append([]byte{TagBudgetRequest}, body...)
+	want := append([]byte{TagRequest}, body...)
 	want = le32(want, crc32.Checksum(body, crcTable))
+	if len(want) != 1+8+4+6*8+4 {
+		t.Fatalf("hand-encoded request is %d bytes", len(want))
+	}
 
 	var buf bytes.Buffer
-	if err := NewWriter(&buf).WriteBudgetRequest(req); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(buf.Bytes(), want) {
-		t.Fatalf("budget request layout drifted:\n got %x\nwant %x", buf.Bytes(), want)
-	}
-
-	// The version-3 request frame is the same body without the prefix.
-	v3body := body[8:]
-	wantV3 := append([]byte{TagRequest}, v3body...)
-	wantV3 = le32(wantV3, crc32.Checksum(v3body, crcTable))
-	buf.Reset()
 	if err := NewWriter(&buf).WriteRequest(req); err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(buf.Bytes(), wantV3) {
-		t.Fatalf("v3 request layout drifted:\n got %x\nwant %x", buf.Bytes(), wantV3)
+	if !bytes.Equal(buf.Bytes(), want) {
+		t.Fatalf("request layout drifted:\n got %x\nwant %x", buf.Bytes(), want)
 	}
 
-	// Budgeted response: count, io, seq, dropped, budget, records, CRC.
+	// Response: count, io, seq, dropped, records, CRC.
 	coeff := Coeff{Object: 3, Vertex: 9, Delta: geom.Vec3{X: 0.5, Y: -1, Z: 2}, Pos: [3]float32{7, 8, 9}, Value: 0.25}
-	payload := EncodeResponsePayload(nil, []Coeff{coeff})
 	var rbody []byte
 	rbody = le32(rbody, 1)
-	rbody = le64(rbody, 42)   // io
-	rbody = le64(rbody, 6)    // seq
-	rbody = le64(rbody, 5)    // dropped
-	rbody = le64(rbody, 4096) // budget
-	rbody = append(rbody, payload...)
-	wantResp := append([]byte{TagBudgetResponse}, rbody...)
+	rbody = le64(rbody, 42) // io
+	rbody = le64(rbody, 6)  // seq
+	rbody = le64(rbody, 5)  // dropped
+	rbody = le32(rbody, 3)  // object
+	rbody = le32(rbody, 9)  // vertex
+	for _, f := range []float64{0.5, -1, 2} {
+		rbody = le64(rbody, math.Float64bits(f))
+	}
+	for _, f := range []float32{7, 8, 9, 0.25} { // pos, value
+		rbody = le32(rbody, math.Float32bits(f))
+	}
+	wantResp := append([]byte{TagResponse}, rbody...)
 	wantResp = le32(wantResp, crc32.Checksum(rbody, crcTable))
 	buf.Reset()
-	if err := NewWriter(&buf).WriteBudgetResponsePayload(1, 42, 6, 5, 4096, payload); err != nil {
+	if err := NewWriter(&buf).WriteResponse(Response{Coeffs: []Coeff{coeff}, IO: 42, Seq: 6, Dropped: 5}); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(buf.Bytes(), wantResp) {
-		t.Fatalf("budget response layout drifted:\n got %x\nwant %x", buf.Bytes(), wantResp)
+		t.Fatalf("response layout drifted:\n got %x\nwant %x", buf.Bytes(), wantResp)
+	}
+	buf.Reset()
+	if err := NewWriter(&buf).writeResponsePayload(1, 42, 6, 5, EncodeResponsePayload(nil, []Coeff{coeff})); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), wantResp) {
+		t.Fatalf("payload response layout drifted:\n got %x\nwant %x", buf.Bytes(), wantResp)
 	}
 }
 
@@ -203,9 +202,9 @@ func (c *recordingConn) Read(p []byte) (int, error) {
 }
 
 // rawExchange dials the server, completes the handshake, sends one
-// request frame, and returns the server's reply both parsed and as the
-// raw frame bytes it arrived in.
-func rawExchange(t *testing.T, addr string, send func(*Writer) error, wantTag byte) ([]byte, Response) {
+// request, and returns the server's response both parsed and as the raw
+// frame bytes it arrived in.
+func rawExchange(t *testing.T, addr string, req Request) ([]byte, Response) {
 	t.Helper()
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
@@ -223,69 +222,40 @@ func rawExchange(t *testing.T, addr string, send func(*Writer) error, wantTag by
 	// The server writes nothing between the hello and its reply to our
 	// request, so arming the recorder here captures exactly one frame.
 	rc.rec = &bytes.Buffer{}
-	if err := send(w); err != nil {
+	if err := w.WriteRequest(req); err != nil {
 		t.Fatal(err)
 	}
 	tag, err := r.ReadTag()
-	if err != nil || tag != wantTag {
-		t.Fatalf("reply tag = %d err = %v, want %d", tag, err, wantTag)
+	if err != nil || tag != TagResponse {
+		t.Fatalf("reply tag = %d err = %v, want %d", tag, err, TagResponse)
 	}
 	var resp Response
-	if wantTag == TagBudgetResponse {
-		err = r.ReadBudgetResponseInto(&resp)
-	} else {
-		err = r.ReadResponseInto(&resp)
-	}
-	if err != nil {
+	if err := r.ReadResponseInto(&resp); err != nil {
 		t.Fatal(err)
 	}
 	return append([]byte(nil), rc.rec.Bytes()...), resp
 }
 
 // TestBudgetZeroMatchesPlainWire is the protocol-level oracle-equality
-// test: for the same sub-queries against fresh sessions, a budgeted
-// request with MaxBytes = 0 must yield a response that is the version-3
-// response byte for byte, except for the tag and the 16 bytes of zero
-// truncation metadata (and the CRC that covers them). The test proves it
-// by surgery: deleting those 16 bytes from the captured v4 frame and
-// re-checksumming must reproduce the captured v3 frame exactly.
+// test for the unlimited budget: for the same sub-queries against fresh
+// sessions, a request with MaxBytes = 0 must be answered byte for byte
+// like one whose budget exceeds the whole response.
 func TestBudgetZeroMatchesPlainWire(t *testing.T) {
 	addr, d, _, _, shutdown := startHardenedServer(t, nil)
 	defer shutdown()
-	space := d.Store.Bounds().XY()
-	subs := []retrieval.SubQuery{{Region: space, WMin: 0, WMax: 1}}
+	subs := []retrieval.SubQuery{{Region: d.Store.Bounds().XY(), WMin: 0, WMax: 1}}
 
-	plainFrame, plainResp := rawExchange(t, addr, func(w *Writer) error {
-		return w.WriteRequest(Request{Speed: 0.3, Subs: subs})
-	}, TagResponse)
-	budgetFrame, budgetResp := rawExchange(t, addr, func(w *Writer) error {
-		return w.WriteBudgetRequest(Request{Speed: 0.3, Subs: subs, MaxBytes: 0})
-	}, TagBudgetResponse)
+	zeroFrame, zeroResp := rawExchange(t, addr, Request{Subs: subs})
+	roomyFrame, _ := rawExchange(t, addr, Request{Subs: subs, MaxBytes: 1 << 40})
 
-	if len(plainResp.Coeffs) == 0 {
+	if len(zeroResp.Coeffs) == 0 {
 		t.Fatal("whole-space query returned no coefficients")
 	}
-	if budgetResp.Dropped != 0 || budgetResp.Budget != 0 {
-		t.Fatalf("unlimited budget truncated: dropped %d budget %d", budgetResp.Dropped, budgetResp.Budget)
+	if zeroResp.Dropped != 0 {
+		t.Fatalf("unlimited budget withheld %d coefficients", zeroResp.Dropped)
 	}
-	if !reflect.DeepEqual(plainResp.Coeffs, budgetResp.Coeffs) {
-		t.Fatalf("coefficient streams diverge: %d vs %d records", len(plainResp.Coeffs), len(budgetResp.Coeffs))
-	}
-	if plainResp.IO != budgetResp.IO || plainResp.Seq != budgetResp.Seq {
-		t.Fatalf("io/seq diverge: %d/%d vs %d/%d", plainResp.IO, plainResp.Seq, budgetResp.IO, budgetResp.Seq)
-	}
-
-	const metaOff = 1 + 4 + 8 + 8 // tag, count, io, seq
-	meta := budgetFrame[metaOff : metaOff+16]
-	if !bytes.Equal(meta, make([]byte, 16)) {
-		t.Fatalf("unlimited response carries non-zero metadata %x", meta)
-	}
-	body := append([]byte(nil), budgetFrame[1:metaOff]...)
-	body = append(body, budgetFrame[metaOff+16:len(budgetFrame)-4]...)
-	want := append([]byte{TagResponse}, body...)
-	want = le32(want, crc32.Checksum(body, crcTable))
-	if !bytes.Equal(plainFrame, want) {
-		t.Fatalf("v4 response is not the v3 response plus metadata (%d vs %d bytes)", len(plainFrame), len(want))
+	if !bytes.Equal(zeroFrame, roomyFrame) {
+		t.Fatalf("MaxBytes = 0 frame (%d bytes) differs from a roomy-budget frame (%d bytes)", len(zeroFrame), len(roomyFrame))
 	}
 }
 
@@ -356,29 +326,23 @@ func TestFrameBudgetTruncationConvergence(t *testing.T) {
 	}
 }
 
-// TestBudgetCapClampsBudgetedOnly pins the server-side cap's asymmetry:
-// budgeted requests are clamped — including the "unlimited" MaxBytes = 0
-// — while plain requests are never capped, preserving the v3 oracle.
-func TestBudgetCapClampsBudgetedOnly(t *testing.T) {
+// TestBudgetCapClampsEveryFrame pins the server-side cap: it clamps
+// every request — a budgeted frame's "unlimited" MaxBytes = 0 and its
+// over-cap budgets, and every plain Frame of a tour. The plain client,
+// told what the cap withheld, keeps asking for it: after lingering at
+// its last window it holds exactly what an uncapped oracle holds.
+func TestBudgetCapClampsEveryFrame(t *testing.T) {
 	const capCoeffs = 40
 	capBytes := int64(capCoeffs) * wavelet.WireBytes
 	addr, d, _, _, shutdown := startHardenedServer(t, func(s *Server) {
 		s.SetBudgetCap(capBytes)
 	})
 	defer shutdown()
+	oracleAddr, _, _, _, oracleShutdown := startHardenedServer(t, nil)
+	defer oracleShutdown()
 	space := d.Store.Bounds().XY()
-
-	plain, err := Dial(addr, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	n0, err := plain.Frame(space, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plain.Close()
-	if n0 <= capCoeffs {
-		t.Fatalf("universe of %d coeffs too small to exercise a %d-coeff cap", n0, capCoeffs)
+	if n := d.Store.NumCoeffs(); n <= capCoeffs {
+		t.Fatalf("universe of %d coeffs too small to exercise a %d-coeff cap", n, capCoeffs)
 	}
 
 	for _, maxBytes := range []int64{0, capBytes * 4} {
@@ -396,6 +360,64 @@ func TestBudgetCapClampsBudgetedOnly(t *testing.T) {
 		}
 		if dropped == 0 {
 			t.Fatalf("MaxBytes=%d: capped response reports nothing withheld", maxBytes)
+		}
+	}
+
+	capped, err := Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer capped.Close()
+	oracle, err := Dial(oracleAddr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oracle.Close()
+	frames := append(soakTrajectory(3, 12, space), soakFrame{q: space, speed: 0})
+	for i, f := range frames {
+		if _, err := oracle.Frame(f.q, f.speed); err != nil {
+			t.Fatal(err)
+		}
+		n, err := capped.Frame(f.q, f.speed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > capCoeffs {
+			t.Fatalf("tour frame %d: %d coeffs exceed the server cap of %d", i, n, capCoeffs)
+		}
+	}
+	if capped.Coefficients >= oracle.Coefficients {
+		t.Fatalf("cap withheld nothing over the tour: %d vs %d coefficients", capped.Coefficients, oracle.Coefficients)
+	}
+	last := frames[len(frames)-1]
+	for linger := 0; ; linger++ {
+		n, err := capped.Frame(last.q, last.speed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n > capCoeffs {
+			t.Fatalf("linger frame %d: %d coeffs exceed the server cap of %d", linger, n, capCoeffs)
+		}
+		if n == 0 {
+			break
+		}
+		if linger > int(d.Store.NumCoeffs()) {
+			t.Fatal("capped client never caught up at its last window")
+		}
+	}
+	if capped.Coefficients != oracle.Coefficients {
+		t.Fatalf("capped client holds %d coefficients, oracle %d", capped.Coefficients, oracle.Coefficients)
+	}
+	for _, id := range oracle.Objects() {
+		om, _ := oracle.Mesh(id)
+		cm, ok := capped.Mesh(id)
+		if !ok || capped.CoeffCount(id) != oracle.CoeffCount(id) {
+			t.Fatalf("object %d: %d coefficients, oracle has %d", id, capped.CoeffCount(id), oracle.CoeffCount(id))
+		}
+		for v := range om.Verts {
+			if om.Verts[v] != cm.Verts[v] {
+				t.Fatalf("object %d vertex %d differs from the uncapped oracle", id, v)
+			}
 		}
 	}
 }

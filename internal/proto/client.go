@@ -235,42 +235,18 @@ func (c *Client) AppliedSeq() int64 { return c.appliedSeq }
 // round-trip, reconstruction state update. It returns the number of new
 // coefficients received. On error the connection must be abandoned; see
 // the type comment for which states are safe to retry from.
+//
+// The planner advances only past a frame the server answered in full.
+// When it withheld coefficients (a server byte cap, an unreadable page)
+// the next frame is planned against the last fully delivered one, so it
+// asks for the withheld coefficients again instead of leaving a
+// permanent hole.
 func (c *Client) Frame(q geom.Rect2, speed float64) (int, error) {
-	subs := c.planner.PlanFrame(q, speed)
-	if err := c.w.WriteRequest(Request{Speed: speed, Subs: subs}); err != nil {
-		return 0, err
-	}
-	tag, err := c.r.ReadTag()
-	if err != nil {
-		return 0, err
-	}
-	switch tag {
-	case TagResponse:
-		if err := c.r.ReadResponseInto(&c.resp); err != nil {
-			return 0, err
-		}
-		resp := &c.resp
-		if resp.Seq != c.appliedSeq+1 {
-			return 0, fmt.Errorf("proto: response seq %d, expected %d", resp.Seq, c.appliedSeq+1)
-		}
-		for i := range resp.Coeffs {
-			c.apply(&resp.Coeffs[i])
-		}
-		c.appliedSeq = resp.Seq
-		c.BytesReceived += int64(len(resp.Coeffs)) * wavelet.WireBytes
-		c.Coefficients += int64(len(resp.Coeffs))
-		c.ServerIO += resp.IO
+	n, dropped, err := c.exchange(Request{Subs: c.planner.PlanFrame(q, speed)})
+	if err == nil && dropped == 0 {
 		c.planner.Advance(q, speed)
-		return len(resp.Coeffs), nil
-	case TagError:
-		msg, err := c.r.ReadError()
-		if err != nil {
-			return 0, err
-		}
-		return 0, fmt.Errorf("proto: server error: %s", msg)
-	default:
-		return 0, fmt.Errorf("proto: unexpected tag %d", tag)
 	}
+	return n, err
 }
 
 // FrameBudget issues one budgeted query frame: the viewport-utility
@@ -278,7 +254,7 @@ func (c *Client) Frame(q geom.Rect2, speed float64) (int, error) {
 // center × resolution bands, ordered by screen-space contribution)
 // shipped with a byte budget, answered by a deterministically truncated
 // response. It returns the number of coefficients received and how many
-// the server withheld to fit the budget.
+// the server withheld.
 //
 // Budgeted frames do not use Algorithm 1's frame-to-frame
 // incrementality — the plan re-covers the whole window every frame and
@@ -288,42 +264,46 @@ func (c *Client) Frame(q geom.Rect2, speed float64) (int, error) {
 // history is reset, so a subsequent plain Frame re-covers its window
 // rather than trusting a truncated frame's coverage.
 func (c *Client) FrameBudget(q geom.Rect2, speed float64, maxBytes int64, rings int) (n int, droppedCoeffs int64, err error) {
-	w := c.mapSpeed(speed)
-	subs := abr.PlanViewport(q, q.Center(), w, rings)
-	if err := c.w.WriteBudgetRequest(Request{Speed: speed, Subs: subs, MaxBytes: maxBytes}); err != nil {
+	c.planner.Reset()
+	return c.exchange(Request{Subs: abr.PlanViewport(q, q.Center(), c.mapSpeed(speed), rings), MaxBytes: maxBytes})
+}
+
+// exchange ships one request and applies its response: the records go
+// into the reconstructors, the sequence number and lifetime totals
+// advance. It returns the records received and the count withheld.
+func (c *Client) exchange(req Request) (int, int64, error) {
+	if err := c.w.WriteRequest(req); err != nil {
 		return 0, 0, err
 	}
-	c.planner.Reset()
 	tag, err := c.r.ReadTag()
 	if err != nil {
 		return 0, 0, err
 	}
-	switch tag {
-	case TagBudgetResponse:
-		if err := c.r.ReadBudgetResponseInto(&c.resp); err != nil {
-			return 0, 0, err
-		}
-		resp := &c.resp
-		if resp.Seq != c.appliedSeq+1 {
-			return 0, 0, fmt.Errorf("proto: response seq %d, expected %d", resp.Seq, c.appliedSeq+1)
-		}
-		for i := range resp.Coeffs {
-			c.apply(&resp.Coeffs[i])
-		}
-		c.appliedSeq = resp.Seq
-		c.BytesReceived += int64(len(resp.Coeffs)) * wavelet.WireBytes
-		c.Coefficients += int64(len(resp.Coeffs))
-		c.ServerIO += resp.IO
-		return len(resp.Coeffs), resp.Dropped, nil
-	case TagError:
+	if tag == TagError {
 		msg, err := c.r.ReadError()
 		if err != nil {
 			return 0, 0, err
 		}
 		return 0, 0, fmt.Errorf("proto: server error: %s", msg)
-	default:
+	}
+	if tag != TagResponse {
 		return 0, 0, fmt.Errorf("proto: unexpected tag %d", tag)
 	}
+	resp := &c.resp
+	if err := c.r.ReadResponseInto(resp); err != nil {
+		return 0, 0, err
+	}
+	if resp.Seq != c.appliedSeq+1 {
+		return 0, 0, fmt.Errorf("proto: response seq %d, expected %d", resp.Seq, c.appliedSeq+1)
+	}
+	for i := range resp.Coeffs {
+		c.apply(&resp.Coeffs[i])
+	}
+	c.appliedSeq = resp.Seq
+	c.BytesReceived += int64(len(resp.Coeffs)) * wavelet.WireBytes
+	c.Coefficients += int64(len(resp.Coeffs))
+	c.ServerIO += resp.IO
+	return len(resp.Coeffs), resp.Dropped, nil
 }
 
 // apply routes one coefficient into its object's reconstructor, creating

@@ -61,7 +61,7 @@ func TestReadResponseChunkBoundaries(t *testing.T) {
 // records decoded before the cut never come back as a valid response.
 func TestReadResponseTruncatedMidChunk(t *testing.T) {
 	frame := responseFrame(t, Response{IO: 3, Seq: 9, Coeffs: randCoeffs(rand.New(rand.NewSource(5)), 3*respChunkRecords)})
-	const header = 1 + 4 + 8 + 8
+	const header = 1 + 4 + 8 + 8 + 8 // tag, count, io, seq, dropped
 	chunk := respChunkRecords * wireCoeffBytes
 	for _, cut := range []int{header, header + 100, header + chunk, header + chunk + wireCoeffBytes/2, header + 3*chunk - 1, len(frame) - 2} {
 		var resp Response
@@ -80,7 +80,7 @@ func TestReadResponseTruncatedMidChunk(t *testing.T) {
 // per-field reads did.
 func TestReadResponseCRCCoversEveryChunk(t *testing.T) {
 	frame := responseFrame(t, Response{IO: 3, Seq: 9, Coeffs: randCoeffs(rand.New(rand.NewSource(6)), 2*respChunkRecords+7)})
-	const header = 1 + 4 + 8 + 8
+	const header = 1 + 4 + 8 + 8 + 8 // tag, count, io, seq, dropped
 	chunk := respChunkRecords * wireCoeffBytes
 	check := func(pos int) {
 		mut := slices.Clone(frame)
@@ -119,8 +119,9 @@ func TestReadResponseLyingCountAllocatesOneChunk(t *testing.T) {
 	w := NewWriter(&buf)
 	w.u8(TagResponse)
 	w.i32(MaxCoeffs)
-	w.i64(0)
-	w.i64(1)
+	w.i64(0) // io
+	w.i64(1) // seq
+	w.i64(0) // dropped
 	w.raw(EncodeResponsePayload(nil, randCoeffs(rand.New(rand.NewSource(8)), 10)))
 	if err := w.w.Flush(); err != nil {
 		t.Fatal(err)

@@ -21,7 +21,7 @@ func FuzzReader(f *testing.F) {
 	f.Add(hello.Bytes())
 
 	var req bytes.Buffer
-	NewWriter(&req).WriteRequest(Request{Speed: 0.5})
+	NewWriter(&req).WriteRequest(Request{})
 	f.Add(req.Bytes())
 
 	var resp bytes.Buffer
@@ -51,6 +51,15 @@ func FuzzReader(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 
+	// A budgeted request, a truncated response and an all-withheld one.
+	f.Add(frameBytes(f, func(w *Writer) error { return w.WriteRequest(budgetedRequest) }))
+	f.Add(frameBytes(f, func(w *Writer) error { return w.WriteResponse(truncatedResponse) }))
+	f.Add(frameBytes(f, func(w *Writer) error { return w.WriteResponse(Response{Seq: 1, Dropped: 12}) }))
+	// An unlimited-budget request with a sub-query, and a request tag
+	// with no body behind it.
+	f.Add(frameBytes(f, func(w *Writer) error { return w.WriteRequest(Request{Subs: budgetedRequest.Subs}) }))
+	f.Add([]byte{TagRequest})
+
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
 		tag, err := r.ReadTag()
@@ -61,12 +70,12 @@ func FuzzReader(f *testing.F) {
 		case TagHello:
 			r.ReadHello()
 		case TagRequest:
-			if req, err := r.ReadRequest(); err == nil && len(req.Subs) > MaxSubQueries {
-				t.Fatalf("oversized request decoded: %d", len(req.Subs))
+			if req, err := r.ReadRequest(); err == nil && (len(req.Subs) > MaxSubQueries || req.MaxBytes < 0) {
+				t.Fatalf("out-of-range request decoded: %d subs, budget %d", len(req.Subs), req.MaxBytes)
 			}
 		case TagResponse:
-			if resp, err := r.ReadResponse(); err == nil && len(resp.Coeffs) > MaxCoeffs {
-				t.Fatalf("oversized response decoded: %d", len(resp.Coeffs))
+			if resp, err := r.ReadResponse(); err == nil && (len(resp.Coeffs) > MaxCoeffs || resp.Dropped < 0) {
+				t.Fatalf("out-of-range response decoded: %d coeffs, %d dropped", len(resp.Coeffs), resp.Dropped)
 			}
 		case TagError:
 			r.ReadError()
@@ -90,15 +99,30 @@ func FuzzReader(f *testing.F) {
 	})
 }
 
-// frameBody strips the tag byte from a written frame, giving the body a
-// per-message fuzzer consumes after its own ReadTag.
-func frameBody(f *testing.F, write func(*Writer) error) []byte {
+// budgetedRequest and truncatedResponse are valid frames exercising the
+// byte budget and the withheld count.
+var (
+	budgetedRequest = Request{
+		Subs:     []retrieval.SubQuery{{Region: geom.R2(1, 2, 3, 4), WMin: 0.2, WMax: 0.9}},
+		MaxBytes: 4096,
+	}
+	truncatedResponse = Response{IO: 7, Seq: 2, Dropped: 3, Coeffs: []Coeff{{Object: 1, Vertex: 9, Value: 0.5}}}
+)
+
+// frameBytes returns one written frame, tag included.
+func frameBytes(f *testing.F, write func(*Writer) error) []byte {
 	f.Helper()
 	var buf bytes.Buffer
 	if err := write(NewWriter(&buf)); err != nil {
 		f.Fatal(err)
 	}
-	return buf.Bytes()[1:]
+	return buf.Bytes()
+}
+
+// frameBody strips the tag byte from a written frame, giving the body a
+// per-message fuzzer consumes after its own ReadTag.
+func frameBody(f *testing.F, write func(*Writer) error) []byte {
+	return frameBytes(f, write)[1:]
 }
 
 // FuzzReadResponse targets the response decoder: the largest frame, the
@@ -113,10 +137,17 @@ func FuzzReadResponse(f *testing.F) {
 		return w.WriteResponse(Response{})
 	}))
 	f.Add([]byte{})
+	f.Add(frameBody(f, func(w *Writer) error {
+		return w.WriteResponse(truncatedResponse)
+	}))
+	f.Add(frameBody(f, func(w *Writer) error {
+		return w.WriteResponse(Response{Seq: 1, Dropped: 12}) // all withheld
+	}))
+	f.Add([]byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := NewReader(bytes.NewReader(data))
-		if resp, err := r.ReadResponse(); err == nil && len(resp.Coeffs) > MaxCoeffs {
-			t.Fatalf("oversized response decoded: %d", len(resp.Coeffs))
+		if resp, err := r.ReadResponse(); err == nil && (len(resp.Coeffs) > MaxCoeffs || resp.Dropped < 0) {
+			t.Fatalf("out-of-range response decoded: %d coeffs, %d dropped", len(resp.Coeffs), resp.Dropped)
 		}
 	})
 }
@@ -200,108 +231,33 @@ func FuzzReadResume(f *testing.F) {
 }
 
 // FuzzCRCRejectsFlips checks the integrity guarantee end to end: any
-// single-bit flip anywhere in a checksummed frame must be rejected.
+// single-bit flip anywhere past the tag of a checksummed frame — here a
+// budgeted request and a truncated response — must be rejected.
 func FuzzCRCRejectsFlips(f *testing.F) {
-	var buf bytes.Buffer
-	w := NewWriter(&buf)
-	if err := w.WriteResponse(Response{IO: 7, Seq: 2, Coeffs: []Coeff{{Object: 1, Vertex: 9, Value: 0.5}}}); err != nil {
-		f.Fatal(err)
+	frames := [][]byte{
+		frameBytes(f, func(w *Writer) error { return w.WriteResponse(truncatedResponse) }),
+		frameBytes(f, func(w *Writer) error { return w.WriteRequest(budgetedRequest) }),
 	}
-	frame := buf.Bytes()
 	f.Add(1, uint8(0))
-	f.Add(len(frame)-1, uint8(7))
+	f.Add(len(frames[0])-1, uint8(7))
+	f.Add(len(frames[1])-1, uint8(3))
 	f.Fuzz(func(t *testing.T, pos int, bit uint8) {
-		if pos < 1 || pos >= len(frame) { // tag byte is not checksummed
-			return
-		}
-		mut := append([]byte(nil), frame...)
-		mut[pos] ^= 1 << (bit % 8)
-		r := NewReader(bytes.NewReader(mut))
-		if tag, err := r.ReadTag(); err != nil || tag != TagResponse {
-			return // flipped the length header into an invalid shape: fine
-		}
-		if _, err := r.ReadResponse(); err == nil {
-			t.Fatalf("bit flip at byte %d bit %d went undetected", pos, bit%8)
-		}
-	})
-}
-
-// FuzzBudget targets the version-4 budgeted-frame decoders: the budget
-// field ahead of the request body, the truncation metadata between the
-// response header and its records, and the CRC trailers covering both.
-// A decode that succeeds must yield bounded, non-negative fields; and —
-// like every checksummed frame — any single-bit flip in a valid
-// budgeted frame must be rejected.
-func FuzzBudget(f *testing.F) {
-	subs := []retrieval.SubQuery{{Region: geom.R2(1, 2, 3, 4), WMin: 0.2, WMax: 0.9}}
-	var reqFrame, respFrame bytes.Buffer
-	if err := NewWriter(&reqFrame).WriteBudgetRequest(Request{Speed: 0.5, Subs: subs, MaxBytes: 4096}); err != nil {
-		f.Fatal(err)
-	}
-	payload := EncodeResponsePayload(nil, []Coeff{{Object: 1, Vertex: 9, Value: 0.5}})
-	if err := NewWriter(&respFrame).WriteBudgetResponsePayload(1, 7, 2, 3, 4096, payload); err != nil {
-		f.Fatal(err)
-	}
-	valid := [2][]byte{reqFrame.Bytes(), respFrame.Bytes()}
-
-	f.Add(uint8(0), reqFrame.Bytes()[1:], 0, uint8(0))
-	f.Add(uint8(0), frameBody(f, func(w *Writer) error {
-		return w.WriteBudgetRequest(Request{Speed: 0.5, Subs: subs}) // unlimited budget
-	}), 1, uint8(7))
-	f.Add(uint8(1), respFrame.Bytes()[1:], 9, uint8(3))
-	f.Add(uint8(1), frameBody(f, func(w *Writer) error {
-		return w.WriteBudgetResponsePayload(0, 0, 1, 12, 4096, nil) // all withheld
-	}), 21, uint8(0))
-	f.Add(uint8(0), []byte{}, 0, uint8(0))
-	f.Add(uint8(1), []byte{0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF}, 0, uint8(0))
-
-	f.Fuzz(func(t *testing.T, which uint8, data []byte, pos int, bit uint8) {
-		// Totality and bounds on arbitrary bodies.
-		r := NewReader(bytes.NewReader(data))
-		switch which % 2 {
-		case 0:
-			if req, err := r.ReadBudgetRequest(); err == nil {
-				if req.MaxBytes < 0 {
-					t.Fatalf("negative budget decoded: %d", req.MaxBytes)
-				}
-				if len(req.Subs) > MaxSubQueries {
-					t.Fatalf("oversized request decoded: %d", len(req.Subs))
-				}
+		for _, frame := range frames {
+			if pos < 1 || pos >= len(frame) { // tag byte is not checksummed
+				continue
 			}
-		case 1:
-			var resp Response
-			if err := r.ReadBudgetResponseInto(&resp); err == nil {
-				if resp.Dropped < 0 || resp.Budget < 0 {
-					t.Fatalf("negative truncation metadata decoded: %d/%d", resp.Dropped, resp.Budget)
-				}
-				if len(resp.Coeffs) > MaxCoeffs {
-					t.Fatalf("oversized response decoded: %d", len(resp.Coeffs))
-				}
+			mut := append([]byte(nil), frame...)
+			mut[pos] ^= 1 << (bit % 8)
+			r := NewReader(bytes.NewReader(mut))
+			var err error
+			switch tag, _ := r.ReadTag(); tag {
+			case TagRequest:
+				_, err = r.ReadRequest()
+			case TagResponse:
+				_, err = r.ReadResponse()
 			}
-		}
-
-		// CRC integrity: a single-bit flip anywhere past the tag of a
-		// valid budgeted frame must not decode.
-		frame := valid[which%2]
-		if pos < 1 || pos >= len(frame) {
-			return
-		}
-		mut := append([]byte(nil), frame...)
-		mut[pos] ^= 1 << (bit % 8)
-		r = NewReader(bytes.NewReader(mut))
-		tag, err := r.ReadTag()
-		if err != nil {
-			return
-		}
-		switch tag {
-		case TagBudgetRequest:
-			if _, err := r.ReadBudgetRequest(); err == nil {
-				t.Fatalf("request bit flip at byte %d bit %d went undetected", pos, bit%8)
-			}
-		case TagBudgetResponse:
-			var resp Response
-			if err := r.ReadBudgetResponseInto(&resp); err == nil {
-				t.Fatalf("response bit flip at byte %d bit %d went undetected", pos, bit%8)
+			if err == nil {
+				t.Fatalf("bit flip at byte %d bit %d of tag %d went undetected", pos, bit%8, mut[0])
 			}
 		}
 	})

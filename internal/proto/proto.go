@@ -46,23 +46,17 @@ const (
 	TagResumeOK   = byte(7)
 	TagResumeFail = byte(8)
 	TagScene      = byte(9)
-	// Budgeted frames (version 4): a request carrying a per-frame byte
-	// budget and a response carrying truncation metadata. Deliberately
-	// separate tags rather than new fields on TagRequest/TagResponse, so
-	// a client that never sets a budget emits frames byte-identical to
-	// version 3 and every pre-ABR harness keeps its oracle equality.
-	TagBudgetRequest  = byte(10)
-	TagBudgetResponse = byte(11)
 )
 
 // Version is bumped on incompatible wire changes. Version 2 added CRC
 // frame trailers, the session token in Hello, the sequence number in
 // Response, and the resume exchange. Version 3 added the scene name to
 // Hello and the scene-select exchange (TagScene) for multi-scene
-// engines. Version 4 added the budgeted request/response frames
-// (TagBudgetRequest/TagBudgetResponse) for ABR streaming; the version-3
-// frames are unchanged byte-for-byte.
-const Version = 4
+// engines. Version 4 added a second, budgeted request/response pair
+// for ABR streaming. Version 5 folds the pairs into one: every request
+// carries its byte budget in place of the speed the server never read,
+// and every response says how many coefficients it withheld.
+const Version = 5
 
 // MaxSubQueries bounds one request; Algorithm 1 produces at most 5
 // sub-queries (overlap band + 4 difference rectangles), so anything
@@ -124,16 +118,12 @@ type Hello struct {
 	Scene     string
 }
 
-// Request carries the sub-queries of one query frame together with the
-// client's declared speed (for server-side logging/derating).
-//
-// MaxBytes is the per-frame byte budget of a budgeted request (0 =
-// unlimited): the server answers with at most MaxBytes of coefficient
-// payload, truncated deterministically along the sub-query order. It
-// travels only in TagBudgetRequest frames — WriteRequest ignores it,
-// keeping the version-3 layout untouched.
+// Request carries the sub-queries of one query frame and its byte
+// budget: MaxBytes = 0 is unlimited, otherwise the server answers with
+// at most MaxBytes of coefficient payload, truncated deterministically
+// along the sub-query order. A server-side cap may lower the budget
+// further (Server.SetBudgetCap).
 type Request struct {
-	Speed    float64
 	Subs     []retrieval.SubQuery
 	MaxBytes int64
 }
@@ -187,20 +177,16 @@ func init() {
 
 // Response streams the coefficients answering one request. Seq numbers
 // the responses of one session lineage (1 for the first frame), letting
-// a resuming client prove how far it got.
-//
-// Dropped and Budget are the truncation metadata of a budgeted response
-// (TagBudgetResponse): how many coefficients the server withheld to fit
-// the budget, and the effective budget it applied (the request's
-// MaxBytes, possibly clamped by a server-side cap). Both are 0 on plain
-// responses — WriteResponse does not carry them, keeping the version-3
-// layout untouched.
+// a resuming client prove how far it got. Dropped counts the
+// coefficients the request matched but the server withheld — cut by the
+// byte budget or the server's cap, or unreadable on a damaged page —
+// none of which the session marks delivered, so a later request for the
+// same window receives them.
 type Response struct {
 	Coeffs  []Coeff
 	IO      int64 // server-side index node reads (for experiment parity)
 	Seq     int64
 	Dropped int64
-	Budget  int64
 }
 
 // Writer frames messages onto a stream.
@@ -303,10 +289,19 @@ func (w *Writer) WriteSceneSelect(scene string) error {
 	return w.w.Flush()
 }
 
-// writeRequestBody emits the speed + sub-query section shared by plain
-// and budgeted request frames (the version-3 request body).
-func (w *Writer) writeRequestBody(r Request) {
-	w.f64(r.Speed)
+// WriteRequest sends one query frame: the byte budget, then the
+// sub-queries, under a CRC trailer — a corrupted budget must surface as
+// ErrChecksum, not as a silently absurd truncation.
+func (w *Writer) WriteRequest(r Request) error {
+	if len(r.Subs) > MaxSubQueries {
+		return fmt.Errorf("proto: %d sub-queries exceeds limit %d", len(r.Subs), MaxSubQueries)
+	}
+	if r.MaxBytes < 0 {
+		return fmt.Errorf("proto: negative byte budget %d", r.MaxBytes)
+	}
+	w.u8(TagRequest)
+	w.beginCRC()
+	w.i64(r.MaxBytes)
 	w.i32(int32(len(r.Subs)))
 	for _, s := range r.Subs {
 		for _, f := range []float64{
@@ -316,36 +311,6 @@ func (w *Writer) writeRequestBody(r Request) {
 			w.f64(f)
 		}
 	}
-}
-
-// WriteRequest sends one query frame's sub-queries. MaxBytes is not
-// carried (see Request); use WriteBudgetRequest for budgeted frames.
-func (w *Writer) WriteRequest(r Request) error {
-	if len(r.Subs) > MaxSubQueries {
-		return fmt.Errorf("proto: %d sub-queries exceeds limit %d", len(r.Subs), MaxSubQueries)
-	}
-	w.u8(TagRequest)
-	w.beginCRC()
-	w.writeRequestBody(r)
-	w.endCRC()
-	return w.w.Flush()
-}
-
-// WriteBudgetRequest sends one budgeted query frame: the version-3
-// request body prefixed with the byte budget (0 = unlimited), under the
-// same CRC trailer discipline — a corrupted budget must surface as
-// ErrChecksum, not as a silently absurd truncation.
-func (w *Writer) WriteBudgetRequest(r Request) error {
-	if len(r.Subs) > MaxSubQueries {
-		return fmt.Errorf("proto: %d sub-queries exceeds limit %d", len(r.Subs), MaxSubQueries)
-	}
-	if r.MaxBytes < 0 {
-		return fmt.Errorf("proto: negative byte budget %d", r.MaxBytes)
-	}
-	w.u8(TagBudgetRequest)
-	w.beginCRC()
-	w.i64(r.MaxBytes)
-	w.writeRequestBody(r)
 	w.endCRC()
 	return w.w.Flush()
 }
@@ -355,11 +320,15 @@ func (w *Writer) WriteResponse(r Response) error {
 	if len(r.Coeffs) > MaxCoeffs {
 		return fmt.Errorf("proto: response of %d coefficients exceeds limit", len(r.Coeffs))
 	}
+	if r.Dropped < 0 {
+		return fmt.Errorf("proto: negative dropped count %d", r.Dropped)
+	}
 	w.u8(TagResponse)
 	w.beginCRC()
 	w.i32(int32(len(r.Coeffs)))
 	w.i64(r.IO)
 	w.i64(r.Seq)
+	w.i64(r.Dropped)
 	for i := range r.Coeffs {
 		c := &r.Coeffs[i]
 		w.i32(c.Object)
@@ -413,7 +382,7 @@ func decodeCoeff(b []byte) Coeff {
 }
 
 // EncodeResponsePayload appends the wire encoding of the coefficient
-// records (the section of a response frame after count/IO/Seq) to buf.
+// records (the section of a response frame after its header) to buf.
 // The hot-region cache stores these blobs so repeated responses skip
 // per-record encoding; WriteResponsePayload replays them.
 func EncodeResponsePayload(buf []byte, coeffs []Coeff) []byte {
@@ -423,49 +392,34 @@ func EncodeResponsePayload(buf []byte, coeffs []Coeff) []byte {
 	return buf
 }
 
-// WriteResponsePayload writes a response frame whose coefficient section
-// is a pre-encoded payload (EncodeResponsePayload bytes for count
-// records). The emitted frame — CRC trailer included — is byte-identical
-// to WriteResponse of the equivalent Coeffs slice.
+// WriteResponsePayload writes a response frame that withholds nothing
+// and whose coefficient section is a pre-encoded payload
+// (EncodeResponsePayload bytes for count records). The emitted frame —
+// CRC trailer included — is byte-identical to WriteResponse of the
+// equivalent Coeffs slice.
 func (w *Writer) WriteResponsePayload(count int, nodeIO, seq int64, payload []byte) error {
+	return w.writeResponsePayload(count, nodeIO, seq, 0, payload)
+}
+
+// writeResponsePayload is WriteResponsePayload reporting dropped
+// withheld coefficients — the encoder the server answers every request
+// with.
+func (w *Writer) writeResponsePayload(count int, nodeIO, seq, dropped int64, payload []byte) error {
 	if count > MaxCoeffs {
 		return fmt.Errorf("proto: response of %d coefficients exceeds limit", count)
 	}
 	if len(payload) != count*wireCoeffBytes {
 		return fmt.Errorf("proto: payload of %d bytes does not hold %d records", len(payload), count)
+	}
+	if dropped < 0 {
+		return fmt.Errorf("proto: negative dropped count %d", dropped)
 	}
 	w.u8(TagResponse)
 	w.beginCRC()
 	w.i32(int32(count))
 	w.i64(nodeIO)
 	w.i64(seq)
-	w.raw(payload)
-	w.endCRC()
-	return w.w.Flush()
-}
-
-// WriteBudgetResponsePayload writes a budgeted response frame: the
-// plain response layout plus the truncation metadata (coefficients
-// withheld, effective budget applied) between the header and the
-// records. The coefficient section is the same pre-encoded payload
-// WriteResponsePayload takes, so hot-cache blobs replay on both paths.
-func (w *Writer) WriteBudgetResponsePayload(count int, nodeIO, seq, dropped, budget int64, payload []byte) error {
-	if count > MaxCoeffs {
-		return fmt.Errorf("proto: response of %d coefficients exceeds limit", count)
-	}
-	if len(payload) != count*wireCoeffBytes {
-		return fmt.Errorf("proto: payload of %d bytes does not hold %d records", len(payload), count)
-	}
-	if dropped < 0 || budget < 0 {
-		return fmt.Errorf("proto: negative truncation metadata (%d dropped, %d budget)", dropped, budget)
-	}
-	w.u8(TagBudgetResponse)
-	w.beginCRC()
-	w.i32(int32(count))
-	w.i64(nodeIO)
-	w.i64(seq)
 	w.i64(dropped)
-	w.i64(budget)
 	w.raw(payload)
 	w.endCRC()
 	return w.w.Flush()
@@ -765,8 +719,8 @@ func finite(vs ...float64) bool {
 }
 
 // ReadRequest parses and validates a request body (after its tag): the
-// checksum must match, the speed must be finite, and every sub-query
-// rectangle must be finite and non-inverted with WMin ≤ WMax.
+// checksum must match, the byte budget must be non-negative, and every
+// sub-query rectangle must be finite and non-inverted with WMin ≤ WMax.
 //
 // Aliasing: the returned Request's Subs slice is the Reader's reusable
 // scratch, valid only until the next ReadRequest on this Reader. The
@@ -774,54 +728,17 @@ func finite(vs ...float64) bool {
 // callers that retain sub-queries across frames must copy them.
 func (r *Reader) ReadRequest() (Request, error) {
 	var req Request
-	r.beginCRC()
-	if err := r.readRequestBody(&req); err != nil {
-		return req, err
-	}
-	if err := r.checkCRC(); err != nil {
-		return req, err
-	}
-	return req, r.validateRequest(&req)
-}
-
-// ReadBudgetRequest parses and validates a budgeted request body (after
-// its tag): the byte budget, then the version-3 request body, under one
-// checksum. The budget must be non-negative (0 = unlimited). The Subs
-// aliasing contract of ReadRequest applies.
-func (r *Reader) ReadBudgetRequest() (Request, error) {
-	var req Request
 	var err error
 	r.beginCRC()
 	if req.MaxBytes, err = r.i64(); err != nil {
 		return req, err
 	}
-	if err := r.readRequestBody(&req); err != nil {
-		return req, err
-	}
-	if err := r.checkCRC(); err != nil {
-		return req, err
-	}
-	// Validate only after the checksum: a corrupted frame should be
-	// reported as corruption, not as a bad budget.
-	if req.MaxBytes < 0 {
-		return req, fmt.Errorf("proto: negative byte budget %d", req.MaxBytes)
-	}
-	return req, r.validateRequest(&req)
-}
-
-// readRequestBody decodes the speed + sub-query section shared by plain
-// and budgeted requests into the Reader's reusable slab.
-func (r *Reader) readRequestBody(req *Request) error {
-	var err error
-	if req.Speed, err = r.f64(); err != nil {
-		return err
-	}
 	n, err := r.i32()
 	if err != nil {
-		return err
+		return req, err
 	}
 	if n < 0 || n > MaxSubQueries {
-		return fmt.Errorf("proto: bad sub-query count %d", n)
+		return req, fmt.Errorf("proto: bad sub-query count %d", n)
 	}
 	if cap(r.subs) < int(n) {
 		r.subs = make([]retrieval.SubQuery, n)
@@ -831,7 +748,7 @@ func (r *Reader) readRequestBody(req *Request) error {
 		var fs [6]float64
 		for j := range fs {
 			if fs[j], err = r.f64(); err != nil {
-				return err
+				return req, err
 			}
 		}
 		// Whole-struct assignment: a reused slab slot must not leak the
@@ -842,28 +759,26 @@ func (r *Reader) readRequestBody(req *Request) error {
 			WMax:   fs[5],
 		}
 	}
-	return nil
-}
-
-// validateRequest applies the post-checksum semantic checks shared by
-// plain and budgeted requests: a corrupted frame is reported as
-// corruption first, garbage fields second.
-func (r *Reader) validateRequest(req *Request) error {
-	if !finite(req.Speed) {
-		return fmt.Errorf("proto: non-finite speed")
+	if err := r.checkCRC(); err != nil {
+		return req, err
+	}
+	// Validate only after the checksum: a corrupted frame is reported as
+	// corruption first, garbage fields second.
+	if req.MaxBytes < 0 {
+		return req, fmt.Errorf("proto: negative byte budget %d", req.MaxBytes)
 	}
 	for i, s := range req.Subs {
 		if !finite(s.Region.Min.X, s.Region.Min.Y, s.Region.Max.X, s.Region.Max.Y, s.WMin, s.WMax) {
-			return fmt.Errorf("proto: sub-query %d has non-finite bounds", i)
+			return req, fmt.Errorf("proto: sub-query %d has non-finite bounds", i)
 		}
 		if s.Region.Max.X < s.Region.Min.X || s.Region.Max.Y < s.Region.Min.Y {
-			return fmt.Errorf("proto: sub-query %d has an inverted rectangle", i)
+			return req, fmt.Errorf("proto: sub-query %d has an inverted rectangle", i)
 		}
 		if s.WMin > s.WMax {
-			return fmt.Errorf("proto: sub-query %d has wmin %g > wmax %g", i, s.WMin, s.WMax)
+			return req, fmt.Errorf("proto: sub-query %d has wmin %g > wmax %g", i, s.WMin, s.WMax)
 		}
 	}
-	return nil
+	return req, nil
 }
 
 // ReadResponse parses a response body (after its tag) and verifies its
@@ -876,21 +791,10 @@ func (r *Reader) ReadResponse() (Response, error) {
 }
 
 // ReadResponseInto is ReadResponse decoding into resp, reusing its
-// Coeffs slab (truncated, then appended to); IO and Seq are overwritten.
-// On error resp holds whatever partial state was decoded and must not be
-// used.
+// Coeffs slab (truncated, then appended to); the other fields are
+// overwritten. On error resp holds whatever partial state was decoded
+// and must not be used.
 func (r *Reader) ReadResponseInto(resp *Response) error {
-	return r.readResponseInto(resp, false)
-}
-
-// ReadBudgetResponseInto is ReadResponseInto for a budgeted response
-// frame (after its TagBudgetResponse tag): the plain layout plus the
-// truncation metadata, which must be non-negative.
-func (r *Reader) ReadBudgetResponseInto(resp *Response) error {
-	return r.readResponseInto(resp, true)
-}
-
-func (r *Reader) readResponseInto(resp *Response, budget bool) error {
 	r.beginCRC()
 	n, err := r.i32()
 	if err != nil {
@@ -905,14 +809,8 @@ func (r *Reader) readResponseInto(resp *Response, budget bool) error {
 	if resp.Seq, err = r.i64(); err != nil {
 		return err
 	}
-	resp.Dropped, resp.Budget = 0, 0
-	if budget {
-		if resp.Dropped, err = r.i64(); err != nil {
-			return err
-		}
-		if resp.Budget, err = r.i64(); err != nil {
-			return err
-		}
+	if resp.Dropped, err = r.i64(); err != nil {
+		return err
 	}
 	// The records arrive in bounded chunks — one read and one checksum
 	// update per chunk, fields decoded straight from the staging buffer —
@@ -940,8 +838,8 @@ func (r *Reader) readResponseInto(resp *Response, budget bool) error {
 	if err := r.checkCRC(); err != nil {
 		return err
 	}
-	if resp.Dropped < 0 || resp.Budget < 0 {
-		return fmt.Errorf("proto: negative truncation metadata (%d dropped, %d budget)", resp.Dropped, resp.Budget)
+	if resp.Dropped < 0 {
+		return fmt.Errorf("proto: negative dropped count %d", resp.Dropped)
 	}
 	return nil
 }

@@ -49,7 +49,7 @@ func TestRequestRoundtrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
 	req := Request{
-		Speed: 0.42,
+		MaxBytes: 4096,
 		Subs: []retrieval.SubQuery{
 			{Region: geom.R2(1, 2, 3, 4), WMin: 0.1, WMax: 0.9},
 			{Region: geom.R2(5, 6, 7, 8), WMin: 0, WMax: 1},
@@ -67,7 +67,7 @@ func TestRequestRoundtrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Speed != req.Speed || len(got.Subs) != 2 {
+	if got.MaxBytes != req.MaxBytes || len(got.Subs) != 2 {
 		t.Fatalf("got %+v", got)
 	}
 	for i := range req.Subs {

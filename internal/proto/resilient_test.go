@@ -218,7 +218,7 @@ func TestResumeRollback(t *testing.T) {
 		t.Fatal(err)
 	}
 	subs := c.planner.PlanFrame(q2, 0.1)
-	if err := c.w.WriteRequest(Request{Speed: 0.1, Subs: subs}); err != nil {
+	if err := c.w.WriteRequest(Request{Subs: subs}); err != nil {
 		t.Fatal(err)
 	}
 	c.conn.Close() // response lost: server is now one frame ahead

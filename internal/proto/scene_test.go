@@ -216,7 +216,7 @@ func TestSceneSelectAfterStartRejected(t *testing.T) {
 	if _, err := r.ReadHello(); err != nil {
 		t.Fatal(err)
 	}
-	if err := w.WriteRequest(Request{Speed: 1}); err != nil {
+	if err := w.WriteRequest(Request{}); err != nil {
 		t.Fatal(err)
 	}
 	if tag, _ := r.ReadTag(); tag != TagResponse {

@@ -93,11 +93,11 @@ func TestWriteResponsePayloadValidation(t *testing.T) {
 func TestReadRequestSubsAliasing(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	first := Request{Speed: 1, Subs: []retrieval.SubQuery{
+	first := Request{Subs: []retrieval.SubQuery{
 		{Region: geom.R2(1, 1, 2, 2), WMin: 0.5, WMax: 1},
 		{Region: geom.R2(3, 3, 4, 4), WMin: 0.25, WMax: 0.75},
 	}}
-	second := Request{Speed: 2, Subs: []retrieval.SubQuery{
+	second := Request{Subs: []retrieval.SubQuery{
 		{Region: geom.R2(9, 9, 10, 10), WMin: 0, WMax: 1},
 	}}
 	if err := w.WriteRequest(first); err != nil {
@@ -187,7 +187,7 @@ func TestFrameCodecAllocBudget(t *testing.T) {
 	// Request decode: the sub-query slab makes repeated frames free too.
 	var rbuf bytes.Buffer
 	rw := NewWriter(&rbuf)
-	req := Request{Speed: 1, Subs: []retrieval.SubQuery{
+	req := Request{Subs: []retrieval.SubQuery{
 		{Region: geom.R2(1, 1, 2, 2), WMin: 0, WMax: 1},
 		{Region: geom.R2(3, 3, 4, 4), WMin: 0, WMax: 1},
 	}}

@@ -48,7 +48,7 @@ type Server struct {
 	idleTimeout  time.Duration // max silence between frames; 0 = none
 	frameTimeout time.Duration // per-frame read/write deadline; 0 = none
 	drainTimeout time.Duration // graceful-close bound
-	budgetCap    int64         // ceiling on budgeted-response sizes; 0 = none
+	budgetCap    int64         // ceiling on one response's payload bytes; 0 = none
 
 	mu     sync.Mutex
 	closed bool
@@ -123,12 +123,12 @@ func (s *Server) SetLimits(maxSessions int, idle, frame time.Duration) {
 	s.frameTimeout = frame
 }
 
-// SetBudgetCap ceilings the effective byte budget of budgeted requests:
-// a client budget above the cap (or an "unlimited" budget of 0) is
-// clamped down to it, bounding the response a single budgeted frame can
-// demand. Plain (version-3) requests are never capped — their responses
-// must stay byte-identical to an uncapped server, which is what the
-// oracle-equality harnesses pin. 0 disables the cap. Call before Serve.
+// SetBudgetCap ceilings the effective byte budget of every request: a
+// client budget above the cap (or an "unlimited" budget of 0) is clamped
+// down to it, bounding the response a single frame can demand. The
+// coefficients the cap withholds are reported in Response.Dropped and
+// stay undelivered, so a client that asks again receives them. 0
+// disables the cap. Call before Serve.
 func (s *Server) SetBudgetCap(maxBytes int64) {
 	if maxBytes < 0 {
 		maxBytes = 0
@@ -494,14 +494,8 @@ func (s *Server) handle(conn net.Conn) {
 				s.logf("proto: resume reply to %v failed: %v", conn.RemoteAddr(), err)
 				return
 			}
-		case TagRequest, TagBudgetRequest:
-			var req Request
-			var err error
-			if tag == TagRequest {
-				req, err = r.ReadRequest()
-			} else {
-				req, err = r.ReadBudgetRequest()
-			}
+		case TagRequest:
+			req, err := r.ReadRequest()
 			if err != nil {
 				s.st.Add(stats.ProtoErrors, 1)
 				s.logf("proto: bad request from %v: %v", conn.RemoteAddr(), err)
@@ -515,20 +509,14 @@ func (s *Server) handle(conn net.Conn) {
 				started = true
 				s.setConnStarted(conn)
 			}
-			var resp retrieval.Response
-			var maxBytes int64
-			if tag == TagBudgetRequest {
-				// The server-side cap clamps over-large (and "unlimited")
-				// client budgets; the truncation itself is the deterministic
-				// prefix cut of retrieval.ExecuteBudget.
-				maxBytes = req.MaxBytes
-				if s.budgetCap > 0 && (maxBytes == 0 || maxBytes > s.budgetCap) {
-					maxBytes = s.budgetCap
-				}
-				resp = sess.Session.RetrieveBudget(req.Subs, maxBytes)
-			} else {
-				resp = sess.Session.RetrieveScratch(req.Subs)
+			// The server-side cap clamps over-large (and "unlimited")
+			// client budgets; the truncation itself is the deterministic
+			// prefix cut of retrieval.ExecuteBudget.
+			maxBytes := req.MaxBytes
+			if s.budgetCap > 0 && (maxBytes == 0 || maxBytes > s.budgetCap) {
+				maxBytes = s.budgetCap
 			}
+			resp := sess.Session.RetrieveBudget(req.Subs, maxBytes)
 			sess.Seq++
 			hot := scene.Server.HotCache()
 			var payload []byte
@@ -543,10 +531,6 @@ func (s *Server) handle(conn net.Conn) {
 				if p, ok := hot.Payload(resp.Hot.Query, resp.Hot.Epoch); ok && len(p) == len(resp.IDs)*wireCoeffBytes {
 					payload = p
 				}
-			} else if hot != nil && resp.Hot.Truncated {
-				// The budget's cut is all that kept this frame from its hot
-				// entry's payload: it pays the full encode pass.
-				s.st.Add(stats.ProtoHotBudgetBypasses, 1)
 			}
 			if payload == nil {
 				// Sized once for the frame: a connection's first wholesale
@@ -558,8 +542,8 @@ func (s *Server) handle(conn net.Conn) {
 				// Coefficients whose backing page is unreadable at encode
 				// time are withheld: compacted out of the response and
 				// forgotten from the delivered set, so the session
-				// re-retrieves them once the page heals (ABR Dropped
-				// semantics — degrade the frame, never the process).
+				// re-retrieves them once the page heals (Dropped semantics —
+				// degrade the frame, never the process).
 				var withheldIDs []int64
 				kept := resp.IDs[:0]
 				for _, id := range resp.IDs {
@@ -604,12 +588,7 @@ func (s *Server) handle(conn net.Conn) {
 			// after the encode pass so it records what was actually sent.
 			sess.LastIDs = append(sess.LastIDs[:0], resp.IDs...)
 			s.setWriteDeadline(conn)
-			if tag == TagBudgetRequest {
-				err = w.WriteBudgetResponsePayload(len(resp.IDs), resp.IO, sess.Seq, resp.Dropped, maxBytes, payload)
-			} else {
-				err = w.WriteResponsePayload(len(resp.IDs), resp.IO, sess.Seq, payload)
-			}
-			if err != nil {
+			if err := w.writeResponsePayload(len(resp.IDs), resp.IO, sess.Seq, resp.Dropped, payload); err != nil {
 				s.st.Add(stats.ProtoErrors, 1)
 				s.logf("proto: response to %v failed: %v", conn.RemoteAddr(), err)
 				return

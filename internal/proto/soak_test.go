@@ -89,7 +89,7 @@ func runSoakClient(addr string, store *index.Store, frames []soakFrame) soakResu
 	planner := retrieval.NewClient(nil, nil)
 	for _, f := range frames {
 		subs := planner.PlanFrame(f.q, f.speed)
-		if err := w.WriteRequest(Request{Speed: f.speed, Subs: subs}); err != nil {
+		if err := w.WriteRequest(Request{Subs: subs}); err != nil {
 			return fail(err)
 		}
 		tag, err := r.ReadTag()

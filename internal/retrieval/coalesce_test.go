@@ -255,7 +255,7 @@ func TestCoalescerPopulatesHotCache(t *testing.T) {
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
-	if r0 := srv.Execute([]SubQuery{sub}, nil); r0.Hot.Valid || r0.Hot.Truncated {
+	if r0 := srv.Execute([]SubQuery{sub}, nil); r0.Hot.Valid {
 		t.Fatal("first-touch response marked hot")
 	}
 	r1 := srv.Execute([]SubQuery{sub}, nil)

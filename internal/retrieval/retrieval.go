@@ -63,11 +63,6 @@ type HotRef struct {
 	Valid bool
 	Query index.Query
 	Epoch uint64
-	// Truncated is set instead of Valid when nothing but a byte budget's
-	// cut kept the response from equalling its entry: the unbudgeted
-	// frame would have carried the reference, the budgeted one has to be
-	// encoded for this session alone.
-	Truncated bool
 }
 
 // MapSpeedToResolution is the client-tunable function of §IV converting
@@ -239,7 +234,7 @@ func (s *Server) Execute(subs []SubQuery, delivered *Delivered) Response {
 //
 // Determinism: same sub-queries + same delivered set + same budget ⇒
 // the same response (ids, order, bytes, Dropped) — the property the
-// wire protocol's budgeted frames are built on.
+// wire protocol's byte budget is built on.
 func (s *Server) ExecuteBudget(subs []SubQuery, delivered *Delivered, maxBytes int64) Response {
 	return s.execute(subs, delivered, new(Scratch), maxBytes)
 }
@@ -288,11 +283,10 @@ func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, max
 	results := sc.results[:len(subs)]
 	firstTouches := s.searchAll(subs, results, &sc.cur)
 	resp := Response{IDs: sc.ids[:0]}
-	// dropped records whether the merge suppressed any raw hit by a
-	// filter or the delivered set, cut whether the budget did: only a
-	// single-sub response with neither equals its cache entry's id set
-	// and may carry a HotRef.
-	dropped, cut := false, false
+	// dropped records whether the merge suppressed any raw hit — by a
+	// filter, the delivered set or the budget: only a single-sub response
+	// without one equals its cache entry's id set and may carry a HotRef.
+	dropped := false
 	// limit is the budget's prefix cut in whole coefficients; -1 means
 	// unlimited. A positive budget below one wire record delivers
 	// nothing (and withholds everything). withheld dedups the ids the
@@ -365,7 +359,7 @@ func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, max
 				// a delivered set the unlimited merge would append every
 				// hit, so every hit counts; with one, duplicates would have
 				// been deduped, so withheld ids count once.
-				cut = true
+				dropped = true
 				if delivered == nil || withheld.Add(id) {
 					resp.Dropped++
 				}
@@ -382,11 +376,7 @@ func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, max
 	}
 	sc.ids = resp.IDs
 	if len(subs) == 1 && results[0].hot && !dropped {
-		if cut {
-			resp.Hot.Truncated = true
-		} else {
-			resp.Hot = HotRef{Valid: true, Query: s.queryOf(&subs[0]), Epoch: results[0].epoch}
-		}
+		resp.Hot = HotRef{Valid: true, Query: s.queryOf(&subs[0]), Epoch: results[0].epoch}
 	}
 	resp.Bytes = int64(len(resp.IDs)) * wavelet.WireBytes
 	if st := s.st; st != nil {
@@ -655,8 +645,8 @@ func (s *Session) RetrieveScratch(subs []SubQuery) Response {
 
 // RetrieveBudget executes the sub-queries under a byte budget on the
 // session's scratch (see ExecuteBudget for the truncation contract and
-// RetrieveScratch for the IDs aliasing window). The wire server's
-// budgeted-request path uses it.
+// RetrieveScratch for the IDs aliasing window). The wire server answers
+// every request with it.
 func (s *Session) RetrieveBudget(subs []SubQuery, maxBytes int64) Response {
 	return s.srv.ExecuteBudgetScratch(subs, &s.delivered, &s.scratch, maxBytes)
 }

@@ -164,8 +164,8 @@ func TestSessionRetrieveScratchMatchesRetrieve(t *testing.T) {
 // TestHotRefSemantics pins when a response may carry a payload-cache
 // reference: single unfiltered sub-query, asked before, with nothing
 // suppressed — and never on a first ask, never after the delivered set
-// or a filter drops ids, never across an epoch change; a budget's cut
-// alone marks it Truncated instead.
+// or a filter drops ids or a budget cuts them, never across an epoch
+// change.
 func TestHotRefSemantics(t *testing.T) {
 	srv := testShardedServer(t, 6, 3, 4)
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
@@ -187,11 +187,11 @@ func TestHotRefSemantics(t *testing.T) {
 	if !respEqual(r0, r1) || !respEqual(r1, r2) {
 		t.Fatal("first-touch, populating and cache-hit responses differ")
 	}
-	// A budget's cut alone: Truncated, not Valid.
-	if r := srv.ExecuteBudget([]SubQuery{sub}, nil, int64(len(r1.IDs)/2)*wavelet.WireBytes); r.Hot.Valid || !r.Hot.Truncated {
-		t.Fatalf("budget-cut replay HotRef = %+v, want Truncated only", r.Hot)
+	// A budget's cut: not hot; a budget the response fits: hot.
+	if r := srv.ExecuteBudget([]SubQuery{sub}, nil, int64(len(r1.IDs)/2)*wavelet.WireBytes); r.Hot.Valid {
+		t.Fatalf("budget-cut replay HotRef = %+v, want none", r.Hot)
 	}
-	if r := srv.ExecuteBudget([]SubQuery{sub}, nil, r1.Bytes); !r.Hot.Valid || r.Hot.Truncated {
+	if r := srv.ExecuteBudget([]SubQuery{sub}, nil, r1.Bytes); !r.Hot.Valid {
 		t.Fatalf("budgeted but uncut replay HotRef = %+v, want Valid", r.Hot)
 	}
 
@@ -209,7 +209,7 @@ func TestHotRefSemantics(t *testing.T) {
 	if r := srv.Execute([]SubQuery{sub}, delivered); !r.Hot.Valid {
 		t.Fatal("first delivered-set pass not hot")
 	}
-	if r := srv.Execute([]SubQuery{sub}, delivered); r.Hot.Valid || r.Hot.Truncated {
+	if r := srv.Execute([]SubQuery{sub}, delivered); r.Hot.Valid {
 		t.Fatal("fully-suppressed replay marked hot")
 	}
 	// Mutation moves the epoch: the next response carries the new one.

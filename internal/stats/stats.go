@@ -38,9 +38,8 @@ const (
 	ProtoShed // connections refused at the session limit
 	ProtoResumeHits
 	ProtoResumeMisses
-	ProtoResumesRestored   // resumes served from a journal recovered after a restart (⊆ resume hits)
-	ProtoHotBudgetBypasses // budgeted frames at a hot entry whose cut forced a full encode
-	ProtoCoeffsWithheld    // coefficients withheld at encode time: page unreadable
+	ProtoResumesRestored // resumes served from a journal recovered after a restart (⊆ resume hits)
+	ProtoCoeffsWithheld  // coefficients withheld at encode time: page unreadable
 
 	// retrieval.Server.execute, once per request.
 	RetrievalRequests
@@ -124,15 +123,14 @@ const (
 )
 
 var counterNames = [numCounters]string{
-	ProtoSessionsOpened:    "proto.sessions_opened",
-	ProtoSessionsActive:    "proto.sessions_active",
-	ProtoErrors:            "proto.errors",
-	ProtoShed:              "proto.shed",
-	ProtoResumeHits:        "proto.resume_hits",
-	ProtoResumeMisses:      "proto.resume_misses",
-	ProtoResumesRestored:   "proto.resumes_restored",
-	ProtoHotBudgetBypasses: "proto.hot_budget_bypasses",
-	ProtoCoeffsWithheld:    "proto.coeffs_withheld",
+	ProtoSessionsOpened:  "proto.sessions_opened",
+	ProtoSessionsActive:  "proto.sessions_active",
+	ProtoErrors:          "proto.errors",
+	ProtoShed:            "proto.shed",
+	ProtoResumeHits:      "proto.resume_hits",
+	ProtoResumeMisses:    "proto.resume_misses",
+	ProtoResumesRestored: "proto.resumes_restored",
+	ProtoCoeffsWithheld:  "proto.coeffs_withheld",
 
 	RetrievalRequests:          "retrieval.requests",
 	RetrievalSubQueries:        "retrieval.sub_queries",
