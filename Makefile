@@ -57,9 +57,19 @@ bench-e2e:
 # Every acceptance soak (internal/experiment's TestRun* tests) once,
 # verbosely, listing each soak's summary. `race` already runs them under
 # the race detector with the rest of the suite; README "Testing" lists
-# which package tests cover each plane.
+# which package tests cover each plane. Then the fault and crash soaks at
+# their default scale for every -fault-seed 1-50 (about 1.5 minutes),
+# stopping at the first seed that fails.
 soaks:
 	$(GO) test -v -run '^TestRun' ./internal/experiment/
+	$(GO) build -o .soak_build/experiments ./cmd/experiments
+	for mode in fault crash; do \
+		for seed in $$(seq 1 50); do \
+			out=$$(.soak_build/experiments -$$mode -fault-seed $$seed -stats 0 2>&1) || \
+				{ echo "$$out"; echo "soaks: -$$mode fails at -fault-seed $$seed"; exit 1; }; \
+		done; \
+	done
+	@echo "soaks: -fault and -crash pass for -fault-seed 1-50"
 
 # Utility-vs-bandwidth sweep: ABR viewport plans against the fixed
 # two-state controller under identical per-frame byte allowances; emits

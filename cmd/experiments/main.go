@@ -210,17 +210,21 @@ func main() {
 		return
 	}
 
+	tram := experiment.TramSoakSpec{
+		Seed:          *faultSeed,
+		Objects:       *objects,
+		Steps:         *steps,
+		Shards:        *shards,
+		DropMeanBytes: *faultDrop,
+		CorruptBytes:  *faultCorrupt,
+	}
+
 	if *crash {
 		spec := experiment.CrashSpec{
-			Seed:          *faultSeed,
-			Objects:       *objects,
-			Steps:         *steps,
-			Shards:        *shards,
-			Kills:         *crashKills,
-			ColdJournal:   *crashCold,
-			DropMeanBytes: *faultDrop,
-			CorruptBytes:  *faultCorrupt,
-			DataDir:       *crashDir,
+			TramSoakSpec: tram,
+			Kills:        *crashKills,
+			ColdJournal:  *crashCold,
+			DataDir:      *crashDir,
 		}
 		if err := experiment.RunCrash(spec, w); err != nil {
 			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
@@ -231,12 +235,7 @@ func main() {
 
 	if *fault {
 		spec := experiment.FaultSpec{
-			Seed:           *faultSeed,
-			Objects:        *objects,
-			Steps:          *steps,
-			Shards:         *shards,
-			DropMeanBytes:  *faultDrop,
-			CorruptBytes:   *faultCorrupt,
+			TramSoakSpec:   tram,
 			Latency:        *faultLatency,
 			BytesPerSecond: *faultBW,
 		}

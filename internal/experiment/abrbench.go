@@ -44,7 +44,7 @@ type ABRBenchSpec struct {
 	Bandwidths []int64 // throttle sweep in bytes/second (default 8..256 KiB/s)
 
 	FrameInterval time.Duration // allowance window per frame (default 250 ms)
-	DegradeFloor  float64       // fixed mode's degraded wmin floor (default 0.5)
+	FixedFloor    float64       // fixed mode's degraded wmin floor (default 0.5)
 }
 
 func (s ABRBenchSpec) fill() ABRBenchSpec {
@@ -63,8 +63,8 @@ func (s ABRBenchSpec) fill() ABRBenchSpec {
 	if s.FrameInterval <= 0 {
 		s.FrameInterval = 250 * time.Millisecond
 	}
-	if s.DegradeFloor <= 0 || s.DegradeFloor >= 1 {
-		s.DegradeFloor = 0.5
+	if s.FixedFloor <= 0 || s.FixedFloor >= 1 {
+		s.FixedFloor = 0.5
 	}
 	return s
 }
@@ -157,8 +157,8 @@ func RunABRBench(spec ABRBenchSpec, jsonPath string, w io.Writer) (*ABRBenchResu
 			// arbitrary merge order either way.
 			wmin := cut
 			if degraded {
-				if wmin < spec.DegradeFloor {
-					wmin = spec.DegradeFloor
+				if wmin < spec.FixedFloor {
+					wmin = spec.FixedFloor
 				}
 				point.DegradedFrames++
 			}

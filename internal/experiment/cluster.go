@@ -101,7 +101,7 @@ func RunCluster(spec ClusterSpec, w io.Writer) error {
 	ownerDir := filepath.Join(root, "owner")
 	adoptDir := filepath.Join(root, "adopter")
 
-	soak := newTramSoak(spec.Seed, spec.Objects, spec.Levels, spec.Steps)
+	soak := newTramSoak(TramSoakSpec{Seed: spec.Seed, Objects: spec.Objects, Levels: spec.Levels, Steps: spec.Steps})
 	sceneFor := func(st *stats.Stats) engine.SceneConfig {
 		sd := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: spec.Levels, Seed: spec.Seed + 5})
 		return engine.SceneConfig{Name: clusterScene, Dataset: sd, Levels: spec.Levels, Shards: spec.Shards, Stats: st}

@@ -25,13 +25,10 @@ const crashScene = proto.DefaultSceneName
 // rides a motion tour over a degraded link (faultnet drops and
 // corruption) while the server process is killed at seeded random frames
 // and restarted from its durable state — scene checkpoints plus the
-// session journal in DataDir. The zero value gets quick-scale defaults.
+// session journal in DataDir. The zero value gets TramSoakSpec's
+// defaults and three kills.
 type CrashSpec struct {
-	Seed    int64
-	Objects int // dataset size (default 40)
-	Levels  int // subdivision depth (default 3)
-	Steps   int // tour length (default 120)
-	Shards  int // index shard count per scene
+	TramSoakSpec
 
 	// Kills is the number of mid-tour server kills (default 3). The first
 	// kill also injects a torn tail into the scene checkpoint, and the
@@ -44,24 +41,13 @@ type CrashSpec struct {
 	// back to a full re-plan, which must still converge byte-identically.
 	ColdJournal bool
 
-	DropMeanBytes int64 // mean traffic between connection drops (default 16 KB)
-	CorruptBytes  int64 // mean read bytes between bit flips (default 12 KB)
-
 	// DataDir is the durable state directory ("" = fresh temp dir,
 	// removed afterwards).
 	DataDir string
 }
 
 func (s CrashSpec) fill() CrashSpec {
-	if s.Objects == 0 {
-		s.Objects = 40
-	}
-	if s.Levels == 0 {
-		s.Levels = 3
-	}
-	if s.Steps == 0 {
-		s.Steps = 120
-	}
+	s.TramSoakSpec = s.TramSoakSpec.fill()
 	if s.Kills == 0 {
 		s.Kills = 3
 	}
@@ -154,7 +140,7 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 		dir = tmp
 	}
 
-	soak := newTramSoak(spec.Seed, spec.Objects, spec.Levels, spec.Steps)
+	soak := newTramSoak(spec.TramSoakSpec)
 	stServer := stats.New()
 	bcfg := cluster.BackendConfig{
 		Scenes: []engine.SceneConfig{{
@@ -206,7 +192,7 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 	}
 
 	// Crashy run through the fault model.
-	cfg := faultLink(faultnet.Config{Seed: spec.Seed + 1}, spec.DropMeanBytes, spec.CorruptBytes)
+	cfg := spec.link(faultnet.Config{Seed: spec.Seed + 1})
 	stClient := stats.New()
 	dialer := faultnet.NewDialer(b.Addr(), cfg)
 	dialer.SetStats(stClient)
@@ -258,8 +244,9 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 	fmt.Fprintf(w, "  durability: checkpoints %d (%d B) · replayed %d · tails truncated %d · quarantined %d · compactions %d\n",
 		ss.Get(stats.EngineCheckpoints), ss.Get(stats.EngineCheckpointBytes), ss.Get(stats.EngineRecordsReplayed),
 		ss.Get(stats.EngineTailsTruncated), ss.Get(stats.EngineRecordsQuarantined), ss.Get(stats.EngineJournalCompactions))
-	fmt.Fprintf(w, "  recovery: resumes %d · re-plans %d · restored-journal resumes %d · faults %d\n",
-		rc.Resumes, rc.Replans, restored, faults)
+	cs := stClient.Snapshot()
+	fmt.Fprintf(w, "  recovery: resumes %d · re-plans %d · restored-journal resumes %d · faults %d · split frames %d (%d pieces)\n",
+		rc.Resumes, rc.Replans, restored, faults, cs.Get(stats.ClientSplitFrames), cs.Get(stats.ClientPieces))
 
 	if div > 0 {
 		fmt.Fprintf(w, "  convergence FAILED: %d/%d objects diverged from the crash-free oracle\n",

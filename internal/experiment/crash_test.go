@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 )
@@ -11,17 +12,25 @@ import (
 // journal. RunCrash itself enforces the acceptance criteria — meshes
 // byte-identical to a crash-free oracle, at least one resume served from
 // the recovered journal, and the injected torn tails truncated without
-// inventing data — and returns an error if any fails.
+// inventing data — and returns an error if any fails. Seed 5 corrupts
+// every whole attempt of one frame, so that frame must arrive as
+// budgeted pieces. Both seeds run at a 40-object, 120-step scale for speed.
 func TestRunCrash(t *testing.T) {
-	var b strings.Builder
-	if err := RunCrash(CrashSpec{Seed: 7}, &b); err != nil {
-		t.Fatalf("crash experiment failed: %v\n%s", err, b.String())
-	}
-	out := b.String()
-	for _, want := range []string{"crash-restart", "restarts 3", "convergence OK"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("output missing %q:\n%s", want, out)
-		}
+	t.Parallel()
+	for _, seed := range []int64{7, 5} {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			var b strings.Builder
+			if err := RunCrash(CrashSpec{TramSoakSpec: TramSoakSpec{Seed: seed, Objects: 40, Steps: 120}}, &b); err != nil {
+				t.Fatalf("crash experiment failed: %v\n%s", err, b.String())
+			}
+			out := b.String()
+			for _, want := range []string{"crash-restart", "restarts 3", "convergence OK"} {
+				if !strings.Contains(out, want) {
+					t.Errorf("output missing %q:\n%s", want, out)
+				}
+			}
+		})
 	}
 }
 
@@ -31,8 +40,9 @@ func TestRunCrash(t *testing.T) {
 // full re-plan, which must still converge byte-identically. RunCrash
 // asserts both (zero restored resumes, at least one re-plan).
 func TestRunCrashColdJournal(t *testing.T) {
+	t.Parallel()
 	var b strings.Builder
-	if err := RunCrash(CrashSpec{Seed: 7, ColdJournal: true}, &b); err != nil {
+	if err := RunCrash(CrashSpec{TramSoakSpec: TramSoakSpec{Seed: 7, Objects: 40, Steps: 120}, ColdJournal: true}, &b); err != nil {
 		t.Fatalf("cold-journal crash experiment failed: %v\n%s", err, b.String())
 	}
 	out := b.String()

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
+	"repro/internal/faultnet"
 	"repro/internal/geom"
 	"repro/internal/motion"
 	"repro/internal/persist"
@@ -25,6 +26,48 @@ func startScene(sc engine.SceneConfig) (*cluster.Backend, error) {
 	return cluster.StartBackend(cluster.BackendConfig{Scenes: []engine.SceneConfig{sc}, Stats: sc.Stats})
 }
 
+// TramSoakSpec is the scale and faulty link the fault and crash soaks
+// share: a resilient client rides a seeded tram tour through faultnet.
+// The zero value gets defaults at which every seed 1–50 retrieves at
+// least 20 objects.
+type TramSoakSpec struct {
+	Seed    int64
+	Objects int // dataset size (default 300)
+	Levels  int // subdivision depth (default 3)
+	Steps   int // tour length (default 300)
+	Shards  int // index shard count (≤ 1 = one shard)
+
+	DropMeanBytes int64 // mean traffic between connection drops (default 16 KB)
+	CorruptBytes  int64 // mean read bytes between bit flips (default 12 KB)
+}
+
+func (s TramSoakSpec) fill() TramSoakSpec {
+	if s.Objects == 0 {
+		s.Objects = 300
+	}
+	if s.Levels == 0 {
+		s.Levels = 3
+	}
+	if s.Steps == 0 {
+		s.Steps = 300
+	}
+	if s.DropMeanBytes == 0 {
+		s.DropMeanBytes = 16_000
+	}
+	if s.CorruptBytes == 0 {
+		s.CorruptBytes = 12_000
+	}
+	return s
+}
+
+// link sets cfg's drop and corrupt windows to [m/2, 3m/2] around the
+// spec's mean byte distances.
+func (s TramSoakSpec) link(cfg faultnet.Config) faultnet.Config {
+	cfg.DropAfterMin, cfg.DropAfterMax = s.DropMeanBytes/2, 3*s.DropMeanBytes/2
+	cfg.CorruptAfterMin, cfg.CorruptAfterMax = s.CorruptBytes/2, 3*s.CorruptBytes/2
+	return cfg
+}
+
 // tramSoak is the dataset and seeded tram tour the fault, crash and
 // cluster soaks ride: steps frames at speed 0.25 with a 10 % query
 // window.
@@ -34,11 +77,12 @@ type tramSoak struct {
 	side float64
 }
 
-func newTramSoak(seed int64, objects, levels, steps int) tramSoak {
-	d := workload.Generate(workload.Spec{NumObjects: objects, Levels: levels, Seed: seed + 5})
+// newTramSoak builds s's dataset and tour; s is already filled.
+func newTramSoak(s TramSoakSpec) tramSoak {
+	d := workload.Generate(workload.Spec{NumObjects: s.Objects, Levels: s.Levels, Seed: s.Seed + 5})
 	tour := motion.NewTour(motion.Tram, motion.TourSpec{
-		Space: d.Store.Bounds().XY(), Steps: steps, Speed: 0.25,
-	}, rand.New(rand.NewSource(seed)))
+		Space: d.Store.Bounds().XY(), Steps: s.Steps, Speed: 0.25,
+	}, rand.New(rand.NewSource(s.Seed)))
 	return tramSoak{d: d, tour: tour, side: d.QuerySide(0.10)}
 }
 

@@ -7,13 +7,10 @@ import (
 	"math"
 	"net"
 	"reflect"
-	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/retrieval"
-	"repro/internal/stats"
 	"repro/internal/wavelet"
 )
 
@@ -419,112 +416,5 @@ func TestBudgetCapClampsEveryFrame(t *testing.T) {
 				t.Fatalf("object %d vertex %d differs from the uncapped oracle", id, v)
 			}
 		}
-	}
-}
-
-// TestDegradedFloorDecaysToZero is the regression test for the
-// last-resort fallback's recovery path: after timeouts raise the
-// degraded-mode floor, sustained successful frames must walk it all the
-// way back to exactly 0 (full resolution) — gradually, not as an
-// instant reset, and without getting stuck at a tiny residual.
-func TestDegradedFloorDecaysToZero(t *testing.T) {
-	// Mute server: accepts the handshake, swallows every request.
-	lis, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer lis.Close()
-	go func() {
-		for {
-			conn, err := lis.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				w, r := NewWriter(conn), NewReader(conn)
-				w.WriteHello(Hello{Version: Version, Objects: 1, Levels: 1, BaseVerts: 6,
-					Space: geom.R2(0, 0, 100, 100), Token: newToken()})
-				for {
-					tag, err := r.ReadTag()
-					if err != nil {
-						return
-					}
-					switch tag {
-					case TagResume:
-						if _, err := r.ReadResume(); err != nil {
-							return
-						}
-						if err := w.WriteResumeFail("no session"); err != nil {
-							return
-						}
-					case TagRequest:
-						if _, err := r.ReadRequest(); err != nil {
-							return
-						}
-					default:
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-
-	addrReal, d, _, _, shutdown := startHardenedServer(t, nil)
-	defer shutdown()
-	var healed atomic.Bool
-
-	rc, err := DialResilient(ResilientConfig{
-		Dial: func() (net.Conn, error) {
-			if healed.Load() {
-				return net.Dial("tcp", addrReal)
-			}
-			return net.Dial("tcp", lis.Addr().String())
-		},
-		FrameTimeout: 200 * time.Millisecond,
-		MaxAttempts:  3,
-		BackoffBase:  time.Millisecond,
-		BackoffMax:   2 * time.Millisecond,
-		DegradeAfter: 1,
-		DegradeStep:  0.4,
-		Stats:        stats.New(),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rc.Close()
-
-	space := d.Store.Bounds().XY()
-	if _, err := rc.Frame(space, 0.5); err == nil {
-		t.Fatal("frame succeeded against a mute server")
-	}
-	if rc.DegradeFloor() != 1 {
-		t.Fatalf("floor = %v after 3 timeouts at step 0.4, want capped at 1", rc.DegradeFloor())
-	}
-
-	healed.Store(true)
-	decays := 0
-	for rc.DegradeFloor() > 0 {
-		before := rc.DegradeFloor()
-		if _, err := rc.Frame(space, 0.5); err != nil {
-			t.Fatal(err)
-		}
-		after := rc.DegradeFloor()
-		if after > 0 && after != before/2 {
-			t.Fatalf("success moved the floor %v -> %v, want exactly halved", before, after)
-		}
-		if decays++; decays > 20 {
-			t.Fatalf("floor stuck at %v after %d successes", rc.DegradeFloor(), decays)
-		}
-	}
-	if decays < 5 {
-		t.Fatalf("floor hit 0 after only %d successes — reset, not decay", decays)
-	}
-	if rc.DegradeFloor() != 0 {
-		t.Fatalf("floor = %v, want exactly 0", rc.DegradeFloor())
-	}
-	// Fully recovered: the next frame requests full resolution again.
-	if w := rc.mapSpeed(0); w != 0 {
-		t.Fatalf("mapSpeed(0) = %v after recovery, want 0", w)
 	}
 }

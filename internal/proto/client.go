@@ -242,11 +242,20 @@ func (c *Client) AppliedSeq() int64 { return c.appliedSeq }
 // asks for the withheld coefficients again instead of leaving a
 // permanent hole.
 func (c *Client) Frame(q geom.Rect2, speed float64) (int, error) {
-	n, dropped, err := c.exchange(Request{Subs: c.planner.PlanFrame(q, speed)})
+	n, _, err := c.frame(q, speed, 0)
+	return n, err
+}
+
+// frame is Frame under a byte budget (0 = unlimited), also returning the
+// count the server withheld. Re-sending the same frame after a withheld
+// count returns the next prefix: the planner has not advanced, and the
+// server's delivered set filters what already arrived.
+func (c *Client) frame(q geom.Rect2, speed float64, maxBytes int64) (int, int64, error) {
+	n, dropped, err := c.exchange(Request{Subs: c.planner.PlanFrame(q, speed), MaxBytes: maxBytes})
 	if err == nil && dropped == 0 {
 		c.planner.Advance(q, speed)
 	}
-	return n, err
+	return n, dropped, err
 }
 
 // FrameBudget issues one budgeted query frame: the viewport-utility
@@ -270,8 +279,10 @@ func (c *Client) FrameBudget(q geom.Rect2, speed float64, maxBytes int64, rings 
 
 // exchange ships one request and applies its response: the records go
 // into the reconstructors, the sequence number and lifetime totals
-// advance. It returns the records received and the count withheld.
+// advance. It returns the records received and the count withheld. On
+// error, c.resp.Coeffs holds the records decoded before the failure.
 func (c *Client) exchange(req Request) (int, int64, error) {
+	c.resp.Coeffs = c.resp.Coeffs[:0]
 	if err := c.w.WriteRequest(req); err != nil {
 		return 0, 0, err
 	}

@@ -33,7 +33,6 @@ type ResilientConfig struct {
 	// Ignored when Dial is set.
 	DialTimeout time.Duration
 	// MapSpeed is the speed→resolution mapping of §IV (nil = Identity).
-	// Degraded mode composes on top of it.
 	MapSpeed retrieval.MapSpeedToResolution
 	// Scene binds the session to a named engine scene ("" accepts the
 	// server's default). Reconnects re-select it before resuming.
@@ -41,7 +40,8 @@ type ResilientConfig struct {
 	// FrameTimeout bounds one frame attempt (write + round-trip + read).
 	// Default 10s.
 	FrameTimeout time.Duration
-	// MaxAttempts bounds dial/frame attempts per Frame call. Default 8.
+	// MaxAttempts bounds consecutive failed dial/frame attempts per Frame
+	// call. Default 8.
 	MaxAttempts int
 	// BackoffBase and BackoffMax shape the capped exponential backoff
 	// between attempts. Defaults 50ms and 2s.
@@ -51,23 +51,10 @@ type ResilientConfig struct {
 	Seed int64
 	// ABR enables the adaptive-bitrate loop (non-nil): every frame ships
 	// as a budgeted request sized by the bandwidth/RTT estimator, and
-	// the server truncates along the viewport-utility plan instead of
-	// the client coarsening wholesale. The two-state degraded floor
-	// (DegradeAfter/DegradeStep) stays armed underneath as the
-	// last-resort fallback — it only engages after the timeouts that
-	// mean even minimum-budget frames are not completing. Zero-value
+	// the server truncates along the viewport-utility plan. Zero-value
 	// abr.Config fields get their defaults.
 	ABR *abr.Config
-	// DegradeAfter is the number of consecutive timeouts before the
-	// client coarsens its requested resolution (raises the effective
-	// wmin) — the paper's speed/resolution tradeoff reused as a
-	// bandwidth fallback. 0 disables degraded mode.
-	DegradeAfter int
-	// DegradeStep is how much each degradation raises the wmin floor
-	// (default 0.2, floor capped at 1). Successful frames halve the
-	// floor back toward full resolution.
-	DegradeStep float64
-	// Stats receives retry/timeout/resume/degraded counters (nil = none).
+	// Stats receives retry/timeout/resume/piece counters (nil = none).
 	Stats *stats.Stats
 
 	// sleep is a test seam; nil uses time.Sleep.
@@ -76,10 +63,9 @@ type ResilientConfig struct {
 
 // ResilientClient wraps Client with the failure policy a wireless
 // deployment needs: per-frame deadlines, capped exponential backoff with
-// jitter, automatic re-dial with session resumption, and a degraded mode
-// that trades resolution for survivable bandwidth after repeated
-// timeouts. It is not safe for concurrent use (one client = one mobile
-// user), matching Client.
+// jitter, automatic re-dial with session resumption, and budgeted pieces
+// for a frame the link cannot carry whole (see Frame). It is not safe
+// for concurrent use (one client = one mobile user), matching Client.
 type ResilientClient struct {
 	cfg  ResilientConfig
 	c    *Client
@@ -90,9 +76,6 @@ type ResilientClient struct {
 	// addrIdx points at the Addrs entry the rotation is currently pinned
 	// to; dial failures advance it.
 	addrIdx int
-
-	consecTimeouts int
-	floor          float64 // degraded-mode wmin floor (0 = full resolution)
 
 	// Lifetime totals, also mirrored into cfg.Stats.
 	Retries  int64
@@ -122,9 +105,6 @@ func DialResilient(cfg ResilientConfig) (*ResilientClient, error) {
 	if cfg.BackoffMax <= 0 {
 		cfg.BackoffMax = 2 * time.Second
 	}
-	if cfg.DegradeStep <= 0 {
-		cfg.DegradeStep = 0.2
-	}
 	if cfg.sleep == nil {
 		cfg.sleep = time.Sleep
 	}
@@ -142,23 +122,6 @@ func DialResilient(cfg ResilientConfig) (*ResilientClient, error) {
 		}
 	}
 	return nil, fmt.Errorf("proto: connect failed after %d attempts: %w", cfg.MaxAttempts, lastErr)
-}
-
-// mapSpeed composes the configured speed→resolution mapping with the
-// degraded-mode floor.
-func (rc *ResilientClient) mapSpeed(speed float64) float64 {
-	base := rc.cfg.MapSpeed
-	if base == nil {
-		base = retrieval.Identity
-	}
-	w := base(speed)
-	if w < rc.floor {
-		w = rc.floor
-	}
-	if w > 1 {
-		w = 1
-	}
-	return w
 }
 
 // dial opens one connection: through cfg.Dial when set, otherwise to
@@ -209,7 +172,7 @@ func (rc *ResilientClient) connect() (err error) {
 	}()
 	if rc.c == nil {
 		var c *Client
-		if c, err = NewSceneClient(conn, rc.cfg.Scene, rc.mapSpeed); err != nil {
+		if c, err = NewSceneClient(conn, rc.cfg.Scene, rc.cfg.MapSpeed); err != nil {
 			return err
 		}
 		rc.c = c
@@ -232,54 +195,93 @@ func (rc *ResilientClient) connect() (err error) {
 }
 
 // Frame issues one continuous-query frame, retrying through transport
-// failures until it succeeds or the attempt budget is spent. Each
-// attempt runs under the frame deadline; failed attempts back off
-// exponentially (with jitter), re-dial, and resume the session. The
-// frame that finally succeeds delivers exactly what a fault-free frame
-// would have (see the Client retry-safety contract).
+// failures until it succeeds or MaxAttempts consecutive attempts fail.
+// Each attempt runs under the frame deadline; failed attempts back off
+// exponentially (with jitter), re-dial, and resume the session. It
+// returns the coefficients the frame applied: exactly what a fault-free
+// frame delivers (see the Client retry-safety contract).
+//
+// Short frames. A frame starts whole. After a failed round trip the next
+// attempt asks for a budgeted piece: half of what the failed attempt
+// received, or half the last piece when it received nothing, never under
+// one record. A mute or dead server sends nothing, so its frame stays
+// whole. While a response withholds coefficients the same request goes
+// again, and the server's delivered set returns the next prefix; the
+// frame ends at a response that withholds nothing or delivers nothing (a
+// cap below one record, a quarantined page). A response resets the
+// attempt count. An ABR frame asks for the smaller of the piece and the
+// estimator's budget, and ends at its first response.
 func (rc *ResilientClient) Frame(q geom.Rect2, speed float64) (int, error) {
-	var lastErr error
-	for attempt := 0; attempt < rc.cfg.MaxAttempts; attempt++ {
-		if attempt > 0 {
-			rc.backoff(attempt)
+	var piece int64 // 0 while the frame goes whole
+	total, fails, split := 0, 0, false
+	var err error
+	for fails < rc.cfg.MaxAttempts {
+		if fails > 0 {
+			rc.backoff(fails)
 		}
 		if rc.dead {
-			if err := rc.connect(); err != nil {
-				lastErr = err
+			if err = rc.connect(); err != nil {
 				rc.noteFailure(err)
+				fails++
 				continue
 			}
 		}
-		rc.c.conn.SetDeadline(time.Now().Add(rc.cfg.FrameTimeout))
 		var n int
-		var err error
-		if rc.abr != nil {
-			// ABR path: budget the frame from the estimator, publish the
-			// loop's state, and feed the transfer accounting back. The
-			// round-trip time measured here spans request write to
-			// response applied — exactly the linear link model the
-			// estimator fits.
-			budget := rc.abr.Budget()
-			rc.cfg.Stats.Set(stats.ClientABRBandwidth, rc.abr.Bandwidth())
-			rc.cfg.Stats.Set(stats.ClientABRRTTNs, int64(rc.abr.RTT()))
-			rc.cfg.Stats.Set(stats.ClientABRBudget, budget)
-			start := time.Now()
-			n, _, err = rc.c.FrameBudget(q, speed, budget, rc.abr.Rings())
-			if err == nil {
-				rc.abr.Observe(int64(n)*wavelet.WireBytes, time.Since(start))
+		var dropped int64
+		if n, dropped, err = rc.exchange(q, speed, piece); err != nil {
+			// The decoder keeps the records it read before the failure.
+			got := int64(len(rc.c.resp.Coeffs)) * wavelet.WireBytes
+			if got == 0 {
+				got = piece
 			}
-		} else {
-			n, err = rc.c.Frame(q, speed)
+			if got > 0 {
+				piece = max(got/2, wavelet.WireBytes)
+			}
+			rc.noteFailure(err)
+			fails++
+			continue
 		}
-		if err == nil {
+		total += n
+		if piece > 0 {
+			rc.cfg.Stats.Add(stats.ClientPieces, 1)
+			if !split {
+				split = true
+				rc.cfg.Stats.Add(stats.ClientSplitFrames, 1)
+			}
+		}
+		if rc.abr != nil || dropped == 0 || n == 0 {
 			rc.c.conn.SetDeadline(time.Time{})
-			rc.noteSuccess()
-			return n, nil
+			return total, nil
 		}
-		lastErr = err
-		rc.noteFailure(err)
+		fails = 0
 	}
-	return 0, fmt.Errorf("proto: frame failed after %d attempts: %w", rc.cfg.MaxAttempts, lastErr)
+	return total, fmt.Errorf("proto: frame failed after %d attempts: %w", rc.cfg.MaxAttempts, err)
+}
+
+// exchange runs one round trip under the frame deadline: an Algorithm-1
+// frame under the piece budget (0 = whole), or on the ABR loop a
+// viewport frame under the smaller of the piece and estimator budgets.
+func (rc *ResilientClient) exchange(q geom.Rect2, speed float64, piece int64) (int, int64, error) {
+	rc.c.conn.SetDeadline(time.Now().Add(rc.cfg.FrameTimeout))
+	if rc.abr == nil {
+		return rc.c.frame(q, speed, piece)
+	}
+	// Publish the loop's state and feed the transfer accounting back. The
+	// round-trip time measured here spans request write to response
+	// applied — exactly the linear link model the estimator fits.
+	budget := rc.abr.Budget()
+	rc.cfg.Stats.Set(stats.ClientABRBandwidth, rc.abr.Bandwidth())
+	rc.cfg.Stats.Set(stats.ClientABRRTTNs, int64(rc.abr.RTT()))
+	rc.cfg.Stats.Set(stats.ClientABRBudget, budget)
+	if piece > 0 {
+		budget = min(budget, piece)
+	}
+	start := time.Now()
+	n, dropped, err := rc.c.FrameBudget(q, speed, budget, rc.abr.Rings())
+	if err == nil {
+		rc.abr.Observe(int64(n)*wavelet.WireBytes, time.Since(start))
+	}
+	return n, dropped, err
 }
 
 // backoff sleeps for min(BackoffMax, BackoffBase·2^(attempt−1)) plus up
@@ -296,8 +298,7 @@ func (rc *ResilientClient) backoff(attempt int) {
 	rc.cfg.sleep(d)
 }
 
-// noteFailure abandons the connection and updates timeout/degradation
-// accounting.
+// noteFailure abandons the connection and counts a timeout.
 func (rc *ResilientClient) noteFailure(err error) {
 	if rc.c != nil && !rc.dead {
 		rc.c.conn.Close()
@@ -311,32 +312,8 @@ func (rc *ResilientClient) noteFailure(err error) {
 			// decrease so the next frame's budget halves.
 			rc.abr.Penalize()
 		}
-		rc.consecTimeouts++
-		if rc.cfg.DegradeAfter > 0 && rc.consecTimeouts >= rc.cfg.DegradeAfter {
-			rc.consecTimeouts = 0
-			if rc.floor < 1 {
-				rc.floor += rc.cfg.DegradeStep
-				if rc.floor > 1 {
-					rc.floor = 1
-				}
-				rc.cfg.Stats.Add(stats.ClientDegraded, 1)
-			}
-		}
 	}
 }
-
-// noteSuccess decays degraded mode back toward full resolution.
-func (rc *ResilientClient) noteSuccess() {
-	rc.consecTimeouts = 0
-	rc.floor /= 2
-	if rc.floor < 1e-3 {
-		rc.floor = 0
-	}
-}
-
-// DegradeFloor returns the current degraded-mode wmin floor (0 when
-// running at full resolution).
-func (rc *ResilientClient) DegradeFloor() float64 { return rc.floor }
 
 // ABR returns the adaptive-bitrate controller (nil when the config did
 // not enable it) — the observability hook harnesses read bandwidth, RTT

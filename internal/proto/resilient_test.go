@@ -3,6 +3,7 @@ package proto
 import (
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -12,17 +13,21 @@ import (
 	"repro/internal/retrieval"
 	"repro/internal/rtree"
 	"repro/internal/stats"
+	"repro/internal/wavelet"
 	"repro/internal/workload"
 )
 
 // startHardenedServer is startTestServer with its own stats collector
-// and configurable limits, for the fault-tolerance tests.
+// (proto and retrieval rows) and configurable limits, for the
+// fault-tolerance tests.
 func startHardenedServer(t *testing.T, configure func(*Server)) (addr string, d *workload.Dataset, srv *Server, st *stats.Stats, shutdown func()) {
 	t.Helper()
 	d = workload.Generate(workload.Spec{NumObjects: 8, Levels: 3, Seed: 5})
 	idx := index.NewMotionAware(d.Store, index.XYW, rtree.Config{})
 	st = stats.New()
-	srv = NewServer(retrieval.NewServer(d.Store, idx), d.Spec.Levels, t.Logf)
+	rs := retrieval.NewServer(d.Store, idx)
+	rs.SetStats(st)
+	srv = NewServer(rs, d.Spec.Levels, t.Logf)
 	srv.SetStats(st)
 	if configure != nil {
 		configure(srv)
@@ -53,10 +58,9 @@ func startHardenedServer(t *testing.T, configure func(*Server)) (addr string, d 
 // resume against the server's view.
 func TestFaultRecoveryConvergence(t *testing.T) {
 	// A denser dataset and slower speeds than the other tests: enough
-	// traffic (~70 KB) for several injected faults, while the largest
-	// single frame (a worst-case post-miss wholesale re-fetch, ~27 KB)
-	// still fits under the smallest drop interval — so every frame can
-	// complete on a fresh connection and the run always converges.
+	// traffic (~70 KB) for several injected faults. The largest frame (a
+	// worst-case post-miss wholesale re-fetch, ~27 KB) outgrows every
+	// drop interval, so it must arrive as budgeted pieces.
 	d := workload.Generate(workload.Spec{NumObjects: 40, Levels: 3, Seed: 5})
 	idx := index.NewMotionAware(d.Store, index.XYW, rtree.Config{})
 	stServer := stats.New()
@@ -89,14 +93,14 @@ func TestFaultRecoveryConvergence(t *testing.T) {
 	}
 	oracle.Close()
 
-	// Faulty run: drops roughly every 30–60 KB of traffic, a bit flipped
-	// in the read stream roughly every 20–50 KB. Both are drawn from the
-	// seeded source, so the run is reproducible.
+	// Faulty run: drops every 8–16 KB of traffic, a bit flipped in the
+	// read stream roughly every 20–50 KB. Both are drawn from the seeded
+	// source, so the run is reproducible.
 	stClient := stats.New()
 	dialer := faultnet.NewDialer(addr, faultnet.Config{
 		Seed:            1,
-		DropAfterMin:    30_000,
-		DropAfterMax:    60_000,
+		DropAfterMin:    8_000,
+		DropAfterMax:    16_000,
 		CorruptAfterMin: 20_000,
 		CorruptAfterMax: 50_000,
 	})
@@ -127,36 +131,15 @@ func TestFaultRecoveryConvergence(t *testing.T) {
 	if dialer.Dials() < 2 {
 		t.Fatalf("client never reconnected (%d dials)", dialer.Dials())
 	}
-	t.Logf("faults=%d dials=%d retries=%d resumes=%d replans=%d",
-		stClient.Load(stats.LinkFaults), dialer.Dials(), rc.Retries, rc.Resumes, rc.Replans)
+	t.Logf("faults=%d dials=%d retries=%d resumes=%d replans=%d pieces=%d",
+		stClient.Load(stats.LinkFaults), dialer.Dials(), rc.Retries, rc.Resumes, rc.Replans, stClient.Load(stats.ClientPieces))
+	if stClient.Load(stats.ClientPieces) == 0 {
+		t.Fatal("no frame arrived in pieces; the drop window exercised nothing")
+	}
 
 	// Convergence: every object's reconstruction is byte-identical to the
 	// fault-free oracle's.
-	c := rc.Client()
-	oracleObjs := oracle.Objects()
-	if len(c.Objects()) != len(oracleObjs) {
-		t.Fatalf("object sets diverged: %d != %d", len(c.Objects()), len(oracleObjs))
-	}
-	for _, id := range oracleObjs {
-		om, _ := oracle.Mesh(id)
-		gm, ok := c.Mesh(id)
-		if !ok {
-			t.Fatalf("object %d missing after faulty run", id)
-		}
-		if c.CoeffCount(id) != oracle.CoeffCount(id) {
-			t.Fatalf("object %d: %d coefficients, oracle has %d",
-				id, c.CoeffCount(id), oracle.CoeffCount(id))
-		}
-		if om.NumVerts() != gm.NumVerts() {
-			t.Fatalf("object %d topology diverged", id)
-		}
-		for i := range om.Verts {
-			if om.Verts[i] != gm.Verts[i] {
-				t.Fatalf("object %d vertex %d diverged: %v != %v",
-					id, i, gm.Verts[i], om.Verts[i])
-			}
-		}
-	}
+	assertSameMeshes(t, oracle, rc.Client())
 
 	// Stats reconciliation. The client's own counters match its totals
 	// exactly; the server may have answered resume attempts whose replies
@@ -410,15 +393,17 @@ func TestGracefulDrainClose(t *testing.T) {
 	}
 }
 
-// TestDegradedModeRaisesFloor drives the client against a server that
-// accepts the handshake and then never answers, checking that repeated
-// frame timeouts raise the degraded-mode resolution floor.
-func TestDegradedModeRaisesFloor(t *testing.T) {
+// TestMuteServerKeepsFrameWhole drives the client against a server that
+// accepts the handshake and then never answers. Every attempt times out
+// having received nothing, so no attempt may shrink into a budgeted
+// piece: a silent link says nothing about the frame's size.
+func TestMuteServerKeepsFrameWhole(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer lis.Close()
+	var requests, budgeted atomic.Int64
 	go func() { // hello-only server: reads frames, never replies to them
 		for {
 			conn, err := lis.Accept()
@@ -444,8 +429,13 @@ func TestDegradedModeRaisesFloor(t *testing.T) {
 							return
 						}
 					case TagRequest:
-						if _, err := r.ReadRequest(); err != nil {
+						req, err := r.ReadRequest()
+						if err != nil {
 							return
+						}
+						requests.Add(1)
+						if req.MaxBytes != 0 {
+							budgeted.Add(1)
 						}
 						// Swallow the request: the client times out.
 					default:
@@ -463,8 +453,6 @@ func TestDegradedModeRaisesFloor(t *testing.T) {
 		MaxAttempts:  5,
 		BackoffBase:  time.Millisecond,
 		BackoffMax:   2 * time.Millisecond,
-		DegradeAfter: 2,
-		DegradeStep:  0.25,
 		Stats:        st,
 	})
 	if err != nil {
@@ -475,21 +463,194 @@ func TestDegradedModeRaisesFloor(t *testing.T) {
 	if _, err := rc.Frame(geom.R2(0, 0, 50, 50), 0.5); err == nil {
 		t.Fatal("frame succeeded against a mute server")
 	}
-	if rc.DegradeFloor() <= 0 {
-		t.Fatal("degraded mode never engaged")
+	if requests.Load() == 0 {
+		t.Fatal("the mute server saw no request")
 	}
-	// The floor raises the effective resolution cutoff the next frame
-	// would request.
-	if w := rc.mapSpeed(0); w < rc.DegradeFloor() {
-		t.Fatalf("mapSpeed(0) = %v below the degraded floor %v", w, rc.DegradeFloor())
+	if n := budgeted.Load(); n != 0 {
+		t.Fatalf("%d of %d requests carried a byte budget; a frame that received nothing must stay whole", n, requests.Load())
 	}
 	s := st.Snapshot()
-	if s.Get(stats.ClientTimeouts) < 2 || s.Get(stats.ClientDegraded) < 1 || s.Get(stats.ClientRetries) < 2 {
-		t.Fatalf("stats %+v missing timeout/degraded/retry counts", s)
+	if s.Get(stats.ClientTimeouts) < 2 || s.Get(stats.ClientRetries) < 2 {
+		t.Fatalf("stats %+v missing timeout/retry counts", s)
+	}
+	if s.Get(stats.ClientPieces) != 0 || s.Get(stats.ClientSplitFrames) != 0 {
+		t.Fatalf("a mute server split frames: %d pieces over %d frames", s.Get(stats.ClientPieces), s.Get(stats.ClientSplitFrames))
 	}
 	if rc.Timeouts != s.Get(stats.ClientTimeouts) || rc.Retries != s.Get(stats.ClientRetries) {
 		t.Fatalf("client totals %d/%d disagree with stats %d/%d",
 			rc.Timeouts, rc.Retries, s.Get(stats.ClientTimeouts), s.Get(stats.ClientRetries))
+	}
+}
+
+// TestResilientFrameSplitsOversizedResponse is the short-frame
+// regression: every connection of the link dies after the same fixed
+// traffic volume, below what one wholesale frame needs. A whole-frame
+// retry can never succeed there; the client must fetch the frame as
+// budgeted pieces and end with the oracle's meshes. Over a plain link
+// the same tour never sends a budgeted request.
+func TestResilientFrameSplitsOversizedResponse(t *testing.T) {
+	addr, d, _, stServer, shutdown := startHardenedServer(t, nil)
+	defer shutdown()
+	space := d.Store.Bounds().XY()
+	frames := append(soakTrajectory(9, 8, space), soakFrame{q: space, speed: 0})
+	const dropAfter = 20_000
+
+	oracle, err := Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oracle.Close()
+	largest := 0
+	for i, f := range frames {
+		n, err := oracle.Frame(f.q, f.speed)
+		if err != nil {
+			t.Fatalf("oracle frame %d: %v", i, err)
+		}
+		largest = max(largest, n)
+	}
+	if whole := int64(largest) * wavelet.WireBytes; whole <= dropAfter {
+		t.Fatalf("the largest frame (%d B) fits the %d B drop interval", whole, dropAfter)
+	}
+
+	tour := func(dial func() (net.Conn, error)) (*ResilientClient, *stats.Stats) {
+		t.Helper()
+		st := stats.New()
+		rc, err := DialResilient(ResilientConfig{
+			Dial:         dial,
+			FrameTimeout: 5 * time.Second,
+			MaxAttempts:  6,
+			BackoffBase:  time.Millisecond,
+			BackoffMax:   2 * time.Millisecond,
+			Stats:        st,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, f := range frames {
+			if _, err := rc.Frame(f.q, f.speed); err != nil {
+				t.Fatalf("frame %d: %v", i, err)
+			}
+		}
+		return rc, st
+	}
+
+	plain, _ := tour(func() (net.Conn, error) { return net.Dial("tcp", addr) })
+	defer plain.Close()
+	assertSameMeshes(t, oracle, plain.Client())
+	if n := stServer.Load(stats.RetrievalBudgetRequests); n != 0 {
+		t.Fatalf("a plain link sent %d budgeted requests, want 0", n)
+	}
+
+	dialer := faultnet.NewDialer(addr, faultnet.Config{Seed: 3, DropAfterMin: dropAfter, DropAfterMax: dropAfter})
+	short, st := tour(dialer.Dial)
+	defer short.Close()
+	assertSameMeshes(t, oracle, short.Client())
+	pieces, split := st.Load(stats.ClientPieces), st.Load(stats.ClientSplitFrames)
+	if pieces == 0 || split == 0 {
+		t.Fatalf("%d pieces over %d split frames; the oversized frame never arrived in pieces", pieces, split)
+	}
+	if asked := stServer.Load(stats.RetrievalBudgetRequests); asked < pieces {
+		t.Fatalf("server saw %d budgeted requests, client received %d pieces", asked, pieces)
+	}
+	t.Logf("dials %d · pieces %d over %d split frames · retries %d", dialer.Dials(), pieces, split, short.Retries)
+}
+
+// TestResilientPiecesStopWithoutProgress pins the two ends of the piece
+// loop under a server byte cap. A cap of a few records withholds most of
+// each response, so one Frame repeats its request until nothing is
+// withheld and ends with the uncapped oracle's meshes. A cap below one
+// record delivers nothing, ever: Frame must return after that first
+// empty response instead of spinning.
+func TestResilientPiecesStopWithoutProgress(t *testing.T) {
+	oracleAddr, d, _, _, oracleShutdown := startHardenedServer(t, nil)
+	defer oracleShutdown()
+	space := d.Store.Bounds().XY()
+	oracle, err := Dial(oracleAddr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer oracle.Close()
+	if _, err := oracle.Frame(space, 0); err != nil {
+		t.Fatal(err)
+	}
+
+	for _, tc := range []struct {
+		name     string
+		capBytes int64
+	}{
+		{"few-records", 40 * wavelet.WireBytes},
+		{"below-one-record", wavelet.WireBytes - 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			addr, _, _, st, shutdown := startHardenedServer(t, func(s *Server) { s.SetBudgetCap(tc.capBytes) })
+			defer shutdown()
+			rc, err := DialResilient(ResilientConfig{
+				Dial: func() (net.Conn, error) { return net.Dial("tcp", addr) },
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rc.Close()
+			type result struct {
+				n   int
+				err error
+			}
+			done := make(chan result, 1)
+			go func() {
+				n, err := rc.Frame(space, 0)
+				done <- result{n, err}
+			}()
+			var r result
+			select {
+			case r = <-done:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Frame spun on responses that deliver nothing")
+			}
+			if r.err != nil {
+				t.Fatal(r.err)
+			}
+			requests := st.Load(stats.RetrievalRequests)
+			if tc.capBytes < wavelet.WireBytes {
+				if r.n != 0 || requests != 1 {
+					t.Fatalf("%d coefficients over %d requests, want 0 over 1", r.n, requests)
+				}
+				return
+			}
+			if requests < 2 {
+				t.Fatalf("a %d-byte cap answered the whole window in %d request", tc.capBytes, requests)
+			}
+			if int64(r.n) != oracle.Coefficients {
+				t.Fatalf("capped frame applied %d coefficients, oracle %d", r.n, oracle.Coefficients)
+			}
+			assertSameMeshes(t, oracle, rc.Client())
+		})
+	}
+}
+
+// assertSameMeshes fails unless got holds every object want holds, with
+// the same coefficient count and bit-identical vertices.
+func assertSameMeshes(t *testing.T, want, got *Client) {
+	t.Helper()
+	if len(got.Objects()) != len(want.Objects()) {
+		t.Fatalf("object sets diverged: %d != %d", len(got.Objects()), len(want.Objects()))
+	}
+	for _, id := range want.Objects() {
+		wm, _ := want.Mesh(id)
+		gm, ok := got.Mesh(id)
+		if !ok {
+			t.Fatalf("object %d missing", id)
+		}
+		if got.CoeffCount(id) != want.CoeffCount(id) {
+			t.Fatalf("object %d: %d coefficients, want %d", id, got.CoeffCount(id), want.CoeffCount(id))
+		}
+		if wm.NumVerts() != gm.NumVerts() {
+			t.Fatalf("object %d topology diverged", id)
+		}
+		for i := range wm.Verts {
+			if wm.Verts[i] != gm.Verts[i] {
+				t.Fatalf("object %d vertex %d diverged: %v != %v", id, i, gm.Verts[i], wm.Verts[i])
+			}
+		}
 	}
 }
 

@@ -103,7 +103,8 @@ const (
 	ClientTimeouts
 	ClientResumes
 	ClientReplans
-	ClientDegraded
+	ClientSplitFrames  // frames the link could not carry whole, retried as budgeted pieces
+	ClientPieces       // budgeted pieces those frames received
 	ClientABRBandwidth // gauge, bytes/second
 	ClientABRRTTNs     // gauge
 	ClientABRBudget    // gauge, bytes per frame
@@ -187,7 +188,8 @@ var counterNames = [numCounters]string{
 	ClientTimeouts:     "client.timeouts",
 	ClientResumes:      "client.resumes",
 	ClientReplans:      "client.replans",
-	ClientDegraded:     "client.degraded",
+	ClientSplitFrames:  "client.split_frames",
+	ClientPieces:       "client.pieces",
 	ClientABRBandwidth: "client.abr_bandwidth",
 	ClientABRRTTNs:     "client.abr_rtt_ns",
 	ClientABRBudget:    "client.abr_budget",

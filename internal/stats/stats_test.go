@@ -124,7 +124,8 @@ func TestResilienceCounters(t *testing.T) {
 	s.Add(ClientTimeouts, 1)
 	s.Add(ClientResumes, 2)
 	s.Add(ClientReplans, 1)
-	s.Add(ClientDegraded, 1)
+	s.Add(ClientSplitFrames, 1)
+	s.Add(ClientPieces, 4)
 	s.Add(ProtoResumeHits, 2)
 	s.Add(ProtoResumeMisses, 1)
 	s.Add(ProtoShed, 1)
@@ -133,14 +134,14 @@ func TestResilienceCounters(t *testing.T) {
 
 	got := s.Snapshot()
 	checkRows(t, got, map[Counter]int64{ClientRetries: 2, ClientTimeouts: 1, ClientResumes: 2,
-		ClientReplans: 1, ClientDegraded: 1, ProtoResumeHits: 2, ProtoResumeMisses: 1,
+		ClientReplans: 1, ClientSplitFrames: 1, ClientPieces: 4, ProtoResumeHits: 2, ProtoResumeMisses: 1,
 		ProtoShed: 1, LinkFaults: 3, DiskFaults: 2}, map[Hist]int64{ClientBackoffNs: 2})
 	if b := got.H[ClientBackoffNs]; b.Max != int64(80*time.Millisecond) {
 		t.Errorf("backoff histogram = %+v", b)
 	}
 
 	line := got.String()
-	for _, want := range []string{"client.retries 2", "proto.resume_hits 2", "proto.resume_misses 1",
+	for _, want := range []string{"client.retries 2", "client.split_frames 1", "client.pieces 4", "proto.resume_hits 2", "proto.resume_misses 1",
 		"proto.shed 1", "link.faults 3", "disk.faults 2", "client.backoff_ns mean"} {
 		if !strings.Contains(line, want) {
 			t.Errorf("summary %q missing %q", line, want)
