@@ -93,7 +93,8 @@ bench-crowd: build
 benchguard:
 	$(GO) run ./scripts -tolerance 0.25
 
-# Short coverage-guided exploration of every wire-protocol decoder. Each
+# Short coverage-guided exploration of every wire-protocol decoder, and
+# of the retrieval merge against its one-id-at-a-time reference. Each
 # fuzz target needs its own invocation (go test allows one -fuzz at a
 # time); seeds alone also run in `make test`.
 fuzz:
@@ -107,6 +108,7 @@ fuzz:
 	$(GO) test -fuzz 'FuzzSegment$$' -fuzztime 10s -run '^$$' ./internal/persist/
 	$(GO) test -fuzz 'FuzzCluster$$' -fuzztime 10s -run '^$$' ./internal/cluster/
 	$(GO) test -fuzz 'FuzzFaultDisk$$' -fuzztime 10s -run '^$$' ./internal/faultdisk/
+	$(GO) test -fuzz 'FuzzExecuteMerge$$' -fuzztime 10s -run '^$$' ./internal/retrieval/
 
 ci: build vet test test-procs bench-check race soaks fuzz
 	# Informational artifact deltas (never fail the gate): regenerate

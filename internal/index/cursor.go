@@ -3,14 +3,15 @@ package index
 import "repro/internal/rtree"
 
 // Cursor is reusable per-caller search scratch for the allocation-free
-// SearchInto path: the R-tree traversal scratch and the id sort's
-// ping-pong buffer. A zero Cursor is ready to use; buffers grow on first
-// use and are retained, so steady-state searches allocate nothing. A
-// Cursor must not be shared by concurrent searches — the serving layer
-// keeps one per session, exactly like the result buffer it helps fill.
+// SearchInto path: the R-tree traversal scratch and the hit set that
+// orders the raw hits. A zero Cursor is ready to use; buffers and pages
+// grow on first use and are retained, so steady-state searches allocate
+// nothing. A Cursor must not be shared by concurrent searches — the
+// serving layer keeps one per session, exactly like the result buffer it
+// helps fill.
 type Cursor struct {
-	rt  rtree.Cursor
-	tmp []int64
+	rt   rtree.Cursor
+	hits hitSet
 }
 
 // IntoSearcher is an Index that can additionally append its results to a

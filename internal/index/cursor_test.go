@@ -38,7 +38,7 @@ func TestSearchIntoMatchesSearch(t *testing.T) {
 }
 
 // TestSearchIntoAppends pins that SearchInto appends after the buffer's
-// existing contents instead of clobbering them, and sorts only its own
+// existing contents instead of clobbering them, and orders only its own
 // region.
 func TestSearchIntoAppends(t *testing.T) {
 	store := testStore(t, 8, 3)

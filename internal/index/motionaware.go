@@ -68,9 +68,9 @@ func (m *MotionAware) Search(q Query) ([]int64, int64) {
 
 // SearchInto is the allocation-free Search: matching ids are appended to
 // buf (ascending, same set and I/O as Search) using the cursor's
-// traversal stack, so a warmed-up caller performs no allocations per
-// query. Safe for concurrent callers with distinct cursors and buffers,
-// under the same no-mutation contract as Search.
+// traversal stack and hit set, so a warmed-up caller performs no
+// allocations per query. Safe for concurrent callers with distinct
+// cursors and buffers, under the same no-mutation contract as Search.
 func (m *MotionAware) SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, int64) {
 	qr, ok := m.layout.queryRect(q)
 	if !ok {
@@ -78,7 +78,7 @@ func (m *MotionAware) SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, in
 	}
 	start := len(buf)
 	buf, io := m.tree.SearchInto(qr, &cur.rt, buf)
-	sortIDs(buf[start:], &cur.tmp)
+	buf = buf[:start+len(cur.hits.order(buf[start:]))]
 	m.lastHits.Store(int64(len(buf) - start))
 	return buf, io
 }

@@ -248,7 +248,7 @@ func (s *Sharded) Search(q Query) ([]int64, int64) {
 
 // SearchInto is the allocation-free Search: matching ids are appended to
 // buf in ascending order using the cursor's retained scratch (traversal
-// queue, sort buffer), so a warmed-up search performs no allocations.
+// stack, hit set), so a warmed-up search performs no allocations.
 // The overlapping shards are searched in turn on the calling goroutine:
 // a whole frame's descent is tens of microseconds, less than handing it
 // to other goroutines costs, so concurrency comes from sessions, not
@@ -256,12 +256,20 @@ func (s *Sharded) Search(q Query) ([]int64, int64) {
 // Search. Safe for any number of concurrent callers with distinct
 // cursors and buffers, including concurrently with Insert/Delete.
 func (s *Sharded) SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, int64) {
+	start := len(buf)
+	buf, io := s.searchRaw(q, buf, &cur.rt)
+	return buf[:start+len(cur.hits.order(buf[start:]))], io
+}
+
+// searchRaw appends every overlapping shard's hits to buf in the order
+// the shards' R*-trees return them — unordered across and within shards
+// — and returns the node I/O spent.
+func (s *Sharded) searchRaw(q Query, buf []int64, rt *rtree.Cursor) ([]int64, int64) {
 	qr, ok := s.layout.queryRect(q)
 	if !ok {
 		return buf, 0
 	}
 	dims := s.layout.Dims()
-	start := len(buf)
 	var io int64
 	for i, sh := range s.shards {
 		sh.mu.RLock()
@@ -270,14 +278,13 @@ func (s *Sharded) SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, int64)
 			continue
 		}
 		var sio int64
-		buf, sio = sh.tree.SearchInto(qr, &cur.rt, buf)
+		buf, sio = sh.tree.SearchInto(qr, rt, buf)
 		sh.mu.RUnlock()
 		row := s.st.Shard(i)
 		row.Add(stats.ShardSearches, 1)
 		row.Add(stats.ShardNodeIO, sio)
 		io += sio
 	}
-	sortIDs(buf[start:], &cur.tmp)
 	return buf, io
 }
 

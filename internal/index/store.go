@@ -227,13 +227,15 @@ func (l Layout) queryRect(q Query) (r rtree.Rect, ok bool) {
 // returns the global coefficient ids satisfying the query and the number
 // of index nodes (pages) read.
 //
-// Determinism contract: Search returns ids in ascending global-id order.
-// Tree traversal order is an implementation detail (it differs between a
-// bulk-loaded and an incrementally grown tree, and between shards of a
-// partitioned index); sorting pins the response bytes of every access
-// method to the query alone, so a sharded index is byte-identical to the
-// serial motion-aware oracle and cross-implementation property tests can
-// compare slices directly.
+// Determinism contract: Search returns each matching id once, in
+// ascending global-id order (the retrieval merge walks them a 64-id word
+// at a time and relies on both). Tree traversal order is an
+// implementation detail (it differs between a bulk-loaded and an
+// incrementally grown tree, and between shards of a partitioned index);
+// ordering pins the response bytes of every access method to the query
+// alone, so a sharded index is byte-identical to the serial motion-aware
+// oracle and cross-implementation property tests can compare slices
+// directly.
 //
 // Concurrency contract: after construction (and, for Naive, the
 // EnsureNeighbors call its constructor performs), Search must be safe

@@ -27,28 +27,36 @@ type Delivered struct {
 	n     int
 }
 
-// locate splits a non-negative id into its page number, word and bit.
-func locate(id int64) (page int, word uint, mask uint64) {
-	return int(id >> deliveredPageBits), uint(id>>6) % deliveredPageWords, 1 << (uint(id) & 63)
-}
-
 // Has reports whether id is in the set.
 func (d *Delivered) Has(id int64) bool {
-	p, w, m := locate(id)
-	if id < 0 || p >= len(d.pages) || d.pages[p] == nil {
-		return false
-	}
-	return d.pages[p][w]&m != 0
+	return d.word(id>>6)&(1<<(uint(id)&63)) != 0
 }
 
 // Add inserts id, growing the spine and allocating the id's page when
 // this is the first id to land there. It reports whether id was new to
 // the set.
 func (d *Delivered) Add(id int64) bool {
-	if id < 0 {
-		return false
+	return d.or(id>>6, 1<<(uint(id)&63)) == 1
+}
+
+// word returns word w of the set — the bits of ids [64w, 64w+64) — and 0
+// for a word on no page. It never allocates.
+func (d *Delivered) word(w int64) uint64 {
+	p := w >> (deliveredPageBits - 6)
+	if w < 0 || p >= int64(len(d.pages)) || d.pages[p] == nil {
+		return 0
 	}
-	p, w, m := locate(id)
+	return d.pages[p][w%deliveredPageWords]
+}
+
+// or adds the ids of mask m to word w, allocating the word's page if it
+// has none, and returns how many of them were new to the set. Negative
+// words hold negative ids, which are never members: or ignores them.
+func (d *Delivered) or(w int64, m uint64) int {
+	if w < 0 || m == 0 {
+		return 0
+	}
+	p := int(w >> (deliveredPageBits - 6))
 	if p >= len(d.pages) {
 		d.pages = append(d.pages, make([]*deliveredPage, p+1-len(d.pages))...)
 	}
@@ -57,24 +65,20 @@ func (d *Delivered) Add(id int64) bool {
 		pg = new(deliveredPage)
 		d.pages[p] = pg
 	}
-	if pg[w]&m != 0 {
-		return false
-	}
-	pg[w] |= m
-	d.n++
-	return true
+	i := w % deliveredPageWords
+	n := bits.OnesCount64(m &^ pg[i])
+	pg[i] |= m
+	d.n += n
+	return n
 }
 
 // Del removes id; an absent id is a no-op. Pages are kept: ids are
 // removed to be re-delivered (resume rollback), so the page is about to
 // be needed again.
 func (d *Delivered) Del(id int64) {
-	p, w, m := locate(id)
-	if id < 0 || p >= len(d.pages) || d.pages[p] == nil {
-		return
-	}
-	if d.pages[p][w]&m != 0 {
-		d.pages[p][w] &^= m
+	w, m := id>>6, uint64(1)<<(uint(id)&63)
+	if d.word(w)&m != 0 {
+		d.pages[w>>(deliveredPageBits-6)][w%deliveredPageWords] &^= m
 		d.n--
 	}
 }

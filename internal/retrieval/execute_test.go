@@ -6,6 +6,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/stats"
+	"repro/internal/wavelet"
 )
 
 // TestExecuteNilDeliveredAllowsDuplicates pins the two delivery modes:
@@ -90,7 +91,9 @@ func TestExecuteFilterRejectionKeepsRetrievable(t *testing.T) {
 // TestExecuteRecordsStats checks the per-request observability contract:
 // retrieval.requests counts each Execute, the other rows reconcile with
 // the response, and degenerate sub-queries are excluded from the
-// executed count.
+// executed count. retrieval.raw_hits counts every index hit the merge
+// saw: all of them delivered for a lone sub-query without a delivered
+// set, and at least every delivered or budget-withheld one otherwise.
 func TestExecuteRecordsStats(t *testing.T) {
 	srv := testServer(t, 3, 16)
 	st := stats.New()
@@ -111,5 +114,23 @@ func TestExecuteRecordsStats(t *testing.T) {
 	}
 	if n := snap.H[stats.RetrievalExecuteNs].Count; n != 1 {
 		t.Fatalf("latency histogram count = %d", n)
+	}
+	if raw := snap.Get(stats.RetrievalRawHits); raw != int64(len(resp.IDs)) {
+		t.Fatalf("raw_hits = %d for a lone unfiltered sub-query delivering %d", raw, len(resp.IDs))
+	}
+
+	// Overlapping sub-queries against a delivered set under a budget: the
+	// merge drops repeats and withholds the cut, and raw_hits covers both.
+	delivered := new(Delivered)
+	overlap := []SubQuery{
+		{Region: geom.R2(0, 0, 600, 600), WMin: 0, WMax: 1},
+		{Region: geom.R2(300, 300, 1000, 1000), WMin: 0, WMax: 1},
+	}
+	srv.ExecuteBudget(overlap, delivered, int64(len(resp.IDs)/3)*wavelet.WireBytes)
+	srv.ExecuteBudget(overlap, delivered, int64(len(resp.IDs)/3)*wavelet.WireBytes)
+	snap = st.Snapshot()
+	raw, coeffs, dropped := snap.Get(stats.RetrievalRawHits), snap.Get(stats.RetrievalCoeffs), snap.Get(stats.RetrievalCoeffsDropped)
+	if dropped == 0 || raw < coeffs+dropped {
+		t.Fatalf("raw_hits %d, coeffs %d, coeffs_dropped %d: want raw_hits >= coeffs + coeffs_dropped > coeffs", raw, coeffs, dropped)
 	}
 }

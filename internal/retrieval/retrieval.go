@@ -8,6 +8,7 @@ package retrieval
 
 import (
 	"math"
+	"math/bits"
 	"sync/atomic"
 	"time"
 
@@ -282,33 +283,17 @@ func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, max
 	}
 	results := sc.results[:len(subs)]
 	firstTouches := s.searchAll(subs, results, &sc.cur)
-	resp := Response{IDs: sc.ids[:0]}
-	// dropped records whether the merge suppressed any raw hit — by a
-	// filter, the delivered set or the budget: only a single-sub response
-	// without one equals its cache entry's id set and may carry a HotRef.
-	dropped := false
 	// limit is the budget's prefix cut in whole coefficients; -1 means
 	// unlimited. A positive budget below one wire record delivers
-	// nothing (and withholds everything). withheld dedups the ids the
-	// cut suppresses — they are not in the delivered set (purity), but
-	// Dropped must equal exactly what the unlimited run would have
-	// delivered beyond the cut, and a support region straddling several
-	// sub-query rectangles hits the merge more than once. Its pages are
-	// allocated on first Add: only truncated responses (the degraded
-	// path) pay for it.
+	// nothing (and withholds everything).
 	limit := int64(-1)
 	if maxBytes > 0 {
 		limit = maxBytes / wavelet.WireBytes
 	}
-	var withheld Delivered
-	// faultWithheld counts merge hits suppressed because their backing
-	// page was unreadable — a subset of resp.Dropped, surfaced to stats
-	// separately from budget truncation.
-	faultWithheld := int64(0)
 	// Against a paging store, the filter pass reads coefficient
 	// positions across the whole merge loop, so those pages are pinned
-	// for the frame and released after the loop. The in-memory store
-	// leaves pins nil and the loop byte-for-byte on its old path.
+	// for the frame and released after the merge. The in-memory store
+	// leaves pins nil, and the merge reads positions off its slab.
 	var pins *index.Pins
 	if s.pinner != nil {
 		for i := range subs {
@@ -321,61 +306,13 @@ func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, max
 			}
 		}
 	}
-	for i := range subs {
-		r := &results[i]
-		if !r.ran {
-			continue
-		}
-		resp.IO += r.io
-		resp.Queries++
-		for _, id := range r.ids {
-			// Filter before touching the delivered set: a coefficient the
-			// filter rejects has not been sent and must stay retrievable.
-			if subs[i].Filter != nil {
-				pos, err := s.coeffPos(pins, id)
-				if err != nil {
-					// Unreadable page: withhold the coefficient without
-					// marking it delivered (ABR Dropped semantics) — the
-					// session re-retrieves it once the page heals, and
-					// frames touching only healthy pages are unaffected.
-					dropped = true
-					faultWithheld++
-					if delivered == nil || withheld.Add(id) {
-						resp.Dropped++
-					}
-					continue
-				}
-				if !subs[i].Filter(pos) {
-					dropped = true
-					continue
-				}
-			}
-			if delivered != nil && delivered.Has(id) {
-				dropped = true
-				continue
-			}
-			if limit >= 0 && int64(len(resp.IDs)) >= limit {
-				// Budget exhausted: withhold, don't mark delivered. Without
-				// a delivered set the unlimited merge would append every
-				// hit, so every hit counts; with one, duplicates would have
-				// been deduped, so withheld ids count once.
-				dropped = true
-				if delivered == nil || withheld.Add(id) {
-					resp.Dropped++
-				}
-				continue
-			}
-			if delivered != nil {
-				delivered.Add(id)
-			}
-			resp.IDs = append(resp.IDs, id)
-		}
-	}
+	resp := Response{IDs: sc.ids[:0]}
+	m := s.merge(subs, results, delivered, limit, pins, &resp)
 	if pins != nil {
 		pins.Release()
 	}
 	sc.ids = resp.IDs
-	if len(subs) == 1 && results[0].hot && !dropped {
+	if len(subs) == 1 && results[0].hot && !m.suppressed {
 		resp.Hot = HotRef{Valid: true, Query: s.queryOf(&subs[0]), Epoch: results[0].epoch}
 	}
 	resp.Bytes = int64(len(resp.IDs)) * wavelet.WireBytes
@@ -385,6 +322,7 @@ func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, max
 		st.Add(stats.RetrievalSubQueries, int64(resp.Queries))
 		st.Add(stats.RetrievalNodeIO, resp.IO)
 		st.Add(stats.RetrievalCoeffs, coeffs)
+		st.Add(stats.RetrievalRawHits, m.rawHits)
 		st.Add(stats.RetrievalBytes, resp.Bytes)
 		st.Observe(stats.RetrievalExecuteNs, int64(time.Since(start)))
 		st.Observe(stats.RetrievalRequestNodeIO, resp.IO)
@@ -402,14 +340,135 @@ func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, max
 				st.Add(stats.RetrievalCoeffsDropped, resp.Dropped)
 			}
 		}
-		if faultWithheld > 0 {
-			st.Add(stats.RetrievalCoeffsWithheld, faultWithheld)
+		if m.faultWithheld > 0 {
+			st.Add(stats.RetrievalCoeffsWithheld, m.faultWithheld)
 		}
 		if firstTouches > 0 {
 			st.Add(stats.RetrievalFirstTouches, firstTouches)
 		}
 	}
 	return resp
+}
+
+// mergeTally is what a merge reports beside the response it fills.
+type mergeTally struct {
+	// suppressed records whether the merge held back any raw hit — by a
+	// filter, a page fault, the delivered set or the budget: only a
+	// single-sub response without one equals its cache entry's id set and
+	// may carry a HotRef.
+	suppressed bool
+	// faultWithheld counts hits withheld because their backing page was
+	// unreadable — a subset of resp.Dropped, surfaced to stats separately
+	// from budget truncation.
+	faultWithheld int64
+	// rawHits counts the index hits merged, summed over sub-queries.
+	rawHits int64
+}
+
+// merge folds the sub-queries' raw hits into resp in plan order — the
+// server side of Fig. 3. It appends each coefficient the client does not
+// hold to resp.IDs and records it in delivered (nil = no filtering),
+// cuts the deliveries at limit coefficients (-1 = unlimited) as a prefix
+// of that order, and counts what the cut and page faults withhold in
+// resp.Dropped; resp.IO and resp.Queries sum the executed sub-queries.
+//
+// Each sub-query's ids are strictly ascending (the SearchInto contract),
+// so the merge takes them one 64-id word of the delivered bitset at a
+// time: the word's hits, less the ones a Filter rejects or a page fault
+// withholds, minus the delivered word are the fresh ids; the budget cut
+// falls inside the word by popcount, and the kept ids are ORed into the
+// set at once.
+//
+// Withheld ids are not marked delivered — later frames retrieve them
+// when budget allows or the page heals. Dropped must equal exactly what
+// the unlimited, fault-free merge would have delivered beyond the cut,
+// and a support region straddling several sub-query rectangles reaches
+// the merge more than once, so with a delivered set the withheld ids are
+// deduplicated through a second bitset whose pages are allocated on
+// first use: only truncated or faulted responses pay for it. Without a
+// delivered set the unlimited merge would append every hit, so every
+// withheld hit counts.
+func (s *Server) merge(subs []SubQuery, results []subResult, delivered *Delivered, limit int64, pins *index.Pins, resp *Response) mergeTally {
+	var t mergeTally
+	var withheld Delivered
+	// withhold counts the newly withheld ids of mask m in word w.
+	withhold := func(w int64, m uint64) {
+		t.suppressed = true
+		if delivered == nil {
+			resp.Dropped += int64(bits.OnesCount64(m))
+		} else {
+			resp.Dropped += int64(withheld.or(w, m))
+		}
+	}
+	for i := range subs {
+		r := &results[i]
+		if !r.ran {
+			continue
+		}
+		resp.IO += r.io
+		resp.Queries++
+		t.rawHits += int64(len(r.ids))
+		filter := subs[i].Filter
+		for ids := r.ids; len(ids) > 0; {
+			w := ids[0] >> 6
+			var hit, faulted uint64
+			j := 0
+			for ; j < len(ids) && ids[j]>>6 == w; j++ {
+				bit := uint64(1) << (uint(ids[j]) & 63)
+				// Filter before touching the delivered set: a coefficient the
+				// filter rejects has not been sent and must stay retrievable.
+				if filter != nil {
+					pos, err := s.coeffPos(pins, ids[j])
+					if err != nil {
+						// Unreadable page: withhold the coefficient without
+						// marking it delivered — the session re-retrieves it once
+						// the page heals, and frames touching only healthy pages
+						// are unaffected.
+						faulted |= bit
+						continue
+					}
+					if !filter(pos) {
+						t.suppressed = true
+						continue
+					}
+				}
+				hit |= bit
+			}
+			ids = ids[j:]
+			if faulted != 0 {
+				t.faultWithheld += int64(bits.OnesCount64(faulted))
+				withhold(w, faulted)
+			}
+			fresh := hit
+			if delivered != nil {
+				fresh &^= delivered.word(w)
+			}
+			if fresh != hit {
+				t.suppressed = true
+			}
+			if room := limit - int64(len(resp.IDs)); limit >= 0 && int64(bits.OnesCount64(fresh)) > room {
+				// Budget exhausted inside this word: keep its lowest room
+				// fresh ids and withhold the rest, unmarked.
+				keep := fresh
+				for k := int64(bits.OnesCount64(fresh)); k > room; k-- {
+					keep &^= 1 << (63 - bits.LeadingZeros64(keep))
+				}
+				withhold(w, fresh&^keep)
+				fresh = keep
+			}
+			if fresh == 0 {
+				continue
+			}
+			if delivered != nil {
+				delivered.or(w, fresh)
+			}
+			base := w << 6
+			for f := fresh; f != 0; f &= f - 1 {
+				resp.IDs = append(resp.IDs, base|int64(bits.TrailingZeros64(f)))
+			}
+		}
+	}
+	return t
 }
 
 // coeffPos reads one coefficient's vertex position — through the frame

@@ -46,6 +46,7 @@ const (
 	RetrievalSubQueries
 	RetrievalNodeIO
 	RetrievalCoeffs
+	RetrievalRawHits // index hits merged, summed over sub-queries
 	RetrievalBytes
 	RetrievalFirstTouches // sub-queries searched past both sharing layers (never asked before)
 	RetrievalBudgetRequests
@@ -137,6 +138,7 @@ var counterNames = [numCounters]string{
 	RetrievalSubQueries:        "retrieval.sub_queries",
 	RetrievalNodeIO:            "retrieval.node_io",
 	RetrievalCoeffs:            "retrieval.coeffs",
+	RetrievalRawHits:           "retrieval.raw_hits",
 	RetrievalBytes:             "retrieval.bytes",
 	RetrievalFirstTouches:      "retrieval.first_touches",
 	RetrievalBudgetRequests:    "retrieval.budget_requests",
