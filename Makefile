@@ -93,22 +93,17 @@ bench-crowd: build
 benchguard:
 	$(GO) run ./scripts -tolerance 0.25
 
-# Short coverage-guided exploration of every wire-protocol decoder, and
-# of the retrieval merge against its one-id-at-a-time reference. Each
-# fuzz target needs its own invocation (go test allows one -fuzz at a
-# time); seeds alone also run in `make test`.
+# Short coverage-guided exploration of every fuzz target in the module:
+# each package's Fuzz* functions, as `go test -list` reports them, for
+# 10 s each (go test allows one -fuzz at a time); seeds alone also run
+# in `make test`.
 fuzz:
-	$(GO) test -fuzz 'FuzzReader$$' -fuzztime 10s -run '^$$' ./internal/proto/
-	$(GO) test -fuzz 'FuzzReadResponse$$' -fuzztime 10s -run '^$$' ./internal/proto/
-	$(GO) test -fuzz 'FuzzReadHello$$' -fuzztime 10s -run '^$$' ./internal/proto/
-	$(GO) test -fuzz 'FuzzReadResume$$' -fuzztime 10s -run '^$$' ./internal/proto/
-	$(GO) test -fuzz 'FuzzReadSceneSelect$$' -fuzztime 10s -run '^$$' ./internal/proto/
-	$(GO) test -fuzz 'FuzzCRCRejectsFlips$$' -fuzztime 10s -run '^$$' ./internal/proto/
-	$(GO) test -fuzz 'FuzzScan$$' -fuzztime 10s -run '^$$' ./internal/persist/
-	$(GO) test -fuzz 'FuzzSegment$$' -fuzztime 10s -run '^$$' ./internal/persist/
-	$(GO) test -fuzz 'FuzzCluster$$' -fuzztime 10s -run '^$$' ./internal/cluster/
-	$(GO) test -fuzz 'FuzzFaultDisk$$' -fuzztime 10s -run '^$$' ./internal/faultdisk/
-	$(GO) test -fuzz 'FuzzExecuteMerge$$' -fuzztime 10s -run '^$$' ./internal/retrieval/
+	for pkg in $$($(GO) list -f '{{if or .TestGoFiles .XTestGoFiles}}{{.ImportPath}}{{end}}' ./...); do \
+		list=$$($(GO) test -list '^Fuzz' $$pkg) || exit 1; \
+		for f in $$(echo "$$list" | grep '^Fuzz'); do \
+			$(GO) test -fuzz "^$$f\$$" -fuzztime 10s -run '^$$' $$pkg || exit 1; \
+		done; \
+	done
 
 ci: build vet test test-procs bench-check race soaks fuzz
 	# Informational artifact deltas (never fail the gate): regenerate

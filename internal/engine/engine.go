@@ -57,7 +57,7 @@ func ValidateSceneName(name string) error {
 type Scene struct {
 	Name   string
 	Source index.CoefficientSource
-	Index  index.Index
+	Index  index.IntoSearcher
 	Server *retrieval.Server
 	Levels int
 	Resume *ResumeCache
@@ -186,9 +186,8 @@ func (r *Registry) Build(cfg SceneConfig) (*Scene, error) {
 
 // EnableHotCache equips every registered scene with a hot-region result
 // cache (see internal/hotcache) and registers each cache's counters as
-// a stats gauge source. Scenes whose index lacks epoch versioning (no
-// index.Epocher) are skipped — the cache cannot validate entries there.
-// Call after the scenes are registered, while no request is in flight.
+// a stats gauge source. Call after the scenes are registered, while no
+// request is in flight.
 func (r *Registry) EnableHotCache(cfg hotcache.Config, st *stats.Stats) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -201,11 +200,8 @@ func enableHotCache(sc *Scene, cfg hotcache.Config, st *stats.Stats) {
 	if sc.Server.HotCache() != nil {
 		return // already wired
 	}
-	sc.Server.SetHotCache(hotcache.New(cfg))
-	c := sc.Server.HotCache()
-	if c == nil {
-		return // index has no epochs; SetHotCache declined
-	}
+	c := hotcache.New(cfg)
+	sc.Server.SetHotCache(c)
 	if p, ok := sc.Source.(hotcache.Pinner); ok {
 		// Out-of-core scene: hot entries pre-pin their coefficient pages,
 		// making the hot-region LRU the paging policy for hot regions.
@@ -228,10 +224,8 @@ func enableHotCache(sc *Scene, cfg hotcache.Config, st *stats.Stats) {
 
 // EnableCoalescer equips every registered scene with a query coalescer
 // (see retrieval.Coalescer): concurrent sessions asking the identical
-// hot-region sub-query share one index pass. Scenes whose index lacks
-// epoch versioning are skipped — without epochs the coalescer cannot
-// prove two searches equivalent. Call after the scenes are registered,
-// while no request is in flight.
+// hot-region sub-query share one index pass. Call after the scenes are
+// registered, while no request is in flight.
 func (r *Registry) EnableCoalescer(cfg retrieval.CoalescerConfig, st *stats.Stats) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -244,11 +238,8 @@ func enableCoalescer(sc *Scene, cfg retrieval.CoalescerConfig, st *stats.Stats) 
 	if sc.Server.Coalescer() != nil {
 		return // already wired
 	}
-	sc.Server.SetCoalescer(retrieval.NewCoalescer(cfg))
-	co := sc.Server.Coalescer()
-	if co == nil {
-		return // index has no epochs; SetCoalescer declined
-	}
+	co := retrieval.NewCoalescer(cfg)
+	sc.Server.SetCoalescer(co)
 	st.AddSource(func(v *stats.Values) {
 		cs := co.Stats()
 		v[stats.CoalescerRouted] += cs.Routed

@@ -15,7 +15,7 @@
 //     miss, never a wrong answer. Bucketing only bounds the table size.
 //
 //   - Epoch validation. The index versions its contents seqlock-style
-//     (see index.Epocher): even when quiescent, odd while a mutation is
+//     (see index.IntoSearcher): even when quiescent, odd while a mutation is
 //     in flight. An entry is stored stamped with the even epoch observed
 //     both before and after the populating search, and a Get is a hit
 //     only while the index still reports exactly that epoch. Any

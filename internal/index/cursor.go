@@ -14,32 +14,33 @@ type Cursor struct {
 	hits hitSet
 }
 
-// IntoSearcher is an Index that can additionally append its results to a
-// caller-owned buffer using caller-owned scratch, eliminating the
-// per-query id-slice allocation of Search. The appended region follows
-// the same determinism contract as Search (ascending ids, identical set
-// and I/O); only the allocation behaviour differs.
+// IntoSearcher is the contract of a served index — what
+// retrieval.Server, the hot cache and the coalescer are written against.
+// SearchInto appends Search's results to a caller-owned buffer using
+// caller-owned scratch, so a warmed-up serve allocates nothing per query;
+// the appended region follows Search's determinism contract (ascending
+// ids, identical set and I/O).
+//
+// Epoch versions the contents seqlock-style: the counter is bumped
+// around every mutation — odd while one is in flight, even when
+// quiescent, and strictly greater after a mutation completes than before
+// it started. Result caches key their entries by epoch: an entry stored
+// at an even epoch E is valid exactly while Epoch() == E. An index that
+// never mutates after its build stays at epoch 0.
+//
+// MotionAware and Sharded implement it. The figures' baselines (Naive,
+// ObjectIndex) stay plain Index values; nothing serves them.
 type IntoSearcher interface {
 	Index
 	// SearchInto appends the matching ids to buf in ascending order and
 	// returns the extended buffer plus the node I/O spent.
 	SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, int64)
-}
-
-// Epocher is an index that versions its contents: Epoch returns a
-// counter that is bumped around every mutation, seqlock-style — odd
-// while a mutation is in flight, even when quiescent, and strictly
-// greater after a mutation completes than before it started. Result
-// caches key their entries by epoch: an entry stored at an even epoch E
-// is valid exactly while Epoch() == E. Sharded implements it; the bump
-// protocol is documented on its Insert/Delete methods.
-type Epocher interface {
+	// Epoch returns the current content version.
 	Epoch() uint64
 }
 
-// Compile-time interface checks for the allocation-free search path.
+// Both served indexes satisfy the serving contract.
 var (
 	_ IntoSearcher = (*MotionAware)(nil)
 	_ IntoSearcher = (*Sharded)(nil)
-	_ Epocher      = (*Sharded)(nil)
 )

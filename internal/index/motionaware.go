@@ -22,6 +22,9 @@ type MotionAware struct {
 	// continuous query stream hit similar numbers of coefficients, so the
 	// last result is a cheap, usually tight capacity bound.
 	lastHits atomic.Int64
+	// epoch versions the contents: Insert and Delete bump it before and
+	// after the tree changes, as Sharded's do (see IntoSearcher).
+	epoch atomic.Uint64
 }
 
 // NewMotionAware builds the index over every coefficient in the source
@@ -83,6 +86,10 @@ func (m *MotionAware) SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, in
 	return buf, io
 }
 
+// Epoch returns the current content version (see IntoSearcher): even at
+// rest, odd while an Insert or Delete is changing the tree.
+func (m *MotionAware) Epoch() uint64 { return m.epoch.Load() }
+
 // Insert indexes the source coefficient with the given global id (e.g.
 // after a background update changed its support region or value —
 // Delete, mutate the source, Insert). Not safe concurrently with Search;
@@ -92,7 +99,9 @@ func (m *MotionAware) Insert(id int64) {
 	if err != nil {
 		return // unreadable page: the coefficient stays unindexed
 	}
+	m.epoch.Add(1)
 	m.tree.Insert(m.layout.supportRect(c), id)
+	m.epoch.Add(1)
 }
 
 // Delete removes the coefficient with the given global id from the
@@ -104,5 +113,8 @@ func (m *MotionAware) Delete(id int64) bool {
 	if err != nil {
 		return false // unreadable page: nothing to match against
 	}
-	return m.tree.Delete(m.layout.supportRect(c), id)
+	m.epoch.Add(1)
+	ok := m.tree.Delete(m.layout.supportRect(c), id)
+	m.epoch.Add(1)
+	return ok
 }

@@ -212,8 +212,8 @@ type PagedConfig struct {
 
 // PagedStore serves coefficients from a paged segment file. Only the
 // offset table, footer metadata, and the bounded page cache are
-// resident. It implements PinningSource; serving layers that hold
-// coefficients across a frame must read through NewPins.
+// resident. Serving layers that hold coefficients across a frame read
+// through NewPins.
 type PagedStore struct {
 	seg     *persist.Segment
 	pager   *persist.Pager
@@ -224,8 +224,6 @@ type PagedStore struct {
 	base    int
 	bounds  geom.Rect3
 }
-
-var _ PinningSource = (*PagedStore)(nil)
 
 // OpenPaged opens a coefficient segment file as a PagedStore.
 func OpenPaged(path string, cfg PagedConfig) (*PagedStore, error) {
@@ -394,41 +392,30 @@ func (ps *PagedStore) Coeff(id int64) (*wavelet.Coefficient, error) {
 	return &c, nil
 }
 
-// scanCoeffs calls fn with every readable coefficient of src in id
-// order — the index builders' bulk read. Over a paging source it reads
-// through a pin set released at each page boundary, so the scan holds
-// one page at a time and allocates nothing per coefficient; fn must not
-// keep the pointer. Coefficients on an unreadable page are skipped: they
-// stay unindexed (and therefore withheld) rather than aborting the
-// build, and the rest of the scene still serves.
-func scanCoeffs(src CoefficientSource, fn func(id int64, c *wavelet.Coefficient)) {
-	total := src.NumCoeffs()
-	pinner, ok := src.(PinningSource)
-	if !ok {
-		for id := int64(0); id < total; id++ {
-			if c, err := src.Coeff(id); err == nil {
-				fn(id, c)
-			}
-		}
-		return
-	}
-	pins := pinner.NewPins()
-	defer pins.Release()
-	for id := int64(0); id < total; id++ {
-		if id%pins.ps.perPage == 0 {
-			pins.Release()
-		}
-		if c, err := pins.Coeff(id); err == nil {
-			fn(id, c)
-		}
-	}
+// NewPins returns an empty frame-scoped pin set over the store (see
+// Pins).
+func (ps *PagedStore) NewPins() *Pins {
+	return &Pins{ps: ps, slabs: make(map[int32][]wavelet.Coefficient)}
 }
 
-// NewPins returns an empty frame-scoped pin set. A Pins is reusable
-// across frames (Release keeps its storage) but not safe for concurrent
-// use; each session/connection owns its own.
-func (ps *PagedStore) NewPins() *Pins {
-	return &Pins{ps: ps, lastPage: -1, slabs: make(map[int32][]wavelet.Coefficient)}
+// pinPage points p at the page holding id, pinning it on the set's first
+// touch, and resolves id there.
+func (p *Pins) pinPage(id int64) (*wavelet.Coefficient, error) {
+	ps := p.ps
+	ps.checkID(id)
+	page := int32(id / ps.perPage)
+	slab, ok := p.slabs[page]
+	if !ok {
+		var err error
+		if slab, _, err = ps.pin(id); err != nil {
+			return nil, err
+		}
+		p.slabs[page] = slab
+		p.pages = append(p.pages, page)
+	}
+	p.lo, p.slab = int64(page)*ps.perPage, slab
+	p.hi = p.lo + int64(len(slab))
+	return &slab[id-p.lo], nil
 }
 
 // PinIDs pins the pages backing the given ascending id list, keeping
@@ -471,53 +458,4 @@ func (ps *PagedStore) UnpinIDs(ids []int64) {
 		ps.pager.Unpin(int(page))
 		last = page
 	}
-}
-
-// Pins is a frame-scoped pin set over one PagedStore: Coeff reads
-// through it keep every touched page resident (and its pointers stable)
-// until Release. The single-entry fast path makes the common
-// ascending-id scan one map lookup per page, not per coefficient.
-type Pins struct {
-	ps       *PagedStore
-	pages    []int32
-	slabs    map[int32][]wavelet.Coefficient
-	lastPage int32
-	lastSlab []wavelet.Coefficient
-}
-
-// Coeff resolves a global id; the backing page stays pinned until
-// Release, so the pointer is valid for the frame. An unreadable page
-// reports ErrPageUnavailable without disturbing the pages already
-// pinned — the caller withholds that coefficient and carries on.
-func (p *Pins) Coeff(id int64) (*wavelet.Coefficient, error) {
-	p.ps.checkID(id)
-	page := int32(id / p.ps.perPage)
-	idx := id % p.ps.perPage
-	if page == p.lastPage {
-		return &p.lastSlab[idx], nil
-	}
-	slab, ok := p.slabs[page]
-	if !ok {
-		var err error
-		slab, _, err = p.ps.pin(id)
-		if err != nil {
-			return nil, err
-		}
-		p.slabs[page] = slab
-		p.pages = append(p.pages, page)
-	}
-	p.lastPage = page
-	p.lastSlab = slab
-	return &slab[idx], nil
-}
-
-// Release unpins every page this set touched and resets it for reuse.
-func (p *Pins) Release() {
-	for _, page := range p.pages {
-		p.ps.pager.Unpin(int(page))
-		delete(p.slabs, page)
-	}
-	p.pages = p.pages[:0]
-	p.lastPage = -1
-	p.lastSlab = nil
 }

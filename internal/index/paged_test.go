@@ -219,23 +219,31 @@ func TestPagedCoeffOutOfRange(t *testing.T) {
 
 // TestStoreCoeffOutOfRange is the satellite-2 regression test: bad ids
 // fail with a descriptive panic, not an index-out-of-range crash (or,
-// for negative ids, a silent resolve to object 0).
+// for negative ids, a silent resolve to object 0) — through Store.Coeff
+// and through a pin set that has just resolved the last object.
 func TestStoreCoeffOutOfRange(t *testing.T) {
 	s := NewStore(testObjects(t, 3))
+	pinned := func(id int64) (*wavelet.Coefficient, error) {
+		pins := s.NewPins()
+		pins.Coeff(s.NumCoeffs() - 1)
+		return pins.Coeff(id)
+	}
 	for _, id := range []int64{-1, s.NumCoeffs(), s.NumCoeffs() + 7} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("Store.Coeff(%d) did not panic", id)
-				}
-				msg, ok := r.(string)
-				if !ok || !strings.Contains(msg, "out of range") || !strings.Contains(msg, "coefficient id") {
-					t.Fatalf("panic %v lacks a descriptive message", r)
-				}
+		for _, read := range []func(int64) (*wavelet.Coefficient, error){s.Coeff, pinned} {
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("Coeff(%d) did not panic", id)
+					}
+					msg, ok := r.(string)
+					if !ok || !strings.Contains(msg, "out of range") || !strings.Contains(msg, "coefficient id") {
+						t.Fatalf("panic %v lacks a descriptive message", r)
+					}
+				}()
+				read(id)
 			}()
-			s.Coeff(id)
-		}()
+		}
 	}
 
 	// Empty store: every id is out of range.

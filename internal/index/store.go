@@ -85,6 +85,25 @@ func (s *Store) Coeff(id int64) (*wavelet.Coefficient, error) {
 	return &s.Objects[obj].Coeffs[id-s.offsets[obj]], nil
 }
 
+// NewPins returns a pin set over the store. It pins nothing — the slabs
+// are always resident — but remembers the last object it resolved, so
+// ids read in ascending order cost a range check each instead of
+// objectOf's binary search.
+func (s *Store) NewPins() *Pins { return &Pins{store: s, obj: -1} }
+
+// seekObject points p at the object owning id: the one after the
+// remembered object when an ascending read crosses into it, else the
+// one objectOf finds.
+func (p *Pins) seekObject(id int64) {
+	s := p.store
+	obj := p.obj + 1
+	if obj >= len(s.offsets) || id < s.offsets[obj] || id-s.offsets[obj] >= int64(len(s.Objects[obj].Coeffs)) {
+		obj = s.objectOf(id)
+	}
+	p.obj, p.lo, p.slab = obj, s.offsets[obj], s.Objects[obj].Coeffs
+	p.hi = p.lo + int64(len(p.slab))
+}
+
 // objectOf finds the object owning a global id by binary search over the
 // offsets. Out-of-range ids panic descriptively (an id can only come
 // from this store's own ID/Search output, so a bad one is caller

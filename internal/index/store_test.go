@@ -1,11 +1,61 @@
 package index
 
 import (
+	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/geom"
 	"repro/internal/rtree"
 )
+
+// TestStorePinsMatchCoeff: the resident pin set resolves every id to the
+// very pointer Store.Coeff returns, whatever the read order — ascending
+// (its one-range-check path, crossing every object boundary), descending
+// and random (its fallback to objectOf) — and Release keeps it usable.
+func TestStorePinsMatchCoeff(t *testing.T) {
+	s := testStore(t, 7, 20)
+	n := s.NumCoeffs()
+	asc := make([]int64, n)
+	for i := range asc {
+		asc[i] = int64(i)
+	}
+	desc := slices.Clone(asc)
+	slices.Reverse(desc)
+	random := slices.Clone(asc)
+	rand.New(rand.NewSource(3)).Shuffle(len(random), func(i, j int) { random[i], random[j] = random[j], random[i] })
+	pins := s.NewPins()
+	for name, ids := range map[string][]int64{"ascending": asc, "descending": desc, "random": random} {
+		for _, id := range ids {
+			got, err := pins.Coeff(id)
+			if err != nil || got != MustCoeff(s, id) {
+				t.Fatalf("%s: Pins.Coeff(%d) = %p, %v; Store.Coeff gives %p", name, id, got, err, MustCoeff(s, id))
+			}
+		}
+		pins.Release()
+	}
+}
+
+// TestStorePinsAllocFree: a warmed-up resident pin set reads and
+// releases without allocating.
+func TestStorePinsAllocFree(t *testing.T) {
+	s := testStore(t, 4, 23)
+	pins := s.NewPins()
+	n := s.NumCoeffs()
+	read := func() {
+		for id := int64(0); id < n; id += 3 {
+			if _, err := pins.Coeff(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pins.Coeff(n / 2)
+		pins.Release()
+	}
+	read()
+	if allocs := testing.AllocsPerRun(20, read); allocs != 0 {
+		t.Fatalf("%v allocations per pass, want 0", allocs)
+	}
+}
 
 func TestObjectOfBinarySearch(t *testing.T) {
 	s := testStore(t, 7, 20)

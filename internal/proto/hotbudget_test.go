@@ -19,8 +19,6 @@ import (
 func startHotServer(t *testing.T) (addr string, d *workload.Dataset, hot *hotcache.Cache, shutdown func()) {
 	t.Helper()
 	d = workload.Generate(workload.Spec{NumObjects: 8, Levels: 3, Seed: 5})
-	// The sharded index versions its contents (index.Epocher) — the
-	// prerequisite for wiring a hot cache at all.
 	rsrv := retrieval.NewServer(d.Store, index.NewSharded(d.Store, index.XYW, index.ShardedConfig{}))
 	hot = hotcache.New(hotcache.Config{})
 	rsrv.SetHotCache(hot)

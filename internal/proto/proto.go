@@ -244,7 +244,6 @@ func (w *Writer) u64(v uint64) {
 func (w *Writer) i32(v int32)   { w.u32(uint32(v)) }
 func (w *Writer) i64(v int64)   { w.u64(uint64(v)) }
 func (w *Writer) f64(v float64) { w.u64(math.Float64bits(v)) }
-func (w *Writer) f32(v float32) { w.u32(math.Float32bits(v)) }
 
 func (w *Writer) str(s string) {
 	w.i32(int32(len(s)))
@@ -315,38 +314,14 @@ func (w *Writer) WriteRequest(r Request) error {
 	return w.w.Flush()
 }
 
-// WriteResponse streams the coefficients for one request.
+// WriteResponse sends the response for one request: its records
+// encoded by EncodeResponsePayload, framed by writeResponsePayload.
 func (w *Writer) WriteResponse(r Response) error {
-	if len(r.Coeffs) > MaxCoeffs {
-		return fmt.Errorf("proto: response of %d coefficients exceeds limit", len(r.Coeffs))
-	}
-	if r.Dropped < 0 {
-		return fmt.Errorf("proto: negative dropped count %d", r.Dropped)
-	}
-	w.u8(TagResponse)
-	w.beginCRC()
-	w.i32(int32(len(r.Coeffs)))
-	w.i64(r.IO)
-	w.i64(r.Seq)
-	w.i64(r.Dropped)
-	for i := range r.Coeffs {
-		c := &r.Coeffs[i]
-		w.i32(c.Object)
-		w.i32(c.Vertex)
-		w.f64(c.Delta.X)
-		w.f64(c.Delta.Y)
-		w.f64(c.Delta.Z)
-		w.f32(c.Pos[0])
-		w.f32(c.Pos[1])
-		w.f32(c.Pos[2])
-		w.f32(c.Value)
-	}
-	w.endCRC()
-	return w.w.Flush()
+	return w.writeResponsePayload(len(r.Coeffs), r.IO, r.Seq, r.Dropped, EncodeResponsePayload(nil, r.Coeffs))
 }
 
-// appendCoeff appends one record in exactly the byte layout WriteResponse
-// emits — the two encoders are pinned together by a test.
+// appendCoeff appends one record in the response frame's byte layout —
+// the one record encoder.
 func appendCoeff(buf []byte, c *Coeff) []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Object))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Vertex))
@@ -394,9 +369,8 @@ func EncodeResponsePayload(buf []byte, coeffs []Coeff) []byte {
 
 // WriteResponsePayload writes a response frame that withholds nothing
 // and whose coefficient section is a pre-encoded payload
-// (EncodeResponsePayload bytes for count records). The emitted frame —
-// CRC trailer included — is byte-identical to WriteResponse of the
-// equivalent Coeffs slice.
+// (EncodeResponsePayload bytes for count records) — the frame
+// WriteResponse of the equivalent Coeffs slice sends.
 func (w *Writer) WriteResponsePayload(count int, nodeIO, seq int64, payload []byte) error {
 	return w.writeResponsePayload(count, nodeIO, seq, 0, payload)
 }

@@ -23,53 +23,6 @@ func randCoeffs(rng *rand.Rand, n int) []Coeff {
 	return out
 }
 
-// TestWriteResponsePayloadByteIdentical is the pinning test behind the
-// server's pre-serialized hot path: a frame written from an encoded
-// payload must be byte-for-byte what WriteResponse emits — tag, counts,
-// every field, and the CRC trailer.
-func TestWriteResponsePayloadByteIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for _, n := range []int{0, 1, 2, 17, 300} {
-		resp := Response{IO: rng.Int63n(1000), Seq: rng.Int63n(1000), Coeffs: randCoeffs(rng, n)}
-
-		var want bytes.Buffer
-		if err := NewWriter(&want).WriteResponse(resp); err != nil {
-			t.Fatal(err)
-		}
-
-		payload := EncodeResponsePayload(nil, resp.Coeffs)
-		if len(payload) != n*wireCoeffBytes {
-			t.Fatalf("n=%d: payload %d bytes, want %d", n, len(payload), n*wireCoeffBytes)
-		}
-		var got bytes.Buffer
-		if err := NewWriter(&got).WriteResponsePayload(n, resp.IO, resp.Seq, payload); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(got.Bytes(), want.Bytes()) {
-			t.Fatalf("n=%d: payload frame (%d bytes) differs from WriteResponse frame (%d bytes)",
-				n, got.Len(), want.Len())
-		}
-
-		// And it decodes back to the same response.
-		r := NewReader(&got)
-		if tag, err := r.ReadTag(); err != nil || tag != TagResponse {
-			t.Fatalf("tag = %d err = %v", tag, err)
-		}
-		dec, err := r.ReadResponse()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if dec.IO != resp.IO || dec.Seq != resp.Seq || len(dec.Coeffs) != n {
-			t.Fatalf("decode mismatch: %+v", dec)
-		}
-		for i := range resp.Coeffs {
-			if dec.Coeffs[i] != resp.Coeffs[i] {
-				t.Fatalf("coeff %d: %+v != %+v", i, dec.Coeffs[i], resp.Coeffs[i])
-			}
-		}
-	}
-}
-
 // TestWriteResponsePayloadValidation pins the guard rails: a payload
 // whose length disagrees with the count, or a count over the protocol
 // bound, is refused before anything hits the wire.

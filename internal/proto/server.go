@@ -10,10 +10,8 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/hotcache"
-	"repro/internal/index"
 	"repro/internal/retrieval"
 	"repro/internal/stats"
-	"repro/internal/wavelet"
 )
 
 // Server serves the retrieval protocol over TCP (or any net.Listener).
@@ -354,12 +352,6 @@ func (s *Server) handle(conn net.Conn) {
 	// this buffer (reused every frame) unless the scene's hot cache
 	// already holds the encoded bytes.
 	var payloadBuf []byte
-	// Against a paging store (index.PinningSource), the payload encode
-	// loop reads coefficients across many pages; a per-connection pin
-	// set keeps them resident (and their pointers stable) until the
-	// frame's bytes are in payloadBuf. nil for in-memory scenes.
-	pinner, _ := scene.Source.(index.PinningSource)
-	var pins *index.Pins
 	// hotSub is this session's hot-region subscription (nil until the
 	// session first serves a frame provably equal to a cache entry). It
 	// follows the viewer: each hot frame re-points it at that frame's
@@ -433,8 +425,6 @@ func (s *Server) handle(conn net.Conn) {
 			}
 			scene = next
 			s.setConnScene(conn, scene.Name)
-			pinner, _ = scene.Source.(index.PinningSource)
-			pins = nil // a pin set is bound to one store
 			if hotSub != nil {
 				// A subscription is bound to one scene's cache.
 				hotSub.Close()
@@ -536,9 +526,10 @@ func (s *Server) handle(conn net.Conn) {
 				// Sized once for the frame: a connection's first wholesale
 				// response would otherwise regrow the buffer a dozen times.
 				payloadBuf = slices.Grow(payloadBuf[:0], len(resp.IDs)*wireCoeffBytes)
-				if pinner != nil && pins == nil && len(resp.IDs) > 0 {
-					pins = pinner.NewPins()
-				}
+				// The session's pin set keeps a paged scene's pages resident
+				// (and the pointers stable) until the frame's bytes are in
+				// payloadBuf.
+				pins := sess.Session.Pins()
 				// Coefficients whose backing page is unreadable at encode
 				// time are withheld: compacted out of the response and
 				// forgotten from the delivered set, so the session
@@ -547,13 +538,7 @@ func (s *Server) handle(conn net.Conn) {
 				var withheldIDs []int64
 				kept := resp.IDs[:0]
 				for _, id := range resp.IDs {
-					var c *wavelet.Coefficient
-					var cerr error
-					if pins != nil {
-						c, cerr = pins.Coeff(id)
-					} else {
-						c, cerr = scene.Source.Coeff(id)
-					}
+					c, cerr := pins.Coeff(id)
 					if cerr != nil {
 						withheldIDs = append(withheldIDs, id)
 						continue
@@ -568,10 +553,7 @@ func (s *Server) handle(conn net.Conn) {
 					payloadBuf = appendCoeff(payloadBuf, &wc)
 					kept = append(kept, id)
 				}
-				if pins != nil {
-					// The frame's bytes are in payloadBuf; the pages can go.
-					pins.Release()
-				}
+				pins.Release()
 				resp.IDs = kept
 				if len(withheldIDs) > 0 {
 					sess.Session.Forget(withheldIDs)

@@ -174,16 +174,15 @@ func TestEpochBumpRefreshesWatchedBucketOnce(t *testing.T) {
 	reconcileLayers(t, srv, st)
 }
 
-// countingIndex passes an epoch-versioned index through the plain Search
-// interface and counts the index passes made.
+// countingIndex serves a Sharded and counts the index passes made.
 type countingIndex struct {
 	*index.Sharded
 	passes atomic.Int64
 }
 
-func (c *countingIndex) Search(q index.Query) ([]int64, int64) {
+func (c *countingIndex) SearchInto(q index.Query, buf []int64, cur *index.Cursor) ([]int64, int64) {
 	c.passes.Add(1)
-	return c.Sharded.Search(q)
+	return c.Sharded.SearchInto(q, buf, cur)
 }
 
 // TestConcurrentFirstAsk: the table's slot is swapped, not read and then
@@ -193,12 +192,7 @@ func (c *countingIndex) Search(q index.Query) ([]int64, int64) {
 func TestConcurrentFirstAsk(t *testing.T) {
 	base := testShardedServer(t, 8, 89, 4)
 	counted := &countingIndex{Sharded: base.Index().(*index.Sharded)}
-	// Only Search and Epoch pass through the interface value's method
-	// set the server sees: no IntoSearcher, so every pass is counted.
-	srv := NewServer(base.Store(), struct {
-		index.Index
-		index.Epocher
-	}{counted, counted})
+	srv := NewServer(base.Store(), counted)
 	st := stats.New()
 	srv.SetStats(st)
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))

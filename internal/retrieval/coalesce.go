@@ -129,7 +129,7 @@ func (co *Coalescer) keyOf(q index.Query) ckey {
 
 // do answers one sub-query through the coalescer. e0 is the index epoch
 // the caller observed before entering; buf receives the ids (appended,
-// like runSearch). It returns the extended buffer, the node I/O to
+// like index.IntoSearcher.SearchInto). It returns the extended buffer, the node I/O to
 // replay, and — when the result is known valid at a stable even epoch —
 // that epoch and stable=true (the caller may then memoize it further,
 // e.g. into the hot cache).
@@ -176,7 +176,7 @@ func (co *Coalescer) do(s *Server, q index.Query, e0 uint64, buf []int64, cur *i
 		// stamped stable AND the index must still be at that exact epoch —
 		// otherwise a mutation landed since the leader searched and the
 		// shared ids could differ from what our own search would return.
-		if f.ok && s.epoch.Epoch() == f.epoch {
+		if f.ok && s.idx.Epoch() == f.epoch {
 			co.shared.Add(1)
 			return append(buf, f.ids...), f.io, f.epoch, true
 		}
@@ -197,9 +197,9 @@ func (co *Coalescer) do(s *Server, q index.Query, e0 uint64, buf []int64, cur *i
 // never alias a session's reusable scratch.
 func (co *Coalescer) lead(s *Server, f *flight, e0 uint64, buf []int64, cur *index.Cursor) ([]int64, int64, uint64, bool) {
 	start := len(buf)
-	buf, f.io = s.runSearch(f.q, buf, cur)
+	buf, f.io = s.idx.SearchInto(f.q, buf, cur)
 	f.ids = slices.Clone(buf[start:])
-	e1 := s.epoch.Epoch()
+	e1 := s.idx.Epoch()
 	if e0 == e1 && e0%2 == 0 {
 		f.ok, f.epoch = true, e0
 	}
@@ -247,9 +247,9 @@ func (co *Coalescer) reap() {
 // selfSearch is the bypass path: an uncoalesced search with its own
 // epoch stamp, so bypassed results remain memoizable.
 func (co *Coalescer) selfSearch(s *Server, q index.Query, buf []int64, cur *index.Cursor) ([]int64, int64, uint64, bool) {
-	e0 := s.epoch.Epoch()
-	ids, io := s.runSearch(q, buf, cur)
-	e1 := s.epoch.Epoch()
+	e0 := s.idx.Epoch()
+	ids, io := s.idx.SearchInto(q, buf, cur)
+	e1 := s.idx.Epoch()
 	if e0 == e1 && e0%2 == 0 {
 		return ids, io, e0, true
 	}

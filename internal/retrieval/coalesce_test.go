@@ -39,7 +39,7 @@ func TestCoalescerSharesLingeringResult(t *testing.T) {
 	srv := testShardedServer(t, 8, 41, 4)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	if srv.Coalescer() == nil {
-		t.Fatal("coalescer not wired despite Epocher index")
+		t.Fatal("coalescer not wired")
 	}
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
 
@@ -124,19 +124,14 @@ func TestCoalescerMovedQueryReplacesFlight(t *testing.T) {
 	}
 }
 
-// gatedIndex exposes a Sharded through the plain Search interface (no
-// IntoSearcher, so runSearch takes the Search path) and lets a test
-// block one search mid-flight to construct deterministic concurrency.
+// gatedIndex serves a Sharded and lets a test block one search
+// mid-flight to construct deterministic concurrency.
 type gatedIndex struct {
-	inner   *index.Sharded
+	*index.Sharded
 	mu      sync.Mutex
-	block   chan struct{} // armed: next Search waits on it
-	entered chan struct{} // closed when the gated Search begins
+	block   chan struct{} // armed: next SearchInto waits on it
+	entered chan struct{} // closed when the gated SearchInto begins
 }
-
-func (g *gatedIndex) Name() string  { return g.inner.Name() }
-func (g *gatedIndex) Len() int      { return g.inner.Len() }
-func (g *gatedIndex) Epoch() uint64 { return g.inner.Epoch() }
 
 func (g *gatedIndex) arm() (chan struct{}, chan struct{}) {
 	g.mu.Lock()
@@ -146,7 +141,7 @@ func (g *gatedIndex) arm() (chan struct{}, chan struct{}) {
 	return g.block, g.entered
 }
 
-func (g *gatedIndex) Search(q index.Query) ([]int64, int64) {
+func (g *gatedIndex) SearchInto(q index.Query, buf []int64, cur *index.Cursor) ([]int64, int64) {
 	g.mu.Lock()
 	block, entered := g.block, g.entered
 	g.block, g.entered = nil, nil
@@ -155,7 +150,7 @@ func (g *gatedIndex) Search(q index.Query) ([]int64, int64) {
 		close(entered)
 		<-block
 	}
-	return g.inner.Search(q)
+	return g.Sharded.SearchInto(q, buf, cur)
 }
 
 // TestCoalescerInFlightCollision pins the one case that still bypasses:
@@ -164,7 +159,7 @@ func (g *gatedIndex) Search(q index.Query) ([]int64, int64) {
 // replace (the flight is live) — it runs its own search.
 func TestCoalescerInFlightCollision(t *testing.T) {
 	base := testShardedServer(t, 8, 43, 4)
-	gated := &gatedIndex{inner: base.Index().(*index.Sharded)}
+	gated := &gatedIndex{Sharded: base.Index().(*index.Sharded)}
 	srv := NewServer(base.Store(), gated)
 	srv.SetStats(nil)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))

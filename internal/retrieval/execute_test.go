@@ -11,8 +11,8 @@ import (
 
 // TestExecuteNilDeliveredAllowsDuplicates pins the two delivery modes:
 // with a nil delivered set the same coefficient may be returned once per
-// matching sub-query (RegionBytes relies on this raw accounting); with a
-// session map every coefficient crosses at most once.
+// matching sub-query; with a session map every coefficient crosses at
+// most once.
 func TestExecuteNilDeliveredAllowsDuplicates(t *testing.T) {
 	srv := testServer(t, 4, 13)
 	srv.SetStats(nil)

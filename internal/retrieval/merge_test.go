@@ -16,10 +16,10 @@ import (
 	"repro/internal/wavelet"
 )
 
-// mergeReference is the merge as one id at a time: filter, delivered-set
-// lookup, budget cut and delivered-set insert per raw hit. It is the
+// mergeReference is the merge as one id at a time: delivered-set lookup,
+// filter, budget cut and delivered-set insert per raw hit. It is the
 // specification the word-at-a-time merge is held to, field for field.
-func (s *Server) mergeReference(subs []SubQuery, results []subResult, delivered *Delivered, limit int64, pins *index.Pins, resp *Response) mergeTally {
+func (s *Server) mergeReference(subs []SubQuery, results []subResult, delivered *Delivered, limit int64, coeffs coeffReader, resp *Response) mergeTally {
 	var t mergeTally
 	var withheld Delivered
 	for i := range subs {
@@ -31,8 +31,12 @@ func (s *Server) mergeReference(subs []SubQuery, results []subResult, delivered 
 		resp.Queries++
 		t.rawHits += int64(len(r.ids))
 		for _, id := range r.ids {
+			if delivered != nil && delivered.Has(id) {
+				t.suppressed = true
+				continue
+			}
 			if subs[i].Filter != nil {
-				pos, err := s.coeffPos(pins, id)
+				c, err := coeffs.Coeff(id)
 				if err != nil {
 					t.suppressed = true
 					t.faultWithheld++
@@ -41,14 +45,10 @@ func (s *Server) mergeReference(subs []SubQuery, results []subResult, delivered 
 					}
 					continue
 				}
-				if !subs[i].Filter(pos) {
+				if !subs[i].Filter(c.Pos) {
 					t.suppressed = true
 					continue
 				}
-			}
-			if delivered != nil && delivered.Has(id) {
-				t.suppressed = true
-				continue
 			}
 			if limit >= 0 && int64(len(resp.IDs)) >= limit {
 				t.suppressed = true
@@ -76,11 +76,8 @@ func (s *Server) executeReference(subs []SubQuery, delivered *Delivered, maxByte
 	if maxBytes > 0 {
 		limit = maxBytes / wavelet.WireBytes
 	}
-	var pins *index.Pins
-	if s.pinner != nil && slices.ContainsFunc(subs, func(sub SubQuery) bool { return sub.Filter != nil }) {
-		pins = s.pinner.NewPins()
-		defer pins.Release()
-	}
+	pins := s.store.NewPins()
+	defer pins.Release()
 	var resp Response
 	t := s.mergeReference(subs, results, delivered, limit, pins, &resp)
 	if len(subs) == 1 && results[0].hot && !t.suppressed {
@@ -209,7 +206,8 @@ func checkAgainstReference(t *testing.T, srv, oracle *Server, steps int, seed in
 		}
 	}
 	faulted := srv.st.Load(stats.RetrievalCoeffsWithheld)
-	if dropped == 0 || (srv.hot != nil && hot == 0) || (srv.pinner != nil && faulted == 0) {
+	_, paged := srv.store.(*index.PagedStore)
+	if dropped == 0 || (srv.hot != nil && hot == 0) || (paged && faulted == 0) {
 		t.Fatalf("vacuous run: %d responses dropped ids, %d were hot, %d ids fault-withheld", dropped, hot, faulted)
 	}
 }
@@ -297,7 +295,9 @@ func FuzzExecuteMerge(f *testing.F) {
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 2, 1, 2}, []byte{2, 2, 2}, int16(3), uint8(2))
 	f.Add([]byte{5, 5, 5, 5, 0, 5, 5, 5, 5, 0, 64, 64}, []byte{}, int16(0), uint8(1))
 	f.Add([]byte{1, 1, 1, 200, 0, 1, 1, 1, 200}, []byte{1, 1}, int16(4), uint8(3))
-	srv := &Server{store: stubSource{}}
+	// A filtered hit the client already holds, on an unreadable page.
+	f.Add([]byte{4, 1, 3}, []byte{4}, int16(-1), uint8(2))
+	var srv Server
 	f.Fuzz(func(t *testing.T, hits, pre []byte, budget int16, flags uint8) {
 		runs := hitRuns(hits)
 		subs := make([]SubQuery, len(runs))
@@ -318,15 +318,49 @@ func FuzzExecuteMerge(f *testing.F) {
 				}
 			}
 		}
+		// Only an id the client does not hold can be withheld.
+		var unheld Delivered
+		for _, ids := range runs {
+			for _, id := range ids {
+				if dA == nil || !dA.Has(id) {
+					unheld.Add(id)
+				}
+			}
+		}
 		limit := max(int64(budget), -1)
 		var got, want Response
-		gt := srv.merge(subs, results, dA, limit, nil, &got)
-		wt := srv.mergeReference(subs, results, dB, limit, nil, &want)
+		gt := srv.merge(subs, results, dA, limit, stubSource{}, &got)
+		wt := srv.mergeReference(subs, results, dB, limit, stubSource{}, &want)
 		if f := sameResponse(got, want); f != "" || gt != wt {
 			t.Fatalf("%s differs: got %v dropped %d %+v, reference %v dropped %d %+v", f, got.IDs, got.Dropped, gt, want.IDs, want.Dropped, wt)
+		}
+		if dA != nil && got.Dropped > int64(unheld.Len()) {
+			t.Fatalf("dropped %d, but the client lacks only %d of the hits", got.Dropped, unheld.Len())
 		}
 		if dA != nil && !slices.Equal(dA.IDs(), dB.IDs()) {
 			t.Fatalf("delivered sets differ: %v vs %v", dA.IDs(), dB.IDs())
 		}
 	})
+}
+
+// TestMergeSkipsHeldIDsUnderFilter: a filtered hit the client already
+// holds is never read, so a fault on its page withholds nothing —
+// Dropped is what the fault-free merge would have delivered beyond the
+// cut, and that merge delivers a held id to nobody.
+func TestMergeSkipsHeldIDsUnderFilter(t *testing.T) {
+	subs := []SubQuery{{Filter: func(geom.Vec3) bool { return true }}}
+	results := []subResult{{ids: []int64{3, 4, 10}, ran: true}} // 3 and 10 sit on unreadable pages
+	var srv Server
+	for name, merge := range map[string]func([]SubQuery, []subResult, *Delivered, int64, coeffReader, *Response) mergeTally{
+		"merge": srv.merge, "reference": srv.mergeReference,
+	} {
+		delivered := new(Delivered)
+		delivered.Add(3)
+		var resp Response
+		tally := merge(subs, results, delivered, -1, stubSource{}, &resp)
+		if resp.Dropped != 1 || tally.faultWithheld != 1 || !slices.Equal(resp.IDs, []int64{4}) {
+			t.Fatalf("%s: ids %v dropped %d fault-withheld %d, want [4], 1 and 1 (id 10 only)",
+				name, resp.IDs, resp.Dropped, tally.faultWithheld)
+		}
+	}
 }

@@ -87,49 +87,38 @@ func Identity(speed float64) float64 {
 
 // Server answers window sub-queries from a coefficient store through an
 // access method. It is safe for concurrent use by any number of
-// sessions: Execute only reads the store and the index (whose Search is
+// sessions: Execute only reads the store and the index (whose search is
 // concurrent-safe per the index.Index contract), and the shared state it
 // does write — the stats collector, the admission table, the hot cache
 // and the coalescer — is atomic or locked inside.
 type Server struct {
 	store index.CoefficientSource
-	idx   index.Index
+	idx   index.IntoSearcher
 	zMin  float64
 	zMax  float64
 	st    *stats.Stats
 	scene string
 	// hot memoizes sub-query results for repeated window queries and co
-	// singleflights concurrent identical searches; epoch is the index's
-	// content version used to validate both. Either layer requires the
-	// index to implement index.Epocher (see SetHotCache/SetCoalescer);
-	// nil disables it.
-	hot   *hotcache.Cache
-	co    *Coalescer
-	epoch index.Epocher
+	// singleflights concurrent identical searches, both validated by the
+	// index's epoch; nil disables either.
+	hot *hotcache.Cache
+	co  *Coalescer
 	// asked is the admission table of the two sharing layers: one
 	// fingerprint of exact query floats per slot (see admit). Only a
 	// query found here is published as a flight or stored in the hot
 	// cache.
 	asked [admitSlots]atomic.Uint64
-	// pinner is the store again when it pages coefficients from disk
-	// (index.PinningSource); coefficient reads that outlive one call —
-	// the merge loop's filter pass — then go through a frame-scoped pin
-	// set. nil for the in-memory store, which keeps that path exactly as
-	// allocation-free as before.
-	pinner index.PinningSource
 }
 
 // NewServer creates a server over a coefficient source using the given
-// index (the in-memory index.Store is the first source implementation;
-// the server never needs the concrete slab). The vertical query band is
-// derived from the source's bounds (queries are ground-plane windows;
-// the z band always spans every object). The server records into
-// stats.Default until SetStats says otherwise.
-func NewServer(store index.CoefficientSource, idx index.Index) *Server {
+// served index (any source and any index.IntoSearcher; the server never
+// needs the concrete slab or tree). The vertical query band is derived
+// from the source's bounds (queries are ground-plane windows; the z band
+// always spans every object). The server records into stats.Default
+// until SetStats says otherwise.
+func NewServer(store index.CoefficientSource, idx index.IntoSearcher) *Server {
 	b := store.Bounds()
-	srv := &Server{store: store, idx: idx, zMin: b.Min.Z, zMax: b.Max.Z, st: stats.Default}
-	srv.pinner, _ = store.(index.PinningSource)
-	return srv
+	return &Server{store: store, idx: idx, zMin: b.Min.Z, zMax: b.Max.Z, st: stats.Default}
 }
 
 // SetStats redirects the server's observability counters (nil disables
@@ -146,54 +135,24 @@ func (s *Server) SetScene(name string) { s.scene = name }
 func (s *Server) Scene() string { return s.scene }
 
 // SetHotCache wires a hot-region result cache into the search path (nil
-// disables it). The cache takes effect only when the server's index
-// versions its contents (implements index.Epocher) — without an epoch
-// there is no safe invalidation signal, so the cache stays off and every
-// search runs against the index. Cached results are validated per-Get
-// against the index's current epoch, so responses remain byte-identical
-// to uncached execution across mutations. Not safe to call while
-// requests are in flight.
-func (s *Server) SetHotCache(hot *hotcache.Cache) {
-	if _, ok := s.idx.(index.Epocher); !ok {
-		hot = nil
-	}
-	s.hot = hot
-	s.refreshEpoch()
-}
+// disables it). Cached results are validated per-Get against the index's
+// current epoch, so responses remain byte-identical to uncached
+// execution across mutations. Not safe to call while requests are in
+// flight.
+func (s *Server) SetHotCache(hot *hotcache.Cache) { s.hot = hot }
 
 // HotCache returns the cache wired via SetHotCache (nil when disabled).
 func (s *Server) HotCache() *hotcache.Cache { return s.hot }
 
 // SetCoalescer wires a query coalescer into the search path (nil
-// disables it). Like the hot cache, coalescing takes effect only when
-// the index implements index.Epocher: without an epoch there is no
-// proof two concurrent searches would return the same answer, so the
-// coalescer stays off and every session searches independently. Shared
-// results are epoch-revalidated at adoption, so responses remain
-// byte-identical to independent execution. Not safe to call while
-// requests are in flight.
-func (s *Server) SetCoalescer(co *Coalescer) {
-	if _, ok := s.idx.(index.Epocher); !ok {
-		co = nil
-	}
-	s.co = co
-	s.refreshEpoch()
-}
+// disables it). Shared results are epoch-revalidated at adoption, so
+// responses remain byte-identical to independent execution. Not safe to
+// call while requests are in flight.
+func (s *Server) SetCoalescer(co *Coalescer) { s.co = co }
 
 // Coalescer returns the coalescer wired via SetCoalescer (nil when
 // disabled).
 func (s *Server) Coalescer() *Coalescer { return s.co }
-
-// refreshEpoch re-derives the epoch source after SetHotCache or
-// SetCoalescer: present while either layer is on, nil when both are off
-// (keeping the raw search path branch-free on the epoch check).
-func (s *Server) refreshEpoch() {
-	if s.hot == nil && s.co == nil {
-		s.epoch = nil
-		return
-	}
-	s.epoch, _ = s.idx.(index.Epocher)
-}
 
 // SetParallelism does nothing: a request's sub-queries always run one
 // after another on the calling goroutine (see searchAll). It remains
@@ -205,7 +164,7 @@ func (s *Server) SetParallelism(int) {}
 func (s *Server) Store() index.CoefficientSource { return s.store }
 
 // Index returns the access method in use.
-func (s *Server) Index() index.Index { return s.idx }
+func (s *Server) Index() index.IntoSearcher { return s.idx }
 
 // Execute runs the sub-queries, filtering results against the client's
 // delivered set (nil = no filtering) and recording new deliveries into it.
@@ -241,18 +200,25 @@ func (s *Server) ExecuteBudget(subs []SubQuery, delivered *Delivered, maxBytes i
 }
 
 // Scratch is reusable per-caller execution state: the per-sub-query
-// result slabs, the index search cursor, and the response id buffer. A
-// zero Scratch is ready to use; buffers grow on first use and are
-// retained, so steady-state requests allocate almost nothing. A Scratch
-// must not be shared by concurrent requests — it belongs to one session,
-// like the delivered set.
+// result slabs, the index search cursor, the response id buffer and the
+// frame pin set. A zero Scratch is ready to use; buffers grow on first
+// use and are retained, so steady-state requests allocate almost
+// nothing. A Scratch must not be shared by concurrent requests or moved
+// between servers — it belongs to one session, like the delivered set.
 type Scratch struct {
 	results []subResult
 	cur     index.Cursor
 	ids     []int64
-	// pins is the session's frame pin set, created on first use against
-	// a paging store and reused (Release keeps its storage) thereafter.
-	pins *index.Pins
+	pins    *index.Pins
+}
+
+// pinsOf returns the scratch's pin set over store, created on first use
+// and reused (Release keeps its storage) thereafter.
+func (sc *Scratch) pinsOf(store index.CoefficientSource) *index.Pins {
+	if sc.pins == nil {
+		sc.pins = store.NewPins()
+	}
+	return sc.pins
 }
 
 // ExecuteScratch is Execute running on caller-owned scratch: the
@@ -290,27 +256,12 @@ func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, max
 	if maxBytes > 0 {
 		limit = maxBytes / wavelet.WireBytes
 	}
-	// Against a paging store, the filter pass reads coefficient
-	// positions across the whole merge loop, so those pages are pinned
-	// for the frame and released after the merge. The in-memory store
-	// leaves pins nil, and the merge reads positions off its slab.
-	var pins *index.Pins
-	if s.pinner != nil {
-		for i := range subs {
-			if subs[i].Filter != nil {
-				if sc.pins == nil {
-					sc.pins = s.pinner.NewPins()
-				}
-				pins = sc.pins
-				break
-			}
-		}
-	}
+	// The filter pass reads coefficient positions through the frame pin
+	// set, which holds a paged store's pages until the merge is done.
+	pins := sc.pinsOf(s.store)
 	resp := Response{IDs: sc.ids[:0]}
 	m := s.merge(subs, results, delivered, limit, pins, &resp)
-	if pins != nil {
-		pins.Release()
-	}
+	pins.Release()
 	sc.ids = resp.IDs
 	if len(subs) == 1 && results[0].hot && !m.suppressed {
 		resp.Hot = HotRef{Valid: true, Query: s.queryOf(&subs[0]), Epoch: results[0].epoch}
@@ -377,7 +328,9 @@ type mergeTally struct {
 // time: the word's hits, less the ones a Filter rejects or a page fault
 // withholds, minus the delivered word are the fresh ids; the budget cut
 // falls inside the word by popcount, and the kept ids are ORed into the
-// set at once.
+// set at once. A Filter reads positions through coeffs, and only of ids
+// the client does not hold: a delivered id is never fresh, so neither a
+// rejection nor a fault on its page withholds anything.
 //
 // Withheld ids are not marked delivered — later frames retrieve them
 // when budget allows or the page heals. Dropped must equal exactly what
@@ -388,7 +341,7 @@ type mergeTally struct {
 // first use: only truncated or faulted responses pay for it. Without a
 // delivered set the unlimited merge would append every hit, so every
 // withheld hit counts.
-func (s *Server) merge(subs []SubQuery, results []subResult, delivered *Delivered, limit int64, pins *index.Pins, resp *Response) mergeTally {
+func (s *Server) merge(subs []SubQuery, results []subResult, delivered *Delivered, limit int64, coeffs coeffReader, resp *Response) mergeTally {
 	var t mergeTally
 	var withheld Delivered
 	// withhold counts the newly withheld ids of mask m in word w.
@@ -411,14 +364,20 @@ func (s *Server) merge(subs []SubQuery, results []subResult, delivered *Delivere
 		filter := subs[i].Filter
 		for ids := r.ids; len(ids) > 0; {
 			w := ids[0] >> 6
+			var held uint64
+			if delivered != nil {
+				held = delivered.word(w)
+			}
 			var hit, faulted uint64
 			j := 0
 			for ; j < len(ids) && ids[j]>>6 == w; j++ {
 				bit := uint64(1) << (uint(ids[j]) & 63)
-				// Filter before touching the delivered set: a coefficient the
-				// filter rejects has not been sent and must stay retrievable.
-				if filter != nil {
-					pos, err := s.coeffPos(pins, ids[j])
+				// A held id leaves with the delivered word below, unread. The
+				// filter runs before the delivered set is touched: a
+				// coefficient it rejects has not been sent and must stay
+				// retrievable.
+				if filter != nil && held&bit == 0 {
+					c, err := coeffs.Coeff(ids[j])
 					if err != nil {
 						// Unreadable page: withhold the coefficient without
 						// marking it delivered — the session re-retrieves it once
@@ -427,7 +386,7 @@ func (s *Server) merge(subs []SubQuery, results []subResult, delivered *Delivere
 						faulted |= bit
 						continue
 					}
-					if !filter(pos) {
+					if !filter(c.Pos) {
 						t.suppressed = true
 						continue
 					}
@@ -439,10 +398,7 @@ func (s *Server) merge(subs []SubQuery, results []subResult, delivered *Delivere
 				t.faultWithheld += int64(bits.OnesCount64(faulted))
 				withhold(w, faulted)
 			}
-			fresh := hit
-			if delivered != nil {
-				fresh &^= delivered.word(w)
-			}
+			fresh := hit &^ held
 			if fresh != hit {
 				t.suppressed = true
 			}
@@ -471,24 +427,12 @@ func (s *Server) merge(subs []SubQuery, results []subResult, delivered *Delivere
 	return t
 }
 
-// coeffPos reads one coefficient's vertex position — through the frame
-// pin set when the store pages, directly off the resident slab when not
-// (pins nil keeps the in-memory path allocation-free). A non-nil error
-// means the backing page is unreadable (index.ErrPageUnavailable) and
-// the caller must withhold the coefficient.
-func (s *Server) coeffPos(pins *index.Pins, id int64) (geom.Vec3, error) {
-	if pins != nil {
-		c, err := pins.Coeff(id)
-		if err != nil {
-			return geom.Vec3{}, err
-		}
-		return c.Pos, nil
-	}
-	c, err := s.store.Coeff(id)
-	if err != nil {
-		return geom.Vec3{}, err
-	}
-	return c.Pos, nil
+// coeffReader is what the merge's filter pass reads positions through:
+// the frame's *index.Pins in service. A non-nil error means the backing
+// page is unreadable (index.ErrPageUnavailable) and the coefficient is
+// withheld.
+type coeffReader interface {
+	Coeff(id int64) (*wavelet.Coefficient, error)
 }
 
 // subResult holds one sub-query's raw index hits, pre-merge. The ids slab
@@ -577,23 +521,23 @@ func (s *Server) admit(q *index.Query) bool {
 // out.ids is reused as the result buffer.
 func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) (firstTouch bool) {
 	q := s.queryOf(sub)
-	var e0 uint64
-	if s.epoch != nil {
-		e0 = s.epoch.Epoch()
-		if s.hot != nil {
-			var ok bool
-			if out.ids, out.io, ok = s.hot.Get(q, e0, out.ids[:0]); ok {
-				// The cached io is replayed so the response is byte-identical to
-				// the uncached serve that populated the entry.
-				out.hot, out.epoch = true, e0
-				return false
-			}
-		}
-		firstTouch = !s.admit(&q)
+	if s.hot == nil && s.co == nil {
+		out.ids, out.io = s.idx.SearchInto(q, out.ids[:0], cur)
+		return false
 	}
-	if s.epoch == nil || firstTouch {
-		out.ids, out.io = s.runSearch(q, out.ids[:0], cur)
-		return firstTouch
+	e0 := s.idx.Epoch()
+	if s.hot != nil {
+		var ok bool
+		if out.ids, out.io, ok = s.hot.Get(q, e0, out.ids[:0]); ok {
+			// The cached io is replayed so the response is byte-identical to
+			// the uncached serve that populated the entry.
+			out.hot, out.epoch = true, e0
+			return false
+		}
+	}
+	if !s.admit(&q) {
+		out.ids, out.io = s.idx.SearchInto(q, out.ids[:0], cur)
+		return true
 	}
 	if s.co != nil {
 		var stable bool
@@ -608,8 +552,8 @@ func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) (fi
 		}
 		return false
 	}
-	out.ids, out.io = s.runSearch(q, out.ids[:0], cur)
-	e1 := s.epoch.Epoch()
+	out.ids, out.io = s.idx.SearchInto(q, out.ids[:0], cur)
+	e1 := s.idx.Epoch()
 	s.hot.Put(q, e0, e1, out.ids, out.io)
 	if e0 == e1 && e0%2 == 0 {
 		out.hot, out.epoch = true, e0
@@ -617,32 +561,13 @@ func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) (fi
 	return false
 }
 
-// runSearch performs the raw index search, appending into buf via the
-// cursor path when the index supports it. NewServer takes any
-// index.Index, so one without SearchInto is searched and copied.
-func (s *Server) runSearch(q index.Query, buf []int64, cur *index.Cursor) ([]int64, int64) {
-	if is, ok := s.idx.(index.IntoSearcher); ok {
-		return is.SearchInto(q, buf, cur)
-	}
-	ids, io := s.idx.Search(q)
-	return append(buf, ids...), io
-}
-
-// RegionBytes returns the payload size and index I/O of a one-shot window
-// query at the given resolution, without per-client filtering. The buffer
-// manager uses it to size and fetch blocks.
-func (s *Server) RegionBytes(region geom.Rect2, wmin float64) (int64, int64) {
-	resp := s.Execute([]SubQuery{{Region: region, WMin: wmin, WMax: 1}}, nil)
-	return resp.Bytes, resp.IO
-}
-
 // BlockBytes returns the payload and index I/O of the coefficients
 // *assigned* to the region: those whose vertex position falls inside it
 // (with value ≥ wmin). Assignment partitions the dataset — a coefficient
 // belongs to exactly one grid block — so block payloads sum to the
 // dataset size without the multiple counting that support-region overlap
-// would cause. Grid-block caching uses this; window queries keep using
-// the support-intersection semantics of RegionBytes.
+// would cause. The buffer manager's grid-block cache uses this; window
+// queries keep the support-intersection semantics of Execute.
 func (s *Server) BlockBytes(region geom.Rect2, wmin float64) (int64, int64) {
 	ids, io := s.idx.Search(index.Query{
 		Region: region,
@@ -650,22 +575,17 @@ func (s *Server) BlockBytes(region geom.Rect2, wmin float64) (int64, int64) {
 		WMin: wmin, WMax: 1,
 	})
 	var n int64
-	var pins *index.Pins
-	if s.pinner != nil {
-		pins = s.pinner.NewPins()
-	}
+	pins := s.store.NewPins()
 	for _, id := range ids {
-		pos, err := s.coeffPos(pins, id)
+		c, err := pins.Coeff(id)
 		if err != nil {
 			continue // unreadable page: the block simply sizes without it
 		}
-		if region.Contains(pos.XY()) {
+		if region.Contains(c.Pos.XY()) {
 			n++
 		}
 	}
-	if pins != nil {
-		pins.Release()
-	}
+	pins.Release()
 	return n * wavelet.WireBytes, io
 }
 
@@ -712,6 +632,12 @@ func (s *Session) RetrieveBudget(subs []SubQuery, maxBytes int64) Response {
 
 // Delivered returns the number of coefficients this client holds.
 func (s *Session) Delivered() int { return s.delivered.Len() }
+
+// Pins returns the session's frame pin set over the server's store — the
+// one the merge's filter pass reads through. A transport reads a
+// response's coefficients through it and releases it once they are
+// encoded.
+func (s *Session) Pins() *index.Pins { return s.scratch.pinsOf(s.srv.store) }
 
 // Forget removes ids from the delivered set so they become retrievable
 // again. The wire server uses it for resume rollback: when a response

@@ -212,18 +212,22 @@ func TestHigherSpeedRetrievesLessData(t *testing.T) {
 	}
 }
 
+// TestRegionBytes sizes a region with a nil delivered set: one window over
+// the whole space at the finest cutoff reads the whole dataset, and the
+// coarsest band alone is some but not all of it.
 func TestRegionBytes(t *testing.T) {
 	srv := testServer(t, 5, 10)
-	full, io := srv.RegionBytes(geom.R2(0, 0, 1000, 1000), 0)
-	if full != srv.Store().SizeBytes() {
-		t.Fatalf("full region bytes = %d want %d", full, srv.Store().SizeBytes())
+	all := geom.R2(0, 0, 1000, 1000)
+	full := srv.Execute([]SubQuery{{Region: all, WMin: 0, WMax: 1}}, nil)
+	if full.Bytes != srv.Store().SizeBytes() {
+		t.Fatalf("full region bytes = %d want %d", full.Bytes, srv.Store().SizeBytes())
 	}
-	if io < 1 {
+	if full.IO < 1 {
 		t.Fatal("no io counted")
 	}
-	coarse, _ := srv.RegionBytes(geom.R2(0, 0, 1000, 1000), 1)
-	if coarse >= full || coarse <= 0 {
-		t.Fatalf("coarse bytes = %d", coarse)
+	coarse := srv.Execute([]SubQuery{{Region: all, WMin: 1, WMax: 1}}, nil)
+	if coarse.Bytes >= full.Bytes || coarse.Bytes <= 0 {
+		t.Fatalf("coarse bytes = %d", coarse.Bytes)
 	}
 }
 

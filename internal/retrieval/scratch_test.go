@@ -12,8 +12,8 @@ import (
 	"repro/internal/wavelet"
 )
 
-// testShardedServer builds a server over a Sharded index (the epoch-
-// versioned one the hot cache needs).
+// testShardedServer builds a server over a Sharded index, the one engine
+// scenes serve.
 func testShardedServer(t testing.TB, n int, seed int64, shards int) *Server {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -55,16 +55,20 @@ func randSubs(rng *rand.Rand) []SubQuery {
 // TestExecuteScratchMatchesExecute is the oracle property: for identical
 // request streams against identical delivered sets, the scratch path
 // returns field-identical responses to the fresh-allocation path —
-// with and without the hot cache, across index mutations.
+// with and without the hot cache, across index mutations, over the
+// sharded index and (cached) over the serial motion-aware one, whose
+// epoch the cache then validates against.
 func TestExecuteScratchMatchesExecute(t *testing.T) {
-	for _, withCache := range []bool{false, true} {
-		srv := testShardedServer(t, 8, 21, 4)
-		oracle := testShardedServer(t, 8, 21, 4)
+	sharded := func(t testing.TB) *Server { return testShardedServer(t, 8, 21, 4) }
+	serial := func(t testing.TB) *Server { return testServer(t, 8, 21) }
+	for _, tc := range []struct {
+		build     func(testing.TB) *Server
+		withCache bool
+	}{{sharded, false}, {sharded, true}, {serial, true}} {
+		srv, oracle := tc.build(t), tc.build(t)
+		withCache := tc.withCache
 		if withCache {
 			srv.SetHotCache(hotcache.New(hotcache.Config{}))
-			if srv.HotCache() == nil {
-				t.Fatal("cache not wired despite Epocher index")
-			}
 		}
 		mut := srv.Index().(index.Mutable)
 		mutOracle := oracle.Index().(index.Mutable)
@@ -103,8 +107,8 @@ func TestExecuteScratchMatchesExecute(t *testing.T) {
 				got := srv.ExecuteScratch(subs, dA, &sc)
 				want := oracle.Execute(subs, dB)
 				if !respEqual(got, want) {
-					t.Fatalf("cache=%v step %d: scratch response %d ids io %d != oracle %d ids io %d",
-						withCache, step, len(got.IDs), got.IO, len(want.IDs), want.IO)
+					t.Fatalf("%s cache=%v step %d: scratch response %d ids io %d != oracle %d ids io %d",
+						srv.Index().Name(), withCache, step, len(got.IDs), got.IO, len(want.IDs), want.IO)
 				}
 			}
 		}
