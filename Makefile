@@ -21,7 +21,7 @@ test:
 # above one proc hid behind a single-proc box and the test cache).
 test-procs:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/rtree/ ./internal/index/ ./internal/retrieval/ ./internal/proto/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/rtree/ ./internal/index/ ./internal/hotcache/ ./internal/retrieval/ ./internal/proto/ || exit 1; \
 	done
 
 # The race gate: the full suite under the race detector, including the

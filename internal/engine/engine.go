@@ -202,18 +202,12 @@ func enableHotCache(sc *Scene, cfg hotcache.Config, st *stats.Stats) {
 	}
 	c := hotcache.New(cfg)
 	sc.Server.SetHotCache(c)
-	if p, ok := sc.Source.(hotcache.Pinner); ok {
-		// Out-of-core scene: hot entries pre-pin their coefficient pages,
-		// making the hot-region LRU the paging policy for hot regions.
-		c.SetPinner(p)
-	}
 	st.AddSource(func(v *stats.Values) {
 		hs := c.Stats()
 		v[stats.HotHits] += hs.Hits
 		v[stats.HotMisses] += hs.Misses
 		v[stats.HotEvictions] += hs.Evictions
 		v[stats.HotInvalidations] += hs.Invalidations
-		v[stats.HotPinFails] += hs.PinFails
 		v[stats.HotEntries] += int64(hs.Entries)
 		v[stats.HotBytes] += hs.Bytes
 		v[stats.HotSubscribers] += hs.Subscribers

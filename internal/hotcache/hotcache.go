@@ -9,19 +9,23 @@
 //
 // Correctness rests on two checks, both cheap:
 //
-//   - Exact-query verification. The key buckets queries by quantized
+//   - Exact-query verification. BucketOf buckets queries by quantized
 //     region coordinates and value band, but the entry stores the exact
 //     query floats; a Get whose query differs in any coordinate is a
 //     miss, never a wrong answer. Bucketing only bounds the table size.
 //
 //   - Epoch validation. The index versions its contents seqlock-style
 //     (see index.IntoSearcher): even when quiescent, odd while a mutation is
-//     in flight. An entry is stored stamped with the even epoch observed
-//     both before and after the populating search, and a Get is a hit
-//     only while the index still reports exactly that epoch. Any
+//     in flight. The caller stores a result under the stamp it proved
+//     stable (the same even epoch before and after the search), and a Get
+//     is a hit only while the index still reports exactly that epoch. Any
 //     completed mutation moves the counter past the stamp, so stale
 //     results are unreachable — replayed responses are byte-identical
 //     to what an uncached search would return.
+//
+// Page residency is the pager's business alone: an entry holds ids, not
+// pages, so a region whose page turns unreadable after it was stored is
+// withheld at encode time exactly like an uncached one.
 package hotcache
 
 import (
@@ -32,19 +36,13 @@ import (
 	"repro/internal/index"
 )
 
-// Config sizes the cache and its key quantization.
+// Config sizes the cache.
 type Config struct {
 	// MaxEntries bounds the number of cached results (≤ 0 → 1024).
 	MaxEntries int
 	// MaxBytes bounds the summed size of cached id sets and payloads
 	// (≤ 0 → 8 MiB). Entries are evicted least-recently-used first.
 	MaxBytes int64
-	// CellXY is the spatial quantization cell for the region key
-	// (≤ 0 → 64 world units). Coarser cells mean fewer buckets and more
-	// last-one-wins collisions; correctness is unaffected either way.
-	CellXY float64
-	// BandW is the value-band quantization for WMin/WMax (≤ 0 → 0.25).
-	BandW float64
 }
 
 func (c Config) withDefaults() Config {
@@ -54,107 +52,37 @@ func (c Config) withDefaults() Config {
 	if c.MaxBytes <= 0 {
 		c.MaxBytes = 8 << 20
 	}
-	if c.CellXY <= 0 {
-		c.CellXY = 64
-	}
-	if c.BandW <= 0 {
-		c.BandW = 0.25
-	}
 	return c
 }
 
-// key is the quantized bucket address. One bucket holds at most one
-// entry (last Put wins); the exact query lives in the entry.
-type key struct {
+// Bucket is the quantized region address both sharing layers key on:
+// the cache holds at most one entry per bucket (last Put wins) and the
+// coalescer (retrieval.Coalescer) at most one flight; the exact query
+// lives in the entry or flight. Bucketing only bounds the tables — a
+// query that differs from its bucket's occupant misses.
+type Bucket struct {
 	x0, y0, x1, y1 int64
 	z0, z1         int64
 	w0, w1         int64
 }
 
-// entry is one cached result. ids and payload are immutable once set
-// (readers copy out of them without holding the lock); list pointers and
-// payload attachment are guarded by the cache mutex.
-type entry struct {
-	k       key
-	q       index.Query
-	epoch   uint64
-	ids     []int64
-	io      int64
-	payload []byte
-	bytes   int64
-	pinned  bool // this entry holds page pins (see Pinner)
-	prev    *entry
-	next    *entry
-}
+// The bucket quantization: 64 world units in space, 0.25 in value.
+const (
+	bucketCell = 64
+	bucketBand = 0.25
+)
 
-// Pinner receives page residency hints for cached id sets. An
-// out-of-core store (index.PagedStore) implements it: while a hot
-// region's result is cached, the pages holding its coefficients are
-// pinned resident, so replaying the region never faults — the hot-cache
-// LRU *is* the paging policy for hot regions. Ids are passed in the
-// ascending order the entry stores; every successful PinIDs is matched
-// by exactly one UnpinIDs with the same ids when the entry leaves the
-// cache (eviction, replacement, or epoch invalidation).
-//
-// PinIDs may fail when the backing storage cannot produce a page (disk
-// fault, quarantined page — see index.ErrPageUnavailable). A failed
-// PinIDs must leave no pins behind; the cache responds by not storing
-// the entry at all, so a degraded page never anchors a hot region.
-type Pinner interface {
-	PinIDs(ids []int64) error
-	UnpinIDs(ids []int64)
-}
-
-// SetPinner wires page pinning for cached entries (nil disables). Must
-// be set before the cache starts serving; it is not synchronized with
-// concurrent Get/Put.
-func (c *Cache) SetPinner(p Pinner) { c.pinner = p }
-
-// Cache is a bounded LRU of memoized query results. All methods are safe
-// for concurrent use. The zero Cache is not usable; call New.
-type Cache struct {
-	cfg    Config
-	pinner Pinner
-
-	mu    sync.Mutex
-	m     map[key]*entry
-	head  *entry // most recently used
-	tail  *entry // least recently used
-	bytes int64
-	// subs counts live subscriptions per bucket (see Subscribe). A
-	// subscribed bucket's entry is exempt from LRU eviction — the
-	// multicast contract is that a hot region's payload stays resident
-	// while anyone is watching it — though replacement and epoch
-	// invalidation still remove it (a fresh recomputation follows).
-	subs map[key]int
-
-	hits          atomic.Int64
-	misses        atomic.Int64
-	evictions     atomic.Int64
-	invalidations atomic.Int64
-	pinFails      atomic.Int64
-	subscribers   atomic.Int64
-	subRefreshes  atomic.Int64
-	payloadHits   atomic.Int64
-}
-
-// New builds an empty cache with the given bounds.
-func New(cfg Config) *Cache {
-	cfg = cfg.withDefaults()
-	return &Cache{cfg: cfg, m: make(map[key]*entry, cfg.MaxEntries), subs: make(map[key]int)}
-}
-
-func (c *Cache) keyOf(q index.Query) key {
-	cell, band := c.cfg.CellXY, c.cfg.BandW
-	return key{
-		x0: quantize(q.Region.Min.X, cell),
-		y0: quantize(q.Region.Min.Y, cell),
-		x1: quantize(q.Region.Max.X, cell),
-		y1: quantize(q.Region.Max.Y, cell),
-		z0: quantize(q.ZMin, cell),
-		z1: quantize(q.ZMax, cell),
-		w0: quantize(q.WMin, band),
-		w1: quantize(q.WMax, band),
+// BucketOf returns the bucket a query falls in.
+func BucketOf(q index.Query) Bucket {
+	return Bucket{
+		x0: quantize(q.Region.Min.X, bucketCell),
+		y0: quantize(q.Region.Min.Y, bucketCell),
+		x1: quantize(q.Region.Max.X, bucketCell),
+		y1: quantize(q.Region.Max.Y, bucketCell),
+		z0: quantize(q.ZMin, bucketCell),
+		z1: quantize(q.ZMax, bucketCell),
+		w0: quantize(q.WMin, bucketBand),
+		w1: quantize(q.WMax, bucketBand),
 	}
 }
 
@@ -173,17 +101,68 @@ func quantize(v, cell float64) int64 {
 	return int64(f)
 }
 
+// entry is one cached result. ids and payload are immutable once set
+// (readers copy out of them without holding the lock); list pointers and
+// payload attachment are guarded by the cache mutex.
+type entry struct {
+	k       Bucket
+	q       index.Query
+	epoch   uint64
+	ids     []int64
+	io      int64
+	payload []byte
+	bytes   int64
+	prev    *entry
+	next    *entry
+}
+
+// Cache is a bounded LRU of memoized query results. All methods are safe
+// for concurrent use. The zero Cache is not usable; call New.
+type Cache struct {
+	cfg Config
+
+	mu    sync.Mutex
+	m     map[Bucket]*entry
+	head  *entry // most recently used
+	tail  *entry // least recently used
+	bytes int64
+	// subs counts live subscriptions per bucket (see Subscribe). A
+	// subscribed bucket's entry is exempt from LRU eviction — the
+	// multicast contract is that a hot region's payload stays resident
+	// while anyone is watching it — though replacement and epoch
+	// invalidation still remove it (a fresh recomputation follows).
+	subs map[Bucket]int
+
+	hits          atomic.Int64
+	misses        atomic.Int64
+	evictions     atomic.Int64
+	invalidations atomic.Int64
+	subscribers   atomic.Int64
+	subRefreshes  atomic.Int64
+	payloadHits   atomic.Int64
+}
+
+// New builds an empty cache with the given bounds.
+func New(cfg Config) *Cache {
+	cfg = cfg.withDefaults()
+	return &Cache{cfg: cfg, m: make(map[Bucket]*entry, cfg.MaxEntries), subs: make(map[Bucket]int)}
+}
+
 // Get looks the query up. On a hit it appends the cached ids to buf and
 // returns the extended buffer, the node I/O the populating search cost
 // (responses must replay it to stay byte-identical to an uncached
 // serve), and true. epoch is the index's current epoch as observed by
-// the caller; odd epochs (mutation in flight) and stale entries miss.
+// the caller; odd epochs (mutation in flight) and entries stamped at
+// any other epoch miss. Only an entry older than the caller's epoch is
+// stale and removed: a caller that read its epoch just before a
+// mutation finished must not evict what another session has since
+// stored at the newer one.
 func (c *Cache) Get(q index.Query, epoch uint64, buf []int64) ([]int64, int64, bool) {
 	if epoch%2 != 0 {
 		c.misses.Add(1)
 		return buf, 0, false
 	}
-	k := c.keyOf(q)
+	k := BucketOf(q)
 	c.mu.Lock()
 	e := c.m[k]
 	if e == nil || e.q != q {
@@ -192,9 +171,11 @@ func (c *Cache) Get(q index.Query, epoch uint64, buf []int64) ([]int64, int64, b
 		return buf, 0, false
 	}
 	if e.epoch != epoch {
-		c.removeLocked(e)
+		if e.epoch < epoch {
+			c.removeLocked(e)
+			c.invalidations.Add(1)
+		}
 		c.mu.Unlock()
-		c.invalidations.Add(1)
 		c.misses.Add(1)
 		return buf, 0, false
 	}
@@ -205,40 +186,20 @@ func (c *Cache) Get(q index.Query, epoch uint64, buf []int64) ([]int64, int64, b
 	return append(buf, ids...), io, true
 }
 
-// Put stores a search result. e0 and e1 are the index epochs observed
-// immediately before and after the search ran; the entry is stored only
-// when both are the same even value — otherwise a mutation may have
-// overlapped the search and the result is silently dropped (the next
-// identical query repopulates). ids is copied; the caller keeps
-// ownership of its buffer.
-func (c *Cache) Put(q index.Query, e0, e1 uint64, ids []int64, io int64) {
-	if e0 != e1 || e0%2 != 0 {
-		return
-	}
+// Put stores a search result under epoch, the stamp at which the caller
+// proved it stable (the index reported that same even epoch before and
+// after the search ran). ids is copied; the caller keeps ownership of
+// its buffer.
+func (c *Cache) Put(q index.Query, epoch uint64, ids []int64, io int64) {
 	e := &entry{
-		k:     c.keyOf(q),
+		k:     BucketOf(q),
 		q:     q,
-		epoch: e0,
+		epoch: epoch,
 		io:    io,
 		bytes: entryOverhead + int64(len(ids))*8,
 	}
 	if len(ids) > 0 {
 		e.ids = append([]int64(nil), ids...)
-	}
-	if c.pinner != nil && len(e.ids) > 0 {
-		// Pin outside the cache lock (lock order is cache → pager; the
-		// matching unpin in removeLocked holds the cache lock, so this
-		// side must never invert it). If the entry is immediately evicted
-		// below, removeLocked balances the pin right back out.
-		if err := c.pinner.PinIDs(e.ids); err != nil {
-			// A page backing this result is unreadable (disk fault or
-			// quarantine). PinIDs left no pins behind; drop the entry so a
-			// degraded page never anchors a hot region. The next identical
-			// query repopulates once the page heals.
-			c.pinFails.Add(1)
-			return
-		}
-		e.pinned = true
 	}
 	c.mu.Lock()
 	if old := c.m[e.k]; old != nil {
@@ -268,7 +229,7 @@ func (c *Cache) Payload(q index.Query, epoch uint64) ([]byte, bool) {
 	if epoch%2 != 0 {
 		return nil, false
 	}
-	k := c.keyOf(q)
+	k := BucketOf(q)
 	c.mu.Lock()
 	e := c.m[k]
 	if e == nil || e.q != q || e.epoch != epoch || e.payload == nil {
@@ -289,7 +250,7 @@ func (c *Cache) SetPayload(q index.Query, epoch uint64, payload []byte) {
 	if epoch%2 != 0 {
 		return
 	}
-	k := c.keyOf(q)
+	k := BucketOf(q)
 	c.mu.Lock()
 	e := c.m[k]
 	if e == nil || e.q != q || e.epoch != epoch || e.payload != nil {
@@ -315,7 +276,7 @@ func (c *Cache) SetPayload(q index.Query, epoch uint64, payload []byte) {
 // each other, but they are safe against concurrent cache operations.
 type Sub struct {
 	c      *Cache
-	k      key
+	k      Bucket
 	active bool
 	closed bool
 }
@@ -332,7 +293,7 @@ func (s *Sub) Set(q index.Query) {
 	if s.closed {
 		return
 	}
-	k := s.c.keyOf(q)
+	k := BucketOf(q)
 	if s.active && k == s.k {
 		return
 	}
@@ -369,7 +330,7 @@ func (s *Sub) Close() {
 // unsubscribeLocked drops one reference from a bucket. When the last
 // watcher leaves, the bucket's entry rejoins the normal LRU economy;
 // if the cache is over budget it is evicted on the next overflow pass.
-func (c *Cache) unsubscribeLocked(k key) {
+func (c *Cache) unsubscribeLocked(k Bucket) {
 	if n := c.subs[k]; n > 1 {
 		c.subs[k] = n - 1
 	} else {
@@ -383,11 +344,8 @@ type Stats struct {
 	Misses        int64
 	Evictions     int64
 	Invalidations int64
-	// PinFails counts entries dropped at Put time because pinning their
-	// coefficient pages failed (storage fault or quarantined page).
-	PinFails int64
-	Entries  int
-	Bytes    int64
+	Entries       int
+	Bytes         int64
 	// Subscribers is the current number of open subscriptions with a
 	// registered bucket (a gauge; see Subscribe).
 	Subscribers int64
@@ -409,7 +367,6 @@ func (c *Cache) Stats() Stats {
 		Misses:        c.misses.Load(),
 		Evictions:     c.evictions.Load(),
 		Invalidations: c.invalidations.Load(),
-		PinFails:      c.pinFails.Load(),
 		Entries:       entries,
 		Bytes:         bytes,
 		Subscribers:   c.subscribers.Load(),
@@ -426,8 +383,7 @@ const entryOverhead = 160
 // bounds hold, skipping subscribed buckets (their entries are the
 // multicast working set — evicting one would make every subscriber
 // recompute it). When only subscribed entries remain the bounds may be
-// exceeded; subscriptions, like pinned pages, take precedence over the
-// budget. The caller holds c.mu.
+// exceeded; subscriptions take precedence over the budget. The caller holds c.mu.
 func (c *Cache) evictOverflowLocked() {
 	e := c.tail
 	for e != nil && (len(c.m) > c.cfg.MaxEntries || c.bytes > c.cfg.MaxBytes) {
@@ -441,12 +397,6 @@ func (c *Cache) evictOverflowLocked() {
 }
 
 func (c *Cache) removeLocked(e *entry) {
-	if e.pinned {
-		// Covers all exits: LRU eviction, replacement, and epoch
-		// invalidation. The pages go back to the pager's normal LRU.
-		c.pinner.UnpinIDs(e.ids)
-		e.pinned = false
-	}
 	delete(c.m, e.k)
 	if e.prev != nil {
 		e.prev.next = e.next

@@ -39,7 +39,7 @@ func TestGetPutRoundTrip(t *testing.T) {
 	c := New(Config{})
 	query := q(0, 0, 100, 100, 1)
 	ids := []int64{3, 7, 9}
-	c.Put(query, 4, 4, ids, 17)
+	c.Put(query, 4, ids, 17)
 	ids[0] = 99 // Put must have copied
 	buf := []int64{-1}
 	buf, io, ok := c.Get(query, 4, buf)
@@ -54,17 +54,12 @@ func TestGetPutRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEpochValidation pins the invalidation rules: odd epochs never hit
-// or store; a stale entry is dropped and counted.
+// TestEpochValidation pins the invalidation rules: odd epochs never
+// hit; an entry older than the caller's epoch is dropped and counted.
 func TestEpochValidation(t *testing.T) {
 	c := New(Config{})
 	query := q(0, 0, 50, 50, 1)
-	c.Put(query, 3, 3, []int64{1}, 1) // odd: dropped
-	c.Put(query, 2, 4, []int64{1}, 1) // mutation overlapped: dropped
-	if st := c.Stats(); st.Entries != 0 {
-		t.Fatalf("invalid Put stored an entry: %+v", st)
-	}
-	c.Put(query, 4, 4, []int64{1}, 1)
+	c.Put(query, 4, []int64{1}, 1)
 	if _, _, ok := c.Get(query, 5, nil); ok {
 		t.Fatal("hit at odd epoch")
 	}
@@ -77,18 +72,37 @@ func TestEpochValidation(t *testing.T) {
 	}
 }
 
+// TestOlderReaderKeepsNewerEntry: a session that read its epoch just
+// before a mutation finished asks after another session stored the
+// result at the newer epoch. It misses, but the newer entry is not
+// stale — it stays, uncounted, and the next reader at its epoch hits.
+func TestOlderReaderKeepsNewerEntry(t *testing.T) {
+	c := New(Config{})
+	query := q(0, 0, 50, 50, 1)
+	c.Put(query, 6, []int64{1}, 1)
+	if _, _, ok := c.Get(query, 4, nil); ok {
+		t.Fatal("hit at an older epoch")
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Invalidations != 0 {
+		t.Fatalf("an older reader evicted the newer entry: %+v", st)
+	}
+	if _, _, ok := c.Get(query, 6, nil); !ok {
+		t.Fatal("entry at the current epoch missed")
+	}
+}
+
 // TestExactQueryVerification pins that bucket collisions miss rather
 // than answer the wrong query: two queries in the same quantization cell
 // coexist as one entry, last Put wins.
 func TestExactQueryVerification(t *testing.T) {
-	c := New(Config{CellXY: 64})
+	c := New(Config{})
 	a := q(1, 1, 10, 10, 1)
 	b := q(2, 2, 11, 11, 1) // same 64-unit cell as a
-	c.Put(a, 0, 0, []int64{1}, 1)
+	c.Put(a, 0, []int64{1}, 1)
 	if _, _, ok := c.Get(b, 0, nil); ok {
 		t.Fatal("collision returned the wrong query's result")
 	}
-	c.Put(b, 0, 0, []int64{2}, 2)
+	c.Put(b, 0, []int64{2}, 2)
 	if _, _, ok := c.Get(a, 0, nil); ok {
 		t.Fatal("replaced entry still hit")
 	}
@@ -104,12 +118,12 @@ func TestExactQueryVerification(t *testing.T) {
 // TestLRUEviction pins both bounds: entry count and bytes, evicting
 // least-recently-used first.
 func TestLRUEviction(t *testing.T) {
-	c := New(Config{MaxEntries: 2, CellXY: 1})
-	qa, qb, qc := q(0, 0, 0.5, 0.5, 1), q(10, 10, 10.5, 10.5, 1), q(20, 20, 20.5, 20.5, 1)
-	c.Put(qa, 0, 0, []int64{1}, 1)
-	c.Put(qb, 0, 0, []int64{2}, 1)
-	c.Get(qa, 0, nil)              // refresh a
-	c.Put(qc, 0, 0, []int64{3}, 1) // evicts b (LRU)
+	c := New(Config{MaxEntries: 2})
+	qa, qb, qc := q(0, 0, 0.5, 0.5, 1), q(100, 100, 100.5, 100.5, 1), q(200, 200, 200.5, 200.5, 1)
+	c.Put(qa, 0, []int64{1}, 1)
+	c.Put(qb, 0, []int64{2}, 1)
+	c.Get(qa, 0, nil)           // refresh a
+	c.Put(qc, 0, []int64{3}, 1) // evicts b (LRU)
 	if _, _, ok := c.Get(qb, 0, nil); ok {
 		t.Fatal("LRU entry survived eviction")
 	}
@@ -117,9 +131,9 @@ func TestLRUEviction(t *testing.T) {
 		t.Fatal("recently used entry evicted")
 	}
 	// Byte bound: a payload large enough to bust MaxBytes evicts down.
-	cb := New(Config{MaxBytes: entryOverhead + 512, CellXY: 1})
-	cb.Put(qa, 0, 0, make([]int64, 64), 1) // 160 + 512 bytes: fits exactly
-	cb.Put(qb, 0, 0, make([]int64, 64), 1) // second entry must push the first out
+	cb := New(Config{MaxBytes: entryOverhead + 512})
+	cb.Put(qa, 0, make([]int64, 64), 1) // 160 + 512 bytes: fits exactly
+	cb.Put(qb, 0, make([]int64, 64), 1) // second entry must push the first out
 	st := cb.Stats()
 	if st.Entries != 1 || st.Evictions != 1 || st.Bytes > entryOverhead+512 {
 		t.Fatalf("byte bound not enforced: %+v", st)
@@ -134,7 +148,7 @@ func TestPayloadAttach(t *testing.T) {
 	if _, ok := c.Payload(query, 0); ok {
 		t.Fatal("payload before entry")
 	}
-	c.Put(query, 0, 0, []int64{5}, 3)
+	c.Put(query, 0, []int64{5}, 3)
 	if _, ok := c.Payload(query, 0); ok {
 		t.Fatal("payload before attach")
 	}
@@ -197,7 +211,7 @@ func TestCacheMatchesIndexUnderChurn(t *testing.T) {
 						step, len(cached), cachedIO, len(want), wantIO)
 				}
 			} else {
-				c.Put(query, e0, idx.Epoch(), want, wantIO)
+				c.Put(query, e0, want, wantIO) // no concurrent mutation: e0 is stable
 			}
 		}
 	}
@@ -274,8 +288,8 @@ func TestCacheConcurrentChurn(t *testing.T) {
 					checkMu.Lock()
 					checked++
 					checkMu.Unlock()
-				} else if !ok {
-					c.Put(query, e0, e1, buf, io)
+				} else if !ok && e0 == e1 && e0%2 == 0 {
+					c.Put(query, e0, buf, io)
 				}
 			}
 		}(int64(g) * 13)

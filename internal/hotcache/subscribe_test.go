@@ -10,13 +10,13 @@ import (
 // a subscribed bucket's entry survives LRU pressure that would evict
 // it, and rejoins the normal LRU economy once the last watcher leaves.
 func TestSubscribeProtectsFromEviction(t *testing.T) {
-	c := New(Config{MaxEntries: 2, CellXY: 1})
-	qa, qb, qc := q(0, 0, 0.5, 0.5, 1), q(10, 10, 10.5, 10.5, 1), q(20, 20, 20.5, 20.5, 1)
+	c := New(Config{MaxEntries: 2})
+	qa, qb, qc := q(0, 0, 0.5, 0.5, 1), q(100, 100, 100.5, 100.5, 1), q(200, 200, 200.5, 200.5, 1)
 	sub := c.Subscribe()
 	sub.Set(qa)
-	c.Put(qa, 0, 0, []int64{1}, 1)
-	c.Put(qb, 0, 0, []int64{2}, 1)
-	c.Put(qc, 0, 0, []int64{3}, 1) // over MaxEntries: must evict b, not the subscribed a
+	c.Put(qa, 0, []int64{1}, 1)
+	c.Put(qb, 0, []int64{2}, 1)
+	c.Put(qc, 0, []int64{3}, 1) // over MaxEntries: must evict b, not the subscribed a
 	if _, _, ok := c.Get(qa, 0, nil); !ok {
 		t.Fatal("subscribed entry evicted under LRU pressure")
 	}
@@ -25,8 +25,8 @@ func TestSubscribeProtectsFromEviction(t *testing.T) {
 	}
 	sub.Close()
 	// With the watcher gone, the next overflow pass may evict a again.
-	qd := q(30, 30, 30.5, 30.5, 1)
-	c.Put(qd, 0, 0, []int64{4}, 1)
+	qd := q(300, 300, 300.5, 300.5, 1)
+	c.Put(qd, 0, []int64{4}, 1)
 	if st := c.Stats(); st.Entries > 2 {
 		t.Fatalf("cache stayed over bound after last unsubscribe: %+v", st)
 	}
@@ -36,17 +36,17 @@ func TestSubscribeProtectsFromEviction(t *testing.T) {
 // entry stays protected until the *last* subscriber leaves, and the
 // subscriber gauge tracks open subscriptions.
 func TestSubscribeRefCounts(t *testing.T) {
-	c := New(Config{MaxEntries: 1, CellXY: 1})
-	qa, qb := q(0, 0, 0.5, 0.5, 1), q(10, 10, 10.5, 10.5, 1)
+	c := New(Config{MaxEntries: 1})
+	qa, qb := q(0, 0, 0.5, 0.5, 1), q(100, 100, 100.5, 100.5, 1)
 	s1, s2 := c.Subscribe(), c.Subscribe()
 	s1.Set(qa)
 	s2.Set(qa)
 	if got := c.Stats().Subscribers; got != 2 {
 		t.Fatalf("subscribers = %d, want 2", got)
 	}
-	c.Put(qa, 0, 0, []int64{1}, 1)
+	c.Put(qa, 0, []int64{1}, 1)
 	s1.Close()
-	c.Put(qb, 0, 0, []int64{2}, 1) // over bound; a still has one watcher
+	c.Put(qb, 0, []int64{2}, 1) // over bound; a still has one watcher
 	if _, _, ok := c.Get(qa, 0, nil); !ok {
 		t.Fatal("entry lost protection while a subscriber remained")
 	}
@@ -55,7 +55,7 @@ func TestSubscribeRefCounts(t *testing.T) {
 		t.Fatalf("subscribers = %d after all closed, want 0", got)
 	}
 	s2.Close() // idempotent
-	c.Put(qb, 0, 0, []int64{2}, 1)
+	c.Put(qb, 0, []int64{2}, 1)
 	if st := c.Stats(); st.Entries != 1 {
 		t.Fatalf("unprotected cache not evicted back to bound: %+v", st)
 	}
@@ -65,8 +65,8 @@ func TestSubscribeRefCounts(t *testing.T) {
 // subscription releases the old bucket and protects the new one;
 // re-setting the same bucket is a no-op.
 func TestSubscribeFollowsViewer(t *testing.T) {
-	c := New(Config{MaxEntries: 1, CellXY: 1})
-	qa, qb := q(0, 0, 0.5, 0.5, 1), q(10, 10, 10.5, 10.5, 1)
+	c := New(Config{MaxEntries: 1})
+	qa, qb := q(0, 0, 0.5, 0.5, 1), q(100, 100, 100.5, 100.5, 1)
 	sub := c.Subscribe()
 	sub.Set(qa)
 	sub.Set(qa) // no-op
@@ -74,8 +74,8 @@ func TestSubscribeFollowsViewer(t *testing.T) {
 		t.Fatalf("subscribers = %d, want 1", got)
 	}
 	sub.Set(qb)
-	c.Put(qa, 0, 0, []int64{1}, 1)
-	c.Put(qb, 0, 0, []int64{2}, 1)
+	c.Put(qa, 0, []int64{1}, 1)
+	c.Put(qb, 0, []int64{2}, 1)
 	// qb is watched; qa is not — the overflow pass must evict qa.
 	if _, _, ok := c.Get(qb, 0, nil); !ok {
 		t.Fatal("current bucket lost protection after the move")
@@ -91,11 +91,11 @@ func TestSubscribeFollowsViewer(t *testing.T) {
 // an epoch bump removes the entry so one recomputation (counted as a
 // SubRefresh) can repopulate it for every watcher.
 func TestSubscribedInvalidationStillRemoves(t *testing.T) {
-	c := New(Config{CellXY: 1})
+	c := New(Config{})
 	qa := q(0, 0, 0.5, 0.5, 1)
 	sub := c.Subscribe()
 	sub.Set(qa)
-	c.Put(qa, 4, 4, []int64{1, 2}, 3)
+	c.Put(qa, 4, []int64{1, 2}, 3)
 	if got := c.Stats().SubRefreshes; got != 1 {
 		t.Fatalf("SubRefreshes = %d after populate, want 1", got)
 	}
@@ -106,7 +106,7 @@ func TestSubscribedInvalidationStillRemoves(t *testing.T) {
 		t.Fatalf("subscribed entry not invalidated: %+v", st)
 	}
 	// The one refresh that repopulates serves every subscriber.
-	c.Put(qa, 6, 6, []int64{1, 2}, 3)
+	c.Put(qa, 6, []int64{1, 2}, 3)
 	if got := c.Stats().SubRefreshes; got != 2 {
 		t.Fatalf("SubRefreshes = %d after refresh, want 2", got)
 	}
@@ -122,7 +122,7 @@ func TestSubscribedInvalidationStillRemoves(t *testing.T) {
 func TestPayloadHitCounter(t *testing.T) {
 	c := New(Config{})
 	qa := q(0, 0, 30, 30, 1)
-	c.Put(qa, 0, 0, []int64{1}, 1)
+	c.Put(qa, 0, []int64{1}, 1)
 	c.SetPayload(qa, 0, []byte{1, 2, 3})
 	for i := 0; i < 3; i++ {
 		if _, ok := c.Payload(qa, 0); !ok {
@@ -138,8 +138,8 @@ func TestPayloadHitCounter(t *testing.T) {
 // (meaningful under -race). Each goroutine owns its Sub, per the
 // contract; the cache operations race freely.
 func TestSubscribeConcurrent(t *testing.T) {
-	c := New(Config{MaxEntries: 4, CellXY: 1})
-	queries := []struct{ x float64 }{{0}, {10}, {20}, {30}, {40}, {50}, {60}, {70}}
+	c := New(Config{MaxEntries: 4})
+	queries := []struct{ x float64 }{{0}, {100}, {200}, {300}, {400}, {500}, {600}, {700}}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -151,7 +151,7 @@ func TestSubscribeConcurrent(t *testing.T) {
 				x := queries[(g+i)%len(queries)].x
 				query := q(x, x, x+0.5, x+0.5, 1)
 				sub.Set(query)
-				c.Put(query, 0, 0, []int64{int64(i)}, 1)
+				c.Put(query, 0, []int64{int64(i)}, 1)
 				c.Get(query, 0, nil)
 			}
 		}(g)

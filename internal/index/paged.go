@@ -30,7 +30,7 @@ import (
 // ErrPageUnavailable reports that a coefficient's backing page could
 // not be read — a transient I/O fault that exhausted the pager's
 // retries, or CRC-verified permanent corruption that quarantined the
-// page. It flows out of Coeff/PinIDs through the CoefficientSource
+// page. It flows out of Coeff and Pins.Coeff through the CoefficientSource
 // failure contract; serving layers respond by withholding the affected
 // coefficients (ABR Dropped semantics), never by panicking, so frames
 // that touch only healthy pages are unaffected and withheld
@@ -416,46 +416,4 @@ func (p *Pins) pinPage(id int64) (*wavelet.Coefficient, error) {
 	p.lo, p.slab = int64(page)*ps.perPage, slab
 	p.hi = p.lo + int64(len(slab))
 	return &slab[id-p.lo], nil
-}
-
-// PinIDs pins the pages backing the given ascending id list, keeping
-// them resident until the matching UnpinIDs. This is the hot-region
-// pre-pin hook: the hotcache pins a cached region's pages on insert and
-// unpins on eviction or epoch invalidation, making cache policy and
-// paging policy one mechanism. On an unreadable page PinIDs unwinds the
-// pins it already took and reports ErrPageUnavailable — an all-or-
-// nothing contract, so a failed pre-pin leaks no references and the
-// caller simply skips caching the region.
-func (ps *PagedStore) PinIDs(ids []int64) error {
-	last := int32(-1)
-	for i, id := range ids {
-		ps.checkID(id)
-		page := int32(id / ps.perPage)
-		if page == last {
-			continue
-		}
-		if _, err := ps.pager.Pin(int(page)); err != nil {
-			// The same consecutive-dedup walk over the prefix releases
-			// exactly the pins taken above.
-			ps.UnpinIDs(ids[:i])
-			return pageUnavailable(page, err)
-		}
-		last = page
-	}
-	return nil
-}
-
-// UnpinIDs releases the pins PinIDs took for the same ascending id
-// list.
-func (ps *PagedStore) UnpinIDs(ids []int64) {
-	last := int32(-1)
-	for _, id := range ids {
-		ps.checkID(id)
-		page := int32(id / ps.perPage)
-		if page == last {
-			continue
-		}
-		ps.pager.Unpin(int(page))
-		last = page
-	}
 }

@@ -81,34 +81,39 @@ func TestPagedCoeffUnavailable(t *testing.T) {
 	}
 }
 
-// TestPagedPinIDsRollsBackOnFault: PinIDs over a mix of healthy and
-// corrupt pages is all-or-nothing — it reports ErrPageUnavailable and
-// leaves no pins behind, so a frame that cannot be fully served never
-// strands page references.
-func TestPagedPinIDsRollsBackOnFault(t *testing.T) {
-	_, ps, fd := buildFaultyPaged(t, PagedConfig{CacheBytes: 1 << 20, RetryMax: 1})
+// TestPagedPinsSkipFaultyPage: a frame's pin set reading across a
+// corrupt page gets ErrPageUnavailable for that page alone, keeps
+// serving the healthy ones, and holds no reference to the bad page, so
+// Release leaves nothing pinned.
+func TestPagedPinsSkipFaultyPage(t *testing.T) {
+	mem, ps, fd := buildFaultyPaged(t, PagedConfig{CacheBytes: 1 << 20, RetryMax: 1})
 	seg := ps.Segment()
 	badPage := seg.NumPages() - 1
 	fd.SetCorrupt(seg.PageOffset(badPage), int64(seg.PageSize()))
+	badID := int64(badPage * seg.RecordsPerPage())
 
-	ids := []int64{0, 1, int64(badPage * seg.RecordsPerPage())}
-	if err := ps.PinIDs(ids); !errors.Is(err, ErrPageUnavailable) {
-		t.Fatalf("PinIDs = %v, want ErrPageUnavailable", err)
+	pins := ps.NewPins()
+	for _, id := range []int64{0, badID, 1} {
+		c, err := pins.Coeff(id)
+		if id == badID {
+			if !errors.Is(err, ErrPageUnavailable) {
+				t.Fatalf("Pins.Coeff(%d) = %v, want ErrPageUnavailable", id, err)
+			}
+			continue
+		}
+		if err != nil || *c != *MustCoeff(mem, id) {
+			t.Fatalf("healthy Pins.Coeff(%d) = %+v, %v", id, c, err)
+		}
 	}
+	if st := ps.PagerStats(); st.PagesPinned != 1 {
+		t.Fatalf("PagesPinned = %d with one healthy page open, want 1", st.PagesPinned)
+	}
+	pins.Release()
 	st := ps.PagerStats()
 	if st.PagesPinned != 0 {
-		t.Fatalf("PagesPinned = %d after failed PinIDs, want 0 (rollback)", st.PagesPinned)
+		t.Fatalf("PagesPinned = %d after Release, want 0", st.PagesPinned)
 	}
 	if st.Pins != st.Hits+st.Faults {
-		t.Fatalf("identities broken after rollback: %+v", st)
-	}
-
-	// The healthy prefix alone pins fine afterwards.
-	if err := ps.PinIDs(ids[:2]); err != nil {
-		t.Fatalf("PinIDs(healthy) after rollback: %v", err)
-	}
-	ps.UnpinIDs(ids[:2])
-	if st := ps.PagerStats(); st.PagesPinned != 0 {
-		t.Fatalf("PagesPinned = %d at quiescence, want 0", st.PagesPinned)
+		t.Fatalf("identities broken after a failed pin: %+v", st)
 	}
 }

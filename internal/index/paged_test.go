@@ -158,27 +158,6 @@ func TestPinsHoldPagesForFrame(t *testing.T) {
 	pins.Release()
 }
 
-func TestPinIDsBalance(t *testing.T) {
-	mem, ps := buildPagedPair(t, PagedConfig{CacheBytes: 512})
-	ids := make([]int64, 0, mem.NumCoeffs()/2)
-	for id := int64(0); id < mem.NumCoeffs(); id += 2 {
-		ids = append(ids, id)
-	}
-	ps.PinIDs(ids)
-	st := ps.PagerStats()
-	if st.PagesPinned == 0 {
-		t.Fatal("PinIDs pinned nothing")
-	}
-	ps.UnpinIDs(ids)
-	st = ps.PagerStats()
-	if st.PagesPinned != 0 {
-		t.Fatalf("PagesPinned = %d after UnpinIDs", st.PagesPinned)
-	}
-	if st.Pins != st.Hits+st.Faults {
-		t.Fatalf("Pins %d != Hits %d + Faults %d", st.Pins, st.Hits, st.Faults)
-	}
-}
-
 // TestPagedDebugCatchesUseAfterUnpin is the satellite-1 guard: in debug
 // mode, a pointer held past its pin reads poisoned data.
 func TestPagedDebugCatchesUseAfterUnpin(t *testing.T) {

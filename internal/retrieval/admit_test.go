@@ -94,9 +94,10 @@ func TestSecondAskStoresThirdHits(t *testing.T) {
 	reconcileLayers(t, srv, st)
 }
 
-// TestFirstTouchPinsNoPages: over a paged store the hot cache pins the
-// pages of what it stores, so a query asked once must leave the pager
-// untouched; the second ask is the one that pins.
+// TestFirstTouchPinsNoPages: over a paged store the sharing layers hold
+// results, never pages. A first ask, the second ask that stores the hot
+// entry and the third ask it answers each leave no page pinned once the
+// frame is done, and all three answer like the in-memory server.
 func TestFirstTouchPinsNoPages(t *testing.T) {
 	mem := testShardedServer(t, 8, 79, 4)
 	path := filepath.Join(t.TempDir(), "scene.seg")
@@ -111,26 +112,22 @@ func TestFirstTouchPinsNoPages(t *testing.T) {
 	srv := NewServer(ps, index.NewSharded(ps, index.XYW, index.ShardedConfig{Shards: 4}))
 	srv.SetStats(nil)
 	hot := hotcache.New(hotcache.Config{})
-	hot.SetPinner(ps)
 	srv.SetHotCache(hot)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{}))
-	built := ps.PagerStats()
 
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
-	sess := NewSession(srv)
 	want := mem.Execute([]SubQuery{sub}, nil)
-	if got := sess.RetrieveScratch([]SubQuery{sub}); !respEqual(got, want) || len(got.IDs) == 0 {
-		t.Fatalf("paged first touch answered %d ids, in-memory %d", len(got.IDs), len(want.IDs))
-	}
-	if pg := ps.PagerStats(); pg.Pins != built.Pins || pg.PagesPinned != 0 {
-		t.Fatalf("first touch pinned pages: %d pins since the build, %d pages pinned", pg.Pins-built.Pins, pg.PagesPinned)
-	}
-	if hs := hot.Stats(); hs.Entries != 0 {
-		t.Fatalf("first touch stored %d hot entries", hs.Entries)
-	}
-	NewSession(srv).RetrieveScratch([]SubQuery{sub})
-	if pg := ps.PagerStats(); pg.PagesPinned == 0 || hot.Stats().Entries != 1 {
-		t.Fatalf("second ask stored %d entries holding %d pages", hot.Stats().Entries, pg.PagesPinned)
+	for i, ask := range []string{"first ask", "second ask", "hot hit"} {
+		got := NewSession(srv).RetrieveScratch([]SubQuery{sub})
+		if !respEqual(got, want) || len(got.IDs) == 0 {
+			t.Fatalf("paged %s answered %d ids, in-memory %d", ask, len(got.IDs), len(want.IDs))
+		}
+		if hs := hot.Stats(); hs.Entries != min(i, 1) || hs.Hits != int64(max(i-1, 0)) {
+			t.Fatalf("after the %s the hot cache is at %+v", ask, hs)
+		}
+		if pg := ps.PagerStats(); pg.PagesPinned != 0 {
+			t.Fatalf("after the %s %d pages are pinned", ask, pg.PagesPinned)
+		}
 	}
 }
 

@@ -8,12 +8,12 @@
 // arrivals that just missed the flight still share it.
 //
 // Sharing is only correct while the index is provably unchanged, so the
-// coalescer reuses the hot cache's two safety checks (see package
-// hotcache): exact-query verification (the quantized bucket only bounds
-// the table; an entry is adopted only for the identical query floats)
-// and seqlock epoch validation (the leader stamps its result with the
-// even epoch observed before and after its search; a follower adopts
-// only while the index still reports exactly that epoch, re-checked at
+// coalescer uses the hot cache's bucket and its two safety checks (see
+// package hotcache): exact-query verification (hotcache.BucketOf only
+// bounds the table; a flight is adopted only for the identical query
+// floats) and seqlock epoch validation (the leader's search is stamped
+// like every other — see Server.stampedSearch; a follower adopts only
+// while the index still reports exactly that epoch, re-checked at
 // adoption time). An adopted result — ids and replayed node I/O — is
 // therefore byte-identical to what the follower's own search would have
 // returned. Per-session delivered-set filtering happens downstream in
@@ -22,51 +22,29 @@
 package retrieval
 
 import (
-	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/hotcache"
 	"repro/internal/index"
 )
 
-// CoalescerConfig tunes the gather window and the bucket quantization.
-// The quantization defaults match hotcache.Config so the two layers
-// agree on what "the same hot region" means.
+// CoalescerConfig tunes the gather window.
 type CoalescerConfig struct {
 	// Window is how long a completed result lingers for adoption after
 	// its search finishes (≤ 0 → 2ms). Within the window, sessions
 	// asking the identical query at the unchanged epoch share the
 	// result without waiting on each other.
 	Window time.Duration
-	// CellXY is the spatial quantization cell for the bucket key
-	// (≤ 0 → 64 world units).
-	CellXY float64
-	// BandW is the value-band quantization (≤ 0 → 0.25).
-	BandW float64
 }
 
 func (c CoalescerConfig) withDefaults() CoalescerConfig {
 	if c.Window <= 0 {
 		c.Window = 2 * time.Millisecond
 	}
-	if c.CellXY <= 0 {
-		c.CellXY = 64
-	}
-	if c.BandW <= 0 {
-		c.BandW = 0.25
-	}
 	return c
-}
-
-// ckey is the quantized bucket address, mirroring the hotcache key: one
-// bucket holds at most one flight, and the exact query lives in the
-// flight.
-type ckey struct {
-	x0, y0, x1, y1 int64
-	z0, z1         int64
-	w0, w1         int64
 }
 
 // flight is one in-progress or lingering shared search. done is closed
@@ -75,7 +53,7 @@ type ckey struct {
 // flight-owned (never aliases a session's scratch). expires and next
 // are guarded by the coalescer mutex.
 type flight struct {
-	k       ckey
+	k       hotcache.Bucket
 	q       index.Query
 	done    chan struct{}
 	ids     []int64
@@ -94,7 +72,7 @@ type Coalescer struct {
 	cfg CoalescerConfig
 
 	mu      sync.Mutex
-	flights map[ckey]*flight
+	flights map[hotcache.Bucket]*flight
 	// oldest and newest are the ends of the list of lingering flights in
 	// completion order, which is expiry order because the window is one
 	// constant. reap takes expired flights off its head, so a bucket
@@ -110,32 +88,17 @@ type Coalescer struct {
 
 // NewCoalescer builds an empty coalescer.
 func NewCoalescer(cfg CoalescerConfig) *Coalescer {
-	return &Coalescer{cfg: cfg.withDefaults(), flights: make(map[ckey]*flight)}
+	return &Coalescer{cfg: cfg.withDefaults(), flights: make(map[hotcache.Bucket]*flight)}
 }
 
-func (co *Coalescer) keyOf(q index.Query) ckey {
-	cell, band := co.cfg.CellXY, co.cfg.BandW
-	return ckey{
-		x0: cquantize(q.Region.Min.X, cell),
-		y0: cquantize(q.Region.Min.Y, cell),
-		x1: cquantize(q.Region.Max.X, cell),
-		y1: cquantize(q.Region.Max.Y, cell),
-		z0: cquantize(q.ZMin, cell),
-		z1: cquantize(q.ZMax, cell),
-		w0: cquantize(q.WMin, band),
-		w1: cquantize(q.WMax, band),
-	}
-}
-
-// do answers one sub-query through the coalescer. e0 is the index epoch
-// the caller observed before entering; buf receives the ids (appended,
-// like index.IntoSearcher.SearchInto). It returns the extended buffer, the node I/O to
-// replay, and — when the result is known valid at a stable even epoch —
-// that epoch and stable=true (the caller may then memoize it further,
-// e.g. into the hot cache).
-func (co *Coalescer) do(s *Server, q index.Query, e0 uint64, buf []int64, cur *index.Cursor) (ids []int64, io int64, epoch uint64, stable bool) {
+// do answers one sub-query through the coalescer. buf receives the ids
+// (appended, like index.IntoSearcher.SearchInto). It returns the
+// extended buffer, the node I/O to replay, and — when the result is
+// known valid at a stable even epoch — that epoch and stable=true (the
+// caller may then memoize it further, e.g. into the hot cache).
+func (co *Coalescer) do(s *Server, q index.Query, buf []int64, cur *index.Cursor) (ids []int64, io int64, epoch uint64, stable bool) {
 	co.routed.Add(1)
-	k := co.keyOf(q)
+	k := hotcache.BucketOf(q)
 	for {
 		co.mu.Lock()
 		co.reap()
@@ -145,7 +108,7 @@ func (co *Coalescer) do(s *Server, q index.Query, e0 uint64, buf []int64, cur *i
 			f = &flight{k: k, q: q, done: make(chan struct{})}
 			co.flights[k] = f
 			co.mu.Unlock()
-			return co.lead(s, f, e0, buf, cur)
+			return co.lead(s, f, buf, cur)
 		}
 		completed := false
 		select {
@@ -168,7 +131,7 @@ func (co *Coalescer) do(s *Server, q index.Query, e0 uint64, buf []int64, cur *i
 			// wrong answer. Run our own search.
 			co.mu.Unlock()
 			co.bypassCollision.Add(1)
-			return co.selfSearch(s, q, buf, cur)
+			return s.stampedSearch(q, buf, cur)
 		}
 		co.mu.Unlock()
 		<-f.done
@@ -186,7 +149,7 @@ func (co *Coalescer) do(s *Server, q index.Query, e0 uint64, buf []int64, cur *i
 		}
 		co.mu.Unlock()
 		co.bypassStale.Add(1)
-		return co.selfSearch(s, q, buf, cur)
+		return s.stampedSearch(q, buf, cur)
 	}
 }
 
@@ -195,14 +158,10 @@ func (co *Coalescer) do(s *Server, q index.Query, e0 uint64, buf []int64, cur *i
 // by earlier frames); the flight gets one exact-size copy, because
 // followers hold references to f.ids after done closes and it must
 // never alias a session's reusable scratch.
-func (co *Coalescer) lead(s *Server, f *flight, e0 uint64, buf []int64, cur *index.Cursor) ([]int64, int64, uint64, bool) {
+func (co *Coalescer) lead(s *Server, f *flight, buf []int64, cur *index.Cursor) ([]int64, int64, uint64, bool) {
 	start := len(buf)
-	buf, f.io = s.idx.SearchInto(f.q, buf, cur)
+	buf, f.io, f.epoch, f.ok = s.stampedSearch(f.q, buf, cur)
 	f.ids = slices.Clone(buf[start:])
-	e1 := s.idx.Epoch()
-	if e0 == e1 && e0%2 == 0 {
-		f.ok, f.epoch = true, e0
-	}
 	close(f.done)
 	co.led.Add(1)
 	co.mu.Lock()
@@ -242,18 +201,6 @@ func (co *Coalescer) reap() {
 			co.newest = nil
 		}
 	}
-}
-
-// selfSearch is the bypass path: an uncoalesced search with its own
-// epoch stamp, so bypassed results remain memoizable.
-func (co *Coalescer) selfSearch(s *Server, q index.Query, buf []int64, cur *index.Cursor) ([]int64, int64, uint64, bool) {
-	e0 := s.idx.Epoch()
-	ids, io := s.idx.SearchInto(q, buf, cur)
-	e1 := s.idx.Epoch()
-	if e0 == e1 && e0%2 == 0 {
-		return ids, io, e0, true
-	}
-	return ids, io, 0, false
 }
 
 // Flush drops every completed lingering flight, ending their adoption
@@ -311,19 +258,4 @@ func (co *Coalescer) Stats() CoalescerStats {
 		BypassStale:     co.bypassStale.Load(),
 		Flights:         flights,
 	}
-}
-
-// cquantize mirrors hotcache's key quantization, clamping pathological
-// floats into a bucket instead of invoking undefined conversion.
-func cquantize(v, cell float64) int64 {
-	f := math.Floor(v / cell)
-	switch {
-	case math.IsNaN(f):
-		return math.MinInt64
-	case f >= math.MaxInt64:
-		return math.MaxInt64
-	case f <= math.MinInt64:
-		return math.MinInt64
-	}
-	return int64(f)
 }

@@ -484,8 +484,7 @@ const (
 // layers: Algorithm 1 makes a client's query the difference from its
 // previous frame, so one client never repeats a sub-query and most are
 // never asked by anyone again; publishing a flight or storing a hot
-// entry (and, over a paged store, pinning its pages) for each of them is
-// cost without a taker. Only the second ask of a query pays it.
+// entry for each of them is cost without a taker. Only the second ask of a query pays it.
 //
 // What is remembered is a 64-bit fingerprint of the exact query floats
 // in a direct-mapped table. Not the quantised bucket: consecutive
@@ -514,7 +513,7 @@ func (s *Server) admit(q *index.Query) bool {
 // touch. With a sharing layer wired, a result the hot cache holds is
 // replayed, and a query asked before (admit) goes through the coalescer
 // when one is wired (sharing one index pass among concurrent identical
-// searches) and into the hot cache under the seqlock epoch protocol.
+// searches) and into the hot cache under its stable epoch stamp.
 // Everything else — a query nobody asked before, or a server with
 // neither layer — is searched directly: no flight, no stored entry, no
 // HotRef. All of them return the same ids and the same node I/O.
@@ -525,13 +524,13 @@ func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) (fi
 		out.ids, out.io = s.idx.SearchInto(q, out.ids[:0], cur)
 		return false
 	}
-	e0 := s.idx.Epoch()
 	if s.hot != nil {
+		e := s.idx.Epoch()
 		var ok bool
-		if out.ids, out.io, ok = s.hot.Get(q, e0, out.ids[:0]); ok {
+		if out.ids, out.io, ok = s.hot.Get(q, e, out.ids[:0]); ok {
 			// The cached io is replayed so the response is byte-identical to
 			// the uncached serve that populated the entry.
-			out.hot, out.epoch = true, e0
+			out.hot, out.epoch = true, e
 			return false
 		}
 	}
@@ -540,25 +539,26 @@ func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) (fi
 		return true
 	}
 	if s.co != nil {
-		var stable bool
-		out.ids, out.io, out.epoch, stable = s.co.do(s, q, e0, out.ids[:0], cur)
-		out.hot = stable
-		if s.hot != nil && stable {
-			// The coalescer proved the result valid at the stable even
-			// epoch it returns, so the hot cache may memoize it under that
-			// epoch — one recomputation refreshes the entry for every
-			// subscriber.
-			s.hot.Put(q, out.epoch, out.epoch, out.ids, out.io)
-		}
-		return false
+		out.ids, out.io, out.epoch, out.hot = s.co.do(s, q, out.ids[:0], cur)
+	} else {
+		out.ids, out.io, out.epoch, out.hot = s.stampedSearch(q, out.ids[:0], cur)
 	}
-	out.ids, out.io = s.idx.SearchInto(q, out.ids[:0], cur)
-	e1 := s.idx.Epoch()
-	s.hot.Put(q, e0, e1, out.ids, out.io)
-	if e0 == e1 && e0%2 == 0 {
-		out.hot, out.epoch = true, e0
+	if s.hot != nil && out.hot {
+		// One recomputation refreshes the entry for every subscriber.
+		s.hot.Put(q, out.epoch, out.ids, out.io)
 	}
 	return false
+}
+
+// stampedSearch runs one index search between two reads of the index
+// epoch. stable reports that both reads saw the same even epoch — no
+// mutation was in flight or completed across the search — so the result
+// is valid at epoch and may be shared or memoized under it. It is the
+// one place the seqlock's validity test is written.
+func (s *Server) stampedSearch(q index.Query, buf []int64, cur *index.Cursor) (ids []int64, io int64, epoch uint64, stable bool) {
+	epoch = s.idx.Epoch()
+	ids, io = s.idx.SearchInto(q, buf, cur)
+	return ids, io, epoch, epoch%2 == 0 && s.idx.Epoch() == epoch
 }
 
 // BlockBytes returns the payload and index I/O of the coefficients

@@ -162,24 +162,23 @@ func TestSearchEarlyStop(t *testing.T) {
 	}
 }
 
-func TestIOStatsAccumulateAndReset(t *testing.T) {
+// TestIOStatsAccumulate: every search adds its node reads and one query
+// to the tree's counters; a caller measures a span of searches as the
+// difference of two Stats snapshots.
+func TestIOStatsAccumulate(t *testing.T) {
 	tr, _ := buildRandom(t, DefaultConfig(2), 5000, 4)
-	tr.ResetStats()
+	base := tr.Stats()
 	tr.Count(Box(0, 100, 0, 100))
 	s := tr.Stats()
-	if s.Queries != 1 || s.NodesRead < 1 {
-		t.Fatalf("stats after one query: %+v", s)
+	if s.Queries-base.Queries != 1 || s.NodesRead-base.NodesRead < 1 {
+		t.Fatalf("stats after one query: %+v, before %+v", s, base)
 	}
 	io := tr.SearchCounted(Box(0, 100, 0, 100), func(Rect, int64) bool { return true })
 	if io < 1 {
 		t.Fatalf("counted io = %d", io)
 	}
-	if got := tr.Stats().NodesRead; got != s.NodesRead+io {
-		t.Errorf("cumulative io %d want %d", got, s.NodesRead+io)
-	}
-	tr.ResetStats()
-	if s := tr.Stats(); s.NodesRead != 0 || s.Queries != 0 {
-		t.Errorf("reset failed: %+v", s)
+	if got := tr.Stats(); got.NodesRead != s.NodesRead+io || got.Queries != s.Queries+1 {
+		t.Errorf("cumulative stats %+v, want io %d and queries %d", got, s.NodesRead+io, s.Queries+1)
 	}
 }
 

@@ -153,12 +153,6 @@ func (t *Tree) Stats() Stats {
 	return Stats{NodesRead: t.nodesRead.Load(), Queries: t.queries.Load()}
 }
 
-// ResetStats zeroes the access counters.
-func (t *Tree) ResetStats() {
-	t.nodesRead.Store(0)
-	t.queries.Store(0)
-}
-
 type pendingInsert struct {
 	e     entry
 	level int

@@ -62,9 +62,8 @@ const (
 	HotMisses
 	HotEvictions
 	HotInvalidations
-	HotPinFails // inserts abandoned because a backing page was unreadable
-	HotEntries  // gauge
-	HotBytes    // gauge
+	HotEntries // gauge
+	HotBytes   // gauge
 	HotSubscribers
 	HotSubRefreshes // multicast recomputations into subscribed buckets
 	HotPayloadHits  // responses replayed from a cached serialized payload
@@ -152,7 +151,6 @@ var counterNames = [numCounters]string{
 	HotMisses:                "hotcache.misses",
 	HotEvictions:             "hotcache.evictions",
 	HotInvalidations:         "hotcache.invalidations",
-	HotPinFails:              "hotcache.pin_fails",
 	HotEntries:               "hotcache.entries",
 	HotBytes:                 "hotcache.bytes",
 	HotSubscribers:           "hotcache.subscribers",
