@@ -7,15 +7,15 @@
 // handshake frames, each connection is a raw byte splice — the gateway
 // adds no per-frame work to the serve path.
 //
-// The optional -admin listener answers cluster control requests: status
-// reports the routing table and backend health. Drain requests need
-// co-located backends (one process owning both the gateway and the
-// backends, as the experiment harness does) and are refused cleanly by
-// a pure-proxy deployment like this command; see DESIGN.md §12.
+// The optional -pprof-addr side listener serves net/http/pprof and
+// GET /status: the routing table and backend health as plain text.
+// Drains need co-located backends (one process owning both the gateway
+// and the backends, as the experiment harness does), so this pure-proxy
+// command offers none; see DESIGN.md §12.
 //
 // Usage:
 //
-//	gateway -topology cluster.conf [-listen :7400] [-admin localhost:7401]
+//	gateway -topology cluster.conf [-listen :7400] [-pprof-addr localhost:7401]
 //	        [-probe-every 2s] [-probe-timeout 2s] [-fail-after 2]
 //	        [-dial-timeout 2s] [-stats 30s] [-stats-dump]
 //
@@ -25,8 +25,10 @@ package main
 
 import (
 	"flag"
+	"io"
 	"log"
-	"net"
+	"net/http"
+	_ "net/http/pprof" // side profiling listener, gated by -pprof-addr
 	"os"
 	"os/signal"
 	"syscall"
@@ -40,7 +42,7 @@ func main() {
 	var (
 		topology     = flag.String("topology", "", "topology file mapping scenes to backend replica lists (required)")
 		listen       = flag.String("listen", ":7400", "client listen address")
-		admin        = flag.String("admin", "", "control listen address for status/drain requests (empty disables)")
+		pprofAddr    = flag.String("pprof-addr", "", "serve net/http/pprof and /status on this side listener (empty disables)")
 		probeEvery   = flag.Duration("probe-every", 2*time.Second, "backend health-probe period (0 disables probing)")
 		probeTimeout = flag.Duration("probe-timeout", 2*time.Second, "per-probe dial plus greeting bound")
 		failAfter    = flag.Int("fail-after", 2, "consecutive probe failures that eject a backend")
@@ -69,19 +71,15 @@ func main() {
 		log.Fatal(err)
 	}
 
-	if *admin != "" {
-		ctl := cluster.NewController(gw, nil, stats.Default)
-		alis, err := net.Listen("tcp", *admin)
-		if err != nil {
-			log.Fatalf("admin: %v", err)
-		}
-		defer alis.Close()
+	if *pprofAddr != "" {
+		// Side listener only: the client port never exposes profiling.
+		http.Handle("GET /status", statusHandler(gw))
 		go func() {
-			if err := ctl.ServeAdmin(alis); err != nil {
-				log.Printf("admin: %v", err)
+			log.Printf("pprof listening on %s", *pprofAddr)
+			if err := http.ListenAndServe(*pprofAddr, nil); err != nil {
+				log.Printf("pprof: %v", err)
 			}
 		}()
-		log.Printf("admin control on %v", alis.Addr())
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -100,4 +98,13 @@ func main() {
 		log.Fatal(err)
 	}
 	log.Printf("shutdown complete")
+}
+
+// statusHandler serves the gateway's routing table and backend health
+// (Gateway.StatusString) as plain text.
+func statusHandler(gw *cluster.Gateway) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		w.Header().Set("Content-Type", "text/plain; charset=utf-8")
+		io.WriteString(w, gw.StatusString())
+	})
 }

@@ -33,15 +33,6 @@ func NewController(gw *Gateway, backends []*Backend, st *stats.Stats) *Controlle
 	return &Controller{gw: gw, backends: m, st: st, QuiesceTimeout: 5 * time.Second}
 }
 
-// AddBackend registers a backend started after the controller (a drain
-// target booted on demand).
-func (c *Controller) AddBackend(b *Backend) {
-	c.backends[b.Addr()] = b
-}
-
-// Gateway returns the controller's gateway.
-func (c *Controller) Gateway() *Gateway { return c.gw }
-
 // DrainReport summarizes one completed drain.
 type DrainReport struct {
 	Scene    string

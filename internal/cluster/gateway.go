@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -116,9 +117,7 @@ func NewGateway(cfg GatewayConfig) (*Gateway, error) {
 	for scene, replicas := range cfg.Topology.Replicas {
 		g.routes[scene] = append([]string(nil), replicas...)
 		for _, addr := range replicas {
-			if g.health[addr] == nil {
-				g.health[addr] = &backendHealth{}
-			}
+			g.healthOf(addr)
 		}
 	}
 	if cfg.ProbeEvery > 0 {
@@ -248,13 +247,20 @@ func (g *Gateway) BackendUp(addr string) bool {
 	return h != nil && !h.down
 }
 
-func (g *Gateway) markDown(addr string) {
-	g.mu.Lock()
+// healthOf returns addr's health record, creating it on first sight.
+// The caller holds g.mu.
+func (g *Gateway) healthOf(addr string) *backendHealth {
 	h := g.health[addr]
 	if h == nil {
 		h = &backendHealth{}
 		g.health[addr] = h
 	}
+	return h
+}
+
+func (g *Gateway) markDown(addr string) {
+	g.mu.Lock()
+	h := g.healthOf(addr)
 	if !h.down {
 		g.logf("cluster: backend %s marked down", addr)
 	}
@@ -264,11 +270,7 @@ func (g *Gateway) markDown(addr string) {
 
 func (g *Gateway) markUp(addr string) {
 	g.mu.Lock()
-	h := g.health[addr]
-	if h == nil {
-		h = &backendHealth{}
-		g.health[addr] = h
-	}
+	h := g.healthOf(addr)
 	if h.down {
 		g.logf("cluster: backend %s re-admitted", addr)
 	}
@@ -285,11 +287,7 @@ func (g *Gateway) noteProbe(addr string, ok bool) {
 		return
 	}
 	g.mu.Lock()
-	h := g.health[addr]
-	if h == nil {
-		h = &backendHealth{}
-		g.health[addr] = h
-	}
+	h := g.healthOf(addr)
 	h.fails++
 	eject := h.fails >= g.cfg.FailAfter && !h.down
 	if eject {
@@ -341,23 +339,40 @@ func (g *Gateway) probe(addr string) bool {
 	}
 	defer conn.Close()
 	conn.SetDeadline(time.Now().Add(g.cfg.ProbeTimeout))
-	r := proto.NewReader(conn)
+	_, err = readGreeting(proto.NewReader(conn))
+	if err == nil {
+		proto.NewWriter(conn).WriteBye()
+		return true
+	}
+	var refused backendRefusal
+	return errors.As(err, &refused)
+}
+
+// backendRefusal is the error frame a backend greets with instead of a
+// hello (as an empty-but-alive backend does).
+type backendRefusal string
+
+func (r backendRefusal) Error() string { return string(r) }
+
+// readGreeting reads a backend's greeting: its hello, a backendRefusal
+// for a well-formed error frame, or the error that kept it from being
+// either.
+func readGreeting(r *proto.Reader) (proto.Hello, error) {
 	tag, err := r.ReadTag()
 	if err != nil {
-		return false
+		return proto.Hello{}, err
 	}
 	switch tag {
 	case proto.TagHello:
-		if _, err := r.ReadHello(); err != nil {
-			return false
-		}
-		proto.NewWriter(conn).WriteBye()
-		return true
+		return r.ReadHello()
 	case proto.TagError:
-		_, err := r.ReadError()
-		return err == nil
+		msg, err := r.ReadError()
+		if err != nil {
+			return proto.Hello{}, err
+		}
+		return proto.Hello{}, backendRefusal(msg)
 	default:
-		return false
+		return proto.Hello{}, fmt.Errorf("unexpected greeting tag %d", tag)
 	}
 }
 
@@ -453,9 +468,7 @@ func (g *Gateway) FinishDrain(scene, target string) {
 	g.mu.Lock()
 	g.routes[scene] = []string{target}
 	delete(g.draining, scene)
-	if g.health[target] == nil {
-		g.health[target] = &backendHealth{}
-	}
+	g.healthOf(target)
 	g.mu.Unlock()
 	g.probePause.Unlock()
 }
@@ -471,8 +484,8 @@ func (g *Gateway) Routes() map[string][]string {
 	return out
 }
 
-// StatusString renders the routing table and backend health for the
-// admin status op.
+// StatusString renders the routing table and backend health (cmd/gateway
+// serves it as GET /status).
 func (g *Gateway) StatusString() string {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -512,13 +525,9 @@ func (g *Gateway) refuse(conn net.Conn, w *proto.Writer, msg string) {
 	}
 }
 
-// connectBackend dials a scene's backend and consumes its greeting.
-// With forwardGreet the greeting hello is relayed to the client (the
-// connection's first backend); without it the greeting is discarded —
-// a mid-handshake re-route to another backend, where the client is
-// waiting on a scene-select's hello, not a fresh greeting. Routing
-// failures turn into sanitized client errors either way.
-func (g *Gateway) connectBackend(client net.Conn, cw *proto.Writer, scene string, forwardGreet bool) (net.Conn, string, *proto.Reader, *proto.Writer, bool) {
+// connectBackend dials a scene's backend and consumes its greeting
+// (see greet). Routing failures turn into sanitized client errors.
+func (g *Gateway) connectBackend(client net.Conn, cw *proto.Writer, scene string, relay bool) (net.Conn, string, *proto.Reader, *proto.Writer, bool) {
 	backend, addr, err := g.dialScene(scene)
 	if err != nil {
 		switch {
@@ -534,90 +543,39 @@ func (g *Gateway) connectBackend(client net.Conn, cw *proto.Writer, scene string
 	}
 	g.track(backend)
 	br := proto.NewReader(backend)
-	bw := proto.NewWriter(backend)
-	var greeted bool
-	if forwardGreet {
-		greeted = g.forwardGreeting(backend, br, client, cw, addr)
-	} else {
-		greeted = g.discardGreeting(backend, br, client, cw, addr)
-	}
-	if !greeted {
+	if !g.greet(backend, br, client, cw, addr, relay) {
 		g.untrack(backend)
 		backend.Close()
 		return nil, "", nil, nil, false
 	}
 	g.st.Label(stats.Backends, addr).Add(stats.BackendRoutes, 1)
-	return backend, addr, br, bw, true
+	return backend, addr, br, proto.NewWriter(backend), true
 }
 
-// discardGreeting consumes the backend's greeting hello without
-// relaying it. A greeting-time error frame still reaches the client.
-func (g *Gateway) discardGreeting(backend net.Conn, br *proto.Reader, client net.Conn, cw *proto.Writer, addr string) bool {
+// greet reads the backend's next greeting. With relay its hello is
+// re-encoded to the client (deterministic encoders: byte-identical);
+// without it the hello is dropped — a mid-handshake re-route, where the
+// client waits on the scene select's hello. A backend's error frame
+// always reaches the client.
+func (g *Gateway) greet(backend net.Conn, br *proto.Reader, client net.Conn, cw *proto.Writer, addr string, relay bool) bool {
 	backend.SetReadDeadline(time.Now().Add(g.cfg.DialTimeout))
 	defer backend.SetReadDeadline(time.Time{})
-	tag, err := br.ReadTag()
-	if err != nil {
+	h, err := readGreeting(br)
+	var refused backendRefusal
+	switch {
+	case errors.As(err, &refused):
+		g.refuse(client, cw, string(refused))
+		return false
+	case err != nil:
 		g.logf("cluster: greeting from %s: %v", addr, err)
 		g.refuse(client, cw, "scene unavailable")
 		return false
-	}
-	switch tag {
-	case proto.TagHello:
-		if _, err := br.ReadHello(); err != nil {
-			g.logf("cluster: greeting from %s: %v", addr, err)
-			g.refuse(client, cw, "scene unavailable")
-			return false
-		}
+	case !relay:
 		return true
-	case proto.TagError:
-		msg, err := br.ReadError()
-		if err != nil {
-			msg = "scene unavailable"
-		}
-		g.refuse(client, cw, msg)
-		return false
-	default:
-		g.logf("cluster: unexpected greeting tag %d from %s", tag, addr)
-		g.refuse(client, cw, "scene unavailable")
-		return false
 	}
-}
-
-// forwardGreeting relays the backend's first frame (hello or error) to
-// the client, re-encoded — the encoders are deterministic, so the
-// client sees byte-identical frames.
-func (g *Gateway) forwardGreeting(backend net.Conn, br *proto.Reader, client net.Conn, cw *proto.Writer, addr string) bool {
-	backend.SetReadDeadline(time.Now().Add(g.cfg.DialTimeout))
-	defer backend.SetReadDeadline(time.Time{})
-	tag, err := br.ReadTag()
-	if err != nil {
-		g.logf("cluster: greeting from %s: %v", addr, err)
-		g.refuse(client, cw, "scene unavailable")
-		return false
-	}
-	switch tag {
-	case proto.TagHello:
-		h, err := br.ReadHello()
-		if err != nil {
-			g.logf("cluster: greeting from %s: %v", addr, err)
-			g.refuse(client, cw, "scene unavailable")
-			return false
-		}
-		client.SetWriteDeadline(time.Now().Add(g.cfg.DialTimeout))
-		defer client.SetWriteDeadline(time.Time{})
-		return cw.WriteHello(h) == nil
-	case proto.TagError:
-		msg, err := br.ReadError()
-		if err != nil {
-			msg = "scene unavailable"
-		}
-		g.refuse(client, cw, msg)
-		return false
-	default:
-		g.logf("cluster: unexpected greeting tag %d from %s", tag, addr)
-		g.refuse(client, cw, "scene unavailable")
-		return false
-	}
+	client.SetWriteDeadline(time.Now().Add(g.cfg.DialTimeout))
+	defer client.SetWriteDeadline(time.Time{})
+	return cw.WriteHello(h) == nil
 }
 
 // handle proxies one client connection.
@@ -630,8 +588,7 @@ func (g *Gateway) handle(client net.Conn) {
 	cw := proto.NewWriter(client)
 	cr := proto.NewReader(client)
 
-	scene := g.DefaultScene()
-	backend, addr, br, bw, ok := g.connectBackend(client, cw, scene, true)
+	backend, addr, br, bw, ok := g.connectBackend(client, cw, g.DefaultScene(), true)
 	if !ok {
 		return
 	}
@@ -642,7 +599,8 @@ func (g *Gateway) handle(client net.Conn) {
 
 	// Pre-session phase: parse client frames one at a time. Scene
 	// selects may re-route the connection to another backend; the first
-	// resume or request starts the session and drops to the splice.
+	// resume or request starts the session and drops to the splice. A
+	// frame the gateway refuses ends the loop at its one exit below.
 	for {
 		tag, err := cr.ReadTag()
 		if err != nil {
@@ -652,33 +610,31 @@ func (g *Gateway) handle(client net.Conn) {
 			bw.WriteBye()
 			return
 		}
+		var refusal string
 		switch tag {
 		case proto.TagScene:
 			name, err := cr.ReadSceneSelect()
 			if err != nil {
-				g.refuse(client, cw, proto.SanitizeWireError(err))
-				bw.WriteBye()
-				return
+				refusal = proto.SanitizeWireError(err)
+				break
 			}
-			replicas, _ := g.replicas(name)
+			replicas, draining := g.replicas(name)
 			if replicas == nil {
-				g.refuse(client, cw, "unknown scene: "+name)
-				bw.WriteBye()
-				return
+				refusal = "unknown scene: " + name
+				break
 			}
-			onCurrent := false
-			for _, a := range replicas {
-				if a == addr {
-					onCurrent = true
-					break
-				}
+			if draining {
+				// Forwarding the select would bind a session on the
+				// source mid-drain, one the drain never ships.
+				refusal = errDraining.Error()
+				break
 			}
-			if !onCurrent {
+			if !slices.Contains(replicas, addr) {
 				// The scene lives elsewhere: say goodbye to the current
 				// backend (so it doesn't park a session for a connection
 				// that never started one) and re-route. The new backend's
-				// greeting is discarded — the client is waiting on the
-				// scene-select's hello, forwarded below.
+				// greeting is dropped — the client is waiting on the
+				// scene-select's hello, relayed below.
 				bw.WriteBye()
 				g.untrack(backend)
 				backend.Close()
@@ -687,48 +643,45 @@ func (g *Gateway) handle(client net.Conn) {
 					return
 				}
 			}
-			scene = name
 			backend.SetWriteDeadline(time.Now().Add(g.cfg.DialTimeout))
 			if err := bw.WriteSceneSelect(name); err != nil {
-				g.refuse(client, cw, "scene unavailable")
-				return
+				refusal = "scene unavailable"
+				break
 			}
 			backend.SetWriteDeadline(time.Time{})
-			if !g.forwardGreeting(backend, br, client, cw, addr) {
+			if !g.greet(backend, br, client, cw, addr, true) {
 				return
 			}
+			continue
 		case proto.TagResume:
 			res, err := cr.ReadResume()
 			if err != nil {
-				g.refuse(client, cw, proto.SanitizeWireError(err))
-				bw.WriteBye()
-				return
+				refusal = proto.SanitizeWireError(err)
+				break
 			}
-			if err := bw.WriteResume(res); err != nil {
-				return
+			if bw.WriteResume(res) == nil {
+				g.splice(client, cr, backend, br)
 			}
-			g.splice(client, cr, backend, br)
 			return
 		case proto.TagRequest:
 			req, err := cr.ReadRequest()
 			if err != nil {
-				g.refuse(client, cw, proto.SanitizeWireError(err))
-				bw.WriteBye()
-				return
+				refusal = proto.SanitizeWireError(err)
+				break
 			}
-			if err := bw.WriteRequest(req); err != nil {
-				return
+			if bw.WriteRequest(req) == nil {
+				g.splice(client, cr, backend, br)
 			}
-			g.splice(client, cr, backend, br)
 			return
 		case proto.TagBye:
 			bw.WriteBye()
 			return
 		default:
-			g.refuse(client, cw, "unexpected message")
-			bw.WriteBye()
-			return
+			refusal = "unexpected message"
 		}
+		g.refuse(client, cw, refusal)
+		bw.WriteBye()
+		return
 	}
 }
 

@@ -147,6 +147,58 @@ func TestGatewayUnknownScene(t *testing.T) {
 	c.Close()
 }
 
+// TestGatewayRefusesSelectOfDrainingScene pins the drain's admission
+// gate for scene selects: a client lands on the default scene first, so
+// a select of a draining scene that shares the default scene's backend
+// must be refused with the retryable drain error, not forwarded to bind
+// a session on the source the drain would never ship.
+func TestGatewayRefusesSelectOfDrainingScene(t *testing.T) {
+	st := stats.New()
+	b, err := StartBackend(BackendConfig{
+		Scenes: []engine.SceneConfig{
+			sceneConfig(t, sceneSpec{"city", 7}, st),
+			sceneConfig(t, sceneSpec{"park", 8}, st),
+		},
+		Stats: st,
+		Logf:  t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Stop()
+	top := &Topology{
+		Order:    []string{"city", "park"},
+		Replicas: map[string][]string{"city": {b.Addr()}, "park": {b.Addr()}},
+	}
+	gw, gwAddr := startGateway(t, top, stats.New(), 0)
+
+	if err := gw.BeginDrain("park"); err != nil {
+		t.Fatal(err)
+	}
+	if c, err := proto.DialScene(gwAddr, "park", nil); err == nil {
+		c.Close()
+		t.Fatal("select of a draining scene was forwarded")
+	} else if !strings.Contains(err.Error(), errDraining.Error()) {
+		t.Fatalf("error %q is not the retryable drain error", err)
+	}
+	// The default scene is not draining and still routes.
+	c, err := proto.DialScene(gwAddr, "city", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+
+	gw.AbortDrain("park")
+	c, err = proto.DialScene(gwAddr, "park", nil)
+	if err != nil {
+		t.Fatalf("select after the drain lifted: %v", err)
+	}
+	if c.Scene() != "park" {
+		t.Fatalf("scene = %q", c.Scene())
+	}
+	c.Close()
+}
+
 // TestClusterRaceSoak is the concurrency gate for the cluster layer:
 // 16 clients across two scenes on two backends, all proxied through
 // one gateway, with one live drain relocating the busier scene

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"strings"
 	"testing"
 )
@@ -103,57 +102,5 @@ func TestParseTopologyErrors(t *testing.T) {
 				t.Fatalf("error %q does not contain %q", err, tc.want)
 			}
 		})
-	}
-}
-
-func TestControlRoundTrip(t *testing.T) {
-	reqs := []ControlRequest{
-		{Op: OpStatus},
-		{Op: OpDrain, Scene: "city", Target: "127.0.0.1:7002"},
-	}
-	for _, req := range reqs {
-		wire := EncodeControlRequest(req)
-		got, err := ReadControlRequest(bytes.NewReader(wire))
-		if err != nil {
-			t.Fatalf("round-trip %+v: %v", req, err)
-		}
-		if got != req {
-			t.Fatalf("round-trip %+v -> %+v", req, got)
-		}
-	}
-	reps := []ControlReply{
-		{OK: true, Msg: "drained"},
-		{OK: false, Msg: "unknown scene"},
-	}
-	for _, rep := range reps {
-		got, err := ReadControlReply(bytes.NewReader(EncodeControlReply(rep)))
-		if err != nil {
-			t.Fatalf("round-trip %+v: %v", rep, err)
-		}
-		if got != rep {
-			t.Fatalf("round-trip %+v -> %+v", rep, got)
-		}
-	}
-}
-
-func TestControlRejectsDamage(t *testing.T) {
-	wire := EncodeControlRequest(ControlRequest{Op: OpDrain, Scene: "city", Target: "127.0.0.1:7002"})
-	// Flip one payload bit: the CRC must catch it.
-	bad := append([]byte(nil), wire...)
-	bad[5] ^= 0x40
-	if _, err := ReadControlRequest(bytes.NewReader(bad)); err == nil {
-		t.Fatal("bit-flipped control frame accepted")
-	}
-	// A frame claiming an absurd length must be refused before allocation.
-	huge := []byte{0xff, 0xff, 0xff, 0x7f}
-	if _, err := ReadControlRequest(bytes.NewReader(huge)); err == nil || !strings.Contains(err.Error(), "exceeds limit") {
-		t.Fatalf("oversize frame: err = %v", err)
-	}
-	// Unknown op and malformed operands are rejected at decode.
-	if _, err := DecodeControlRequest([]byte{99, 0, 0, 0, 0}); err == nil {
-		t.Fatal("unknown op accepted")
-	}
-	if _, err := DecodeControlRequest([]byte{OpDrain, 1, 0, 'c', 0, 0}); err == nil {
-		t.Fatal("drain without target accepted")
 	}
 }

@@ -11,7 +11,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/hotcache"
-	"repro/internal/index"
 	"repro/internal/proto"
 	"repro/internal/retrieval"
 	"repro/internal/stats"
@@ -250,8 +249,7 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 	// identical, while cached entries and in-flight coalescing on the
 	// coalesced side are forced through the stale-epoch path.
 	bump := func(sc *engine.Scene) func() {
-		mut := sc.Index.(index.Mutable) // Build always serves a Sharded index
-		return func() { mut.Delete(0); mut.Insert(0) }
+		return func() { sc.Index.Delete(0); sc.Index.Insert(0) }
 	}
 
 	start := time.Now()

@@ -21,6 +21,10 @@ type Cursor struct {
 // the appended region follows Search's determinism contract (ascending
 // ids, identical set and I/O).
 //
+// Insert and Delete update a served index after its build. Sharded
+// locks per shard and serves readers while updates land; MotionAware's
+// are NOT safe concurrently with Search.
+//
 // Epoch versions the contents seqlock-style: the counter is bumped
 // around every mutation — odd while one is in flight, even when
 // quiescent, and strictly greater after a mutation completes than before
@@ -35,6 +39,11 @@ type IntoSearcher interface {
 	// SearchInto appends the matching ids to buf in ascending order and
 	// returns the extended buffer plus the node I/O spent.
 	SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, int64)
+	// Insert indexes the store coefficient with the given global id.
+	Insert(id int64)
+	// Delete removes the coefficient with the given global id, reporting
+	// whether it was present.
+	Delete(id int64) bool
 	// Epoch returns the current content version.
 	Epoch() uint64
 }

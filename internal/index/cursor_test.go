@@ -85,10 +85,7 @@ func TestSearchIntoAllocFree(t *testing.T) {
 // even at rest, +2 across every completed mutation.
 func TestEpochProtocol(t *testing.T) {
 	s := testStore(t, 6, 11)
-	for _, idx := range []interface {
-		IntoSearcher
-		Mutable
-	}{NewSharded(s, XYW, ShardedConfig{Shards: 4}), NewMotionAware(s, XYW, rtree.Config{})} {
+	for _, idx := range []IntoSearcher{NewSharded(s, XYW, ShardedConfig{Shards: 4}), NewMotionAware(s, XYW, rtree.Config{})} {
 		e0 := idx.Epoch()
 		if e0%2 != 0 {
 			t.Fatalf("%s: epoch %d odd at rest", idx.Name(), e0)

@@ -332,6 +332,3 @@ func (s *Sharded) Delete(id int64) bool {
 	s.epoch.Add(1)
 	return ok
 }
-
-// Sharded is a drop-in Mutable: Insert/Delete are internally locked.
-var _ Mutable = (*Sharded)(nil)

@@ -268,15 +268,3 @@ type Index interface {
 	Search(q Query) (ids []int64, io int64)
 	Len() int
 }
-
-// Mutable is an access method that supports incremental updates after its
-// initial build. MotionAware and Sharded implement it; the bulk-loaded
-// baselines do not need to.
-type Mutable interface {
-	Index
-	// Insert indexes the store coefficient with the given global id.
-	Insert(id int64)
-	// Delete removes the coefficient with the given global id, reporting
-	// whether it was present.
-	Delete(id int64) bool
-}

@@ -2,6 +2,7 @@ package proto
 
 import (
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"slices"
@@ -232,27 +233,6 @@ func (s *Server) Close() {
 	<-done
 }
 
-// setConnScene records which scene a connection is bound to (for
-// SeverScene/SceneConns). A connection already gone from the map (Close
-// racing the handler) is ignored.
-func (s *Server) setConnScene(conn net.Conn, scene string) {
-	s.mu.Lock()
-	if ci, ok := s.conns[conn]; ok {
-		ci.scene = scene
-	}
-	s.mu.Unlock()
-}
-
-// setConnStarted marks a connection's session as started once it serves
-// its first request or resume.
-func (s *Server) setConnStarted(conn net.Conn) {
-	s.mu.Lock()
-	if ci, ok := s.conns[conn]; ok {
-		ci.started = true
-	}
-	s.mu.Unlock()
-}
-
 // SceneConns reports how many live connections are bound to the named
 // scene.
 func (s *Server) SceneConns(scene string) int {
@@ -295,299 +275,343 @@ func (s *Server) SeverScene(scene string) int {
 	return n
 }
 
-// sendHello announces a scene's schema under the connection's token.
-func (s *Server) sendHello(conn net.Conn, w *Writer, scene *engine.Scene, token uint64) error {
-	src := scene.Source
-	s.setWriteDeadline(conn)
-	return w.WriteHello(Hello{
-		Version:   Version,
-		Objects:   int32(src.NumObjects()),
-		Levels:    int32(scene.Levels),
-		BaseVerts: int32(src.BaseVerts()),
-		Space:     src.Bounds().XY(),
-		Token:     token,
-		Scene:     scene.Name,
-	})
+// serverConn is one connection's serving state, owned by its handler
+// goroutine. Its methods are the per-frame steps handle dispatches to.
+type serverConn struct {
+	s     *Server
+	nc    net.Conn
+	r     *Reader
+	w     *Writer
+	scene *engine.Scene
+	token uint64
+	// sess is the session lineage served. A resume swaps in a parked
+	// predecessor; on abnormal exit the lineage is parked in the
+	// *current* scene's cache under this connection's token (the client
+	// resumes with the newest token it completed a handshake for, after
+	// re-selecting the same scene).
+	sess *engine.ResumeEntry
+	// started: a request or resume has bound the session to its scene.
+	started bool
+	// hotSub is the session's hot-region subscription (nil until it
+	// first serves a hot frame). Each hot frame re-points it at that
+	// frame's bucket, keeping the entry and its shared payload exempt
+	// from LRU eviction while anyone watches it.
+	hotSub *hotcache.Sub
+	// payload is the buffer response payloads are encoded into, reused
+	// every frame the hot cache does not answer.
+	payload []byte
 }
 
-func (s *Server) handle(conn net.Conn) {
+// handle serves one accepted connection: the accept bookkeeping, the
+// greeting, then a loop that reads a frame's tag and dispatches it to
+// the connection's step for that frame.
+func (s *Server) handle(nc net.Conn) {
 	defer func() {
-		conn.Close()
+		nc.Close()
 		s.mu.Lock()
-		delete(s.conns, conn)
+		delete(s.conns, nc)
 		s.mu.Unlock()
 		s.wg.Done()
 	}()
 	s.st.Add(stats.ProtoSessionsOpened, 1)
 	s.st.Add(stats.ProtoSessionsActive, 1)
 	defer s.st.Add(stats.ProtoSessionsActive, -1)
-	w := NewWriter(conn)
-	r := NewReader(conn)
 
+	c := &serverConn{s: s, nc: nc, r: NewReader(nc), w: NewWriter(nc)}
 	scene := s.reg.Default()
 	if scene == nil {
-		s.setWriteDeadline(conn)
-		if err := w.WriteError("no scenes registered"); err != nil {
-			s.logf("proto: error reply to %v failed: %v", conn.RemoteAddr(), err)
-		}
+		// Neither counted nor logged: a gateway probes an empty drain
+		// target every ProbeEvery, and the greeting is the answer.
+		c.fail(false, nil, errors.New("no scenes registered"))
 		return
 	}
-	s.setConnScene(conn, scene.Name)
-	token := newToken()
-	if err := s.sendHello(conn, w, scene, token); err != nil {
-		s.st.Add(stats.ProtoErrors, 1)
-		s.logf("proto: hello to %v failed: %v", conn.RemoteAddr(), err)
-		return
-	}
-
-	// The session lineage this connection serves. A successful resume
-	// swaps in a cached predecessor; on abnormal exit the lineage is
-	// parked in the *current* scene's cache under this connection's token
-	// (the client always resumes with the newest token it completed a
-	// handshake for, after re-selecting the same scene).
-	sess := &engine.ResumeEntry{Session: retrieval.NewSession(scene.Server)}
-	started := false // a request or resume has bound the session to its scene
+	c.token = newToken()
 	orderly := false
-	// Per-connection wire scratch: response payloads are serialized into
-	// this buffer (reused every frame) unless the scene's hot cache
-	// already holds the encoded bytes.
-	var payloadBuf []byte
-	// hotSub is this session's hot-region subscription (nil until the
-	// session first serves a frame provably equal to a cache entry). It
-	// follows the viewer: each hot frame re-points it at that frame's
-	// bucket, keeping the region's entry — and its shared serialized
-	// payload — exempt from LRU eviction while anyone watches it.
-	var hotSub *hotcache.Sub
-	defer func() {
-		if hotSub != nil {
-			hotSub.Close()
-		}
-	}()
-	defer func() {
-		// Park only sessions that actually started: an interrupted
-		// connection that never served a request or resume has no
-		// delivered-set worth restoring, and parking it would let
-		// transient handshake-only peers (health probes, port scanners)
-		// pollute the resume cache and session journal.
-		if !orderly && started {
-			scene.Resume.Put(token, sess)
-		}
-	}()
-
+	defer func() { c.end(orderly) }()
+	if !c.bind(scene) {
+		return
+	}
 	for {
 		if s.idleTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.idleTimeout))
+			nc.SetReadDeadline(time.Now().Add(s.idleTimeout))
 		}
-		tag, err := r.ReadTag()
+		tag, err := c.r.ReadTag()
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
-				s.st.Add(stats.ProtoErrors, 1)
-				s.logf("proto: read from %v failed: %v", conn.RemoteAddr(), err)
+				c.fail(true, fmt.Errorf("read: %w", err), nil)
 			}
 			return
 		}
 		// The frame deadline bounds the body read and the reply write; the
 		// next loop iteration resets it to the (longer) idle timeout.
 		if s.frameTimeout > 0 {
-			conn.SetReadDeadline(time.Now().Add(s.frameTimeout))
+			nc.SetReadDeadline(time.Now().Add(s.frameTimeout))
 		}
+		var ok bool
 		switch tag {
 		case TagScene:
-			name, err := r.ReadSceneSelect()
-			if err != nil {
-				s.st.Add(stats.ProtoErrors, 1)
-				s.logf("proto: bad scene select from %v: %v", conn.RemoteAddr(), err)
-				s.setWriteDeadline(conn)
-				if werr := w.WriteError(SanitizeWireError(err)); werr != nil {
-					s.logf("proto: error reply to %v failed: %v", conn.RemoteAddr(), werr)
-				}
-				return
-			}
-			if started {
-				// Switching scenes would graft one scene's delivered-set onto
-				// another's id space; refuse and drop the connection.
-				s.st.Add(stats.ProtoErrors, 1)
-				s.logf("proto: %v selected scene %q after session start", conn.RemoteAddr(), name)
-				s.setWriteDeadline(conn)
-				if werr := w.WriteError("scene select after session start"); werr != nil {
-					s.logf("proto: error reply to %v failed: %v", conn.RemoteAddr(), werr)
-				}
-				return
-			}
-			next, ok := s.reg.Get(name)
-			if !ok {
-				s.st.Add(stats.ProtoErrors, 1)
-				s.setWriteDeadline(conn)
-				if werr := w.WriteError("unknown scene: " + name); werr != nil {
-					s.logf("proto: error reply to %v failed: %v", conn.RemoteAddr(), werr)
-				}
-				return
-			}
-			scene = next
-			s.setConnScene(conn, scene.Name)
-			if hotSub != nil {
-				// A subscription is bound to one scene's cache.
-				hotSub.Close()
-				hotSub = nil
-			}
-			sess = &engine.ResumeEntry{Session: retrieval.NewSession(scene.Server)}
-			if err := s.sendHello(conn, w, scene, token); err != nil {
-				s.st.Add(stats.ProtoErrors, 1)
-				s.logf("proto: hello to %v failed: %v", conn.RemoteAddr(), err)
-				return
-			}
+			ok = c.selectScene()
 		case TagResume:
-			res, err := r.ReadResume()
-			if err != nil {
-				s.st.Add(stats.ProtoErrors, 1)
-				s.logf("proto: bad resume from %v: %v", conn.RemoteAddr(), err)
-				return
-			}
-			s.setWriteDeadline(conn)
-			prev, ok := scene.Resume.Take(res.Token)
-			if ok {
-				// Roll back an un-applied final response: the server counted
-				// those coefficients as delivered, but the client never saw
-				// them; forgetting them lets the retry re-send.
-				switch res.AppliedSeq {
-				case prev.Seq:
-					// In sync; nothing to roll back.
-				case prev.Seq - 1:
-					prev.Session.Forget(prev.LastIDs)
-					prev.Seq--
-				default:
-					ok = false
-				}
-			}
-			if !ok {
-				s.st.Add(stats.ProtoResumeMisses, 1)
-				if err := w.WriteResumeFail("no resumable session"); err != nil {
-					s.logf("proto: resume reply to %v failed: %v", conn.RemoteAddr(), err)
-					return
-				}
-				continue
-			}
-			prev.LastIDs = prev.LastIDs[:0]
-			sess = prev
-			if !started {
-				started = true
-				s.setConnStarted(conn)
-			}
-			s.st.Add(stats.ProtoResumeHits, 1)
-			if prev.Restored {
-				// This session crossed a server restart via the recovered
-				// journal — the crash-safety win worth its own counter.
-				s.st.Add(stats.ProtoResumesRestored, 1)
-				prev.Restored = false
-			}
-			if err := w.WriteResumeOK(ResumeOK{Seq: sess.Seq, Delivered: int64(sess.Session.Delivered())}); err != nil {
-				s.logf("proto: resume reply to %v failed: %v", conn.RemoteAddr(), err)
-				return
-			}
+			ok = c.resume()
 		case TagRequest:
-			req, err := r.ReadRequest()
-			if err != nil {
-				s.st.Add(stats.ProtoErrors, 1)
-				s.logf("proto: bad request from %v: %v", conn.RemoteAddr(), err)
-				s.setWriteDeadline(conn)
-				if werr := w.WriteError(SanitizeWireError(err)); werr != nil {
-					s.logf("proto: error reply to %v failed: %v", conn.RemoteAddr(), werr)
-				}
-				return
-			}
-			if !started {
-				started = true
-				s.setConnStarted(conn)
-			}
-			// The server-side cap clamps over-large (and "unlimited")
-			// client budgets; the truncation itself is the deterministic
-			// prefix cut of retrieval.ExecuteBudget.
-			maxBytes := req.MaxBytes
-			if s.budgetCap > 0 && (maxBytes == 0 || maxBytes > s.budgetCap) {
-				maxBytes = s.budgetCap
-			}
-			resp := sess.Session.RetrieveBudget(req.Subs, maxBytes)
-			sess.Seq++
-			hot := scene.Server.HotCache()
-			var payload []byte
-			if hot != nil && resp.Hot.Valid {
-				// Multicast registration: this session is watching the hot
-				// region it just retrieved; keep the region's entry resident
-				// until the session moves on or disconnects.
-				if hotSub == nil {
-					hotSub = hot.Subscribe()
-				}
-				hotSub.Set(resp.Hot.Query)
-				if p, ok := hot.Payload(resp.Hot.Query, resp.Hot.Epoch); ok && len(p) == len(resp.IDs)*wireCoeffBytes {
-					payload = p
-				}
-			}
-			if payload == nil {
-				// Sized once for the frame: a connection's first wholesale
-				// response would otherwise regrow the buffer a dozen times.
-				payloadBuf = slices.Grow(payloadBuf[:0], len(resp.IDs)*wireCoeffBytes)
-				// The session's pin set keeps a paged scene's pages resident
-				// (and the pointers stable) until the frame's bytes are in
-				// payloadBuf.
-				pins := sess.Session.Pins()
-				// Coefficients whose backing page is unreadable at encode
-				// time are withheld: compacted out of the response and
-				// forgotten from the delivered set, so the session
-				// re-retrieves them once the page heals (Dropped semantics —
-				// degrade the frame, never the process).
-				var withheldIDs []int64
-				kept := resp.IDs[:0]
-				for _, id := range resp.IDs {
-					c, cerr := pins.Coeff(id)
-					if cerr != nil {
-						withheldIDs = append(withheldIDs, id)
-						continue
-					}
-					wc := Coeff{
-						Object: c.Object,
-						Vertex: c.Vertex,
-						Delta:  c.Delta,
-						Pos:    [3]float32{float32(c.Pos.X), float32(c.Pos.Y), float32(c.Pos.Z)},
-						Value:  float32(c.Value),
-					}
-					payloadBuf = appendCoeff(payloadBuf, &wc)
-					kept = append(kept, id)
-				}
-				pins.Release()
-				resp.IDs = kept
-				if len(withheldIDs) > 0 {
-					sess.Session.Forget(withheldIDs)
-					resp.Dropped += int64(len(withheldIDs))
-					s.st.Add(stats.ProtoCoeffsWithheld, int64(len(withheldIDs)))
-				}
-				payload = payloadBuf
-				if hot != nil && resp.Hot.Valid && len(withheldIDs) == 0 {
-					hot.SetPayload(resp.Hot.Query, resp.Hot.Epoch, payload)
-				}
-			}
-			// resp.IDs aliases the session's scratch (overwritten by the
-			// next frame); the resume lineage keeps its own copy — taken
-			// after the encode pass so it records what was actually sent.
-			sess.LastIDs = append(sess.LastIDs[:0], resp.IDs...)
-			s.setWriteDeadline(conn)
-			if err := w.writeResponsePayload(len(resp.IDs), resp.IO, sess.Seq, resp.Dropped, payload); err != nil {
-				s.st.Add(stats.ProtoErrors, 1)
-				s.logf("proto: response to %v failed: %v", conn.RemoteAddr(), err)
-				return
-			}
+			ok = c.request()
 		case TagBye:
 			orderly = true
 			return
 		default:
-			s.st.Add(stats.ProtoErrors, 1)
-			s.logf("proto: unexpected tag %d from %v", tag, conn.RemoteAddr())
-			s.setWriteDeadline(conn)
-			if werr := w.WriteError("unexpected message"); werr != nil {
-				s.logf("proto: error reply to %v failed: %v", conn.RemoteAddr(), werr)
-			}
+			ok = c.fail(true, fmt.Errorf("unexpected tag %d", tag), errors.New("unexpected message"))
+		}
+		if !ok {
 			return
 		}
 	}
+}
+
+// fail is the connection's one failure path. It counts the failure in
+// proto.errors when counted, logs cause once (a nil cause logs
+// nothing) and, when reply is non-nil, answers the peer with reply's
+// sanitized text as an error frame under the write deadline. It
+// reports false, so a step ends its connection with `return c.fail(…)`.
+func (c *serverConn) fail(counted bool, cause, reply error) bool {
+	if counted {
+		c.s.st.Add(stats.ProtoErrors, 1)
+	}
+	if cause != nil {
+		c.s.logf("proto: %v: %v", c.nc.RemoteAddr(), cause)
+	}
+	if reply != nil {
+		c.s.setWriteDeadline(c.nc)
+		if err := c.w.WriteError(SanitizeWireError(reply)); err != nil {
+			c.s.logf("proto: error reply to %v failed: %v", c.nc.RemoteAddr(), err)
+		}
+	}
+	return false
+}
+
+// end releases the hot subscription and parks an interrupted session in
+// its scene's resume cache. Only a started session is parked: one that
+// never served a request or resume has no delivered-set worth
+// restoring, and parking it would let handshake-only peers (health
+// probes, port scanners) pollute the resume cache and session journal.
+func (c *serverConn) end(orderly bool) {
+	if !orderly && c.started {
+		c.scene.Resume.Put(c.token, c.sess)
+	}
+	if c.hotSub != nil {
+		c.hotSub.Close()
+	}
+}
+
+// publish records the connection's scene and started flag in the
+// server's table, for SeverScene and SceneConns. A connection already
+// gone from the table (Close racing the handler) is ignored.
+func (c *serverConn) publish() {
+	c.s.mu.Lock()
+	if ci, ok := c.s.conns[c.nc]; ok {
+		ci.scene, ci.started = c.scene.Name, c.started
+	}
+	c.s.mu.Unlock()
+}
+
+// start marks the session started by its first request or resume.
+func (c *serverConn) start() {
+	if !c.started {
+		c.started = true
+		c.publish()
+	}
+}
+
+// bind points the connection at scene with a fresh session and greets
+// with the scene's hello under the connection's token: the greeting,
+// and the answer to a scene select.
+func (c *serverConn) bind(scene *engine.Scene) bool {
+	c.scene = scene
+	c.sess = &engine.ResumeEntry{Session: retrieval.NewSession(scene.Server)}
+	if c.hotSub != nil {
+		// A subscription is bound to one scene's cache.
+		c.hotSub.Close()
+		c.hotSub = nil
+	}
+	c.publish()
+	src := scene.Source
+	c.s.setWriteDeadline(c.nc)
+	err := c.w.WriteHello(Hello{
+		Version:   Version,
+		Objects:   int32(src.NumObjects()),
+		Levels:    int32(scene.Levels),
+		BaseVerts: int32(src.BaseVerts()),
+		Space:     src.Bounds().XY(),
+		Token:     c.token,
+		Scene:     scene.Name,
+	})
+	if err != nil {
+		return c.fail(true, fmt.Errorf("hello: %w", err), nil)
+	}
+	return true
+}
+
+// selectScene serves a scene select. It is refused once the session
+// has started: switching then would graft one scene's delivered-set
+// onto another's id space.
+func (c *serverConn) selectScene() bool {
+	name, err := c.r.ReadSceneSelect()
+	if err != nil {
+		return c.fail(true, fmt.Errorf("bad scene select: %w", err), err)
+	}
+	if c.started {
+		return c.fail(true, fmt.Errorf("scene select %q after session start", name), errors.New("scene select after session start"))
+	}
+	next, ok := c.s.reg.Get(name)
+	if !ok {
+		err := errors.New("unknown scene: " + name)
+		return c.fail(true, err, err)
+	}
+	return c.bind(next)
+}
+
+// resume serves a resume: the session adopts the parked lineage its
+// token names, or the client is told to re-plan.
+func (c *serverConn) resume() bool {
+	res, err := c.r.ReadResume()
+	if err != nil {
+		return c.fail(true, fmt.Errorf("bad resume: %w", err), nil)
+	}
+	c.s.setWriteDeadline(c.nc)
+	prev, ok := c.scene.Resume.Take(res.Token)
+	if ok {
+		// Roll back an un-applied final response: the server counted
+		// those coefficients as delivered, but the client never saw
+		// them; forgetting them lets the retry re-send.
+		switch res.AppliedSeq {
+		case prev.Seq:
+			// In sync; nothing to roll back.
+		case prev.Seq - 1:
+			prev.Session.Forget(prev.LastIDs)
+			prev.Seq--
+		default:
+			ok = false
+		}
+	}
+	if !ok {
+		c.s.st.Add(stats.ProtoResumeMisses, 1)
+		if err := c.w.WriteResumeFail("no resumable session"); err != nil {
+			return c.fail(false, fmt.Errorf("resume reply: %w", err), nil)
+		}
+		return true
+	}
+	prev.LastIDs = prev.LastIDs[:0]
+	c.sess = prev
+	c.start()
+	c.s.st.Add(stats.ProtoResumeHits, 1)
+	if prev.Restored {
+		// This session crossed a server restart via the recovered
+		// journal — the crash-safety win worth its own counter.
+		c.s.st.Add(stats.ProtoResumesRestored, 1)
+		prev.Restored = false
+	}
+	if err := c.w.WriteResumeOK(ResumeOK{Seq: prev.Seq, Delivered: int64(prev.Session.Delivered())}); err != nil {
+		return c.fail(false, fmt.Errorf("resume reply: %w", err), nil)
+	}
+	return true
+}
+
+// request serves one request frame in four steps: decode, retrieve,
+// reply and write.
+func (c *serverConn) request() bool {
+	req, err := c.r.ReadRequest()
+	if err != nil {
+		return c.fail(true, fmt.Errorf("bad request: %w", err), err)
+	}
+	c.start()
+	resp := c.retrieve(req)
+	payload := c.reply(&resp)
+	// resp.IDs aliases the session's scratch (overwritten by the next
+	// frame); the resume lineage keeps its own copy — taken after the
+	// reply step so it records what was actually sent.
+	c.sess.LastIDs = append(c.sess.LastIDs[:0], resp.IDs...)
+	c.s.setWriteDeadline(c.nc)
+	if err := c.w.writeResponsePayload(len(resp.IDs), resp.IO, c.sess.Seq, resp.Dropped, payload); err != nil {
+		return c.fail(true, fmt.Errorf("response: %w", err), nil)
+	}
+	return true
+}
+
+// retrieve runs the frame's search, merge and budget cut through the
+// session, under the server's cap on over-large (and "unlimited")
+// client budgets.
+func (c *serverConn) retrieve(req Request) retrieval.Response {
+	maxBytes := req.MaxBytes
+	if limit := c.s.budgetCap; limit > 0 && (maxBytes == 0 || maxBytes > limit) {
+		maxBytes = limit
+	}
+	c.sess.Seq++
+	return c.sess.Session.RetrieveBudget(req.Subs, maxBytes)
+}
+
+// reply returns the frame's payload: a hot frame subscribes the session
+// to its region and replays the entry's encoded bytes when the cache
+// holds them; any other frame is fetched and encoded, and a complete
+// encoding of a hot frame is handed to the cache.
+func (c *serverConn) reply(resp *retrieval.Response) []byte {
+	hot := c.scene.Server.HotCache()
+	if hot == nil || !resp.Hot.Valid {
+		payload, _ := c.encode(resp)
+		return payload
+	}
+	// Multicast registration: this session is watching the hot region
+	// it just retrieved; keep the region's entry resident until the
+	// session moves on or disconnects.
+	if c.hotSub == nil {
+		c.hotSub = hot.Subscribe()
+	}
+	c.hotSub.Set(resp.Hot.Query)
+	if p, ok := hot.Payload(resp.Hot.Query, resp.Hot.Epoch); ok && len(p) == len(resp.IDs)*wireCoeffBytes {
+		return p
+	}
+	payload, withheld := c.encode(resp)
+	if withheld == 0 {
+		hot.SetPayload(resp.Hot.Query, resp.Hot.Epoch, payload)
+	}
+	return payload
+}
+
+// encode fetches the response's coefficients through the session's pin
+// set (which keeps a paged scene's pages resident until the bytes are
+// in the buffer) and encodes them. A coefficient whose page is
+// unreadable is withheld: cut from the response and forgotten from the
+// delivered set, so the session re-retrieves it once the page heals
+// (Dropped semantics — degrade the frame, never the process).
+func (c *serverConn) encode(resp *retrieval.Response) (payload []byte, withheld int) {
+	// Sized once for the frame: a connection's first wholesale response
+	// would otherwise regrow the buffer a dozen times.
+	c.payload = slices.Grow(c.payload[:0], len(resp.IDs)*wireCoeffBytes)
+	pins := c.sess.Session.Pins()
+	var withheldIDs []int64
+	kept := resp.IDs[:0]
+	for _, id := range resp.IDs {
+		co, err := pins.Coeff(id)
+		if err != nil {
+			withheldIDs = append(withheldIDs, id)
+			continue
+		}
+		wc := Coeff{
+			Object: co.Object,
+			Vertex: co.Vertex,
+			Delta:  co.Delta,
+			Pos:    [3]float32{float32(co.Pos.X), float32(co.Pos.Y), float32(co.Pos.Z)},
+			Value:  float32(co.Value),
+		}
+		c.payload = appendCoeff(c.payload, &wc)
+		kept = append(kept, id)
+	}
+	pins.Release()
+	resp.IDs = kept
+	if len(withheldIDs) > 0 {
+		c.sess.Session.Forget(withheldIDs)
+		resp.Dropped += int64(len(withheldIDs))
+		c.s.st.Add(stats.ProtoCoeffsWithheld, int64(len(withheldIDs)))
+	}
+	return c.payload, len(withheldIDs)
 }
 
 func (s *Server) setWriteDeadline(conn net.Conn) {

@@ -148,9 +148,8 @@ func TestEpochBumpRefreshesWatchedBucketOnce(t *testing.T) {
 	watch.Set(r.Hot.Query)
 	before := hot.Stats()
 
-	mut := srv.Index().(index.Mutable)
-	mut.Delete(0)
-	mut.Insert(0)
+	srv.Index().Delete(0)
+	srv.Index().Insert(0)
 	const sessions = 6
 	for i := 0; i < sessions; i++ {
 		got := NewSession(srv).RetrieveScratch([]SubQuery{sub})

@@ -63,9 +63,8 @@ func TestCoalescerSharesLingeringResult(t *testing.T) {
 
 	// An epoch bump makes the lingering flight unadoptable: the repeat
 	// bypasses as stale, and the one after that leads a fresh flight.
-	mut := srv.Index().(index.Mutable)
-	mut.Delete(0)
-	mut.Insert(0)
+	srv.Index().Delete(0)
+	srv.Index().Insert(0)
 	r3 := srv.Execute([]SubQuery{sub}, nil)
 	if !respEqual(r1, r3) {
 		t.Fatal("post-bump response differs (content unchanged: delete+reinsert of the same id)")
@@ -304,10 +303,9 @@ func TestCoalescedConcurrentMatchesIndependent(t *testing.T) {
 		streams[c] = own
 	}
 
-	bump := func(idx index.Index) {
-		mut := idx.(index.Mutable)
-		mut.Delete(3)
-		mut.Insert(3)
+	bump := func(idx index.IntoSearcher) {
+		idx.Delete(3)
+		idx.Insert(3)
 	}
 
 	// The oracle serves serially, session per client, no coalescer, with

@@ -70,8 +70,8 @@ func TestExecuteScratchMatchesExecute(t *testing.T) {
 		if withCache {
 			srv.SetHotCache(hotcache.New(hotcache.Config{}))
 		}
-		mut := srv.Index().(index.Mutable)
-		mutOracle := oracle.Index().(index.Mutable)
+		mut := srv.Index()
+		mutOracle := oracle.Index()
 
 		rng := rand.New(rand.NewSource(31))
 		// A recurring pool alongside fresh random frames: exact-match
@@ -217,8 +217,8 @@ func TestHotRefSemantics(t *testing.T) {
 		t.Fatal("fully-suppressed replay marked hot")
 	}
 	// Mutation moves the epoch: the next response carries the new one.
-	srv.Index().(index.Mutable).Delete(0)
-	srv.Index().(index.Mutable).Insert(0)
+	srv.Index().Delete(0)
+	srv.Index().Insert(0)
 	r3 := srv.Execute([]SubQuery{sub}, nil)
 	if !r3.Hot.Valid || r3.Hot.Epoch == r1.Hot.Epoch {
 		t.Fatalf("post-mutation HotRef = %+v, want new epoch vs %d", r3.Hot, r1.Hot.Epoch)
