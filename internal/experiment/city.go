@@ -221,8 +221,7 @@ func RunCity(spec CitySpec, w io.Writer) error {
 		clients[ci].paged.Close()
 	}
 	st := ps.PagerStats()
-	perPage := int64(spec.PageSize / index.CoeffRecordSize)
-	pages := (ps.NumCoeffs() + perPage - 1) / perPage
+	pages := int64(ps.Segment().NumPages())
 
 	fmt.Fprintf(w, "city: %s · payload %d B in %d pages of %d B · budget %d B (1/%d)\n",
 		wspec, payload, pages, spec.PageSize, budget, spec.BudgetDivisor)

@@ -203,12 +203,11 @@ func RunDiskFault(spec DiskFaultSpec, w io.Writer) error {
 
 	// The corrupt page's coefficients, grouped by object — the exact
 	// set the faulty side must withhold and later converge on.
-	perPage := int64(seg.RecordsPerPage())
-	corruptLo := int64(corruptPage) * perPage
-	corruptHi := corruptLo + int64(seg.RecordsInPage(corruptPage))
 	corruptByObject := map[int32]int{}
-	for id := corruptLo; id < corruptHi; id++ {
-		corruptByObject[index.MustCoeff(mem, id).Object]++
+	for id := int64(0); id < ps.NumCoeffs(); id++ {
+		if ps.PageOf(id) == corruptPage {
+			corruptByObject[index.MustCoeff(mem, id).Object]++
+		}
 	}
 
 	space := mem.Bounds().XY()
@@ -386,7 +385,7 @@ func RunDiskFault(spec DiskFaultSpec, w io.Writer) error {
 	counters := fd.Counters()
 
 	fmt.Fprintf(w, "diskfault: %s · payload %d B in %d pages of %d B · budget %d B (1/%d) · corrupt page %d (%d coefficients)\n",
-		wspec, payload, seg.NumPages(), spec.PageSize, budget, spec.BudgetDivisor, corruptPage, corruptHi-corruptLo)
+		wspec, payload, seg.NumPages(), spec.PageSize, budget, spec.BudgetDivisor, corruptPage, seg.RecordsInPage(corruptPage))
 	fmt.Fprintf(w, "  storm: %d clients × %d frames in %v · injected %d errors · %d torn · %d corrupt reads\n",
 		spec.Clients, spec.Steps, tourTime.Round(time.Millisecond), counters.Errs, counters.Torn, counters.CorruptReads)
 	fmt.Fprintf(w, "  paging: %d faults · %d hits · %d retries · %d read errors · %d quarantine event(s) · %d evictions\n",

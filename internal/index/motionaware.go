@@ -35,7 +35,7 @@ func NewMotionAware(src CoefficientSource, layout Layout, cfg rtree.Config) *Mot
 		cfg = rtree.DefaultConfig(layout.Dims())
 	}
 	items := make([]rtree.Item, 0, src.NumCoeffs())
-	scanCoeffs(src, func(id int64, c *wavelet.Coefficient) {
+	src.scan(func(id int64, c *wavelet.Coefficient) {
 		items = append(items, rtree.Item{Rect: layout.supportRect(c), Data: id})
 	})
 	// The coefficient set is static, so STR bulk loading builds the tree

@@ -49,24 +49,24 @@ func pageUnavailable(page int32, err error) error {
 // (24B), support box (48B).
 const CoeffRecordSize = 128
 
-// AppendCoeffRecord serializes one coefficient in segment-record form.
-func AppendCoeffRecord(dst []byte, c *wavelet.Coefficient) []byte {
-	var rec [CoeffRecordSize]byte
+// PutCoeffRecord serializes one coefficient in segment-record form,
+// writing every byte of rec[:CoeffRecordSize].
+func PutCoeffRecord(rec []byte, c *wavelet.Coefficient) {
+	rec = rec[:CoeffRecordSize]
 	binary.LittleEndian.PutUint32(rec[0:4], uint32(c.Object))
 	binary.LittleEndian.PutUint32(rec[4:8], uint32(c.Vertex))
 	binary.LittleEndian.PutUint32(rec[8:12], uint32(int32(c.Level)))
 	binary.LittleEndian.PutUint32(rec[12:16], uint32(c.Parent.A))
 	binary.LittleEndian.PutUint32(rec[16:20], uint32(c.Parent.B))
-	// rec[20:24] reserved, zero
+	binary.LittleEndian.PutUint32(rec[20:24], 0) // reserved
 	binary.LittleEndian.PutUint64(rec[24:32], math.Float64bits(c.Value))
 	putVec3(rec[32:56], c.Delta)
 	putVec3(rec[56:80], c.Pos)
 	putVec3(rec[80:104], c.Support.Min)
 	putVec3(rec[104:128], c.Support.Max)
-	return append(dst, rec[:]...)
 }
 
-// decodeCoeffRecord is the inverse of AppendCoeffRecord.
+// decodeCoeffRecord is the inverse of PutCoeffRecord.
 func decodeCoeffRecord(rec []byte, c *wavelet.Coefficient) {
 	c.Object = int32(binary.LittleEndian.Uint32(rec[0:4]))
 	c.Vertex = int32(binary.LittleEndian.Uint32(rec[4:8]))
@@ -94,19 +94,46 @@ func getVec3(src []byte) geom.Vec3 {
 	}
 }
 
+// segBands is how many equal-width slices of the coefficient value w
+// the segment is laid out by: a coefficient's band is min(⌊5w⌋, 4).
+// BuildSegment writes the coarsest band first and keeps ascending id
+// order within a band, so the coarse coefficients a fast client asks for
+// (w ≥ 0.8) sit together on a few pages instead of one page per
+// building.
+const segBands = 5
+
+// bandOf returns the layout band of a coefficient value, coarsest = 4.
+// Values outside [0, 1] (and NaN) land in the nearest end band.
+func bandOf(w float64) int {
+	if !(w > 0) {
+		return 0
+	}
+	return min(int(w*segBands), segBands-1)
+}
+
 const (
 	// segMetaMagic identifies a coefficient-segment meta blob ("MACO").
-	segMetaMagic   = uint32(0x4F43414D)
-	segMetaVersion = uint32(1)
+	segMetaMagic = uint32(0x4F43414D)
+	// segMetaVersion 2 adds the id→slot table of the band-major layout;
+	// version 1 segments (object-major, no table) must be rebuilt.
+	segMetaVersion = uint32(2)
 	segMetaFixed   = 24 + 48 // six u32 + bounds (6 × f64)
 )
+
+// segMetaSize is the meta blob's length for a segment of the given
+// shape: the fixed header, 8 B per object offset and 4 B per slot.
+func segMetaSize(objects int, coeffs int64) int64 {
+	return segMetaFixed + 8*int64(objects) + 4*coeffs
+}
 
 // EncodeSegmentMeta builds the footer meta blob for a coefficient
 // segment: scene shape (levels, base verts), the exact dataset bounds
 // (stored verbatim so a paged scene's handshake space is float-identical
-// to the in-memory store's), and the per-object id offset table.
-func EncodeSegmentMeta(levels, baseVerts int, bounds geom.Rect3, offsets []int64) []byte {
-	meta := make([]byte, 0, segMetaFixed+8*len(offsets))
+// to the in-memory store's), the per-object id offset table, and the
+// id→slot table (slots[id] is the record position holding coefficient
+// id; it must be a permutation of [0, len(slots))).
+func EncodeSegmentMeta(levels, baseVerts int, bounds geom.Rect3, offsets []int64, slots []uint32) []byte {
+	meta := make([]byte, 0, segMetaSize(len(offsets), int64(len(slots))))
 	meta = binary.LittleEndian.AppendUint32(meta, segMetaMagic)
 	meta = binary.LittleEndian.AppendUint32(meta, segMetaVersion)
 	meta = binary.LittleEndian.AppendUint32(meta, uint32(levels))
@@ -120,75 +147,150 @@ func EncodeSegmentMeta(levels, baseVerts int, bounds geom.Rect3, offsets []int64
 	for _, off := range offsets {
 		meta = binary.LittleEndian.AppendUint64(meta, uint64(off))
 	}
+	for _, slot := range slots {
+		meta = binary.LittleEndian.AppendUint32(meta, slot)
+	}
 	return meta
 }
 
+// segmentMeta is a decoded coefficient-segment meta blob.
+type segmentMeta struct {
+	levels, baseVerts int
+	bounds            geom.Rect3
+	offsets           []int64
+	slots             []uint32
+}
+
 // decodeSegmentMeta parses and validates a coefficient-segment meta
-// blob against the segment's record count.
-func decodeSegmentMeta(meta []byte, total int64) (levels, baseVerts int, bounds geom.Rect3, offsets []int64, err error) {
+// blob against the segment's record count. The slot table must be a
+// bijection onto [0, total): a duplicate slot would serve one record
+// for two ids, which no page CRC can catch.
+func decodeSegmentMeta(meta []byte, total int64) (m segmentMeta, err error) {
 	if len(meta) < segMetaFixed {
-		return 0, 0, bounds, nil, fmt.Errorf("index: segment meta of %d bytes is too short", len(meta))
+		return m, fmt.Errorf("index: segment meta of %d bytes is too short", len(meta))
 	}
-	if m := binary.LittleEndian.Uint32(meta[0:4]); m != segMetaMagic {
-		return 0, 0, bounds, nil, fmt.Errorf("index: bad segment meta magic %#x", m)
+	if total < 0 {
+		return m, fmt.Errorf("index: segment of %d records", total)
 	}
-	if v := binary.LittleEndian.Uint32(meta[4:8]); v != segMetaVersion {
-		return 0, 0, bounds, nil, fmt.Errorf("index: unsupported segment meta version %d", v)
+	if magic := binary.LittleEndian.Uint32(meta[0:4]); magic != segMetaMagic {
+		return m, fmt.Errorf("index: bad segment meta magic %#x", magic)
 	}
-	levels = int(binary.LittleEndian.Uint32(meta[8:12]))
-	baseVerts = int(binary.LittleEndian.Uint32(meta[12:16]))
-	numObjects := int64(binary.LittleEndian.Uint32(meta[16:20]))
-	if int64(len(meta)) != segMetaFixed+8*numObjects {
-		return 0, 0, bounds, nil, fmt.Errorf("index: segment meta claims %d objects in %d bytes", numObjects, len(meta))
+	switch v := binary.LittleEndian.Uint32(meta[4:8]); {
+	case v == 1:
+		return m, errors.New("index: segment meta version 1 has the object-major layout; rebuild the segment")
+	case v != segMetaVersion:
+		return m, fmt.Errorf("index: unsupported segment meta version %d", v)
+	}
+	m.levels = int(binary.LittleEndian.Uint32(meta[8:12]))
+	m.baseVerts = int(binary.LittleEndian.Uint32(meta[12:16]))
+	numObjects := int(binary.LittleEndian.Uint32(meta[16:20]))
+	if int64(len(meta)) != segMetaSize(numObjects, total) {
+		return m, fmt.Errorf("index: segment meta of %d bytes does not hold %d objects and %d slots",
+			len(meta), numObjects, total)
 	}
 	f := func(off int) float64 {
 		return math.Float64frombits(binary.LittleEndian.Uint64(meta[24+8*off:]))
 	}
-	bounds = geom.Rect3{
+	m.bounds = geom.Rect3{
 		Min: geom.Vec3{X: f(0), Y: f(1), Z: f(2)},
 		Max: geom.Vec3{X: f(3), Y: f(4), Z: f(5)},
 	}
-	offsets = make([]int64, numObjects)
+	m.offsets = make([]int64, numObjects)
 	prev := int64(0)
-	for i := range offsets {
-		offsets[i] = int64(binary.LittleEndian.Uint64(meta[segMetaFixed+8*i:]))
-		if offsets[i] < prev || offsets[i] > total {
-			return 0, 0, bounds, nil, fmt.Errorf("index: segment offset table not monotone at object %d", i)
+	for i := range m.offsets {
+		m.offsets[i] = int64(binary.LittleEndian.Uint64(meta[segMetaFixed+8*i:]))
+		if m.offsets[i] < prev || m.offsets[i] > total {
+			return m, fmt.Errorf("index: segment offset table not monotone at object %d", i)
 		}
-		prev = offsets[i]
+		prev = m.offsets[i]
 	}
-	if numObjects > 0 && offsets[0] != 0 {
-		return 0, 0, bounds, nil, fmt.Errorf("index: segment offset table starts at %d, want 0", offsets[0])
+	if numObjects > 0 && m.offsets[0] != 0 {
+		return m, fmt.Errorf("index: segment offset table starts at %d, want 0", m.offsets[0])
 	}
 	if numObjects == 0 && total != 0 {
-		return 0, 0, bounds, nil, fmt.Errorf("index: segment has %d coefficients but no objects", total)
+		return m, fmt.Errorf("index: segment has %d coefficients but no objects", total)
 	}
-	return levels, baseVerts, bounds, offsets, nil
+	table := meta[segMetaFixed+8*numObjects:]
+	m.slots = make([]uint32, total)
+	seen := make([]uint64, (total+63)/64)
+	for id := range m.slots {
+		slot := binary.LittleEndian.Uint32(table[4*id:])
+		if int64(slot) >= total {
+			return m, fmt.Errorf("index: segment slot table maps id %d to slot %d of %d", id, slot, total)
+		}
+		if seen[slot/64]&(1<<(slot%64)) != 0 {
+			return m, fmt.Errorf("index: segment slot table maps id %d to slot %d twice", id, slot)
+		}
+		seen[slot/64] |= 1 << (slot % 64)
+		m.slots[id] = slot
+	}
+	return m, nil
 }
 
-// BuildSegment streams an in-memory source into a segment file at
-// path (atomically). levels is the subdivision depth to record for the
-// scene handshake; pageSize 0 uses the persist default.
+// BuildSegment streams a source into a segment file at path
+// (atomically), laid out band-major: the records of band 4 (w ≥ 0.8)
+// first, then bands 3 to 0, each in ascending id order, with the
+// id→slot table in the meta. It reads the source twice: its scan, in
+// ascending id order, places every id; then a pin set reads the records
+// in slot order, each written straight into the appender's page buffer,
+// so a paged source is read a page at a time. levels is the
+// subdivision depth to record for the scene handshake; pageSize 0 uses
+// the persist default. A source whose slot table would not fit under
+// persist.MaxSegmentMeta is refused before anything is written.
 func BuildSegment(path string, src CoefficientSource, levels, pageSize int) error {
+	total := src.NumCoeffs()
+	if size := segMetaSize(src.NumObjects(), total); size > persist.MaxSegmentMeta {
+		return fmt.Errorf("index: a segment of %d objects and %d coefficients needs %d B of meta, over the %d B limit",
+			src.NumObjects(), total, size, persist.MaxSegmentMeta)
+	}
+	// Place every id: count each band's records, then hand out slots in
+	// band order, ascending id within a band — a stable counting
+	// partition. order is the inverse of slots: the ids in record order.
+	band := make([]uint8, total)
+	var count [segBands]int64
+	read := int64(0)
+	src.scan(func(id int64, c *wavelet.Coefficient) {
+		b := bandOf(c.Value)
+		band[id] = uint8(b)
+		count[b]++
+		read++
+	})
+	if read != total {
+		return fmt.Errorf("index: segment build: %d of %d coefficients are unreadable", total-read, total)
+	}
+	var next [segBands]int64 // each band's next free slot
+	at := int64(0)
+	for b := segBands - 1; b >= 0; b-- {
+		next[b], at = at, at+count[b]
+	}
+	slots, order := make([]uint32, total), make([]uint32, total)
+	for id, b := range band {
+		slots[id], order[next[b]] = uint32(next[b]), uint32(id)
+		next[b]++
+	}
 	spec := persist.SegmentSpec{PageSize: pageSize, RecordSize: CoeffRecordSize}
 	return persist.WriteSegment(path, spec, func(a *persist.SegmentAppender) ([]byte, error) {
+		pins := src.NewPins()
+		defer pins.Release()
+		for _, id := range order {
+			if !pins.holds(int64(id)) {
+				pins.Release()
+			}
+			c, err := pins.Coeff(int64(id))
+			if err != nil {
+				return nil, fmt.Errorf("index: segment build at id %d: %w", id, err)
+			}
+			rec, err := a.Reserve()
+			if err != nil {
+				return nil, err
+			}
+			PutCoeffRecord(rec, c)
+		}
 		offsets := make([]int64, src.NumObjects())
 		for i := range offsets {
 			offsets[i] = src.ID(int32(i), 0)
 		}
-		total := src.NumCoeffs()
-		var rec []byte
-		for id := int64(0); id < total; id++ {
-			c, err := src.Coeff(id)
-			if err != nil {
-				return nil, fmt.Errorf("index: segment build at id %d: %w", id, err)
-			}
-			rec = AppendCoeffRecord(rec[:0], c)
-			if err := a.Append(rec); err != nil {
-				return nil, err
-			}
-		}
-		return EncodeSegmentMeta(levels, src.BaseVerts(), src.Bounds(), offsets), nil
+		return EncodeSegmentMeta(levels, src.BaseVerts(), src.Bounds(), offsets, slots), nil
 	})
 }
 
@@ -211,13 +313,16 @@ type PagedConfig struct {
 }
 
 // PagedStore serves coefficients from a paged segment file. Only the
-// offset table, footer metadata, and the bounded page cache are
-// resident. Serving layers that hold coefficients across a frame read
-// through NewPins.
+// offset and slot tables, footer metadata, and the bounded page cache
+// are resident. Serving layers that hold coefficients across a frame
+// read through NewPins.
 type PagedStore struct {
 	seg     *persist.Segment
 	pager   *persist.Pager
 	offsets []int64
+	// slots[id] is the record position of coefficient id in the
+	// band-major layout; its page is slot / perPage.
+	slots   []uint32
 	total   int64
 	perPage int64
 	levels  int
@@ -250,18 +355,19 @@ func newPaged(seg *persist.Segment, cfg PagedConfig) (*PagedStore, error) {
 	if seg.RecordSize() != CoeffRecordSize {
 		return nil, fmt.Errorf("index: segment record size %d, want %d", seg.RecordSize(), CoeffRecordSize)
 	}
-	levels, base, bounds, offsets, err := decodeSegmentMeta(seg.Meta(), seg.NumRecords())
+	m, err := decodeSegmentMeta(seg.Meta(), seg.NumRecords())
 	if err != nil {
 		return nil, err
 	}
 	ps := &PagedStore{
 		seg:     seg,
-		offsets: offsets,
+		offsets: m.offsets,
+		slots:   m.slots,
 		total:   seg.NumRecords(),
 		perPage: int64(seg.RecordsPerPage()),
-		levels:  levels,
-		base:    base,
-		bounds:  bounds,
+		levels:  m.levels,
+		base:    m.baseVerts,
+		bounds:  m.bounds,
 	}
 	ps.pager = persist.NewPager(seg, persist.PagerConfig{
 		CacheBytes:   cfg.CacheBytes,
@@ -360,19 +466,26 @@ func (ps *PagedStore) checkID(id int64) {
 	}
 }
 
-// pin faults in the page holding id and returns its decoded slab plus
-// the page number. An I/O or corruption error is NOT fatal: it surfaces
-// as ErrPageUnavailable so serving layers can withhold the affected
-// coefficients while every other page keeps serving — a single bad
-// sector must degrade one frame's coverage, not kill the process (the
-// CRC directory still makes damage loud rather than wrong).
-func (ps *PagedStore) pin(id int64) ([]wavelet.Coefficient, int32, error) {
-	page := int32(id / ps.perPage)
+// PageOf returns the segment page holding coefficient id — the address
+// fault harnesses corrupt and count withheld coefficients by. Pages do
+// not hold id ranges: the layout is band-major (see BuildSegment).
+func (ps *PagedStore) PageOf(id int64) int {
+	ps.checkID(id)
+	return int(int64(ps.slots[id]) / ps.perPage)
+}
+
+// pin faults in a page and returns its decoded slab. An I/O or
+// corruption error is NOT fatal: it surfaces as ErrPageUnavailable so
+// serving layers can withhold the affected coefficients while every
+// other page keeps serving — a single bad sector must degrade one
+// frame's coverage, not kill the process (the CRC directory still makes
+// damage loud rather than wrong).
+func (ps *PagedStore) pin(page int32) ([]wavelet.Coefficient, error) {
 	v, err := ps.pager.Pin(int(page))
 	if err != nil {
-		return nil, page, pageUnavailable(page, err)
+		return nil, pageUnavailable(page, err)
 	}
-	return v.([]wavelet.Coefficient), page, nil
+	return v.([]wavelet.Coefficient), nil
 }
 
 // Coeff resolves a global id to a private copy of the coefficient (see
@@ -383,13 +496,43 @@ func (ps *PagedStore) pin(id int64) ([]wavelet.Coefficient, int32, error) {
 // handful of coefficients go through NewPins.
 func (ps *PagedStore) Coeff(id int64) (*wavelet.Coefficient, error) {
 	ps.checkID(id)
-	slab, page, err := ps.pin(id)
+	slot := int64(ps.slots[id])
+	page := int32(slot / ps.perPage)
+	slab, err := ps.pin(page)
 	if err != nil {
 		return nil, err
 	}
-	c := slab[id%ps.perPage]
+	c := slab[slot%ps.perPage]
 	ps.pager.Unpin(int(page))
 	return &c, nil
+}
+
+// scan calls fn with every readable coefficient in ascending id order
+// (see CoefficientSource), pinning each page once: a page
+// stays pinned from the first of its records the scan reaches to the
+// last. Ascending ids advance through every band at once, so about one
+// page per band — plus the pages straddling two bands — is pinned at a
+// time.
+func (ps *PagedStore) scan(fn func(id int64, c *wavelet.Coefficient)) {
+	pages := ps.seg.NumPages()
+	slabs := make([][]wavelet.Coefficient, pages)
+	left := make([]int32, pages) // records of each page the scan has yet to reach
+	for p := range left {
+		left[p] = int32(ps.seg.RecordsInPage(p))
+	}
+	for id, slot := range ps.slots {
+		page := int64(slot) / ps.perPage
+		if slabs[page] == nil {
+			slabs[page], _ = ps.pin(int32(page)) // unreadable: skipped, retried at its next record
+		}
+		if slab := slabs[page]; slab != nil {
+			fn(int64(id), &slab[int64(slot)-page*ps.perPage])
+		}
+		if left[page]--; left[page] == 0 && slabs[page] != nil {
+			ps.pager.Unpin(int(page))
+			slabs[page] = nil
+		}
+	}
 }
 
 // NewPins returns an empty frame-scoped pin set over the store (see
@@ -398,22 +541,27 @@ func (ps *PagedStore) NewPins() *Pins {
 	return &Pins{ps: ps, slabs: make(map[int32][]wavelet.Coefficient)}
 }
 
-// pinPage points p at the page holding id, pinning it on the set's first
-// touch, and resolves id there.
-func (p *Pins) pinPage(id int64) (*wavelet.Coefficient, error) {
+// pinSlot resolves id through the slot table to its page's slab:
+// the page p resolved last, else one this set already pinned, else a
+// fresh pin on the set's first touch.
+func (p *Pins) pinSlot(id int64) (*wavelet.Coefficient, error) {
 	ps := p.ps
 	ps.checkID(id)
-	page := int32(id / ps.perPage)
+	slot := int64(ps.slots[id])
+	if slot >= p.slotLo && slot < p.slotHi {
+		return &p.slab[slot-p.slotLo], nil
+	}
+	page := int32(slot / ps.perPage)
 	slab, ok := p.slabs[page]
 	if !ok {
 		var err error
-		if slab, _, err = ps.pin(id); err != nil {
+		if slab, err = ps.pin(page); err != nil {
 			return nil, err
 		}
 		p.slabs[page] = slab
 		p.pages = append(p.pages, page)
 	}
-	p.lo, p.slab = int64(page)*ps.perPage, slab
-	p.hi = p.lo + int64(len(slab))
-	return &slab[id-p.lo], nil
+	p.slotLo, p.slab = int64(page)*ps.perPage, slab
+	p.slotHi = p.slotLo + int64(len(slab))
+	return &slab[slot-p.slotLo], nil
 }

@@ -42,6 +42,16 @@ func buildFaultyPaged(t *testing.T, cfg PagedConfig) (*Store, *PagedStore, *faul
 	return mem, ps, fd
 }
 
+// firstIDOn returns the lowest coefficient id stored on a page.
+func firstIDOn(ps *PagedStore, page int) int64 {
+	for id := int64(0); id < ps.NumCoeffs(); id++ {
+		if ps.PageOf(id) == page {
+			return id
+		}
+	}
+	panic("index: empty page")
+}
+
 // TestPagedCoeffUnavailable: a coefficient on a corrupt page reports
 // ErrPageUnavailable (wrapping the pager's ErrCorrupt), healthy pages
 // keep serving, and after the corruption clears a scrub restores the
@@ -51,7 +61,7 @@ func TestPagedCoeffUnavailable(t *testing.T) {
 	seg := ps.Segment()
 	badPage := seg.NumPages() / 2
 	fd.SetCorrupt(seg.PageOffset(badPage), int64(seg.PageSize()))
-	badID := int64(badPage * seg.RecordsPerPage())
+	badID := firstIDOn(ps, badPage)
 
 	_, err := ps.Coeff(badID)
 	if !errors.Is(err, ErrPageUnavailable) {
@@ -90,7 +100,7 @@ func TestPagedPinsSkipFaultyPage(t *testing.T) {
 	seg := ps.Segment()
 	badPage := seg.NumPages() - 1
 	fd.SetCorrupt(seg.PageOffset(badPage), int64(seg.PageSize()))
-	badID := int64(badPage * seg.RecordsPerPage())
+	badID := firstIDOn(ps, badPage)
 
 	pins := ps.NewPins()
 	for _, id := range []int64{0, badID, 1} {

@@ -98,11 +98,15 @@ func BenchmarkPagedFault(b *testing.B) {
 	if pages < 64 {
 		b.Fatalf("segment has %d full pages, want at least 64", pages)
 	}
+	ids := make([]int64, pages) // one coefficient on each full page
+	for p := range ids {
+		ids[p] = firstIDOn(ps, p)
+	}
 	pins := ps.NewPins()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := pins.Coeff(int64(i) % pages * 512); err != nil {
+		if _, err := pins.Coeff(ids[int64(i)%pages]); err != nil {
 			b.Fatal(err)
 		}
 		pins.Release()

@@ -69,9 +69,13 @@ func TestCoeffRecordRoundTrip(t *testing.T) {
 	}
 	c.Support.Min = geom.V3(-1.5, -2.5, -3.5)
 	c.Support.Max = geom.V3(1.5, 2.5, 3.5)
-	rec := AppendCoeffRecord(nil, &c)
-	if len(rec) != CoeffRecordSize {
-		t.Fatalf("record is %d bytes, want %d", len(rec), CoeffRecordSize)
+	rec := make([]byte, CoeffRecordSize)
+	for i := range rec {
+		rec[i] = 0xff // PutCoeffRecord must write every byte, the reserved ones too
+	}
+	PutCoeffRecord(rec, &c)
+	if reserved := rec[20:24]; string(reserved) != "\x00\x00\x00\x00" {
+		t.Fatalf("reserved bytes = %x, want zero", reserved)
 	}
 	var got wavelet.Coefficient
 	decodeCoeffRecord(rec, &got)

@@ -131,7 +131,7 @@ func NewSharded(src CoefficientSource, layout Layout, cfg ShardedConfig) *Sharde
 	}
 	dims := tcfg.Dims
 	items := make([][]rtree.Item, cfg.Shards)
-	scanCoeffs(src, func(id int64, c *wavelet.Coefficient) {
+	src.scan(func(id int64, c *wavelet.Coefficient) {
 		k := s.shardOf(c.Pos.X, c.Pos.Y)
 		items[k] = append(items[k], rtree.Item{Rect: layout.supportRect(c), Data: id})
 	})

@@ -64,6 +64,13 @@ type CoefficientSource interface {
 	BaseVerts() int
 	// SizeBytes returns the total serialized payload of the source.
 	SizeBytes() int64
+	// scan calls fn with every readable coefficient in ascending id
+	// order — the index builders' bulk read, in the order the STR bulk
+	// loads expect — allocating nothing per coefficient; fn must not
+	// keep the pointer. Coefficients on an unreadable page are skipped:
+	// they stay unindexed (and therefore withheld) rather than aborting
+	// the build, and the rest of the scene still serves.
+	scan(fn func(id int64, c *wavelet.Coefficient))
 }
 
 // PinningSource is an alias of CoefficientSource, kept only because the
@@ -82,25 +89,28 @@ var (
 // resident Store it pins nothing — the slabs never move; over a
 // PagedStore each page it touches stays resident until Release. Either
 // way it remembers the last slab it resolved (an object's coefficients,
-// or a page's records), so the ascending reads of a build scan, a
-// frame's filter pass and its payload encode resolve almost every id
-// with one range check. A Pins is reusable across frames (Release keeps
-// its storage) but not safe for concurrent use; each session owns its
-// own.
+// or a page's records), so the ascending reads of a frame's filter pass
+// and its payload encode — whose coarse-band ids share pages in the
+// band-major layout — resolve almost every id with one range check. A
+// Pins is reusable across frames (Release keeps its storage) but not
+// safe for concurrent use; each session owns its own.
 type Pins struct {
-	// lo, hi and slab are the last slab resolved: ids [lo, hi) are
-	// slab[id-lo]. An empty range makes the first read resolve.
+	// lo, hi and slab are the last object resolved over the resident
+	// store: ids [lo, hi) are slab[id-lo]. The range stays empty over a
+	// paged source, whose ids resolve through its slot table.
 	lo, hi int64
 	slab   []wavelet.Coefficient
 	// store is the resident source (nil over a paged one); obj is the
 	// object slab holds.
 	store *Store
 	obj   int
-	// ps is the paged source (nil over a resident one); pages lists the
-	// pages this set pinned and slabs their decoded records.
-	ps    *PagedStore
-	pages []int32
-	slabs map[int32][]wavelet.Coefficient
+	// ps is the paged source (nil over a resident one); slots [slotLo,
+	// slotHi) are slab[slot-slotLo], the page resolved last. pages lists
+	// the pages this set pinned and slabs their decoded records.
+	ps             *PagedStore
+	slotLo, slotHi int64
+	pages          []int32
+	slabs          map[int32][]wavelet.Coefficient
 }
 
 // Coeff resolves a global id; the pointer is valid until Release. An
@@ -112,10 +122,20 @@ func (p *Pins) Coeff(id int64) (*wavelet.Coefficient, error) {
 		return &p.slab[id-p.lo], nil
 	}
 	if p.ps != nil {
-		return p.pinPage(id)
+		return p.pinSlot(id)
 	}
 	p.seekObject(id)
 	return &p.slab[id-p.lo], nil
+}
+
+// holds reports whether id resolves in the slab p resolved last, so a
+// sequential reader can Release before moving on to the next page.
+func (p *Pins) holds(id int64) bool {
+	if p.ps == nil {
+		return id >= p.lo && id < p.hi
+	}
+	slot := int64(p.ps.slots[id])
+	return slot >= p.slotLo && slot < p.slotHi
 }
 
 // Release unpins every page this set touched and resets it for reuse.
@@ -130,7 +150,7 @@ func (p *Pins) Release() {
 		delete(p.slabs, page)
 	}
 	p.pages = p.pages[:0]
-	p.lo, p.hi, p.slab = 0, 0, nil
+	p.slotLo, p.slotHi, p.slab = 0, 0, nil
 }
 
 // MustCoeff resolves a global id through src and panics if the
@@ -143,24 +163,4 @@ func MustCoeff(src CoefficientSource, id int64) *wavelet.Coefficient {
 		panic(fmt.Sprintf("index: MustCoeff(%d): %v", id, err))
 	}
 	return c
-}
-
-// scanCoeffs calls fn with every readable coefficient of src in id
-// order — the index builders' bulk read — through a pin set released
-// each time the scan leaves its slab, so over a paging source the scan
-// holds one page at a time and allocates nothing per coefficient; fn
-// must not keep the pointer. Coefficients on an unreadable page are
-// skipped: they stay unindexed (and therefore withheld) rather than
-// aborting the build, and the rest of the scene still serves.
-func scanCoeffs(src CoefficientSource, fn func(id int64, c *wavelet.Coefficient)) {
-	pins := src.NewPins()
-	defer pins.Release()
-	for id, total := int64(0), src.NumCoeffs(); id < total; id++ {
-		if id >= pins.hi {
-			pins.Release()
-		}
-		if c, err := pins.Coeff(id); err == nil {
-			fn(id, c)
-		}
-	}
 }

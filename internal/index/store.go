@@ -85,6 +85,15 @@ func (s *Store) Coeff(id int64) (*wavelet.Coefficient, error) {
 	return &s.Objects[obj].Coeffs[id-s.offsets[obj]], nil
 }
 
+// scan walks the object slabs in id order (see CoefficientSource).
+func (s *Store) scan(fn func(id int64, c *wavelet.Coefficient)) {
+	for i, d := range s.Objects {
+		for j := range d.Coeffs {
+			fn(s.offsets[i]+int64(j), &d.Coeffs[j])
+		}
+	}
+}
+
 // NewPins returns a pin set over the store. It pins nothing — the slabs
 // are always resident — but remembers the last object it resolved, so
 // ids read in ascending order cost a range check each instead of

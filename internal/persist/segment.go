@@ -104,21 +104,33 @@ type SegmentAppender struct {
 
 // Append adds one record; len(rec) must equal the spec's RecordSize.
 func (a *SegmentAppender) Append(rec []byte) error {
-	if a.err != nil {
-		return a.err
-	}
-	if len(rec) != a.spec.RecordSize {
+	if a.err == nil && len(rec) != a.spec.RecordSize {
 		a.err = fmt.Errorf("persist: segment record of %d bytes, want %d", len(rec), a.spec.RecordSize)
-		return a.err
+	}
+	dst, err := a.Reserve()
+	if err != nil {
+		return err
+	}
+	copy(dst, rec)
+	return nil
+}
+
+// Reserve adds one record and returns its bytes, in the page buffer,
+// for the caller to fill completely before the next Reserve or Append:
+// Append without the copy. The bytes are not zeroed.
+func (a *SegmentAppender) Reserve() ([]byte, error) {
+	if a.err != nil {
+		return nil, a.err
 	}
 	if len(a.page)+a.spec.RecordSize > a.spec.PageSize {
 		if err := a.flushPage(); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	a.page = append(a.page, rec...)
+	n := len(a.page)
+	a.page = a.page[:n+a.spec.RecordSize]
 	a.count++
-	return nil
+	return a.page[n:], nil
 }
 
 // Count returns how many records have been appended.

@@ -25,9 +25,8 @@ type faultyPaged struct {
 	ps   *index.PagedStore
 	idx  *index.MotionAware
 	hot  *hotcache.Cache // nil unless the sharing layers are wired
-	// corruptLo is the first coefficient id on the corrupt page; its
-	// coefficients are the tail of the id space.
-	corruptLo int64
+	// corrupt lists the coefficient ids on the corrupt page, ascending.
+	corrupt []int64
 }
 
 // startFaultyPagedServer serves a small dataset from a paged segment
@@ -80,9 +79,15 @@ func startFaultyPagedServer(t *testing.T, shared bool) faultyPaged {
 
 	corruptPage := seg.NumPages() - 1
 	fd.SetCorrupt(seg.PageOffset(corruptPage), int64(seg.PageSize()))
+	var corrupt []int64
+	for id := int64(0); id < ps.NumCoeffs(); id++ {
+		if ps.PageOf(id) == corruptPage {
+			corrupt = append(corrupt, id)
+		}
+	}
 	return faultyPaged{
 		addr: lis.Addr().String(), d: d, fd: fd, ps: ps, idx: idx, hot: hot,
-		corruptLo: int64(corruptPage) * int64(seg.RecordsPerPage()),
+		corrupt: corrupt,
 	}
 }
 
@@ -102,7 +107,7 @@ func bothLayouts(t *testing.T, test func(t *testing.T, f faultyPaged)) {
 // what a wholesale frame must withhold.
 func (f faultyPaged) corruptByObject() map[int32]int {
 	m := map[int32]int{}
-	for id := f.corruptLo; id < f.ps.NumCoeffs(); id++ {
+	for _, id := range f.corrupt {
 		m[index.MustCoeff(f.d.Store, id).Object]++
 	}
 	return m
@@ -169,7 +174,7 @@ func testDiskFaultIsolation(t *testing.T, f faultyPaged) {
 	if f.corruptByObject()[healthyObj] != 0 {
 		t.Fatalf("object %d spans the corrupt page; pick another seed", healthyObj)
 	}
-	for id := f.corruptLo; id < f.ps.NumCoeffs(); id++ {
+	for _, id := range f.corrupt {
 		if p := index.MustCoeff(d.Store, id).Pos; healthyRect.Contains(p.XY()) {
 			t.Fatalf("corrupt-page coefficient %d sits inside the healthy window; pick another seed", id)
 		}

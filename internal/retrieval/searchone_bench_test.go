@@ -2,6 +2,7 @@ package retrieval
 
 import (
 	"math/rand"
+	"path/filepath"
 	"testing"
 
 	"repro/internal/geom"
@@ -10,6 +11,39 @@ import (
 	"repro/internal/motion"
 	"repro/internal/workload"
 )
+
+// benchCity is the end-to-end benchmark's city: 594 432 coefficients,
+// 76 MB of segment records.
+func benchCity() *index.Store {
+	return workload.GenerateCity(workload.CitySpec{BlocksX: 16, BlocksY: 16, LotsPerBlock: 3, Levels: 3, Seed: 1})
+}
+
+// tramFrames plans the given number of tram trips over the space — a
+// window a tenth of the city wide at speed 0.8, 2 000 frames each, trip
+// i on tour seed i+1 — and returns each frame's non-empty slivers after
+// the first frame of a trip: the sub-queries Algorithm 1 asks while a
+// tram client moves.
+func tramFrames(space geom.Rect2, trips int) [][]SubQuery {
+	var frames [][]SubQuery
+	for trip := 0; trip < trips; trip++ {
+		tour := motion.NewTour(motion.Tram, motion.TourSpec{Space: space, Steps: 2000, Speed: 0.8}, rand.New(rand.NewSource(int64(trip)+1)))
+		planner := NewClient(nil, nil)
+		for i, pos := range tour.Pos {
+			q := geom.RectAround(pos, 0.10*space.Width())
+			if i > 0 {
+				var frame []SubQuery
+				for _, sub := range planner.PlanFrame(q, tour.SpeedAt(i)) {
+					if !sub.Region.Empty() && sub.WMin <= sub.WMax {
+						frame = append(frame, sub)
+					}
+				}
+				frames = append(frames, frame)
+			}
+			planner.Advance(q, tour.SpeedAt(i))
+		}
+	}
+	return frames
+}
 
 // BenchmarkSearchOne is one sub-query through the server's search path,
 // on the data and the queries the end-to-end benchmark's tram workloads
@@ -21,21 +55,10 @@ import (
 // should cost what bare costs) or queries stored by their second ask
 // (admitted-hit: what a crowd at a landmark gets).
 func BenchmarkSearchOne(b *testing.B) {
-	store := workload.GenerateCity(workload.CitySpec{BlocksX: 16, BlocksY: 16, LotsPerBlock: 3, Levels: 3, Seed: 1})
-	space := store.Bounds().XY()
-	tour := motion.NewTour(motion.Tram, motion.TourSpec{Space: space, Steps: 2000, Speed: 0.8}, rand.New(rand.NewSource(1)))
-	planner := NewClient(nil, nil)
+	store := benchCity()
 	var slivers []SubQuery
-	for i, pos := range tour.Pos {
-		q := geom.RectAround(pos, 0.10*space.Width())
-		if i > 0 {
-			for _, sub := range planner.PlanFrame(q, tour.SpeedAt(i)) {
-				if !sub.Region.Empty() && sub.WMin <= sub.WMax {
-					slivers = append(slivers, sub)
-				}
-			}
-		}
-		planner.Advance(q, tour.SpeedAt(i))
+	for _, frame := range tramFrames(store.Bounds().XY(), 1) {
+		slivers = append(slivers, frame...)
 	}
 	newServer := func(shared bool) *Server {
 		srv := NewServer(store, index.NewSharded(store, index.XYW, index.ShardedConfig{Shards: 4}))
@@ -97,4 +120,54 @@ func BenchmarkSearchOne(b *testing.B) {
 			b.Fatalf("%d of %d asks hit the hot cache", got, b.N)
 		}
 	})
+}
+
+// BenchmarkPagedTram is tram.paged's storage layer: bench-city tram
+// frames (8 trips) replayed through a PagedStore whose page cache holds
+// 1/16 of the payload, as the end-to-end benchmark deploys it. A frame
+// searches each of its slivers and reads every hit through one pin set,
+// released at the frame's end, as the filter pass and the payload encode
+// do. One untimed lap warms the cache first; faults/frame is then the
+// steady-state page-fault rate and ns/op the cost of a frame.
+func BenchmarkPagedTram(b *testing.B) {
+	store := benchCity()
+	path := filepath.Join(b.TempDir(), "city.seg")
+	if err := index.BuildSegment(path, store, 3, 0); err != nil {
+		b.Fatal(err)
+	}
+	ps, err := index.OpenPaged(path, index.PagedConfig{CacheBytes: store.NumCoeffs() * index.CoeffRecordSize / 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ps.Close()
+	srv := NewServer(ps, index.NewSharded(ps, index.XYW, index.ShardedConfig{Shards: 4}))
+	srv.SetStats(nil)
+	frames := tramFrames(store.Bounds().XY(), 8)
+	pins := ps.NewPins()
+	var cur index.Cursor
+	var out subResult
+	replay := func(frame []SubQuery) {
+		for i := range frame {
+			srv.searchOne(&frame[i], &out, &cur)
+			for _, id := range out.ids {
+				if _, err := pins.Coeff(id); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		pins.Release()
+	}
+	for _, frame := range frames {
+		replay(frame)
+	}
+	before := ps.PagerStats()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		replay(frames[i%len(frames)])
+	}
+	b.StopTimer()
+	st := ps.PagerStats()
+	b.ReportMetric(float64(st.Faults-before.Faults)/float64(b.N), "faults/frame")
+	b.ReportMetric(float64(st.Evictions-before.Evictions)/float64(b.N), "evictions/frame")
 }

@@ -12,6 +12,8 @@ package workload
 import (
 	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
 
 	"repro/internal/geom"
 	"repro/internal/index"
@@ -152,20 +154,27 @@ func GenerateCity(spec CitySpec) *index.Store {
 
 // BuildCitySegment streams the city into a coefficient segment file at
 // path without materializing it: one object is generated, serialized,
-// and dropped at a time. The resulting segment opens as an
-// index.PagedStore that is coefficient-for-coefficient identical to
-// GenerateCity's store (bounds are accumulated in the same object order
-// Store.Bounds unions them, so even the handshake floats match).
-// pageSize 0 uses the persist default.
+// and dropped at a time into an identity-ordered temporary segment next
+// to path, which index.BuildSegment then lays out band-major and which
+// is removed afterwards. The result is byte-identical to
+// index.BuildSegment over GenerateCity's store (bounds are accumulated
+// in the same object order Store.Bounds unions them, so even the
+// handshake floats match). pageSize 0 uses the persist default.
 func BuildCitySegment(path string, spec CitySpec, pageSize int) error {
 	spec.fill()
+	f, err := os.CreateTemp(filepath.Dir(path), filepath.Base(path)+".*.unsorted")
+	if err != nil {
+		return err
+	}
+	tmp := f.Name()
+	f.Close()
+	defer os.Remove(tmp)
 	sp := persist.SegmentSpec{PageSize: pageSize, RecordSize: index.CoeffRecordSize}
-	return persist.WriteSegment(path, sp, func(a *persist.SegmentAppender) ([]byte, error) {
+	err = persist.WriteSegment(tmp, sp, func(a *persist.SegmentAppender) ([]byte, error) {
 		n := spec.NumObjects()
 		offsets := make([]int64, n)
 		var bounds geom.Rect3
 		baseVerts := 0
-		var rec []byte
 		for i := 0; i < n; i++ {
 			d := CityObject(spec, i)
 			offsets[i] = a.Count()
@@ -176,12 +185,26 @@ func BuildCitySegment(path string, spec CitySpec, pageSize int) error {
 				bounds = bounds.Union(d.Bounds())
 			}
 			for j := range d.Coeffs {
-				rec = index.AppendCoeffRecord(rec[:0], &d.Coeffs[j])
-				if err := a.Append(rec); err != nil {
+				rec, err := a.Reserve()
+				if err != nil {
 					return nil, err
 				}
+				index.PutCoeffRecord(rec, &d.Coeffs[j])
 			}
 		}
-		return index.EncodeSegmentMeta(spec.Levels, baseVerts, bounds, offsets), nil
+		identity := make([]uint32, a.Count())
+		for id := range identity {
+			identity[id] = uint32(id)
+		}
+		return index.EncodeSegmentMeta(spec.Levels, baseVerts, bounds, offsets, identity), nil
 	})
+	if err != nil {
+		return err
+	}
+	src, err := index.OpenPaged(tmp, index.PagedConfig{})
+	if err != nil {
+		return err
+	}
+	defer src.Close()
+	return index.BuildSegment(path, src, spec.Levels, pageSize)
 }

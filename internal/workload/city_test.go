@@ -138,4 +138,26 @@ func TestCitySegmentMatchesGeneratedStore(t *testing.T) {
 			t.Fatalf("coefficient %d differs between segment and store", id)
 		}
 	}
+
+	// One layout and one writer: the streamed build is byte-for-byte
+	// index.BuildSegment over the generated store, and leaves no
+	// temporary segment behind.
+	direct := filepath.Join(t.TempDir(), "direct.seg")
+	if err := index.BuildSegment(direct, store, spec.Levels, 4096); err != nil {
+		t.Fatal(err)
+	}
+	streamed, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	built, err := os.ReadFile(direct)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(streamed, built) {
+		t.Fatalf("BuildCitySegment wrote %d bytes that differ from BuildSegment(GenerateCity)'s %d", len(streamed), len(built))
+	}
+	if left, _ := filepath.Glob(filepath.Join(filepath.Dir(path), "*")); len(left) != 1 {
+		t.Fatalf("the build left %v in its directory, want only the segment", left)
+	}
 }
