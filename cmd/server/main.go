@@ -5,19 +5,20 @@
 // in internal/proto. Additional named scenes can be served from saved
 // dataset files; clients bind to one with a scene-select frame.
 //
-// With -data-dir the server is crash-safe: scenes are checkpointed to
-// the directory (atomically, on a -checkpoint-interval cadence and at
-// shutdown), interrupted sessions are mirrored into a durable journal,
-// and a restart restores both — checkpointed scenes are served again and
-// journaled sessions resume where they left off.
+// With -data-dir the server is crash-safe: the boot that builds the
+// scenes writes each dataset-backed scene's file to the directory once
+// (atomically; a scene's data never changes after it is built),
+// interrupted sessions are mirrored into a durable journal, and a
+// restart restores both — the scenes are served again from their files
+// and journaled sessions resume where they left off.
 //
 // Usage:
 //
-//	server [-addr :7333] [-advertise host:port] [-objects 100] [-levels 5] [-zipf] [-seed 1]
+//	server [-addr :7333] [-objects 100] [-levels 5] [-zipf] [-seed 1]
 //	       [-shards 1] [-scene default] [-scenes name=file,name2=file2]
 //	       [-store mem|paged] [-page-cache-bytes N] [-verify-pages] [-scrub-interval 10m]
 //	       [-city N] [-city-lots 3] [-city-levels 3]
-//	       [-data-dir dir] [-checkpoint-interval 1m]
+//	       [-data-dir dir]
 //	       [-stats 30s] [-stats-dump] [-max-sessions 0]
 //	       [-idle-timeout 2m] [-frame-timeout 30s] [-drain-timeout 5s]
 //	       [-resume-cache 1024] [-resume-ttl 2m]
@@ -47,20 +48,18 @@ import (
 
 func main() {
 	var (
-		addr      = flag.String("addr", ":7333", "listen address")
-		advertise = flag.String("advertise", "", "address cluster gateways and controllers should reach this server at (default: the listen address)")
-		objects   = flag.Int("objects", 100, "number of 3D objects")
-		levels    = flag.Int("levels", 5, "subdivision levels per object")
-		zipf      = flag.Bool("zipf", false, "Zipfian object placement")
-		seed      = flag.Int64("seed", 1, "dataset seed")
-		save      = flag.String("save", "", "write the generated dataset to this file and continue")
-		load      = flag.String("load", "", "serve a previously saved dataset instead of generating")
-		shards    = flag.Int("shards", 1, "grid shards per scene index (1 = single shard)")
-		scene     = flag.String("scene", proto.DefaultSceneName, "name of the primary scene")
-		scenes    = flag.String("scenes", "", "extra scenes as comma-separated name=file pairs")
+		addr    = flag.String("addr", ":7333", "listen address")
+		objects = flag.Int("objects", 100, "number of 3D objects")
+		levels  = flag.Int("levels", 5, "subdivision levels per object")
+		zipf    = flag.Bool("zipf", false, "Zipfian object placement")
+		seed    = flag.Int64("seed", 1, "dataset seed")
+		save    = flag.String("save", "", "write the generated dataset to this file and continue")
+		load    = flag.String("load", "", "serve a previously saved dataset instead of generating")
+		shards  = flag.Int("shards", 1, "grid shards per scene index (1 = single shard)")
+		scene   = flag.String("scene", proto.DefaultSceneName, "name of the primary scene")
+		scenes  = flag.String("scenes", "", "extra scenes as comma-separated name=file pairs")
 
-		dataDir      = flag.String("data-dir", "", "durable state directory (scene checkpoints + session journal); empty disables persistence")
-		ckptInterval = flag.Duration("checkpoint-interval", time.Minute, "how often scenes are checkpointed into -data-dir")
+		dataDir = flag.String("data-dir", "", "durable state directory (scene files written once at the first boot + session journal); empty disables persistence")
 
 		storeKind   = flag.String("store", "mem", "coefficient store: mem (resident) or paged (out-of-core segment in -data-dir)")
 		pageCache   = flag.Int64("page-cache-bytes", 64<<20, "paged store's resident-page budget in bytes")
@@ -99,8 +98,8 @@ func main() {
 	// the -scrub-interval background scrubber.
 	var pagedStore engine.PageVerifier
 
-	// With a data directory, checkpoints take precedence: a restart
-	// serves exactly what the dying process had checkpointed, and the
+	// With a data directory, scene files take precedence: a restart
+	// serves exactly the scenes the first boot built and saved, and the
 	// generation flags only apply to a first (empty-directory) boot.
 	restored := 0
 	if *dataDir != "" {
@@ -296,15 +295,6 @@ func main() {
 		}()
 	}
 
-	// The advertised address is what a cluster topology names this
-	// backend as; behind NAT or a bind-all listen address it differs
-	// from -addr.
-	if *advertise != "" {
-		reg.SetAdvertise(*advertise)
-	} else {
-		reg.SetAdvertise(*addr)
-	}
-
 	srv := proto.NewMultiServer(reg, log.Printf)
 	srv.SetStats(stats.Default)
 	srv.SetLimits(*maxSessions, *idleTimeout, *frameTimeout)
@@ -312,15 +302,16 @@ func main() {
 	srv.SetDrainTimeout(*drainTimeout)
 	srv.SetBudgetCap(*budgetCap)
 
-	// Durability: an immediate first checkpoint, the periodic
-	// checkpointer, and the session journal — opened (recovering any torn
-	// tail), attached to the resume caches, and replayed so sessions
-	// parked by the previous incarnation resume across this restart.
+	// Durability: a boot that built its scenes writes their files once,
+	// and the session journal is opened (recovering any torn tail),
+	// attached to the resume caches, and replayed so sessions parked by
+	// the previous incarnation resume across this restart.
 	var jr *engine.SessionJournal
-	var ckpt *engine.Checkpointer
 	if *dataDir != "" {
-		if err := reg.SaveAll(*dataDir, stats.Default); err != nil {
-			log.Fatalf("checkpoint: %v", err)
+		if restored == 0 {
+			if err := reg.SaveAll(*dataDir, stats.Default); err != nil {
+				log.Fatalf("save scenes: %v", err)
+			}
 		}
 		var err error
 		jr, err = engine.OpenSessionJournal(filepath.Join(*dataDir, engine.SessionJournalFile), 0, stats.Default)
@@ -331,8 +322,7 @@ func main() {
 		if n := jr.Restore(reg); n > 0 {
 			log.Printf("restored %d resumable session(s) from the journal", n)
 		}
-		ckpt = reg.StartCheckpointer(*dataDir, *ckptInterval, stats.Default, log.Printf)
-		log.Printf("durable state in %s (checkpoint every %v)", *dataDir, *ckptInterval)
+		log.Printf("durable state in %s", *dataDir)
 	}
 
 	sig := make(chan os.Signal, 1)
@@ -350,11 +340,6 @@ func main() {
 		log.Fatal(err)
 	}
 	stopScrub() // halt the ticker and wait out any in-flight pass
-	if ckpt != nil {
-		ckpt.Stop() // final checkpoint
-	}
-	if jr != nil {
-		jr.Close()
-	}
+	jr.Close()
 	log.Printf("shutdown complete")
 }

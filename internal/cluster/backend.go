@@ -14,23 +14,20 @@ import (
 )
 
 // BackendConfig describes one in-process backend: a full serving stack
-// (registry, session journal, checkpointer, wire server) the cluster
+// (registry, scene files, session journal, wire server) the cluster
 // harnesses boot, kill, and drain. cmd/server is the same stack as a
 // standalone process.
 type BackendConfig struct {
 	// Addr is the listen address (default "127.0.0.1:0"). Tests that
 	// need a backend at a topology-pinned address pre-reserve one.
 	Addr string
-	// Scenes are built fresh when DataDir holds no checkpoints; ignored
+	// Scenes are built fresh when DataDir holds no scene files; ignored
 	// when a prior incarnation's state is recovered.
 	Scenes []engine.SceneConfig
-	// DataDir holds the durable state: per-scene checkpoints and the
-	// session journal. "" runs the backend memory-only (no failover
-	// continuity, no drains in or out).
+	// DataDir holds the durable state: the per-scene files written when
+	// the scenes are built, and the session journal. "" runs the backend
+	// memory-only (no failover continuity, no drains in or out).
 	DataDir string
-	// CheckpointEvery is the background checkpoint period (0 disables;
-	// an initial checkpoint is still written when DataDir is set).
-	CheckpointEvery time.Duration
 	// Stats receives the backend's counters (nil → a fresh collector).
 	Stats *stats.Stats
 	// Logf receives diagnostics (nil discards).
@@ -43,15 +40,14 @@ type Backend struct {
 	st   *stats.Stats
 	reg  *engine.Registry
 	jr   *engine.SessionJournal
-	ckpt *engine.Checkpointer
 	srv  *proto.Server
 	lis  net.Listener
 	done chan struct{}
 }
 
 // StartBackend boots a backend: recovered from DataDir when it holds
-// checkpoints, built fresh from cfg.Scenes otherwise (writing an
-// initial checkpoint so a replica can cold-start from the directory).
+// scene files, built fresh from cfg.Scenes otherwise (writing the scene
+// files once, so a replica can cold-start from the directory).
 // The session journal, when DataDir is set, is replayed so sessions
 // parked by a prior incarnation resume here.
 func StartBackend(cfg BackendConfig) (*Backend, error) {
@@ -97,20 +93,16 @@ func StartBackend(cfg BackendConfig) (*Backend, error) {
 		b.jr = jr
 		b.reg.SetSessionJournal(jr)
 		jr.Restore(b.reg)
-		if cfg.CheckpointEvery > 0 {
-			b.ckpt = b.reg.StartCheckpointer(cfg.DataDir, cfg.CheckpointEvery, st, cfg.Logf)
-		}
 	}
 	b.srv = proto.NewMultiServer(b.reg, cfg.Logf)
 	b.srv.SetStats(st)
 	b.srv.SetDrainTimeout(time.Second)
 	lis, err := net.Listen("tcp", cfg.Addr)
 	if err != nil {
-		b.shutdownDurable(false)
+		b.Kill()
 		return nil, err
 	}
 	b.lis = lis
-	b.reg.SetAdvertise(lis.Addr().String())
 	b.done = make(chan struct{})
 	go func() {
 		defer close(b.done)
@@ -134,15 +126,9 @@ func (b *Backend) Journal() *engine.SessionJournal { return b.jr }
 // Stats exposes the backend's counters.
 func (b *Backend) Stats() *stats.Stats { return b.st }
 
-// shutdownDurable tears down the durable machinery; orderly runs the
-// final checkpoint, a crash does not.
-func (b *Backend) shutdownDurable(orderly bool) {
-	if orderly {
-		b.ckpt.Stop()
-	} else {
-		b.jr.Kill()
-		b.ckpt.Kill()
-	}
+// Stop shuts the backend down orderly: drained connections, closed
+// journal.
+func (b *Backend) Stop() {
 	if b.srv != nil {
 		b.srv.Close()
 	}
@@ -152,25 +138,26 @@ func (b *Backend) shutdownDurable(orderly bool) {
 	b.jr.Close()
 }
 
-// Stop shuts the backend down orderly: final checkpoint, drained
-// connections, closed journal.
-func (b *Backend) Stop() { b.shutdownDurable(true) }
-
 // Kill simulates the process dying: nothing reaches disk after the kill
-// instant — the journal and checkpointer die first, then the listener
-// and every connection are torn down.
-func (b *Backend) Kill() { b.shutdownDurable(false) }
+// instant — the journal dies first, then the listener and every
+// connection are torn down.
+func (b *Backend) Kill() {
+	b.jr.Kill()
+	b.Stop()
+}
 
-// ExportScene checkpoints one scene plus its parked sessions for
-// shipping: the checkpoint file is written under the backend's DataDir
-// and the live resume entries are encoded in park format.
+// ExportScene readies one scene plus its parked sessions for shipping:
+// the scene file already in the backend's DataDir, written when the
+// scene was built, and the live resume entries encoded in park format.
+// A scene with no file there (one built from a bare source) cannot be
+// shipped.
 func (b *Backend) ExportScene(scene string) (ckptPath string, sessions [][]byte, err error) {
 	if b.cfg.DataDir == "" {
 		return "", nil, fmt.Errorf("cluster: backend %s is memory-only, cannot export", b.Addr())
 	}
-	path, err := b.reg.SaveScene(b.cfg.DataDir, scene, b.st)
-	if err != nil {
-		return "", nil, err
+	path := engine.CheckpointPath(b.cfg.DataDir, scene)
+	if _, err := os.Stat(path); err != nil {
+		return "", nil, fmt.Errorf("cluster: scene %q has no scene file to ship: %w", scene, err)
 	}
 	sessions, err = b.reg.ExportSessions(scene)
 	if err != nil {
@@ -179,7 +166,7 @@ func (b *Backend) ExportScene(scene string) (ckptPath string, sessions [][]byte,
 	return path, sessions, nil
 }
 
-// AdoptScene takes ownership of a shipped scene: the checkpoint is
+// AdoptScene takes ownership of a shipped scene: the scene file is
 // copied (CRC-verified) into this backend's DataDir, loaded, and the
 // shipped sessions re-parked and journaled locally. Returns the number
 // of sessions adopted.
@@ -200,7 +187,7 @@ func (b *Backend) AdoptScene(scene, srcCkpt string, sessions [][]byte) (int, err
 
 // DropScene retires the source copy of a drained scene: the scene is
 // unregistered, its parked sessions tombstoned in the journal, and its
-// checkpoint file removed so a restart cannot resurrect a stale copy.
+// scene file removed so a restart cannot resurrect a stale copy.
 func (b *Backend) DropScene(scene string) error {
 	if _, err := b.reg.RemoveScene(scene); err != nil {
 		return err

@@ -55,10 +55,11 @@ type DrainReport struct {
 //  2. the source severs the scene's live connections; each handler
 //     parks its session in the resume cache (journaled), and the drain
 //     waits for the scene to quiesce,
-//  3. the scene's checkpoint and parked sessions are exported,
-//     CRC-verified-copied, and adopted by the target,
+//  3. the scene file the source wrote when it built the scene and the
+//     parked sessions are exported, CRC-verified-copied, and adopted by
+//     the target,
 //  4. the gateway flips the scene's route to the target,
-//  5. the source drops its copy (unregistered, tombstoned, checkpoint
+//  5. the source drops its copy (unregistered, tombstoned, scene file
 //     removed).
 //
 // Reconnecting clients then land on the target and resume from the

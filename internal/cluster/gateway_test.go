@@ -1,9 +1,11 @@
 package cluster
 
 import (
+	"bytes"
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
 	"path/filepath"
 	"strings"
 	"sync"
@@ -203,8 +205,10 @@ func TestGatewayRefusesSelectOfDrainingScene(t *testing.T) {
 // 16 clients across two scenes on two backends, all proxied through
 // one gateway, with one live drain relocating the busier scene
 // mid-tour. Every client must finish byte-identical to its scene's
-// oracle with zero re-plans (no session lost), and the per-backend
-// stats must reconcile exactly against the gateway's routing counters.
+// oracle with zero re-plans (no session lost), the per-backend stats
+// must reconcile exactly against the gateway's routing counters, and
+// the drain must ship the scene file the source wrote at boot, unchanged
+// and without writing it again.
 // Run under -race (make race / make cluster).
 func TestClusterRaceSoak(t *testing.T) {
 	const (
@@ -330,12 +334,30 @@ func TestClusterRaceSoak(t *testing.T) {
 	}
 
 	atBarrier.Wait()
+	bootFile, err := os.ReadFile(engine.CheckpointPath(filepath.Join(dir, "b1"), "east"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	saves := st1.Load(stats.EngineCheckpoints)
 	rep, err := ctl.Drain("east", a2)
 	if err != nil {
 		t.Fatalf("drain: %v", err)
 	}
 	close(gate)
 	wg.Wait()
+
+	if saves != 1 || st1.Load(stats.EngineCheckpoints) != saves {
+		t.Errorf("source wrote its scene file %d times at boot and %d during the drain, want 1 and 0",
+			saves, st1.Load(stats.EngineCheckpoints)-saves)
+	}
+	adopted, err := os.ReadFile(engine.CheckpointPath(filepath.Join(dir, "b2"), "east"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(adopted, bootFile) {
+		t.Errorf("adopted scene file (%d B) differs from the one the source wrote at boot (%d B)",
+			len(adopted), len(bootFile))
+	}
 
 	if rep.Severed != clientsPerScene || rep.Shipped != clientsPerScene || rep.Adopted != clientsPerScene {
 		t.Fatalf("drain report %+v, want %d severed/shipped/adopted", rep, clientsPerScene)
@@ -396,6 +418,27 @@ func TestClusterRaceSoak(t *testing.T) {
 	}
 	if s1.Get(stats.ProtoResumesRestored) != 0 {
 		t.Errorf("restored resumes on source = %d, want 0", s1.Get(stats.ProtoResumesRestored))
+	}
+}
+
+// TestExportSceneNeedsSceneFile pins that a drain ships only the file
+// a scene was built with: a scene built from a bare source has none, so
+// ExportScene refuses it, naming the scene, rather than ship nothing.
+func TestExportSceneNeedsSceneFile(t *testing.T) {
+	st := stats.New()
+	d := workload.Generate(workload.Spec{NumObjects: 4, Levels: 3, Seed: 3})
+	b, err := StartBackend(BackendConfig{
+		Scenes:  []engine.SceneConfig{{Name: "bare", Source: d.Store, Levels: 3, Stats: st}},
+		DataDir: t.TempDir(),
+		Stats:   st,
+		Logf:    t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Stop()
+	if _, _, err := b.ExportScene("bare"); err == nil || !strings.Contains(err.Error(), `"bare"`) {
+		t.Fatalf("ExportScene of a bare-source scene = %v, want an error naming it", err)
 	}
 }
 

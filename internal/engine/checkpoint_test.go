@@ -81,6 +81,11 @@ func TestSaveAllLoadAllRoundtrip(t *testing.T) {
 	}
 }
 
+// TestLoadAllTornTailRecovers tears a scene file's tail and boots twice:
+// the first LoadAll truncates the tail without inventing data, so the
+// second reads the file clean and the file is back to the size SaveAll
+// wrote. A scene file is never rewritten, so without the repair the
+// same tail would be counted again at every later boot.
 func TestLoadAllTornTailRecovers(t *testing.T) {
 	dir := t.TempDir()
 	st := stats.New()
@@ -88,9 +93,13 @@ func TestLoadAllTornTailRecovers(t *testing.T) {
 	if err := reg.SaveAll(dir, st); err != nil {
 		t.Fatal(err)
 	}
-	// Tear the city checkpoint: append a partial record, as a crash
+	// Tear the city scene file: append a partial record, as a crash
 	// during a (hypothetical) in-place write would.
 	path := CheckpointPath(dir, "city")
+	written, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
 		t.Fatal(err)
@@ -100,22 +109,30 @@ func TestLoadAllTornTailRecovers(t *testing.T) {
 	}
 	f.Close()
 
-	st2 := stats.New()
-	reg2 := NewRegistry()
-	n, err := reg2.LoadAll(dir, st2)
-	if err != nil || n != 2 {
-		t.Fatalf("LoadAll = %d, %v", n, err)
-	}
-	snap := st2.Snapshot()
-	if snap.Get(stats.EngineTailsTruncated) != 1 {
-		t.Fatalf("TailsTruncated = %d, want 1", snap.Get(stats.EngineTailsTruncated))
-	}
-	// Nothing invented: the scene's content matches the original.
 	orig, _ := reg.Get("city")
-	got, _ := reg2.Get("city")
-	if got.Source.NumCoeffs() != orig.Source.NumCoeffs() {
-		t.Fatalf("torn-tail load changed content: %d vs %d coeffs",
-			got.Source.NumCoeffs(), orig.Source.NumCoeffs())
+	for boot, wantTails := range []int64{1, 0} {
+		st2 := stats.New()
+		reg2 := NewRegistry()
+		n, err := reg2.LoadAll(dir, st2)
+		if err != nil || n != 2 {
+			t.Fatalf("boot %d: LoadAll = %d, %v", boot, n, err)
+		}
+		if got := st2.Load(stats.EngineTailsTruncated); got != wantTails {
+			t.Fatalf("boot %d: TailsTruncated = %d, want %d", boot, got, wantTails)
+		}
+		// Nothing invented: the scene's content matches the original.
+		got, _ := reg2.Get("city")
+		if got.Source.NumCoeffs() != orig.Source.NumCoeffs() {
+			t.Fatalf("boot %d: torn-tail load changed content: %d vs %d coeffs",
+				boot, got.Source.NumCoeffs(), orig.Source.NumCoeffs())
+		}
+	}
+	repaired, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if repaired.Size() != written.Size() {
+		t.Fatalf("repaired file is %d B, SaveAll wrote %d B", repaired.Size(), written.Size())
 	}
 }
 
@@ -149,28 +166,6 @@ func TestLoadAllEmptyDir(t *testing.T) {
 	n, err := reg.LoadAll(t.TempDir(), stats.New())
 	if err != nil || n != 0 {
 		t.Fatalf("empty dir: n=%d err=%v", n, err)
-	}
-}
-
-func TestCheckpointerStopSavesKillDoesNot(t *testing.T) {
-	st := stats.New()
-	reg := buildRegistry(t, st)
-
-	// Stop: a final save happens even if no tick ever fired.
-	stopDir := filepath.Join(t.TempDir(), "stop")
-	c := reg.StartCheckpointer(stopDir, time.Hour, st, t.Logf)
-	c.Stop()
-	c.Stop() // idempotent
-	if matches, _ := filepath.Glob(filepath.Join(stopDir, "scene-*")); len(matches) != 2 {
-		t.Fatalf("Stop left %d checkpoints, want 2", len(matches))
-	}
-
-	// Kill: nothing is written.
-	killDir := filepath.Join(t.TempDir(), "kill")
-	c = reg.StartCheckpointer(killDir, time.Hour, st, t.Logf)
-	c.Kill()
-	if matches, _ := filepath.Glob(filepath.Join(killDir, "scene-*")); len(matches) != 0 {
-		t.Fatalf("Kill wrote %d checkpoints, want 0", len(matches))
 	}
 }
 

@@ -1,96 +1,41 @@
 package engine
 
 import (
-	"bytes"
 	"fmt"
-	"os"
 	"time"
 
 	"repro/internal/persist"
 	"repro/internal/retrieval"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // This file is the engine side of a cluster drain: the hooks a
 // controller composes to move one scene between backends by
-// checkpoint-ship-replay. SaveScene/LoadScene move the data,
-// ExportSessions/ImportSessions move the parked resume state, and
-// RemoveScene retires the source copy (tombstoning its journal entries
-// so the shipped sessions have exactly one durable home).
+// ship-and-replay. The scene file SaveAll wrote at boot carries the
+// data and LoadScene adopts it, ExportSessions/ImportSessions move the
+// parked resume state, and RemoveScene retires the source copy
+// (tombstoning its journal entries so the shipped sessions have exactly
+// one durable home).
 
-// SaveScene writes one scene's durable checkpoint to dir (created if
-// missing) and returns the file path. Unlike SaveAll it is an error to
-// name a scene without a dataset — a drain that cannot ship the data
-// must fail loudly, not silently relocate an empty scene.
-func (r *Registry) SaveScene(dir, name string, st *stats.Stats) (string, error) {
-	r.mu.RLock()
-	sc, ok := r.scenes[name]
-	ordinal := 0
-	for i, n := range r.order {
-		if n == name {
-			ordinal = i
-		}
-	}
-	r.mu.RUnlock()
-	if !ok {
-		return "", fmt.Errorf("engine: unknown scene %q", name)
-	}
-	if sc.Dataset == nil {
-		return "", fmt.Errorf("engine: scene %q has no dataset to checkpoint", name)
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return "", err
-	}
-	var payload bytes.Buffer
-	if err := sc.Dataset.Save(&payload); err != nil {
-		return "", fmt.Errorf("engine: checkpoint scene %q: %w", name, err)
-	}
-	meta := checkpointMeta{ordinal: ordinal, levels: sc.Levels, shards: sc.Shards, name: name}
-	path := CheckpointPath(dir, name)
-	written, err := persist.WriteFileAtomic(path, func(w *persist.Writer) error {
-		if err := w.WriteRecord(encodeCheckpointMeta(meta)); err != nil {
-			return err
-		}
-		return w.WriteRecord(payload.Bytes())
-	})
-	if err != nil {
-		return "", fmt.Errorf("engine: checkpoint scene %q: %w", name, err)
-	}
-	st.Add(stats.EngineCheckpoints, 1)
-	st.Add(stats.EngineCheckpointBytes, written)
-	return path, nil
-}
-
-// LoadScene builds and registers one scene from a shipped checkpoint
-// file. Where LoadAll salvages what it can from a damaged directory,
+// LoadScene builds and registers one scene from a shipped scene file.
+// Where LoadAll salvages what it can from a damaged directory,
 // LoadScene is strict — a drain adopting a scene must get exactly the
 // records the source wrote, so any torn tail, quarantined record, or
 // short file is an error.
 func (r *Registry) LoadScene(path string, st *stats.Stats) (*Scene, error) {
-	recs, rec, err := persist.ReadFile(path)
+	recs, rec, err := persist.RecoverFile(path)
+	if err == nil && (rec.TailTruncated > 0 || rec.Quarantined > 0) {
+		err = fmt.Errorf("scene file damaged (%d records, %d quarantined, torn tail %v)",
+			len(recs), rec.Quarantined, rec.TailTruncated > 0)
+	}
+	var cfg SceneConfig
+	if err == nil {
+		_, cfg, err = decodeScene(recs, st)
+	}
 	if err != nil {
 		return nil, fmt.Errorf("engine: load scene %s: %w", path, err)
 	}
-	if rec.TailTruncated > 0 || rec.Quarantined > 0 || len(recs) < 2 {
-		return nil, fmt.Errorf("engine: load scene %s: checkpoint damaged (%d records, %d quarantined, torn tail %v)",
-			path, len(recs), rec.Quarantined, rec.TailTruncated > 0)
-	}
-	meta, err := decodeCheckpointMeta(recs[0])
-	if err != nil {
-		return nil, fmt.Errorf("engine: load scene %s: %w", path, err)
-	}
-	d, err := workload.Load(bytes.NewReader(recs[1]), false)
-	if err != nil {
-		return nil, fmt.Errorf("engine: load scene %s: %w", path, err)
-	}
-	return r.Build(SceneConfig{
-		Name:    meta.name,
-		Dataset: d,
-		Levels:  meta.levels,
-		Shards:  meta.shards,
-		Stats:   st,
-	})
+	return r.Build(cfg)
 }
 
 // RemoveScene unregisters a scene and purges its resume cache,

@@ -62,11 +62,11 @@ type Scene struct {
 	Levels int
 	Resume *ResumeCache
 	// Dataset is the serializable form of the scene's data, when known —
-	// the payload SaveAll checkpoints. Scenes registered from a bare
-	// source have no dataset and are skipped by checkpointing.
+	// the payload of the scene file SaveAll writes. Scenes registered
+	// from a bare source have no dataset and no scene file.
 	Dataset *workload.Dataset
 	// Shards records the index shard count the scene was built with, so
-	// a checkpoint restore rebuilds the same partitioning.
+	// a restore from the scene file rebuilds the same partitioning.
 	Shards int
 }
 
@@ -76,7 +76,7 @@ type SceneConfig struct {
 	Source index.CoefficientSource
 	// Dataset optionally supplies the scene's serializable dataset; when
 	// Source is nil, the dataset's store is the source. Only
-	// dataset-backed scenes participate in durable checkpoints.
+	// dataset-backed scenes get a durable scene file.
 	Dataset *workload.Dataset
 	Levels  int
 	// Layout selects the index dimensionality (default XYW, as the
@@ -99,11 +99,6 @@ type Registry struct {
 	scenes  map[string]*Scene
 	order   []string
 	journal *SessionJournal
-	// advertise is the address this process serves on as cluster
-	// topology files name it — usually the listener address, but
-	// explicitly configurable (-advertise) for NAT or multi-homed hosts,
-	// so gateway-side per-backend stats and routing keys stay stable.
-	advertise string
 }
 
 // NewRegistry creates an empty registry.
@@ -316,22 +311,6 @@ func (r *Registry) Journal() *SessionJournal {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
 	return r.journal
-}
-
-// SetAdvertise records the address this process should be known by in
-// cluster topology files (see Registry.advertise).
-func (r *Registry) SetAdvertise(addr string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.advertise = addr
-}
-
-// Advertise returns the configured cluster-facing address ("" when the
-// process serves standalone).
-func (r *Registry) Advertise() string {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.advertise
 }
 
 // ResumeLen sums the parked sessions across every scene's resume cache

@@ -15,7 +15,7 @@ import (
 	"repro/internal/workload"
 )
 
-// clusterScene is the scene the cluster harness serves; its checkpoint
+// clusterScene is the scene the cluster harness serves; its scene file
 // and journaled sessions cross two backend handoffs under this name.
 const clusterScene = "city"
 
@@ -32,7 +32,7 @@ type ClusterSpec struct {
 	Shards  int // index shard count per scene
 
 	// DataDir is the durable state root ("" = fresh temp dir, removed
-	// afterwards). The scene's checkpoints and session journal live in
+	// afterwards). The scene's file and session journal live in
 	// DataDir/owner; the drain target keeps its own DataDir/adopter.
 	DataDir string
 }
@@ -69,7 +69,7 @@ func reserveAddr() (net.Listener, string, error) {
 //   - phase 1 (failover): mid-tour, the scene's live session is severed
 //     and the owning backend killed; a replica — listed second in the
 //     topology, ejected by probes while its address was a dead reservation
-//     — boots from the dead backend's checkpoints and journal, is
+//     — boots from the dead backend's scene file and journal, is
 //     re-admitted, and the client resumes there with its token;
 //   - phase 2 (drain): mid-tour of a second client, the controller
 //     live-drains the scene onto an initially empty backend; the client

@@ -17,21 +17,21 @@ import (
 )
 
 // crashScene is the scene name the crash harness serves; it must survive
-// checkpoint save/load unchanged so restarted instances answer the same
-// hello.
+// the scene file's save/load unchanged so restarted instances answer the
+// same hello.
 const crashScene = proto.DefaultSceneName
 
 // CrashSpec configures the kill-restart experiment: a resilient client
 // rides a motion tour over a degraded link (faultnet drops and
 // corruption) while the server process is killed at seeded random frames
-// and restarted from its durable state — scene checkpoints plus the
-// session journal in DataDir. The zero value gets TramSoakSpec's
-// defaults and three kills.
+// and restarted from its durable state — the scene file written at the
+// first boot plus the session journal in DataDir. The zero value gets
+// TramSoakSpec's defaults and three kills.
 type CrashSpec struct {
 	TramSoakSpec
 
 	// Kills is the number of mid-tour server kills (default 3). The first
-	// kill also injects a torn tail into the scene checkpoint, and the
+	// kill also injects a torn tail into the scene file, and the
 	// second kill arms the journal failpoint so the dying server tears its
 	// own park record mid-write — both recoveries are counter-verified.
 	Kills int
@@ -116,13 +116,17 @@ func killRestart(b *cluster.Backend, cfg cluster.BackendConfig, cold bool, ord i
 // RunCrash runs the kill-restart experiment and prints a summary. A
 // resilient client streams a motion tour through faultnet while the
 // server is killed Kills times at seeded random frames and restarted
-// from its checkpoints and session journal. The experiment fails (as an
+// from its scene file and session journal. The experiment fails (as an
 // error) unless:
 //
 //   - the client's final reconstructions are byte-identical to a
 //     crash-free, fault-free oracle run,
-//   - recovery replayed checkpoint records and truncated the injected
-//     torn tail without inventing data, and
+//   - the scene file was written exactly once, at the first boot, and is
+//     back to its written size: every restart read it, and the first
+//     truncated the injected torn tail without inventing data,
+//   - exactly the injected torn tails were truncated: the scene file's,
+//     and the journal's torn park record unless the journal was deleted
+//     before a restart could read it, and
 //   - at least one resume was served from the recovered journal
 //     (ColdJournal inverts this: the journal is deleted at each restart,
 //     so no restored resumes may occur and the client must have fallen
@@ -146,9 +150,8 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 		Scenes: []engine.SceneConfig{{
 			Name: crashScene, Dataset: soak.d, Levels: spec.Levels, Shards: spec.Shards, Stats: stServer,
 		}},
-		DataDir:         dir,
-		CheckpointEvery: 100 * time.Millisecond,
-		Stats:           stServer,
+		DataDir: dir,
+		Stats:   stServer,
 	}
 	b, err := cluster.StartBackend(bcfg)
 	if err != nil {
@@ -259,12 +262,25 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 	if restarts != spec.Kills {
 		return fmt.Errorf("experiment: %d restarts, expected %d", restarts, spec.Kills)
 	}
-	if ss.Get(stats.EngineCheckpoints) < 1 || ss.Get(stats.EngineRecordsReplayed) < 1 {
-		return fmt.Errorf("experiment: recovery never replayed a checkpoint (checkpoints %d, replayed %d)",
-			ss.Get(stats.EngineCheckpoints), ss.Get(stats.EngineRecordsReplayed))
+	sceneFile, err := os.Stat(engine.CheckpointPath(dir, crashScene))
+	if err != nil {
+		return err
 	}
-	if ss.Get(stats.EngineTailsTruncated) < 1 {
-		return fmt.Errorf("experiment: injected torn tail was never truncated")
+	if ss.Get(stats.EngineCheckpoints) != 1 || ss.Get(stats.EngineCheckpointBytes) != sceneFile.Size() {
+		return fmt.Errorf("experiment: scene file written %d times (%d B), want once (%d B on disk)",
+			ss.Get(stats.EngineCheckpoints), ss.Get(stats.EngineCheckpointBytes), sceneFile.Size())
+	}
+	// Each restart replays the scene file's two records.
+	if ss.Get(stats.EngineRecordsReplayed) < 2*int64(restarts) {
+		return fmt.Errorf("experiment: %d records replayed, want at least the scene file's 2 per restart",
+			ss.Get(stats.EngineRecordsReplayed))
+	}
+	wantTails := int64(1)
+	if spec.Kills > 1 && !spec.ColdJournal {
+		wantTails = 2
+	}
+	if got := ss.Get(stats.EngineTailsTruncated); got != wantTails {
+		return fmt.Errorf("experiment: %d torn tails truncated, want the %d injected", got, wantTails)
 	}
 	if faults == 0 {
 		return fmt.Errorf("experiment: fault injection was inactive")

@@ -15,12 +15,6 @@ type Prediction struct {
 	VarY float64
 }
 
-// Sigma returns the larger per-axis standard deviation — a conservative
-// scalar uncertainty radius.
-func (p Prediction) Sigma() float64 {
-	return math.Sqrt(math.Max(p.VarX, p.VarY))
-}
-
 // Predictor implements the paper's state-estimation motion prediction:
 // the state holds the h most recent motion increments; the one-step
 // transition is an AR(h) model whose coefficients are estimated online by

@@ -321,27 +321,6 @@ func RecoverFile(path string) ([][]byte, Recovery, error) {
 	return recs, rec, nil
 }
 
-// ReadFile recovers a checkpoint-style file without repairing it:
-// records are salvaged with the same quarantine/torn-tail rules, but
-// the file is opened read-only and never truncated. A missing file
-// yields zero records.
-func ReadFile(path string) ([][]byte, Recovery, error) {
-	f, err := os.Open(path)
-	if errors.Is(err, os.ErrNotExist) {
-		return nil, Recovery{}, nil
-	}
-	if err != nil {
-		return nil, Recovery{}, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return nil, Recovery{}, err
-	}
-	recs, rec, _, err := Scan(f, st.Size())
-	return recs, rec, err
-}
-
 // CopyVerified copies a persist-format file from src to dst with strict
 // verification: every record must pass its CRC and the file must end
 // cleanly — any torn tail or quarantined record aborts the copy. The

@@ -30,9 +30,9 @@ func TestRoundtrip(t *testing.T) {
 	want := [][]byte{[]byte("alpha"), {}, []byte("gamma gamma gamma")}
 	writeRecords(t, path, want...)
 
-	recs, rec, err := ReadFile(path)
+	recs, rec, err := RecoverFile(path)
 	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
+		t.Fatalf("RecoverFile: %v", err)
 	}
 	if rec.Quarantined != 0 || rec.TailTruncated != 0 {
 		t.Fatalf("clean file reported damage: %+v", rec)
@@ -117,9 +117,9 @@ func TestCorruptRecordQuarantined(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	recs, rec, err := ReadFile(path)
+	recs, rec, err := RecoverFile(path)
 	if err != nil {
-		t.Fatalf("ReadFile: %v", err)
+		t.Fatalf("RecoverFile: %v", err)
 	}
 	if rec.Records != 2 || rec.Quarantined != 1 || rec.TailTruncated != 0 {
 		t.Fatalf("recovery = %+v, want 2 good + 1 quarantined", rec)
@@ -233,7 +233,7 @@ func TestAtomicWriteFailureLeavesOldFile(t *testing.T) {
 	}); !errors.Is(err, boom) {
 		t.Fatalf("err = %v, want boom", err)
 	}
-	recs, rec, err := ReadFile(path)
+	recs, rec, err := RecoverFile(path)
 	if err != nil || rec.Records != 1 || string(recs[0]) != "original" {
 		t.Fatalf("old file damaged: recs=%q rec=%+v err=%v", recs, rec, err)
 	}

@@ -85,8 +85,8 @@ const (
 	PagerResidentBytes // gauge
 	PagerCacheBytes    // gauge
 
-	// engine: durable checkpoints, startup recovery, journal compaction,
-	// background scrub.
+	// engine: scene files written (once, on the boot that builds the
+	// scenes), startup recovery, journal compaction, background scrub.
 	EngineCheckpoints
 	EngineCheckpointBytes
 	EngineRecordsReplayed
