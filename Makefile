@@ -1,12 +1,11 @@
 # Development targets. `make ci` is the full gate a change must pass:
 # build, vet, the tier-1 suite at 1/2/8 procs, bench/'s self-check, the
-# race-detector run and the acceptance soaks' verbose summaries (see
-# README "Testing"); the bench-abr/bench-crowd artifacts it regenerates
-# after them are informational.
+# race-detector run, the acceptance soaks' verbose summaries and seed
+# sweeps (see README "Testing") and the fuzz targets.
 
 GO ?= go
 
-.PHONY: build test test-procs race vet bench bench-check bench-e2e bench-abr bench-crowd benchguard soaks fuzz ci
+.PHONY: build test test-procs race vet bench bench-check bench-e2e bench-abr bench-crowd soaks fuzz ci
 
 build:
 	$(GO) build ./...
@@ -60,24 +59,26 @@ bench-e2e:
 # Every acceptance soak (internal/experiment's TestRun* tests) once,
 # verbosely, listing each soak's summary. `race` already runs them under
 # the race detector with the rest of the suite; README "Testing" lists
-# which package tests cover each plane. Then the fault and crash soaks at
-# their default scale for every -fault-seed 1-50 (about 1.5 minutes),
-# stopping at the first seed that fails.
+# which package tests cover each plane. Then every wire soak at its
+# default scale for every -seed 1-50, and the ABR soak (throttled by the
+# wall clock, about 2 s a seed) for -seed 1-10, stopping at the first
+# seed that fails (about 4 minutes in all on 2 vCPU).
 soaks:
 	$(GO) test -v -run '^TestRun' ./internal/experiment/
 	$(GO) build -o .soak_build/experiments ./cmd/experiments
-	for mode in fault crash; do \
-		for seed in $$(seq 1 50); do \
-			out=$$(.soak_build/experiments -$$mode -fault-seed $$seed -stats 0 2>&1) || \
-				{ echo "$$out"; echo "soaks: -$$mode fails at -fault-seed $$seed"; exit 1; }; \
+	for run in fault:50 crash:50 outofcore:50 crowd:50 cluster:50 abr:10; do \
+		mode=$${run%:*}; \
+		for seed in $$(seq 1 $${run#*:}); do \
+			out=$$(.soak_build/experiments -$$mode -seed $$seed -stats 0 2>&1) || \
+				{ echo "$$out"; echo "soaks: -$$mode fails at -seed $$seed"; exit 1; }; \
 		done; \
 	done
-	@echo "soaks: -fault and -crash pass for -fault-seed 1-50"
+	@echo "soaks: -fault, -crash, -outofcore, -crowd and -cluster pass for -seed 1-50, -abr for -seed 1-10"
 
 # Utility-vs-bandwidth sweep: ABR viewport plans against the fixed
 # two-state controller under identical per-frame byte allowances; emits
-# BENCH_abr.json (monotone utility curve, ABR >= fixed at every level);
-# `make benchguard` diffs it against HEAD.
+# BENCH_abr.json (monotone utility curve, ABR >= fixed at every level;
+# TestABRBenchSmoke gates both).
 bench-abr: build
 	$(GO) run ./cmd/experiments -bench-abr BENCH_abr.json
 
@@ -85,16 +86,9 @@ bench-abr: build
 # 0.5, and 0.9, coalesced vs independent execution in deterministic
 # lockstep; emits BENCH_crowd.json (index-pass reduction per point,
 # >= 3x gate at 10^3 clients / overlap >= 0.8, no-regression gate at
-# overlap 0); `make benchguard` diffs it against HEAD.
+# overlap 0; TestRunCrowdBench gates both).
 bench-crowd: build
 	$(GO) run ./cmd/experiments -bench-crowd BENCH_crowd.json
-
-# Informational artifact guard: diff freshly regenerated BENCH_*.json
-# against the versions committed at HEAD and report numeric leaves that
-# moved more than the tolerance. Never fails ci (pass -strict manually
-# to gate on it).
-benchguard:
-	$(GO) run ./scripts -tolerance 0.25
 
 # Short coverage-guided exploration of every fuzz target in the module:
 # each package's Fuzz* functions, as `go test -list` reports them, for
@@ -109,9 +103,3 @@ fuzz:
 	done
 
 ci: build vet test test-procs bench-check race soaks fuzz
-	# Informational artifact deltas (never fail the gate): regenerate
-	# BENCH_abr.json and BENCH_crowd.json, then diff both against HEAD
-	# with benchguard.
-	-$(MAKE) bench-abr
-	-$(MAKE) bench-crowd
-	-$(MAKE) benchguard

@@ -6,13 +6,16 @@
 // Usage:
 //
 //	experiments [-quick] [-fig fig8,fig12] [-objects N] [-tours N]
-//	            [-steps N] [-seed N] [-o out.txt] [-stats 0] [-stats-dump]
+//	            [-steps N] [-seed N] [-clients N] [-o out.txt] [-stats 0] [-stats-dump]
 //	            [-fault] [-crash] [-cluster] [-shards N]
 //	            [-abr] [-abr-profile osc] [-abr-low N] [-abr-high N] [-abr-period D]
-//	            [-city] [-city-blocks N] [-city-clients N]
-//	            [-diskfault] [-diskfault-retries N]
-//	            [-crowd] [-crowd-clients N] [-crowd-overlap F] [-crowd-attractors N]
+//	            [-outofcore]
+//	            [-crowd] [-crowd-overlap F] [-crowd-attractors N]
 //	            [-bench-abr out.json] [-bench-crowd out.json]
+//
+// -seed seeds whichever experiment runs (for the fault and crash soaks,
+// the dataset, tour and fault schedule); -clients sizes the out-of-core
+// soak's client pairs and the crowd soak's crowd.
 package main
 
 import (
@@ -39,11 +42,11 @@ func main() {
 		tours     = flag.Int("tours", 0, "override tours per setting")
 		steps     = flag.Int("steps", 0, "override steps per tour")
 		seed      = flag.Int64("seed", 1, "base random seed")
+		clients   = flag.Int("clients", 0, "client pairs in the out-of-core soak (0 = default 3), crowd size in the crowd soak (0 = default 16)")
 		out       = flag.String("o", "", "also write output to this file")
 		shards    = flag.Int("shards", 0, "index shard count where applicable (0 or 1 = one shard)")
 
 		fault        = flag.Bool("fault", false, "run the fault-injection experiment instead of the figures")
-		faultSeed    = flag.Int64("fault-seed", 1, "seed for the injected fault schedule")
 		faultDrop    = flag.Int64("fault-drop", 0, "mean bytes between connection drops (0 = default 16 KB)")
 		faultCorrupt = flag.Int64("fault-corrupt", 0, "mean read bytes between bit flips (0 = default 12 KB)")
 		faultLatency = flag.Duration("fault-latency", 0, "injected round-trip latency")
@@ -57,15 +60,9 @@ func main() {
 
 		benchABR = flag.String("bench-abr", "", "run the utility-vs-bandwidth ABR benchmark and write its JSON result to this file")
 
-		cityRun     = flag.Bool("city", false, "run the out-of-core city acceptance soak instead of the figures")
-		cityBlocks  = flag.Int("city-blocks", 0, "city blocks per side (0 = experiment default)")
-		cityClients = flag.Int("city-clients", 0, "concurrent seeded tours in the city soak (0 = default 3)")
-
-		diskFault      = flag.Bool("diskfault", false, "run the storage-fault tolerance soak instead of the figures")
-		diskFaultRetry = flag.Int("diskfault-retries", 0, "pager retries per transient fault (0 = default 2)")
+		outOfCore = flag.Bool("outofcore", false, "run the out-of-core soak (a paged city behind a fault-injecting disk) instead of the figures")
 
 		crowdRun        = flag.Bool("crowd", false, "run the crowd-serving acceptance soak (coalesced vs independent byte-identity) instead of the figures")
-		crowdClients    = flag.Int("crowd-clients", 0, "crowd size in the soak (0 = default 16)")
 		crowdOverlap    = flag.Float64("crowd-overlap", 0, "fraction of the crowd flocked onto shared attractors (0 = default 0.75; negative = no flocking)")
 		crowdAttractors = flag.Int("crowd-attractors", 0, "shared attractor paths (0 = default 3)")
 		benchCrowd      = flag.String("bench-crowd", "", "run the crowd-scaling coalescer benchmark and write its JSON result to this file")
@@ -105,156 +102,63 @@ func main() {
 	stopStats := statsFlags.Start(stats.Default, log.Printf)
 	defer stopStats()
 
-	if *benchABR != "" {
-		spec := experiment.ABRBenchSpec{
-			Seed:    *seed,
-			Objects: *objects,
-			Frames:  *steps,
-		}
-		if _, err := experiment.RunABRBench(spec, *benchABR, w); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *benchCrowd != "" {
-		spec := experiment.CrowdBenchSpec{
-			Seed:       *seed,
-			Objects:    *objects,
-			Steps:      *steps,
-			Attractors: *crowdAttractors,
-		}
-		if _, err := experiment.RunCrowdBench(spec, *benchCrowd, w); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *crowdRun {
-		spec := experiment.CrowdRunSpec{
-			Seed:       *seed,
-			Objects:    *objects,
-			Clients:    *crowdClients,
-			Steps:      *steps,
-			Attractors: *crowdAttractors,
-			Overlap:    *crowdOverlap,
-			Shards:     *shards,
-		}
-		if err := experiment.RunCrowd(spec, w); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *cityRun {
-		spec := experiment.CitySpec{
-			Seed:    *seed,
-			Blocks:  *cityBlocks,
-			Steps:   *steps,
-			Clients: *cityClients,
-		}
-		if err := experiment.RunCity(spec, w); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *diskFault {
-		spec := experiment.DiskFaultSpec{
-			Seed:     *seed,
-			Blocks:   *cityBlocks,
-			Steps:    *steps,
-			Clients:  *cityClients,
-			RetryMax: *diskFaultRetry,
-		}
-		if err := experiment.RunDiskFault(spec, w); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *abrRun {
-		spec := experiment.ABRSpec{
-			Seed:    *seed,
-			Objects: *objects,
-			Steps:   *steps,
-			Profile: *abrProfile,
-			LowBPS:  *abrLow,
-			HighBPS: *abrHigh,
-			Period:  *abrPeriod,
-		}
-		if err := experiment.RunABR(spec, w); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if *clusterRun {
-		spec := experiment.ClusterSpec{
-			Seed:    *seed,
-			Objects: *objects,
-			Steps:   *steps,
-			Shards:  *shards,
-			DataDir: *clusterDir,
-		}
-		if err := experiment.RunCluster(spec, w); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	tram := experiment.TramSoakSpec{
-		Seed:          *faultSeed,
-		Objects:       *objects,
-		Steps:         *steps,
-		Shards:        *shards,
-		DropMeanBytes: *faultDrop,
-		CorruptBytes:  *faultCorrupt,
+		Seed: *seed, Objects: *objects, Steps: *steps, Shards: *shards,
+		DropMeanBytes: *faultDrop, CorruptBytes: *faultCorrupt,
 	}
-
-	if *crash {
-		spec := experiment.CrashSpec{
-			TramSoakSpec: tram,
-			Kills:        *crashKills,
-			ColdJournal:  *crashCold,
-			DataDir:      *crashDir,
-		}
-		if err := experiment.RunCrash(spec, w); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	var err error
+	switch {
+	case *benchABR != "":
+		_, err = experiment.RunABRBench(experiment.ABRBenchSpec{Seed: *seed, Objects: *objects, Frames: *steps}, *benchABR, w)
+	case *benchCrowd != "":
+		_, err = experiment.RunCrowdBench(experiment.CrowdBenchSpec{
+			Seed: *seed, Objects: *objects, Steps: *steps, Attractors: *crowdAttractors,
+		}, *benchCrowd, w)
+	case *crowdRun:
+		err = experiment.RunCrowd(experiment.CrowdRunSpec{
+			Seed: *seed, Objects: *objects, Clients: *clients, Steps: *steps,
+			Attractors: *crowdAttractors, Overlap: *crowdOverlap, Shards: *shards,
+		}, w)
+	case *outOfCore:
+		err = experiment.RunOutOfCore(experiment.OutOfCoreSpec{
+			Seed: *seed, Steps: *steps, Clients: *clients,
+		}, w)
+	case *abrRun:
+		err = experiment.RunABR(experiment.ABRSpec{
+			Seed: *seed, Objects: *objects, Steps: *steps,
+			Profile: *abrProfile, LowBPS: *abrLow, HighBPS: *abrHigh, Period: *abrPeriod,
+		}, w)
+	case *clusterRun:
+		err = experiment.RunCluster(experiment.ClusterSpec{
+			Seed: *seed, Objects: *objects, Steps: *steps, Shards: *shards, DataDir: *clusterDir,
+		}, w)
+	case *crash:
+		err = experiment.RunCrash(experiment.CrashSpec{
+			TramSoakSpec: tram, Kills: *crashKills, ColdJournal: *crashCold, DataDir: *crashDir,
+		}, w)
+	case *fault:
+		err = experiment.RunFault(experiment.FaultSpec{TramSoakSpec: tram, Latency: *faultLatency, BytesPerSecond: *faultBW}, w)
+	default:
+		err = runFigures(w, cfg, *figs, *ablations)
 	}
-
-	if *fault {
-		spec := experiment.FaultSpec{
-			TramSoakSpec:   tram,
-			Latency:        *faultLatency,
-			BytesPerSecond: *faultBW,
-		}
-		if err := experiment.RunFault(spec, w); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
-			os.Exit(1)
-		}
-		return
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %v\n", err)
+		os.Exit(1)
 	}
+}
 
+// runFigures prints the figures (and, with ablations, the ablation
+// tables) whose ids figs lists, comma-separated; "" runs them all.
+func runFigures(w io.Writer, cfg experiment.Config, figs string, ablations bool) error {
 	want := map[string]bool{}
-	if *figs != "" {
-		for _, id := range strings.Split(*figs, ",") {
+	if figs != "" {
+		for _, id := range strings.Split(figs, ",") {
 			want[strings.TrimSpace(id)] = true
 		}
 	}
 
 	gens := experiment.Generators()
-	if *ablations {
+	if ablations {
 		gens = append(gens, experiment.AblationGenerators()...)
 	}
 	ran := 0
@@ -269,7 +173,7 @@ func main() {
 		ran++
 	}
 	if ran == 0 {
-		fmt.Fprintf(os.Stderr, "experiments: no figures matched %q\n", *figs)
-		os.Exit(1)
+		return fmt.Errorf("no figures matched %q", figs)
 	}
+	return nil
 }

@@ -25,22 +25,20 @@ import (
 type ABRSpec struct {
 	Seed    int64
 	Objects int // dataset size (default 48)
-	Levels  int // subdivision depth (default 3)
 	Steps   int // tour length (default 40)
 
 	Profile string        // throttle schedule kind (default faultnet.ProfileOsc)
 	LowBPS  int64         // schedule floor (default 16 KiB/s)
 	HighBPS int64         // schedule ceiling (default 128 KiB/s)
 	Period  time.Duration // schedule period (default 1.5 s)
-	Latency time.Duration // link latency (default 5 ms)
 }
+
+// abrLatency is the ABR soak link's added latency.
+const abrLatency = 5 * time.Millisecond
 
 func (s ABRSpec) fill() (ABRSpec, error) {
 	if s.Objects == 0 {
 		s.Objects = 48
-	}
-	if s.Levels == 0 {
-		s.Levels = 3
 	}
 	if s.Steps == 0 {
 		s.Steps = 40
@@ -59,9 +57,6 @@ func (s ABRSpec) fill() (ABRSpec, error) {
 	}
 	if s.Period == 0 {
 		s.Period = 1500 * time.Millisecond
-	}
-	if s.Latency == 0 {
-		s.Latency = 5 * time.Millisecond
 	}
 	return s, nil
 }
@@ -83,7 +78,7 @@ func RunABR(spec ABRSpec, w io.Writer) error {
 		return err
 	}
 
-	d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: spec.Levels, Seed: spec.Seed + 5})
+	d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: soakLevels, Seed: spec.Seed + 5})
 	stServer := stats.New()
 	b, err := startScene(engine.SceneConfig{Name: proto.DefaultSceneName, Dataset: d, Levels: d.Spec.Levels, Stats: stServer})
 	if err != nil {
@@ -100,20 +95,15 @@ func RunABR(spec ABRSpec, w io.Writer) error {
 	}
 	stClient := stats.New()
 	dialer := faultnet.NewDialer(b.Addr(), faultnet.Config{
-		Seed: spec.Seed + 1, Latency: spec.Latency, Throttle: profile,
+		Seed: spec.Seed + 1, Latency: abrLatency, Throttle: profile,
 	})
 	dialer.SetStats(stClient)
-	rc, err := proto.DialResilient(proto.ResilientConfig{
-		Dial:         dialer.Dial,
-		FrameTimeout: 10 * time.Second,
-		MaxAttempts:  8,
-		Seed:         spec.Seed + 2,
-		ABR: &abr.Config{
-			FrameInterval: 100 * time.Millisecond,
-			MinBudget:     2 << 10,
-		},
-		Stats: stClient,
-	})
+	rcfg := resilientConfig(spec.Seed+2, stClient)
+	rcfg.Dial = dialer.Dial
+	// The client's default retry policy: 8 attempts, 50 ms–2 s backoff.
+	rcfg.MaxAttempts, rcfg.BackoffBase, rcfg.BackoffMax = 0, 0, 0
+	rcfg.ABR = &abr.Config{FrameInterval: 100 * time.Millisecond, MinBudget: 2 << 10}
+	rc, err := proto.DialResilient(rcfg)
 	if err != nil {
 		return err
 	}
@@ -156,7 +146,7 @@ func RunABR(spec ABRSpec, w io.Writer) error {
 	c := rc.Client()
 	cs, ss := stClient.Snapshot(), stServer.Snapshot()
 	fmt.Fprintf(w, "abr: %d objects, %d-step tram tour, %s link, %v latency\n",
-		spec.Objects, spec.Steps, profile, spec.Latency)
+		spec.Objects, spec.Steps, profile, abrLatency)
 	fmt.Fprintf(w, "  frames %d in %v · %d coefficients · %d bytes · budget %d..%d B/frame\n",
 		tour.Len(), elapsed.Round(time.Millisecond), c.Coefficients, c.BytesReceived, minBudget, maxBudget)
 	fmt.Fprintf(w, "  estimator: bandwidth %d B/s · rtt %v · truncated %d responses (%d coeffs deferred)\n",

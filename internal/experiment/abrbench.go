@@ -37,37 +37,29 @@ import (
 // Delivered coefficients are scored with the screen-space utility model
 // (abr.Contribution × coefficient magnitude).
 type ABRBenchSpec struct {
-	Seed       int64
-	Objects    int     // dataset size (default 40)
-	Levels     int     // subdivision depth (default 3)
-	Frames     int     // viewpoints per throttle level (default 24)
-	Bandwidths []int64 // throttle sweep in bytes/second (default 8..256 KiB/s)
-
-	FrameInterval time.Duration // allowance window per frame (default 250 ms)
-	FixedFloor    float64       // fixed mode's degraded wmin floor (default 0.5)
+	Seed    int64
+	Objects int // dataset size (default 40)
+	Frames  int // viewpoints per throttle level (default 24)
 }
 
 func (s ABRBenchSpec) fill() ABRBenchSpec {
 	if s.Objects == 0 {
 		s.Objects = 40
 	}
-	if s.Levels == 0 {
-		s.Levels = 3
-	}
 	if s.Frames == 0 {
 		s.Frames = 24
 	}
-	if len(s.Bandwidths) == 0 {
-		s.Bandwidths = []int64{8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10}
-	}
-	if s.FrameInterval <= 0 {
-		s.FrameInterval = 250 * time.Millisecond
-	}
-	if s.FixedFloor <= 0 || s.FixedFloor >= 1 {
-		s.FixedFloor = 0.5
-	}
 	return s
 }
+
+// The sweep: throttle levels in bytes/second, the allowance window per
+// frame, and the fixed controller's degraded wmin floor.
+var abrBenchBandwidths = []int64{8 << 10, 16 << 10, 32 << 10, 64 << 10, 128 << 10, 256 << 10}
+
+const (
+	abrBenchFrameInterval = 250 * time.Millisecond
+	abrBenchFixedFloor    = 0.5
+)
 
 // ABRBenchPoint is one throttle level's measurement: mean per-frame
 // utility and delivery volume for both controllers under the same byte
@@ -116,7 +108,7 @@ func frameUtility(store *index.Store, ids []int64, viewer geom.Vec2, side float6
 // inspected.
 func RunABRBench(spec ABRBenchSpec, jsonPath string, w io.Writer) (*ABRBenchResult, error) {
 	spec = spec.fill()
-	d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: spec.Levels, Seed: spec.Seed + 5})
+	d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: soakLevels, Seed: spec.Seed + 5})
 	idx := index.NewMotionAware(d.Store, index.XYW, rtree.Config{})
 	srv := retrieval.NewServer(d.Store, idx)
 	srv.SetStats(stats.New())
@@ -135,10 +127,10 @@ func RunABRBench(spec ABRBenchSpec, jsonPath string, w io.Writer) (*ABRBenchResu
 		Frames:  spec.Frames,
 	}
 	fmt.Fprintf(w, "abr bench: %d objects (%d coefficients), %d viewpoints/level, %v frame interval\n",
-		spec.Objects, res.Coeffs, spec.Frames, spec.FrameInterval)
+		spec.Objects, res.Coeffs, spec.Frames, abrBenchFrameInterval)
 
-	for _, bps := range spec.Bandwidths {
-		allowance := int64(float64(bps) * spec.FrameInterval.Seconds())
+	for _, bps := range abrBenchBandwidths {
+		allowance := int64(float64(bps) * abrBenchFrameInterval.Seconds())
 		point := ABRBenchPoint{BytesPerSecond: bps, FrameBudget: allowance}
 		degraded := false // fixed controller's state, carried across frames
 		for i, pos := range tour.Pos {
@@ -157,8 +149,8 @@ func RunABRBench(spec ABRBenchSpec, jsonPath string, w io.Writer) (*ABRBenchResu
 			// arbitrary merge order either way.
 			wmin := cut
 			if degraded {
-				if wmin < spec.FixedFloor {
-					wmin = spec.FixedFloor
+				if wmin < abrBenchFixedFloor {
+					wmin = abrBenchFixedFloor
 				}
 				point.DegradedFrames++
 			}

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"os"
 	"path/filepath"
 	"time"
 
@@ -23,31 +22,17 @@ const clusterScene = "city"
 // clients tour a scene through the gateway while the harness first kills
 // the owning backend (failover to a cold replica booted from the dead
 // backend's durable state) and then live-drains the scene onto a third,
-// initially empty backend. The zero value gets quick-scale defaults.
+// initially empty backend. The zero value gets TramSoakSpec's defaults.
 type ClusterSpec struct {
 	Seed    int64
-	Objects int // dataset size (default 40)
-	Levels  int // subdivision depth (default 3)
-	Steps   int // tour length per client (default 80)
+	Objects int // dataset size (default 300)
+	Steps   int // tour length per client (default 300)
 	Shards  int // index shard count per scene
 
 	// DataDir is the durable state root ("" = fresh temp dir, removed
 	// afterwards). The scene's file and session journal live in
 	// DataDir/owner; the drain target keeps its own DataDir/adopter.
 	DataDir string
-}
-
-func (s ClusterSpec) fill() ClusterSpec {
-	if s.Objects == 0 {
-		s.Objects = 40
-	}
-	if s.Levels == 0 {
-		s.Levels = 3
-	}
-	if s.Steps == 0 {
-		s.Steps = 80
-	}
-	return s
 }
 
 // reserveAddr grabs a concrete listen address for a backend that will be
@@ -83,28 +68,25 @@ func reserveAddr() (net.Listener, string, error) {
 // recorded the failover and the drain, and the replica's ejection and
 // re-admission were both observed.
 func RunCluster(spec ClusterSpec, w io.Writer) error {
-	spec = spec.fill()
+	tram := TramSoakSpec{Seed: spec.Seed, Objects: spec.Objects, Steps: spec.Steps}.fill()
+	spec.Objects, spec.Steps = tram.Objects, tram.Steps
 	k1, k2 := spec.Steps/3, 2*spec.Steps/3
 	if k1 < 2 || k2 <= k1 || k2 >= spec.Steps-1 {
 		return fmt.Errorf("experiment: tour of %d steps too short for a kill and a drain", spec.Steps)
 	}
 
-	root := spec.DataDir
-	if root == "" {
-		tmp, err := os.MkdirTemp("", "cluster-experiment-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		root = tmp
+	root, cleanup, err := dataDir(spec.DataDir, "cluster-experiment-")
+	if err != nil {
+		return err
 	}
+	defer cleanup()
 	ownerDir := filepath.Join(root, "owner")
 	adoptDir := filepath.Join(root, "adopter")
 
-	soak := newTramSoak(TramSoakSpec{Seed: spec.Seed, Objects: spec.Objects, Levels: spec.Levels, Steps: spec.Steps})
+	soak := newTramSoak(tram)
 	sceneFor := func(st *stats.Stats) engine.SceneConfig {
-		sd := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: spec.Levels, Seed: spec.Seed + 5})
-		return engine.SceneConfig{Name: clusterScene, Dataset: sd, Levels: spec.Levels, Shards: spec.Shards, Stats: st}
+		sd := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: soakLevels, Seed: spec.Seed + 5})
+		return engine.SceneConfig{Name: clusterScene, Dataset: sd, Levels: soakLevels, Shards: spec.Shards, Stats: st}
 	}
 
 	// The owning backend, and a reserved address for the replica that
@@ -165,15 +147,12 @@ func RunCluster(spec ClusterSpec, w io.Writer) error {
 	}
 
 	dialClient := func(seed int64) (*proto.ResilientClient, error) {
-		return proto.DialResilient(proto.ResilientConfig{
-			Addrs:        []string{gwAddr},
-			Scene:        clusterScene,
-			FrameTimeout: 10 * time.Second,
-			MaxAttempts:  20,
-			BackoffBase:  2 * time.Millisecond,
-			BackoffMax:   100 * time.Millisecond,
-			Seed:         seed,
-		})
+		cfg := resilientConfig(seed, nil)
+		cfg.Addrs, cfg.Scene = []string{gwAddr}, clusterScene
+		// A failover re-dials through the gateway until the prober has
+		// ejected the dead backend: more, slower retries.
+		cfg.MaxAttempts, cfg.BackoffBase, cfg.BackoffMax = 20, 2*time.Millisecond, 100*time.Millisecond
+		return proto.DialResilient(cfg)
 	}
 
 	start := time.Now()
@@ -193,15 +172,9 @@ func RunCluster(spec ClusterSpec, w io.Writer) error {
 			if !waitUntil(5*time.Second, func() bool { return !gw.BackendUp(a2) }) {
 				return fmt.Errorf("experiment: probes never ejected the dead replica %s", a2)
 			}
-			parksBefore := b1.Journal().Parks()
-			if n := b1.Server().SeverScene(clusterScene); n != 1 {
-				return fmt.Errorf("experiment: severed %d connections on %s, want 1", n, a1)
+			if err := killParked(b1, clusterScene); err != nil {
+				return err
 			}
-			if !waitUntil(2*time.Second, func() bool { return b1.Journal().Parks() > parksBefore }) {
-				return fmt.Errorf("experiment: severed session was never parked durably")
-			}
-			time.Sleep(10 * time.Millisecond) // park bookkeeping racing the poll
-			b1.Kill()
 			reserved.Close()
 			b2, err = cluster.StartBackend(cluster.BackendConfig{
 				Addr:    a2,

@@ -67,30 +67,20 @@ func injectTornTail(path string) error {
 }
 
 // killRestart performs one kill cycle on the backend cfg booted: sever
-// the scene's session server-side, wait for the backend to park it
-// durably (or, on the torn-park kill, for the armed failpoint to tear
-// the journal mid-append), kill it, optionally damage the durable state,
-// and boot the next incarnation on the same address from cfg.DataDir.
+// the scene's session server-side and kill the backend once it parked
+// the session (on the second kill the armed failpoint tears that park
+// record mid-append), optionally damage the durable state, and boot the
+// next incarnation on the same address from cfg.DataDir.
 func killRestart(b *cluster.Backend, cfg cluster.BackendConfig, cold bool, ord int) (*cluster.Backend, error) {
-	jr := b.Journal()
-	parksBefore := jr.Parks()
-	tearJournal := ord == 1
-	if tearJournal {
+	if ord == 1 {
 		// The park record the dying server writes for the severed session
 		// tears four bytes in — mid-header — so recovery must truncate it
 		// and this client's resume falls back to a re-plan.
-		jr.SetFailpoint(4)
+		b.Journal().SetFailpoint(4)
 	}
-	b.Server().SeverScene(crashScene)
-	if tearJournal {
-		waitUntil(2*time.Second, jr.Killed)
-	} else {
-		waitUntil(2*time.Second, func() bool { return jr.Parks() > parksBefore })
+	if err := killParked(b, crashScene); err != nil {
+		return nil, err
 	}
-	// Grace for park bookkeeping racing the poll; the fsync already
-	// happened by the time Parks() moves.
-	time.Sleep(10 * time.Millisecond)
-	b.Kill()
 	if ord == 0 {
 		if err := injectTornTail(engine.CheckpointPath(cfg.DataDir, crashScene)); err != nil {
 			return nil, err
@@ -134,21 +124,17 @@ func killRestart(b *cluster.Backend, cfg cluster.BackendConfig, cold bool, ord i
 func RunCrash(spec CrashSpec, w io.Writer) error {
 	spec = spec.fill()
 
-	dir := spec.DataDir
-	if dir == "" {
-		tmp, err := os.MkdirTemp("", "crash-experiment-")
-		if err != nil {
-			return err
-		}
-		defer os.RemoveAll(tmp)
-		dir = tmp
+	dir, cleanup, err := dataDir(spec.DataDir, "crash-experiment-")
+	if err != nil {
+		return err
 	}
+	defer cleanup()
 
 	soak := newTramSoak(spec.TramSoakSpec)
 	stServer := stats.New()
 	bcfg := cluster.BackendConfig{
 		Scenes: []engine.SceneConfig{{
-			Name: crashScene, Dataset: soak.d, Levels: spec.Levels, Shards: spec.Shards, Stats: stServer,
+			Name: crashScene, Dataset: soak.d, Levels: soakLevels, Shards: spec.Shards, Stats: stServer,
 		}},
 		DataDir: dir,
 		Stats:   stServer,
@@ -199,15 +185,9 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 	stClient := stats.New()
 	dialer := faultnet.NewDialer(b.Addr(), cfg)
 	dialer.SetStats(stClient)
-	rc, err := proto.DialResilient(proto.ResilientConfig{
-		Dial:         dialer.Dial,
-		FrameTimeout: 10 * time.Second,
-		MaxAttempts:  12,
-		BackoffBase:  time.Millisecond,
-		BackoffMax:   50 * time.Millisecond,
-		Seed:         spec.Seed + 2,
-		Stats:        stClient,
-	})
+	rcfg := resilientConfig(spec.Seed+2, stClient)
+	rcfg.Dial = dialer.Dial
+	rc, err := proto.DialResilient(rcfg)
 	if err != nil {
 		return err
 	}

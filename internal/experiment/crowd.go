@@ -30,7 +30,6 @@ const crowdScene = "plaza"
 type CrowdRunSpec struct {
 	Seed       int64
 	Objects    int     // dataset size (default 48)
-	Levels     int     // subdivision depth (default 3)
 	Clients    int     // crowd size (default 16)
 	Steps      int     // lockstep frames per client (default 36)
 	Attractors int     // shared attractor paths (default 3)
@@ -41,9 +40,6 @@ type CrowdRunSpec struct {
 func (s CrowdRunSpec) fill() CrowdRunSpec {
 	if s.Objects == 0 {
 		s.Objects = 48
-	}
-	if s.Levels == 0 {
-		s.Levels = 3
 	}
 	if s.Clients == 0 {
 		s.Clients = 16
@@ -63,11 +59,18 @@ func (s CrowdRunSpec) fill() CrowdRunSpec {
 	return s
 }
 
-// crowdFrame is one lockstep step of one client.
+// crowdFrame is one lockstep step of one client. A reset frame
+// forgets the previous window first, so the client asks for its whole
+// view again (Algorithm 1 sends nothing for a view that did not move).
 type crowdFrame struct {
 	q     geom.Rect2
 	speed float64
+	reset bool
 }
+
+// crowdHolders is the size of the flock that holds still at the
+// space's centre when the crowd flocks.
+const crowdHolders = 2
 
 // crowdSession drives one raw wire session through the lockstep soak:
 // it blocks on the shared per-step barrier, issues its frame, records
@@ -100,6 +103,9 @@ func crowdSession(addr string, frames []crowdFrame, starts []chan struct{}, step
 	out := make([]proto.Response, len(frames))
 	for i, f := range frames {
 		<-starts[i]
+		if f.reset {
+			planner.Reset()
+		}
 		subs := planner.PlanFrame(f.q, f.speed)
 		if err := w.WriteRequest(proto.Request{Subs: subs}); err != nil {
 			return nil, err
@@ -195,8 +201,8 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 
 	stCo, stInd := stats.New(), stats.New()
 	boot := func(st *stats.Stats) (*cluster.Backend, *engine.Scene, error) {
-		d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: spec.Levels, Seed: spec.Seed + 5})
-		b, err := startScene(engine.SceneConfig{Name: crowdScene, Dataset: d, Levels: spec.Levels, Shards: spec.Shards, Stats: st})
+		d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: soakLevels, Seed: spec.Seed + 5})
+		b, err := startScene(engine.SceneConfig{Name: crowdScene, Dataset: d, Levels: soakLevels, Shards: spec.Shards, Stats: st})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -241,6 +247,22 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 			frames[i][s] = crowdFrame{q: geom.RectAround(pos, side), speed: tour.SpeedAt(s)}
 		}
 	}
+	// A flocking crowd also gets a flock that holds still and re-asks
+	// its view every frame. From the first step one of its members is
+	// subscribed to the view's hot-region bucket, and the first re-ask
+	// after the epoch bump recomputes that bucket: one subscription
+	// refresh is owed. The moving flocks owe none — the buckets they
+	// watch lie behind them once the epoch moves.
+	if spec.Overlap > 0 {
+		hold := make([]crowdFrame, spec.Steps)
+		for s := range hold {
+			hold[s] = crowdFrame{q: geom.RectAround(space.Center(), side), speed: 0.5, reset: true}
+		}
+		for range crowdHolders {
+			frames = append(frames, hold)
+		}
+	}
+	clients := len(frames)
 
 	// The forced mutation: delete and reinsert one coefficient. Content
 	// is unchanged but the R*-tree may reshape and the epoch advances, so
@@ -268,7 +290,7 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 
 	// Byte-identity: every client, every frame, every record.
 	diverged := 0
-	for i := 0; i < spec.Clients; i++ {
+	for i := 0; i < clients; i++ {
 		for s := 0; s < spec.Steps; s++ {
 			a, b := coResp[i][s], indResp[i][s]
 			if len(a.Coeffs) != len(b.Coeffs) || a.IO != b.IO || a.Dropped != b.Dropped {
@@ -286,13 +308,11 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 
 	// Sessions close via Bye but the server goroutines race the soak
 	// body; wait for both gauges to drain before reading counters.
-	deadline := time.Now().Add(5 * time.Second)
-	for stCo.Load(stats.ProtoSessionsActive) != 0 || stInd.Load(stats.ProtoSessionsActive) != 0 {
-		if time.Now().After(deadline) {
-			return fmt.Errorf("experiment: sessions never drained (%d coalesced, %d independent active)",
-				stCo.Load(stats.ProtoSessionsActive), stInd.Load(stats.ProtoSessionsActive))
-		}
-		time.Sleep(time.Millisecond)
+	if !waitUntil(5*time.Second, func() bool {
+		return stCo.Load(stats.ProtoSessionsActive) == 0 && stInd.Load(stats.ProtoSessionsActive) == 0
+	}) {
+		return fmt.Errorf("experiment: sessions never drained (%d coalesced, %d independent active)",
+			stCo.Load(stats.ProtoSessionsActive), stInd.Load(stats.ProtoSessionsActive))
 	}
 
 	co, ind := stCo.Snapshot(), stInd.Snapshot()
@@ -300,9 +320,9 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 	routed, led, shared := co.Get(stats.CoalescerRouted), co.Get(stats.CoalescerLed), co.Get(stats.CoalescerShared)
 	collision, stale := co.Get(stats.CoalescerBypassCollision), co.Get(stats.CoalescerBypassStale)
 	passes := firstTouches + led + collision + stale
-	fmt.Fprintf(w, "crowd: %s, %d objects per scene, mid-soak epoch bump at step %d\n",
+	fmt.Fprintf(w, "crowd: %s + %d holding still, %d objects per scene, mid-soak epoch bump at step %d\n",
 		workload.CrowdSpec{Clients: spec.Clients, Steps: spec.Steps, Attractors: spec.Attractors, Overlap: spec.Overlap, Seed: spec.Seed},
-		spec.Objects, bumpAt)
+		clients-spec.Clients, spec.Objects, bumpAt)
 	fmt.Fprintf(w, "  coalescer: %d first touches · %d routed = %d led + %d shared + %d collision + %d stale -> %d index passes (independent: %d)\n",
 		firstTouches, routed, led, shared, collision, stale, passes, indSubQueries)
 	fmt.Fprintf(w, "  hot regions: %d hits · %d sub refreshes · %d payload replays · %v elapsed\n",
@@ -310,12 +330,12 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 
 	if diverged > 0 {
 		return fmt.Errorf("experiment: %d of %d frames diverged from the independent server",
-			diverged, spec.Clients*spec.Steps)
+			diverged, clients*spec.Steps)
 	}
 	fmt.Fprintf(w, "  identity OK: all %d frames byte-identical to independent serving, across the epoch bump\n",
-		spec.Clients*spec.Steps)
+		clients*spec.Steps)
 
-	wantReq := int64(spec.Clients * spec.Steps)
+	wantReq := int64(clients * spec.Steps)
 	if co.Get(stats.RetrievalRequests) != wantReq || ind.Get(stats.RetrievalRequests) != wantReq {
 		return fmt.Errorf("experiment: requests %d coalesced / %d independent, want %d each",
 			co.Get(stats.RetrievalRequests), ind.Get(stats.RetrievalRequests), wantReq)

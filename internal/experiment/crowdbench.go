@@ -24,7 +24,6 @@ import (
 type CrowdBenchSpec struct {
 	Seed       int64
 	Objects    int       // dataset size (default 24)
-	Levels     int       // subdivision depth (default 3)
 	Steps      int       // frames per client (default 10)
 	Attractors int       // shared attractor paths (default 4)
 	Clients    []int     // crowd-size sweep (default 100, 1000, 10000)
@@ -34,9 +33,6 @@ type CrowdBenchSpec struct {
 func (s CrowdBenchSpec) fill() CrowdBenchSpec {
 	if s.Objects == 0 {
 		s.Objects = 24
-	}
-	if s.Levels == 0 {
-		s.Levels = 3
 	}
 	if s.Steps == 0 {
 		s.Steps = 10
@@ -90,7 +86,7 @@ type CrowdBenchResult struct {
 // the JSON of a failing run can still be inspected.
 func RunCrowdBench(spec CrowdBenchSpec, jsonPath string, w io.Writer) (*CrowdBenchResult, error) {
 	spec = spec.fill()
-	d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: spec.Levels, Seed: spec.Seed + 5})
+	d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: soakLevels, Seed: spec.Seed + 5})
 	space := d.Store.Bounds().XY()
 	side := d.QuerySide(0.10)
 

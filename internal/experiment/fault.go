@@ -55,15 +55,9 @@ func RunFault(spec FaultSpec, w io.Writer) error {
 	stClient := stats.New()
 	dialer := faultnet.NewDialer(b.Addr(), cfg)
 	dialer.SetStats(stClient)
-	rc, err := proto.DialResilient(proto.ResilientConfig{
-		Dial:         dialer.Dial,
-		FrameTimeout: 10 * time.Second,
-		MaxAttempts:  12,
-		BackoffBase:  time.Millisecond,
-		BackoffMax:   50 * time.Millisecond,
-		Seed:         spec.Seed + 2,
-		Stats:        stClient,
-	})
+	rcfg := resilientConfig(spec.Seed+2, stClient)
+	rcfg.Dial = dialer.Dial
+	rc, err := proto.DialResilient(rcfg)
 	if err != nil {
 		return err
 	}

@@ -3,6 +3,7 @@ package experiment
 import (
 	"fmt"
 	"math/rand"
+	"os"
 	"time"
 
 	"repro/internal/cluster"
@@ -12,6 +13,7 @@ import (
 	"repro/internal/motion"
 	"repro/internal/persist"
 	"repro/internal/proto"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -20,20 +22,69 @@ import (
 // restart), one seeded tram tour, one fault-free oracle ride and one
 // byte-identity check. Each soak keeps only what its own plane adds.
 
+// soakLevels is the subdivision depth of the dataset every soak and
+// benchmark sweep here generates (the out-of-core soak's city has its
+// own).
+const soakLevels = 3
+
+// dataDir returns dir, or, when dir is "", a fresh temp directory that
+// the returned cleanup removes.
+func dataDir(dir, prefix string) (string, func(), error) {
+	if dir != "" {
+		return dir, func() {}, nil
+	}
+	tmp, err := os.MkdirTemp("", prefix)
+	if err != nil {
+		return "", nil, err
+	}
+	return tmp, func() { os.RemoveAll(tmp) }, nil
+}
+
+// resilientConfig is the retry policy of the fault and crash soaks'
+// resilient client: a generous frame timeout and 12 quick retries
+// (1–50 ms backoff) to ride out a link drop or a server kill. The caller
+// says how to dial; the ABR and cluster soaks set their own bounds.
+func resilientConfig(seed int64, st *stats.Stats) proto.ResilientConfig {
+	return proto.ResilientConfig{
+		FrameTimeout: 10 * time.Second,
+		MaxAttempts:  12,
+		BackoffBase:  time.Millisecond,
+		BackoffMax:   50 * time.Millisecond,
+		Seed:         seed,
+		Stats:        st,
+	}
+}
+
+// killParked severs scene's live session on b, waits until b has
+// parked it in its session journal (or, with the journal's failpoint
+// armed, until the park record tore the journal) and kills b, so the
+// next incarnation recovers exactly that park.
+func killParked(b *cluster.Backend, scene string) error {
+	jr := b.Journal()
+	before := jr.Parks()
+	if n := b.Server().SeverScene(scene); n != 1 {
+		return fmt.Errorf("experiment: severed %d sessions of scene %q, want 1", n, scene)
+	}
+	if !waitUntil(2*time.Second, func() bool { return jr.Parks() > before || jr.Killed() }) {
+		return fmt.Errorf("experiment: the severed session of scene %q was never parked", scene)
+	}
+	b.Kill()
+	return nil
+}
+
 // startScene boots a memory-only backend serving one scene, its counters
 // in sc.Stats.
 func startScene(sc engine.SceneConfig) (*cluster.Backend, error) {
 	return cluster.StartBackend(cluster.BackendConfig{Scenes: []engine.SceneConfig{sc}, Stats: sc.Stats})
 }
 
-// TramSoakSpec is the scale and faulty link the fault and crash soaks
-// share: a resilient client rides a seeded tram tour through faultnet.
-// The zero value gets defaults at which every seed 1–50 retrieves at
-// least 20 objects.
+// TramSoakSpec is the scale and faulty link the fault, crash and
+// cluster soaks share: a resilient client rides a seeded tram tour,
+// through faultnet where the soak has a faulty link. The zero value gets
+// defaults at which every seed 1–50 retrieves at least 20 objects.
 type TramSoakSpec struct {
 	Seed    int64
 	Objects int // dataset size (default 300)
-	Levels  int // subdivision depth (default 3)
 	Steps   int // tour length (default 300)
 	Shards  int // index shard count (≤ 1 = one shard)
 
@@ -44,9 +95,6 @@ type TramSoakSpec struct {
 func (s TramSoakSpec) fill() TramSoakSpec {
 	if s.Objects == 0 {
 		s.Objects = 300
-	}
-	if s.Levels == 0 {
-		s.Levels = 3
 	}
 	if s.Steps == 0 {
 		s.Steps = 300
@@ -79,7 +127,7 @@ type tramSoak struct {
 
 // newTramSoak builds s's dataset and tour; s is already filled.
 func newTramSoak(s TramSoakSpec) tramSoak {
-	d := workload.Generate(workload.Spec{NumObjects: s.Objects, Levels: s.Levels, Seed: s.Seed + 5})
+	d := workload.Generate(workload.Spec{NumObjects: s.Objects, Levels: soakLevels, Seed: s.Seed + 5})
 	tour := motion.NewTour(motion.Tram, motion.TourSpec{
 		Space: d.Store.Bounds().XY(), Steps: s.Steps, Speed: 0.25,
 	}, rand.New(rand.NewSource(s.Seed)))

@@ -63,10 +63,10 @@ var ErrTornTail = errors.New("persist: torn record tail")
 // scanner may skip it and continue.
 var ErrCorrupt = errors.New("persist: record checksum mismatch")
 
-// ErrKilled reports a write attempted after Kill (crash simulation) or
-// after a failpoint fired: the writer behaves like a dead process and
+// ErrKilled reports a journal append torn by the crash failpoint
+// (Journal.SetFailpoint): the journal behaves like a dead process and
 // accepts nothing further.
-var ErrKilled = errors.New("persist: writer killed")
+var ErrKilled = errors.New("persist: journal killed")
 
 // crcTable is the Castagnoli polynomial, matching the wire protocol's
 // frame trailers.
@@ -77,16 +77,11 @@ var crcTable = crc32.MakeTable(crc32.Castagnoli)
 type Writer struct {
 	w       io.Writer
 	written int64
-	// failAfter is the failpoint: once the total bytes written reach it,
-	// the writer dies mid-stream like a crashing process — the byte at
-	// the boundary is the last to reach the file. Negative = disabled.
-	failAfter int64
-	killed    bool
 }
 
 // NewWriter writes the file header and returns a record writer.
 func NewWriter(w io.Writer) (*Writer, error) {
-	pw := &Writer{w: w, failAfter: -1}
+	pw := &Writer{w: w}
 	var hdr [HeaderBytes]byte
 	binary.LittleEndian.PutUint32(hdr[0:4], Magic)
 	binary.LittleEndian.PutUint32(hdr[4:8], Version)
@@ -96,41 +91,11 @@ func NewWriter(w io.Writer) (*Writer, error) {
 	return pw, nil
 }
 
-// SetFailpoint arms the crash failpoint: after n more bytes reach the
-// underlying writer, every write stops mid-stream (leaving a torn tail
-// exactly where a real crash would). Used by the crash-injection
-// harness; n < 0 disables.
-func (w *Writer) SetFailpoint(n int64) {
-	if n < 0 {
-		w.failAfter = -1
-		return
-	}
-	w.failAfter = w.written + n
-}
-
-// Kill makes the writer refuse all further writes, simulating the
-// process dying between appends.
-func (w *Writer) Kill() { w.killed = true }
-
 // Written returns the total bytes pushed to the underlying writer.
 func (w *Writer) Written() int64 { return w.written }
 
-// raw writes p, honoring the kill switch and the failpoint.
+// raw writes p and counts the bytes that reached the stream.
 func (w *Writer) raw(p []byte) error {
-	if w.killed {
-		return ErrKilled
-	}
-	if w.failAfter >= 0 && w.written+int64(len(p)) > w.failAfter {
-		// The "crash" lands inside this write: only the bytes up to the
-		// failpoint reach the file, then the writer is dead.
-		room := w.failAfter - w.written
-		if room > 0 {
-			n, _ := w.w.Write(p[:room])
-			w.written += int64(n)
-		}
-		w.killed = true
-		return ErrKilled
-	}
 	n, err := w.w.Write(p)
 	w.written += int64(n)
 	return err

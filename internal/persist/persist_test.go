@@ -190,39 +190,6 @@ func TestBadMagicRejected(t *testing.T) {
 	}
 }
 
-func TestWriterFailpointTearsMidRecord(t *testing.T) {
-	var buf bytes.Buffer
-	w, err := NewWriter(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := w.WriteRecord([]byte("committed")); err != nil {
-		t.Fatal(err)
-	}
-	// Fail 4 bytes into the next record's header.
-	w.SetFailpoint(4)
-	if err := w.WriteRecord([]byte("doomed")); !errors.Is(err, ErrKilled) {
-		t.Fatalf("failpoint write err = %v, want ErrKilled", err)
-	}
-	if err := w.WriteRecord([]byte("after")); !errors.Is(err, ErrKilled) {
-		t.Fatalf("post-failpoint write err = %v, want ErrKilled", err)
-	}
-
-	recs, rec, _, err := Scan(bytes.NewReader(buf.Bytes()), int64(buf.Len()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rec.Records != 1 || rec.TailTruncated != 1 {
-		t.Fatalf("scan after failpoint = %+v, want 1 record + torn tail", rec)
-	}
-	if string(recs[0]) != "committed" {
-		t.Fatalf("salvaged %q", recs[0])
-	}
-	if rec.TruncatedBytes != 4 {
-		t.Fatalf("TruncatedBytes = %d, want 4", rec.TruncatedBytes)
-	}
-}
-
 func TestAtomicWriteFailureLeavesOldFile(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "keep.ckpt")
 	writeRecords(t, path, []byte("original"))

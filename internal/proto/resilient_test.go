@@ -374,6 +374,49 @@ func TestIdleTimeoutParksSession(t *testing.T) {
 	c.Close()
 }
 
+// TestResumeTakesOverLiveConnection pins the park-versus-resume race
+// from the resuming side: a client whose old connection the server has
+// not yet seen die presents its token on a second connection while the
+// first is still open. The server must sever the first, wait for its
+// park and adopt the session — not answer ResumeFail and force a
+// re-plan.
+func TestResumeTakesOverLiveConnection(t *testing.T) {
+	addr, d, srv, st, shutdown := startHardenedServer(t, func(s *Server) {
+		s.SetLimits(0, 0, time.Second)
+	})
+	defer shutdown()
+
+	q := geom.RectAround(d.Store.Bounds().XY().Center(), 300)
+	c, err := Dial(addr, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	if n, err := c.Frame(q, 0.5); err != nil || n == 0 {
+		t.Fatalf("first frame = %d, %v", n, err)
+	}
+	if srv.ResumeCacheLen() != 0 {
+		t.Fatal("a live session is already parked")
+	}
+
+	// Reconnect leaves the first connection open until the resume has
+	// been answered.
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	resumed, err := c.Reconnect(conn)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !resumed {
+		t.Fatalf("resume of a live connection's token missed (%d misses)", st.Load(stats.ProtoResumeMisses))
+	}
+	if n, err := c.Frame(q, 0.5); err != nil || n != 0 {
+		t.Fatalf("taken-over session re-delivered %d coefficients, %v", n, err)
+	}
+}
+
 // TestGracefulDrainClose checks that Close wakes idle handlers and
 // returns promptly instead of burning the whole drain budget.
 func TestGracefulDrainClose(t *testing.T) {

@@ -58,12 +58,16 @@ type Server struct {
 
 // connInfo is the server's bookkeeping for one live connection: the
 // scene the session is currently bound to, so a cluster drain can sever
-// exactly the connections of the scene being relocated, and whether the
+// exactly the connections of the scene being relocated; whether the
 // session has started (served a request or resume) — only those carry
-// state worth parking when severed.
+// state worth parking when severed; and the session's token, so a
+// resume can find the connection still holding its lineage. ended is
+// closed once the handler has parked its session and left.
 type connInfo struct {
 	scene   string
 	started bool
+	token   uint64
+	ended   chan struct{}
 }
 
 // defaultDrainTimeout bounds graceful Close; override with
@@ -180,10 +184,11 @@ func (s *Server) Serve(lis net.Listener) error {
 			go s.shed(conn)
 			continue
 		}
-		s.conns[conn] = &connInfo{}
+		ci := &connInfo{ended: make(chan struct{})}
+		s.conns[conn] = ci
 		s.wg.Add(1)
 		s.mu.Unlock()
-		go s.handle(conn)
+		go s.handle(conn, ci)
 	}
 }
 
@@ -305,12 +310,13 @@ type serverConn struct {
 // handle serves one accepted connection: the accept bookkeeping, the
 // greeting, then a loop that reads a frame's tag and dispatches it to
 // the connection's step for that frame.
-func (s *Server) handle(nc net.Conn) {
+func (s *Server) handle(nc net.Conn, ci *connInfo) {
 	defer func() {
 		nc.Close()
 		s.mu.Lock()
 		delete(s.conns, nc)
 		s.mu.Unlock()
+		close(ci.ended)
 		s.wg.Done()
 	}()
 	s.st.Add(stats.ProtoSessionsOpened, 1)
@@ -402,13 +408,14 @@ func (c *serverConn) end(orderly bool) {
 	}
 }
 
-// publish records the connection's scene and started flag in the
-// server's table, for SeverScene and SceneConns. A connection already
-// gone from the table (Close racing the handler) is ignored.
+// publish records the connection's scene, started flag and token in
+// the server's table, for SeverScene, SceneConns and a resume's
+// take-over. A connection already gone from the table (Close racing the
+// handler) is ignored.
 func (c *serverConn) publish() {
 	c.s.mu.Lock()
 	if ci, ok := c.s.conns[c.nc]; ok {
-		ci.scene, ci.started = c.scene.Name, c.started
+		ci.scene, ci.started, ci.token = c.scene.Name, c.started, c.token
 	}
 	c.s.mu.Unlock()
 }
@@ -476,8 +483,11 @@ func (c *serverConn) resume() bool {
 	if err != nil {
 		return c.fail(true, fmt.Errorf("bad resume: %w", err), nil)
 	}
-	c.s.setWriteDeadline(c.nc)
 	prev, ok := c.scene.Resume.Take(res.Token)
+	if !ok && c.takeOver(res.Token) {
+		prev, ok = c.scene.Resume.Take(res.Token)
+	}
+	c.s.setWriteDeadline(c.nc)
 	if ok {
 		// Roll back an un-applied final response: the server counted
 		// those coefficients as delivered, but the client never saw
@@ -511,6 +521,44 @@ func (c *serverConn) resume() bool {
 	}
 	if err := c.w.WriteResumeOK(ResumeOK{Seq: prev.Seq, Delivered: int64(prev.Session.Delivered())}); err != nil {
 		return c.fail(false, fmt.Errorf("resume reply: %w", err), nil)
+	}
+	return true
+}
+
+// takeOver severs the live, started connection of this scene whose
+// session token names, if there is one, and waits for its handler to
+// park the session, bounded by the frame timeout (the drain timeout
+// when no frame timeout is set); it reports whether it severed one. A
+// client that reconnects before the server has noticed its old
+// connection die — a link drop the server has not read yet, a gateway
+// that has not closed its backend leg — would otherwise find nothing
+// parked and have to re-plan. The resume calls it only on a miss, so
+// the common resume of an already-parked session skips the scan.
+func (c *serverConn) takeOver(token uint64) bool {
+	s := c.s
+	var victim net.Conn
+	var ended chan struct{}
+	s.mu.Lock()
+	for nc, ci := range s.conns {
+		if nc != c.nc && ci.started && ci.token == token && ci.scene == c.scene.Name {
+			victim, ended = nc, ci.ended
+			break
+		}
+	}
+	s.mu.Unlock()
+	if victim == nil {
+		return false
+	}
+	victim.Close()
+	wait := s.frameTimeout
+	if wait <= 0 {
+		wait = s.drainTimeout
+	}
+	t := time.NewTimer(wait)
+	defer t.Stop()
+	select {
+	case <-ended:
+	case <-t.C:
 	}
 	return true
 }
