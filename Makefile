@@ -16,14 +16,14 @@ test:
 
 # The serve path's packages, the pager under the paged store (it reads
 # a fault with its mutex released), the engine's session journal, resume
-# cache and scene restore, and the gateway in front of it, again at 1, 2
-# and 8 procs: their zero-allocation and determinism gates must
+# cache and scene restore, the gateway in front of it and cmd/server's
+# boot, again at 1, 2 and 8 procs: their zero-allocation and determinism gates must
 # give the same verdict whatever the core count (for three re-anchors a
 # test that failed only above one proc hid behind a single-proc box and
 # the test cache).
 test-procs:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/rtree/ ./internal/index/ ./internal/hotcache/ ./internal/retrieval/ ./internal/proto/ ./internal/persist/ ./internal/engine/ ./internal/cluster/ ./cmd/gateway/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/rtree/ ./internal/index/ ./internal/hotcache/ ./internal/retrieval/ ./internal/proto/ ./internal/persist/ ./internal/engine/ ./internal/cluster/ ./cmd/gateway/ ./cmd/server/ || exit 1; \
 	done
 
 # The race gate: the full suite under the race detector, including the

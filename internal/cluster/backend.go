@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"cmp"
 	"fmt"
 	"net"
 	"os"
@@ -8,22 +9,26 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/hotcache"
+	"repro/internal/index"
 	"repro/internal/persist"
 	"repro/internal/proto"
+	"repro/internal/retrieval"
 	"repro/internal/stats"
 )
 
-// BackendConfig describes one in-process backend: a full serving stack
-// (registry, scene files, session journal, wire server) the cluster
-// harnesses boot, kill, and drain. cmd/server is the same stack as a
-// standalone process.
+// BackendConfig describes one backend: a full serving stack (registry,
+// scene files, session journal, wire server). cmd/server boots exactly
+// this stack from its flags; the soaks and the cluster harness boot,
+// kill and drain it in process. Every zero value keeps a default.
 type BackendConfig struct {
 	// Addr is the listen address (default "127.0.0.1:0"). Tests that
 	// need a backend at a topology-pinned address pre-reserve one.
 	Addr string
-	// Scenes are built fresh when DataDir holds no scene files; ignored
-	// when a prior incarnation's state is recovered.
-	Scenes []engine.SceneConfig
+	// Scenes is the recipe of a fresh boot: it runs only when DataDir
+	// holds no scene files, and its scenes are built, written to DataDir
+	// once, and served. Scenes(...) wraps fixed configs.
+	Scenes func() ([]engine.SceneConfig, error)
 	// DataDir holds the durable state: the per-scene files written when
 	// the scenes are built, and the session journal. "" runs the backend
 	// memory-only (no failover continuity, no drains in or out).
@@ -32,72 +37,82 @@ type BackendConfig struct {
 	Stats *stats.Stats
 	// Logf receives diagnostics (nil discards).
 	Logf func(format string, args ...any)
+
+	// The serving settings, each set by a cmd/server flag (-max-sessions
+	// to -scrub-interval).
+	MaxSessions    int           // sessions served at once before shedding (0 = unlimited)
+	IdleTimeout    time.Duration // longest silence between frames (0 = none)
+	FrameTimeout   time.Duration // per-frame read and write deadline (0 = none)
+	DrainTimeout   time.Duration // Stop's drain bound (0 = 1 s, < 0 = none)
+	ResumeCapacity int           // parked sessions per scene (0 = engine's default, < 0 disables resumption)
+	ResumeTTL      time.Duration // how long a session stays parked (0 = engine's default, < 0 = not at all)
+	BudgetCap      int64         // ceiling on every frame's bytes (0 = none)
+	HotCache       bool          // a hot-region result cache per scene
+	Coalesce       bool          // a query coalescer per scene
+	VerifyPages    bool          // CRC-check a paged scene's pages before building it
+	ScrubInterval  time.Duration // re-verify each paged scene's pages this often (0 = never)
 }
 
-// Backend is one running in-process backend.
+// Scenes returns the recipe that serves the given scene configs.
+func Scenes(scs ...engine.SceneConfig) func() ([]engine.SceneConfig, error) {
+	return func() ([]engine.SceneConfig, error) { return scs, nil }
+}
+
+// Backend is one running backend.
 type Backend struct {
-	cfg  BackendConfig
-	st   *stats.Stats
-	reg  *engine.Registry
-	jr   *engine.SessionJournal
-	srv  *proto.Server
-	lis  net.Listener
-	done chan struct{}
+	cfg       BackendConfig
+	reg       *engine.Registry
+	paged     []*index.PagedStore // the recipe's out-of-core sources
+	jr        *engine.SessionJournal
+	srv       *proto.Server
+	lis       net.Listener
+	done      chan struct{}
+	stopScrub []func()
 }
 
 // StartBackend boots a backend: recovered from DataDir when it holds
 // scene files, built fresh from cfg.Scenes otherwise (writing the scene
-// files once, so a replica can cold-start from the directory).
-// The session journal, when DataDir is set, is replayed so sessions
-// parked by a prior incarnation resume here.
+// files once, so a restart or a replica can cold-start from the
+// directory). The session journal, when DataDir is set, is replayed so
+// sessions parked by a prior incarnation resume here.
 func StartBackend(cfg BackendConfig) (*Backend, error) {
-	if cfg.Addr == "" {
-		cfg.Addr = "127.0.0.1:0"
+	cfg.Stats = cmp.Or(cfg.Stats, stats.New())
+	if cfg.Logf == nil {
+		cfg.Logf = func(string, ...any) {}
 	}
-	st := cfg.Stats
-	if st == nil {
-		st = stats.New()
+	b := &Backend{cfg: cfg, reg: engine.NewRegistry()}
+	if err := b.loadScenes(); err != nil {
+		return nil, err
 	}
-	b := &Backend{cfg: cfg, st: st, reg: engine.NewRegistry()}
-	fresh := true
+	if cfg.HotCache {
+		b.reg.EnableHotCache(hotcache.Config{}, b.cfg.Stats)
+		b.cfg.Logf("hot-region result cache enabled for %d scene(s)", b.reg.Len())
+	}
+	if cfg.Coalesce {
+		b.reg.EnableCoalescer(retrieval.CoalescerConfig{}, b.cfg.Stats)
+		b.cfg.Logf("query coalescing enabled for %d scene(s)", b.reg.Len())
+	}
+	b.reg.SetResumeCache(cmp.Or(cfg.ResumeCapacity, engine.DefaultResumeCapacity),
+		cmp.Or(cfg.ResumeTTL, engine.DefaultResumeTTL))
 	if cfg.DataDir != "" {
-		n, err := b.reg.LoadAll(cfg.DataDir, st)
-		if err != nil {
-			return nil, err
-		}
-		fresh = n == 0
-	}
-	if fresh {
-		for _, sc := range cfg.Scenes {
-			if sc.Stats == nil {
-				sc.Stats = st
-			}
-			if _, err := b.reg.Build(sc); err != nil {
-				return nil, err
-			}
-		}
-		if cfg.DataDir != "" && len(cfg.Scenes) > 0 {
-			if err := b.reg.SaveAll(cfg.DataDir, st); err != nil {
-				return nil, err
-			}
-		}
-	}
-	if cfg.DataDir != "" {
-		if err := os.MkdirAll(cfg.DataDir, 0o755); err != nil {
-			return nil, err
-		}
-		jr, err := engine.OpenSessionJournal(filepath.Join(cfg.DataDir, engine.SessionJournalFile), 0, st)
+		jr, err := engine.OpenSessionJournal(filepath.Join(cfg.DataDir, engine.SessionJournalFile), 0, b.cfg.Stats)
 		if err != nil {
 			return nil, err
 		}
 		b.jr = jr
 		b.reg.SetSessionJournal(jr)
-		jr.Restore(b.reg)
+		if n := jr.Restore(b.reg); n > 0 {
+			b.cfg.Logf("restored %d resumable session(s) from the journal", n)
+		}
+		b.cfg.Logf("durable state in %s", cfg.DataDir)
 	}
-	b.srv = proto.NewMultiServer(b.reg, cfg.Logf)
-	b.srv.SetStats(st)
-	b.srv.SetDrainTimeout(time.Second)
-	lis, err := net.Listen("tcp", cfg.Addr)
+	b.startScrubbers()
+	b.srv = proto.NewMultiServer(b.reg, b.cfg.Logf)
+	b.srv.SetStats(b.cfg.Stats)
+	b.srv.SetLimits(cfg.MaxSessions, cfg.IdleTimeout, cfg.FrameTimeout)
+	b.srv.SetDrainTimeout(max(cmp.Or(cfg.DrainTimeout, time.Second), 0))
+	b.srv.SetBudgetCap(cfg.BudgetCap)
+	lis, err := net.Listen("tcp", cmp.Or(cfg.Addr, "127.0.0.1:0"))
 	if err != nil {
 		b.Kill()
 		return nil, err
@@ -108,7 +123,92 @@ func StartBackend(cfg BackendConfig) (*Backend, error) {
 		defer close(b.done)
 		b.srv.Serve(lis)
 	}()
+	b.cfg.Logf("serving %d scene(s) %v on %s", b.reg.Len(), b.reg.Names(), b.Addr())
 	return b, nil
+}
+
+// loadScenes registers the scenes of the scene files in DataDir or,
+// when it holds none, the recipe's, and writes their scene files.
+func (b *Backend) loadScenes() error {
+	if dir := b.cfg.DataDir; dir != "" {
+		if err := os.MkdirAll(dir, 0o755); err != nil {
+			return err
+		}
+		n, err := b.reg.LoadAll(dir, b.cfg.Stats)
+		if err != nil {
+			return err
+		}
+		if n > 0 {
+			b.cfg.Logf("restored %d scene(s) from %s", n, dir)
+			return nil
+		}
+	}
+	if b.cfg.Scenes == nil {
+		return nil
+	}
+	scenes, err := b.cfg.Scenes()
+	if err != nil {
+		return err
+	}
+	for _, sc := range scenes {
+		ps, paged := sc.Source.(*index.PagedStore)
+		if paged && b.cfg.VerifyPages {
+			if err := b.verifyPages(sc.Name, ps); err != nil {
+				return err
+			}
+		}
+		sc.Stats = cmp.Or(sc.Stats, b.cfg.Stats)
+		s, err := b.reg.Build(sc)
+		if err != nil {
+			return fmt.Errorf("scene %q: %w", sc.Name, err)
+		}
+		where := ""
+		if paged {
+			b.paged = append(b.paged, ps)
+			where = fmt.Sprintf(", paged (%d B payload, %d B cache)",
+				ps.NumCoeffs()*index.CoeffRecordSize, ps.PagerStats().CacheBytes)
+		}
+		b.cfg.Logf("scene %q: %s over %d coefficients%s", s.Name, s.Index.Name(), s.Source.NumCoeffs(), where)
+	}
+	if b.cfg.DataDir == "" || len(scenes) == 0 {
+		return nil
+	}
+	return b.reg.SaveAll(b.cfg.DataDir, b.cfg.Stats)
+}
+
+// verifyPages is the boot check: every page of a paged scene is read and
+// CRC-checked before the scene is built. Corrupt pages are quarantined,
+// their coefficients withheld until a later scrub sees them read clean;
+// the backend still boots and serves the rest.
+func (b *Backend) verifyPages(scene string, ps *index.PagedStore) error {
+	pages := ps.Segment().NumPages()
+	b.cfg.Logf("verifying %d pages of scene %q...", pages, scene)
+	bad, err := ps.VerifyPages()
+	switch {
+	case err != nil:
+		return fmt.Errorf("verify-pages: %w", err)
+	case len(bad) > 0:
+		b.cfg.Logf("verify-pages: WARNING: %d corrupt page(s) quarantined: %v — their coefficients will be withheld until the segment is repaired", len(bad), bad)
+	default:
+		b.cfg.Logf("verify-pages: all %d pages clean", pages)
+	}
+	return nil
+}
+
+// startScrubbers re-verifies each paged scene every ScrubInterval until
+// Stop.
+func (b *Backend) startScrubbers() {
+	if b.cfg.ScrubInterval <= 0 {
+		return
+	}
+	if len(b.paged) == 0 {
+		b.cfg.Logf("scrub-interval: WARNING: no paged store to scrub (use -store=paged); ignoring")
+		return
+	}
+	for _, ps := range b.paged {
+		b.stopScrub = append(b.stopScrub, engine.StartScrubber(ps, b.cfg.ScrubInterval, b.cfg.Stats, b.cfg.Logf))
+	}
+	b.cfg.Logf("background page scrub every %v", b.cfg.ScrubInterval)
 }
 
 // Addr returns the backend's serving address.
@@ -124,16 +224,19 @@ func (b *Backend) Server() *proto.Server { return b.srv }
 func (b *Backend) Journal() *engine.SessionJournal { return b.jr }
 
 // Stats exposes the backend's counters.
-func (b *Backend) Stats() *stats.Stats { return b.st }
+func (b *Backend) Stats() *stats.Stats { return b.cfg.Stats }
 
-// Stop shuts the backend down orderly: drained connections, closed
-// journal.
+// Stop shuts the backend down orderly: drained connections, halted
+// scrubbers, closed journal.
 func (b *Backend) Stop() {
 	if b.srv != nil {
 		b.srv.Close()
 	}
 	if b.done != nil {
 		<-b.done
+	}
+	for _, stop := range b.stopScrub {
+		stop()
 	}
 	b.jr.Close()
 }
@@ -179,7 +282,7 @@ func (b *Backend) AdoptScene(scene, srcCkpt string, sessions [][]byte) (int, err
 		}
 		path = dst
 	}
-	if _, err := b.reg.LoadScene(path, b.st); err != nil {
+	if _, err := b.reg.LoadScene(path, b.cfg.Stats); err != nil {
 		return 0, err
 	}
 	return b.reg.ImportSessions(scene, sessions)

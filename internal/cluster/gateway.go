@@ -167,16 +167,6 @@ func (g *Gateway) ListenAndServe(addr string) error {
 	return g.Serve(lis)
 }
 
-// Addr returns the bound listener address ("" before Serve).
-func (g *Gateway) Addr() string {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	if g.lis == nil {
-		return ""
-	}
-	return g.lis.Addr().String()
-}
-
 // Close stops the accept loop and the prober and force-closes every
 // proxied connection. Safe to call more than once.
 func (g *Gateway) Close() {

@@ -110,7 +110,7 @@ func assertMeshesMatch(t *testing.T, label string, oracle, got *proto.Client) {
 func TestGatewayUnknownScene(t *testing.T) {
 	st := stats.New()
 	b, err := StartBackend(BackendConfig{
-		Scenes: []engine.SceneConfig{sceneConfig(t, sceneSpec{"city", 7}, st)},
+		Scenes: Scenes(sceneConfig(t, sceneSpec{"city", 7}, st)),
 		Stats:  st,
 		Logf:   t.Logf,
 	})
@@ -157,10 +157,10 @@ func TestGatewayUnknownScene(t *testing.T) {
 func TestGatewayRefusesSelectOfDrainingScene(t *testing.T) {
 	st := stats.New()
 	b, err := StartBackend(BackendConfig{
-		Scenes: []engine.SceneConfig{
+		Scenes: Scenes(
 			sceneConfig(t, sceneSpec{"city", 7}, st),
 			sceneConfig(t, sceneSpec{"park", 8}, st),
-		},
+		),
 		Stats: st,
 		Logf:  t.Logf,
 	})
@@ -221,7 +221,7 @@ func TestClusterRaceSoak(t *testing.T) {
 
 	st1, st2 := stats.New(), stats.New()
 	b1, err := StartBackend(BackendConfig{
-		Scenes:  []engine.SceneConfig{sceneConfig(t, east, st1)},
+		Scenes:  Scenes(sceneConfig(t, east, st1)),
 		DataDir: filepath.Join(dir, "b1"),
 		Stats:   st1,
 		Logf:    t.Logf,
@@ -230,7 +230,7 @@ func TestClusterRaceSoak(t *testing.T) {
 		t.Fatal(err)
 	}
 	b2, err := StartBackend(BackendConfig{
-		Scenes:  []engine.SceneConfig{sceneConfig(t, west, st2)},
+		Scenes:  Scenes(sceneConfig(t, west, st2)),
 		DataDir: filepath.Join(dir, "b2"),
 		Stats:   st2,
 		Logf:    t.Logf,
@@ -251,10 +251,10 @@ func TestClusterRaceSoak(t *testing.T) {
 	// Oracle: an off-topology backend serving both scenes from
 	// identically generated datasets; one fault-free client per scene.
 	oracleB, err := StartBackend(BackendConfig{
-		Scenes: []engine.SceneConfig{
+		Scenes: Scenes(
 			sceneConfig(t, east, stats.New()),
 			sceneConfig(t, west, stats.New()),
-		},
+		),
 		Logf: t.Logf,
 	})
 	if err != nil {
@@ -428,7 +428,7 @@ func TestExportSceneNeedsSceneFile(t *testing.T) {
 	st := stats.New()
 	d := workload.Generate(workload.Spec{NumObjects: 4, Levels: 3, Seed: 3})
 	b, err := StartBackend(BackendConfig{
-		Scenes:  []engine.SceneConfig{{Name: "bare", Source: d.Store, Levels: 3, Stats: st}},
+		Scenes:  Scenes(engine.SceneConfig{Name: "bare", Source: d.Store, Levels: 3, Stats: st}),
 		DataDir: t.TempDir(),
 		Stats:   st,
 		Logf:    t.Logf,
@@ -453,7 +453,7 @@ func TestGatewayRoutesBudgetedFrames(t *testing.T) {
 	city := sceneSpec{"city", 7}
 	st := stats.New()
 	b, err := StartBackend(BackendConfig{
-		Scenes: []engine.SceneConfig{sceneConfig(t, city, st)},
+		Scenes: Scenes(sceneConfig(t, city, st)),
 		Stats:  st,
 		Logf:   t.Logf,
 	})

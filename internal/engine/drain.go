@@ -74,10 +74,7 @@ func (r *Registry) ExportSessions(scene string) ([][]byte, error) {
 }
 
 // ImportSessions re-parks shipped sessions into a scene this registry
-// serves: each payload is decoded, its session rebuilt against the
-// local scene's server, parked under its original token and expiry,
-// flagged Restored (the first resume served from it is counted like a
-// crash-recovery restore), and journaled locally when a session journal
+// serves (see repark) and journals them locally when a session journal
 // is attached. A payload for the wrong scene is an error — shipping
 // must never graft one scene's delivered-set onto another. Returns the
 // number imported (full cache or already-expired entries are dropped,
@@ -99,18 +96,26 @@ func (r *Registry) ImportSessions(scene string, payloads [][]byte) (int, error) 
 		if park.scene != scene {
 			return n, fmt.Errorf("engine: shipped session belongs to scene %q, not %q", park.scene, scene)
 		}
-		e := &ResumeEntry{
-			Session:  retrieval.RestoreSession(sc.Server, park.delivered),
-			Seq:      park.seq,
-			LastIDs:  park.lastIDs,
-			Restored: true,
-		}
-		if sc.Resume.putRestored(park.token, e, time.Unix(0, park.expires)) {
+		if e, ok := repark(sc, park); ok {
 			j.RecordPark(park.token, scene, e)
 			n++
 		}
 	}
 	return n, nil
+}
+
+// repark re-parks a decoded session in its scene's resume cache under
+// its original token and expiry, flagged Restored (the first resume
+// served from it is counted like a crash-recovery restore); it reports
+// whether the cache took it.
+func repark(sc *Scene, park parkRecord) (*ResumeEntry, bool) {
+	e := &ResumeEntry{
+		Session:  retrieval.RestoreSession(sc.Server, park.delivered),
+		Seq:      park.seq,
+		LastIDs:  park.lastIDs,
+		Restored: true,
+	}
+	return e, sc.Resume.putRestored(park.token, e, time.Unix(0, park.expires))
 }
 
 // exportParked encodes the cache's live entries in park format.

@@ -91,14 +91,17 @@ type SceneConfig struct {
 
 // Registry owns the scenes of one serving process. The first scene added
 // is the default — the one a connection lands on before (or without)
-// selecting a name. Adding scenes is expected at startup; Get runs on
-// every connection handshake and scene switch, so lookups take a read
-// lock only.
+// selecting a name. Scenes are added at startup and by a drain, and get
+// the registry's settings whenever they are added; Get runs on every
+// connection handshake and scene switch, so lookups take a read lock.
 type Registry struct {
 	mu      sync.RWMutex
 	scenes  map[string]*Scene
 	order   []string
 	journal *SessionJournal
+	// settings holds each setting call, in call order, as a function
+	// that applies it to one scene.
+	settings []func(*Scene)
 }
 
 // NewRegistry creates an empty registry.
@@ -108,9 +111,9 @@ func NewRegistry() *Registry {
 
 // AddScene registers a scene built from an existing retrieval server
 // (the single-scene servers predating the registry wrap themselves this
-// way). The scene gets a default-sized resume cache, and the retrieval
-// server is tagged with the scene name so executed requests land in the
-// per-scene stats breakdown.
+// way). The scene gets a resume cache and sharing layers as the
+// registry's settings say, and the retrieval server is tagged with the
+// scene name so executed requests land in the per-scene stats breakdown.
 func (r *Registry) AddScene(name string, srv *retrieval.Server, levels int) (*Scene, error) {
 	if err := ValidateSceneName(name); err != nil {
 		return nil, err
@@ -132,7 +135,21 @@ func (r *Registry) AddScene(name string, srv *retrieval.Server, levels int) (*Sc
 	r.scenes[name] = sc
 	r.order = append(r.order, name)
 	sc.Resume.attachJournal(r.journal, name)
+	for _, set := range r.settings {
+		set(sc)
+	}
 	return sc, nil
+}
+
+// apply records a setting and applies it to every registered scene;
+// AddScene applies it to each later one.
+func (r *Registry) apply(set func(*Scene)) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	r.settings = append(r.settings, set)
+	for _, sc := range r.scenes {
+		set(sc)
+	}
 }
 
 // Build constructs a scene from a coefficient source — sharded index,
@@ -179,64 +196,52 @@ func (r *Registry) Build(cfg SceneConfig) (*Scene, error) {
 	return sc, nil
 }
 
-// EnableHotCache equips every registered scene with a hot-region result
-// cache (see internal/hotcache) and registers each cache's counters as
-// a stats gauge source. Call after the scenes are registered, while no
-// request is in flight.
+// EnableHotCache equips every scene, registered now or later, with a
+// hot-region result cache (see internal/hotcache) and registers each
+// cache's counters as a stats gauge source. Call while no request is in
+// flight.
 func (r *Registry) EnableHotCache(cfg hotcache.Config, st *stats.Stats) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, sc := range r.scenes {
-		enableHotCache(sc, cfg, st)
-	}
-}
-
-func enableHotCache(sc *Scene, cfg hotcache.Config, st *stats.Stats) {
-	if sc.Server.HotCache() != nil {
-		return // already wired
-	}
-	c := hotcache.New(cfg)
-	sc.Server.SetHotCache(c)
-	st.AddSource(func(v *stats.Values) {
-		hs := c.Stats()
-		v[stats.HotHits] += hs.Hits
-		v[stats.HotMisses] += hs.Misses
-		v[stats.HotEvictions] += hs.Evictions
-		v[stats.HotInvalidations] += hs.Invalidations
-		v[stats.HotEntries] += int64(hs.Entries)
-		v[stats.HotBytes] += hs.Bytes
-		v[stats.HotSubscribers] += hs.Subscribers
-		v[stats.HotSubRefreshes] += hs.SubRefreshes
-		v[stats.HotPayloadHits] += hs.PayloadHits
+	r.apply(func(sc *Scene) {
+		if sc.Server.HotCache() != nil {
+			return // already wired
+		}
+		c := hotcache.New(cfg)
+		sc.Server.SetHotCache(c)
+		st.AddSource(func(v *stats.Values) {
+			hs := c.Stats()
+			v[stats.HotHits] += hs.Hits
+			v[stats.HotMisses] += hs.Misses
+			v[stats.HotEvictions] += hs.Evictions
+			v[stats.HotInvalidations] += hs.Invalidations
+			v[stats.HotEntries] += int64(hs.Entries)
+			v[stats.HotBytes] += hs.Bytes
+			v[stats.HotSubscribers] += hs.Subscribers
+			v[stats.HotSubRefreshes] += hs.SubRefreshes
+			v[stats.HotPayloadHits] += hs.PayloadHits
+		})
 	})
 }
 
-// EnableCoalescer equips every registered scene with a query coalescer
-// (see retrieval.Coalescer): concurrent sessions asking the identical
-// hot-region sub-query share one index pass. Call after the scenes are
-// registered, while no request is in flight.
+// EnableCoalescer equips every scene, registered now or later, with a
+// query coalescer (see retrieval.Coalescer): concurrent sessions asking
+// the identical hot-region sub-query share one index pass. Call while no
+// request is in flight.
 func (r *Registry) EnableCoalescer(cfg retrieval.CoalescerConfig, st *stats.Stats) {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	for _, sc := range r.scenes {
-		enableCoalescer(sc, cfg, st)
-	}
-}
-
-func enableCoalescer(sc *Scene, cfg retrieval.CoalescerConfig, st *stats.Stats) {
-	if sc.Server.Coalescer() != nil {
-		return // already wired
-	}
-	co := retrieval.NewCoalescer(cfg)
-	sc.Server.SetCoalescer(co)
-	st.AddSource(func(v *stats.Values) {
-		cs := co.Stats()
-		v[stats.CoalescerRouted] += cs.Routed
-		v[stats.CoalescerLed] += cs.Led
-		v[stats.CoalescerShared] += cs.Shared
-		v[stats.CoalescerBypassCollision] += cs.BypassCollision
-		v[stats.CoalescerBypassStale] += cs.BypassStale
-		v[stats.CoalescerFlights] += int64(cs.Flights)
+	r.apply(func(sc *Scene) {
+		if sc.Server.Coalescer() != nil {
+			return // already wired
+		}
+		co := retrieval.NewCoalescer(cfg)
+		sc.Server.SetCoalescer(co)
+		st.AddSource(func(v *stats.Values) {
+			cs := co.Stats()
+			v[stats.CoalescerRouted] += cs.Routed
+			v[stats.CoalescerLed] += cs.Led
+			v[stats.CoalescerShared] += cs.Shared
+			v[stats.CoalescerBypassCollision] += cs.BypassCollision
+			v[stats.CoalescerBypassStale] += cs.BypassStale
+			v[stats.CoalescerFlights] += int64(cs.Flights)
+		})
 	})
 }
 
@@ -281,16 +286,11 @@ func (r *Registry) Len() int {
 	return len(r.scenes)
 }
 
-// SetResumeCache replaces every scene's resume cache with one of the
-// given bounds (capacity 0 disables resumption). Call before serving.
-// An attached session journal carries over to the new caches.
+// SetResumeCache bounds the resume cache of every scene, registered now
+// or later (capacity ≤ 0 disables resumption). Sessions already parked
+// — restored from the journal, say — stay, up to the new capacity.
 func (r *Registry) SetResumeCache(capacity int, ttl time.Duration) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	for name, sc := range r.scenes {
-		sc.Resume = NewResumeCache(capacity, ttl)
-		sc.Resume.attachJournal(r.journal, name)
-	}
+	r.apply(func(sc *Scene) { sc.Resume.setBounds(capacity, ttl) })
 }
 
 // SetSessionJournal attaches a durable session journal: from now on
@@ -304,13 +304,6 @@ func (r *Registry) SetSessionJournal(j *SessionJournal) {
 	for name, sc := range r.scenes {
 		sc.Resume.attachJournal(j, name)
 	}
-}
-
-// Journal returns the attached session journal (nil when none).
-func (r *Registry) Journal() *SessionJournal {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	return r.journal
 }
 
 // ResumeLen sums the parked sessions across every scene's resume cache

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math/rand"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -206,5 +207,62 @@ func TestHotCacheWiring(t *testing.T) {
 	}
 	if line := snap.String(); !strings.Contains(line, "hotcache.hits 2") || !strings.Contains(line, "retrieval.first_touches 2") {
 		t.Fatalf("snapshot String omits the hot-cache or first-touch rows: %s", line)
+	}
+}
+
+// TestSettingsReachLateScenes pins that the registry's settings reach a
+// scene registered after they were set — the scene a drain's LoadScene
+// adopts — and that a resume setting made after a journal restore keeps
+// the restored sessions.
+func TestSettingsReachLateScenes(t *testing.T) {
+	st := stats.New()
+	dir := t.TempDir()
+	if err := buildRegistry(t, st).SaveAll(dir, st); err != nil {
+		t.Fatal(err)
+	}
+
+	reg := NewRegistry()
+	reg.SetResumeCache(0, time.Minute)
+	reg.EnableHotCache(hotcache.Config{}, st)
+	reg.EnableCoalescer(retrieval.CoalescerConfig{}, st)
+	sc, err := reg.LoadScene(CheckpointPath(dir, "park"), st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sc.Server.HotCache() == nil || sc.Server.Coalescer() == nil {
+		t.Fatalf("late scene: hot cache %v, coalescer %v; want both", sc.Server.HotCache(), sc.Server.Coalescer())
+	}
+	sc.Resume.Put(1, &ResumeEntry{Session: retrieval.NewSession(sc.Server)})
+	if n := sc.Resume.Len(); n != 0 {
+		t.Fatalf("late scene parked %d sessions with resumption disabled", n)
+	}
+
+	// Park one session in a journal, restore it into a fresh registry,
+	// then bound the caches: the restored session stays resumable.
+	path := filepath.Join(dir, SessionJournalFile)
+	j, err := OpenSessionJournal(path, 0, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := buildRegistry(t, st)
+	first.SetSessionJournal(j)
+	city, _ := first.Get("city")
+	city.Resume.Put(7, &ResumeEntry{Session: retrieval.NewSession(city.Server)})
+	j.Close()
+
+	j2, err := OpenSessionJournal(path, 0, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j2.Close()
+	second := buildRegistry(t, st)
+	second.SetSessionJournal(j2)
+	if n := j2.Restore(second); n != 1 {
+		t.Fatalf("Restore = %d, want 1", n)
+	}
+	second.SetResumeCache(8, time.Minute)
+	city2, _ := second.Get("city")
+	if _, ok := city2.Resume.Take(7); !ok {
+		t.Fatal("a resume setting made after the restore dropped the restored session")
 	}
 }

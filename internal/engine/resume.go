@@ -7,8 +7,8 @@ import (
 	"repro/internal/retrieval"
 )
 
-// Resume-cache defaults a Registry gives each scene; override with
-// Registry.SetResumeCache.
+// Resume-cache bounds a Registry gives each scene unless
+// Registry.SetResumeCache sets others.
 const (
 	DefaultResumeCapacity = 1024
 	DefaultResumeTTL      = 2 * time.Minute
@@ -99,11 +99,21 @@ func (c *ResumeCache) Put(token uint64, e *ResumeEntry) {
 	c.order = append(c.order, token)
 	j, scene := c.journal, c.scene
 	c.mu.Unlock()
-	if j != nil {
-		for _, t := range evicted {
-			j.RecordTake(t)
-		}
-		j.RecordPark(token, scene, e)
+	for _, t := range evicted {
+		j.RecordTake(t)
+	}
+	j.RecordPark(token, scene, e)
+}
+
+// setBounds re-bounds the cache in place: parked sessions keep their
+// expiry and stay (the next Put evicts down to a smaller capacity),
+// unless capacity ≤ 0 disables the cache, which purges them.
+func (c *ResumeCache) setBounds(capacity int, ttl time.Duration) {
+	c.mu.Lock()
+	c.capacity, c.ttl = capacity, ttl
+	c.mu.Unlock()
+	if capacity <= 0 {
+		c.Purge()
 	}
 }
 

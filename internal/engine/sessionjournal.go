@@ -6,10 +6,8 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/persist"
-	"repro/internal/retrieval"
 	"repro/internal/stats"
 )
 
@@ -202,13 +200,7 @@ func (s *SessionJournal) Restore(reg *Registry) int {
 		if !ok {
 			continue
 		}
-		e := &ResumeEntry{
-			Session:  retrieval.RestoreSession(sc.Server, park.delivered),
-			Seq:      park.seq,
-			LastIDs:  park.lastIDs,
-			Restored: true,
-		}
-		if sc.Resume.putRestored(park.token, e, time.Unix(0, park.expires)) {
+		if _, ok := repark(sc, park); ok {
 			restored++
 		}
 	}

@@ -93,7 +93,7 @@ func RunCluster(spec ClusterSpec, w io.Writer) error {
 	// will take over after the kill.
 	st1, st2, st3 := stats.New(), stats.New(), stats.New()
 	b1, err := cluster.StartBackend(cluster.BackendConfig{
-		Scenes:  []engine.SceneConfig{sceneFor(st1)},
+		Scenes:  cluster.Scenes(sceneFor(st1)),
 		DataDir: ownerDir,
 		Stats:   st1,
 	})

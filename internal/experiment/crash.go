@@ -133,11 +133,12 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 	soak := newTramSoak(spec.TramSoakSpec)
 	stServer := stats.New()
 	bcfg := cluster.BackendConfig{
-		Scenes: []engine.SceneConfig{{
+		Scenes: cluster.Scenes(engine.SceneConfig{
 			Name: crashScene, Dataset: soak.d, Levels: soakLevels, Shards: spec.Shards, Stats: stServer,
-		}},
-		DataDir: dir,
-		Stats:   stServer,
+		}),
+		DataDir:      dir,
+		Stats:        stServer,
+		FrameTimeout: soakFrameTimeout,
 	}
 	b, err := cluster.StartBackend(bcfg)
 	if err != nil {

@@ -55,6 +55,15 @@ func resilientConfig(seed int64, st *stats.Stats) proto.ResilientConfig {
 	}
 }
 
+// soakFrameTimeout is the frame deadline of the crash soak's backends.
+// A bit flipped in a response's count field leaves the client reading
+// records the server never sent, while the server, done with the frame,
+// waits for the next request. The backends' idle timeout is 0, so the
+// deadline set when a frame's tag arrives also bounds that wait: the
+// server hangs up after a second and the client retries, instead of
+// waiting out its own 10 s frame timeout.
+const soakFrameTimeout = time.Second
+
 // killParked severs scene's live session on b, waits until b has
 // parked it in its session journal (or, with the journal's failpoint
 // armed, until the park record tore the journal) and kills b, so the
@@ -75,7 +84,7 @@ func killParked(b *cluster.Backend, scene string) error {
 // startScene boots a memory-only backend serving one scene, its counters
 // in sc.Stats.
 func startScene(sc engine.SceneConfig) (*cluster.Backend, error) {
-	return cluster.StartBackend(cluster.BackendConfig{Scenes: []engine.SceneConfig{sc}, Stats: sc.Stats})
+	return cluster.StartBackend(cluster.BackendConfig{Scenes: cluster.Scenes(sc), Stats: sc.Stats})
 }
 
 // TramSoakSpec is the scale and faulty link the fault, crash and
