@@ -14,7 +14,8 @@ build:
 test:
 	$(GO) test -count=1 -shuffle=on ./...
 
-# The serve path's packages, the pager under the paged store (it reads
+# The serve path's packages (the wire record's encoder in wavelet
+# among them), the pager under the paged store (it reads
 # a fault with its mutex released), the engine's session journal, resume
 # cache and scene restore, the gateway in front of it and cmd/server's
 # boot, again at 1, 2 and 8 procs: their zero-allocation and determinism gates must
@@ -23,7 +24,7 @@ test:
 # the test cache).
 test-procs:
 	for p in 1 2 8; do \
-		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/rtree/ ./internal/index/ ./internal/hotcache/ ./internal/retrieval/ ./internal/proto/ ./internal/persist/ ./internal/engine/ ./internal/cluster/ ./cmd/gateway/ ./cmd/server/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/wavelet/ ./internal/rtree/ ./internal/index/ ./internal/hotcache/ ./internal/retrieval/ ./internal/proto/ ./internal/persist/ ./internal/engine/ ./internal/cluster/ ./cmd/gateway/ ./cmd/server/ || exit 1; \
 	done
 
 # The race gate: the full suite under the race detector, including the

@@ -5,6 +5,7 @@ import (
 	"io"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/faultnet"
 	"repro/internal/proto"
@@ -33,9 +34,19 @@ func RunFault(spec FaultSpec, w io.Writer) error {
 
 	soak := newTramSoak(spec.TramSoakSpec)
 	stServer := stats.New()
-	b, err := startScene(engine.SceneConfig{
-		Name: proto.DefaultSceneName, Dataset: soak.d, Levels: soak.d.Spec.Levels, Shards: spec.Shards, Stats: stServer,
-	})
+	bcfg := cluster.BackendConfig{
+		Scenes: cluster.Scenes(engine.SceneConfig{
+			Name: proto.DefaultSceneName, Dataset: soak.d, Levels: soak.d.Spec.Levels, Shards: spec.Shards, Stats: stServer,
+		}),
+		Stats: stServer,
+	}
+	if spec.BytesPerSecond == 0 {
+		// A throttled link needs its long frames; an unthrottled one gets
+		// the crash soak's frame deadline, which ends the stall a flipped
+		// response count causes (see soakFrameTimeout).
+		bcfg.FrameTimeout = soakFrameTimeout
+	}
+	b, err := cluster.StartBackend(bcfg)
 	if err != nil {
 		return err
 	}

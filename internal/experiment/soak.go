@@ -55,7 +55,8 @@ func resilientConfig(seed int64, st *stats.Stats) proto.ResilientConfig {
 	}
 }
 
-// soakFrameTimeout is the frame deadline of the crash soak's backends.
+// soakFrameTimeout is the frame deadline of the crash soak's backends,
+// and of the fault soak's over an unthrottled link.
 // A bit flipped in a response's count field leaves the client reading
 // records the server never sent, while the server, done with the frame,
 // waits for the next request. The backends' idle timeout is 0, so the

@@ -139,9 +139,22 @@ func (c *Conn) latency() {
 	time.Sleep(d)
 }
 
+// Read reads at most up to the drop offset, so the bytes that get
+// through before a drop are the same whatever the caller's buffer size.
 func (c *Conn) Read(p []byte) (int, error) {
 	if c.dropped.Load() {
 		return 0, errInjected
+	}
+	if c.dropAt > 0 {
+		room := c.dropAt - c.total.Load()
+		if room <= 0 {
+			// A concurrent write reached the offset first.
+			c.drop()
+			return 0, errInjected
+		}
+		if room < int64(len(p)) {
+			p = p[:room]
+		}
 	}
 	c.latency()
 	n, err := c.Conn.Read(p)

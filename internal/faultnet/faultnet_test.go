@@ -96,6 +96,37 @@ func TestDropAfterBytes(t *testing.T) {
 	}
 }
 
+// TestReadStopsAtDropOffset: a read spanning the drop offset returns
+// exactly the bytes before it, whatever the reader's buffer size, and
+// the next read sees the drop.
+func TestReadStopsAtDropOffset(t *testing.T) {
+	msg := make([]byte, 200)
+	for i := range msg {
+		msg[i] = byte(i)
+	}
+	for _, size := range []int{1, 7, 39, 40, 41, 64, 200, 4096} {
+		c, s := pair(t)
+		if _, err := s.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		fc := Wrap(c, Config{Seed: 1, DropAfterMin: 40, DropAfterMax: 40}, nil)
+		var got []byte
+		buf := make([]byte, size)
+		var err error
+		for err == nil {
+			var n int
+			n, err = fc.Read(buf)
+			got = append(got, buf[:n]...)
+		}
+		if !IsInjected(err) {
+			t.Fatalf("buffer %d: read ended with %v, want the injected drop", size, err)
+		}
+		if !bytes.Equal(got, msg[:40]) {
+			t.Fatalf("buffer %d: %d bytes got through, want the 40 before the drop", size, len(got))
+		}
+	}
+}
+
 func TestCorruptFlipsOneBit(t *testing.T) {
 	c, s := pair(t)
 	st := stats.New()

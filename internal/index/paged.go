@@ -10,8 +10,10 @@
 // The record encoding is full-fidelity: every float64 of the in-memory
 // wavelet.Coefficient round-trips exactly, so a paged scene serves
 // byte-identical responses to the in-memory Store over the same
-// dataset. (The 48-byte wire encoding narrows Pos/Value to float32 at
-// the protocol layer for both stores alike.)
+// dataset. Both stores narrow Pos and Value to float32 in the one wire
+// encoder, wavelet.AppendWire: the Store once per coefficient in
+// NewStore, a paged pin set each time Pins.Record encodes a pinned
+// coefficient.
 package index
 
 import (

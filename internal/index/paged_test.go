@@ -184,26 +184,30 @@ func TestPagedDebugCatchesUseAfterUnpin(t *testing.T) {
 
 func TestPagedCoeffOutOfRange(t *testing.T) {
 	_, ps := buildPagedPair(t, PagedConfig{})
+	record := func(id int64) { ps.NewPins().Record(id) }
 	for _, id := range []int64{-1, ps.NumCoeffs(), ps.NumCoeffs() + 100} {
-		func() {
-			defer func() {
-				r := recover()
-				if r == nil {
-					t.Fatalf("PagedStore.Coeff(%d) did not panic", id)
-				}
-				if !strings.Contains(r.(string), "out of range") {
-					t.Fatalf("panic %q lacks a descriptive message", r)
-				}
+		for _, read := range []func(int64){func(id int64) { ps.Coeff(id) }, record} {
+			func() {
+				defer func() {
+					r := recover()
+					if r == nil {
+						t.Fatalf("read of id %d did not panic", id)
+					}
+					if !strings.Contains(r.(string), "out of range") {
+						t.Fatalf("panic %q lacks a descriptive message", r)
+					}
+				}()
+				read(id)
 			}()
-			ps.Coeff(id)
-		}()
+		}
 	}
 }
 
 // TestStoreCoeffOutOfRange is the satellite-2 regression test: bad ids
 // fail with a descriptive panic, not an index-out-of-range crash (or,
 // for negative ids, a silent resolve to object 0) — through Store.Coeff
-// and through a pin set that has just resolved the last object.
+// and through a pin set that has just resolved the last object, for a
+// coefficient and for its wire record.
 func TestStoreCoeffOutOfRange(t *testing.T) {
 	s := NewStore(testObjects(t, 3))
 	pinned := func(id int64) (*wavelet.Coefficient, error) {
@@ -211,8 +215,12 @@ func TestStoreCoeffOutOfRange(t *testing.T) {
 		pins.Coeff(s.NumCoeffs() - 1)
 		return pins.Coeff(id)
 	}
+	record := func(id int64) (*wavelet.Coefficient, error) {
+		_, err := s.NewPins().Record(id)
+		return nil, err
+	}
 	for _, id := range []int64{-1, s.NumCoeffs(), s.NumCoeffs() + 7} {
-		for _, read := range []func(int64) (*wavelet.Coefficient, error){s.Coeff, pinned} {
+		for _, read := range []func(int64) (*wavelet.Coefficient, error){s.Coeff, pinned, record} {
 			func() {
 				defer func() {
 					r := recover()

@@ -20,9 +20,10 @@ import (
 //
 // Concurrency contract: all methods must be safe for concurrent readers
 // once the source is published (the Store satisfies this after
-// construction plus any EnsureNeighbors call). Mutating a source's
-// coefficients is only legal under the owning index's write exclusion
-// (delete from the index, mutate, re-insert).
+// construction plus any EnsureNeighbors call). A source's coefficients
+// never change once it is built: the Store encodes their wire records
+// in NewStore and a segment is written once, so an index update
+// (delete, re-insert) moves entries, never data.
 type CoefficientSource interface {
 	// ID returns the global id of a coefficient.
 	ID(object, vertex int32) int64
@@ -35,9 +36,9 @@ type CoefficientSource interface {
 	// fault, so its Coeff returns a private copy — correct for as long
 	// as the caller likes, and one allocation per call. Callers that
 	// read many coefficients — the index builders' scans, the retrieval
-	// filter pass, the proto payload encode — read through a NewPins set
-	// instead, which allocates nothing and whose pointers stay valid
-	// until its Release, whatever the source.
+	// filter pass, the response encode (Pins.Record) — read through a
+	// NewPins set instead, which allocates nothing and whose pointers
+	// stay valid until its Release, whatever the source.
 	//
 	// Failure contract: a non-nil error means the coefficient is
 	// temporarily unreadable (an out-of-core source lost the backing
@@ -91,9 +92,12 @@ var (
 // way it remembers the last slab it resolved (an object's coefficients,
 // or a page's records), so the ascending reads of a frame's filter pass
 // and its payload encode — whose coarse-band ids share pages in the
-// band-major layout — resolve almost every id with one range check. A
-// Pins is reusable across frames (Release keeps its storage) but not
-// safe for concurrent use; each session owns its own.
+// band-major layout — resolve almost every id with one range check.
+// Record hands out a coefficient's wire record: a slice of the Store's
+// wire array, or over a paged source the pinned coefficient encoded
+// into the set's scratch. A Pins is reusable across frames (Release
+// keeps its storage) but not safe for concurrent use; each session owns
+// its own.
 type Pins struct {
 	// lo, hi and slab are the last object resolved over the resident
 	// store: ids [lo, hi) are slab[id-lo]. The range stays empty over a
@@ -111,6 +115,8 @@ type Pins struct {
 	slotLo, slotHi int64
 	pages          []int32
 	slabs          map[int32][]wavelet.Coefficient
+	// rec is the scratch Record encodes a paged coefficient into.
+	rec [wavelet.WireBytes]byte
 }
 
 // Coeff resolves a global id; the pointer is valid until Release. An
@@ -126,6 +132,26 @@ func (p *Pins) Coeff(id int64) (*wavelet.Coefficient, error) {
 	}
 	p.seekObject(id)
 	return &p.slab[id-p.lo], nil
+}
+
+// Record returns coefficient id's wire record (see wavelet.WireRecord),
+// failing and panicking as Coeff does. Over the resident store it is a
+// slice of the store's wire array, valid for as long as the caller
+// likes; over a paged source the pinned coefficient is encoded into the
+// set's scratch, valid until the next Record or Release. Either way the
+// caller copies it, never writes it.
+func (p *Pins) Record(id int64) ([]byte, error) {
+	if s := p.store; s != nil {
+		s.checkID(id)
+		off := id * wavelet.WireBytes
+		return s.wire[off : off+wavelet.WireBytes : off+wavelet.WireBytes], nil
+	}
+	c, err := p.pinSlot(id)
+	if err != nil {
+		return nil, err
+	}
+	w := c.Wire()
+	return wavelet.AppendWire(p.rec[:0], &w), nil
 }
 
 // holds reports whether id resolves in the slab p resolved last, so a

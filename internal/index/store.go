@@ -18,18 +18,23 @@ import (
 // Store is the server-side collection of decomposed objects. It assigns
 // every coefficient a dense global id: the object's offset plus the
 // coefficient's vertex id. (Decompose assigns vertex ids sequentially, so
-// Coeffs[i].Vertex == i; Store relies on that.)
+// Coeffs[i].Vertex == i; Store relies on that.) The coefficients must not
+// change after NewStore: the store encodes their wire records once, there.
 type Store struct {
 	Objects   []*wavelet.Decomposition
 	offsets   []int64
 	total     int64
 	bounds    geom.Rect3  // union of the objects' boxes, fixed at construction
 	neighbors [][][]int32 // final-mesh adjacency per object; built on demand
+	// wire holds every coefficient's wire record, id-indexed: id's
+	// record is wire[id*WireBytes:][:WireBytes]. It costs WireBytes per
+	// coefficient beside the slabs and makes a frame's encode a copy.
+	wire []byte
 }
 
-// NewStore builds a store over the given decompositions. Object ids must
-// equal their slice positions; Decompose output is verified to satisfy the
-// dense-vertex-id assumption.
+// NewStore builds a store over the given decompositions and encodes
+// their wire records. Object ids must equal their slice positions;
+// Decompose output is verified to satisfy the dense-vertex-id assumption.
 func NewStore(objects []*wavelet.Decomposition) *Store {
 	s := &Store{Objects: objects, offsets: make([]int64, len(objects))}
 	for i, d := range objects {
@@ -48,6 +53,13 @@ func NewStore(objects []*wavelet.Decomposition) *Store {
 			s.bounds = d.Bounds()
 		} else {
 			s.bounds = s.bounds.Union(d.Bounds())
+		}
+	}
+	s.wire = make([]byte, 0, s.total*wavelet.WireBytes)
+	for _, d := range objects {
+		for j := range d.Coeffs {
+			w := d.Coeffs[j].Wire()
+			s.wire = wavelet.AppendWire(s.wire, &w)
 		}
 	}
 	s.neighbors = make([][][]int32, len(objects))
@@ -119,9 +131,7 @@ func (p *Pins) seekObject(id int64) {
 // corruption — fail loudly rather than crash on a slice bound or, for a
 // negative id on a multi-object store, silently resolve to object 0).
 func (s *Store) objectOf(id int64) int {
-	if id < 0 || id >= s.total {
-		panic(fmt.Sprintf("index: coefficient id %d out of range [0, %d)", id, s.total))
-	}
+	s.checkID(id)
 	lo, hi := 0, len(s.offsets)-1
 	for lo < hi {
 		mid := (lo + hi + 1) / 2
@@ -132,6 +142,13 @@ func (s *Store) objectOf(id int64) int {
 		}
 	}
 	return lo
+}
+
+// checkID panics descriptively on an out-of-range id (see objectOf).
+func (s *Store) checkID(id int64) {
+	if id < 0 || id >= s.total {
+		panic(fmt.Sprintf("index: coefficient id %d out of range [0, %d)", id, s.total))
+	}
 }
 
 // EnsureNeighbors computes and caches the final-mesh vertex adjacency for

@@ -125,3 +125,41 @@ func TestLatencyDominatesSmallTransfers(t *testing.T) {
 		t.Errorf("10 small requests (%v s) should cost more than one batch (%v s)", many, one)
 	}
 }
+
+// Usage accumulates link activity over a tour — the running form of
+// equation (1) the tests check the link model against.
+type Usage struct {
+	Requests int64
+	Bytes    int64
+	Seconds  float64
+}
+
+// Record adds one request to the usage at the given speed and returns its
+// duration.
+func (u *Usage) Record(l Link, bytes int64, speed float64) float64 {
+	d := l.RequestSeconds(bytes, speed)
+	u.Requests++
+	u.Bytes += bytes
+	u.Seconds += d
+	return d
+}
+
+// MeanResponseSeconds returns the average request duration; 0 before any
+// request.
+func (u *Usage) MeanResponseSeconds() float64 {
+	if u.Requests == 0 {
+		return 0
+	}
+	return u.Seconds / float64(u.Requests)
+}
+
+// TourCost evaluates equation (1) directly: M server contacts moving
+// blockBytes[j] each cost Σ_j (C_c + C_t·B·N(j)), with C_c the latency
+// and the transfer term expressed through the stationary bandwidth.
+func (l Link) TourCost(blockBytes []int64) float64 {
+	var total float64
+	for _, b := range blockBytes {
+		total += l.RequestSeconds(b, 0)
+	}
+	return total
+}

@@ -47,7 +47,15 @@ type Client struct {
 	planner  *retrieval.Client
 	mapSpeed retrieval.MapSpeedToResolution
 	recons   map[int32]*wavelet.Reconstructor
-	resp     Response // frame-decode scratch; consumed before the next read
+	// resp and records are the frame-decode scratch: the header fields
+	// and the records section of the last response, consumed before the
+	// next read.
+	resp    Response
+	records []byte
+	// connBytes counts the record bytes applied over the current
+	// connection: with a failed frame's partial records, what the
+	// connection carried before it failed.
+	connBytes int64
 
 	// Session-resume lineage: the newest server-assigned token and the
 	// sequence number of the last response applied on that lineage.
@@ -177,6 +185,7 @@ func (c *Client) attach(conn net.Conn, resume bool) (resumed bool, err error) {
 		c.conn.Close()
 	}
 	c.conn, c.r, c.w, c.hello, c.token = conn, r, w, hello, hello.Token
+	c.connBytes = 0
 	return resumed, nil
 }
 
@@ -280,9 +289,10 @@ func (c *Client) FrameBudget(q geom.Rect2, speed float64, maxBytes int64, rings 
 // exchange ships one request and applies its response: the records go
 // into the reconstructors, the sequence number and lifetime totals
 // advance. It returns the records received and the count withheld. On
-// error, c.resp.Coeffs holds the records decoded before the failure.
+// error, c.records holds the bytes of the records section read before
+// the failure.
 func (c *Client) exchange(req Request) (int, int64, error) {
-	c.resp.Coeffs = c.resp.Coeffs[:0]
+	c.records = c.records[:0]
 	if err := c.w.WriteRequest(req); err != nil {
 		return 0, 0, err
 	}
@@ -301,42 +311,44 @@ func (c *Client) exchange(req Request) (int, int64, error) {
 		return 0, 0, fmt.Errorf("proto: unexpected tag %d", tag)
 	}
 	resp := &c.resp
-	if err := c.r.ReadResponseInto(resp); err != nil {
+	if c.records, err = c.r.readResponse(resp, c.records); err != nil {
 		return 0, 0, err
 	}
 	if resp.Seq != c.appliedSeq+1 {
 		return 0, 0, fmt.Errorf("proto: response seq %d, expected %d", resp.Seq, c.appliedSeq+1)
 	}
-	for i := range resp.Coeffs {
-		c.apply(&resp.Coeffs[i])
-	}
+	c.apply(c.records)
+	n := len(c.records) / wavelet.WireBytes
 	c.appliedSeq = resp.Seq
-	c.BytesReceived += int64(len(resp.Coeffs)) * wavelet.WireBytes
-	c.Coefficients += int64(len(resp.Coeffs))
+	c.BytesReceived += int64(len(c.records))
+	c.connBytes += int64(len(c.records))
+	c.Coefficients += int64(n)
 	c.ServerIO += resp.IO
-	return len(resp.Coeffs), resp.Dropped, nil
+	return n, resp.Dropped, nil
 }
 
-// apply routes one coefficient into its object's reconstructor, creating
-// the reconstructor on first contact. All generated objects share the
-// octahedron subdivision schema announced in the hello.
-func (c *Client) apply(pc *Coeff) {
-	r, ok := c.recons[pc.Object]
-	if !ok {
-		r = wavelet.NewReconstructor(mesh.Octahedron(), geom.Vec3{}, int(c.hello.Levels))
-		c.recons[pc.Object] = r
+// apply routes each wire record's vertex and displacement into its
+// object's reconstructor, creating the reconstructor on first contact
+// (all generated objects share the octahedron subdivision schema the
+// hello announces). A response groups its records by object, so the
+// last object's reconstructor is remembered and the map is consulted
+// once per object, not once per record.
+func (c *Client) apply(records []byte) {
+	var (
+		obj   int32
+		recon *wavelet.Reconstructor
+	)
+	for ; len(records) > 0; records = records[wavelet.WireBytes:] {
+		w := wavelet.DecodeWire(records)
+		if recon == nil || w.Object != obj {
+			obj = w.Object
+			if recon = c.recons[obj]; recon == nil {
+				recon = wavelet.NewReconstructor(mesh.Octahedron(), geom.Vec3{}, int(c.hello.Levels))
+				c.recons[obj] = recon
+			}
+		}
+		recon.ApplyDelta(w.Vertex, w.Delta, w.Vertex < c.hello.BaseVerts)
 	}
-	level := int8(0)
-	if pc.Vertex < c.hello.BaseVerts {
-		level = wavelet.BaseLevel
-	}
-	r.Apply(wavelet.Coefficient{
-		Object: pc.Object,
-		Vertex: pc.Vertex,
-		Level:  level,
-		Delta:  pc.Delta,
-		Value:  float64(pc.Value),
-	})
 }
 
 // Objects returns the ids of objects the client has received data for.

@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"slices"
 	"testing"
+
+	"repro/internal/wavelet"
 )
 
 // responseFrame returns WriteResponse's bytes for resp, tag included.
@@ -17,6 +19,10 @@ func responseFrame(t testing.TB, resp Response) []byte {
 	}
 	return buf.Bytes()
 }
+
+// chunkRecords is how many records fit the decoder's first read-ahead
+// (respChunkBytes), the trailer included.
+const chunkRecords = (respChunkBytes - 4) / wavelet.WireBytes
 
 // readResponseFrame decodes one response frame through r, which has been
 // pointed at it.
@@ -39,7 +45,7 @@ func TestReadResponseChunkBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	r := NewReader(bytes.NewReader(nil))
 	var got Response
-	for _, n := range []int{4097, 0, 1, respChunkRecords - 1, respChunkRecords, respChunkRecords + 1, 2 * respChunkRecords, 4097, 1} {
+	for _, n := range []int{4097, 0, 1, chunkRecords - 1, chunkRecords, chunkRecords + 1, 2 * chunkRecords, 4097, 1} {
 		want := Response{IO: rng.Int63n(1000), Seq: rng.Int63n(1000), Coeffs: randCoeffs(rng, n)}
 		r.Reset(bytes.NewReader(responseFrame(t, want)))
 		if err := readResponseFrame(r, &got); err != nil {
@@ -60,10 +66,10 @@ func TestReadResponseChunkBoundaries(t *testing.T) {
 // later chunk, inside the trailer — and requires an error each time: the
 // records decoded before the cut never come back as a valid response.
 func TestReadResponseTruncatedMidChunk(t *testing.T) {
-	frame := responseFrame(t, Response{IO: 3, Seq: 9, Coeffs: randCoeffs(rand.New(rand.NewSource(5)), 3*respChunkRecords)})
+	frame := responseFrame(t, Response{IO: 3, Seq: 9, Coeffs: randCoeffs(rand.New(rand.NewSource(5)), 3*chunkRecords)})
 	const header = 1 + 4 + 8 + 8 + 8 // tag, count, io, seq, dropped
-	chunk := respChunkRecords * wireCoeffBytes
-	for _, cut := range []int{header, header + 100, header + chunk, header + chunk + wireCoeffBytes/2, header + 3*chunk - 1, len(frame) - 2} {
+	chunk := respChunkBytes
+	for _, cut := range []int{header, header + 100, header + chunk, header + chunk + wavelet.WireBytes/2, len(frame) - 5, len(frame) - 2} {
 		var resp Response
 		err := readResponseFrame(NewReader(bytes.NewReader(frame[:cut])), &resp)
 		if err == nil {
@@ -79,9 +85,9 @@ func TestReadResponseTruncatedMidChunk(t *testing.T) {
 // any error): chunked hashing must cover exactly the bytes the
 // per-field reads did.
 func TestReadResponseCRCCoversEveryChunk(t *testing.T) {
-	frame := responseFrame(t, Response{IO: 3, Seq: 9, Coeffs: randCoeffs(rand.New(rand.NewSource(6)), 2*respChunkRecords+7)})
+	frame := responseFrame(t, Response{IO: 3, Seq: 9, Coeffs: randCoeffs(rand.New(rand.NewSource(6)), 2*chunkRecords+7)})
 	const header = 1 + 4 + 8 + 8 + 8 // tag, count, io, seq, dropped
-	chunk := respChunkRecords * wireCoeffBytes
+	chunk := respChunkBytes
 	check := func(pos int) {
 		mut := slices.Clone(frame)
 		mut[pos] ^= 0x40
@@ -98,7 +104,7 @@ func TestReadResponseCRCCoversEveryChunk(t *testing.T) {
 		check(pos)
 	}
 	for _, edge := range []int{header + chunk, header + 2*chunk} {
-		for pos := edge - wireCoeffBytes; pos < edge+wireCoeffBytes; pos++ {
+		for pos := edge - wavelet.WireBytes; pos < edge+wavelet.WireBytes; pos++ {
 			check(pos)
 		}
 	}
@@ -113,7 +119,7 @@ func TestReadResponseCRCCoversEveryChunk(t *testing.T) {
 // TestReadResponseLyingCountAllocatesOneChunk is the "must not
 // pre-allocate gigabytes" rule: a header announcing the largest legal
 // count over a stream holding a few records fails having sized Coeffs
-// for one chunk at most.
+// and the record buffer for one chunk at most.
 func TestReadResponseLyingCountAllocatesOneChunk(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
@@ -131,11 +137,11 @@ func TestReadResponseLyingCountAllocatesOneChunk(t *testing.T) {
 	if err := readResponseFrame(r, &resp); err == nil {
 		t.Fatal("short stream under a lying count decoded without error")
 	}
-	if cap(resp.Coeffs) > respChunkRecords {
-		t.Fatalf("Coeffs sized for %d records before the stream ran dry, want at most one chunk (%d)", cap(resp.Coeffs), respChunkRecords)
+	if cap(resp.Coeffs) > chunkRecords {
+		t.Fatalf("Coeffs sized for %d records before the stream ran dry, want at most one chunk (%d)", cap(resp.Coeffs), chunkRecords)
 	}
-	if len(r.chunk) != respChunkRecords*wireCoeffBytes {
-		t.Fatalf("decode chunk is %d bytes, want %d", len(r.chunk), respChunkRecords*wireCoeffBytes)
+	if cap(r.records) > respChunkBytes {
+		t.Fatalf("record buffer sized for %d bytes before the stream ran dry, want at most one chunk (%d)", cap(r.records), respChunkBytes)
 	}
 }
 

@@ -146,34 +146,22 @@ type ResumeOK struct {
 	Delivered int64
 }
 
-// Coeff is one coefficient on the wire: ids, the full-precision
-// displacement the reconstruction applies, the fitted position (single
-// precision, enough for progressive point splatting before parents
-// arrive), and the normalized value. At 48 bytes it matches
-// wavelet.WireBytes, keeping the simulated and real byte accounting
-// consistent. Whether a record is a base pseudo-coefficient follows from
-// Vertex < Hello.BaseVerts.
-type Coeff struct {
-	Object int32
-	Vertex int32
-	Delta  geom.Vec3 // 3 × float64 = 24 bytes
-	Pos    [3]float32
-	Value  float32
-}
+// Coeff is one coefficient on the wire: a response frame's records are
+// wavelet.WireRecord encodings, WireBytes each, so the store, the frame
+// and the simulated byte accounting share one layout. Whether a record
+// is a base pseudo-coefficient follows from Vertex < Hello.BaseVerts.
+type Coeff = wavelet.WireRecord
 
-// wireCoeffBytes is the on-the-wire size of one Coeff record.
-const wireCoeffBytes = 4 + 4 + 24 + 12 + 4
+// respHeadBytes is a response frame's length before its records: the
+// tag, then the count, io, seq and dropped fields.
+const respHeadBytes = 1 + 4 + 8 + 8 + 8
 
-// respChunkRecords is how many records the response decoder reads at
-// once: the most whole records (4 080 bytes) that fit the 4 096-byte
-// buffer bufio hands them over from.
-const respChunkRecords = 85
-
-func init() {
-	if wireCoeffBytes != wavelet.WireBytes {
-		panic("proto: wire size drifted from wavelet.WireBytes")
-	}
-}
+// respChunkBytes bounds how far a response decoder reads ahead of what
+// the stream has delivered: its record buffer grows to at most twice
+// the bytes already read, or respChunkBytes if that is more. A frame of
+// up to 64 KB is read in one go; a corrupted-but-in-range count cannot
+// allocate gigabytes before the stream runs dry.
+const respChunkBytes = 64 << 10
 
 // Response streams the coefficients answering one request. Seq numbers
 // the responses of one session lineage (1 for the first frame), letting
@@ -192,7 +180,7 @@ type Response struct {
 // Writer frames messages onto a stream.
 type Writer struct {
 	w       *bufio.Writer
-	scratch [8]byte
+	scratch [respHeadBytes]byte
 	crc     uint32
 	hashing bool
 }
@@ -320,51 +308,66 @@ func (w *Writer) WriteResponse(r Response) error {
 	return w.writeResponsePayload(len(r.Coeffs), r.IO, r.Seq, r.Dropped, EncodeResponsePayload(nil, r.Coeffs))
 }
 
-// appendCoeff appends one record in the response frame's byte layout —
-// the one record encoder.
-func appendCoeff(buf []byte, c *Coeff) []byte {
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Object))
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(c.Vertex))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Delta.X))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Delta.Y))
-	buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.Delta.Z))
-	buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(c.Pos[0]))
-	buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(c.Pos[1]))
-	buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(c.Pos[2]))
-	buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(c.Value))
-	return buf
-}
-
-// decodeCoeff parses the record appendCoeff wrote at the head of b
-// (len(b) ≥ wireCoeffBytes).
-func decodeCoeff(b []byte) Coeff {
-	_ = b[wireCoeffBytes-1]
-	return Coeff{
-		Object: int32(binary.LittleEndian.Uint32(b[0:])),
-		Vertex: int32(binary.LittleEndian.Uint32(b[4:])),
-		Delta: geom.Vec3{
-			X: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
-			Y: math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
-			Z: math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
-		},
-		Pos: [3]float32{
-			math.Float32frombits(binary.LittleEndian.Uint32(b[32:])),
-			math.Float32frombits(binary.LittleEndian.Uint32(b[36:])),
-			math.Float32frombits(binary.LittleEndian.Uint32(b[40:])),
-		},
-		Value: math.Float32frombits(binary.LittleEndian.Uint32(b[44:])),
-	}
-}
-
 // EncodeResponsePayload appends the wire encoding of the coefficient
 // records (the section of a response frame after its header) to buf.
-// The hot-region cache stores these blobs so repeated responses skip
-// per-record encoding; WriteResponsePayload replays them.
 func EncodeResponsePayload(buf []byte, coeffs []Coeff) []byte {
 	for i := range coeffs {
-		buf = appendCoeff(buf, &coeffs[i])
+		buf = wavelet.AppendWire(buf, &coeffs[i])
 	}
 	return buf
+}
+
+// checkResponse refuses a response the reader would reject: more
+// records than MaxCoeffs, or a negative dropped count.
+func checkResponse(count int, dropped int64) error {
+	if count > MaxCoeffs {
+		return fmt.Errorf("proto: response of %d coefficients exceeds limit", count)
+	}
+	if dropped < 0 {
+		return fmt.Errorf("proto: negative dropped count %d", dropped)
+	}
+	return nil
+}
+
+// putResponseHead writes a response frame's header, tag first, into
+// head[:respHeadBytes].
+func putResponseHead(head []byte, count int, nodeIO, seq, dropped int64) {
+	head = head[:respHeadBytes]
+	head[0] = TagResponse
+	binary.LittleEndian.PutUint32(head[1:], uint32(count))
+	binary.LittleEndian.PutUint64(head[5:], uint64(nodeIO))
+	binary.LittleEndian.PutUint64(head[13:], uint64(seq))
+	binary.LittleEndian.PutUint64(head[21:], uint64(dropped))
+}
+
+// beginResponseFrame resets buf to the room for a response frame's
+// header, with capacity for records more records and the trailer
+// behind it. The caller appends the records' wire bytes, then
+// finishResponseFrame completes the frame — so a frame is assembled in
+// one buffer and leaves in one write.
+func beginResponseFrame(buf []byte, records int) []byte {
+	return slices.Grow(buf[:0], respHeadBytes+records*wavelet.WireBytes+4)[:respHeadBytes]
+}
+
+// finishResponseFrame fills in the header of a frame beginResponseFrame
+// began — its count from the records appended since — and appends the
+// CRC trailer. The bytes are those WriteResponse sends for the same
+// response.
+func finishResponseFrame(frame []byte, nodeIO, seq, dropped int64) ([]byte, error) {
+	count := (len(frame) - respHeadBytes) / wavelet.WireBytes
+	if err := checkResponse(count, dropped); err != nil {
+		return frame, err
+	}
+	putResponseHead(frame, count, nodeIO, seq, dropped)
+	return binary.LittleEndian.AppendUint32(frame, crc32.Checksum(frame[1:], crcTable)), nil
+}
+
+// writeFrame writes a frame assembled whole in one Write on the
+// stream: the bufio buffer is empty between messages, so a frame larger
+// than it goes straight through and a smaller one leaves in the Flush.
+func (w *Writer) writeFrame(frame []byte) error {
+	w.w.Write(frame)
+	return w.w.Flush()
 }
 
 // WriteResponsePayload writes a response frame that withholds nothing
@@ -376,24 +379,20 @@ func (w *Writer) WriteResponsePayload(count int, nodeIO, seq int64, payload []by
 }
 
 // writeResponsePayload is WriteResponsePayload reporting dropped
-// withheld coefficients — the encoder the server answers every request
-// with.
+// withheld coefficients. It streams the frame through the bufio buffer;
+// the server instead assembles each frame whole (beginResponseFrame)
+// and writes it once.
 func (w *Writer) writeResponsePayload(count int, nodeIO, seq, dropped int64, payload []byte) error {
-	if count > MaxCoeffs {
-		return fmt.Errorf("proto: response of %d coefficients exceeds limit", count)
+	if err := checkResponse(count, dropped); err != nil {
+		return err
 	}
-	if len(payload) != count*wireCoeffBytes {
+	if len(payload) != count*wavelet.WireBytes {
 		return fmt.Errorf("proto: payload of %d bytes does not hold %d records", len(payload), count)
 	}
-	if dropped < 0 {
-		return fmt.Errorf("proto: negative dropped count %d", dropped)
-	}
-	w.u8(TagResponse)
+	putResponseHead(w.scratch[:], count, nodeIO, seq, dropped)
+	w.w.Write(w.scratch[:1])
 	w.beginCRC()
-	w.i32(int32(count))
-	w.i64(nodeIO)
-	w.i64(seq)
-	w.i64(dropped)
+	w.raw(w.scratch[1:respHeadBytes])
 	w.raw(payload)
 	w.endCRC()
 	return w.w.Flush()
@@ -458,16 +457,16 @@ type Reader struct {
 	// subs is the reusable sub-query slab behind ReadRequest — see its
 	// aliasing contract.
 	subs []retrieval.SubQuery
-	// chunk is the staging buffer the response decoder reads coefficient
-	// records through, respChunkRecords at a time.
-	chunk []byte
+	// records is the buffer ReadResponseInto reads a frame's records
+	// section into before decoding it.
+	records []byte
 }
 
 // NewReader wraps a connection.
 func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
 
 // Reset retargets the reader at src, keeping its buffers (bufio buffer,
-// sub-query slab and decode chunk) — the recycling hook for benchmark
+// sub-query slab and record buffer) — the recycling hook for benchmark
 // and pooling harnesses. Any partially read frame state is discarded.
 func (r *Reader) Reset(src io.Reader) {
 	r.r.Reset(src)
@@ -769,53 +768,69 @@ func (r *Reader) ReadResponse() (Response, error) {
 // overwritten. On error resp holds whatever partial state was decoded
 // and must not be used.
 func (r *Reader) ReadResponseInto(resp *Response) error {
-	r.beginCRC()
-	n, err := r.i32()
+	records, err := r.readResponse(resp, r.records)
+	r.records = records[:0]
 	if err != nil {
 		return err
 	}
-	if n < 0 || n > MaxCoeffs {
-		return fmt.Errorf("proto: bad coefficient count %d", n)
-	}
-	if resp.IO, err = r.i64(); err != nil {
-		return err
-	}
-	if resp.Seq, err = r.i64(); err != nil {
-		return err
-	}
-	if resp.Dropped, err = r.i64(); err != nil {
-		return err
-	}
-	// The records arrive in bounded chunks — one read and one checksum
-	// update per chunk, fields decoded straight from the staging buffer —
-	// and Coeffs is sized from the count only as far as the stream has
-	// backed it: never for more than twice the records already read, so a
-	// corrupted-but-in-range count cannot pre-allocate gigabytes before
-	// the stream runs dry, and never past the count, so an honest
-	// wholesale frame fills a fresh slab in a few exact-fit steps.
-	resp.Coeffs = resp.Coeffs[:0]
-	if n > 0 && r.chunk == nil {
-		r.chunk = make([]byte, respChunkRecords*wireCoeffBytes)
-	}
-	for left := int(n); left > 0; {
-		k := min(left, respChunkRecords)
-		b := r.chunk[:k*wireCoeffBytes]
-		if err := r.fill(b); err != nil {
-			return err
-		}
-		resp.Coeffs = slices.Grow(resp.Coeffs, min(left, len(resp.Coeffs)+2*k))
-		for ; len(b) > 0; b = b[wireCoeffBytes:] {
-			resp.Coeffs = append(resp.Coeffs, decodeCoeff(b))
-		}
-		left -= k
-	}
-	if err := r.checkCRC(); err != nil {
-		return err
-	}
-	if resp.Dropped < 0 {
-		return fmt.Errorf("proto: negative dropped count %d", resp.Dropped)
+	// The records section has arrived in full, so the slab is sized from
+	// what the stream delivered, not from the count alone.
+	resp.Coeffs = slices.Grow(resp.Coeffs[:0], len(records)/wavelet.WireBytes)
+	for ; len(records) > 0; records = records[wavelet.WireBytes:] {
+		resp.Coeffs = append(resp.Coeffs, wavelet.DecodeWire(records))
 	}
 	return nil
+}
+
+// readResponse parses a response body (after its tag): the header into
+// resp's IO, Seq and Dropped (Coeffs is left alone), and the records
+// section into buf, which it returns resliced to the section's bytes.
+// The checksum is verified before anything is returned as valid.
+//
+// Once the bytes bufio already holds are used up, the records and the
+// trailer are read from the stream straight into buf, in as few reads
+// as the stream allows. buf grows only as far as the stream has backed
+// it — to twice the bytes read, or respChunkBytes if that is more — so
+// a corrupted-but-in-range count cannot allocate gigabytes before the
+// stream runs dry, and an honest frame of a few hundred records is one
+// read. On error buf holds the bytes read before the failure.
+func (r *Reader) readResponse(resp *Response, buf []byte) ([]byte, error) {
+	r.beginCRC()
+	n, err := r.i32()
+	if err != nil {
+		return buf[:0], err
+	}
+	if n < 0 || n > MaxCoeffs {
+		return buf[:0], fmt.Errorf("proto: bad coefficient count %d", n)
+	}
+	if resp.IO, err = r.i64(); err != nil {
+		return buf[:0], err
+	}
+	if resp.Seq, err = r.i64(); err != nil {
+		return buf[:0], err
+	}
+	if resp.Dropped, err = r.i64(); err != nil {
+		return buf[:0], err
+	}
+	size := int(n)*wavelet.WireBytes + 4 // the records, then the trailer
+	buf = buf[:0]
+	for got := 0; got < size; got = len(buf) {
+		end := min(size, max(2*got, respChunkBytes))
+		buf = slices.Grow(buf, end-got)[:end]
+		k, err := io.ReadFull(r.r, buf[got:])
+		if err != nil {
+			return buf[:got+k], err
+		}
+	}
+	records := buf[:size-4]
+	r.hashing = false
+	if binary.LittleEndian.Uint32(buf[size-4:]) != crc32.Update(r.crc, crcTable, records) {
+		return records, ErrChecksum
+	}
+	if resp.Dropped < 0 {
+		return records, fmt.Errorf("proto: negative dropped count %d", resp.Dropped)
+	}
+	return records, nil
 }
 
 // ReadResume parses a resume body (after its tag) and verifies its

@@ -201,12 +201,13 @@ func (rc *ResilientClient) connect() (err error) {
 // returns the coefficients the frame applied: exactly what a fault-free
 // frame delivers (see the Client retry-safety contract).
 //
-// Short frames. A frame starts whole. After a failed round trip the next
-// attempt asks for a budgeted piece: half of what the failed attempt
-// received, or half the last piece when it received nothing, never under
-// one record. A mute or dead server sends nothing, so its frame stays
-// whole. While a response withholds coefficients the same request goes
-// again, and the server's delivered set returns the next prefix; the
+// Short frames. A frame starts whole. After a failed round trip that
+// received records the next attempt asks for a budgeted piece: half the
+// record bytes the failed connection carried (earlier frames and the
+// failed one's partial records), then half the last piece after each
+// failed piece, never under one record. A mute or dead server sends
+// nothing, so its frame stays whole. While a response withholds coefficients the same request
+// goes again, and the server's delivered set returns the next prefix; the
 // frame ends at a response that withholds nothing or delivers nothing (a
 // cap below one record, a quarantined page). A response resets the
 // attempt count. An ABR frame asks for the smaller of the piece and the
@@ -229,13 +230,15 @@ func (rc *ResilientClient) Frame(q geom.Rect2, speed float64) (int, error) {
 		var n int
 		var dropped int64
 		if n, dropped, err = rc.exchange(q, speed, piece); err != nil {
-			// The decoder keeps the records it read before the failure.
-			got := int64(len(rc.c.resp.Coeffs)) * wavelet.WireBytes
-			if got == 0 {
-				got = piece
+			// A whole frame that received records goes on in pieces sized
+			// by what the connection carried before it failed: earlier
+			// frames, then the records this one read. Where a drop lands
+			// inside a piece says nothing more, so a failed piece halves.
+			if got := len(rc.c.records) / wavelet.WireBytes * wavelet.WireBytes; piece == 0 && got > 0 {
+				piece = rc.c.connBytes + int64(got)
 			}
-			if got > 0 {
-				piece = max(got/2, wavelet.WireBytes)
+			if piece > 0 {
+				piece = max(piece/2, wavelet.WireBytes)
 			}
 			rc.noteFailure(err)
 			fails++

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/geom"
 	"repro/internal/retrieval"
+	"repro/internal/wavelet"
 )
 
 func randCoeffs(rng *rand.Rand, n int) []Coeff {
@@ -29,10 +30,10 @@ func randCoeffs(rng *rand.Rand, n int) []Coeff {
 func TestWriteResponsePayloadValidation(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewWriter(&buf)
-	if err := w.WriteResponsePayload(2, 0, 0, make([]byte, wireCoeffBytes)); err == nil {
+	if err := w.WriteResponsePayload(2, 0, 0, make([]byte, wavelet.WireBytes)); err == nil {
 		t.Fatal("count/payload length mismatch accepted")
 	}
-	if err := w.WriteResponsePayload(MaxCoeffs+1, 0, 0, make([]byte, (MaxCoeffs+1)*wireCoeffBytes)); err == nil {
+	if err := w.WriteResponsePayload(MaxCoeffs+1, 0, 0, make([]byte, (MaxCoeffs+1)*wavelet.WireBytes)); err == nil {
 		t.Fatal("oversized count accepted")
 	}
 	if buf.Len() != 0 {

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"slices"
 	"sync"
 	"time"
 
@@ -13,6 +12,7 @@ import (
 	"repro/internal/hotcache"
 	"repro/internal/retrieval"
 	"repro/internal/stats"
+	"repro/internal/wavelet"
 )
 
 // Server serves the retrieval protocol over TCP (or any net.Listener).
@@ -302,9 +302,10 @@ type serverConn struct {
 	// frame's bucket, keeping the entry and its shared payload exempt
 	// from LRU eviction while anyone watches it.
 	hotSub *hotcache.Sub
-	// payload is the buffer response payloads are encoded into, reused
-	// every frame the hot cache does not answer.
-	payload []byte
+	// frame is the buffer each response frame is assembled in — header,
+	// records, trailer — and written from in one Write; reused every
+	// frame.
+	frame []byte
 }
 
 // handle serves one accepted connection: the accept bookkeeping, the
@@ -572,13 +573,17 @@ func (c *serverConn) request() bool {
 	}
 	c.start()
 	resp := c.retrieve(req)
-	payload := c.reply(&resp)
+	c.reply(&resp)
 	// resp.IDs aliases the session's scratch (overwritten by the next
 	// frame); the resume lineage keeps its own copy — taken after the
 	// reply step so it records what was actually sent.
 	c.sess.LastIDs = append(c.sess.LastIDs[:0], resp.IDs...)
-	c.s.setWriteDeadline(c.nc)
-	if err := c.w.writeResponsePayload(len(resp.IDs), resp.IO, c.sess.Seq, resp.Dropped, payload); err != nil {
+	c.frame, err = finishResponseFrame(c.frame, resp.IO, c.sess.Seq, resp.Dropped)
+	if err == nil {
+		c.s.setWriteDeadline(c.nc)
+		err = c.w.writeFrame(c.frame)
+	}
+	if err != nil {
 		return c.fail(true, fmt.Errorf("response: %w", err), nil)
 	}
 	return true
@@ -596,15 +601,16 @@ func (c *serverConn) retrieve(req Request) retrieval.Response {
 	return c.sess.Session.RetrieveBudget(req.Subs, maxBytes)
 }
 
-// reply returns the frame's payload: a hot frame subscribes the session
-// to its region and replays the entry's encoded bytes when the cache
-// holds them; any other frame is fetched and encoded, and a complete
-// encoding of a hot frame is handed to the cache.
-func (c *serverConn) reply(resp *retrieval.Response) []byte {
+// reply assembles the frame's records in c.frame: a hot frame
+// subscribes the session to its region and replays the entry's encoded
+// bytes when the cache holds them; any other frame is fetched and
+// encoded, and a complete encoding of a hot frame is handed to the
+// cache.
+func (c *serverConn) reply(resp *retrieval.Response) {
 	hot := c.scene.Server.HotCache()
 	if hot == nil || !resp.Hot.Valid {
-		payload, _ := c.encode(resp)
-		return payload
+		c.encode(resp)
+		return
 	}
 	// Multicast registration: this session is watching the hot region
 	// it just retrieved; keep the region's entry resident until the
@@ -613,43 +619,33 @@ func (c *serverConn) reply(resp *retrieval.Response) []byte {
 		c.hotSub = hot.Subscribe()
 	}
 	c.hotSub.Set(resp.Hot.Query)
-	if p, ok := hot.Payload(resp.Hot.Query, resp.Hot.Epoch); ok && len(p) == len(resp.IDs)*wireCoeffBytes {
-		return p
+	if p, ok := hot.Payload(resp.Hot.Query, resp.Hot.Epoch); ok && len(p) == len(resp.IDs)*wavelet.WireBytes {
+		c.frame = append(beginResponseFrame(c.frame, len(resp.IDs)), p...)
+		return
 	}
-	payload, withheld := c.encode(resp)
-	if withheld == 0 {
-		hot.SetPayload(resp.Hot.Query, resp.Hot.Epoch, payload)
+	if c.encode(resp) == 0 {
+		hot.SetPayload(resp.Hot.Query, resp.Hot.Epoch, c.frame[respHeadBytes:])
 	}
-	return payload
 }
 
-// encode fetches the response's coefficients through the session's pin
-// set (which keeps a paged scene's pages resident until the bytes are
-// in the buffer) and encodes them. A coefficient whose page is
-// unreadable is withheld: cut from the response and forgotten from the
-// delivered set, so the session re-retrieves it once the page heals
+// encode appends the response's wire records to a fresh frame, read
+// through the session's pin set (which keeps a paged scene's pages
+// resident until the bytes are in the buffer). A coefficient whose page
+// is unreadable is withheld: cut from the response and forgotten from
+// the delivered set, so the session re-retrieves it once the page heals
 // (Dropped semantics — degrade the frame, never the process).
-func (c *serverConn) encode(resp *retrieval.Response) (payload []byte, withheld int) {
-	// Sized once for the frame: a connection's first wholesale response
-	// would otherwise regrow the buffer a dozen times.
-	c.payload = slices.Grow(c.payload[:0], len(resp.IDs)*wireCoeffBytes)
+func (c *serverConn) encode(resp *retrieval.Response) (withheld int) {
+	c.frame = beginResponseFrame(c.frame, len(resp.IDs))
 	pins := c.sess.Session.Pins()
 	var withheldIDs []int64
 	kept := resp.IDs[:0]
 	for _, id := range resp.IDs {
-		co, err := pins.Coeff(id)
+		rec, err := pins.Record(id)
 		if err != nil {
 			withheldIDs = append(withheldIDs, id)
 			continue
 		}
-		wc := Coeff{
-			Object: co.Object,
-			Vertex: co.Vertex,
-			Delta:  co.Delta,
-			Pos:    [3]float32{float32(co.Pos.X), float32(co.Pos.Y), float32(co.Pos.Z)},
-			Value:  float32(co.Value),
-		}
-		c.payload = appendCoeff(c.payload, &wc)
+		c.frame = append(c.frame, rec...)
 		kept = append(kept, id)
 	}
 	pins.Release()
@@ -659,7 +655,7 @@ func (c *serverConn) encode(resp *retrieval.Response) (payload []byte, withheld 
 		resp.Dropped += int64(len(withheldIDs))
 		c.s.st.Add(stats.ProtoCoeffsWithheld, int64(len(withheldIDs)))
 	}
-	return c.payload, len(withheldIDs)
+	return len(withheldIDs)
 }
 
 func (s *Server) setWriteDeadline(conn net.Conn) {

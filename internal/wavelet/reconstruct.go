@@ -75,7 +75,15 @@ func (r *Reconstructor) levelSize(v int) int {
 // A vertex id outside the object's final topology names nothing Mesh
 // could place and is ignored.
 func (r *Reconstructor) Apply(c Coefficient) {
-	v := int(c.Vertex)
+	r.ApplyDelta(c.Vertex, c.Delta, c.Level == BaseLevel)
+}
+
+// ApplyDelta is Apply given only what reconstruction reads of a
+// coefficient: its vertex id, its displacement (the position, for a
+// base vertex) and whether it is a base pseudo-coefficient. The wire
+// client applies received records through it.
+func (r *Reconstructor) ApplyDelta(vertex int32, delta geom.Vec3, base bool) {
+	v := int(vertex)
 	if v < 0 {
 		return
 	}
@@ -90,9 +98,9 @@ func (r *Reconstructor) Apply(c Coefficient) {
 	if r.state[v]&vertexHave == 0 {
 		r.count++
 	}
-	r.disp[v] = c.Delta
+	r.disp[v] = delta
 	r.state[v] |= vertexHave
-	if c.Level == BaseLevel {
+	if base {
 		r.state[v] |= vertexBase
 	}
 }

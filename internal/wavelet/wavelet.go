@@ -16,14 +16,6 @@ import (
 	"repro/internal/mesh"
 )
 
-// WireBytes is the serialized size of one coefficient on the wireless
-// link: object id (4) + vertex id (4) + displacement (3 × float64 = 24) +
-// fitted position (3 × float32 = 12) + value (float32 = 4). At 48 bytes, a
-// level-5 octahedron object (4 102 coefficients including its base
-// vertices) serializes to ~197 KB, matching the paper's dataset sizing
-// (100 objects ≈ 20 MB).
-const WireBytes = 48
-
 // MinimalWireBytes is the information-theoretically lean encoding of a
 // coefficient: vertex id (4, object implied by the stream) plus the
 // displacement quantized to 3 × float32 (12). Everything else — level,
