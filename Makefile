@@ -18,13 +18,16 @@ test:
 # among them), the pager under the paged store (it reads
 # a fault with its mutex released), the engine's session journal, resume
 # cache and scene restore, the gateway in front of it and cmd/server's
-# boot, again at 1, 2 and 8 procs: their zero-allocation and determinism gates must
-# give the same verdict whatever the core count (for three re-anchors a
-# test that failed only above one proc hid behind a single-proc box and
-# the test cache).
+# boot, again at 1, 2 and 8 procs, and with them the kill-and-fault
+# soak (TestRunCrash), whose two runs per spec must print the same
+# durability and recovery lines: their zero-allocation and determinism
+# gates must give the same verdict whatever the core count (for three
+# re-anchors a test that failed only above one proc hid behind a
+# single-proc box and the test cache).
 test-procs:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/wavelet/ ./internal/rtree/ ./internal/index/ ./internal/hotcache/ ./internal/retrieval/ ./internal/proto/ ./internal/persist/ ./internal/engine/ ./internal/cluster/ ./cmd/gateway/ ./cmd/server/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=1 -run '^TestRunCrash$$' ./internal/experiment/ || exit 1; \
 	done
 
 # The race gate: the full suite under the race detector, including the
@@ -67,14 +70,14 @@ bench-e2e:
 soaks:
 	$(GO) test -v -run '^TestRun' ./internal/experiment/
 	$(GO) build -o .soak_build/experiments ./cmd/experiments
-	for run in fault:50 crash:50 outofcore:50 crowd:50 cluster:50 abr:10; do \
+	for run in crash:50 outofcore:50 crowd:50 cluster:50 abr:10; do \
 		mode=$${run%:*}; \
 		for seed in $$(seq 1 $${run#*:}); do \
 			out=$$(.soak_build/experiments -$$mode -seed $$seed -stats 0 2>&1) || \
 				{ echo "$$out"; echo "soaks: -$$mode fails at -seed $$seed"; exit 1; }; \
 		done; \
 	done
-	@echo "soaks: -fault, -crash, -outofcore, -crowd and -cluster pass for -seed 1-50, -abr for -seed 1-10"
+	@echo "soaks: -crash, -outofcore, -crowd and -cluster pass for -seed 1-50, -abr for -seed 1-10"
 
 # Utility-vs-bandwidth sweep: ABR viewport plans against the fixed
 # two-state controller under identical per-frame byte allowances; emits

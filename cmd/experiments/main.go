@@ -7,14 +7,15 @@
 //
 //	experiments [-quick] [-fig fig8,fig12] [-objects N] [-tours N]
 //	            [-steps N] [-seed N] [-clients N] [-o out.txt] [-stats 0] [-stats-dump]
-//	            [-fault] [-crash] [-cluster] [-shards N]
+//	            [-crash] [-fault-drop N] [-fault-corrupt N] [-crash-dir DIR]
+//	            [-cluster] [-shards N]
 //	            [-abr] [-abr-profile osc] [-abr-low N] [-abr-high N] [-abr-period D]
 //	            [-outofcore]
 //	            [-crowd] [-crowd-overlap F] [-crowd-attractors N]
 //	            [-bench-abr out.json] [-bench-crowd out.json]
 //
-// -seed seeds whichever experiment runs (for the fault and crash soaks,
-// the dataset, tour and fault schedule); -clients sizes the out-of-core
+// -seed seeds whichever experiment runs (for the crash soak, the
+// dataset, tour, fault schedule and kill frames); -clients sizes the out-of-core
 // soak's client pairs and the crowd soak's crowd.
 package main
 
@@ -46,12 +47,6 @@ func main() {
 		out       = flag.String("o", "", "also write output to this file")
 		shards    = flag.Int("shards", 0, "index shard count where applicable (0 or 1 = one shard)")
 
-		fault        = flag.Bool("fault", false, "run the fault-injection experiment instead of the figures")
-		faultDrop    = flag.Int64("fault-drop", 0, "mean bytes between connection drops (0 = default 16 KB)")
-		faultCorrupt = flag.Int64("fault-corrupt", 0, "mean read bytes between bit flips (0 = default 12 KB)")
-		faultLatency = flag.Duration("fault-latency", 0, "injected round-trip latency")
-		faultBW      = flag.Int64("fault-bw", 0, "link throughput in bytes/second (0 = unthrottled)")
-
 		abrRun     = flag.Bool("abr", false, "run the bandwidth-adaptation acceptance experiment instead of the figures")
 		abrProfile = flag.String("abr-profile", "", "throttle schedule: flat, step, ramp, or osc (default osc)")
 		abrLow     = flag.Int64("abr-low", 0, "throttle schedule floor in bytes/second (0 = default 16 KiB/s)")
@@ -70,10 +65,10 @@ func main() {
 		clusterRun = flag.Bool("cluster", false, "run the cluster failover-and-drain experiment instead of the figures")
 		clusterDir = flag.String("cluster-dir", "", "durable state root for the cluster experiment (default: fresh temp dir)")
 
-		crash      = flag.Bool("crash", false, "run the kill-restart crash experiment instead of the figures")
-		crashKills = flag.Int("crash-kills", 0, "mid-tour server kills (0 = default 3)")
-		crashCold  = flag.Bool("crash-cold", false, "delete the session journal at each restart (forces full re-plans)")
-		crashDir   = flag.String("crash-dir", "", "durable state directory for the crash experiment (default: fresh temp dir)")
+		crash        = flag.Bool("crash", false, "run the kill-and-fault soak instead of the figures")
+		faultDrop    = flag.Int64("fault-drop", 0, "crash soak: mean bytes between connection drops (0 = default 16 KB)")
+		faultCorrupt = flag.Int64("fault-corrupt", 0, "crash soak: mean read bytes between bit flips (0 = default 12 KB)")
+		crashDir     = flag.String("crash-dir", "", "durable state directory for the crash soak (default: fresh temp dir)")
 	)
 	statsFlags := stats.RegisterFlags(flag.CommandLine, 0)
 	flag.Parse()
@@ -102,10 +97,6 @@ func main() {
 	stopStats := statsFlags.Start(stats.Default, log.Printf)
 	defer stopStats()
 
-	tram := experiment.TramSoakSpec{
-		Seed: *seed, Objects: *objects, Steps: *steps, Shards: *shards,
-		DropMeanBytes: *faultDrop, CorruptBytes: *faultCorrupt,
-	}
 	var err error
 	switch {
 	case *benchABR != "":
@@ -134,10 +125,9 @@ func main() {
 		}, w)
 	case *crash:
 		err = experiment.RunCrash(experiment.CrashSpec{
-			TramSoakSpec: tram, Kills: *crashKills, ColdJournal: *crashCold, DataDir: *crashDir,
+			TramSoakSpec:  experiment.TramSoakSpec{Seed: *seed, Objects: *objects, Steps: *steps, Shards: *shards},
+			DropMeanBytes: *faultDrop, CorruptBytes: *faultCorrupt, DataDir: *crashDir,
 		}, w)
-	case *fault:
-		err = experiment.RunFault(experiment.FaultSpec{TramSoakSpec: tram, Latency: *faultLatency, BytesPerSecond: *faultBW}, w)
 	default:
 		err = runFigures(w, cfg, *figs, *ablations)
 	}

@@ -3,6 +3,7 @@ package engine
 import (
 	"os"
 	"path/filepath"
+	"runtime"
 	"testing"
 	"time"
 
@@ -293,6 +294,45 @@ func TestSessionJournalExpiredNotRestored(t *testing.T) {
 	defer j2.Close()
 	if restored := j2.Restore(reg2); restored != 0 {
 		t.Fatalf("expired session restored (%d)", restored)
+	}
+}
+
+// TestParkJournaledBeforeTakeable races a resume against a park: the
+// taker changes the entry the moment it holds it, as a resume's
+// rollback does, so the park must be encoded before the entry can be
+// taken (-race reports the encode otherwise) and its tombstone must
+// follow it: the journal ends with no live session.
+func TestParkJournaledBeforeTakeable(t *testing.T) {
+	st := stats.New()
+	reg := buildRegistry(t, st)
+	j, err := OpenSessionJournal(filepath.Join(t.TempDir(), SessionJournalFile), 0, st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	reg.SetSessionJournal(j)
+	city, _ := reg.Get("city")
+	for token := uint64(1); token <= 100; token++ {
+		spinning, taken := make(chan struct{}), make(chan struct{})
+		go func() {
+			defer close(taken)
+			for i := 0; ; i++ {
+				if e, ok := city.Resume.Take(token); ok {
+					e.Seq--
+					return
+				}
+				if i == 0 {
+					close(spinning)
+				}
+				runtime.Gosched()
+			}
+		}()
+		<-spinning
+		city.Resume.Put(token, &ResumeEntry{Session: retrieval.NewSession(city.Server), Seq: 1})
+		<-taken
+	}
+	if n := j.Live(); n != 0 {
+		t.Fatalf("%d taken sessions still live in the journal", n)
 	}
 }
 

@@ -80,6 +80,13 @@ func (c *ResumeCache) Put(token uint64, e *ResumeEntry) {
 	}
 	e.expires = time.Now().Add(c.ttl)
 	c.mu.Lock()
+	j, scene := c.journal, c.scene
+	c.mu.Unlock()
+	// Journal the park while e is still the caller's alone: once it is in
+	// the map a resume may take it and change it, and its tombstone must
+	// follow the park.
+	j.RecordPark(token, scene, e)
+	c.mu.Lock()
 	// Evict expired entries first, then the oldest live one if still full.
 	// order may hold tokens already consumed by Take; skip them.
 	var evicted []uint64
@@ -97,12 +104,10 @@ func (c *ResumeCache) Put(token uint64, e *ResumeEntry) {
 	}
 	c.entries[token] = e
 	c.order = append(c.order, token)
-	j, scene := c.journal, c.scene
 	c.mu.Unlock()
 	for _, t := range evicted {
 		j.RecordTake(t)
 	}
-	j.RecordPark(token, scene, e)
 }
 
 // setBounds re-bounds the cache in place: parked sessions keep their

@@ -108,7 +108,7 @@ func (s *SessionJournal) Parks() int64 {
 }
 
 // RecordPark journals one parked session. Called by the resume caches
-// after the entry is cached (outside the cache lock).
+// before the entry is cached (outside the cache lock).
 func (s *SessionJournal) RecordPark(token uint64, scene string, e *ResumeEntry) {
 	if s == nil || token == 0 {
 		return

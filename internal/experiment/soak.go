@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/engine"
-	"repro/internal/faultnet"
 	"repro/internal/geom"
 	"repro/internal/motion"
 	"repro/internal/persist"
@@ -40,7 +39,7 @@ func dataDir(dir, prefix string) (string, func(), error) {
 	return tmp, func() { os.RemoveAll(tmp) }, nil
 }
 
-// resilientConfig is the retry policy of the fault and crash soaks'
+// resilientConfig is the retry policy of the crash soak's
 // resilient client: a generous frame timeout and 12 quick retries
 // (1–50 ms backoff) to ride out a link drop or a server kill. The caller
 // says how to dial; the ABR and cluster soaks set their own bounds.
@@ -55,8 +54,7 @@ func resilientConfig(seed int64, st *stats.Stats) proto.ResilientConfig {
 	}
 }
 
-// soakFrameTimeout is the frame deadline of the crash soak's backends,
-// and of the fault soak's over an unthrottled link.
+// soakFrameTimeout is the frame deadline of the crash soak's backends.
 // A bit flipped in a response's count field leaves the client reading
 // records the server never sent, while the server, done with the frame,
 // waits for the next request. The backends' idle timeout is 0, so the
@@ -88,18 +86,14 @@ func startScene(sc engine.SceneConfig) (*cluster.Backend, error) {
 	return cluster.StartBackend(cluster.BackendConfig{Scenes: cluster.Scenes(sc), Stats: sc.Stats})
 }
 
-// TramSoakSpec is the scale and faulty link the fault, crash and
-// cluster soaks share: a resilient client rides a seeded tram tour,
-// through faultnet where the soak has a faulty link. The zero value gets
+// TramSoakSpec is the scale the crash and cluster soaks share: a
+// resilient client rides a seeded tram tour. The zero value gets
 // defaults at which every seed 1–50 retrieves at least 20 objects.
 type TramSoakSpec struct {
 	Seed    int64
 	Objects int // dataset size (default 300)
 	Steps   int // tour length (default 300)
 	Shards  int // index shard count (≤ 1 = one shard)
-
-	DropMeanBytes int64 // mean traffic between connection drops (default 16 KB)
-	CorruptBytes  int64 // mean read bytes between bit flips (default 12 KB)
 }
 
 func (s TramSoakSpec) fill() TramSoakSpec {
@@ -109,25 +103,11 @@ func (s TramSoakSpec) fill() TramSoakSpec {
 	if s.Steps == 0 {
 		s.Steps = 300
 	}
-	if s.DropMeanBytes == 0 {
-		s.DropMeanBytes = 16_000
-	}
-	if s.CorruptBytes == 0 {
-		s.CorruptBytes = 12_000
-	}
 	return s
 }
 
-// link sets cfg's drop and corrupt windows to [m/2, 3m/2] around the
-// spec's mean byte distances.
-func (s TramSoakSpec) link(cfg faultnet.Config) faultnet.Config {
-	cfg.DropAfterMin, cfg.DropAfterMax = s.DropMeanBytes/2, 3*s.DropMeanBytes/2
-	cfg.CorruptAfterMin, cfg.CorruptAfterMax = s.CorruptBytes/2, 3*s.CorruptBytes/2
-	return cfg
-}
-
-// tramSoak is the dataset and seeded tram tour the fault, crash and
-// cluster soaks ride: steps frames at speed 0.25 with a 10 % query
+// tramSoak is the dataset and seeded tram tour the crash and cluster
+// soaks ride: steps frames at speed 0.25 with a 10 % query
 // window.
 type tramSoak struct {
 	d    *workload.Dataset

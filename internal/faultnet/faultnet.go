@@ -1,5 +1,5 @@
 // Package faultnet wraps net.Conn with deterministic, seedable fault
-// injection: added latency and jitter, bandwidth throttling, connection
+// injection: added latency, bandwidth throttling, connection
 // drops and short writes at scheduled byte offsets, and in-flight byte
 // corruption. It plays two roles: the wireless-link model for the
 // paper's experiments (a 256 Kbps mobile link drops, stalls, and damages
@@ -28,21 +28,17 @@ import (
 // Config describes the link's behavior. The zero value is a transparent
 // wrapper (no faults, no delay).
 type Config struct {
-	// Seed drives every random draw (fault offsets, jitter).
+	// Seed drives every random draw (the fault offsets).
 	Seed int64
 	// Latency is added once per write→read turnaround, modeling the
 	// round-trip cost of a request/response exchange.
 	Latency time.Duration
-	// Jitter adds a uniform random [0, Jitter) on top of Latency.
-	Jitter time.Duration
-	// BytesPerSecond throttles reads and writes (0 = unthrottled).
-	BytesPerSecond int64
-	// Throttle, when non-nil, replaces BytesPerSecond with a
-	// time-varying schedule. The pointer is shared by every connection
-	// the config wraps (Dialer and Listener copy the config per
-	// connection but keep the pointer), so redials continue the same
-	// trace rather than restarting it; the trace epoch is pinned when
-	// the first throttled connection is wrapped.
+	// Throttle, when non-nil, paces reads and writes to its schedule (a
+	// flat profile is a fixed rate; nil = unthrottled). The pointer is
+	// shared by every connection the config wraps (Dialer and Listener
+	// copy the config per connection but keep the pointer), so redials
+	// continue the same trace rather than restarting it; the trace epoch
+	// is pinned when the first throttled connection is wrapped.
 	Throttle *Profile
 	// DropAfterMin/Max: each connection is reset after a total traffic
 	// volume (read + written bytes) drawn uniformly from [Min, Max].
@@ -113,30 +109,20 @@ func drawOffset(rng *rand.Rand, min, max int64) int64 {
 // throttle spends the pacing budget for n bytes at the link's current
 // rate (sampled once per call; a transfer is not re-paced mid-sleep).
 func (c *Conn) throttle(n int) {
-	bps := c.cfg.BytesPerSecond
-	if c.cfg.Throttle != nil {
-		bps = c.cfg.Throttle.Rate(time.Now())
+	if c.cfg.Throttle == nil || n <= 0 {
+		return
 	}
-	if bps > 0 && n > 0 {
+	if bps := c.cfg.Throttle.Rate(time.Now()); bps > 0 {
 		time.Sleep(time.Duration(int64(n) * int64(time.Second) / bps))
 	}
 }
 
 // latency charges one round-trip delay if a write preceded this read.
 func (c *Conn) latency() {
-	if c.cfg.Latency <= 0 && c.cfg.Jitter <= 0 {
+	if c.cfg.Latency <= 0 || !c.pending.CompareAndSwap(true, false) {
 		return
 	}
-	if !c.pending.CompareAndSwap(true, false) {
-		return
-	}
-	d := c.cfg.Latency
-	if c.cfg.Jitter > 0 {
-		c.mu.Lock()
-		d += time.Duration(c.rng.Int63n(int64(c.cfg.Jitter)))
-		c.mu.Unlock()
-	}
-	time.Sleep(d)
+	time.Sleep(c.cfg.Latency)
 }
 
 // Read reads at most up to the drop offset, so the bytes that get

@@ -7,9 +7,9 @@ import (
 	"time"
 )
 
-// Profile kinds. A profile turns the link's fixed BytesPerSecond
-// throttle into a time-varying schedule — the bandwidth traces the ABR
-// acceptance harness drives the adaptive client through.
+// Profile kinds. A profile is the link's bandwidth schedule, fixed
+// (flat) or time-varying — the bandwidth traces the ABR acceptance
+// harness drives the adaptive client through.
 const (
 	ProfileFlat = "flat" // constant High
 	ProfileStep = "step" // square wave: High for half a period, Low for the other
@@ -33,7 +33,7 @@ type Profile struct {
 	Kind string
 	// Low and High bound the schedule in bytes per second. A computed
 	// rate ≤ 0 (e.g. a step profile with Low = 0) leaves the link
-	// momentarily unthrottled, matching BytesPerSecond = 0.
+	// momentarily unthrottled, as a nil Config.Throttle leaves it.
 	Low, High int64
 	// Period is one cycle of the schedule (flat profiles ignore it; for
 	// the others, Period ≤ 0 degenerates to flat at High).

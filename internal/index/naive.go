@@ -17,7 +17,7 @@ import (
 // neighbors. The double traversal over an enlarged region is what costs
 // it the extra I/O reported in Figures 12–13.
 type Naive struct {
-	store  CoefficientSource
+	store  *Store
 	layout Layout
 	tree   *rtree.Tree
 }

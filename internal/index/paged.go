@@ -454,12 +454,6 @@ func (ps *PagedStore) ID(object, vertex int32) int64 {
 	return ps.offsets[object] + int64(vertex)
 }
 
-// Neighbors is unsupported: a paged store does not retain final meshes,
-// so the naive index (the only Neighbors consumer) cannot run over it.
-func (ps *PagedStore) Neighbors(object, vertex int32) []int32 {
-	panic("index: PagedStore does not retain final meshes; the naive index needs an in-memory Store")
-}
-
 // checkID panics descriptively on an out-of-range id (same contract as
 // Store.objectOf).
 func (ps *PagedStore) checkID(id int64) {

@@ -51,9 +51,6 @@ type CoefficientSource interface {
 	// NewPins returns an empty, reusable frame-scoped pin set over the
 	// source (see Pins).
 	NewPins() *Pins
-	// Neighbors returns the final-mesh neighbor vertex ids of one
-	// coefficient (the naive index's "additional information").
-	Neighbors(object, vertex int32) []int32
 	// Bounds returns the bounding box of all objects.
 	Bounds() geom.Rect3
 	// NumCoeffs returns the total coefficient count across all objects.

@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/faultnet"
 	"repro/internal/geom"
 	"repro/internal/index"
@@ -395,7 +396,7 @@ func TestResumeTakesOverLiveConnection(t *testing.T) {
 	if n, err := c.Frame(q, 0.5); err != nil || n == 0 {
 		t.Fatalf("first frame = %d, %v", n, err)
 	}
-	if srv.ResumeCacheLen() != 0 {
+	if srv.Registry().ResumeLen() != 0 {
 		t.Fatal("a live session is already parked")
 	}
 
@@ -414,6 +415,33 @@ func TestResumeTakesOverLiveConnection(t *testing.T) {
 	}
 	if n, err := c.Frame(q, 0.5); err != nil || n != 0 {
 		t.Fatalf("taken-over session re-delivered %d coefficients, %v", n, err)
+	}
+}
+
+// TestParkedConnectionHoldsNoSession pins the order of a dying
+// handler's park: its connection leaves the live-session count before
+// the session can be taken, so a resume that takes the parked session
+// at once is never counted beside the connection it left — SeverScene
+// would report two sessions for one client.
+func TestParkedConnectionHoldsNoSession(t *testing.T) {
+	d := workload.Generate(workload.Spec{NumObjects: 8, Levels: 3, Seed: 5})
+	srv := NewServer(retrieval.NewServer(d.Store, index.NewMotionAware(d.Store, index.XYW, rtree.Config{})), d.Spec.Levels, t.Logf)
+	nc, peer := net.Pipe()
+	defer peer.Close()
+	srv.conns[nc] = &connInfo{ended: make(chan struct{})}
+	scene := srv.Registry().Default()
+	c := &serverConn{s: srv, nc: nc, token: 7, scene: scene,
+		sess: &engine.ResumeEntry{Session: retrieval.NewSession(scene.Server)}}
+	c.start()
+	if n := srv.SeverScene(scene.Name); n != 1 {
+		t.Fatalf("a started session counts %d live sessions, want 1", n)
+	}
+	c.end(false) // the handler's park; it leaves the table only after
+	if _, ok := scene.Resume.Take(c.token); !ok {
+		t.Fatal("the severed session was not parked")
+	}
+	if n := srv.SeverScene(scene.Name); n != 0 {
+		t.Fatalf("a connection that parked its session counts %d live sessions, want 0", n)
 	}
 }
 
@@ -720,9 +748,9 @@ func TestTokens(t *testing.T) {
 func waitParked(t *testing.T, srv *Server) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.ResumeCacheLen() != 1 {
+	for srv.Registry().ResumeLen() != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d sessions parked in the resume cache, want 1", srv.ResumeCacheLen())
+			t.Fatalf("%d sessions parked in the resume cache, want 1", srv.Registry().ResumeLen())
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

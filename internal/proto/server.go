@@ -402,6 +402,9 @@ func (c *serverConn) fail(counted bool, cause, reply error) bool {
 // probes, port scanners) pollute the resume cache and session journal.
 func (c *serverConn) end(orderly bool) {
 	if !orderly && c.started {
+		// Stop counting as live before a resume can take the session.
+		c.started = false
+		c.publish()
 		c.scene.Resume.Put(c.token, c.sess)
 	}
 	if c.hotSub != nil {
@@ -526,22 +529,23 @@ func (c *serverConn) resume() bool {
 	return true
 }
 
-// takeOver severs the live, started connection of this scene whose
-// session token names, if there is one, and waits for its handler to
-// park the session, bounded by the frame timeout (the drain timeout
-// when no frame timeout is set); it reports whether it severed one. A
-// client that reconnects before the server has noticed its old
-// connection die — a link drop the server has not read yet, a gateway
-// that has not closed its backend leg — would otherwise find nothing
-// parked and have to re-plan. The resume calls it only on a miss, so
-// the common resume of an already-parked session skips the scan.
+// takeOver severs the connection of this scene whose session token
+// names, if there is one (started or not: a handler clears the flag
+// before it parks), and waits for its handler to park the session,
+// bounded by the frame timeout (the drain timeout when no frame timeout
+// is set); it reports whether it severed one. A client that reconnects
+// before the server has noticed its old connection die — a link drop
+// the server has not read yet, a gateway that has not closed its
+// backend leg — would otherwise find nothing parked and have to
+// re-plan. The resume calls it only on a miss, so the common resume of
+// a parked session skips the scan.
 func (c *serverConn) takeOver(token uint64) bool {
 	s := c.s
 	var victim net.Conn
 	var ended chan struct{}
 	s.mu.Lock()
 	for nc, ci := range s.conns {
-		if nc != c.nc && ci.started && ci.token == token && ci.scene == c.scene.Name {
+		if nc != c.nc && ci.token == token && ci.scene == c.scene.Name {
 			victim, ended = nc, ci.ended
 			break
 		}
@@ -663,10 +667,6 @@ func (s *Server) setWriteDeadline(conn net.Conn) {
 		conn.SetWriteDeadline(time.Now().Add(s.frameTimeout))
 	}
 }
-
-// ResumeCacheLen reports the number of parked sessions across all scenes
-// (observability and tests).
-func (s *Server) ResumeCacheLen() int { return s.reg.ResumeLen() }
 
 // ListenAndServe binds addr and serves until Close. It logs the bound
 // address through logf (useful with ":0").
