@@ -51,7 +51,8 @@ func (w benchWindow) queries(bounds geom.Rect3) []index.Query {
 // benchmark city. Against rtree's BenchmarkWindowSearch over the same
 // windows, the difference is what the shard locks, the per-shard
 // statistics and the hit set's ordering cost; BenchmarkHitSet times the
-// ordering alone.
+// ordering alone. nodes/op and hits/op are averaged over one whole lap
+// of the 64 windows, so they do not depend on b.N.
 func BenchmarkShardedSearchInto(b *testing.B) {
 	idx, bounds := benchCity()
 	for _, w := range benchWindows {
@@ -60,16 +61,19 @@ func BenchmarkShardedSearchInto(b *testing.B) {
 			var cur index.Cursor
 			var buf []int64
 			var nodes, hits int64
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
+			for _, q := range qs {
 				var io int64
-				buf, io = idx.SearchInto(qs[i%len(qs)], buf[:0], &cur)
+				buf, io = idx.SearchInto(q, buf[:0], &cur)
 				nodes += io
 				hits += int64(len(buf))
 			}
-			b.ReportMetric(float64(nodes)/float64(b.N), "nodes/op")
-			b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				buf, _ = idx.SearchInto(qs[i%len(qs)], buf[:0], &cur)
+			}
+			b.ReportMetric(float64(nodes)/float64(len(qs)), "nodes/op")
+			b.ReportMetric(float64(hits)/float64(len(qs)), "hits/op")
 		})
 	}
 }

@@ -19,17 +19,31 @@ func benchCity() *index.Store {
 }
 
 // tramFrames plans the given number of tram trips over the space — a
-// window a tenth of the city wide at speed 0.8, 2 000 frames each, trip
-// i on tour seed i+1 — and returns each frame's non-empty slivers after
-// the first frame of a trip: the sub-queries Algorithm 1 asks while a
-// tram client moves.
+// window a tenth of the city wide at speed 0.8, 2 000 frames each — and
+// returns each frame's non-empty slivers after the first frame of a
+// trip: the sub-queries Algorithm 1 asks while a tram client moves.
 func tramFrames(space geom.Rect2, trips int) [][]SubQuery {
+	return tourFrames(motion.Tram, space, trips, 2000, 0.8, 0.10)
+}
+
+// walkFrames is tramFrames for walk.mem's pedestrians: a window 30 % of
+// the city wide at speed 0.2, 200 frames a trip. A pedestrian who slows
+// down adds a band sub-query over the overlap (WMax < 1) to the
+// difference slivers (WMax = 1).
+func walkFrames(space geom.Rect2, trips int) [][]SubQuery {
+	return tourFrames(motion.Pedestrian, space, trips, 200, 0.2, 0.30)
+}
+
+// tourFrames plans trips tours of the kind, trip i on tour seed i+1,
+// with a window the given share of the space's width wide, and returns
+// the non-empty sub-queries of every frame after a trip's first.
+func tourFrames(kind motion.TourKind, space geom.Rect2, trips, steps int, speed, window float64) [][]SubQuery {
 	var frames [][]SubQuery
 	for trip := 0; trip < trips; trip++ {
-		tour := motion.NewTour(motion.Tram, motion.TourSpec{Space: space, Steps: 2000, Speed: 0.8}, rand.New(rand.NewSource(int64(trip)+1)))
+		tour := motion.NewTour(kind, motion.TourSpec{Space: space, Steps: steps, Speed: speed}, rand.New(rand.NewSource(int64(trip)+1)))
 		planner := NewClient(nil, nil)
 		for i, pos := range tour.Pos {
-			q := geom.RectAround(pos, 0.10*space.Width())
+			q := geom.RectAround(pos, window*space.Width())
 			if i > 0 {
 				var frame []SubQuery
 				for _, sub := range planner.PlanFrame(q, tour.SpeedAt(i)) {
@@ -43,6 +57,69 @@ func tramFrames(space geom.Rect2, trips int) [][]SubQuery {
 		}
 	}
 	return frames
+}
+
+// BenchmarkFrameSearch is a frame's index work on the end-to-end
+// benchmark's traffic: every sub-query of one planned frame searched,
+// on a bare server over the 4-shard bench city. tram is tram.mem's
+// frames whole; walk/band and walk/diff split walk.mem's frames into
+// the band sub-query a pedestrian who slowed down asks (thin in w, wide
+// in x and y) and the difference slivers (thin in x or y, the whole
+// band from the cutoff up), the two query shapes the R*-tree walk
+// filters differently. nodes/frame is the paper's I/O metric over one
+// whole lap of the frames, so it repeats to the last digit.
+func BenchmarkFrameSearch(b *testing.B) {
+	store := benchCity()
+	srv := NewServer(store, index.NewSharded(store, index.XYW, index.ShardedConfig{Shards: 4}))
+	srv.SetStats(nil)
+	space := store.Bounds().XY()
+	split := func(frames [][]SubQuery, band bool) [][]SubQuery {
+		var out [][]SubQuery
+		for _, frame := range frames {
+			var part []SubQuery
+			for _, sub := range frame {
+				if (sub.WMax < 1) == band {
+					part = append(part, sub)
+				}
+			}
+			if len(part) > 0 {
+				out = append(out, part)
+			}
+		}
+		return out
+	}
+	walk := walkFrames(space, 16)
+	for _, c := range []struct {
+		name   string
+		frames [][]SubQuery
+	}{
+		{"tram", tramFrames(space, 1)},
+		{"walk/band", split(walk, true)},
+		{"walk/diff", split(walk, false)},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			var cur index.Cursor
+			var out subResult
+			search := func(frame []SubQuery) (io int64) {
+				for i := range frame {
+					srv.searchOne(&frame[i], &out, &cur)
+					io += out.io
+				}
+				return io
+			}
+			var lap int64
+			for _, frame := range c.frames {
+				lap += search(frame)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				search(c.frames[i%len(c.frames)])
+			}
+			b.ReportMetric(float64(b.Elapsed())/1e3/float64(b.N), "µs/frame")
+			b.ReportMetric(float64(lap)/float64(len(c.frames)), "nodes/frame")
+		})
+	}
 }
 
 // BenchmarkSearchOne is one sub-query through the server's search path,

@@ -3,7 +3,7 @@ package rtree
 import "math"
 
 // arena is the packed read representation of a quiescent tree: every
-// node copied, in breadth-first order, into three flat arrays. A node's
+// node copied, in breadth-first order, into flat arrays. A node's
 // children are consecutive in that order, so an internal node stores
 // only the index of its first child and the child index is implicit —
 // the arena holds no pointers. It is immutable once published; a
@@ -21,6 +21,14 @@ type arena struct {
 	// query reads 2·dims short contiguous runs.
 	bounds []float64
 	nodes  []arenaNode
+	// runs is each node's subtree: its payloads, data[lo:hi], and its
+	// node count. Every leaf sits at one depth, so breadth-first order
+	// keeps a subtree's leaves, and hence its payloads, contiguous. The
+	// walk reads a run only for an entry that lies inside the query.
+	runs []arenaRun
+	// root is the root's MBR, which search ranks the query's dimensions
+	// against.
+	root Rect
 	// leaf0 is the index of the first leaf. Every leaf sits at the same
 	// depth, so breadth-first order puts all of them after the last
 	// internal node.
@@ -28,12 +36,17 @@ type arena struct {
 	data  []int64 // leaf payloads, in leaf then entry order
 }
 
-// arenaNode is a node's header: its entry count and where its entries
-// point — the first child's node index, or for a leaf the index of its
-// first payload in data.
+// arenaNode is the 8 B header the walk reads for every node: its entry
+// count and where its entries point — the first child's node index, or
+// for a leaf the index of its first payload in data.
 type arenaNode struct {
 	first int32
 	n     int32
+}
+
+// arenaRun is a node's subtree as a whole: data[lo:hi] and nodes nodes.
+type arenaRun struct {
+	lo, hi, nodes int32
 }
 
 // freeze copies the pointer tree into a new arena. The caller guarantees
@@ -50,11 +63,15 @@ func (t *Tree) freeze() *arena {
 		all:    make([]int32, slots),
 		bounds: make([]float64, t.nodes*stride),
 		nodes:  make([]arenaNode, t.nodes),
+		runs:   make([]arenaRun, t.nodes),
 		leaf0:  -1,
 		data:   make([]int64, 0, t.size),
 	}
 	for i := range a.all {
 		a.all[i] = int32(i)
+	}
+	if len(t.root.entries) > 0 {
+		a.root = t.root.mbr(dims)
 	}
 	queue := make([]*node, 1, t.nodes)
 	queue[0] = t.root
@@ -83,18 +100,63 @@ func (t *Tree) freeze() *arena {
 			queue = append(queue, n.entries[j].child)
 		}
 	}
+	// Children follow their parent, so one backward pass sees every
+	// child's run before its parent's.
+	for i := len(a.nodes) - 1; i >= 0; i-- {
+		nd := a.nodes[i]
+		if int32(i) >= a.leaf0 {
+			a.runs[i] = arenaRun{lo: nd.first, hi: nd.first + nd.n, nodes: 1}
+			continue
+		}
+		r := arenaRun{lo: a.runs[nd.first].lo, hi: a.runs[nd.first+nd.n-1].hi, nodes: 1}
+		for c := nd.first; c < nd.first+nd.n; c++ {
+			r.nodes += a.runs[c].nodes
+		}
+		a.runs[i] = r
+	}
 	return a
 }
 
-// search is SearchInto over the arena: the same nodes visited and the
-// same payloads appended as the pointer walk, in a different order.
-// The traversal is level by level through a queue kept in the cursor;
+// order ranks the live dimensions by the share of the root MBR's extent
+// that q covers, clipped to the root, narrowest first: the dimension
+// that rejects the most entries is the one filtered first. A dimension
+// q misses, or an inverted one, ranks first with share 0; one in which
+// the root has no extent covers all of it or nothing. Any order selects
+// the same entries, so a NaN needs no care beyond keeping a permutation.
+func (a *arena) order(q *Rect) [MaxDims]int {
+	var ord [MaxDims]int
+	var share [MaxDims]float64
+	for d := 0; d < a.dims; d++ {
+		lo, hi := max(q.Lo[d], a.root.Lo[d]), min(q.Hi[d], a.root.Hi[d])
+		if hi >= lo {
+			share[d] = 1
+			if ext := a.root.Hi[d] - a.root.Lo[d]; ext > 0 {
+				share[d] = (hi - lo) / ext
+			}
+		}
+		ord[d] = d
+		for j := d; j > 0 && share[ord[j]] < share[ord[j-1]]; j-- {
+			ord[j], ord[j-1] = ord[j-1], ord[j]
+		}
+	}
+	return ord
+}
+
+// search is SearchInto over the arena: the same node-read count and the
+// same payloads as the pointer walk, in a different order. The
+// traversal is level by level through a queue kept in the cursor;
 // because the arena is laid out in that same breadth-first order, node
 // indices only ever increase and the walk moves forward through memory.
-// Each node's entries are filtered one dimension at a time into the
-// cursor's survivor list — the comparisons are the ones Rect.intersects
-// makes, so the result cannot differ — and only the survivors are
-// queued or emitted. The queue's final length is the node-read count.
+//
+// Each node's entries are filtered one dimension at a time, in order's
+// ranking, into the cursor's survivor list. The filter is an AND of the
+// comparisons Rect.intersects makes, so neither the order nor the
+// survivors can differ from it. A surviving internal entry that lies
+// inside q is not queued: its whole subtree intersects q, so its run is
+// appended and its node count added, the reads the pointer walk would
+// make. That holds because every stored rect has lo ≤ hi (Box refuses
+// an inverted one) and an entry's rect covers its child's. The other
+// survivors are queued or emitted.
 func (a *arena) search(q *Rect, cur *Cursor, buf []int64) ([]int64, int64) {
 	dims, slots := a.dims, len(a.all)
 	stride := 2 * dims * slots
@@ -102,6 +164,8 @@ func (a *arena) search(q *Rect, cur *Cursor, buf []int64) ([]int64, int64) {
 		cur.sel = make([]int32, slots)
 	}
 	sel := cur.sel[:slots]
+	ord := a.order(q)
+	var skipped int64
 	queue := append(cur.idx[:0], 0)
 	for h := 0; h < len(queue); h++ {
 		ni := queue[h]
@@ -109,7 +173,10 @@ func (a *arena) search(q *Rect, cur *Cursor, buf []int64) ([]int64, int64) {
 		blk := a.bounds[int(ni)*stride : int(ni)*stride+stride]
 		n := int(nd.n)
 		live := a.all[:n]
-		for d := 0; d < dims && len(live) > 0; d++ {
+		for _, d := range ord[:dims] {
+			if len(live) == 0 {
+				break
+			}
 			lo, hi := blk[d*slots:][:n], blk[(dims+d)*slots:][:n]
 			ql, qh := q.Lo[d], q.Hi[d]
 			k := 0
@@ -132,10 +199,19 @@ func (a *arena) search(q *Rect, cur *Cursor, buf []int64) ([]int64, int64) {
 			}
 			continue
 		}
+	next:
 		for _, i := range live {
-			queue = append(queue, nd.first+i)
+			for _, d := range ord[:dims] {
+				if !(q.Lo[d] <= blk[d*slots+int(i)] && blk[(dims+d)*slots+int(i)] <= q.Hi[d]) {
+					queue = append(queue, nd.first+i)
+					continue next
+				}
+			}
+			r := a.runs[nd.first+i]
+			buf = append(buf, a.data[r.lo:r.hi]...)
+			skipped += int64(r.nodes)
 		}
 	}
 	cur.idx = queue
-	return buf, int64(len(queue))
+	return buf, int64(len(queue)) + skipped
 }

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -290,5 +291,181 @@ func TestConcurrentSearchRefreezes(t *testing.T) {
 	wg.Wait()
 	if tr.frozen.Load() == nil {
 		t.Fatal("tree still thawed after reading itself many times over")
+	}
+}
+
+// arenaQueries draws the queries that sit on the packed walk's edges:
+// the MBR of some node and of some item exactly (containment on the
+// boundary), each one ulp larger and one ulp smaller, a thin sliver
+// across each dimension, thin bands of the last (value) dimension,
+// points, inverted boxes, and the usual random windows.
+func arenaQueries(rng *rand.Rand, tr *Tree, items []Item) []Rect {
+	dims := tr.cfg.Dims
+	rects := []Rect{propQuery(rng, dims)} // so an empty tree has one too
+	var walk func(n *node)
+	walk = func(n *node) {
+		if len(n.entries) > 0 {
+			rects = append(rects, n.mbr(dims))
+		}
+		if !n.leaf {
+			for i := range n.entries {
+				walk(n.entries[i].child)
+			}
+		}
+	}
+	walk(tr.root)
+	for i := 0; i < 8 && len(items) > 0; i++ {
+		rects = append(rects, items[rng.Intn(len(items))].Rect)
+	}
+	var qs []Rect
+	for i := 0; i < 12; i++ {
+		r := rects[rng.Intn(len(rects))]
+		grown, shrunk := r, r
+		for d := 0; d < dims; d++ {
+			grown.Lo[d], grown.Hi[d] = math.Nextafter(r.Lo[d], math.Inf(-1)), math.Nextafter(r.Hi[d], math.Inf(1))
+			shrunk.Lo[d], shrunk.Hi[d] = math.Nextafter(r.Lo[d], math.Inf(1)), math.Nextafter(r.Hi[d], math.Inf(-1))
+		}
+		qs = append(qs, r, grown, shrunk)
+	}
+	for d := 0; d < dims; d++ {
+		for i := 0; i < 3; i++ {
+			q := everything(dims)
+			r := rects[rng.Intn(len(rects))]
+			at := r.Lo[d] + rng.Float64()*(r.Hi[d]-r.Lo[d])
+			q.Lo[d], q.Hi[d] = at, at+(r.Hi[d]-r.Lo[d])*0.01
+			qs = append(qs, q)
+		}
+	}
+	for i := 0; i < 4; i++ {
+		q := propQuery(rng, dims)
+		w := rng.Float64()
+		q.Lo[dims-1], q.Hi[dims-1] = w, w+0.03
+		qs = append(qs, q)
+	}
+	for i := 0; i < 4; i++ {
+		var q Rect
+		if len(items) > 0 && i%2 == 0 {
+			q = items[rng.Intn(len(items))].Rect
+			q.Hi = q.Lo
+		} else {
+			for d := 0; d < dims; d++ {
+				q.Lo[d] = rng.Float64() * 1000
+				q.Hi[d] = q.Lo[d]
+			}
+		}
+		qs = append(qs, q)
+	}
+	for i := 0; i < 4; i++ {
+		q := propQuery(rng, dims)
+		d := rng.Intn(dims)
+		q.Lo[d], q.Hi[d] = q.Hi[d], q.Lo[d]
+		qs = append(qs, q)
+		qs = append(qs, propQuery(rng, dims))
+	}
+	return append(qs, everything(dims))
+}
+
+// checkArena holds the packed walk of tr — built by freeze whatever
+// state the tree is in — to the recursive walk on every arenaQueries
+// query: the same id set and the same node-read count.
+func checkArena(t *testing.T, rng *rand.Rand, tr *Tree, items []Item, label string) {
+	t.Helper()
+	a := tr.freeze()
+	var cur Cursor
+	for _, q := range arenaQueries(rng, tr, items) {
+		want, wantIO := recursive(tr, q)
+		got, gotIO := a.search(&q, &cur, nil)
+		slices.Sort(got)
+		if gotIO != wantIO || !slices.Equal(got, want) {
+			t.Fatalf("%s: %v: arena %d hits / %d nodes, recursive %d / %d",
+				label, q, len(got), gotIO, len(want), wantIO)
+		}
+	}
+}
+
+// arenaTree builds a tree of n propItems, bulk-loaded or inserted one
+// by one. With flat ≥ 0 every item shares one value in dimension flat,
+// so the root has no extent there.
+func arenaTree(rng *rand.Rand, dims, n int, bulk bool, flat int) (*Tree, []Item) {
+	items := propItems(rng, n, dims)
+	if flat >= 0 {
+		for i := range items {
+			items[i].Rect.Lo[flat], items[i].Rect.Hi[flat] = 0.5, 0.5
+		}
+	}
+	cfg := Config{Dims: dims, MaxEntries: 20}
+	if bulk {
+		return BulkLoad(cfg, items), items
+	}
+	tr := New(cfg)
+	for _, it := range items {
+		tr.Insert(it.Rect, it.Data)
+	}
+	return tr, items
+}
+
+// TestArenaSearchMatchesRecursive is the packed walk's boundary
+// property: emitting contained subtrees whole and filtering in the
+// query's dimension order change neither the id set nor the node-read
+// count, for queries on, just inside and just outside node boundaries,
+// slivers, bands, points and inverted boxes, over trees of 2–4
+// dimensions, bulk-loaded and insert-built, some with a dimension in
+// which every item has one value.
+func TestArenaSearchMatchesRecursive(t *testing.T) {
+	for _, dims := range []int{2, 3, 4} {
+		for _, n := range []int{0, 1, 20, 21, 400, 3000} {
+			for _, bulk := range []bool{true, false} {
+				for _, flat := range []int{-1, 0, dims - 1} {
+					label := fmt.Sprintf("%dD n=%d bulk=%v flat=%d", dims, n, bulk, flat)
+					rng := rand.New(rand.NewSource(int64(dims*100000 + n*10 + flat + 1)))
+					tr, items := arenaTree(rng, dims, n, bulk, flat)
+					checkArena(t, rng, tr, items, label)
+				}
+			}
+		}
+	}
+}
+
+// FuzzArenaSearch is TestArenaSearchMatchesRecursive over fuzzed trees:
+// the seed draws the items and queries, dims is 2–4, n is up to 3 000,
+// and flags choose bulk loading (bit 0) and a flat dimension (bit 1,
+// which one in the bits above).
+func FuzzArenaSearch(f *testing.F) {
+	f.Add(int64(1), uint8(1), uint16(400), uint8(1))
+	f.Add(int64(2), uint8(0), uint16(21), uint8(0))
+	f.Add(int64(3), uint8(2), uint16(3000), uint8(3))
+	f.Add(int64(4), uint8(1), uint16(1), uint8(6))
+	f.Fuzz(func(t *testing.T, seed int64, d uint8, n uint16, flags uint8) {
+		dims := 2 + int(d%3)
+		flat := -1
+		if flags&2 != 0 {
+			flat = int(flags>>2) % dims
+		}
+		rng := rand.New(rand.NewSource(seed))
+		tr, items := arenaTree(rng, dims, int(n)%3001, flags&1 != 0, flat)
+		checkArena(t, rng, tr, items, fmt.Sprintf("%dD n=%d flags=%#x", dims, int(n)%3001, flags))
+	})
+}
+
+// TestArenaOrder pins the filter's dimension ranking on the two query
+// shapes of a pedestrian's frame: a band thin in w ranks w first, a
+// sliver thin in x or y ranks that dimension first, and a dimension the
+// query misses outright ranks ahead of everything.
+func TestArenaOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	a := BulkLoad(Config{Dims: 3, MaxEntries: 20}, propItems(rng, 2000, 3)).frozen.Load()
+	for _, c := range []struct {
+		name  string
+		q     Rect
+		first int
+	}{
+		{"band", Box(100, 900, 100, 900, 0.40, 0.45), 2},
+		{"x sliver", Box(500, 520, 0, 1000, 0.2, 1), 0},
+		{"y sliver", Box(0, 1000, 500, 520, 0.2, 1), 1},
+		{"miss in y", Box(0, 1000, 5000, 6000, 0.9, 1), 1},
+	} {
+		if ord := a.order(&c.q); ord[0] != c.first {
+			t.Errorf("%s: order %v, want dimension %d first", c.name, ord[:3], c.first)
+		}
 	}
 }

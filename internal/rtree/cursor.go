@@ -18,10 +18,11 @@ type Cursor struct {
 // SearchInto appends the payloads of every item intersecting q to buf
 // and returns the extended buffer plus the number of nodes read — the
 // same I/O count Search reports. Traversal order is unspecified (it
-// differs from Search's recursive order); callers needing the Index
-// determinism contract sort the appended region. The cursor provides
-// the traversal scratch and is reset on entry, so it can be reused across
-// any number of searches, including against different trees.
+// differs from Search's recursive order); the index's hit set puts the
+// appended ids in the ascending order its contract promises. The cursor
+// provides the traversal scratch and is reset on entry, so it can be
+// reused across any number of searches, including against different
+// trees.
 //
 // SearchInto walks the packed snapshot when the tree has one and the
 // pointer nodes otherwise. Rebuilding the snapshot reads every node
