@@ -46,7 +46,10 @@ type Client struct {
 
 	planner  *retrieval.Client
 	mapSpeed retrieval.MapSpeedToResolution
-	recons   map[int32]*wavelet.Reconstructor
+	// schema is the subdivision schema the hello announces, shared by
+	// every reconstructor in recons.
+	schema *wavelet.Schema
+	recons map[int32]*wavelet.Reconstructor
 	// resp and records are the frame-decode scratch: the header fields
 	// and the records section of the last response, consumed before the
 	// next read.
@@ -145,6 +148,11 @@ func (c *Client) attach(conn net.Conn, resume bool) (resumed bool, err error) {
 			return false, fmt.Errorf("proto: server bound scene %q, requested %q", hello.Scene, c.scene)
 		}
 	}
+	schema, err := c.schemaFor(hello)
+	if err != nil {
+		conn.Close()
+		return false, err
+	}
 	if resume && c.token != 0 {
 		if err := w.WriteResume(Resume{Token: c.token, AppliedSeq: c.appliedSeq}); err != nil {
 			conn.Close()
@@ -185,8 +193,28 @@ func (c *Client) attach(conn net.Conn, resume bool) (resumed bool, err error) {
 		c.conn.Close()
 	}
 	c.conn, c.r, c.w, c.hello, c.token = conn, r, w, hello, hello.Token
+	c.schema = schema
 	c.connBytes = 0
 	return resumed, nil
+}
+
+// schemaFor returns the schema the reconstructors of hello's scene
+// share: the client's own when the level count is unchanged, else a new
+// one. Every generated object subdivides an octahedron, so a hello the
+// client cannot reconstruct — a level count the schema cannot hold, or a
+// non-empty scene whose base mesh is not an octahedron — is refused.
+func (c *Client) schemaFor(h Hello) (*wavelet.Schema, error) {
+	schema := c.schema
+	if schema == nil || schema.Levels() != int(h.Levels) {
+		var err error
+		if schema, err = wavelet.NewSchema(mesh.Octahedron(), int(h.Levels)); err != nil {
+			return nil, fmt.Errorf("proto: hello: %w", err)
+		}
+	}
+	if h.Objects > 0 && int(h.BaseVerts) != schema.BaseVerts() {
+		return nil, fmt.Errorf("proto: hello: base mesh of %d vertices, the client reconstructs %d", h.BaseVerts, schema.BaseVerts())
+	}
+	return schema, nil
 }
 
 // readHello consumes one hello frame (or a server error refusing the
@@ -328,26 +356,35 @@ func (c *Client) exchange(req Request) (int, int64, error) {
 }
 
 // apply routes each wire record's vertex and displacement into its
-// object's reconstructor, creating the reconstructor on first contact
-// (all generated objects share the octahedron subdivision schema the
-// hello announces). A response groups its records by object, so the
-// last object's reconstructor is remembered and the map is consulted
-// once per object, not once per record.
+// object's reconstructor, creating the reconstructor over the client's
+// schema on first contact. A response groups its records by object, so
+// apply takes one object's run of records at a time: one map look-up,
+// and one Reserve for the run's highest vertex id, so the reconstructor
+// grows at most once per run. (Ids ascend within a sub-query's records
+// but not across a sub-query boundary, which a run can span.)
 func (c *Client) apply(records []byte) {
-	var (
-		obj   int32
-		recon *wavelet.Reconstructor
-	)
-	for ; len(records) > 0; records = records[wavelet.WireBytes:] {
-		w := wavelet.DecodeWire(records)
-		if recon == nil || w.Object != obj {
-			obj = w.Object
-			if recon = c.recons[obj]; recon == nil {
-				recon = wavelet.NewReconstructor(mesh.Octahedron(), geom.Vec3{}, int(c.hello.Levels))
-				c.recons[obj] = recon
+	base := int32(c.schema.BaseVerts())
+	for len(records) > 0 {
+		obj, top := wavelet.WireIDs(records)
+		n := wavelet.WireBytes
+		for ; n < len(records); n += wavelet.WireBytes {
+			o, v := wavelet.WireIDs(records[n:])
+			if o != obj {
+				break
 			}
+			top = max(top, v)
 		}
-		recon.ApplyDelta(w.Vertex, w.Delta, w.Vertex < c.hello.BaseVerts)
+		recon := c.recons[obj]
+		if recon == nil {
+			recon = c.schema.NewReconstructor(geom.Vec3{})
+			c.recons[obj] = recon
+		}
+		recon.Reserve(top)
+		for run := records[:n]; len(run) > 0; run = run[wavelet.WireBytes:] {
+			_, v := wavelet.WireIDs(run)
+			recon.ApplyDelta(v, wavelet.WireDelta(run), v < base)
+		}
+		records = records[n:]
 	}
 }
 

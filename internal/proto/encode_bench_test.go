@@ -3,7 +3,6 @@ package proto
 import (
 	"bytes"
 	"fmt"
-	"io"
 	"path/filepath"
 	"sync"
 	"testing"
@@ -99,9 +98,11 @@ func BenchmarkEncodeResponse(b *testing.B) {
 
 // BenchmarkClientApply is the client's side of a walk-sized response —
 // 600 records over many objects, read off the stream, checked and
-// applied into reconstructors that already hold those objects, as a
-// moving client's steady state does: Client.exchange, with the request
-// written to nowhere and the response read from memory.
+// applied into reconstructors: Client.exchange, with the request written
+// to nowhere and the response read from memory. steady applies it into
+// reconstructors that already hold those objects, as a moving client's
+// steady state does; fresh applies it on a new client, handshake schema
+// included, as each of join.hot's arriving connections does.
 func BenchmarkClientApply(b *testing.B) {
 	benchCity.once.Do(loadBenchCity)
 	coeffs := make([]Coeff, 0, 600)
@@ -111,10 +112,9 @@ func BenchmarkClientApply(b *testing.B) {
 			Pos: [3]float32{float32(co.Pos.X), float32(co.Pos.Y), float32(co.Pos.Z)}, Value: float32(co.Value)})
 	}
 	frame := responseFrame(b, Response{IO: 40, Seq: 1, Coeffs: coeffs})
+	hello := Hello{Objects: int32(benchCity.store.NumObjects()), Levels: 3, BaseVerts: 6}
 	br := bytes.NewReader(frame)
-	c := &Client{r: NewReader(br), w: NewWriter(io.Discard), hello: Hello{Levels: 3, BaseVerts: 6},
-		recons: make(map[int32]*wavelet.Reconstructor)}
-	exchange := func() {
+	exchange := func(c *Client) {
 		br.Reset(frame)
 		c.r.Reset(br)
 		c.appliedSeq = 0
@@ -122,11 +122,21 @@ func BenchmarkClientApply(b *testing.B) {
 			b.Fatalf("exchange: %d records, %v", n, err)
 		}
 	}
-	exchange()
-	b.SetBytes(int64(len(frame)))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		exchange()
-	}
+	b.Run("steady", func(b *testing.B) {
+		c := replayClient(b, hello, br)
+		exchange(c)
+		b.SetBytes(int64(len(frame)))
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			exchange(c)
+		}
+	})
+	b.Run("fresh", func(b *testing.B) {
+		b.SetBytes(int64(len(frame)))
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			exchange(replayClient(b, hello, br))
+		}
+	})
 }

@@ -66,8 +66,9 @@ func tourFrames(kind motion.TourKind, space geom.Rect2, trips, steps int, speed,
 // the band sub-query a pedestrian who slowed down asks (thin in w, wide
 // in x and y) and the difference slivers (thin in x or y, the whole
 // band from the cutoff up), the two query shapes the R*-tree walk
-// filters differently. nodes/frame is the paper's I/O metric over one
-// whole lap of the frames, so it repeats to the last digit.
+// filters differently. nodes/frame is the paper's I/O metric and
+// hits/frame the ids the index returns, both over one whole lap of the
+// frames, so they repeat to the last digit.
 func BenchmarkFrameSearch(b *testing.B) {
 	store := benchCity()
 	srv := NewServer(store, index.NewSharded(store, index.XYW, index.ShardedConfig{Shards: 4}))
@@ -100,16 +101,19 @@ func BenchmarkFrameSearch(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var cur index.Cursor
 			var out subResult
-			search := func(frame []SubQuery) (io int64) {
+			search := func(frame []SubQuery) (io, hits int64) {
 				for i := range frame {
 					srv.searchOne(&frame[i], &out, &cur)
 					io += out.io
+					hits += int64(len(out.ids))
 				}
-				return io
+				return io, hits
 			}
-			var lap int64
+			var lap, lapHits int64
 			for _, frame := range c.frames {
-				lap += search(frame)
+				io, hits := search(frame)
+				lap += io
+				lapHits += hits
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -118,6 +122,7 @@ func BenchmarkFrameSearch(b *testing.B) {
 			}
 			b.ReportMetric(float64(b.Elapsed())/1e3/float64(b.N), "µs/frame")
 			b.ReportMetric(float64(lap)/float64(len(c.frames)), "nodes/frame")
+			b.ReportMetric(float64(lapHits)/float64(len(c.frames)), "hits/frame")
 		})
 	}
 }

@@ -210,3 +210,70 @@ func TestReconstructorGrowsByLevel(t *testing.T) {
 		}
 	}
 }
+
+// TestSchemaLevelTable pins the shared schema's level table: the vertex
+// count of every level as subdivision produces it, stopping at the
+// deepest level whose vertex ids fit an int32 however many levels are
+// asked for, and NewSchema refusing a depth outside it.
+func TestSchemaLevelTable(t *testing.T) {
+	base := mesh.Octahedron()
+	s, err := NewSchema(base, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	m := base
+	for j := 0; j <= 3; j++ {
+		if s.sizes[j] != m.NumVerts() {
+			t.Fatalf("level %d: table holds %d vertices, subdivision makes %d", j, s.sizes[j], m.NumVerts())
+		}
+		m, _ = mesh.Subdivide(m)
+	}
+	if len(s.sizes) != 4 || s.Levels() != 3 || s.BaseVerts() != 6 {
+		t.Fatalf("table %v, %d levels, %d base vertices", s.sizes, s.Levels(), s.BaseVerts())
+	}
+	if _, err := NewSchema(base, 14); err != nil {
+		t.Fatalf("level 14 (%d vertices) refused: %v", 4<<28+2, err)
+	}
+	for _, levels := range []int{-1, 15, math.MaxInt32} {
+		if _, err := NewSchema(base, levels); err == nil {
+			t.Fatalf("NewSchema accepted %d levels", levels)
+		}
+	}
+	r := NewReconstructor(base, geom.Vec3{}, math.MaxInt32)
+	if n := len(r.schema.sizes); n != 15 {
+		t.Fatalf("%d-level reconstructor has a %d-entry table, want 15", math.MaxInt32, n)
+	}
+	if last := r.schema.sizes[14]; last != 4<<28+2 {
+		t.Fatalf("level 14 holds %d vertices", last)
+	}
+	r.Apply(Coefficient{Vertex: math.MaxInt32, Level: 15})
+	if r.Count() != 0 || len(r.disp) != 0 {
+		t.Fatalf("a vertex past the table counted %d, sized %d", r.Count(), len(r.disp))
+	}
+}
+
+// TestReserveGrowsOnce checks that Reserve sizes an object for every id
+// up to the one reserved, so applying them grows nothing, and that it
+// ignores ids outside the final topology.
+func TestReserveGrowsOnce(t *testing.T) {
+	d := sphereDecomp(t, 3)
+	final := int32(d.MaxLevelVertex())
+	r := NewReconstructor(d.Base, geom.Vec3{}, d.J)
+	for _, v := range []int32{-1, final, math.MaxInt32} {
+		r.Reserve(v)
+		if len(r.disp) != 0 {
+			t.Fatalf("Reserve(%d) sized the slices to %d", v, len(r.disp))
+		}
+	}
+	r.Reserve(final - 1)
+	disp, state := &r.disp[0], &r.state[0]
+	r.ApplyAll(d.Coeffs)
+	if &r.disp[0] != disp || &r.state[0] != state || len(r.disp) != int(final) {
+		t.Fatal("applying reserved ids grew the slices")
+	}
+	want := NewReconstructor(d.Base, geom.Vec3{}, d.J)
+	want.ApplyAll(d.Coeffs)
+	if !slices.Equal(r.Mesh().Verts, want.Mesh().Verts) || r.Count() != want.Count() {
+		t.Fatal("a reserved reconstructor differs from one grown by level")
+	}
+}

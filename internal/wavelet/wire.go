@@ -32,7 +32,9 @@ const WireBytes = 48
 //
 // AppendWire and DecodeWire are its one encoder and decoder: the
 // resident store's wire array, a paged pin set's records and the
-// protocol's response frames all go through them.
+// protocol's response frames all go through them. WireIDs and WireDelta
+// read single fields, for a reader that needs no more: the wire
+// client's apply loop.
 type WireRecord struct {
 	Object int32
 	Vertex int32
@@ -74,20 +76,34 @@ func AppendWire(buf []byte, w *WireRecord) []byte {
 // DecodeWire parses the record AppendWire wrote at the head of b
 // (len(b) ≥ WireBytes).
 func DecodeWire(b []byte) WireRecord {
-	_ = b[WireBytes-1]
+	object, vertex := WireIDs(b)
 	return WireRecord{
-		Object: int32(binary.LittleEndian.Uint32(b[0:])),
-		Vertex: int32(binary.LittleEndian.Uint32(b[4:])),
-		Delta: geom.Vec3{
-			X: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
-			Y: math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
-			Z: math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
-		},
+		Object: object,
+		Vertex: vertex,
+		Delta:  WireDelta(b),
 		Pos: [3]float32{
 			math.Float32frombits(binary.LittleEndian.Uint32(b[32:])),
 			math.Float32frombits(binary.LittleEndian.Uint32(b[36:])),
 			math.Float32frombits(binary.LittleEndian.Uint32(b[40:])),
 		},
 		Value: math.Float32frombits(binary.LittleEndian.Uint32(b[44:])),
+	}
+}
+
+// WireIDs returns the object and vertex ids of the record at the head
+// of b (len(b) ≥ WireBytes).
+func WireIDs(b []byte) (object, vertex int32) {
+	_ = b[WireBytes-1]
+	return int32(binary.LittleEndian.Uint32(b[0:])), int32(binary.LittleEndian.Uint32(b[4:]))
+}
+
+// WireDelta returns the displacement of the record at the head of b
+// (len(b) ≥ WireBytes).
+func WireDelta(b []byte) geom.Vec3 {
+	_ = b[WireBytes-1]
+	return geom.Vec3{
+		X: math.Float64frombits(binary.LittleEndian.Uint64(b[8:])),
+		Y: math.Float64frombits(binary.LittleEndian.Uint64(b[16:])),
+		Z: math.Float64frombits(binary.LittleEndian.Uint64(b[24:])),
 	}
 }
