@@ -49,7 +49,11 @@ func (t *Tour) Len() int { return len(t.Pos) }
 
 // SpeedAt returns the normalized instantaneous speed at step i (distance
 // covered entering step i divided by VMax), clamped to [0, 1]. Step 0
-// reports the nominal speed.
+// reports the nominal speed. Derived from positions, a constant pace
+// wobbles by ulps (0.2 reads 0.19999999999999937, then
+// 0.20000000000000023). That is left alone: a real client estimates its
+// speed from noisy positions too, so retrieval.Client asks a slowdown
+// band only for a drop it can see in float32.
 func (t *Tour) SpeedAt(i int) float64 {
 	if i <= 0 || i >= len(t.Pos) {
 		return t.Speed

@@ -686,7 +686,9 @@ type Client struct {
 
 	havePrev bool
 	prev     geom.Rect2
-	prevW    float64
+	// prevW is the cutoff the previous window holds: it has every
+	// coefficient with value ≥ prevW.
+	prevW float64
 }
 
 // NewClient creates a client over the session. A nil mapping uses
@@ -707,18 +709,18 @@ func (c *Client) Session() *Session { return c.session }
 // retrieval response and the resolution cutoff used.
 func (c *Client) Frame(q geom.Rect2, speed float64) (Response, float64) {
 	w := c.mapSpeed(speed)
-	subs := c.PlanFrame(q, speed)
-	resp := c.session.Retrieve(subs)
-	c.havePrev = true
-	c.prev = q
-	c.prevW = w
+	resp := c.session.Retrieve(c.plan(q, w))
+	c.advance(q, w)
 	return resp, w
 }
 
 // PlanFrame computes the sub-queries Algorithm 1 would issue for the
 // frame without executing them (used by tests and by the wire protocol).
 func (c *Client) PlanFrame(q geom.Rect2, speed float64) []SubQuery {
-	w := c.mapSpeed(speed)
+	return c.plan(q, c.mapSpeed(speed))
+}
+
+func (c *Client) plan(q geom.Rect2, w float64) []SubQuery {
 	if !c.havePrev {
 		// Line 1.10: no previous frame — retrieve Q_t wholesale.
 		return []SubQuery{{Region: q, WMin: w, WMax: 1}}
@@ -728,7 +730,7 @@ func (c *Client) PlanFrame(q geom.Rect2, speed float64) []SubQuery {
 		return []SubQuery{{Region: q, WMin: w, WMax: 1}}
 	}
 	var subs []SubQuery
-	if w < c.prevW {
+	if c.slower(w) {
 		// Line 1.6: the client slowed down (finer resolution, lower cutoff):
 		// fetch the missing detail band for the overlap region. The band is
 		// closed at prevW; coefficients exactly at prevW were already
@@ -743,14 +745,30 @@ func (c *Client) PlanFrame(q geom.Rect2, speed float64) []SubQuery {
 	return subs
 }
 
+// slower reports whether the cutoff w lies below prevW at float32
+// resolution, the precision in which a coefficient's value reaches the
+// client (wavelet.WireRecord). Only then does a frame plan the slowdown
+// band. A speed estimated from positions wobbles by ulps around a
+// constant pace; the band between two such cutoffs holds nothing a
+// client reporting its nominal speed would fetch.
+func (c *Client) slower(w float64) bool { return float32(w) < float32(c.prevW) }
+
+// advance moves the planner past a frame at cutoff w. prevW falls only
+// when the frame planned the band (or had no previous window) and rises
+// with w, so the window keeps every coefficient ≥ prevW: a skipped
+// sub-float32 gap [w, prevW) is covered by the next real slowdown's band.
+func (c *Client) advance(q geom.Rect2, w float64) {
+	if !c.havePrev || w > c.prevW || c.slower(w) {
+		c.prevW = w
+	}
+	c.havePrev = true
+	c.prev = q
+}
+
 // Advance records that the frame was served (by whatever transport)
 // without executing sub-queries locally. Plan-only clients call
 // PlanFrame, ship the sub-queries over their own transport, then Advance.
-func (c *Client) Advance(q geom.Rect2, speed float64) {
-	c.havePrev = true
-	c.prev = q
-	c.prevW = c.mapSpeed(speed)
-}
+func (c *Client) Advance(q geom.Rect2, speed float64) { c.advance(q, c.mapSpeed(speed)) }
 
 // FrustumFrame retrieves the data visible in a directional view frustum
 // at the given speed: the frustum's bounding window is queried with a

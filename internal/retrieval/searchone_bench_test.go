@@ -18,45 +18,67 @@ func benchCity() *index.Store {
 	return workload.GenerateCity(workload.CitySpec{BlocksX: 16, BlocksY: 16, LotsPerBlock: 3, Levels: 3, Seed: 1})
 }
 
+// planner is Algorithm 1's planning half: Client, and the tests'
+// reference copy of the planner before the float32 band rule.
+type planner interface {
+	PlanFrame(q geom.Rect2, speed float64) []SubQuery
+	Advance(q geom.Rect2, speed float64)
+	Reset()
+}
+
 // tramFrames plans the given number of tram trips over the space — a
 // window a tenth of the city wide at speed 0.8, 2 000 frames each — and
 // returns each frame's non-empty slivers after the first frame of a
 // trip: the sub-queries Algorithm 1 asks while a tram client moves.
-func tramFrames(space geom.Rect2, trips int) [][]SubQuery {
-	return tourFrames(motion.Tram, space, trips, 2000, 0.8, 0.10)
+func tramFrames(p planner, space geom.Rect2, trips int) [][]SubQuery {
+	return tourFrames(p, motion.Tram, space, trips, 2000, 0.8, 0.10)
 }
 
 // walkFrames is tramFrames for walk.mem's pedestrians: a window 30 % of
 // the city wide at speed 0.2, 200 frames a trip. A pedestrian who slows
 // down adds a band sub-query over the overlap (WMax < 1) to the
 // difference slivers (WMax = 1).
-func walkFrames(space geom.Rect2, trips int) [][]SubQuery {
-	return tourFrames(motion.Pedestrian, space, trips, 200, 0.2, 0.30)
+func walkFrames(p planner, space geom.Rect2, trips int) [][]SubQuery {
+	return tourFrames(p, motion.Pedestrian, space, trips, 200, 0.2, 0.30)
 }
 
-// tourFrames plans trips tours of the kind, trip i on tour seed i+1,
-// with a window the given share of the space's width wide, and returns
-// the non-empty sub-queries of every frame after a trip's first.
-func tourFrames(kind motion.TourKind, space geom.Rect2, trips, steps int, speed, window float64) [][]SubQuery {
+// tourFrames plans trips tours of the kind with p, reset before each,
+// trip i on tour seed i+1, with a window the given share of the space's
+// width wide, and returns the non-empty sub-queries of every frame after
+// a trip's first.
+func tourFrames(p planner, kind motion.TourKind, space geom.Rect2, trips, steps int, speed, window float64) [][]SubQuery {
 	var frames [][]SubQuery
 	for trip := 0; trip < trips; trip++ {
 		tour := motion.NewTour(kind, motion.TourSpec{Space: space, Steps: steps, Speed: speed}, rand.New(rand.NewSource(int64(trip)+1)))
-		planner := NewClient(nil, nil)
+		p.Reset()
 		for i, pos := range tour.Pos {
 			q := geom.RectAround(pos, window*space.Width())
 			if i > 0 {
 				var frame []SubQuery
-				for _, sub := range planner.PlanFrame(q, tour.SpeedAt(i)) {
+				for _, sub := range p.PlanFrame(q, tour.SpeedAt(i)) {
 					if !sub.Region.Empty() && sub.WMin <= sub.WMax {
 						frame = append(frame, sub)
 					}
 				}
 				frames = append(frames, frame)
 			}
-			planner.Advance(q, tour.SpeedAt(i))
+			p.Advance(q, tour.SpeedAt(i))
 		}
 	}
 	return frames
+}
+
+// bands counts the frames' band sub-queries (WMax < 1).
+func bands(frames [][]SubQuery) int {
+	n := 0
+	for _, frame := range frames {
+		for _, sub := range frame {
+			if sub.WMax < 1 {
+				n++
+			}
+		}
+	}
+	return n
 }
 
 // BenchmarkFrameSearch is a frame's index work on the end-to-end
@@ -68,7 +90,9 @@ func tourFrames(kind motion.TourKind, space geom.Rect2, trips, steps int, speed,
 // band from the cutoff up), the two query shapes the R*-tree walk
 // filters differently. nodes/frame is the paper's I/O metric and
 // hits/frame the ids the index returns, both over one whole lap of the
-// frames, so they repeat to the last digit.
+// frames, so they repeat to the last digit; bands/frame is the band
+// sub-queries the planner asks per frame of the whole tour, so a planner
+// that asks more of them shows here.
 func BenchmarkFrameSearch(b *testing.B) {
 	store := benchCity()
 	srv := NewServer(store, index.NewSharded(store, index.XYW, index.ShardedConfig{Shards: 4}))
@@ -89,14 +113,15 @@ func BenchmarkFrameSearch(b *testing.B) {
 		}
 		return out
 	}
-	walk := walkFrames(space, 16)
+	tram, walk := tramFrames(NewClient(nil, nil), space, 1), walkFrames(NewClient(nil, nil), space, 16)
 	for _, c := range []struct {
 		name   string
 		frames [][]SubQuery
+		tour   [][]SubQuery
 	}{
-		{"tram", tramFrames(space, 1)},
-		{"walk/band", split(walk, true)},
-		{"walk/diff", split(walk, false)},
+		{"tram", tram, tram},
+		{"walk/band", split(walk, true), walk},
+		{"walk/diff", split(walk, false), walk},
 	} {
 		b.Run(c.name, func(b *testing.B) {
 			var cur index.Cursor
@@ -123,6 +148,7 @@ func BenchmarkFrameSearch(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed())/1e3/float64(b.N), "µs/frame")
 			b.ReportMetric(float64(lap)/float64(len(c.frames)), "nodes/frame")
 			b.ReportMetric(float64(lapHits)/float64(len(c.frames)), "hits/frame")
+			b.ReportMetric(float64(bands(c.tour))/float64(len(c.tour)), "bands/frame")
 		})
 	}
 }
@@ -139,7 +165,7 @@ func BenchmarkFrameSearch(b *testing.B) {
 func BenchmarkSearchOne(b *testing.B) {
 	store := benchCity()
 	var slivers []SubQuery
-	for _, frame := range tramFrames(store.Bounds().XY(), 1) {
+	for _, frame := range tramFrames(NewClient(nil, nil), store.Bounds().XY(), 1) {
 		slivers = append(slivers, frame...)
 	}
 	newServer := func(shared bool) *Server {
@@ -224,7 +250,7 @@ func BenchmarkPagedTram(b *testing.B) {
 	defer ps.Close()
 	srv := NewServer(ps, index.NewSharded(ps, index.XYW, index.ShardedConfig{Shards: 4}))
 	srv.SetStats(nil)
-	frames := tramFrames(store.Bounds().XY(), 8)
+	frames := tramFrames(NewClient(nil, nil), store.Bounds().XY(), 8)
 	pins := ps.NewPins()
 	var cur index.Cursor
 	var out subResult
