@@ -1,11 +1,12 @@
 # Development targets. `make ci` is the full gate a change must pass:
-# build, vet, the tier-1 suite at 1/2/8 procs, bench/'s self-check, the
+# build, vet, the tier-1 suite at 1/2/8 procs, the portable R*-tree
+# walk's tests (-tags purego), bench/'s self-check, the
 # race-detector run, the acceptance soaks' verbose summaries and seed
 # sweeps (see README "Testing") and the fuzz targets.
 
 GO ?= go
 
-.PHONY: build test test-procs race vet bench bench-check bench-e2e bench-abr bench-crowd soaks fuzz ci
+.PHONY: build test test-procs test-purego race vet bench bench-check bench-e2e bench-abr bench-crowd soaks fuzz ci
 
 build:
 	$(GO) build ./...
@@ -29,6 +30,13 @@ test-procs:
 		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/wavelet/ ./internal/rtree/ ./internal/index/ ./internal/hotcache/ ./internal/retrieval/ ./internal/proto/ ./internal/persist/ ./internal/engine/ ./internal/cluster/ ./cmd/gateway/ ./cmd/server/ || exit 1; \
 		GOMAXPROCS=$$p $(GO) test -count=1 -run '^TestRunCrash$$' ./internal/experiment/ || exit 1; \
 	done
+
+# The R*-tree walk and the packages that search through it, built
+# without the AVX2 node filter: the portable survivor walk every
+# non-amd64 build and every CPU without AVX2 runs stays under test on
+# amd64 too.
+test-purego:
+	$(GO) test -count=1 -tags purego ./internal/rtree/ ./internal/index/ ./internal/retrieval/
 
 # The race gate: the full suite under the race detector, including the
 # multi-client soak (internal/proto), the sharded-index equivalence and
@@ -106,4 +114,4 @@ fuzz:
 		done; \
 	done
 
-ci: build vet test test-procs bench-check race soaks fuzz
+ci: build vet test test-procs test-purego bench-check race soaks fuzz

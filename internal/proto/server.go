@@ -639,7 +639,9 @@ func (c *serverConn) reply(resp *retrieval.Response) {
 // the delivered set, so the session re-retrieves it once the page heals
 // (Dropped semantics — degrade the frame, never the process).
 func (c *serverConn) encode(resp *retrieval.Response) (withheld int) {
-	c.frame = beginResponseFrame(c.frame, len(resp.IDs))
+	// The frame grows in a local and is stored back once: an append to
+	// the heap field would cost a write barrier per record.
+	frame := beginResponseFrame(c.frame, len(resp.IDs))
 	pins := c.sess.Session.Pins()
 	var withheldIDs []int64
 	kept := resp.IDs[:0]
@@ -649,9 +651,10 @@ func (c *serverConn) encode(resp *retrieval.Response) (withheld int) {
 			withheldIDs = append(withheldIDs, id)
 			continue
 		}
-		c.frame = append(c.frame, rec...)
+		frame = append(frame, rec...)
 		kept = append(kept, id)
 	}
+	c.frame = frame
 	pins.Release()
 	resp.IDs = kept
 	if len(withheldIDs) > 0 {

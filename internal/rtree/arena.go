@@ -1,6 +1,9 @@
 package rtree
 
-import "math"
+import (
+	"math"
+	"math/bits"
+)
 
 // arena is the packed read representation of a quiescent tree: every
 // node copied, in breadth-first order, into flat arrays. A node's
@@ -11,14 +14,17 @@ import "math"
 // rebuilds it from the pointer nodes.
 type arena struct {
 	dims int
-	// all is 0, 1, …, cap−1, one index per entry slot of a node (cap is
-	// the tree's MaxEntries): the list a node's filter starts from.
+	// all is 0, 1, …, slots−1, one index per entry slot of a node
+	// (slots is the tree's MaxEntries rounded up to a multiple of 4):
+	// the list the survivor walk's filter starts from.
 	all []int32
-	// bounds holds one fixed block of 2·dims·cap float64 per node,
-	// structure-of-arrays over the tree's live dimensions only: the cap
-	// lower bounds of dimension 0, then of dimension 1, …, then the
-	// upper bounds likewise. Testing a node's ≤ cap entries against a
-	// query reads 2·dims short contiguous runs.
+	// bounds holds one fixed block of 2·dims·slots float64 per node,
+	// structure-of-arrays over the tree's live dimensions only: the
+	// slots lower bounds of dimension 0, then of dimension 1, …, then
+	// the upper bounds likewise. Testing a node's ≤ MaxEntries entries
+	// against a query reads 2·dims short contiguous runs, which the
+	// kernel reads four entries at a time; a row's padding is never
+	// read as an entry.
 	bounds []float64
 	nodes  []arenaNode
 	// runs is each node's subtree: its payloads, data[lo:hi], and its
@@ -56,7 +62,7 @@ func (t *Tree) freeze() *arena {
 	if t.size > math.MaxInt32 {
 		return nil
 	}
-	dims, slots := t.cfg.Dims, t.cfg.MaxEntries
+	dims, slots := t.cfg.Dims, (t.cfg.MaxEntries+3)&^3
 	stride := 2 * dims * slots
 	a := &arena{
 		dims:   dims,
@@ -148,16 +154,61 @@ func (a *arena) order(q *Rect) [MaxDims]int {
 // because the arena is laid out in that same breadth-first order, node
 // indices only ever increase and the walk moves forward through memory.
 //
-// Each node's entries are filtered one dimension at a time, in order's
-// ranking, into the cursor's survivor list. The filter is an AND of the
-// comparisons Rect.intersects makes, so neither the order nor the
-// survivors can differ from it. A surviving internal entry that lies
+// A surviving internal entry — one that intersects q — that also lies
 // inside q is not queued: its whole subtree intersects q, so its run is
 // appended and its node count added, the reads the pointer walk would
 // make. That holds because every stored rect has lo ≤ hi (Box refuses
 // an inverted one) and an entry's rect covers its child's. The other
 // survivors are queued or emitted.
+//
+// Two walks do this and give the same queue, buffer and count: the mask
+// walk where the AVX2 kernel runs, the survivor walk elsewhere.
 func (a *arena) search(q *Rect, cur *Cursor, buf []int64) ([]int64, int64) {
+	if useKernel {
+		return a.searchMasks(q, cur, buf)
+	}
+	return a.searchSurvivors(q, cur, buf)
+}
+
+// searchMasks filters each node with filterNode, which tests every
+// entry in every dimension and returns the entries that intersect q and
+// those that lie inside it as bit masks. A leaf emits the payloads of
+// hit; an internal node queues hit &^ in and emits the runs of hit & in,
+// each in ascending entry order as the survivor walk does.
+func (a *arena) searchMasks(q *Rect, cur *Cursor, buf []int64) ([]int64, int64) {
+	dims, slots := a.dims, len(a.all)
+	stride := 2 * dims * slots
+	var skipped int64
+	queue := append(cur.idx[:0], 0)
+	for h := 0; h < len(queue); h++ {
+		ni := queue[h]
+		nd := a.nodes[ni]
+		hit, in := filterNode(a.bounds[int(ni)*stride:][:stride], slots, dims, int(nd.n), q)
+		if ni >= a.leaf0 {
+			for ; hit != 0; hit &= hit - 1 {
+				buf = append(buf, a.data[nd.first+int32(bits.TrailingZeros64(hit))])
+			}
+			continue
+		}
+		for m := hit &^ in; m != 0; m &= m - 1 {
+			queue = append(queue, nd.first+int32(bits.TrailingZeros64(m)))
+		}
+		for m := hit & in; m != 0; m &= m - 1 {
+			r := a.runs[nd.first+int32(bits.TrailingZeros64(m))]
+			buf = append(buf, a.data[r.lo:r.hi]...)
+			skipped += int64(r.nodes)
+		}
+	}
+	cur.idx = queue
+	return buf, int64(len(queue)) + skipped
+}
+
+// searchSurvivors filters each node's entries one dimension at a time,
+// in order's ranking, into the cursor's survivor list. The filter is an
+// AND of the comparisons Rect.intersects makes, so neither the order
+// nor the survivors can differ from it; containment is tested on the
+// survivors of an internal node only.
+func (a *arena) searchSurvivors(q *Rect, cur *Cursor, buf []int64) ([]int64, int64) {
 	dims, slots := a.dims, len(a.all)
 	stride := 2 * dims * slots
 	if cap(cur.sel) < slots {

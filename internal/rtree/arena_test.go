@@ -367,14 +367,23 @@ func arenaQueries(rng *rand.Rand, tr *Tree, items []Item) []Rect {
 
 // checkArena holds the packed walk of tr — built by freeze whatever
 // state the tree is in — to the recursive walk on every arenaQueries
-// query: the same id set and the same node-read count.
+// query: the same id set and the same node-read count. Where the AVX2
+// kernel runs, the mask walk must also give the survivor walk's buffer
+// and queue element for element.
 func checkArena(t *testing.T, rng *rand.Rand, tr *Tree, items []Item, label string) {
 	t.Helper()
 	a := tr.freeze()
-	var cur Cursor
+	var cur, ref Cursor
 	for _, q := range arenaQueries(rng, tr, items) {
 		want, wantIO := recursive(tr, q)
 		got, gotIO := a.search(&q, &cur, nil)
+		if useKernel {
+			buf, io := a.searchSurvivors(&q, &ref, nil)
+			if io != gotIO || !slices.Equal(got, buf) || !slices.Equal(cur.idx, ref.idx) {
+				t.Fatalf("%s: %v: mask walk %d hits / %d nodes / %d queued, survivor walk %d / %d / %d (or sequences differ)",
+					label, q, len(got), gotIO, len(cur.idx), len(buf), io, len(ref.idx))
+			}
+		}
 		slices.Sort(got)
 		if gotIO != wantIO || !slices.Equal(got, want) {
 			t.Fatalf("%s: %v: arena %d hits / %d nodes, recursive %d / %d",

@@ -3,7 +3,8 @@ package rtree
 // Cursor is reusable per-caller search scratch: the explicit node list
 // an iterative traversal uses instead of the call stack — a queue of
 // node indices over the packed snapshot, a stack of node pointers over
-// a thawed tree — and the per-node survivor list of the packed walk. A
+// a thawed tree — and the per-node survivor list of the portable
+// packed walk. A
 // zero Cursor is ready to use; after the first search its buffers are
 // retained, so a steady-state SearchInto performs no allocations beyond
 // growing the caller's result buffer. A Cursor must not be shared by

@@ -42,6 +42,7 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{Dims: 0, MaxEntries: 20},
 		{Dims: 5, MaxEntries: 20},
 		{Dims: 2, MaxEntries: 3},
+		{Dims: 2, MaxEntries: 65},
 		{Dims: 2, MaxEntries: 20, MinEntries: 15},
 	} {
 		func() {

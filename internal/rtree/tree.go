@@ -118,8 +118,8 @@ func New(cfg Config) *Tree {
 	if cfg.Dims < 1 || cfg.Dims > MaxDims {
 		panic(fmt.Sprintf("rtree: dims %d out of range", cfg.Dims))
 	}
-	if cfg.MaxEntries < 4 {
-		panic("rtree: MaxEntries must be ≥ 4")
+	if cfg.MaxEntries < 4 || cfg.MaxEntries > 64 {
+		panic("rtree: MaxEntries must be 4–64") // the walk's masks hold 64 entries
 	}
 	if cfg.MinEntries == 0 {
 		cfg.MinEntries = cfg.MaxEntries * 2 / 5 // 40%, the R* recommendation
