@@ -107,6 +107,8 @@ func NewSceneClient(conn net.Conn, scene string, mapSpeed retrieval.MapSpeedToRe
 		mapSpeed: mapSpeed,
 		recons:   make(map[int32]*wavelet.Reconstructor),
 	}
+	bufs, _ := takeBufs(&clientBufs)
+	c.records = bufs.frame
 	if _, err := c.attach(conn, false); err != nil {
 		return nil, err
 	}
@@ -418,7 +420,14 @@ func (c *Client) CoeffCount(object int32) int {
 // Close sends a goodbye and closes the connection. A goodbye-write
 // failure is reported alongside the close error: the caller learns the
 // shutdown was not orderly (the server will park the session in its
-// resume cache rather than discard it).
+// resume cache rather than discard it). The record buffer goes to the
+// next client; the reconstructors stay, so Objects, Mesh and CoeffCount
+// answer as before.
 func (c *Client) Close() error {
-	return errors.Join(c.w.WriteBye(), c.conn.Close())
+	err := errors.Join(c.w.WriteBye(), c.conn.Close())
+	if c.records != nil {
+		(&connBufs{frame: c.records}).release(&clientBufs)
+		c.records = nil
+	}
+	return err
 }

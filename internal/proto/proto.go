@@ -189,8 +189,9 @@ type Writer struct {
 func NewWriter(w io.Writer) *Writer { return &Writer{w: bufio.NewWriter(w)} }
 
 // Reset discards unflushed state and retargets the writer at dst,
-// keeping the buffer — the recycling hook for benchmark and pooling
-// harnesses that would otherwise pay a fresh bufio buffer per stream.
+// keeping the buffer, so one writer can serve stream after stream, as
+// the tests and benchmarks do. Connections do not hand theirs on:
+// that did not pay on join.hot (EXPERIMENTS.md "Warm connections").
 func (w *Writer) Reset(dst io.Writer) {
 	w.w.Reset(dst)
 	w.hashing = false
@@ -466,8 +467,10 @@ type Reader struct {
 func NewReader(r io.Reader) *Reader { return &Reader{r: bufio.NewReader(r)} }
 
 // Reset retargets the reader at src, keeping its buffers (bufio buffer,
-// sub-query slab and record buffer) — the recycling hook for benchmark
-// and pooling harnesses. Any partially read frame state is discarded.
+// sub-query slab and record buffer), so one reader can serve stream
+// after stream, as the tests and benchmarks do; connections do not hand
+// theirs on (see Writer.Reset). Any partially read frame state is
+// discarded.
 func (r *Reader) Reset(src io.Reader) {
 	r.r.Reset(src)
 	r.hashing = false

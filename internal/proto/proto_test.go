@@ -2,6 +2,7 @@ package proto
 
 import (
 	"bytes"
+	"fmt"
 	"math/rand"
 	"net"
 	"testing"
@@ -268,29 +269,44 @@ func TestEndToEndProgressive(t *testing.T) {
 	}
 }
 
+// TestMultipleConcurrentClients runs clients side by side, each over
+// several connections in turn, so sessions and frame buffers are
+// released and taken again while other connections are live: every
+// connection's first frame, the whole scene at full detail, must
+// deliver every coefficient, as a fresh session does.
 func TestMultipleConcurrentClients(t *testing.T) {
-	addr, _, shutdown := startTestServer(t)
+	addr, d, shutdown := startTestServer(t)
 	defer shutdown()
 
 	const n = 4
+	whole := d.Store.Bounds().XY()
 	errs := make(chan error, n)
 	for i := 0; i < n; i++ {
 		go func(seed int64) {
-			c, err := Dial(addr, nil)
-			if err != nil {
-				errs <- err
-				return
-			}
-			defer c.Close()
-			rng := rand.New(rand.NewSource(seed))
-			for f := 0; f < 10; f++ {
-				q := geom.RectAround(geom.V2(rng.Float64()*1000, rng.Float64()*1000), 200)
-				if _, err := c.Frame(q, rng.Float64()); err != nil {
-					errs <- err
-					return
+			errs <- func() error {
+				rng := rand.New(rand.NewSource(seed))
+				for conn := 0; conn < 3; conn++ {
+					c, err := Dial(addr, nil)
+					if err != nil {
+						return err
+					}
+					if got, err := c.Frame(whole, 0); err != nil {
+						return err
+					} else if int64(got) != d.Store.NumCoeffs() {
+						return fmt.Errorf("connection %d: whole-scene frame delivered %d of %d coefficients", conn, got, d.Store.NumCoeffs())
+					}
+					for f := 0; f < 10; f++ {
+						q := geom.RectAround(geom.V2(rng.Float64()*1000, rng.Float64()*1000), 200)
+						if _, err := c.Frame(q, rng.Float64()); err != nil {
+							return err
+						}
+					}
+					if err := c.Close(); err != nil {
+						return err
+					}
 				}
-			}
-			errs <- nil
+				return nil
+			}()
 		}(int64(i))
 	}
 	for i := 0; i < n; i++ {

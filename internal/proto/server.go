@@ -280,13 +280,51 @@ func (s *Server) SeverScene(scene string) int {
 	return n
 }
 
+// connBufs are the buffers a connection grows past its reader and
+// writer: the frame buffer (the server assembles each response in it,
+// the client reads each response's records into it) and the server's
+// LastIDs array. A connection that ends with a goodbye puts them in its
+// side's pool, and the next connection on that side starts with them
+// grown. A pool gives up what it holds across garbage collections,
+// which bounds what finished connections keep.
+type connBufs struct {
+	frame []byte
+	ids   []int64
+}
+
+// serverBufs and clientBufs are the two sides' pools, apart so that a
+// process running both (a test, a benchmark) hands each side buffers
+// grown to its own use.
+var serverBufs, clientBufs sync.Pool
+
+// takeBufs returns buffers from pool: a finished connection's when the
+// pool has them (reused reports that), else empty ones.
+func takeBufs(pool *sync.Pool) (b *connBufs, reused bool) {
+	if b, reused = pool.Get().(*connBufs); !reused {
+		b = new(connBufs)
+	}
+	return b, reused
+}
+
+// release puts b in pool for the next connection. Nothing may use b
+// afterwards.
+func (b *connBufs) release(pool *sync.Pool) {
+	b.frame, b.ids = b.frame[:0], b.ids[:0]
+	pool.Put(b)
+}
+
 // serverConn is one connection's serving state, owned by its handler
 // goroutine. Its methods are the per-frame steps handle dispatches to.
 type serverConn struct {
-	s     *Server
-	nc    net.Conn
-	r     *Reader
-	w     *Writer
+	s  *Server
+	nc net.Conn
+	r  *Reader
+	w  *Writer
+	// connBufs are the connection's frame buffer (each response frame —
+	// header, records, trailer — is assembled in it and written from it
+	// in one Write) and LastIDs array: taken from a connection that
+	// ended with a goodbye, and handed on when this one does.
+	*connBufs
 	scene *engine.Scene
 	token uint64
 	// sess is the session lineage served. A resume swaps in a parked
@@ -302,10 +340,6 @@ type serverConn struct {
 	// frame's bucket, keeping the entry and its shared payload exempt
 	// from LRU eviction while anyone watches it.
 	hotSub *hotcache.Sub
-	// frame is the buffer each response frame is assembled in — header,
-	// records, trailer — and written from in one Write; reused every
-	// frame.
-	frame []byte
 }
 
 // handle serves one accepted connection: the accept bookkeeping, the
@@ -324,7 +358,11 @@ func (s *Server) handle(nc net.Conn, ci *connInfo) {
 	s.st.Add(stats.ProtoSessionsActive, 1)
 	defer s.st.Add(stats.ProtoSessionsActive, -1)
 
-	c := &serverConn{s: s, nc: nc, r: NewReader(nc), w: NewWriter(nc)}
+	bufs, reused := takeBufs(&serverBufs)
+	if reused {
+		s.st.Add(stats.ProtoSessionsReused, 1)
+	}
+	c := &serverConn{s: s, nc: nc, r: NewReader(nc), w: NewWriter(nc), connBufs: bufs}
 	scene := s.reg.Default()
 	if scene == nil {
 		// Neither counted nor logged: a gateway probes an empty drain
@@ -400,6 +438,9 @@ func (c *serverConn) fail(counted bool, cause, reply error) bool {
 // never served a request or resume has no delivered-set worth
 // restoring, and parking it would let handshake-only peers (health
 // probes, port scanners) pollute the resume cache and session journal.
+// Only an orderly end recycles: the session goes back to its scene's
+// pool and the buffers to the next connection. Any other end may leave
+// a lineage to resume, so it hands on nothing.
 func (c *serverConn) end(orderly bool) {
 	if !orderly && c.started {
 		// Stop counting as live before a resume can take the session.
@@ -409,6 +450,11 @@ func (c *serverConn) end(orderly bool) {
 	}
 	if c.hotSub != nil {
 		c.hotSub.Close()
+	}
+	if orderly {
+		c.ids = c.sess.LastIDs
+		c.sess.Session.Release()
+		c.connBufs.release(&serverBufs)
 	}
 }
 
@@ -436,8 +482,14 @@ func (c *serverConn) start() {
 // with the scene's hello under the connection's token: the greeting,
 // and the answer to a scene select.
 func (c *serverConn) bind(scene *engine.Scene) bool {
+	if c.sess != nil {
+		// A scene select drops the greeting's session, which never
+		// served a frame; it goes back to the pool of the scene it was
+		// opened on.
+		c.sess.Session.Release()
+	}
 	c.scene = scene
-	c.sess = &engine.ResumeEntry{Session: retrieval.NewSession(scene.Server)}
+	c.sess = &engine.ResumeEntry{Session: retrieval.NewSession(scene.Server), LastIDs: c.ids[:0]}
 	if c.hotSub != nil {
 		// A subscription is bound to one scene's cache.
 		c.hotSub.Close()
@@ -514,6 +566,9 @@ func (c *serverConn) resume() bool {
 		return true
 	}
 	prev.LastIDs = prev.LastIDs[:0]
+	// The session the resume replaces is this connection's alone: no
+	// cache or journal holds it.
+	c.sess.Session.Release()
 	c.sess = prev
 	c.start()
 	c.s.st.Add(stats.ProtoResumeHits, 1)

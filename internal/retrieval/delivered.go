@@ -25,6 +25,9 @@ type deliveredPage [deliveredPageWords]uint64
 type Delivered struct {
 	pages []*deliveredPage
 	n     int
+	// free holds the zeroed pages reset took off the spine; or hands
+	// them out before it allocates.
+	free []*deliveredPage
 }
 
 // Has reports whether id is in the set.
@@ -62,7 +65,11 @@ func (d *Delivered) or(w int64, m uint64) int {
 	}
 	pg := d.pages[p]
 	if pg == nil {
-		pg = new(deliveredPage)
+		if k := len(d.free) - 1; k >= 0 {
+			pg, d.free = d.free[k], d.free[:k]
+		} else {
+			pg = new(deliveredPage)
+		}
 		d.pages[p] = pg
 	}
 	i := w % deliveredPageWords
@@ -81,6 +88,20 @@ func (d *Delivered) Del(id int64) {
 		d.pages[w>>(deliveredPageBits-6)][w%deliveredPageWords] &^= m
 		d.n--
 	}
+}
+
+// reset empties the set, keeping its spine and its pages: each page an
+// id landed on is zeroed and kept for or to hand out again, so a set
+// that is filled again allocates only past the pages it had.
+func (d *Delivered) reset() {
+	for p, pg := range d.pages {
+		if pg != nil {
+			*pg = deliveredPage{}
+			d.free = append(d.free, pg)
+			d.pages[p] = nil
+		}
+	}
+	d.n = 0
 }
 
 // Len returns the number of ids in the set.

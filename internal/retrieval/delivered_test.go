@@ -10,9 +10,10 @@ import (
 )
 
 // TestDeliveredMatchesMapModel drives a Delivered and a map[int64]bool
-// through the same random Add/Has/Del/Len/IDs sequence. The id pool mixes
-// a dense run, both sides of page boundaries, and one sparse id beyond
-// 2³², so spine growth, lazy pages and untouched gaps are all exercised.
+// through the same random Add/Has/Del/Len/IDs sequence, emptying both now
+// and then. The id pool mixes a dense run, both sides of page
+// boundaries, and one sparse id beyond 2³², so spine growth, lazy pages,
+// untouched gaps and recycled pages are all exercised.
 func TestDeliveredMatchesMapModel(t *testing.T) {
 	pool := []int64{0, 1, 63, 64, 4095, 4096, 4097, 8191, 8192, 1 << 20, 1<<32 + 4095, 1<<32 + 4096, -1, -4096}
 	for id := int64(300); id < 700; id++ {
@@ -40,6 +41,10 @@ func TestDeliveredMatchesMapModel(t *testing.T) {
 				if got := d.Has(id); got != model[id] {
 					t.Fatalf("seed %d step %d: Has(%d) = %v, model %v", seed, step, id, got, model[id])
 				}
+			}
+			if step%4999 == 4998 {
+				d.reset()
+				clear(model)
 			}
 			if d.Len() != len(model) {
 				t.Fatalf("seed %d step %d: Len %d, model %d", seed, step, d.Len(), len(model))
@@ -129,5 +134,35 @@ func BenchmarkExecuteMerge(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		resp := sess.RetrieveScratch(subs)
 		sess.Forget(resp.IDs)
+	}
+}
+
+// TestDeliveredResetKeepsPages: a reset set is empty, and filling it
+// again over as many pages allocates nothing — the released session a
+// new connection draws starts with its pages.
+func TestDeliveredResetKeepsPages(t *testing.T) {
+	var d Delivered
+	ids := []int64{0, 4095, 4096, 70000, 1 << 22}
+	for _, id := range ids {
+		d.Add(id)
+	}
+	d.reset()
+	if d.Len() != 0 || len(d.IDs()) != 0 {
+		t.Fatalf("reset set holds %d ids", d.Len())
+	}
+	for id := int64(0); id < 1<<22+1; id += 997 {
+		if d.Has(id) {
+			t.Fatalf("reset set has %d", id)
+		}
+	}
+	moved := []int64{8192, 12288, 16384, 20480}
+	allocs := testing.AllocsPerRun(10, func() {
+		for _, id := range moved {
+			d.Add(id)
+		}
+		d.reset()
+	})
+	if allocs != 0 {
+		t.Fatalf("refilling a reset set allocated %.0f times, want 0", allocs)
 	}
 }

@@ -9,6 +9,7 @@ package retrieval
 import (
 	"math"
 	"math/bits"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -108,6 +109,9 @@ type Server struct {
 	// query found here is published as a flight or stored in the hot
 	// cache.
 	asked [admitSlots]atomic.Uint64
+	// sessions holds released sessions, empty and with their buffers
+	// grown, for NewSession to hand out again.
+	sessions sync.Pool
 }
 
 // NewServer creates a server over a coefficient source using the given
@@ -602,9 +606,26 @@ type Session struct {
 	scratch Scratch
 }
 
-// NewSession opens a session against the server.
+// NewSession opens a session against the server: one Release returned
+// to it when there is one, else a fresh one. Either is empty, so what a
+// session retrieves does not depend on which it was.
 func NewSession(srv *Server) *Session {
+	if s, ok := srv.sessions.Get().(*Session); ok {
+		return s
+	}
 	return &Session{srv: srv}
+}
+
+// Release ends the session and hands it back to its server for a later
+// NewSession: the delivered set is emptied in place, its touched pages
+// zeroed and kept with its spine, and the scratch (result slabs, search
+// cursor, id buffer, pins) is kept grown. The caller must hold no other
+// reference to the session — a session that may still be resumed is
+// never released. The pool gives up what it holds across garbage
+// collections, so released sessions bound no memory for long.
+func (s *Session) Release() {
+	s.delivered.reset()
+	s.srv.sessions.Put(s)
 }
 
 // Retrieve executes the sub-queries with duplicate filtering. The
@@ -665,7 +686,7 @@ func (s *Session) DeliveredIDs() []int64 { return s.delivered.IDs() }
 // outside the store's [0, NumCoeffs) are dropped: the index can never
 // return them, and a corrupt record must not size the set's spine.
 func RestoreSession(srv *Server, delivered []int64) *Session {
-	s := &Session{srv: srv}
+	s := NewSession(srv)
 	total := srv.store.NumCoeffs()
 	for _, id := range delivered {
 		if id >= 0 && id < total {

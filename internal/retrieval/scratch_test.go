@@ -150,19 +150,46 @@ func TestExecuteRemainsFresh(t *testing.T) {
 func TestSessionRetrieveScratchMatchesRetrieve(t *testing.T) {
 	srv := testShardedServer(t, 8, 17, 4)
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
-	a, b := NewSession(srv), NewSession(srv)
 	rng := rand.New(rand.NewSource(5))
-	for step := 0; step < 100; step++ {
-		subs := randSubs(rng)
-		got := a.RetrieveScratch(subs)
-		want := b.Retrieve(subs)
-		if !respEqual(got, want) {
-			t.Fatalf("step %d: scratch session diverged (%d ids vs %d)", step, len(got.IDs), len(want.IDs))
+	// The second round runs on a released session, which must answer as
+	// a fresh one does.
+	a := NewSession(srv)
+	for round := 0; round < 2; round++ {
+		b := &Session{srv: srv}
+		for step := 0; step < 100; step++ {
+			subs := randSubs(rng)
+			got := a.RetrieveScratch(subs)
+			want := b.Retrieve(subs)
+			if !respEqual(got, want) {
+				t.Fatalf("round %d step %d: scratch session diverged (%d ids vs %d)", round, step, len(got.IDs), len(want.IDs))
+			}
+		}
+		if a.Delivered() != b.Delivered() {
+			t.Fatalf("round %d: delivered sets diverged: %d vs %d", round, a.Delivered(), b.Delivered())
+		}
+		a = releasedSession(t, srv, randSubs(rng))
+		if a.Delivered() != 0 {
+			t.Fatalf("a released session holds %d coefficients", a.Delivered())
 		}
 	}
-	if a.Delivered() != b.Delivered() {
-		t.Fatalf("delivered sets diverged: %d vs %d", a.Delivered(), b.Delivered())
+}
+
+// releasedSession returns a session NewSession handed out again after
+// it served a frame and was released. sync.Pool may keep a Put on
+// another P or drop it (the race detector drops some on purpose), so it
+// tries until one comes back.
+func releasedSession(t *testing.T, srv *Server, subs []SubQuery) *Session {
+	t.Helper()
+	for i := 0; i < 100; i++ {
+		s := NewSession(srv)
+		s.RetrieveScratch(subs)
+		s.Release()
+		if NewSession(srv) == s {
+			return s
+		}
 	}
+	t.Fatal("100 released sessions, NewSession handed none of them out again")
+	return nil
 }
 
 // TestHotRefSemantics pins when a response may carry a payload-cache

@@ -33,6 +33,7 @@ const (
 	// proto.Server: sessions, errors, shedding, resumes, encode-time
 	// withholding.
 	ProtoSessionsOpened Counter = iota
+	ProtoSessionsReused         // connections started on the buffers of one that ended with a goodbye
 	ProtoSessionsActive         // gauge
 	ProtoErrors
 	ProtoShed // connections refused at the session limit
@@ -125,6 +126,7 @@ const (
 
 var counterNames = [numCounters]string{
 	ProtoSessionsOpened:  "proto.sessions_opened",
+	ProtoSessionsReused:  "proto.sessions_reused",
 	ProtoSessionsActive:  "proto.sessions_active",
 	ProtoErrors:          "proto.errors",
 	ProtoShed:            "proto.shed",
