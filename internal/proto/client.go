@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"sync"
 
 	"repro/internal/abr"
 	"repro/internal/geom"
@@ -107,8 +108,9 @@ func NewSceneClient(conn net.Conn, scene string, mapSpeed retrieval.MapSpeedToRe
 		mapSpeed: mapSpeed,
 		recons:   make(map[int32]*wavelet.Reconstructor),
 	}
-	bufs, _ := takeBufs(&clientBufs)
-	c.records = bufs.frame
+	if b, ok := recordBufs.Get().(*[]byte); ok {
+		c.records = *b
+	}
 	if _, err := c.attach(conn, false); err != nil {
 		return nil, err
 	}
@@ -417,6 +419,11 @@ func (c *Client) CoeffCount(object int32) int {
 	return 0
 }
 
+// recordBufs holds the record buffers of closed clients, for the next
+// NewSceneClient to start with one grown. The pool gives up what it
+// holds across garbage collections.
+var recordBufs sync.Pool // of *[]byte
+
 // Close sends a goodbye and closes the connection. A goodbye-write
 // failure is reported alongside the close error: the caller learns the
 // shutdown was not orderly (the server will park the session in its
@@ -426,7 +433,8 @@ func (c *Client) CoeffCount(object int32) int {
 func (c *Client) Close() error {
 	err := errors.Join(c.w.WriteBye(), c.conn.Close())
 	if c.records != nil {
-		(&connBufs{frame: c.records}).release(&clientBufs)
+		b := c.records[:0]
+		recordBufs.Put(&b)
 		c.records = nil
 	}
 	return err

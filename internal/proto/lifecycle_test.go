@@ -296,11 +296,11 @@ func FuzzConnectionLifecycle(f *testing.F) {
 }
 
 // TestOrderlyEndRecyclesConnection: a connection that ends with a
-// goodbye hands its frame buffer and LastIDs array to a later one,
-// which proto.sessions_reused counts, and the later connection's frames
-// are those of a fresh server. sync.Pool keeps a Put on the putting P
-// and drops some Puts under the race detector, so the test runs
-// connections until one reuses.
+// goodbye releases its session to its scene, a later connection's
+// greeting takes it (proto.sessions_reused counts that), and the later
+// connection's frames are those of a fresh server. sync.Pool keeps a
+// Put on the putting P and drops some Puts under the race detector, so
+// the test runs connections until one reuses.
 func TestOrderlyEndRecyclesConnection(t *testing.T) {
 	st := stats.New()
 	srv, addr, alpha, _, shutdown := startMultiSceneServer(t, st)
@@ -309,7 +309,7 @@ func TestOrderlyEndRecyclesConnection(t *testing.T) {
 	var want int
 	for i := 0; st.Snapshot().Get(stats.ProtoSessionsReused) == 0; i++ {
 		if i == 200 {
-			t.Fatal("200 orderly connections, none started on a finished one's buffers")
+			t.Fatal("200 orderly connections, none started on a released session")
 		}
 		c, err := Dial(addr, nil)
 		if err != nil {
@@ -340,7 +340,7 @@ func TestOrderlyEndRecyclesConnection(t *testing.T) {
 // resilient client reconnects after Close and reads correct frames into
 // a buffer of its own.
 func TestClientUsableAfterClose(t *testing.T) {
-	addr, d, shutdown := startTestServer(t)
+	srv, addr, d, _, shutdown := startMultiSceneServer(t, stats.New())
 	defer shutdown()
 	whole := d.Store.Bounds().XY()
 
@@ -405,6 +405,9 @@ func TestClientUsableAfterClose(t *testing.T) {
 	if err := rc.Close(); err != nil {
 		t.Fatal(err)
 	}
+	// A resume that reaches the server before it has read the goodbye
+	// takes the old connection over, which parks the session instead.
+	waitNoConns(t, srv)
 	if _, err := rc.Frame(whole, 0); err != nil {
 		t.Fatal(err)
 	}

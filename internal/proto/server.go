@@ -280,51 +280,24 @@ func (s *Server) SeverScene(scene string) int {
 	return n
 }
 
-// connBufs are the buffers a connection grows past its reader and
-// writer: the frame buffer (the server assembles each response in it,
-// the client reads each response's records into it) and the server's
-// LastIDs array. A connection that ends with a goodbye puts them in its
-// side's pool, and the next connection on that side starts with them
-// grown. A pool gives up what it holds across garbage collections,
+// serverBufs holds the frame buffers and LastIDs arrays of connections
+// that ended with a goodbye, for the next connection to start with them
+// grown. The pool gives up what it holds across garbage collections,
 // which bounds what finished connections keep.
+var serverBufs sync.Pool // of *connBufs
+
 type connBufs struct {
 	frame []byte
 	ids   []int64
 }
 
-// serverBufs and clientBufs are the two sides' pools, apart so that a
-// process running both (a test, a benchmark) hands each side buffers
-// grown to its own use.
-var serverBufs, clientBufs sync.Pool
-
-// takeBufs returns buffers from pool: a finished connection's when the
-// pool has them (reused reports that), else empty ones.
-func takeBufs(pool *sync.Pool) (b *connBufs, reused bool) {
-	if b, reused = pool.Get().(*connBufs); !reused {
-		b = new(connBufs)
-	}
-	return b, reused
-}
-
-// release puts b in pool for the next connection. Nothing may use b
-// afterwards.
-func (b *connBufs) release(pool *sync.Pool) {
-	b.frame, b.ids = b.frame[:0], b.ids[:0]
-	pool.Put(b)
-}
-
 // serverConn is one connection's serving state, owned by its handler
 // goroutine. Its methods are the per-frame steps handle dispatches to.
 type serverConn struct {
-	s  *Server
-	nc net.Conn
-	r  *Reader
-	w  *Writer
-	// connBufs are the connection's frame buffer (each response frame —
-	// header, records, trailer — is assembled in it and written from it
-	// in one Write) and LastIDs array: taken from a connection that
-	// ended with a goodbye, and handed on when this one does.
-	*connBufs
+	s     *Server
+	nc    net.Conn
+	r     *Reader
+	w     *Writer
 	scene *engine.Scene
 	token uint64
 	// sess is the session lineage served. A resume swaps in a parked
@@ -340,6 +313,12 @@ type serverConn struct {
 	// frame's bucket, keeping the entry and its shared payload exempt
 	// from LRU eviction while anyone watches it.
 	hotSub *hotcache.Sub
+	// frame is the buffer each response frame is assembled in — header,
+	// records, trailer — and written from in one Write; reused every
+	// frame. ids is the array bind gives a new session's LastIDs. Both
+	// may come from serverBufs, and an orderly end hands them on.
+	frame []byte
+	ids   []int64
 }
 
 // handle serves one accepted connection: the accept bookkeeping, the
@@ -358,11 +337,10 @@ func (s *Server) handle(nc net.Conn, ci *connInfo) {
 	s.st.Add(stats.ProtoSessionsActive, 1)
 	defer s.st.Add(stats.ProtoSessionsActive, -1)
 
-	bufs, reused := takeBufs(&serverBufs)
-	if reused {
-		s.st.Add(stats.ProtoSessionsReused, 1)
+	c := &serverConn{s: s, nc: nc, r: NewReader(nc), w: NewWriter(nc)}
+	if b, ok := serverBufs.Get().(*connBufs); ok {
+		c.frame, c.ids = b.frame, b.ids
 	}
-	c := &serverConn{s: s, nc: nc, r: NewReader(nc), w: NewWriter(nc), connBufs: bufs}
 	scene := s.reg.Default()
 	if scene == nil {
 		// Neither counted nor logged: a gateway probes an empty drain
@@ -452,9 +430,8 @@ func (c *serverConn) end(orderly bool) {
 		c.hotSub.Close()
 	}
 	if orderly {
-		c.ids = c.sess.LastIDs
 		c.sess.Session.Release()
-		c.connBufs.release(&serverBufs)
+		serverBufs.Put(&connBufs{frame: c.frame[:0], ids: c.sess.LastIDs[:0]})
 	}
 }
 
@@ -490,6 +467,9 @@ func (c *serverConn) bind(scene *engine.Scene) bool {
 	}
 	c.scene = scene
 	c.sess = &engine.ResumeEntry{Session: retrieval.NewSession(scene.Server), LastIDs: c.ids[:0]}
+	if c.sess.Session.Reused() {
+		c.s.st.Add(stats.ProtoSessionsReused, 1)
+	}
 	if c.hotSub != nil {
 		// A subscription is bound to one scene's cache.
 		c.hotSub.Close()

@@ -604,6 +604,8 @@ type Session struct {
 	// result buffers reused across frames. Single ownership comes free
 	// with the session's one-request-at-a-time contract.
 	scratch Scratch
+	// reused: NewSession took the session from srv.sessions.
+	reused bool
 }
 
 // NewSession opens a session against the server: one Release returned
@@ -611,6 +613,7 @@ type Session struct {
 // session retrieves does not depend on which it was.
 func NewSession(srv *Server) *Session {
 	if s, ok := srv.sessions.Get().(*Session); ok {
+		s.reused = true
 		return s
 	}
 	return &Session{srv: srv}
@@ -627,6 +630,10 @@ func (s *Session) Release() {
 	s.delivered.reset()
 	s.srv.sessions.Put(s)
 }
+
+// Reused reports whether NewSession took the session from its server's
+// released ones rather than making it.
+func (s *Session) Reused() bool { return s.reused }
 
 // Retrieve executes the sub-queries with duplicate filtering. The
 // response is freshly allocated and safe to retain.

@@ -33,7 +33,7 @@ const (
 	// proto.Server: sessions, errors, shedding, resumes, encode-time
 	// withholding.
 	ProtoSessionsOpened Counter = iota
-	ProtoSessionsReused         // connections started on the buffers of one that ended with a goodbye
+	ProtoSessionsReused         // sessions a greeting or scene select took from its scene's released ones
 	ProtoSessionsActive         // gauge
 	ProtoErrors
 	ProtoShed // connections refused at the session limit
