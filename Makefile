@@ -39,10 +39,9 @@ test-purego:
 	$(GO) test -count=1 -tags purego ./internal/rtree/ ./internal/index/ ./internal/retrieval/
 
 # The race gate: the full suite under the race detector, including the
-# multi-client soak (internal/proto), the sharded-index equivalence and
-# reader-vs-writer churn tests (internal/index — Sharded is the one
-# mutable serving index), and the snapshot hand-over between concurrent
-# readers (internal/rtree).
+# multi-client soak (internal/proto), many concurrent readers of one
+# sharded index (internal/index — a served index holds no lock), and
+# readers racing an insert-built R*-tree's first freeze (internal/rtree).
 race:
 	$(GO) test -race ./...
 

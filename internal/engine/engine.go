@@ -212,11 +212,9 @@ func (r *Registry) EnableHotCache(cfg hotcache.Config, st *stats.Stats) {
 			v[stats.HotHits] += hs.Hits
 			v[stats.HotMisses] += hs.Misses
 			v[stats.HotEvictions] += hs.Evictions
-			v[stats.HotInvalidations] += hs.Invalidations
 			v[stats.HotEntries] += int64(hs.Entries)
 			v[stats.HotBytes] += hs.Bytes
 			v[stats.HotSubscribers] += hs.Subscribers
-			v[stats.HotSubRefreshes] += hs.SubRefreshes
 			v[stats.HotPayloadHits] += hs.PayloadHits
 		})
 	})
@@ -239,7 +237,6 @@ func (r *Registry) EnableCoalescer(cfg retrieval.CoalescerConfig, st *stats.Stat
 			v[stats.CoalescerLed] += cs.Led
 			v[stats.CoalescerShared] += cs.Shared
 			v[stats.CoalescerBypassCollision] += cs.BypassCollision
-			v[stats.CoalescerBypassStale] += cs.BypassStale
 			v[stats.CoalescerFlights] += int64(cs.Flights)
 		})
 	})

@@ -25,8 +25,7 @@ const crowdScene = "plaza"
 // the coalescer and the hot-region subscription layer enabled, one
 // serving every session independently — and every frame of every client
 // must come back identical, coefficient for coefficient and I/O count
-// for I/O count, across a forced mid-soak index mutation. The zero
-// value gets quick-scale defaults sized for CI.
+// for I/O count. The zero value gets quick-scale defaults sized for CI.
 type CrowdRunSpec struct {
 	Seed       int64
 	Objects    int     // dataset size (default 48)
@@ -59,18 +58,11 @@ func (s CrowdRunSpec) fill() CrowdRunSpec {
 	return s
 }
 
-// crowdFrame is one lockstep step of one client. A reset frame
-// forgets the previous window first, so the client asks for its whole
-// view again (Algorithm 1 sends nothing for a view that did not move).
+// crowdFrame is one lockstep step of one client.
 type crowdFrame struct {
 	q     geom.Rect2
 	speed float64
-	reset bool
 }
-
-// crowdHolders is the size of the flock that holds still at the
-// space's centre when the crowd flocks.
-const crowdHolders = 2
 
 // crowdSession drives one raw wire session through the lockstep soak:
 // it blocks on the shared per-step barrier, issues its frame, records
@@ -103,9 +95,6 @@ func crowdSession(addr string, frames []crowdFrame, starts []chan struct{}, step
 	out := make([]proto.Response, len(frames))
 	for i, f := range frames {
 		<-starts[i]
-		if f.reset {
-			planner.Reset()
-		}
 		subs := planner.PlanFrame(f.q, f.speed)
 		if err := w.WriteRequest(proto.Request{Subs: subs}); err != nil {
 			return nil, err
@@ -133,11 +122,10 @@ func crowdSession(addr string, frames []crowdFrame, starts []chan struct{}, step
 }
 
 // lockstep replays every client's frames against addr, one raw session
-// per client, releasing all clients together one step at a time; bump
-// runs before step bumpAt, while no frame is in flight. Between barriers
-// the index is read-only, so the concurrent replay is as deterministic
-// as a serial one.
-func lockstep(addr string, frames [][]crowdFrame, bumpAt int, bump func()) ([][]proto.Response, error) {
+// per client, releasing all clients together one step at a time. The
+// index is read-only, so the concurrent replay is as deterministic as a
+// serial one.
+func lockstep(addr string, frames [][]crowdFrame) ([][]proto.Response, error) {
 	steps := len(frames[0])
 	starts := make([]chan struct{}, steps)
 	done := make([]sync.WaitGroup, steps)
@@ -156,9 +144,6 @@ func lockstep(addr string, frames [][]crowdFrame, bumpAt int, bump func()) ([][]
 		}(i)
 	}
 	for s := 0; s < steps; s++ {
-		if s == bumpAt {
-			bump()
-		}
 		close(starts[s])
 		done[s].Wait()
 	}
@@ -174,30 +159,24 @@ func lockstep(addr string, frames [][]crowdFrame, bumpAt int, bump func()) ([][]
 // RunCrowd runs the crowd-serving acceptance soak and prints a summary.
 // The acceptance claims, each enforced as an error:
 //
-//   - coalesced serving is invisible: every frame of every client —
-//     including frames after a forced mid-soak index mutation — matches
-//     the independent server's frame exactly, every coefficient record
-//     and the reported index I/O included;
+//   - coalesced serving is invisible: every frame of every client
+//     matches the independent server's frame exactly, every coefficient
+//     record and the reported index I/O included;
 //   - at positive overlap, sharing cut index work: sub-queries were
-//     routed through the coalescer (Routed > 0), coalesced serving spent
-//     fewer index passes (first touches + led + bypasses) than
-//     independent serving, and at least one hot-region refresh fanned
-//     out through the subscription layer. Shared is printed, not gated:
+//     routed through the coalescer (Routed > 0) and coalesced serving
+//     spent fewer index passes (first touches + led + bypasses) than
+//     independent serving. Shared is printed, not gated:
 //     second-touch admission usually sends a flock's second ask to the
 //     hot cache before it can join the first ask's flight;
 //   - the multicast path engaged at positive overlap: cached serialized
 //     payloads were replayed instead of re-encoded (PayloadHits > 0);
 //   - the counters reconcile exactly: Routed == Led + Shared +
-//     BypassCollision + BypassStale, and every sub-query was a hot hit,
-//     a first touch or routed;
+//     BypassCollision, and every sub-query was a hot hit, a first touch
+//     or routed;
 //   - subscriptions drain: after the last session closes, the
 //     subscriber gauge returns to zero.
 func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 	spec = spec.fill()
-	bumpAt := spec.Steps / 2
-	if bumpAt < 1 || spec.Steps < 4 {
-		return fmt.Errorf("experiment: %d steps too short for a mid-soak epoch bump", spec.Steps)
-	}
 
 	stCo, stInd := stats.New(), stats.New()
 	boot := func(st *stats.Stats) (*cluster.Backend, *engine.Scene, error) {
@@ -219,7 +198,7 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 	// within the step.
 	bCo.Registry().EnableHotCache(hotcache.Config{}, stCo)
 	bCo.Registry().EnableCoalescer(retrieval.CoalescerConfig{Window: 50 * time.Millisecond}, stCo)
-	bInd, scInd, err := boot(stInd)
+	bInd, _, err := boot(stInd)
 	if err != nil {
 		return err
 	}
@@ -247,42 +226,16 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 			frames[i][s] = crowdFrame{q: geom.RectAround(pos, side), speed: tour.SpeedAt(s)}
 		}
 	}
-	// A flocking crowd also gets a flock that holds still and re-asks
-	// its view every frame. From the first step one of its members is
-	// subscribed to the view's hot-region bucket, and the first re-ask
-	// after the epoch bump recomputes that bucket: one subscription
-	// refresh is owed. The moving flocks owe none — the buckets they
-	// watch lie behind them once the epoch moves.
-	if spec.Overlap > 0 {
-		hold := make([]crowdFrame, spec.Steps)
-		for s := range hold {
-			hold[s] = crowdFrame{q: geom.RectAround(space.Center(), side), speed: 0.5, reset: true}
-		}
-		for range crowdHolders {
-			frames = append(frames, hold)
-		}
-	}
-	clients := len(frames)
-
-	// The forced mutation: delete and reinsert one coefficient. Content
-	// is unchanged but the R*-tree may reshape and the epoch advances, so
-	// it must be applied to BOTH indexes at the SAME step boundary — the
-	// identical op sequence keeps the two trees (and their I/O counts)
-	// identical, while cached entries and in-flight coalescing on the
-	// coalesced side are forced through the stale-epoch path.
-	bump := func(sc *engine.Scene) func() {
-		return func() { sc.Index.Delete(0); sc.Index.Insert(0) }
-	}
 
 	start := time.Now()
 	// Independent baseline first, then the coalesced run under the same
 	// barriers, where every client of a step fires concurrently — which
 	// is what gives the coalescer followers.
-	indResp, err := lockstep(bInd.Addr(), frames, bumpAt, bump(scInd))
+	indResp, err := lockstep(bInd.Addr(), frames)
 	if err != nil {
 		return fmt.Errorf("independent %w", err)
 	}
-	coResp, err := lockstep(bCo.Addr(), frames, bumpAt, bump(scCo))
+	coResp, err := lockstep(bCo.Addr(), frames)
 	if err != nil {
 		return fmt.Errorf("coalesced %w", err)
 	}
@@ -290,7 +243,7 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 
 	// Byte-identity: every client, every frame, every record.
 	diverged := 0
-	for i := 0; i < clients; i++ {
+	for i := 0; i < spec.Clients; i++ {
 		for s := 0; s < spec.Steps; s++ {
 			a, b := coResp[i][s], indResp[i][s]
 			if len(a.Coeffs) != len(b.Coeffs) || a.IO != b.IO || a.Dropped != b.Dropped {
@@ -318,29 +271,29 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 	co, ind := stCo.Snapshot(), stInd.Snapshot()
 	firstTouches, subQueries, indSubQueries := co.Get(stats.RetrievalFirstTouches), co.Get(stats.RetrievalSubQueries), ind.Get(stats.RetrievalSubQueries)
 	routed, led, shared := co.Get(stats.CoalescerRouted), co.Get(stats.CoalescerLed), co.Get(stats.CoalescerShared)
-	collision, stale := co.Get(stats.CoalescerBypassCollision), co.Get(stats.CoalescerBypassStale)
-	passes := firstTouches + led + collision + stale
-	fmt.Fprintf(w, "crowd: %s + %d holding still, %d objects per scene, mid-soak epoch bump at step %d\n",
+	collision := co.Get(stats.CoalescerBypassCollision)
+	passes := firstTouches + led + collision
+	fmt.Fprintf(w, "crowd: %s, %d objects per scene\n",
 		workload.CrowdSpec{Clients: spec.Clients, Steps: spec.Steps, Attractors: spec.Attractors, Overlap: spec.Overlap, Seed: spec.Seed},
-		clients-spec.Clients, spec.Objects, bumpAt)
-	fmt.Fprintf(w, "  coalescer: %d first touches · %d routed = %d led + %d shared + %d collision + %d stale -> %d index passes (independent: %d)\n",
-		firstTouches, routed, led, shared, collision, stale, passes, indSubQueries)
-	fmt.Fprintf(w, "  hot regions: %d hits · %d sub refreshes · %d payload replays · %v elapsed\n",
-		co.Get(stats.HotHits), co.Get(stats.HotSubRefreshes), co.Get(stats.HotPayloadHits), elapsed.Round(time.Millisecond))
+		spec.Objects)
+	fmt.Fprintf(w, "  coalescer: %d first touches · %d routed = %d led + %d shared + %d collision -> %d index passes (independent: %d)\n",
+		firstTouches, routed, led, shared, collision, passes, indSubQueries)
+	fmt.Fprintf(w, "  hot regions: %d hits · %d payload replays · %v elapsed\n",
+		co.Get(stats.HotHits), co.Get(stats.HotPayloadHits), elapsed.Round(time.Millisecond))
 
 	if diverged > 0 {
 		return fmt.Errorf("experiment: %d of %d frames diverged from the independent server",
-			diverged, clients*spec.Steps)
+			diverged, spec.Clients*spec.Steps)
 	}
-	fmt.Fprintf(w, "  identity OK: all %d frames byte-identical to independent serving, across the epoch bump\n",
-		clients*spec.Steps)
+	fmt.Fprintf(w, "  identity OK: all %d frames byte-identical to independent serving\n",
+		spec.Clients*spec.Steps)
 
-	wantReq := int64(clients * spec.Steps)
+	wantReq := int64(spec.Clients * spec.Steps)
 	if co.Get(stats.RetrievalRequests) != wantReq || ind.Get(stats.RetrievalRequests) != wantReq {
 		return fmt.Errorf("experiment: requests %d coalesced / %d independent, want %d each",
 			co.Get(stats.RetrievalRequests), ind.Get(stats.RetrievalRequests), wantReq)
 	}
-	if got := led + shared + collision + stale; got != routed {
+	if got := led + shared + collision; got != routed {
 		return fmt.Errorf("experiment: coalescer counters do not reconcile: %d routed vs %d accounted",
 			routed, got)
 	}
@@ -369,9 +322,6 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 		if passes >= indSubQueries {
 			return fmt.Errorf("experiment: coalesced serving spent %d index passes, independent %d — nothing shared",
 				passes, indSubQueries)
-		}
-		if co.Get(stats.HotSubRefreshes) == 0 {
-			return fmt.Errorf("experiment: no hot-region refresh fanned out through a subscription")
 		}
 		if co.Get(stats.HotPayloadHits) == 0 {
 			return fmt.Errorf("experiment: the multicast payload path never replayed a cached payload")

@@ -6,9 +6,8 @@ import (
 )
 
 // TestRunCrowd is the crowd-serving acceptance gate: coalesced and
-// subscribed serving must be byte-identical to independent serving
-// across a forced mid-soak epoch bump, with every sharing counter
-// reconciling exactly. Run it under -race — the coalescer's followers
+// subscribed serving must be byte-identical to independent serving,
+// with every sharing counter reconciling exactly. Run it under -race — the coalescer's followers
 // and the subscription layer only engage under real concurrency.
 func TestRunCrowd(t *testing.T) {
 	if err := RunCrowd(CrowdRunSpec{Seed: 7}, os.Stderr); err != nil {

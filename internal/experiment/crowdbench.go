@@ -57,7 +57,7 @@ type CrowdBenchPoint struct {
 	// sides, and exactly the independent server's index passes.
 	SubQueries int64 `json:"sub_queries"`
 	// CoalescedPasses is what the coalesced server actually spent:
-	// first touches, led flights, and collision and stale bypasses.
+	// first touches, led flights and collision bypasses.
 	CoalescedPasses int64 `json:"coalesced_passes"`
 	Shared          int64 `json:"shared"`
 	// PassReduction = SubQueries / CoalescedPasses.
@@ -146,14 +146,14 @@ func RunCrowdBench(spec CrowdBenchSpec, jsonPath string, w io.Writer) (*CrowdBen
 				return nil, fmt.Errorf("experiment: %d first touches + %d routed of %d sub-queries — the coalescer was bypassed",
 					touches, cs.Routed, subq)
 			}
-			if got := cs.Led + cs.Shared + cs.BypassCollision + cs.BypassStale; got != cs.Routed {
+			if got := cs.Led + cs.Shared + cs.BypassCollision; got != cs.Routed {
 				return nil, fmt.Errorf("experiment: coalescer counters do not reconcile: %d routed vs %d accounted", cs.Routed, got)
 			}
 			point := CrowdBenchPoint{
 				Clients:         clients,
 				Overlap:         overlap,
 				SubQueries:      subq,
-				CoalescedPasses: touches + cs.Led + cs.BypassCollision + cs.BypassStale,
+				CoalescedPasses: touches + cs.Led + cs.BypassCollision,
 				Shared:          cs.Shared,
 				IndependentMS:   float64(indMS.Microseconds()) / 1000,
 				CoalescedMS:     float64(coMS.Microseconds()) / 1000,

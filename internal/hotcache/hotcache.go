@@ -5,23 +5,16 @@
 // answers have not changed. The cache short-circuits those: a query's
 // result (the ascending id set, the node I/O it cost, and optionally the
 // serialized response payload) is stored under a quantized region key
-// and replayed verbatim while the index contents are unchanged.
+// and replayed verbatim. A served scene never changes after its build
+// (new data arrives as a new scene, with a cache of its own), so a
+// stored result stays right for as long as the entry lives.
 //
-// Correctness rests on two checks, both cheap:
-//
-//   - Exact-query verification. BucketOf buckets queries by quantized
-//     region coordinates and value band, but the entry stores the exact
-//     query floats; a Get whose query differs in any coordinate is a
-//     miss, never a wrong answer. Bucketing only bounds the table size.
-//
-//   - Epoch validation. The index versions its contents seqlock-style
-//     (see index.IntoSearcher): even when quiescent, odd while a mutation is
-//     in flight. The caller stores a result under the stamp it proved
-//     stable (the same even epoch before and after the search), and a Get
-//     is a hit only while the index still reports exactly that epoch. Any
-//     completed mutation moves the counter past the stamp, so stale
-//     results are unreachable — replayed responses are byte-identical
-//     to what an uncached search would return.
+// Correctness rests on exact-query verification: BucketOf buckets
+// queries by quantized region coordinates and value band, but the entry
+// stores the exact query floats; a Get whose query differs in any
+// coordinate is a miss, never a wrong answer. Bucketing only bounds the
+// table size. Replayed responses are therefore byte-identical to what an
+// uncached search would return.
 //
 // Page residency is the pager's business alone: an entry holds ids, not
 // pages, so a region whose page turns unreadable after it was stored is
@@ -107,7 +100,6 @@ func quantize(v, cell float64) int64 {
 type entry struct {
 	k       Bucket
 	q       index.Query
-	epoch   uint64
 	ids     []int64
 	io      int64
 	payload []byte
@@ -129,17 +121,15 @@ type Cache struct {
 	// subs counts live subscriptions per bucket (see Subscribe). A
 	// subscribed bucket's entry is exempt from LRU eviction — the
 	// multicast contract is that a hot region's payload stays resident
-	// while anyone is watching it — though replacement and epoch
-	// invalidation still remove it (a fresh recomputation follows).
+	// while anyone is watching it — though a Put of another query in the
+	// bucket still replaces it.
 	subs map[Bucket]int
 
-	hits          atomic.Int64
-	misses        atomic.Int64
-	evictions     atomic.Int64
-	invalidations atomic.Int64
-	subscribers   atomic.Int64
-	subRefreshes  atomic.Int64
-	payloadHits   atomic.Int64
+	hits        atomic.Int64
+	misses      atomic.Int64
+	evictions   atomic.Int64
+	subscribers atomic.Int64
+	payloadHits atomic.Int64
 }
 
 // New builds an empty cache with the given bounds.
@@ -151,30 +141,11 @@ func New(cfg Config) *Cache {
 // Get looks the query up. On a hit it appends the cached ids to buf and
 // returns the extended buffer, the node I/O the populating search cost
 // (responses must replay it to stay byte-identical to an uncached
-// serve), and true. epoch is the index's current epoch as observed by
-// the caller; odd epochs (mutation in flight) and entries stamped at
-// any other epoch miss. Only an entry older than the caller's epoch is
-// stale and removed: a caller that read its epoch just before a
-// mutation finished must not evict what another session has since
-// stored at the newer one.
-func (c *Cache) Get(q index.Query, epoch uint64, buf []int64) ([]int64, int64, bool) {
-	if epoch%2 != 0 {
-		c.misses.Add(1)
-		return buf, 0, false
-	}
-	k := BucketOf(q)
+// serve), and true.
+func (c *Cache) Get(q index.Query, buf []int64) ([]int64, int64, bool) {
 	c.mu.Lock()
-	e := c.m[k]
-	if e == nil || e.q != q {
-		c.mu.Unlock()
-		c.misses.Add(1)
-		return buf, 0, false
-	}
-	if e.epoch != epoch {
-		if e.epoch < epoch {
-			c.removeLocked(e)
-			c.invalidations.Add(1)
-		}
+	e := c.lookupLocked(q)
+	if e == nil {
 		c.mu.Unlock()
 		c.misses.Add(1)
 		return buf, 0, false
@@ -186,15 +157,21 @@ func (c *Cache) Get(q index.Query, epoch uint64, buf []int64) ([]int64, int64, b
 	return append(buf, ids...), io, true
 }
 
-// Put stores a search result under epoch, the stamp at which the caller
-// proved it stable (the index reported that same even epoch before and
-// after the search ran). ids is copied; the caller keeps ownership of
-// its buffer.
-func (c *Cache) Put(q index.Query, epoch uint64, ids []int64, io int64) {
+// lookupLocked returns the entry holding exactly q, or nil. The caller
+// holds c.mu.
+func (c *Cache) lookupLocked(q index.Query) *entry {
+	if e := c.m[BucketOf(q)]; e != nil && e.q == q {
+		return e
+	}
+	return nil
+}
+
+// Put stores a search result. ids is copied; the caller keeps ownership
+// of its buffer.
+func (c *Cache) Put(q index.Query, ids []int64, io int64) {
 	e := &entry{
 		k:     BucketOf(q),
 		q:     q,
-		epoch: epoch,
 		io:    io,
 		bytes: entryOverhead + int64(len(ids))*8,
 	}
@@ -203,36 +180,26 @@ func (c *Cache) Put(q index.Query, epoch uint64, ids []int64, io int64) {
 	}
 	c.mu.Lock()
 	if old := c.m[e.k]; old != nil {
-		// Last one wins — a bucket collision or an epoch refresh replaces
-		// the incumbent and counts as an eviction.
+		// Last one wins — a bucket collision replaces the incumbent and
+		// counts as an eviction.
 		c.removeLocked(old)
 		c.evictions.Add(1)
 	}
 	c.m[e.k] = e
 	c.pushLocked(e)
 	c.bytes += e.bytes
-	if c.subs[e.k] > 0 {
-		// A store into a watched bucket is one multicast refresh: however
-		// many sessions subscribe to this region, the recomputation that
-		// repopulates it after an epoch bump happens once.
-		c.subRefreshes.Add(1)
-	}
 	c.evictOverflowLocked()
 	c.mu.Unlock()
 }
 
 // Payload returns the serialized response blob attached to the query's
-// entry, if the entry is still valid at the given epoch and a blob was
-// attached. The returned slice is immutable — callers write it out
-// verbatim and must not modify it.
-func (c *Cache) Payload(q index.Query, epoch uint64) ([]byte, bool) {
-	if epoch%2 != 0 {
-		return nil, false
-	}
-	k := BucketOf(q)
+// entry, if there is one. The returned slice is immutable — callers
+// write it out verbatim and must not modify it. The second argument is
+// ignored; it is kept only for bench/, whose next change drops it.
+func (c *Cache) Payload(q index.Query, _ uint64) ([]byte, bool) {
 	c.mu.Lock()
-	e := c.m[k]
-	if e == nil || e.q != q || e.epoch != epoch || e.payload == nil {
+	e := c.lookupLocked(q)
+	if e == nil || e.payload == nil {
 		c.mu.Unlock()
 		return nil, false
 	}
@@ -245,15 +212,12 @@ func (c *Cache) Payload(q index.Query, epoch uint64) ([]byte, bool) {
 
 // SetPayload attaches a serialized response blob to the query's entry so
 // later hits can skip response encoding entirely. The blob is copied.
-// No-op if the entry is gone or stale, or already has a payload.
-func (c *Cache) SetPayload(q index.Query, epoch uint64, payload []byte) {
-	if epoch%2 != 0 {
-		return
-	}
-	k := BucketOf(q)
+// No-op if the entry is gone or already has a payload. The second
+// argument is ignored, as Payload's is.
+func (c *Cache) SetPayload(q index.Query, _ uint64, payload []byte) {
 	c.mu.Lock()
-	e := c.m[k]
-	if e == nil || e.q != q || e.epoch != epoch || e.payload != nil {
+	e := c.lookupLocked(q)
+	if e == nil || e.payload != nil {
 		c.mu.Unlock()
 		return
 	}
@@ -269,8 +233,7 @@ func (c *Cache) SetPayload(q index.Query, epoch uint64, payload []byte) {
 // bucket at a time (a viewer watches one neighbourhood); Set moves it
 // as the viewer moves. While any Sub covers a bucket, that bucket's
 // cache entry is exempt from LRU eviction, so the shared serialized
-// payload stays resident for every subscriber and an epoch bump costs
-// one recomputation total (see Cache.Put's refresh accounting).
+// payload stays resident for every subscriber.
 //
 // A Sub is owned by one session goroutine: Set and Close must not race
 // each other, but they are safe against concurrent cache operations.
@@ -340,18 +303,14 @@ func (c *Cache) unsubscribeLocked(k Bucket) {
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	Hits          int64
-	Misses        int64
-	Evictions     int64
-	Invalidations int64
-	Entries       int
-	Bytes         int64
+	Hits      int64
+	Misses    int64
+	Evictions int64
+	Entries   int
+	Bytes     int64
 	// Subscribers is the current number of open subscriptions with a
 	// registered bucket (a gauge; see Subscribe).
 	Subscribers int64
-	// SubRefreshes counts stores into subscribed buckets — one per
-	// multicast recomputation, however many sessions share the result.
-	SubRefreshes int64
 	// PayloadHits counts responses served from a cached serialized
 	// payload (Payload returning true) — the encode passes skipped.
 	PayloadHits int64
@@ -363,15 +322,13 @@ func (c *Cache) Stats() Stats {
 	entries, bytes := len(c.m), c.bytes
 	c.mu.Unlock()
 	return Stats{
-		Hits:          c.hits.Load(),
-		Misses:        c.misses.Load(),
-		Evictions:     c.evictions.Load(),
-		Invalidations: c.invalidations.Load(),
-		Entries:       entries,
-		Bytes:         bytes,
-		Subscribers:   c.subscribers.Load(),
-		SubRefreshes:  c.subRefreshes.Load(),
-		PayloadHits:   c.payloadHits.Load(),
+		Hits:        c.hits.Load(),
+		Misses:      c.misses.Load(),
+		Evictions:   c.evictions.Load(),
+		Entries:     entries,
+		Bytes:       bytes,
+		Subscribers: c.subscribers.Load(),
+		PayloadHits: c.payloadHits.Load(),
 	}
 }
 

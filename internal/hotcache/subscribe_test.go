@@ -1,7 +1,6 @@
 package hotcache
 
 import (
-	"slices"
 	"sync"
 	"testing"
 )
@@ -14,19 +13,19 @@ func TestSubscribeProtectsFromEviction(t *testing.T) {
 	qa, qb, qc := q(0, 0, 0.5, 0.5, 1), q(100, 100, 100.5, 100.5, 1), q(200, 200, 200.5, 200.5, 1)
 	sub := c.Subscribe()
 	sub.Set(qa)
-	c.Put(qa, 0, []int64{1}, 1)
-	c.Put(qb, 0, []int64{2}, 1)
-	c.Put(qc, 0, []int64{3}, 1) // over MaxEntries: must evict b, not the subscribed a
-	if _, _, ok := c.Get(qa, 0, nil); !ok {
+	c.Put(qa, []int64{1}, 1)
+	c.Put(qb, []int64{2}, 1)
+	c.Put(qc, []int64{3}, 1) // over MaxEntries: must evict b, not the subscribed a
+	if _, _, ok := c.Get(qa, nil); !ok {
 		t.Fatal("subscribed entry evicted under LRU pressure")
 	}
-	if _, _, ok := c.Get(qb, 0, nil); ok {
+	if _, _, ok := c.Get(qb, nil); ok {
 		t.Fatal("unsubscribed entry survived while over the bound")
 	}
 	sub.Close()
 	// With the watcher gone, the next overflow pass may evict a again.
 	qd := q(300, 300, 300.5, 300.5, 1)
-	c.Put(qd, 0, []int64{4}, 1)
+	c.Put(qd, []int64{4}, 1)
 	if st := c.Stats(); st.Entries > 2 {
 		t.Fatalf("cache stayed over bound after last unsubscribe: %+v", st)
 	}
@@ -44,10 +43,10 @@ func TestSubscribeRefCounts(t *testing.T) {
 	if got := c.Stats().Subscribers; got != 2 {
 		t.Fatalf("subscribers = %d, want 2", got)
 	}
-	c.Put(qa, 0, []int64{1}, 1)
+	c.Put(qa, []int64{1}, 1)
 	s1.Close()
-	c.Put(qb, 0, []int64{2}, 1) // over bound; a still has one watcher
-	if _, _, ok := c.Get(qa, 0, nil); !ok {
+	c.Put(qb, []int64{2}, 1) // over bound; a still has one watcher
+	if _, _, ok := c.Get(qa, nil); !ok {
 		t.Fatal("entry lost protection while a subscriber remained")
 	}
 	s2.Close()
@@ -55,7 +54,7 @@ func TestSubscribeRefCounts(t *testing.T) {
 		t.Fatalf("subscribers = %d after all closed, want 0", got)
 	}
 	s2.Close() // idempotent
-	c.Put(qb, 0, []int64{2}, 1)
+	c.Put(qb, []int64{2}, 1)
 	if st := c.Stats(); st.Entries != 1 {
 		t.Fatalf("unprotected cache not evicted back to bound: %+v", st)
 	}
@@ -74,45 +73,14 @@ func TestSubscribeFollowsViewer(t *testing.T) {
 		t.Fatalf("subscribers = %d, want 1", got)
 	}
 	sub.Set(qb)
-	c.Put(qa, 0, []int64{1}, 1)
-	c.Put(qb, 0, []int64{2}, 1)
+	c.Put(qa, []int64{1}, 1)
+	c.Put(qb, []int64{2}, 1)
 	// qb is watched; qa is not — the overflow pass must evict qa.
-	if _, _, ok := c.Get(qb, 0, nil); !ok {
+	if _, _, ok := c.Get(qb, nil); !ok {
 		t.Fatal("current bucket lost protection after the move")
 	}
-	if _, _, ok := c.Get(qa, 0, nil); ok {
+	if _, _, ok := c.Get(qa, nil); ok {
 		t.Fatal("abandoned bucket kept protection after the move")
-	}
-	sub.Close()
-}
-
-// TestSubscribedInvalidationStillRemoves pins the epoch rule: a
-// subscription protects against *eviction*, never against staleness —
-// an epoch bump removes the entry so one recomputation (counted as a
-// SubRefresh) can repopulate it for every watcher.
-func TestSubscribedInvalidationStillRemoves(t *testing.T) {
-	c := New(Config{})
-	qa := q(0, 0, 0.5, 0.5, 1)
-	sub := c.Subscribe()
-	sub.Set(qa)
-	c.Put(qa, 4, []int64{1, 2}, 3)
-	if got := c.Stats().SubRefreshes; got != 1 {
-		t.Fatalf("SubRefreshes = %d after populate, want 1", got)
-	}
-	if _, _, ok := c.Get(qa, 6, nil); ok {
-		t.Fatal("stale subscribed entry still hit")
-	}
-	if st := c.Stats(); st.Invalidations != 1 || st.Entries != 0 {
-		t.Fatalf("subscribed entry not invalidated: %+v", st)
-	}
-	// The one refresh that repopulates serves every subscriber.
-	c.Put(qa, 6, []int64{1, 2}, 3)
-	if got := c.Stats().SubRefreshes; got != 2 {
-		t.Fatalf("SubRefreshes = %d after refresh, want 2", got)
-	}
-	buf, _, ok := c.Get(qa, 6, nil)
-	if !ok || !slices.Equal(buf, []int64{1, 2}) {
-		t.Fatalf("refreshed entry Get = %v %v", buf, ok)
 	}
 	sub.Close()
 }
@@ -122,7 +90,7 @@ func TestSubscribedInvalidationStillRemoves(t *testing.T) {
 func TestPayloadHitCounter(t *testing.T) {
 	c := New(Config{})
 	qa := q(0, 0, 30, 30, 1)
-	c.Put(qa, 0, []int64{1}, 1)
+	c.Put(qa, []int64{1}, 1)
 	c.SetPayload(qa, 0, []byte{1, 2, 3})
 	for i := 0; i < 3; i++ {
 		if _, ok := c.Payload(qa, 0); !ok {
@@ -151,8 +119,8 @@ func TestSubscribeConcurrent(t *testing.T) {
 				x := queries[(g+i)%len(queries)].x
 				query := q(x, x, x+0.5, x+0.5, 1)
 				sub.Set(query)
-				c.Put(query, 0, []int64{int64(i)}, 1)
-				c.Get(query, 0, nil)
+				c.Put(query, []int64{int64(i)}, 1)
+				c.Get(query, nil)
 			}
 		}(g)
 	}

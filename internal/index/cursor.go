@@ -19,18 +19,8 @@ type Cursor struct {
 // SearchInto appends Search's results to a caller-owned buffer using
 // caller-owned scratch, so a warmed-up serve allocates nothing per query;
 // the appended region follows Search's determinism contract (ascending
-// ids, identical set and I/O).
-//
-// Insert and Delete update a served index after its build. Sharded
-// locks per shard and serves readers while updates land; MotionAware's
-// are NOT safe concurrently with Search.
-//
-// Epoch versions the contents seqlock-style: the counter is bumped
-// around every mutation — odd while one is in flight, even when
-// quiescent, and strictly greater after a mutation completes than before
-// it started. Result caches key their entries by epoch: an entry stored
-// at an even epoch E is valid exactly while Epoch() == E. An index that
-// never mutates after its build stays at epoch 0.
+// ids, identical set and I/O). A served index never changes after its
+// build: new data arrives as a new scene.
 //
 // MotionAware and Sharded implement it. The figures' baselines (Naive,
 // ObjectIndex) stay plain Index values; nothing serves them.
@@ -39,13 +29,6 @@ type IntoSearcher interface {
 	// SearchInto appends the matching ids to buf in ascending order and
 	// returns the extended buffer plus the node I/O spent.
 	SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, int64)
-	// Insert indexes the store coefficient with the given global id.
-	Insert(id int64)
-	// Delete removes the coefficient with the given global id, reporting
-	// whether it was present.
-	Delete(id int64) bool
-	// Epoch returns the current content version.
-	Epoch() uint64
 }
 
 // Both served indexes satisfy the serving contract.

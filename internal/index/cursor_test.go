@@ -80,25 +80,3 @@ func TestSearchIntoAllocFree(t *testing.T) {
 		}
 	}
 }
-
-// TestEpochProtocol pins the seqlock bump discipline caches depend on:
-// even at rest, +2 across every completed mutation.
-func TestEpochProtocol(t *testing.T) {
-	s := testStore(t, 6, 11)
-	for _, idx := range []IntoSearcher{NewSharded(s, XYW, ShardedConfig{Shards: 4}), NewMotionAware(s, XYW, rtree.Config{})} {
-		e0 := idx.Epoch()
-		if e0%2 != 0 {
-			t.Fatalf("%s: epoch %d odd at rest", idx.Name(), e0)
-		}
-		if !idx.Delete(0) {
-			t.Fatalf("%s: delete 0 failed", idx.Name())
-		}
-		if e1 := idx.Epoch(); e1 != e0+2 {
-			t.Fatalf("%s: epoch %d after delete, want %d", idx.Name(), e1, e0+2)
-		}
-		idx.Insert(0)
-		if e2 := idx.Epoch(); e2 != e0+4 {
-			t.Fatalf("%s: epoch %d after delete+insert, want %d", idx.Name(), e2, e0+4)
-		}
-	}
-}

@@ -463,51 +463,3 @@ func TestConcurrentSearchEqualsSerial(t *testing.T) {
 		}
 	}
 }
-
-// TestMotionAwareInsertDelete checks the new mutation ops single-threaded:
-// delete removes exactly the coefficient, insert restores it, and
-// searches stay consistent with brute force throughout.
-func TestMotionAwareInsertDelete(t *testing.T) {
-	s := testStore(t, 4, 31)
-	ma := NewMotionAware(s, XYW, rtree.Config{})
-	total := ma.Len()
-	all := Query{Region: geom.R2(0, 0, 1000, 1000), WMin: 0, WMax: 1}
-
-	victim := s.ID(1, 7)
-	if !ma.Delete(victim) {
-		t.Fatal("delete of an indexed coefficient failed")
-	}
-	if ma.Delete(victim) {
-		t.Fatal("double delete succeeded")
-	}
-	if ma.Len() != total-1 {
-		t.Fatalf("len = %d after delete", ma.Len())
-	}
-	ids, _ := ma.Search(all)
-	for _, id := range ids {
-		if id == victim {
-			t.Fatal("deleted coefficient still returned")
-		}
-	}
-	if len(ids) != total-1 {
-		t.Fatalf("search returned %d of %d", len(ids), total-1)
-	}
-
-	ma.Insert(victim)
-	if ma.Len() != total {
-		t.Fatalf("len = %d after reinsert", ma.Len())
-	}
-	ids, _ = ma.Search(all)
-	found := false
-	for _, id := range ids {
-		if id == victim {
-			found = true
-		}
-	}
-	if !found || len(ids) != total {
-		t.Fatalf("reinsert lost the coefficient (%d ids, found=%v)", len(ids), found)
-	}
-	if err := ma.Tree().Validate(); err != nil {
-		t.Fatal(err)
-	}
-}

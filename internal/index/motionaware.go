@@ -22,9 +22,6 @@ type MotionAware struct {
 	// continuous query stream hit similar numbers of coefficients, so the
 	// last result is a cheap, usually tight capacity bound.
 	lastHits atomic.Int64
-	// epoch versions the contents: Insert and Delete bump it before and
-	// after the tree changes, as Sharded's do (see IntoSearcher).
-	epoch atomic.Uint64
 }
 
 // NewMotionAware builds the index over every coefficient in the source
@@ -58,8 +55,7 @@ func (m *MotionAware) Tree() *rtree.Tree { return m.tree }
 // the Index determinism contract — plus the node I/O spent. It is
 // SearchInto on a fresh cursor and a result presized from the previous
 // search, so there is one descent and one ordering. Safe for any number
-// of concurrent callers as long as no mutation (Insert/Delete) runs —
-// see the Index contract.
+// of concurrent callers.
 func (m *MotionAware) Search(q Query) ([]int64, int64) {
 	var cur Cursor
 	ids, io := m.SearchInto(q, make([]int64, 0, m.lastHits.Load()), &cur)
@@ -73,7 +69,7 @@ func (m *MotionAware) Search(q Query) ([]int64, int64) {
 // buf (ascending, same set and I/O as Search) using the cursor's
 // traversal stack and hit set, so a warmed-up caller performs no
 // allocations per query. Safe for concurrent callers with distinct
-// cursors and buffers, under the same no-mutation contract as Search.
+// cursors and buffers.
 func (m *MotionAware) SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, int64) {
 	qr, ok := m.layout.queryRect(q)
 	if !ok {
@@ -84,37 +80,4 @@ func (m *MotionAware) SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, in
 	buf = buf[:start+len(cur.hits.order(buf[start:]))]
 	m.lastHits.Store(int64(len(buf) - start))
 	return buf, io
-}
-
-// Epoch returns the current content version (see IntoSearcher): even at
-// rest, odd while an Insert or Delete is changing the tree.
-func (m *MotionAware) Epoch() uint64 { return m.epoch.Load() }
-
-// Insert indexes the source coefficient with the given global id (e.g.
-// after a background update changed its support region or value —
-// Delete, mutate the source, Insert). Not safe concurrently with Search;
-// a served index that mutates is a Sharded, which locks per shard.
-func (m *MotionAware) Insert(id int64) {
-	c, err := m.src.Coeff(id)
-	if err != nil {
-		return // unreadable page: the coefficient stays unindexed
-	}
-	m.epoch.Add(1)
-	m.tree.Insert(m.layout.supportRect(c), id)
-	m.epoch.Add(1)
-}
-
-// Delete removes the coefficient with the given global id from the
-// index, reporting whether it was present. The coefficient's current
-// source state must match its indexed rectangle (delete before mutating
-// the source). Not safe concurrently with Search.
-func (m *MotionAware) Delete(id int64) bool {
-	c, err := m.src.Coeff(id)
-	if err != nil {
-		return false // unreadable page: nothing to match against
-	}
-	m.epoch.Add(1)
-	ok := m.tree.Delete(m.layout.supportRect(c), id)
-	m.epoch.Add(1)
-	return ok
 }

@@ -22,22 +22,15 @@ type ShardedConfig struct {
 	Tree rtree.Config
 }
 
-// shard is one grid cell's index: its own R*-tree guarded by its own
-// RWMutex, so a mutation drains readers of this cell only while searches
-// over the rest of the scene proceed untouched.
+// shard is one grid cell's index: its own R*-tree and the union of the
+// rectangles it holds, which decides whether a query searches it.
 type shard struct {
-	mu   sync.RWMutex
-	tree *rtree.Tree
-	// bounds is the conservative content MBR: the union of every rectangle
-	// ever inserted. It grows on Insert and deliberately never shrinks on
-	// Delete, so the overlap test can only err toward searching a shard —
-	// never toward skipping one that holds a matching coefficient.
+	tree     *rtree.Tree
 	bounds   rtree.Rect
 	nonempty bool
 }
 
-// grow widens the shard's content MBR to cover r. Callers hold the write
-// lock.
+// grow widens the shard's content MBR to cover r.
 func (s *shard) grow(r rtree.Rect, dims int) {
 	if !s.nonempty {
 		s.bounds = r
@@ -55,7 +48,7 @@ func (s *shard) grow(r rtree.Rect, dims int) {
 }
 
 // overlaps reports whether the query rectangle can intersect anything in
-// this shard. Callers hold at least the read lock.
+// this shard.
 func (s *shard) overlaps(q *rtree.Rect, dims int) bool {
 	if !s.nonempty {
 		return false
@@ -70,20 +63,13 @@ func (s *shard) overlaps(q *rtree.Rect, dims int) bool {
 
 // Sharded is the spatially partitioned motion-aware index: the scene's XY
 // bounds are cut into a K-cell grid, each cell holding its own R*-tree
-// over the coefficients whose vertex position falls inside it, guarded by
-// its own RWMutex. Search visits the overlapping shards one after
-// another on the calling goroutine and merges the hits into ascending id
-// order, so responses are byte-identical to the serial MotionAware
-// oracle (support regions may straddle cell borders; the per-shard
-// content MBRs keep the shard selection exact). Insert/Delete lock only
-// the owning shard, so a background update drains readers of one grid
-// cell instead of the world; K = 1 is the single-lock case, one RWMutex
-// over one tree (BenchmarkShardedChurn measures both).
-//
-// Concurrency: Search/Len are safe concurrently with Insert/Delete and
-// with each other. A multi-shard Search is atomic per shard, not across
-// shards; tests comparing against a serial oracle must quiesce writers
-// first.
+// over the coefficients whose vertex position falls inside it. Search
+// visits the overlapping shards one after another on the calling
+// goroutine and merges the hits into ascending id order, so responses
+// are byte-identical to the serial MotionAware oracle (support regions
+// may straddle cell borders; the per-shard content MBRs keep the shard
+// selection exact). A served scene never changes after its build, so
+// any number of searches run at once without a lock.
 type Sharded struct {
 	src    CoefficientSource
 	layout Layout
@@ -95,19 +81,13 @@ type Sharded struct {
 	dx, dy float64
 
 	st *stats.Stats
-
-	// epoch versions the index contents, seqlock-style: every mutation
-	// bumps it once before touching a shard and once after, so it is odd
-	// while any mutation is in flight and strictly larger after one
-	// completes. Result caches validate entries against it — see Epoch.
-	epoch atomic.Uint64
 }
 
 // NewSharded partitions the source into cfg.Shards grid cells and bulk
 // loads one R*-tree per cell, the independent loads running side by side
 // on up to GOMAXPROCS goroutines (build time only; searches spawn
 // nothing). K = 1 is the degenerate single-shard case: the same tree a
-// MotionAware build produces, behind one RWMutex.
+// MotionAware build produces.
 func NewSharded(src CoefficientSource, layout Layout, cfg ShardedConfig) *Sharded {
 	if cfg.Shards <= 0 {
 		cfg.Shards = 1
@@ -166,10 +146,9 @@ func gridShape(k int) (rows, cols int) {
 	return rows, k / rows
 }
 
-// shardOf maps a vertex position to its owning shard. Positions on (or
-// outside) the partition's edge clamp into the border cells, so every
-// coefficient — including ones appearing beyond the build-time bounds
-// after a mutation — has exactly one owner.
+// shardOf maps a vertex position to its owning shard. Positions on the
+// partition's edge clamp into the border cells, so every coefficient has
+// exactly one owner.
 func (s *Sharded) shardOf(x, y float64) int {
 	col, row := 0, 0
 	if s.dx > 0 {
@@ -212,9 +191,7 @@ func (s *Sharded) Name() string {
 func (s *Sharded) Len() int {
 	n := 0
 	for _, sh := range s.shards {
-		sh.mu.RLock()
 		n += sh.tree.Len()
-		sh.mu.RUnlock()
 	}
 	return n
 }
@@ -223,16 +200,13 @@ func (s *Sharded) Len() int {
 func (s *Sharded) ShardLens() []int {
 	out := make([]int, len(s.shards))
 	for i, sh := range s.shards {
-		sh.mu.RLock()
 		out[i] = sh.tree.Len()
-		sh.mu.RUnlock()
 	}
 	return out
 }
 
 // Search answers the window query by searching every shard whose
-// content MBR overlaps the query rectangle, each under that shard's read
-// lock, then merging the hits into ascending id order (the Index
+// content MBR overlaps the query rectangle, then merging the hits into ascending id order (the Index
 // determinism contract — byte-identical to the serial MotionAware
 // oracle). The reported I/O is the sum over the searched shards' node
 // reads. Search allocates its result fresh; hot callers use SearchInto
@@ -254,7 +228,7 @@ func (s *Sharded) Search(q Query) ([]int64, int64) {
 // to other goroutines costs, so concurrency comes from sessions, not
 // from inside a query. The result set, order, and I/O are identical to
 // Search. Safe for any number of concurrent callers with distinct
-// cursors and buffers, including concurrently with Insert/Delete.
+// cursors and buffers.
 func (s *Sharded) SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, int64) {
 	start := len(buf)
 	buf, io := s.searchRaw(q, buf, &cur.rt)
@@ -272,63 +246,15 @@ func (s *Sharded) searchRaw(q Query, buf []int64, rt *rtree.Cursor) ([]int64, in
 	dims := s.layout.Dims()
 	var io int64
 	for i, sh := range s.shards {
-		sh.mu.RLock()
 		if !sh.overlaps(&qr, dims) {
-			sh.mu.RUnlock()
 			continue
 		}
 		var sio int64
 		buf, sio = sh.tree.SearchInto(qr, rt, buf)
-		sh.mu.RUnlock()
 		row := s.st.Shard(i)
 		row.Add(stats.ShardSearches, 1)
 		row.Add(stats.ShardNodeIO, sio)
 		io += sio
 	}
 	return buf, io
-}
-
-// Epoch returns the current content version — even when quiescent, odd
-// while some mutation is in flight. A cached search result stamped with
-// an even epoch E is valid exactly while Epoch() == E: any completed
-// mutation since then has moved the counter past E.
-func (s *Sharded) Epoch() uint64 { return s.epoch.Load() }
-
-// Insert indexes the source coefficient with the given global id,
-// locking only its owning shard: readers and writers of every other grid
-// cell proceed undisturbed.
-func (s *Sharded) Insert(id int64) {
-	c, err := s.src.Coeff(id)
-	if err != nil {
-		return // unreadable page: the coefficient stays unindexed
-	}
-	r := s.layout.supportRect(c)
-	sh := s.shards[s.shardOf(c.Pos.X, c.Pos.Y)]
-	s.epoch.Add(1)
-	sh.mu.Lock()
-	sh.tree.Insert(r, id)
-	sh.grow(r, s.layout.Dims())
-	sh.mu.Unlock()
-	s.epoch.Add(1)
-}
-
-// Delete removes the coefficient with the given global id from its
-// owning shard, reporting whether it was present. As with MotionAware,
-// the coefficient's current source state must match its indexed
-// rectangle (delete before mutating the source); the owning-shard rule
-// depends on it — a position mutated before the Delete would route the
-// removal to the wrong grid cell.
-func (s *Sharded) Delete(id int64) bool {
-	c, err := s.src.Coeff(id)
-	if err != nil {
-		return false // unreadable page: nothing to match against
-	}
-	r := s.layout.supportRect(c)
-	sh := s.shards[s.shardOf(c.Pos.X, c.Pos.Y)]
-	s.epoch.Add(1)
-	sh.mu.Lock()
-	ok := sh.tree.Delete(r, id)
-	sh.mu.Unlock()
-	s.epoch.Add(1)
-	return ok
 }

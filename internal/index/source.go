@@ -22,8 +22,7 @@ import (
 // once the source is published (the Store satisfies this after
 // construction plus any EnsureNeighbors call). A source's coefficients
 // never change once it is built: the Store encodes their wire records
-// in NewStore and a segment is written once, so an index update
-// (delete, re-insert) moves entries, never data.
+// in NewStore and a segment is written once.
 type CoefficientSource interface {
 	// ID returns the global id of a coefficient.
 	ID(object, vertex int32) int64

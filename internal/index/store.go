@@ -286,9 +286,7 @@ func (l Layout) queryRect(q Query) (r rtree.Rect, ok bool) {
 // EnsureNeighbors call its constructor performs), Search must be safe
 // for any number of concurrent callers — every implementation in this
 // package keeps its search state allocation-local and counts I/O with
-// atomics. MotionAware.Insert/Delete are NOT safe concurrently with
-// Search; Sharded locks per shard and serves readers while background
-// updates land.
+// atomics. No index changes after its build.
 type Index interface {
 	Name() string
 	Search(q Query) (ids []int64, io int64)

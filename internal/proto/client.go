@@ -427,11 +427,17 @@ var recordBufs sync.Pool // of *[]byte
 // Close sends a goodbye and closes the connection. A goodbye-write
 // failure is reported alongside the close error: the caller learns the
 // shutdown was not orderly (the server will park the session in its
-// resume cache rather than discard it). The record buffer goes to the
-// next client; the reconstructors stay, so Objects, Mesh and CoeffCount
-// answer as before.
+// resume cache rather than discard it). After a goodbye the client
+// forgets its session token, since the server discards the session: a
+// Reconnect greets fresh instead of resuming a session the server may
+// not have let go of yet. The record buffer goes to the next client; the
+// reconstructors stay, so Objects, Mesh and CoeffCount answer as before.
 func (c *Client) Close() error {
-	err := errors.Join(c.w.WriteBye(), c.conn.Close())
+	bye := c.w.WriteBye()
+	if bye == nil {
+		c.token = 0
+	}
+	err := errors.Join(bye, c.conn.Close())
 	if c.records != nil {
 		b := c.records[:0]
 		recordBufs.Put(&b)

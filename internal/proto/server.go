@@ -658,12 +658,12 @@ func (c *serverConn) reply(resp *retrieval.Response) {
 		c.hotSub = hot.Subscribe()
 	}
 	c.hotSub.Set(resp.Hot.Query)
-	if p, ok := hot.Payload(resp.Hot.Query, resp.Hot.Epoch); ok && len(p) == len(resp.IDs)*wavelet.WireBytes {
+	if p, ok := hot.Payload(resp.Hot.Query, 0); ok && len(p) == len(resp.IDs)*wavelet.WireBytes {
 		c.frame = append(beginResponseFrame(c.frame, len(resp.IDs)), p...)
 		return
 	}
 	if c.encode(resp) == 0 {
-		hot.SetPayload(resp.Hot.Query, resp.Hot.Epoch, c.frame[respHeadBytes:])
+		hot.SetPayload(resp.Hot.Query, 0, c.frame[respHeadBytes:])
 	}
 }
 

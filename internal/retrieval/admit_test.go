@@ -131,45 +131,6 @@ func TestFirstTouchPinsNoPages(t *testing.T) {
 	}
 }
 
-// TestEpochBumpRefreshesWatchedBucketOnce: admission does not look at
-// the epoch, so after a mutation the first session to ask a watched
-// region again recomputes and stores it, and every later one hits.
-func TestEpochBumpRefreshesWatchedBucketOnce(t *testing.T) {
-	srv, st := sharedServer(t, 83)
-	hot := srv.HotCache()
-	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
-	touch(srv, sub)
-	r := srv.Execute([]SubQuery{sub}, nil)
-	if !r.Hot.Valid {
-		t.Fatal("second ask not admitted")
-	}
-	watch := hot.Subscribe()
-	defer watch.Close()
-	watch.Set(r.Hot.Query)
-	before := hot.Stats()
-
-	srv.Index().Delete(0)
-	srv.Index().Insert(0)
-	const sessions = 6
-	for i := 0; i < sessions; i++ {
-		got := NewSession(srv).RetrieveScratch([]SubQuery{sub})
-		if !respEqual(got, r) || !got.Hot.Valid || got.Hot.Epoch == r.Hot.Epoch {
-			t.Fatalf("session %d after the bump: %d ids, HotRef %+v", i, len(got.IDs), got.Hot)
-		}
-	}
-	after := hot.Stats()
-	if d := after.SubRefreshes - before.SubRefreshes; d != 1 {
-		t.Fatalf("%d sessions refreshed the watched bucket %d times, want 1", sessions, d)
-	}
-	if d := after.Hits - before.Hits; d != sessions-1 {
-		t.Fatalf("%d hits after the refresh, want %d", d, sessions-1)
-	}
-	if n := st.Load(stats.RetrievalFirstTouches); n != 1 {
-		t.Fatalf("FirstTouches = %d after the bump, want the original 1", n)
-	}
-	reconcileLayers(t, srv, st)
-}
-
 // countingIndex serves a Sharded and counts the index passes made.
 type countingIndex struct {
 	*index.Sharded

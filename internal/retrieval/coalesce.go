@@ -7,18 +7,14 @@
 // a completed result lingers for a short window so near-simultaneous
 // arrivals that just missed the flight still share it.
 //
-// Sharing is only correct while the index is provably unchanged, so the
-// coalescer uses the hot cache's bucket and its two safety checks (see
-// package hotcache): exact-query verification (hotcache.BucketOf only
-// bounds the table; a flight is adopted only for the identical query
-// floats) and seqlock epoch validation (the leader's search is stamped
-// like every other — see Server.stampedSearch; a follower adopts only
-// while the index still reports exactly that epoch, re-checked at
-// adoption time). An adopted result — ids and replayed node I/O — is
-// therefore byte-identical to what the follower's own search would have
-// returned. Per-session delivered-set filtering happens downstream in
-// the merge loop, so two sessions sharing one index pass still receive
-// exactly their own increments.
+// A served index never changes, so sharing needs one check, the hot
+// cache's exact-query verification (see package hotcache):
+// hotcache.BucketOf only bounds the table, and a flight is adopted only
+// for the identical query floats. An adopted result — ids and replayed
+// node I/O — is therefore byte-identical to what the follower's own
+// search would have returned. Per-session delivered-set filtering
+// happens downstream in the merge loop, so two sessions sharing one
+// index pass still receive exactly their own increments.
 package retrieval
 
 import (
@@ -35,8 +31,8 @@ import (
 type CoalescerConfig struct {
 	// Window is how long a completed result lingers for adoption after
 	// its search finishes (≤ 0 → 2ms). Within the window, sessions
-	// asking the identical query at the unchanged epoch share the
-	// result without waiting on each other.
+	// asking the identical query share the result without waiting on
+	// each other.
 	Window time.Duration
 }
 
@@ -48,18 +44,16 @@ func (c CoalescerConfig) withDefaults() CoalescerConfig {
 }
 
 // flight is one in-progress or lingering shared search. done is closed
-// after the result fields (ids, io, ok, epoch) are final; they are
-// immutable from then on — followers read them without a lock. ids is
-// flight-owned (never aliases a session's scratch). expires and next
-// are guarded by the coalescer mutex.
+// after the result fields (ids, io) are final; they are immutable from
+// then on — followers read them without a lock. ids is flight-owned
+// (never aliases a session's scratch). expires and next are guarded by
+// the coalescer mutex.
 type flight struct {
 	k       hotcache.Bucket
 	q       index.Query
 	done    chan struct{}
 	ids     []int64
 	io      int64
-	epoch   uint64
-	ok      bool // result stamped at a stable even epoch; adoptable
 	expires time.Time
 	next    *flight // the flight that completed after this one
 }
@@ -67,7 +61,7 @@ type flight struct {
 // Coalescer merges concurrent identical window searches into one index
 // pass. All methods are safe for concurrent use. The zero Coalescer is
 // not usable; call NewCoalescer. One Coalescer serves one index (one
-// scene) — epochs from different indexes must never mix.
+// scene) — results from different indexes must never mix.
 type Coalescer struct {
 	cfg CoalescerConfig
 
@@ -83,7 +77,6 @@ type Coalescer struct {
 	led             atomic.Int64
 	shared          atomic.Int64
 	bypassCollision atomic.Int64
-	bypassStale     atomic.Int64
 }
 
 // NewCoalescer builds an empty coalescer.
@@ -91,12 +84,10 @@ func NewCoalescer(cfg CoalescerConfig) *Coalescer {
 	return &Coalescer{cfg: cfg.withDefaults(), flights: make(map[hotcache.Bucket]*flight)}
 }
 
-// do answers one sub-query through the coalescer. buf receives the ids
-// (appended, like index.IntoSearcher.SearchInto). It returns the
-// extended buffer, the node I/O to replay, and — when the result is
-// known valid at a stable even epoch — that epoch and stable=true (the
-// caller may then memoize it further, e.g. into the hot cache).
-func (co *Coalescer) do(s *Server, q index.Query, buf []int64, cur *index.Cursor) (ids []int64, io int64, epoch uint64, stable bool) {
+// do answers one sub-query over idx through the coalescer. buf receives
+// the ids (appended, like index.IntoSearcher.SearchInto). It returns the
+// extended buffer and the node I/O to replay.
+func (co *Coalescer) do(idx index.IntoSearcher, q index.Query, buf []int64, cur *index.Cursor) ([]int64, int64) {
 	co.routed.Add(1)
 	k := hotcache.BucketOf(q)
 	for {
@@ -104,11 +95,11 @@ func (co *Coalescer) do(s *Server, q index.Query, buf []int64, cur *index.Cursor
 		co.reap()
 		f := co.flights[k]
 		if f == nil {
-			// Leader: publish the flight, search, stamp, release.
+			// Leader: publish the flight, search, release.
 			f = &flight{k: k, q: q, done: make(chan struct{})}
 			co.flights[k] = f
 			co.mu.Unlock()
-			return co.lead(s, f, buf, cur)
+			return co.lead(idx, f, buf, cur)
 		}
 		completed := false
 		select {
@@ -131,25 +122,12 @@ func (co *Coalescer) do(s *Server, q index.Query, buf []int64, cur *index.Cursor
 			// wrong answer. Run our own search.
 			co.mu.Unlock()
 			co.bypassCollision.Add(1)
-			return s.stampedSearch(q, buf, cur)
+			return idx.SearchInto(q, buf, cur)
 		}
 		co.mu.Unlock()
 		<-f.done
-		// Adoption check, at adoption time: the result must have been
-		// stamped stable AND the index must still be at that exact epoch —
-		// otherwise a mutation landed since the leader searched and the
-		// shared ids could differ from what our own search would return.
-		if f.ok && s.idx.Epoch() == f.epoch {
-			co.shared.Add(1)
-			return append(buf, f.ids...), f.io, f.epoch, true
-		}
-		co.mu.Lock()
-		if co.flights[k] == f {
-			delete(co.flights, k)
-		}
-		co.mu.Unlock()
-		co.bypassStale.Add(1)
-		return s.stampedSearch(q, buf, cur)
+		co.shared.Add(1)
+		return append(buf, f.ids...), f.io
 	}
 }
 
@@ -158,36 +136,28 @@ func (co *Coalescer) do(s *Server, q index.Query, buf []int64, cur *index.Cursor
 // by earlier frames); the flight gets one exact-size copy, because
 // followers hold references to f.ids after done closes and it must
 // never alias a session's reusable scratch.
-func (co *Coalescer) lead(s *Server, f *flight, buf []int64, cur *index.Cursor) ([]int64, int64, uint64, bool) {
+func (co *Coalescer) lead(idx index.IntoSearcher, f *flight, buf []int64, cur *index.Cursor) ([]int64, int64) {
 	start := len(buf)
-	buf, f.io, f.epoch, f.ok = s.stampedSearch(f.q, buf, cur)
+	buf, f.io = idx.SearchInto(f.q, buf, cur)
 	f.ids = slices.Clone(buf[start:])
 	close(f.done)
 	co.led.Add(1)
 	co.mu.Lock()
 	co.reap()
-	if !f.ok {
-		// Unstable result (mutation overlapped the search): followers
-		// already waiting will bypass; nobody new should find it.
-		if co.flights[f.k] == f {
-			delete(co.flights, f.k)
-		}
+	f.expires = time.Now().Add(co.cfg.Window)
+	if co.newest != nil {
+		co.newest.next = f
 	} else {
-		f.expires = time.Now().Add(co.cfg.Window)
-		if co.newest != nil {
-			co.newest.next = f
-		} else {
-			co.oldest = f
-		}
-		co.newest = f
+		co.oldest = f
 	}
+	co.newest = f
 	co.mu.Unlock()
-	return buf, f.io, f.epoch, f.ok
+	return buf, f.io
 }
 
 // reap drops the lingering flights whose window has passed. A flight
-// already replaced in its bucket (moved query, stale epoch, Flush) only
-// leaves the list. The caller holds co.mu.
+// already replaced in its bucket (moved query, Flush) only leaves the
+// list. The caller holds co.mu.
 func (co *Coalescer) reap() {
 	if co.oldest == nil {
 		return
@@ -222,9 +192,8 @@ func (co *Coalescer) Flush() {
 }
 
 // CoalescerStats is a point-in-time snapshot of the coalescer counters.
-// Routed == Led + Shared + BypassCollision + BypassStale exactly once
-// traffic quiesces: every routed sub-query took exactly one of the four
-// paths.
+// Routed == Led + Shared + BypassCollision exactly once traffic
+// quiesces: every routed sub-query took exactly one of the three paths.
 type CoalescerStats struct {
 	// Routed counts sub-queries that entered the coalescer.
 	Routed int64
@@ -237,9 +206,6 @@ type CoalescerStats struct {
 	// BypassCollision counts sub-queries that ran their own search
 	// because their bucket held a flight for a different exact query.
 	BypassCollision int64
-	// BypassStale counts sub-queries that ran their own search because
-	// the flight they waited on was unstable or its epoch had moved.
-	BypassStale int64
 	// Flights is the current number of in-flight or lingering entries.
 	Flights int
 }
@@ -255,7 +221,6 @@ func (co *Coalescer) Stats() CoalescerStats {
 		Led:             co.led.Load(),
 		Shared:          co.shared.Load(),
 		BypassCollision: co.bypassCollision.Load(),
-		BypassStale:     co.bypassStale.Load(),
 		Flights:         flights,
 	}
 }

@@ -13,12 +13,12 @@ import (
 )
 
 // reconcile asserts the coalescer's exact accounting invariant: every
-// routed sub-query took exactly one of the four paths.
+// routed sub-query took exactly one of the three paths.
 func reconcile(t *testing.T, cs CoalescerStats) {
 	t.Helper()
-	if cs.Routed != cs.Led+cs.Shared+cs.BypassCollision+cs.BypassStale {
-		t.Fatalf("coalescer counters do not reconcile: routed %d != led %d + shared %d + collision %d + stale %d",
-			cs.Routed, cs.Led, cs.Shared, cs.BypassCollision, cs.BypassStale)
+	if cs.Routed != cs.Led+cs.Shared+cs.BypassCollision {
+		t.Fatalf("coalescer counters do not reconcile: routed %d != led %d + shared %d + collision %d",
+			cs.Routed, cs.Led, cs.Shared, cs.BypassCollision)
 	}
 }
 
@@ -33,8 +33,9 @@ func touch(srv *Server, subs ...SubQuery) {
 
 // TestCoalescerSharesLingeringResult pins the deterministic serial
 // contract: the first ask of a query is searched alone, the second leads
-// a flight, and within the linger window at an unchanged epoch the third
-// adopts that flight instead of re-searching.
+// a flight, and within the linger window the third adopts that flight
+// instead of re-searching; once Flush ends the window, the next ask
+// leads a fresh flight.
 func TestCoalescerSharesLingeringResult(t *testing.T) {
 	srv := testShardedServer(t, 8, 41, 4)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
@@ -61,27 +62,15 @@ func TestCoalescerSharesLingeringResult(t *testing.T) {
 		t.Fatalf("expected 1 led + 1 shared of 2 routed, got %+v", cs)
 	}
 
-	// An epoch bump makes the lingering flight unadoptable: the repeat
-	// bypasses as stale, and the one after that leads a fresh flight.
-	srv.Index().Delete(0)
-	srv.Index().Insert(0)
+	srv.Coalescer().Flush()
 	r3 := srv.Execute([]SubQuery{sub}, nil)
 	if !respEqual(r1, r3) {
-		t.Fatal("post-bump response differs (content unchanged: delete+reinsert of the same id)")
-	}
-	cs = srv.Coalescer().Stats()
-	reconcile(t, cs)
-	if cs.BypassStale != 1 {
-		t.Fatalf("expected exactly 1 stale bypass after the epoch bump, got %+v", cs)
-	}
-	r4 := srv.Execute([]SubQuery{sub}, nil)
-	if !respEqual(r1, r4) {
 		t.Fatal("fresh-flight response differs")
 	}
 	cs = srv.Coalescer().Stats()
 	reconcile(t, cs)
 	if cs.Led != 2 || cs.Shared != 1 {
-		t.Fatalf("expected the post-stale repeat to lead a fresh flight, got %+v", cs)
+		t.Fatalf("expected the ask after Flush to lead a fresh flight, got %+v", cs)
 	}
 }
 
@@ -241,9 +230,8 @@ func TestCoalescerWindowExpiry(t *testing.T) {
 }
 
 // TestCoalescerPopulatesHotCache pins the layering: the second ask's
-// coalesced stable result is memoized into the hot cache under the
-// epoch the flight proved, so the third ask is a cache hit that never
-// reaches the coalescer.
+// coalesced result is memoized into the hot cache, so the third ask is
+// a cache hit that never reaches the coalescer.
 func TestCoalescerPopulatesHotCache(t *testing.T) {
 	srv := testShardedServer(t, 8, 59, 4)
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
@@ -254,7 +242,7 @@ func TestCoalescerPopulatesHotCache(t *testing.T) {
 	}
 	r1 := srv.Execute([]SubQuery{sub}, nil)
 	if !r1.Hot.Valid {
-		t.Fatal("coalesced stable response not marked hot")
+		t.Fatal("coalesced response not marked hot")
 	}
 	r2 := srv.Execute([]SubQuery{sub}, nil)
 	if !respEqual(r1, r2) || !r2.Hot.Valid || r2.Hot != r1.Hot {
@@ -273,11 +261,9 @@ func TestCoalescerPopulatesHotCache(t *testing.T) {
 // sessions run overlapping frame streams in lockstep steps — all
 // clients of a step concurrent against the coalesced server — and every
 // response must be field-identical to an uncoalesced serial oracle
-// serving the same streams. A mid-soak epoch bump (delete + reinsert of
-// the same id at a step barrier, applied to both indexes, so content
-// and tree shape stay identical) forces the invalidation path.
+// serving the same streams.
 func TestCoalescedConcurrentMatchesIndependent(t *testing.T) {
-	const clients, steps, bumpAt = 8, 60, 30
+	const clients, steps = 8, 60
 	srv := testShardedServer(t, 10, 61, 4)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: 50 * time.Millisecond}))
 	oracle := testShardedServer(t, 10, 61, 4)
@@ -303,13 +289,7 @@ func TestCoalescedConcurrentMatchesIndependent(t *testing.T) {
 		streams[c] = own
 	}
 
-	bump := func(idx index.IntoSearcher) {
-		idx.Delete(3)
-		idx.Insert(3)
-	}
-
-	// The oracle serves serially, session per client, no coalescer, with
-	// the bump applied at the same step boundary.
+	// The oracle serves serially, session per client, no coalescer.
 	want := make([][]Response, clients)
 	oracleSess := make([]*Session, clients)
 	for c := range want {
@@ -317,9 +297,6 @@ func TestCoalescedConcurrentMatchesIndependent(t *testing.T) {
 		oracleSess[c] = NewSession(oracle)
 	}
 	for s := 0; s < steps; s++ {
-		if s == bumpAt {
-			bump(oracle.Index())
-		}
 		for c := 0; c < clients; c++ {
 			want[c][s] = oracleSess[c].Retrieve(streams[c][s])
 		}
@@ -352,9 +329,6 @@ func TestCoalescedConcurrentMatchesIndependent(t *testing.T) {
 		}(c)
 	}
 	for s := 0; s < steps; s++ {
-		if s == bumpAt {
-			bump(srv.Index())
-		}
 		close(starts[s])
 		done[s].Wait()
 	}

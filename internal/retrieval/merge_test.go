@@ -81,7 +81,7 @@ func (s *Server) executeReference(subs []SubQuery, delivered *Delivered, maxByte
 	var resp Response
 	t := s.mergeReference(subs, results, delivered, limit, pins, &resp)
 	if len(subs) == 1 && results[0].hot && !t.suppressed {
-		resp.Hot = HotRef{Valid: true, Query: s.queryOf(&subs[0]), Epoch: results[0].epoch}
+		resp.Hot = HotRef{Valid: true, Query: s.queryOf(&subs[0])}
 	}
 	resp.Bytes = int64(len(resp.IDs)) * wavelet.WireBytes
 	return resp

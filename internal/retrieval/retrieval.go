@@ -58,12 +58,14 @@ type Response struct {
 // HotRef ties a response to a hot-cache entry. It is set (Valid) only
 // when the response's IDs are exactly the entry's ids — a single
 // unfiltered sub-query from which the delivered-set merge dropped
-// nothing, answered at a stable even index epoch — so a payload encoded
-// from this response may be cached under (Query, Epoch) and replayed
-// byte-identically for later responses carrying the same reference.
+// nothing — so a payload encoded from this response may be cached under
+// Query and replayed byte-identically for later responses carrying the
+// same reference.
 type HotRef struct {
 	Valid bool
 	Query index.Query
+	// Epoch is always 0. It is kept only for bench/, which still reads
+	// it; the next change to bench/ deletes it.
 	Epoch uint64
 }
 
@@ -100,8 +102,7 @@ type Server struct {
 	st    *stats.Stats
 	scene string
 	// hot memoizes sub-query results for repeated window queries and co
-	// singleflights concurrent identical searches, both validated by the
-	// index's epoch; nil disables either.
+	// singleflights concurrent identical searches; nil disables either.
 	hot *hotcache.Cache
 	co  *Coalescer
 	// asked is the admission table of the two sharing layers: one
@@ -139,9 +140,8 @@ func (s *Server) SetScene(name string) { s.scene = name }
 func (s *Server) Scene() string { return s.scene }
 
 // SetHotCache wires a hot-region result cache into the search path (nil
-// disables it). Cached results are validated per-Get against the index's
-// current epoch, so responses remain byte-identical to uncached
-// execution across mutations. Not safe to call while requests are in
+// disables it). The index never changes, so a cached result is what an
+// uncached search returns. Not safe to call while requests are in
 // flight.
 func (s *Server) SetHotCache(hot *hotcache.Cache) { s.hot = hot }
 
@@ -149,9 +149,8 @@ func (s *Server) SetHotCache(hot *hotcache.Cache) { s.hot = hot }
 func (s *Server) HotCache() *hotcache.Cache { return s.hot }
 
 // SetCoalescer wires a query coalescer into the search path (nil
-// disables it). Shared results are epoch-revalidated at adoption, so
-// responses remain byte-identical to independent execution. Not safe to
-// call while requests are in flight.
+// disables it). A shared result is the one the follower's own search
+// would return. Not safe to call while requests are in flight.
 func (s *Server) SetCoalescer(co *Coalescer) { s.co = co }
 
 // Coalescer returns the coalescer wired via SetCoalescer (nil when
@@ -268,7 +267,7 @@ func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, max
 	pins.Release()
 	sc.ids = resp.IDs
 	if len(subs) == 1 && results[0].hot && !m.suppressed {
-		resp.Hot = HotRef{Valid: true, Query: s.queryOf(&subs[0]), Epoch: results[0].epoch}
+		resp.Hot = HotRef{Valid: true, Query: s.queryOf(&subs[0])}
 	}
 	resp.Bytes = int64(len(resp.IDs)) * wavelet.WireBytes
 	if st := s.st; st != nil {
@@ -445,10 +444,9 @@ type subResult struct {
 	ids []int64
 	io  int64
 	ran bool // false for degenerate sub-queries (empty region, WMin > WMax)
-	// hot marks a result answered (or stored) at the stable even index
-	// epoch below — the precondition for a response-level HotRef.
-	hot   bool
-	epoch uint64
+	// hot marks a result the hot cache answered or now holds — the
+	// precondition for a response-level HotRef.
+	hot bool
 }
 
 // searchAll runs the index search of every well-formed sub-query into
@@ -492,9 +490,7 @@ const (
 //
 // What is remembered is a 64-bit fingerprint of the exact query floats
 // in a direct-mapped table. Not the quantised bucket: consecutive
-// slivers of one tour share a bucket and would admit each other. Not the
-// epoch: after a mutation a watched region must be admitted at once, so
-// that one recomputation refreshes it for every subscriber. The slot is
+// slivers of one tour share a bucket and would admit each other. The slot is
 // swapped atomically, so of any number of concurrent first askers
 // exactly one sees the query as new, and there is no lock. A collision
 // — two queries with one fingerprint, or a slot overwritten between two
@@ -517,7 +513,7 @@ func (s *Server) admit(q *index.Query) bool {
 // touch. With a sharing layer wired, a result the hot cache holds is
 // replayed, and a query asked before (admit) goes through the coalescer
 // when one is wired (sharing one index pass among concurrent identical
-// searches) and into the hot cache under its stable epoch stamp.
+// searches) and into the hot cache.
 // Everything else — a query nobody asked before, or a server with
 // neither layer — is searched directly: no flight, no stored entry, no
 // HotRef. All of them return the same ids and the same node I/O.
@@ -529,12 +525,11 @@ func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) (fi
 		return false
 	}
 	if s.hot != nil {
-		e := s.idx.Epoch()
 		var ok bool
-		if out.ids, out.io, ok = s.hot.Get(q, e, out.ids[:0]); ok {
+		if out.ids, out.io, ok = s.hot.Get(q, out.ids[:0]); ok {
 			// The cached io is replayed so the response is byte-identical to
 			// the uncached serve that populated the entry.
-			out.hot, out.epoch = true, e
+			out.hot = true
 			return false
 		}
 	}
@@ -543,26 +538,15 @@ func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) (fi
 		return true
 	}
 	if s.co != nil {
-		out.ids, out.io, out.epoch, out.hot = s.co.do(s, q, out.ids[:0], cur)
+		out.ids, out.io = s.co.do(s.idx, q, out.ids[:0], cur)
 	} else {
-		out.ids, out.io, out.epoch, out.hot = s.stampedSearch(q, out.ids[:0], cur)
+		out.ids, out.io = s.idx.SearchInto(q, out.ids[:0], cur)
 	}
-	if s.hot != nil && out.hot {
-		// One recomputation refreshes the entry for every subscriber.
-		s.hot.Put(q, out.epoch, out.ids, out.io)
+	if s.hot != nil {
+		s.hot.Put(q, out.ids, out.io)
+		out.hot = true
 	}
 	return false
-}
-
-// stampedSearch runs one index search between two reads of the index
-// epoch. stable reports that both reads saw the same even epoch — no
-// mutation was in flight or completed across the search — so the result
-// is valid at epoch and may be shared or memoized under it. It is the
-// one place the seqlock's validity test is written.
-func (s *Server) stampedSearch(q index.Query, buf []int64, cur *index.Cursor) (ids []int64, io int64, epoch uint64, stable bool) {
-	epoch = s.idx.Epoch()
-	ids, io = s.idx.SearchInto(q, buf, cur)
-	return ids, io, epoch, epoch%2 == 0 && s.idx.Epoch() == epoch
 }
 
 // BlockBytes returns the payload and index I/O of the coefficients

@@ -215,7 +215,7 @@ func BenchmarkSearchOne(b *testing.B) {
 		touch(srv, slivers[:1024]...)
 		var pool []SubQuery
 		for i := range slivers[:1024] {
-			if _, _, ok := srv.hot.Get(srv.queryOf(&slivers[i]), srv.idx.Epoch(), nil); ok {
+			if _, _, ok := srv.hot.Get(srv.queryOf(&slivers[i]), nil); ok {
 				pool = append(pool, slivers[i])
 			}
 		}

@@ -1,6 +1,7 @@
 package rtree
 
 import (
+	"fmt"
 	"math"
 	"math/bits"
 )
@@ -9,9 +10,9 @@ import (
 // node copied, in breadth-first order, into flat arrays. A node's
 // children are consecutive in that order, so an internal node stores
 // only the index of its first child and the child index is implicit —
-// the arena holds no pointers. It is immutable once published; a
-// mutation of the tree drops it (see Tree.thaw) and a later search
-// rebuilds it from the pointer nodes.
+// the arena holds no pointers. It is immutable once published; an
+// Insert drops it and the next search rebuilds it from the pointer
+// nodes.
 type arena struct {
 	dims int
 	// all is 0, 1, …, slots−1, one index per entry slot of a node
@@ -55,12 +56,12 @@ type arenaRun struct {
 	lo, hi, nodes int32
 }
 
-// freeze copies the pointer tree into a new arena. The caller guarantees
-// the tree is quiescent (no mutation in flight), which bounds every
-// node at MaxEntries. A tree beyond int32 indexing is left thawed.
+// freeze copies the pointer tree into a new arena. No Insert runs
+// meanwhile (the Tree contract), so every node holds at most MaxEntries.
+// The arena indexes payloads with int32, which bounds the tree's size.
 func (t *Tree) freeze() *arena {
 	if t.size > math.MaxInt32 {
-		return nil
+		panic(fmt.Sprintf("rtree: %d items exceed the packed walk's int32 indices", t.size))
 	}
 	dims, slots := t.cfg.Dims, (t.cfg.MaxEntries+3)&^3
 	stride := 2 * dims * slots

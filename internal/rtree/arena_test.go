@@ -75,7 +75,8 @@ func checkSearchInto(t *testing.T, tr *Tree, q Rect, cur *Cursor, label string) 
 // property: over bulk-loaded and insert-built trees of every
 // dimensionality, both variants, and sizes from empty through one leaf
 // to several levels, SearchInto returns the recursive walk's id set and
-// node-read count — frozen, thawed, and frozen again.
+// node-read count — on the snapshot the build or the first search made,
+// and on the one the next search makes after an Insert dropped it.
 func TestFrozenSearchMatchesRecursive(t *testing.T) {
 	for _, dims := range []int{2, 3, 4} {
 		for _, variant := range []Variant{RStar, Quadratic} {
@@ -84,26 +85,26 @@ func TestFrozenSearchMatchesRecursive(t *testing.T) {
 					label := fmt.Sprintf("%dD %v n=%d bulk=%v", dims, variant, n, bulk)
 					rng := rand.New(rand.NewSource(int64(dims*100000 + n*10 + int(variant))))
 					cfg := Config{Dims: dims, MaxEntries: 20, Variant: variant}
-					items := propItems(rng, n, dims)
+					items := propItems(rng, n+5, dims)
 					var tr *Tree
 					if bulk {
-						tr = BulkLoad(cfg, items)
+						tr = BulkLoad(cfg, items[:n])
 					} else {
 						tr = New(cfg)
-						for _, it := range items {
+						for _, it := range items[:n] {
 							tr.Insert(it.Rect, it.Data)
 						}
 					}
 					var cur Cursor
-					// A bulk load with items freezes at once; anything else is
-					// thawed until one search has read the whole tree.
+					// A bulk load with items freezes at once; a tree built by
+					// Insert freezes on its first search.
 					if frozen := tr.frozen.Load() != nil; frozen != (bulk && n > 0) {
 						t.Fatalf("%s: frozen=%v after build", label, frozen)
 					}
 					checkSearchInto(t, tr, everything(dims), &cur, label+" first")
 					a := tr.frozen.Load()
 					if a == nil {
-						t.Fatalf("%s: a search of every node left the tree thawed", label)
+						t.Fatalf("%s: the first search left the tree without a snapshot", label)
 					}
 					if len(a.nodes) != tr.NumNodes() || len(a.data) != n {
 						t.Fatalf("%s: arena holds %d nodes / %d payloads, tree %d / %d",
@@ -112,116 +113,21 @@ func TestFrozenSearchMatchesRecursive(t *testing.T) {
 					for q := 0; q < 40; q++ {
 						checkSearchInto(t, tr, propQuery(rng, dims), &cur, label+" frozen")
 					}
-					tr.thaw()
+					for _, it := range items[n:] {
+						tr.Insert(it.Rect, it.Data)
+					}
+					if tr.frozen.Load() != nil {
+						t.Fatalf("%s: Insert kept the snapshot", label)
+					}
 					for q := 0; q < 5; q++ {
-						query := propQuery(rng, dims)
-						want, wantIO := recursive(tr, query)
-						got, gotIO := tr.searchNodes(&query, &cur, nil)
-						slices.Sort(got)
-						if gotIO != wantIO || !slices.Equal(got, want) {
-							t.Fatalf("%s thawed: pointer walk %d hits / %d nodes, recursive %d / %d",
-								label, len(got), gotIO, len(want), wantIO)
-						}
+						checkSearchInto(t, tr, propQuery(rng, dims), &cur, label+" refrozen")
+					}
+					if a := tr.frozen.Load(); a == nil || len(a.data) != n+5 {
+						t.Fatalf("%s: no snapshot of the %d items after the inserts", label, n+5)
 					}
 				}
 			}
 		}
-	}
-}
-
-// TestThawRefreezeProtocol drives interleaved inserts, deletes and
-// searches against a linear-scan model. Answers must not depend on
-// whether the tree is currently thawed or frozen, every mutation must
-// thaw, and the snapshot must come back exactly when the thawed
-// searches since the last mutation have read as many nodes as the tree
-// holds — no sooner, no later.
-func TestThawRefreezeProtocol(t *testing.T) {
-	const dims = 3
-	rng := rand.New(rand.NewSource(17))
-	items := propItems(rng, 1500, dims)
-	tr := BulkLoad(Config{Dims: dims, MaxEntries: 20}, items[:1000])
-	live, absent := slices.Clone(items[:1000]), slices.Clone(items[1000:])
-	var cur Cursor
-	var thawedReads int64
-	searchedThawed, searchedFrozen, refreezes := 0, 0, 0
-	for step := 0; step < 4000; step++ {
-		switch op := rng.Intn(20); {
-		case op == 0 && len(absent) > 0:
-			it := absent[len(absent)-1]
-			absent = absent[:len(absent)-1]
-			tr.Insert(it.Rect, it.Data)
-			live = append(live, it)
-			thawedReads = 0
-		case op == 1:
-			i := rng.Intn(len(live))
-			it := live[i]
-			if !tr.Delete(it.Rect, it.Data) {
-				t.Fatalf("step %d: delete %d failed", step, it.Data)
-			}
-			live[i] = live[len(live)-1]
-			live = live[:len(live)-1]
-			absent = append(absent, it)
-			thawedReads = 0
-		case op == 2:
-			// Deleting what is not there changes nothing, so it must not
-			// cost the snapshot.
-			before := tr.frozen.Load()
-			if tr.Delete(Point(-5, -5, 0.5), -1) {
-				t.Fatalf("step %d: deleted an item that was never inserted", step)
-			}
-			if tr.frozen.Load() != before {
-				t.Fatalf("step %d: a no-op delete changed the snapshot", step)
-			}
-			continue
-		default:
-			q := propQuery(rng, dims)
-			wasFrozen := tr.frozen.Load() != nil
-			got, io := tr.SearchInto(q, &cur, nil)
-			slices.Sort(got)
-			var want []int64
-			for i := range live {
-				if q.intersects(&live[i].Rect, dims) {
-					want = append(want, live[i].Data)
-				}
-			}
-			slices.Sort(want)
-			if !slices.Equal(got, want) {
-				t.Fatalf("step %d (frozen=%v): %d hits, linear scan %d", step, wasFrozen, len(got), len(want))
-			}
-			if wasFrozen {
-				searchedFrozen++
-				if tr.frozen.Load() == nil {
-					t.Fatalf("step %d: a search dropped the snapshot", step)
-				}
-				continue
-			}
-			searchedThawed++
-			thawedReads += io
-			if got := tr.thawedReads.Load(); got != thawedReads {
-				t.Fatalf("step %d: tree counts %d thawed reads, test %d", step, got, thawedReads)
-			}
-			nowFrozen := tr.frozen.Load() != nil
-			if want := thawedReads >= int64(tr.NumNodes()); nowFrozen != want {
-				t.Fatalf("step %d: frozen=%v after %d thawed reads over %d nodes",
-					step, nowFrozen, thawedReads, tr.NumNodes())
-			}
-			if nowFrozen {
-				refreezes++
-			}
-			continue
-		}
-		// Reached after a mutation only.
-		if tr.frozen.Load() != nil || tr.thawedReads.Load() != 0 {
-			t.Fatalf("step %d: mutation left frozen=%v, thawed reads %d",
-				step, tr.frozen.Load() != nil, tr.thawedReads.Load())
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("step %d: %v", step, err)
-		}
-	}
-	if searchedThawed == 0 || searchedFrozen == 0 || refreezes < 2 {
-		t.Fatalf("sequence exercised %d thawed searches, %d frozen, %d refreezes",
-			searchedThawed, searchedFrozen, refreezes)
 	}
 }
 
@@ -251,10 +157,9 @@ func TestSearchIntoStatsMatchRecursive(t *testing.T) {
 	}
 }
 
-// TestConcurrentSearchRefreezes races readers over a thawed tree across
-// the refreeze line: every answer stays right, exactly the usual one
-// snapshot comes out, and the race detector has nothing to say about
-// the hand-over.
+// TestConcurrentSearchRefreezes races readers over an insert-built tree
+// through its first freeze: every answer stays right, a snapshot comes
+// out, and the race detector has nothing to say about the hand-over.
 func TestConcurrentSearchRefreezes(t *testing.T) {
 	const dims = 3
 	rng := rand.New(rand.NewSource(29))
@@ -290,7 +195,7 @@ func TestConcurrentSearchRefreezes(t *testing.T) {
 	}
 	wg.Wait()
 	if tr.frozen.Load() == nil {
-		t.Fatal("tree still thawed after reading itself many times over")
+		t.Fatal("no snapshot after reading the tree many times over")
 	}
 }
 
@@ -365,16 +270,21 @@ func arenaQueries(rng *rand.Rand, tr *Tree, items []Item) []Rect {
 	return append(qs, everything(dims))
 }
 
-// checkArena holds the packed walk of tr — built by freeze whatever
-// state the tree is in — to the recursive walk on every arenaQueries
-// query: the same id set and the same node-read count. Where the AVX2
-// kernel runs, the mask walk must also give the survivor walk's buffer
-// and queue element for element.
+// checkArena holds the packed walk of tr — the snapshot a bulk load
+// made, or the first SearchInto of an insert-built tree — to the
+// recursive walk on every arenaQueries query: the same id set and the
+// same node-read count. Where the AVX2 kernel runs, the mask walk must
+// also give the survivor walk's buffer and queue element for element.
 func checkArena(t *testing.T, rng *rand.Rand, tr *Tree, items []Item, label string) {
 	t.Helper()
-	a := tr.freeze()
 	var cur, ref Cursor
-	for _, q := range arenaQueries(rng, tr, items) {
+	qs := arenaQueries(rng, tr, items)
+	tr.SearchInto(qs[0], &cur, nil)
+	a := tr.frozen.Load()
+	if a == nil {
+		t.Fatalf("%s: SearchInto left the tree without a snapshot", label)
+	}
+	for _, q := range qs {
 		want, wantIO := recursive(tr, q)
 		got, gotIO := a.search(&q, &cur, nil)
 		if useKernel {

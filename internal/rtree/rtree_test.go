@@ -227,65 +227,6 @@ func TestRStarBeatsQuadraticOnIO(t *testing.T) {
 	}
 }
 
-func TestDelete(t *testing.T) {
-	cfg := DefaultConfig(2)
-	tr, rects := buildRandom(t, cfg, 2000, 8)
-	// Delete half the items.
-	for i := 0; i < 1000; i++ {
-		if !tr.Delete(rects[i], int64(i)) {
-			t.Fatalf("delete %d failed", i)
-		}
-	}
-	if tr.Len() != 1000 {
-		t.Fatalf("len after deletes = %d", tr.Len())
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Deleted items are gone; survivors remain.
-	for i := 0; i < 2000; i++ {
-		found := false
-		for _, d := range tr.Collect(rects[i]) {
-			if d == int64(i) {
-				found = true
-			}
-		}
-		if i < 1000 && found {
-			t.Fatalf("item %d still present after delete", i)
-		}
-		if i >= 1000 && !found {
-			t.Fatalf("item %d lost", i)
-		}
-	}
-	// Deleting a missing item reports false.
-	if tr.Delete(rects[0], 0) {
-		t.Error("double delete succeeded")
-	}
-}
-
-func TestDeleteAll(t *testing.T) {
-	tr, rects := buildRandom(t, DefaultConfig(2), 500, 9)
-	for i, r := range rects {
-		if !tr.Delete(r, int64(i)) {
-			t.Fatalf("delete %d failed", i)
-		}
-	}
-	if tr.Len() != 0 {
-		t.Fatalf("len = %d", tr.Len())
-	}
-	if tr.Height() != 1 {
-		t.Errorf("height = %d after deleting everything", tr.Height())
-	}
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	// Tree remains usable.
-	tr.Insert(Box(1, 2, 1, 2), 42)
-	if got := tr.Collect(Box(0, 3, 0, 3)); len(got) != 1 || got[0] != 42 {
-		t.Fatalf("reuse after drain: %v", got)
-	}
-}
-
 func TestScanVisitsEverything(t *testing.T) {
 	tr, _ := buildRandom(t, DefaultConfig(3), 1234, 10)
 	seen := map[int64]bool{}

@@ -72,21 +72,18 @@ func (n *node) mbr(dims int) Rect {
 	return r
 }
 
-// Tree is an in-memory R-tree over int64 payloads. It is not safe for
-// concurrent mutation; concurrent queries over a quiescent tree are safe
-// (the access counters are atomic).
+// Tree is an in-memory R-tree over int64 payloads. Insert is not safe
+// concurrently with anything; concurrent queries over a tree nobody
+// inserts into are safe (the access counters are atomic).
 type Tree struct {
 	cfg    Config
 	root   *node
 	height int // leaf level = 1, root level = height
 	size   int
 	nodes  int // node (page) count, maintained by every structural change
-	// frozen is the packed read snapshot SearchInto walks, nil while the
-	// tree is thawed: BulkLoad publishes one, Insert/Delete drop it, and
-	// the search that brings thawedReads up to the node count rebuilds
-	// it — see SearchInto.
-	frozen      atomic.Pointer[arena]
-	thawedReads atomic.Int64
+	// frozen is the packed read snapshot SearchInto walks: BulkLoad
+	// publishes one, Insert drops it, and the next SearchInto rebuilds it.
+	frozen atomic.Pointer[arena]
 	// Access counters, updated atomically: queries may run concurrently
 	// (one retrieval session per network client) over an otherwise
 	// read-only tree.
@@ -96,20 +93,10 @@ type Tree struct {
 	// heuristic for the next one (atomic: Collect is a read operation and
 	// may run concurrently with other reads).
 	lastHits atomic.Int64
-	// path is the tree-owned root-to-leaf scratch shared by every
-	// mutation (choosePath on insert, findLeaf on delete). Mutations are
-	// single-threaded by contract, so one buffer serves them all without
-	// a per-call allocation.
+	// path is the tree-owned root-to-leaf scratch choosePath fills.
+	// Insert is single-threaded by contract, so one buffer serves every
+	// insertion without a per-call allocation.
 	path []*node
-}
-
-// pathScratch returns the mutation path buffer, emptied and grown to the
-// current height so the callers below never reallocate it mid-descent.
-func (t *Tree) pathScratch() []*node {
-	if cap(t.path) < t.height {
-		t.path = make([]*node, 0, t.height)
-	}
-	return t.path[:0]
 }
 
 // New creates an empty tree. Invalid configuration panics: index
@@ -158,16 +145,10 @@ type pendingInsert struct {
 	level int
 }
 
-// thaw drops the packed snapshot ahead of a mutation and restarts the
-// count of node reads that decides when the next one is worth building.
-func (t *Tree) thaw() {
-	t.frozen.Store(nil)
-	t.thawedReads.Store(0)
-}
-
-// Insert adds an item.
+// Insert adds an item and drops the packed snapshot, which the next
+// SearchInto rebuilds.
 func (t *Tree) Insert(r Rect, data int64) {
-	t.thaw()
+	t.frozen.Store(nil)
 	t.insertWithReinsertion(entry{rect: r, data: data}, 1)
 	t.size++
 }
@@ -253,9 +234,11 @@ func (t *Tree) place(e entry, level int, reinserted map[int]bool) []pendingInser
 // target minimize overlap enlargement; higher up minimize area
 // enlargement. The Guttman variant always minimizes area enlargement.
 func (t *Tree) choosePath(r *Rect, level int) []*node {
-	path := t.pathScratch()
+	if cap(t.path) < t.height {
+		t.path = make([]*node, 0, t.height)
+	}
 	n := t.root
-	path = append(path, n)
+	path := append(t.path[:0], n)
 	for depth := t.height; depth > level; depth-- {
 		var best int
 		if depth == level+1 && t.cfg.Variant == RStar {

@@ -62,17 +62,14 @@ const (
 	HotHits
 	HotMisses
 	HotEvictions
-	HotInvalidations
 	HotEntries // gauge
 	HotBytes   // gauge
 	HotSubscribers
-	HotSubRefreshes // multicast recomputations into subscribed buckets
 	HotPayloadHits  // responses replayed from a cached serialized payload
-	CoalescerRouted // = led + shared + collision + stale bypasses, once quiesced
+	CoalescerRouted // = led + shared + collision bypasses, once quiesced
 	CoalescerLed
 	CoalescerShared
 	CoalescerBypassCollision
-	CoalescerBypassStale
 	CoalescerFlights // gauge
 	PagerFaults
 	PagerHits
@@ -152,17 +149,14 @@ var counterNames = [numCounters]string{
 	HotHits:                  "hotcache.hits",
 	HotMisses:                "hotcache.misses",
 	HotEvictions:             "hotcache.evictions",
-	HotInvalidations:         "hotcache.invalidations",
 	HotEntries:               "hotcache.entries",
 	HotBytes:                 "hotcache.bytes",
 	HotSubscribers:           "hotcache.subscribers",
-	HotSubRefreshes:          "hotcache.sub_refreshes",
 	HotPayloadHits:           "hotcache.payload_hits",
 	CoalescerRouted:          "coalescer.routed",
 	CoalescerLed:             "coalescer.led",
 	CoalescerShared:          "coalescer.shared",
 	CoalescerBypassCollision: "coalescer.bypass_collision",
-	CoalescerBypassStale:     "coalescer.bypass_stale",
 	CoalescerFlights:         "coalescer.flights",
 	PagerFaults:              "pager.faults",
 	PagerHits:                "pager.hits",
