@@ -1,8 +1,8 @@
 # Development targets. `make ci` is the full gate a change must pass:
 # build, vet, the tier-1 suite at 1/2/8 procs, the portable R*-tree
-# walk's tests (-tags purego), bench/'s self-check, the
-# race-detector run, the acceptance soaks' verbose summaries and seed
-# sweeps (see README "Testing") and the fuzz targets.
+# walk's tests (-tags purego), bench/'s self-check, every testing.B
+# benchmark once, the race-detector run, the acceptance soaks' verbose
+# summaries and seed sweeps (see README "Testing") and the fuzz targets.
 
 GO ?= go
 
@@ -50,6 +50,9 @@ vet:
 	$(GO) vet ./...
 	@unformatted=$$(gofmt -l .); if [ -n "$$unformatted" ]; then echo "gofmt -l lists:"; echo "$$unformatted"; exit 1; fi
 
+# Every testing.B benchmark in the module, one iteration each (about
+# 30-40 s on 2 vCPU): a benchmark that panics or fails its own checks
+# fails the target.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
 
@@ -113,4 +116,4 @@ fuzz:
 		done; \
 	done
 
-ci: build vet test test-procs test-purego bench-check race soaks fuzz
+ci: build vet test test-procs test-purego bench-check bench race soaks fuzz

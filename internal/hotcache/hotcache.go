@@ -3,11 +3,12 @@
 // many viewers orbit the same landmark, a paused client re-requests an
 // identical frame — so the server repeatedly re-runs index searches whose
 // answers have not changed. The cache short-circuits those: a query's
-// result (the ascending id set, the node I/O it cost, and optionally the
-// serialized response payload) is stored under a quantized region key
-// and replayed verbatim. A served scene never changes after its build
-// (new data arrives as a new scene, with a cache of its own), so a
-// stored result stays right for as long as the entry lives.
+// result (the ascending id set as index.Words, the node I/O it cost,
+// and optionally the serialized response payload) is stored under a
+// quantized region key and replayed verbatim. A served scene never
+// changes after its build (new data arrives as a new scene, with a cache
+// of its own), so a stored result stays right for as long as the entry
+// lives.
 //
 // Correctness rests on exact-query verification: BucketOf buckets
 // queries by quantized region coordinates and value band, but the entry
@@ -16,9 +17,9 @@
 // table size. Replayed responses are therefore byte-identical to what an
 // uncached search would return.
 //
-// Page residency is the pager's business alone: an entry holds ids, not
-// pages, so a region whose page turns unreadable after it was stored is
-// withheld at encode time exactly like an uncached one.
+// Page residency is the pager's business alone: an entry holds id
+// words, not pages, so a region whose page turns unreadable after it was
+// stored is withheld at encode time exactly like an uncached one.
 package hotcache
 
 import (
@@ -33,8 +34,12 @@ import (
 type Config struct {
 	// MaxEntries bounds the number of cached results (≤ 0 → 1024).
 	MaxEntries int
-	// MaxBytes bounds the summed size of cached id sets and payloads
-	// (≤ 0 → 8 MiB). Entries are evicted least-recently-used first.
+	// MaxBytes bounds the summed size of cached results and payloads
+	// (≤ 0 → 8 MiB). A result costs entryOverhead (160 B) plus 16 B per
+	// 64-id word its ids touch — the 612 hits of a benchmark walk frame's
+	// difference slivers lie in 54 words (retrieval's
+	// BenchmarkFrameSearch) — plus its payload's length. Entries are
+	// evicted least-recently-used first.
 	MaxBytes int64
 }
 
@@ -94,13 +99,13 @@ func quantize(v, cell float64) int64 {
 	return int64(f)
 }
 
-// entry is one cached result. ids and payload are immutable once set
+// entry is one cached result. words and payload are immutable once set
 // (readers copy out of them without holding the lock); list pointers and
 // payload attachment are guarded by the cache mutex.
 type entry struct {
 	k       Bucket
 	q       index.Query
-	ids     []int64
+	words   []index.Word
 	io      int64
 	payload []byte
 	bytes   int64
@@ -138,11 +143,11 @@ func New(cfg Config) *Cache {
 	return &Cache{cfg: cfg, m: make(map[Bucket]*entry, cfg.MaxEntries), subs: make(map[Bucket]int)}
 }
 
-// Get looks the query up. On a hit it appends the cached ids to buf and
-// returns the extended buffer, the node I/O the populating search cost
+// Get looks the query up. On a hit it appends the cached words to buf
+// and returns the extended buffer, the node I/O the populating search cost
 // (responses must replay it to stay byte-identical to an uncached
 // serve), and true.
-func (c *Cache) Get(q index.Query, buf []int64) ([]int64, int64, bool) {
+func (c *Cache) Get(q index.Query, buf []index.Word) ([]index.Word, int64, bool) {
 	c.mu.Lock()
 	e := c.lookupLocked(q)
 	if e == nil {
@@ -151,10 +156,10 @@ func (c *Cache) Get(q index.Query, buf []int64) ([]int64, int64, bool) {
 		return buf, 0, false
 	}
 	c.touchLocked(e)
-	ids, io := e.ids, e.io
+	words, io := e.words, e.io
 	c.mu.Unlock()
 	c.hits.Add(1)
-	return append(buf, ids...), io, true
+	return append(buf, words...), io, true
 }
 
 // lookupLocked returns the entry holding exactly q, or nil. The caller
@@ -166,17 +171,17 @@ func (c *Cache) lookupLocked(q index.Query) *entry {
 	return nil
 }
 
-// Put stores a search result. ids is copied; the caller keeps ownership
-// of its buffer.
-func (c *Cache) Put(q index.Query, ids []int64, io int64) {
+// Put stores a search result, its ids as index.SearchWords returns them.
+// words is copied; the caller keeps ownership of its buffer.
+func (c *Cache) Put(q index.Query, words []index.Word, io int64) {
 	e := &entry{
 		k:     BucketOf(q),
 		q:     q,
 		io:    io,
-		bytes: entryOverhead + int64(len(ids))*8,
+		bytes: entryOverhead + int64(len(words))*wordBytes,
 	}
-	if len(ids) > 0 {
-		e.ids = append([]int64(nil), ids...)
+	if len(words) > 0 {
+		e.words = append([]index.Word(nil), words...)
 	}
 	c.mu.Lock()
 	if old := c.m[e.k]; old != nil {
@@ -333,8 +338,12 @@ func (c *Cache) Stats() Stats {
 }
 
 // entryOverhead approximates the fixed per-entry footprint (struct, map
-// slot, slice headers) for the byte bound.
-const entryOverhead = 160
+// slot, slice headers) for the byte bound; wordBytes is the size of one
+// stored index.Word.
+const (
+	entryOverhead = 160
+	wordBytes     = 16
+)
 
 // evictOverflowLocked drops least-recently-used entries until both
 // bounds hold, skipping subscribed buckets (their entries are the

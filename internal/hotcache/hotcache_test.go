@@ -25,6 +25,9 @@ func testStore(t testing.TB, n int, seed int64) *index.Store {
 	return index.NewStore(objs)
 }
 
+// words folds ascending ids into the words a search returns.
+func words(ids ...int64) []index.Word { return index.AppendWords(nil, ids) }
+
 func q(x0, y0, x1, y1, wmax float64) index.Query {
 	return index.Query{
 		Region: geom.Rect2{Min: geom.V2(x0, y0), Max: geom.V2(x1, y1)},
@@ -34,19 +37,19 @@ func q(x0, y0, x1, y1, wmax float64) index.Query {
 }
 
 // TestGetPutRoundTrip pins the basic contract: a stored result replays
-// with the same ids and the same io, appended to the caller's buffer.
+// with the same words and the same io, appended to the caller's buffer.
 func TestGetPutRoundTrip(t *testing.T) {
 	c := New(Config{})
 	query := q(0, 0, 100, 100, 1)
-	ids := []int64{3, 7, 9}
-	c.Put(query, ids, 17)
-	ids[0] = 99 // Put must have copied
-	buf := []int64{-1}
+	stored := words(3, 7, 9, 200)
+	c.Put(query, stored, 17)
+	stored[0].Bits = 1 // Put must have copied
+	buf := words(-1)
 	buf, io, ok := c.Get(query, buf)
 	if !ok || io != 17 {
 		t.Fatalf("Get = io %d ok %v, want 17 true", io, ok)
 	}
-	if !slices.Equal(buf, []int64{-1, 3, 7, 9}) {
+	if !slices.Equal(buf, words(-1, 3, 7, 9, 200)) {
 		t.Fatalf("buf = %v", buf)
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 0 || st.Entries != 1 {
@@ -61,16 +64,16 @@ func TestExactQueryVerification(t *testing.T) {
 	c := New(Config{})
 	a := q(1, 1, 10, 10, 1)
 	b := q(2, 2, 11, 11, 1) // same 64-unit cell as a
-	c.Put(a, []int64{1}, 1)
+	c.Put(a, words(1), 1)
 	if _, _, ok := c.Get(b, nil); ok {
 		t.Fatal("collision returned the wrong query's result")
 	}
-	c.Put(b, []int64{2}, 2)
+	c.Put(b, words(2), 2)
 	if _, _, ok := c.Get(a, nil); ok {
 		t.Fatal("replaced entry still hit")
 	}
 	buf, _, ok := c.Get(b, nil)
-	if !ok || !slices.Equal(buf, []int64{2}) {
+	if !ok || !slices.Equal(buf, words(2)) {
 		t.Fatalf("Get(b) = %v %v", buf, ok)
 	}
 	if st := c.Stats(); st.Evictions != 1 {
@@ -83,10 +86,10 @@ func TestExactQueryVerification(t *testing.T) {
 func TestLRUEviction(t *testing.T) {
 	c := New(Config{MaxEntries: 2})
 	qa, qb, qc := q(0, 0, 0.5, 0.5, 1), q(100, 100, 100.5, 100.5, 1), q(200, 200, 200.5, 200.5, 1)
-	c.Put(qa, []int64{1}, 1)
-	c.Put(qb, []int64{2}, 1)
-	c.Get(qa, nil)           // refresh a
-	c.Put(qc, []int64{3}, 1) // evicts b (LRU)
+	c.Put(qa, words(1), 1)
+	c.Put(qb, words(2), 1)
+	c.Get(qa, nil)         // refresh a
+	c.Put(qc, words(3), 1) // evicts b (LRU)
 	if _, _, ok := c.Get(qb, nil); ok {
 		t.Fatal("LRU entry survived eviction")
 	}
@@ -95,8 +98,8 @@ func TestLRUEviction(t *testing.T) {
 	}
 	// Byte bound: a payload large enough to bust MaxBytes evicts down.
 	cb := New(Config{MaxBytes: entryOverhead + 512})
-	cb.Put(qa, make([]int64, 64), 1) // 160 + 512 bytes: fits exactly
-	cb.Put(qb, make([]int64, 64), 1) // second entry must push the first out
+	cb.Put(qa, make([]index.Word, 32), 1) // 160 + 512 bytes: fits exactly
+	cb.Put(qb, make([]index.Word, 32), 1) // second entry must push the first out
 	st := cb.Stats()
 	if st.Entries != 1 || st.Evictions != 1 || st.Bytes > entryOverhead+512 {
 		t.Fatalf("byte bound not enforced: %+v", st)
@@ -111,7 +114,7 @@ func TestPayloadAttach(t *testing.T) {
 	if _, ok := c.Payload(query, 0); ok {
 		t.Fatal("payload before entry")
 	}
-	c.Put(query, []int64{5}, 3)
+	c.Put(query, words(5), 3)
 	if _, ok := c.Payload(query, 0); ok {
 		t.Fatal("payload before attach")
 	}
@@ -150,12 +153,12 @@ func TestCacheMatchesIndexUnderChurn(t *testing.T) {
 		want, wantIO := idx.Search(query)
 		if ok {
 			hits++
-			if !slices.Equal(cached, want) || cachedIO != wantIO {
+			if got := index.AppendIDs(nil, cached); !slices.Equal(got, want) || cachedIO != wantIO {
 				t.Fatalf("step %d: cache hit diverged from the index: %d ids io %d, want %d ids io %d",
-					step, len(cached), cachedIO, len(want), wantIO)
+					step, len(got), cachedIO, len(want), wantIO)
 			}
 		} else {
-			c.Put(query, want, wantIO)
+			c.Put(query, index.AppendWords(nil, want), wantIO)
 		}
 	}
 	st := c.Stats()
@@ -193,18 +196,18 @@ func TestCacheConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
 			var cur index.Cursor
-			var buf, cached []int64
+			var buf, cached []index.Word
 			for i := 0; i < 400; i++ {
 				query := pool[rng.Intn(len(pool))]
 				var cio int64
 				var ok bool
 				cached, cio, ok = c.Get(query, cached[:0])
 				var io int64
-				buf, io = idx.SearchInto(query, buf[:0], &cur)
+				buf, io = idx.SearchWords(query, buf[:0], &cur)
 				if !ok {
 					c.Put(query, buf, io)
 				} else if !slices.Equal(cached, buf) || cio != io {
-					t.Errorf("concurrent hit diverged: %d ids io %d vs %d ids io %d",
+					t.Errorf("concurrent hit diverged: %d words io %d vs %d words io %d",
 						len(cached), cio, len(buf), io)
 					return
 				}

@@ -13,9 +13,9 @@ func TestSubscribeProtectsFromEviction(t *testing.T) {
 	qa, qb, qc := q(0, 0, 0.5, 0.5, 1), q(100, 100, 100.5, 100.5, 1), q(200, 200, 200.5, 200.5, 1)
 	sub := c.Subscribe()
 	sub.Set(qa)
-	c.Put(qa, []int64{1}, 1)
-	c.Put(qb, []int64{2}, 1)
-	c.Put(qc, []int64{3}, 1) // over MaxEntries: must evict b, not the subscribed a
+	c.Put(qa, words(1), 1)
+	c.Put(qb, words(2), 1)
+	c.Put(qc, words(3), 1) // over MaxEntries: must evict b, not the subscribed a
 	if _, _, ok := c.Get(qa, nil); !ok {
 		t.Fatal("subscribed entry evicted under LRU pressure")
 	}
@@ -25,7 +25,7 @@ func TestSubscribeProtectsFromEviction(t *testing.T) {
 	sub.Close()
 	// With the watcher gone, the next overflow pass may evict a again.
 	qd := q(300, 300, 300.5, 300.5, 1)
-	c.Put(qd, []int64{4}, 1)
+	c.Put(qd, words(4), 1)
 	if st := c.Stats(); st.Entries > 2 {
 		t.Fatalf("cache stayed over bound after last unsubscribe: %+v", st)
 	}
@@ -43,9 +43,9 @@ func TestSubscribeRefCounts(t *testing.T) {
 	if got := c.Stats().Subscribers; got != 2 {
 		t.Fatalf("subscribers = %d, want 2", got)
 	}
-	c.Put(qa, []int64{1}, 1)
+	c.Put(qa, words(1), 1)
 	s1.Close()
-	c.Put(qb, []int64{2}, 1) // over bound; a still has one watcher
+	c.Put(qb, words(2), 1) // over bound; a still has one watcher
 	if _, _, ok := c.Get(qa, nil); !ok {
 		t.Fatal("entry lost protection while a subscriber remained")
 	}
@@ -54,7 +54,7 @@ func TestSubscribeRefCounts(t *testing.T) {
 		t.Fatalf("subscribers = %d after all closed, want 0", got)
 	}
 	s2.Close() // idempotent
-	c.Put(qb, []int64{2}, 1)
+	c.Put(qb, words(2), 1)
 	if st := c.Stats(); st.Entries != 1 {
 		t.Fatalf("unprotected cache not evicted back to bound: %+v", st)
 	}
@@ -73,8 +73,8 @@ func TestSubscribeFollowsViewer(t *testing.T) {
 		t.Fatalf("subscribers = %d, want 1", got)
 	}
 	sub.Set(qb)
-	c.Put(qa, []int64{1}, 1)
-	c.Put(qb, []int64{2}, 1)
+	c.Put(qa, words(1), 1)
+	c.Put(qb, words(2), 1)
 	// qb is watched; qa is not — the overflow pass must evict qa.
 	if _, _, ok := c.Get(qb, nil); !ok {
 		t.Fatal("current bucket lost protection after the move")
@@ -90,7 +90,7 @@ func TestSubscribeFollowsViewer(t *testing.T) {
 func TestPayloadHitCounter(t *testing.T) {
 	c := New(Config{})
 	qa := q(0, 0, 30, 30, 1)
-	c.Put(qa, []int64{1}, 1)
+	c.Put(qa, words(1), 1)
 	c.SetPayload(qa, 0, []byte{1, 2, 3})
 	for i := 0; i < 3; i++ {
 		if _, ok := c.Payload(qa, 0); !ok {
@@ -119,7 +119,7 @@ func TestSubscribeConcurrent(t *testing.T) {
 				x := queries[(g+i)%len(queries)].x
 				query := q(x, x, x+0.5, x+0.5, 1)
 				sub.Set(query)
-				c.Put(query, []int64{int64(i)}, 1)
+				c.Put(query, words(int64(i)), 1)
 				c.Get(query, nil)
 			}
 		}(g)

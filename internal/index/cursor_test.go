@@ -4,6 +4,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/rtree"
 )
 
@@ -78,5 +79,84 @@ func TestSearchIntoAllocFree(t *testing.T) {
 		if allocs != 0 {
 			t.Fatalf("%s: steady-state SearchInto allocates %.1f times per run, want 0", idx.Name(), allocs)
 		}
+	}
+}
+
+// TestSearchWordsMatchesRawHits holds SearchWords, expanded, to a
+// reference that bypasses the hit set — the R*-trees' raw hits sorted
+// and compacted by slices — and SearchInto to the same ids, each with
+// the reference's node I/O, for MotionAware and for Sharded at K ∈ {1,
+// 4, 7}. The queries give hit batches below and above hitSortCutoff and
+// degenerate windows that return nothing; every search appends after a
+// prefix word it must leave alone. (The hit set's comparison-sort
+// fallback for ids past its spine needs ids no test store reaches;
+// TestHitSetMatchesSortCompact drives it directly.)
+func TestSearchWordsMatchesRawHits(t *testing.T) {
+	store := testStore(t, 12, 29)
+	bounds := store.Bounds()
+	ma := NewMotionAware(store, XYW, rtree.Config{})
+	indexes := []IntoSearcher{ma}
+	raws := []func(Query) ([]int64, int64){func(q Query) ([]int64, int64) {
+		qr, ok := ma.layout.queryRect(q)
+		if !ok {
+			return nil, 0
+		}
+		var rt rtree.Cursor
+		return ma.tree.SearchInto(qr, &rt, nil)
+	}}
+	for _, k := range []int{1, 4, 7} {
+		s := NewSharded(store, XYW, ShardedConfig{Shards: k})
+		indexes = append(indexes, s)
+		raws = append(raws, func(q Query) ([]int64, int64) {
+			var rt rtree.Cursor
+			return s.searchRaw(q, nil, &rt)
+		})
+	}
+	rng := rand.New(rand.NewSource(31))
+	queries := []Query{
+		{Region: bounds.XY(), ZMin: 0, ZMax: 100, WMin: 0.9, WMax: 0.1},                           // inverted band
+		{Region: geom.Rect2{Min: geom.V2(9, 9), Max: geom.V2(1, 1)}, ZMin: 0, ZMax: 100, WMax: 1}, // inverted region
+	}
+	for len(queries) < 300 {
+		queries = append(queries, randQuery(rng, bounds))
+	}
+	prefix := Word{W: -5, Bits: 3}
+	var cur Cursor
+	var words []Word
+	var ids []int64
+	var small, large, empty int
+	for i, q := range queries {
+		for j, idx := range indexes {
+			raw, wantIO := raws[j](q)
+			switch {
+			case len(raw) == 0:
+				empty++
+			case len(raw) < hitSortCutoff:
+				small++
+			default:
+				large++
+			}
+			want := sortCompact(raw)
+			var io int64
+			words, io = idx.SearchWords(q, append(words[:0], prefix), &cur)
+			if io != wantIO || words[0] != prefix {
+				t.Fatalf("%s query %d: SearchWords io %d (reference %d), first word %+v", idx.Name(), i, io, wantIO, words[0])
+			}
+			for k, w := range words[1:] {
+				if w.Bits == 0 || (k > 0 && w.W <= words[k].W) {
+					t.Fatalf("%s query %d: word %d %+v is empty or out of order", idx.Name(), i, k, w)
+				}
+			}
+			if got := AppendIDs(nil, words[1:]); !equalIDs(got, want) {
+				t.Fatalf("%s query %d: SearchWords holds %d ids, reference %d", idx.Name(), i, len(got), len(want))
+			}
+			ids, io = idx.SearchInto(q, ids[:0], &cur)
+			if io != wantIO || !equalIDs(ids, want) {
+				t.Fatalf("%s query %d: SearchInto %d ids io %d, reference %d ids io %d", idx.Name(), i, len(ids), io, len(want), wantIO)
+			}
+		}
+	}
+	if small == 0 || large == 0 || empty == 0 {
+		t.Fatalf("vacuous: %d small, %d large and %d empty batches", small, large, empty)
 	}
 }

@@ -5,6 +5,6 @@ package index
 type HitSet = hitSet
 
 var (
-	OrderHits      = (*hitSet).order
+	HitWords       = (*hitSet).words
 	ShardedRawHits = (*Sharded).searchRaw
 )

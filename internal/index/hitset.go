@@ -11,7 +11,7 @@ const (
 	hitPageBits  = 12
 	hitPageWords = 1 << hitPageBits / 64
 
-	// hitSortCutoff is the batch size below which order hands over to
+	// hitSortCutoff is the batch size below which words hands over to
 	// slices.Sort: a bitmap pass costs a page per distinct page and a
 	// scan of the touched-page bitmap whatever the batch, which an
 	// insertion sort of a dozen ids undercuts. On prefixes of the
@@ -27,15 +27,52 @@ type hitPage struct {
 	words [hitPageWords]uint64
 }
 
+// Word is one 64-id word of a search result: bit b of Bits is set when
+// id 64·W+b matched. A search returns its words non-empty and in
+// ascending W order, so they carry the same set in the same order as its
+// ascending ids, in one 16-byte word per up to 64 of them.
+type Word struct {
+	W    int64
+	Bits uint64
+}
+
+// AppendIDs appends the ids of words to buf, in the words' order and
+// ascending within each word, and returns the extended buffer.
+func AppendIDs(buf []int64, words []Word) []int64 {
+	for _, w := range words {
+		base := w.W << 6
+		for b := w.Bits; b != 0; b &= b - 1 {
+			buf = append(buf, base|int64(bits.TrailingZeros64(b)))
+		}
+	}
+	return buf
+}
+
+// AppendWords appends ascending ids (duplicates allowed) to out as words
+// and returns the extended buffer. A word already in out is never
+// extended: the ids' words start after it.
+func AppendWords(out []Word, ids []int64) []Word {
+	start := len(out)
+	for _, id := range ids {
+		w, bit := id>>6, uint64(1)<<(uint(id)&63)
+		if n := len(out) - 1; n >= start && out[n].W == w {
+			out[n].Bits |= bit
+			continue
+		}
+		out = append(out, Word{W: w, Bits: bit})
+	}
+	return out
+}
+
 // hitSet is the ordering step behind the "ascending ids" contract of
-// every SearchInto. Coefficient ids are dense non-negative integers, so a
+// every search. Coefficient ids are dense non-negative integers, so a
 // batch of raw R*-tree hits is ordered by setting one bit per id in a
-// paged bitmap and reading the bits back in ascending order: one pass
-// over the batch to set, one to read back, and the pages the batch
-// touches in between — no comparison and no second buffer. The pages are
-// the cursor's: the drain zeroes each page as it reads it and puts it
-// back on a free list, so a warm cursor orders without allocating. A
-// hitSet is not safe for concurrent use.
+// paged bitmap and reading its nonzero words back in ascending order:
+// one pass over the batch to set, one over the touched words to read
+// back — no comparison, and the result leaves as the words it was set
+// in. The pages are the cursor's: the drain zeroes each page as it reads
+// it and puts it back on a free list, so a warm cursor orders without
+// allocating. A hitSet is not safe for concurrent use.
 type hitSet struct {
 	// spine[p] is the page of ids [p<<hitPageBits, (p+1)<<hitPageBits),
 	// nil when the batch has no hit there. It grows to the highest page a
@@ -52,20 +89,21 @@ type hitSet struct {
 // many pages as the batch has ids.
 const hitSpineFloor = 1 << 14
 
-// order sorts ids ascending and drops duplicates, in place, and returns
-// the ordered prefix. Batches below hitSortCutoff go through slices.Sort,
+// words appends the set of ids (any order, duplicates allowed) to out as
+// ascending words and returns the extended buffer; ids is scratch and is
+// left reordered. Batches below hitSortCutoff go through slices.Sort,
 // and so do batches holding a negative id or an id whose page lies past
 // both hitSpineFloor and the batch size: those would grow the spine past
 // the batch, where a comparison sort is cheaper than the pages.
-func (h *hitSet) order(ids []int64) []int64 {
+func (h *hitSet) words(ids []int64, out []Word) []Word {
 	if len(ids) < hitSortCutoff {
-		return sortCompact(ids)
+		return AppendWords(out, sortCompact(ids))
 	}
 	for _, v := range ids {
 		p := uint64(v) >> hitPageBits // a negative id maps past any spine
 		if p >= uint64(len(h.spine)) && !h.grow(p, len(ids)) {
-			h.drain(nil, false)
-			return sortCompact(ids)
+			h.drain(out) // empties the set; what it appends past out is dropped
+			return AppendWords(out, sortCompact(ids))
 		}
 		pg := h.spine[p]
 		if pg == nil {
@@ -77,9 +115,7 @@ func (h *hitSet) order(ids []int64) []int64 {
 		pg.used |= 1 << w
 		pg.words[w] |= 1 << (uint(v) & 63)
 	}
-	// Every id is in the bitmap now, so ids is free to take the ordered
-	// result: the drain writes at most len(ids) ids.
-	return h.drain(ids[:0], true)
+	return h.drain(out)
 }
 
 // grow extends the spine to cover page p, unless that would take it past
@@ -96,22 +132,16 @@ func (h *hitSet) grow(p uint64, n int) bool {
 	return true
 }
 
-// drain empties the set in ascending id order, appending each id to out
-// when keep is set, and returns out. Every page goes back on the free
-// list zeroed.
-func (h *hitSet) drain(out []int64, keep bool) []int64 {
+// drain empties the set, appending its nonzero words to out in ascending
+// order, and returns out. Every page goes back on the free list zeroed.
+func (h *hitSet) drain(out []Word) []Word {
 	for tw, t := range h.touched {
 		for ; t != 0; t &= t - 1 {
 			p := tw<<6 | bits.TrailingZeros64(t)
 			pg := h.spine[p]
 			for u := pg.used; u != 0; u &= u - 1 {
 				w := bits.TrailingZeros64(u)
-				if keep {
-					base := int64(p)<<hitPageBits | int64(w)<<6
-					for word := pg.words[w]; word != 0; word &= word - 1 {
-						out = append(out, base|int64(bits.TrailingZeros64(word)))
-					}
-				}
+				out = append(out, Word{W: int64(p)<<(hitPageBits-6) | int64(w), Bits: pg.words[w]})
 				pg.words[w] = 0
 			}
 			pg.used = 0
@@ -133,7 +163,7 @@ func (h *hitSet) page() *hitPage {
 	return new(hitPage)
 }
 
-// sortCompact is order's comparison-sort path.
+// sortCompact is words' comparison-sort path.
 func sortCompact(ids []int64) []int64 {
 	slices.Sort(ids)
 	return slices.Compact(ids)

@@ -6,14 +6,16 @@ import (
 	"testing"
 )
 
-// TestHitSetMatchesSortCompact holds the hit set to slices.Sort plus
-// slices.Compact over batches on both sides of the sort cutoff and over
+// TestHitSetMatchesSortCompact holds the hit set's words, expanded, to
+// slices.Sort plus slices.Compact over batches on both sides of the sort cutoff and over
 // the id shapes that steer it: dense ids, ids on one page, ids beyond
 // 2³² clustered and spread, ids spread over more pages than the batch
 // holds (the comparison-sort path), heavy duplication, and a negative id
 // (also the comparison sort). One hit set is carried through all of them
 // in shuffled size order, so its spine and free pages are met both
-// smaller and larger than the batch.
+// smaller and larger than the batch, and the words are appended after a
+// sentinel word holding the batch's first word index, which the batch
+// must not extend.
 func TestHitSetMatchesSortCompact(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	shapes := map[string]func() int64{
@@ -49,8 +51,21 @@ func TestHitSetMatchesSortCompact(t *testing.T) {
 				want := slices.Clone(ids)
 				slices.Sort(want)
 				want = slices.Compact(want)
-				if got := h.order(ids); !slices.Equal(got, want) {
-					t.Fatalf("%s, n=%d, spine %d: order differs from sort+compact", name, n, len(h.spine))
+				sentinel := Word{W: -1, Bits: 1 << 63}
+				if len(want) > 0 {
+					sentinel.W = want[0] >> 6
+				}
+				words := h.words(ids, []Word{sentinel})
+				if words[0] != sentinel {
+					t.Fatalf("%s, n=%d: the sentinel word became %+v", name, n, words[0])
+				}
+				for i, w := range words[1:] {
+					if w.Bits == 0 || (i > 0 && w.W <= words[i].W) {
+						t.Fatalf("%s, n=%d: word %d %+v is empty or out of order", name, n, i, w)
+					}
+				}
+				if got := AppendIDs(nil, words[1:]); !slices.Equal(got, want) {
+					t.Fatalf("%s, n=%d, spine %d: words differ from sort+compact", name, n, len(h.spine))
 				}
 			}
 		}
@@ -58,24 +73,25 @@ func TestHitSetMatchesSortCompact(t *testing.T) {
 }
 
 // TestHitSetRetainsPages pins the steady state SearchInto's allocation
-// gates rely on: once the hit set has ordered a batch, batches over as
-// many pages order without allocating.
+// gates rely on: once the hit set has ordered a batch into a retained
+// word buffer, batches over as many pages order without allocating.
 func TestHitSetRetainsPages(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	ids := make([]int64, 3000)
 	var h hitSet
+	var out []Word
 	fill := func() {
 		for i := range ids {
 			ids[i] = rng.Int63n(600_000)
 		}
 	}
 	fill()
-	h.order(ids)
+	out = h.words(ids, out[:0])
 	if allocs := testing.AllocsPerRun(20, func() {
 		fill()
-		h.order(ids)
-		h.order(ids[:1000])
+		out = h.words(ids, out[:0])
+		out = h.words(ids[:1000], out[:0])
 	}); allocs != 0 {
-		t.Fatalf("warm order allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("warm words allocates %.1f times per run, want 0", allocs)
 	}
 }

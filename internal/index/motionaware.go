@@ -65,19 +65,26 @@ func (m *MotionAware) Search(q Query) ([]int64, int64) {
 	return ids, io
 }
 
-// SearchInto is the allocation-free Search: matching ids are appended to
-// buf (ascending, same set and I/O as Search) using the cursor's
-// traversal stack and hit set, so a warmed-up caller performs no
-// allocations per query. Safe for concurrent callers with distinct
-// cursors and buffers.
-func (m *MotionAware) SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, int64) {
+// SearchWords is the allocation-free Search in words: the matching ids
+// are appended to out as ascending words (same set and I/O as Search)
+// using the cursor's traversal stack, hit buffer and hit set, so a
+// warmed-up caller performs no allocations per query. Safe for
+// concurrent callers with distinct cursors and buffers.
+func (m *MotionAware) SearchWords(q Query, out []Word, cur *Cursor) ([]Word, int64) {
 	qr, ok := m.layout.queryRect(q)
 	if !ok {
-		return buf, 0
+		return out, 0
 	}
+	var io int64
+	cur.raw, io = m.tree.SearchInto(qr, &cur.rt, cur.raw[:0])
+	return cur.hits.words(cur.raw, out), io
+}
+
+// SearchInto is SearchWords with the words expanded: the matching ids
+// are appended to buf in ascending order, allocation-free once warm.
+func (m *MotionAware) SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, int64) {
 	start := len(buf)
-	buf, io := m.tree.SearchInto(qr, &cur.rt, buf)
-	buf = buf[:start+len(cur.hits.order(buf[start:]))]
+	buf, io := searchInto(m, q, buf, cur)
 	m.lastHits.Store(int64(len(buf) - start))
 	return buf, io
 }

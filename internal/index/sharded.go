@@ -220,19 +220,25 @@ func (s *Sharded) Search(q Query) ([]int64, int64) {
 	return ids, io
 }
 
-// SearchInto is the allocation-free Search: matching ids are appended to
-// buf in ascending order using the cursor's retained scratch (traversal
-// stack, hit set), so a warmed-up search performs no allocations.
-// The overlapping shards are searched in turn on the calling goroutine:
-// a whole frame's descent is tens of microseconds, less than handing it
-// to other goroutines costs, so concurrency comes from sessions, not
-// from inside a query. The result set, order, and I/O are identical to
-// Search. Safe for any number of concurrent callers with distinct
-// cursors and buffers.
+// SearchWords is the allocation-free Search in words: the matching ids
+// are appended to out as ascending words using the cursor's retained
+// scratch (traversal stack, hit buffer, hit set), so a warmed-up search
+// performs no allocations. The overlapping shards are searched in turn
+// on the calling goroutine: a whole frame's descent is tens of
+// microseconds, less than handing it to other goroutines costs, so
+// concurrency comes from sessions, not from inside a query. The result
+// set, order, and I/O are identical to Search. Safe for any number of
+// concurrent callers with distinct cursors and buffers.
+func (s *Sharded) SearchWords(q Query, out []Word, cur *Cursor) ([]Word, int64) {
+	var io int64
+	cur.raw, io = s.searchRaw(q, cur.raw[:0], &cur.rt)
+	return cur.hits.words(cur.raw, out), io
+}
+
+// SearchInto is SearchWords with the words expanded: the matching ids
+// are appended to buf in ascending order, allocation-free once warm.
 func (s *Sharded) SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, int64) {
-	start := len(buf)
-	buf, io := s.searchRaw(q, buf, &cur.rt)
-	return buf[:start+len(cur.hits.order(buf[start:]))], io
+	return searchInto(s, q, buf, cur)
 }
 
 // searchRaw appends every overlapping shard's hits to buf in the order

@@ -76,12 +76,13 @@ func BenchmarkShardedSearchInto(b *testing.B) {
 	}
 }
 
-// BenchmarkHitSet is SearchInto's ordering step alone: the raw hits of
+// BenchmarkHitSet is SearchWords' ordering step alone: the raw hits of
 // BenchmarkShardedSearchInto's windows, in the order the shards'
-// R*-trees return them, ordered by the cursor's hit set (hitset) and by
-// the comparison sort it replaces above the cutoff (sort). Real window
-// hits cluster on the pages of the objects in view; uniform random ids
-// would be the hit set's worst case and are not what a search returns.
+// R*-trees return them, folded into ascending words by the cursor's hit
+// set (hitset) and by the comparison sort it replaces above the cutoff
+// (sort). Real window hits cluster on the pages of the objects in view;
+// uniform random ids would be the hit set's worst case and are not what
+// a search returns.
 func BenchmarkHitSet(b *testing.B) {
 	idx, bounds := benchCity()
 	var rt rtree.Cursor
@@ -93,25 +94,27 @@ func BenchmarkHitSet(b *testing.B) {
 		}
 		for _, m := range []struct {
 			name  string
-			order func(h *index.HitSet, ids []int64) []int64
+			words func(h *index.HitSet, ids []int64, out []index.Word) []index.Word
 		}{
-			{"hitset", index.OrderHits},
-			{"sort", func(_ *index.HitSet, ids []int64) []int64 {
+			{"hitset", index.HitWords},
+			{"sort", func(_ *index.HitSet, ids []int64, out []index.Word) []index.Word {
 				slices.Sort(ids)
-				return slices.Compact(ids)
+				return index.AppendWords(out, slices.Compact(ids))
 			}},
 		} {
 			b.Run(w.name+"/"+m.name, func(b *testing.B) {
 				var h index.HitSet
 				var buf []int64
-				var hits int64
+				var out []index.Word
+				var words int64
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					buf = append(buf[:0], raw[i%len(raw)]...)
-					hits += int64(len(m.order(&h, buf)))
+					out = m.words(&h, buf, out[:0])
+					words += int64(len(out))
 				}
-				b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
+				b.ReportMetric(float64(words)/float64(b.N), "words/op")
 			})
 		}
 	}

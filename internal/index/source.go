@@ -150,6 +150,19 @@ func (p *Pins) Record(id int64) ([]byte, error) {
 	return wavelet.AppendWire(p.rec[:0], &w), nil
 }
 
+// Run returns the wire records of ids [lo, hi) as one slice of the
+// resident store's wire array, which holds consecutive ids side by side,
+// valid and read-only as Record's slice is; a range past the store's
+// ids panics. Over a paged source it returns false: records there are
+// read one at a time through Record, which reports a page that is
+// unreadable.
+func (p *Pins) Run(lo, hi int64) ([]byte, bool) {
+	if p.store == nil {
+		return nil, false
+	}
+	return p.store.wire[lo*wavelet.WireBytes : hi*wavelet.WireBytes : hi*wavelet.WireBytes], true
+}
+
 // holds reports whether id resolves in the slab p resolved last, so a
 // sequential reader can Release before moving on to the next page.
 func (p *Pins) holds(id int64) bool {

@@ -2,14 +2,16 @@ package proto
 
 import (
 	"bytes"
-	"fmt"
+	"math/rand"
 	"path/filepath"
+	"slices"
 	"sync"
 	"testing"
 
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/index"
+	"repro/internal/motion"
 	"repro/internal/retrieval"
 	"repro/internal/wavelet"
 	"repro/internal/workload"
@@ -19,13 +21,16 @@ import (
 // its 4-shard index, and response id sets of the two sizes the serve
 // path sees most: 55 records (a tram.mem frame) and 600 (a walk.mem
 // frame), each spread evenly over a thin strip through the city centre,
-// so a frame touches many objects a few coefficients each, as a moving
-// client's slivers do.
+// so a frame touches many objects a few coefficients each, with hardly
+// two ids in a row. walk is a real walk.mem response instead: the
+// median-sized one of a pedestrian trip's frames after the first, whose
+// fresh ids come in runs of consecutive ids.
 var benchCity struct {
 	once  sync.Once
 	store *index.Store
 	idx   index.IntoSearcher
 	ids   map[int][]int64
+	walk  []int64
 }
 
 func loadBenchCity() {
@@ -44,6 +49,19 @@ func loadBenchCity() {
 		}
 		c.ids[n] = ids
 	}
+	// One pedestrian trip as walk.mem plans it: a window 30 % of the city
+	// wide at speed 0.2, 200 frames.
+	tour := motion.NewTour(motion.Pedestrian, motion.TourSpec{Space: space, Steps: 200, Speed: 0.2}, rand.New(rand.NewSource(1)))
+	client := retrieval.NewClient(retrieval.NewSession(retrieval.NewServer(c.store, c.idx)), nil)
+	var frames [][]int64
+	for i, pos := range tour.Pos {
+		resp, _ := client.Frame(geom.RectAround(pos, 0.30*w), tour.SpeedAt(i))
+		if i > 0 && len(resp.IDs) > 0 {
+			frames = append(frames, resp.IDs)
+		}
+	}
+	slices.SortFunc(frames, func(a, b []int64) int { return len(a) - len(b) })
+	c.walk = frames[len(frames)/2]
 }
 
 // benchConn returns a serving connection over src whose session reads
@@ -59,10 +77,13 @@ func benchConn(src index.CoefficientSource) *serverConn {
 }
 
 // BenchmarkEncodeResponse is the server's record assembly for one
-// response — fetch each record through the session's pins and append
-// it to the frame — at a tram-sized and a walk-sized delivery, over the
-// resident benchmark city and over its paged segment with the
-// benchmark's 1/16 page cache (warm after the first frame).
+// response — fetch the records through the session's pins and append
+// them to the frame, a run of consecutive ids at a time over the
+// resident store — at a tram-sized and a walk-sized spread delivery and
+// at a real walk.mem response (walk), over the resident benchmark city
+// and over its paged segment with the benchmark's 1/16 page cache (warm
+// after the first frame). runs/op counts the runs of consecutive ids in
+// the response.
 func BenchmarkEncodeResponse(b *testing.B) {
 	benchCity.once.Do(loadBenchCity)
 	store := benchCity.store
@@ -79,18 +100,29 @@ func BenchmarkEncodeResponse(b *testing.B) {
 		name string
 		src  index.CoefficientSource
 	}{{"resident", store}, {"paged", ps}} {
-		for _, n := range []int{55, 600} {
-			b.Run(fmt.Sprintf("%s/%d", src.name, n), func(b *testing.B) {
+		for _, set := range []struct {
+			name string
+			ids  []int64
+		}{{"55", benchCity.ids[55]}, {"600", benchCity.ids[600]}, {"walk", benchCity.walk}} {
+			b.Run(src.name+"/"+set.name, func(b *testing.B) {
 				c := benchConn(src.src)
-				ids := benchCity.ids[n]
-				resp := retrieval.Response{IDs: make([]int64, n)}
-				b.SetBytes(int64(n * wavelet.WireBytes))
+				ids := set.ids
+				runs := 0
+				for k := range ids {
+					if k == 0 || ids[k] != ids[k-1]+1 {
+						runs++
+					}
+				}
+				resp := retrieval.Response{IDs: make([]int64, len(ids))}
+				b.SetBytes(int64(len(ids) * wavelet.WireBytes))
 				b.ReportAllocs()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					resp.IDs = append(resp.IDs[:0], ids...)
 					c.reply(&resp)
 				}
+				b.ReportMetric(float64(runs), "runs/op")
+				b.ReportMetric(float64(len(ids)), "ids/op")
 			})
 		}
 	}

@@ -137,9 +137,9 @@ type countingIndex struct {
 	passes atomic.Int64
 }
 
-func (c *countingIndex) SearchInto(q index.Query, buf []int64, cur *index.Cursor) ([]int64, int64) {
+func (c *countingIndex) SearchWords(q index.Query, buf []index.Word, cur *index.Cursor) ([]index.Word, int64) {
 	c.passes.Add(1)
-	return c.Sharded.SearchInto(q, buf, cur)
+	return c.Sharded.SearchWords(q, buf, cur)
 }
 
 // TestConcurrentFirstAsk: the table's slot is swapped, not read and then

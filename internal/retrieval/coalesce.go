@@ -10,8 +10,8 @@
 // A served index never changes, so sharing needs one check, the hot
 // cache's exact-query verification (see package hotcache):
 // hotcache.BucketOf only bounds the table, and a flight is adopted only
-// for the identical query floats. An adopted result — ids and replayed
-// node I/O — is therefore byte-identical to what the follower's own
+// for the identical query floats. An adopted result — id words and
+// replayed node I/O — is therefore byte-identical to what the follower's own
 // search would have returned. Per-session delivered-set filtering
 // happens downstream in the merge loop, so two sessions sharing one
 // index pass still receive exactly their own increments.
@@ -44,15 +44,15 @@ func (c CoalescerConfig) withDefaults() CoalescerConfig {
 }
 
 // flight is one in-progress or lingering shared search. done is closed
-// after the result fields (ids, io) are final; they are immutable from
-// then on — followers read them without a lock. ids is flight-owned
+// after the result fields (words, io) are final; they are immutable from
+// then on — followers read them without a lock. words is flight-owned
 // (never aliases a session's scratch). expires and next are guarded by
 // the coalescer mutex.
 type flight struct {
 	k       hotcache.Bucket
 	q       index.Query
 	done    chan struct{}
-	ids     []int64
+	words   []index.Word
 	io      int64
 	expires time.Time
 	next    *flight // the flight that completed after this one
@@ -85,9 +85,9 @@ func NewCoalescer(cfg CoalescerConfig) *Coalescer {
 }
 
 // do answers one sub-query over idx through the coalescer. buf receives
-// the ids (appended, like index.IntoSearcher.SearchInto). It returns the
-// extended buffer and the node I/O to replay.
-func (co *Coalescer) do(idx index.IntoSearcher, q index.Query, buf []int64, cur *index.Cursor) ([]int64, int64) {
+// the id words (appended, like index.IntoSearcher.SearchWords). It
+// returns the extended buffer and the node I/O to replay.
+func (co *Coalescer) do(idx index.IntoSearcher, q index.Query, buf []index.Word, cur *index.Cursor) ([]index.Word, int64) {
 	co.routed.Add(1)
 	k := hotcache.BucketOf(q)
 	for {
@@ -122,24 +122,24 @@ func (co *Coalescer) do(idx index.IntoSearcher, q index.Query, buf []int64, cur 
 			// wrong answer. Run our own search.
 			co.mu.Unlock()
 			co.bypassCollision.Add(1)
-			return idx.SearchInto(q, buf, cur)
+			return idx.SearchWords(q, buf, cur)
 		}
 		co.mu.Unlock()
 		<-f.done
 		co.shared.Add(1)
-		return append(buf, f.ids...), f.io
+		return append(buf, f.words...), f.io
 	}
 }
 
 // lead runs the leader's search and publishes the outcome. The search
 // appends into the leader's own buf (the session scratch, already sized
 // by earlier frames); the flight gets one exact-size copy, because
-// followers hold references to f.ids after done closes and it must
+// followers hold references to f.words after done closes and it must
 // never alias a session's reusable scratch.
-func (co *Coalescer) lead(idx index.IntoSearcher, f *flight, buf []int64, cur *index.Cursor) ([]int64, int64) {
+func (co *Coalescer) lead(idx index.IntoSearcher, f *flight, buf []index.Word, cur *index.Cursor) ([]index.Word, int64) {
 	start := len(buf)
-	buf, f.io = idx.SearchInto(f.q, buf, cur)
-	f.ids = slices.Clone(buf[start:])
+	buf, f.io = idx.SearchWords(f.q, buf, cur)
+	f.words = slices.Clone(buf[start:])
 	close(f.done)
 	co.led.Add(1)
 	co.mu.Lock()

@@ -117,8 +117,8 @@ func TestCoalescerMovedQueryReplacesFlight(t *testing.T) {
 type gatedIndex struct {
 	*index.Sharded
 	mu      sync.Mutex
-	block   chan struct{} // armed: next SearchInto waits on it
-	entered chan struct{} // closed when the gated SearchInto begins
+	block   chan struct{} // armed: next SearchWords waits on it
+	entered chan struct{} // closed when the gated SearchWords begins
 }
 
 func (g *gatedIndex) arm() (chan struct{}, chan struct{}) {
@@ -129,7 +129,7 @@ func (g *gatedIndex) arm() (chan struct{}, chan struct{}) {
 	return g.block, g.entered
 }
 
-func (g *gatedIndex) SearchInto(q index.Query, buf []int64, cur *index.Cursor) ([]int64, int64) {
+func (g *gatedIndex) SearchWords(q index.Query, buf []index.Word, cur *index.Cursor) ([]index.Word, int64) {
 	g.mu.Lock()
 	block, entered := g.block, g.entered
 	g.block, g.entered = nil, nil
@@ -138,7 +138,7 @@ func (g *gatedIndex) SearchInto(q index.Query, buf []int64, cur *index.Cursor) (
 		close(entered)
 		<-block
 	}
-	return g.Sharded.SearchInto(q, buf, cur)
+	return g.Sharded.SearchWords(q, buf, cur)
 }
 
 // TestCoalescerInFlightCollision pins the one case that still bypasses:

@@ -17,8 +17,9 @@ import (
 )
 
 // mergeReference is the merge as one id at a time: delivered-set lookup,
-// filter, budget cut and delivered-set insert per raw hit. It is the
-// specification the word-at-a-time merge is held to, field for field.
+// filter, budget cut and delivered-set insert per raw hit, each
+// sub-query's words expanded into ids first. It is the specification
+// the word-at-a-time merge is held to, field for field.
 func (s *Server) mergeReference(subs []SubQuery, results []subResult, delivered *Delivered, limit int64, coeffs coeffReader, resp *Response) mergeTally {
 	var t mergeTally
 	var withheld Delivered
@@ -29,8 +30,9 @@ func (s *Server) mergeReference(subs []SubQuery, results []subResult, delivered 
 		}
 		resp.IO += r.io
 		resp.Queries++
-		t.rawHits += int64(len(r.ids))
-		for _, id := range r.ids {
+		ids := index.AppendIDs(nil, r.words)
+		t.rawHits += int64(len(ids))
+		for _, id := range ids {
 			if delivered != nil && delivered.Has(id) {
 				t.suppressed = true
 				continue
@@ -286,10 +288,11 @@ func hitRuns(data []byte) [][]int64 {
 }
 
 // FuzzExecuteMerge compares the word merge with mergeReference on
-// synthetic frames: random ascending id runs (one per sub-query, the
-// same ids often reaching several), a random delivered set or none, a
-// random budget, and optionally a Filter over the stub source, whose
-// faults then withhold ids inside the words.
+// synthetic frames: random ascending id runs folded into words (one run
+// per sub-query, the same ids often reaching several), a random
+// delivered set or none, a random budget, which often cuts inside a
+// word, and optionally a Filter over the stub source, which rejects and
+// faults bits inside the words.
 func FuzzExecuteMerge(f *testing.F) {
 	f.Add([]byte{1, 2, 3, 70, 0, 2, 2, 60, 255, 1}, []byte{3, 1, 9}, int16(-1), uint8(0))
 	f.Add([]byte{1, 1, 1, 1, 1, 1, 1, 1, 0, 1, 2, 1, 2}, []byte{2, 2, 2}, int16(3), uint8(2))
@@ -303,7 +306,7 @@ func FuzzExecuteMerge(f *testing.F) {
 		subs := make([]SubQuery, len(runs))
 		results := make([]subResult, len(runs))
 		for i, ids := range runs {
-			results[i] = subResult{ids: ids, io: int64(len(ids)), ran: true}
+			results[i] = subResult{words: index.AppendWords(nil, ids), io: int64(len(ids)), ran: true}
 			if flags&2 != 0 && i%2 == 0 {
 				subs[i].Filter = func(p geom.Vec3) bool { return p.X != 0 }
 			}
@@ -349,7 +352,7 @@ func FuzzExecuteMerge(f *testing.F) {
 // cut, and that merge delivers a held id to nobody.
 func TestMergeSkipsHeldIDsUnderFilter(t *testing.T) {
 	subs := []SubQuery{{Filter: func(geom.Vec3) bool { return true }}}
-	results := []subResult{{ids: []int64{3, 4, 10}, ran: true}} // 3 and 10 sit on unreadable pages
+	results := []subResult{{words: index.AppendWords(nil, []int64{3, 4, 10}), ran: true}} // 3 and 10 sit on unreadable pages
 	var srv Server
 	for name, merge := range map[string]func([]SubQuery, []subResult, *Delivered, int64, coeffReader, *Response) mergeTally{
 		"merge": srv.merge, "reference": srv.mergeReference,

@@ -326,14 +326,14 @@ type mergeTally struct {
 // of that order, and counts what the cut and page faults withhold in
 // resp.Dropped; resp.IO and resp.Queries sum the executed sub-queries.
 //
-// Each sub-query's ids are strictly ascending (the SearchInto contract),
-// so the merge takes them one 64-id word of the delivered bitset at a
-// time: the word's hits, less the ones a Filter rejects or a page fault
-// withholds, minus the delivered word are the fresh ids; the budget cut
+// Each sub-query's hits arrive as ascending 64-id words (the SearchWords
+// contract), the words of the delivered bitset, so the merge takes a
+// word at a time: the hits minus the delivered word are the fresh ids;
+// a Filter reads the positions of those alone, through coeffs, and the
+// ones it rejects or whose page faults leave the word; the budget cut
 // falls inside the word by popcount, and the kept ids are ORed into the
-// set at once. A Filter reads positions through coeffs, and only of ids
-// the client does not hold: a delivered id is never fresh, so neither a
-// rejection nor a fault on its page withholds anything.
+// set at once. A delivered id is never fresh, so neither a rejection nor
+// a fault on its page withholds anything.
 //
 // Withheld ids are not marked delivered — later frames retrieve them
 // when budget allows or the page heals. Dropped must equal exactly what
@@ -363,47 +363,42 @@ func (s *Server) merge(subs []SubQuery, results []subResult, delivered *Delivere
 		}
 		resp.IO += r.io
 		resp.Queries++
-		t.rawHits += int64(len(r.ids))
 		filter := subs[i].Filter
-		for ids := r.ids; len(ids) > 0; {
-			w := ids[0] >> 6
-			var held uint64
+		for _, word := range r.words {
+			w := word.W
+			t.rawHits += int64(bits.OnesCount64(word.Bits))
+			fresh := word.Bits
 			if delivered != nil {
-				held = delivered.word(w)
+				fresh &^= delivered.word(w)
 			}
-			var hit, faulted uint64
-			j := 0
-			for ; j < len(ids) && ids[j]>>6 == w; j++ {
-				bit := uint64(1) << (uint(ids[j]) & 63)
-				// A held id leaves with the delivered word below, unread. The
-				// filter runs before the delivered set is touched: a
+			if fresh != word.Bits {
+				t.suppressed = true
+			}
+			if filter != nil && fresh != 0 {
+				// The filter runs before the delivered set is touched: a
 				// coefficient it rejects has not been sent and must stay
 				// retrievable.
-				if filter != nil && held&bit == 0 {
-					c, err := coeffs.Coeff(ids[j])
+				var faulted uint64
+				for f := fresh; f != 0; f &= f - 1 {
+					b := bits.TrailingZeros64(f)
+					bit := uint64(1) << b
+					c, err := coeffs.Coeff(w<<6 | int64(b))
 					if err != nil {
 						// Unreadable page: withhold the coefficient without
 						// marking it delivered — the session re-retrieves it once
 						// the page heals, and frames touching only healthy pages
 						// are unaffected.
 						faulted |= bit
-						continue
-					}
-					if !filter(c.Pos) {
+					} else if !filter(c.Pos) {
 						t.suppressed = true
-						continue
+						fresh &^= bit
 					}
 				}
-				hit |= bit
-			}
-			ids = ids[j:]
-			if faulted != 0 {
-				t.faultWithheld += int64(bits.OnesCount64(faulted))
-				withhold(w, faulted)
-			}
-			fresh := hit &^ held
-			if fresh != hit {
-				t.suppressed = true
+				if faulted != 0 {
+					t.faultWithheld += int64(bits.OnesCount64(faulted))
+					withhold(w, faulted)
+					fresh &^= faulted
+				}
 			}
 			if room := limit - int64(len(resp.IDs)); limit >= 0 && int64(bits.OnesCount64(fresh)) > room {
 				// Budget exhausted inside this word: keep its lowest room
@@ -438,12 +433,13 @@ type coeffReader interface {
 	Coeff(id int64) (*wavelet.Coefficient, error)
 }
 
-// subResult holds one sub-query's raw index hits, pre-merge. The ids slab
-// lives in the Scratch and is reused across requests.
+// subResult holds one sub-query's raw index hits as index.Words,
+// pre-merge. The words slab lives in the Scratch and is reused across
+// requests.
 type subResult struct {
-	ids []int64
-	io  int64
-	ran bool // false for degenerate sub-queries (empty region, WMin > WMax)
+	words []index.Word
+	io    int64
+	ran   bool // false for degenerate sub-queries (empty region, WMin > WMax)
 	// hot marks a result the hot cache answered or now holds — the
 	// precondition for a response-level HotRef.
 	hot bool
@@ -517,16 +513,16 @@ func (s *Server) admit(q *index.Query) bool {
 // Everything else — a query nobody asked before, or a server with
 // neither layer — is searched directly: no flight, no stored entry, no
 // HotRef. All of them return the same ids and the same node I/O.
-// out.ids is reused as the result buffer.
+// out.words is reused as the result buffer.
 func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) (firstTouch bool) {
 	q := s.queryOf(sub)
 	if s.hot == nil && s.co == nil {
-		out.ids, out.io = s.idx.SearchInto(q, out.ids[:0], cur)
+		out.words, out.io = s.idx.SearchWords(q, out.words[:0], cur)
 		return false
 	}
 	if s.hot != nil {
 		var ok bool
-		if out.ids, out.io, ok = s.hot.Get(q, out.ids[:0]); ok {
+		if out.words, out.io, ok = s.hot.Get(q, out.words[:0]); ok {
 			// The cached io is replayed so the response is byte-identical to
 			// the uncached serve that populated the entry.
 			out.hot = true
@@ -534,16 +530,16 @@ func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) (fi
 		}
 	}
 	if !s.admit(&q) {
-		out.ids, out.io = s.idx.SearchInto(q, out.ids[:0], cur)
+		out.words, out.io = s.idx.SearchWords(q, out.words[:0], cur)
 		return true
 	}
 	if s.co != nil {
-		out.ids, out.io = s.co.do(s.idx, q, out.ids[:0], cur)
+		out.words, out.io = s.co.do(s.idx, q, out.words[:0], cur)
 	} else {
-		out.ids, out.io = s.idx.SearchInto(q, out.ids[:0], cur)
+		out.words, out.io = s.idx.SearchWords(q, out.words[:0], cur)
 	}
 	if s.hot != nil {
-		s.hot.Put(q, out.ids, out.io)
+		s.hot.Put(q, out.words, out.io)
 		out.hot = true
 	}
 	return false

@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"math/bits"
 	"math/rand"
 	"path/filepath"
 	"testing"
@@ -68,6 +69,15 @@ func tourFrames(p planner, kind motion.TourKind, space geom.Rect2, trips, steps 
 	return frames
 }
 
+// hitsOf counts the ids a search's words hold.
+func hitsOf(words []index.Word) int64 {
+	n := 0
+	for _, w := range words {
+		n += bits.OnesCount64(w.Bits)
+	}
+	return int64(n)
+}
+
 // bands counts the frames' band sub-queries (WMax < 1).
 func bands(frames [][]SubQuery) int {
 	n := 0
@@ -88,9 +98,10 @@ func bands(frames [][]SubQuery) int {
 // the band sub-query a pedestrian who slowed down asks (thin in w, wide
 // in x and y) and the difference slivers (thin in x or y, the whole
 // band from the cutoff up), the two query shapes the R*-tree walk
-// filters differently. nodes/frame is the paper's I/O metric and
-// hits/frame the ids the index returns, both over one whole lap of the
-// frames, so they repeat to the last digit; bands/frame is the band
+// filters differently. nodes/frame is the paper's I/O metric,
+// hits/frame the ids the index returns and words/frame the 64-id words
+// they arrive in, all over one whole lap of the frames, so they repeat
+// to the last digit; bands/frame is the band
 // sub-queries the planner asks per frame of the whole tour, so a planner
 // that asks more of them shows here.
 func BenchmarkFrameSearch(b *testing.B) {
@@ -126,19 +137,21 @@ func BenchmarkFrameSearch(b *testing.B) {
 		b.Run(c.name, func(b *testing.B) {
 			var cur index.Cursor
 			var out subResult
-			search := func(frame []SubQuery) (io, hits int64) {
+			search := func(frame []SubQuery) (io, hits, words int64) {
 				for i := range frame {
 					srv.searchOne(&frame[i], &out, &cur)
 					io += out.io
-					hits += int64(len(out.ids))
+					hits += hitsOf(out.words)
+					words += int64(len(out.words))
 				}
-				return io, hits
+				return io, hits, words
 			}
-			var lap, lapHits int64
+			var lap, lapHits, lapWords int64
 			for _, frame := range c.frames {
-				io, hits := search(frame)
+				io, hits, words := search(frame)
 				lap += io
 				lapHits += hits
+				lapWords += words
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -148,6 +161,7 @@ func BenchmarkFrameSearch(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed())/1e3/float64(b.N), "µs/frame")
 			b.ReportMetric(float64(lap)/float64(len(c.frames)), "nodes/frame")
 			b.ReportMetric(float64(lapHits)/float64(len(c.frames)), "hits/frame")
+			b.ReportMetric(float64(lapWords)/float64(len(c.frames)), "words/frame")
 			b.ReportMetric(float64(bands(c.tour))/float64(len(c.tour)), "bands/frame")
 		})
 	}
@@ -194,7 +208,7 @@ func BenchmarkSearchOne(b *testing.B) {
 				sub.Region.Max.X += d
 			}
 			srv.searchOne(&sub, &out, &cur)
-			hits += int64(len(out.ids))
+			hits += hitsOf(out.words)
 		}
 		b.ReportMetric(float64(hits)/float64(b.N), "hits/op")
 	}
@@ -254,10 +268,12 @@ func BenchmarkPagedTram(b *testing.B) {
 	pins := ps.NewPins()
 	var cur index.Cursor
 	var out subResult
+	var ids []int64
 	replay := func(frame []SubQuery) {
 		for i := range frame {
 			srv.searchOne(&frame[i], &out, &cur)
-			for _, id := range out.ids {
+			ids = index.AppendIDs(ids[:0], out.words)
+			for _, id := range ids {
 				if _, err := pins.Coeff(id); err != nil {
 					b.Fatal(err)
 				}
