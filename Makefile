@@ -21,14 +21,16 @@ test:
 # cache and scene restore, the gateway in front of it and cmd/server's
 # boot, again at 1, 2 and 8 procs, and with them the kill-and-fault
 # soak (TestRunCrash), whose two runs per spec must print the same
-# durability and recovery lines: their zero-allocation and determinism
-# gates must give the same verdict whatever the core count (for three
-# re-anchors a test that failed only above one proc hid behind a
-# single-proc box and the test cache).
+# durability and recovery lines, and the crowd soaks (TestRunCrowd,
+# TestRunCrowdNoOverlap), whose hot-cache and coalescer counters must
+# reconcile however the sessions interleave: their zero-allocation,
+# determinism and accounting gates must give the same verdict whatever
+# the core count (for three re-anchors a test that failed only above one
+# proc hid behind a single-proc box and the test cache).
 test-procs:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p $(GO) test -count=1 ./internal/wavelet/ ./internal/rtree/ ./internal/index/ ./internal/hotcache/ ./internal/retrieval/ ./internal/proto/ ./internal/persist/ ./internal/engine/ ./internal/cluster/ ./cmd/gateway/ ./cmd/server/ || exit 1; \
-		GOMAXPROCS=$$p $(GO) test -count=1 -run '^TestRunCrash$$' ./internal/experiment/ || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -count=1 -run '^(TestRunCrash|TestRunCrowd|TestRunCrowdNoOverlap)$$' ./internal/experiment/ || exit 1; \
 	done
 
 # The R*-tree walk and the packages that search through it, built

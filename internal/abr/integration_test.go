@@ -38,12 +38,12 @@ func TestPlanTruncationKeepsNearDetail(t *testing.T) {
 	viewer := geom.V2(500, 500)
 	subs := PlanViewport(q, viewer, 0.05, 3)
 
-	full := srv.Execute(subs, new(retrieval.Delivered))
+	full := srv.Execute(subs, new(retrieval.Delivered), nil, 0)
 	if len(full.IDs) < 100 {
 		t.Fatalf("workload too small: %d coefficients", len(full.IDs))
 	}
 	budget := int64(len(full.IDs)/3) * wavelet.WireBytes
-	resp := srv.ExecuteBudget(subs, new(retrieval.Delivered), budget)
+	resp := srv.Execute(subs, new(retrieval.Delivered), nil, budget)
 	if resp.Dropped == 0 {
 		t.Fatalf("tight budget did not truncate")
 	}

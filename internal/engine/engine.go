@@ -82,8 +82,7 @@ type SceneConfig struct {
 	// Layout selects the index dimensionality (default XYW, as the
 	// paper's experiments use).
 	Layout index.Layout
-	// Shards partitions the scene's index; ≤ 1 builds a single shard
-	// (still internally locked, so background updates are safe).
+	// Shards partitions the scene's index; ≤ 1 builds a single shard.
 	Shards int
 	// Stats receives this scene's counters (nil → stats.Default).
 	Stats *stats.Stats
@@ -236,7 +235,6 @@ func (r *Registry) EnableCoalescer(cfg retrieval.CoalescerConfig, st *stats.Stat
 			v[stats.CoalescerRouted] += cs.Routed
 			v[stats.CoalescerLed] += cs.Led
 			v[stats.CoalescerShared] += cs.Shared
-			v[stats.CoalescerBypassCollision] += cs.BypassCollision
 			v[stats.CoalescerFlights] += int64(cs.Flights)
 		})
 	})

@@ -198,7 +198,7 @@ func TestHotCacheWiring(t *testing.T) {
 	for _, s := range []*Scene{sc, other} {
 		subs := []retrieval.SubQuery{{Region: s.Source.Bounds().XY(), WMin: 0, WMax: 1}}
 		for i := 0; i < 3; i++ {
-			s.Server.Execute(subs, nil)
+			s.Server.Execute(subs, nil, nil, 0)
 		}
 	}
 	snap := st.Snapshot()

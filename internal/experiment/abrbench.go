@@ -140,7 +140,7 @@ func RunABRBench(spec ABRBenchSpec, jsonPath string, w io.Writer) (*ABRBenchResu
 
 			// ABR: utility-ordered plan, server-truncated at the allowance.
 			plan := abr.PlanViewport(q, viewer, cut, 3)
-			resp := srv.ExecuteBudget(plan, nil, allowance)
+			resp := srv.Execute(plan, nil, nil, allowance)
 			point.ABRUtility += frameUtility(d.Store, resp.IDs, viewer, side)
 			point.ABRCoeffs += int64(len(resp.IDs))
 
@@ -154,8 +154,7 @@ func RunABRBench(spec ABRBenchSpec, jsonPath string, w io.Writer) (*ABRBenchResu
 				}
 				point.DegradedFrames++
 			}
-			fixed := srv.ExecuteBudget(
-				[]retrieval.SubQuery{{Region: q, WMin: wmin, WMax: 1}}, nil, allowance)
+			fixed := srv.Execute([]retrieval.SubQuery{{Region: q, WMin: wmin, WMax: 1}}, nil, nil, allowance)
 			degraded = fixed.Dropped > 0
 			point.FixedUtility += frameUtility(d.Store, fixed.IDs, viewer, side)
 			point.FixedCoeffs += int64(len(fixed.IDs))

@@ -164,15 +164,14 @@ func lockstep(addr string, frames [][]crowdFrame) ([][]proto.Response, error) {
 //     record and the reported index I/O included;
 //   - at positive overlap, sharing cut index work: sub-queries were
 //     routed through the coalescer (Routed > 0) and coalesced serving
-//     spent fewer index passes (first touches + led + bypasses) than
+//     spent fewer index passes (first touches + led) than
 //     independent serving. Shared is printed, not gated:
 //     second-touch admission usually sends a flock's second ask to the
 //     hot cache before it can join the first ask's flight;
 //   - the multicast path engaged at positive overlap: cached serialized
 //     payloads were replayed instead of re-encoded (PayloadHits > 0);
-//   - the counters reconcile exactly: Routed == Led + Shared +
-//     BypassCollision, and every sub-query was a hot hit, a first touch
-//     or routed;
+//   - the counters reconcile exactly: Routed == Led + Shared, and every
+//     sub-query was a hot hit, a first touch or routed;
 //   - subscriptions drain: after the last session closes, the
 //     subscriber gauge returns to zero.
 func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
@@ -271,13 +270,12 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 	co, ind := stCo.Snapshot(), stInd.Snapshot()
 	firstTouches, subQueries, indSubQueries := co.Get(stats.RetrievalFirstTouches), co.Get(stats.RetrievalSubQueries), ind.Get(stats.RetrievalSubQueries)
 	routed, led, shared := co.Get(stats.CoalescerRouted), co.Get(stats.CoalescerLed), co.Get(stats.CoalescerShared)
-	collision := co.Get(stats.CoalescerBypassCollision)
-	passes := firstTouches + led + collision
+	passes := firstTouches + led
 	fmt.Fprintf(w, "crowd: %s, %d objects per scene\n",
 		workload.CrowdSpec{Clients: spec.Clients, Steps: spec.Steps, Attractors: spec.Attractors, Overlap: spec.Overlap, Seed: spec.Seed},
 		spec.Objects)
-	fmt.Fprintf(w, "  coalescer: %d first touches · %d routed = %d led + %d shared + %d collision -> %d index passes (independent: %d)\n",
-		firstTouches, routed, led, shared, collision, passes, indSubQueries)
+	fmt.Fprintf(w, "  coalescer: %d first touches · %d routed = %d led + %d shared -> %d index passes (independent: %d)\n",
+		firstTouches, routed, led, shared, passes, indSubQueries)
 	fmt.Fprintf(w, "  hot regions: %d hits · %d payload replays · %v elapsed\n",
 		co.Get(stats.HotHits), co.Get(stats.HotPayloadHits), elapsed.Round(time.Millisecond))
 
@@ -293,7 +291,7 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 		return fmt.Errorf("experiment: requests %d coalesced / %d independent, want %d each",
 			co.Get(stats.RetrievalRequests), ind.Get(stats.RetrievalRequests), wantReq)
 	}
-	if got := led + shared + collision; got != routed {
+	if got := led + shared; got != routed {
 		return fmt.Errorf("experiment: coalescer counters do not reconcile: %d routed vs %d accounted",
 			routed, got)
 	}

@@ -4,18 +4,15 @@
 // identical frame — so the server repeatedly re-runs index searches whose
 // answers have not changed. The cache short-circuits those: a query's
 // result (the ascending id set as index.Words, the node I/O it cost,
-// and optionally the serialized response payload) is stored under a
-// quantized region key and replayed verbatim. A served scene never
-// changes after its build (new data arrives as a new scene, with a cache
-// of its own), so a stored result stays right for as long as the entry
-// lives.
+// and optionally the serialized response payload) is stored under the
+// exact query and replayed verbatim. A served scene never changes after
+// its build (new data arrives as a new scene, with a cache of its own),
+// so a stored result stays right for as long as the entry lives.
 //
-// Correctness rests on exact-query verification: BucketOf buckets
-// queries by quantized region coordinates and value band, but the entry
-// stores the exact query floats; a Get whose query differs in any
-// coordinate is a miss, never a wrong answer. Bucketing only bounds the
-// table size. Replayed responses are therefore byte-identical to what an
-// uncached search would return.
+// The table is keyed by the exact query floats: a Get whose query
+// differs in any coordinate is a miss, never a wrong answer, and
+// replayed responses are byte-identical to what an uncached search would
+// return. MaxEntries and MaxBytes alone bound the table.
 //
 // Page residency is the pager's business alone: an entry holds id
 // words, not pages, so a region whose page turns unreadable after it was
@@ -23,7 +20,6 @@
 package hotcache
 
 import (
-	"math"
 	"sync"
 	"sync/atomic"
 
@@ -53,57 +49,10 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// Bucket is the quantized region address both sharing layers key on:
-// the cache holds at most one entry per bucket (last Put wins) and the
-// coalescer (retrieval.Coalescer) at most one flight; the exact query
-// lives in the entry or flight. Bucketing only bounds the tables — a
-// query that differs from its bucket's occupant misses.
-type Bucket struct {
-	x0, y0, x1, y1 int64
-	z0, z1         int64
-	w0, w1         int64
-}
-
-// The bucket quantization: 64 world units in space, 0.25 in value.
-const (
-	bucketCell = 64
-	bucketBand = 0.25
-)
-
-// BucketOf returns the bucket a query falls in.
-func BucketOf(q index.Query) Bucket {
-	return Bucket{
-		x0: quantize(q.Region.Min.X, bucketCell),
-		y0: quantize(q.Region.Min.Y, bucketCell),
-		x1: quantize(q.Region.Max.X, bucketCell),
-		y1: quantize(q.Region.Max.Y, bucketCell),
-		z0: quantize(q.ZMin, bucketCell),
-		z1: quantize(q.ZMax, bucketCell),
-		w0: quantize(q.WMin, bucketBand),
-		w1: quantize(q.WMax, bucketBand),
-	}
-}
-
-func quantize(v, cell float64) int64 {
-	f := math.Floor(v / cell)
-	// Clamp the pathological edges (±Inf, NaN, overflow) into a bucket
-	// instead of invoking undefined float→int conversion.
-	switch {
-	case math.IsNaN(f):
-		return math.MinInt64
-	case f >= math.MaxInt64:
-		return math.MaxInt64
-	case f <= math.MinInt64:
-		return math.MinInt64
-	}
-	return int64(f)
-}
-
 // entry is one cached result. words and payload are immutable once set
 // (readers copy out of them without holding the lock); list pointers and
 // payload attachment are guarded by the cache mutex.
 type entry struct {
-	k       Bucket
 	q       index.Query
 	words   []index.Word
 	io      int64
@@ -119,16 +68,16 @@ type Cache struct {
 	cfg Config
 
 	mu    sync.Mutex
-	m     map[Bucket]*entry
+	m     map[index.Query]*entry
 	head  *entry // most recently used
 	tail  *entry // least recently used
 	bytes int64
-	// subs counts live subscriptions per bucket (see Subscribe). A
-	// subscribed bucket's entry is exempt from LRU eviction — the
+	// subs counts live subscriptions per query (see Subscribe). A
+	// subscribed query's entry is exempt from LRU eviction — the
 	// multicast contract is that a hot region's payload stays resident
-	// while anyone is watching it — though a Put of another query in the
-	// bucket still replaces it.
-	subs map[Bucket]int
+	// while anyone is watching it — so pinned entries are bounded by the
+	// open subscriptions.
+	subs map[index.Query]int
 
 	hits        atomic.Int64
 	misses      atomic.Int64
@@ -140,7 +89,7 @@ type Cache struct {
 // New builds an empty cache with the given bounds.
 func New(cfg Config) *Cache {
 	cfg = cfg.withDefaults()
-	return &Cache{cfg: cfg, m: make(map[Bucket]*entry, cfg.MaxEntries), subs: make(map[Bucket]int)}
+	return &Cache{cfg: cfg, m: make(map[index.Query]*entry, cfg.MaxEntries), subs: make(map[index.Query]int)}
 }
 
 // Get looks the query up. On a hit it appends the cached words to buf
@@ -149,7 +98,7 @@ func New(cfg Config) *Cache {
 // serve), and true.
 func (c *Cache) Get(q index.Query, buf []index.Word) ([]index.Word, int64, bool) {
 	c.mu.Lock()
-	e := c.lookupLocked(q)
+	e := c.m[q]
 	if e == nil {
 		c.mu.Unlock()
 		c.misses.Add(1)
@@ -162,20 +111,13 @@ func (c *Cache) Get(q index.Query, buf []index.Word) ([]index.Word, int64, bool)
 	return append(buf, words...), io, true
 }
 
-// lookupLocked returns the entry holding exactly q, or nil. The caller
-// holds c.mu.
-func (c *Cache) lookupLocked(q index.Query) *entry {
-	if e := c.m[BucketOf(q)]; e != nil && e.q == q {
-		return e
-	}
-	return nil
-}
-
 // Put stores a search result, its ids as index.SearchWords returns them.
-// words is copied; the caller keeps ownership of its buffer.
+// words is copied; the caller keeps ownership of its buffer. A query the
+// cache already holds keeps its entry, which has the same words and may
+// carry a payload. q must equal itself (no NaN field): an entry keyed by
+// it could never be found or evicted.
 func (c *Cache) Put(q index.Query, words []index.Word, io int64) {
 	e := &entry{
-		k:     BucketOf(q),
 		q:     q,
 		io:    io,
 		bytes: entryOverhead + int64(len(words))*wordBytes,
@@ -184,13 +126,11 @@ func (c *Cache) Put(q index.Query, words []index.Word, io int64) {
 		e.words = append([]index.Word(nil), words...)
 	}
 	c.mu.Lock()
-	if old := c.m[e.k]; old != nil {
-		// Last one wins — a bucket collision replaces the incumbent and
-		// counts as an eviction.
-		c.removeLocked(old)
-		c.evictions.Add(1)
+	if c.m[q] != nil {
+		c.mu.Unlock()
+		return
 	}
-	c.m[e.k] = e
+	c.m[q] = e
 	c.pushLocked(e)
 	c.bytes += e.bytes
 	c.evictOverflowLocked()
@@ -203,7 +143,7 @@ func (c *Cache) Put(q index.Query, words []index.Word, io int64) {
 // ignored; it is kept only for bench/, whose next change drops it.
 func (c *Cache) Payload(q index.Query, _ uint64) ([]byte, bool) {
 	c.mu.Lock()
-	e := c.lookupLocked(q)
+	e := c.m[q]
 	if e == nil || e.payload == nil {
 		c.mu.Unlock()
 		return nil, false
@@ -221,7 +161,7 @@ func (c *Cache) Payload(q index.Query, _ uint64) ([]byte, bool) {
 // argument is ignored, as Payload's is.
 func (c *Cache) SetPayload(q index.Query, _ uint64, payload []byte) {
 	c.mu.Lock()
-	e := c.lookupLocked(q)
+	e := c.m[q]
 	if e == nil || e.payload != nil {
 		c.mu.Unlock()
 		return
@@ -234,17 +174,17 @@ func (c *Cache) SetPayload(q index.Query, _ uint64, payload []byte) {
 }
 
 // Sub is one session's registered interest in a hot region — the
-// subscription half of the multicast layer. A Sub tracks at most one
-// bucket at a time (a viewer watches one neighbourhood); Set moves it
-// as the viewer moves. While any Sub covers a bucket, that bucket's
-// cache entry is exempt from LRU eviction, so the shared serialized
-// payload stays resident for every subscriber.
+// subscription half of the multicast layer. A Sub watches at most one
+// exact query at a time (a viewer watches one window); Set moves it as
+// the viewer moves. While any Sub watches a query, that query's cache
+// entry is exempt from LRU eviction, so the shared serialized payload
+// stays resident for every subscriber.
 //
 // A Sub is owned by one session goroutine: Set and Close must not race
 // each other, but they are safe against concurrent cache operations.
 type Sub struct {
 	c      *Cache
-	k      Bucket
+	q      index.Query
 	active bool
 	closed bool
 }
@@ -253,28 +193,24 @@ type Sub struct {
 // Set to point it at a region.
 func (c *Cache) Subscribe() *Sub { return &Sub{c: c} }
 
-// Set registers interest in the query's bucket, releasing the
-// previously watched bucket (if different). Re-setting the same bucket
-// is a cheap no-op — a paused viewer re-asserting the same region every
-// frame costs one quantization and one comparison, no lock.
+// Set registers interest in the query, releasing the previously
+// watched one (if different). Re-setting the same query is a cheap
+// no-op — a paused viewer re-asserting the same window every frame
+// costs one comparison, no lock.
 func (s *Sub) Set(q index.Query) {
-	if s.closed {
-		return
-	}
-	k := BucketOf(q)
-	if s.active && k == s.k {
+	if s.closed || s.active && q == s.q {
 		return
 	}
 	c := s.c
 	c.mu.Lock()
 	if s.active {
-		c.unsubscribeLocked(s.k)
+		c.unsubscribeLocked(s.q)
 	} else {
 		c.subscribers.Add(1)
 	}
-	c.subs[k]++
+	c.subs[q]++
 	c.mu.Unlock()
-	s.k, s.active = k, true
+	s.q, s.active = q, true
 }
 
 // Close releases the subscription. Idempotent; a closed Sub ignores
@@ -289,32 +225,33 @@ func (s *Sub) Close() {
 	}
 	c := s.c
 	c.mu.Lock()
-	c.unsubscribeLocked(s.k)
+	c.unsubscribeLocked(s.q)
 	c.mu.Unlock()
 	s.active = false
 	c.subscribers.Add(-1)
 }
 
-// unsubscribeLocked drops one reference from a bucket. When the last
-// watcher leaves, the bucket's entry rejoins the normal LRU economy;
-// if the cache is over budget it is evicted on the next overflow pass.
-func (c *Cache) unsubscribeLocked(k Bucket) {
-	if n := c.subs[k]; n > 1 {
-		c.subs[k] = n - 1
+// unsubscribeLocked drops one reference from a query. When the last
+// watcher leaves, the query's entry rejoins the normal LRU economy; if
+// the cache is over budget it is evicted on the next overflow pass.
+func (c *Cache) unsubscribeLocked(q index.Query) {
+	if n := c.subs[q]; n > 1 {
+		c.subs[q] = n - 1
 	} else {
-		delete(c.subs, k)
+		delete(c.subs, q)
 	}
 }
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
-	Hits      int64
-	Misses    int64
+	Hits   int64
+	Misses int64
+	// Evictions counts entries the LRU bounds dropped.
 	Evictions int64
 	Entries   int
 	Bytes     int64
 	// Subscribers is the current number of open subscriptions with a
-	// registered bucket (a gauge; see Subscribe).
+	// registered query (a gauge; see Subscribe).
 	Subscribers int64
 	// PayloadHits counts responses served from a cached serialized
 	// payload (Payload returning true) — the encode passes skipped.
@@ -346,7 +283,7 @@ const (
 )
 
 // evictOverflowLocked drops least-recently-used entries until both
-// bounds hold, skipping subscribed buckets (their entries are the
+// bounds hold, skipping subscribed queries (their entries are the
 // multicast working set — evicting one would make every subscriber
 // recompute it). When only subscribed entries remain the bounds may be
 // exceeded; subscriptions take precedence over the budget. The caller holds c.mu.
@@ -354,7 +291,7 @@ func (c *Cache) evictOverflowLocked() {
 	e := c.tail
 	for e != nil && (len(c.m) > c.cfg.MaxEntries || c.bytes > c.cfg.MaxBytes) {
 		prev := e.prev
-		if c.subs[e.k] == 0 {
+		if c.subs[e.q] == 0 {
 			c.removeLocked(e)
 			c.evictions.Add(1)
 		}
@@ -363,7 +300,7 @@ func (c *Cache) evictOverflowLocked() {
 }
 
 func (c *Cache) removeLocked(e *entry) {
-	delete(c.m, e.k)
+	delete(c.m, e.q)
 	if e.prev != nil {
 		e.prev.next = e.next
 	} else {

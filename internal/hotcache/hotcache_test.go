@@ -1,7 +1,6 @@
 package hotcache
 
 import (
-	"math"
 	"math/rand"
 	"slices"
 	"sync"
@@ -57,27 +56,51 @@ func TestGetPutRoundTrip(t *testing.T) {
 	}
 }
 
-// TestExactQueryVerification pins that bucket collisions miss rather
-// than answer the wrong query: two queries in the same quantization cell
-// coexist as one entry, last Put wins.
+// TestExactQueryVerification pins that a query differing from a stored
+// one in any float misses rather than answering the wrong query, and
+// that nearby queries coexist: a and b lie 1 unit apart, c and d 0.01
+// apart in WMin.
 func TestExactQueryVerification(t *testing.T) {
 	c := New(Config{})
 	a := q(1, 1, 10, 10, 1)
-	b := q(2, 2, 11, 11, 1) // same 64-unit cell as a
+	b := q(2, 2, 11, 11, 1)
 	c.Put(a, words(1), 1)
 	if _, _, ok := c.Get(b, nil); ok {
-		t.Fatal("collision returned the wrong query's result")
+		t.Fatal("a differing query returned another query's result")
 	}
+	cq, dq := a, a
+	cq.WMin, dq.WMin = 0.20, 0.21
 	c.Put(b, words(2), 2)
-	if _, _, ok := c.Get(a, nil); ok {
-		t.Fatal("replaced entry still hit")
+	c.Put(cq, words(3), 3)
+	c.Put(dq, words(4), 4)
+	for _, want := range []struct {
+		q     index.Query
+		words []index.Word
+		io    int64
+	}{{a, words(1), 1}, {b, words(2), 2}, {cq, words(3), 3}, {dq, words(4), 4}} {
+		buf, io, ok := c.Get(want.q, nil)
+		if !ok || io != want.io || !slices.Equal(buf, want.words) {
+			t.Fatalf("Get(%+v) = %v io %d ok %v, want %v io %d", want.q, buf, io, ok, want.words, want.io)
+		}
 	}
-	buf, _, ok := c.Get(b, nil)
-	if !ok || !slices.Equal(buf, words(2)) {
-		t.Fatalf("Get(b) = %v %v", buf, ok)
+	if st := c.Stats(); st.Entries != 4 || st.Evictions != 0 {
+		t.Fatalf("nearby queries displaced each other: %+v", st)
 	}
-	if st := c.Stats(); st.Evictions != 1 {
-		t.Fatalf("last-one-wins not counted as eviction: %+v", st)
+}
+
+// TestPutKeepsHeldEntry pins a second Put of a held query: the entry it
+// holds stays, payload and all, and nothing counts as an eviction.
+func TestPutKeepsHeldEntry(t *testing.T) {
+	c := New(Config{})
+	query := q(0, 0, 30, 30, 1)
+	c.Put(query, words(5), 3)
+	c.SetPayload(query, 0, []byte{1, 2, 3})
+	c.Put(query, words(5), 3)
+	if p, ok := c.Payload(query, 0); !ok || !slices.Equal(p, []byte{1, 2, 3}) {
+		t.Fatalf("Payload after a second Put = %v %v", p, ok)
+	}
+	if st := c.Stats(); st.Entries != 1 || st.Evictions != 0 || st.Bytes != entryOverhead+wordBytes+3 {
+		t.Fatalf("stats after a second Put = %+v", st)
 	}
 }
 
@@ -173,7 +196,7 @@ func TestCacheMatchesIndexUnderChurn(t *testing.T) {
 // TestCacheConcurrentChurn runs readers that store and replay results
 // through one bounded cache at once, under the race detector: every hit
 // must equal the reader's own fresh search, while entries keep being
-// replaced and evicted underneath it.
+// evicted underneath it.
 func TestCacheConcurrentChurn(t *testing.T) {
 	store := testStore(t, 8, 5)
 	idx := index.NewSharded(store, index.XYW, index.ShardedConfig{Shards: 4})
@@ -217,22 +240,5 @@ func TestCacheConcurrentChurn(t *testing.T) {
 	wg.Wait()
 	if st := c.Stats(); st.Hits == 0 || st.Evictions == 0 {
 		t.Fatalf("no hits or no evictions in the concurrent run: %+v", st)
-	}
-}
-
-// TestQuantizeEdges pins the float→bucket clamps: NaN and the infinities
-// land in fixed buckets instead of invoking undefined conversion.
-func TestQuantizeEdges(t *testing.T) {
-	if got := quantize(math.NaN(), 64); got != math.MinInt64 {
-		t.Fatalf("quantize(NaN) = %d", got)
-	}
-	if got := quantize(math.Inf(1), 64); got != math.MaxInt64 {
-		t.Fatalf("quantize(+Inf) = %d", got)
-	}
-	if got := quantize(math.Inf(-1), 64); got != math.MinInt64 {
-		t.Fatalf("quantize(-Inf) = %d", got)
-	}
-	if got := quantize(-128.5, 64); got != -3 {
-		t.Fatalf("quantize(-128.5, 64) = %d, want -3", got)
 	}
 }

@@ -6,7 +6,7 @@ import (
 )
 
 // TestSubscribeProtectsFromEviction pins the multicast residency rule:
-// a subscribed bucket's entry survives LRU pressure that would evict
+// a subscribed query's entry survives LRU pressure that would evict
 // it, and rejoins the normal LRU economy once the last watcher leaves.
 func TestSubscribeProtectsFromEviction(t *testing.T) {
 	c := New(Config{MaxEntries: 2})
@@ -31,7 +31,7 @@ func TestSubscribeProtectsFromEviction(t *testing.T) {
 	}
 }
 
-// TestSubscribeRefCounts pins bucket-level reference counting: the
+// TestSubscribeRefCounts pins per-query reference counting: the
 // entry stays protected until the *last* subscriber leaves, and the
 // subscriber gauge tracks open subscriptions.
 func TestSubscribeRefCounts(t *testing.T) {
@@ -61,8 +61,8 @@ func TestSubscribeRefCounts(t *testing.T) {
 }
 
 // TestSubscribeFollowsViewer pins Set's move semantics: re-pointing a
-// subscription releases the old bucket and protects the new one;
-// re-setting the same bucket is a no-op.
+// subscription releases the old query and protects the new one;
+// re-setting the same query is a no-op.
 func TestSubscribeFollowsViewer(t *testing.T) {
 	c := New(Config{MaxEntries: 1})
 	qa, qb := q(0, 0, 0.5, 0.5, 1), q(100, 100, 100.5, 100.5, 1)
@@ -77,10 +77,10 @@ func TestSubscribeFollowsViewer(t *testing.T) {
 	c.Put(qb, words(2), 1)
 	// qb is watched; qa is not — the overflow pass must evict qa.
 	if _, _, ok := c.Get(qb, nil); !ok {
-		t.Fatal("current bucket lost protection after the move")
+		t.Fatal("current query lost protection after the move")
 	}
 	if _, _, ok := c.Get(qa, nil); ok {
-		t.Fatal("abandoned bucket kept protection after the move")
+		t.Fatal("abandoned query kept protection after the move")
 	}
 	sub.Close()
 }

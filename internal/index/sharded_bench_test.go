@@ -47,10 +47,10 @@ func (w benchWindow) queries(bounds geom.Rect3) []index.Query {
 // BenchmarkShardedSearchInto is the index layer of the serve path: one
 // SearchInto per iteration on a retained cursor and buffer over the
 // benchmark city. Against rtree's BenchmarkWindowSearch over the same
-// windows, the difference is what the shard locks, the per-shard
-// statistics and the hit set's ordering cost; BenchmarkHitSet times the
-// ordering alone. nodes/op and hits/op are averaged over one whole lap
-// of the 64 windows, so they do not depend on b.N.
+// windows, the difference is what the shard bounds checks, the
+// per-shard statistics and the hit set's ordering cost; BenchmarkHitSet
+// times the ordering alone. nodes/op and hits/op are averaged over one
+// whole lap of the 64 windows, so they do not depend on b.N.
 func BenchmarkShardedSearchInto(b *testing.B) {
 	idx, bounds := benchCity()
 	for _, w := range benchWindows {

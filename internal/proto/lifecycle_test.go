@@ -12,8 +12,10 @@ import (
 	"repro/internal/engine"
 	"repro/internal/geom"
 	"repro/internal/hotcache"
+	"repro/internal/index"
 	"repro/internal/retrieval"
 	"repro/internal/stats"
+	"repro/internal/workload"
 )
 
 // lineage is the reference for one session lineage: the delivered set a
@@ -29,7 +31,7 @@ type lineage struct {
 // expect returns the response frame a fresh server sends the lineage
 // for subs, and records its coefficients as delivered.
 func (l *lineage) expect(ref *retrieval.Server, subs []retrieval.SubQuery) []byte {
-	resp := ref.ExecuteBudget(subs, &l.delivered, 0)
+	resp := ref.Execute(subs, &l.delivered, nil, 0)
 	pins := ref.Store().NewPins()
 	frame := beginResponseFrame(nil, len(resp.IDs))
 	for _, id := range resp.IDs {
@@ -423,17 +425,15 @@ func TestClientUsableAfterClose(t *testing.T) {
 	rc.Close()
 }
 
-// BenchmarkConnectionTrip is one arrival of the end-to-end benchmark's
-// join.hot workload over loopback: dial and hello, a wholesale window at
-// the benchmark city's centre (the hot cache replays it after the first
-// trip), seven sliver frames walking away from it, and a goodbye.
-// Allocations count both ends, server and client.
-func BenchmarkConnectionTrip(b *testing.B) {
-	benchCity.once.Do(loadBenchCity)
-	st := stats.New()
+// startTripServer serves one scene over store and idx with the hot
+// cache and the coalescer wired, as the end-to-end benchmark's stack
+// does, on loopback.
+func startTripServer(tb testing.TB, store index.CoefficientSource, idx index.IntoSearcher) (addr string, st *stats.Stats, stop func()) {
+	tb.Helper()
+	st = stats.New()
 	reg := engine.NewRegistry()
-	if _, err := reg.AddScene(DefaultSceneName, retrieval.NewServer(benchCity.store, benchCity.idx), 3); err != nil {
-		b.Fatal(err)
+	if _, err := reg.AddScene(DefaultSceneName, retrieval.NewServer(store, idx), 3); err != nil {
+		tb.Fatal(err)
 	}
 	reg.EnableHotCache(hotcache.Config{}, st)
 	reg.EnableCoalescer(retrieval.CoalescerConfig{}, st)
@@ -441,43 +441,84 @@ func BenchmarkConnectionTrip(b *testing.B) {
 	srv.SetStats(st)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
-		b.Fatal(err)
+		tb.Fatal(err)
 	}
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		srv.Serve(lis)
 	}()
-	defer func() {
+	return lis.Addr().String(), st, func() {
 		srv.Close()
 		<-done
-	}()
-	space := benchCity.store.Bounds().XY()
-	landmark, side := space.Center(), 0.10*space.Width()
-	const speed = 0.35
-	step := geom.V2(speed*0.02*space.Width(), 0)
-	trip := func() {
-		c, err := Dial(lis.Addr().String(), nil)
-		if err != nil {
-			b.Fatal(err)
-		}
-		pos := landmark
-		for i := 0; i < 8; i++ {
-			if _, err := c.Frame(geom.RectAround(pos, side), speed); err != nil {
-				b.Fatal(err)
-			}
-			pos = pos.Add(step)
-		}
-		if err := c.Close(); err != nil {
-			b.Fatal(err)
-		}
 	}
-	trip()
+}
+
+// joinTrip is one arrival of the end-to-end benchmark's join.hot
+// workload: dial and hello, a wholesale window a tenth of space wide at
+// its centre, seven sliver frames walking away from it, and a goodbye.
+func joinTrip(tb testing.TB, addr string, space geom.Rect2) {
+	const speed = 0.35
+	landmark, side := space.Center(), 0.10*space.Width()
+	step := geom.V2(speed*0.02*space.Width(), 0)
+	c, err := Dial(addr, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pos := landmark
+	for i := 0; i < 8; i++ {
+		if _, err := c.Frame(geom.RectAround(pos, side), speed); err != nil {
+			tb.Fatal(err)
+		}
+		pos = pos.Add(step)
+	}
+	if err := c.Close(); err != nil {
+		tb.Fatal(err)
+	}
+}
+
+// TestRepeatedTripHitsEveryFrame: the sliver frames of one trip lie a few
+// world units apart, and each is a hot entry of its own. The first trip's
+// asks are first touches, the second stores all eight, and every frame of
+// the third is answered from the cache; nothing is evicted.
+func TestRepeatedTripHitsEveryFrame(t *testing.T) {
+	d := workload.Generate(workload.Spec{NumObjects: 12, Levels: 3, Seed: 5})
+	addr, st, stop := startTripServer(t, d.Store, index.NewSharded(d.Store, index.XYW, index.ShardedConfig{}))
+	defer stop()
+	space := d.Store.Bounds().XY()
+	joinTrip(t, addr, space)
+	joinTrip(t, addr, space)
+	before := st.Snapshot()
+	joinTrip(t, addr, space)
+	after := st.Snapshot()
+	hits, misses := after.Get(stats.HotHits)-before.Get(stats.HotHits), after.Get(stats.HotMisses)-before.Get(stats.HotMisses)
+	if hits != 8 || misses != 0 || after.Get(stats.HotEvictions) != 0 || after.Get(stats.HotEntries) != 8 {
+		t.Fatalf("third trip: %d hot hits, %d misses; %d evictions, %d entries in all; want 8, 0, 0, 8",
+			hits, misses, after.Get(stats.HotEvictions), after.Get(stats.HotEntries))
+	}
+}
+
+// BenchmarkConnectionTrip is joinTrip over the benchmark city (the hot
+// cache answers every frame after the second trip, and replays the
+// wholesale window's payload). Allocations count both ends, server and
+// client; the hot-cache rows are per trip.
+func BenchmarkConnectionTrip(b *testing.B) {
+	benchCity.once.Do(loadBenchCity)
+	addr, st, stop := startTripServer(b, benchCity.store, benchCity.idx)
+	defer stop()
+	space := benchCity.store.Bounds().XY()
+	joinTrip(b, addr, space)
+	before := st.Snapshot()
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		trip()
+		joinTrip(b, addr, space)
 	}
 	b.StopTimer()
-	b.ReportMetric(float64(st.Snapshot().Get(stats.ProtoSessionsReused))/float64(b.N+1), "reused/op")
+	after := st.Snapshot()
+	per := func(row stats.Counter) float64 { return float64(after.Get(row)-before.Get(row)) / float64(b.N) }
+	b.ReportMetric(float64(after.Get(stats.ProtoSessionsReused))/float64(b.N+1), "reused/op")
+	b.ReportMetric(per(stats.HotHits), "hothits/op")
+	b.ReportMetric(per(stats.HotMisses), "hotmisses/op")
+	b.ReportMetric(per(stats.HotEvictions), "evictions/op")
 }

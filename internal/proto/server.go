@@ -310,7 +310,7 @@ type serverConn struct {
 	started bool
 	// hotSub is the session's hot-region subscription (nil until it
 	// first serves a hot frame). Each hot frame re-points it at that
-	// frame's bucket, keeping the entry and its shared payload exempt
+	// frame's query, keeping the entry and its shared payload exempt
 	// from LRU eviction while anyone watches it.
 	hotSub *hotcache.Sub
 	// frame is the buffer each response frame is assembled in — header,

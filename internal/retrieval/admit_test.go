@@ -1,6 +1,7 @@
 package retrieval
 
 import (
+	"math"
 	"path/filepath"
 	"sync"
 	"sync/atomic"
@@ -46,7 +47,7 @@ func TestFirstTouchLeavesNothing(t *testing.T) {
 	srv, st := sharedServer(t, 71)
 	plain := testShardedServer(t, 8, 71, 4)
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
-	got, want := srv.Execute([]SubQuery{sub}, nil), plain.Execute([]SubQuery{sub}, nil)
+	got, want := srv.Execute([]SubQuery{sub}, nil, nil, 0), plain.Execute([]SubQuery{sub}, nil, nil, 0)
 	if !respEqual(got, want) || len(got.IDs) == 0 {
 		t.Fatalf("first touch answered %d ids, bare server %d", len(got.IDs), len(want.IDs))
 	}
@@ -65,6 +66,38 @@ func TestFirstTouchLeavesNothing(t *testing.T) {
 	reconcileLayers(t, srv, st)
 }
 
+// TestNaNQueryPassesBothLayers: a sub-query with a NaN field is unequal
+// to itself, so no flight or hot entry keyed by it could be found or
+// dropped again. However often it is asked, it is answered as a bare
+// server answers it and leaves neither layer anything; each ask counts
+// as a first touch, so the layers' counters still add up.
+func TestNaNQueryPassesBothLayers(t *testing.T) {
+	srv, st := sharedServer(t, 79)
+	plain := testShardedServer(t, 8, 79, 4)
+	for _, sub := range []SubQuery{
+		{Region: geom.R2(100, 100, 700, 700), WMin: math.NaN(), WMax: 1},
+		{Region: geom.Rect2{Min: geom.V2(math.NaN(), 100), Max: geom.V2(700, 700)}, WMin: 0.2, WMax: 1},
+	} {
+		for ask := 0; ask < 3; ask++ {
+			got, want := srv.Execute([]SubQuery{sub}, nil, nil, 0), plain.Execute([]SubQuery{sub}, nil, nil, 0)
+			if !respEqual(got, want) || got.Hot != (HotRef{}) {
+				t.Fatalf("ask %d of %+v: %d ids io %d hot %v, bare server %d ids io %d",
+					ask, sub, len(got.IDs), got.IO, got.Hot.Valid, len(want.IDs), want.IO)
+			}
+		}
+	}
+	if hs := srv.HotCache().Stats(); hs.Entries != 0 || hs.Hits != 0 {
+		t.Fatalf("NaN queries left the hot cache at %+v", hs)
+	}
+	if cs := srv.Coalescer().Stats(); cs.Routed != 0 || cs.Flights != 0 {
+		t.Fatalf("NaN queries reached the coalescer: %+v", cs)
+	}
+	if n := st.Load(stats.RetrievalFirstTouches); n != 6 {
+		t.Fatalf("FirstTouches = %d, want 6", n)
+	}
+	reconcileLayers(t, srv, st)
+}
+
 // TestSecondAskStoresThirdHits: three asks of one query are one first
 // touch, one store and one hit, and the layers' counters add up to the
 // sub-queries executed.
@@ -73,7 +106,7 @@ func TestSecondAskStoresThirdHits(t *testing.T) {
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
 	var rs [3]Response
 	for i := range rs {
-		rs[i] = srv.Execute([]SubQuery{sub}, nil)
+		rs[i] = srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	}
 	if !respEqual(rs[0], rs[1]) || !respEqual(rs[1], rs[2]) {
 		t.Fatal("the three asks were answered differently")
@@ -116,7 +149,7 @@ func TestFirstTouchPinsNoPages(t *testing.T) {
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{}))
 
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
-	want := mem.Execute([]SubQuery{sub}, nil)
+	want := mem.Execute([]SubQuery{sub}, nil, nil, 0)
 	for i, ask := range []string{"first ask", "second ask", "hot hit"} {
 		got := NewSession(srv).RetrieveScratch([]SubQuery{sub})
 		if !respEqual(got, want) || len(got.IDs) == 0 {
@@ -155,7 +188,7 @@ func TestConcurrentFirstAsk(t *testing.T) {
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
-	want := base.Execute([]SubQuery{sub}, nil)
+	want := base.Execute([]SubQuery{sub}, nil, nil, 0)
 
 	const askers = 64
 	var wg sync.WaitGroup

@@ -38,7 +38,7 @@ func TestExecuteBudgetPrefixOfUnlimited(t *testing.T) {
 		q := geom.R2(0, 0, 1000, 1000)
 		subs := ringPlan(q, geom.V2(400, 600))
 
-		full := srv.Execute(subs, new(Delivered))
+		full := srv.Execute(subs, new(Delivered), nil, 0)
 		if len(full.IDs) < 10 {
 			t.Fatalf("seed %d: only %d coefficients; test needs a real workload", seed, len(full.IDs))
 		}
@@ -48,7 +48,7 @@ func TestExecuteBudgetPrefixOfUnlimited(t *testing.T) {
 			if cutCoeffs == 0 {
 				budget = 1 // sub-record budget delivers nothing
 			}
-			got := srv.ExecuteBudget(subs, delivered, budget)
+			got := srv.Execute(subs, delivered, nil, budget)
 			want := full.IDs[:cutCoeffs]
 			if len(got.IDs) != len(want) || (len(want) > 0 && !reflect.DeepEqual(got.IDs, want)) {
 				t.Fatalf("seed %d cut %d: budgeted response is not the unbudgeted prefix", seed, cutCoeffs)
@@ -86,10 +86,10 @@ func TestExecuteBudgetDeterministic(t *testing.T) {
 		subs := ringPlan(q, viewer)
 		budget := int64(rng.Intn(200)) * wavelet.WireBytes
 
-		first := srv.ExecuteBudget(subs, new(Delivered), budget)
-		again := srv.ExecuteBudget(subs, new(Delivered), budget)
+		first := srv.Execute(subs, new(Delivered), nil, budget)
+		again := srv.Execute(subs, new(Delivered), nil, budget)
 		var sc Scratch
-		scratch := srv.ExecuteBudgetScratch(subs, new(Delivered), &sc, budget)
+		scratch := srv.Execute(subs, new(Delivered), &sc, budget)
 
 		if !reflect.DeepEqual(first.IDs, again.IDs) || first.Dropped != again.Dropped {
 			t.Fatalf("trial %d: repeated budgeted execution diverged", trial)
@@ -114,13 +114,13 @@ func TestExecuteBudgetFollowsPriorityOrder(t *testing.T) {
 	delivered := new(Delivered)
 	total := 0
 	for i, s := range subs {
-		r := srv.Execute([]SubQuery{s}, delivered)
+		r := srv.Execute([]SubQuery{s}, delivered, nil, 0)
 		fullPer[i] = len(r.IDs)
 		total += len(r.IDs)
 	}
 
 	budgetCoeffs := total / 4
-	resp := srv.ExecuteBudget(subs, new(Delivered), int64(budgetCoeffs)*wavelet.WireBytes)
+	resp := srv.Execute(subs, new(Delivered), nil, int64(budgetCoeffs)*wavelet.WireBytes)
 	if len(resp.IDs) != budgetCoeffs {
 		t.Fatalf("tight budget delivered %d of %d budgeted coefficients", len(resp.IDs), budgetCoeffs)
 	}
@@ -151,13 +151,13 @@ func TestExecuteBudgetFollowsPriorityOrder(t *testing.T) {
 	}
 }
 
-// TestExecuteBudgetUnlimitedMatchesExecute: maxBytes <= 0 is exactly
-// Execute, Hot validity included.
+// TestExecuteBudgetUnlimitedMatchesExecute: every maxBytes <= 0 is the
+// unlimited Execute, Hot validity included.
 func TestExecuteBudgetUnlimitedMatchesExecute(t *testing.T) {
 	srv := testServer(t, 5, 4)
 	sub := []SubQuery{{Region: geom.R2(0, 0, 1000, 1000), WMin: 0.2, WMax: 1}}
-	a := srv.Execute(sub, nil)
-	b := srv.ExecuteBudget(sub, nil, 0)
+	a := srv.Execute(sub, nil, nil, 0)
+	b := srv.Execute(sub, nil, nil, -1)
 	if !reflect.DeepEqual(a, b) {
 		t.Fatalf("unlimited budget diverged from Execute:\n%+v\n%+v", a, b)
 	}
@@ -168,11 +168,11 @@ func TestExecuteBudgetUnlimitedMatchesExecute(t *testing.T) {
 func TestExecuteBudgetInvalidatesHotRef(t *testing.T) {
 	srv := testServer(t, 5, 5)
 	sub := []SubQuery{{Region: geom.R2(0, 0, 1000, 1000), WMin: 0, WMax: 1}}
-	full := srv.Execute(sub, nil)
+	full := srv.Execute(sub, nil, nil, 0)
 	if len(full.IDs) < 2 {
 		t.Fatalf("workload too small")
 	}
-	got := srv.ExecuteBudget(sub, nil, int64(len(full.IDs)/2)*wavelet.WireBytes)
+	got := srv.Execute(sub, nil, nil, int64(len(full.IDs)/2)*wavelet.WireBytes)
 	if got.Hot.Valid {
 		t.Fatalf("truncated response carries a valid HotRef")
 	}
@@ -185,9 +185,9 @@ func TestBudgetStatsReconcile(t *testing.T) {
 	st := stats.New()
 	srv.SetStats(st)
 	sub := []SubQuery{{Region: geom.R2(0, 0, 1000, 1000), WMin: 0, WMax: 1}}
-	full := srv.ExecuteBudget(sub, nil, 1<<40)
+	full := srv.Execute(sub, nil, nil, 1<<40)
 	budget := int64(len(full.IDs)/2) * wavelet.WireBytes
-	resp := srv.ExecuteBudget(sub, nil, budget)
+	resp := srv.Execute(sub, nil, nil, budget)
 
 	snap := st.Snapshot()
 	if snap.Get(stats.RetrievalBudgetRequests) != 2 {

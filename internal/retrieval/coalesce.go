@@ -1,5 +1,5 @@
 // Query coalescing: the crowd-serving optimization. Concurrent sessions
-// whose windows land on the same region at the same resolution band are
+// asking the identical window at the identical resolution band are
 // common — viewers flock to landmarks — and each one re-runs an index
 // search whose answer is identical. The coalescer singleflights those:
 // the first arrival (the leader) runs the search; sessions that arrive
@@ -7,12 +7,10 @@
 // a completed result lingers for a short window so near-simultaneous
 // arrivals that just missed the flight still share it.
 //
-// A served index never changes, so sharing needs one check, the hot
-// cache's exact-query verification (see package hotcache):
-// hotcache.BucketOf only bounds the table, and a flight is adopted only
-// for the identical query floats. An adopted result — id words and
-// replayed node I/O — is therefore byte-identical to what the follower's own
-// search would have returned. Per-session delivered-set filtering
+// A served index never changes, and flights are keyed by the exact
+// query floats, so an adopted result — id words and replayed node I/O —
+// is byte-identical to what the follower's own search would have
+// returned. Per-session delivered-set filtering
 // happens downstream in the merge loop, so two sessions sharing one
 // index pass still receive exactly their own increments.
 package retrieval
@@ -23,7 +21,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/hotcache"
 	"repro/internal/index"
 )
 
@@ -49,7 +46,6 @@ func (c CoalescerConfig) withDefaults() CoalescerConfig {
 // (never aliases a session's scratch). expires and next are guarded by
 // the coalescer mutex.
 type flight struct {
-	k       hotcache.Bucket
 	q       index.Query
 	done    chan struct{}
 	words   []index.Word
@@ -66,69 +62,43 @@ type Coalescer struct {
 	cfg CoalescerConfig
 
 	mu      sync.Mutex
-	flights map[hotcache.Bucket]*flight
+	flights map[index.Query]*flight
 	// oldest and newest are the ends of the list of lingering flights in
 	// completion order, which is expiry order because the window is one
-	// constant. reap takes expired flights off its head, so a bucket
-	// nobody lands on again gives its flight up all the same.
+	// constant. reap takes expired flights off its head.
 	oldest, newest *flight
 
-	routed          atomic.Int64
-	led             atomic.Int64
-	shared          atomic.Int64
-	bypassCollision atomic.Int64
+	routed atomic.Int64
+	led    atomic.Int64
+	shared atomic.Int64
 }
 
 // NewCoalescer builds an empty coalescer.
 func NewCoalescer(cfg CoalescerConfig) *Coalescer {
-	return &Coalescer{cfg: cfg.withDefaults(), flights: make(map[hotcache.Bucket]*flight)}
+	return &Coalescer{cfg: cfg.withDefaults(), flights: make(map[index.Query]*flight)}
 }
 
 // do answers one sub-query over idx through the coalescer. buf receives
 // the id words (appended, like index.IntoSearcher.SearchWords). It
-// returns the extended buffer and the node I/O to replay.
+// returns the extended buffer and the node I/O to replay. q must equal
+// itself (no NaN field): a flight keyed by it could never be found or
+// reaped.
 func (co *Coalescer) do(idx index.IntoSearcher, q index.Query, buf []index.Word, cur *index.Cursor) ([]index.Word, int64) {
 	co.routed.Add(1)
-	k := hotcache.BucketOf(q)
-	for {
-		co.mu.Lock()
-		co.reap()
-		f := co.flights[k]
-		if f == nil {
-			// Leader: publish the flight, search, release.
-			f = &flight{k: k, q: q, done: make(chan struct{})}
-			co.flights[k] = f
-			co.mu.Unlock()
-			return co.lead(idx, f, buf, cur)
-		}
-		completed := false
-		select {
-		case <-f.done:
-			completed = true
-		default:
-		}
-		if completed && f.q != q {
-			// The lingering result answers a query the crowd has moved
-			// past (a moving flock re-lands in the same bucket every step
-			// with fresh floats — the stale flight must not squat on the
-			// bucket). Evict it and retry the loop as a prospective leader.
-			delete(co.flights, k)
-			co.mu.Unlock()
-			continue
-		}
-		if f.q != q {
-			// In-flight bucket collision with a different exact query:
-			// never wrong, just unshareable — waiting would adopt the
-			// wrong answer. Run our own search.
-			co.mu.Unlock()
-			co.bypassCollision.Add(1)
-			return idx.SearchWords(q, buf, cur)
-		}
+	co.mu.Lock()
+	co.reap()
+	f := co.flights[q]
+	if f == nil {
+		// Leader: publish the flight, search, release.
+		f = &flight{q: q, done: make(chan struct{})}
+		co.flights[q] = f
 		co.mu.Unlock()
-		<-f.done
-		co.shared.Add(1)
-		return append(buf, f.words...), f.io
+		return co.lead(idx, f, buf, cur)
 	}
+	co.mu.Unlock()
+	<-f.done
+	co.shared.Add(1)
+	return append(buf, f.words...), f.io
 }
 
 // lead runs the leader's search and publishes the outcome. The search
@@ -156,16 +126,16 @@ func (co *Coalescer) lead(idx index.IntoSearcher, f *flight, buf []index.Word, c
 }
 
 // reap drops the lingering flights whose window has passed. A flight
-// already replaced in its bucket (moved query, Flush) only leaves the
-// list. The caller holds co.mu.
+// Flush already dropped, and maybe replaced by a newer flight of its
+// query, only leaves the list. The caller holds co.mu.
 func (co *Coalescer) reap() {
 	if co.oldest == nil {
 		return
 	}
 	now := time.Now()
 	for f := co.oldest; f != nil && now.After(f.expires); f = co.oldest {
-		if co.flights[f.k] == f {
-			delete(co.flights, f.k)
+		if co.flights[f.q] == f {
+			delete(co.flights, f.q)
 		}
 		if co.oldest = f.next; co.oldest == nil {
 			co.newest = nil
@@ -180,10 +150,10 @@ func (co *Coalescer) reap() {
 // their own.
 func (co *Coalescer) Flush() {
 	co.mu.Lock()
-	for k, f := range co.flights {
+	for q, f := range co.flights {
 		select {
 		case <-f.done:
-			delete(co.flights, k)
+			delete(co.flights, q)
 		default:
 		}
 	}
@@ -192,8 +162,8 @@ func (co *Coalescer) Flush() {
 }
 
 // CoalescerStats is a point-in-time snapshot of the coalescer counters.
-// Routed == Led + Shared + BypassCollision exactly once traffic
-// quiesces: every routed sub-query took exactly one of the three paths.
+// Routed == Led + Shared exactly once traffic quiesces: every routed
+// sub-query either led a flight or adopted one.
 type CoalescerStats struct {
 	// Routed counts sub-queries that entered the coalescer.
 	Routed int64
@@ -203,9 +173,6 @@ type CoalescerStats struct {
 	// Shared counts sub-queries answered by adopting another session's
 	// flight — the index passes saved.
 	Shared int64
-	// BypassCollision counts sub-queries that ran their own search
-	// because their bucket held a flight for a different exact query.
-	BypassCollision int64
 	// Flights is the current number of in-flight or lingering entries.
 	Flights int
 }
@@ -217,10 +184,9 @@ func (co *Coalescer) Stats() CoalescerStats {
 	flights := len(co.flights)
 	co.mu.Unlock()
 	return CoalescerStats{
-		Routed:          co.routed.Load(),
-		Led:             co.led.Load(),
-		Shared:          co.shared.Load(),
-		BypassCollision: co.bypassCollision.Load(),
-		Flights:         flights,
+		Routed:  co.routed.Load(),
+		Led:     co.led.Load(),
+		Shared:  co.shared.Load(),
+		Flights: flights,
 	}
 }

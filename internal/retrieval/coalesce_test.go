@@ -13,12 +13,12 @@ import (
 )
 
 // reconcile asserts the coalescer's exact accounting invariant: every
-// routed sub-query took exactly one of the three paths.
+// routed sub-query led a flight or adopted one.
 func reconcile(t *testing.T, cs CoalescerStats) {
 	t.Helper()
-	if cs.Routed != cs.Led+cs.Shared+cs.BypassCollision {
-		t.Fatalf("coalescer counters do not reconcile: routed %d != led %d + shared %d + collision %d",
-			cs.Routed, cs.Led, cs.Shared, cs.BypassCollision)
+	if cs.Routed != cs.Led+cs.Shared {
+		t.Fatalf("coalescer counters do not reconcile: routed %d != led %d + shared %d",
+			cs.Routed, cs.Led, cs.Shared)
 	}
 }
 
@@ -27,7 +27,7 @@ func reconcile(t *testing.T, cs CoalescerStats) {
 // searched past both and leaves only its fingerprint.
 func touch(srv *Server, subs ...SubQuery) {
 	for _, sub := range subs {
-		srv.Execute([]SubQuery{sub}, nil)
+		srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	}
 }
 
@@ -44,12 +44,12 @@ func TestCoalescerSharesLingeringResult(t *testing.T) {
 	}
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
 
-	r0 := srv.Execute([]SubQuery{sub}, nil)
+	r0 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if cs := srv.Coalescer().Stats(); cs.Routed != 0 || cs.Flights != 0 {
 		t.Fatalf("a first ask reached the coalescer: %+v", cs)
 	}
-	r1 := srv.Execute([]SubQuery{sub}, nil)
-	r2 := srv.Execute([]SubQuery{sub}, nil)
+	r1 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
+	r2 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if !respEqual(r0, r1) {
 		t.Fatal("led response differs from the first touch's")
 	}
@@ -63,7 +63,7 @@ func TestCoalescerSharesLingeringResult(t *testing.T) {
 	}
 
 	srv.Coalescer().Flush()
-	r3 := srv.Execute([]SubQuery{sub}, nil)
+	r3 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if !respEqual(r1, r3) {
 		t.Fatal("fresh-flight response differs")
 	}
@@ -75,27 +75,26 @@ func TestCoalescerSharesLingeringResult(t *testing.T) {
 }
 
 // TestCoalescerMovedQueryReplacesFlight pins the moving-crowd rule: a
-// completed flight whose exact query nobody is asking anymore does not
-// squat on its bucket — the next different query in the bucket evicts
-// it and leads a fresh flight (so a flock re-landing in one bucket step
-// after step keeps sharing), and never adopts the wrong result.
+// query 0.01 away from a lingering flight's leads a flight of its own
+// (so a flock that moved keeps sharing), never adopts the other query's
+// result, and its flight is adoptable in turn.
 func TestCoalescerMovedQueryReplacesFlight(t *testing.T) {
 	srv := testShardedServer(t, 8, 43, 4)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	a := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.20, WMax: 1}
 	b := a
-	b.WMin = 0.21 // same 0.25-band bucket, different exact query
+	b.WMin = 0.21
 
 	touch(srv, a, b)
-	ra := srv.Execute([]SubQuery{a}, nil)
-	rb := srv.Execute([]SubQuery{b}, nil)
+	ra := srv.Execute([]SubQuery{a}, nil, nil, 0)
+	rb := srv.Execute([]SubQuery{b}, nil, nil, 0)
 	cs := srv.Coalescer().Stats()
 	reconcile(t, cs)
-	if cs.Led != 2 || cs.BypassCollision != 0 {
-		t.Fatalf("expected the moved query to replace the stale flight and lead, got %+v", cs)
+	if cs.Led != 2 || cs.Flights != 2 {
+		t.Fatalf("expected the moved query to lead a flight of its own, got %+v", cs)
 	}
-	// The replacement flight is adoptable in turn.
-	rb2 := srv.Execute([]SubQuery{b}, nil)
+	// The moved query's flight is adoptable in turn.
+	rb2 := srv.Execute([]SubQuery{b}, nil, nil, 0)
 	if !respEqual(rb, rb2) {
 		t.Fatal("adoption from the replacement flight diverged")
 	}
@@ -104,10 +103,10 @@ func TestCoalescerMovedQueryReplacesFlight(t *testing.T) {
 	}
 	// Each led pass must match uncoalesced execution exactly.
 	plain := testShardedServer(t, 8, 43, 4)
-	if wa := plain.Execute([]SubQuery{a}, nil); !respEqual(ra, wa) {
+	if wa := plain.Execute([]SubQuery{a}, nil, nil, 0); !respEqual(ra, wa) {
 		t.Fatal("query a diverged from uncoalesced execution")
 	}
-	if wb := plain.Execute([]SubQuery{b}, nil); !respEqual(rb, wb) {
+	if wb := plain.Execute([]SubQuery{b}, nil, nil, 0); !respEqual(rb, wb) {
 		t.Fatal("query b diverged from uncoalesced execution")
 	}
 }
@@ -141,10 +140,10 @@ func (g *gatedIndex) SearchWords(q index.Query, buf []index.Word, cur *index.Cur
 	return g.Sharded.SearchWords(q, buf, cur)
 }
 
-// TestCoalescerInFlightCollision pins the one case that still bypasses:
-// a different exact query arriving while a flight for its bucket is
-// mid-search cannot wait (it would adopt the wrong answer) and cannot
-// replace (the flight is live) — it runs its own search.
+// TestCoalescerInFlightCollision pins that two exact queries in flight
+// at once lead two flights: a query 0.01 away from one mid-search does
+// not wait on it (it would adopt the wrong answer) but publishes and
+// leads its own.
 func TestCoalescerInFlightCollision(t *testing.T) {
 	base := testShardedServer(t, 8, 43, 4)
 	gated := &gatedIndex{Sharded: base.Index().(*index.Sharded)}
@@ -153,28 +152,31 @@ func TestCoalescerInFlightCollision(t *testing.T) {
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	a := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.20, WMax: 1}
 	b := a
-	b.WMin = 0.21 // same 0.25-band bucket, different exact query
+	b.WMin = 0.21
 
 	touch(srv, a, b)
 	block, entered := gated.arm()
 	lead := make(chan Response, 1)
-	go func() { lead <- srv.Execute([]SubQuery{a}, nil) }()
+	go func() { lead <- srv.Execute([]SubQuery{a}, nil, nil, 0) }()
 	<-entered // the leader is now mid-search, flight in place
 
-	rb := srv.Execute([]SubQuery{b}, nil)
+	rb := srv.Execute([]SubQuery{b}, nil, nil, 0)
+	if cs := srv.Coalescer().Stats(); cs.Led != 1 || cs.Flights != 2 {
+		t.Fatalf("expected b to lead its own flight beside a's, got %+v", cs)
+	}
 	close(block)
 	ra := <-lead
 
 	cs := srv.Coalescer().Stats()
 	reconcile(t, cs)
-	if cs.Led != 1 || cs.BypassCollision != 1 {
-		t.Fatalf("expected 1 led + 1 in-flight collision bypass, got %+v", cs)
+	if cs.Led != 2 || cs.Shared != 0 {
+		t.Fatalf("expected 2 led flights, got %+v", cs)
 	}
 	plain := testShardedServer(t, 8, 43, 4)
-	if wa := plain.Execute([]SubQuery{a}, nil); !respEqual(ra, wa) {
+	if wa := plain.Execute([]SubQuery{a}, nil, nil, 0); !respEqual(ra, wa) {
 		t.Fatal("query a diverged from uncoalesced execution")
 	}
-	if wb := plain.Execute([]SubQuery{b}, nil); !respEqual(rb, wb) {
+	if wb := plain.Execute([]SubQuery{b}, nil, nil, 0); !respEqual(rb, wb) {
 		t.Fatal("query b diverged from uncoalesced execution")
 	}
 }
@@ -186,7 +188,7 @@ func TestCoalescerFlushEndsSharing(t *testing.T) {
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	sub := SubQuery{Region: geom.R2(0, 0, 500, 500), WMin: 0, WMax: 1}
 	touch(srv, sub)
-	srv.Execute([]SubQuery{sub}, nil)
+	srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if f := srv.Coalescer().Stats().Flights; f != 1 {
 		t.Fatalf("%d flights linger after the second ask, want 1", f)
 	}
@@ -194,7 +196,7 @@ func TestCoalescerFlushEndsSharing(t *testing.T) {
 	if f := srv.Coalescer().Stats().Flights; f != 0 {
 		t.Fatalf("%d flights survive Flush", f)
 	}
-	srv.Execute([]SubQuery{sub}, nil)
+	srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	cs := srv.Coalescer().Stats()
 	reconcile(t, cs)
 	if cs.Led != 2 || cs.Shared != 0 {
@@ -203,8 +205,8 @@ func TestCoalescerFlushEndsSharing(t *testing.T) {
 }
 
 // TestCoalescerWindowExpiry pins the time-based linger bound: once the
-// window passes, the flight ages out — with no Flush and nobody landing
-// on its bucket — and the next query leads.
+// window passes, the flight ages out — with no Flush and nobody asking
+// its query again — and the next query leads.
 func TestCoalescerWindowExpiry(t *testing.T) {
 	srv := testShardedServer(t, 8, 53, 4)
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Millisecond}))
@@ -219,9 +221,9 @@ func TestCoalescerWindowExpiry(t *testing.T) {
 	}
 	time.Sleep(5 * time.Millisecond)
 	if cs := srv.Coalescer().Stats(); cs.Led != 3 || cs.Flights != 0 {
-		t.Fatalf("3 flights in 3 buckets, a window ago: %+v", cs)
+		t.Fatalf("3 flights, a window ago: %+v", cs)
 	}
-	srv.Execute([]SubQuery{sub}, nil)
+	srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	cs := srv.Coalescer().Stats()
 	reconcile(t, cs)
 	if cs.Led != 4 || cs.Shared != 0 {
@@ -237,14 +239,14 @@ func TestCoalescerPopulatesHotCache(t *testing.T) {
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
 	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
-	if r0 := srv.Execute([]SubQuery{sub}, nil); r0.Hot.Valid {
+	if r0 := srv.Execute([]SubQuery{sub}, nil, nil, 0); r0.Hot.Valid {
 		t.Fatal("first-touch response marked hot")
 	}
-	r1 := srv.Execute([]SubQuery{sub}, nil)
+	r1 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if !r1.Hot.Valid {
 		t.Fatal("coalesced response not marked hot")
 	}
-	r2 := srv.Execute([]SubQuery{sub}, nil)
+	r2 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if !respEqual(r1, r2) || !r2.Hot.Valid || r2.Hot != r1.Hot {
 		t.Fatal("hot-cache replay of a coalesced result diverged")
 	}
@@ -352,16 +354,16 @@ func TestCoalescerFollowerCopiesFlightIDs(t *testing.T) {
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
 	var sc Scratch
 	touch(srv, sub)
-	lead := srv.ExecuteScratch([]SubQuery{sub}, nil, &sc)
+	lead := srv.Execute([]SubQuery{sub}, nil, &sc, 0)
 	leadIDs := slices.Clone(lead.IDs)
-	adopted := srv.ExecuteScratch([]SubQuery{sub}, nil, &sc)
+	adopted := srv.Execute([]SubQuery{sub}, nil, &sc, 0)
 	if !slices.Equal(adopted.IDs, leadIDs) {
 		t.Fatal("adopted ids differ from the flight's")
 	}
 	// Overwrite the scratch with an unrelated query, then adopt again:
 	// the flight must still hold the original ids.
-	srv.ExecuteScratch([]SubQuery{{Region: geom.R2(0, 0, 50, 50), WMin: 0.9, WMax: 1}}, nil, &sc)
-	again := srv.ExecuteScratch([]SubQuery{sub}, nil, &sc)
+	srv.Execute([]SubQuery{{Region: geom.R2(0, 0, 50, 50), WMin: 0.9, WMax: 1}}, nil, &sc, 0)
+	again := srv.Execute([]SubQuery{sub}, nil, &sc, 0)
 	if !slices.Equal(again.IDs, leadIDs) {
 		t.Fatal("flight ids were corrupted by an interleaved scratch frame")
 	}

@@ -121,7 +121,7 @@ func BenchmarkExecuteMerge(b *testing.B) {
 	srv := testShardedServer(b, 8, 29, 4)
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
 	subs := []SubQuery{{Region: geom.R2(0, 0, 1000, 1000), WMin: 0, WMax: 1}}
-	raw := srv.Execute(subs, nil).IDs
+	raw := srv.Execute(subs, nil, nil, 0).IDs
 	if len(raw) < 2000 {
 		b.Fatalf("only %d raw hits", len(raw))
 	}

@@ -23,7 +23,7 @@ func TestExecuteNilDeliveredAllowsDuplicates(t *testing.T) {
 	}
 	total := int(srv.Store().NumCoeffs())
 
-	raw := srv.Execute(subs, nil)
+	raw := srv.Execute(subs, nil, nil, 0)
 	if len(raw.IDs) != 2*total {
 		t.Fatalf("nil delivered: %d ids, want %d (every id twice)", len(raw.IDs), 2*total)
 	}
@@ -31,7 +31,7 @@ func TestExecuteNilDeliveredAllowsDuplicates(t *testing.T) {
 		t.Fatalf("executed %d sub-queries", raw.Queries)
 	}
 
-	filtered := srv.Execute(subs, new(Delivered))
+	filtered := srv.Execute(subs, new(Delivered), nil, 0)
 	if len(filtered.IDs) != total {
 		t.Fatalf("deduplicated: %d ids, want %d", len(filtered.IDs), total)
 	}
@@ -57,7 +57,7 @@ func TestExecuteFilterRejectionKeepsRetrievable(t *testing.T) {
 
 	rejectAll := srv.Execute([]SubQuery{
 		{Region: all, WMin: 0, WMax: 1, Filter: func(geom.Vec3) bool { return false }},
-	}, delivered)
+	}, delivered, nil, 0)
 	if len(rejectAll.IDs) != 0 {
 		t.Fatalf("reject-all filter delivered %d ids", len(rejectAll.IDs))
 	}
@@ -68,7 +68,7 @@ func TestExecuteFilterRejectionKeepsRetrievable(t *testing.T) {
 	// A half-space filter: the delivered set must hold exactly the accepted
 	// side, and the follow-up unfiltered query must deliver the rest.
 	west := func(p geom.Vec3) bool { return p.X < 500 }
-	first := srv.Execute([]SubQuery{{Region: all, WMin: 0, WMax: 1, Filter: west}}, delivered)
+	first := srv.Execute([]SubQuery{{Region: all, WMin: 0, WMax: 1, Filter: west}}, delivered, nil, 0)
 	for _, id := range first.IDs {
 		if !west(index.MustCoeff(srv.Store(), id).Pos) {
 			t.Fatalf("filter leaked id %d east of the boundary", id)
@@ -77,7 +77,7 @@ func TestExecuteFilterRejectionKeepsRetrievable(t *testing.T) {
 	if delivered.Len() != len(first.IDs) {
 		t.Fatalf("delivered set has %d ids, response had %d", delivered.Len(), len(first.IDs))
 	}
-	second := srv.Execute([]SubQuery{{Region: all, WMin: 0, WMax: 1}}, delivered)
+	second := srv.Execute([]SubQuery{{Region: all, WMin: 0, WMax: 1}}, delivered, nil, 0)
 	if len(first.IDs)+len(second.IDs) != total {
 		t.Fatalf("split deliveries %d + %d, want %d", len(first.IDs), len(second.IDs), total)
 	}
@@ -101,7 +101,7 @@ func TestExecuteRecordsStats(t *testing.T) {
 	resp := srv.Execute([]SubQuery{
 		{Region: geom.R2(0, 0, 1000, 1000), WMin: 0, WMax: 1},
 		{Region: geom.Rect2{Min: geom.V2(1, 1), Max: geom.V2(0, 0)}, WMin: 0, WMax: 1},
-	}, nil)
+	}, nil, nil, 0)
 	snap := st.Snapshot()
 	if snap.Get(stats.RetrievalRequests) != 1 {
 		t.Fatalf("requests = %d", snap.Get(stats.RetrievalRequests))
@@ -126,8 +126,8 @@ func TestExecuteRecordsStats(t *testing.T) {
 		{Region: geom.R2(0, 0, 600, 600), WMin: 0, WMax: 1},
 		{Region: geom.R2(300, 300, 1000, 1000), WMin: 0, WMax: 1},
 	}
-	srv.ExecuteBudget(overlap, delivered, int64(len(resp.IDs)/3)*wavelet.WireBytes)
-	srv.ExecuteBudget(overlap, delivered, int64(len(resp.IDs)/3)*wavelet.WireBytes)
+	srv.Execute(overlap, delivered, nil, int64(len(resp.IDs)/3)*wavelet.WireBytes)
+	srv.Execute(overlap, delivered, nil, int64(len(resp.IDs)/3)*wavelet.WireBytes)
 	snap = st.Snapshot()
 	raw, coeffs, dropped := snap.Get(stats.RetrievalRawHits), snap.Get(stats.RetrievalCoeffs), snap.Get(stats.RetrievalCoeffsDropped)
 	if dropped == 0 || raw < coeffs+dropped {

@@ -191,7 +191,7 @@ func checkAgainstReference(t *testing.T, srv, oracle *Server, steps int, seed in
 			a, b = nil, nil
 		}
 		budget := randBudget(rng)
-		got := srv.ExecuteBudgetScratch(subs, a, &sc, budget)
+		got := srv.Execute(subs, a, &sc, budget)
 		want := oracle.executeReference(subs, b, budget)
 		if f := sameResponse(got, want); f != "" {
 			t.Fatalf("step %d (%d subs, budget %d, delivered %v): %s differs: got %d ids dropped %d hot %v, reference %d ids dropped %d hot %v",

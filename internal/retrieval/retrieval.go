@@ -41,7 +41,7 @@ type Response struct {
 	IO      int64   // index node reads spent answering the sub-queries
 	Queries int     // number of sub-queries executed
 	// Dropped counts coefficients withheld from this response: by a
-	// byte budget (see ExecuteBudget — exactly the deliveries the
+	// byte budget (see Execute — exactly the deliveries the
 	// unlimited run would have made beyond the budget's prefix cut) or
 	// by a storage fault (the filter pass could not read the backing
 	// page — see index.ErrPageUnavailable). Always 0 for unbudgeted,
@@ -169,39 +169,6 @@ func (s *Server) Store() index.CoefficientSource { return s.store }
 // Index returns the access method in use.
 func (s *Server) Index() index.IntoSearcher { return s.idx }
 
-// Execute runs the sub-queries, filtering results against the client's
-// delivered set (nil = no filtering) and recording new deliveries into it.
-// This is the server side of Fig. 3: overlapping sub-queries and support
-// regions straddling the old frame produce duplicates, and the filter
-// ensures each coefficient crosses the link once per client.
-//
-// The index searches of one request and the merge into the delivered
-// set run on the calling goroutine in sub-query order. The delivered
-// set is the caller's: Execute must not be called concurrently
-// with the same set (one session = one client = one request at a time).
-// It runs on a fresh Scratch, so the response is the caller's to keep.
-func (s *Server) Execute(subs []SubQuery, delivered *Delivered) Response {
-	return s.execute(subs, delivered, new(Scratch), 0)
-}
-
-// ExecuteBudget is Execute under a byte budget: at most
-// maxBytes/wavelet.WireBytes coefficients are delivered, cut as a
-// prefix of the deterministic merge order (sub-query order, index
-// order within each sub-query). Because the merge order is the
-// planner's priority order, truncation degrades gracefully: the
-// highest-utility sub-queries keep their coefficients and the tail is
-// withheld. Withheld coefficients are counted in Response.Dropped and
-// are NOT marked delivered, so they remain retrievable by later
-// frames. maxBytes <= 0 means unlimited — identical to Execute in
-// every field.
-//
-// Determinism: same sub-queries + same delivered set + same budget ⇒
-// the same response (ids, order, bytes, Dropped) — the property the
-// wire protocol's byte budget is built on.
-func (s *Server) ExecuteBudget(subs []SubQuery, delivered *Delivered, maxBytes int64) Response {
-	return s.execute(subs, delivered, new(Scratch), maxBytes)
-}
-
 // Scratch is reusable per-caller execution state: the per-sub-query
 // result slabs, the index search cursor, the response id buffer and the
 // frame pin set. A zero Scratch is ready to use; buffers grow on first
@@ -224,25 +191,38 @@ func (sc *Scratch) pinsOf(store index.CoefficientSource) *index.Pins {
 	return sc.pins
 }
 
-// ExecuteScratch is Execute running on caller-owned scratch: the
-// returned Response's IDs slice aliases sc's buffer and is valid only
-// until the next ExecuteScratch with the same Scratch. Results are
-// identical to Execute in every field. A nil sc is a fresh Scratch, which
-// is Execute.
-func (s *Server) ExecuteScratch(subs []SubQuery, delivered *Delivered, sc *Scratch) Response {
-	return s.ExecuteBudgetScratch(subs, delivered, sc, 0)
-}
-
-// ExecuteBudgetScratch is ExecuteBudget on caller-owned scratch (see
-// ExecuteScratch for the aliasing contract and a nil sc).
-func (s *Server) ExecuteBudgetScratch(subs []SubQuery, delivered *Delivered, sc *Scratch, maxBytes int64) Response {
+// Execute runs the sub-queries, filtering results against the client's
+// delivered set (nil = no filtering) and recording new deliveries into it.
+// This is the server side of Fig. 3: overlapping sub-queries and support
+// regions straddling the old frame produce duplicates, and the filter
+// ensures each coefficient crosses the link once per client.
+//
+// The index searches of one request and the merge into the delivered
+// set run on the calling goroutine in sub-query order. The delivered
+// set is the caller's: Execute must not be called concurrently
+// with the same set (one session = one client = one request at a time).
+//
+// sc is the caller's execution state: the returned Response's IDs slice
+// aliases its buffer and is valid only until the next Execute on the
+// same Scratch. A nil sc is a fresh Scratch, so the response is the
+// caller's to keep.
+//
+// maxBytes > 0 is a byte budget: at most maxBytes/wavelet.WireBytes
+// coefficients are delivered, cut as a prefix of the deterministic merge
+// order (sub-query order, index order within each sub-query). Because
+// the merge order is the planner's priority order, truncation degrades
+// gracefully: the highest-utility sub-queries keep their coefficients
+// and the tail is withheld. Withheld coefficients are counted in
+// Response.Dropped and are NOT marked delivered, so they remain
+// retrievable by later frames. maxBytes ≤ 0 means unlimited.
+//
+// Determinism: same sub-queries + same delivered set + same budget ⇒
+// the same response (ids, order, bytes, Dropped) — the property the
+// wire protocol's byte budget is built on.
+func (s *Server) Execute(subs []SubQuery, delivered *Delivered, sc *Scratch, maxBytes int64) Response {
 	if sc == nil {
 		sc = new(Scratch)
 	}
-	return s.execute(subs, delivered, sc, maxBytes)
-}
-
-func (s *Server) execute(subs []SubQuery, delivered *Delivered, sc *Scratch, maxBytes int64) Response {
 	var start time.Time
 	if s.st != nil {
 		start = time.Now()
@@ -485,8 +465,7 @@ const (
 // entry for each of them is cost without a taker. Only the second ask of a query pays it.
 //
 // What is remembered is a 64-bit fingerprint of the exact query floats
-// in a direct-mapped table. Not the quantised bucket: consecutive
-// slivers of one tour share a bucket and would admit each other. The slot is
+// in a direct-mapped table, the key both layers share. The slot is
 // swapped atomically, so of any number of concurrent first askers
 // exactly one sees the query as new, and there is no lock. A collision
 // — two queries with one fingerprint, or a slot overwritten between two
@@ -513,12 +492,19 @@ func (s *Server) admit(q *index.Query) bool {
 // Everything else — a query nobody asked before, or a server with
 // neither layer — is searched directly: no flight, no stored entry, no
 // HotRef. All of them return the same ids and the same node I/O.
+// A query with a NaN field is unequal to itself, so neither layer could
+// find or drop it under its key: it is searched directly too, and
+// counts as a first touch (an index pass no layer saw).
 // out.words is reused as the result buffer.
 func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) (firstTouch bool) {
 	q := s.queryOf(sub)
 	if s.hot == nil && s.co == nil {
 		out.words, out.io = s.idx.SearchWords(q, out.words[:0], cur)
 		return false
+	}
+	if q != q {
+		out.words, out.io = s.idx.SearchWords(q, out.words[:0], cur)
+		return true
 	}
 	if s.hot != nil {
 		var ok bool
@@ -618,7 +604,7 @@ func (s *Session) Reused() bool { return s.reused }
 // Retrieve executes the sub-queries with duplicate filtering. The
 // response is freshly allocated and safe to retain.
 func (s *Session) Retrieve(subs []SubQuery) Response {
-	return s.srv.Execute(subs, &s.delivered)
+	return s.srv.Execute(subs, &s.delivered, nil, 0)
 }
 
 // RetrieveScratch is Retrieve on the session's reusable scratch: the
@@ -627,15 +613,15 @@ func (s *Session) Retrieve(subs []SubQuery) Response {
 // goroutine consumes each response (encodes it onto the connection)
 // before the next request arrives, so nothing outlives the window.
 func (s *Session) RetrieveScratch(subs []SubQuery) Response {
-	return s.srv.ExecuteScratch(subs, &s.delivered, &s.scratch)
+	return s.srv.Execute(subs, &s.delivered, &s.scratch, 0)
 }
 
 // RetrieveBudget executes the sub-queries under a byte budget on the
-// session's scratch (see ExecuteBudget for the truncation contract and
+// session's scratch (see Execute for the truncation contract and
 // RetrieveScratch for the IDs aliasing window). The wire server answers
 // every request with it.
 func (s *Session) RetrieveBudget(subs []SubQuery, maxBytes int64) Response {
-	return s.srv.ExecuteBudgetScratch(subs, &s.delivered, &s.scratch, maxBytes)
+	return s.srv.Execute(subs, &s.delivered, &s.scratch, maxBytes)
 }
 
 // Delivered returns the number of coefficients this client holds.

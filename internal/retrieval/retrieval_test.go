@@ -218,14 +218,14 @@ func TestHigherSpeedRetrievesLessData(t *testing.T) {
 func TestRegionBytes(t *testing.T) {
 	srv := testServer(t, 5, 10)
 	all := geom.R2(0, 0, 1000, 1000)
-	full := srv.Execute([]SubQuery{{Region: all, WMin: 0, WMax: 1}}, nil)
+	full := srv.Execute([]SubQuery{{Region: all, WMin: 0, WMax: 1}}, nil, nil, 0)
 	if full.Bytes != srv.Store().SizeBytes() {
 		t.Fatalf("full region bytes = %d want %d", full.Bytes, srv.Store().SizeBytes())
 	}
 	if full.IO < 1 {
 		t.Fatal("no io counted")
 	}
-	coarse := srv.Execute([]SubQuery{{Region: all, WMin: 1, WMax: 1}}, nil)
+	coarse := srv.Execute([]SubQuery{{Region: all, WMin: 1, WMax: 1}}, nil, nil, 0)
 	if coarse.Bytes >= full.Bytes || coarse.Bytes <= 0 {
 		t.Fatalf("coarse bytes = %d", coarse.Bytes)
 	}
@@ -236,7 +236,7 @@ func TestExecuteSkipsDegenerateSubQueries(t *testing.T) {
 	resp := srv.Execute([]SubQuery{
 		{Region: geom.Rect2{Min: geom.V2(1, 1), Max: geom.V2(0, 0)}, WMin: 0, WMax: 1},
 		{Region: geom.R2(0, 0, 10, 10), WMin: 0.9, WMax: 0.1},
-	}, nil)
+	}, nil, nil, 0)
 	if resp.Queries != 0 || len(resp.IDs) != 0 {
 		t.Fatalf("degenerate sub-queries executed: %+v", resp)
 	}

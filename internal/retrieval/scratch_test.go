@@ -84,8 +84,8 @@ func TestExecuteScratchMatchesExecute(t *testing.T) {
 			if rng.Intn(2) == 0 {
 				subs = pool[rng.Intn(len(pool))]
 			}
-			got := srv.ExecuteScratch(subs, dA, &sc)
-			want := oracle.Execute(subs, dB)
+			got := srv.Execute(subs, dA, &sc, 0)
+			want := oracle.Execute(subs, dB, nil, 0)
 			if !respEqual(got, want) {
 				t.Fatalf("%s cache=%v step %d: scratch response %d ids io %d != oracle %d ids io %d",
 					srv.Index().Name(), withCache, step, len(got.IDs), got.IO, len(want.IDs), want.IO)
@@ -100,26 +100,23 @@ func TestExecuteScratchMatchesExecute(t *testing.T) {
 }
 
 // TestExecuteRemainsFresh pins the retention contract split: Execute
-// results, and ExecuteScratch results on a nil (so fresh) scratch,
-// survive later calls unchanged; ExecuteScratch results on a caller's
-// scratch are explicitly invalidated by the next call on it.
+// results on a nil (so fresh) scratch survive later calls unchanged;
+// results on a caller's scratch are valid only until the next call on
+// it.
 func TestExecuteRemainsFresh(t *testing.T) {
 	srv := testShardedServer(t, 6, 9, 4)
 	all := geom.R2(0, 0, 1000, 1000)
 	subs := []SubQuery{{Region: all, WMin: 0, WMax: 1}}
-	first := srv.Execute(subs, nil)
-	viaNil := srv.ExecuteScratch(subs, nil, nil)
+	first := srv.Execute(subs, nil, nil, 0)
 	snapshot := slices.Clone(first.IDs)
+	var sc Scratch
 	for i := 0; i < 5; i++ {
 		small := []SubQuery{{Region: geom.R2(0, 0, 400, 400), WMin: 0, WMax: 1}}
-		srv.Execute(small, nil)
-		srv.ExecuteScratch(small, nil, nil)
+		srv.Execute(small, nil, nil, 0)
+		srv.Execute(small, nil, &sc, 0)
 	}
 	if !slices.Equal(first.IDs, snapshot) {
 		t.Fatal("Execute result mutated by later Execute calls")
-	}
-	if !slices.Equal(viaNil.IDs, snapshot) {
-		t.Fatal("nil-scratch ExecuteScratch result differs from Execute or was mutated")
 	}
 }
 
@@ -181,15 +178,15 @@ func TestHotRefSemantics(t *testing.T) {
 	all := geom.R2(0, 0, 1000, 1000)
 	sub := SubQuery{Region: all, WMin: 0, WMax: 1}
 
-	r0 := srv.Execute([]SubQuery{sub}, nil)
+	r0 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if r0.Hot != (HotRef{}) {
 		t.Fatalf("first ask carries a HotRef: %+v", r0.Hot)
 	}
-	r1 := srv.Execute([]SubQuery{sub}, nil)
+	r1 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if !r1.Hot.Valid {
 		t.Fatal("drop-free single-sub second ask not marked hot")
 	}
-	r2 := srv.Execute([]SubQuery{sub}, nil)
+	r2 := srv.Execute([]SubQuery{sub}, nil, nil, 0)
 	if !r2.Hot.Valid || r2.Hot != r1.Hot {
 		t.Fatalf("replayed response HotRef differs: %+v vs %+v", r2.Hot, r1.Hot)
 	}
@@ -197,28 +194,28 @@ func TestHotRefSemantics(t *testing.T) {
 		t.Fatal("first-touch, populating and cache-hit responses differ")
 	}
 	// A budget's cut: not hot; a budget the response fits: hot.
-	if r := srv.ExecuteBudget([]SubQuery{sub}, nil, int64(len(r1.IDs)/2)*wavelet.WireBytes); r.Hot.Valid {
+	if r := srv.Execute([]SubQuery{sub}, nil, nil, int64(len(r1.IDs)/2)*wavelet.WireBytes); r.Hot.Valid {
 		t.Fatalf("budget-cut replay HotRef = %+v, want none", r.Hot)
 	}
-	if r := srv.ExecuteBudget([]SubQuery{sub}, nil, r1.Bytes); !r.Hot.Valid {
+	if r := srv.Execute([]SubQuery{sub}, nil, nil, r1.Bytes); !r.Hot.Valid {
 		t.Fatalf("budgeted but uncut replay HotRef = %+v, want Valid", r.Hot)
 	}
 
 	// Two subs: never hot (response concatenates entries).
-	if r := srv.Execute([]SubQuery{sub, sub}, nil); r.Hot.Valid {
+	if r := srv.Execute([]SubQuery{sub, sub}, nil, nil, 0); r.Hot.Valid {
 		t.Fatal("multi-sub response marked hot")
 	}
 	// Filter suppression: never hot.
 	if r := srv.Execute([]SubQuery{{Region: all, WMin: 0, WMax: 1,
-		Filter: func(geom.Vec3) bool { return false }}}, nil); r.Hot.Valid {
+		Filter: func(geom.Vec3) bool { return false }}}, nil, nil, 0); r.Hot.Valid {
 		t.Fatal("filtered response marked hot")
 	}
 	// Delivered-set suppression: first pass hot, replay with drops is not.
 	delivered := new(Delivered)
-	if r := srv.Execute([]SubQuery{sub}, delivered); !r.Hot.Valid {
+	if r := srv.Execute([]SubQuery{sub}, delivered, nil, 0); !r.Hot.Valid {
 		t.Fatal("first delivered-set pass not hot")
 	}
-	if r := srv.Execute([]SubQuery{sub}, delivered); r.Hot.Valid {
+	if r := srv.Execute([]SubQuery{sub}, delivered, nil, 0); r.Hot.Valid {
 		t.Fatal("fully-suppressed replay marked hot")
 	}
 }
@@ -231,25 +228,25 @@ func TestExecuteScratchAllocBudget(t *testing.T) {
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
 	subs := []SubQuery{{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}}
 	var sc Scratch
-	srv.ExecuteScratch(subs, nil, &sc) // warm scratch
-	srv.ExecuteScratch(subs, nil, &sc) // second ask: populate cache
+	srv.Execute(subs, nil, &sc, 0) // warm scratch
+	srv.Execute(subs, nil, &sc, 0) // second ask: populate cache
 	allocs := testing.AllocsPerRun(100, func() {
-		srv.ExecuteScratch(subs, nil, &sc)
+		srv.Execute(subs, nil, &sc, 0)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state cached ExecuteScratch allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("steady-state cached Execute on a Scratch allocates %.1f times per run, want 0", allocs)
 	}
 
 	// Uncached (cache disabled) path: still zero — the cursor and slabs
 	// absorb everything.
 	srv2 := testShardedServer(t, 8, 29, 4)
 	var sc2 Scratch
-	srv2.ExecuteScratch(subs, nil, &sc2)
+	srv2.Execute(subs, nil, &sc2, 0)
 	allocs = testing.AllocsPerRun(100, func() {
-		srv2.ExecuteScratch(subs, nil, &sc2)
+		srv2.Execute(subs, nil, &sc2, 0)
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state uncached ExecuteScratch allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("steady-state uncached Execute on a Scratch allocates %.1f times per run, want 0", allocs)
 	}
 
 	// Both sharing layers wired, over slivers that never repeat (what one
@@ -259,15 +256,15 @@ func TestExecuteScratchAllocBudget(t *testing.T) {
 	srv3.SetHotCache(hotcache.New(hotcache.Config{}))
 	srv3.SetCoalescer(NewCoalescer(CoalescerConfig{}))
 	var sc3 Scratch
-	srv3.ExecuteScratch(subs, nil, &sc3)
+	srv3.Execute(subs, nil, &sc3, 0)
 	x := 100.0
 	allocs = testing.AllocsPerRun(100, func() {
 		x += 3
 		sliver := [1]SubQuery{{Region: geom.R2(x, 100, x+3, 700), WMin: 0.2, WMax: 1}}
-		srv3.ExecuteScratch(sliver[:], nil, &sc3)
+		srv3.Execute(sliver[:], nil, &sc3, 0)
 	})
 	if allocs != 0 {
-		t.Fatalf("first-touch ExecuteScratch with both sharing layers allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("first-touch Execute on a Scratch with both sharing layers allocates %.1f times per run, want 0", allocs)
 	}
 	if hs, cs := srv3.HotCache().Stats(), srv3.Coalescer().Stats(); hs.Entries != 0 || cs.Routed != 0 {
 		t.Fatalf("never-repeating slivers reached the sharing layers: %+v / %+v", hs, cs)

@@ -66,10 +66,9 @@ const (
 	HotBytes   // gauge
 	HotSubscribers
 	HotPayloadHits  // responses replayed from a cached serialized payload
-	CoalescerRouted // = led + shared + collision bypasses, once quiesced
+	CoalescerRouted // = led + shared, once quiesced
 	CoalescerLed
 	CoalescerShared
-	CoalescerBypassCollision
 	CoalescerFlights // gauge
 	PagerFaults
 	PagerHits
@@ -146,29 +145,28 @@ var counterNames = [numCounters]string{
 	RetrievalCoeffsDropped:     "retrieval.coeffs_dropped",
 	RetrievalCoeffsWithheld:    "retrieval.coeffs_withheld",
 
-	HotHits:                  "hotcache.hits",
-	HotMisses:                "hotcache.misses",
-	HotEvictions:             "hotcache.evictions",
-	HotEntries:               "hotcache.entries",
-	HotBytes:                 "hotcache.bytes",
-	HotSubscribers:           "hotcache.subscribers",
-	HotPayloadHits:           "hotcache.payload_hits",
-	CoalescerRouted:          "coalescer.routed",
-	CoalescerLed:             "coalescer.led",
-	CoalescerShared:          "coalescer.shared",
-	CoalescerBypassCollision: "coalescer.bypass_collision",
-	CoalescerFlights:         "coalescer.flights",
-	PagerFaults:              "pager.faults",
-	PagerHits:                "pager.hits",
-	PagerEvictions:           "pager.evictions",
-	PagerPins:                "pager.pins",
-	PagerRetries:             "pager.retries",
-	PagerFaultErrors:         "pager.fault_errors",
-	PagerQuarantined:         "pager.quarantined",
-	PagerPagesResident:       "pager.pages_resident",
-	PagerPagesPinned:         "pager.pages_pinned",
-	PagerResidentBytes:       "pager.resident_bytes",
-	PagerCacheBytes:          "pager.cache_bytes",
+	HotHits:            "hotcache.hits",
+	HotMisses:          "hotcache.misses",
+	HotEvictions:       "hotcache.evictions",
+	HotEntries:         "hotcache.entries",
+	HotBytes:           "hotcache.bytes",
+	HotSubscribers:     "hotcache.subscribers",
+	HotPayloadHits:     "hotcache.payload_hits",
+	CoalescerRouted:    "coalescer.routed",
+	CoalescerLed:       "coalescer.led",
+	CoalescerShared:    "coalescer.shared",
+	CoalescerFlights:   "coalescer.flights",
+	PagerFaults:        "pager.faults",
+	PagerHits:          "pager.hits",
+	PagerEvictions:     "pager.evictions",
+	PagerPins:          "pager.pins",
+	PagerRetries:       "pager.retries",
+	PagerFaultErrors:   "pager.fault_errors",
+	PagerQuarantined:   "pager.quarantined",
+	PagerPagesResident: "pager.pages_resident",
+	PagerPagesPinned:   "pager.pages_pinned",
+	PagerResidentBytes: "pager.resident_bytes",
+	PagerCacheBytes:    "pager.cache_bytes",
 
 	EngineCheckpoints:        "engine.checkpoints",
 	EngineCheckpointBytes:    "engine.checkpoint_bytes",
