@@ -6,7 +6,7 @@
 
 GO ?= go
 
-.PHONY: build test test-procs test-purego race vet bench bench-check bench-e2e bench-abr bench-crowd soaks fuzz ci
+.PHONY: build test test-procs test-purego race vet bench bench-layers bench-check bench-e2e bench-abr bench-crowd soaks fuzz ci
 
 build:
 	$(GO) build ./...
@@ -57,6 +57,16 @@ vet:
 # fails the target.
 bench:
 	$(GO) test -bench . -benchtime 1x -run '^$$' ./...
+
+# The serve path's layer benchmarks, five rounds each, for a layer table
+# whose medians and spread a change is compared by (ROADMAP aim 1):
+# R*-tree window search, a frame's index search, the retrieval merge,
+# the response encode, the client's apply, a paged store's page fault
+# and a whole connection trip (about 2 minutes on 2 vCPU). Informational,
+# like bench-e2e, and not part of ci.
+bench-layers:
+	$(GO) test -run '^$$' -count 5 -bench '^(BenchmarkWindowSearch|BenchmarkFrameSearch|BenchmarkExecuteMerge|BenchmarkEncodeResponse|BenchmarkClientApply|BenchmarkPagedFault|BenchmarkConnectionTrip)$$' \
+		./internal/rtree/ ./internal/retrieval/ ./internal/proto/ ./internal/index/
 
 # bench/ is a module of its own, so `build`, `vet` and `test` above never
 # compile it and an internal/* signature change can break the end-to-end

@@ -10,10 +10,10 @@
 // The record encoding is full-fidelity: every float64 of the in-memory
 // wavelet.Coefficient round-trips exactly, so a paged scene serves
 // byte-identical responses to the in-memory Store over the same
-// dataset. Both stores narrow Pos and Value to float32 in the one wire
-// encoder, wavelet.AppendWire: the Store once per coefficient in
-// NewStore, a paged pin set each time Pins.Record encodes a pinned
-// coefficient.
+// dataset. Pages are cached as the CRC-verified bytes read, and a
+// reader decodes only what it needs from a pinned one: a coefficient
+// (Coeff, the build scan), its Pos (the merge filter) or its wire
+// record (the encode: putWireRecord, the Store's bytes).
 package index
 
 import (
@@ -24,7 +24,6 @@ import (
 	"time"
 
 	"repro/internal/geom"
-	"repro/internal/mesh"
 	"repro/internal/persist"
 	"repro/internal/wavelet"
 )
@@ -80,6 +79,29 @@ func decodeCoeffRecord(rec []byte, c *wavelet.Coefficient) {
 	c.Pos = getVec3(rec[56:80])
 	c.Support.Min = getVec3(rec[80:104])
 	c.Support.Max = getVec3(rec[104:128])
+}
+
+// putWireRecord writes into w[:WireBytes] the wire record of the
+// segment record rec: the ids and Delta copied, Pos and Value narrowed
+// to float32 — byte for byte what wavelet.AppendWire gives for the
+// Coefficient.Wire of the coefficient rec holds.
+func putWireRecord(w, rec []byte) {
+	w, rec = w[:wavelet.WireBytes], rec[:CoeffRecordSize]
+	le := binary.LittleEndian
+	le.PutUint64(w[0:], le.Uint64(rec[0:]))
+	le.PutUint64(w[8:], le.Uint64(rec[32:]))
+	le.PutUint64(w[16:], le.Uint64(rec[40:]))
+	le.PutUint64(w[24:], le.Uint64(rec[48:]))
+	narrow(w[32:], rec[56:])
+	narrow(w[36:], rec[64:])
+	narrow(w[40:], rec[72:])
+	narrow(w[44:], rec[24:])
+}
+
+// narrow writes the float64 in src[:8] as a float32 into dst[:4].
+func narrow(dst, src []byte) {
+	f := math.Float64frombits(binary.LittleEndian.Uint64(src))
+	binary.LittleEndian.PutUint32(dst, math.Float32bits(float32(f)))
 }
 
 func putVec3(dst []byte, v geom.Vec3) {
@@ -298,11 +320,11 @@ func BuildSegment(path string, src CoefficientSource, levels, pageSize int) erro
 
 // PagedConfig configures a PagedStore.
 type PagedConfig struct {
-	// CacheBytes bounds resident decoded payload bytes, accounted in
-	// serialized record bytes (≤0 → persist.DefaultPageCacheBytes).
+	// CacheBytes bounds the resident page bytes, accounted in record
+	// bytes (≤0 → persist.DefaultPageCacheBytes).
 	CacheBytes int64
-	// Debug evicts and poisons pages on unpin-to-zero, so any coefficient
-	// pointer read through a pin set after its Release fails loudly (NaN
+	// Debug evicts and poisons pages on unpin-to-zero, so any record
+	// read from a pin set's page after its Release fails loudly (NaN
 	// values, object id -1) instead of silently serving another page's
 	// data.
 	Debug bool
@@ -376,35 +398,6 @@ func newPaged(seg *persist.Segment, cfg PagedConfig) (*PagedStore, error) {
 		Debug:        cfg.Debug,
 		RetryMax:     cfg.RetryMax,
 		RetryBackoff: cfg.RetryBackoff,
-		Decode: func(raw []byte, records int, reuse any) (any, int64, error) {
-			// decodeCoeffRecord assigns every field, so an evicted page's
-			// slab of the same length is overwritten in place and handed
-			// back as the interface value it came in (boxing a fresh slice
-			// header would allocate); only the segment's short last page
-			// ever mismatches.
-			slab, _ := reuse.([]wavelet.Coefficient)
-			if len(slab) != records {
-				slab = make([]wavelet.Coefficient, records)
-				reuse = slab
-			}
-			for i := range slab {
-				decodeCoeffRecord(raw[i*CoeffRecordSize:(i+1)*CoeffRecordSize], &slab[i])
-			}
-			return reuse, int64(records) * CoeffRecordSize, nil
-		},
-		Poison: func(decoded any) {
-			slab := decoded.([]wavelet.Coefficient)
-			nan := math.NaN()
-			for i := range slab {
-				slab[i] = wavelet.Coefficient{
-					Object: -1, Vertex: -1, Level: -1,
-					Parent: mesh.Edge{A: -1, B: -1},
-					Value:  nan,
-					Delta:  geom.Vec3{X: nan, Y: nan, Z: nan},
-					Pos:    geom.Vec3{X: nan, Y: nan, Z: nan},
-				}
-			}
-		},
 	})
 	return ps, nil
 }
@@ -470,63 +463,65 @@ func (ps *PagedStore) PageOf(id int64) int {
 	return int(int64(ps.slots[id]) / ps.perPage)
 }
 
-// pin faults in a page and returns its decoded slab. An I/O or
-// corruption error is NOT fatal: it surfaces as ErrPageUnavailable so
-// serving layers can withhold the affected coefficients while every
-// other page keeps serving — a single bad sector must degrade one
-// frame's coverage, not kill the process (the CRC directory still makes
-// damage loud rather than wrong).
-func (ps *PagedStore) pin(page int32) ([]wavelet.Coefficient, error) {
-	v, err := ps.pager.Pin(int(page))
+// pin faults in a page and returns its records. An I/O or corruption
+// error is NOT fatal: it surfaces as ErrPageUnavailable so serving
+// layers can withhold the affected coefficients while every other page
+// keeps serving — a single bad sector must degrade one frame's
+// coverage, not kill the process (the CRC directory still makes damage
+// loud rather than wrong).
+func (ps *PagedStore) pin(page int32) ([]byte, error) {
+	b, err := ps.pager.Pin(int(page))
 	if err != nil {
 		return nil, pageUnavailable(page, err)
 	}
-	return v.([]wavelet.Coefficient), nil
+	return b, nil
 }
 
 // Coeff resolves a global id to a private copy of the coefficient (see
-// the CoefficientSource contract). The page is pinned only for the
-// duration of the call, and once unpinned its slab may be evicted and
-// overwritten by any other session's fault, so a pointer into it is
-// worth nothing. One allocation per call: readers of more than a
-// handful of coefficients go through NewPins.
+// the CoefficientSource contract), decoded from its page while pinned
+// for the duration of the call. One allocation per call: readers of
+// more than a handful of coefficients go through NewPins.
 func (ps *PagedStore) Coeff(id int64) (*wavelet.Coefficient, error) {
 	ps.checkID(id)
 	slot := int64(ps.slots[id])
 	page := int32(slot / ps.perPage)
-	slab, err := ps.pin(page)
+	b, err := ps.pin(page)
 	if err != nil {
 		return nil, err
 	}
-	c := slab[slot%ps.perPage]
+	c := new(wavelet.Coefficient)
+	off := (slot % ps.perPage) * CoeffRecordSize
+	decodeCoeffRecord(b[off:off+CoeffRecordSize], c)
 	ps.pager.Unpin(int(page))
-	return &c, nil
+	return c, nil
 }
 
 // scan calls fn with every readable coefficient in ascending id order
-// (see CoefficientSource), pinning each page once: a page
-// stays pinned from the first of its records the scan reaches to the
-// last. Ascending ids advance through every band at once, so about one
-// page per band — plus the pages straddling two bands — is pinned at a
-// time.
+// (see CoefficientSource), each decoded from its record into one
+// scratch coefficient, pinning each page once: a page stays pinned from
+// the first of its records the scan reaches to the last. Ascending ids
+// advance through every band at once, so about one page per band — plus
+// the pages straddling two bands — is pinned at a time.
 func (ps *PagedStore) scan(fn func(id int64, c *wavelet.Coefficient)) {
-	pages := ps.seg.NumPages()
-	slabs := make([][]wavelet.Coefficient, pages)
-	left := make([]int32, pages) // records of each page the scan has yet to reach
+	pages := make([][]byte, ps.seg.NumPages())
+	left := make([]int32, len(pages)) // records of each page the scan has yet to reach
 	for p := range left {
 		left[p] = int32(ps.seg.RecordsInPage(p))
 	}
+	var c wavelet.Coefficient
 	for id, slot := range ps.slots {
 		page := int64(slot) / ps.perPage
-		if slabs[page] == nil {
-			slabs[page], _ = ps.pin(int32(page)) // unreadable: skipped, retried at its next record
+		if pages[page] == nil {
+			pages[page], _ = ps.pin(int32(page)) // unreadable: skipped, retried at its next record
 		}
-		if slab := slabs[page]; slab != nil {
-			fn(int64(id), &slab[int64(slot)-page*ps.perPage])
+		if b := pages[page]; b != nil {
+			off := (int64(slot) - page*ps.perPage) * CoeffRecordSize
+			decodeCoeffRecord(b[off:off+CoeffRecordSize], &c)
+			fn(int64(id), &c)
 		}
-		if left[page]--; left[page] == 0 && slabs[page] != nil {
+		if left[page]--; left[page] == 0 && pages[page] != nil {
 			ps.pager.Unpin(int(page))
-			slabs[page] = nil
+			pages[page] = nil
 		}
 	}
 }
@@ -534,30 +529,30 @@ func (ps *PagedStore) scan(fn func(id int64, c *wavelet.Coefficient)) {
 // NewPins returns an empty frame-scoped pin set over the store (see
 // Pins).
 func (ps *PagedStore) NewPins() *Pins {
-	return &Pins{ps: ps, slabs: make(map[int32][]wavelet.Coefficient)}
+	return &Pins{ps: ps, pages: make(map[int32][]byte)}
 }
 
-// pinSlot resolves id through the slot table to its page's slab:
-// the page p resolved last, else one this set already pinned, else a
-// fresh pin on the set's first touch.
-func (p *Pins) pinSlot(id int64) (*wavelet.Coefficient, error) {
+// record resolves id through the slot table to its 128 B segment
+// record, valid until Release: in the page p resolved last, else one
+// this set already pinned, else a fresh pin on the set's first touch.
+func (p *Pins) record(id int64) ([]byte, error) {
 	ps := p.ps
 	ps.checkID(id)
 	slot := int64(ps.slots[id])
-	if slot >= p.slotLo && slot < p.slotHi {
-		return &p.slab[slot-p.slotLo], nil
-	}
-	page := int32(slot / ps.perPage)
-	slab, ok := p.slabs[page]
-	if !ok {
-		var err error
-		if slab, err = ps.pin(page); err != nil {
-			return nil, err
+	if slot < p.slotLo || slot >= p.slotHi {
+		page := int32(slot / ps.perPage)
+		b, ok := p.pages[page]
+		if !ok {
+			var err error
+			if b, err = ps.pin(page); err != nil {
+				return nil, err
+			}
+			p.pages[page] = b
+			p.pinned = append(p.pinned, page)
 		}
-		p.slabs[page] = slab
-		p.pages = append(p.pages, page)
+		p.slotLo, p.page = int64(page)*ps.perPage, b
+		p.slotHi = p.slotLo + int64(len(b)/CoeffRecordSize)
 	}
-	p.slotLo, p.slab = int64(page)*ps.perPage, slab
-	p.slotHi = p.slotLo + int64(len(slab))
-	return &slab[slot-p.slotLo], nil
+	off := (slot - p.slotLo) * CoeffRecordSize
+	return p.page[off : off+CoeffRecordSize : off+CoeffRecordSize], nil
 }

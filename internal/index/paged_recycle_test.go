@@ -10,10 +10,10 @@ import (
 )
 
 // TestPagedCoeffConcurrentEviction: a pager of one page evicts on every
-// fault and decodes the next page into the slab it just gave up, so an
-// unpinned read that returned a pointer into its slab would be
-// overwritten — under -race, reported — by the next reader's fault.
-// Coeff returns a copy, and every reader sees every coefficient intact.
+// fault and reads the next page into the buffer it just gave up, so a
+// coefficient decoded after its page's unpin would be overwritten —
+// under -race, reported — by the next reader's fault. Coeff decodes a
+// copy while pinned, and every reader sees every coefficient intact.
 func TestPagedCoeffConcurrentEviction(t *testing.T) {
 	mem, ps := buildPagedPair(t, PagedConfig{CacheBytes: 512}) // one 4-record page
 	total := ps.NumCoeffs()
@@ -81,8 +81,9 @@ func TestBuildReadsPagedSourceThroughPins(t *testing.T) {
 
 // BenchmarkPagedFault is one coefficient-page fault as the serving path
 // pays it: 64 KB pages of 512 records, a cache of 8 pages walked round-
-// robin over 64, so every Pin reads, verifies and decodes a page and
-// evicts another. B/op is the page-sized memory a fault allocates.
+// robin over 64, so every Pin reads and verifies a page and evicts
+// another, and the one coefficient read decodes its record. B/op is the
+// page-sized memory a fault allocates.
 func BenchmarkPagedFault(b *testing.B) {
 	mem := NewStore(testObjectsAt(b, 36, 4)) // 36 936 coefficients: 72 pages
 	path := filepath.Join(b.TempDir(), "bench.seg")

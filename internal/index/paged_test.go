@@ -48,14 +48,21 @@ func buildPagedPair(t testing.TB, cfg PagedConfig) (*Store, *PagedStore) {
 	return mem, ps
 }
 
-// pinCoeff reads one coefficient through a frame-scoped pin set,
-// failing the test on a storage fault.
-func pinCoeff(t *testing.T, pins *Pins, id int64) *wavelet.Coefficient {
+// pinRecord reads one coefficient's segment record through a
+// frame-scoped pin set, failing the test on a storage fault.
+func pinRecord(t *testing.T, pins *Pins, id int64) []byte {
 	t.Helper()
-	c, err := pins.Coeff(id)
+	rec, err := pins.record(id)
 	if err != nil {
-		t.Fatalf("Pins.Coeff(%d): %v", id, err)
+		t.Fatalf("Pins.record(%d): %v", id, err)
 	}
+	return rec
+}
+
+// decoded is the coefficient a segment record holds.
+func decoded(rec []byte) wavelet.Coefficient {
+	var c wavelet.Coefficient
+	decodeCoeffRecord(rec, &c)
 	return c
 }
 
@@ -131,19 +138,20 @@ func TestPagedMatchesStore(t *testing.T) {
 func TestPinsHoldPagesForFrame(t *testing.T) {
 	mem, ps := buildPagedPair(t, PagedConfig{CacheBytes: 512}) // one-page budget
 	pins := ps.NewPins()
-	// Read a spread of coefficients through the pin set; every pointer
-	// must stay valid (and correct) while the frame is open.
+	// Read a spread of records through the pin set; every page they lie
+	// on must stay resident (and its records correct) while the frame is
+	// open.
 	ids := []int64{0, 1, 5, 9, 17, mem.NumCoeffs() - 1}
-	ptrs := make([]*wavelet.Coefficient, len(ids))
+	recs := make([][]byte, len(ids))
 	for i, id := range ids {
-		ptrs[i] = pinCoeff(t, pins, id)
+		recs[i] = pinRecord(t, pins, id)
 	}
 	st := ps.PagerStats()
 	if st.PagesPinned == 0 {
 		t.Fatal("open frame holds no pins")
 	}
 	for i, id := range ids {
-		if *ptrs[i] != *MustCoeff(mem, id) {
+		if decoded(recs[i]) != *MustCoeff(mem, id) {
 			t.Fatalf("pinned coefficient %d changed under the frame", id)
 		}
 	}
@@ -156,14 +164,15 @@ func TestPinsHoldPagesForFrame(t *testing.T) {
 		t.Fatalf("ResidentBytes %d > budget %d after Release", st.ResidentBytes, st.CacheBytes)
 	}
 	// Reuse after Release works and re-pins.
-	if *pinCoeff(t, pins, 3) != *MustCoeff(mem, 3) {
+	if decoded(pinRecord(t, pins, 3)) != *MustCoeff(mem, 3) {
 		t.Fatal("reused Pins returned wrong coefficient")
 	}
 	pins.Release()
 }
 
-// TestPagedDebugCatchesUseAfterUnpin is the satellite-1 guard: in debug
-// mode, a pointer held past its pin reads poisoned data.
+// TestPagedDebugCatchesUseAfterUnpin: in debug mode, a page record held
+// past its pin set's Release reads poisoned bytes, which decode to
+// object -1 and NaN floats.
 func TestPagedDebugCatchesUseAfterUnpin(t *testing.T) {
 	_, ps := buildPagedPair(t, PagedConfig{CacheBytes: 512, Debug: true})
 
@@ -173,18 +182,21 @@ func TestPagedDebugCatchesUseAfterUnpin(t *testing.T) {
 		t.Fatalf("debug-mode immediate Coeff read poisoned data: %+v", c)
 	}
 
-	// Illegal: hold a frame pointer past Release.
+	// Illegal: hold a frame's record past Release.
 	pins := ps.NewPins()
-	held := pinCoeff(t, pins, 0)
+	held := pinRecord(t, pins, 0)
+	if c := decoded(held); c.Object != 0 || math.IsNaN(c.Value) {
+		t.Fatalf("pinned record reads %+v", c)
+	}
 	pins.Release()
-	if !math.IsNaN(held.Value) || held.Object != -1 {
-		t.Fatalf("use-after-unpin not poisoned in debug mode: %+v", held)
+	if c := decoded(held); !math.IsNaN(c.Value) || !math.IsNaN(c.Pos.X) || c.Object != -1 {
+		t.Fatalf("use-after-unpin not poisoned in debug mode: %+v", c)
 	}
 }
 
 func TestPagedCoeffOutOfRange(t *testing.T) {
 	_, ps := buildPagedPair(t, PagedConfig{})
-	record := func(id int64) { ps.NewPins().Record(id) }
+	record := func(id int64) { ps.NewPins().AppendRecords(nil, []int64{id}) }
 	for _, id := range []int64{-1, ps.NumCoeffs(), ps.NumCoeffs() + 100} {
 		for _, read := range []func(int64){func(id int64) { ps.Coeff(id) }, record} {
 			func() {
@@ -216,7 +228,7 @@ func TestStoreCoeffOutOfRange(t *testing.T) {
 		return pins.Coeff(id)
 	}
 	record := func(id int64) (*wavelet.Coefficient, error) {
-		_, err := s.NewPins().Record(id)
+		_, _, err := s.NewPins().AppendRecords(nil, []int64{id})
 		return nil, err
 	}
 	for _, id := range []int64{-1, s.NumCoeffs(), s.NumCoeffs() + 7} {

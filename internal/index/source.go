@@ -2,6 +2,7 @@ package index
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/geom"
 	"repro/internal/wavelet"
@@ -30,14 +31,13 @@ type CoefficientSource interface {
 	//
 	// Pointer-lifetime contract: the in-memory Store hands out pointers
 	// into always-resident slabs, which never move. An out-of-core
-	// source (PagedStore) cannot: the moment its page is unpinned the
-	// slab may be evicted and overwritten in place by another session's
-	// fault, so its Coeff returns a private copy — correct for as long
-	// as the caller likes, and one allocation per call. Callers that
-	// read many coefficients — the index builders' scans, the retrieval
-	// filter pass, the response encode (Pins.Record) — read through a
-	// NewPins set instead, which allocates nothing and whose pointers
-	// stay valid until its Release, whatever the source.
+	// source (PagedStore) keeps only page bytes, which may be evicted and
+	// overwritten by another session's fault the moment they are
+	// unpinned, so its Coeff returns a private copy — correct for as
+	// long as the caller likes, and one allocation per call. Callers
+	// that read many coefficients — the retrieval filter pass (Pins.Pos),
+	// the response encode (Pins.AppendRecords) — read through a NewPins set
+	// instead, which allocates nothing.
 	//
 	// Failure contract: a non-nil error means the coefficient is
 	// temporarily unreadable (an out-of-core source lost the backing
@@ -81,23 +81,19 @@ var (
 	_ CoefficientSource = (*PagedStore)(nil)
 )
 
-// Pins is a frame-scoped read handle on one source: every pointer its
-// Coeff returns stays valid until Release, and not after. Over the
-// resident Store it pins nothing — the slabs never move; over a
-// PagedStore each page it touches stays resident until Release. Either
-// way it remembers the last slab it resolved (an object's coefficients,
-// or a page's records), so the ascending reads of a frame's filter pass
-// and its payload encode — whose coarse-band ids share pages in the
-// band-major layout — resolve almost every id with one range check.
-// Record hands out a coefficient's wire record: a slice of the Store's
-// wire array, or over a paged source the pinned coefficient encoded
-// into the set's scratch. A Pins is reusable across frames (Release
-// keeps its storage) but not safe for concurrent use; each session owns
-// its own.
+// Pins is a frame-scoped read handle on one source. Over the resident
+// Store it pins nothing — the slabs never move; over a PagedStore each
+// page it touches stays resident until Release, and every read decodes
+// what it needs from the page's 128 B segment records. Either way it
+// remembers the last slab it resolved (an object's coefficients, or a
+// page's records), so the ascending reads of a frame's filter pass and
+// its payload encode — whose coarse-band ids share pages in the
+// band-major layout — resolve almost every id with one range check. A
+// Pins is reusable across frames (Release keeps its storage) but not
+// safe for concurrent use; each session owns its own.
 type Pins struct {
 	// lo, hi and slab are the last object resolved over the resident
-	// store: ids [lo, hi) are slab[id-lo]. The range stays empty over a
-	// paged source, whose ids resolve through its slot table.
+	// store: ids [lo, hi) are slab[id-lo].
 	lo, hi int64
 	slab   []wavelet.Coefficient
 	// store is the resident source (nil over a paged one); obj is the
@@ -105,62 +101,80 @@ type Pins struct {
 	store *Store
 	obj   int
 	// ps is the paged source (nil over a resident one); slots [slotLo,
-	// slotHi) are slab[slot-slotLo], the page resolved last. pages lists
-	// the pages this set pinned and slabs their decoded records.
+	// slotHi) are the records of page, the page resolved last. pinned
+	// lists the pages this set pinned and pages their records.
 	ps             *PagedStore
 	slotLo, slotHi int64
-	pages          []int32
-	slabs          map[int32][]wavelet.Coefficient
-	// rec is the scratch Record encodes a paged coefficient into.
-	rec [wavelet.WireBytes]byte
+	page           []byte
+	pinned         []int32
+	pages          map[int32][]byte
+	coeff          wavelet.Coefficient // Coeff's scratch
 }
 
-// Coeff resolves a global id; the pointer is valid until Release. An
-// unreadable page reports ErrPageUnavailable without disturbing the
-// pages already pinned — the caller withholds that coefficient and
-// carries on. Out-of-range ids panic, as on the source.
+// Coeff resolves a global id: the resident store's own pointer, or a
+// paged record decoded into the set's scratch, valid until the next
+// Coeff or Release. An unreadable page reports ErrPageUnavailable
+// without disturbing the pages already pinned — the caller withholds
+// that coefficient and carries on. Out-of-range ids panic.
 func (p *Pins) Coeff(id int64) (*wavelet.Coefficient, error) {
-	if id >= p.lo && id < p.hi {
-		return &p.slab[id-p.lo], nil
+	if p.ps == nil {
+		return p.resident(id), nil
 	}
-	if p.ps != nil {
-		return p.pinSlot(id)
-	}
-	p.seekObject(id)
-	return &p.slab[id-p.lo], nil
-}
-
-// Record returns coefficient id's wire record (see wavelet.WireRecord),
-// failing and panicking as Coeff does. Over the resident store it is a
-// slice of the store's wire array, valid for as long as the caller
-// likes; over a paged source the pinned coefficient is encoded into the
-// set's scratch, valid until the next Record or Release. Either way the
-// caller copies it, never writes it.
-func (p *Pins) Record(id int64) ([]byte, error) {
-	if s := p.store; s != nil {
-		s.checkID(id)
-		off := id * wavelet.WireBytes
-		return s.wire[off : off+wavelet.WireBytes : off+wavelet.WireBytes], nil
-	}
-	c, err := p.pinSlot(id)
+	rec, err := p.record(id)
 	if err != nil {
 		return nil, err
 	}
-	w := c.Wire()
-	return wavelet.AppendWire(p.rec[:0], &w), nil
+	decodeCoeffRecord(rec, &p.coeff)
+	return &p.coeff, nil
 }
 
-// Run returns the wire records of ids [lo, hi) as one slice of the
-// resident store's wire array, which holds consecutive ids side by side,
-// valid and read-only as Record's slice is; a range past the store's
-// ids panics. Over a paged source it returns false: records there are
-// read one at a time through Record, which reports a page that is
-// unreadable.
-func (p *Pins) Run(lo, hi int64) ([]byte, bool) {
-	if p.store == nil {
-		return nil, false
+// Pos returns coefficient id's fitted position — all the merge filter
+// and BlockBytes read — failing and panicking as Coeff does; over a
+// paged source it decodes that field alone.
+func (p *Pins) Pos(id int64) (geom.Vec3, error) {
+	if p.ps == nil {
+		return p.resident(id).Pos, nil
 	}
-	return p.store.wire[lo*wavelet.WireBytes : hi*wavelet.WireBytes : hi*wavelet.WireBytes], true
+	rec, err := p.record(id)
+	if err != nil {
+		return geom.Vec3{}, err
+	}
+	return getVec3(rec[56:80]), nil
+}
+
+// AppendRecords appends the wire records (see wavelet.WireRecord) of
+// ids to dst and reports how many it appended. Over the resident store
+// each run of consecutive ids is one copy out of its wire array, which
+// holds consecutive ids side by side; over a paged source each record
+// is converted straight from its segment record (putWireRecord). n <
+// len(ids) comes with the error of ids[n], whose page is unreadable:
+// the caller withholds that id and goes on from the next. An id out of
+// range panics.
+func (p *Pins) AppendRecords(dst []byte, ids []int64) (out []byte, n int, err error) {
+	if s := p.store; s != nil {
+		for i := 0; i < len(ids); {
+			j := i + 1
+			for j < len(ids) && ids[j] == ids[j-1]+1 {
+				j++
+			}
+			lo, hi := ids[i], ids[j-1]+1
+			s.checkID(lo) // a run past the last id fails the slice bound
+			dst = append(dst, s.wire[lo*wavelet.WireBytes:hi*wavelet.WireBytes]...)
+			i = j
+		}
+		return dst, len(ids), nil
+	}
+	dst = slices.Grow(dst, len(ids)*wavelet.WireBytes)
+	for i, id := range ids {
+		rec, err := p.record(id)
+		if err != nil {
+			return dst, i, err
+		}
+		end := len(dst) + wavelet.WireBytes
+		putWireRecord(dst[len(dst):end], rec)
+		dst = dst[:end]
+	}
+	return dst, len(ids), nil
 }
 
 // holds reports whether id resolves in the slab p resolved last, so a
@@ -180,12 +194,12 @@ func (p *Pins) Release() {
 	if p.ps == nil {
 		return
 	}
-	for _, page := range p.pages {
+	for _, page := range p.pinned {
 		p.ps.pager.Unpin(int(page))
-		delete(p.slabs, page)
+		delete(p.pages, page)
 	}
-	p.pages = p.pages[:0]
-	p.slotLo, p.slotHi, p.slab = 0, 0, nil
+	p.pinned = p.pinned[:0]
+	p.slotLo, p.slotHi, p.page = 0, 0, nil
 }
 
 // MustCoeff resolves a global id through src and panics if the

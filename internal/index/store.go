@@ -112,6 +112,15 @@ func (s *Store) scan(fn func(id int64, c *wavelet.Coefficient)) {
 // objectOf's binary search.
 func (s *Store) NewPins() *Pins { return &Pins{store: s, obj: -1} }
 
+// resident resolves id over the resident store: in the object p
+// resolved last, else in the one seekObject finds.
+func (p *Pins) resident(id int64) *wavelet.Coefficient {
+	if id < p.lo || id >= p.hi {
+		p.seekObject(id)
+	}
+	return &p.slab[id-p.lo]
+}
+
 // seekObject points p at the object owning id: the one after the
 // remembered object when an ascending read crosses into it, else the
 // one objectOf finds.

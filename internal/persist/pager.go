@@ -1,9 +1,9 @@
-// Pager: a bounded cache of decoded segment pages with pin/unpin
-// reference counting.
+// Pager: a bounded cache of segment pages with pin/unpin reference
+// counting.
 //
 // The pager is the residency policy for out-of-core payloads. Pin
-// faults the page in (one positioned read + CRC check + decode) if it
-// is not resident, bumps its refcount, and returns the decoded value;
+// faults the page in (one positioned read + CRC check) if it is not
+// resident, bumps its refcount, and returns the page's verified bytes;
 // Unpin drops the refcount. Pinned pages are never evicted; unpinned
 // resident pages sit on an LRU list and are evicted from the cold end
 // whenever resident bytes exceed the budget. A page larger than the
@@ -11,15 +11,16 @@
 // ability to serve — so the resident high-water mark is budget plus at
 // most the pinned working set.
 //
-// Lifetime of a decoded value: it belongs to the caller from Pin to the
-// matching Unpin and not a moment longer. An evicted page's value goes
-// on a free list and the next fault's Decode overwrites it in place, so
-// a fault in steady state allocates nothing page-sized — and a pointer
-// kept past its Unpin reads some other page's records. Whoever needs a
-// value for longer copies it out while pinned. Debug mode turns a
-// violation into a crash instead: an unpin-to-zero evicts the page
-// immediately and calls the Poison hook, so stale pointers read
-// poisoned data and fail loudly in tests; it never recycles.
+// Lifetime of a page's bytes: they belong to the caller from Pin to the
+// matching Unpin and not a moment longer. An evicted page's buffer goes
+// on a free list and the next fault reads its page straight into it, so
+// a fault in steady state allocates nothing page-sized — and a slice
+// kept past its Unpin reads some other page's records. Whoever needs
+// bytes for longer copies them out while pinned. Debug mode turns a
+// violation into garbage instead: an unpin-to-zero evicts the page
+// immediately and overwrites its bytes with 0xFF (a record of them
+// reads as id −1 and NaN floats), so a stale slice fails loudly in
+// tests; it never recycles.
 package persist
 
 import (
@@ -45,20 +46,11 @@ const DefaultRetryBackoff = 200 * time.Microsecond
 
 // PagerConfig configures a Pager.
 type PagerConfig struct {
-	// CacheBytes bounds the resident decoded bytes (≤0 → DefaultPageCacheBytes).
+	// CacheBytes bounds the resident bytes (≤0 → DefaultPageCacheBytes),
+	// counted as a page's records times the record size.
 	CacheBytes int64
-	// Decode turns a verified raw page holding `records` records into
-	// the cached value and its resident size in bytes (required). reuse
-	// is nil or a value an earlier Decode returned for a page since
-	// evicted, which nothing refers to any more: Decode may overwrite it
-	// and return it instead of allocating. Never offered in Debug mode.
-	Decode func(raw []byte, records int, reuse any) (decoded any, bytes int64, err error)
-	// Poison, if set, is called when Debug mode evicts a page on
-	// unpin-to-zero, so stale references fail loudly. Ignored outside
-	// Debug mode, where an evicted value is recycled instead.
-	Poison func(decoded any)
-	// Debug evicts and poisons a page the moment its refcount reaches
-	// zero, catching use-after-unpin in tests.
+	// Debug evicts a page the moment its refcount reaches zero and
+	// overwrites its bytes with 0xFF, catching use-after-unpin in tests.
 	Debug bool
 	// RetryMax bounds re-reads of a page whose read failed (0 →
 	// DefaultRetryMax, negative → no retries). A read that still fails
@@ -88,7 +80,7 @@ type PagerConfig struct {
 // nor Faults — it never materialized — so the identities above survive
 // disk faults unchanged; FaultErrors tallies those failures separately.
 type PagerStats struct {
-	Faults    int64 // Pin calls that read + decoded a page
+	Faults    int64 // Pin calls that read a page
 	Hits      int64 // Pin calls satisfied by a resident page
 	Evictions int64 // pages dropped from residency
 	Pins      int64 // total successful Pin calls
@@ -99,14 +91,15 @@ type PagerStats struct {
 
 	PagesResident int64 // pages currently resident
 	PagesPinned   int64 // resident pages with refcount > 0
-	ResidentBytes int64 // decoded bytes currently resident
+	ResidentBytes int64 // record bytes currently resident
 	CacheBytes    int64 // configured budget
 }
 
 type pageSlot struct {
-	decoded any
-	bytes   int64
-	// loading is non-nil while one Pin reads and decodes the page with
+	// page is the page's verified records (the read buffer's head, cut
+	// at the last record); nil while not resident.
+	page []byte
+	// loading is non-nil while one Pin reads the page with
 	// the mutex released; it is closed when that Pin has finished, either
 	// way. Other Pins of the same page wait on it and then look again.
 	loading     chan struct{}
@@ -117,9 +110,9 @@ type pageSlot struct {
 	quarantined bool // permanently corrupt: never retried, never cached
 }
 
-// Pager caches decoded pages of one Segment. All methods are safe for
-// concurrent use. The mutex guards the bookkeeping only: a fault reads,
-// verifies and decodes its page with the mutex released, so a session
+// Pager caches the pages of one Segment. All methods are safe for
+// concurrent use. The mutex guards the bookkeeping only: a fault reads
+// and verifies its page with the mutex released, so a session
 // that faults does not park every other session's Pin and Unpin behind
 // its disk read (each parked goroutine idles a thread, and waking one
 // costs far more than the critical section it waited for). At most one
@@ -133,17 +126,15 @@ type Pager struct {
 	slots   []pageSlot
 	lruHead int32 // most recently unpinned
 	lruTail int32 // eviction candidate
-	// readBufs are idle page-sized read buffers; nReadBufs counts those
-	// ever made, one per fault that has been in flight at once.
-	readBufs  [][]byte
-	nReadBufs int
-	// free are decoded values of evicted pages, waiting for a fault's
-	// Decode to overwrite them. A fault takes one and, once the cache is
-	// full, its install evicts one, so the list never needs more than
-	// the faults that can be in flight at once: it is capped at
-	// nReadBufs, and whatever a burst of evictions adds beyond that is
-	// left to the garbage collector.
-	free []any
+	// free are page buffers of evicted pages, waiting for a fault to
+	// read into them. A fault takes one and, once the cache is full, its
+	// install evicts one, so the list never needs more than the faults
+	// that have been in flight at once (peakLoads; loads are in flight
+	// now): whatever a burst of evictions adds beyond that is left to
+	// the garbage collector.
+	free      [][]byte
+	loads     int
+	peakLoads int
 
 	faults      int64
 	hits        int64
@@ -161,9 +152,6 @@ type Pager struct {
 func NewPager(seg *Segment, cfg PagerConfig) *Pager {
 	if cfg.CacheBytes <= 0 {
 		cfg.CacheBytes = DefaultPageCacheBytes
-	}
-	if cfg.Decode == nil {
-		panic("persist: PagerConfig.Decode is required")
 	}
 	if cfg.RetryMax == 0 {
 		cfg.RetryMax = DefaultRetryMax
@@ -190,14 +178,15 @@ func NewPager(seg *Segment, cfg PagerConfig) *Pager {
 // Segment returns the underlying segment.
 func (p *Pager) Segment() *Segment { return p.seg }
 
-// Pin returns the decoded value for page, faulting it in if necessary,
-// and holds it resident until the matching Unpin. A transient read
-// fault is retried up to RetryMax times with doubling backoff; a CRC
-// mismatch that survives every retry quarantines the page — it is
-// never cached and never retried on the serving path, and every later
-// Pin fails fast with the same corruption error until a Scrub observes
-// the page reading clean again.
-func (p *Pager) Pin(page int) (any, error) {
+// Pin returns page's records — RecordsInPage(page) × RecordSize bytes,
+// CRC-verified — faulting the page in if necessary, and holds them
+// resident until the matching Unpin; the caller reads them and never
+// writes them. A transient read fault is retried up to RetryMax times
+// with doubling backoff; a CRC mismatch that survives every retry
+// quarantines the page — it is never cached and never retried on the
+// serving path, and every later Pin fails fast with the same corruption
+// error until a Scrub observes the page reading clean again.
+func (p *Pager) Pin(page int) ([]byte, error) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if page < 0 || page >= len(p.slots) {
@@ -217,7 +206,7 @@ func (p *Pager) Pin(page int) (any, error) {
 				p.pinnedP++
 			}
 			s.refs++
-			return s.decoded, nil
+			return s.page, nil
 		}
 		if s.loading == nil {
 			break
@@ -234,22 +223,21 @@ func (p *Pager) Pin(page int) (any, error) {
 	// quarantined, so nothing else touches it until loading is cleared.
 	done := make(chan struct{})
 	s.loading = done
-	buf := p.takeReadBuf()
-	var reuse any
+	var buf []byte
 	if n := len(p.free); n > 0 {
-		reuse, p.free[n-1] = p.free[n-1], nil
+		buf, p.free[n-1] = p.free[n-1], nil
 		p.free = p.free[:n-1]
 	}
-	p.mu.Unlock()
-	raw, retries, err := p.readPageRetry(page, buf)
-	var decoded any
-	var bytes int64
-	var decodeErr error
-	if err == nil {
-		decoded, bytes, decodeErr = p.cfg.Decode(raw, p.seg.RecordsInPage(page), reuse)
+	if p.loads++; p.loads > p.peakLoads {
+		p.peakLoads = p.loads
 	}
+	p.mu.Unlock()
+	if buf == nil {
+		buf = make([]byte, p.seg.pageSize)
+	}
+	retries, err := p.readPageRetry(page, buf)
 	p.mu.Lock()
-	p.readBufs = append(p.readBufs, buf)
+	p.loads--
 	s.loading = nil
 	close(done)
 	p.retries += retries
@@ -258,49 +246,31 @@ func (p *Pager) Pin(page int) (any, error) {
 		if errors.Is(err, ErrCorrupt) {
 			p.quarantine(page)
 		}
-	case decodeErr != nil:
-		// The page passed its CRC but would not decode: a format bug,
-		// not a disk fault — surfaced, counted, never quarantined.
-		err = decodeErr
 	case s.quarantined:
 		// A Scrub condemned the page while this read was in flight.
 		err = fmt.Errorf("persist: pager page %d is quarantined: %w", page, ErrCorrupt)
 	}
 	if err != nil {
 		// The failed pin never materialized: it counts in neither Pins
-		// nor Faults, and the value it took to decode into goes back.
+		// nor Faults, and the buffer it read into goes back.
 		p.faultErrors++
-		p.recycle(reuse)
+		p.recycle(buf)
 		return nil, err
 	}
 	p.pins++
 	p.faults++
-	s.decoded = decoded
-	s.bytes = bytes
+	s.page = buf[:p.seg.RecordsInPage(page)*p.seg.recordSize]
 	s.refs = 1
 	s.resident = true
-	p.residentB += bytes
+	p.residentB += int64(len(s.page))
 	p.residentP++
 	p.pinnedP++
 	p.evictOver()
-	return s.decoded, nil
-}
-
-// takeReadBuf returns an idle page-sized read buffer, or a new one if
-// every buffer is in use. Called with p.mu held.
-func (p *Pager) takeReadBuf() []byte {
-	n := len(p.readBufs)
-	if n == 0 {
-		p.nReadBufs++
-		return make([]byte, p.seg.pageSize)
-	}
-	buf := p.readBufs[n-1]
-	p.readBufs = p.readBufs[:n-1]
-	return buf
+	return s.page, nil
 }
 
 // Unpin releases one Pin of page. In Debug mode a refcount reaching
-// zero evicts and poisons the page immediately.
+// zero evicts the page and overwrites its bytes with 0xFF immediately.
 func (p *Pager) Unpin(page int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -332,8 +302,8 @@ func (p *Pager) Unpin(page int) {
 // on the platter. The caller inspects the final error to tell permanent
 // corruption (still ErrCorrupt after the last retry) from an exhausted
 // transient fault. It touches no pager state, so it needs no lock.
-func (p *Pager) readPageRetry(page int, buf []byte) (raw []byte, retries int64, err error) {
-	raw, err = p.seg.ReadPage(page, buf)
+func (p *Pager) readPageRetry(page int, buf []byte) (retries int64, err error) {
+	_, err = p.seg.ReadPage(page, buf)
 	backoff := p.cfg.RetryBackoff
 	for attempt := 0; err != nil && attempt < p.cfg.RetryMax; attempt++ {
 		if errors.Is(err, ErrSegmentClosed) {
@@ -344,9 +314,9 @@ func (p *Pager) readPageRetry(page int, buf []byte) (raw []byte, retries int64, 
 			p.cfg.Sleep(backoff)
 			backoff *= 2
 		}
-		raw, err = p.seg.ReadPage(page, buf)
+		_, err = p.seg.ReadPage(page, buf)
 	}
-	return raw, retries, err
+	return retries, err
 }
 
 // quarantine marks page permanently corrupt: its resident copy (if
@@ -381,10 +351,9 @@ func (p *Pager) Scrub() ([]int, error) {
 	defer p.mu.Unlock()
 	var bad []int
 	var firstErr error
-	buf := p.takeReadBuf()
-	defer func() { p.readBufs = append(p.readBufs, buf) }()
+	buf := make([]byte, p.seg.pageSize)
 	for page := range p.slots {
-		_, retries, err := p.readPageRetry(page, buf)
+		retries, err := p.readPageRetry(page, buf)
 		p.retries += retries
 		if err != nil {
 			p.faultErrors++
@@ -440,32 +409,34 @@ func (p *Pager) evictOver() {
 	}
 }
 
-// evictPage drops one resident page. poison applies the Debug hook.
+// evictPage drops one resident page. poison overwrites its bytes with
+// 0xFF (Debug mode).
 func (p *Pager) evictPage(page int32, poison bool) {
 	s := &p.slots[page]
 	if s.refs == 0 && !poison {
 		p.lruRemove(page)
 	}
-	if poison && p.cfg.Poison != nil {
-		p.cfg.Poison(s.decoded)
+	if poison {
+		for i := range s.page {
+			s.page[i] = 0xFF
+		}
 	}
-	p.recycle(s.decoded)
-	p.residentB -= s.bytes
+	p.recycle(s.page)
+	p.residentB -= int64(len(s.page))
 	p.residentP--
 	p.evictions++
-	s.decoded = nil
-	s.bytes = 0
+	s.page = nil
 	s.resident = false
 }
 
-// recycle offers a decoded value nothing refers to any more to the free
-// list. Debug mode poisons evicted values and must never hand one out
+// recycle offers a page buffer nothing refers to any more to the free
+// list. Debug mode poisons evicted pages and must never hand one out
 // again. Called with p.mu held.
-func (p *Pager) recycle(decoded any) {
-	if decoded == nil || p.cfg.Debug || len(p.free) >= p.nReadBufs {
+func (p *Pager) recycle(buf []byte) {
+	if buf == nil || p.cfg.Debug || len(p.free) >= p.peakLoads {
 		return
 	}
-	p.free = append(p.free, decoded)
+	p.free = append(p.free, buf[:p.seg.pageSize])
 }
 
 // lruPushFront makes page the most-recently-used unpinned page.

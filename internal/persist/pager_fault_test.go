@@ -58,7 +58,6 @@ func faultPager(t *testing.T, retryMax int) (*Pager, *flakyReader, *Segment) {
 	}
 	p := NewPager(seg, PagerConfig{
 		CacheBytes: 1 << 20,
-		Decode:     decodeU64Page,
 		RetryMax:   retryMax,
 		Sleep:      func(time.Duration) {},
 	})
@@ -107,8 +106,8 @@ func TestPagerTransientExhaustionIsNotQuarantine(t *testing.T) {
 	if st.Retries != 2 || st.FaultErrors != 1 || st.Quarantined != 0 {
 		t.Fatalf("stats = %+v, want 2 retries, 1 fault error, 0 quarantined", st)
 	}
-	if st.Pins != 0 {
-		t.Fatalf("failed pin counted: %+v", st)
+	if st.Pins != 0 || st.Faults != 0 || st.PagesResident != 0 || st.ResidentBytes != 0 {
+		t.Fatalf("failed pin counted or left resident: %+v", st)
 	}
 	// The fault was transient: the next Pin starts fresh and succeeds.
 	if _, err := p.Pin(5); err != nil {
@@ -327,7 +326,7 @@ func gatePager(t *testing.T, cacheBytes int64, gate chan struct{}) (*Pager, *gat
 	}
 	gr.reads = 0 // NewSegment's header and footer reads
 	gr.gate = gate
-	return NewPager(seg, PagerConfig{CacheBytes: cacheBytes, Decode: decodeU64Page}), gr
+	return NewPager(seg, PagerConfig{CacheBytes: cacheBytes}), gr
 }
 
 // A fault must not hold the pager mutex across its read: while page 0's
@@ -395,7 +394,7 @@ func (g *gateReader) readCount() int {
 // identities hold, every read was a counted fault, and no page was ever
 // read twice at once.
 func TestPagerConcurrentFaultsReconcile(t *testing.T) {
-	p, gr := gatePager(t, 96, nil)
+	p, gr := gatePager(t, 192, nil)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -410,8 +409,8 @@ func TestPagerConcurrentFaultsReconcile(t *testing.T) {
 					t.Errorf("Pin(%d): %v", page, err)
 					return
 				}
-				if got := v.([]uint64)[0]; got != uint64(page*4) {
-					t.Errorf("page %d decoded to first record %d", page, got)
+				if got := firstField(v, 0); got != uint64(page*4) {
+					t.Errorf("page %d pinned with first record %d", page, got)
 				}
 				p.Unpin(page)
 			}
@@ -422,7 +421,7 @@ func TestPagerConcurrentFaultsReconcile(t *testing.T) {
 	if st.Pins != 8*2000 || st.Pins != st.Hits+st.Faults {
 		t.Fatalf("pins %d, hits %d, faults %d: want pins = hits + faults = 16000", st.Pins, st.Hits, st.Faults)
 	}
-	if st.PagesResident != st.Faults-st.Evictions || st.PagesPinned != 0 || st.ResidentBytes > 96 {
+	if st.PagesResident != st.Faults-st.Evictions || st.PagesPinned != 0 || st.ResidentBytes > 192 {
 		t.Fatalf("stats %+v: want resident = faults - evictions, nothing pinned, within budget", st)
 	}
 	if int64(gr.readCount()) != st.Faults {

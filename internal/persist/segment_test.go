@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -191,19 +190,10 @@ func TestSegmentSpecValidation(t *testing.T) {
 	}
 }
 
-// decodeU64Page is the test Decode hook: a page becomes a []uint64 of
-// first fields, 8 resident bytes per record, written over an evicted
-// page's slice when the pager offers one of the right length.
-func decodeU64Page(raw []byte, records int, reuse any) (any, int64, error) {
-	vals, _ := reuse.([]uint64)
-	if len(vals) != records {
-		vals = make([]uint64, records)
-		reuse = vals
-	}
-	for i := range vals {
-		vals[i] = binary.LittleEndian.Uint64(raw[i*16:])
-	}
-	return reuse, int64(8 * records), nil
+// firstField reads the first field of record i of a pinned page of
+// buildSegment's records: the record's number.
+func firstField(page []byte, i int) uint64 {
+	return binary.LittleEndian.Uint64(page[16*i:])
 }
 
 func TestPagerPinFaultHitEvict(t *testing.T) {
@@ -213,8 +203,8 @@ func TestPagerPinFaultHitEvict(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seg.Close()
-	// Budget of 3 pages' decoded bytes (32 each).
-	p := NewPager(seg, PagerConfig{CacheBytes: 96, Decode: decodeU64Page})
+	// Budget of 3 pages' record bytes (64 each).
+	p := NewPager(seg, PagerConfig{CacheBytes: 192})
 
 	// Fault in pages 0..2; all fit.
 	for page := 0; page < 3; page++ {
@@ -222,14 +212,13 @@ func TestPagerPinFaultHitEvict(t *testing.T) {
 		if err != nil {
 			t.Fatalf("Pin(%d): %v", page, err)
 		}
-		vals := v.([]uint64)
-		if vals[0] != uint64(page*4) {
-			t.Fatalf("page %d decodes to %v", page, vals)
+		if len(v) != 64 || firstField(v, 0) != uint64(page*4) || firstField(v, 3) != uint64(page*4+3) {
+			t.Fatalf("page %d pins as %x", page, v)
 		}
 		p.Unpin(page)
 	}
 	st := p.Stats()
-	if st.Faults != 3 || st.Hits != 0 || st.Evictions != 0 || st.PagesResident != 3 || st.ResidentBytes != 96 {
+	if st.Faults != 3 || st.Hits != 0 || st.Evictions != 0 || st.PagesResident != 3 || st.ResidentBytes != 192 {
 		t.Fatalf("after warm-up: %+v", st)
 	}
 
@@ -249,7 +238,7 @@ func TestPagerPinFaultHitEvict(t *testing.T) {
 	}
 	p.Unpin(3)
 	st = p.Stats()
-	if st.Evictions != 1 || st.PagesResident != 3 || st.ResidentBytes != 96 {
+	if st.Evictions != 1 || st.PagesResident != 3 || st.ResidentBytes != 192 {
 		t.Fatalf("after overflow: %+v", st)
 	}
 	// Page 0 must re-fault; pages 1, 2, 3 must hit.
@@ -283,7 +272,7 @@ func TestPagerPinnedPagesSurviveEviction(t *testing.T) {
 	}
 	defer seg.Close()
 	// Budget of ONE page; pin three and hold them.
-	p := NewPager(seg, PagerConfig{CacheBytes: 32, Decode: decodeU64Page})
+	p := NewPager(seg, PagerConfig{CacheBytes: 64})
 	for page := 0; page < 3; page++ {
 		if _, err := p.Pin(page); err != nil {
 			t.Fatal(err)
@@ -317,7 +306,7 @@ func TestPagerRefcounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seg.Close()
-	p := NewPager(seg, PagerConfig{CacheBytes: 1, Decode: decodeU64Page})
+	p := NewPager(seg, PagerConfig{CacheBytes: 1})
 	if _, err := p.Pin(0); err != nil {
 		t.Fatal(err)
 	}
@@ -355,29 +344,17 @@ func TestPagerDebugPoison(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seg.Close()
-	poisoned := 0
-	p := NewPager(seg, PagerConfig{
-		CacheBytes: 1 << 20,
-		Decode:     decodeU64Page,
-		Poison: func(v any) {
-			for i := range v.([]uint64) {
-				v.([]uint64)[i] = 0xDEADDEADDEADDEAD
-			}
-			poisoned++
-		},
-		Debug: true,
-	})
-	v, err := p.Pin(0)
+	p := NewPager(seg, PagerConfig{CacheBytes: 1 << 20, Debug: true})
+	held, err := p.Pin(0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	vals := v.([]uint64)
-	p.Unpin(0)
-	if poisoned != 1 {
-		t.Fatalf("poisoned = %d, want 1", poisoned)
+	if firstField(held, 1) != 1 {
+		t.Fatalf("page 0 pins as %x", held)
 	}
-	if vals[0] != 0xDEADDEADDEADDEAD {
-		t.Fatal("held slice not poisoned: use-after-unpin would go unnoticed")
+	p.Unpin(0)
+	if len(held) != 64 || !bytes.Equal(held, bytes.Repeat([]byte{0xFF}, 64)) {
+		t.Fatalf("held page reads %x after its unpin: use-after-unpin would go unnoticed", held)
 	}
 	if st := p.Stats(); st.PagesResident != 0 || st.Evictions != 1 {
 		t.Fatalf("debug unpin should evict immediately: %+v", st)
@@ -391,7 +368,7 @@ func TestPagerBadPage(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer seg.Close()
-	p := NewPager(seg, PagerConfig{Decode: decodeU64Page})
+	p := NewPager(seg, PagerConfig{})
 	if _, err := p.Pin(-1); err == nil {
 		t.Fatal("Pin(-1) accepted")
 	}
@@ -401,33 +378,6 @@ func TestPagerBadPage(t *testing.T) {
 	if st := p.Stats(); st.Pins != 0 {
 		t.Fatalf("failed pins counted: %+v", st)
 	}
-}
-
-func TestPagerDecodeErrorDoesNotLeak(t *testing.T) {
-	path, _ := buildSegment(t, 8, 64, nil)
-	seg, err := OpenSegment(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer seg.Close()
-	fail := true
-	p := NewPager(seg, PagerConfig{Decode: func(raw []byte, records int, reuse any) (any, int64, error) {
-		if fail {
-			return nil, 0, fmt.Errorf("decode boom")
-		}
-		return decodeU64Page(raw, records, reuse)
-	}})
-	if _, err := p.Pin(0); err == nil {
-		t.Fatal("decode error swallowed")
-	}
-	if st := p.Stats(); st.Pins != 0 || st.Faults != 0 || st.PagesResident != 0 {
-		t.Fatalf("failed fault leaked state: %+v", st)
-	}
-	fail = false
-	if _, err := p.Pin(0); err != nil {
-		t.Fatalf("retry after decode error: %v", err)
-	}
-	p.Unpin(0)
 }
 
 // FuzzSegment feeds arbitrary bytes to the segment opener and page

@@ -15,6 +15,7 @@ import (
 	"repro/internal/index"
 	"repro/internal/retrieval"
 	"repro/internal/stats"
+	"repro/internal/wavelet"
 	"repro/internal/workload"
 )
 
@@ -32,16 +33,11 @@ type lineage struct {
 // for subs, and records its coefficients as delivered.
 func (l *lineage) expect(ref *retrieval.Server, subs []retrieval.SubQuery) []byte {
 	resp := ref.Execute(subs, &l.delivered, nil, 0)
-	pins := ref.Store().NewPins()
 	frame := beginResponseFrame(nil, len(resp.IDs))
 	for _, id := range resp.IDs {
-		rec, err := pins.Record(id)
-		if err != nil {
-			panic(err) // a resident store reads every record
-		}
-		frame = append(frame, rec...)
+		w := index.MustCoeff(ref.Store(), id).Wire()
+		frame = wavelet.AppendWire(frame, &w)
 	}
-	pins.Release()
 	l.seq++
 	frame, err := finishResponseFrame(frame, resp.IO, l.seq, resp.Dropped)
 	if err != nil {

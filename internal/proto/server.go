@@ -668,13 +668,12 @@ func (c *serverConn) reply(resp *retrieval.Response) {
 }
 
 // encode appends the response's wire records to a fresh frame, read
-// through the session's pin set (which keeps a paged scene's pages
-// resident until the bytes are in the buffer). Each run of consecutive
-// ids is copied with one append where the store holds its records side
-// by side (Pins.Run); elsewhere record by record. A coefficient whose
-// page is unreadable is withheld: cut from the response and forgotten
-// from the delivered set, so the session re-retrieves it once the page
-// heals (Dropped semantics — degrade the frame, never the process).
+// through the session's pin set (Pins.AppendRecords), which keeps a
+// paged scene's pages resident until the bytes are in the buffer. A
+// coefficient whose page is unreadable is withheld: cut from the
+// response and forgotten from the delivered set, so the session
+// re-retrieves it once the page heals (Dropped semantics — degrade the
+// frame, never the process).
 func (c *serverConn) encode(resp *retrieval.Response) (withheld int) {
 	// The frame grows in a local and is stored back once: an append to
 	// the heap field would cost a write barrier per record.
@@ -684,28 +683,17 @@ func (c *serverConn) encode(resp *retrieval.Response) (withheld int) {
 	var withheldIDs []int64
 	kept := 0 // ids[:kept] are the ids encoded so far
 	for i := 0; i < len(ids); {
-		j := i + 1
-		for j < len(ids) && ids[j] == ids[j-1]+1 {
-			j++
+		var n int
+		var err error
+		frame, n, err = pins.AppendRecords(frame, ids[i:])
+		if kept != i {
+			copy(ids[kept:], ids[i:i+n])
 		}
-		if run, ok := pins.Run(ids[i], ids[j-1]+1); ok {
-			frame = append(frame, run...)
-			if kept != i {
-				copy(ids[kept:], ids[i:j])
-			}
-			kept += j - i
-			i = j
-			continue
-		}
-		for ; i < j; i++ {
-			rec, err := pins.Record(ids[i])
-			if err != nil {
-				withheldIDs = append(withheldIDs, ids[i])
-				continue
-			}
-			frame = append(frame, rec...)
-			ids[kept] = ids[i]
-			kept++
+		kept += n
+		i += n
+		if err != nil {
+			withheldIDs = append(withheldIDs, ids[i])
+			i++
 		}
 	}
 	c.frame = frame

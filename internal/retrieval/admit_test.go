@@ -127,6 +127,40 @@ func TestSecondAskStoresThirdHits(t *testing.T) {
 	reconcileLayers(t, srv, st)
 }
 
+// TestAlternatingCollidersAdmitted: two queries whose fingerprints share
+// a first admission slot, asked in turn, are each admitted on their
+// second ask and hit on their third: the fingerprint a new one displaces
+// moves to its second slot instead of being forgotten. With one slot per
+// fingerprint each ask swapped the other out, and all six asks were
+// first touches.
+func TestAlternatingCollidersAdmitted(t *testing.T) {
+	srv, st := sharedServer(t, 73)
+	var p, q SubQuery
+	seen := map[uint64]SubQuery{}
+	for i := 0; ; i++ {
+		sub := SubQuery{Region: geom.R2(float64(i%64)*10, float64(i/64)*10, float64(i%64)*10+300, float64(i/64)*10+300), WMin: 0.2, WMax: 1}
+		key := srv.queryOf(&sub)
+		first, _ := admitSlotsOf(fingerprint(&key))
+		if prev, ok := seen[first]; ok {
+			p, q = prev, sub
+			break
+		}
+		seen[first] = sub
+	}
+	for ask := 0; ask < 3; ask++ {
+		for _, sub := range []SubQuery{p, q} {
+			srv.Execute([]SubQuery{sub}, nil, nil, 0)
+		}
+	}
+	if n := st.Load(stats.RetrievalFirstTouches); n != 2 {
+		t.Fatalf("FirstTouches = %d over three alternating asks of two colliding queries, want 2", n)
+	}
+	if hs := srv.HotCache().Stats(); hs.Entries != 2 || hs.Hits != 2 {
+		t.Fatalf("hot cache %+v, want 2 entries and 2 hits", hs)
+	}
+	reconcileLayers(t, srv, st)
+}
+
 // TestFirstTouchPinsNoPages: over a paged store the sharing layers hold
 // results, never pages. A first ask, the second ask that stores the hot
 // entry and the third ask it answers each leave no page pinned once the

@@ -38,7 +38,7 @@ func (s *Server) mergeReference(subs []SubQuery, results []subResult, delivered 
 				continue
 			}
 			if subs[i].Filter != nil {
-				c, err := coeffs.Coeff(id)
+				pos, err := coeffs.Pos(id)
 				if err != nil {
 					t.suppressed = true
 					t.faultWithheld++
@@ -47,7 +47,7 @@ func (s *Server) mergeReference(subs []SubQuery, results []subResult, delivered 
 					}
 					continue
 				}
-				if !subs[i].Filter(c.Pos) {
+				if !subs[i].Filter(pos) {
 					t.suppressed = true
 					continue
 				}
@@ -259,11 +259,11 @@ func faultyPagedServer(t *testing.T) *Server {
 // unreadable page.
 type stubSource struct{ index.CoefficientSource }
 
-func (stubSource) Coeff(id int64) (*wavelet.Coefficient, error) {
+func (stubSource) Pos(id int64) (geom.Vec3, error) {
 	if id%7 == 3 {
-		return nil, index.ErrPageUnavailable
+		return geom.Vec3{}, index.ErrPageUnavailable
 	}
-	return &wavelet.Coefficient{Pos: geom.Vec3{X: float64(id % 5)}}, nil
+	return geom.Vec3{X: float64(id % 5)}, nil
 }
 
 // hitRuns decodes fuzz bytes into strictly ascending id runs: 0 ends a

@@ -362,14 +362,14 @@ func (s *Server) merge(subs []SubQuery, results []subResult, delivered *Delivere
 				for f := fresh; f != 0; f &= f - 1 {
 					b := bits.TrailingZeros64(f)
 					bit := uint64(1) << b
-					c, err := coeffs.Coeff(w<<6 | int64(b))
+					pos, err := coeffs.Pos(w<<6 | int64(b))
 					if err != nil {
 						// Unreadable page: withhold the coefficient without
 						// marking it delivered — the session re-retrieves it once
 						// the page heals, and frames touching only healthy pages
 						// are unaffected.
 						faulted |= bit
-					} else if !filter(c.Pos) {
+					} else if !filter(pos) {
 						t.suppressed = true
 						fresh &^= bit
 					}
@@ -410,7 +410,7 @@ func (s *Server) merge(subs []SubQuery, results []subResult, delivered *Delivere
 // page is unreadable (index.ErrPageUnavailable) and the coefficient is
 // withheld.
 type coeffReader interface {
-	Coeff(id int64) (*wavelet.Coefficient, error)
+	Pos(id int64) (geom.Vec3, error)
 }
 
 // subResult holds one sub-query's raw index hits as index.Words,
@@ -451,7 +451,7 @@ func (s *Server) queryOf(sub *SubQuery) index.Query {
 }
 
 // A server's admission table has 4 096 slots of 8 bytes: 32 KB per
-// scene, indexed by the top admitBits bits of the fingerprint.
+// scene. A fingerprint may sit in two of them (admitSlotsOf).
 const (
 	admitBits  = 12
 	admitSlots = 1 << admitBits
@@ -464,14 +464,37 @@ const (
 // never asked by anyone again; publishing a flight or storing a hot
 // entry for each of them is cost without a taker. Only the second ask of a query pays it.
 //
-// What is remembered is a 64-bit fingerprint of the exact query floats
-// in a direct-mapped table, the key both layers share. The slot is
-// swapped atomically, so of any number of concurrent first askers
-// exactly one sees the query as new, and there is no lock. A collision
-// — two queries with one fingerprint, or a slot overwritten between two
-// asks — moves only when a result starts being shared, never what any
-// ask is answered.
+// What is remembered is a 64-bit fingerprint of the exact query floats,
+// the key both layers share, in a table where each fingerprint has two
+// slots: a new one is swapped into its first slot, and a fingerprint
+// it displaces from that one's own first slot moves to its second, so
+// two queries that share a first slot and are asked in turn both stay
+// remembered. The
+// first slot is swapped atomically, so of any number of concurrent first
+// askers exactly one sees the query as new, and there is no lock. A
+// collision — two queries with one fingerprint, or both of a
+// fingerprint's slots overwritten between two asks — moves only when a
+// result starts being shared, never what any ask is answered.
 func (s *Server) admit(q *index.Query) bool {
+	h := fingerprint(q)
+	first, second := admitSlotsOf(h)
+	if s.asked[second].Load() == h {
+		return true
+	}
+	old := s.asked[first].Swap(h)
+	if old == h {
+		return true
+	}
+	// A fingerprint displaced from its first slot moves to its second;
+	// one displaced from its second is forgotten.
+	if oldFirst, oldSecond := admitSlotsOf(old); old != 0 && oldFirst == first {
+		s.asked[oldSecond].Store(old)
+	}
+	return false
+}
+
+// fingerprint hashes q's exact floats; it is never 0, the empty slot.
+func fingerprint(q *index.Query) uint64 {
 	h := uint64(0x9e3779b97f4a7c15)
 	for _, f := range [...]float64{
 		q.Region.Min.X, q.Region.Min.Y, q.Region.Max.X, q.Region.Max.Y,
@@ -480,8 +503,18 @@ func (s *Server) admit(q *index.Query) bool {
 		h = (h ^ math.Float64bits(f)) * 0xff51afd7ed558ccd
 		h ^= h >> 32
 	}
-	h |= 1 // never the empty slot's zero
-	return s.asked[h>>(64-admitBits)].Swap(h) == h
+	return h | 1
+}
+
+// admitSlotsOf returns fingerprint h's two admission slots, which
+// differ: its top admitBits bits, and the next admitBits.
+func admitSlotsOf(h uint64) (first, second uint64) {
+	first = h >> (64 - admitBits)
+	second = h >> (64 - 2*admitBits) & (admitSlots - 1)
+	if second == first {
+		second ^= 1
+	}
+	return first, second
 }
 
 // searchOne answers one sub-query and reports whether it was a first
@@ -547,11 +580,11 @@ func (s *Server) BlockBytes(region geom.Rect2, wmin float64) (int64, int64) {
 	var n int64
 	pins := s.store.NewPins()
 	for _, id := range ids {
-		c, err := pins.Coeff(id)
+		pos, err := pins.Pos(id)
 		if err != nil {
 			continue // unreadable page: the block simply sizes without it
 		}
-		if region.Contains(c.Pos.XY()) {
+		if region.Contains(pos.XY()) {
 			n++
 		}
 	}

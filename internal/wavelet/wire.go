@@ -30,11 +30,12 @@ const WireBytes = 48
 //	[32, 44)  Pos X, Y, Z    (float32)
 //	[44, 48)  Value          (float32)
 //
-// AppendWire and DecodeWire are its one encoder and decoder: the
-// resident store's wire array, a paged pin set's records and the
-// protocol's response frames all go through them. WireIDs and WireDelta
-// read single fields, for a reader that needs no more: the wire
-// client's apply loop.
+// AppendWire and DecodeWire are its encoder and decoder: the resident
+// store's wire array and the protocol's response frames go through
+// them, and a paged store converts its segment records into the same
+// bytes (index.Pins.AppendRecords, checked against AppendWire by the
+// index and proto tests). WireIDs and WireDelta read single fields, for
+// a reader that needs no more: the wire client's apply loop.
 type WireRecord struct {
 	Object int32
 	Vertex int32
