@@ -17,8 +17,9 @@ test:
 
 # The serve path's packages (the wire record's encoder in wavelet
 # among them), the pager under the paged store (it reads
-# a fault with its mutex released), the engine's session journal, resume
-# cache and scene restore, the gateway in front of it and cmd/server's
+# a fault with its mutex released), the engine's session table (with
+# FuzzSessionLifecycle's concurrent seeds), session journal and scene
+# restore, the gateway in front of it and cmd/server's
 # boot, again at 1, 2 and 8 procs, and with them the kill-and-fault
 # soak (TestRunCrash), whose two runs per spec must print the same
 # durability and recovery lines, and the crowd soaks (TestRunCrowd,

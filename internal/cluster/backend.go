@@ -251,7 +251,7 @@ func (b *Backend) Kill() {
 
 // ExportScene readies one scene plus its parked sessions for shipping:
 // the scene file already in the backend's DataDir, written when the
-// scene was built, and the live resume entries encoded in park format.
+// scene was built, and the parked lineages encoded in park format.
 // A scene with no file there (one built from a bare source) cannot be
 // shipped.
 func (b *Backend) ExportScene(scene string) (ckptPath string, sessions [][]byte, err error) {

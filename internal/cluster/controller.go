@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/stats"
 )
@@ -15,9 +14,6 @@ type Controller struct {
 	gw       *Gateway
 	backends map[string]*Backend // serving address → handle
 	st       *stats.Stats
-	// QuiesceTimeout bounds the wait for a severed scene's connections
-	// to finish parking their sessions (default 5s).
-	QuiesceTimeout time.Duration
 }
 
 // NewController wires a gateway to its co-located backends. st receives
@@ -30,7 +26,7 @@ func NewController(gw *Gateway, backends []*Backend, st *stats.Stats) *Controlle
 	for _, b := range backends {
 		m[b.Addr()] = b
 	}
-	return &Controller{gw: gw, backends: m, st: st, QuiesceTimeout: 5 * time.Second}
+	return &Controller{gw: gw, backends: m, st: st}
 }
 
 // DrainReport summarizes one completed drain.
@@ -52,9 +48,8 @@ type DrainReport struct {
 //
 //  1. the gateway stops admitting new connections for the scene
 //     (clients get a retryable error),
-//  2. the source severs the scene's live connections; each handler
-//     parks its session in the resume cache (journaled), and the drain
-//     waits for the scene to quiesce,
+//  2. the source severs the scene's live connections and returns once
+//     each handler has parked its lineage (journaled),
 //  3. the scene file the source wrote when it built the scene and the
 //     parked sessions are exported, CRC-verified-copied, and adopted by
 //     the target,
@@ -99,15 +94,10 @@ func (c *Controller) Drain(scene, target string) (DrainReport, error) {
 		return rep, err
 	}
 
-	rep.Severed = src.Server().SeverScene(scene)
-	// SeverScene closed the connections; the handlers park their
-	// sessions before leaving the connection table, so an empty table
-	// means every parked state is in the cache (and journal).
-	quiesced := waitFor(c.QuiesceTimeout, func() bool {
-		return src.Server().SceneConns(scene) == 0
-	})
-	if !quiesced {
-		return abort(fmt.Errorf("cluster: scene %q did not quiesce on %s", scene, rep.From))
+	var err error
+	rep.Severed, err = src.Server().SeverScene(scene)
+	if err != nil {
+		return abort(fmt.Errorf("cluster: sever on %s: %w", rep.From, err))
 	}
 
 	ckpt, sessions, err := src.ExportScene(scene)
@@ -129,16 +119,4 @@ func (c *Controller) Drain(scene, target string) (DrainReport, error) {
 	rep.Purged = rep.Shipped
 	c.st.Add(stats.ClusterDrains, 1)
 	return rep, nil
-}
-
-// waitFor polls cond every 2ms until it holds or timeout expires.
-func waitFor(timeout time.Duration, cond func() bool) bool {
-	deadline := time.Now().Add(timeout)
-	for !cond() {
-		if time.Now().After(deadline) {
-			return false
-		}
-		time.Sleep(2 * time.Millisecond)
-	}
-	return true
 }

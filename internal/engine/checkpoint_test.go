@@ -202,26 +202,23 @@ func TestSessionJournalParkTakeRestore(t *testing.T) {
 	city, _ := reg.Get("city")
 	park, _ := reg.Get("park")
 
-	// Park two sessions with distinct state; take one back.
-	s1 := retrieval.NewSession(city.Server)
-	s1.Retrieve([]retrieval.SubQuery{{Region: city.Source.Bounds().XY(), WMin: 0, WMax: 1}})
-	if s1.Delivered() == 0 {
+	// Park two lineages with distinct state; take one back.
+	e1 := serve(city, 101)
+	e1.Session.Retrieve([]retrieval.SubQuery{{Region: city.Source.Bounds().XY(), WMin: 0, WMax: 1}})
+	if e1.Session.Delivered() == 0 {
 		t.Fatal("test session delivered nothing")
 	}
-	e1 := &ResumeEntry{Session: s1, Seq: 3, LastIDs: []int64{1, 2}}
-	city.Resume.Put(101, e1)
+	e1.Seq, e1.LastIDs = 3, []int64{1, 2}
+	want := e1.Session.DeliveredIDs()
+	city.Sessions.Drop(101)
 
-	s2 := retrieval.NewSession(park.Server)
-	park.Resume.Put(202, &ResumeEntry{Session: s2, Seq: 1})
+	serve(park, 202).Seq = 1
+	park.Sessions.Drop(202)
 
-	s3 := retrieval.NewSession(city.Server)
-	city.Resume.Put(303, &ResumeEntry{Session: s3, Seq: 2})
-	if _, ok := city.Resume.Take(303); !ok {
+	serve(city, 303).Seq = 2
+	city.Sessions.Drop(303)
+	if _, ok := take(city, 303); !ok {
 		t.Fatal("take failed")
-	}
-
-	if got := j.Parks(); got != 3 {
-		t.Fatalf("Parks = %d, want 3", got)
 	}
 	if got := j.Live(); got != 2 {
 		t.Fatalf("Live = %d, want 2", got)
@@ -236,6 +233,9 @@ func TestSessionJournalParkTakeRestore(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer j2.Close()
+	if j2.Live() != 2 {
+		t.Fatalf("journal reopened with %d live parks, want 2 (three parks, one take)", j2.Live())
+	}
 	reg2.SetSessionJournal(j2)
 	if restored := j2.Restore(reg2); restored != 2 {
 		t.Fatalf("Restore = %d, want 2", restored)
@@ -245,27 +245,28 @@ func TestSessionJournalParkTakeRestore(t *testing.T) {
 	}
 
 	city2, _ := reg2.Get("city")
-	got, ok := city2.Resume.Take(101)
+	seq, lastIDs, restored := city2.Sessions.entries[101].lin.Seq, len(city2.Sessions.entries[101].lin.LastIDs), city2.Sessions.entries[101].lin.Restored
+	got, ok := take(city2, 101)
 	if !ok {
 		t.Fatal("restored session not resumable")
 	}
-	if !got.Restored || got.Seq != 3 || len(got.LastIDs) != 2 {
-		t.Fatalf("restored entry = %+v", got)
+	if !restored || seq != 3 || lastIDs != 2 || got.Seq != 3 {
+		t.Fatalf("restored lineage: restored %v, seq %d, %d rollback candidates", restored, seq, lastIDs)
 	}
-	if got.Session.Delivered() != s1.Delivered() {
-		t.Fatalf("delivered set %d, want %d", got.Session.Delivered(), s1.Delivered())
+	if got.Session.Delivered() != len(want) {
+		t.Fatalf("delivered set %d, want %d", got.Session.Delivered(), len(want))
 	}
-	for _, id := range s1.DeliveredIDs() {
+	for _, id := range want {
 		if !got.Session.Has(id) {
 			t.Fatalf("restored session missing id %d", id)
 		}
 	}
 	// The taken token must not come back on a second restore pass.
 	park2, _ := reg2.Get("park")
-	if park2.Resume.Len() != 1 {
-		t.Fatalf("park cache = %d entries, want 1", park2.Resume.Len())
+	if park2.Sessions.Parked() != 1 {
+		t.Fatalf("park table = %d parked, want 1", park2.Sessions.Parked())
 	}
-	if _, ok := city2.Resume.Take(303); ok {
+	if _, ok := take(city2, 303); ok {
 		t.Fatal("tombstoned session resurrected")
 	}
 }
@@ -281,7 +282,8 @@ func TestSessionJournalExpiredNotRestored(t *testing.T) {
 	}
 	reg.SetSessionJournal(j)
 	city, _ := reg.Get("city")
-	city.Resume.Put(7, &ResumeEntry{Session: retrieval.NewSession(city.Server)})
+	serve(city, 7)
+	city.Sessions.Drop(7)
 	j.Close()
 	time.Sleep(5 * time.Millisecond)
 
@@ -295,11 +297,14 @@ func TestSessionJournalExpiredNotRestored(t *testing.T) {
 	if restored := j2.Restore(reg2); restored != 0 {
 		t.Fatalf("expired session restored (%d)", restored)
 	}
+	if j2.Live() != 0 {
+		t.Fatalf("the expired record is still live in the journal (%d)", j2.Live())
+	}
 }
 
 // TestParkJournaledBeforeTakeable races a resume against a park: the
-// taker changes the entry the moment it holds it, as a resume's
-// rollback does, so the park must be encoded before the entry can be
+// taker changes the lineage the moment it holds it, as a resume's
+// rollback does, so the park must be encoded before the lineage can be
 // taken (-race reports the encode otherwise) and its tombstone must
 // follow it: the journal ends with no live session.
 func TestParkJournaledBeforeTakeable(t *testing.T) {
@@ -312,13 +317,15 @@ func TestParkJournaledBeforeTakeable(t *testing.T) {
 	defer j.Close()
 	reg.SetSessionJournal(j)
 	city, _ := reg.Get("city")
+	const self = 1 << 40
+	city.Sessions.Greet(self, nopConn{}, nil)
 	for token := uint64(1); token <= 100; token++ {
 		spinning, taken := make(chan struct{}), make(chan struct{})
 		go func() {
 			defer close(taken)
 			for i := 0; ; i++ {
-				if e, ok := city.Resume.Take(token); ok {
-					e.Seq--
+				if l, ok := city.Sessions.Resume(self, token, 1, 0); ok {
+					l.Seq--
 					return
 				}
 				if i == 0 {
@@ -328,7 +335,8 @@ func TestParkJournaledBeforeTakeable(t *testing.T) {
 			}
 		}()
 		<-spinning
-		city.Resume.Put(token, &ResumeEntry{Session: retrieval.NewSession(city.Server), Seq: 1})
+		serve(city, token).Seq = 1
+		city.Sessions.Drop(token)
 		<-taken
 	}
 	if n := j.Live(); n != 0 {
@@ -348,9 +356,10 @@ func TestSessionJournalCompaction(t *testing.T) {
 	reg.SetSessionJournal(j)
 	city, _ := reg.Get("city")
 	for i := uint64(1); i <= 200; i++ {
-		city.Resume.Put(i, &ResumeEntry{Session: retrieval.NewSession(city.Server), Seq: int64(i)})
+		serve(city, i).Seq = int64(i)
+		city.Sessions.Drop(i)
 		if i > 1 {
-			city.Resume.Take(i - 1)
+			take(city, i-1)
 		}
 	}
 	if st.Load(stats.EngineJournalCompactions) == 0 {
@@ -373,7 +382,7 @@ func TestSessionJournalCompaction(t *testing.T) {
 		t.Fatalf("Restore after compaction = %d, want 1", restored)
 	}
 	city2, _ := reg2.Get("city")
-	if e, ok := city2.Resume.Take(200); !ok || e.Seq != 200 {
+	if e, ok := take(city2, 200); !ok || e.Seq != 200 {
 		t.Fatalf("survivor = %+v ok=%v", e, ok)
 	}
 }
@@ -388,15 +397,17 @@ func TestSessionJournalKillFreezesDisk(t *testing.T) {
 	}
 	reg.SetSessionJournal(j)
 	city, _ := reg.Get("city")
-	city.Resume.Put(1, &ResumeEntry{Session: retrieval.NewSession(city.Server)})
+	serve(city, 1)
+	city.Sessions.Drop(1)
 	j.Kill()
 	// Post-kill parks still work in memory but never reach disk.
-	city.Resume.Put(2, &ResumeEntry{Session: retrieval.NewSession(city.Server)})
-	if city.Resume.Len() != 2 {
-		t.Fatalf("in-memory cache = %d, want 2", city.Resume.Len())
+	serve(city, 2)
+	city.Sessions.Drop(2)
+	if city.Sessions.Parked() != 2 {
+		t.Fatalf("in-memory table = %d parked, want 2", city.Sessions.Parked())
 	}
-	if j.Parks() != 1 {
-		t.Fatalf("Parks = %d, want 1 (post-kill park counted)", j.Parks())
+	if j.Live() != 1 {
+		t.Fatalf("Live = %d, want 1 (the post-kill park is not durable)", j.Live())
 	}
 	j.Close()
 

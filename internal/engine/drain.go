@@ -2,10 +2,8 @@ package engine
 
 import (
 	"fmt"
-	"time"
 
 	"repro/internal/persist"
-	"repro/internal/retrieval"
 	"repro/internal/stats"
 )
 
@@ -38,12 +36,13 @@ func (r *Registry) LoadScene(path string, st *stats.Stats) (*Scene, error) {
 	return r.Build(cfg)
 }
 
-// RemoveScene unregisters a scene and purges its resume cache,
-// tombstoning every parked session in the attached journal — after a
-// drain ships the sessions, the target's journal is their one durable
-// home and a source restart must not resurrect stale copies. Returns
-// the number of parked sessions purged. Removing the default scene
-// promotes the next registered scene.
+// RemoveScene unregisters a scene and retires its session table, whose
+// capacity drops to 0: every parked lineage is tombstoned — after a
+// drain ships them, the target's journal is their one durable home and
+// a source restart must not resurrect stale copies — and a connection
+// still bound to the scene that drops later is discarded, not parked.
+// Returns the number of parked lineages purged. Removing the default
+// scene promotes the next registered scene.
 func (r *Registry) RemoveScene(name string) (int, error) {
 	r.mu.Lock()
 	sc, ok := r.scenes[name]
@@ -59,34 +58,31 @@ func (r *Registry) RemoveScene(name string) (int, error) {
 		}
 	}
 	r.mu.Unlock()
-	return sc.Resume.Purge(), nil
+	return sc.Sessions.setBounds(0, 0), nil
 }
 
-// ExportSessions encodes every live parked session of a scene in the
-// session journal's park format — the wire a drain ships resume state
-// over. Expired entries are skipped.
+// ExportSessions encodes every unexpired parked lineage of a scene in
+// the session journal's park format — the wire a drain ships resume
+// state over.
 func (r *Registry) ExportSessions(scene string) ([][]byte, error) {
 	sc, ok := r.Get(scene)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown scene %q", scene)
 	}
-	return sc.Resume.exportParked(scene), nil
+	return sc.Sessions.export(), nil
 }
 
-// ImportSessions re-parks shipped sessions into a scene this registry
-// serves (see repark) and journals them locally when a session journal
-// is attached. A payload for the wrong scene is an error — shipping
-// must never graft one scene's delivered-set onto another. Returns the
-// number imported (full cache or already-expired entries are dropped,
-// not errors).
+// ImportSessions parks shipped lineages in a scene this registry serves
+// (Sessions.adopt), each journaled before it can be taken. A payload
+// for the wrong scene is an error — shipping must never graft one
+// scene's delivered-set onto another. Returns the number imported
+// (records a full table refuses or already expired are dropped, not
+// errors).
 func (r *Registry) ImportSessions(scene string, payloads [][]byte) (int, error) {
 	sc, ok := r.Get(scene)
 	if !ok {
 		return 0, fmt.Errorf("engine: unknown scene %q", scene)
 	}
-	r.mu.RLock()
-	j := r.journal
-	r.mu.RUnlock()
 	n := 0
 	for _, p := range payloads {
 		park, err := decodePark(p)
@@ -96,65 +92,9 @@ func (r *Registry) ImportSessions(scene string, payloads [][]byte) (int, error) 
 		if park.scene != scene {
 			return n, fmt.Errorf("engine: shipped session belongs to scene %q, not %q", park.scene, scene)
 		}
-		if e, ok := repark(sc, park); ok {
-			j.RecordPark(park.token, scene, e)
+		if sc.Sessions.adopt(park, p) {
 			n++
 		}
 	}
 	return n, nil
-}
-
-// repark re-parks a decoded session in its scene's resume cache under
-// its original token and expiry, flagged Restored (the first resume
-// served from it is counted like a crash-recovery restore); it reports
-// whether the cache took it.
-func repark(sc *Scene, park parkRecord) (*ResumeEntry, bool) {
-	e := &ResumeEntry{
-		Session:  retrieval.RestoreSession(sc.Server, park.delivered),
-		Seq:      park.seq,
-		LastIDs:  park.lastIDs,
-		Restored: true,
-	}
-	return e, sc.Resume.putRestored(park.token, e, time.Unix(0, park.expires))
-}
-
-// exportParked encodes the cache's live entries in park format.
-func (c *ResumeCache) exportParked(scene string) [][]byte {
-	if c == nil {
-		return nil
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	out := make([][]byte, 0, len(c.entries))
-	now := time.Now()
-	for token, e := range c.entries {
-		if now.After(e.expires) {
-			continue
-		}
-		out = append(out, encodePark(token, scene, e))
-	}
-	return out
-}
-
-// Purge removes every parked session, tombstoning each in the attached
-// journal, and returns the count removed.
-func (c *ResumeCache) Purge() int {
-	if c == nil {
-		return 0
-	}
-	c.mu.Lock()
-	tokens := make([]uint64, 0, len(c.entries))
-	for t := range c.entries {
-		tokens = append(tokens, t)
-	}
-	c.entries = make(map[uint64]*ResumeEntry)
-	c.order = c.order[:0]
-	j := c.journal
-	c.mu.Unlock()
-	if j != nil {
-		for _, t := range tokens {
-			j.RecordTake(t)
-		}
-	}
-	return len(tokens)
 }

@@ -1,7 +1,7 @@
 // Package engine is the multi-scene serving layer extracted from the
 // formerly monolithic store/index/server stack: a registry of named
 // scenes, each owning its coefficient source, its (sharded) index, its
-// retrieval server, and its session-resume cache. The wire protocol
+// retrieval server, and its session table. The wire protocol
 // layer routes connections to scenes by name; everything below the
 // registry stays scene-oblivious.
 //
@@ -53,14 +53,14 @@ func ValidateSceneName(name string) error {
 // Scene bundles everything the serving stack needs for one named data
 // set: the coefficient source, the index over it, the retrieval server
 // executing sub-queries, the subdivision depth announced to clients, and
-// the resume cache parking this scene's interrupted sessions.
+// the session table holding every lineage of the scene.
 type Scene struct {
-	Name   string
-	Source index.CoefficientSource
-	Index  index.IntoSearcher
-	Server *retrieval.Server
-	Levels int
-	Resume *ResumeCache
+	Name     string
+	Source   index.CoefficientSource
+	Index    index.IntoSearcher
+	Server   *retrieval.Server
+	Levels   int
+	Sessions *Sessions
 	// Dataset is the serializable form of the scene's data, when known —
 	// the payload of the scene file SaveAll writes. Scenes registered
 	// from a bare source have no dataset and no scene file.
@@ -94,10 +94,9 @@ type SceneConfig struct {
 // the registry's settings whenever they are added; Get runs on every
 // connection handshake and scene switch, so lookups take a read lock.
 type Registry struct {
-	mu      sync.RWMutex
-	scenes  map[string]*Scene
-	order   []string
-	journal *SessionJournal
+	mu     sync.RWMutex
+	scenes map[string]*Scene
+	order  []string
 	// settings holds each setting call, in call order, as a function
 	// that applies it to one scene.
 	settings []func(*Scene)
@@ -110,7 +109,7 @@ func NewRegistry() *Registry {
 
 // AddScene registers a scene built from an existing retrieval server
 // (the single-scene servers predating the registry wrap themselves this
-// way). The scene gets a resume cache and sharing layers as the
+// way). The scene gets a session table and sharing layers as the
 // registry's settings say, and the retrieval server is tagged with the
 // scene name so executed requests land in the per-scene stats breakdown.
 func (r *Registry) AddScene(name string, srv *retrieval.Server, levels int) (*Scene, error) {
@@ -118,12 +117,12 @@ func (r *Registry) AddScene(name string, srv *retrieval.Server, levels int) (*Sc
 		return nil, err
 	}
 	sc := &Scene{
-		Name:   name,
-		Source: srv.Store(),
-		Index:  srv.Index(),
-		Server: srv,
-		Levels: levels,
-		Resume: NewResumeCache(DefaultResumeCapacity, DefaultResumeTTL),
+		Name:     name,
+		Source:   srv.Store(),
+		Index:    srv.Index(),
+		Server:   srv,
+		Levels:   levels,
+		Sessions: newSessions(name, srv),
 	}
 	srv.SetScene(name)
 	r.mu.Lock()
@@ -133,7 +132,6 @@ func (r *Registry) AddScene(name string, srv *retrieval.Server, levels int) (*Sc
 	}
 	r.scenes[name] = sc
 	r.order = append(r.order, name)
-	sc.Resume.attachJournal(r.journal, name)
 	for _, set := range r.settings {
 		set(sc)
 	}
@@ -281,34 +279,17 @@ func (r *Registry) Len() int {
 	return len(r.scenes)
 }
 
-// SetResumeCache bounds the resume cache of every scene, registered now
-// or later (capacity ≤ 0 disables resumption). Sessions already parked
-// — restored from the journal, say — stay, up to the new capacity.
+// SetResumeCache bounds every scene's parked lineages, registered now
+// or later: at most capacity (≤ 0 disables resumption), each for ttl.
+// Lineages already parked — restored from the journal, say — keep their
+// expiry and stay, up to the new capacity.
 func (r *Registry) SetResumeCache(capacity int, ttl time.Duration) {
-	r.apply(func(sc *Scene) { sc.Resume.setBounds(capacity, ttl) })
+	r.apply(func(sc *Scene) { sc.Sessions.setBounds(capacity, ttl) })
 }
 
-// SetSessionJournal attaches a durable session journal: from now on
-// every scene's resume cache mirrors its parked sessions into it, so
-// they survive a restart. Call before serving (after the scenes are
-// registered); nil detaches.
+// SetSessionJournal makes j the durable mirror of every scene's parked
+// lineages, registered now or later, so they survive a restart. Call
+// before Restore and before serving; nil detaches.
 func (r *Registry) SetSessionJournal(j *SessionJournal) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.journal = j
-	for name, sc := range r.scenes {
-		sc.Resume.attachJournal(j, name)
-	}
-}
-
-// ResumeLen sums the parked sessions across every scene's resume cache
-// (observability and tests).
-func (r *Registry) ResumeLen() int {
-	r.mu.RLock()
-	defer r.mu.RUnlock()
-	n := 0
-	for _, sc := range r.scenes {
-		n += sc.Resume.Len()
-	}
-	return n
+	r.apply(func(sc *Scene) { sc.Sessions.setJournal(j) })
 }

@@ -100,62 +100,72 @@ func TestRegistryBuildAndRouting(t *testing.T) {
 		t.Fatal("city recorded a request it never served")
 	}
 
-	// Each scene has an independent resume cache.
-	city.Resume.Put(1, &ResumeEntry{})
-	park.Resume.Put(2, &ResumeEntry{})
-	if reg.ResumeLen() != 2 {
-		t.Fatalf("ResumeLen = %d", reg.ResumeLen())
+	// Each scene has an independent session table.
+	serve(city, 1)
+	city.Sessions.Drop(1)
+	serve(park, 2)
+	park.Sessions.Drop(2)
+	if n := city.Sessions.Parked() + park.Sessions.Parked(); n != 2 {
+		t.Fatalf("Parked = %d", n)
 	}
-	if _, ok := park.Resume.Take(1); ok {
+	if _, ok := take(park, 1); ok {
 		t.Fatal("park resumed a city token")
 	}
 	reg.SetResumeCache(0, time.Minute) // disables resumption everywhere
-	city.Resume.Put(3, &ResumeEntry{})
-	if reg.ResumeLen() != 0 {
-		t.Fatalf("ResumeLen after disable = %d", reg.ResumeLen())
+	serve(city, 3)
+	city.Sessions.Drop(3)
+	if n := city.Sessions.Parked() + park.Sessions.Parked(); n != 0 {
+		t.Fatalf("Parked after disable = %d", n)
 	}
 }
 
-// TestResumeCacheBounds pins the cache's capacity and TTL behavior.
+// TestResumeCacheBounds pins the session table's capacity and TTL
+// behavior.
 func TestResumeCacheBounds(t *testing.T) {
-	entry := func() *ResumeEntry { return &ResumeEntry{} }
-
-	c := NewResumeCache(2, time.Minute)
-	c.Put(1, entry())
-	c.Put(2, entry())
-	c.Put(3, entry()) // evicts token 1 (oldest)
-	if c.Len() != 2 {
-		t.Fatalf("Len = %d, want 2", c.Len())
+	reg := NewRegistry()
+	sc, err := reg.Build(SceneConfig{Name: "city", Source: testStore(t, 2, 1), Levels: 3})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := c.Take(1); ok {
+	now := time.Unix(1000, 0)
+	sc.Sessions.now = func() time.Time { return now }
+	drop := func(token uint64) {
+		serve(sc, token)
+		sc.Sessions.Drop(token)
+	}
+
+	reg.SetResumeCache(2, time.Minute)
+	drop(1)
+	drop(2)
+	drop(3) // evicts token 1 (oldest)
+	if n := sc.Sessions.Parked(); n != 2 {
+		t.Fatalf("Parked = %d, want 2", n)
+	}
+	if _, ok := take(sc, 1); ok {
 		t.Fatal("evicted token still resumable")
 	}
-	if _, ok := c.Take(3); !ok {
+	if _, ok := take(sc, 3); !ok {
 		t.Fatal("fresh token not resumable")
 	}
-	if _, ok := c.Take(3); ok {
+	if _, ok := take(sc, 3); ok {
 		t.Fatal("token resumable twice")
 	}
 
 	// TTL expiry.
-	c = NewResumeCache(2, 10*time.Millisecond)
-	c.Put(7, entry())
-	time.Sleep(20 * time.Millisecond)
-	if _, ok := c.Take(7); ok {
+	reg.SetResumeCache(2, 10*time.Second)
+	drop(7)
+	now = now.Add(20 * time.Second)
+	if _, ok := take(sc, 7); ok {
 		t.Fatal("expired session resumed")
 	}
 
-	// Disabled cache, zero tokens, nil receiver.
-	c = NewResumeCache(0, time.Minute)
-	c.Put(9, entry())
-	if c.Len() != 0 {
-		t.Fatal("disabled cache stored an entry")
-	}
-	c.Put(0, entry())
-	var nilCache *ResumeCache
-	nilCache.Put(1, entry())
-	if _, ok := nilCache.Take(1); ok || nilCache.Len() != 0 {
-		t.Fatal("nil cache misbehaved")
+	// A lineage that never served a frame, and a disabled table.
+	sc.Sessions.Greet(8, nopConn{}, nil)
+	sc.Sessions.Drop(8)
+	reg.SetResumeCache(0, time.Minute)
+	drop(9)
+	if n := sc.Sessions.Parked(); n != 0 {
+		t.Fatalf("%d lineages parked by an unstarted connection or a disabled table", n)
 	}
 }
 
@@ -232,8 +242,9 @@ func TestSettingsReachLateScenes(t *testing.T) {
 	if sc.Server.HotCache() == nil || sc.Server.Coalescer() == nil {
 		t.Fatalf("late scene: hot cache %v, coalescer %v; want both", sc.Server.HotCache(), sc.Server.Coalescer())
 	}
-	sc.Resume.Put(1, &ResumeEntry{Session: retrieval.NewSession(sc.Server)})
-	if n := sc.Resume.Len(); n != 0 {
+	serve(sc, 1)
+	sc.Sessions.Drop(1)
+	if n := sc.Sessions.Parked(); n != 0 {
 		t.Fatalf("late scene parked %d sessions with resumption disabled", n)
 	}
 
@@ -247,7 +258,8 @@ func TestSettingsReachLateScenes(t *testing.T) {
 	first := buildRegistry(t, st)
 	first.SetSessionJournal(j)
 	city, _ := first.Get("city")
-	city.Resume.Put(7, &ResumeEntry{Session: retrieval.NewSession(city.Server)})
+	serve(city, 7)
+	city.Sessions.Drop(7)
 	j.Close()
 
 	j2, err := OpenSessionJournal(path, 0, st)
@@ -262,7 +274,7 @@ func TestSettingsReachLateScenes(t *testing.T) {
 	}
 	second.SetResumeCache(8, time.Minute)
 	city2, _ := second.Get("city")
-	if _, ok := city2.Resume.Take(7); !ok {
+	if _, ok := take(city2, 7); !ok {
 		t.Fatal("a resume setting made after the restore dropped the restored session")
 	}
 }

@@ -5,7 +5,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
+	"time"
 
 	"repro/internal/persist"
 	"repro/internal/stats"
@@ -24,14 +24,14 @@ const (
 	journalKindTake = byte(2)
 )
 
-// SessionJournal is the durable side of the resume caches: every parked
-// session is appended as one CRC-framed record (token, scene, planner
-// sequence, rollback candidates, delivered set), every resume or
-// eviction as a tombstone. A restarted server replays the journal and
-// re-parks the surviving sessions, so a ResilientClient resumes across
-// the restart instead of falling back to a full re-plan — the paper's
-// "never re-download a coefficient" economy extended over server
-// crashes.
+// SessionJournal is the durable side of the session tables: every
+// parked lineage is appended as one CRC-framed record (token, scene,
+// expiry, planner sequence, rollback candidates, delivered set), every
+// take — a resume, an expiry, an eviction, a purge — as a tombstone. A
+// restarted server replays the journal and re-parks the surviving
+// sessions, so a ResilientClient resumes across the restart instead of
+// falling back to a full re-plan — the paper's "never re-download a
+// coefficient" economy extended over server crashes.
 //
 // The journal is bounded: once the file outgrows maxBytes and the live
 // set is meaningfully smaller, it is compacted by an atomic rewrite
@@ -42,11 +42,6 @@ type SessionJournal struct {
 	live map[uint64][]byte // token → park payload, the compaction survivors
 	max  int64
 	st   *stats.Stats
-
-	// parks counts park records durably appended — the crash harness
-	// polls it to know a disconnect's state reached disk before killing
-	// the server.
-	parks atomic.Int64
 }
 
 // OpenSessionJournal opens (creating or recovering) the journal at
@@ -99,35 +94,24 @@ func (s *SessionJournal) Live() int {
 	return len(s.live)
 }
 
-// Parks returns the count of park records durably appended so far.
-func (s *SessionJournal) Parks() int64 {
-	if s == nil {
-		return 0
-	}
-	return s.parks.Load()
-}
-
-// RecordPark journals one parked session. Called by the resume caches
-// before the entry is cached (outside the cache lock).
-func (s *SessionJournal) RecordPark(token uint64, scene string, e *ResumeEntry) {
-	if s == nil || token == 0 {
+// park journals one parked lineage's record. A session table calls it
+// under its lock, before the lineage can be taken.
+func (s *SessionJournal) park(token uint64, payload []byte) {
+	if s == nil || payload == nil {
 		return
 	}
-	payload := encodePark(token, scene, e)
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	err := s.j.Append(payload)
 	if err == nil && !s.j.Killed() {
 		s.live[token] = payload
-		s.parks.Add(1)
 	}
 	s.maybeCompactLocked()
 }
 
-// RecordTake journals that a parked session was consumed (resumed or
-// evicted). Unknown tokens — sessions parked before the journal was
-// attached, or already tombstoned — are ignored.
-func (s *SessionJournal) RecordTake(token uint64) {
+// take tombstones a parked lineage. Unknown tokens — lineages parked
+// before the journal was attached or after it died — are ignored.
+func (s *SessionJournal) take(token uint64) {
 	if s == nil || token == 0 {
 		return
 	}
@@ -173,36 +157,35 @@ func (s *SessionJournal) maybeCompactLocked() {
 	}
 }
 
-// Restore replays the live parks into the registry's resume caches:
-// each surviving session is rebuilt (delivered set, sequence, rollback
-// candidates) and re-parked under its original token and original
-// expiry, flagged Restored so the first resume served from it is
-// counted. Entries for unknown scenes or already past their expiry are
-// dropped. Returns the number restored.
+// Restore parks the journal's live lineages in the registry's session
+// tables (Sessions.adopt): each is rebuilt — delivered set, sequence,
+// rollback candidates — under its original token and expiry, flagged
+// Restored so the first resume served from it is counted. A record the
+// tables do not take — of a scene the registry does not serve, already
+// expired, over capacity, undecodable (counted quarantined) — is
+// tombstoned, so the journal's live set is the tables' parked set.
+// Call after SetSessionJournal, before serving. Returns the number
+// restored.
 func (s *SessionJournal) Restore(reg *Registry) int {
 	if s == nil {
 		return 0
 	}
 	s.mu.Lock()
-	payloads := make([][]byte, 0, len(s.live))
-	for _, p := range s.live {
-		payloads = append(payloads, p)
+	live := make(map[uint64][]byte, len(s.live))
+	for token, p := range s.live {
+		live[token] = p
 	}
 	s.mu.Unlock()
 	restored := 0
-	for _, p := range payloads {
+	for token, p := range live {
 		park, err := decodePark(p)
 		if err != nil {
 			s.st.Add(stats.EngineRecordsQuarantined, 1)
-			continue
-		}
-		sc, ok := reg.Get(park.scene)
-		if !ok {
-			continue
-		}
-		if _, ok := repark(sc, park); ok {
+		} else if sc, ok := reg.Get(park.scene); ok && sc.Sessions.adopt(park, nil) {
 			restored++
+			continue
 		}
+		s.take(token)
 	}
 	return restored
 }
@@ -254,17 +237,17 @@ type parkRecord struct {
 	delivered []int64
 }
 
-// encodePark serializes a parked session: kind, token, expiry, planner
+// encodePark serializes a parked lineage: kind, token, expiry, planner
 // sequence, scene name, the last frame's delivery ids (rollback
 // candidates), and the full delivered set (sorted, so identical
-// sessions encode identically).
-func encodePark(token uint64, scene string, e *ResumeEntry) []byte {
+// lineages encode identically).
+func encodePark(token uint64, scene string, e *Lineage, expires time.Time) []byte {
 	delivered := e.Session.DeliveredIDs()
 	n := 1 + 8 + 8 + 8 + 2 + len(scene) + 4 + 8*len(e.LastIDs) + 4 + 8*len(delivered)
 	buf := make([]byte, 0, n)
 	buf = append(buf, journalKindPark)
 	buf = binary.LittleEndian.AppendUint64(buf, token)
-	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.expires.UnixNano()))
+	buf = binary.LittleEndian.AppendUint64(buf, uint64(expires.UnixNano()))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(e.Seq))
 	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(scene)))
 	buf = append(buf, scene...)

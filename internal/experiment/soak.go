@@ -63,18 +63,17 @@ func resilientConfig(seed int64, st *stats.Stats) proto.ResilientConfig {
 // waiting out its own 10 s frame timeout.
 const soakFrameTimeout = time.Second
 
-// killParked severs scene's live session on b, waits until b has
-// parked it in its session journal (or, with the journal's failpoint
-// armed, until the park record tore the journal) and kills b, so the
-// next incarnation recovers exactly that park.
+// killParked severs scene's live session on b — SeverScene returns once
+// its park record is in b's session journal, or, with the journal's
+// failpoint armed, has torn it — and kills b, so the next incarnation
+// recovers exactly that park.
 func killParked(b *cluster.Backend, scene string) error {
-	jr := b.Journal()
-	before := jr.Parks()
-	if n := b.Server().SeverScene(scene); n != 1 {
-		return fmt.Errorf("experiment: severed %d sessions of scene %q, want 1", n, scene)
+	n, err := b.Server().SeverScene(scene)
+	if err != nil {
+		return fmt.Errorf("experiment: %w", err)
 	}
-	if !waitUntil(2*time.Second, func() bool { return jr.Parks() > before || jr.Killed() }) {
-		return fmt.Errorf("experiment: the severed session of scene %q was never parked", scene)
+	if n != 1 {
+		return fmt.Errorf("experiment: severed %d sessions of scene %q, want 1", n, scene)
 	}
 	b.Kill()
 	return nil

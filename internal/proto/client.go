@@ -426,8 +426,8 @@ var recordBufs sync.Pool // of *[]byte
 
 // Close sends a goodbye and closes the connection. A goodbye-write
 // failure is reported alongside the close error: the caller learns the
-// shutdown was not orderly (the server will park the session in its
-// resume cache rather than discard it). After a goodbye the client
+// shutdown was not orderly (the server will park the session rather
+// than discard it). After a goodbye the client
 // forgets its session token, since the server discards the session: a
 // Reconnect greets fresh instead of resuming a session the server may
 // not have let go of yet. The record buffer goes to the next client; the

@@ -72,7 +72,7 @@ func benchConn(src index.CoefficientSource) *serverConn {
 	return &serverConn{
 		s:     NewMultiServer(engine.NewRegistry(), nil),
 		scene: &engine.Scene{Source: src, Server: srv},
-		sess:  &engine.ResumeEntry{Session: retrieval.NewSession(srv)},
+		sess:  &engine.Lineage{Session: retrieval.NewSession(srv)},
 	}
 }
 

@@ -57,7 +57,7 @@ func TestEncodeRunsMatchRecords(t *testing.T) {
 		return &serverConn{
 			s:     NewMultiServer(engine.NewRegistry(), nil),
 			scene: &engine.Scene{Source: src, Server: srv},
-			sess:  &engine.ResumeEntry{Session: retrieval.NewSession(srv)},
+			sess:  &engine.Lineage{Session: retrieval.NewSession(srv)},
 		}
 	}
 	conns := map[string]*serverConn{"resident": conn(store), "paged": conn(ps)}

@@ -116,7 +116,13 @@ func (c *lifecycleConn) frame(t *testing.T, subs []retrieval.SubQuery) []byte {
 func waitNoConns(t *testing.T, srv *Server) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.SceneConns("alpha")+srv.SceneConns("beta") != 0 {
+	for {
+		srv.mu.Lock()
+		n := len(srv.conns)
+		srv.mu.Unlock()
+		if n == 0 {
+			break
+		}
 		if time.Now().After(deadline) {
 			t.Fatal("connections still open 5 s after their clients left")
 		}
@@ -336,9 +342,11 @@ func TestOrderlyEndRecyclesConnection(t *testing.T) {
 // keeps the reconstructors, so Objects, Mesh and CoeffCount answer as
 // before; a frame on the closed client fails with net.ErrClosed, and a
 // resilient client reconnects after Close and reads correct frames into
-// a buffer of its own.
+// a buffer of its own — greeting fresh, without presenting the token
+// of the session it said goodbye to.
 func TestClientUsableAfterClose(t *testing.T) {
-	_, addr, d, _, shutdown := startMultiSceneServer(t, stats.New())
+	st := stats.New()
+	_, addr, d, _, shutdown := startMultiSceneServer(t, st)
 	defer shutdown()
 	whole := d.Store.Bounds().XY()
 
@@ -408,6 +416,9 @@ func TestClientUsableAfterClose(t *testing.T) {
 	}
 	if rc.Replans != 1 || rc.Resumes != 0 {
 		t.Fatalf("reconnect after Close: %d re-plans, %d resumes, want 1 and 0", rc.Replans, rc.Resumes)
+	}
+	if n := st.Load(stats.ProtoResumeHits) + st.Load(stats.ProtoResumeMisses); n != 0 {
+		t.Fatalf("the server answered %d resumes: a closed client presented its token", n)
 	}
 	fresh, err := Dial(addr, nil)
 	if err != nil {

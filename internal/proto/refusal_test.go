@@ -143,7 +143,7 @@ func TestServerRefusals(t *testing.T) {
 			if got := st.Load(stats.ProtoErrors); got != tc.wantErrors {
 				t.Errorf("proto.errors = %d, want %d", got, tc.wantErrors)
 			}
-			if got := srv.Registry().ResumeLen(); got != tc.wantParked {
+			if got := parked(srv); got != tc.wantParked {
 				t.Errorf("parked sessions = %d, want %d", got, tc.wantParked)
 			}
 		})

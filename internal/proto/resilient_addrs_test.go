@@ -57,8 +57,8 @@ func TestResilientAddrRotation(t *testing.T) {
 
 	// Sever the live connection server-side (the drain hook); the next
 	// frame must re-dial — still skipping the dead head — and resume.
-	if n := srv.SeverScene(DefaultSceneName); n != 1 {
-		t.Fatalf("SeverScene closed %d conns, want 1", n)
+	if n, err := srv.SeverScene(DefaultSceneName); n != 1 || err != nil {
+		t.Fatalf("SeverScene closed %d conns (%v), want 1", n, err)
 	}
 	for i, f := range frames[3:] {
 		if _, err := rc.Frame(f.q, f.speed); err != nil {

@@ -1,13 +1,13 @@
 package proto
 
 import (
+	"io"
 	"net"
 	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
 
-	"repro/internal/engine"
 	"repro/internal/faultnet"
 	"repro/internal/geom"
 	"repro/internal/index"
@@ -328,8 +328,8 @@ func TestServerShedsAtSessionLimit(t *testing.T) {
 }
 
 // TestIdleTimeoutParksSession checks that a silent client is
-// disconnected after the idle timeout — and that its session lands in
-// the resume cache, so waking up is cheap (resume, not re-plan).
+// disconnected after the idle timeout — and that its session is parked,
+// so waking up is cheap (resume, not re-plan).
 func TestIdleTimeoutParksSession(t *testing.T) {
 	addr, d, srv, _, shutdown := startHardenedServer(t, func(s *Server) {
 		s.SetLimits(0, 50*time.Millisecond, time.Second)
@@ -396,7 +396,7 @@ func TestResumeTakesOverLiveConnection(t *testing.T) {
 	if n, err := c.Frame(q, 0.5); err != nil || n == 0 {
 		t.Fatalf("first frame = %d, %v", n, err)
 	}
-	if srv.Registry().ResumeLen() != 0 {
+	if parked(srv) != 0 {
 		t.Fatal("a live session is already parked")
 	}
 
@@ -419,31 +419,57 @@ func TestResumeTakesOverLiveConnection(t *testing.T) {
 }
 
 // TestParkedConnectionHoldsNoSession pins the order of a dying
-// handler's park: its connection leaves the live-session count before
-// the session can be taken, so a resume that takes the parked session
-// at once is never counted beside the connection it left — SeverScene
-// would report two sessions for one client.
+// handler's park: its lineage leaves the live count as it parks, so a
+// resume that takes the parked session at once is never counted beside
+// the connection it left — SeverScene would report two sessions for
+// one client. SeverScene returns only once the severed handler has
+// parked.
 func TestParkedConnectionHoldsNoSession(t *testing.T) {
 	d := workload.Generate(workload.Spec{NumObjects: 8, Levels: 3, Seed: 5})
 	srv := NewServer(retrieval.NewServer(d.Store, index.NewMotionAware(d.Store, index.XYW, rtree.Config{})), d.Spec.Levels, t.Logf)
 	nc, peer := net.Pipe()
 	defer peer.Close()
-	srv.conns[nc] = &connInfo{ended: make(chan struct{})}
 	scene := srv.Registry().Default()
-	c := &serverConn{s: srv, nc: nc, token: 7, scene: scene,
-		sess: &engine.ResumeEntry{Session: retrieval.NewSession(scene.Server)}}
-	c.start()
-	if n := srv.SeverScene(scene.Name); n != 1 {
+	c := &serverConn{s: srv, nc: nc, w: NewWriter(nc), token: 7}
+	go io.Copy(io.Discard, peer)
+	if !c.bind(scene) {
+		t.Fatal("greeting failed")
+	}
+	c.started = true
+	scene.Sessions.Start(c.token)
+	severed := make(chan int)
+	go func() {
+		n, err := srv.SeverScene(scene.Name)
+		if err != nil {
+			t.Error(err)
+		}
+		severed <- n
+	}()
+	// The handler's read fails on the severed connection; it parks.
+	if _, err := c.nc.Read(make([]byte, 1)); err == nil {
+		t.Fatal("the severed connection still reads")
+	}
+	c.end(false)
+	if n := <-severed; n != 1 {
 		t.Fatalf("a started session counts %d live sessions, want 1", n)
 	}
-	c.end(false) // the handler's park; it leaves the table only after
-	if _, ok := scene.Resume.Take(c.token); !ok {
+	if n := srv.SceneConns(scene.Name); n != 0 {
+		t.Fatalf("a connection that parked its session counts %d live, want 0", n)
+	}
+	other := &serverConn{s: srv, nc: nopNetConn{}, w: NewWriter(io.Discard), token: 8}
+	other.bind(scene)
+	if _, ok := scene.Sessions.Resume(other.token, c.token, c.sess.Seq, 0); !ok {
 		t.Fatal("the severed session was not parked")
 	}
-	if n := srv.SeverScene(scene.Name); n != 0 {
-		t.Fatalf("a connection that parked its session counts %d live sessions, want 0", n)
+	if live, held := srv.SceneConns(scene.Name), parked(srv); live != 1 || held != 0 {
+		t.Fatalf("after the resume %d live and %d parked, want the resumer alone", live, held)
 	}
 }
+
+// nopNetConn is a connection whose close is a no-op.
+type nopNetConn struct{ net.Conn }
+
+func (nopNetConn) Close() error { return nil }
 
 // TestGracefulDrainClose checks that Close wakes idle handlers and
 // returns promptly instead of burning the whole drain budget.
@@ -726,8 +752,8 @@ func assertSameMeshes(t *testing.T, want, got *Client) {
 }
 
 // TestTokens pins the session-token generator: non-zero, no collisions.
-// (The resume cache's own bounds are tested in the engine package, which
-// owns it now.)
+// (The session table's own bounds are tested in the engine package,
+// which owns it.)
 func TestTokens(t *testing.T) {
 	if newToken() == 0 {
 		t.Fatal("zero token issued")
@@ -742,15 +768,24 @@ func TestTokens(t *testing.T) {
 	}
 }
 
-// waitParked waits until the server has parked one dropped session in
-// its resume cache: a client that redials before that finds nothing to
-// resume.
+// parked counts the lineages parked in every scene's session table.
+func parked(srv *Server) int {
+	n := 0
+	for _, name := range srv.Registry().Names() {
+		sc, _ := srv.Registry().Get(name)
+		n += sc.Sessions.Parked()
+	}
+	return n
+}
+
+// waitParked waits until the server has parked one dropped session: a
+// client that redials before that finds nothing to resume.
 func waitParked(t *testing.T, srv *Server) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
-	for srv.Registry().ResumeLen() != 1 {
+	for parked(srv) != 1 {
 		if time.Now().After(deadline) {
-			t.Fatalf("%d sessions parked in the resume cache, want 1", srv.Registry().ResumeLen())
+			t.Fatalf("%d sessions parked, want 1", parked(srv))
 		}
 		time.Sleep(5 * time.Millisecond)
 	}

@@ -6,8 +6,8 @@ import (
 	"sync/atomic"
 )
 
-// The resume cache itself lives in the engine package (one per scene,
-// owned by the registry); this file only mints the tokens that key it.
+// Lineages live in the engine package's session tables (one per scene,
+// owned by the registry); this file only mints the tokens that key them.
 
 // tokenCounter de-duplicates tokens if the system's entropy source ever
 // fails; colliding resume tokens would merge two clients' sessions.

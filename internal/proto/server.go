@@ -23,15 +23,16 @@ import (
 // the default scene (announced in the hello) and may switch once to any
 // registered scene with a scene-select frame — but only before its first
 // request or resume, so a session's delivered-set never spans scenes.
-// Each scene parks its interrupted sessions in its own resume cache; a
+// Each scene's session table (engine.Sessions) holds its lineages; a
 // resuming client re-selects its scene first, then presents its token.
 //
 // Concurrency: every accepted connection runs on its own goroutine. The
-// per-connection state (reader, writer, session) is goroutine-local;
+// per-connection state (reader, writer, lineage) is goroutine-local;
 // the shared retrieval servers, sources, and indexes are
 // concurrent-read-safe (see the index.Index contract), the stats
-// collector is wait-free, and the resume caches are mutex-guarded off
-// the request hot path.
+// collector is wait-free, and a connection enters its scene's session
+// table only to change its lineage's state: the greeting, a select, the
+// first request, a resume and the end.
 //
 // Lifecycle hardening (see DESIGN.md "Fault tolerance"): per-connection
 // idle and frame deadlines bound how long a silent or trickling peer can
@@ -52,22 +53,8 @@ type Server struct {
 	mu     sync.Mutex
 	closed bool
 	lis    net.Listener
-	conns  map[net.Conn]*connInfo
+	conns  map[net.Conn]struct{} // for Close and maxSessions
 	wg     sync.WaitGroup
-}
-
-// connInfo is the server's bookkeeping for one live connection: the
-// scene the session is currently bound to, so a cluster drain can sever
-// exactly the connections of the scene being relocated; whether the
-// session has started (served a request or resume) — only those carry
-// state worth parking when severed; and the session's token, so a
-// resume can find the connection still holding its lineage. ended is
-// closed once the handler has parked its session and left.
-type connInfo struct {
-	scene   string
-	started bool
-	token   uint64
-	ended   chan struct{}
 }
 
 // defaultDrainTimeout bounds graceful Close; override with
@@ -104,7 +91,7 @@ func NewMultiServer(reg *engine.Registry, logf func(string, ...any)) *Server {
 		logf:         logf,
 		st:           stats.Default,
 		drainTimeout: defaultDrainTimeout,
-		conns:        make(map[net.Conn]*connInfo),
+		conns:        make(map[net.Conn]struct{}),
 	}
 }
 
@@ -139,9 +126,9 @@ func (s *Server) SetBudgetCap(maxBytes int64) {
 	s.budgetCap = maxBytes
 }
 
-// SetResumeCache bounds every scene's closed-session cache: capacity
-// entries (0 disables resumption) kept for at most ttl. Call before
-// Serve.
+// SetResumeCache bounds every scene's parked lineages: at most
+// capacity (0 disables resumption), each kept for at most ttl. Call
+// before Serve.
 func (s *Server) SetResumeCache(capacity int, ttl time.Duration) {
 	s.reg.SetResumeCache(capacity, ttl)
 }
@@ -184,11 +171,10 @@ func (s *Server) Serve(lis net.Listener) error {
 			go s.shed(conn)
 			continue
 		}
-		ci := &connInfo{ended: make(chan struct{})}
-		s.conns[conn] = ci
+		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
 		s.mu.Unlock()
-		go s.handle(conn, ci)
+		go s.handle(conn)
 	}
 }
 
@@ -238,46 +224,32 @@ func (s *Server) Close() {
 	<-done
 }
 
-// SceneConns reports how many live connections are bound to the named
-// scene.
+// SceneConns reports how many connections are bound to the named
+// scene: its session table's live lineages.
 func (s *Server) SceneConns(scene string) int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := 0
-	for _, ci := range s.conns {
-		if ci.scene == scene {
-			n++
-		}
+	if sc, ok := s.reg.Get(scene); ok {
+		return sc.Sessions.Live()
 	}
-	return n
+	return 0
 }
 
 // SeverScene force-closes every connection bound to the named scene and
-// returns how many live sessions it severed. Each severed handler parks
-// its session in the scene's resume cache (journaled when one is
-// attached) exactly as it would for a vanished peer — the drain hook a
-// cluster controller uses to quiesce a scene before shipping it to
-// another backend. Connections whose session never started (a
-// handshake-only peer caught mid-greeting) are closed too but not
-// counted: they park nothing, so the count matches what the resume
-// cache gains.
-func (s *Server) SeverScene(scene string) int {
-	s.mu.Lock()
-	victims := make([]net.Conn, 0, len(s.conns))
-	n := 0
-	for c, ci := range s.conns {
-		if ci.scene == scene {
-			victims = append(victims, c)
-			if ci.started {
-				n++
-			}
-		}
+// returns once each handler has ended its lineage — parked (journaled
+// when a journal is attached) if it had started, as for a vanished
+// peer, else discarded — bounded by the drain timeout, which is an
+// error. It reports how many started lineages it severed, the count the
+// scene's parked set gains: the drain hook a cluster controller uses to
+// quiesce a scene before shipping it to another backend.
+func (s *Server) SeverScene(scene string) (int, error) {
+	sc, ok := s.reg.Get(scene)
+	if !ok {
+		return 0, fmt.Errorf("proto: unknown scene %q", scene)
 	}
-	s.mu.Unlock()
-	for _, c := range victims {
-		c.Close()
+	n, ok := sc.Sessions.Sever(s.drainTimeout)
+	if !ok {
+		return n, fmt.Errorf("proto: scene %q's severed connections did not end within %v", scene, s.drainTimeout)
 	}
-	return n
+	return n, nil
 }
 
 // serverBufs holds the frame buffers and LastIDs arrays of connections
@@ -300,13 +272,14 @@ type serverConn struct {
 	w     *Writer
 	scene *engine.Scene
 	token uint64
-	// sess is the session lineage served. A resume swaps in a parked
-	// predecessor; on abnormal exit the lineage is parked in the
-	// *current* scene's cache under this connection's token (the client
-	// resumes with the newest token it completed a handshake for, after
-	// re-selecting the same scene).
-	sess *engine.ResumeEntry
-	// started: a request or resume has bound the session to its scene.
+	// sess is the lineage served, live in scene's session table under
+	// token. A resume swaps in a parked predecessor; on abnormal exit the
+	// lineage is parked in the *current* scene's table under this
+	// connection's token (the client resumes with the newest token it
+	// completed a handshake for, after re-selecting the same scene).
+	sess *engine.Lineage
+	// started: a request or resume has started the lineage, so the
+	// table holds it started and later requests skip the table.
 	started bool
 	// hotSub is the session's hot-region subscription (nil until it
 	// first serves a hot frame). Each hot frame re-points it at that
@@ -324,13 +297,12 @@ type serverConn struct {
 // handle serves one accepted connection: the accept bookkeeping, the
 // greeting, then a loop that reads a frame's tag and dispatches it to
 // the connection's step for that frame.
-func (s *Server) handle(nc net.Conn, ci *connInfo) {
+func (s *Server) handle(nc net.Conn) {
 	defer func() {
 		nc.Close()
 		s.mu.Lock()
 		delete(s.conns, nc)
 		s.mu.Unlock()
-		close(ci.ended)
 		s.wg.Done()
 	}()
 	s.st.Add(stats.ProtoSessionsOpened, 1)
@@ -411,62 +383,36 @@ func (c *serverConn) fail(counted bool, cause, reply error) bool {
 	return false
 }
 
-// end releases the hot subscription and parks an interrupted session in
-// its scene's resume cache. Only a started session is parked: one that
-// never served a request or resume has no delivered-set worth
-// restoring, and parking it would let handshake-only peers (health
-// probes, port scanners) pollute the resume cache and session journal.
-// Only an orderly end recycles: the session goes back to its scene's
-// pool and the buffers to the next connection. Any other end may leave
-// a lineage to resume, so it hands on nothing.
+// end releases the hot subscription and ends the lineage in its
+// scene's table: a goodbye releases it (Sessions.Bye), and the frame
+// buffer and LastIDs array go on to the next connection; any other end
+// may leave a lineage to resume (Sessions.Drop), so it hands on
+// nothing.
 func (c *serverConn) end(orderly bool) {
-	if !orderly && c.started {
-		// Stop counting as live before a resume can take the session.
-		c.started = false
-		c.publish()
-		c.scene.Resume.Put(c.token, c.sess)
-	}
 	if c.hotSub != nil {
 		c.hotSub.Close()
 	}
-	if orderly {
-		c.sess.Session.Release()
-		serverBufs.Put(&connBufs{frame: c.frame[:0], ids: c.sess.LastIDs[:0]})
+	if !orderly {
+		c.scene.Sessions.Drop(c.token)
+		return
 	}
+	ids := c.sess.LastIDs[:0]
+	c.scene.Sessions.Bye(c.token)
+	serverBufs.Put(&connBufs{frame: c.frame[:0], ids: ids})
 }
 
-// publish records the connection's scene, started flag and token in
-// the server's table, for SeverScene, SceneConns and a resume's
-// take-over. A connection already gone from the table (Close racing the
-// handler) is ignored.
-func (c *serverConn) publish() {
-	c.s.mu.Lock()
-	if ci, ok := c.s.conns[c.nc]; ok {
-		ci.scene, ci.started, ci.token = c.scene.Name, c.started, c.token
-	}
-	c.s.mu.Unlock()
-}
-
-// start marks the session started by its first request or resume.
-func (c *serverConn) start() {
-	if !c.started {
-		c.started = true
-		c.publish()
-	}
-}
-
-// bind points the connection at scene with a fresh session and greets
-// with the scene's hello under the connection's token: the greeting,
-// and the answer to a scene select.
+// bind greets the connection's lineage into scene's table, fresh, and
+// greets the peer with the scene's hello under the connection's token:
+// the greeting, and the answer to a scene select.
 func (c *serverConn) bind(scene *engine.Scene) bool {
-	if c.sess != nil {
-		// A scene select drops the greeting's session, which never
-		// served a frame; it goes back to the pool of the scene it was
+	if c.scene != nil {
+		// A scene select ends the greeting's lineage, which never served
+		// a frame; its session goes back to the pool of the scene it was
 		// opened on.
-		c.sess.Session.Release()
+		c.scene.Sessions.Bye(c.token)
 	}
 	c.scene = scene
-	c.sess = &engine.ResumeEntry{Session: retrieval.NewSession(scene.Server), LastIDs: c.ids[:0]}
+	c.sess = scene.Sessions.Greet(c.token, c.nc, c.ids)
 	if c.sess.Session.Reused() {
 		c.s.st.Add(stats.ProtoSessionsReused, 1)
 	}
@@ -475,7 +421,6 @@ func (c *serverConn) bind(scene *engine.Scene) bool {
 		c.hotSub.Close()
 		c.hotSub = nil
 	}
-	c.publish()
 	src := scene.Source
 	c.s.setWriteDeadline(c.nc)
 	err := c.w.WriteHello(Hello{
@@ -512,32 +457,21 @@ func (c *serverConn) selectScene() bool {
 	return c.bind(next)
 }
 
-// resume serves a resume: the session adopts the parked lineage its
-// token names, or the client is told to re-plan.
+// resume serves a resume: the connection adopts the lineage its token
+// names (Sessions.Resume: parked, or live on a connection the server has
+// not yet seen die, which is severed first), or the client is told to
+// re-plan.
 func (c *serverConn) resume() bool {
 	res, err := c.r.ReadResume()
 	if err != nil {
 		return c.fail(true, fmt.Errorf("bad resume: %w", err), nil)
 	}
-	prev, ok := c.scene.Resume.Take(res.Token)
-	if !ok && c.takeOver(res.Token) {
-		prev, ok = c.scene.Resume.Take(res.Token)
+	wait := c.s.frameTimeout
+	if wait <= 0 {
+		wait = c.s.drainTimeout
 	}
+	lin, ok := c.scene.Sessions.Resume(c.token, res.Token, res.AppliedSeq, wait)
 	c.s.setWriteDeadline(c.nc)
-	if ok {
-		// Roll back an un-applied final response: the server counted
-		// those coefficients as delivered, but the client never saw
-		// them; forgetting them lets the retry re-send.
-		switch res.AppliedSeq {
-		case prev.Seq:
-			// In sync; nothing to roll back.
-		case prev.Seq - 1:
-			prev.Session.Forget(prev.LastIDs)
-			prev.Seq--
-		default:
-			ok = false
-		}
-	}
 	if !ok {
 		c.s.st.Add(stats.ProtoResumeMisses, 1)
 		if err := c.w.WriteResumeFail("no resumable session"); err != nil {
@@ -545,60 +479,17 @@ func (c *serverConn) resume() bool {
 		}
 		return true
 	}
-	prev.LastIDs = prev.LastIDs[:0]
-	// The session the resume replaces is this connection's alone: no
-	// cache or journal holds it.
-	c.sess.Session.Release()
-	c.sess = prev
-	c.start()
+	c.sess, c.started = lin, true
 	c.s.st.Add(stats.ProtoResumeHits, 1)
-	if prev.Restored {
-		// This session crossed a server restart via the recovered
-		// journal — the crash-safety win worth its own counter.
+	if lin.Restored {
+		// This lineage crossed a server restart via the recovered
+		// journal, or a drain — the crash-safety win worth its own
+		// counter.
 		c.s.st.Add(stats.ProtoResumesRestored, 1)
-		prev.Restored = false
+		lin.Restored = false
 	}
-	if err := c.w.WriteResumeOK(ResumeOK{Seq: prev.Seq, Delivered: int64(prev.Session.Delivered())}); err != nil {
+	if err := c.w.WriteResumeOK(ResumeOK{Seq: lin.Seq, Delivered: int64(lin.Session.Delivered())}); err != nil {
 		return c.fail(false, fmt.Errorf("resume reply: %w", err), nil)
-	}
-	return true
-}
-
-// takeOver severs the connection of this scene whose session token
-// names, if there is one (started or not: a handler clears the flag
-// before it parks), and waits for its handler to park the session,
-// bounded by the frame timeout (the drain timeout when no frame timeout
-// is set); it reports whether it severed one. A client that reconnects
-// before the server has noticed its old connection die — a link drop
-// the server has not read yet, a gateway that has not closed its
-// backend leg — would otherwise find nothing parked and have to
-// re-plan. The resume calls it only on a miss, so the common resume of
-// a parked session skips the scan.
-func (c *serverConn) takeOver(token uint64) bool {
-	s := c.s
-	var victim net.Conn
-	var ended chan struct{}
-	s.mu.Lock()
-	for nc, ci := range s.conns {
-		if nc != c.nc && ci.token == token && ci.scene == c.scene.Name {
-			victim, ended = nc, ci.ended
-			break
-		}
-	}
-	s.mu.Unlock()
-	if victim == nil {
-		return false
-	}
-	victim.Close()
-	wait := s.frameTimeout
-	if wait <= 0 {
-		wait = s.drainTimeout
-	}
-	t := time.NewTimer(wait)
-	defer t.Stop()
-	select {
-	case <-ended:
-	case <-t.C:
 	}
 	return true
 }
@@ -610,7 +501,10 @@ func (c *serverConn) request() bool {
 	if err != nil {
 		return c.fail(true, fmt.Errorf("bad request: %w", err), err)
 	}
-	c.start()
+	if !c.started {
+		c.started = true
+		c.scene.Sessions.Start(c.token)
+	}
 	resp := c.retrieve(req)
 	c.reply(&resp)
 	// resp.IDs aliases the session's scratch (overwritten by the next
