@@ -62,11 +62,12 @@ bench:
 # The serve path's layer benchmarks, five rounds each, for a layer table
 # whose medians and spread a change is compared by (ROADMAP aim 1):
 # R*-tree window search, a frame's index search, the retrieval merge,
-# the response encode, the client's apply, a paged store's page fault
-# and a whole connection trip (about 2 minutes on 2 vCPU). Informational,
-# like bench-e2e, and not part of ci.
+# the response encode, the client's apply, a paged store's page fault,
+# a whole connection trip, and the scene's index build that setup_s
+# times (about 3 minutes on 2 vCPU). Informational, like bench-e2e, and
+# not part of ci.
 bench-layers:
-	$(GO) test -run '^$$' -count 5 -bench '^(BenchmarkWindowSearch|BenchmarkFrameSearch|BenchmarkExecuteMerge|BenchmarkEncodeResponse|BenchmarkClientApply|BenchmarkPagedFault|BenchmarkConnectionTrip)$$' \
+	$(GO) test -run '^$$' -count 5 -bench '^(BenchmarkWindowSearch|BenchmarkFrameSearch|BenchmarkExecuteMerge|BenchmarkEncodeResponse|BenchmarkClientApply|BenchmarkPagedFault|BenchmarkConnectionTrip|BenchmarkNewSharded)$$' \
 		./internal/rtree/ ./internal/retrieval/ ./internal/proto/ ./internal/index/
 
 # bench/ is a module of its own, so `build`, `vet` and `test` above never

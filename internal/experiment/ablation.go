@@ -72,6 +72,8 @@ func AblIndexVariant(cfg Config) *Table {
 	for i := range centers {
 		centers[i] = geom.V2(rng.Float64()*900+50, rng.Float64()*900+50)
 	}
+	var cur rtree.Cursor
+	var buf []int64
 	for _, name := range names {
 		tr := build[name]()
 		s := Series{Name: name}
@@ -80,7 +82,9 @@ func AblIndexVariant(cfg Config) *Table {
 			var io int64
 			for _, c := range centers {
 				q := geom.RectAround(c, side)
-				io += tr.SearchCounted(rtree.FromXYW(q, w, 1), func(rtree.Rect, int64) bool { return true })
+				var qio int64
+				buf, qio = tr.SearchInto(rtree.FromXYW(q, w, 1), &cur, buf[:0])
+				io += qio
 			}
 			s.X = append(s.X, speed)
 			s.Y = append(s.Y, float64(io)/numQueries)

@@ -63,11 +63,8 @@ func (n *Naive) Search(q Query) ([]int64, int64) {
 	if !qok {
 		return nil, 0
 	}
-	var phase1 []int64
-	io := n.tree.SearchCounted(qr, func(_ rtree.Rect, data int64) bool {
-		phase1 = append(phase1, data)
-		return true
-	})
+	var cur rtree.Cursor
+	phase1, io := n.tree.SearchInto(qr, &cur, nil)
 	if len(phase1) == 0 {
 		return nil, io
 	}
@@ -112,13 +109,14 @@ func (n *Naive) Search(q Query) ([]int64, int64) {
 		slices.Sort(ids)
 		return ids, io
 	}
-	io += n.tree.SearchCounted(extRect, func(_ rtree.Rect, data int64) bool {
+	phase2, io2 := n.tree.SearchInto(extRect, &cur, nil)
+	io += io2
+	for _, data := range phase2 {
 		if wanted[data] && !inWindow[data] {
 			ids = append(ids, data)
 			inWindow[data] = true
 		}
-		return true
-	})
+	}
 	slices.Sort(ids)
 	return ids, io
 }

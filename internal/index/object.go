@@ -1,6 +1,7 @@
 package index
 
 import (
+	"cmp"
 	"slices"
 
 	"repro/internal/geom"
@@ -14,6 +15,9 @@ import (
 type ObjectIndex struct {
 	store *Store
 	tree  *rtree.Tree
+	// rank is each object's position in the tree's leaf order, which
+	// SearchObjects returns its hits in.
+	rank []int32
 }
 
 // NewObjectIndex builds the whole-object index.
@@ -29,7 +33,11 @@ func NewObjectIndex(store *Store, cfg rtree.Config) *ObjectIndex {
 			Data: int64(i),
 		})
 	}
-	return &ObjectIndex{store: store, tree: rtree.BulkLoad(cfg, items)}
+	o := &ObjectIndex{store: store, tree: rtree.BulkLoad(cfg, items), rank: make([]int32, len(items))}
+	for pos, obj := range o.tree.Payloads(nil) {
+		o.rank[obj] = int32(pos)
+	}
+	return o
 }
 
 // Name identifies the access method in experiment output.
@@ -42,19 +50,21 @@ func (o *ObjectIndex) Len() int { return o.tree.Len() }
 func (o *ObjectIndex) Tree() *rtree.Tree { return o.tree }
 
 // SearchObjects returns the ids of objects whose bounding boxes intersect
-// the region, plus node I/O. An empty (inverted) region matches nothing —
+// the region, in the tree's leaf order, plus node I/O. The baseline
+// client fetches them in that order, so it decides which objects its
+// LRU buffer keeps. An empty (inverted) region matches nothing —
 // rtree.Box would panic on it.
 func (o *ObjectIndex) SearchObjects(region geom.Rect2) ([]int32, int64) {
 	if region.Empty() {
 		return nil, 0
 	}
-	var ids []int32
-	io := o.tree.SearchCounted(
-		rtree.Box(region.Min.X, region.Max.X, region.Min.Y, region.Max.Y),
-		func(_ rtree.Rect, data int64) bool {
-			ids = append(ids, int32(data))
-			return true
-		})
+	var cur rtree.Cursor
+	hits, io := o.tree.SearchInto(rtree.Box(region.Min.X, region.Max.X, region.Min.Y, region.Max.Y), &cur, nil)
+	slices.SortFunc(hits, func(a, b int64) int { return cmp.Compare(o.rank[a], o.rank[b]) })
+	ids := make([]int32, len(hits))
+	for i, h := range hits {
+		ids[i] = int32(h)
+	}
 	return ids, io
 }
 

@@ -110,11 +110,34 @@ func NewSharded(src CoefficientSource, layout Layout, cfg ShardedConfig) *Sharde
 		dy:     b.Height() / float64(rows),
 	}
 	dims := tcfg.Dims
-	items := make([][]rtree.Item, cfg.Shards)
+	// One pass over the source fills one array, sized for every
+	// coefficient, in id order, noting each coefficient's shard. A stable
+	// partition by counting then moves each shard's items together in
+	// place, keeping them in id order, the order STR breaks ties in.
+	items := make([]rtree.Item, 0, src.NumCoeffs())
+	dest := make([]int, 0, src.NumCoeffs()) // each item's shard, then its place
+	ends := make([]int, cfg.Shards)         // each shard's count, then its end
 	src.scan(func(id int64, c *wavelet.Coefficient) {
 		k := s.shardOf(c.Pos.X, c.Pos.Y)
-		items[k] = append(items[k], rtree.Item{Rect: layout.supportRect(c), Data: id})
+		items = append(items, rtree.Item{Rect: layout.supportRect(c), Data: id})
+		dest = append(dest, k)
+		ends[k]++
 	})
+	off := 0
+	for k, n := range ends {
+		ends[k], off = off, off+n
+	}
+	for i, k := range dest {
+		dest[i] = ends[k]
+		ends[k]++
+	}
+	for i := range items {
+		for dest[i] != i {
+			j := dest[i]
+			items[i], items[j] = items[j], items[i]
+			dest[i], dest[j] = dest[j], dest[i]
+		}
+	}
 	var next atomic.Int64
 	var wg sync.WaitGroup
 	for w := min(cfg.Shards, runtime.GOMAXPROCS(0)); w > 0; w-- {
@@ -122,9 +145,14 @@ func NewSharded(src CoefficientSource, layout Layout, cfg ShardedConfig) *Sharde
 		go func() {
 			defer wg.Done()
 			for k := int(next.Add(1)) - 1; k < cfg.Shards; k = int(next.Add(1)) - 1 {
-				sh := &shard{tree: rtree.BulkLoad(tcfg, items[k])}
-				for i := range items[k] {
-					sh.grow(items[k][i].Rect, dims)
+				lo := 0
+				if k > 0 {
+					lo = ends[k-1]
+				}
+				own := items[lo:ends[k]]
+				sh := &shard{tree: rtree.BulkLoad(tcfg, own)}
+				for i := range own {
+					sh.grow(own[i].Rect, dims)
 				}
 				s.shards[k] = sh
 			}

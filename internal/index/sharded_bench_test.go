@@ -2,6 +2,8 @@ package index_test
 
 import (
 	"math/rand"
+	"path/filepath"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -21,11 +23,61 @@ type benchWindow struct {
 
 var benchWindows = []benchWindow{{"tram", 0.10, 0.8}, {"walk", 0.30, 0.2}}
 
-// benchCity builds the 594 432-coefficient city of bench/workloads.go
-// behind a 4-shard index, as the end-to-end benchmark deploys it.
+// benchCitySpec is the 594 432-coefficient city of bench/workloads.go.
+var benchCitySpec = workload.CitySpec{BlocksX: 16, BlocksY: 16, LotsPerBlock: 3, Levels: 3, Seed: 1}
+
+// benchCity builds the benchmark city behind a 4-shard index, as the
+// end-to-end benchmark deploys it.
 func benchCity() (*index.Sharded, geom.Rect3) {
-	store := workload.GenerateCity(workload.CitySpec{BlocksX: 16, BlocksY: 16, LotsPerBlock: 3, Levels: 3, Seed: 1})
+	store := workload.GenerateCity(benchCitySpec)
 	return index.NewSharded(store, index.XYW, index.ShardedConfig{Shards: 4}), store.Bounds()
+}
+
+// BenchmarkNewSharded is the layer under setup_s: the 4-shard build of
+// the benchmark city the end-to-end benchmark's server makes, from the
+// resident store and from a paged one (a segment of the same city with
+// the page cache at 1/16 of the payload, as tram.paged serves it).
+// ms/op is one build; alloc-MB/op what one build allocates; live-MB
+// what the built index keeps on the heap after a collection.
+func BenchmarkNewSharded(b *testing.B) {
+	store := workload.GenerateCity(benchCitySpec)
+	path := filepath.Join(b.TempDir(), "city.seg")
+	if err := index.BuildSegment(path, store, benchCitySpec.Levels, 0); err != nil {
+		b.Fatal(err)
+	}
+	ps, err := index.OpenPaged(path, index.PagedConfig{CacheBytes: store.NumCoeffs() * index.CoeffRecordSize / 16})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer ps.Close()
+	for _, src := range []struct {
+		name string
+		src  index.CoefficientSource
+	}{{"resident", store}, {"paged", ps}} {
+		b.Run(src.name, func(b *testing.B) {
+			build := func() *index.Sharded { return index.NewSharded(src.src, index.XYW, index.ShardedConfig{Shards: 4}) }
+			build() // the paged store's cache fills on the first build
+			var before, after runtime.MemStats
+			runtime.GC()
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			var idx *index.Sharded
+			for i := 0; i < b.N; i++ {
+				idx = build()
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			alloc := after.TotalAlloc - before.TotalAlloc
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			if idx.Len() != int(store.NumCoeffs()) {
+				b.Fatalf("index holds %d coefficients, want %d", idx.Len(), store.NumCoeffs())
+			}
+			b.ReportMetric(float64(b.Elapsed().Milliseconds())/float64(b.N), "ms/op")
+			b.ReportMetric(float64(alloc)/float64(b.N)/(1<<20), "alloc-MB/op")
+			b.ReportMetric((float64(after.HeapAlloc)-float64(before.HeapAlloc))/(1<<20), "live-MB")
+		})
+	}
 }
 
 // queries draws 64 windows of the shape at uniform positions in the city.

@@ -10,9 +10,10 @@ import (
 // node copied, in breadth-first order, into flat arrays. A node's
 // children are consecutive in that order, so an internal node stores
 // only the index of its first child and the child index is implicit —
-// the arena holds no pointers. It is immutable once published; an
-// Insert drops it and the next search rebuilds it from the pointer
-// nodes.
+// the arena holds no pointers. It is immutable once published. A
+// bulk-loaded tree is written straight into one and has no other form;
+// for a tree built by Insert it is a copy of the pointer nodes, which
+// an Insert drops and the next search rebuilds.
 type arena struct {
 	dims int
 	// all is 0, 1, …, slots−1, one index per entry slot of a node
@@ -58,55 +59,99 @@ type arenaRun struct {
 
 // freeze copies the pointer tree into a new arena. No Insert runs
 // meanwhile (the Tree contract), so every node holds at most MaxEntries.
-// The arena indexes payloads with int32, which bounds the tree's size.
 func (t *Tree) freeze() *arena {
-	if t.size > math.MaxInt32 {
-		panic(fmt.Sprintf("rtree: %d items exceed the packed walk's int32 indices", t.size))
-	}
-	dims, slots := t.cfg.Dims, (t.cfg.MaxEntries+3)&^3
-	stride := 2 * dims * slots
-	a := &arena{
-		dims:   dims,
-		all:    make([]int32, slots),
-		bounds: make([]float64, t.nodes*stride),
-		nodes:  make([]arenaNode, t.nodes),
-		runs:   make([]arenaRun, t.nodes),
-		leaf0:  -1,
-		data:   make([]int64, 0, t.size),
-	}
-	for i := range a.all {
-		a.all[i] = int32(i)
-	}
-	if len(t.root.entries) > 0 {
-		a.root = t.root.mbr(dims)
-	}
+	w := newArenaWriter(t.cfg, t.nodes, t.size)
 	queue := make([]*node, 1, t.nodes)
 	queue[0] = t.root
 	for i := 0; i < len(queue); i++ {
 		n := queue[i]
-		blk := a.bounds[i*stride : (i+1)*stride]
+		w.node(n.leaf, len(n.entries))
 		for j := range n.entries {
-			r := &n.entries[j].rect
-			for d := 0; d < dims; d++ {
-				blk[d*slots+j] = r.Lo[d]
-				blk[(dims+d)*slots+j] = r.Hi[d]
+			e := &n.entries[j]
+			w.entry(j, &e.rect)
+			if n.leaf {
+				w.payload(e.data)
+			} else {
+				queue = append(queue, e.child)
 			}
-		}
-		if n.leaf {
-			if a.leaf0 < 0 {
-				a.leaf0 = int32(i)
-			}
-			a.nodes[i] = arenaNode{first: int32(len(a.data)), n: int32(len(n.entries))}
-			for j := range n.entries {
-				a.data = append(a.data, n.entries[j].data)
-			}
-			continue
-		}
-		a.nodes[i] = arenaNode{first: int32(len(queue)), n: int32(len(n.entries))}
-		for j := range n.entries {
-			queue = append(queue, n.entries[j].child)
 		}
 	}
+	return w.finish()
+}
+
+// arenaWriter fills a new arena node by node in breadth-first order, a
+// node's entries in entry order: BulkLoad feeds it the STR levels,
+// freeze the pointer tree of a tree built by Insert.
+type arenaWriter struct {
+	a *arena
+	// at is the node being written; queued counts the nodes placed or
+	// promised so far — the root and every child of a node written — and
+	// is where the next internal node's first child goes.
+	at     int
+	queued int32
+}
+
+// newArenaWriter allocates an arena of nodes nodes over size payloads.
+// The arena indexes payloads with int32, which bounds the tree's size.
+func newArenaWriter(cfg Config, nodes, size int) *arenaWriter {
+	checkPackedSize(size)
+	dims, slots := cfg.Dims, (cfg.MaxEntries+3)&^3
+	a := &arena{
+		dims:   dims,
+		all:    make([]int32, slots),
+		bounds: make([]float64, nodes*2*dims*slots),
+		nodes:  make([]arenaNode, nodes),
+		runs:   make([]arenaRun, nodes),
+		leaf0:  -1,
+		data:   make([]int64, 0, size),
+	}
+	for i := range a.all {
+		a.all[i] = int32(i)
+	}
+	return &arenaWriter{a: a, at: -1, queued: 1}
+}
+
+// checkPackedSize panics if size items overflow the arena's int32
+// indices.
+func checkPackedSize(size int) {
+	if size > math.MaxInt32 {
+		panic(fmt.Sprintf("rtree: %d items exceed the packed walk's int32 indices", size))
+	}
+}
+
+// node starts the next node: a leaf, whose n payloads follow, or the
+// parent of the next n nodes not yet promised.
+func (w *arenaWriter) node(leaf bool, n int) {
+	w.at++
+	a := w.a
+	if leaf {
+		if a.leaf0 < 0 {
+			a.leaf0 = int32(w.at)
+		}
+		a.nodes[w.at] = arenaNode{first: int32(len(a.data)), n: int32(n)}
+		return
+	}
+	a.nodes[w.at] = arenaNode{first: w.queued, n: int32(n)}
+	w.queued += int32(n)
+}
+
+// entry writes the bounds of the current node's entry j.
+func (w *arenaWriter) entry(j int, r *Rect) {
+	a := w.a
+	dims, slots := a.dims, len(a.all)
+	blk := a.bounds[w.at*2*dims*slots:]
+	for d := 0; d < dims; d++ {
+		blk[d*slots+j] = r.Lo[d]
+		blk[(dims+d)*slots+j] = r.Hi[d]
+	}
+}
+
+// payload appends the current leaf's next payload.
+func (w *arenaWriter) payload(data int64) { w.a.data = append(w.a.data, data) }
+
+// finish derives the runs and the root MBR and returns the arena.
+func (w *arenaWriter) finish() *arena {
+	a := w.a
 	// Children follow their parent, so one backward pass sees every
 	// child's run before its parent's.
 	for i := len(a.nodes) - 1; i >= 0; i-- {
@@ -121,7 +166,34 @@ func (t *Tree) freeze() *arena {
 		}
 		a.runs[i] = r
 	}
+	a.root = a.mbr(0)
 	return a
+}
+
+// rect returns entry j of node i.
+func (a *arena) rect(i int32, j int) Rect {
+	dims, slots := a.dims, len(a.all)
+	blk := a.bounds[int(i)*2*dims*slots:]
+	var r Rect
+	for d := 0; d < dims; d++ {
+		r.Lo[d], r.Hi[d] = blk[d*slots+j], blk[(dims+d)*slots+j]
+	}
+	return r
+}
+
+// mbr returns the MBR of node i's entries: the zero Rect for an empty
+// node.
+func (a *arena) mbr(i int32) Rect {
+	n := int(a.nodes[i].n)
+	if n == 0 {
+		return Rect{}
+	}
+	r := a.rect(i, 0)
+	for j := 1; j < n; j++ {
+		e := a.rect(i, j)
+		r.extend(&e, a.dims)
+	}
+	return r
 }
 
 // order ranks the live dimensions by the share of the root MBR's extent

@@ -47,10 +47,20 @@ func everything(dims int) Rect {
 	return q
 }
 
+// pointers returns tr if it was built by Insert, else its arena thawed
+// into pointer nodes.
+func pointers(tr *Tree) *Tree {
+	if tr.root == nil {
+		return thaw(tr)
+	}
+	return tr
+}
+
 // recursive answers q with the callback walk over the pointer nodes —
-// the oracle every SearchInto state is held to.
+// the oracle every SearchInto state is held to — of tr or, for a
+// bulk-loaded tree, of its thawed copy.
 func recursive(tr *Tree, q Rect) (ids []int64, io int64) {
-	io = tr.SearchCounted(q, func(_ Rect, data int64) bool {
+	io = pointers(tr).SearchCounted(q, func(_ Rect, data int64) bool {
 		ids = append(ids, data)
 		return true
 	})
@@ -75,8 +85,9 @@ func checkSearchInto(t *testing.T, tr *Tree, q Rect, cur *Cursor, label string) 
 // property: over bulk-loaded and insert-built trees of every
 // dimensionality, both variants, and sizes from empty through one leaf
 // to several levels, SearchInto returns the recursive walk's id set and
-// node-read count — on the snapshot the build or the first search made,
-// and on the one the next search makes after an Insert dropped it.
+// node-read count — on the arena the bulk load wrote or the first
+// search froze, and on the one the next search makes after an Insert
+// dropped it.
 func TestFrozenSearchMatchesRecursive(t *testing.T) {
 	for _, dims := range []int{2, 3, 4} {
 		for _, variant := range []Variant{RStar, Quadratic} {
@@ -96,9 +107,9 @@ func TestFrozenSearchMatchesRecursive(t *testing.T) {
 						}
 					}
 					var cur Cursor
-					// A bulk load with items freezes at once; a tree built by
-					// Insert freezes on its first search.
-					if frozen := tr.frozen.Load() != nil; frozen != (bulk && n > 0) {
+					// A bulk load writes the arena; a tree built by Insert
+					// freezes on its first search.
+					if frozen := tr.frozen.Load() != nil; frozen != bulk {
 						t.Fatalf("%s: frozen=%v after build", label, frozen)
 					}
 					checkSearchInto(t, tr, everything(dims), &cur, label+" first")
@@ -113,6 +124,9 @@ func TestFrozenSearchMatchesRecursive(t *testing.T) {
 					for q := 0; q < 40; q++ {
 						checkSearchInto(t, tr, propQuery(rng, dims), &cur, label+" frozen")
 					}
+					// A bulk-loaded tree is read-only: its thawed copy
+					// takes the inserts.
+					tr = pointers(tr)
 					for _, it := range items[n:] {
 						tr.Insert(it.Rect, it.Data)
 					}
@@ -132,8 +146,8 @@ func TestFrozenSearchMatchesRecursive(t *testing.T) {
 }
 
 // TestSearchIntoStatsMatchRecursive pins the access counters: a fixed
-// query list moves Stats by the same totals through the snapshot as
-// through the recursive walk.
+// query list moves Stats by the same totals through a bulk-loaded
+// tree's arena as through the recursive walk of its thawed copy.
 func TestSearchIntoStatsMatchRecursive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr := BulkLoad(DefaultConfig(3), propItems(rng, 5000, 3))
@@ -147,11 +161,11 @@ func TestSearchIntoStatsMatchRecursive(t *testing.T) {
 		buf, _ = tr.SearchInto(q, &cur, buf[:0])
 	}
 	packed := tr.Stats()
+	ref := thaw(tr)
 	for _, q := range qs {
-		tr.Search(q, func(Rect, int64) bool { return true })
+		ref.Search(q, func(Rect, int64) bool { return true })
 	}
-	after := tr.Stats()
-	walked := Stats{NodesRead: after.NodesRead - packed.NodesRead, Queries: after.Queries - packed.Queries}
+	walked := ref.Stats()
 	if packed != walked || packed.Queries != int64(len(qs)) {
 		t.Fatalf("snapshot searches counted %+v, recursive walk %+v", packed, walked)
 	}
@@ -270,22 +284,24 @@ func arenaQueries(rng *rand.Rand, tr *Tree, items []Item) []Rect {
 	return append(qs, everything(dims))
 }
 
-// checkArena holds the packed walk of tr — the snapshot a bulk load
-// made, or the first SearchInto of an insert-built tree — to the
-// recursive walk on every arenaQueries query: the same id set and the
+// checkArena holds the packed walk of tr — the arena a bulk load
+// wrote, or the first SearchInto of an insert-built tree — to the
+// recursive walk (over the thawed copy of a bulk-loaded tree) on every
+// arenaQueries query: the same id set and the
 // same node-read count. Where the AVX2 kernel runs, the mask walk must
 // also give the survivor walk's buffer and queue element for element.
 func checkArena(t *testing.T, rng *rand.Rand, tr *Tree, items []Item, label string) {
 	t.Helper()
 	var cur, ref Cursor
-	qs := arenaQueries(rng, tr, items)
+	walked := pointers(tr)
+	qs := arenaQueries(rng, walked, items)
 	tr.SearchInto(qs[0], &cur, nil)
 	a := tr.frozen.Load()
 	if a == nil {
 		t.Fatalf("%s: SearchInto left the tree without a snapshot", label)
 	}
 	for _, q := range qs {
-		want, wantIO := recursive(tr, q)
+		want, wantIO := recursive(walked, q)
 		got, gotIO := a.search(&q, &cur, nil)
 		if useKernel {
 			buf, io := a.searchSurvivors(&q, &ref, nil)
@@ -386,5 +402,62 @@ func TestArenaOrder(t *testing.T) {
 		if ord := a.order(&c.q); ord[0] != c.first {
 			t.Errorf("%s: order %v, want dimension %d first", c.name, ord[:3], c.first)
 		}
+	}
+}
+
+// TestFreezeMatchesBulkLoad holds the arena writer's two feeders to each
+// other: freezing the pointer nodes thawed from a bulk-loaded tree
+// writes the bulk load's arena again, bit for bit.
+func TestFreezeMatchesBulkLoad(t *testing.T) {
+	for _, dims := range []int{2, 3, 4} {
+		for _, n := range []int{0, 1, 20, 21, 400, 3000} {
+			rng := rand.New(rand.NewSource(int64(dims*10000 + n)))
+			tr := BulkLoad(Config{Dims: dims, MaxEntries: 20}, propItems(rng, n, dims))
+			ref := thaw(tr)
+			if err := ref.Validate(); err != nil {
+				t.Fatalf("%dD n=%d: thawed tree: %v", dims, n, err)
+			}
+			ref.frozen.Store(ref.freeze())
+			if got, want := ArenaDigest(ref), ArenaDigest(tr); got != want {
+				t.Fatalf("%dD n=%d: frozen pointer nodes digest %#x, bulk-loaded arena %#x", dims, n, got, want)
+			}
+		}
+	}
+}
+
+// TestValidateChecksArena damages a bulk-loaded tree's arena one field
+// at a time — a child index, a payload index, a run, a bound, the root
+// MBR, a node's fanout, the slot list — and Validate must refuse each,
+// with an error, not a panic.
+func TestValidateChecksArena(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	tr := BulkLoad(Config{Dims: 3, MaxEntries: 20}, propItems(rng, 3000, 3))
+	good := tr.frozen.Load()
+	leaf := good.leaf0 + 3
+	for name, damage := range map[string]func(a *arena){
+		"child index":  func(a *arena) { a.nodes[1].first++ },
+		"payload":      func(a *arena) { a.nodes[leaf].first++ },
+		"run":          func(a *arena) { a.runs[1].nodes++ },
+		"leaf run":     func(a *arena) { a.runs[leaf].hi-- },
+		"bound":        func(a *arena) { a.bounds[2*3*len(a.all)] -= 1000 }, // node 1's first entry in x
+		"root MBR":     func(a *arena) { a.root.Hi[0]++ },
+		"fanout":       func(a *arena) { a.nodes[leaf].n = 21 },
+		"leaf depth":   func(a *arena) { a.leaf0-- },
+		"payload list": func(a *arena) { a.data = a.data[:len(a.data)-1] },
+		"slot list":    func(a *arena) { a.all[3] = 0 },
+		"huge fanout":  func(a *arena) { a.nodes[0].n = 1 << 30 },
+	} {
+		a := *good
+		a.all, a.nodes, a.runs = slices.Clone(good.all), slices.Clone(good.nodes), slices.Clone(good.runs)
+		a.bounds, a.data = slices.Clone(good.bounds), slices.Clone(good.data)
+		damage(&a)
+		tr.frozen.Store(&a)
+		if err := tr.Validate(); err == nil {
+			t.Errorf("%s damaged: Validate found nothing", name)
+		}
+	}
+	tr.frozen.Store(good)
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -4,7 +4,9 @@ import (
 	"encoding/binary"
 	"hash/fnv"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"testing"
 )
 
@@ -59,9 +61,11 @@ func TestBulkLoadValidAndComplete(t *testing.T) {
 				t.Fatalf("%dD n=%d: %v", dims, n, err)
 			}
 			seen := make(map[int64]bool, n)
-			tr.Scan(func(_ Rect, d int64) bool { seen[d] = true; return true })
+			for _, d := range tr.Collect(everything(dims)) {
+				seen[d] = true
+			}
 			if len(seen) != n {
-				t.Fatalf("%dD n=%d: scan saw %d", dims, n, len(seen))
+				t.Fatalf("%dD n=%d: a search of everything saw %d", dims, n, len(seen))
 			}
 		}
 	}
@@ -92,26 +96,51 @@ func TestBulkLoadQueryMatchesLinearScan(t *testing.T) {
 	}
 }
 
-func TestBulkLoadedTreeSupportsMutation(t *testing.T) {
+// TestBulkLoadedTreeIsReadOnly pins the bulk-loaded tree's contract:
+// it answers SearchInto, Collect, Count and Validate, and the calls that
+// need pointer nodes panic saying why. The same tree thawed into pointer
+// nodes takes inserts in every part of the packed shape.
+func TestBulkLoadedTreeIsReadOnly(t *testing.T) {
 	items := randomItems(3000, 2, 5)
 	tr := BulkLoad(DefaultConfig(2), items)
-	// Insert on top of a bulk-loaded tree.
-	tr.Insert(Box(1, 2, 1, 2), 999999)
-	if tr.Len() != 3001 {
-		t.Fatalf("len=%d", tr.Len())
+	if err := tr.Validate(); err != nil {
+		t.Fatal(err)
 	}
-	if got := tr.Collect(Box(1, 2, 1, 2)); !contains(got, 999999) {
+	if got := tr.Count(everything(2)); got != 3000 {
+		t.Fatalf("Count %d, want 3000", got)
+	}
+	for name, call := range map[string]func(){
+		"Insert":        func() { tr.Insert(Box(1, 2, 1, 2), 999999) },
+		"Search":        func() { tr.Search(everything(2), func(Rect, int64) bool { return true }) },
+		"SearchCounted": func() { tr.SearchCounted(everything(2), func(Rect, int64) bool { return true }) },
+		"Scan":          func() { tr.Scan(func(Rect, int64) bool { return true }) },
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "bulk-loaded tree") || !strings.Contains(msg, "read-only") {
+					t.Errorf("%s on a bulk-loaded tree: panic %q, want one that says the tree is read-only", name, msg)
+				}
+			}()
+			call()
+		}()
+	}
+	if tr.Len() != 3000 {
+		t.Fatalf("len=%d after the refused calls", tr.Len())
+	}
+
+	grown := thaw(tr)
+	grown.Insert(Box(1, 2, 1, 2), 999999)
+	if got := grown.Collect(Box(1, 2, 1, 2)); !contains(got, 999999) {
 		t.Fatal("inserted item lost")
 	}
-	// Insert a second copy of items loaded in bulk, so inserts land in
-	// every part of the packed tree.
 	for i := 0; i < 500; i++ {
-		tr.Insert(items[i].Rect, items[i].Data+3000)
+		grown.Insert(items[i].Rect, items[i].Data+3000)
 	}
-	if tr.Len() != 3501 {
-		t.Fatalf("len=%d", tr.Len())
+	if grown.Len() != 3501 {
+		t.Fatalf("len=%d", grown.Len())
 	}
-	if err := tr.Validate(); err != nil {
+	if err := grown.Validate(); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -136,10 +165,12 @@ func TestBulkLoadQueryIONotWorseThanInsertion(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(8))
 	var bulkIO, insIO int64
+	var cur Cursor
 	for q := 0; q < 200; q++ {
 		x, y := rng.Float64()*950, rng.Float64()*950
 		query := Box(x, x+30, y, y+30)
-		bulkIO += bulk.SearchCounted(query, func(Rect, int64) bool { return true })
+		_, io := bulk.SearchInto(query, &cur, nil)
+		bulkIO += io
 		insIO += ins.SearchCounted(query, func(Rect, int64) bool { return true })
 	}
 	if bulkIO > insIO {
@@ -169,10 +200,12 @@ func BenchmarkBulkLoadBuild(b *testing.B) {
 func BenchmarkSearchBulkLoaded(b *testing.B) {
 	tr := BulkLoad(DefaultConfig(3), randomItems(100000, 3, 10))
 	rng := rand.New(rand.NewSource(11))
+	var cur Cursor
+	var buf []int64
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		x, y := rng.Float64()*950, rng.Float64()*950
-		tr.Count(Box(x, x+20, y, y+20, 0.5, 1.0))
+		buf, _ = tr.SearchInto(Box(x, x+20, y, y+20, 0.5, 1.0), &cur, buf[:0])
 	}
 }
 
@@ -193,27 +226,27 @@ func gridItems(side, perLot int) []Item {
 }
 
 // TestSortByCenterMatchesSortSlice pins the tie order of the key sort to
-// that of sort.Slice over the entries themselves, which is what STR
+// that of sort.Slice over the items themselves, which is what STR
 // tiling used before: an unstable sort's handling of equal centres
 // decides which node an item lands in, and with it the node-read counts
 // the paper's I/O figures are made of.
 func TestSortByCenterMatchesSortSlice(t *testing.T) {
 	all := gridItems(40, 5)
 	rand.New(rand.NewSource(3)).Shuffle(len(all), func(i, j int) { all[i], all[j] = all[j], all[i] })
-	sc := &tileScratch{keys: make([]centerKey, len(all)), moved: make([]entry, len(all))}
+	s := &strBuild{keys: make([]centerKey, len(all))}
 	for _, n := range []int{0, 1, 2, 12, 13, 50, 51, 500, len(all)} {
 		for d := 0; d < 3; d++ {
-			got := make([]entry, n)
-			for i := range got {
-				got[i] = entry{rect: all[i].Rect, data: all[i].Data}
+			perm := make([]int32, n)
+			for i := range perm {
+				perm[i] = int32(i)
 			}
-			want := append([]entry(nil), got...)
-			sort.Slice(want, func(i, j int) bool { return want[i].rect.center(d) < want[j].rect.center(d) })
-			sc.sortByCenter(got, d)
+			want := slices.Clone(all[:n])
+			sort.Slice(want, func(i, j int) bool { return want[i].Rect.center(d) < want[j].Rect.center(d) })
+			s.sortByCenter(all, perm, d)
 			for i := range want {
-				if got[i].data != want[i].data {
+				if got := all[perm[i]].Data; got != want[i].Data {
 					t.Fatalf("n=%d dim %d: position %d holds item %d, sort.Slice puts %d there",
-						n, d, i, got[i].data, want[i].data)
+						n, d, i, got, want[i].Data)
 				}
 			}
 		}
@@ -227,11 +260,10 @@ func TestBulkLoadLeafSequencePinned(t *testing.T) {
 	tr := BulkLoad(DefaultConfig(3), gridItems(48, 6))
 	h := fnv.New64a()
 	var b [8]byte
-	tr.Scan(func(_ Rect, data int64) bool {
+	for _, data := range tr.frozen.Load().data { // the leaves' payloads, left to right
 		binary.LittleEndian.PutUint64(b[:], uint64(data))
 		h.Write(b[:])
-		return true
-	})
+	}
 	const want = 0x3de551dd6d0b0b79
 	if got := h.Sum64(); got != want {
 		t.Fatalf("leaf sequence digest %#x, want %#x (tree shape moved: %d nodes, height %d)",

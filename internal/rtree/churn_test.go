@@ -26,13 +26,15 @@ func walkRefs(t *Tree) (leafEntries int, refs map[*node]int) {
 	return
 }
 
-// TestBulkLoadedTreeSurvivesChurn is the regression test for the slab
-// aliasing bug: strTile's base case used to hand a node a window of the
-// level-wide entry slice, so a post-bulk-load Insert appending into that
-// node overwrote the first entry of the adjacent node's window — one
-// subtree referenced twice, another lost. Inserting a second copy of a
-// contiguous block of the loaded items (the shape of adding one object's
-// coefficients) appends into many packed nodes at once.
+// TestBulkLoadedTreeSurvivesChurn inserts into the shape STR packs:
+// a bulk-loaded tree thawed into pointer nodes, with every node full or
+// nearly so. It began as the regression test for a slab aliasing bug —
+// the old pointer builder handed each node a window of one level-wide
+// entry slice, so an Insert appending into that node overwrote the
+// first entry of the adjacent node's window: one subtree referenced
+// twice, another lost. Inserting a second copy of a contiguous block of
+// the loaded items (the shape of adding one object's coefficients)
+// appends into many packed nodes at once.
 func TestBulkLoadedTreeSurvivesChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 1548
@@ -46,7 +48,7 @@ func TestBulkLoadedTreeSurvivesChurn(t *testing.T) {
 		r.Lo[2], r.Hi[2] = rng.Float64(), 1
 		items[i] = Item{Rect: r, Data: int64(i)}
 	}
-	tr := BulkLoad(Config{Dims: 3, MaxEntries: 20}, items)
+	tr := thaw(BulkLoad(Config{Dims: 3, MaxEntries: 20}, items))
 
 	check := func(stage string, wantLen int) {
 		t.Helper()

@@ -25,13 +25,26 @@ type Cursor struct {
 // until its first SearchInto freezes it; searches racing that first one
 // may each build one, and all of them are equal.
 func (t *Tree) SearchInto(q Rect, cur *Cursor, buf []int64) ([]int64, int64) {
+	buf, io := t.snapshot().search(&q, cur, buf)
+	t.nodesRead.Add(io)
+	t.queries.Add(1)
+	return buf, io
+}
+
+// Payloads appends every stored payload to buf in leaf order, the leaves
+// left to right — the order in which Search visits its hits — and
+// returns the extended buffer. It touches no access counter.
+func (t *Tree) Payloads(buf []int64) []int64 {
+	return append(buf, t.snapshot().data...)
+}
+
+// snapshot returns the packed arena, freezing the pointer nodes of a
+// tree built by Insert if no search has since the last Insert.
+func (t *Tree) snapshot() *arena {
 	a := t.frozen.Load()
 	if a == nil {
 		a = t.freeze()
 		t.frozen.Store(a)
 	}
-	buf, io := a.search(&q, cur, buf)
-	t.nodesRead.Add(io)
-	t.queries.Add(1)
-	return buf, io
+	return a
 }

@@ -28,7 +28,8 @@ func randomTree(t *testing.T, seed int64, n int) (*Tree, []Item) {
 
 // TestSearchIntoMatchesSearch pins the cursor traversal to the recursive
 // oracle: same hit set (order-insensitive) and the same node I/O for
-// every query, across incrementally built and bulk-loaded trees.
+// every query, across incrementally built and bulk-loaded trees (held
+// to the recursive walk of their thawed copy).
 func TestSearchIntoMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	grown, items := randomTree(t, 11, 2000)
@@ -43,7 +44,7 @@ func TestSearchIntoMatchesSearch(t *testing.T) {
 			r.Lo[1], r.Hi[1] = y, y+rng.Float64()*200
 			r.Lo[2], r.Hi[2] = 0, rng.Float64()
 			var want []int64
-			wantIO := tr.SearchCounted(r, func(_ Rect, data int64) bool {
+			wantIO := pointers(tr).SearchCounted(r, func(_ Rect, data int64) bool {
 				want = append(want, data)
 				return true
 			})

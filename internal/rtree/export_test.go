@@ -1,0 +1,65 @@
+package rtree
+
+import (
+	"encoding/binary"
+	"hash/fnv"
+	"math"
+)
+
+// thaw rebuilds pointer nodes from tr's arena: a tree built by Insert in
+// all but history, whose recursive walk (Search, SearchCounted, Scan)
+// is the reference the packed walk of a bulk-loaded tree is held to,
+// and which Insert can grow.
+func thaw(tr *Tree) *Tree {
+	a := tr.frozen.Load()
+	var build func(i int32) *node
+	build = func(i int32) *node {
+		nd := a.nodes[i]
+		n := &node{leaf: i >= a.leaf0, entries: make([]entry, nd.n)}
+		for j := range n.entries {
+			e := &n.entries[j]
+			e.rect = a.rect(i, j)
+			if n.leaf {
+				e.data = a.data[nd.first+int32(j)]
+			} else {
+				e.child = build(nd.first + int32(j))
+			}
+		}
+		return n
+	}
+	return &Tree{cfg: tr.cfg, root: build(0), height: tr.height, size: tr.size, nodes: tr.nodes}
+}
+
+// ArenaDigest hashes everything the packed walk reads of tr's arena —
+// bounds, nodes, runs, payloads, the first leaf and the root MBR — so a
+// test can pin a build node for node.
+func ArenaDigest(tr *Tree) uint64 {
+	a := tr.frozen.Load()
+	h := fnv.New64a()
+	var b [8]byte
+	put := func(v uint64) {
+		binary.LittleEndian.PutUint64(b[:], v)
+		h.Write(b[:])
+	}
+	put(uint64(a.dims))
+	put(uint64(len(a.all)))
+	for _, f := range a.bounds {
+		put(math.Float64bits(f))
+	}
+	for _, n := range a.nodes {
+		put(uint64(uint32(n.first)) | uint64(uint32(n.n))<<32)
+	}
+	for _, r := range a.runs {
+		put(uint64(uint32(r.lo)) | uint64(uint32(r.hi))<<32)
+		put(uint64(r.nodes))
+	}
+	for _, d := range a.data {
+		put(uint64(d))
+	}
+	put(uint64(a.leaf0))
+	for d := 0; d < a.dims; d++ {
+		put(math.Float64bits(a.root.Lo[d]))
+		put(math.Float64bits(a.root.Hi[d]))
+	}
+	return h.Sum64()
+}

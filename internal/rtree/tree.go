@@ -72,17 +72,21 @@ func (n *node) mbr(dims int) Rect {
 	return r
 }
 
-// Tree is an in-memory R-tree over int64 payloads. Insert is not safe
-// concurrently with anything; concurrent queries over a tree nobody
-// inserts into are safe (the access counters are atomic).
+// Tree is an in-memory R-tree over int64 payloads, built by BulkLoad
+// (read-only) or grown by Insert. Insert is not safe concurrently with
+// anything; concurrent queries over a tree nobody inserts into are safe
+// (the access counters are atomic).
 type Tree struct {
-	cfg    Config
+	cfg Config
+	// root is the pointer tree of a tree built by Insert; nil for a
+	// bulk-loaded tree, whose only form is its arena.
 	root   *node
 	height int // leaf level = 1, root level = height
 	size   int
 	nodes  int // node (page) count, maintained by every structural change
 	// frozen is the packed read snapshot SearchInto walks: BulkLoad
-	// publishes one, Insert drops it, and the next SearchInto rebuilds it.
+	// writes it, Insert drops it, and the next SearchInto rebuilds it
+	// from root.
 	frozen atomic.Pointer[arena]
 	// Access counters, updated atomically: queries may run concurrently
 	// (one retrieval session per network client) over an otherwise
@@ -126,6 +130,14 @@ func New(cfg Config) *Tree {
 	}
 }
 
+// needPointers panics if t, being bulk-loaded, has no pointer nodes for
+// op to work on.
+func (t *Tree) needPointers(op string) {
+	if t.root == nil {
+		panic("rtree: " + op + " on a bulk-loaded tree: it is read-only and holds only the packed arena that SearchInto walks")
+	}
+}
+
 // Len returns the number of stored items.
 func (t *Tree) Len() int { return t.size }
 
@@ -146,8 +158,9 @@ type pendingInsert struct {
 }
 
 // Insert adds an item and drops the packed snapshot, which the next
-// SearchInto rebuilds.
+// SearchInto rebuilds. A bulk-loaded tree is read-only: Insert panics.
 func (t *Tree) Insert(r Rect, data int64) {
+	t.needPointers("Insert")
 	t.frozen.Store(nil)
 	t.insertWithReinsertion(entry{rect: r, data: data}, 1)
 	t.size++

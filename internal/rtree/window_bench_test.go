@@ -17,7 +17,7 @@ var benchCity = workload.CitySpec{BlocksX: 16, BlocksY: 16, LotsPerBlock: 3, Lev
 // cityTree bulk-loads the benchmark city's coefficients the way
 // index.MotionAware does under the XYW layout: support-region MBB in x
 // and y, coefficient value in w.
-func cityTree(b *testing.B) (*rtree.Tree, geom.Rect2) {
+func cityTree(b testing.TB) (*rtree.Tree, geom.Rect2) {
 	b.Helper()
 	store := workload.GenerateCity(benchCity)
 	items := make([]rtree.Item, store.NumCoeffs())
