@@ -44,7 +44,7 @@ test-purego:
 # The race gate: the full suite under the race detector, including the
 # multi-client soak (internal/proto), many concurrent readers of one
 # sharded index (internal/index — a served index holds no lock), and
-# readers racing an insert-built R*-tree's first freeze (internal/rtree).
+# readers sharing one insert-built R*-tree (internal/rtree).
 race:
 	$(GO) test -race ./...
 

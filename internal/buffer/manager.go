@@ -390,7 +390,7 @@ func (m *Manager) refill(pos geom.Vec2, frame geom.Rect2, wmin float64, neededSe
 func (m *Manager) motionAwareCandidates(pos geom.Vec2, frame geom.Rect2, neededSet map[geom.Cell]bool, budget int64, wmin float64) ([]geom.Cell, map[geom.Cell]float64) {
 	g := m.cfg.Grid
 	side := math.Max(frame.Width(), frame.Height())
-	probs := motion.FrameVisitProbabilitiesE(m.pred, g, m.cfg.Horizon, side)
+	probs := motion.FrameVisitProbabilities(m.pred, g, m.cfg.Horizon, side)
 	if len(probs) == 0 {
 		return m.uniformCandidates(pos, neededSet), nil
 	}

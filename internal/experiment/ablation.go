@@ -41,21 +41,12 @@ func AblIndexVariant(cfg Config) *Table {
 	}
 	build := map[string]func() *rtree.Tree{
 		"r*-insert": func() *rtree.Tree {
-			cfg := rtree.DefaultConfig(3)
-			tr := rtree.New(cfg)
-			for _, it := range items {
-				tr.Insert(it.Rect, it.Data)
-			}
-			return tr
+			return rtree.InsertLoad(rtree.DefaultConfig(3), items)
 		},
 		"quadratic": func() *rtree.Tree {
 			cfg := rtree.DefaultConfig(3)
 			cfg.Variant = rtree.Quadratic
-			tr := rtree.New(cfg)
-			for _, it := range items {
-				tr.Insert(it.Rect, it.Data)
-			}
-			return tr
+			return rtree.InsertLoad(cfg, items)
 		},
 		"str-bulk": func() *rtree.Tree {
 			return rtree.BulkLoad(rtree.DefaultConfig(3), items)

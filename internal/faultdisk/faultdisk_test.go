@@ -181,57 +181,3 @@ func TestFaultDiskArmRedrawsFromCurrentPosition(t *testing.T) {
 		t.Fatalf("armed read did not fail: %v", err)
 	}
 }
-
-func TestScheduleRoundTrip(t *testing.T) {
-	cfgs := []Config{
-		{},
-		{Seed: 1},
-		{Seed: -3, ErrAfterMin: 1, ErrAfterMax: 4096},
-		{Seed: 42, ErrAfterMin: 512, ErrAfterMax: 8192, FlipAfterMin: 65536, FlipAfterMax: 262144,
-			TornAfterMin: 2048, TornAfterMax: 32768, Latency: 1500000, Jitter: 250000},
-	}
-	for _, c := range cfgs {
-		s := c.String()
-		got, err := ParseSchedule(s)
-		if err != nil {
-			t.Fatalf("ParseSchedule(%q): %v", s, err)
-		}
-		if got != c {
-			t.Fatalf("round trip %q: got %+v want %+v", s, got, c)
-		}
-	}
-}
-
-func TestParseScheduleRejects(t *testing.T) {
-	for _, s := range []string{
-		"", "net seed=1", "disk seed=x", "disk err=5", "disk err=-1..5",
-		"disk lat=-1ms", "disk bogus=1", "disk seed", "disk lat=fast",
-	} {
-		if _, err := ParseSchedule(s); err == nil {
-			t.Fatalf("ParseSchedule(%q) accepted", s)
-		}
-	}
-}
-
-// FuzzFaultDisk pins the schedule codec's fixed point: any string the
-// parser accepts must re-encode and re-parse to the identical Config.
-func FuzzFaultDisk(f *testing.F) {
-	f.Add("disk seed=1")
-	f.Add("disk seed=42 err=512..8192 flip=65536..262144 torn=2048..32768 lat=1.5ms jit=250µs")
-	f.Add("disk seed=-7 torn=1..1")
-	f.Add("disk seed=0 err=0..0 lat=0s")
-	f.Fuzz(func(t *testing.T, s string) {
-		c1, err := ParseSchedule(s)
-		if err != nil {
-			return
-		}
-		enc := c1.String()
-		c2, err := ParseSchedule(enc)
-		if err != nil {
-			t.Fatalf("re-parse of %q (from %q): %v", enc, s, err)
-		}
-		if c1 != c2 {
-			t.Fatalf("not a fixed point: %q -> %+v, %q -> %+v", s, c1, enc, c2)
-		}
-	})
-}

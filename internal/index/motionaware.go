@@ -1,8 +1,6 @@
 package index
 
 import (
-	"sync/atomic"
-
 	"repro/internal/rtree"
 	"repro/internal/wavelet"
 )
@@ -17,11 +15,6 @@ type MotionAware struct {
 	src    CoefficientSource
 	layout Layout
 	tree   *rtree.Tree
-	// lastHits remembers the previous search's result count — the
-	// presizing heuristic for the next one. Consecutive frames of a
-	// continuous query stream hit similar numbers of coefficients, so the
-	// last result is a cheap, usually tight capacity bound.
-	lastHits atomic.Int64
 }
 
 // NewMotionAware builds the index over every coefficient in the source
@@ -47,18 +40,17 @@ func (m *MotionAware) Name() string { return "motion-aware(" + m.layout.String()
 // Len returns the number of indexed coefficients.
 func (m *MotionAware) Len() int { return m.tree.Len() }
 
-// Tree exposes the underlying R*-tree (for stats and validation).
+// Tree exposes the underlying R*-tree (for its shape and validation).
 func (m *MotionAware) Tree() *rtree.Tree { return m.tree }
 
 // Search returns the global ids of all coefficients whose support region
 // intersects the query region with value in [WMin, WMax] — ascending, per
 // the Index determinism contract — plus the node I/O spent. It is
-// SearchInto on a fresh cursor and a result presized from the previous
-// search, so there is one descent and one ordering. Safe for any number
-// of concurrent callers.
+// SearchInto on a fresh cursor, so there is one descent and one
+// ordering. Safe for any number of concurrent callers.
 func (m *MotionAware) Search(q Query) ([]int64, int64) {
 	var cur Cursor
-	ids, io := m.SearchInto(q, make([]int64, 0, m.lastHits.Load()), &cur)
+	ids, io := m.SearchInto(q, nil, &cur)
 	if len(ids) == 0 {
 		return nil, io
 	}
@@ -83,8 +75,5 @@ func (m *MotionAware) SearchWords(q Query, out []Word, cur *Cursor) ([]Word, int
 // SearchInto is SearchWords with the words expanded: the matching ids
 // are appended to buf in ascending order, allocation-free once warm.
 func (m *MotionAware) SearchInto(q Query, buf []int64, cur *Cursor) ([]int64, int64) {
-	start := len(buf)
-	buf, io := searchInto(m, q, buf, cur)
-	m.lastHits.Store(int64(len(buf) - start))
-	return buf, io
+	return searchInto(m, q, buf, cur)
 }

@@ -95,7 +95,7 @@ func TestKalmanWorksAsEstimatorInProbabilities(t *testing.T) {
 		k.Observe(pos)
 		pos = pos.Add(geom.V2(8, 0))
 	}
-	probs := VisitProbabilitiesE(k, g, 5)
+	probs := VisitProbabilities(k, g, 5)
 	if len(probs) == 0 {
 		t.Fatal("no probabilities")
 	}

@@ -81,63 +81,3 @@ func (p *LinearPredictor) Predict(steps int) Prediction {
 
 // Current returns the last observed position.
 func (p *LinearPredictor) Current() geom.Vec2 { return p.last }
-
-// VisitProbabilitiesE and FrameVisitProbabilitiesE are Estimator-generic
-// versions of the probability fields (the concrete-typed functions remain
-// for compatibility and the common case).
-
-// VisitProbabilitiesE computes grid visit probabilities for any
-// estimator.
-func VisitProbabilitiesE(p Estimator, g *geom.Grid, horizon int) map[geom.Cell]float64 {
-	out := make(map[geom.Cell]float64)
-	if !p.Ready() || horizon < 1 {
-		return out
-	}
-	cellArea := g.CellWidth() * g.CellHeight()
-	for i := 1; i <= horizon; i++ {
-		pr := p.Predict(i)
-		sx := math.Max(math.Sqrt(pr.VarX), g.CellWidth()/4)
-		sy := math.Max(math.Sqrt(pr.VarY), g.CellHeight()/4)
-		if math.IsInf(sx, 1) || math.IsInf(sy, 1) {
-			continue
-		}
-		reach := geom.R2(pr.Mean.X-3*sx, pr.Mean.Y-3*sy, pr.Mean.X+3*sx, pr.Mean.Y+3*sy)
-		for _, c := range g.CellsIn(reach) {
-			out[c] += gauss2(g.CellCenter(c), pr.Mean, sx, sy) * cellArea
-		}
-	}
-	normalize(out)
-	return out
-}
-
-// FrameVisitProbabilitiesE computes frame-extended visit probabilities
-// for any estimator.
-func FrameVisitProbabilitiesE(p Estimator, g *geom.Grid, horizon int, frameSide float64) map[geom.Cell]float64 {
-	out := make(map[geom.Cell]float64)
-	if !p.Ready() || horizon < 1 {
-		return out
-	}
-	for i := 1; i <= horizon; i++ {
-		pr := p.Predict(i)
-		sx := math.Max(math.Sqrt(pr.VarX), g.CellWidth()/4)
-		sy := math.Max(math.Sqrt(pr.VarY), g.CellHeight()/4)
-		if math.IsInf(sx, 1) || math.IsInf(sy, 1) {
-			continue
-		}
-		frame := geom.RectAround(pr.Mean, frameSide)
-		reach := frame.Expand(3 * math.Max(sx, sy))
-		step := make(map[geom.Cell]float64)
-		for _, c := range g.CellsIn(reach) {
-			ctr := g.CellCenter(c)
-			dx := axisDist(ctr.X, frame.Min.X, frame.Max.X) / sx
-			dy := axisDist(ctr.Y, frame.Min.Y, frame.Max.Y) / sy
-			step[c] = math.Exp(-0.5 * (dx*dx + dy*dy))
-		}
-		normalize(step)
-		for c, v := range step {
-			out[c] += v
-		}
-	}
-	normalize(out)
-	return out
-}

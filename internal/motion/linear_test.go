@@ -111,7 +111,7 @@ func TestEstimatorGenericProbabilities(t *testing.T) {
 		p.Observe(pos)
 		pos = pos.Add(geom.V2(6, 0))
 	}
-	probs := VisitProbabilitiesE(p, g, 5)
+	probs := VisitProbabilities(p, g, 5)
 	if len(probs) == 0 {
 		t.Fatal("no probabilities from linear estimator")
 	}
@@ -122,7 +122,7 @@ func TestEstimatorGenericProbabilities(t *testing.T) {
 	if math.Abs(sum-1) > 1e-9 {
 		t.Fatalf("sum = %v", sum)
 	}
-	fp := FrameVisitProbabilitiesE(p, g, 5, 100)
+	fp := FrameVisitProbabilities(p, g, 5, 100)
 	if len(fp) < len(probs) {
 		t.Error("frame probabilities narrower than point probabilities")
 	}

@@ -8,13 +8,31 @@ import (
 
 // VisitProbabilities computes, for the grid blocks around the client, the
 // probability that the client visits them within the prediction horizon
-// (paper Fig. 4): for each look-ahead i = 1..horizon the predicted
-// position defines a normal distribution N(ŝ_{t+i}, P_{t+i}); each block's
-// probability mass is accumulated across look-aheads and the result is
-// normalized to sum to 1. Blocks farther than ~3σ from every predicted
-// mean are omitted.
-func VisitProbabilities(p *Predictor, g *geom.Grid, horizon int) map[geom.Cell]float64 {
-	return VisitProbabilitiesE(p, g, horizon)
+// (paper Fig. 4), under any estimator: for each look-ahead i = 1..horizon
+// the predicted position defines a normal distribution
+// N(ŝ_{t+i}, P_{t+i}); each block's probability mass is accumulated
+// across look-aheads and the result is normalized to sum to 1. Blocks
+// farther than ~3σ from every predicted mean are omitted.
+func VisitProbabilities(p Estimator, g *geom.Grid, horizon int) map[geom.Cell]float64 {
+	out := make(map[geom.Cell]float64)
+	if !p.Ready() || horizon < 1 {
+		return out
+	}
+	cellArea := g.CellWidth() * g.CellHeight()
+	for i := 1; i <= horizon; i++ {
+		pr := p.Predict(i)
+		sx := math.Max(math.Sqrt(pr.VarX), g.CellWidth()/4)
+		sy := math.Max(math.Sqrt(pr.VarY), g.CellHeight()/4)
+		if math.IsInf(sx, 1) || math.IsInf(sy, 1) {
+			continue
+		}
+		reach := geom.R2(pr.Mean.X-3*sx, pr.Mean.Y-3*sy, pr.Mean.X+3*sx, pr.Mean.Y+3*sy)
+		for _, c := range g.CellsIn(reach) {
+			out[c] += gauss2(g.CellCenter(c), pr.Mean, sx, sy) * cellArea
+		}
+	}
+	normalize(out)
+	return out
 }
 
 // FrameVisitProbabilities is VisitProbabilities for a client with an
@@ -24,8 +42,34 @@ func VisitProbabilities(p *Predictor, g *geom.Grid, horizon int) map[geom.Cell]f
 // predicted frame, attenuated by the Gaussian distance from the block
 // center to that rectangle. Each look-ahead contributes equal total mass;
 // the result is normalized to sum to 1.
-func FrameVisitProbabilities(p *Predictor, g *geom.Grid, horizon int, frameSide float64) map[geom.Cell]float64 {
-	return FrameVisitProbabilitiesE(p, g, horizon, frameSide)
+func FrameVisitProbabilities(p Estimator, g *geom.Grid, horizon int, frameSide float64) map[geom.Cell]float64 {
+	out := make(map[geom.Cell]float64)
+	if !p.Ready() || horizon < 1 {
+		return out
+	}
+	for i := 1; i <= horizon; i++ {
+		pr := p.Predict(i)
+		sx := math.Max(math.Sqrt(pr.VarX), g.CellWidth()/4)
+		sy := math.Max(math.Sqrt(pr.VarY), g.CellHeight()/4)
+		if math.IsInf(sx, 1) || math.IsInf(sy, 1) {
+			continue
+		}
+		frame := geom.RectAround(pr.Mean, frameSide)
+		reach := frame.Expand(3 * math.Max(sx, sy))
+		step := make(map[geom.Cell]float64)
+		for _, c := range g.CellsIn(reach) {
+			ctr := g.CellCenter(c)
+			dx := axisDist(ctr.X, frame.Min.X, frame.Max.X) / sx
+			dy := axisDist(ctr.Y, frame.Min.Y, frame.Max.Y) / sy
+			step[c] = math.Exp(-0.5 * (dx*dx + dy*dy))
+		}
+		normalize(step)
+		for c, v := range step {
+			out[c] += v
+		}
+	}
+	normalize(out)
+	return out
 }
 
 // axisDist returns the distance from x to the interval [lo, hi].

@@ -6,14 +6,13 @@ import (
 	"math/bits"
 )
 
-// arena is the packed read representation of a quiescent tree: every
-// node copied, in breadth-first order, into flat arrays. A node's
-// children are consecutive in that order, so an internal node stores
-// only the index of its first child and the child index is implicit —
-// the arena holds no pointers. It is immutable once published. A
-// bulk-loaded tree is written straight into one and has no other form;
-// for a tree built by Insert it is a copy of the pointer nodes, which
-// an Insert drops and the next search rebuilds.
+// arena is the packed form of a Tree, its only one: every node, in
+// breadth-first order, in flat arrays. A node's children are
+// consecutive in that order, so an internal node stores only the index
+// of its first child and the child index is implicit — the arena holds
+// no pointers. It is immutable once written. BulkLoad writes its STR
+// levels straight into one; InsertLoad writes the pointer nodes its
+// insertions built.
 type arena struct {
 	dims int
 	// all is 0, 1, …, slots−1, one index per entry slot of a node
@@ -57,31 +56,9 @@ type arenaRun struct {
 	lo, hi, nodes int32
 }
 
-// freeze copies the pointer tree into a new arena. No Insert runs
-// meanwhile (the Tree contract), so every node holds at most MaxEntries.
-func (t *Tree) freeze() *arena {
-	w := newArenaWriter(t.cfg, t.nodes, t.size)
-	queue := make([]*node, 1, t.nodes)
-	queue[0] = t.root
-	for i := 0; i < len(queue); i++ {
-		n := queue[i]
-		w.node(n.leaf, len(n.entries))
-		for j := range n.entries {
-			e := &n.entries[j]
-			w.entry(j, &e.rect)
-			if n.leaf {
-				w.payload(e.data)
-			} else {
-				queue = append(queue, e.child)
-			}
-		}
-	}
-	return w.finish()
-}
-
 // arenaWriter fills a new arena node by node in breadth-first order, a
 // node's entries in entry order: BulkLoad feeds it the STR levels,
-// freeze the pointer tree of a tree built by Insert.
+// InsertLoad's freeze the pointer nodes.
 type arenaWriter struct {
 	a *arena
 	// at is the node being written; queued counts the nodes placed or
@@ -222,14 +199,15 @@ func (a *arena) order(q *Rect) [MaxDims]int {
 }
 
 // search is SearchInto over the arena: the same node-read count and the
-// same payloads as the pointer walk, in a different order. The
+// same payloads as a recursive walk from the root that reads every node
+// whose entry intersects q, in a different order. The
 // traversal is level by level through a queue kept in the cursor;
 // because the arena is laid out in that same breadth-first order, node
 // indices only ever increase and the walk moves forward through memory.
 //
 // A surviving internal entry — one that intersects q — that also lies
 // inside q is not queued: its whole subtree intersects q, so its run is
-// appended and its node count added, the reads the pointer walk would
+// appended and its node count added, the reads the recursive walk would
 // make. That holds because every stored rect has lo ≤ hi (Box refuses
 // an inverted one) and an entry's rect covers its child's. The other
 // survivors are queued or emitted.

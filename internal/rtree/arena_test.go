@@ -47,30 +47,19 @@ func everything(dims int) Rect {
 	return q
 }
 
-// pointers returns tr if it was built by Insert, else its arena thawed
-// into pointer nodes.
-func pointers(tr *Tree) *Tree {
-	if tr.root == nil {
-		return thaw(tr)
-	}
-	return tr
-}
-
-// recursive answers q with the callback walk over the pointer nodes —
-// the oracle every SearchInto state is held to — of tr or, for a
-// bulk-loaded tree, of its thawed copy.
-func recursive(tr *Tree, q Rect) (ids []int64, io int64) {
-	io = pointers(tr).SearchCounted(q, func(_ Rect, data int64) bool {
-		ids = append(ids, data)
-		return true
-	})
+// recursive answers q, ids sorted, with the recursive walk over pointer
+// nodes: the oracle every SearchInto is held to.
+func recursive(p *pointerTree, q Rect) (ids []int64, io int64) {
+	io = p.search(q, func(_ Rect, data int64) { ids = append(ids, data) })
 	slices.Sort(ids)
 	return ids, io
 }
 
-func checkSearchInto(t *testing.T, tr *Tree, q Rect, cur *Cursor, label string) {
+// checkSearchInto holds tr's SearchInto to the recursive walk of ref,
+// pointer nodes of the same tree.
+func checkSearchInto(t *testing.T, tr *Tree, ref *pointerTree, q Rect, cur *Cursor, label string) {
 	t.Helper()
-	want, wantIO := recursive(tr, q)
+	want, wantIO := recursive(ref, q)
 	got, gotIO := tr.SearchInto(q, cur, nil)
 	slices.Sort(got)
 	if gotIO != wantIO {
@@ -81,13 +70,13 @@ func checkSearchInto(t *testing.T, tr *Tree, q Rect, cur *Cursor, label string) 
 	}
 }
 
-// TestFrozenSearchMatchesRecursive is the snapshot's equivalence
+// TestFrozenSearchMatchesRecursive is the arena's equivalence
 // property: over bulk-loaded and insert-built trees of every
 // dimensionality, both variants, and sizes from empty through one leaf
 // to several levels, SearchInto returns the recursive walk's id set and
-// node-read count — on the arena the bulk load wrote or the first
-// search froze, and on the one the next search makes after an Insert
-// dropped it.
+// node-read count — on the arena the build wrote, and on the one a
+// thawed copy freezes into after more inserts, held there to the walk
+// of the pointer nodes it froze.
 func TestFrozenSearchMatchesRecursive(t *testing.T) {
 	for _, dims := range []int{2, 3, 4} {
 		for _, variant := range []Variant{RStar, Quadratic} {
@@ -101,43 +90,30 @@ func TestFrozenSearchMatchesRecursive(t *testing.T) {
 					if bulk {
 						tr = BulkLoad(cfg, items[:n])
 					} else {
-						tr = New(cfg)
-						for _, it := range items[:n] {
-							tr.Insert(it.Rect, it.Data)
-						}
+						tr = InsertLoad(cfg, items[:n])
+					}
+					if len(tr.a.nodes) != tr.NumNodes() || len(tr.a.data) != n {
+						t.Fatalf("%s: arena holds %d nodes / %d payloads, tree %d / %d",
+							label, len(tr.a.nodes), len(tr.a.data), tr.NumNodes(), n)
 					}
 					var cur Cursor
-					// A bulk load writes the arena; a tree built by Insert
-					// freezes on its first search.
-					if frozen := tr.frozen.Load() != nil; frozen != bulk {
-						t.Fatalf("%s: frozen=%v after build", label, frozen)
-					}
-					checkSearchInto(t, tr, everything(dims), &cur, label+" first")
-					a := tr.frozen.Load()
-					if a == nil {
-						t.Fatalf("%s: the first search left the tree without a snapshot", label)
-					}
-					if len(a.nodes) != tr.NumNodes() || len(a.data) != n {
-						t.Fatalf("%s: arena holds %d nodes / %d payloads, tree %d / %d",
-							label, len(a.nodes), len(a.data), tr.NumNodes(), n)
-					}
+					ref := thaw(tr)
+					checkSearchInto(t, tr, ref, everything(dims), &cur, label+" first")
 					for q := 0; q < 40; q++ {
-						checkSearchInto(t, tr, propQuery(rng, dims), &cur, label+" frozen")
+						checkSearchInto(t, tr, ref, propQuery(rng, dims), &cur, label+" frozen")
 					}
-					// A bulk-loaded tree is read-only: its thawed copy
-					// takes the inserts.
-					tr = pointers(tr)
+					// The thawed copy takes the inserts and freezes into
+					// a new tree.
+					p := thaw(tr)
 					for _, it := range items[n:] {
-						tr.Insert(it.Rect, it.Data)
+						p.insert(it.Rect, it.Data)
 					}
-					if tr.frozen.Load() != nil {
-						t.Fatalf("%s: Insert kept the snapshot", label)
-					}
+					tr = p.freeze()
 					for q := 0; q < 5; q++ {
-						checkSearchInto(t, tr, propQuery(rng, dims), &cur, label+" refrozen")
+						checkSearchInto(t, tr, p, propQuery(rng, dims), &cur, label+" refrozen")
 					}
-					if a := tr.frozen.Load(); a == nil || len(a.data) != n+5 {
-						t.Fatalf("%s: no snapshot of the %d items after the inserts", label, n+5)
+					if len(tr.a.data) != n+5 {
+						t.Fatalf("%s: %d payloads after the inserts, want %d", label, len(tr.a.data), n+5)
 					}
 				}
 			}
@@ -145,9 +121,9 @@ func TestFrozenSearchMatchesRecursive(t *testing.T) {
 	}
 }
 
-// TestSearchIntoStatsMatchRecursive pins the access counters: a fixed
-// query list moves Stats by the same totals through a bulk-loaded
-// tree's arena as through the recursive walk of its thawed copy.
+// TestSearchIntoStatsMatchRecursive pins the I/O count: a fixed query
+// list reads the same total of nodes through a bulk-loaded tree's arena
+// as through the recursive walk of its thawed copy.
 func TestSearchIntoStatsMatchRecursive(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	tr := BulkLoad(DefaultConfig(3), propItems(rng, 5000, 3))
@@ -157,35 +133,34 @@ func TestSearchIntoStatsMatchRecursive(t *testing.T) {
 	}
 	var cur Cursor
 	var buf []int64
+	var packed, walked int64
 	for _, q := range qs {
-		buf, _ = tr.SearchInto(q, &cur, buf[:0])
+		var io int64
+		buf, io = tr.SearchInto(q, &cur, buf[:0])
+		packed += io
 	}
-	packed := tr.Stats()
 	ref := thaw(tr)
 	for _, q := range qs {
-		ref.Search(q, func(Rect, int64) bool { return true })
+		walked += ref.search(q, func(Rect, int64) {})
 	}
-	walked := ref.Stats()
-	if packed != walked || packed.Queries != int64(len(qs)) {
-		t.Fatalf("snapshot searches counted %+v, recursive walk %+v", packed, walked)
+	if packed != walked || packed < int64(len(qs)) {
+		t.Fatalf("arena searches read %d nodes, recursive walk %d", packed, walked)
 	}
 }
 
-// TestConcurrentSearchRefreezes races readers over an insert-built tree
-// through its first freeze: every answer stays right, a snapshot comes
-// out, and the race detector has nothing to say about the hand-over.
+// TestConcurrentSearchRefreezes races readers over one insert-built
+// tree: every answer stays right, and the race detector has nothing to
+// say about readers sharing the arena.
 func TestConcurrentSearchRefreezes(t *testing.T) {
 	const dims = 3
 	rng := rand.New(rand.NewSource(29))
-	tr := New(Config{Dims: dims, MaxEntries: 20})
-	for _, it := range propItems(rng, 4000, dims) {
-		tr.Insert(it.Rect, it.Data)
-	}
+	tr := InsertLoad(Config{Dims: dims, MaxEntries: 20}, propItems(rng, 4000, dims))
 	qs := make([]Rect, 64)
 	want := make([][]int64, len(qs))
+	ref := thaw(tr)
 	for i := range qs {
 		qs[i] = propQuery(rng, dims)
-		want[i], _ = recursive(tr, qs[i])
+		want[i], _ = recursive(ref, qs[i])
 	}
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
@@ -208,9 +183,6 @@ func TestConcurrentSearchRefreezes(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if tr.frozen.Load() == nil {
-		t.Fatal("no snapshot after reading the tree many times over")
-	}
 }
 
 // arenaQueries draws the queries that sit on the packed walk's edges:
@@ -218,8 +190,8 @@ func TestConcurrentSearchRefreezes(t *testing.T) {
 // boundary), each one ulp larger and one ulp smaller, a thin sliver
 // across each dimension, thin bands of the last (value) dimension,
 // points, inverted boxes, and the usual random windows.
-func arenaQueries(rng *rand.Rand, tr *Tree, items []Item) []Rect {
-	dims := tr.cfg.Dims
+func arenaQueries(rng *rand.Rand, p *pointerTree, items []Item) []Rect {
+	dims := p.cfg.Dims
 	rects := []Rect{propQuery(rng, dims)} // so an empty tree has one too
 	var walk func(n *node)
 	walk = func(n *node) {
@@ -232,7 +204,7 @@ func arenaQueries(rng *rand.Rand, tr *Tree, items []Item) []Rect {
 			}
 		}
 	}
-	walk(tr.root)
+	walk(p.root)
 	for i := 0; i < 8 && len(items) > 0; i++ {
 		rects = append(rects, items[rng.Intn(len(items))].Rect)
 	}
@@ -284,22 +256,17 @@ func arenaQueries(rng *rand.Rand, tr *Tree, items []Item) []Rect {
 	return append(qs, everything(dims))
 }
 
-// checkArena holds the packed walk of tr — the arena a bulk load
-// wrote, or the first SearchInto of an insert-built tree — to the
-// recursive walk (over the thawed copy of a bulk-loaded tree) on every
-// arenaQueries query: the same id set and the
-// same node-read count. Where the AVX2 kernel runs, the mask walk must
-// also give the survivor walk's buffer and queue element for element.
+// checkArena holds the packed walk of tr's arena to the recursive walk
+// over its thawed copy on every arenaQueries query: the same id set and
+// the same node-read count. Where the AVX2 kernel runs, the mask walk
+// must also give the survivor walk's buffer and queue element for
+// element.
 func checkArena(t *testing.T, rng *rand.Rand, tr *Tree, items []Item, label string) {
 	t.Helper()
 	var cur, ref Cursor
-	walked := pointers(tr)
+	walked := thaw(tr)
 	qs := arenaQueries(rng, walked, items)
-	tr.SearchInto(qs[0], &cur, nil)
-	a := tr.frozen.Load()
-	if a == nil {
-		t.Fatalf("%s: SearchInto left the tree without a snapshot", label)
-	}
+	a := tr.a
 	for _, q := range qs {
 		want, wantIO := recursive(walked, q)
 		got, gotIO := a.search(&q, &cur, nil)
@@ -332,11 +299,7 @@ func arenaTree(rng *rand.Rand, dims, n int, bulk bool, flat int) (*Tree, []Item)
 	if bulk {
 		return BulkLoad(cfg, items), items
 	}
-	tr := New(cfg)
-	for _, it := range items {
-		tr.Insert(it.Rect, it.Data)
-	}
-	return tr, items
+	return InsertLoad(cfg, items), items
 }
 
 // TestArenaSearchMatchesRecursive is the packed walk's boundary
@@ -388,7 +351,7 @@ func FuzzArenaSearch(f *testing.F) {
 // query misses outright ranks ahead of everything.
 func TestArenaOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	a := BulkLoad(Config{Dims: 3, MaxEntries: 20}, propItems(rng, 2000, 3)).frozen.Load()
+	a := BulkLoad(Config{Dims: 3, MaxEntries: 20}, propItems(rng, 2000, 3)).a
 	for _, c := range []struct {
 		name  string
 		q     Rect
@@ -413,11 +376,10 @@ func TestFreezeMatchesBulkLoad(t *testing.T) {
 		for _, n := range []int{0, 1, 20, 21, 400, 3000} {
 			rng := rand.New(rand.NewSource(int64(dims*10000 + n)))
 			tr := BulkLoad(Config{Dims: dims, MaxEntries: 20}, propItems(rng, n, dims))
-			ref := thaw(tr)
+			ref := thaw(tr).freeze()
 			if err := ref.Validate(); err != nil {
-				t.Fatalf("%dD n=%d: thawed tree: %v", dims, n, err)
+				t.Fatalf("%dD n=%d: refrozen tree: %v", dims, n, err)
 			}
-			ref.frozen.Store(ref.freeze())
 			if got, want := ArenaDigest(ref), ArenaDigest(tr); got != want {
 				t.Fatalf("%dD n=%d: frozen pointer nodes digest %#x, bulk-loaded arena %#x", dims, n, got, want)
 			}
@@ -432,7 +394,7 @@ func TestFreezeMatchesBulkLoad(t *testing.T) {
 func TestValidateChecksArena(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	tr := BulkLoad(Config{Dims: 3, MaxEntries: 20}, propItems(rng, 3000, 3))
-	good := tr.frozen.Load()
+	good := tr.a
 	leaf := good.leaf0 + 3
 	for name, damage := range map[string]func(a *arena){
 		"child index":  func(a *arena) { a.nodes[1].first++ },
@@ -451,12 +413,12 @@ func TestValidateChecksArena(t *testing.T) {
 		a.all, a.nodes, a.runs = slices.Clone(good.all), slices.Clone(good.nodes), slices.Clone(good.runs)
 		a.bounds, a.data = slices.Clone(good.bounds), slices.Clone(good.data)
 		damage(&a)
-		tr.frozen.Store(&a)
+		tr.a = &a
 		if err := tr.Validate(); err == nil {
 			t.Errorf("%s damaged: Validate found nothing", name)
 		}
 	}
-	tr.frozen.Store(good)
+	tr.a = good
 	if err := tr.Validate(); err != nil {
 		t.Fatal(err)
 	}

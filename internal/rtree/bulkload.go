@@ -20,16 +20,11 @@ type Item struct {
 //
 // The tiling runs over index permutations of the items and of each
 // level's nodes, and the nodes are written straight into the packed
-// arena SearchInto walks: no pointer node is built, so the tree is
-// read-only. SearchInto, Collect, Count, Payloads and Validate serve
-// it; Search, SearchCounted, Scan and Insert, which need pointer nodes,
-// panic on it.
+// arena SearchInto walks: no pointer node is built.
 func BulkLoad(cfg Config, items []Item) *Tree {
 	checkPackedSize(len(items))
-	t := New(cfg)
-	cfg = t.cfg // normalized (MinEntries filled)
-	t.root = nil
-	t.size = len(items)
+	cfg = cfg.normalized()
+	t := &Tree{cfg: cfg, size: len(items)}
 
 	// levels[0] tiles the items into leaves; levels[k] tiles the nodes of
 	// levels[k-1], and the last level is the root alone.
@@ -39,7 +34,6 @@ func BulkLoad(cfg Config, items []Item) *Tree {
 		levels = append(levels, s.level(levels[len(levels)-1].mbrs(cfg.Dims)))
 	}
 	t.height = len(levels)
-	t.nodes = 0
 	for _, lv := range levels {
 		t.nodes += len(lv.ends)
 	}
@@ -69,7 +63,7 @@ func BulkLoad(cfg Config, items []Item) *Tree {
 		}
 		order = below
 	}
-	t.frozen.Store(w.finish())
+	t.a = w.finish()
 	return t
 }
 

@@ -6,7 +6,6 @@ import (
 	"math/rand"
 	"slices"
 	"sort"
-	"strings"
 	"testing"
 )
 
@@ -61,7 +60,7 @@ func TestBulkLoadValidAndComplete(t *testing.T) {
 				t.Fatalf("%dD n=%d: %v", dims, n, err)
 			}
 			seen := make(map[int64]bool, n)
-			for _, d := range tr.Collect(everything(dims)) {
+			for _, d := range collect(tr, everything(dims)) {
 				seen[d] = true
 			}
 			if len(seen) != n {
@@ -84,7 +83,7 @@ func TestBulkLoadQueryMatchesLinearScan(t *testing.T) {
 				want[it.Data] = true
 			}
 		}
-		got := tr.Collect(query)
+		got := collect(tr, query)
 		if len(got) != len(want) {
 			t.Fatalf("query %d: got %d want %d", q, len(got), len(want))
 		}
@@ -96,73 +95,12 @@ func TestBulkLoadQueryMatchesLinearScan(t *testing.T) {
 	}
 }
 
-// TestBulkLoadedTreeIsReadOnly pins the bulk-loaded tree's contract:
-// it answers SearchInto, Collect, Count and Validate, and the calls that
-// need pointer nodes panic saying why. The same tree thawed into pointer
-// nodes takes inserts in every part of the packed shape.
-func TestBulkLoadedTreeIsReadOnly(t *testing.T) {
-	items := randomItems(3000, 2, 5)
-	tr := BulkLoad(DefaultConfig(2), items)
-	if err := tr.Validate(); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.Count(everything(2)); got != 3000 {
-		t.Fatalf("Count %d, want 3000", got)
-	}
-	for name, call := range map[string]func(){
-		"Insert":        func() { tr.Insert(Box(1, 2, 1, 2), 999999) },
-		"Search":        func() { tr.Search(everything(2), func(Rect, int64) bool { return true }) },
-		"SearchCounted": func() { tr.SearchCounted(everything(2), func(Rect, int64) bool { return true }) },
-		"Scan":          func() { tr.Scan(func(Rect, int64) bool { return true }) },
-	} {
-		func() {
-			defer func() {
-				msg, _ := recover().(string)
-				if !strings.Contains(msg, "bulk-loaded tree") || !strings.Contains(msg, "read-only") {
-					t.Errorf("%s on a bulk-loaded tree: panic %q, want one that says the tree is read-only", name, msg)
-				}
-			}()
-			call()
-		}()
-	}
-	if tr.Len() != 3000 {
-		t.Fatalf("len=%d after the refused calls", tr.Len())
-	}
-
-	grown := thaw(tr)
-	grown.Insert(Box(1, 2, 1, 2), 999999)
-	if got := grown.Collect(Box(1, 2, 1, 2)); !contains(got, 999999) {
-		t.Fatal("inserted item lost")
-	}
-	for i := 0; i < 500; i++ {
-		grown.Insert(items[i].Rect, items[i].Data+3000)
-	}
-	if grown.Len() != 3501 {
-		t.Fatalf("len=%d", grown.Len())
-	}
-	if err := grown.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func contains(xs []int64, v int64) bool {
-	for _, x := range xs {
-		if x == v {
-			return true
-		}
-	}
-	return false
-}
-
 func TestBulkLoadQueryIONotWorseThanInsertion(t *testing.T) {
 	// STR packing should answer small windows with no more node reads than
 	// the insertion-built tree (usually fewer).
 	items := randomItems(20000, 2, 7)
 	bulk := BulkLoad(DefaultConfig(2), items)
-	ins := New(DefaultConfig(2))
-	for _, it := range items {
-		ins.Insert(it.Rect, it.Data)
-	}
+	ins := InsertLoad(DefaultConfig(2), items)
 	rng := rand.New(rand.NewSource(8))
 	var bulkIO, insIO int64
 	var cur Cursor
@@ -171,7 +109,8 @@ func TestBulkLoadQueryIONotWorseThanInsertion(t *testing.T) {
 		query := Box(x, x+30, y, y+30)
 		_, io := bulk.SearchInto(query, &cur, nil)
 		bulkIO += io
-		insIO += ins.SearchCounted(query, func(Rect, int64) bool { return true })
+		_, io = ins.SearchInto(query, &cur, nil)
+		insIO += io
 	}
 	if bulkIO > insIO {
 		t.Errorf("bulk io %d above insertion io %d", bulkIO, insIO)
@@ -182,10 +121,7 @@ func BenchmarkInsertBuild(b *testing.B) {
 	items := randomItems(50000, 3, 9)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		tr := New(DefaultConfig(3))
-		for _, it := range items {
-			tr.Insert(it.Rect, it.Data)
-		}
+		InsertLoad(DefaultConfig(3), items)
 	}
 }
 
@@ -260,7 +196,7 @@ func TestBulkLoadLeafSequencePinned(t *testing.T) {
 	tr := BulkLoad(DefaultConfig(3), gridItems(48, 6))
 	h := fnv.New64a()
 	var b [8]byte
-	for _, data := range tr.frozen.Load().data { // the leaves' payloads, left to right
+	for _, data := range tr.a.data { // the leaves' payloads, left to right
 		binary.LittleEndian.PutUint64(b[:], uint64(data))
 		h.Write(b[:])
 	}

@@ -9,7 +9,7 @@ import (
 // walkRefs traverses from the root counting leaf entries and how many
 // parents reference each node. A structurally sound tree references every
 // node exactly once.
-func walkRefs(t *Tree) (leafEntries int, refs map[*node]int) {
+func walkRefs(t *pointerTree) (leafEntries int, refs map[*node]int) {
 	refs = make(map[*node]int)
 	var walk func(n *node)
 	walk = func(n *node) {
@@ -30,11 +30,12 @@ func walkRefs(t *Tree) (leafEntries int, refs map[*node]int) {
 // a bulk-loaded tree thawed into pointer nodes, with every node full or
 // nearly so. It began as the regression test for a slab aliasing bug —
 // the old pointer builder handed each node a window of one level-wide
-// entry slice, so an Insert appending into that node overwrote the
+// entry slice, so an insertion appending into that node overwrote the
 // first entry of the adjacent node's window: one subtree referenced
 // twice, another lost. Inserting a second copy of a contiguous block of
 // the loaded items (the shape of adding one object's coefficients)
-// appends into many packed nodes at once.
+// appends into many packed nodes at once. After every round the pointer
+// nodes freeze into an arena that Validate checks.
 func TestBulkLoadedTreeSurvivesChurn(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const n = 1548
@@ -52,8 +53,8 @@ func TestBulkLoadedTreeSurvivesChurn(t *testing.T) {
 
 	check := func(stage string, wantLen int) {
 		t.Helper()
-		if tr.Len() != wantLen {
-			t.Fatalf("%s: len %d, want %d", stage, tr.Len(), wantLen)
+		if tr.size != wantLen {
+			t.Fatalf("%s: len %d, want %d", stage, tr.size, wantLen)
 		}
 		leaves, refs := walkRefs(tr)
 		for nd, c := range refs {
@@ -64,7 +65,7 @@ func TestBulkLoadedTreeSurvivesChurn(t *testing.T) {
 		if leaves != wantLen {
 			t.Fatalf("%s: traversal found %d leaf entries, want %d", stage, leaves, wantLen)
 		}
-		if err := tr.Validate(); err != nil {
+		if err := tr.freeze().Validate(); err != nil {
 			t.Fatalf("%s: %v", stage, err)
 		}
 	}
@@ -73,14 +74,14 @@ func TestBulkLoadedTreeSurvivesChurn(t *testing.T) {
 	const churn = 258
 	for round := 1; round <= 2; round++ {
 		for j := 0; j < churn; j++ {
-			tr.Insert(items[j].Rect, items[j].Data+int64(round*n))
+			tr.insert(items[j].Rect, items[j].Data+int64(round*n))
 		}
 		check(fmt.Sprintf("after insert round %d", round), n+round*churn)
 	}
 
 	// Every item is still retrievable.
 	got := make(map[int64]bool, n)
-	tr.Scan(func(_ Rect, data int64) bool { got[data] = true; return true })
+	tr.scan(func(_ Rect, data int64) { got[data] = true })
 	if len(got) != n+2*churn {
 		t.Fatalf("scan found %d distinct items, want %d", len(got), n+2*churn)
 	}

@@ -19,17 +19,13 @@ func randomTree(t *testing.T, seed int64, n int) (*Tree, []Item) {
 		r.Lo[2], r.Hi[2] = rng.Float64(), 1
 		items[i] = Item{Rect: r, Data: int64(i)}
 	}
-	tr := New(Config{Dims: 3, MaxEntries: 20})
-	for _, it := range items {
-		tr.Insert(it.Rect, it.Data)
-	}
-	return tr, items
+	return InsertLoad(Config{Dims: 3, MaxEntries: 20}, items), items
 }
 
 // TestSearchIntoMatchesSearch pins the cursor traversal to the recursive
-// oracle: same hit set (order-insensitive) and the same node I/O for
-// every query, across incrementally built and bulk-loaded trees (held
-// to the recursive walk of their thawed copy).
+// oracle, the walk of the tree's thawed copy: same hit set
+// (order-insensitive) and the same node I/O for every query, across
+// insert-built and bulk-loaded trees.
 func TestSearchIntoMatchesSearch(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	grown, items := randomTree(t, 11, 2000)
@@ -37,17 +33,14 @@ func TestSearchIntoMatchesSearch(t *testing.T) {
 	var cur Cursor
 	var buf []int64
 	for _, tr := range []*Tree{grown, bulk} {
+		ref := thaw(tr)
 		for q := 0; q < 200; q++ {
 			x, y := rng.Float64()*1000, rng.Float64()*1000
 			var r Rect
 			r.Lo[0], r.Hi[0] = x, x+rng.Float64()*200
 			r.Lo[1], r.Hi[1] = y, y+rng.Float64()*200
 			r.Lo[2], r.Hi[2] = 0, rng.Float64()
-			var want []int64
-			wantIO := pointers(tr).SearchCounted(r, func(_ Rect, data int64) bool {
-				want = append(want, data)
-				return true
-			})
+			want, wantIO := recursive(ref, r)
 			var gotIO int64
 			buf, gotIO = tr.SearchInto(r, &cur, buf[:0])
 			if gotIO != wantIO {
@@ -55,7 +48,6 @@ func TestSearchIntoMatchesSearch(t *testing.T) {
 			}
 			got := slices.Clone(buf)
 			slices.Sort(got)
-			slices.Sort(want)
 			if !slices.Equal(got, want) {
 				t.Fatalf("query %d: SearchInto %d hits, Search %d (sets differ)", q, len(got), len(want))
 			}
@@ -74,7 +66,7 @@ func TestSearchIntoAllocFree(t *testing.T) {
 	q.Lo[2], q.Hi[2] = 0, 1
 	var cur Cursor
 	var buf []int64
-	buf, _ = tr.SearchInto(q, &cur, buf[:0]) // freeze, warm the queue and buffer
+	buf, _ = tr.SearchInto(q, &cur, buf[:0]) // warm the queue and buffer
 	if allocs := testing.AllocsPerRun(100, func() {
 		buf, _ = tr.SearchInto(q, &cur, buf[:0])
 	}); allocs != 0 {

@@ -56,10 +56,7 @@ var filterSink uint64
 // AVX2 kernel runs), "portable" the survivor walk's filter. Before
 // timing it checks that both select the same entries on every node.
 func BenchNodeFilter(b *testing.B, tr *Tree, qs []Rect) {
-	a := tr.frozen.Load()
-	if a == nil {
-		b.Fatal("tree has no packed snapshot")
-	}
+	a := tr.a
 	type visit struct {
 		ni  int32
 		q   *Rect

@@ -28,21 +28,67 @@ func TestBulkLoadArenaPinned(t *testing.T) {
 	}
 	for _, dims := range []int{2, 3, 4} {
 		for _, n := range []int{1, 20, 21, 399, 5000, 50000} {
-			// Boxes on a small integer lattice: most centres tie with
-			// many others in every dimension.
-			rng := rand.New(rand.NewSource(int64(n*7 + dims)))
-			items := make([]rtree.Item, n)
-			for i := range items {
-				var r rtree.Rect
-				for d := 0; d < dims; d++ {
-					lo := float64(rng.Intn(8))
-					r.Lo[d], r.Hi[d] = lo, lo+float64(rng.Intn(3))
-				}
-				items[i] = rtree.Item{Rect: r, Data: int64(i)}
-			}
 			label := fmt.Sprintf("%dD n=%d", dims, n)
-			if got := rtree.ArenaDigest(rtree.BulkLoad(rtree.DefaultConfig(dims), items)); got != want[label] {
+			if got := rtree.ArenaDigest(rtree.BulkLoad(rtree.DefaultConfig(dims), latticeItems(n, dims))); got != want[label] {
 				t.Errorf("%s: arena digest %#x, want %#x", label, got, want[label])
+			}
+		}
+	}
+}
+
+// latticeItems draws n boxes on a small integer lattice, seeded by n and
+// dims: most centres tie with many others in every dimension.
+func latticeItems(n, dims int) []rtree.Item {
+	rng := rand.New(rand.NewSource(int64(n*7 + dims)))
+	items := make([]rtree.Item, n)
+	for i := range items {
+		var r rtree.Rect
+		for d := 0; d < dims; d++ {
+			lo := float64(rng.Intn(8))
+			r.Lo[d], r.Hi[d] = lo, lo+float64(rng.Intn(3))
+		}
+		items[i] = rtree.Item{Rect: r, Data: int64(i)}
+	}
+	return items
+}
+
+// TestInsertLoadArenaPinned holds InsertLoad to the insertion of the
+// tree before it (git 7cb9714), which grew pointer nodes by Insert and
+// froze them into the arena on the first search: R* and quadratic
+// insertion of the tie-heavy lattice sets at 2–4 dims hash to the
+// digests that tree gave, node for node. A tree of one leaf (n ≤ 20)
+// holds its items in insertion order, as BulkLoad's does.
+func TestInsertLoadArenaPinned(t *testing.T) {
+	want := map[string]uint64{
+		"R*-tree 2D n=1": 0xa9a9b8158cf5d72, "R*-tree 2D n=20": 0x64e79983da6b5a3b, "R*-tree 2D n=21": 0x528b7aa7cae14ace,
+		"R*-tree 2D n=399": 0xb5f01484cb65c758, "R*-tree 2D n=5000": 0xe6520cc122414043,
+		"R*-tree 3D n=1": 0x444470233f044243, "R*-tree 3D n=20": 0x9f980c491782b0cf, "R*-tree 3D n=21": 0xa51008d6ccbf14a8,
+		"R*-tree 3D n=399": 0x64b5faffc1db055a, "R*-tree 3D n=5000": 0xf8eb48103b6c9f6b,
+		"R*-tree 4D n=1": 0x8557a062c483514, "R*-tree 4D n=20": 0x91e8d21febbb122e, "R*-tree 4D n=21": 0xa7e1c9b7b4214bd3,
+		"R*-tree 4D n=399": 0x880bef6a6e7a108e, "R*-tree 4D n=5000": 0x608133b94db1afda,
+		"R-tree(quadratic) 2D n=1": 0xa9a9b8158cf5d72, "R-tree(quadratic) 2D n=20": 0x64e79983da6b5a3b,
+		"R-tree(quadratic) 2D n=21": 0xc8cdd31da6a69a0a, "R-tree(quadratic) 2D n=399": 0x951b756b275ff3a1,
+		"R-tree(quadratic) 2D n=5000": 0x3db330d7b75e8887,
+		"R-tree(quadratic) 3D n=1":    0x444470233f044243, "R-tree(quadratic) 3D n=20": 0x9f980c491782b0cf,
+		"R-tree(quadratic) 3D n=21": 0x7b581b8908381e18, "R-tree(quadratic) 3D n=399": 0xf33963efeb8282c5,
+		"R-tree(quadratic) 3D n=5000": 0x96bba1e0562a760c,
+		"R-tree(quadratic) 4D n=1":    0x8557a062c483514, "R-tree(quadratic) 4D n=20": 0x91e8d21febbb122e,
+		"R-tree(quadratic) 4D n=21": 0x1f565dfd1a53fc4d, "R-tree(quadratic) 4D n=399": 0x197e5d400337676f,
+		"R-tree(quadratic) 4D n=5000": 0xd8e5a91ebbdfbf32,
+	}
+	for _, variant := range []rtree.Variant{rtree.RStar, rtree.Quadratic} {
+		for _, dims := range []int{2, 3, 4} {
+			for _, n := range []int{1, 20, 21, 399, 5000} {
+				cfg := rtree.DefaultConfig(dims)
+				cfg.Variant = variant
+				tr := rtree.InsertLoad(cfg, latticeItems(n, dims))
+				label := fmt.Sprintf("%v %dD n=%d", variant, dims, n)
+				if got := rtree.ArenaDigest(tr); got != want[label] {
+					t.Errorf("%s: arena digest %#x, want %#x", label, got, want[label])
+				}
+				if err := tr.Validate(); err != nil {
+					t.Errorf("%s: %v", label, err)
+				}
 			}
 		}
 	}

@@ -2,6 +2,7 @@ package rtree
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 )
@@ -12,10 +13,24 @@ func randRect2D(rng *rand.Rand, space float64) Rect {
 	return Box(x, x+w, y, y+h)
 }
 
+// collect returns the payloads of every item intersecting q.
+func collect(tr *Tree, q Rect) []int64 {
+	var cur Cursor
+	out, _ := tr.SearchInto(q, &cur, nil)
+	return out
+}
+
+// searchIO returns the nodes a search for q reads.
+func searchIO(tr *Tree, q Rect) int64 {
+	var cur Cursor
+	_, io := tr.SearchInto(q, &cur, nil)
+	return io
+}
+
 func buildRandom(t testing.TB, cfg Config, n int, seed int64) (*Tree, []Rect) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	tr := New(cfg)
+	items := make([]Item, n)
 	rects := make([]Rect, n)
 	for i := 0; i < n; i++ {
 		var r Rect
@@ -32,11 +47,13 @@ func buildRandom(t testing.TB, cfg Config, n int, seed int64) (*Tree, []Rect) {
 			r = Point(rng.Float64() * 1000)
 		}
 		rects[i] = r
-		tr.Insert(r, int64(i))
+		items[i] = Item{Rect: r, Data: int64(i)}
 	}
-	return tr, rects
+	return InsertLoad(cfg, items), rects
 }
 
+// TestNewRejectsBadConfig: a new tree, whichever build function makes it,
+// refuses a configuration outside the walk's bounds.
 func TestNewRejectsBadConfig(t *testing.T) {
 	for _, cfg := range []Config{
 		{Dims: 0, MaxEntries: 20},
@@ -45,30 +62,32 @@ func TestNewRejectsBadConfig(t *testing.T) {
 		{Dims: 2, MaxEntries: 65},
 		{Dims: 2, MaxEntries: 20, MinEntries: 15},
 	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("config %+v should panic", cfg)
-				}
+		for name, build := range map[string]func(Config, []Item) *Tree{"BulkLoad": BulkLoad, "InsertLoad": InsertLoad} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s: config %+v should panic", name, cfg)
+					}
+				}()
+				build(cfg, nil)
 			}()
-			New(cfg)
-		}()
+		}
 	}
 }
 
 func TestDefaultConfigMatchesPaper(t *testing.T) {
 	cfg := DefaultConfig(3)
-	if cfg.MaxEntries != 20 || cfg.PageBytes != 4096 || cfg.Variant != RStar {
+	if cfg.MaxEntries != 20 || cfg.Variant != RStar {
 		t.Errorf("default config %+v", cfg)
 	}
 }
 
 func TestEmptyTree(t *testing.T) {
-	tr := New(DefaultConfig(2))
+	tr := InsertLoad(DefaultConfig(2), nil)
 	if tr.Len() != 0 || tr.Height() != 1 {
 		t.Errorf("len=%d height=%d", tr.Len(), tr.Height())
 	}
-	if got := tr.Collect(Box(0, 100, 0, 100)); len(got) != 0 {
+	if got := collect(tr, Box(0, 100, 0, 100)); len(got) != 0 {
 		t.Errorf("query on empty tree returned %v", got)
 	}
 	if err := tr.Validate(); err != nil {
@@ -77,17 +96,16 @@ func TestEmptyTree(t *testing.T) {
 }
 
 func TestInsertAndExactQuery(t *testing.T) {
-	tr := New(DefaultConfig(2))
-	tr.Insert(Box(10, 20, 10, 20), 7)
-	got := tr.Collect(Box(15, 15, 15, 15))
+	tr := InsertLoad(DefaultConfig(2), []Item{{Rect: Box(10, 20, 10, 20), Data: 7}})
+	got := collect(tr, Box(15, 15, 15, 15))
 	if len(got) != 1 || got[0] != 7 {
 		t.Fatalf("got %v", got)
 	}
-	if got := tr.Collect(Box(30, 40, 30, 40)); len(got) != 0 {
+	if got := collect(tr, Box(30, 40, 30, 40)); len(got) != 0 {
 		t.Fatalf("disjoint query returned %v", got)
 	}
 	// Touching edge counts (closed rectangles).
-	if got := tr.Collect(Box(20, 25, 20, 25)); len(got) != 1 {
+	if got := collect(tr, Box(20, 25, 20, 25)); len(got) != 1 {
 		t.Fatalf("edge-touching query returned %v", got)
 	}
 }
@@ -123,7 +141,7 @@ func TestQueryMatchesLinearScan(t *testing.T) {
 						want[int64(i)] = true
 					}
 				}
-				got := tr.Collect(query)
+				got := collect(tr, query)
 				if len(got) != len(want) {
 					t.Fatalf("%v %dD query %d: got %d want %d", variant, dims, q, len(got), len(want))
 				}
@@ -151,42 +169,10 @@ func TestValidAfterManyInserts(t *testing.T) {
 	}
 }
 
-func TestSearchEarlyStop(t *testing.T) {
-	tr, _ := buildRandom(t, DefaultConfig(2), 1000, 3)
-	count := 0
-	tr.Search(Box(0, 1000, 0, 1000), func(Rect, int64) bool {
-		count++
-		return count < 10
-	})
-	if count != 10 {
-		t.Errorf("early stop visited %d", count)
-	}
-}
-
-// TestIOStatsAccumulate: every search adds its node reads and one query
-// to the tree's counters; a caller measures a span of searches as the
-// difference of two Stats snapshots.
-func TestIOStatsAccumulate(t *testing.T) {
-	tr, _ := buildRandom(t, DefaultConfig(2), 5000, 4)
-	base := tr.Stats()
-	tr.Count(Box(0, 100, 0, 100))
-	s := tr.Stats()
-	if s.Queries-base.Queries != 1 || s.NodesRead-base.NodesRead < 1 {
-		t.Fatalf("stats after one query: %+v, before %+v", s, base)
-	}
-	io := tr.SearchCounted(Box(0, 100, 0, 100), func(Rect, int64) bool { return true })
-	if io < 1 {
-		t.Fatalf("counted io = %d", io)
-	}
-	if got := tr.Stats(); got.NodesRead != s.NodesRead+io || got.Queries != s.Queries+1 {
-		t.Errorf("cumulative stats %+v, want io %d and queries %d", got, s.NodesRead+io, s.Queries+1)
-	}
-}
-
 func TestSelectiveQueryTouchesFewerNodes(t *testing.T) {
 	tr, _ := buildRandom(t, DefaultConfig(2), 20000, 6)
-	small := tr.SearchCounted(Box(500, 510, 500, 510), func(Rect, int64) bool { return true })
-	big := tr.SearchCounted(Box(0, 1000, 0, 1000), func(Rect, int64) bool { return true })
+	small := searchIO(tr, Box(500, 510, 500, 510))
+	big := searchIO(tr, Box(0, 1000, 0, 1000))
 	if small >= big {
 		t.Errorf("small query io %d not below full scan io %d", small, big)
 	}
@@ -203,21 +189,22 @@ func TestRStarBeatsQuadraticOnIO(t *testing.T) {
 		cfg := DefaultConfig(2)
 		cfg.Variant = variant
 		rng := rand.New(rand.NewSource(77))
-		tr := New(cfg)
 		// Clustered data: 100 clusters of 200 points.
+		items := make([]Item, 0, 100*200)
 		for c := 0; c < 100; c++ {
 			cx, cy := rng.Float64()*1000, rng.Float64()*1000
 			for i := 0; i < 200; i++ {
 				x := cx + rng.NormFloat64()*5
 				y := cy + rng.NormFloat64()*5
-				tr.Insert(Box(x, x+0.5, y, y+0.5), int64(c*200+i))
+				items = append(items, Item{Rect: Box(x, x+0.5, y, y+0.5), Data: int64(c*200 + i)})
 			}
 		}
+		tr := InsertLoad(cfg, items)
 		var io int64
 		qrng := rand.New(rand.NewSource(5))
 		for q := 0; q < 200; q++ {
 			x, y := qrng.Float64()*1000, qrng.Float64()*1000
-			io += tr.SearchCounted(Box(x, x+20, y, y+20), func(Rect, int64) bool { return true })
+			io += searchIO(tr, Box(x, x+20, y, y+20))
 		}
 		return io
 	}
@@ -227,25 +214,33 @@ func TestRStarBeatsQuadraticOnIO(t *testing.T) {
 	}
 }
 
+// TestScanVisitsEverything: Payloads lists every item once, in the leaf
+// order a depth-first scan of the tree visits them.
 func TestScanVisitsEverything(t *testing.T) {
 	tr, _ := buildRandom(t, DefaultConfig(3), 1234, 10)
+	var scanned []int64
+	thaw(tr).scan(func(_ Rect, d int64) { scanned = append(scanned, d) })
+	got := tr.Payloads(nil)
+	if !slices.Equal(got, scanned) {
+		t.Errorf("Payloads lists %d items, a scan %d, or in another order", len(got), len(scanned))
+	}
 	seen := map[int64]bool{}
-	tr.Scan(func(_ Rect, d int64) bool {
+	for _, d := range got {
 		seen[d] = true
-		return true
-	})
+	}
 	if len(seen) != 1234 {
 		t.Errorf("scan saw %d items", len(seen))
 	}
 }
 
 func TestDuplicateRects(t *testing.T) {
-	tr := New(DefaultConfig(2))
 	r := Box(5, 6, 5, 6)
-	for i := 0; i < 100; i++ {
-		tr.Insert(r, int64(i))
+	items := make([]Item, 100)
+	for i := range items {
+		items[i] = Item{Rect: r, Data: int64(i)}
 	}
-	got := tr.Collect(r)
+	tr := InsertLoad(DefaultConfig(2), items)
+	got := collect(tr, r)
 	if len(got) != 100 {
 		t.Fatalf("got %d duplicates", len(got))
 	}
@@ -263,13 +258,14 @@ func TestDuplicateRects(t *testing.T) {
 func TestPointData(t *testing.T) {
 	// Degenerate rectangles (points) are the naive index's storage format.
 	rng := rand.New(rand.NewSource(11))
-	tr := New(DefaultConfig(4))
 	type pt struct{ x, y, z, w float64 }
 	pts := make([]pt, 5000)
+	items := make([]Item, len(pts))
 	for i := range pts {
 		pts[i] = pt{rng.Float64() * 100, rng.Float64() * 100, rng.Float64() * 10, rng.Float64()}
-		tr.Insert(Point(pts[i].x, pts[i].y, pts[i].z, pts[i].w), int64(i))
+		items[i] = Item{Rect: Point(pts[i].x, pts[i].y, pts[i].z, pts[i].w), Data: int64(i)}
 	}
+	tr := InsertLoad(DefaultConfig(4), items)
 	q := Box(20, 60, 20, 60, 0, 10, 0.5, 1.0)
 	want := 0
 	for _, p := range pts {
@@ -277,7 +273,7 @@ func TestPointData(t *testing.T) {
 			want++
 		}
 	}
-	if got := tr.Count(q); got != want {
+	if got := len(collect(tr, q)); got != want {
 		t.Fatalf("got %d want %d", got, want)
 	}
 }

@@ -8,7 +8,7 @@ import "sort"
 // (ties broken by minimum combined area). The receiver keeps the first
 // group (preserving node identity along insertion paths); the returned
 // sibling holds the second.
-func (t *Tree) splitRStar(n *node) *node {
+func (t *pointerTree) splitRStar(n *node) *node {
 	dims := t.cfg.Dims
 	m := t.cfg.MinEntries
 	total := len(n.entries)
@@ -93,7 +93,7 @@ func mbrOf(entries []entry, dims int) Rect {
 // split: seed the two groups with the pair of entries wasting the most
 // area if grouped, then repeatedly assign the entry with the strongest
 // preference. The receiver keeps group one; the sibling gets group two.
-func (t *Tree) splitQuadratic(n *node) *node {
+func (t *pointerTree) splitQuadratic(n *node) *node {
 	dims := t.cfg.Dims
 	m := t.cfg.MinEntries
 	entries := n.entries
