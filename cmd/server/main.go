@@ -85,8 +85,7 @@ func parse(args []string) (*server, error) {
 	fs.IntVar(&r.cityLots, "city-lots", 3, "buildings per block side in the -city grid")
 	fs.IntVar(&r.cityLevels, "city-levels", 3, "subdivision levels per -city building")
 
-	fs.BoolVar(&c.HotCache, "hot-cache", false, "enable the per-scene hot-region result cache")
-	fs.BoolVar(&c.Coalesce, "coalesce", false, "enable per-scene query coalescing: concurrent sessions asking the identical hot-region sub-query share one index pass")
+	fs.BoolVar(&c.HotCache, "hot-cache", false, "enable the per-scene sharing table: a repeated sub-query is answered from it, and concurrent sessions asking the identical one share one index pass")
 	fs.StringVar(&s.pprofAddr, "pprof-addr", "", "serve net/http/pprof on this side listener (empty disables)")
 
 	fs.IntVar(&c.MaxSessions, "max-sessions", 0, "shed connections beyond this many concurrent sessions (0 = unlimited)")

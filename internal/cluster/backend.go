@@ -13,7 +13,6 @@ import (
 	"repro/internal/index"
 	"repro/internal/persist"
 	"repro/internal/proto"
-	"repro/internal/retrieval"
 	"repro/internal/stats"
 )
 
@@ -47,8 +46,7 @@ type BackendConfig struct {
 	ResumeCapacity int           // parked sessions per scene (0 = engine's default, < 0 disables resumption)
 	ResumeTTL      time.Duration // how long a session stays parked (0 = engine's default, < 0 = not at all)
 	BudgetCap      int64         // ceiling on every frame's bytes (0 = none)
-	HotCache       bool          // a hot-region result cache per scene
-	Coalesce       bool          // a query coalescer per scene
+	HotCache       bool          // a sharing table per scene (hot results and searches in flight)
 	VerifyPages    bool          // CRC-check a paged scene's pages before building it
 	ScrubInterval  time.Duration // re-verify each paged scene's pages this often (0 = never)
 }
@@ -87,10 +85,6 @@ func StartBackend(cfg BackendConfig) (*Backend, error) {
 	if cfg.HotCache {
 		b.reg.EnableHotCache(hotcache.Config{}, b.cfg.Stats)
 		b.cfg.Logf("hot-region result cache enabled for %d scene(s)", b.reg.Len())
-	}
-	if cfg.Coalesce {
-		b.reg.EnableCoalescer(retrieval.CoalescerConfig{}, b.cfg.Stats)
-		b.cfg.Logf("query coalescing enabled for %d scene(s)", b.reg.Len())
 	}
 	b.reg.SetResumeCache(cmp.Or(cfg.ResumeCapacity, engine.DefaultResumeCapacity),
 		cmp.Or(cfg.ResumeTTL, engine.DefaultResumeTTL))

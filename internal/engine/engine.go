@@ -194,9 +194,11 @@ func (r *Registry) Build(cfg SceneConfig) (*Scene, error) {
 }
 
 // EnableHotCache equips every scene, registered now or later, with a
-// hot-region result cache (see internal/hotcache) and registers each
-// cache's counters as a stats gauge source. Call while no request is in
-// flight.
+// sharing table (see internal/hotcache): concurrent sessions asking the
+// identical sub-query share one index pass, and a repeated one is
+// answered from the table. It registers each table's counters as a
+// stats gauge source, the hotcache.* and coalescer.* rows. Call while no
+// request is in flight.
 func (r *Registry) EnableHotCache(cfg hotcache.Config, st *stats.Stats) {
 	r.apply(func(sc *Scene) {
 		if sc.Server.HotCache() != nil {
@@ -213,30 +215,18 @@ func (r *Registry) EnableHotCache(cfg hotcache.Config, st *stats.Stats) {
 			v[stats.HotBytes] += hs.Bytes
 			v[stats.HotSubscribers] += hs.Subscribers
 			v[stats.HotPayloadHits] += hs.PayloadHits
+			v[stats.CoalescerRouted] += hs.Routed
+			v[stats.CoalescerLed] += hs.Led
+			v[stats.CoalescerShared] += hs.Shared
+			v[stats.CoalescerFlights] += int64(hs.Flights)
 		})
 	})
 }
 
-// EnableCoalescer equips every scene, registered now or later, with a
-// query coalescer (see retrieval.Coalescer): concurrent sessions asking
-// the identical hot-region sub-query share one index pass. Call while no
-// request is in flight.
-func (r *Registry) EnableCoalescer(cfg retrieval.CoalescerConfig, st *stats.Stats) {
-	r.apply(func(sc *Scene) {
-		if sc.Server.Coalescer() != nil {
-			return // already wired
-		}
-		co := retrieval.NewCoalescer(cfg)
-		sc.Server.SetCoalescer(co)
-		st.AddSource(func(v *stats.Values) {
-			cs := co.Stats()
-			v[stats.CoalescerRouted] += cs.Routed
-			v[stats.CoalescerLed] += cs.Led
-			v[stats.CoalescerShared] += cs.Shared
-			v[stats.CoalescerFlights] += int64(cs.Flights)
-		})
-	})
-}
+// EnableCoalescer does nothing: EnableHotCache's table shares searches
+// in flight. It is kept only for bench/ (DESIGN §17 lists every such
+// name).
+func (r *Registry) EnableCoalescer(retrieval.CoalescerConfig, *stats.Stats) {}
 
 // Get returns the scene by name; the empty name resolves to the default
 // scene.

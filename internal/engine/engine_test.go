@@ -215,6 +215,9 @@ func TestHotCacheWiring(t *testing.T) {
 	if n, e, h := snap.Get(stats.RetrievalFirstTouches), snap.Get(stats.HotEntries), snap.Get(stats.HotHits); n != 2 || e != 2 || h != 2 {
 		t.Fatalf("three asks on two scenes: %d first touches, %d entries, %d hits; want 2 of each", n, e, h)
 	}
+	if r, l := snap.Get(stats.CoalescerRouted), snap.Get(stats.CoalescerLed); r != 2 || l != 2 {
+		t.Fatalf("three asks on two scenes: %d routed, %d led; want 2 of each", r, l)
+	}
 	if line := snap.String(); !strings.Contains(line, "hotcache.hits 2") || !strings.Contains(line, "retrieval.first_touches 2") {
 		t.Fatalf("snapshot String omits the hot-cache or first-touch rows: %s", line)
 	}
@@ -234,13 +237,12 @@ func TestSettingsReachLateScenes(t *testing.T) {
 	reg := NewRegistry()
 	reg.SetResumeCache(0, time.Minute)
 	reg.EnableHotCache(hotcache.Config{}, st)
-	reg.EnableCoalescer(retrieval.CoalescerConfig{}, st)
 	sc, err := reg.LoadScene(CheckpointPath(dir, "park"), st)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sc.Server.HotCache() == nil || sc.Server.Coalescer() == nil {
-		t.Fatalf("late scene: hot cache %v, coalescer %v; want both", sc.Server.HotCache(), sc.Server.Coalescer())
+	if sc.Server.HotCache() == nil {
+		t.Fatal("late scene has no sharing table")
 	}
 	serve(sc, 1)
 	sc.Sessions.Drop(1)

@@ -22,7 +22,7 @@ const crowdScene = "plaza"
 
 // CrowdRunSpec configures the crowd-serving acceptance soak: a flocked
 // crowd tours two identically built servers over the wire — one with
-// the coalescer and the hot-region subscription layer enabled, one
+// the sharing table and its subscription layer enabled, one
 // serving every session independently — and every frame of every client
 // must come back identical, coefficient for coefficient and I/O count
 // for I/O count. The zero value gets quick-scale defaults sized for CI.
@@ -162,12 +162,12 @@ func lockstep(addr string, frames [][]crowdFrame) ([][]proto.Response, error) {
 //   - coalesced serving is invisible: every frame of every client
 //     matches the independent server's frame exactly, every coefficient
 //     record and the reported index I/O included;
-//   - at positive overlap, sharing cut index work: sub-queries were
-//     routed through the coalescer (Routed > 0) and coalesced serving
-//     spent fewer index passes (first touches + led) than
-//     independent serving. Shared is printed, not gated:
-//     second-touch admission usually sends a flock's second ask to the
-//     hot cache before it can join the first ask's flight;
+//   - at positive overlap, sharing cut index work: admitted misses
+//     were routed into the sharing table (Routed > 0) and coalesced
+//     serving spent fewer index passes (first touches + led) than
+//     independent serving. Shared is printed, not gated: a flock's
+//     first ask is searched without an entry, so its concurrent
+//     askers mostly lead or hit rather than wait on one;
 //   - the multicast path engaged at positive overlap: cached serialized
 //     payloads were replayed instead of re-encoded (PayloadHits > 0);
 //   - the counters reconcile exactly: Routed == Led + Shared, and every
@@ -192,18 +192,15 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 	}
 	defer bCo.Stop()
 	// No session has dialed yet, so nothing is in flight while the
-	// sharing layers are wired in. A long linger window: near-simultaneous
-	// flock arrivals that just miss a flight still share its result
-	// within the step.
+	// sharing table is wired in.
 	bCo.Registry().EnableHotCache(hotcache.Config{}, stCo)
-	bCo.Registry().EnableCoalescer(retrieval.CoalescerConfig{Window: 50 * time.Millisecond}, stCo)
 	bInd, _, err := boot(stInd)
 	if err != nil {
 		return err
 	}
 	defer bInd.Stop()
-	if scCo.Server.Coalescer() == nil || scCo.Server.HotCache() == nil {
-		return fmt.Errorf("experiment: coalesced server came up without coalescer or hot cache")
+	if scCo.Server.HotCache() == nil {
+		return fmt.Errorf("experiment: coalesced server came up without a sharing table")
 	}
 
 	// The crowd: flocked clients share attractor paths float-for-float,
@@ -229,7 +226,7 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 	start := time.Now()
 	// Independent baseline first, then the coalesced run under the same
 	// barriers, where every client of a step fires concurrently — which
-	// is what gives the coalescer followers.
+	// is what gives an unfilled entry its waiters.
 	indResp, err := lockstep(bInd.Addr(), frames)
 	if err != nil {
 		return fmt.Errorf("independent %w", err)
@@ -297,8 +294,8 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 	}
 	// Cross-layer reconciliation: both servers planned identical
 	// sub-queries, and on the coalesced side every one of them was a
-	// hot-cache hit, a first touch searched past both layers, or routed
-	// through the coalescer — exactly.
+	// table hit, a first touch searched past the table, or routed into
+	// it — exactly.
 	if subQueries != indSubQueries {
 		return fmt.Errorf("experiment: sub-query plans diverged: %d coalesced vs %d independent",
 			subQueries, indSubQueries)
@@ -311,11 +308,11 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 	// zero-overlap soak is a pure no-regression identity check in which
 	// every sub-query is a first touch. The pass-reduction gate is
 	// deterministic: per flock per step one member is the first touch and
-	// one leads the flight — every other member adopts the flight or hits
-	// the hot cache, whichever it races into.
+	// one leads a search into an unfilled entry — every other member waits
+	// on that entry or hits the filled one, whichever it races into.
 	if spec.Overlap > 0 {
 		if routed == 0 {
-			return fmt.Errorf("experiment: nothing was routed through the coalescer")
+			return fmt.Errorf("experiment: nothing was routed into the sharing table")
 		}
 		if passes >= indSubQueries {
 			return fmt.Errorf("experiment: coalesced serving spent %d index passes, independent %d — nothing shared",

@@ -4,9 +4,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"time"
 
 	"repro/internal/geom"
+	"repro/internal/hotcache"
 	"repro/internal/index"
 	"repro/internal/persist"
 	"repro/internal/retrieval"
@@ -18,9 +20,11 @@ import (
 // crowd workload replayed socket-free through a coalesced server and an
 // independent one, sweeping crowd size and overlap factor. It is a
 // deterministic simulation — sessions are driven serially in lockstep
-// steps, and the coalescer's linger window (flushed at every step
-// boundary) stands in for within-step concurrency, so the index-pass
-// counts are exact and reproducible rather than scheduling-dependent.
+// steps, and a fresh sharing table per step, large enough to hold the
+// step, stands in for within-step concurrency: what a concurrent step
+// would share as a wait on an unfilled entry, the serial one shares as
+// a hit on the filled entry. So the index-pass counts are exact and
+// reproducible rather than scheduling-dependent.
 type CrowdBenchSpec struct {
 	Seed       int64
 	Objects    int       // dataset size (default 24)
@@ -49,6 +53,11 @@ func (s CrowdBenchSpec) fill() CrowdBenchSpec {
 	return s
 }
 
+// maxSubQueries bounds a frame's plan: Algorithm 1 asks at most four
+// difference slivers and one detail band. A step's table holds
+// maxSubQueries entries per client, so it never evicts.
+const maxSubQueries = 5
+
 // CrowdBenchPoint is one (crowd size, overlap) measurement.
 type CrowdBenchPoint struct {
 	Clients int     `json:"clients"`
@@ -57,7 +66,8 @@ type CrowdBenchPoint struct {
 	// sides, and exactly the independent server's index passes.
 	SubQueries int64 `json:"sub_queries"`
 	// CoalescedPasses is what the coalesced server actually spent:
-	// first touches and led flights.
+	// first touches and led searches. Shared is the passes saved: the
+	// table's hits and waits.
 	CoalescedPasses int64 `json:"coalesced_passes"`
 	Shared          int64 `json:"shared"`
 	// PassReduction = SubQueries / CoalescedPasses.
@@ -105,18 +115,30 @@ func RunCrowdBench(spec CrowdBenchSpec, jsonPath string, w io.Writer) (*CrowdBen
 				Seed:       spec.Seed,
 			})
 
-			replay := func(srv *retrieval.Server) time.Duration {
+			// tables sums the coalesced server's per-step tables.
+			var tables hotcache.Stats
+			replay := func(srv *retrieval.Server, coalesce bool) time.Duration {
 				sessions := make([]*retrieval.Client, clients)
 				for i := range sessions {
 					sessions[i] = retrieval.NewClient(retrieval.NewSession(srv), nil)
 				}
 				start := time.Now()
 				for s := 0; s < spec.Steps; s++ {
+					var hot *hotcache.Cache
+					if coalesce {
+						hot = hotcache.New(hotcache.Config{MaxEntries: clients * maxSubQueries, MaxBytes: math.MaxInt64})
+						srv.SetHotCache(hot)
+					}
 					for i, tour := range crowd {
 						sessions[i].Frame(geom.RectAround(tour.Pos[s], side), tour.SpeedAt(s))
 					}
-					if co := srv.Coalescer(); co != nil {
-						co.Flush()
+					if hot != nil {
+						hs := hot.Stats()
+						tables.Hits += hs.Hits
+						tables.Routed += hs.Routed
+						tables.Led += hs.Led
+						tables.Shared += hs.Shared
+						tables.Evictions += hs.Evictions
 					}
 				}
 				return time.Since(start)
@@ -126,35 +148,35 @@ func RunCrowdBench(spec CrowdBenchSpec, jsonPath string, w io.Writer) (*CrowdBen
 			stInd := stats.New()
 			ind := retrieval.NewServer(d.Store, index.NewSharded(d.Store, index.XYW, index.ShardedConfig{}))
 			ind.SetStats(stInd)
-			indMS := replay(ind)
+			indMS := replay(ind, false)
 
-			// Coalesced: same store, fresh index, coalescer only (no hot
-			// cache — the bench isolates the coalescer's pass accounting).
+			// Coalesced: same store, fresh index, a fresh table per step.
 			stCo := stats.New()
 			srv := retrieval.NewServer(d.Store, index.NewSharded(d.Store, index.XYW, index.ShardedConfig{}))
 			srv.SetStats(stCo)
-			srv.SetCoalescer(retrieval.NewCoalescer(retrieval.CoalescerConfig{Window: time.Hour}))
-			coMS := replay(srv)
+			coMS := replay(srv, true)
 
-			cs := srv.Coalescer().Stats()
 			subq, subqCo := stInd.Load(stats.RetrievalSubQueries), stCo.Load(stats.RetrievalSubQueries)
 			touches := stCo.Load(stats.RetrievalFirstTouches)
 			if subqCo != subq {
 				return nil, fmt.Errorf("experiment: sub-query volume diverged: %d coalesced vs %d independent", subqCo, subq)
 			}
-			if touches+cs.Routed != subq {
-				return nil, fmt.Errorf("experiment: %d first touches + %d routed of %d sub-queries — the coalescer was bypassed",
-					touches, cs.Routed, subq)
+			if touches+tables.Hits+tables.Routed != subq {
+				return nil, fmt.Errorf("experiment: %d first touches + %d hits + %d routed of %d sub-queries — the table was bypassed",
+					touches, tables.Hits, tables.Routed, subq)
 			}
-			if got := cs.Led + cs.Shared; got != cs.Routed {
-				return nil, fmt.Errorf("experiment: coalescer counters do not reconcile: %d routed vs %d accounted", cs.Routed, got)
+			if got := tables.Led + tables.Shared; got != tables.Routed {
+				return nil, fmt.Errorf("experiment: table counters do not reconcile: %d routed vs %d accounted", tables.Routed, got)
+			}
+			if tables.Evictions != 0 {
+				return nil, fmt.Errorf("experiment: a step's table evicted %d entries", tables.Evictions)
 			}
 			point := CrowdBenchPoint{
 				Clients:         clients,
 				Overlap:         overlap,
 				SubQueries:      subq,
-				CoalescedPasses: touches + cs.Led,
-				Shared:          cs.Shared,
+				CoalescedPasses: touches + tables.Led,
+				Shared:          tables.Hits + tables.Shared,
 				IndependentMS:   float64(indMS.Microseconds()) / 1000,
 				CoalescedMS:     float64(coMS.Microseconds()) / 1000,
 			}

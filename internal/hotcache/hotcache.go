@@ -9,8 +9,15 @@
 // its build (new data arrives as a new scene, with a cache of its own),
 // so a stored result stays right for as long as the entry lives.
 //
-// The table is keyed by the exact query floats: a Get whose query
-// differs in any coordinate is a miss, never a wrong answer, and
+// The same table shares searches in flight. Viewers flock, so sessions
+// ask the identical query at once: the first puts an unfilled entry in
+// the table and searches, the others wait on that entry and adopt its
+// result, and the filled entry is the cached result. Per-session
+// delivered-set filtering happens downstream of the table, so sessions
+// sharing one index pass still receive exactly their own increments.
+//
+// The table is keyed by the exact query floats: a query that differs
+// in any coordinate is a miss, never a wrong answer, and
 // replayed responses are byte-identical to what an uncached search would
 // return. MaxEntries and MaxBytes alone bound the table.
 //
@@ -20,8 +27,9 @@
 package hotcache
 
 import (
+	"math"
+	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/index"
 )
@@ -49,11 +57,15 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// entry is one cached result. words and payload are immutable once set
-// (readers copy out of them without holding the lock); list pointers and
-// payload attachment are guarded by the cache mutex.
+// entry is one table entry. An unfilled entry (done != nil) is a search
+// in flight: it is in the map, not in the LRU list, and holds no words
+// yet. Its leader fills words and io, then clears done under the lock
+// and closes the channel, so askers that waited read them without the
+// lock; they are immutable from then on. List pointers, payload
+// attachment and done are guarded by the cache mutex.
 type entry struct {
 	q       index.Query
+	done    chan struct{}
 	words   []index.Word
 	io      int64
 	payload []byte
@@ -62,8 +74,11 @@ type entry struct {
 	next    *entry
 }
 
-// Cache is a bounded LRU of memoized query results. All methods are safe
-// for concurrent use. The zero Cache is not usable; call New.
+// Cache is the sharing table of one scene: a bounded LRU of exact-query
+// results, searches in flight among them, behind one admission table.
+// All methods are safe for concurrent use. The zero Cache is not
+// usable; call New. One Cache serves one index — results from different
+// indexes must never mix.
 type Cache struct {
 	cfg Config
 
@@ -72,18 +87,20 @@ type Cache struct {
 	head  *entry // most recently used
 	tail  *entry // least recently used
 	bytes int64
+	// flights counts the unfilled entries in m.
+	flights int
 	// subs counts live subscriptions per query (see Subscribe). A
 	// subscribed query's entry is exempt from LRU eviction — the
 	// multicast contract is that a hot region's payload stays resident
 	// while anyone is watching it — so pinned entries are bounded by the
 	// open subscriptions.
 	subs map[index.Query]int
-
-	hits        atomic.Int64
-	misses      atomic.Int64
-	evictions   atomic.Int64
-	subscribers atomic.Int64
-	payloadHits atomic.Int64
+	// asked is the admission table: one fingerprint of exact query
+	// floats per slot (see admitLocked).
+	asked [admitSlots]uint64
+	// n holds the counters and the subscriber gauge; Entries, Bytes
+	// and Flights are filled in by Stats.
+	n Stats
 }
 
 // New builds an empty cache with the given bounds.
@@ -92,55 +109,88 @@ func New(cfg Config) *Cache {
 	return &Cache{cfg: cfg, m: make(map[index.Query]*entry, cfg.MaxEntries), subs: make(map[index.Query]int)}
 }
 
-// Get looks the query up. On a hit it appends the cached words to buf
-// and returns the extended buffer, the node I/O the populating search cost
-// (responses must replay it to stay byte-identical to an uncached
-// serve), and true.
-func (c *Cache) Get(q index.Query, buf []index.Word) ([]index.Word, int64, bool) {
+// Search answers q over idx through the table, appending the id words
+// to buf as idx.SearchWords does, and returns the extended buffer, the
+// node I/O and whether the table answered q or now holds it (the
+// precondition for a response-level HotRef). Every path returns the
+// ids and the node I/O of idx's own search: a stored result is replayed
+// with the io its search cost.
+//
+//   - A filled entry is a hit.
+//   - An unfilled entry is a search another session is running: the
+//     asker waits for it and adopts its words and io (a miss and a share).
+//   - Otherwise the query is admitted (admitLocked) or not. An admitted
+//     query puts an unfilled entry in the table, searches, and fills
+//     it (a miss it leads). A query asked for the first time is
+//     searched directly and leaves only its fingerprint.
+//
+// A query with a NaN field is unequal to itself, so an entry keyed by
+// it could never be found or evicted: it is searched directly too.
+func (c *Cache) Search(idx index.IntoSearcher, q index.Query, buf []index.Word, cur *index.Cursor) ([]index.Word, int64, bool) {
+	if q != q {
+		buf, io := idx.SearchWords(q, buf, cur)
+		return buf, io, false
+	}
 	c.mu.Lock()
 	e := c.m[q]
-	if e == nil {
+	if e != nil && e.done == nil {
+		c.touchLocked(e)
+		c.n.Hits++
+		words, io := e.words, e.io
 		c.mu.Unlock()
-		c.misses.Add(1)
-		return buf, 0, false
+		return append(buf, words...), io, true
 	}
-	c.touchLocked(e)
-	words, io := e.words, e.io
+	c.n.Misses++
+	if e != nil {
+		c.n.Routed++
+		c.n.Shared++
+		done := e.done
+		c.mu.Unlock()
+		<-done
+		return append(buf, e.words...), e.io, true
+	}
+	if !c.admitLocked(&q) {
+		c.mu.Unlock()
+		buf, io := idx.SearchWords(q, buf, cur)
+		return buf, io, false
+	}
+	c.n.Routed++
+	e = &entry{q: q, done: make(chan struct{})}
+	c.m[q] = e
+	c.flights++
 	c.mu.Unlock()
-	c.hits.Add(1)
-	return append(buf, words...), io, true
+
+	// The search appends into the leader's own buf (the session scratch);
+	// the entry gets one exact-size copy, because waiting askers and
+	// later hits read e.words and it must never alias a session's
+	// reusable scratch.
+	start := len(buf)
+	buf, e.io = idx.SearchWords(q, buf, cur)
+	e.words = slices.Clone(buf[start:])
+	e.bytes = entryOverhead + int64(len(e.words))*wordBytes
+	c.mu.Lock()
+	done := e.done
+	e.done = nil
+	c.flights--
+	c.n.Led++
+	c.insertLocked(e)
+	c.mu.Unlock()
+	close(done)
+	return buf, e.io, true
 }
 
-// Put stores a search result, its ids as index.SearchWords returns them.
-// words is copied; the caller keeps ownership of its buffer. A query the
-// cache already holds keeps its entry, which has the same words and may
-// carry a payload. q must equal itself (no NaN field): an entry keyed by
-// it could never be found or evicted.
-func (c *Cache) Put(q index.Query, words []index.Word, io int64) {
-	e := &entry{
-		q:     q,
-		io:    io,
-		bytes: entryOverhead + int64(len(words))*wordBytes,
-	}
-	if len(words) > 0 {
-		e.words = append([]index.Word(nil), words...)
-	}
-	c.mu.Lock()
-	if c.m[q] != nil {
-		c.mu.Unlock()
-		return
-	}
-	c.m[q] = e
+// insertLocked puts a filled entry, already in the map, at the front of
+// the LRU and evicts down to the bounds. The caller holds c.mu.
+func (c *Cache) insertLocked(e *entry) {
 	c.pushLocked(e)
 	c.bytes += e.bytes
 	c.evictOverflowLocked()
-	c.mu.Unlock()
 }
 
 // Payload returns the serialized response blob attached to the query's
 // entry, if there is one. The returned slice is immutable — callers
 // write it out verbatim and must not modify it. The second argument is
-// ignored; it is kept only for bench/, whose next change drops it.
+// ignored; it is kept only for bench/ (DESIGN §17).
 func (c *Cache) Payload(q index.Query, _ uint64) ([]byte, bool) {
 	c.mu.Lock()
 	e := c.m[q]
@@ -149,20 +199,20 @@ func (c *Cache) Payload(q index.Query, _ uint64) ([]byte, bool) {
 		return nil, false
 	}
 	c.touchLocked(e)
+	c.n.PayloadHits++
 	p := e.payload
 	c.mu.Unlock()
-	c.payloadHits.Add(1)
 	return p, true
 }
 
 // SetPayload attaches a serialized response blob to the query's entry so
 // later hits can skip response encoding entirely. The blob is copied.
-// No-op if the entry is gone or already has a payload. The second
-// argument is ignored, as Payload's is.
+// No-op if the entry is gone, unfilled or already has a payload. The
+// second argument is ignored, as Payload's is.
 func (c *Cache) SetPayload(q index.Query, _ uint64, payload []byte) {
 	c.mu.Lock()
 	e := c.m[q]
-	if e == nil || e.payload != nil {
+	if e == nil || e.done != nil || e.payload != nil {
 		c.mu.Unlock()
 		return
 	}
@@ -206,7 +256,7 @@ func (s *Sub) Set(q index.Query) {
 	if s.active {
 		c.unsubscribeLocked(s.q)
 	} else {
-		c.subscribers.Add(1)
+		c.n.Subscribers++
 	}
 	c.subs[q]++
 	c.mu.Unlock()
@@ -226,9 +276,9 @@ func (s *Sub) Close() {
 	c := s.c
 	c.mu.Lock()
 	c.unsubscribeLocked(s.q)
+	c.n.Subscribers--
 	c.mu.Unlock()
 	s.active = false
-	c.subscribers.Add(-1)
 }
 
 // unsubscribeLocked drops one reference from a query. When the last
@@ -244,12 +294,24 @@ func (c *Cache) unsubscribeLocked(q index.Query) {
 
 // Stats is a point-in-time snapshot of the cache counters.
 type Stats struct {
+	// Hits counts asks a filled entry answered; Misses counts the
+	// rest: first touches, waits on an unfilled entry and searches led.
 	Hits   int64
 	Misses int64
 	// Evictions counts entries the LRU bounds dropped.
 	Evictions int64
-	Entries   int
-	Bytes     int64
+	// Entries counts filled entries, and Bytes their summed size.
+	Entries int
+	Bytes   int64
+	// Routed counts the admitted misses: each either Led a search into
+	// an unfilled entry or Shared one another session was running, so
+	// Routed == Led + Shared once no search is in flight. Shared is
+	// the index passes saved.
+	Routed int64
+	Led    int64
+	Shared int64
+	// Flights is the current number of unfilled entries (a gauge).
+	Flights int
 	// Subscribers is the current number of open subscriptions with a
 	// registered query (a gauge; see Subscribe).
 	Subscribers int64
@@ -261,17 +323,10 @@ type Stats struct {
 // Stats snapshots the counters and current occupancy.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
-	entries, bytes := len(c.m), c.bytes
+	st := c.n
+	st.Entries, st.Bytes, st.Flights = len(c.m)-c.flights, c.bytes, c.flights
 	c.mu.Unlock()
-	return Stats{
-		Hits:        c.hits.Load(),
-		Misses:      c.misses.Load(),
-		Evictions:   c.evictions.Load(),
-		Entries:     entries,
-		Bytes:       bytes,
-		Subscribers: c.subscribers.Load(),
-		PayloadHits: c.payloadHits.Load(),
-	}
+	return st
 }
 
 // entryOverhead approximates the fixed per-entry footprint (struct, map
@@ -289,11 +344,11 @@ const (
 // exceeded; subscriptions take precedence over the budget. The caller holds c.mu.
 func (c *Cache) evictOverflowLocked() {
 	e := c.tail
-	for e != nil && (len(c.m) > c.cfg.MaxEntries || c.bytes > c.cfg.MaxBytes) {
+	for e != nil && (len(c.m)-c.flights > c.cfg.MaxEntries || c.bytes > c.cfg.MaxBytes) {
 		prev := e.prev
 		if c.subs[e.q] == 0 {
 			c.removeLocked(e)
-			c.evictions.Add(1)
+			c.n.Evictions++
 		}
 		e = prev
 	}
@@ -339,4 +394,69 @@ func (c *Cache) touchLocked(e *entry) {
 	}
 	e.prev, e.next = nil, nil
 	c.pushLocked(e)
+}
+
+// The admission table has 4 096 slots of 8 bytes: 32 KB per cache. A
+// fingerprint may sit in two of them (admitSlotsOf).
+const (
+	admitBits  = 12
+	admitSlots = 1 << admitBits
+)
+
+// admitLocked reports whether q has been asked of this table before,
+// and records that it now has. It is the table's one admission rule:
+// Algorithm 1 makes a client's query the difference from its previous
+// frame, so one client never repeats a sub-query and most are never
+// asked by anyone again; an entry for each of them is cost without a
+// taker. Only the second ask of a query pays it.
+//
+// What is remembered is a 64-bit fingerprint of the exact query floats,
+// the table's key, in slots where each fingerprint has two: a new one
+// is put in its first slot, and a fingerprint it displaces from that
+// one's own first slot moves to its second, so two queries that share
+// a first slot and are asked in turn both stay remembered. A collision
+// — two queries with one fingerprint, or both of a fingerprint's slots
+// overwritten between two asks — moves only when a result starts being
+// shared, never what any ask is answered. The caller holds c.mu.
+func (c *Cache) admitLocked(q *index.Query) bool {
+	h := fingerprint(q)
+	first, second := admitSlotsOf(h)
+	if c.asked[second] == h {
+		return true
+	}
+	old := c.asked[first]
+	if old == h {
+		return true
+	}
+	c.asked[first] = h
+	// A fingerprint displaced from its first slot moves to its second;
+	// one displaced from its second is forgotten.
+	if oldFirst, oldSecond := admitSlotsOf(old); old != 0 && oldFirst == first {
+		c.asked[oldSecond] = old
+	}
+	return false
+}
+
+// fingerprint hashes q's exact floats; it is never 0, the empty slot.
+func fingerprint(q *index.Query) uint64 {
+	h := uint64(0x9e3779b97f4a7c15)
+	for _, f := range [...]float64{
+		q.Region.Min.X, q.Region.Min.Y, q.Region.Max.X, q.Region.Max.Y,
+		q.ZMin, q.ZMax, q.WMin, q.WMax,
+	} {
+		h = (h ^ math.Float64bits(f)) * 0xff51afd7ed558ccd
+		h ^= h >> 32
+	}
+	return h | 1
+}
+
+// admitSlotsOf returns fingerprint h's two admission slots, which
+// differ: its top admitBits bits, and the next admitBits.
+func admitSlotsOf(h uint64) (first, second uint64) {
+	first = h >> (64 - admitBits)
+	second = h >> (64 - 2*admitBits) & (admitSlots - 1)
+	if second == first {
+		second ^= 1
+	}
+	return first, second
 }

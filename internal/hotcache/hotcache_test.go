@@ -242,3 +242,48 @@ func TestCacheConcurrentChurn(t *testing.T) {
 		t.Fatalf("no hits or no evictions in the concurrent run: %+v", st)
 	}
 }
+
+// TestAlternatingCollidersAdmitted: two queries whose fingerprints share
+// a first admission slot, asked in turn, are each admitted on their
+// second ask and hit on their third: the fingerprint a new one displaces
+// moves to its second slot instead of being forgotten. With one slot per
+// fingerprint each ask swapped the other out, and all six asks were
+// first touches.
+func TestAlternatingCollidersAdmitted(t *testing.T) {
+	store := testStore(t, 8, 73)
+	idx := index.NewSharded(store, index.XYW, index.ShardedConfig{Shards: 4})
+	c := New(Config{})
+	var p, r index.Query
+	seen := map[uint64]index.Query{}
+	for i := 0; ; i++ {
+		x, y := float64(i%64)*10, float64(i/64)*10
+		query := q(x, y, x+300, y+300, 1)
+		query.WMin = 0.2
+		first, _ := admitSlotsOf(fingerprint(&query))
+		if prev, ok := seen[first]; ok {
+			p, r = prev, query
+			break
+		}
+		seen[first] = query
+	}
+	var cur index.Cursor
+	firstTouches := 0
+	for ask := 0; ask < 3; ask++ {
+		for _, query := range []index.Query{p, r} {
+			got, io, held := c.Search(idx, query, nil, &cur)
+			want, wantIO := idx.Search(query)
+			if !slices.Equal(index.AppendIDs(nil, got), want) || io != wantIO {
+				t.Fatalf("ask %d: %d ids io %d, want %d ids io %d", ask, len(index.AppendIDs(nil, got)), io, len(want), wantIO)
+			}
+			if !held {
+				firstTouches++
+			}
+		}
+	}
+	if firstTouches != 2 {
+		t.Fatalf("%d first touches over three alternating asks of two colliding queries, want 2", firstTouches)
+	}
+	if st := c.Stats(); st.Entries != 2 || st.Hits != 2 || st.Routed != 2 || st.Led != 2 {
+		t.Fatalf("table %+v, want 2 entries, 2 hits and 2 led of 2 routed", st)
+	}
+}

@@ -18,7 +18,7 @@ type Cursor struct {
 }
 
 // IntoSearcher is the contract of a served index — what
-// retrieval.Server, the hot cache and the coalescer are written against.
+// retrieval.Server and the sharing table (hotcache) are written against.
 // SearchWords appends Search's results to a caller-owned buffer as words
 // using caller-owned scratch, so a warmed-up serve allocates nothing per
 // query; the appended words hold exactly Search's ids, in its order,

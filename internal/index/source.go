@@ -70,9 +70,8 @@ type CoefficientSource interface {
 	scan(fn func(id int64, c *wavelet.Coefficient))
 }
 
-// PinningSource is an alias of CoefficientSource, kept only because the
-// end-to-end benchmark still names it; the next change to bench/ deletes
-// it together with retrieval.Server.SetParallelism.
+// PinningSource is an alias of CoefficientSource, kept only for bench/
+// (DESIGN §17 lists every such name).
 type PinningSource = CoefficientSource
 
 // Both stores satisfy the one store contract; keep the compiler honest.

@@ -32,8 +32,8 @@ type faultyPaged struct {
 // startFaultyPagedServer serves a small dataset from a paged segment
 // read through a fault injector, with the segment's last page corrupt.
 // The index build scans the segment before the corruption lands, so
-// every coefficient is indexed. With shared set, the hot cache and the
-// coalescer are wired into the retrieval layer.
+// every coefficient is indexed. With shared set, the sharing table is
+// wired into the retrieval layer.
 func startFaultyPagedServer(t *testing.T, shared bool) faultyPaged {
 	t.Helper()
 	d := workload.Generate(workload.Spec{NumObjects: 8, Levels: 3, Seed: 5})
@@ -67,7 +67,6 @@ func startFaultyPagedServer(t *testing.T, shared bool) faultyPaged {
 	if shared {
 		hot = hotcache.New(hotcache.Config{})
 		rsrv.SetHotCache(hot)
-		rsrv.SetCoalescer(retrieval.NewCoalescer(retrieval.CoalescerConfig{}))
 	}
 	srv := NewServer(rsrv, ps.Levels(), t.Logf)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
@@ -92,7 +91,7 @@ func startFaultyPagedServer(t *testing.T, shared bool) faultyPaged {
 }
 
 // bothLayouts runs a disk-fault test against a bare server and against
-// one with the hot cache and the coalescer wired.
+// one with the sharing table wired.
 func bothLayouts(t *testing.T, test func(t *testing.T, f faultyPaged)) {
 	for _, shared := range []bool{false, true} {
 		name := "bare"

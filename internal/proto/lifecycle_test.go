@@ -432,9 +432,8 @@ func TestClientUsableAfterClose(t *testing.T) {
 	rc.Close()
 }
 
-// startTripServer serves one scene over store and idx with the hot
-// cache and the coalescer wired, as the end-to-end benchmark's stack
-// does, on loopback.
+// startTripServer serves one scene over store and idx with the sharing
+// table wired, as the end-to-end benchmark's stack does, on loopback.
 func startTripServer(tb testing.TB, store index.CoefficientSource, idx index.IntoSearcher) (addr string, st *stats.Stats, stop func()) {
 	tb.Helper()
 	st = stats.New()
@@ -443,7 +442,6 @@ func startTripServer(tb testing.TB, store index.CoefficientSource, idx index.Int
 		tb.Fatal(err)
 	}
 	reg.EnableHotCache(hotcache.Config{}, st)
-	reg.EnableCoalescer(retrieval.CoalescerConfig{}, st)
 	srv := NewMultiServer(reg, nil)
 	srv.SetStats(st)
 	lis, err := net.Listen("tcp", "127.0.0.1:0")

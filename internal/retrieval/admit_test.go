@@ -6,7 +6,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/geom"
 	"repro/internal/hotcache"
@@ -14,35 +13,30 @@ import (
 	"repro/internal/stats"
 )
 
-// sharedServer is testShardedServer with both sharing layers wired (a
-// flight lingers for an hour, so only admission decides what is shared)
-// and its own stats collector.
+// sharedServer is tableServer with its own stats collector.
 func sharedServer(t testing.TB, seed int64) (*Server, *stats.Stats) {
 	t.Helper()
-	srv := testShardedServer(t, 8, seed, 4)
+	srv := tableServer(t, seed)
 	st := stats.New()
 	srv.SetStats(st)
-	srv.SetHotCache(hotcache.New(hotcache.Config{}))
-	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	return srv, st
 }
 
-// reconcileLayers asserts the cross-layer identity at quiescence: every
-// executed sub-query was a hot hit, a first touch, or routed through the
-// coalescer.
+// reconcileLayers asserts the table's identity at quiescence: every
+// executed sub-query was a hit, a first touch, or routed into the table.
 func reconcileLayers(t *testing.T, srv *Server, st *stats.Stats) {
 	t.Helper()
-	snap, hs, cs := st.Snapshot(), srv.HotCache().Stats(), srv.Coalescer().Stats()
-	reconcile(t, cs)
-	if snap.Get(stats.RetrievalSubQueries) != hs.Hits+snap.Get(stats.RetrievalFirstTouches)+cs.Routed {
-		t.Fatalf("sub-queries %d != hot hits %d + first touches %d + routed %d",
-			snap.Get(stats.RetrievalSubQueries), hs.Hits, snap.Get(stats.RetrievalFirstTouches), cs.Routed)
+	snap, hs := st.Snapshot(), srv.HotCache().Stats()
+	reconcile(t, hs)
+	if snap.Get(stats.RetrievalSubQueries) != hs.Hits+snap.Get(stats.RetrievalFirstTouches)+hs.Routed {
+		t.Fatalf("sub-queries %d != hits %d + first touches %d + routed %d",
+			snap.Get(stats.RetrievalSubQueries), hs.Hits, snap.Get(stats.RetrievalFirstTouches), hs.Routed)
 	}
 }
 
 // TestFirstTouchLeavesNothing: a query asked once is answered like any
-// other but costs neither layer anything — no flight, no hot entry, no
-// HotRef — only the count of it.
+// other but costs the table nothing — no entry, no HotRef — only the
+// count of it.
 func TestFirstTouchLeavesNothing(t *testing.T) {
 	srv, st := sharedServer(t, 71)
 	plain := testShardedServer(t, 8, 71, 4)
@@ -58,7 +52,7 @@ func TestFirstTouchLeavesNothing(t *testing.T) {
 		t.Fatalf("first touch left the hot cache at %+v", hs)
 	}
 	if cs := srv.Coalescer().Stats(); cs.Routed != 0 || cs.Flights != 0 {
-		t.Fatalf("first touch reached the coalescer: %+v", cs)
+		t.Fatalf("first touch was routed: %+v", cs)
 	}
 	if n := st.Load(stats.RetrievalFirstTouches); n != 1 {
 		t.Fatalf("FirstTouches = %d, want 1", n)
@@ -67,10 +61,10 @@ func TestFirstTouchLeavesNothing(t *testing.T) {
 }
 
 // TestNaNQueryPassesBothLayers: a sub-query with a NaN field is unequal
-// to itself, so no flight or hot entry keyed by it could be found or
-// dropped again. However often it is asked, it is answered as a bare
-// server answers it and leaves neither layer anything; each ask counts
-// as a first touch, so the layers' counters still add up.
+// to itself, so no entry keyed by it could be found or dropped again.
+// However often it is asked, it is answered as a bare
+// server answers it and leaves the table nothing; each ask counts as a
+// first touch, so the table's counters still add up.
 func TestNaNQueryPassesBothLayers(t *testing.T) {
 	srv, st := sharedServer(t, 79)
 	plain := testShardedServer(t, 8, 79, 4)
@@ -90,7 +84,7 @@ func TestNaNQueryPassesBothLayers(t *testing.T) {
 		t.Fatalf("NaN queries left the hot cache at %+v", hs)
 	}
 	if cs := srv.Coalescer().Stats(); cs.Routed != 0 || cs.Flights != 0 {
-		t.Fatalf("NaN queries reached the coalescer: %+v", cs)
+		t.Fatalf("NaN queries were routed: %+v", cs)
 	}
 	if n := st.Load(stats.RetrievalFirstTouches); n != 6 {
 		t.Fatalf("FirstTouches = %d, want 6", n)
@@ -99,7 +93,7 @@ func TestNaNQueryPassesBothLayers(t *testing.T) {
 }
 
 // TestSecondAskStoresThirdHits: three asks of one query are one first
-// touch, one store and one hit, and the layers' counters add up to the
+// touch, one store and one hit, and the table's counters add up to the
 // sub-queries executed.
 func TestSecondAskStoresThirdHits(t *testing.T) {
 	srv, st := sharedServer(t, 73)
@@ -119,7 +113,7 @@ func TestSecondAskStoresThirdHits(t *testing.T) {
 		t.Fatalf("hot cache %+v, want 1 entry, 1 hit, 2 misses", hs)
 	}
 	if cs.Routed != 1 || cs.Led != 1 {
-		t.Fatalf("coalescer %+v, want the second ask alone routed and led", cs)
+		t.Fatalf("table %+v, want the second ask alone routed and led", cs)
 	}
 	if n := st.Load(stats.RetrievalFirstTouches); n != 1 {
 		t.Fatalf("FirstTouches = %d, want 1", n)
@@ -127,41 +121,7 @@ func TestSecondAskStoresThirdHits(t *testing.T) {
 	reconcileLayers(t, srv, st)
 }
 
-// TestAlternatingCollidersAdmitted: two queries whose fingerprints share
-// a first admission slot, asked in turn, are each admitted on their
-// second ask and hit on their third: the fingerprint a new one displaces
-// moves to its second slot instead of being forgotten. With one slot per
-// fingerprint each ask swapped the other out, and all six asks were
-// first touches.
-func TestAlternatingCollidersAdmitted(t *testing.T) {
-	srv, st := sharedServer(t, 73)
-	var p, q SubQuery
-	seen := map[uint64]SubQuery{}
-	for i := 0; ; i++ {
-		sub := SubQuery{Region: geom.R2(float64(i%64)*10, float64(i/64)*10, float64(i%64)*10+300, float64(i/64)*10+300), WMin: 0.2, WMax: 1}
-		key := srv.queryOf(&sub)
-		first, _ := admitSlotsOf(fingerprint(&key))
-		if prev, ok := seen[first]; ok {
-			p, q = prev, sub
-			break
-		}
-		seen[first] = sub
-	}
-	for ask := 0; ask < 3; ask++ {
-		for _, sub := range []SubQuery{p, q} {
-			srv.Execute([]SubQuery{sub}, nil, nil, 0)
-		}
-	}
-	if n := st.Load(stats.RetrievalFirstTouches); n != 2 {
-		t.Fatalf("FirstTouches = %d over three alternating asks of two colliding queries, want 2", n)
-	}
-	if hs := srv.HotCache().Stats(); hs.Entries != 2 || hs.Hits != 2 {
-		t.Fatalf("hot cache %+v, want 2 entries and 2 hits", hs)
-	}
-	reconcileLayers(t, srv, st)
-}
-
-// TestFirstTouchPinsNoPages: over a paged store the sharing layers hold
+// TestFirstTouchPinsNoPages: over a paged store the sharing table holds
 // results, never pages. A first ask, the second ask that stores the hot
 // entry and the third ask it answers each leave no page pinned once the
 // frame is done, and all three answer like the in-memory server.
@@ -180,7 +140,6 @@ func TestFirstTouchPinsNoPages(t *testing.T) {
 	srv.SetStats(nil)
 	hot := hotcache.New(hotcache.Config{})
 	srv.SetHotCache(hot)
-	srv.SetCoalescer(NewCoalescer(CoalescerConfig{}))
 
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
 	want := mem.Execute([]SubQuery{sub}, nil, nil, 0)
@@ -209,9 +168,9 @@ func (c *countingIndex) SearchWords(q index.Query, buf []index.Word, cur *index.
 	return c.Sharded.SearchWords(q, buf, cur)
 }
 
-// TestConcurrentFirstAsk: the table's slot is swapped, not read and then
-// written, so of 64 sessions asking a never-seen query at once exactly
-// one is the first touch; the rest share one flight or its stored
+// TestConcurrentFirstAsk: admission is decided under the table's lock,
+// so of 64 sessions asking a never-seen query at once exactly one is
+// the first touch; the rest share one led search or its stored
 // result. Everyone gets the serial answer.
 func TestConcurrentFirstAsk(t *testing.T) {
 	base := testShardedServer(t, 8, 89, 4)
@@ -220,7 +179,6 @@ func TestConcurrentFirstAsk(t *testing.T) {
 	st := stats.New()
 	srv.SetStats(st)
 	srv.SetHotCache(hotcache.New(hotcache.Config{}))
-	srv.SetCoalescer(NewCoalescer(CoalescerConfig{Window: time.Hour}))
 	sub := SubQuery{Region: geom.R2(100, 100, 700, 700), WMin: 0.2, WMax: 1}
 	want := base.Execute([]SubQuery{sub}, nil, nil, 0)
 
@@ -245,7 +203,7 @@ func TestConcurrentFirstAsk(t *testing.T) {
 		t.Fatalf("%d of %d concurrent askers got a different answer", n, askers)
 	}
 	if n := counted.passes.Load(); n != 2 {
-		t.Fatalf("%d index passes for %d concurrent asks of one query, want 2: the first touch and one flight", n, askers)
+		t.Fatalf("%d index passes for %d concurrent asks of one query, want 2: the first touch and one led search", n, askers)
 	}
 	if n := st.Load(stats.RetrievalFirstTouches); n != 1 {
 		t.Fatalf("FirstTouches = %d, want exactly 1", n)

@@ -7,10 +7,8 @@
 package retrieval
 
 import (
-	"math"
 	"math/bits"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/geom"
@@ -64,8 +62,7 @@ type Response struct {
 type HotRef struct {
 	Valid bool
 	Query index.Query
-	// Epoch is always 0. It is kept only for bench/, which still reads
-	// it; the next change to bench/ deletes it.
+	// Epoch is always 0. It is kept only for bench/ (DESIGN §17).
 	Epoch uint64
 }
 
@@ -92,8 +89,8 @@ func Identity(speed float64) float64 {
 // access method. It is safe for concurrent use by any number of
 // sessions: Execute only reads the store and the index (whose search is
 // concurrent-safe per the index.Index contract), and the shared state it
-// does write — the stats collector, the admission table, the hot cache
-// and the coalescer — is atomic or locked inside.
+// does write — the stats collector and the hot cache — is atomic or
+// locked inside.
 type Server struct {
 	store index.CoefficientSource
 	idx   index.IntoSearcher
@@ -101,15 +98,9 @@ type Server struct {
 	zMax  float64
 	st    *stats.Stats
 	scene string
-	// hot memoizes sub-query results for repeated window queries and co
-	// singleflights concurrent identical searches; nil disables either.
+	// hot is the sharing table: it memoizes sub-query results and
+	// shares searches in flight among concurrent askers; nil disables it.
 	hot *hotcache.Cache
-	co  *Coalescer
-	// asked is the admission table of the two sharing layers: one
-	// fingerprint of exact query floats per slot (see admit). Only a
-	// query found here is published as a flight or stored in the hot
-	// cache.
-	asked [admitSlots]atomic.Uint64
 	// sessions holds released sessions, empty and with their buffers
 	// grown, for NewSession to hand out again.
 	sessions sync.Pool
@@ -139,28 +130,26 @@ func (s *Server) SetScene(name string) { s.scene = name }
 // Scene returns the scene name set via SetScene ("" for unnamed).
 func (s *Server) Scene() string { return s.scene }
 
-// SetHotCache wires a hot-region result cache into the search path (nil
-// disables it). The index never changes, so a cached result is what an
-// uncached search returns. Not safe to call while requests are in
-// flight.
+// SetHotCache wires the sharing table into the search path (nil
+// disables it). The index never changes, so a cached or shared result is
+// what an uncached search returns. Not safe to call while requests are
+// in flight.
 func (s *Server) SetHotCache(hot *hotcache.Cache) { s.hot = hot }
 
 // HotCache returns the cache wired via SetHotCache (nil when disabled).
 func (s *Server) HotCache() *hotcache.Cache { return s.hot }
 
-// SetCoalescer wires a query coalescer into the search path (nil
-// disables it). A shared result is the one the follower's own search
-// would return. Not safe to call while requests are in flight.
-func (s *Server) SetCoalescer(co *Coalescer) { s.co = co }
+// Coalescer returns the sharing table, as HotCache does. It is kept
+// only for bench/ (DESIGN §17 lists every such name).
+func (s *Server) Coalescer() *hotcache.Cache { return s.hot }
 
-// Coalescer returns the coalescer wired via SetCoalescer (nil when
-// disabled).
-func (s *Server) Coalescer() *Coalescer { return s.co }
+// CoalescerConfig is empty: the sharing table's settings are
+// hotcache.Config. It is kept only for bench/ (DESIGN §17).
+type CoalescerConfig struct{}
 
 // SetParallelism does nothing: a request's sub-queries always run one
-// after another on the calling goroutine (see searchAll). It remains
-// only because bench/oracle.go, which gain-claiming changes may not
-// edit, still calls it; the next change to bench/ deletes both.
+// after another on the calling goroutine (see searchAll). It is kept
+// only for bench/ (DESIGN §17).
 func (s *Server) SetParallelism(int) {}
 
 // Store returns the underlying coefficient source.
@@ -428,9 +417,9 @@ type subResult struct {
 // searchAll runs the index search of every well-formed sub-query into
 // results (len(results) == len(subs)), one after another on the calling
 // goroutine, and reports how many of them were first touches (see
-// admit). A frame is at most five sub-queries whose descents take tens
-// of microseconds together — less than waking other goroutines for them
-// costs — so a server's concurrency is its sessions.
+// searchOne). A frame is at most five sub-queries whose descents take
+// tens of microseconds together — less than waking other goroutines for
+// them costs — so a server's concurrency is its sessions.
 func (s *Server) searchAll(subs []SubQuery, results []subResult, cur *index.Cursor) (firstTouches int64) {
 	for i := range subs {
 		results[i].hot = false
@@ -450,118 +439,21 @@ func (s *Server) queryOf(sub *SubQuery) index.Query {
 	}
 }
 
-// A server's admission table has 4 096 slots of 8 bytes: 32 KB per
-// scene. A fingerprint may sit in two of them (admitSlotsOf).
-const (
-	admitBits  = 12
-	admitSlots = 1 << admitBits
-)
-
-// admit reports whether q has been asked of this server before, and
-// records that it now has. It is the one admission rule of both sharing
-// layers: Algorithm 1 makes a client's query the difference from its
-// previous frame, so one client never repeats a sub-query and most are
-// never asked by anyone again; publishing a flight or storing a hot
-// entry for each of them is cost without a taker. Only the second ask of a query pays it.
-//
-// What is remembered is a 64-bit fingerprint of the exact query floats,
-// the key both layers share, in a table where each fingerprint has two
-// slots: a new one is swapped into its first slot, and a fingerprint
-// it displaces from that one's own first slot moves to its second, so
-// two queries that share a first slot and are asked in turn both stay
-// remembered. The
-// first slot is swapped atomically, so of any number of concurrent first
-// askers exactly one sees the query as new, and there is no lock. A
-// collision — two queries with one fingerprint, or both of a
-// fingerprint's slots overwritten between two asks — moves only when a
-// result starts being shared, never what any ask is answered.
-func (s *Server) admit(q *index.Query) bool {
-	h := fingerprint(q)
-	first, second := admitSlotsOf(h)
-	if s.asked[second].Load() == h {
-		return true
-	}
-	old := s.asked[first].Swap(h)
-	if old == h {
-		return true
-	}
-	// A fingerprint displaced from its first slot moves to its second;
-	// one displaced from its second is forgotten.
-	if oldFirst, oldSecond := admitSlotsOf(old); old != 0 && oldFirst == first {
-		s.asked[oldSecond].Store(old)
-	}
-	return false
-}
-
-// fingerprint hashes q's exact floats; it is never 0, the empty slot.
-func fingerprint(q *index.Query) uint64 {
-	h := uint64(0x9e3779b97f4a7c15)
-	for _, f := range [...]float64{
-		q.Region.Min.X, q.Region.Min.Y, q.Region.Max.X, q.Region.Max.Y,
-		q.ZMin, q.ZMax, q.WMin, q.WMax,
-	} {
-		h = (h ^ math.Float64bits(f)) * 0xff51afd7ed558ccd
-		h ^= h >> 32
-	}
-	return h | 1
-}
-
-// admitSlotsOf returns fingerprint h's two admission slots, which
-// differ: its top admitBits bits, and the next admitBits.
-func admitSlotsOf(h uint64) (first, second uint64) {
-	first = h >> (64 - admitBits)
-	second = h >> (64 - 2*admitBits) & (admitSlots - 1)
-	if second == first {
-		second ^= 1
-	}
-	return first, second
-}
-
-// searchOne answers one sub-query and reports whether it was a first
-// touch. With a sharing layer wired, a result the hot cache holds is
-// replayed, and a query asked before (admit) goes through the coalescer
-// when one is wired (sharing one index pass among concurrent identical
-// searches) and into the hot cache.
-// Everything else — a query nobody asked before, or a server with
-// neither layer — is searched directly: no flight, no stored entry, no
-// HotRef. All of them return the same ids and the same node I/O.
-// A query with a NaN field is unequal to itself, so neither layer could
-// find or drop it under its key: it is searched directly too, and
-// counts as a first touch (an index pass no layer saw).
-// out.words is reused as the result buffer.
+// searchOne answers one sub-query through the sharing table, when one
+// is wired (hotcache.Cache.Search), and reports whether it was a first
+// touch: an index pass the table did not share — a query asked for the
+// first time, or one with a NaN field. A server without a table
+// searches directly and counts no first touches. Every path returns the
+// same ids and the same node I/O. out.words is reused as the result
+// buffer.
 func (s *Server) searchOne(sub *SubQuery, out *subResult, cur *index.Cursor) (firstTouch bool) {
 	q := s.queryOf(sub)
-	if s.hot == nil && s.co == nil {
+	if s.hot == nil {
 		out.words, out.io = s.idx.SearchWords(q, out.words[:0], cur)
 		return false
 	}
-	if q != q {
-		out.words, out.io = s.idx.SearchWords(q, out.words[:0], cur)
-		return true
-	}
-	if s.hot != nil {
-		var ok bool
-		if out.words, out.io, ok = s.hot.Get(q, out.words[:0]); ok {
-			// The cached io is replayed so the response is byte-identical to
-			// the uncached serve that populated the entry.
-			out.hot = true
-			return false
-		}
-	}
-	if !s.admit(&q) {
-		out.words, out.io = s.idx.SearchWords(q, out.words[:0], cur)
-		return true
-	}
-	if s.co != nil {
-		out.words, out.io = s.co.do(s.idx, q, out.words[:0], cur)
-	} else {
-		out.words, out.io = s.idx.SearchWords(q, out.words[:0], cur)
-	}
-	if s.hot != nil {
-		s.hot.Put(q, out.words, out.io)
-		out.hot = true
-	}
-	return false
+	out.words, out.io, out.hot = s.hot.Search(s.idx, q, out.words[:0], cur)
+	return !out.hot
 }
 
 // BlockBytes returns the payload and index I/O of the coefficients

@@ -249,12 +249,11 @@ func TestExecuteScratchAllocBudget(t *testing.T) {
 		t.Fatalf("steady-state uncached Execute on a Scratch allocates %.1f times per run, want 0", allocs)
 	}
 
-	// Both sharing layers wired, over slivers that never repeat (what one
+	// The sharing table wired, over slivers that never repeat (what one
 	// client's Algorithm 1 sends): every sub-query is a first touch, and a
-	// first touch is the uncached path plus one atomic swap.
+	// first touch is the uncached path plus one locked look-up.
 	srv3 := testShardedServer(t, 8, 29, 4)
 	srv3.SetHotCache(hotcache.New(hotcache.Config{}))
-	srv3.SetCoalescer(NewCoalescer(CoalescerConfig{}))
 	var sc3 Scratch
 	srv3.Execute(subs, nil, &sc3, 0)
 	x := 100.0
@@ -264,9 +263,9 @@ func TestExecuteScratchAllocBudget(t *testing.T) {
 		srv3.Execute(sliver[:], nil, &sc3, 0)
 	})
 	if allocs != 0 {
-		t.Fatalf("first-touch Execute on a Scratch with both sharing layers allocates %.1f times per run, want 0", allocs)
+		t.Fatalf("first-touch Execute on a Scratch with the sharing table allocates %.1f times per run, want 0", allocs)
 	}
-	if hs, cs := srv3.HotCache().Stats(), srv3.Coalescer().Stats(); hs.Entries != 0 || cs.Routed != 0 {
-		t.Fatalf("never-repeating slivers reached the sharing layers: %+v / %+v", hs, cs)
+	if hs := srv3.HotCache().Stats(); hs.Entries != 0 || hs.Routed != 0 {
+		t.Fatalf("never-repeating slivers reached the sharing table: %+v", hs)
 	}
 }

@@ -171,8 +171,8 @@ func BenchmarkFrameSearch(b *testing.B) {
 // on the data and the queries the end-to-end benchmark's tram workloads
 // use: the 594 432-coefficient city behind a 4-shard index, and the
 // slivers Algorithm 1 plans for a tram tour (window a tenth of the city
-// wide, speed 0.8). bare has neither sharing layer; shared has the hot
-// cache and the coalescer wired, and answers either queries nobody asked
+// wide, speed 0.8). bare has no sharing table; shared has one wired,
+// and answers either queries nobody asked
 // before (first-touch: what every frame of the tram workloads is, and it
 // should cost what bare costs) or queries stored by their second ask
 // (admitted-hit: what a crowd at a landmark gets).
@@ -187,7 +187,6 @@ func BenchmarkSearchOne(b *testing.B) {
 		srv.SetStats(nil)
 		if shared {
 			srv.SetHotCache(hotcache.New(hotcache.Config{}))
-			srv.SetCoalescer(NewCoalescer(CoalescerConfig{}))
 		}
 		return srv
 	}
@@ -216,8 +215,8 @@ func BenchmarkSearchOne(b *testing.B) {
 	b.Run("shared/first-touch", func(b *testing.B) {
 		srv := newServer(true)
 		run(b, srv, slivers, true)
-		if hs, cs := srv.HotCache().Stats(), srv.Coalescer().Stats(); hs.Hits != 0 || hs.Entries != 0 || cs.Routed != 0 {
-			b.Fatalf("never-repeating slivers reached the sharing layers: %+v / %+v", hs, cs)
+		if hs := srv.HotCache().Stats(); hs.Hits != 0 || hs.Entries != 0 || hs.Routed != 0 {
+			b.Fatalf("never-repeating slivers reached the sharing table: %+v", hs)
 		}
 	})
 	b.Run("shared/admitted-hit", func(b *testing.B) {
@@ -227,17 +226,11 @@ func BenchmarkSearchOne(b *testing.B) {
 		for _, sub := range slivers[:1024] {
 			touch(srv, sub, sub)
 		}
-		var pool []SubQuery
-		for i := range slivers[:1024] {
-			if _, _, ok := srv.hot.Get(srv.queryOf(&slivers[i]), nil); ok {
-				pool = append(pool, slivers[i])
-			}
-		}
-		if len(pool) != 1024 {
-			b.Fatalf("only %d of 1024 slivers are stored", len(pool))
+		if n := srv.HotCache().Stats().Entries; n != 1024 {
+			b.Fatalf("only %d of 1024 slivers are stored", n)
 		}
 		before := srv.HotCache().Stats().Hits
-		run(b, srv, pool, false)
+		run(b, srv, slivers[:1024], false)
 		if got := srv.HotCache().Stats().Hits - before; got != int64(b.N) {
 			b.Fatalf("%d of %d asks hit the hot cache", got, b.N)
 		}

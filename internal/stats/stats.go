@@ -57,8 +57,9 @@ const (
 	RetrievalCoeffsDropped  // coefficients those cuts withheld
 	RetrievalCoeffsWithheld // coefficients withheld at merge time: page unreadable
 
-	// Sources (see AddSource): hot-region caches, query coalescers and page
-	// caches own their counters and add them at Snapshot time.
+	// Sources (see AddSource): sharing tables (the hotcache.* and
+	// coalescer.* rows) and page caches own their counters and add them
+	// at Snapshot time.
 	HotHits
 	HotMisses
 	HotEvictions
@@ -66,10 +67,10 @@ const (
 	HotBytes   // gauge
 	HotSubscribers
 	HotPayloadHits  // responses replayed from a cached serialized payload
-	CoalescerRouted // = led + shared, once quiesced
+	CoalescerRouted // admitted misses: = led + shared, once quiesced
 	CoalescerLed
-	CoalescerShared
-	CoalescerFlights // gauge
+	CoalescerShared  // waits on an unfilled entry
+	CoalescerFlights // gauge: unfilled entries
 	PagerFaults
 	PagerHits
 	PagerEvictions
@@ -368,7 +369,7 @@ func (s *Stats) Observe(h Hist, v int64) {
 type Values [numCounters]int64
 
 // AddSource registers fn, which a layer that owns its counters (a
-// hot-region cache, query coalescer or page cache) uses to add its rows
+// sharing table or a page cache) uses to add its rows
 // into every Snapshot. fn writes with +=, so several sources of one kind
 // sum. Call at startup, before serving.
 func (s *Stats) AddSource(fn func(*Values)) {
