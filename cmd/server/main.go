@@ -1,19 +1,21 @@
 // Command server runs the motion-aware 3D object retrieval server over
 // TCP. It serves one scene — by default 100 generated objects, with
-// -city N a city of N×N blocks, with -load a saved dataset; resident or,
-// with -store paged, out of core — plus any -scenes datasets, each under
-// a sharded support-region (x, y, w) R*-tree, and answers continuous
-// window queries with per-client duplicate filtering (internal/proto).
+// -city N a city of N×N blocks — plus one per -scenes segment file, each
+// under a sharded support-region (x, y, w) R*-tree, and answers
+// continuous window queries with per-client duplicate filtering
+// (internal/proto).
 //
 // The flags are a scene recipe plus the serving settings: the server
 // boots through cluster.StartBackend, the stack the crash, drain and
 // gateway soaks kill and restart. With -data-dir it is crash-safe: the
-// boot that builds the scenes writes each one's file once, parked
+// boot that builds the scenes writes each one's segment once, parked
 // sessions are journaled, and a restart serves both again instead of
-// running the recipe. -h lists the flags.
+// running the recipe. Each segment is read into memory or, with -store
+// paged, served out of core. -h lists the flags.
 package main
 
 import (
+	"cmp"
 	"flag"
 	"fmt"
 	"log"
@@ -21,7 +23,6 @@ import (
 	_ "net/http/pprof" // side profiling listener, gated by -pprof-addr
 	"os"
 	"os/signal"
-	"path/filepath"
 	"strings"
 	"syscall"
 	"time"
@@ -29,6 +30,7 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/index"
+	"repro/internal/persist"
 	"repro/internal/proto"
 	"repro/internal/stats"
 	"repro/internal/workload"
@@ -61,7 +63,11 @@ type server struct {
 // parse reads a command line into the server it describes.
 func parse(args []string) (*server, error) {
 	fs := flag.NewFlagSet("server", flag.ExitOnError)
-	var r recipe
+	var (
+		r         recipe
+		store     string
+		pageCache int64
+	)
 	s := &server{cfg: cluster.BackendConfig{Scenes: r.scenes, Stats: stats.Default, Logf: log.Printf}}
 	c := &s.cfg
 	fs.StringVar(&c.Addr, "addr", ":7333", "listen address")
@@ -69,16 +75,14 @@ func parse(args []string) (*server, error) {
 	fs.IntVar(&r.levels, "levels", 5, "subdivision levels per object")
 	fs.BoolVar(&r.zipf, "zipf", false, "Zipfian object placement")
 	fs.Int64Var(&r.seed, "seed", 1, "dataset seed")
-	fs.StringVar(&r.save, "save", "", "write the generated dataset to this file and continue")
-	fs.StringVar(&r.load, "load", "", "serve a previously saved dataset instead of generating")
 	fs.IntVar(&r.shards, "shards", 1, "grid shards per scene index (1 = single shard)")
 	fs.StringVar(&r.scene, "scene", proto.DefaultSceneName, "name of the primary scene")
-	fs.StringVar(&r.extra, "scenes", "", "extra scenes as comma-separated name=file pairs")
+	fs.StringVar(&r.extra, "scenes", "", "extra scenes as comma-separated name=file pairs, each file a scene segment (scene-<name>.seg of a -data-dir)")
 
-	fs.StringVar(&c.DataDir, "data-dir", "", "durable state directory (scene files written once at the first boot + session journal); empty disables persistence")
+	fs.StringVar(&c.DataDir, "data-dir", "", "durable state directory (scene segments written once at the first boot + session journal); empty disables persistence")
 
-	fs.StringVar(&r.store, "store", "mem", "coefficient store: mem (resident) or paged (out-of-core segment in -data-dir)")
-	fs.Int64Var(&r.pageCache, "page-cache-bytes", 64<<20, "paged store's resident-page budget in bytes")
+	fs.StringVar(&store, "store", "mem", "coefficient store: mem (each segment read into memory) or paged (served out of core from -data-dir)")
+	fs.Int64Var(&pageCache, "page-cache-bytes", 64<<20, "paged store's resident-page budget in bytes")
 	fs.BoolVar(&c.VerifyPages, "verify-pages", false, "scrub every paged-store page against its CRC at boot; corrupt pages are quarantined and logged")
 	fs.DurationVar(&c.ScrubInterval, "scrub-interval", 0, "background scrub cadence for the paged store (0 disables); each pass re-verifies every page and converges quarantine state with the disk")
 	fs.IntVar(&r.city, "city", 0, "serve a deterministic city of N×N blocks instead of the scatter dataset (0 = off)")
@@ -100,15 +104,16 @@ func parse(args []string) (*server, error) {
 		return nil, err
 	}
 
-	switch r.store {
-	case "mem", "paged":
+	switch store {
+	case "mem":
+	case "paged":
+		if c.DataDir == "" {
+			return nil, fmt.Errorf("-store=paged needs -data-dir to hold the segment files")
+		}
+		c.PageCacheBytes = cmp.Or(max(pageCache, 0), persist.DefaultPageCacheBytes)
 	default:
-		return nil, fmt.Errorf("bad -store %q (want mem or paged)", r.store)
+		return nil, fmt.Errorf("bad -store %q (want mem or paged)", store)
 	}
-	if r.store == "paged" && c.DataDir == "" {
-		return nil, fmt.Errorf("-store=paged needs -data-dir to hold the segment file")
-	}
-	r.dataDir = c.DataDir
 	// A zero flag here means none; a zero field there keeps a default.
 	c.DrainTimeout, c.ResumeCapacity, c.ResumeTTL = none(c.DrainTimeout), none(c.ResumeCapacity), none(c.ResumeTTL)
 	return s, nil
@@ -142,14 +147,14 @@ func (s *server) start() (b *cluster.Backend, stop func(), err error) {
 	return b, func() { b.Stop(); stopStats() }, nil
 }
 
-// recipe is the scene a fresh boot builds: scatter or city, resident or
-// paged, plus any -load and -scenes datasets.
+// recipe is the scenes a fresh boot serves: scatter or city, plus one
+// per -scenes segment file.
 type recipe struct {
-	dataDir, store, scene, extra, load, save string
-	objects, levels, shards                  int
-	city, cityLots, cityLevels               int
-	zipf                                     bool
-	seed, pageCache                          int64
+	scene, extra               string
+	objects, levels, shards    int
+	city, cityLots, cityLevels int
+	zipf                       bool
+	seed                       int64
 }
 
 func (r *recipe) scatter() workload.Spec {
@@ -166,38 +171,18 @@ func (r *recipe) citySpec() workload.CitySpec {
 
 // scenes runs the recipe.
 func (r *recipe) scenes() ([]engine.SceneConfig, error) {
-	if r.store == "paged" {
-		sc, err := r.paged()
-		return []engine.SceneConfig{sc}, err
-	}
+	primary := engine.SceneConfig{Name: r.scene, Levels: r.cityLevels, Shards: r.shards}
 	if r.city > 0 {
-		// A city held fully resident — the oracle configuration the paged
-		// store is validated against, and the small-city default.
 		log.Printf("generating %v...", r.citySpec())
-		return []engine.SceneConfig{{
-			Name: r.scene, Source: workload.GenerateCity(r.citySpec()), Levels: r.cityLevels, Shards: r.shards,
-		}}, nil
-	}
-	var d *workload.Dataset
-	if r.load != "" {
-		log.Printf("loading dataset from %s...", r.load)
-		var err error
-		if d, err = workload.LoadFile(r.load, false); err != nil {
-			return nil, fmt.Errorf("load: %w", err)
-		}
+		primary.Source = workload.GenerateCity(r.citySpec())
 	} else {
 		spec := r.scatter()
 		log.Printf("generating %d objects at %d levels (%v placement)...", spec.NumObjects, spec.Levels, spec.Placement)
-		d = workload.Generate(spec)
-		if r.save != "" {
-			if err := d.SaveFile(r.save); err != nil {
-				return nil, fmt.Errorf("save: %w", err)
-			}
-			log.Printf("saved dataset to %s", r.save)
-		}
+		d := workload.Generate(spec)
+		log.Printf("dataset ready: %v", d)
+		primary.Source, primary.Levels = d.Store, spec.Levels
 	}
-	log.Printf("dataset ready: %v", d)
-	scenes := []engine.SceneConfig{{Name: r.scene, Dataset: d, Levels: d.Spec.Levels, Shards: r.shards}}
+	scenes := []engine.SceneConfig{primary}
 	if r.extra == "" {
 		return scenes, nil
 	}
@@ -207,38 +192,16 @@ func (r *recipe) scenes() ([]engine.SceneConfig, error) {
 			return nil, fmt.Errorf("bad -scenes entry %q (want name=file)", pair)
 		}
 		log.Printf("loading scene %q from %s...", name, file)
-		sd, err := workload.LoadFile(file, false)
+		ps, err := index.OpenPaged(file, index.PagedConfig{})
 		if err != nil {
 			return nil, fmt.Errorf("scene %q: %w", name, err)
 		}
-		scenes = append(scenes, engine.SceneConfig{Name: name, Dataset: sd, Levels: sd.Spec.Levels, Shards: r.shards})
+		store, err := ps.Load()
+		ps.Close()
+		if err != nil {
+			return nil, fmt.Errorf("scene %q: %w", name, err)
+		}
+		scenes = append(scenes, engine.SceneConfig{Name: name, Source: store, Levels: ps.Levels(), Shards: r.shards})
 	}
 	return scenes, nil
-}
-
-// paged is the out-of-core scene: coefficients live in a paged segment
-// under -data-dir, and only the index, metadata and resident pages stay
-// in memory. An existing segment is served as-is; otherwise it is built
-// once — streamed, never materialized — and then opened.
-func (r *recipe) paged() (engine.SceneConfig, error) {
-	segPath := filepath.Join(r.dataDir, "scene-"+r.scene+".seg")
-	if _, err := os.Stat(segPath); os.IsNotExist(err) {
-		if r.city > 0 {
-			log.Printf("building %v into %s...", r.citySpec(), segPath)
-			err = workload.BuildCitySegment(segPath, r.citySpec(), 0)
-		} else {
-			log.Printf("generating %d objects at %d levels into %s...", r.objects, r.levels, segPath)
-			err = index.BuildSegment(segPath, workload.Generate(r.scatter()).Store, r.levels, 0)
-		}
-		if err != nil {
-			return engine.SceneConfig{}, fmt.Errorf("segment: %w", err)
-		}
-	} else if err != nil {
-		return engine.SceneConfig{}, fmt.Errorf("segment: %w", err)
-	}
-	ps, err := index.OpenPaged(segPath, index.PagedConfig{CacheBytes: r.pageCache})
-	if err != nil {
-		return engine.SceneConfig{}, fmt.Errorf("open segment: %w", err)
-	}
-	return engine.SceneConfig{Name: r.scene, Source: ps, Levels: ps.Levels(), Shards: r.shards}, nil
 }

@@ -4,12 +4,11 @@ import (
 	"bytes"
 	"log"
 	"os"
-	"path/filepath"
 	"strings"
 	"testing"
 	"time"
 
-	"repro/internal/engine"
+	"repro/internal/cluster"
 	"repro/internal/persist"
 	"repro/internal/proto"
 )
@@ -71,38 +70,52 @@ func readFile(t *testing.T, path string) []byte {
 }
 
 // TestBootResidentRestart boots a resident scene on a data dir twice:
-// the first boot generates the scene and writes its file, the restart
-// serves it from that file, generating nothing and writing nothing.
+// the first boot generates the scene and writes its segment, the
+// restart serves it from that segment, generating nothing and writing
+// nothing.
 func TestBootResidentRestart(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-objects", "6", "-levels", "3", "-data-dir", dir}
 	first := bootOnce(t, args...)
-	mustContain(t, first, "generating 6 objects", `scene "default": `, "durable state in "+dir)
+	mustContain(t, first, "generating 6 objects", `wrote scene "default"`, `scene "default": `, "durable state in "+dir)
 	mustLack(t, first, "restored")
-	ckpt := engine.CheckpointPath(dir, proto.DefaultSceneName)
-	written := readFile(t, ckpt)
+	seg := cluster.SegmentPath(dir, proto.DefaultSceneName)
+	written := readFile(t, seg)
 
 	again := bootOnce(t, args...)
-	mustContain(t, again, "restored 1 scene(s) from "+dir)
-	mustLack(t, again, "generating", `scene "default": `)
-	if !bytes.Equal(readFile(t, ckpt), written) {
-		t.Fatal("the restart rewrote the scene file")
+	mustContain(t, again, "restored 1 scene(s) from "+dir, `scene "default": `)
+	mustLack(t, again, "generating", "wrote scene")
+	if !bytes.Equal(readFile(t, seg), written) {
+		t.Fatal("the restart rewrote the segment")
 	}
 }
 
+// TestBootCityRestart: a resident city is served from its segment at
+// the restart, not generated again.
+func TestBootCityRestart(t *testing.T) {
+	dir := t.TempDir()
+	args := []string{"-city", "2", "-city-levels", "2", "-data-dir", dir}
+	first := bootOnce(t, args...)
+	mustContain(t, first, "generating ", `wrote scene "default"`)
+	again := bootOnce(t, args...)
+	mustContain(t, again, "restored 1 scene(s) from "+dir, `scene "default": `)
+	mustLack(t, again, "generating", "wrote scene", "paged (")
+}
+
 // TestBootPagedCityRestart boots a paged city twice with -verify-pages:
-// the first boot builds the segment and finds every page clean; a page
-// corrupted between the boots is quarantined by the restart, which
-// reopens the segment unchanged and still serves the other pages.
+// the first boot generates the city, writes its segment and finds every
+// page clean; a page corrupted between the boots is quarantined by the
+// restart, which reopens the segment unchanged and still serves the
+// other pages.
 func TestBootPagedCityRestart(t *testing.T) {
 	dir := t.TempDir()
 	args := []string{"-store", "paged", "-city", "3", "-city-levels", "2", "-data-dir", dir,
 		"-verify-pages", "-scrub-interval", "1h"}
 	first := bootOnce(t, args...)
-	mustContain(t, first, "building ", "pages clean", "paged (", "background page scrub every 1h0m0s")
+	mustContain(t, first, "generating ", `wrote scene "default"`, "pages clean", "paged (", "background page scrub every 1h0m0s")
 	mustLack(t, first, "WARNING")
 
-	seg := filepath.Join(dir, "scene-default.seg")
+	seg := cluster.SegmentPath(dir, proto.DefaultSceneName)
 	s, err := persist.OpenSegment(seg)
 	if err != nil {
 		t.Fatal(err)
@@ -119,10 +132,25 @@ func TestBootPagedCityRestart(t *testing.T) {
 	}
 
 	again := bootOnce(t, args...)
-	mustContain(t, again, "verify-pages: WARNING: 1 corrupt page(s) quarantined: [1]", "paged (")
-	mustLack(t, again, "building ", "scene(s) from")
+	mustContain(t, again, "restored 1 scene(s) from "+dir, "verify-pages: WARNING: 1 corrupt page(s) quarantined: [1]", "paged (")
+	mustLack(t, again, "generating ", "wrote scene")
 	if !bytes.Equal(readFile(t, seg), data) {
 		t.Fatal("the restart changed the segment")
+	}
+}
+
+// TestBootExtraScenes: -scenes serves segment files beside a city and
+// beside a paged primary scene, memory-only and durable.
+func TestBootExtraScenes(t *testing.T) {
+	src := t.TempDir()
+	bootOnce(t, "-objects", "4", "-levels", "3", "-seed", "9", "-data-dir", src)
+	extra := "park=" + cluster.SegmentPath(src, proto.DefaultSceneName)
+	for _, args := range [][]string{
+		{"-city", "2", "-city-levels", "2", "-scenes", extra},
+		{"-store", "paged", "-data-dir", t.TempDir(), "-objects", "4", "-levels", "3", "-scenes", extra},
+	} {
+		logs := bootOnce(t, args...)
+		mustContain(t, logs, `loading scene "park"`, "serving 2 scene(s) [default park]")
 	}
 }
 

@@ -50,12 +50,12 @@ type DrainReport struct {
 //     (clients get a retryable error),
 //  2. the source severs the scene's live connections and returns once
 //     each handler has parked its lineage (journaled),
-//  3. the scene file the source wrote when it built the scene and the
-//     parked sessions are exported, CRC-verified-copied, and adopted by
-//     the target,
+//  3. the scene's segment and the parked sessions are exported; the
+//     target copies the segment page by page, CRC-checking each page,
+//     opens it as a boot would, and adopts the sessions,
 //  4. the gateway flips the scene's route to the target,
-//  5. the source drops its copy (unregistered, tombstoned, scene file
-//     removed).
+//  5. the source drops its copy (unregistered, tombstoned, segment
+//     closed and removed).
 //
 // Reconnecting clients then land on the target and resume from the
 // shipped sessions — the same token, not a re-plan. Any failure before
@@ -100,12 +100,12 @@ func (c *Controller) Drain(scene, target string) (DrainReport, error) {
 		return abort(fmt.Errorf("cluster: sever on %s: %w", rep.From, err))
 	}
 
-	ckpt, sessions, err := src.ExportScene(scene)
+	seg, sessions, err := src.ExportScene(scene)
 	if err != nil {
 		return abort(fmt.Errorf("cluster: export: %w", err))
 	}
 	rep.Shipped = len(sessions)
-	rep.Adopted, err = dst.AdoptScene(scene, ckpt, sessions)
+	rep.Adopted, err = dst.AdoptScene(scene, seg, sessions)
 	if err != nil {
 		return abort(fmt.Errorf("cluster: adopt: %w", err))
 	}

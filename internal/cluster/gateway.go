@@ -453,7 +453,7 @@ func (g *Gateway) AbortDrain(scene string) {
 
 // FinishDrain flips a drained scene's routing to its new owner and
 // lifts the drain. The replica list becomes the target alone — after a
-// checkpoint-ship the target holds the only live copy.
+// segment ship the target holds the only live copy.
 func (g *Gateway) FinishDrain(scene, target string) {
 	g.mu.Lock()
 	g.routes[scene] = []string{target}

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bytes"
 	"fmt"
 	"math/rand"
 	"net"
@@ -33,7 +32,7 @@ type sceneSpec struct {
 func sceneConfig(t *testing.T, sp sceneSpec, st *stats.Stats) engine.SceneConfig {
 	t.Helper()
 	d := workload.Generate(workload.Spec{NumObjects: 24, Levels: 3, Seed: sp.seed})
-	return engine.SceneConfig{Name: sp.name, Dataset: d, Levels: 3, Shards: 2, Stats: st}
+	return engine.SceneConfig{Name: sp.name, Source: d.Store, Levels: 3, Shards: 2, Stats: st}
 }
 
 // startGateway serves a gateway over the topology in a goroutine and
@@ -207,8 +206,8 @@ func TestGatewayRefusesSelectOfDrainingScene(t *testing.T) {
 // mid-tour. Every client must finish byte-identical to its scene's
 // oracle with zero re-plans (no session lost), the per-backend stats
 // must reconcile exactly against the gateway's routing counters, and
-// the drain must ship the scene file the source wrote at boot, unchanged
-// and without writing it again.
+// the drain must ship the segment the source wrote at boot without
+// writing it again: the adopter's copy holds the same pages.
 // Run under -race (make race / make cluster).
 func TestClusterRaceSoak(t *testing.T) {
 	const (
@@ -334,7 +333,7 @@ func TestClusterRaceSoak(t *testing.T) {
 	}
 
 	atBarrier.Wait()
-	bootFile, err := os.ReadFile(engine.CheckpointPath(filepath.Join(dir, "b1"), "east"))
+	bootFile, err := os.ReadFile(SegmentPath(filepath.Join(dir, "b1"), "east"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,16 +346,15 @@ func TestClusterRaceSoak(t *testing.T) {
 	wg.Wait()
 
 	if saves != 1 || st1.Load(stats.EngineCheckpoints) != saves {
-		t.Errorf("source wrote its scene file %d times at boot and %d during the drain, want 1 and 0",
+		t.Errorf("source wrote its segment %d times at boot and %d during the drain, want 1 and 0",
 			saves, st1.Load(stats.EngineCheckpoints)-saves)
 	}
-	adopted, err := os.ReadFile(engine.CheckpointPath(filepath.Join(dir, "b2"), "east"))
+	adopted, err := os.ReadFile(SegmentPath(filepath.Join(dir, "b2"), "east"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(adopted, bootFile) {
-		t.Errorf("adopted scene file (%d B) differs from the one the source wrote at boot (%d B)",
-			len(adopted), len(bootFile))
+	if pages := samePages(t, adopted, bootFile); pages == 0 {
+		t.Error("the shipped segment has no pages")
 	}
 
 	if rep.Severed != clientsPerScene || rep.Shipped != clientsPerScene || rep.Adopted != clientsPerScene {
@@ -421,24 +419,22 @@ func TestClusterRaceSoak(t *testing.T) {
 	}
 }
 
-// TestExportSceneNeedsSceneFile pins that a drain ships only the file
-// a scene was built with: a scene built from a bare source has none, so
-// ExportScene refuses it, naming the scene, rather than ship nothing.
+// TestExportSceneNeedsSceneFile pins that a drain ships only a scene's
+// segment: a memory-only backend has none, so ExportScene refuses,
+// naming the backend, rather than ship nothing.
 func TestExportSceneNeedsSceneFile(t *testing.T) {
 	st := stats.New()
-	d := workload.Generate(workload.Spec{NumObjects: 4, Levels: 3, Seed: 3})
 	b, err := StartBackend(BackendConfig{
-		Scenes:  Scenes(engine.SceneConfig{Name: "bare", Source: d.Store, Levels: 3, Stats: st}),
-		DataDir: t.TempDir(),
-		Stats:   st,
-		Logf:    t.Logf,
+		Scenes: Scenes(sceneConfig(t, sceneSpec{"bare", 3}, st)),
+		Stats:  st,
+		Logf:   t.Logf,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer b.Stop()
-	if _, _, err := b.ExportScene("bare"); err == nil || !strings.Contains(err.Error(), `"bare"`) {
-		t.Fatalf("ExportScene of a bare-source scene = %v, want an error naming it", err)
+	if _, _, err := b.ExportScene("bare"); err == nil || !strings.Contains(err.Error(), b.Addr()+" is memory-only") {
+		t.Fatalf("ExportScene on a memory-only backend = %v, want an error naming it", err)
 	}
 }
 

@@ -3,7 +3,7 @@
 // clients, proxying each connection to the backend that owns its scene,
 // with per-backend health probing, dial-time failover across a scene's
 // replica list, and a live drain path that relocates a scene between
-// backends by checkpoint-ship-replay without dropping its sessions.
+// backends by segment-ship-replay without dropping its sessions.
 //
 // The cluster layer sits strictly above proto/engine: backends are
 // unmodified protocol servers, clients are unmodified protocol clients,

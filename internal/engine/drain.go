@@ -1,40 +1,13 @@
 package engine
 
-import (
-	"fmt"
-
-	"repro/internal/persist"
-	"repro/internal/stats"
-)
+import "fmt"
 
 // This file is the engine side of a cluster drain: the hooks a
-// controller composes to move one scene between backends by
-// ship-and-replay. The scene file SaveAll wrote at boot carries the
-// data and LoadScene adopts it, ExportSessions/ImportSessions move the
-// parked resume state, and RemoveScene retires the source copy
-// (tombstoning its journal entries so the shipped sessions have exactly
-// one durable home).
-
-// LoadScene builds and registers one scene from a shipped scene file.
-// Where LoadAll salvages what it can from a damaged directory,
-// LoadScene is strict — a drain adopting a scene must get exactly the
-// records the source wrote, so any torn tail, quarantined record, or
-// short file is an error.
-func (r *Registry) LoadScene(path string, st *stats.Stats) (*Scene, error) {
-	recs, rec, err := persist.RecoverFile(path)
-	if err == nil && (rec.TailTruncated > 0 || rec.Quarantined > 0) {
-		err = fmt.Errorf("scene file damaged (%d records, %d quarantined, torn tail %v)",
-			len(recs), rec.Quarantined, rec.TailTruncated > 0)
-	}
-	var cfg SceneConfig
-	if err == nil {
-		_, cfg, err = decodeScene(recs, st)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("engine: load scene %s: %w", path, err)
-	}
-	return r.Build(cfg)
-}
+// controller composes, with the scene's segment (which the backends
+// copy), to move one scene between backends by ship-and-replay.
+// ExportSessions/ImportSessions move the parked resume state, and
+// RemoveScene retires the source copy (tombstoning its journal entries
+// so the shipped sessions have exactly one durable home).
 
 // RemoveScene unregisters a scene and retires its session table, whose
 // capacity drops to 0: every parked lineage is tombstoned — after a

@@ -21,7 +21,6 @@ import (
 	"repro/internal/persist"
 	"repro/internal/retrieval"
 	"repro/internal/stats"
-	"repro/internal/workload"
 )
 
 // MaxSceneName bounds scene names on the wire and in the registry.
@@ -61,24 +60,13 @@ type Scene struct {
 	Server   *retrieval.Server
 	Levels   int
 	Sessions *Sessions
-	// Dataset is the serializable form of the scene's data, when known —
-	// the payload of the scene file SaveAll writes. Scenes registered
-	// from a bare source have no dataset and no scene file.
-	Dataset *workload.Dataset
-	// Shards records the index shard count the scene was built with, so
-	// a restore from the scene file rebuilds the same partitioning.
-	Shards int
 }
 
 // SceneConfig describes a scene for Registry.Build.
 type SceneConfig struct {
 	Name   string
 	Source index.CoefficientSource
-	// Dataset optionally supplies the scene's serializable dataset; when
-	// Source is nil, the dataset's store is the source. Only
-	// dataset-backed scenes get a durable scene file.
-	Dataset *workload.Dataset
-	Levels  int
+	Levels int
 	// Layout selects the index dimensionality (default XYW, as the
 	// paper's experiments use).
 	Layout index.Layout
@@ -152,9 +140,6 @@ func (r *Registry) apply(set func(*Scene)) {
 // Build constructs a scene from a coefficient source — sharded index,
 // retrieval server, stats wiring — and registers it.
 func (r *Registry) Build(cfg SceneConfig) (*Scene, error) {
-	if cfg.Source == nil && cfg.Dataset != nil {
-		cfg.Source = cfg.Dataset.Store
-	}
 	if cfg.Source == nil {
 		return nil, fmt.Errorf("engine: scene %q has no source", cfg.Name)
 	}
@@ -170,8 +155,6 @@ func (r *Registry) Build(cfg SceneConfig) (*Scene, error) {
 	if err != nil {
 		return nil, err
 	}
-	sc.Dataset = cfg.Dataset
-	sc.Shards = cfg.Shards
 	if ps, ok := cfg.Source.(interface{ PagerStats() persist.PagerStats }); ok {
 		// An out-of-core source: surface its paging gauges so -stats-dump
 		// shows residency, faults, and pins per snapshot.

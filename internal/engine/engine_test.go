@@ -224,20 +224,16 @@ func TestHotCacheWiring(t *testing.T) {
 }
 
 // TestSettingsReachLateScenes pins that the registry's settings reach a
-// scene registered after they were set — the scene a drain's LoadScene
-// adopts — and that a resume setting made after a journal restore keeps
-// the restored sessions.
+// scene registered after they were set — the scene a drain adopts — and
+// that a resume setting made after a journal restore keeps the restored
+// sessions.
 func TestSettingsReachLateScenes(t *testing.T) {
 	st := stats.New()
 	dir := t.TempDir()
-	if err := buildRegistry(t, st).SaveAll(dir, st); err != nil {
-		t.Fatal(err)
-	}
-
 	reg := NewRegistry()
 	reg.SetResumeCache(0, time.Minute)
 	reg.EnableHotCache(hotcache.Config{}, st)
-	sc, err := reg.LoadScene(CheckpointPath(dir, "park"), st)
+	sc, err := reg.Build(SceneConfig{Name: "park", Source: testStore(t, 3, 2), Levels: 3, Stats: st})
 	if err != nil {
 		t.Fatal(err)
 	}

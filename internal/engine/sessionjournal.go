@@ -11,6 +11,10 @@ import (
 	"repro/internal/stats"
 )
 
+// SessionJournalFile is the session journal's file name inside a data
+// directory.
+const SessionJournalFile = "sessions.journal"
+
 // DefaultJournalMaxBytes is the session journal size that triggers a
 // compaction rewrite (1 MB keeps recovery replay instant even on the
 // paper-scale datasets).
@@ -56,7 +60,9 @@ func OpenSessionJournal(path string, maxBytes int64, st *stats.Stats) (*SessionJ
 	if err != nil {
 		return nil, err
 	}
-	recordRecovery(st, rec)
+	st.Add(stats.EngineRecordsReplayed, rec.Records)
+	st.Add(stats.EngineTailsTruncated, rec.TailTruncated)
+	st.Add(stats.EngineRecordsQuarantined, rec.Quarantined)
 	s := &SessionJournal{j: j, live: make(map[uint64][]byte), max: maxBytes, st: st}
 	for _, payload := range recs {
 		kind, token, ok := peekRecord(payload)

@@ -1,7 +1,6 @@
 package engine
 
 import (
-	"os"
 	"path/filepath"
 	"runtime"
 	"testing"
@@ -25,168 +24,12 @@ func buildRegistry(t testing.TB, st *stats.Stats) *Registry {
 	reg := NewRegistry()
 	for i, name := range []string{"city", "park"} {
 		if _, err := reg.Build(SceneConfig{
-			Name: name, Dataset: testDataset(t, 2+i, int64(i+1)),
+			Name: name, Source: testDataset(t, 2+i, int64(i+1)).Store,
 			Levels: 3, Shards: 1 + i, Stats: st}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	return reg
-}
-
-func TestSaveAllLoadAllRoundtrip(t *testing.T) {
-	dir := t.TempDir()
-	st := stats.New()
-	reg := buildRegistry(t, st)
-	if err := reg.SaveAll(dir, st); err != nil {
-		t.Fatalf("SaveAll: %v", err)
-	}
-	snap := st.Snapshot()
-	if snap.Get(stats.EngineCheckpoints) != 2 || snap.Get(stats.EngineCheckpointBytes) <= 0 {
-		t.Fatalf("checkpoint counters = %d / %d bytes", snap.Get(stats.EngineCheckpoints), snap.Get(stats.EngineCheckpointBytes))
-	}
-
-	st2 := stats.New()
-	reg2 := NewRegistry()
-	n, err := reg2.LoadAll(dir, st2)
-	if err != nil || n != 2 {
-		t.Fatalf("LoadAll = %d, %v", n, err)
-	}
-	snap2 := st2.Snapshot()
-	if snap2.Get(stats.EngineTailsTruncated) != 0 || snap2.Get(stats.EngineRecordsQuarantined) != 0 {
-		t.Fatalf("clean load reported damage: %+v", snap2)
-	}
-	if snap2.Get(stats.EngineRecordsReplayed) != 4 { // 2 scenes × (meta + dataset)
-		t.Fatalf("RecordsReplayed = %d, want 4", snap2.Get(stats.EngineRecordsReplayed))
-	}
-	// Order, shape, and content survive.
-	if def := reg2.Default(); def == nil || def.Name != "city" {
-		t.Fatalf("default scene = %v", reg2.Names())
-	}
-	for _, name := range []string{"city", "park"} {
-		orig, _ := reg.Get(name)
-		got, ok := reg2.Get(name)
-		if !ok {
-			t.Fatalf("scene %q lost", name)
-		}
-		if got.Levels != orig.Levels || got.Shards != orig.Shards {
-			t.Fatalf("scene %q: levels %d/%d shards %d/%d",
-				name, got.Levels, orig.Levels, got.Shards, orig.Shards)
-		}
-		if got.Source.NumCoeffs() != orig.Source.NumCoeffs() {
-			t.Fatalf("scene %q: %d coeffs, want %d",
-				name, got.Source.NumCoeffs(), orig.Source.NumCoeffs())
-		}
-		if got.Dataset == nil {
-			t.Fatalf("scene %q restored without dataset", name)
-		}
-	}
-}
-
-// TestLoadAllTornTailRecovers tears a scene file's tail and boots twice:
-// the first LoadAll truncates the tail without inventing data, so the
-// second reads the file clean and the file is back to the size SaveAll
-// wrote. A scene file is never rewritten, so without the repair the
-// same tail would be counted again at every later boot.
-func TestLoadAllTornTailRecovers(t *testing.T) {
-	dir := t.TempDir()
-	st := stats.New()
-	reg := buildRegistry(t, st)
-	if err := reg.SaveAll(dir, st); err != nil {
-		t.Fatal(err)
-	}
-	// Tear the city scene file: append a partial record, as a crash
-	// during a (hypothetical) in-place write would.
-	path := CheckpointPath(dir, "city")
-	written, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.Write([]byte{9, 0, 0, 0, 0xAB}); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
-
-	orig, _ := reg.Get("city")
-	for boot, wantTails := range []int64{1, 0} {
-		st2 := stats.New()
-		reg2 := NewRegistry()
-		n, err := reg2.LoadAll(dir, st2)
-		if err != nil || n != 2 {
-			t.Fatalf("boot %d: LoadAll = %d, %v", boot, n, err)
-		}
-		if got := st2.Load(stats.EngineTailsTruncated); got != wantTails {
-			t.Fatalf("boot %d: TailsTruncated = %d, want %d", boot, got, wantTails)
-		}
-		// Nothing invented: the scene's content matches the original.
-		got, _ := reg2.Get("city")
-		if got.Source.NumCoeffs() != orig.Source.NumCoeffs() {
-			t.Fatalf("boot %d: torn-tail load changed content: %d vs %d coeffs",
-				boot, got.Source.NumCoeffs(), orig.Source.NumCoeffs())
-		}
-	}
-	repaired, err := os.Stat(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if repaired.Size() != written.Size() {
-		t.Fatalf("repaired file is %d B, SaveAll wrote %d B", repaired.Size(), written.Size())
-	}
-}
-
-func TestLoadAllSkipsHopelessFile(t *testing.T) {
-	dir := t.TempDir()
-	st := stats.New()
-	reg := buildRegistry(t, st)
-	if err := reg.SaveAll(dir, st); err != nil {
-		t.Fatal(err)
-	}
-	// Destroy the park checkpoint's header entirely.
-	if err := os.WriteFile(CheckpointPath(dir, "park"), []byte("garbage"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	st2 := stats.New()
-	reg2 := NewRegistry()
-	n, err := reg2.LoadAll(dir, st2)
-	if err != nil {
-		t.Fatalf("LoadAll: %v", err)
-	}
-	if n != 1 {
-		t.Fatalf("loaded %d scenes, want just the intact one", n)
-	}
-	if _, ok := reg2.Get("city"); !ok {
-		t.Fatal("intact scene lost")
-	}
-}
-
-func TestLoadAllEmptyDir(t *testing.T) {
-	reg := NewRegistry()
-	n, err := reg.LoadAll(t.TempDir(), stats.New())
-	if err != nil || n != 0 {
-		t.Fatalf("empty dir: n=%d err=%v", n, err)
-	}
-}
-
-func TestSceneWithoutDatasetSkipped(t *testing.T) {
-	st := stats.New()
-	reg := NewRegistry()
-	if _, err := reg.Build(SceneConfig{
-		Name: "bare", Source: testStore(t, 2, 9), Levels: 3, Stats: st}); err != nil {
-		t.Fatal(err)
-	}
-	dir := t.TempDir()
-	if err := reg.SaveAll(dir, st); err != nil {
-		t.Fatal(err)
-	}
-	if matches, _ := filepath.Glob(filepath.Join(dir, "scene-*")); len(matches) != 0 {
-		t.Fatalf("bare scene checkpointed: %v", matches)
-	}
-	if st.Load(stats.EngineCheckpoints) != 0 {
-		t.Fatal("checkpoint counter moved for a bare scene")
-	}
 }
 
 func TestSessionJournalParkTakeRestore(t *testing.T) {

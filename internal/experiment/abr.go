@@ -80,7 +80,7 @@ func RunABR(spec ABRSpec, w io.Writer) error {
 
 	d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: soakLevels, Seed: spec.Seed + 5})
 	stServer := stats.New()
-	b, err := startScene(engine.SceneConfig{Name: proto.DefaultSceneName, Dataset: d, Levels: d.Spec.Levels, Stats: stServer})
+	b, err := startScene(engine.SceneConfig{Name: proto.DefaultSceneName, Source: d.Store, Levels: d.Spec.Levels, Stats: stServer})
 	if err != nil {
 		return err
 	}

@@ -14,7 +14,7 @@ import (
 	"repro/internal/workload"
 )
 
-// clusterScene is the scene the cluster harness serves; its scene file
+// clusterScene is the scene the cluster harness serves; its segment
 // and journaled sessions cross two backend handoffs under this name.
 const clusterScene = "city"
 
@@ -54,7 +54,7 @@ func reserveAddr() (net.Listener, string, error) {
 //   - phase 1 (failover): mid-tour, the scene's live session is severed
 //     and the owning backend killed; a replica — listed second in the
 //     topology, ejected by probes while its address was a dead reservation
-//     — boots from the dead backend's scene file and journal, is
+//     — boots from the dead backend's segment and journal, is
 //     re-admitted, and the client resumes there with its token;
 //   - phase 2 (drain): mid-tour of a second client, the controller
 //     live-drains the scene onto an initially empty backend; the client
@@ -86,7 +86,7 @@ func RunCluster(spec ClusterSpec, w io.Writer) error {
 	soak := newTramSoak(tram)
 	sceneFor := func(st *stats.Stats) engine.SceneConfig {
 		sd := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: soakLevels, Seed: spec.Seed + 5})
-		return engine.SceneConfig{Name: clusterScene, Dataset: sd, Levels: soakLevels, Shards: spec.Shards, Stats: st}
+		return engine.SceneConfig{Name: clusterScene, Source: sd.Store, Levels: soakLevels, Shards: spec.Shards, Stats: st}
 	}
 
 	// The owning backend, and a reserved address for the replica that

@@ -1,6 +1,7 @@
 package experiment
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
 	"io"
@@ -12,20 +13,21 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/engine"
 	"repro/internal/faultnet"
+	"repro/internal/persist"
 	"repro/internal/proto"
 	"repro/internal/stats"
 )
 
-// crashScene is the scene name the crash harness serves; it must survive
-// the scene file's save/load unchanged so restarted instances answer the
+// crashScene is the scene name the crash harness serves; restarted
+// instances serve it from its segment, scene-<name>.seg, and answer the
 // same hello.
 const crashScene = proto.DefaultSceneName
 
 // CrashSpec configures the kill-and-fault soak: a resilient client rides
 // a motion tour over a faulty link (faultnet drops and corruption) while
 // the server process is killed three times at seeded random frames and
-// restarted from its durable state — the scene file written at the first
-// boot plus the session journal in DataDir. The zero value gets
+// restarted from its durable state — the scene's segment written at the
+// first boot plus the session journal in DataDir. The zero value gets
 // TramSoakSpec's defaults and a 16 KB / 12 KB drop / corrupt link.
 type CrashSpec struct {
 	TramSoakSpec
@@ -52,22 +54,33 @@ func (s CrashSpec) fill() CrashSpec {
 // The kill schedule: each kill damages the durable state its own way
 // before the restart, and RunCrash checks what that restart did.
 const (
-	killTornScene   = iota // tear the scene file's tail; the restart serves a restored resume
-	killTornPark           // tear the journal's park record of the severed session
-	killLostJournal        // delete the journal: no restored resume, a re-plan instead
+	killDamagedScene = iota // corrupt a page of the scene's segment; the restart rewrites it and serves a restored resume
+	killTornPark            // tear the journal's park record of the severed session
+	killLostJournal         // delete the journal: no restored resume, a re-plan instead
 	crashKills
 )
 
-// injectTornTail appends a partial record (a length header claiming more
-// bytes than follow) to a persist file, modeling a crash mid-write. The
-// next reader must truncate it away without inventing data.
-func injectTornTail(path string) error {
-	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
+// damagePage flips a byte inside the first page of a segment, as a bad
+// sector would: the page no longer matches its CRC, so a restart that
+// reads the segment into memory must refuse it.
+func damagePage(path string) error {
+	seg, err := persist.OpenSegment(path)
 	if err != nil {
 		return err
 	}
-	_, werr := f.Write([]byte{9, 0, 0, 0, 0xAB})
-	return errors.Join(werr, f.Close())
+	off := seg.PageOffset(0) + 3
+	seg.Close()
+	f, err := os.OpenFile(path, os.O_RDWR, 0)
+	if err != nil {
+		return err
+	}
+	b := make([]byte, 1)
+	_, err = f.ReadAt(b, off)
+	if err == nil {
+		b[0] ^= 0xFF
+		_, err = f.WriteAt(b, off)
+	}
+	return errors.Join(err, f.Close())
 }
 
 // killRestart performs kill ord of the schedule on the backend cfg
@@ -86,8 +99,8 @@ func killRestart(b *cluster.Backend, cfg cluster.BackendConfig, ord int) (*clust
 		return nil, err
 	}
 	switch ord {
-	case killTornScene:
-		if err := injectTornTail(engine.CheckpointPath(cfg.DataDir, crashScene)); err != nil {
+	case killDamagedScene:
+		if err := damagePage(cluster.SegmentPath(cfg.DataDir, crashScene)); err != nil {
 			return nil, err
 		}
 	case killLostJournal:
@@ -111,29 +124,30 @@ func killRestart(b *cluster.Backend, cfg cluster.BackendConfig, ord int) (*clust
 // end of the tour); the difference of two marks is what one
 // incarnation did.
 type crashMark struct {
-	restored, tails, replans int64
+	restored, tails, quarantined, replans int64
 }
 
 func (m crashMark) sub(o crashMark) crashMark {
-	return crashMark{m.restored - o.restored, m.tails - o.tails, m.replans - o.replans}
+	return crashMark{m.restored - o.restored, m.tails - o.tails, m.quarantined - o.quarantined, m.replans - o.replans}
 }
 
 // RunCrash runs the kill-and-fault soak and prints a summary. A
 // resilient client streams a motion tour through faultnet while the
 // server is killed three times at seeded random frames and restarted
-// from its scene file and session journal: the first kill tears the
-// scene file's tail, the second tears the severed session's park record
+// from its segment and session journal: the first kill corrupts a page
+// of the segment, the second tears the severed session's park record
 // and the third deletes the journal. The soak fails (as an error)
 // unless:
 //
 //   - the client's final reconstructions are byte-identical to a
 //     crash-free, fault-free oracle run, which retrieved at least one
 //     object, and the link injected at least one fault,
-//   - the scene file was written exactly once, at the first boot, and is
-//     back to its written size: every restart read it, and the first
-//     truncated the injected torn tail without inventing data,
-//   - exactly the injected torn tails were truncated, one by each of the
-//     first two restarts, and
+//   - the segment was written twice, at the first boot and by the first
+//     restart, which refused the damaged segment (counted quarantined)
+//     and rewrote it from the recipe byte for byte; the other restarts
+//     served it as they found it,
+//   - exactly the injected torn tail was truncated, by the second
+//     restart, and
 //   - the first restart served a resume from the recovered journal, and
 //     the restart without a journal served none, so the client fell back
 //     to at least one full re-plan.
@@ -150,7 +164,7 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 	stServer := stats.New()
 	bcfg := cluster.BackendConfig{
 		Scenes: cluster.Scenes(engine.SceneConfig{
-			Name: crashScene, Dataset: soak.d, Levels: soakLevels, Shards: spec.Shards, Stats: stServer,
+			Name: crashScene, Source: soak.d.Store, Levels: soakLevels, Shards: spec.Shards, Stats: stServer,
 		}),
 		DataDir:      dir,
 		Stats:        stServer,
@@ -165,8 +179,13 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 			b.Stop()
 		}
 	}()
-	// Every later incarnation recovers from dir on the same address.
-	bcfg.Scenes, bcfg.Addr = nil, b.Addr()
+	// Every later incarnation recovers from dir on the same address; the
+	// recipe rewrites a segment a restart refuses.
+	bcfg.Addr = b.Addr()
+	written, err := os.ReadFile(cluster.SegmentPath(dir, crashScene))
+	if err != nil {
+		return err
+	}
 
 	// Crash-free, fault-free oracle against the first incarnation. Its
 	// Bye reaches the server asynchronously, and a kill counts the
@@ -209,7 +228,8 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 	defer rc.Close()
 
 	mark := func() crashMark {
-		return crashMark{stServer.Load(stats.ProtoResumesRestored), stServer.Load(stats.EngineTailsTruncated), rc.Replans}
+		return crashMark{stServer.Load(stats.ProtoResumesRestored), stServer.Load(stats.EngineTailsTruncated),
+			stServer.Load(stats.EngineRecordsQuarantined), rc.Replans}
 	}
 	var marks []crashMark // one per kill, then the tour's end
 	killFrames := make([]int, 0, crashKills)
@@ -243,7 +263,7 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 	ss, cs := stServer.Snapshot(), stClient.Snapshot()
 	restored := ss.Get(stats.ProtoResumesRestored)
 	faults := cs.Get(stats.LinkFaults)
-	fmt.Fprintf(w, "crash-restart: %d objects, %d-step tram tour, %d kills at frames %v (torn scene file, torn park, lost journal), drop ~[%d,%d] B, corrupt ~[%d,%d] B\n",
+	fmt.Fprintf(w, "crash-restart: %d objects, %d-step tram tour, %d kills at frames %v (damaged segment, torn park, lost journal), drop ~[%d,%d] B, corrupt ~[%d,%d] B\n",
 		spec.Objects, spec.Steps, crashKills, killFrames, cfg.DropAfterMin, cfg.DropAfterMax, cfg.CorruptAfterMin, cfg.CorruptAfterMax)
 	fmt.Fprintf(w, "  frames %d in %v · %d coefficients · %d connections · retries %d (%d timeouts) · restarts %d\n",
 		soak.tour.Len(), elapsed.Round(time.Millisecond), c.Coefficients, dialer.Dials(),
@@ -253,9 +273,10 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 		ss.Get(stats.EngineTailsTruncated), ss.Get(stats.EngineRecordsQuarantined), ss.Get(stats.EngineJournalCompactions))
 	fmt.Fprintf(w, "  recovery: resumes %d · re-plans %d · restored-journal resumes %d · faults %d · split frames %d (%d pieces)\n",
 		rc.Resumes, rc.Replans, restored, faults, cs.Get(stats.ClientSplitFrames), cs.Get(stats.ClientPieces))
-	fmt.Fprintf(w, "  per restart: restored resumes %d/%d/%d · tails truncated %d/%d/%d · re-plans %d/%d/%d\n",
+	fmt.Fprintf(w, "  per restart: restored resumes %d/%d/%d · tails truncated %d/%d/%d · quarantined %d/%d/%d · re-plans %d/%d/%d\n",
 		after[0].restored, after[1].restored, after[2].restored,
 		after[0].tails, after[1].tails, after[2].tails,
+		after[0].quarantined, after[1].quarantined, after[2].quarantined,
 		after[0].replans, after[1].replans, after[2].replans)
 
 	if div > 0 {
@@ -269,25 +290,28 @@ func RunCrash(spec CrashSpec, w io.Writer) error {
 	if faults == 0 {
 		return fmt.Errorf("experiment: fault injection was inactive")
 	}
-	sceneFile, err := os.Stat(engine.CheckpointPath(dir, crashScene))
+	final, err := os.ReadFile(cluster.SegmentPath(dir, crashScene))
 	if err != nil {
 		return err
 	}
-	if ss.Get(stats.EngineCheckpoints) != 1 || ss.Get(stats.EngineCheckpointBytes) != sceneFile.Size() {
-		return fmt.Errorf("experiment: scene file written %d times (%d B), want once (%d B on disk)",
-			ss.Get(stats.EngineCheckpoints), ss.Get(stats.EngineCheckpointBytes), sceneFile.Size())
+	if !bytes.Equal(final, written) {
+		return fmt.Errorf("experiment: the segment on disk (%d B) is not the one the first boot wrote (%d B)", len(final), len(written))
 	}
-	// Each restart replays the scene file's two records.
-	if ss.Get(stats.EngineRecordsReplayed) < 2*crashKills {
-		return fmt.Errorf("experiment: %d records replayed, want at least the scene file's 2 per restart",
-			ss.Get(stats.EngineRecordsReplayed))
+	if ss.Get(stats.EngineCheckpoints) != 2 || ss.Get(stats.EngineCheckpointBytes) != 2*int64(len(written)) {
+		return fmt.Errorf("experiment: segment written %d times (%d B), want twice (%d B each): at the first boot and by the first restart",
+			ss.Get(stats.EngineCheckpoints), ss.Get(stats.EngineCheckpointBytes), len(written))
 	}
-	for k, want := range []int64{killTornScene: 1, killTornPark: 1, killLostJournal: 0} {
+	for k, want := range []int64{killDamagedScene: 1, killTornPark: 0, killLostJournal: 0} {
+		if after[k].quarantined != want {
+			return fmt.Errorf("experiment: restart %d quarantined %d records or segments, want %d", k, after[k].quarantined, want)
+		}
+	}
+	for k, want := range []int64{killDamagedScene: 0, killTornPark: 1, killLostJournal: 0} {
 		if after[k].tails != want {
 			return fmt.Errorf("experiment: restart %d truncated %d torn tails, want the %d injected", k, after[k].tails, want)
 		}
 	}
-	if after[killTornScene].restored < 1 {
+	if after[killDamagedScene].restored < 1 {
 		return fmt.Errorf("experiment: no resume was served from the recovered journal")
 	}
 	if after[killLostJournal].restored != 0 {

@@ -13,10 +13,11 @@ import (
 var durability = regexp.MustCompile(`(?m)^  (durability|recovery): .*$`)
 
 // runCrashTwice runs the crash experiment twice at one spec and returns
-// the first summary. The scene file is written once, the truncated torn
-// tails are exactly the injected ones and every resume finds its
-// session parked, so the two runs must print the same durability and
-// recovery lines.
+// the first summary. The segment is written at the first boot and
+// rewritten once, the truncated torn tail and the quarantined segment
+// are exactly the injected ones and every resume finds its session
+// parked, so the two runs must print the same durability and recovery
+// lines.
 func runCrashTwice(t *testing.T, spec CrashSpec) string {
 	t.Helper()
 	var outs, lines [2]string
@@ -36,14 +37,15 @@ func runCrashTwice(t *testing.T, spec CrashSpec) string {
 
 // TestRunCrash is the kill-and-fault acceptance test: a resilient
 // client streams under faultnet while the server is killed three times
-// at seeded random frames and restarted from its scene file and session
-// journal — after a torn scene-file tail, a torn park record and a
+// at seeded random frames and restarted from its segment and session
+// journal — after a corrupt segment page, a torn park record and a
 // deleted journal in turn. RunCrash itself enforces the acceptance
 // criteria — meshes byte-identical to a crash-free, fault-free oracle,
 // a resume served from the recovered journal after the first kill, the
-// scene file written exactly once, exactly the injected torn tails
-// truncated without inventing data, and, after the lost journal, no
-// restored resume but a re-plan — and returns an error if any fails;
+// damaged segment refused and rewritten byte for byte from the recipe,
+// exactly the injected torn tail truncated without inventing data, and,
+// after the lost journal, no restored resume but a re-plan — and
+// returns an error if any fails;
 // each spec runs twice and must print the same durability and recovery
 // lines. Seeds 7 and 5 run at a 40-object, 120-step scale (seed 5
 // corrupts every whole attempt of one frame, so that frame must arrive
@@ -76,7 +78,7 @@ func TestRunCrash(t *testing.T) {
 				return
 			}
 			out := runCrashTwice(t, spec)
-			for _, want := range []string{"crash-restart", "restarts 3", "checkpoints 1 (", "tails truncated 2 ", "convergence OK"} {
+			for _, want := range []string{"crash-restart", "restarts 3", "checkpoints 2 (", "tails truncated 1 ", "quarantined 1 ", "convergence OK"} {
 				if !strings.Contains(out, want) {
 					t.Errorf("output missing %q:\n%s", want, out)
 				}

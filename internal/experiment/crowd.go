@@ -178,9 +178,9 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 	spec = spec.fill()
 
 	stCo, stInd := stats.New(), stats.New()
+	d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: soakLevels, Seed: spec.Seed + 5})
 	boot := func(st *stats.Stats) (*cluster.Backend, *engine.Scene, error) {
-		d := workload.Generate(workload.Spec{NumObjects: spec.Objects, Levels: soakLevels, Seed: spec.Seed + 5})
-		b, err := startScene(engine.SceneConfig{Name: crowdScene, Dataset: d, Levels: soakLevels, Shards: spec.Shards, Stats: st})
+		b, err := startScene(engine.SceneConfig{Name: crowdScene, Source: d.Store, Levels: soakLevels, Shards: spec.Shards, Stats: st})
 		if err != nil {
 			return nil, nil, err
 		}
@@ -205,7 +205,7 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 
 	// The crowd: flocked clients share attractor paths float-for-float,
 	// so their per-step windows coincide — the case coalescing exploits.
-	space := scCo.Dataset.Store.Bounds().XY()
+	space := d.Store.Bounds().XY()
 	crowd := workload.GenerateCrowd(workload.CrowdSpec{
 		Space:      space,
 		Clients:    spec.Clients,
@@ -214,7 +214,7 @@ func RunCrowd(spec CrowdRunSpec, w io.Writer) error {
 		Overlap:    spec.Overlap,
 		Seed:       spec.Seed,
 	})
-	side := scCo.Dataset.QuerySide(0.10)
+	side := d.QuerySide(0.10)
 	frames := make([][]crowdFrame, spec.Clients)
 	for i, tour := range crowd {
 		frames[i] = make([]crowdFrame, spec.Steps)

@@ -138,11 +138,21 @@ func bandOf(w float64) int {
 const (
 	// segMetaMagic identifies a coefficient-segment meta blob ("MACO").
 	segMetaMagic = uint32(0x4F43414D)
-	// segMetaVersion 2 adds the id→slot table of the band-major layout;
-	// version 1 segments (object-major, no table) must be rebuilt.
-	segMetaVersion = uint32(2)
-	segMetaFixed   = 24 + 48 // six u32 + bounds (6 × f64)
+	// segMetaVersion 3 adds the scene's shard count and registry order;
+	// version 2 added the id→slot table of the band-major layout. Older
+	// segments must be rebuilt.
+	segMetaVersion = uint32(3)
+	segMetaFixed   = 28 + 48 // seven u32 + bounds (6 × f64)
 )
+
+// SegmentScene is what a segment records about the scene it holds
+// besides its coefficients: all a backend needs to serve the scene
+// again after a restart or a drain.
+type SegmentScene struct {
+	Levels int // subdivision depth the scene handshake announces
+	Shards int // grid shards of the scene's index (≤ 1: one)
+	Order  int // the scene's place in its backend's registry order, default first
+}
 
 // segMetaSize is the meta blob's length for a segment of the given
 // shape: the fixed header, 8 B per object offset and 4 B per slot.
@@ -151,19 +161,16 @@ func segMetaSize(objects int, coeffs int64) int64 {
 }
 
 // EncodeSegmentMeta builds the footer meta blob for a coefficient
-// segment: scene shape (levels, base verts), the exact dataset bounds
-// (stored verbatim so a paged scene's handshake space is float-identical
-// to the in-memory store's), the per-object id offset table, and the
-// id→slot table (slots[id] is the record position holding coefficient
-// id; it must be a permutation of [0, len(slots))).
-func EncodeSegmentMeta(levels, baseVerts int, bounds geom.Rect3, offsets []int64, slots []uint32) []byte {
+// segment: the scene (levels, shards, order), base verts, the exact
+// dataset bounds (stored verbatim so a segment's handshake space is
+// float-identical to the in-memory store's), the per-object id offset
+// table, and the id→slot table (slots[id] is the record position
+// holding coefficient id; it must be a permutation of [0, len(slots))).
+func EncodeSegmentMeta(sc SegmentScene, baseVerts int, bounds geom.Rect3, offsets []int64, slots []uint32) []byte {
 	meta := make([]byte, 0, segMetaSize(len(offsets), int64(len(slots))))
-	meta = binary.LittleEndian.AppendUint32(meta, segMetaMagic)
-	meta = binary.LittleEndian.AppendUint32(meta, segMetaVersion)
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(levels))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(baseVerts))
-	meta = binary.LittleEndian.AppendUint32(meta, uint32(len(offsets)))
-	meta = binary.LittleEndian.AppendUint32(meta, 0) // reserved
+	for _, v := range [7]int{int(segMetaMagic), int(segMetaVersion), sc.Levels, baseVerts, len(offsets), sc.Shards, sc.Order} {
+		meta = binary.LittleEndian.AppendUint32(meta, uint32(v))
+	}
 	for _, v := range [6]float64{bounds.Min.X, bounds.Min.Y, bounds.Min.Z,
 		bounds.Max.X, bounds.Max.Y, bounds.Max.Z} {
 		meta = binary.LittleEndian.AppendUint64(meta, math.Float64bits(v))
@@ -179,10 +186,11 @@ func EncodeSegmentMeta(levels, baseVerts int, bounds geom.Rect3, offsets []int64
 
 // segmentMeta is a decoded coefficient-segment meta blob.
 type segmentMeta struct {
-	levels, baseVerts int
-	bounds            geom.Rect3
-	offsets           []int64
-	slots             []uint32
+	scene     SegmentScene
+	baseVerts int
+	bounds    geom.Rect3
+	offsets   []int64
+	slots     []uint32
 }
 
 // decodeSegmentMeta parses and validates a coefficient-segment meta
@@ -196,24 +204,25 @@ func decodeSegmentMeta(meta []byte, total int64) (m segmentMeta, err error) {
 	if total < 0 {
 		return m, fmt.Errorf("index: segment of %d records", total)
 	}
-	if magic := binary.LittleEndian.Uint32(meta[0:4]); magic != segMetaMagic {
+	u32 := func(off int) int { return int(binary.LittleEndian.Uint32(meta[off:])) }
+	if magic := uint32(u32(0)); magic != segMetaMagic {
 		return m, fmt.Errorf("index: bad segment meta magic %#x", magic)
 	}
-	switch v := binary.LittleEndian.Uint32(meta[4:8]); {
-	case v == 1:
-		return m, errors.New("index: segment meta version 1 has the object-major layout; rebuild the segment")
+	switch v := uint32(u32(4)); {
+	case v < segMetaVersion:
+		return m, fmt.Errorf("index: segment meta version %d predates the scene fields; rebuild the segment", v)
 	case v != segMetaVersion:
 		return m, fmt.Errorf("index: unsupported segment meta version %d", v)
 	}
-	m.levels = int(binary.LittleEndian.Uint32(meta[8:12]))
-	m.baseVerts = int(binary.LittleEndian.Uint32(meta[12:16]))
-	numObjects := int(binary.LittleEndian.Uint32(meta[16:20]))
+	m.scene = SegmentScene{Levels: u32(8), Shards: u32(20), Order: u32(24)}
+	m.baseVerts = u32(12)
+	numObjects := u32(16)
 	if int64(len(meta)) != segMetaSize(numObjects, total) {
 		return m, fmt.Errorf("index: segment meta of %d bytes does not hold %d objects and %d slots",
 			len(meta), numObjects, total)
 	}
 	f := func(off int) float64 {
-		return math.Float64frombits(binary.LittleEndian.Uint64(meta[24+8*off:]))
+		return math.Float64frombits(binary.LittleEndian.Uint64(meta[28+8*off:]))
 	}
 	m.bounds = geom.Rect3{
 		Min: geom.Vec3{X: f(0), Y: f(1), Z: f(2)},
@@ -262,6 +271,12 @@ func decodeSegmentMeta(meta []byte, total int64) (m segmentMeta, err error) {
 // the persist default. A source whose slot table would not fit under
 // persist.MaxSegmentMeta is refused before anything is written.
 func BuildSegment(path string, src CoefficientSource, levels, pageSize int) error {
+	return BuildSceneSegment(path, src, SegmentScene{Levels: levels}, pageSize)
+}
+
+// BuildSceneSegment is BuildSegment recording the whole scene, shards
+// and registry order as well as levels, in the segment's meta.
+func BuildSceneSegment(path string, src CoefficientSource, sc SegmentScene, pageSize int) error {
 	total := src.NumCoeffs()
 	if size := segMetaSize(src.NumObjects(), total); size > persist.MaxSegmentMeta {
 		return fmt.Errorf("index: a segment of %d objects and %d coefficients needs %d B of meta, over the %d B limit",
@@ -314,7 +329,46 @@ func BuildSegment(path string, src CoefficientSource, levels, pageSize int) erro
 		for i := range offsets {
 			offsets[i] = src.ID(int32(i), 0)
 		}
-		return EncodeSegmentMeta(levels, src.BaseVerts(), src.Bounds(), offsets, slots), nil
+		return EncodeSegmentMeta(sc, src.BaseVerts(), src.Bounds(), offsets, slots), nil
+	})
+}
+
+// CopySegment copies the coefficient segment at src to dst
+// (atomically), page by page, each page CRC-checked as it is read. The
+// copy's pages are the source's byte for byte; its meta differs only in
+// the scene's registry order, which becomes order. A page that does not
+// read clean fails the copy and leaves dst as it was: a drain must not
+// relocate a scene with records missing.
+func CopySegment(src, dst string, order int) error {
+	seg, err := persist.OpenSegment(src)
+	if err != nil {
+		return err
+	}
+	defer seg.Close()
+	m, err := decodeSegmentMeta(seg.Meta(), seg.NumRecords())
+	if err == nil && seg.RecordSize() != CoeffRecordSize {
+		err = fmt.Errorf("index: segment record size %d, want %d", seg.RecordSize(), CoeffRecordSize)
+	}
+	if err != nil {
+		return fmt.Errorf("index: segment %s: %w", src, err)
+	}
+	m.scene.Order = order
+	spec := persist.SegmentSpec{PageSize: seg.PageSize(), RecordSize: CoeffRecordSize}
+	return persist.WriteSegment(dst, spec, func(a *persist.SegmentAppender) ([]byte, error) {
+		var buf []byte
+		for page := range seg.NumPages() {
+			b, err := seg.ReadPage(page, buf)
+			if err != nil {
+				return nil, err
+			}
+			for r := range seg.RecordsInPage(page) {
+				if err := a.Append(b[r*CoeffRecordSize : (r+1)*CoeffRecordSize]); err != nil {
+					return nil, err
+				}
+			}
+			buf = b
+		}
+		return EncodeSegmentMeta(m.scene, m.baseVerts, m.bounds, m.offsets, m.slots), nil
 	})
 }
 
@@ -349,7 +403,7 @@ type PagedStore struct {
 	slots   []uint32
 	total   int64
 	perPage int64
-	levels  int
+	scene   SegmentScene
 	base    int
 	bounds  geom.Rect3
 }
@@ -389,7 +443,7 @@ func newPaged(seg *persist.Segment, cfg PagedConfig) (*PagedStore, error) {
 		slots:   m.slots,
 		total:   seg.NumRecords(),
 		perPage: int64(seg.RecordsPerPage()),
-		levels:  m.levels,
+		scene:   m.scene,
 		base:    m.baseVerts,
 		bounds:  m.bounds,
 	}
@@ -408,7 +462,52 @@ func (ps *PagedStore) Close() error { return ps.seg.Close() }
 
 // Levels returns the subdivision depth recorded when the segment was
 // built; the scene handshake announces it.
-func (ps *PagedStore) Levels() int { return ps.levels }
+func (ps *PagedStore) Levels() int { return ps.scene.Levels }
+
+// Scene returns the scene the segment records (see SegmentScene).
+func (ps *PagedStore) Scene() SegmentScene { return ps.scene }
+
+// Load reads every record of the segment into a resident Store: a page
+// at a time, straight from the segment (not through the page cache),
+// each record decoded into its object's slab. A page that does not read
+// clean fails the load (a corrupt one with persist.ErrCorrupt under
+// errors.Is), since a resident store cannot withhold coefficients. The
+// store's objects hold their coefficients and level count only, no base
+// or final mesh: serving reads neither, and its Bounds and BaseVerts
+// come from the segment's meta.
+func (ps *PagedStore) Load() (*Store, error) {
+	coeffs := make([]wavelet.Coefficient, ps.total)
+	ids := make([]uint32, ps.total) // the inverse of slots: the id each slot holds
+	for id, slot := range ps.slots {
+		ids[slot] = uint32(id)
+	}
+	var buf []byte
+	for page := range ps.seg.NumPages() {
+		b, err := ps.seg.ReadPage(page, buf)
+		if err != nil {
+			return nil, err
+		}
+		first := int64(page) * ps.perPage
+		for r := range ps.seg.RecordsInPage(page) {
+			decodeCoeffRecord(b[r*CoeffRecordSize:], &coeffs[ids[first+int64(r)]])
+		}
+		buf = b
+	}
+	objs := make([]*wavelet.Decomposition, len(ps.offsets))
+	for i, lo := range ps.offsets {
+		hi := ps.total
+		if i+1 < len(ps.offsets) {
+			hi = ps.offsets[i+1]
+		}
+		for j := range coeffs[lo:hi] {
+			if c := &coeffs[lo+int64(j)]; c.Object != int32(i) || c.Vertex != int32(j) {
+				return nil, fmt.Errorf("index: segment record of id %d holds object %d vertex %d", lo+int64(j), c.Object, c.Vertex)
+			}
+		}
+		objs[i] = &wavelet.Decomposition{Object: int32(i), J: ps.scene.Levels, Coeffs: coeffs[lo:hi:hi]}
+	}
+	return newStore(objs, ps.bounds, ps.base), nil
+}
 
 // PagerStats returns a snapshot of the store's paging counters.
 func (ps *PagedStore) PagerStats() persist.PagerStats { return ps.pager.Stats() }

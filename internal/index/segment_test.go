@@ -170,24 +170,28 @@ func TestBuildSegmentRefusesOversizedMeta(t *testing.T) {
 }
 
 // metaSeeds are FuzzSegmentMeta's seeds and the rejection test's cases:
-// a valid v2 meta over three coefficients, the same meta as version 1,
-// a duplicate slot, an out-of-range slot and a truncated table.
-func metaSeeds() (valid, v1, dup, outOfRange, truncated []byte) {
+// a valid v3 meta over three coefficients (levels 2, 5 shards, order
+// 7), the same meta as version 1 and as version 2, a duplicate slot, an
+// out-of-range slot and a truncated table.
+func metaSeeds() (valid, v1, v2, dup, outOfRange, truncated []byte) {
 	bounds := geom.Rect3{Min: geom.V3(0, 0, 0), Max: geom.V3(1, 2, 3)}
-	valid = EncodeSegmentMeta(2, 4, bounds, []int64{0, 2}, []uint32{1, 2, 0})
+	sc := SegmentScene{Levels: 2, Shards: 5, Order: 7}
+	valid = EncodeSegmentMeta(sc, 4, bounds, []int64{0, 2}, []uint32{1, 2, 0})
 	v1 = append([]byte(nil), valid[:segMetaFixed+16]...)
 	binary.LittleEndian.PutUint32(v1[4:8], 1)
-	dup = EncodeSegmentMeta(2, 4, bounds, []int64{0, 2}, []uint32{1, 1, 0})
-	outOfRange = EncodeSegmentMeta(2, 4, bounds, []int64{0, 2}, []uint32{1, 3, 0})
+	v2 = append([]byte(nil), valid...)
+	binary.LittleEndian.PutUint32(v2[4:8], 2)
+	dup = EncodeSegmentMeta(sc, 4, bounds, []int64{0, 2}, []uint32{1, 1, 0})
+	outOfRange = EncodeSegmentMeta(sc, 4, bounds, []int64{0, 2}, []uint32{1, 3, 0})
 	truncated = valid[:len(valid)-4]
 	return
 }
 
 func TestDecodeSegmentMetaRejectsBadTables(t *testing.T) {
-	valid, v1, dup, outOfRange, truncated := metaSeeds()
+	valid, v1, v2, dup, outOfRange, truncated := metaSeeds()
 	m, err := decodeSegmentMeta(valid, 3)
-	if err != nil || m.levels != 2 || m.baseVerts != 4 || !slices.Equal(m.offsets, []int64{0, 2}) ||
-		m.slots[0] != 1 || m.slots[1] != 2 || m.slots[2] != 0 {
+	if err != nil || m.scene != (SegmentScene{Levels: 2, Shards: 5, Order: 7}) || m.baseVerts != 4 ||
+		!slices.Equal(m.offsets, []int64{0, 2}) || m.slots[0] != 1 || m.slots[1] != 2 || m.slots[2] != 0 {
 		t.Fatalf("valid meta decodes to %+v, %v", m, err)
 	}
 	for name, c := range map[string]struct {
@@ -195,6 +199,7 @@ func TestDecodeSegmentMetaRejectsBadTables(t *testing.T) {
 		want string
 	}{
 		"v1":           {v1, "rebuild the segment"},
+		"v2":           {v2, "rebuild the segment"},
 		"duplicate":    {dup, "twice"},
 		"out-of-range": {outOfRange, "slot 3 of 3"},
 		"truncated":    {truncated, "does not hold"},
@@ -208,7 +213,7 @@ func TestDecodeSegmentMetaRejectsBadTables(t *testing.T) {
 // TestOpenPagedRefusesVersion1: a segment written before the band-major
 // layout does not open; the error says to rebuild it.
 func TestOpenPagedRefusesVersion1(t *testing.T) {
-	_, v1, _, _, _ := metaSeeds()
+	_, v1, _, _, _, _ := metaSeeds()
 	path := filepath.Join(t.TempDir(), "v1.seg")
 	spec := persist.SegmentSpec{PageSize: 512, RecordSize: CoeffRecordSize}
 	err := persist.WriteSegment(path, spec, func(a *persist.SegmentAppender) ([]byte, error) {
@@ -233,8 +238,8 @@ func TestOpenPagedRefusesVersion1(t *testing.T) {
 // accepts has an id→slot table that is a bijection onto [0, total) and
 // re-encodes to the same bytes.
 func FuzzSegmentMeta(f *testing.F) {
-	valid, v1, dup, outOfRange, truncated := metaSeeds()
-	for _, seed := range [][]byte{valid, v1, dup, outOfRange, truncated} {
+	valid, v1, v2, dup, outOfRange, truncated := metaSeeds()
+	for _, seed := range [][]byte{valid, v1, v2, dup, outOfRange, truncated} {
 		f.Add(seed, int64(3))
 	}
 	f.Fuzz(func(t *testing.T, meta []byte, total int64) {
@@ -252,10 +257,8 @@ func FuzzSegmentMeta(f *testing.F) {
 			}
 			seen[slot] = true
 		}
-		again := EncodeSegmentMeta(m.levels, m.baseVerts, m.bounds, m.offsets, m.slots)
-		// Byte 20..24 is reserved and ignored on decode; the bounds are
-		// stored verbatim, NaN payloads included.
-		copy(again[20:24], meta[20:24])
+		// The bounds are stored verbatim, NaN payloads included.
+		again := EncodeSegmentMeta(m.scene, m.baseVerts, m.bounds, m.offsets, m.slots)
 		if string(again) != string(meta) {
 			t.Fatal("accepted meta does not re-encode to its own bytes")
 		}

@@ -25,6 +25,7 @@ type Store struct {
 	offsets   []int64
 	total     int64
 	bounds    geom.Rect3  // union of the objects' boxes, fixed at construction
+	base      int         // the base mesh's vertex count
 	neighbors [][][]int32 // final-mesh adjacency per object; built on demand
 	// wire holds every coefficient's wire record, id-indexed: id's
 	// record is wire[id*WireBytes:][:WireBytes]. It costs WireBytes per
@@ -36,7 +37,8 @@ type Store struct {
 // their wire records. Object ids must equal their slice positions;
 // Decompose output is verified to satisfy the dense-vertex-id assumption.
 func NewStore(objects []*wavelet.Decomposition) *Store {
-	s := &Store{Objects: objects, offsets: make([]int64, len(objects))}
+	var bounds geom.Rect3
+	base := 0
 	for i, d := range objects {
 		if d.Object != int32(i) {
 			panic(fmt.Sprintf("index: object %d stored at position %d", d.Object, i))
@@ -47,13 +49,22 @@ func NewStore(objects []*wavelet.Decomposition) *Store {
 					i, j, d.Coeffs[j].Vertex))
 			}
 		}
+		if i == 0 {
+			bounds, base = d.Bounds(), d.Base.NumVerts()
+		} else {
+			bounds = bounds.Union(d.Bounds())
+		}
+	}
+	return newStore(objects, bounds, base)
+}
+
+// newStore lays out a store over objects already checked to hold dense
+// ids, with the given bounds and base vertex count.
+func newStore(objects []*wavelet.Decomposition, bounds geom.Rect3, base int) *Store {
+	s := &Store{Objects: objects, offsets: make([]int64, len(objects)), bounds: bounds, base: base}
+	for i, d := range objects {
 		s.offsets[i] = s.total
 		s.total += int64(len(d.Coeffs))
-		if i == 0 {
-			s.bounds = d.Bounds()
-		} else {
-			s.bounds = s.bounds.Union(d.Bounds())
-		}
 	}
 	s.wire = make([]byte, 0, s.total*wavelet.WireBytes)
 	for _, d := range objects {
@@ -71,12 +82,7 @@ func (s *Store) NumObjects() int { return len(s.Objects) }
 
 // BaseVerts returns the vertex count of the shared base mesh (0 for an
 // empty store). Clients need it to set up reconstructors.
-func (s *Store) BaseVerts() int {
-	if len(s.Objects) == 0 {
-		return 0
-	}
-	return s.Objects[0].Base.NumVerts()
-}
+func (s *Store) BaseVerts() int { return s.base }
 
 // NumCoeffs returns the total coefficient count across all objects.
 func (s *Store) NumCoeffs() int64 { return s.total }

@@ -6,7 +6,7 @@ import (
 )
 
 // FuzzScan throws arbitrary bytes at the recovery scanner — the code
-// path every checkpoint and journal crosses on startup, where the
+// path every journal crosses on startup, where the
 // input is by definition whatever a crash left behind. The scanner
 // must never panic, never invent records, and its accounting must be
 // internally consistent.

@@ -1,6 +1,6 @@
 // Package persist is the durability layer under the serving stack: a
 // CRC32-C-framed, versioned record format plus the file primitives a
-// crash-safe server needs — atomic whole-file checkpoints (temp file +
+// crash-safe server needs — atomic whole-file writes (temp file +
 // fsync + rename), an append-only journal with torn-tail truncation on
 // recovery, and corruption quarantine (a damaged record is skipped and
 // counted, never parsed and never panicked over).
@@ -24,8 +24,8 @@
 // torn tail, not a quarantine.
 //
 // The package is stdlib-only and knows nothing about what the payloads
-// mean; the engine layers scene checkpoints and the session journal on
-// top of it.
+// mean; the engine layers the session journal on top of it, and
+// index.PagedStore the scene segments (segment.go).
 package persist
 
 import (
@@ -286,45 +286,6 @@ func RecoverFile(path string) ([][]byte, Recovery, error) {
 	return recs, rec, nil
 }
 
-// CopyVerified copies a persist-format file from src to dst with strict
-// verification: every record must pass its CRC and the file must end
-// cleanly — any torn tail or quarantined record aborts the copy. The
-// destination is written atomically, so dst is never left half-shipped.
-// This is the checkpoint-shipping primitive a cluster drain uses: a
-// damaged source checkpoint must fail the drain, not silently relocate
-// a scene missing records. Returns the records copied.
-func CopyVerified(src, dst string) (int, error) {
-	f, err := os.Open(src)
-	if err != nil {
-		return 0, err
-	}
-	defer f.Close()
-	st, err := f.Stat()
-	if err != nil {
-		return 0, err
-	}
-	recs, rec, _, err := Scan(f, st.Size())
-	if err != nil {
-		return 0, fmt.Errorf("persist: copy source %s: %w", src, err)
-	}
-	if rec.TailTruncated > 0 || rec.Quarantined > 0 {
-		return 0, fmt.Errorf("persist: copy source %s damaged (%d quarantined, torn tail %v)",
-			src, rec.Quarantined, rec.TailTruncated > 0)
-	}
-	_, err = WriteFileAtomic(dst, func(w *Writer) error {
-		for _, p := range recs {
-			if err := w.WriteRecord(p); err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return 0, err
-	}
-	return len(recs), nil
-}
-
 // WriteFileAtomic writes a persist-format file so that a crash at any
 // point leaves either the old file or the new one, never a mix: the
 // content goes to a temp file in the same directory, is fsynced, then
@@ -352,7 +313,7 @@ func WriteFileAtomic(path string, write func(*Writer) error) (int64, error) {
 
 // WriteBytesAtomic atomically replaces path with data — the plain-file
 // (no record framing) variant for artifacts like JSON experiment
-// results and dataset files, which carry their own format.
+// results, which carry their own format.
 func WriteBytesAtomic(path string, data []byte) error {
 	return writeRawAtomic(path, func(f *os.File) error {
 		_, err := f.Write(data)
@@ -362,7 +323,7 @@ func WriteBytesAtomic(path string, data []byte) error {
 
 // WriteToAtomic atomically replaces path with whatever write produces —
 // the streaming variant of WriteBytesAtomic for writers that serialize
-// directly (e.g. workload.Dataset.Save).
+// directly (e.g. cmd/meshgen's OBJ files).
 func WriteToAtomic(path string, write func(io.Writer) error) error {
 	return writeRawAtomic(path, func(f *os.File) error { return write(f) })
 }

@@ -26,7 +26,7 @@ func writeRecords(t *testing.T, path string, payloads ...[]byte) {
 }
 
 func TestRoundtrip(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "f.ckpt")
+	path := filepath.Join(t.TempDir(), "f.rec")
 	want := [][]byte{[]byte("alpha"), {}, []byte("gamma gamma gamma")}
 	writeRecords(t, path, want...)
 
@@ -48,7 +48,7 @@ func TestRoundtrip(t *testing.T) {
 }
 
 func TestMissingFileRecoversEmpty(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "absent.ckpt")
+	path := filepath.Join(t.TempDir(), "absent.rec")
 	recs, rec, err := RecoverFile(path)
 	if err != nil || len(recs) != 0 || rec != (Recovery{}) {
 		t.Fatalf("missing file: recs=%d rec=%+v err=%v", len(recs), rec, err)
@@ -57,7 +57,7 @@ func TestMissingFileRecoversEmpty(t *testing.T) {
 
 func TestTornTailTruncated(t *testing.T) {
 	dir := t.TempDir()
-	path := filepath.Join(dir, "torn.ckpt")
+	path := filepath.Join(dir, "torn.rec")
 	writeRecords(t, path, []byte("first"), []byte("second"))
 	intact, err := os.ReadFile(path)
 	if err != nil {
@@ -104,7 +104,7 @@ func TestTornTailTruncated(t *testing.T) {
 }
 
 func TestCorruptRecordQuarantined(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "bad.ckpt")
+	path := filepath.Join(t.TempDir(), "bad.rec")
 	writeRecords(t, path, []byte("good-one"), []byte("will-rot"), []byte("good-two"))
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -130,7 +130,7 @@ func TestCorruptRecordQuarantined(t *testing.T) {
 }
 
 func TestImplausibleLengthIsTornTail(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "len.ckpt")
+	path := filepath.Join(t.TempDir(), "len.rec")
 	writeRecords(t, path, []byte("keep"))
 	f, err := os.OpenFile(path, os.O_APPEND|os.O_WRONLY, 0o644)
 	if err != nil {
@@ -163,7 +163,7 @@ func TestImplausibleLengthIsTornTail(t *testing.T) {
 func TestEmptyAndHeaderOnlyFiles(t *testing.T) {
 	dir := t.TempDir()
 
-	empty := filepath.Join(dir, "empty.ckpt")
+	empty := filepath.Join(dir, "empty.rec")
 	if err := os.WriteFile(empty, nil, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +172,7 @@ func TestEmptyAndHeaderOnlyFiles(t *testing.T) {
 		t.Fatalf("empty file: recs=%d rec=%+v err=%v", len(recs), rec, err)
 	}
 
-	headerOnly := filepath.Join(dir, "hdr.ckpt")
+	headerOnly := filepath.Join(dir, "hdr.rec")
 	writeRecords(t, headerOnly)
 	recs, rec, err = RecoverFile(headerOnly)
 	if err != nil || len(recs) != 0 || rec.TailTruncated != 0 {
@@ -181,7 +181,7 @@ func TestEmptyAndHeaderOnlyFiles(t *testing.T) {
 }
 
 func TestBadMagicRejected(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "magic.ckpt")
+	path := filepath.Join(t.TempDir(), "magic.rec")
 	if err := os.WriteFile(path, []byte("NOTAPERSISTFILE!"), 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -191,7 +191,7 @@ func TestBadMagicRejected(t *testing.T) {
 }
 
 func TestAtomicWriteFailureLeavesOldFile(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "keep.ckpt")
+	path := filepath.Join(t.TempDir(), "keep.rec")
 	writeRecords(t, path, []byte("original"))
 	boom := errors.New("boom")
 	if _, err := WriteFileAtomic(path, func(w *Writer) error {

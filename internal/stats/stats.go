@@ -83,8 +83,8 @@ const (
 	PagerResidentBytes // gauge
 	PagerCacheBytes    // gauge
 
-	// engine: scene files written (once, on the boot that builds the
-	// scenes), startup recovery, journal compaction, background scrub.
+	// engine: scene segments written (once, on the boot that runs the
+	// recipe), startup recovery, journal compaction, background scrub.
 	EngineCheckpoints
 	EngineCheckpointBytes
 	EngineRecordsReplayed

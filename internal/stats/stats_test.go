@@ -149,7 +149,7 @@ func TestResilienceCounters(t *testing.T) {
 	}
 }
 
-// TestPersistenceCounters records what checkpointing, recovery, journal
+// TestPersistenceCounters records what segment writes, recovery, journal
 // compaction and restored resumes record; the snapshot holds exactly
 // those rows and its summary line lists them.
 func TestPersistenceCounters(t *testing.T) {

@@ -196,7 +196,7 @@ func BuildCitySegment(path string, spec CitySpec, pageSize int) error {
 		for id := range identity {
 			identity[id] = uint32(id)
 		}
-		return index.EncodeSegmentMeta(spec.Levels, baseVerts, bounds, offsets, identity), nil
+		return index.EncodeSegmentMeta(index.SegmentScene{Levels: spec.Levels}, baseVerts, bounds, offsets, identity), nil
 	})
 	if err != nil {
 		return err

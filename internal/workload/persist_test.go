@@ -2,137 +2,204 @@ package workload
 
 import (
 	"bytes"
+	"errors"
+	"math"
+	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/geom"
+	"repro/internal/index"
+	"repro/internal/persist"
 )
 
-func TestSaveLoadRoundtrip(t *testing.T) {
-	orig := Generate(Spec{NumObjects: 5, Levels: 3, Placement: Zipf, Seed: 9})
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
+// The tests in this file round-trip a dataset through its one on-disk
+// form: index.BuildSceneSegment writes it, PagedStore.Load reads it back
+// into a resident store.
+
+// benchCity is the end-to-end benchmark's city (bench/workloads.go).
+var benchCity = CitySpec{BlocksX: 16, BlocksY: 16, LotsPerBlock: 3, Levels: 3, Seed: 1}
+
+// writeSegment writes store's segment into a temp dir and returns its
+// path.
+func writeSegment(t *testing.T, store *index.Store, sc index.SegmentScene, pageSize int) string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "scene-default.seg")
+	if err := index.BuildSceneSegment(path, store, sc, pageSize); err != nil {
 		t.Fatal(err)
 	}
-	got, err := Load(&buf, true)
+	return path
+}
+
+// load reads the segment at path into a resident store.
+func load(t *testing.T, path string) (*index.Store, error) {
+	t.Helper()
+	ps, err := index.OpenPaged(path, index.PagedConfig{})
+	if err != nil {
+		return nil, err
+	}
+	defer ps.Close()
+	return ps.Load()
+}
+
+// allIDs returns every id of a store, ascending.
+func allIDs(s *index.Store) []int64 {
+	ids := make([]int64, s.NumCoeffs())
+	for i := range ids {
+		ids[i] = int64(i)
+	}
+	return ids
+}
+
+// assertSameStore fails t unless got equals want: bit-identical
+// bounds, the same base verts, objects and object ids, an equal
+// coefficient at every id, and byte-equal wire records.
+func assertSameStore(t *testing.T, got, want *index.Store) {
+	t.Helper()
+	bits := func(r geom.Rect3) [6]uint64 {
+		return [6]uint64{math.Float64bits(r.Min.X), math.Float64bits(r.Min.Y), math.Float64bits(r.Min.Z),
+			math.Float64bits(r.Max.X), math.Float64bits(r.Max.Y), math.Float64bits(r.Max.Z)}
+	}
+	if bits(got.Bounds()) != bits(want.Bounds()) {
+		t.Fatalf("bounds %+v, want bit-identical %+v", got.Bounds(), want.Bounds())
+	}
+	if got.BaseVerts() != want.BaseVerts() || got.NumObjects() != want.NumObjects() || got.NumCoeffs() != want.NumCoeffs() {
+		t.Fatalf("shape %d/%d/%d, want %d/%d/%d", got.BaseVerts(), got.NumObjects(), got.NumCoeffs(),
+			want.BaseVerts(), want.NumObjects(), want.NumCoeffs())
+	}
+	for obj := range int32(want.NumObjects()) {
+		if got.ID(obj, 0) != want.ID(obj, 0) {
+			t.Fatalf("object %d starts at id %d, want %d", obj, got.ID(obj, 0), want.ID(obj, 0))
+		}
+	}
+	for id := range want.NumCoeffs() {
+		if *index.MustCoeff(got, id) != *index.MustCoeff(want, id) {
+			t.Fatalf("coefficient %d differs", id)
+		}
+	}
+	ids := allIDs(want)
+	gw, _, err := got.NewPins().AppendRecords(nil, ids)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Spec.NumObjects != 5 || got.Spec.Levels != 3 ||
-		got.Spec.Placement != Zipf || got.Spec.Seed != 9 {
-		t.Fatalf("spec = %+v", got.Spec)
+	ww, _, err := want.NewPins().AppendRecords(nil, ids)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if got.Spec.Space != orig.Spec.Space {
-		t.Fatalf("space = %v", got.Spec.Space)
-	}
-	if got.Store.NumCoeffs() != orig.Store.NumCoeffs() {
-		t.Fatalf("coeffs %d vs %d", got.Store.NumCoeffs(), orig.Store.NumCoeffs())
-	}
-	for i, obj := range got.Store.Objects {
-		ref := orig.Store.Objects[i]
-		if obj.Bounds() != ref.Bounds() {
-			t.Fatalf("object %d bounds differ", i)
-		}
-		for j := range obj.Coeffs {
-			a, b := &obj.Coeffs[j], &ref.Coeffs[j]
-			if a.Pos != b.Pos || a.Delta != b.Delta || a.Value != b.Value ||
-				a.Support != b.Support || a.Level != b.Level || a.Parent != b.Parent {
-				t.Fatalf("object %d coefficient %d differs", i, j)
-			}
-		}
-		// RebuildFinal restored the refined mesh exactly.
-		if obj.Final == nil {
-			t.Fatalf("object %d final not rebuilt", i)
-		}
-		if obj.Final.NumVerts() != ref.Final.NumVerts() {
-			t.Fatalf("object %d final topology differs", i)
-		}
-		for v := range obj.Final.Verts {
-			if obj.Final.Verts[v].Dist(ref.Final.Verts[v]) > 1e-9 {
-				t.Fatalf("object %d final vertex %d off by %v",
-					i, v, obj.Final.Verts[v].Dist(ref.Final.Verts[v]))
-			}
-		}
+	if !bytes.Equal(gw, ww) {
+		t.Fatal("wire records differ")
 	}
 }
 
+// TestSaveLoadRoundtrip: a store read from its segment equals the store
+// it was written from, on the benchmark city and on a Zipf scatter
+// dataset.
+func TestSaveLoadRoundtrip(t *testing.T) {
+	for name, store := range map[string]*index.Store{
+		"city":    GenerateCity(benchCity),
+		"scatter": Generate(Spec{NumObjects: 5, Levels: 3, Placement: Zipf, Seed: 9}).Store,
+	} {
+		got, err := load(t, writeSegment(t, store, index.SegmentScene{Levels: 3}, 0))
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		assertSameStore(t, got, store)
+	}
+}
+
+// TestLoadWithoutFinals: a loaded store holds coefficients only; its
+// objects have no base or final mesh, and its base verts come from the
+// segment.
 func TestLoadWithoutFinals(t *testing.T) {
 	orig := Generate(Spec{NumObjects: 2, Levels: 2, Seed: 10})
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf, false)
+	got, err := load(t, writeSegment(t, orig.Store, index.SegmentScene{Levels: 2}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, obj := range got.Store.Objects {
-		if obj.Final != nil {
-			t.Fatalf("object %d has a final mesh", i)
+	for i, obj := range got.Objects {
+		if obj.Final != nil || obj.Base != nil || obj.J != 2 {
+			t.Fatalf("object %d: final %v, base %v, J %d; want coefficients and J 2 only", i, obj.Final != nil, obj.Base != nil, obj.J)
 		}
+	}
+	if got.BaseVerts() == 0 || got.BaseVerts() != orig.Store.BaseVerts() {
+		t.Fatalf("base verts %d, want %d", got.BaseVerts(), orig.Store.BaseVerts())
 	}
 }
 
+// TestSaveLoadFile: a segment file records its scene — levels, shards
+// and registry order — and a missing file does not open.
 func TestSaveLoadFile(t *testing.T) {
-	dir := t.TempDir()
-	path := filepath.Join(dir, "city.mar")
-	orig := Generate(Spec{NumObjects: 3, Levels: 2, Seed: 11})
-	if err := orig.SaveFile(path); err != nil {
-		t.Fatal(err)
-	}
-	got, err := LoadFile(path, false)
+	want := index.SegmentScene{Levels: 2, Shards: 4, Order: 3}
+	path := writeSegment(t, Generate(Spec{NumObjects: 3, Levels: 2, Seed: 11}).Store, want, 0)
+	ps, err := index.OpenPaged(path, index.PagedConfig{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Store.NumObjects() != 3 {
-		t.Fatalf("objects = %d", got.Store.NumObjects())
+	defer ps.Close()
+	if ps.Scene() != want || ps.NumObjects() != 3 {
+		t.Fatalf("scene %+v over %d objects, want %+v over 3", ps.Scene(), ps.NumObjects(), want)
 	}
-	if _, err := LoadFile(filepath.Join(dir, "missing.mar"), false); err == nil {
+	if _, err := load(t, filepath.Join(filepath.Dir(path), "missing.seg")); err == nil {
 		t.Fatal("missing file loaded")
 	}
 }
 
+// TestLoadRejectsCorruption: a flipped byte in a page fails the load
+// with persist.ErrCorrupt; a flipped footer byte or a truncation fails
+// the open.
 func TestLoadRejectsCorruption(t *testing.T) {
-	orig := Generate(Spec{NumObjects: 2, Levels: 2, Seed: 12})
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
+	path := writeSegment(t, Generate(Spec{NumObjects: 2, Levels: 2, Seed: 12}).Store, index.SegmentScene{Levels: 2}, 4096)
+	full, err := os.ReadFile(path)
+	if err != nil {
 		t.Fatal(err)
 	}
-	full := buf.Bytes()
-
-	// Bad magic.
-	bad := append([]byte{}, full...)
-	bad[0] ^= 0xFF
-	if _, err := Load(bytes.NewReader(bad), false); err == nil {
-		t.Error("bad magic accepted")
+	try := func(data []byte) error {
+		if err := os.WriteFile(path, data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		_, err := load(t, path)
+		return err
 	}
-	// Bad version.
-	bad = append([]byte{}, full...)
-	bad[4] = 0x7F
-	if _, err := Load(bytes.NewReader(bad), false); err == nil {
-		t.Error("bad version accepted")
+	bad := append([]byte(nil), full...)
+	bad[4096+8+5] ^= 0xFF // inside page 1
+	if err := try(bad); !errors.Is(err, persist.ErrCorrupt) {
+		t.Errorf("a corrupt page loaded: %v", err)
 	}
-	// Truncations at a sweep of cut points.
+	bad = append([]byte(nil), full...)
+	bad[len(bad)-20] ^= 0xFF // inside the footer
+	if err := try(bad); err == nil {
+		t.Error("a corrupt footer opened")
+	}
 	for _, frac := range []int{4, 3, 2} {
-		cut := len(full) / frac
-		if _, err := Load(bytes.NewReader(full[:cut]), false); err == nil {
-			t.Errorf("truncation at %d accepted", cut)
+		if err := try(full[:len(full)/frac]); err == nil {
+			t.Errorf("truncation at %d accepted", len(full)/frac)
 		}
 	}
 }
 
+// TestLoadedDatasetServes: a loaded store answers index searches as the
+// store it was written from does — the same ids, node reads and wire
+// records.
 func TestLoadedDatasetServes(t *testing.T) {
 	orig := Generate(Spec{NumObjects: 4, Levels: 2, Seed: 13})
-	var buf bytes.Buffer
-	if err := orig.Save(&buf); err != nil {
-		t.Fatal(err)
-	}
-	got, err := Load(&buf, true)
+	got, err := load(t, writeSegment(t, orig.Store, index.SegmentScene{Levels: 2}, 0))
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The loaded store supports the naive index path (neighbors need the
-	// rebuilt finals).
-	got.Store.EnsureNeighbors()
-	if got.SizeBytes() != orig.SizeBytes() {
-		t.Fatalf("size %d vs %d", got.SizeBytes(), orig.SizeBytes())
+	cfg := index.ShardedConfig{Shards: 4}
+	a, b := index.NewSharded(orig.Store, index.XYW, cfg), index.NewSharded(got, index.XYW, cfg)
+	space := orig.Spec.Space
+	for _, w := range []float64{0, 0.5, 0.9} {
+		q := index.Query{Region: space, WMin: w, WMax: 1}
+		wantIDs, wantIO := a.Search(q)
+		gotIDs, gotIO := b.Search(q)
+		if len(wantIDs) == 0 || len(gotIDs) != len(wantIDs) || gotIO != wantIO {
+			t.Fatalf("w ≥ %g: %d ids in %d reads, want %d in %d", w, len(gotIDs), gotIO, len(wantIDs), wantIO)
+		}
+		gw, _, _ := got.NewPins().AppendRecords(nil, gotIDs)
+		ww, _, _ := orig.Store.NewPins().AppendRecords(nil, wantIDs)
+		if !bytes.Equal(gw, ww) {
+			t.Fatalf("w ≥ %g: the loaded store's records differ", w)
+		}
 	}
 }

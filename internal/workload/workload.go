@@ -6,17 +6,12 @@
 package workload
 
 import (
-	"bufio"
-	"encoding/binary"
 	"fmt"
-	"io"
 	"math/rand"
-	"os"
 
 	"repro/internal/geom"
 	"repro/internal/index"
 	"repro/internal/mesh"
-	"repro/internal/persist"
 	"repro/internal/wavelet"
 )
 
@@ -165,101 +160,4 @@ func clampTo(p geom.Vec2, r geom.Rect2) geom.Vec2 {
 		p.Y = r.Max.Y
 	}
 	return p
-}
-
-// Save serializes the dataset to w: a small header with the spec's
-// reproducibility-relevant fields followed by each object's
-// decomposition. Final meshes are not stored; Load rebuilds them on
-// demand.
-func (d *Dataset) Save(w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	hdr := []any{
-		uint32(0x4D415244), // "MARD"
-		uint32(1),
-		int64(d.Spec.Seed),
-		uint32(d.Spec.NumObjects),
-		uint32(d.Spec.Levels),
-		uint32(d.Spec.Placement),
-		d.Spec.Space.Min.X, d.Spec.Space.Min.Y,
-		d.Spec.Space.Max.X, d.Spec.Space.Max.Y,
-	}
-	for _, v := range hdr {
-		if err := binary.Write(bw, binary.LittleEndian, v); err != nil {
-			return err
-		}
-	}
-	for _, obj := range d.Store.Objects {
-		if err := obj.Encode(bw); err != nil {
-			return err
-		}
-	}
-	return bw.Flush()
-}
-
-// Load deserializes a dataset written by Save. Set rebuildFinals to
-// restore the refined meshes (needed by the naive index and by error
-// measurement).
-func Load(r io.Reader, rebuildFinals bool) (*Dataset, error) {
-	br := bufio.NewReader(r)
-	r = br
-	var magic, version uint32
-	if err := binary.Read(r, binary.LittleEndian, &magic); err != nil {
-		return nil, err
-	}
-	if magic != 0x4D415244 {
-		return nil, fmt.Errorf("workload: bad magic %#x", magic)
-	}
-	if err := binary.Read(r, binary.LittleEndian, &version); err != nil {
-		return nil, err
-	}
-	if version != 1 {
-		return nil, fmt.Errorf("workload: unsupported version %d", version)
-	}
-	var seed int64
-	var num, levels, placement uint32
-	var x0, y0, x1, y1 float64
-	for _, p := range []any{&seed, &num, &levels, &placement, &x0, &y0, &x1, &y1} {
-		if err := binary.Read(r, binary.LittleEndian, p); err != nil {
-			return nil, err
-		}
-	}
-	if num > 1<<20 {
-		return nil, fmt.Errorf("workload: implausible object count %d", num)
-	}
-	spec := Spec{
-		Seed:       seed,
-		NumObjects: int(num),
-		Levels:     int(levels),
-		Placement:  Placement(placement),
-		Space:      geom.Rect2{Min: geom.V2(x0, y0), Max: geom.V2(x1, y1)},
-	}
-	objs := make([]*wavelet.Decomposition, spec.NumObjects)
-	for i := range objs {
-		obj, err := wavelet.DecodeDecomposition(r)
-		if err != nil {
-			return nil, fmt.Errorf("workload: object %d: %w", i, err)
-		}
-		if rebuildFinals {
-			obj.RebuildFinal()
-		}
-		objs[i] = obj
-	}
-	return &Dataset{Spec: spec, Store: index.NewStore(objs)}, nil
-}
-
-// SaveFile and LoadFile are file-path conveniences over Save and Load.
-// SaveFile writes atomically (temp file + fsync + rename), so a crash
-// mid-save never leaves a truncated dataset where a good one stood.
-func (d *Dataset) SaveFile(path string) error {
-	return persist.WriteToAtomic(path, d.Save)
-}
-
-// LoadFile opens and deserializes a dataset file.
-func LoadFile(path string, rebuildFinals bool) (*Dataset, error) {
-	f, err := os.Open(path)
-	if err != nil {
-		return nil, err
-	}
-	defer f.Close()
-	return Load(f, rebuildFinals)
 }

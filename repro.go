@@ -120,11 +120,6 @@ func NewFrustum(apex Vec2, facing, fov, rng float64) Frustum {
 	return geom.NewFrustum(apex, facing, fov, rng)
 }
 
-// LoadDataset reads a dataset saved with Dataset.SaveFile.
-func LoadDataset(path string, rebuildFinals bool) (*Dataset, error) {
-	return workload.LoadFile(path, rebuildFinals)
-}
-
 // Systems.
 type (
 	// SystemConfig parameterizes an end-to-end system.
