@@ -82,23 +82,27 @@ func TestRestartKeepsRegistryOrder(t *testing.T) {
 	}
 }
 
-// TestDamagedSegmentRewrittenFromRecipe: a restart refuses a segment
-// with a corrupt page and counts it in engine.records_quarantined, and
-// rewrites it from the recipe byte for byte; a damaged segment the
-// recipe does not name is refused and not served. An empty directory
-// with no recipe boots serving nothing.
-func TestDamagedSegmentRewrittenFromRecipe(t *testing.T) {
+// TestEmptyDataDirServesNothing: a durable backend booted on an empty
+// directory with no recipe serves no scene and writes no segment.
+func TestEmptyDataDirServesNothing(t *testing.T) {
 	dir := t.TempDir()
-	empty := startDurable(t, dir, stats.New(), 0)
-	if n := empty.Registry().Len(); n != 0 {
+	st := stats.New()
+	b := startDurable(t, dir, st, 0)
+	defer b.Stop()
+	if n := b.Registry().Len(); n != 0 {
 		t.Fatalf("an empty directory serves %d scenes", n)
 	}
-	empty.Stop()
+	if n := st.Load(stats.EngineCheckpoints); n != 0 {
+		t.Fatalf("an empty directory wrote %d segments", n)
+	}
+}
 
-	city := sceneConfig(t, sceneSpec{"city", 7}, nil)
+// writeDamaged boots a backend on dir that writes city's segment, and
+// returns the segment as written and a copy with a corrupt first page.
+func writeDamaged(t *testing.T, dir string, city engine.SceneConfig) (written, damaged []byte) {
+	t.Helper()
 	startDurable(t, dir, stats.New(), 0, city).Stop()
-	path := SegmentPath(dir, "city")
-	written, err := os.ReadFile(path)
+	written, err := os.ReadFile(SegmentPath(dir, "city"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -106,20 +110,28 @@ func TestDamagedSegmentRewrittenFromRecipe(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	damaged := append([]byte(nil), written...)
+	damaged = append([]byte(nil), written...)
 	damaged[seg.PageOffset(0)+3] ^= 0xFF
-	stray := SegmentPath(dir, "stray")
-	for p, data := range map[string][]byte{path: damaged, stray: damaged} {
-		if err := os.WriteFile(p, data, 0o644); err != nil {
-			t.Fatal(err)
-		}
+	return written, damaged
+}
+
+// TestDamagedSegmentRewrittenFromRecipe: a restart refuses a segment
+// with a corrupt page, counts it in engine.records_quarantined, and
+// rewrites it from the recipe byte for byte.
+func TestDamagedSegmentRewrittenFromRecipe(t *testing.T) {
+	dir := t.TempDir()
+	city := sceneConfig(t, sceneSpec{"city", 7}, nil)
+	written, damaged := writeDamaged(t, dir, city)
+	path := SegmentPath(dir, "city")
+	if err := os.WriteFile(path, damaged, 0o644); err != nil {
+		t.Fatal(err)
 	}
 
 	st := stats.New()
 	b := startDurable(t, dir, st, 0, city)
 	defer b.Stop()
-	if q := st.Load(stats.EngineRecordsQuarantined); q != 2 {
-		t.Fatalf("records_quarantined = %d, want the 2 damaged segments", q)
+	if q := st.Load(stats.EngineRecordsQuarantined); q != 1 {
+		t.Fatalf("records_quarantined = %d, want the damaged segment", q)
 	}
 	if names := b.Registry().Names(); len(names) != 1 || names[0] != "city" {
 		t.Fatalf("serving %v, want [city]", names)
@@ -130,6 +142,31 @@ func TestDamagedSegmentRewrittenFromRecipe(t *testing.T) {
 	}
 	if !bytes.Equal(again, written) || st.Load(stats.EngineCheckpoints) != 1 {
 		t.Fatalf("rewrote the segment %d times, byte-identical %v", st.Load(stats.EngineCheckpoints), bytes.Equal(again, written))
+	}
+}
+
+// TestStraySegmentRefused: a damaged segment the recipe does not name
+// is refused, counted in engine.records_quarantined and not served,
+// while the intact scenes beside it still are.
+func TestStraySegmentRefused(t *testing.T) {
+	dir := t.TempDir()
+	city := sceneConfig(t, sceneSpec{"city", 7}, nil)
+	_, damaged := writeDamaged(t, dir, city)
+	if err := os.WriteFile(SegmentPath(dir, "stray"), damaged, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	st := stats.New()
+	b := startDurable(t, dir, st, 0)
+	defer b.Stop()
+	if q := st.Load(stats.EngineRecordsQuarantined); q != 1 {
+		t.Fatalf("records_quarantined = %d, want the stray segment", q)
+	}
+	if names := b.Registry().Names(); len(names) != 1 || names[0] != "city" {
+		t.Fatalf("serving %v, want [city]", names)
+	}
+	if n := st.Load(stats.EngineCheckpoints); n != 0 {
+		t.Fatalf("the restart wrote %d segments", n)
 	}
 }
 
